@@ -232,7 +232,7 @@ func BenchmarkOnlineAnswerBFQ(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.AnswerBFQ(qs[i%len(qs)])
+		w.Engine.Answer(context.Background(), qs[i%len(qs)], 0)
 	}
 }
 
@@ -247,7 +247,7 @@ func BenchmarkOnlineAnswerComplex(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.Answer(cps[i%len(cps)].Q)
+		w.Engine.Answer(context.Background(), cps[i%len(cps)].Q, 0)
 	}
 }
 
@@ -292,7 +292,7 @@ func BenchmarkDecomposeDP(b *testing.B) {
 	q := cps[0].Q
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.Answer(q)
+		w.Engine.Answer(context.Background(), q, 0)
 	}
 }
 
@@ -322,7 +322,7 @@ func BenchmarkStoreLookups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := ents[i%len(ents)]
 		store.Objects(e, pop)
-		store.OutDegree(e)
+		rdf.OutDegree(store, e)
 	}
 }
 
@@ -494,7 +494,7 @@ func serveFixture(b *testing.B) {
 			panic(err)
 		}
 		for _, q := range serveQs {
-			serveWarm.Ask(context.Background(), q)
+			serveWarm.Query(context.Background(), q)
 		}
 	})
 	if len(serveQs) == 0 {
@@ -509,7 +509,7 @@ func BenchmarkServeCold(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serveCold.Ask(ctx, serveQs[i%len(serveQs)])
+		serveCold.Query(ctx, serveQs[i%len(serveQs)])
 	}
 }
 
@@ -520,7 +520,7 @@ func BenchmarkServeWarmCache(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serveWarm.Ask(ctx, serveQs[i%len(serveQs)])
+		serveWarm.Query(ctx, serveQs[i%len(serveQs)])
 	}
 }
 
@@ -531,7 +531,7 @@ func BenchmarkBatchAsk(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := serveCold.AskBatch(ctx, serveQs)
+		items := serveCold.QueryBatch(ctx, serveQs)
 		if len(items) != len(serveQs) {
 			b.Fatal("short batch")
 		}
@@ -589,20 +589,20 @@ func BenchmarkDecomposeStats(b *testing.B) {
 var (
 	shardOnce    sync.Once
 	shardKB      *kbgen.KB
-	shardFlat    *rdf.Store
+	shardFlat    *rdf.ShardedStore
 	shardSharded *rdf.ShardedStore
 )
 
 // shardFixture generates one KB an order of magnitude larger than the eval
 // worlds, so the k-round scan+join dominates and the per-round merge is
-// amortized, then shards it. The flat store and the sharded store share
+// amortized, then shards it. The one-shard store and the 8-shard store share
 // node IDs, so both layouts answer identical queries.
 func shardFixture(b *testing.B) {
 	b.Helper()
 	shardOnce.Do(func() {
 		shardKB = kbgen.Generate(kbgen.Config{Seed: 9, Flavor: kbgen.Freebase, Scale: 150})
-		shardFlat = shardKB.Store.(*rdf.Store)
-		shardSharded = rdf.Shard(shardFlat, 8)
+		shardFlat = shardKB.Store.(*rdf.ShardedStore)
+		shardSharded = rdf.Repartition(shardFlat, 8)
 	})
 }
 
@@ -626,7 +626,7 @@ func BenchmarkExpandParallel(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(expand.ExpandParallel(shardSharded, cfg).Triples) == 0 {
+				if res, err := expand.ExpandParallel(context.Background(), shardSharded, 8, expand.LocalScan(shardSharded), cfg); err != nil || len(res.Triples) == 0 {
 					b.Fatal("no triples")
 				}
 			}
@@ -640,7 +640,7 @@ func BenchmarkExpandParallel(b *testing.B) {
 // runtime's worker pool.
 func BenchmarkProbeSharded(b *testing.B) {
 	shardFixture(b)
-	path, ok := shardFlat.ParsePath("marriage→person→name")
+	path, ok := rdf.ParsePath(shardFlat, "marriage→person→name")
 	if !ok {
 		b.Fatal("expanded predicate missing")
 	}
@@ -658,7 +658,7 @@ func BenchmarkProbeSharded(b *testing.B) {
 				i := 0
 				for pb.Next() {
 					e := ents[i%len(ents)]
-					l.g.PathObjects(e, path)
+					rdf.PathObjects(l.g, e, path)
 					l.g.Objects(e, 0)
 					i++
 				}
@@ -672,13 +672,13 @@ func BenchmarkProbeSharded(b *testing.B) {
 func BenchmarkLoadNTriples(b *testing.B) {
 	shardFixture(b)
 	var buf bytes.Buffer
-	if err := shardFlat.WriteNTriples(&buf); err != nil {
+	if err := rdf.WriteNTriples(shardFlat, &buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rdf.ReadNTriples(bytes.NewReader(data)); err != nil {
+			if _, err := rdf.LoadNTriples(bytes.NewReader(data), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

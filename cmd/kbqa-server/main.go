@@ -513,7 +513,7 @@ func main() {
 	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client burst allowance (0 = ceil of -rate-limit)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent engine calls (0 = 4×GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "RDF store subject-hash shards (0 = default, 1 = unsharded)")
+	shards := flag.Int("shards", 0, "RDF store subject-hash shards (0 = default 4, 1 = one shard)")
 	shardServers := flag.String("shard-servers", "", "comma-separated kbqa-shard addresses; when set, knowledge-base index reads are served remotely (every server must have loaded the same world)")
 	shardReplicas := flag.Int("shard-replicas", 2, "replication factor of the shard placement")
 	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (must hold the world the other flags describe; exclusive with -shard-servers)")

@@ -77,23 +77,15 @@ func main() {
 		if err != nil {
 			fatal("parse flavor", obs.F("error", err.Error()))
 		}
-		if *shards < 2 {
-			fatal("need -shards >= 2: a shard server serves a sharded world")
-		}
 		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed),
 			obs.F("scale", *scale), obs.F("shards", *shards))
-		kb := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards})
-		ss, ok := kb.Store.(rdf.Sharded)
-		if !ok {
-			fatal("world store is not sharded")
-		}
-		store = ss
+		store = kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards}).Store
 		if *kbSave != "" {
-			if err := snapshot.WriteImageFile(*kbSave, ss); err != nil {
+			if err := snapshot.WriteImageFile(*kbSave, store); err != nil {
 				fatal("save kb image", obs.F("path", *kbSave), obs.F("error", err.Error()))
 			}
 			logger.Info("world image saved", obs.F("path", *kbSave),
-				obs.F("fingerprint", shardrpc.Fingerprint(ss, ss.NumShards())))
+				obs.F("fingerprint", rdf.WorldFingerprint(store)))
 		}
 	}
 
@@ -122,7 +114,7 @@ func main() {
 	st := srv.Stats()
 	logger.Info("world ready", obs.F("triples", st.Triples),
 		obs.F("shards", st.NumShards), obs.F("owned", len(st.Owned)),
-		obs.F("fingerprint", shardrpc.Fingerprint(store, store.NumShards())))
+		obs.F("fingerprint", rdf.WorldFingerprint(store)))
 
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {

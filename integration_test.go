@@ -37,8 +37,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		q = text.Join(text.Tokenize(q)) // canonical
 		q = replaceHole(q, w.KB.Store.Label(e))
 		total++
-		ans, ok := w.Engine.AnswerBFQ(q)
-		if ok && ans.Path == it.PathKey {
+		ans, _, _, err := w.Engine.Answer(context.Background(), q, 0)
+		if err == nil && ans.Path == it.PathKey {
 			right++
 		}
 	}
@@ -72,10 +72,10 @@ func TestKBSerializationPreservesAnswers(t *testing.T) {
 		Flavor: kbgen.DBpedia, Seed: 5, Scale: 15, PairsPerIntent: 15,
 	})
 	var buf bytes.Buffer
-	if err := w.KB.Store.WriteNTriples(&buf); err != nil {
+	if err := rdf.WriteNTriples(w.KB.Store, &buf); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := rdf.ReadNTriples(&buf)
+	reloaded, err := rdf.LoadNTriples(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +88,17 @@ func TestKBSerializationPreservesAnswers(t *testing.T) {
 		if len(subs) == 0 {
 			continue
 		}
-		path, _ := w.KB.Store.ParsePath(it.PathKey)
-		origVals := labelsOf(w.KB.Store, w.KB.Store.PathObjects(subs[0], path))
+		path, _ := rdf.ParsePath(w.KB.Store, it.PathKey)
+		origVals := labelsOf(w.KB.Store, rdf.PathObjects(w.KB.Store, subs[0], path))
 
 		label := w.KB.Store.Label(subs[0])
 		var again []string
-		path2, ok := reloaded.ParsePath(it.PathKey)
+		path2, ok := rdf.ParsePath(reloaded, it.PathKey)
 		if !ok {
 			t.Fatalf("path %s lost in serialization", it.PathKey)
 		}
 		for _, e2 := range reloaded.EntitiesByLabel(label) {
-			vals := labelsOf(reloaded, reloaded.PathObjects(e2, path2))
+			vals := labelsOf(reloaded, rdf.PathObjects(reloaded, e2, path2))
 			if len(vals) > 0 {
 				again = vals
 				break
@@ -130,10 +130,16 @@ func TestModelPortability(t *testing.T) {
 		v, p string
 		ok   bool
 	}
+	ask := func(sys *kbqa.System, q string) reply {
+		res, err := sys.Query(context.Background(), q)
+		if err != nil || res.Answer == nil {
+			return reply{}
+		}
+		return reply{res.Answer.Value, res.Answer.Predicate, true}
+	}
 	before := make([]reply, len(qs))
 	for i, q := range qs {
-		ans, ok := sys.Ask(context.Background(), q)
-		before[i] = reply{ans.Value, ans.Predicate, ok}
+		before[i] = ask(sys, q)
 	}
 	var buf bytes.Buffer
 	if err := sys.SaveModel(&buf); err != nil {
@@ -143,10 +149,8 @@ func TestModelPortability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		ans, ok := sys.Ask(context.Background(), q)
-		if ok != before[i].ok || ans.Value != before[i].v || ans.Predicate != before[i].p {
-			t.Fatalf("answer changed after model round trip for %q: %v/%v vs %+v",
-				q, ans.Value, ans.Predicate, before[i])
+		if after := ask(sys, q); after != before[i] {
+			t.Fatalf("answer changed after model round trip for %q: %+v vs %+v", q, after, before[i])
 		}
 	}
 }

@@ -368,13 +368,13 @@ func (g *GraphMatch) Answer(question string) (Result, bool) {
 			})
 			// Learned sub-structures.
 			for pathKey, syns := range g.PathSynonyms {
-				path, ok := g.KB.ParsePath(pathKey)
+				path, ok := rdf.ParsePath(g.KB, pathKey)
 				if !ok {
 					continue
 				}
 				for _, syn := range syns {
 					if sim := matchSyn(syn); sim > 0 {
-						consider(sim*float64(len(syn))+0.5, pathKey, g.KB.PathObjects(e, path))
+						consider(sim*float64(len(syn))+0.5, pathKey, rdf.PathObjects(g.KB, e, path))
 					}
 				}
 			}

@@ -85,10 +85,10 @@ func TestSynonymAnswersParaphrase(t *testing.T) {
 func TestSynonymFailsOnExpandedPredicate(t *testing.T) {
 	kb := benchKB(t)
 	s := &Synonym{KB: kb.Store, Lexicon: DefaultLexicon()}
-	path, _ := kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person string
 	for _, p := range kb.ByCategory["person"] {
-		if len(kb.Store.PathObjects(p, path)) > 0 {
+		if len(rdf.PathObjects(kb.Store, p, path)) > 0 {
 			person = kb.Store.Label(p)
 			break
 		}
@@ -102,10 +102,10 @@ func TestSynonymFailsOnExpandedPredicate(t *testing.T) {
 func TestGraphMatchHandlesSubStructure(t *testing.T) {
 	kb := benchKB(t)
 	g := &GraphMatch{KB: kb.Store, Lexicon: DefaultLexicon(), PathSynonyms: DefaultPathSynonyms()}
-	path, _ := kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person, want string
 	for _, p := range kb.ByCategory["person"] {
-		objs := kb.Store.PathObjects(p, path)
+		objs := rdf.PathObjects(kb.Store, p, path)
 		if len(objs) > 0 {
 			person = kb.Store.Label(p)
 			want = text.Normalize(kb.Store.Label(objs[0]))

@@ -25,7 +25,7 @@ func TestConcurrentAnswer(t *testing.T) {
 	}
 	baseline := make([]result, len(questions))
 	for i, q := range questions {
-		ans, ok := f.engine.Answer(q)
+		ans, ok := ask(f.engine, q)
 		baseline[i] = result{ans.Value, ok}
 	}
 
@@ -36,7 +36,7 @@ func TestConcurrentAnswer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, q := range questions {
-				ans, ok := f.engine.Answer(q)
+				ans, ok := ask(f.engine, q)
 				if ok != baseline[i].ok || (ok && ans.Value != baseline[i].value) {
 					errs <- q
 					return

@@ -7,12 +7,15 @@
 // decompose into a BFQ sequence, answer each BFQ, binding every answer into
 // the next question's entity variable.
 //
-// The context-aware entry points (AnswerCtx, AnswerTopK) check cancellation
-// between knowledge-base probes and between chain hops, so a deadline stops
-// work mid-inference on large stores instead of letting an abandoned
+// The engine holds the locally loaded world for symbols (labels, predicate
+// names, the gazetteer) and reads the triple indexes through Index alone —
+// in process or across shard servers, under the caller's context either
+// way. Cancellation is checked at every index read and between chain hops,
+// so a deadline stops work mid-inference instead of letting an abandoned
 // request run to completion; failures are the typed errors ErrNoEntity,
 // ErrNoTemplate and ErrNoAnswer so callers can tell the failure stages
-// apart.
+// apart, and an Index failure (every replica of a shard down) aborts the
+// answer rather than shrinking it.
 package core
 
 import (
@@ -90,28 +93,62 @@ func (a Answer) Complex() bool { return len(a.Steps) > 1 }
 
 // Ranked is one scored candidate interpretation of a question: an
 // (entity, template, predicate) triple with its joint Eq (7) weight
-// P(e|q)·P(t|e,q)·P(p|t) and the values it would answer with. AnswerTopK
-// surfaces the strongest K instead of discarding all but the argmax.
+// P(e|q)·P(t|e,q)·P(p|t) and the values it would answer with. Answer
+// surfaces the strongest k instead of discarding all but the argmax.
 type Ranked struct {
 	Entity      rdf.ID
 	EntityLabel string
 	Template    string
 	Path        string
-	// Score is the interpretation's joint weight. The slice AnswerTopK
-	// returns is sorted by descending Score with deterministic tie-breaks.
+	// Score is the interpretation's joint weight. The slice Answer returns
+	// is sorted by descending Score with deterministic tie-breaks.
 	Score float64
 	// Values are the normalized labels of V(e, p), sorted.
 	Values []string
 }
 
-// Engine is the online QA engine. All fields except Decomposer are
-// required.
+// Index is the engine's whole view of the knowledge base's triple indexes:
+// V(e, p+) and the reverse lookup of the ranking variants. Reads take the
+// caller's context and return an error, so one code path serves the
+// in-process world (LocalIndex) and the shard servers (shardrpc.KB).
+type Index interface {
+	// PathObjects returns V(subj, path), ascending and deduplicated.
+	PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error)
+	// Subjects returns all subjects with (s, pred, obj) in K, ascending.
+	Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error)
+}
+
+// LocalIndex serves Index from an in-process graph. The reads themselves
+// cannot fail or block; the context is honoured before each one, so a
+// cancelled request stops probing.
+func LocalIndex(g rdf.Graph) Index { return localIndex{g} }
+
+type localIndex struct{ g rdf.Graph }
+
+func (l localIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return rdf.PathObjects(l.g, subj, path), nil
+}
+
+func (l localIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return l.g.Subjects(pred, obj), nil
+}
+
+// Engine is the online QA engine. All fields except Stats are required.
 type Engine struct {
-	KB       rdf.Graph
+	// KB is the locally loaded world, read for symbols only.
+	KB rdf.Sharded
+	// Index serves every triple-index read.
+	Index    Index
 	Taxonomy *concept.Taxonomy
 	Model    *learn.Model
-	// Decomposer, when set, enables complex-question answering.
-	Decomposer *decompose.Decomposer
+	// Stats, when set, enables complex-question answering.
+	Stats *decompose.Stats
 	// MaxChainValues caps how many values of an intermediate step are
 	// expanded during complex-question execution (default 8).
 	MaxChainValues int
@@ -122,42 +159,37 @@ type Engine struct {
 	sortedTemplates []string
 }
 
-// NewEngine builds an engine. A non-nil stats enables complex-question
-// decomposition; per question, Answer wires a δ oracle that rejects spans
-// without a fully-contained entity mention before paying for full
-// interpretation, which keeps the DP's δ evaluations cheap.
-func NewEngine(kb rdf.Graph, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
-	e := &Engine{KB: kb, Taxonomy: tax, Model: model}
-	e.sortedTemplates = sortedTemplateKeys(model)
-	if stats != nil {
-		//kbqa:nolint ctxpropagate — construction-time warmup, not a request path
-		e.Decomposer = e.decomposerFor(context.Background(), nil)
-		e.Decomposer.Stats = stats
-	}
-	return e
+// NewEngine builds an engine over the local world kb whose index reads go
+// through idx — LocalIndex(kb) in process, a shardrpc.KB for a cluster. A
+// non-nil stats enables complex-question decomposition.
+func NewEngine(kb rdf.Sharded, idx Index, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
+	return &Engine{KB: kb, Index: idx, Taxonomy: tax, Model: model, Stats: stats,
+		sortedTemplates: sortedTemplateKeys(model)}
 }
 
-// decomposerFor builds a decomposer whose primitive oracle uses the given
-// precomputed mentions (of the question about to be decomposed) as a fast
-// rejection filter. Engines are safe for concurrent Answer calls because
+// decomposerFor builds a decomposer whose primitive oracle uses the
+// precomputed mentions of the question about to be decomposed as a fast
+// rejection filter: a span without a fully-contained entity mention is
+// rejected before paying for full interpretation, which keeps the DP's δ
+// evaluations cheap. Engines are safe for concurrent Answer calls because
 // each call gets its own oracle closure. The oracle observes ctx so a
-// deadline also aborts the decomposition DP, not just the probe loops.
-func (e *Engine) decomposerFor(ctx context.Context, mentions []extract.Mention) *decompose.Decomposer {
-	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens}
-	if e.Decomposer != nil {
-		d.Stats = e.Decomposer.Stats
-	}
+// deadline also aborts the decomposition DP, not just the probe loops; an
+// Index failure inside it is kept in *failed for the caller to surface.
+func (e *Engine) decomposerFor(ctx context.Context, mentions []extract.Mention, failed *error) *decompose.Decomposer {
+	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
 	d.Primitive = func(toks []string, sp text.Span) bool {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || *failed != nil {
 			return false
 		}
-		ms := mentions
-		if ms == nil {
-			ms = extract.FindMentions(e.KB, toks)
-		}
-		for _, m := range ms {
+		for _, m := range mentions {
 			if sp.Contains(m.Span) {
-				return e.primitive(ctx, toks[sp.Start:sp.End])
+				// The δ oracle of Algorithm 2: a token span is a primitive
+				// BFQ iff the engine can actually answer it.
+				cands, err := e.interpretations(ctx, toks[sp.Start:sp.End])
+				if err != nil {
+					*failed = err
+				}
+				return len(cands) > 0
 			}
 		}
 		return false
@@ -234,46 +266,16 @@ func (tm *Timings) lapProbe(start time.Time) {
 
 // Answer answers a question. Primitive BFQs take the O(|P|) inference path
 // directly; only questions the direct path cannot answer pay for the
-// O(|q|^4) decomposition DP (Sec 5). ok is false when KBQA has no answer
-// (the "null" reply counted by the #pro metric).
+// O(|q|^4) decomposition DP (Sec 5). Alongside the answer it returns the
+// top-k ranked interpretations — the scored (entity, template, predicate)
+// triples of Eq (7)'s summation that the argmax otherwise discards; for a
+// complex question the ranking covers the final hop's winning BFQ, and
+// k <= 0 asks for none — and the per-stage latency attribution.
 //
-// Answer cannot be cancelled and collapses the failure stages into one
-// bool; prefer AnswerCtx or AnswerTopK for serving traffic.
-func (e *Engine) Answer(question string) (Answer, bool) {
-	//kbqa:nolint ctxpropagate — documented ctx-less shim; serving uses AnswerCtx
-	ans, _, err := e.answer(context.Background(), question, nil, 0)
-	return ans, err == nil
-}
-
-// AnswerCtx is Answer with cancellation and typed failures: the error is
-// ErrNoEntity, ErrNoTemplate or ErrNoAnswer for unanswerable questions
-// (see Unanswerable), or ctx.Err() when the context expires — cancellation
-// is checked between knowledge-base probes and between chain hops, so a
-// deadline aborts the scan instead of letting it run to completion.
-func (e *Engine) AnswerCtx(ctx context.Context, question string) (Answer, error) {
-	ans, _, err := e.answer(ctx, question, nil, 0)
-	return ans, err
-}
-
-// AnswerTopK is AnswerCtx surfacing the top-k ranked interpretations —
-// the scored (entity, template, predicate) triples of Eq (7)'s summation
-// that the argmax otherwise discards — alongside the answer. For a complex
-// question the ranking covers the final hop's winning BFQ. k <= 0 returns
-// no interpretations.
-func (e *Engine) AnswerTopK(ctx context.Context, question string, k int) (Answer, []Ranked, error) {
-	return e.answer(ctx, question, nil, k)
-}
-
-// AnswerTimed is Answer with per-stage latency attribution, the engine's
-// hook for the serving runtime's metrics pipeline.
-func (e *Engine) AnswerTimed(question string) (Answer, Timings, bool) {
-	//kbqa:nolint ctxpropagate — documented ctx-less shim; serving uses AnswerTopKTimed
-	ans, _, tm, err := e.AnswerTopKTimed(context.Background(), question, 0)
-	return ans, tm, err == nil
-}
-
-// AnswerTopKTimed combines AnswerTopK with per-stage latency attribution.
-func (e *Engine) AnswerTopKTimed(ctx context.Context, question string, k int) (Answer, []Ranked, Timings, error) {
+// The error is ErrNoEntity, ErrNoTemplate or ErrNoAnswer for unanswerable
+// questions (see Unanswerable), ctx.Err() when the context expires, or the
+// Index's error when a read fails.
+func (e *Engine) Answer(ctx context.Context, question string, k int) (Answer, []Ranked, Timings, error) {
 	var tm Timings
 	start := time.Now()
 	ans, ranked, err := e.answer(ctx, question, &tm, k)
@@ -281,9 +283,9 @@ func (e *Engine) AnswerTopKTimed(ctx context.Context, question string, k int) (A
 	return ans, ranked, tm, err
 }
 
-// answer is the shared implementation: tokenize and locate entity mentions
-// exactly once (the direct BFQ attempt and the decomposition fallback share
-// both), try the direct Eq (7) path, then fall back to decomposition.
+// answer tokenizes and locates entity mentions exactly once (the direct BFQ
+// attempt and the decomposition fallback share both), tries the direct
+// Eq (7) path, then falls back to decomposition.
 //
 // When the context carries a trace, the call runs under an "engine.answer"
 // span whose parse/match/probe stage children mirror the Timings laps
@@ -296,9 +298,6 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 	ctx, sp := obs.StartSpan(ctx, "engine.answer")
 	if sp != nil {
 		sp.SetAttr("question", question)
-		if tm == nil {
-			tm = new(Timings)
-		}
 		defer func() {
 			sp.Stage("parse", tm.Parse)
 			sp.Stage("match", tm.Match)
@@ -332,7 +331,7 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 		return ErrNoAnswer
 	}
 
-	if e.Decomposer == nil {
+	if e.Stats == nil {
 		return Answer{}, nil, fail()
 	}
 	dToks := qToks
@@ -347,12 +346,16 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 	if len(mentions) == 0 {
 		return Answer{}, nil, fail()
 	}
-	d := e.decomposerFor(ctx, mentions)
+	var oracleErr error
+	d := e.decomposerFor(ctx, mentions, &oracleErr)
 	matchStart := stampIf(tm)
 	dec, ok := d.DecomposeTokens(dToks)
 	tm.lapMatch(matchStart)
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
+	}
+	if oracleErr != nil {
+		return Answer{}, nil, oracleErr
 	}
 	if ok && dec.IsComplex() {
 		ans, ranked, answered, err := e.executeChain(ctx, dec, tm, k)
@@ -364,13 +367,6 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 		}
 	}
 	return Answer{}, nil, fail()
-}
-
-// AnswerBFQ runs Eq (7) on a binary factoid question.
-func (e *Engine) AnswerBFQ(question string) (Answer, bool) {
-	//kbqa:nolint ctxpropagate — documented ctx-less shim over answerBFQ
-	ans, _, err := e.answerBFQ(context.Background(), question, nil)
-	return ans, err == nil
 }
 
 // answerBFQ runs the direct inference path, returning the candidate
@@ -541,33 +537,23 @@ type interpretation struct {
 
 // interpretations enumerates Eq (7)'s summation support: entities from the
 // question's mentions, templates from conceptualization, predicates from
-// the learned model. tm, when non-nil, accumulates stage latencies.
-func (e *Engine) interpretations(ctx context.Context, qToks []string, tm *Timings) []interpretation {
-	parseStart := stampIf(tm)
-	mentions := extract.FindMentions(e.KB, qToks)
-	tm.lapParse(parseStart)
-	cands, _, err := e.interpretationsFrom(ctx, qToks, mentions, tm)
-	if err != nil {
-		return nil
-	}
-	return cands
+// the learned model.
+func (e *Engine) interpretations(ctx context.Context, qToks []string) ([]interpretation, error) {
+	cands, _, err := e.interpretationsFrom(ctx, qToks, extract.FindMentions(e.KB, qToks), nil)
+	return cands, err
 }
 
 // interpretationsFrom is interpretations with the mention lookup hoisted
-// out, for callers that already hold the mentions of qToks. sawMass
-// reports whether any derived template carried learned P(p|t) mass (the
-// ErrNoTemplate / ErrNoAnswer discriminator); err is non-nil only when ctx
-// expires — checked before every knowledge-base probe, so cancellation
-// aborts the scan mid-flight.
+// out, for callers that already hold the mentions of qToks. tm, when
+// non-nil, accumulates stage latencies. sawMass reports whether any derived
+// template carried learned P(p|t) mass (the ErrNoTemplate / ErrNoAnswer
+// discriminator); err is the Index's — ctx expiry, which every read checks,
+// so cancellation aborts the scan mid-flight, or infrastructure failure
+// (all replicas down), which aborts the answer rather than shrinking it.
 func (e *Engine) interpretationsFrom(ctx context.Context, qToks []string, mentions []extract.Mention, tm *Timings) (out []interpretation, sawMass bool, err error) {
 	if len(mentions) == 0 {
 		return nil, false, nil
 	}
-	// A context-aware prober (a network-backed store) gets the caller's
-	// ctx per probe, so its deadlines and trace spans flow across the RPC
-	// boundary; its error is infrastructure failure (all replicas down,
-	// deadline exceeded) and aborts the answer rather than shrinking it.
-	remote, _ := e.KB.(ctxProber)
 	// P(e|q): uniform over all candidate entities across mentions.
 	var totalEntities int
 	for _, m := range mentions {
@@ -604,29 +590,19 @@ func (e *Engine) interpretationsFrom(ctx context.Context, qToks []string, mentio
 				}
 				sort.Strings(pathKeys)
 				for _, pathKey := range pathKeys {
-					if err := ctx.Err(); err != nil {
-						tm.lapProbe(probeStart)
-						psp.End()
-						return nil, sawMass, err
-					}
 					ppt := dist[pathKey]
 					if ppt <= 0 {
 						continue
 					}
-					path, ok := e.KB.ParsePath(pathKey)
+					path, ok := rdf.ParsePath(e.KB, pathKey)
 					if !ok {
 						continue
 					}
-					var values []rdf.ID
-					if remote != nil {
-						values, err = remote.PathObjectsCtx(ctx, ent, path)
-						if err != nil {
-							tm.lapProbe(probeStart)
-							psp.End()
-							return nil, sawMass, err
-						}
-					} else {
-						values = e.KB.PathObjects(ent, path)
+					values, err := e.Index.PathObjects(ctx, ent, path)
+					if err != nil {
+						tm.lapProbe(probeStart)
+						psp.End()
+						return nil, sawMass, err
 					}
 					if len(values) == 0 {
 						continue
@@ -650,26 +626,16 @@ func (e *Engine) interpretationsFrom(ctx context.Context, qToks []string, mentio
 	return out, sawMass, nil
 }
 
-// ctxProber is the optional Graph extension a remote-backed store
-// implements: PathObjects under the caller's context, with failure
-// surfaced as an error instead of a silent empty set.
-type ctxProber interface {
-	PathObjectsCtx(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error)
-}
-
 // annotateShards attributes a probe span to the knowledge-base shards that
-// own the candidate entities, when the store is sharded. Each distinct
-// shard becomes a "probe.shard" child span so a trace shows exactly which
-// partitions one mention's probes touched.
+// own the candidate entities. Each distinct shard becomes a "probe.shard"
+// child span so a trace shows exactly which partitions one mention's probes
+// touched.
 func (e *Engine) annotateShards(psp *obs.Span, entities []rdf.ID) {
-	sharded, ok := e.KB.(interface{ ShardOf(rdf.ID) int })
-	if !ok {
-		return
-	}
+	n := e.KB.NumShards()
 	perShard := map[int]int64{}
 	order := make([]int, 0, 4)
 	for _, ent := range entities {
-		s := sharded.ShardOf(ent)
+		s := rdf.ShardIndex(ent, n)
 		if _, seen := perShard[s]; !seen {
 			order = append(order, s)
 		}
@@ -684,18 +650,12 @@ func (e *Engine) annotateShards(psp *obs.Span, entities []rdf.ID) {
 	}
 }
 
-// primitive is the δ oracle of Algorithm 2: a token span is a primitive BFQ
-// iff the engine can actually answer it.
-func (e *Engine) primitive(ctx context.Context, toks []string) bool {
-	return len(e.interpretations(ctx, toks, nil)) > 0
-}
-
 // executeChain runs a decomposition sequence: answer the innermost BFQ,
 // then repeatedly bind the answer(s) into the next pattern (Sec 5.1).
 // Cancellation is checked between hops and between bindings, so a deadline
 // stops a multi-hop question instead of fanning out more work; answered is
 // false when some hop has no answer (err stays nil), and err is non-nil
-// only for context expiry.
+// only for context expiry or an Index failure.
 func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, tm *Timings, k int) (_ Answer, _ []Ranked, answered bool, err error) {
 	maxVals := e.MaxChainValues
 	if maxVals <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/kbgen"
 	"repro/internal/learn"
+	"repro/internal/rdf"
 	"repro/internal/text"
 )
 
@@ -49,10 +51,33 @@ func world(t testing.TB) *fixture {
 		stats := decompose.BuildStats(corpus.Questions(pairs), func(toks []string, sp text.Span) bool {
 			return len(kb.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
 		})
-		engine := NewEngine(kb.Store, kb.Taxonomy, model, stats)
+		engine := NewEngine(kb.Store, LocalIndex(kb.Store), kb.Taxonomy, model, stats)
 		fix = &fixture{kb: kb, pairs: pairs, model: model, engine: engine}
 	})
 	return fix
+}
+
+// ask, askCtx, askBFQ and askVariant are the tests' shorthands over the
+// engine's entry points: no ranking, no timings, and for the bool forms a
+// background context with any failure folded into false.
+func ask(e *Engine, q string) (Answer, bool) {
+	ans, err := askCtx(context.Background(), e, q)
+	return ans, err == nil
+}
+
+func askCtx(ctx context.Context, e *Engine, q string) (Answer, error) {
+	ans, _, _, err := e.Answer(ctx, q, 0)
+	return ans, err
+}
+
+func askBFQ(e *Engine, q string) (Answer, bool) {
+	ans, _, err := e.answerBFQ(context.Background(), q, nil)
+	return ans, err == nil
+}
+
+func askVariant(e *Engine, q string) (VariantAnswer, bool) {
+	va, ok, err := e.AnswerVariant(context.Background(), q)
+	return va, ok && err == nil
 }
 
 // TestAnswersCleanCorpusQuestions checks end-to-end accuracy on the clean
@@ -66,7 +91,7 @@ func TestAnswersCleanCorpusQuestions(t *testing.T) {
 			continue
 		}
 		total++
-		ans, ok := f.engine.AnswerBFQ(p.Q)
+		ans, ok := askBFQ(f.engine, p.Q)
 		if !ok {
 			continue
 		}
@@ -98,7 +123,7 @@ func TestExample1PopulationFlow(t *testing.T) {
 	city := f.kb.ByCategory["city"][0]
 	label := f.kb.Store.Label(city)
 	q := "How many people are there in " + text.TitleCase(label) + "?"
-	ans, ok := f.engine.AnswerBFQ(q)
+	ans, ok := askBFQ(f.engine, q)
 	if !ok {
 		t.Fatalf("no answer for %q", q)
 	}
@@ -113,11 +138,11 @@ func TestExample1PopulationFlow(t *testing.T) {
 func TestExpandedPredicateAnswer(t *testing.T) {
 	f := world(t)
 	// Find a married person.
-	path, _ := f.kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	var want string
 	for _, p := range f.kb.ByCategory["person"] {
-		objs := f.kb.Store.PathObjects(p, path)
+		objs := rdf.PathObjects(f.kb.Store, p, path)
 		if len(objs) > 0 {
 			subject = f.kb.Store.Label(p)
 			want = text.Normalize(f.kb.Store.Label(objs[0]))
@@ -127,7 +152,7 @@ func TestExpandedPredicateAnswer(t *testing.T) {
 	if subject == "" {
 		t.Fatal("no married person in KB")
 	}
-	ans, ok := f.engine.AnswerBFQ("Who is the wife of " + text.TitleCase(subject) + "?")
+	ans, ok := askBFQ(f.engine, "Who is the wife of "+text.TitleCase(subject)+"?")
 	if !ok {
 		t.Fatal("no answer")
 	}
@@ -141,15 +166,15 @@ func TestExpandedPredicateAnswer(t *testing.T) {
 
 func TestNullAnswer(t *testing.T) {
 	f := world(t)
-	if _, ok := f.engine.AnswerBFQ("What is the meaning of life?"); ok {
+	if _, ok := askBFQ(f.engine, "What is the meaning of life?"); ok {
 		t.Error("expected null answer for out-of-KB question")
 	}
-	if _, ok := f.engine.AnswerBFQ(""); ok {
+	if _, ok := askBFQ(f.engine, ""); ok {
 		t.Error("expected null answer for empty question")
 	}
 	// Known entity, unknown intent.
 	city := f.kb.Store.Label(f.kb.ByCategory["city"][0])
-	if _, ok := f.engine.AnswerBFQ("What is the favorite color of " + city + "?"); ok {
+	if _, ok := askBFQ(f.engine, "What is the favorite color of "+city+"?"); ok {
 		t.Error("expected null for unlearnable intent")
 	}
 }
@@ -162,7 +187,7 @@ func TestComplexQuestions(t *testing.T) {
 	}
 	answered, right := 0, 0
 	for _, cp := range cps {
-		ans, ok := f.engine.Answer(cp.Q)
+		ans, ok := ask(f.engine, cp.Q)
 		if !ok {
 			continue
 		}
@@ -195,16 +220,16 @@ func TestComplexQuestions(t *testing.T) {
 func TestComplexAnswerHasSteps(t *testing.T) {
 	f := world(t)
 	// "When was X's wife born?" for a married person.
-	path, _ := f.kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(f.kb.Store.PathObjects(p, path)) > 0 {
+		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}
 	}
 	q := "When was " + text.TitleCase(subject) + "'s wife born?"
-	ans, ok := f.engine.Answer(q)
+	ans, ok := ask(f.engine, q)
 	if !ok {
 		t.Fatalf("no answer for %q", q)
 	}
@@ -226,16 +251,16 @@ func TestComplexAnswerHasSteps(t *testing.T) {
 // must list the full fan-out.
 func TestChainTraceRecordsExecutedQuestions(t *testing.T) {
 	f := world(t)
-	path, _ := f.kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(f.kb.Store.PathObjects(p, path)) > 0 {
+		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}
 	}
 	q := "When was " + text.TitleCase(subject) + "'s wife born?"
-	ans, ok := f.engine.Answer(q)
+	ans, ok := ask(f.engine, q)
 	if !ok || !ans.Complex() {
 		t.Fatalf("no decomposed answer for %q", q)
 	}
@@ -259,7 +284,7 @@ func TestChainTraceRecordsExecutedQuestions(t *testing.T) {
 func TestAnswerFallsBackToBFQ(t *testing.T) {
 	f := world(t)
 	city := f.kb.Store.Label(f.kb.ByCategory["city"][0])
-	ans, ok := f.engine.Answer("What is the population of " + text.TitleCase(city) + "?")
+	ans, ok := ask(f.engine, "What is the population of "+text.TitleCase(city)+"?")
 	if !ok {
 		t.Fatal("no answer")
 	}
@@ -275,7 +300,7 @@ func TestAmbiguousEntityResolution(t *testing.T) {
 	f := world(t)
 	// "paris" is a city and a person. A population question must pick the
 	// city sense.
-	ans, ok := f.engine.AnswerBFQ("How many people are there in Paris?")
+	ans, ok := askBFQ(f.engine, "How many people are there in Paris?")
 	if !ok {
 		t.Skip("ambiguous entity not answerable in this world")
 	}
@@ -294,7 +319,7 @@ func TestAmbiguousEntityResolution(t *testing.T) {
 func TestScoreMonotonicity(t *testing.T) {
 	f := world(t)
 	city := f.kb.Store.Label(f.kb.ByCategory["city"][0])
-	ans, ok := f.engine.AnswerBFQ("What is the population of " + city + "?")
+	ans, ok := askBFQ(f.engine, "What is the population of "+city+"?")
 	if !ok {
 		t.Fatal("no answer")
 	}

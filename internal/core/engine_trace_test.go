@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/text"
 )
 
@@ -16,10 +17,10 @@ import (
 // per-BFQ spans from chain execution.
 func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	f := world(t)
-	path, _ := f.kb.Store.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(f.kb.Store.PathObjects(p, path)) > 0 {
+		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}
@@ -28,7 +29,7 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 	ctx, trace := tracer.Start(context.Background(), "test")
-	ans, _, tm, err := f.engine.AnswerTopKTimed(ctx, q, 3)
+	ans, _, tm, err := f.engine.Answer(ctx, q, 3)
 	trace.Finish()
 	if err != nil {
 		t.Fatalf("no answer for %q: %v", q, err)
@@ -93,10 +94,10 @@ func TestUntracedAnswerUnchanged(t *testing.T) {
 	q := "What is the population of a city?" // answerable shape irrelevant; compare traced vs untraced
 	for _, p := range f.pairs[:5] {
 		q = p.Q
-		a1, ok1 := f.engine.Answer(q)
+		a1, ok1 := ask(f.engine, q)
 		tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 		ctx, trace := tracer.Start(context.Background(), "t")
-		a2, err := f.engine.AnswerCtx(ctx, q)
+		a2, err := askCtx(ctx, f.engine, q)
 		trace.Finish()
 		if ok1 != (err == nil) {
 			t.Fatalf("traced/untraced answerability diverged for %q: %v vs %v", q, ok1, err)

@@ -13,30 +13,29 @@ import (
 	"repro/internal/text"
 )
 
-// probeCountingGraph wraps a Graph and counts PathObjects probes, invoking
+// probeCountingIndex wraps an Index and counts PathObjects probes, invoking
 // an optional hook per probe — the instrument behind the cancellation
 // tests: it proves a cancelled context stops the interpretation scan
 // instead of letting it run to completion.
-type probeCountingGraph struct {
-	rdf.Graph
+type probeCountingIndex struct {
+	Index
 	probes  atomic.Int64
 	onProbe func(n int64)
 }
 
-func (g *probeCountingGraph) PathObjects(subj rdf.ID, path rdf.Path) []rdf.ID {
+func (g *probeCountingIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
 	n := g.probes.Add(1)
 	if g.onProbe != nil {
 		g.onProbe(n)
 	}
-	return g.Graph.PathObjects(subj, path)
+	return g.Index.PathObjects(ctx, subj, path)
 }
 
 // countingEngine builds an engine identical to the fixture's but probing
 // through the counting wrapper.
-func countingEngine(f *fixture) (*Engine, *probeCountingGraph) {
-	g := &probeCountingGraph{Graph: f.kb.Store}
-	var stats = f.engine.Decomposer.Stats
-	return NewEngine(g, f.kb.Taxonomy, f.model, stats), g
+func countingEngine(f *fixture) (*Engine, *probeCountingIndex) {
+	g := &probeCountingIndex{Index: f.engine.Index}
+	return NewEngine(f.kb.Store, g, f.kb.Taxonomy, f.model, f.engine.Stats), g
 }
 
 // answerableQuestion returns a clean corpus question the fixture engine
@@ -49,7 +48,7 @@ func answerableQuestion(t *testing.T, f *fixture, minProbes int64) (string, int6
 			continue
 		}
 		g.probes.Store(0)
-		if _, err := e.AnswerCtx(context.Background(), p.Q); err == nil {
+		if _, err := askCtx(context.Background(), e, p.Q); err == nil {
 			if n := g.probes.Load(); n >= minProbes {
 				return p.Q, n
 			}
@@ -67,19 +66,19 @@ func TestAnswerTopKRankedInterpretations(t *testing.T) {
 		if p.Noise {
 			continue
 		}
-		want, wantOK := f.engine.Answer(p.Q)
-		ans, top, err := f.engine.AnswerTopK(ctx, p.Q, 5)
+		want, wantOK := ask(f.engine, p.Q)
+		ans, top, _, err := f.engine.Answer(ctx, p.Q, 5)
 		if (err == nil) != wantOK {
-			t.Fatalf("AnswerTopK(%q) err = %v, Answer ok = %v", p.Q, err, wantOK)
+			t.Fatalf("Answer(%q, 5) err = %v, Answer ok = %v", p.Q, err, wantOK)
 		}
 		if !wantOK {
 			continue
 		}
 		if ans.Value != want.Value || ans.Path != want.Path || ans.Template != want.Template {
-			t.Fatalf("AnswerTopK(%q) answer diverges from Answer: %+v vs %+v", p.Q, ans, want)
+			t.Fatalf("Answer(%q, 5) answer diverges from k=0: %+v vs %+v", p.Q, ans, want)
 		}
 		if len(top) == 0 || len(top) > 5 {
-			t.Fatalf("AnswerTopK(%q) returned %d interpretations, want 1..5", p.Q, len(top))
+			t.Fatalf("Answer(%q, 5) returned %d interpretations, want 1..5", p.Q, len(top))
 		}
 		if !sort.SliceIsSorted(top, func(i, j int) bool { return top[i].Score > top[j].Score }) {
 			t.Fatalf("interpretations not sorted by descending score: %+v", top)
@@ -97,7 +96,7 @@ func TestAnswerTopKRankedInterpretations(t *testing.T) {
 
 	// k <= 0 asks for no ranking and must not pay for one.
 	q := f.pairs[0].Q
-	if _, top, err := f.engine.AnswerTopK(ctx, q, 0); err == nil && top != nil {
+	if _, top, _, err := f.engine.Answer(ctx, q, 0); err == nil && top != nil {
 		t.Errorf("k=0 returned interpretations: %+v", top)
 	}
 }
@@ -107,27 +106,27 @@ func TestAnswerCtxTypedErrors(t *testing.T) {
 	ctx := context.Background()
 
 	// No token span matches an entity label.
-	if _, err := f.engine.AnswerCtx(ctx, "why is the sky blue at noon"); !errors.Is(err, ErrNoEntity) {
+	if _, err := askCtx(ctx, f.engine, "why is the sky blue at noon"); !errors.Is(err, ErrNoEntity) {
 		t.Errorf("no-entity question: err = %v, want ErrNoEntity", err)
 	}
 
 	// An entity is mentioned, but the question shape was never learned.
 	ent := f.kb.ByCategory["city"][0]
 	label := text.TitleCase(f.kb.Store.Label(ent))
-	if _, err := f.engine.AnswerCtx(ctx, "zzz qqq vvv "+label+" ppp"); !errors.Is(err, ErrNoTemplate) {
+	if _, err := askCtx(ctx, f.engine, "zzz qqq vvv "+label+" ppp"); !errors.Is(err, ErrNoTemplate) {
 		t.Errorf("no-template question: err = %v, want ErrNoTemplate", err)
 	}
 
 	// A learned template resolves to a predicate the KB cannot ground:
 	// fabricate a model whose only path key never parses.
 	q := "What is the population of " + label + "?"
-	ans, err := f.engine.AnswerCtx(ctx, q)
+	ans, err := askCtx(ctx, f.engine, q)
 	if err != nil {
 		t.Fatalf("fixture cannot answer %q: %v", q, err)
 	}
-	broken := NewEngine(f.kb.Store, f.kb.Taxonomy,
+	broken := NewEngine(f.kb.Store, f.engine.Index, f.kb.Taxonomy,
 		&learn.Model{Theta: map[string]map[string]float64{ans.Template: {"no_such_predicate": 1}}}, nil)
-	if _, err := broken.AnswerCtx(ctx, q); !errors.Is(err, ErrNoAnswer) {
+	if _, err := askCtx(ctx, broken, q); !errors.Is(err, ErrNoAnswer) {
 		t.Errorf("ungroundable question: err = %v, want ErrNoAnswer", err)
 	}
 
@@ -146,7 +145,7 @@ func TestAnswerCtxAlreadyCancelled(t *testing.T) {
 	e, g := countingEngine(f)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AnswerCtx(ctx, f.pairs[0].Q); !errors.Is(err, context.Canceled) {
+	if _, err := askCtx(ctx, e, f.pairs[0].Q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := g.probes.Load(); n != 0 {
@@ -170,7 +169,7 @@ func TestCancelMidScanAbortsProbing(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := e.AnswerCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := askCtx(ctx, e, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := g.probes.Load(); n >= full {
@@ -192,7 +191,7 @@ func TestDeadlineStopsBetweenHops(t *testing.T) {
 	var full int64
 	for _, cp := range corpus.ComposeComplex(f.kb, 99, 30) {
 		g.probes.Store(0)
-		ans, err := e.AnswerCtx(context.Background(), cp.Q)
+		ans, err := askCtx(context.Background(), e, cp.Q)
 		if err == nil && len(ans.Steps) >= 2 && g.probes.Load() >= 4 {
 			q, full = cp.Q, g.probes.Load()
 			break
@@ -214,10 +213,90 @@ func TestDeadlineStopsBetweenHops(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := e2.AnswerCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := askCtx(ctx, e2, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := g2.probes.Load(); n >= full {
 		t.Errorf("chain ran to completion: %d probes, uncancelled run needs %d", n, full)
+	}
+}
+
+// failingIndex serves `healthy` reads, then fails every one after — a shard
+// whose replicas all went down mid-question.
+type failingIndex struct {
+	Index
+	healthy atomic.Int64
+}
+
+var errShardDown = errors.New("every replica of the shard is down")
+
+func (f *failingIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
+	if f.healthy.Add(-1) < 0 {
+		return nil, errShardDown
+	}
+	return f.Index.PathObjects(ctx, subj, path)
+}
+
+func (f *failingIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
+	if f.healthy.Add(-1) < 0 {
+		return nil, errShardDown
+	}
+	return f.Index.Subjects(ctx, pred, obj)
+}
+
+// TestIndexFailureAbortsAnswer: an Index read failing at any point of a
+// question — first probe, mid-ranking, inside the decomposition oracle —
+// must surface as that error, never as a shorter answer or as "no answer"
+// (which the serving layer would cache).
+func TestIndexFailureAbortsAnswer(t *testing.T) {
+	f := world(t)
+	ctx := context.Background()
+	complexQ := ""
+	for _, cp := range corpus.ComposeComplex(f.kb, 99, 30) {
+		if ans, err := askCtx(ctx, f.engine, cp.Q); err == nil && ans.Complex() {
+			complexQ = cp.Q
+			break
+		}
+	}
+	if complexQ == "" {
+		t.Fatal("fixture decomposes no complex question")
+	}
+	bfq, _ := answerableQuestion(t, f, 1)
+	questions := []string{
+		bfq,
+		complexQ,
+		"Which city has the 3rd largest population?",
+		"List cities ordered by population",
+	}
+	for _, q := range questions {
+		// Count the reads of a healthy run, then fail at every position.
+		counter := &failingIndex{Index: f.engine.Index}
+		counter.healthy.Store(1 << 30)
+		e := NewEngine(f.kb.Store, counter, f.kb.Taxonomy, f.model, f.engine.Stats)
+		if _, ok, err := e.AnswerVariant(ctx, q); err != nil {
+			t.Fatalf("healthy AnswerVariant(%q): %v", q, err)
+		} else if !ok {
+			if _, _, _, err := e.Answer(ctx, q, 0); err != nil {
+				t.Fatalf("healthy Answer(%q): %v", q, err)
+			}
+		}
+		reads := 1<<30 - counter.healthy.Load()
+		if reads == 0 {
+			t.Fatalf("%q needs no index read", q)
+		}
+		step := reads/25 + 1
+		for healthy := int64(0); healthy < reads; healthy += step {
+			fi := &failingIndex{Index: f.engine.Index}
+			fi.healthy.Store(healthy)
+			e := NewEngine(f.kb.Store, fi, f.kb.Taxonomy, f.model, f.engine.Stats)
+			_, ok, err := e.AnswerVariant(ctx, q)
+			if err == nil && !ok {
+				_, _, _, err = e.Answer(ctx, q, 0)
+			}
+			if !errors.Is(err, errShardDown) {
+				t.Fatalf("%q with the index failing after %d of %d reads: err = %v (variant ok %v), want the index's error",
+					q, healthy, reads, err, ok)
+			}
+		}
 	}
 }

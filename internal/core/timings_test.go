@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
 
-// TestAnswerTimedMatchesAnswer checks that the timed path is a pure
-// instrumentation overlay: identical results, with stage latencies that are
-// disjoint sub-intervals of the total.
+// TestAnswerTimedMatchesAnswer checks the Timings Answer returns: stage
+// latencies are disjoint sub-intervals of the total, and asking for a
+// ranking does not change the answer.
 func TestAnswerTimedMatchesAnswer(t *testing.T) {
 	f := world(t)
 	checked := 0
@@ -15,10 +16,11 @@ func TestAnswerTimedMatchesAnswer(t *testing.T) {
 		if p.Noise {
 			continue
 		}
-		want, wantOK := f.engine.Answer(p.Q)
-		got, tm, gotOK := f.engine.AnswerTimed(p.Q)
+		want, wantOK := ask(f.engine, p.Q)
+		got, _, tm, err := f.engine.Answer(context.Background(), p.Q, 3)
+		gotOK := err == nil
 		if gotOK != wantOK || got.Value != want.Value || got.Path != want.Path {
-			t.Fatalf("AnswerTimed(%q) = (%+v, %v), want (%+v, %v)", p.Q, got, gotOK, want, wantOK)
+			t.Fatalf("Answer(%q, 3) = (%+v, %v), want (%+v, %v)", p.Q, got, gotOK, want, wantOK)
 		}
 		if tm.Total <= 0 {
 			t.Fatalf("Total = %v for %q", tm.Total, p.Q)
@@ -39,8 +41,8 @@ func TestAnswerTimedMatchesAnswer(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnswerTimed runs the timed path from many goroutines (run
-// with -race): per-call timing state must never leak across calls.
+// TestConcurrentAnswerTimed runs Answer from many goroutines (run with
+// -race): per-call timing state must never leak across calls.
 func TestConcurrentAnswerTimed(t *testing.T) {
 	f := world(t)
 	questions := make([]string, 0, 8)
@@ -58,7 +60,7 @@ func TestConcurrentAnswerTimed(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, q := range questions {
-				if _, tm, ok := f.engine.AnswerTimed(q); ok && tm.Total <= 0 {
+				if _, _, tm, err := f.engine.Answer(context.Background(), q, 0); err == nil && tm.Total <= 0 {
 					t.Errorf("non-positive total for %q", q)
 					return
 				}

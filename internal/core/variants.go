@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -78,29 +79,28 @@ var superlativeMin = map[string]bool{
 
 // AnswerVariant recognizes and answers ranking, comparison and listing
 // questions. ok is false when the question is not a recognizable variant or
-// the aggregation cannot be grounded.
-func (e *Engine) AnswerVariant(question string) (VariantAnswer, bool) {
+// the aggregation cannot be grounded. err is ctx's or the Index's: a
+// ranking over a category whose shard is unreachable is an error, never a
+// shorter ranking.
+func (e *Engine) AnswerVariant(ctx context.Context, question string) (VariantAnswer, bool, error) {
 	toks := text.Tokenize(question)
 	if len(toks) == 0 {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
-	if ans, ok := e.tryComparison(toks); ok {
-		return ans, true
+	if ans, ok, err := e.tryComparison(ctx, toks); ok || err != nil {
+		return ans, ok, err
 	}
-	if ans, ok := e.tryRanking(toks); ok {
-		return ans, true
+	if ans, ok, err := e.tryRanking(ctx, toks); ok || err != nil {
+		return ans, ok, err
 	}
-	if ans, ok := e.tryListing(toks); ok {
-		return ans, true
-	}
-	return VariantAnswer{}, false
+	return e.tryListing(ctx, toks)
 }
 
 // tryComparison handles "which city has more people , Honolulu or New
 // Jersey" and "who is taller , A or B": two entity mentions joined by
 // "or", with the comparative phrase resolving to a numeric predicate
 // through the learned templates.
-func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
+func (e *Engine) tryComparison(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
 	orIdx := -1
 	for i, t := range toks {
 		if t == "or" {
@@ -108,11 +108,11 @@ func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
 		}
 	}
 	if orIdx <= 0 {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
 	mentions := extract.FindMentions(e.KB, toks)
 	if len(mentions) < 2 {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
 	// The compared pair straddles the "or".
 	var left, right *extract.Mention
@@ -125,21 +125,23 @@ func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
 		}
 	}
 	if left == nil || right == nil {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
-	// Resolve the predicate from the non-entity words.
-	head := toks[:left.Span.Start]
-	path, more := e.resolveComparativePredicate(head)
-	if path == "" {
-		return VariantAnswer{}, false
+	// Resolve the predicate from the non-entity words; more is better.
+	path, err := e.resolveComparativePredicate(ctx, toks[:left.Span.Start])
+	if path == "" || err != nil {
+		return VariantAnswer{}, false, err
 	}
-	lv, lok := e.numericValue(left.Entities, path)
-	rv, rok := e.numericValue(right.Entities, path)
-	if !lok || !rok {
-		return VariantAnswer{}, false
+	lv, lok, err := e.numericValue(ctx, left.Entities, path)
+	if !lok || err != nil {
+		return VariantAnswer{}, false, err
+	}
+	rv, rok, err := e.numericValue(ctx, right.Entities, path)
+	if !rok || err != nil {
+		return VariantAnswer{}, false, err
 	}
 	winner, val := left, lv
-	if (rv > lv) == more {
+	if rv > lv {
 		winner, val = right, rv
 	}
 	return VariantAnswer{
@@ -147,11 +149,11 @@ func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
 		Entities: []string{winner.Surface},
 		Values:   []string{formatNumber(val)},
 		Path:     path,
-	}, true
+	}, true, nil
 }
 
 // tryRanking handles "which city has the 3rd largest population".
-func (e *Engine) tryRanking(toks []string) (VariantAnswer, bool) {
+func (e *Engine) tryRanking(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
 	rank := 1
 	dirMax := true
 	hasSuper := false
@@ -168,15 +170,15 @@ func (e *Engine) tryRanking(toks []string) (VariantAnswer, bool) {
 		}
 	}
 	if !hasSuper {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
-	category, path := e.resolveCategoryPredicate(toks)
-	if category == "" || path == "" {
-		return VariantAnswer{}, false
+	category, path, err := e.resolveCategoryPredicate(ctx, toks)
+	if category == "" || path == "" || err != nil {
+		return VariantAnswer{}, false, err
 	}
-	ranked := e.rankCategory(category, path, dirMax)
-	if rank > len(ranked) {
-		return VariantAnswer{}, false
+	ranked, err := e.rankCategory(ctx, category, path, dirMax)
+	if rank > len(ranked) || err != nil {
+		return VariantAnswer{}, false, err
 	}
 	row := ranked[rank-1]
 	return VariantAnswer{
@@ -185,7 +187,7 @@ func (e *Engine) tryRanking(toks []string) (VariantAnswer, bool) {
 		Values:   []string{formatNumber(row.value)},
 		Path:     path,
 		Category: category,
-	}, true
+	}, true, nil
 }
 
 // tryListing handles "list cities ordered by population" and "list all
@@ -194,9 +196,9 @@ func (e *Engine) tryLeading(toks []string) bool {
 	return toks[0] == "list" || toks[0] == "name" || (len(toks) > 1 && toks[0] == "give" && toks[1] == "me")
 }
 
-func (e *Engine) tryListing(toks []string) (VariantAnswer, bool) {
+func (e *Engine) tryListing(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
 	if !e.tryLeading(toks) {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
 	hasOrder := false
 	for _, t := range toks {
@@ -205,15 +207,15 @@ func (e *Engine) tryListing(toks []string) (VariantAnswer, bool) {
 		}
 	}
 	if !hasOrder {
-		return VariantAnswer{}, false
+		return VariantAnswer{}, false, nil
 	}
-	category, path := e.resolveCategoryPredicate(toks)
-	if category == "" || path == "" {
-		return VariantAnswer{}, false
+	category, path, err := e.resolveCategoryPredicate(ctx, toks)
+	if category == "" || path == "" || err != nil {
+		return VariantAnswer{}, false, err
 	}
-	ranked := e.rankCategory(category, path, true)
-	if len(ranked) == 0 {
-		return VariantAnswer{}, false
+	ranked, err := e.rankCategory(ctx, category, path, true)
+	if len(ranked) == 0 || err != nil {
+		return VariantAnswer{}, false, err
 	}
 	const listCap = 10
 	ans := VariantAnswer{Kind: VariantListing, Path: path, Category: category}
@@ -224,14 +226,14 @@ func (e *Engine) tryListing(toks []string) (VariantAnswer, bool) {
 		ans.Entities = append(ans.Entities, row.label)
 		ans.Values = append(ans.Values, formatNumber(row.value))
 	}
-	return ans, true
+	return ans, true, nil
 }
 
 // resolveComparativePredicate grounds a comparative phrase ("has more
 // people", "is taller") in a predicate by scoring the phrase's content
 // words against the learned templates and taking the best template's
-// argmax predicate. Returns the path and whether "more is better".
-func (e *Engine) resolveComparativePredicate(head []string) (string, bool) {
+// argmax predicate.
+func (e *Engine) resolveComparativePredicate(ctx context.Context, head []string) (string, error) {
 	// Comparative → canonical content word that appears in templates.
 	canon := map[string]string{
 		"more": "many", "taller": "tall", "larger": "large", "bigger": "big",
@@ -244,13 +246,13 @@ func (e *Engine) resolveComparativePredicate(head []string) (string, bool) {
 		}
 		words = append(words, t)
 	}
-	path, _ := e.bestTemplateFor(words)
-	return path, true
+	path, _, err := e.bestTemplateFor(ctx, words)
+	return path, err
 }
 
 // resolveCategoryPredicate finds the subject category word and the
 // predicate of a ranking/listing question.
-func (e *Engine) resolveCategoryPredicate(toks []string) (category, path string) {
+func (e *Engine) resolveCategoryPredicate(ctx context.Context, toks []string) (category, path string, err error) {
 	for _, t := range toks {
 		for _, cand := range singularForms(t) {
 			if e.Taxonomy.HasConcept(cand) {
@@ -263,10 +265,10 @@ func (e *Engine) resolveCategoryPredicate(toks []string) (category, path string)
 		}
 	}
 	if category == "" {
-		return "", ""
+		return "", "", nil
 	}
-	path, _ = e.bestTemplateFor(toks)
-	return category, path
+	path, _, err = e.bestTemplateFor(ctx, toks)
+	return category, path, err
 }
 
 // singularForms proposes singular candidates for a possibly-plural token:
@@ -286,7 +288,7 @@ func singularForms(t string) []string {
 // content words by token overlap and returns the argmax predicate of the
 // best-matching template. This is how variants reuse the knowledge the EM
 // phase learned instead of a hand-written keyword table.
-func (e *Engine) bestTemplateFor(words []string) (string, float64) {
+func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, float64, error) {
 	content := make(map[string]bool)
 	for _, w := range words {
 		if !text.IsStopword(w) && !strings.HasPrefix(w, "$") {
@@ -328,7 +330,11 @@ func (e *Engine) bestTemplateFor(words []string) (string, float64) {
 				}
 			}
 			// Only numeric predicates can be ranked.
-			if !e.numericPredicate(bp) {
+			numeric, err := e.numericPredicate(ctx, bp)
+			if err != nil {
+				return "", 0, err
+			}
+			if !numeric {
 				continue
 			}
 			if score > bestScore || bpv > bestConf || (bpv == bestConf && bp < bestPath) {
@@ -338,32 +344,33 @@ func (e *Engine) bestTemplateFor(words []string) (string, float64) {
 			}
 		}
 	}
-	return bestPath, bestScore
+	return bestPath, bestScore, nil
 }
 
 // numericPredicate reports whether the predicate's values parse as numbers
 // for at least one subject (spot check).
-func (e *Engine) numericPredicate(pathKey string) bool {
-	path, ok := e.KB.ParsePath(pathKey)
+func (e *Engine) numericPredicate(ctx context.Context, pathKey string) (bool, error) {
+	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
-		return false
+		return false, nil
 	}
 	checked := 0
 	for _, ent := range e.KB.Entities() {
-		for _, v := range e.KB.PathObjects(ent, path) {
+		vals, err := e.Index.PathObjects(ctx, ent, path)
+		if err != nil {
+			return false, err
+		}
+		for _, v := range vals {
 			if _, ok := parseNumber(e.KB.Label(v)); ok {
-				return true
+				return true, nil
 			}
 			checked++
 			if checked > 50 {
-				return false
+				return false, nil
 			}
 		}
-		if checked > 50 {
-			break
-		}
 	}
-	return false
+	return false, nil
 }
 
 type rankedEntity struct {
@@ -373,14 +380,14 @@ type rankedEntity struct {
 
 // rankCategory sorts the entities of a category by the numeric value of
 // the predicate.
-func (e *Engine) rankCategory(category, pathKey string, desc bool) []rankedEntity {
-	path, ok := e.KB.ParsePath(pathKey)
+func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, desc bool) ([]rankedEntity, error) {
+	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	catPred, ok := e.KB.PredID("category")
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	var catLit rdf.ID = -1
 	for _, n := range e.KB.NodesByLabel(category) {
@@ -390,11 +397,18 @@ func (e *Engine) rankCategory(category, pathKey string, desc bool) []rankedEntit
 		}
 	}
 	if catLit < 0 {
-		return nil
+		return nil, nil
+	}
+	members, err := e.Index.Subjects(ctx, catPred, catLit)
+	if err != nil {
+		return nil, err
 	}
 	var out []rankedEntity
-	for _, ent := range e.KB.Subjects(catPred, catLit) {
-		vals := e.KB.PathObjects(ent, path)
+	for _, ent := range members {
+		vals, err := e.Index.PathObjects(ctx, ent, path)
+		if err != nil {
+			return nil, err
+		}
 		if len(vals) == 0 {
 			continue
 		}
@@ -411,24 +425,28 @@ func (e *Engine) rankCategory(category, pathKey string, desc bool) []rankedEntit
 		}
 		return out[i].label < out[j].label
 	})
-	return out
+	return out, nil
 }
 
 // numericValue resolves the numeric predicate value of the first candidate
 // entity that has one.
-func (e *Engine) numericValue(ents []rdf.ID, pathKey string) (float64, bool) {
-	path, ok := e.KB.ParsePath(pathKey)
+func (e *Engine) numericValue(ctx context.Context, ents []rdf.ID, pathKey string) (float64, bool, error) {
+	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
-		return 0, false
+		return 0, false, nil
 	}
 	for _, ent := range ents {
-		for _, v := range e.KB.PathObjects(ent, path) {
+		vals, err := e.Index.PathObjects(ctx, ent, path)
+		if err != nil {
+			return 0, false, err
+		}
+		for _, v := range vals {
 			if n, ok := parseNumber(e.KB.Label(v)); ok {
-				return n, true
+				return n, true, nil
 			}
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
 // parseNumber parses the knowledge base's literal formats: "390k", "12m",

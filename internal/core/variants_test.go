@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/text"
@@ -53,7 +54,7 @@ func TestFormatNumber(t *testing.T) {
 // the 3rd largest population?" — answerable purely from the BFQ machinery.
 func TestRankingQuestion(t *testing.T) {
 	f := world(t)
-	ans, ok := f.engine.AnswerVariant("Which city has the 3rd largest population?")
+	ans, ok := askVariant(f.engine, "Which city has the 3rd largest population?")
 	if !ok {
 		t.Fatal("ranking variant not answered")
 	}
@@ -61,7 +62,7 @@ func TestRankingQuestion(t *testing.T) {
 		t.Fatalf("answer = %+v", ans)
 	}
 	// Verify against a direct sort of the KB.
-	ranked := f.engine.rankCategory("city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
 	if len(ranked) < 3 {
 		t.Fatal("too few cities")
 	}
@@ -69,7 +70,7 @@ func TestRankingQuestion(t *testing.T) {
 		t.Errorf("3rd largest = %q, want %q", ans.Entities[0], ranked[2].label)
 	}
 	// Smallest.
-	ansMin, ok := f.engine.AnswerVariant("Which city has the smallest population?")
+	ansMin, ok := askVariant(f.engine, "Which city has the smallest population?")
 	if !ok || ansMin.Entities[0] != ranked[len(ranked)-1].label {
 		t.Errorf("smallest = %+v, want %q", ansMin, ranked[len(ranked)-1].label)
 	}
@@ -78,13 +79,13 @@ func TestRankingQuestion(t *testing.T) {
 // TestComparisonQuestion reproduces "which city has more people, A or B?".
 func TestComparisonQuestion(t *testing.T) {
 	f := world(t)
-	ranked := f.engine.rankCategory("city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
 	if len(ranked) < 2 {
 		t.Fatal("too few cities")
 	}
 	big, small := ranked[0], ranked[len(ranked)-1]
 	q := "Which city has more people , " + big.label + " or " + small.label + "?"
-	ans, ok := f.engine.AnswerVariant(q)
+	ans, ok := askVariant(f.engine, q)
 	if !ok {
 		t.Fatalf("comparison not answered: %q", q)
 	}
@@ -96,7 +97,7 @@ func TestComparisonQuestion(t *testing.T) {
 	}
 	// Order independence.
 	q2 := "Which city has more people , " + small.label + " or " + big.label + "?"
-	ans2, ok := f.engine.AnswerVariant(q2)
+	ans2, ok := askVariant(f.engine, q2)
 	if !ok || ans2.Entities[0] != big.label {
 		t.Errorf("reversed order winner = %+v", ans2)
 	}
@@ -105,7 +106,7 @@ func TestComparisonQuestion(t *testing.T) {
 // TestListingQuestion reproduces "list cities ordered by population".
 func TestListingQuestion(t *testing.T) {
 	f := world(t)
-	ans, ok := f.engine.AnswerVariant("List cities ordered by population?")
+	ans, ok := askVariant(f.engine, "List cities ordered by population?")
 	if !ok {
 		t.Fatal("listing not answered")
 	}
@@ -113,7 +114,7 @@ func TestListingQuestion(t *testing.T) {
 		t.Fatalf("answer = %+v", ans)
 	}
 	// Descending order by value.
-	ranked := f.engine.rankCategory("city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
 	for i := range ans.Entities {
 		if ans.Entities[i] != ranked[i].label {
 			t.Fatalf("listing[%d] = %q, want %q", i, ans.Entities[i], ranked[i].label)
@@ -127,13 +128,13 @@ func TestListingQuestion(t *testing.T) {
 func TestVariantRejectsPlainBFQ(t *testing.T) {
 	f := world(t)
 	city := f.kb.Store.Label(f.kb.ByCategory["city"][0])
-	if _, ok := f.engine.AnswerVariant("What is the population of " + city + "?"); ok {
+	if _, ok := askVariant(f.engine, "What is the population of "+city+"?"); ok {
 		t.Error("plain BFQ misclassified as a variant")
 	}
-	if _, ok := f.engine.AnswerVariant(""); ok {
+	if _, ok := askVariant(f.engine, ""); ok {
 		t.Error("empty question answered")
 	}
-	if _, ok := f.engine.AnswerVariant("list my grievances in order?"); ok {
+	if _, ok := askVariant(f.engine, "list my grievances in order?"); ok {
 		t.Error("ungroundable listing answered")
 	}
 }
@@ -147,8 +148,8 @@ func TestVariantKindString(t *testing.T) {
 
 func TestRankCategoryDeterministic(t *testing.T) {
 	f := world(t)
-	a := f.engine.rankCategory("city", "population", true)
-	b := f.engine.rankCategory("city", "population", true)
+	a, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
+	b, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatal("rankCategory unstable size")
 	}
@@ -158,7 +159,7 @@ func TestRankCategoryDeterministic(t *testing.T) {
 		}
 	}
 	// Ascending vs descending are reverses for distinct values.
-	asc := f.engine.rankCategory("city", "population", false)
+	asc, _ := f.engine.rankCategory(context.Background(), "city", "population", false)
 	if asc[0].value > asc[len(asc)-1].value {
 		t.Error("ascending sort wrong")
 	}
@@ -166,11 +167,11 @@ func TestRankCategoryDeterministic(t *testing.T) {
 
 func TestBestTemplateForUsesLearnedModel(t *testing.T) {
 	f := world(t)
-	path, score := f.engine.bestTemplateFor(text.Tokenize("which city has the largest population"))
+	path, score, _ := f.engine.bestTemplateFor(context.Background(), text.Tokenize("which city has the largest population"))
 	if path != "population" || score <= 0 {
 		t.Errorf("bestTemplateFor = %q (%.2f), want population", path, score)
 	}
-	path, _ = f.engine.bestTemplateFor(text.Tokenize("how tall"))
+	path, _, _ = f.engine.bestTemplateFor(context.Background(), text.Tokenize("how tall"))
 	if path != "height" && path != "elevation" {
 		t.Errorf("bestTemplateFor(how tall) = %q", path)
 	}

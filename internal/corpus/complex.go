@@ -46,7 +46,7 @@ func ComposeComplex(kb *kbgen.KB, seed int64, n int) []ComplexPair {
 		if len(subjects) == 0 {
 			continue
 		}
-		path, _ := kb.Store.ParsePath(it.PathKey)
+		path, _ := rdf.ParsePath(kb.Store, it.PathKey)
 		cat := valueCategory(kb, subjects, path)
 		if cat == "" {
 			continue
@@ -70,7 +70,7 @@ func ComposeComplex(kb *kbgen.KB, seed int64, n int) []ComplexPair {
 		if outIt.PathKey == in.it.PathKey && outIt.Category == in.it.Category {
 			continue // avoid degenerate self-nesting
 		}
-		outPath, _ := kb.Store.ParsePath(outIt.PathKey)
+		outPath, _ := rdf.ParsePath(kb.Store, outIt.PathKey)
 		e := in.subjects[r.Intn(len(in.subjects))]
 
 		// Gold: resolve the chain.
@@ -104,7 +104,7 @@ func valueCategory(kb *kbgen.KB, subjects []rdf.ID, path rdf.Path) string {
 		return ""
 	}
 	for i := 0; i < len(subjects) && i < 5; i++ {
-		for _, v := range kb.Store.PathObjects(subjects[i], path) {
+		for _, v := range rdf.PathObjects(kb.Store, subjects[i], path) {
 			for _, ent := range entityOf(kb, v) {
 				cats := kb.Store.Objects(ent, catPred)
 				if len(cats) > 0 {
@@ -129,9 +129,9 @@ func entityOf(kb *kbgen.KB, v rdf.ID) []rdf.ID {
 func chainAnswers(kb *kbgen.KB, e rdf.ID, innerPath, outerPath rdf.Path) []string {
 	var answers []string
 	seen := make(map[string]bool)
-	for _, mid := range kb.Store.PathObjects(e, innerPath) {
+	for _, mid := range rdf.PathObjects(kb.Store, e, innerPath) {
 		for _, ent := range entityOf(kb, mid) {
-			for _, v := range kb.Store.PathObjects(ent, outerPath) {
+			for _, v := range rdf.PathObjects(kb.Store, ent, outerPath) {
 				label := text.Normalize(kb.Store.Label(v))
 				if !seen[label] {
 					seen[label] = true

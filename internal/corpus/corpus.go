@@ -104,7 +104,7 @@ func Generate(kb *kbgen.KB, cfg Config) []Pair {
 		if len(subjects) == 0 {
 			continue
 		}
-		path, _ := kb.Store.ParsePath(it.PathKey)
+		path, _ := rdf.ParsePath(kb.Store, it.PathKey)
 		for i := 0; i < cfg.PairsPerIntent; i++ {
 			e := subjects[r.Intn(len(subjects))]
 			para := it.Paraphrases[r.Intn(len(it.Paraphrases))]
@@ -114,7 +114,7 @@ func Generate(kb *kbgen.KB, cfg Config) []Pair {
 				out = append(out, noisePair(r, kb, q, e, it))
 				continue
 			}
-			values := kb.Store.PathObjects(e, path)
+			values := rdf.PathObjects(kb.Store, e, path)
 			v := values[r.Intn(len(values))]
 			out = append(out, Pair{
 				Q:            q,
@@ -147,7 +147,7 @@ func nounPhrasePairs(r *rand.Rand, kb *kbgen.KB, it kbgen.Intent, subjects []rdf
 	for i := 0; i < n; i++ {
 		e := subjects[r.Intn(len(subjects))]
 		np := nps[r.Intn(len(nps))]
-		values := kb.Store.PathObjects(e, path)
+		values := rdf.PathObjects(kb.Store, e, path)
 		v := values[r.Intn(len(values))]
 		out = append(out, Pair{
 			Q:            renderQuestion(r, np, kb.Store.Label(e)),
@@ -176,7 +176,7 @@ func noisePair(r *rand.Rand, kb *kbgen.KB, q string, e rdf.ID, it kbgen.Intent) 
 	kb.Store.OutEdges(e, func(p rdf.PID, o rdf.ID) {
 		if kb.Store.KindOf(o) == rdf.KindLiteral &&
 			kb.Store.PredName(p) != "name" && kb.Store.PredName(p) != "category" {
-			if key := kb.Store.Key(rdf.Path{p}); key != it.PathKey {
+			if key := rdf.Key(kb.Store, rdf.Path{p}); key != it.PathKey {
 				wrongs = append(wrongs, o)
 			}
 		}
@@ -273,10 +273,10 @@ func GenerateWebDocs(kb *kbgen.KB, seed int64, sentencesPerIntent int) []string 
 		if len(subjects) == 0 {
 			continue
 		}
-		path, _ := kb.Store.ParsePath(it.PathKey)
+		path, _ := rdf.ParsePath(kb.Store, it.PathKey)
 		for i := 0; i < sentencesPerIntent; i++ {
 			e := subjects[r.Intn(len(subjects))]
-			values := kb.Store.PathObjects(e, path)
+			values := rdf.PathObjects(kb.Store, e, path)
 			v := values[r.Intn(len(values))]
 			pat := webDocPatterns[r.Intn(len(webDocPatterns))]
 			s := strings.Replace(pat, "%p", strings.ReplaceAll(it.PathKey, "_", " "), 1)

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -115,10 +116,13 @@ func (k *KBQASystem) Name() string {
 	return "KBQA"
 }
 
-// Answer implements baseline.System.
+// Answer implements baseline.System, the offline, ctx-less contract of the
+// experiment suite — which makes this the one place a root context is minted
+// for the engine.
 func (k *KBQASystem) Answer(q string) (baseline.Result, bool) {
-	ans, ok := k.Engine.Answer(q)
-	if !ok {
+	//kbqa:nolint ctxpropagate — baseline.System is the offline experiment contract; nothing upstream holds a context
+	ans, _, _, err := k.Engine.Answer(context.Background(), q, 0)
+	if err != nil {
 		return baseline.Result{}, false
 	}
 	return baseline.Result{Value: ans.Value, Values: ans.Values, Path: ans.Path}, true
@@ -254,7 +258,7 @@ func GenBenchmark(kb *kbgen.KB, spec BenchSpec) Benchmark {
 		if len(subs) == 0 {
 			continue
 		}
-		path, _ := kb.Store.ParsePath(it.PathKey)
+		path, _ := rdf.ParsePath(kb.Store, it.PathKey)
 		intents = append(intents, askable{it, subs, path})
 	}
 
@@ -275,7 +279,7 @@ func GenBenchmark(kb *kbgen.KB, spec BenchSpec) Benchmark {
 			q = strings.ToUpper(q[:1]) + q[1:] + "?"
 		}
 		var golds []string
-		for _, v := range kb.Store.PathObjects(e, a.path) {
+		for _, v := range rdf.PathObjects(kb.Store, e, a.path) {
 			golds = append(golds, text.Normalize(kb.Store.Label(v)))
 		}
 		b.Items = append(b.Items, Item{

@@ -1,18 +1,17 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/kbgen"
-	"repro/internal/rdf"
 )
 
 // TestShardedWorldAnswersIdentical is the layout-equivalence gate: a world
-// built on the sharded store must return exactly the answers of a world
-// built on the single-map store, for the full training corpus and for
-// composed complex questions. The layouts share the generation seed, so
+// partitioned four ways must return exactly the answers of a one-shard
+// world, for the full training corpus and for composed complex questions. The layouts share the generation seed, so
 // node IDs, the learned model and the decomposition statistics all match;
 // any divergence is a sharded read path misbehaving.
 func TestShardedWorldAnswersIdentical(t *testing.T) {
@@ -22,11 +21,8 @@ func TestShardedWorldAnswersIdentical(t *testing.T) {
 	cfg.Shards = 4
 	sharded := BuildWorld(cfg)
 
-	if _, ok := flat.KB.Store.(*rdf.Store); !ok {
-		t.Fatalf("flat world store is %T", flat.KB.Store)
-	}
-	if _, ok := sharded.KB.Store.(*rdf.ShardedStore); !ok {
-		t.Fatalf("sharded world store is %T", sharded.KB.Store)
+	if flat.KB.Store.NumShards() != 1 || sharded.KB.Store.NumShards() != 4 {
+		t.Fatalf("worlds have %d and %d shards, want 1 and 4", flat.KB.Store.NumShards(), sharded.KB.Store.NumShards())
 	}
 	if flat.KB.Store.NumTriples() != sharded.KB.Store.NumTriples() {
 		t.Fatalf("triple counts diverge: %d vs %d",
@@ -40,10 +36,12 @@ func TestShardedWorldAnswersIdentical(t *testing.T) {
 	for _, cp := range corpus.ComposeComplex(flat.KB, 17, 20) {
 		qs = append(qs, cp.Q)
 	}
+	ctx := context.Background()
 	diverged := 0
 	for _, q := range qs {
-		a, aok := flat.Engine.Answer(q)
-		b, bok := sharded.Engine.Answer(q)
+		a, _, _, aerr := flat.Engine.Answer(ctx, q, 0)
+		b, _, _, berr := sharded.Engine.Answer(ctx, q, 0)
+		aok, bok := aerr == nil, berr == nil
 		if aok != bok {
 			t.Errorf("answerability diverges for %q: %v vs %v", q, aok, bok)
 			diverged++
@@ -64,8 +62,7 @@ func TestShardedWorldAnswersIdentical(t *testing.T) {
 
 // TestShardedWorldVariantsIdentical extends the gate to the ranking,
 // comparison and listing variants, which exercise the Subjects reverse
-// index (the one read path whose result order legitimately differs across
-// layouts — answers must not).
+// index.
 func TestShardedWorldVariantsIdentical(t *testing.T) {
 	cfg := DefaultWorldConfig(kbgen.Freebase)
 	cfg.Shards = 1
@@ -79,8 +76,11 @@ func TestShardedWorldVariantsIdentical(t *testing.T) {
 		"List cities by population",
 	}
 	for _, q := range qs {
-		a, aok := flat.Engine.AnswerVariant(q)
-		b, bok := sharded.Engine.AnswerVariant(q)
+		a, aok, aerr := flat.Engine.AnswerVariant(context.Background(), q)
+		b, bok, berr := sharded.Engine.AnswerVariant(context.Background(), q)
+		if aerr != nil || berr != nil {
+			t.Fatalf("variant %q failed: %v / %v", q, aerr, berr)
+		}
 		if aok != bok {
 			t.Errorf("variant answerability diverges for %q: %v vs %v", q, aok, bok)
 			continue

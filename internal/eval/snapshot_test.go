@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -29,14 +30,14 @@ func TestSnapshotEngineAnswersIdentical(t *testing.T) {
 
 	// World B: serialize to N-Triples and load back.
 	var nt bytes.Buffer
-	if err := store.WriteNTriples(&nt); err != nil {
+	if err := rdf.WriteNTriples(store, &nt); err != nil {
 		t.Fatal(err)
 	}
 	ntStore, err := rdf.LoadNTriples(bytes.NewReader(nt.Bytes()), store.NumShards())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ntEng := core.NewEngine(ntStore, w.KB.Taxonomy, w.Model, w.Stats)
+	ntEng := core.NewEngine(ntStore, core.LocalIndex(ntStore), w.KB.Taxonomy, w.Model, w.Stats)
 
 	// World C: snapshot image, opened with the built world's fingerprint.
 	path := filepath.Join(t.TempDir(), "world.img")
@@ -44,14 +45,14 @@ func TestSnapshotEngineAnswersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	im, err := snapshot.OpenImage(path, snapshot.OpenOptions{
-		ExpectFingerprint: rdf.WorldFingerprint(store, store.NumShards()),
+		ExpectFingerprint: rdf.WorldFingerprint(store),
 		ExpectShards:      store.NumShards(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer im.Close()
-	imgEng := core.NewEngine(im, w.KB.Taxonomy, w.Model, w.Stats)
+	imgEng := core.NewEngine(im, core.LocalIndex(im), w.KB.Taxonomy, w.Model, w.Stats)
 
 	qs := corpus.Questions(w.Pairs)
 	if len(qs) == 0 {
@@ -61,14 +62,17 @@ func TestSnapshotEngineAnswersIdentical(t *testing.T) {
 		qs = append(qs, cp.Q)
 	}
 
+	ctx := context.Background()
 	diverged := 0
 	for _, q := range qs {
-		a, aok := w.Engine.Answer(q)
+		a, _, _, aerr := w.Engine.Answer(ctx, q, 0)
+		aok := aerr == nil
 		for _, alt := range []struct {
 			name string
 			eng  *core.Engine
 		}{{"ntriples", ntEng}, {"image", imgEng}} {
-			b, bok := alt.eng.Answer(q)
+			b, _, _, berr := alt.eng.Answer(ctx, q, 0)
+			bok := berr == nil
 			if aok != bok {
 				t.Errorf("[%s] answerability diverges for %q: %v vs %v", alt.name, q, aok, bok)
 				diverged++

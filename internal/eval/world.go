@@ -19,11 +19,11 @@ type WorldConfig struct {
 	Scale          int
 	PairsPerIntent int
 	NoiseRate      float64
-	// Shards > 1 builds the knowledge base as an rdf.ShardedStore with
-	// that many subject-hash shards: predicate expansion runs one worker
-	// per shard (expand.ExpandParallel) and online probes hash to their
-	// shard. <= 1 keeps the single-map store. Answers are identical
-	// either way; only the layout and parallelism change.
+	// Shards > 1 partitions the knowledge base into that many
+	// subject-hash shards: predicate expansion runs one worker per shard
+	// (expand.ExpandParallel) and online probes hash to their shard. <= 1
+	// is a one-shard world. Answers are identical either way; only the
+	// layout and parallelism change.
 	Shards int
 }
 
@@ -110,7 +110,7 @@ func BuildWorld(cfg WorldConfig) *World {
 	w.Stats = decompose.BuildStats(corpus.Questions(w.Pairs), func(toks []string, sp text.Span) bool {
 		return len(w.KB.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
 	})
-	w.Engine = core.NewEngine(w.KB.Store, w.KB.Taxonomy, w.Model, w.Stats)
+	w.Engine = core.NewEngine(w.KB.Store, core.LocalIndex(w.KB.Store), w.KB.Taxonomy, w.Model, w.Stats)
 	w.Infobox = infobox.Build(w.KB.Store, infobox.Config{Seed: cfg.Seed + 2})
 	w.WebDocs = corpus.GenerateWebDocs(w.KB, cfg.Seed+3, cfg.PairsPerIntent)
 

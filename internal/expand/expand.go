@@ -14,6 +14,7 @@
 package expand
 
 import (
+	"context"
 	"encoding/binary"
 	"sort"
 
@@ -100,8 +101,8 @@ type roundBuf struct {
 }
 
 // scanRound runs one scan+join over a triple source. The source must
-// deliver triples in ascending-subject order (both Store.Triples and
-// ShardedStore.ShardTriples do), so the buffers come back sorted by scanS.
+// deliver triples in ascending-subject order (both Graph.Triples and
+// Sharded.ShardTriples do), so the buffers come back sorted by scanS.
 // EndFilter and the length policy are applied here; deduplication is not —
 // the same (s, path, o) can surface from scans of different shards, so it
 // happens in applyRound on the merged stream.
@@ -274,12 +275,13 @@ func Expand(g rdf.Graph, cfg Config) *Result {
 	return st.res
 }
 
-// Over dispatches to the layout-appropriate expansion: ExpandParallel for
-// any multi-shard ShardedGraph (in-process ShardedStore or a remote-backed
-// layout), Expand otherwise.
-func Over(g rdf.Graph, cfg Config) *Result {
-	if ss, ok := g.(ShardedGraph); ok && ss.NumShards() > 1 {
-		return ExpandParallel(ss, cfg)
+// Over dispatches to the layout-appropriate expansion of a local world:
+// ExpandParallel for a multi-shard one, Expand otherwise.
+func Over(g rdf.Sharded, cfg Config) *Result {
+	if g.NumShards() > 1 {
+		//kbqa:nolint ctxpropagate — offline expansion over an in-memory world: nothing to cancel, no trace to join
+		res, _ := ExpandParallel(context.Background(), g, g.NumShards(), LocalScan(g), cfg) // LocalScan never fails
+		return res
 	}
 	return Expand(g, cfg)
 }
@@ -292,7 +294,7 @@ func (r *Result) DistinctPaths(g rdf.Graph, length int) []string {
 		if length != 0 && len(t.Path) != length {
 			continue
 		}
-		set[g.Key(t.Path)] = true
+		set[rdf.Key(g, t.Path)] = true
 	}
 	out := make([]string, 0, len(set))
 	for k := range set {
@@ -308,7 +310,7 @@ func (r *Result) DistinctPaths(g rdf.Graph, length int) []string {
 func (r *Result) Lookup(g rdf.Graph, subj rdf.ID, pathKey string) []rdf.ID {
 	var out []rdf.ID
 	for _, t := range r.Triples {
-		if t.S == subj && g.Key(t.Path) == pathKey {
+		if t.S == subj && rdf.Key(g, t.Path) == pathKey {
 			out = append(out, t.O)
 		}
 	}
@@ -325,7 +327,7 @@ type Meaningful func(s rdf.ID, valueLabel string) bool
 // (subject, value) pair the infobox supports. Each supported (s, p+, o) is
 // counted exactly once — diamond-shaped subgraphs that reach the same
 // object through several mediators do not inflate the count.
-func ValidK(g rdf.Graph, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
+func ValidK(g rdf.Sharded, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
 	res := Over(g, Config{MaxLen: k, Sources: entities, EndFilter: endFilter})
 	n := 0
 	for _, t := range res.Triples {
@@ -343,8 +345,12 @@ func ValidK(g rdf.Graph, entities []rdf.ID, k int, endFilter func(rdf.PID) bool,
 // (the paper's trustworthy-entity sampling for valid(k)).
 func TopEntitiesByFrequency(g rdf.Graph, n int) []rdf.ID {
 	ents := g.Entities()
+	deg := make(map[rdf.ID]int, len(ents))
+	for _, e := range ents {
+		deg[e] = rdf.OutDegree(g, e)
+	}
 	sort.Slice(ents, func(i, j int) bool {
-		di, dj := g.OutDegree(ents[i]), g.OutDegree(ents[j])
+		di, dj := deg[ents[i]], deg[ents[j]]
 		if di != dj {
 			return di > dj
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // figure1 builds the paper's toy KB.
-func figure1() (*rdf.Store, rdf.ID, rdf.PID) {
-	s := rdf.NewStore()
+func figure1() (*rdf.ShardedStore, rdf.ID, rdf.PID) {
+	s := rdf.NewShardedStore(1)
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m1")
 	c := s.Entity("Michelle Obama")
@@ -52,8 +52,8 @@ func TestExpandToyKB(t *testing.T) {
 		t.Error("end filter violated: marriage→person→dob emitted")
 	}
 	// Expansion agrees with the store's online traversal.
-	path, _ := s.ParsePath("marriage→person→name")
-	online := s.PathObjects(a, path)
+	path, _ := rdf.ParsePath(s, "marriage→person→name")
+	online := rdf.PathObjects(s, a, path)
 	if len(online) != 1 || online[0] != objs[0] {
 		t.Error("materialized expansion disagrees with online traversal")
 	}
@@ -73,10 +73,10 @@ func TestExpandReductionOnS(t *testing.T) {
 	}
 	set := make(map[k]bool)
 	for _, tr := range all.Triples {
-		set[k{tr.S, tr.O, s.Key(tr.Path)}] = true
+		set[k{tr.S, tr.O, rdf.Key(s, tr.Path)}] = true
 	}
 	for _, tr := range one.Triples {
-		if !set[k{tr.S, tr.O, s.Key(tr.Path)}] {
+		if !set[k{tr.S, tr.O, rdf.Key(s, tr.Path)}] {
 			t.Fatalf("reduced run emitted triple absent from full run: %v", tr)
 		}
 	}
@@ -92,7 +92,7 @@ func TestExpandDeterministic(t *testing.T) {
 	}
 	for i := range r1.Triples {
 		if r1.Triples[i].S != r2.Triples[i].S || r1.Triples[i].O != r2.Triples[i].O ||
-			s.Key(r1.Triples[i].Path) != s.Key(r2.Triples[i].Path) {
+			rdf.Key(s, r1.Triples[i].Path) != rdf.Key(s, r2.Triples[i].Path) {
 			t.Fatal("nondeterministic order")
 		}
 	}
@@ -111,17 +111,17 @@ func TestExpandAgainstPathsBetween(t *testing.T) {
 			continue
 		}
 		checked++
-		paths := s.PathsBetween(tr.S, tr.O, 3, kb.EndFilter)
+		paths := rdf.PathsBetween(s, tr.S, tr.O, 3, kb.EndFilter)
 		found := false
 		for _, p := range paths {
-			if s.Key(p) == s.Key(tr.Path) {
+			if rdf.Key(s, p) == rdf.Key(s, tr.Path) {
 				found = true
 				break
 			}
 		}
 		if !found {
 			t.Fatalf("expanded triple not confirmed by PathsBetween: %s -%s-> %s",
-				s.Label(tr.S), s.Key(tr.Path), s.Label(tr.O))
+				s.Label(tr.S), rdf.Key(s, tr.Path), s.Label(tr.O))
 		}
 	}
 	if checked == 0 {
@@ -182,7 +182,7 @@ func TestTopEntitiesByFrequency(t *testing.T) {
 		t.Fatalf("got %d entities", len(top))
 	}
 	for i := 1; i < len(top); i++ {
-		if kb.Store.OutDegree(top[i-1]) < kb.Store.OutDegree(top[i]) {
+		if rdf.OutDegree(kb.Store, top[i-1]) < rdf.OutDegree(kb.Store, top[i]) {
 			t.Fatal("not sorted by out-degree")
 		}
 	}

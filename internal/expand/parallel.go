@@ -8,72 +8,46 @@ import (
 	"repro/internal/rdf"
 )
 
-// ShardedGraph is a Graph whose subjects are partitioned into scan-able
-// shards — rdf.ShardedStore in process, or a network-backed store whose
-// ShardTriples streams a remote shard. ExpandParallel runs one worker per
-// shard over any implementation; running ShardTriples for every shard must
-// visit each triple exactly once, in ascending subject order per shard.
-type ShardedGraph interface {
-	rdf.Graph
-	NumShards() int
-	ShardTriples(i int, fn func(rdf.Triple))
+// ShardScan streams shard i's triples in ascending subject order. Scanning
+// every shard must visit each triple exactly once. rdf.Sharded.ShardTriples
+// (through LocalScan) and shardrpc.Pool.ScanShard are the two sources.
+type ShardScan func(ctx context.Context, shard int, fn func(rdf.Triple)) error
+
+// LocalScan adapts an in-process sharded graph, whose scans cannot fail.
+func LocalScan(ss rdf.Sharded) ShardScan {
+	return func(_ context.Context, i int, fn func(rdf.Triple)) error {
+		ss.ShardTriples(i, fn)
+		return nil
+	}
 }
 
-// ShardedGraphCtx is implemented by sharded graphs whose shard scans accept
-// a context — network-backed stores whose scans should carry the caller's
-// deadline, cancellation and trace (shardrpc.KB). ExpandParallelCtx
-// dispatches to ShardTriplesCtx when available, so a remote full-KB
-// expansion is cancellable instead of running nil-context scans to
-// completion. A scan error ends that shard's round early with a partial
-// buffer; the implementation is expected to record it (shardrpc.KB.Err),
-// matching the ctx-less path's failure contract.
-type ShardedGraphCtx interface {
-	ShardedGraph
-	ShardTriplesCtx(ctx context.Context, i int, fn func(rdf.Triple)) error
-}
-
-// ExpandParallel runs the k-round scan+join BFS over a sharded graph with
-// one worker per shard. Each round, every worker scans its own shard's
-// triples (ShardTriples) and joins them against the shared frontier index —
-// the frontier is read-only during a round, so workers share it without
-// locks. The per-shard candidate buffers are then merged back into global
-// ascending-subject scan order and deduplicated by the same expandState the
-// sequential path uses, so ExpandParallel returns exactly the triples, in
-// exactly the order, that Expand produces on an equivalent unsharded store.
+// ExpandParallel runs the k-round scan+join BFS with one worker per shard.
+// Each round, every worker scans its own shard's triples and joins them
+// against the shared frontier index — the frontier is read-only during a
+// round, so workers share it without locks. The per-shard candidate buffers
+// are then merged back into global ascending-subject scan order and
+// deduplicated by the same expandState the sequential path uses, so
+// ExpandParallel returns exactly the triples, in exactly the order, that
+// Expand produces on an equivalent unsharded store.
 //
-// The shards partition the subjects, so the per-round work splits cleanly:
-// wall-clock drops toward the largest shard's scan time, which is what
-// BenchmarkExpandParallel measures across GOMAXPROCS.
-func ExpandParallel(ss ShardedGraph, cfg Config) *Result {
-	//kbqa:nolint ctxpropagate — ctx-less compat shim; traced callers use ExpandParallelCtx
-	return ExpandParallelCtx(context.Background(), ss, cfg)
-}
-
-// ExpandParallelCtx is ExpandParallel under a context, for tracing: when
-// ctx carries a trace, each round runs under an "expand.round" span with
-// one "expand.scan" child per shard worker. The scan itself is unchanged —
-// an untraced context costs one lookup per round.
-func ExpandParallelCtx(ctx context.Context, ss ShardedGraph, cfg Config) *Result {
+// g supplies the symbols (source entities, node kinds); scan supplies the
+// triples, in process or over the network. A scan error — a cancelled ctx,
+// a shard with every replica down — aborts the expansion: a partial result
+// is never returned as if it were complete. When ctx carries a trace, each
+// round runs under an "expand.round" span with one "expand.scan" child per
+// shard worker.
+func ExpandParallel(ctx context.Context, g rdf.Graph, shards int, scan ShardScan, cfg Config) (*Result, error) {
 	if cfg.MaxLen <= 0 {
 		cfg.MaxLen = 1
 	}
 	sources := cfg.Sources
 	if sources == nil {
-		sources = ss.Entities()
+		sources = g.Entities()
 	}
 	st := newExpandState()
 	frontier := sourceFrontier(sources)
-	bufs := make([]roundBuf, ss.NumShards())
-	scanShard := func(i int, fn func(rdf.Triple)) {
-		ss.ShardTriples(i, fn)
-	}
-	if cg, ok := ss.(ShardedGraphCtx); ok {
-		scanShard = func(i int, fn func(rdf.Triple)) {
-			// The error is recorded by the implementation (see
-			// ShardedGraphCtx); the round proceeds with what was scanned.
-			_ = cg.ShardTriplesCtx(ctx, i, fn)
-		}
-	}
+	bufs := make([]roundBuf, shards)
+	errs := make([]error, shards)
 	for round := 1; round <= cfg.MaxLen && len(frontier) > 0; round++ {
 		st.res.Scans++
 		_, rsp := obs.StartSpan(ctx, "expand.round")
@@ -82,26 +56,32 @@ func ExpandParallelCtx(ctx context.Context, ss ShardedGraph, cfg Config) *Result
 			rsp.SetInt("frontier", int64(len(frontier)))
 		}
 		var wg sync.WaitGroup
-		for i := 0; i < ss.NumShards(); i++ {
+		for i := 0; i < shards; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				ssp := rsp.Child("expand.scan")
 				ssp.SetInt("shard", int64(i))
 				bufs[i] = scanRound(func(fn func(rdf.Triple)) {
-					scanShard(i, fn)
-				}, ss, cfg, frontier, round)
+					errs[i] = scan(ctx, i, fn)
+				}, g, cfg, frontier, round)
 				ssp.SetInt("scanned", int64(bufs[i].scanned))
 				ssp.SetInt("emits", int64(len(bufs[i].emits)))
 				ssp.End()
 			}(i)
 		}
 		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				rsp.End()
+				return nil, err
+			}
+		}
 		frontier = st.applyRound(bufs)
 		if rsp != nil {
 			rsp.SetInt("triples", int64(len(st.res.Triples)))
 			rsp.End()
 		}
 	}
-	return st.res
+	return st.res, nil
 }

@@ -15,8 +15,8 @@ import (
 // diamondKB builds a diamond-shaped subgraph: src reaches o through two
 // different mediators via the same predicate path a→b. Before the dedupe
 // fix, Expand emitted (src, a→b, o) twice and valid(k) double-counted it.
-func diamondKB() (*rdf.Store, rdf.ID, rdf.ID) {
-	s := rdf.NewStore()
+func diamondKB() (*rdf.ShardedStore, rdf.ID, rdf.ID) {
+	s := rdf.NewShardedStore(1)
 	src := s.Entity("source")
 	m1 := s.Mediator("m1")
 	m2 := s.Mediator("m2")
@@ -42,8 +42,8 @@ func TestExpandDiamondDedupe(t *testing.T) {
 	}
 	// Cross-check against the store's online traversal, which always
 	// deduplicated.
-	path, _ := s.ParsePath("a→b")
-	online := s.PathObjects(src, path)
+	path, _ := rdf.ParsePath(s, "a→b")
+	online := rdf.PathObjects(s, src, path)
 	if len(online) != len(objs) || online[0] != objs[0] {
 		t.Errorf("materialized expansion %v disagrees with PathObjects %v", objs, online)
 	}
@@ -81,10 +81,10 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 	// Round-trip the store once so the sequential and sharded copies carry
 	// identical node IDs (serialization re-assigns them in scan order).
 	var buf bytes.Buffer
-	if err := kb.Store.WriteNTriples(&buf); err != nil {
+	if err := rdf.WriteNTriples(kb.Store, &buf); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := rdf.ReadNTriples(bytes.NewReader(buf.Bytes()))
+	flat, err := rdf.LoadNTriples(bytes.NewReader(buf.Bytes()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := ExpandParallel(ss, cfg)
+			par := expandLocal(t, context.Background(), ss, cfg)
 			if par.Scans != seq.Scans || par.Scanned != seq.Scanned {
 				t.Fatalf("shards=%d keep=%v: scan accounting diverges: scans %d/%d scanned %d/%d",
 					shards, keep, par.Scans, seq.Scans, par.Scanned, seq.Scanned)
@@ -113,7 +113,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 			}
 			for i := range seq.Triples {
 				a, b := seq.Triples[i], par.Triples[i]
-				if a.S != b.S || a.O != b.O || flat.Key(a.Path) != ss.Key(b.Path) {
+				if a.S != b.S || a.O != b.O || rdf.Key(flat, a.Path) != rdf.Key(ss, b.Path) {
 					t.Fatalf("shards=%d keep=%v: triple %d diverges: %v vs %v", shards, keep, i, a, b)
 				}
 			}
@@ -160,7 +160,7 @@ func TestExpandParallelSpans(t *testing.T) {
 	}
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 	ctx, trace := tracer.Start(context.Background(), "expand")
-	res := ExpandParallelCtx(ctx, ss, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
+	res := expandLocal(t, ctx, ss, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
 	trace.Finish()
 
 	snaps := tracer.Snapshot()
@@ -202,15 +202,27 @@ func TestExpandParallelSpans(t *testing.T) {
 	}
 }
 
-// TestExpandParallelUntracedIdentical pins that threading a context
-// without a trace changes nothing about the result.
+// TestExpandParallelUntracedIdentical pins that a trace in the context
+// changes nothing about the result.
 func TestExpandParallelUntracedIdentical(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 5, Flavor: kbgen.Freebase, Scale: 8, Shards: 2})
-	ss := kb.Store.(*rdf.ShardedStore)
 	cfg := Config{MaxLen: 2, EndFilter: kb.EndFilter}
-	a := ExpandParallel(ss, cfg)
-	b := ExpandParallelCtx(context.Background(), ss, cfg)
+	a := expandLocal(t, context.Background(), kb.Store, cfg)
+	ctx, trace := obs.NewTracer(obs.Options{SampleRate: 1}).Start(context.Background(), "expand")
+	b := expandLocal(t, ctx, kb.Store, cfg)
+	trace.Finish()
 	if len(a.Triples) != len(b.Triples) || a.Scanned != b.Scanned || a.Scans != b.Scans {
-		t.Fatalf("ctx variant diverged: %+v vs %+v", a, b)
+		t.Fatalf("traced run diverged: %+v vs %+v", a, b)
 	}
+}
+
+// expandLocal runs ExpandParallel over an in-process sharded graph, whose
+// scans cannot fail.
+func expandLocal(t *testing.T, ctx context.Context, ss rdf.Sharded, cfg Config) *Result {
+	t.Helper()
+	res, err := ExpandParallel(ctx, ss, ss.NumShards(), LocalScan(ss), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -201,7 +201,7 @@ func (x *Extractor) EntityValues(question, answer string) []EVPair {
 
 // connecting returns all predicate paths from e to v within maxLen.
 func (x *Extractor) connecting(e, v rdf.ID, maxLen int) []rdf.Path {
-	return x.KB.PathsBetween(e, v, maxLen, x.EndFilter)
+	return rdf.PathsBetween(x.KB, e, v, maxLen, x.EndFilter)
 }
 
 // agrees reports whether at least one connecting predicate's answer class is

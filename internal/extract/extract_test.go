@@ -10,8 +10,8 @@ import (
 )
 
 // figure1KB rebuilds the paper's toy KB with predicate classes.
-func figure1KB() (*rdf.Store, *Extractor) {
-	s := rdf.NewStore()
+func figure1KB() (*rdf.ShardedStore, *Extractor) {
+	s := rdf.NewShardedStore(1)
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m:marriage1")
 	c := s.Entity("Michelle Obama")
@@ -62,7 +62,7 @@ func TestFindMentions(t *testing.T) {
 }
 
 func TestFindMentionsLongestMatch(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(1)
 	s.Entity("new york")
 	s.Entity("new york city")
 	toks := text.Tokenize("how big is new york city")
@@ -73,7 +73,7 @@ func TestFindMentionsLongestMatch(t *testing.T) {
 }
 
 func TestFindMentionsAmbiguous(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(1)
 	s.NewAmbiguousEntity("springfield")
 	s.NewAmbiguousEntity("springfield")
 	ms := FindMentions(s, text.Tokenize("population of springfield"))
@@ -83,7 +83,7 @@ func TestFindMentionsAmbiguous(t *testing.T) {
 }
 
 func TestFindMentionsStopword(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(1)
 	s.Entity("the") // a perverse entity named "the"
 	ms := FindMentions(s, text.Tokenize("the population"))
 	if len(ms) != 0 {
@@ -128,7 +128,7 @@ func TestEntityValuesExample2(t *testing.T) {
 	if s.Label(p.Entity) != "Barack Obama" || s.Label(p.Value) != "1961" {
 		t.Errorf("pair = %s -> %s", s.Label(p.Entity), s.Label(p.Value))
 	}
-	if len(p.Paths) != 1 || s.Key(p.Paths[0]) != "dob" {
+	if len(p.Paths) != 1 || rdf.Key(s, p.Paths[0]) != "dob" {
 		t.Errorf("paths = %v", render(s, pairs))
 	}
 }
@@ -154,7 +154,7 @@ func TestEntityValuesExpandedPredicate(t *testing.T) {
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %v", render(s, pairs))
 	}
-	if s.Key(pairs[0].Paths[0]) != "marriage→person→name" {
+	if rdf.Key(s, pairs[0].Paths[0]) != "marriage→person→name" {
 		t.Errorf("path = %v", render(s, pairs))
 	}
 }
@@ -201,12 +201,12 @@ func TestEntityPrior(t *testing.T) {
 	}
 }
 
-func render(s *rdf.Store, pairs []EVPair) []string {
+func render(s *rdf.ShardedStore, pairs []EVPair) []string {
 	var out []string
 	for _, p := range pairs {
 		line := s.Label(p.Entity) + "->" + s.Label(p.Value) + " via"
 		for _, path := range p.Paths {
-			line += " " + s.Key(path)
+			line += " " + rdf.Key(s, path)
 		}
 		out = append(out, line)
 	}

@@ -31,9 +31,9 @@ type Config struct {
 	// default of 50. Actual counts are scaled per flavor and per category.
 	Scale int
 	// Shards > 1 re-partitions the generated store into that many
-	// subject-hash shards (rdf.ShardedStore), with the per-shard indexes
-	// bulk-loaded in parallel. Node IDs, triples and all read results are
-	// identical to the unsharded layout; <= 1 keeps the single-map store.
+	// subject-hash shards, with the per-shard indexes bulk-loaded in
+	// parallel; <= 1 keeps the one shard generation filled. Node IDs,
+	// triples and all read results are identical either way.
 	Shards int
 }
 
@@ -43,7 +43,7 @@ type Config struct {
 // inventory used by the corpus generator and the evaluation gold labels.
 type KB struct {
 	Flavor     Flavor
-	Store      rdf.Graph
+	Store      rdf.Sharded
 	Taxonomy   *concept.Taxonomy
 	Intents    []Intent
 	PredClass  map[rdf.PID]qclass.Class
@@ -63,13 +63,13 @@ func (kb *KB) EndFilter(p rdf.PID) bool { return kb.NamePreds[p] }
 // V(e, p+) is non-empty, i.e. the entities the intent's questions can be
 // asked about.
 func (kb *KB) SubjectsWithPath(it Intent) []rdf.ID {
-	path, ok := kb.Store.ParsePath(it.PathKey)
+	path, ok := rdf.ParsePath(kb.Store, it.PathKey)
 	if !ok {
 		return nil
 	}
 	var out []rdf.ID
 	for _, e := range kb.ByCategory[it.Category] {
-		if len(kb.Store.PathObjects(e, path)) > 0 {
+		if len(rdf.PathObjects(kb.Store, e, path)) > 0 {
 			out = append(out, e)
 		}
 	}
@@ -113,7 +113,7 @@ type generator struct {
 	r     *rand.Rand
 	names *nameGen
 	kb    *KB
-	s     *rdf.Store
+	s     *rdf.ShardedStore
 	// frequently used predicate ids
 	pName, pAlias, pCategory rdf.PID
 	medCount                 int
@@ -126,7 +126,7 @@ func Generate(cfg Config) *KB {
 		cfg.Scale = 50
 	}
 	r := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Flavor)*7919))
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(1)
 	kb := &KB{
 		Flavor:     cfg.Flavor,
 		Store:      s,
@@ -154,9 +154,9 @@ func Generate(cfg Config) *KB {
 	}
 	if cfg.Shards > 1 {
 		// Re-partition by subject hash; the parallel bulk load inside
-		// Shard is the only concurrency, generation itself stays
+		// Repartition is the only concurrency, generation itself stays
 		// deterministic in the seed.
-		kb.Store = rdf.Shard(s, cfg.Shards)
+		kb.Store = rdf.Repartition(s, cfg.Shards)
 	}
 	return kb
 }

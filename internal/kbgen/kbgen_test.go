@@ -92,7 +92,7 @@ func TestExpandedPredicatesExist(t *testing.T) {
 		"nutrition_fact→nutrient→alias",
 		"songs→musical_game_song→name",
 	} {
-		path, ok := s.ParsePath(key)
+		path, ok := rdf.ParsePath(s, key)
 		if !ok {
 			t.Errorf("path %s has unknown predicates", key)
 			continue
@@ -100,7 +100,7 @@ func TestExpandedPredicatesExist(t *testing.T) {
 		found := false
 		for _, cat := range categoryOrder {
 			for _, e := range kb.ByCategory[cat] {
-				if len(s.PathObjects(e, path)) > 0 {
+				if len(rdf.PathObjects(s, e, path)) > 0 {
 					found = true
 					break
 				}
@@ -115,10 +115,10 @@ func TestExpandedPredicatesExist(t *testing.T) {
 func TestMarriageSymmetricButSelfFree(t *testing.T) {
 	kb := testKB(t, Freebase)
 	s := kb.Store
-	path, _ := s.ParsePath("marriage→person→name")
+	path, _ := rdf.ParsePath(s, "marriage→person→name")
 	married := 0
 	for _, p := range kb.ByCategory["person"] {
-		objs := s.PathObjects(p, path)
+		objs := rdf.PathObjects(s, p, path)
 		if len(objs) == 0 {
 			continue
 		}
@@ -220,10 +220,10 @@ func TestValuesPerEntityPredicateMultiplicity(t *testing.T) {
 	// Bands have several members: V(e, group_member→member→name) must have
 	// cardinality > 1 for at least one band (Table 6's #values statistic).
 	kb := testKB(t, Freebase)
-	path, _ := kb.Store.ParsePath("group_member→member→name")
+	path, _ := rdf.ParsePath(kb.Store, "group_member→member→name")
 	multi := false
 	for _, b := range kb.ByCategory["band"] {
-		if len(kb.Store.PathObjects(b, path)) > 1 {
+		if len(rdf.PathObjects(kb.Store, b, path)) > 1 {
 			multi = true
 			break
 		}

@@ -260,7 +260,7 @@ func (l *Learner) candidates(qToks []string, mentions []extract.Mention, ev extr
 	var cands []Cand
 	for _, tw := range tmpls {
 		for _, path := range ev.Paths {
-			nVals := len(l.KB.PathObjects(ev.Entity, path))
+			nVals := len(rdf.PathObjects(l.KB, ev.Entity, path))
 			if nVals == 0 {
 				continue
 			}
@@ -270,7 +270,7 @@ func (l *Learner) candidates(qToks []string, mentions []extract.Mention, ev extr
 			}
 			cands = append(cands, Cand{
 				Template: tw.Text,
-				Path:     l.KB.Key(path),
+				Path:     rdf.Key(l.KB, path),
 				F:        f,
 			})
 		}

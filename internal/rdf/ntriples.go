@@ -23,14 +23,9 @@ import (
 // knowledge base gives each entity at least a name fact, so nothing is
 // lost in practice.
 
-// WriteNTriples serializes every triple of the store.
-func (s *Store) WriteNTriples(w io.Writer) error {
-	return writeNTriples(s, w)
-}
-
-// writeNTriples serializes any Graph; both store layouts scan in the same
-// global order, so the two serializations are byte-identical.
-func writeNTriples(g Graph, w io.Writer) error {
+// WriteNTriples serializes every triple of g in scan order; two backends
+// holding the same world serialize byte-identically.
+func WriteNTriples(g Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var err error
 	g.Triples(func(t Triple) {
@@ -66,22 +61,12 @@ func objectRef(g Graph, id ID) string {
 
 func escapeIRI(label string) string { return url.PathEscape(label) }
 
-// ReadNTriples parses a serialization produced by WriteNTriples into a new
-// store. Node identity (including deliberate label ambiguity) is preserved;
-// fresh ids are assigned.
-func ReadNTriples(r io.Reader) (*Store, error) {
-	s := NewStore()
-	if err := readNTriples(r, &s.symtab, s.Add); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // LoadNTriples parses a serialization produced by WriteNTriples into a new
 // ShardedStore with the given shard count (n <= 0 selects DefaultShards()).
-// Interning is a single sequential pass over the input; the per-shard
-// indexes are then built in parallel, one worker per shard, which is where
-// the bulk-load time goes.
+// Node identity (including deliberate label ambiguity) is preserved; fresh
+// ids are assigned. Interning is a single sequential pass over the input;
+// the per-shard indexes are then built in parallel, one worker per shard,
+// which is where the bulk-load time goes.
 func LoadNTriples(r io.Reader, shards int) (*ShardedStore, error) {
 	ss := NewShardedStore(shards)
 	var batch []Triple

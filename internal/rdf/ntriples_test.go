@@ -11,10 +11,10 @@ import (
 func TestNTriplesRoundTrip(t *testing.T) {
 	s, ids := buildToyKB(t)
 	var buf bytes.Buffer
-	if err := s.WriteNTriples(&buf); err != nil {
+	if err := WriteNTriples(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ReadNTriples(&buf)
+	s2, err := LoadNTriples(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestNTriplesRoundTrip(t *testing.T) {
 		t.Fatalf("dob lookup = %v", objs)
 	}
 	// Expanded path still works (mediator preserved as a mediator).
-	path, ok := s2.ParsePath("marriage→person→name")
+	path, ok := ParsePath(s2, "marriage→person→name")
 	if !ok {
 		t.Fatal("path predicates lost")
 	}
-	spouse := s2.PathObjects(a2[0], path)
+	spouse := PathObjects(s2, a2[0], path)
 	if len(spouse) != 1 || s2.Label(spouse[0]) != "Michelle Obama" {
 		t.Fatalf("spouse after round trip = %v", spouse)
 	}
@@ -50,7 +50,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 }
 
 func TestNTriplesPreservesAmbiguity(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	e1 := s.NewAmbiguousEntity("springfield")
 	e2 := s.NewAmbiguousEntity("springfield")
 	p := s.Pred("population")
@@ -58,10 +58,10 @@ func TestNTriplesPreservesAmbiguity(t *testing.T) {
 	s.Add(e2, p, s.Literal("200k"))
 
 	var buf bytes.Buffer
-	if err := s.WriteNTriples(&buf); err != nil {
+	if err := WriteNTriples(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ReadNTriples(&buf)
+	s2, err := LoadNTriples(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +82,14 @@ func TestNTriplesPreservesAmbiguity(t *testing.T) {
 }
 
 func TestNTriplesEscaping(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	e := s.Entity(`weird "name" with spaces`)
 	s.Add(e, s.Pred("note"), s.Literal(`a "quoted" literal with \ backslash`))
 	var buf bytes.Buffer
-	if err := s.WriteNTriples(&buf); err != nil {
+	if err := WriteNTriples(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ReadNTriples(&buf)
+	s2, err := LoadNTriples(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestReadNTriplesErrors(t *testing.T) {
 		"<e/0> <p> \"x\" .",           // malformed node ref
 	}
 	for _, c := range cases {
-		if _, err := ReadNTriples(strings.NewReader(c)); err == nil {
+		if _, err := LoadNTriples(strings.NewReader(c), 3); err == nil {
 			t.Errorf("expected error for %q", c)
 		}
 	}
 	// Blank lines and comments are fine.
-	s, err := ReadNTriples(strings.NewReader("\n# comment\n<e/0/a> <p> \"x\" .\n"))
+	s, err := LoadNTriples(strings.NewReader("\n# comment\n<e/0/a> <p> \"x\" .\n"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +133,17 @@ func TestNTriplesControlCharLiterals(t *testing.T) {
 		"a\nb", "tab\there", "cr\rhere", "nul\x00byte", "bell\x07",
 		"high\xffbyte", `back\slash`, "mixed \n\t\\\" end",
 	}
-	s := NewStore()
+	s := NewShardedStore(3)
 	e := s.Entity("x")
 	p := s.Pred("v")
 	for _, l := range lits {
 		s.Add(e, p, s.Literal(l))
 	}
 	var buf bytes.Buffer
-	if err := s.WriteNTriples(&buf); err != nil {
+	if err := WriteNTriples(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ReadNTriples(&buf)
+	s2, err := LoadNTriples(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +167,17 @@ func TestNTriplesLongLine(t *testing.T) {
 	// One label far beyond the 4 MiB token cap the old bufio.Scanner-based
 	// reader imposed; the load must succeed and preserve the label exactly.
 	long := strings.Repeat("x", 5<<20)
-	s := NewStore()
+	s := NewShardedStore(3)
 	e := s.Entity("subject")
 	s.Add(e, s.Pred("blob"), s.Literal(long))
 	var buf bytes.Buffer
-	if err := s.WriteNTriples(&buf); err != nil {
+	if err := WriteNTriples(s, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 5<<20 {
 		t.Fatalf("expected a >4MiB line, got %d bytes", buf.Len())
 	}
-	s2, err := ReadNTriples(&buf)
+	s2, err := LoadNTriples(&buf, 3)
 	if err != nil {
 		t.Fatalf("long line failed to load: %v", err)
 	}
@@ -220,17 +220,17 @@ func FuzzNTriplesRoundTrip(f *testing.F) {
 		f.Add(s.ent, s.lit)
 	}
 	f.Fuzz(func(t *testing.T, ent, lit string) {
-		s := NewStore()
+		s := NewShardedStore(3)
 		e := s.NewAmbiguousEntity(ent)
 		s.Add(e, s.Pred("name"), s.Literal(lit))
 		s.Add(e, s.Pred("of"), s.Mediator(ent+"-m"))
 		s.Add(e, s.Pred("knows"), s.NewAmbiguousEntity(ent))
 
 		var b1 bytes.Buffer
-		if err := s.WriteNTriples(&b1); err != nil {
+		if err := WriteNTriples(s, &b1); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := ReadNTriples(bytes.NewReader(b1.Bytes()))
+		s2, err := LoadNTriples(bytes.NewReader(b1.Bytes()), 3)
 		if err != nil {
 			t.Fatalf("read back own serialization: %v\n%s", err, b1.Bytes())
 		}
@@ -242,15 +242,15 @@ func FuzzNTriplesRoundTrip(f *testing.F) {
 		// first write may renumber nodes, so b1 vs b2 can differ in ids; the
 		// canonical serialization of a read-back store must not.)
 		var b2 bytes.Buffer
-		if err := s2.WriteNTriples(&b2); err != nil {
+		if err := WriteNTriples(s2, &b2); err != nil {
 			t.Fatal(err)
 		}
-		s3, err := ReadNTriples(bytes.NewReader(b2.Bytes()))
+		s3, err := LoadNTriples(bytes.NewReader(b2.Bytes()), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b3 bytes.Buffer
-		if err := s3.WriteNTriples(&b3); err != nil {
+		if err := WriteNTriples(s3, &b3); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b2.Bytes(), b3.Bytes()) {

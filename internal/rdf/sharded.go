@@ -1,26 +1,27 @@
 package rdf
 
 import (
-	"io"
+	"encoding/binary"
+	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
 )
 
-// ShardedStore is an indexed RDF knowledge base whose triple indexes are
-// partitioned into N shards by subject hash, behind the same read API as
-// Store (the Graph interface). Node and predicate interning stays global —
-// IDs mean the same thing in every shard — so point lookups cost one hash
-// to find the shard plus the usual map probes, while full scans
-// (ShardTriples) and bulk loads (AddBatch) run one worker per shard.
+// ShardedStore is the in-memory knowledge base: hash indexes over all three
+// access paths, partitioned into N shards by subject hash (N may be 1).
+// Node and predicate interning stays global — IDs mean the same thing in
+// every shard — so point lookups cost one hash to find the shard plus the
+// usual map probes, while full scans (ShardTriples) and bulk loads
+// (AddBatch) run one worker per shard.
 //
 // This is the layout split the serving runtime needs: the offline predicate
 // expansion is a k-round full scan+join (Sec 6.2) that wants to run wide,
 // while the online path makes point probes V(e, p+) per interpretation;
 // subject-hash partitioning serves both without any change to callers.
 //
-// Like Store, a ShardedStore is safe for concurrent readers once writes
-// have finished; writes (Add, AddBatch) must not race with reads.
+// A ShardedStore is safe for concurrent readers once writes have finished;
+// writes (Add, AddBatch) must not race with reads.
 type ShardedStore struct {
 	symtab
 
@@ -112,25 +113,10 @@ func NewShardedStore(n int) *ShardedStore {
 // NumShards returns the shard count.
 func (ss *ShardedStore) NumShards() int { return len(ss.shards) }
 
-// ShardIndex maps a subject ID to its owning shard in an n-shard layout —
-// the one placement function shared by ShardedStore and any remote shard
-// topology, so a networked probe layer routes to exactly the shard an
-// in-process store would. Node IDs are dense, so a multiplicative
-// (Fibonacci) hash spreads consecutive IDs — which the generator assigns
-// category by category — evenly across shards.
-func ShardIndex(id ID, n int) int {
-	return int((uint32(id) * 2654435761) % uint32(n))
-}
-
 // shardOf maps a subject to its owning shard.
 func (ss *ShardedStore) shardOf(id ID) int {
 	return ShardIndex(id, len(ss.shards))
 }
-
-// ShardOf reports which shard owns id's subject-indexed edges — the
-// observability hook that lets query traces attribute knowledge-base
-// probes to shards.
-func (ss *ShardedStore) ShardOf(id ID) int { return ss.shardOf(id) }
 
 // Add records the triple (subj, pred, obj). Duplicate triples are ignored.
 func (ss *ShardedStore) Add(subj ID, pred PID, obj ID) {
@@ -179,15 +165,17 @@ func (ss *ShardedStore) AddBatch(batch []Triple) {
 	}
 }
 
-// Shard re-partitions a Store into n subject-hash shards (n <= 0 selects
-// DefaultShards()). The interning tables are taken over, not copied, so the
-// source store must not be written to afterwards; the per-shard indexes are
-// rebuilt in parallel, one worker per shard.
-func Shard(s *Store, n int) *ShardedStore {
+// Repartition rebuilds src as an n-shard store (n <= 0 selects
+// DefaultShards()), feeding the new indexes in src's canonical scan order —
+// so the result, and everything learned from it, depends on src's content
+// only, not on the order src was filled in. The interning tables are taken
+// over, not copied, so src must not be written to afterwards; the per-shard
+// indexes are rebuilt in parallel, one worker per shard.
+func Repartition(src *ShardedStore, n int) *ShardedStore {
 	ss := NewShardedStore(n)
-	ss.symtab = s.symtab
-	batch := make([]Triple, 0, s.NumTriples())
-	s.Triples(func(t Triple) { batch = append(batch, t) })
+	ss.symtab = src.symtab
+	batch := make([]Triple, 0, src.NumTriples())
+	src.Triples(func(t Triple) { batch = append(batch, t) })
 	ss.AddBatch(batch)
 	return ss
 }
@@ -199,8 +187,8 @@ func (ss *ShardedStore) Objects(subj ID, pred PID) []ID {
 }
 
 // Subjects returns all subjects with (s, pred, obj) in K, in ascending ID
-// order. (Store returns insertion order; the sharded layout spreads
-// insertion across shards, so ascending ID is the deterministic merge.)
+// order (insertion is spread across shards, so ascending ID is the
+// deterministic merge).
 func (ss *ShardedStore) Subjects(pred PID, obj ID) []ID {
 	var out []ID
 	for i := range ss.shards {
@@ -222,21 +210,34 @@ func (ss *ShardedStore) OutEdges(subj ID, fn func(p PID, o ID)) {
 	outEdges(ss.shards[ss.shardOf(subj)].spo[subj], fn)
 }
 
-// OutDegree returns the number of triples with subj as subject.
-func (ss *ShardedStore) OutDegree(subj ID) int {
-	n := 0
-	for _, objs := range ss.shards[ss.shardOf(subj)].spo[subj] {
-		n += len(objs)
+// outEdges iterates a subject's predicate map in sorted-predicate order.
+func outEdges(pm map[PID][]ID, fn func(p PID, o ID)) {
+	preds := make([]PID, 0, len(pm))
+	for p := range pm {
+		preds = append(preds, p)
 	}
-	return n
+	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	for _, p := range preds {
+		for _, o := range pm[p] {
+			fn(p, o)
+		}
+	}
+}
+
+// subjectTriples emits every triple of one subject in deterministic order
+// (sorted predicate, then insertion order of objects).
+func subjectTriples(subj ID, pm map[PID][]ID, fn func(Triple)) {
+	outEdges(pm, func(p PID, o ID) {
+		fn(Triple{S: subj, P: p, O: o})
+	})
 }
 
 // NumTriples returns the number of distinct triples across all shards.
 func (ss *ShardedStore) NumTriples() int { return ss.triples }
 
-// Triples iterates over every triple in the store in the same deterministic
-// global order as Store.Triples (ascending subject, sorted predicate,
-// insertion order of objects), regardless of the shard layout.
+// Triples iterates over every triple in the store in one deterministic
+// global order (ascending subject, sorted predicate, insertion order of
+// objects), regardless of the shard layout.
 func (ss *ShardedStore) Triples(fn func(Triple)) {
 	for subj := ID(0); int(subj) < len(ss.labels); subj++ {
 		pm, ok := ss.shards[ss.shardOf(subj)].spo[subj]
@@ -253,18 +254,10 @@ func (ss *ShardedStore) Triples(fn func(Triple)) {
 // visits each triple exactly once; workers on distinct shards may run
 // concurrently.
 func (ss *ShardedStore) ShardTriples(i int, fn func(Triple)) {
-	sh := &ss.shards[i]
-	subjects := make([]ID, len(sh.subjects))
-	copy(subjects, sh.subjects)
-	sort.Slice(subjects, func(a, b int) bool { return subjects[a] < subjects[b] })
-	for _, subj := range subjects {
-		subjectTriples(subj, sh.spo[subj], fn)
+	for _, subj := range ss.ShardSubjectIDs(i) {
+		subjectTriples(subj, ss.shards[i].spo[subj], fn)
 	}
 }
-
-// ShardSize returns the number of triples held by shard i, for balance
-// diagnostics.
-func (ss *ShardedStore) ShardSize(i int) int { return ss.shards[i].triples }
 
 // ShardSubjectIDs returns shard i's distinct subjects in ascending order —
 // the pagination index for cursor-based shard scans (a remote scan resumes
@@ -294,26 +287,17 @@ func (ss *ShardedStore) ShardSubjects(i int, pred PID, obj ID) []ID {
 	return ss.shards[i].pos[pred][obj]
 }
 
-// PathObjects returns every object reachable from subj by traversing the
-// path, i.e. V(e, p+) for an expanded predicate (Sec 6.1 "online part").
-func (ss *ShardedStore) PathObjects(subj ID, path Path) []ID {
-	return pathObjects(ss, subj, path)
-}
-
-// PathsBetween returns every predicate path of length at most maxLen
-// leading from subj to obj; see Store.PathsBetween.
-func (ss *ShardedStore) PathsBetween(subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
-	return pathsBetween(ss, subj, obj, maxLen, endFilter)
-}
-
-// DirectOrExpandedBetween reports whether any direct predicate or any
-// expanded predicate of length <= maxLen connects subj and obj.
-func (ss *ShardedStore) DirectOrExpandedBetween(subj, obj ID, maxLen int, endFilter func(PID) bool) bool {
-	return directOrExpandedBetween(ss, subj, obj, maxLen, endFilter)
-}
-
-// WriteNTriples serializes every triple of the store; the output is
-// identical to the unsharded store's serialization.
-func (ss *ShardedStore) WriteNTriples(w io.Writer) error {
-	return writeNTriples(ss, w)
+// WorldFingerprint summarizes the identity of a loaded world. Every
+// consumer that exchanges raw interned IDs across a boundary — the
+// shardrpc handshake, the snapshot image header — must agree on it; the
+// counts pin the world tightly enough in practice because generation is
+// deterministic in the seed.
+func WorldFingerprint(g Sharded) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range []int{g.NumNodes(), g.NumPredicates(), g.NumTriples(), g.NumShards()} {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }

@@ -2,45 +2,15 @@ package snapshot
 
 import (
 	"bufio"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/benchjson"
 	"repro/internal/kbgen"
 	"repro/internal/rdf"
 )
-
-// writeBenchJSON merges payload under key into the JSON object at
-// $BENCH_JSON (creating the file if absent), so every benchmark in the CI
-// step contributes its section to one artifact instead of clobbering it.
-// No-op when BENCH_JSON is unset.
-func writeBenchJSON(b *testing.B, key string, payload map[string]any) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		// A corrupt or legacy flat file just starts the document over.
-		if json.Unmarshal(data, &doc) != nil {
-			doc = map[string]json.RawMessage{}
-		}
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc[key] = data
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // benchWorld is the boot-benchmark subject: a larger world than the unit
 // tests use, so per-boot cost is dominated by the load itself rather than
@@ -61,7 +31,7 @@ func firstProbe(b *testing.B, g rdf.Graph) {
 		b.Fatal("booted world has no entities")
 	}
 	e := ents[0]
-	if !g.HasLabel(g.Label(e)) {
+	if len(g.NodesByLabel(g.Label(e))) == 0 {
 		b.Fatal("booted world lost a label")
 	}
 	preds := g.Predicates()
@@ -98,7 +68,7 @@ func BenchmarkBootNTriples(b *testing.B) {
 		b.Fatal(err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := ss.WriteNTriples(bw); err != nil {
+	if err := rdf.WriteNTriples(ss, bw); err != nil {
 		b.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -121,7 +91,7 @@ func BenchmarkBootNTriples(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	writeBenchJSON(b, "boot_ntriples", map[string]any{
+	benchjson.Write(b, "boot_ntriples", map[string]any{
 		"benchmark":   "BenchmarkBootNTriples",
 		"ns_per_boot": perBoot.Nanoseconds(),
 		"triples":     ss.NumTriples(),
@@ -149,7 +119,7 @@ func BenchmarkBootImage(b *testing.B) {
 		b.Fatal(err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := ss.WriteNTriples(bw); err != nil {
+	if err := rdf.WriteNTriples(ss, bw); err != nil {
 		b.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -166,7 +136,7 @@ func BenchmarkBootImage(b *testing.B) {
 	firstProbe(b, ntLoaded)
 	ntBoot := time.Since(ntStart)
 
-	fp := rdf.WorldFingerprint(ss, ss.NumShards())
+	fp := rdf.WorldFingerprint(ss)
 	b.ResetTimer()
 	t0 := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +156,7 @@ func BenchmarkBootImage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	writeBenchJSON(b, "boot_image", map[string]any{
+	benchjson.Write(b, "boot_image", map[string]any{
 		"benchmark":            "BenchmarkBootImage",
 		"ns_per_boot":          perBoot.Nanoseconds(),
 		"ntriples_ns_one_shot": ntBoot.Nanoseconds(),

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/rdf"
 	"repro/internal/text"
@@ -24,8 +22,8 @@ type OpenOptions struct {
 }
 
 // Image is a read-only knowledge base served directly from a mapped
-// snapshot file. It implements rdf.Sharded, so the engine, the parallel
-// expander, and shardrpc.Server run on it unchanged. An Image is safe for
+// snapshot file. It implements rdf.Sharded — and nothing beyond it — so the
+// engine, the parallel expander, and shardrpc.Server run on it unchanged. An Image is safe for
 // concurrent readers; Close unmaps the file, after which no method may be
 // called.
 type Image struct {
@@ -141,7 +139,7 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 	// The stored fingerprint must be the fingerprint of the world the
 	// sections actually describe — the image is now fully decoded, so
 	// recompute it the same way every other consumer does.
-	if got := rdf.WorldFingerprint(im, im.NumShards()); got != im.fingerprint {
+	if got := rdf.WorldFingerprint(im); got != im.fingerprint {
 		return nil, fmt.Errorf("snapshot: stored fingerprint %016x does not match content %016x",
 			im.fingerprint, got)
 	}
@@ -336,11 +334,6 @@ func (im *Image) EntitiesByLabel(label string) []rdf.ID {
 	return out
 }
 
-func (im *Image) HasLabel(label string) bool {
-	i, ok := im.lookupKey(text.Normalize(label))
-	return ok && u64at(im.keyIDOffs, i+1) > u64at(im.keyIDOffs, i)
-}
-
 func (im *Image) Entities() []rdf.ID {
 	out := make([]rdf.ID, 0, len(im.entities)/4)
 	for i := 0; i < len(im.entities)/4; i++ {
@@ -374,27 +367,6 @@ func (im *Image) Predicates() []rdf.PID {
 		out[i] = rdf.PID(i)
 	}
 	return out
-}
-
-func (im *Image) Key(p rdf.Path) string {
-	parts := make([]string, len(p))
-	for i, pid := range p {
-		parts[i] = im.PredName(pid)
-	}
-	return strings.Join(parts, "→")
-}
-
-func (im *Image) ParsePath(key string) (rdf.Path, bool) {
-	parts := strings.Split(key, "→")
-	path := make(rdf.Path, len(parts))
-	for i, name := range parts {
-		pid, ok := im.PredID(name)
-		if !ok {
-			return nil, false
-		}
-		path[i] = pid
-	}
-	return path, true
 }
 
 // --- index access paths ---
@@ -492,16 +464,6 @@ func (im *Image) OutEdges(subj rdf.ID, fn func(p rdf.PID, o rdf.ID)) {
 	}
 }
 
-func (im *Image) OutDegree(subj rdf.ID) int {
-	sh := &im.shards[im.shardOf(subj)]
-	row, ok := sh.subjectIndex(subj)
-	if !ok {
-		return 0
-	}
-	start, end := sh.edgeRange(row)
-	return end - start
-}
-
 func (im *Image) NumTriples() int { return im.numTriples }
 
 // Triples iterates in the canonical global order (ascending subject,
@@ -531,10 +493,6 @@ func (im *Image) emitSubject(sh *imageShard, row int, fn func(rdf.Triple)) {
 // --- sharded extensions ---
 
 func (im *Image) NumShards() int { return len(im.shards) }
-
-func (im *Image) ShardOf(id rdf.ID) int { return im.shardOf(id) }
-
-func (im *Image) ShardSize(i int) int { return len(im.shards[i].edges) / 8 }
 
 func (im *Image) ShardTriples(i int, fn func(rdf.Triple)) {
 	sh := &im.shards[i]
@@ -571,24 +529,6 @@ func (im *Image) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
 		out = append(out, rdf.ID(u32at(sh.poSubjs, int(j))))
 	}
 	return out
-}
-
-// --- traversal + serialization, via the shared Graph helpers ---
-
-func (im *Image) PathObjects(subj rdf.ID, path rdf.Path) []rdf.ID {
-	return rdf.PathObjectsOver(im, subj, path)
-}
-
-func (im *Image) PathsBetween(subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) []rdf.Path {
-	return rdf.PathsBetweenOver(im, subj, obj, maxLen, endFilter)
-}
-
-func (im *Image) DirectOrExpandedBetween(subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) bool {
-	return rdf.DirectOrExpandedBetweenOver(im, subj, obj, maxLen, endFilter)
-}
-
-func (im *Image) WriteNTriples(w io.Writer) error {
-	return rdf.WriteNTriplesOver(im, w)
 }
 
 var _ rdf.Sharded = (*Image)(nil)

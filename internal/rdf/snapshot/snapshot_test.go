@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/kbgen"
@@ -43,111 +44,258 @@ func openTestImage(t testing.TB, path string) *Image {
 	return im
 }
 
+// TestImageMatchesStoreMethodByMethod is the backend table: every rdf.Graph
+// and rdf.Sharded method and every free function of internal/rdf, checked on
+// every backend against a naive model built from nothing but the world's
+// triple list. A new backend is one more row.
 func TestImageMatchesStoreMethodByMethod(t *testing.T) {
-	ss := testWorld(t)
-	im := openTestImage(t, writeTestImage(t, ss))
-
-	if im.NumNodes() != ss.NumNodes() || im.NumPredicates() != ss.NumPredicates() ||
-		im.NumTriples() != ss.NumTriples() || im.NumShards() != ss.NumShards() {
-		t.Fatalf("counts differ: image (%d,%d,%d,%d) store (%d,%d,%d,%d)",
-			im.NumNodes(), im.NumPredicates(), im.NumTriples(), im.NumShards(),
-			ss.NumNodes(), ss.NumPredicates(), ss.NumTriples(), ss.NumShards())
+	gen := func(shards int) *rdf.ShardedStore {
+		return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: shards}).Store.(*rdf.ShardedStore)
 	}
-	if got, want := im.Fingerprint(), rdf.WorldFingerprint(ss, ss.NumShards()); got != want {
+	one, four := gen(1), gen(4)
+	rows := []struct {
+		name string
+		g    rdf.Sharded
+	}{
+		{"ShardedStore(1)", one},
+		{"ShardedStore(4)", four},
+		{"Image(1)", openTestImage(t, writeTestImage(t, one))},
+		{"Image(4)", openTestImage(t, writeTestImage(t, four))},
+	}
+	// Equal seeds give equal IDs in every layout, so one model serves all
+	// rows; it takes symbols and the triple list from the one-shard store.
+	m := newModel(one)
+	var wantNT bytes.Buffer
+	if err := rdf.WriteNTriples(one, &wantNT); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m.check(t, row.g)
+			var nt bytes.Buffer
+			if err := rdf.WriteNTriples(row.g, &nt); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(nt.Bytes(), wantNT.Bytes()) {
+				t.Error("WriteNTriples differs from the reference serialization")
+			}
+		})
+	}
+	im := rows[3].g.(*Image)
+	if got, want := im.Fingerprint(), rdf.WorldFingerprint(four); got != want {
 		t.Fatalf("fingerprint %016x, want %016x", got, want)
 	}
+}
 
-	for id := 0; id < ss.NumNodes(); id++ {
-		nid := rdf.ID(id)
-		if im.Label(nid) != ss.Label(nid) {
-			t.Fatalf("label of %d: %q != %q", id, im.Label(nid), ss.Label(nid))
-		}
-		if im.KindOf(nid) != ss.KindOf(nid) {
-			t.Fatalf("kind of %d differs", id)
-		}
-		if im.ShardOf(nid) != ss.ShardOf(nid) {
-			t.Fatalf("shard of %d differs", id)
-		}
-		if got, want := im.NodesByLabel(ss.Label(nid)), ss.NodesByLabel(ss.Label(nid)); !equalIDs(got, want) {
-			t.Fatalf("NodesByLabel(%q) = %v, want %v", ss.Label(nid), got, want)
-		}
-		if got, want := im.EntitiesByLabel(ss.Label(nid)), ss.EntitiesByLabel(ss.Label(nid)); !equalIDs(got, want) {
-			t.Fatalf("EntitiesByLabel(%q) differs", ss.Label(nid))
-		}
-		if im.HasLabel(ss.Label(nid)) != ss.HasLabel(ss.Label(nid)) {
-			t.Fatalf("HasLabel(%q) differs", ss.Label(nid))
-		}
-		if im.OutDegree(nid) != ss.OutDegree(nid) {
-			t.Fatalf("OutDegree(%d) differs", id)
+// model is the reference the backend table checks against: the world's
+// symbols and its triples in scan order, queried by linear search.
+type model struct {
+	sym     rdf.Graph
+	triples []rdf.Triple
+}
+
+func newModel(g rdf.Graph) *model {
+	m := &model{sym: g}
+	g.Triples(func(tr rdf.Triple) { m.triples = append(m.triples, tr) })
+	return m
+}
+
+// where returns the triples matching keep, in scan order.
+func (m *model) where(keep func(rdf.Triple) bool) []rdf.Triple {
+	var out []rdf.Triple
+	for _, tr := range m.triples {
+		if keep(tr) {
+			out = append(out, tr)
 		}
 	}
-	if !equalIDs(im.Entities(), ss.Entities()) {
+	return out
+}
+
+func sortedIDs(ids []rdf.ID) []rdf.ID {
+	out := append([]rdf.ID(nil), ids...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func sortedPIDs(ps []rdf.PID) []rdf.PID {
+	out := append([]rdf.PID(nil), ps...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func scan(f func(func(rdf.Triple))) []rdf.Triple {
+	var out []rdf.Triple
+	f(func(tr rdf.Triple) { out = append(out, tr) })
+	return out
+}
+
+func (m *model) check(t *testing.T, g rdf.Sharded) {
+	t.Helper()
+	n := g.NumShards()
+	if g.NumNodes() != m.sym.NumNodes() || g.NumPredicates() != m.sym.NumPredicates() || g.NumTriples() != len(m.triples) {
+		t.Fatalf("counts (%d,%d,%d), want (%d,%d,%d)", g.NumNodes(), g.NumPredicates(), g.NumTriples(),
+			m.sym.NumNodes(), m.sym.NumPredicates(), len(m.triples))
+	}
+
+	// Interning lookups.
+	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
+		label := m.sym.Label(id)
+		if g.Label(id) != label || g.KindOf(id) != m.sym.KindOf(id) {
+			t.Fatalf("node %d: (%q,%v), want (%q,%v)", id, g.Label(id), g.KindOf(id), label, m.sym.KindOf(id))
+		}
+		if got, want := g.NodesByLabel(label), m.sym.NodesByLabel(label); !equalIDs(got, want) {
+			t.Fatalf("NodesByLabel(%q) = %v, want %v", label, got, want)
+		}
+		if got, want := g.EntitiesByLabel(label), m.sym.EntitiesByLabel(label); !equalIDs(got, want) {
+			t.Fatalf("EntitiesByLabel(%q) = %v, want %v", label, got, want)
+		}
+	}
+	if !equalIDs(g.Entities(), m.sym.Entities()) {
 		t.Fatal("Entities differ")
 	}
-
-	for p := 0; p < ss.NumPredicates(); p++ {
-		name := ss.PredName(rdf.PID(p))
-		if im.PredName(rdf.PID(p)) != name {
-			t.Fatalf("pred name %d differs", p)
-		}
-		got, ok := im.PredID(name)
-		if !ok || got != rdf.PID(p) {
-			t.Fatalf("PredID(%q) = %v,%v", name, got, ok)
+	if !equalPIDs(g.Predicates(), m.sym.Predicates()) {
+		t.Fatal("Predicates differ")
+	}
+	for _, p := range m.sym.Predicates() {
+		name := m.sym.PredName(p)
+		if got, ok := g.PredID(name); g.PredName(p) != name || !ok || got != p {
+			t.Fatalf("predicate %d: PredName %q, PredID(%q) = %v,%v", p, g.PredName(p), name, got, ok)
 		}
 	}
-	if _, ok := im.PredID("no-such-predicate"); ok {
+	if _, ok := g.PredID("no-such-predicate"); ok {
 		t.Fatal("PredID invented a predicate")
 	}
 
-	// Every per-subject read path, across every edge in the store.
-	ss.Triples(func(tr rdf.Triple) {
-		if got, want := im.Objects(tr.S, tr.P), ss.Objects(tr.S, tr.P); !equalIDs(got, want) {
-			t.Fatalf("Objects(%d,%d) = %v, want %v", tr.S, tr.P, got, want)
+	// Index primitives, across every edge of the world.
+	if !reflect.DeepEqual(scan(g.Triples), m.triples) {
+		t.Fatal("Triples scan differs")
+	}
+	for _, tr := range m.triples {
+		var objs []rdf.ID
+		for _, x := range m.where(func(x rdf.Triple) bool { return x.S == tr.S && x.P == tr.P }) {
+			objs = append(objs, x.O)
 		}
-		if got, want := im.PredicatesBetween(tr.S, tr.O), ss.PredicatesBetween(tr.S, tr.O); !equalPIDs(got, want) {
-			t.Fatalf("PredicatesBetween(%d,%d) = %v, want %v", tr.S, tr.O, got, want)
+		if got := g.Objects(tr.S, tr.P); !equalIDs(got, objs) {
+			t.Fatalf("Objects(%d,%d) = %v, want %v", tr.S, tr.P, got, objs)
 		}
-		if got, want := im.Subjects(tr.P, tr.O), ss.Subjects(tr.P, tr.O); !equalIDs(got, want) {
-			t.Fatalf("Subjects(%d,%d) = %v, want %v", tr.P, tr.O, got, want)
+		var subjs []rdf.ID
+		var preds []rdf.PID
+		for _, x := range m.triples {
+			if x.P == tr.P && x.O == tr.O {
+				subjs = append(subjs, x.S)
+			}
+			if x.S == tr.S && x.O == tr.O {
+				preds = append(preds, x.P)
+			}
 		}
-	})
-
-	// Absent lookups answer the same too.
-	if im.Objects(rdf.ID(0), rdf.PID(ss.NumPredicates()-1)) == nil != (ss.Objects(rdf.ID(0), rdf.PID(ss.NumPredicates()-1)) == nil) {
-		t.Fatal("absent Objects differ")
+		if got := g.Subjects(tr.P, tr.O); !equalIDs(got, subjs) {
+			t.Fatalf("Subjects(%d,%d) = %v, want %v", tr.P, tr.O, got, subjs)
+		}
+		// Only the set is specified: a store lists predicates in the order
+		// it was fed them.
+		if got := sortedPIDs(g.PredicatesBetween(tr.S, tr.O)); !equalPIDs(got, preds) {
+			t.Fatalf("PredicatesBetween(%d,%d) = %v, want %v", tr.S, tr.O, got, preds)
+		}
+		var inShard []rdf.ID
+		for _, s := range subjs {
+			if rdf.ShardIndex(s, n) == rdf.ShardIndex(tr.S, n) {
+				inShard = append(inShard, s)
+			}
+		}
+		if got := sortedIDs(g.ShardSubjects(rdf.ShardIndex(tr.S, n), tr.P, tr.O)); !equalIDs(got, inShard) {
+			t.Fatalf("ShardSubjects(%d,%d,%d) = %v, want %v", rdf.ShardIndex(tr.S, n), tr.P, tr.O, got, inShard)
+		}
+	}
+	if g.Objects(0, rdf.PID(g.NumPredicates()-1)) != nil || g.Subjects(0, 0) != nil || g.PredicatesBetween(0, 0) != nil {
+		t.Fatal("absent lookups are not nil")
+	}
+	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
+		own := m.where(func(x rdf.Triple) bool { return x.S == id })
+		var edges []rdf.Triple
+		g.OutEdges(id, func(p rdf.PID, o rdf.ID) { edges = append(edges, rdf.Triple{S: id, P: p, O: o}) })
+		if !reflect.DeepEqual(edges, own) {
+			t.Fatalf("OutEdges(%d) = %v, want %v", id, edges, own)
+		}
+		if got := scan(func(fn func(rdf.Triple)) { g.SubjectTriples(id, fn) }); !reflect.DeepEqual(got, own) {
+			t.Fatalf("SubjectTriples(%d) differs", id)
+		}
+		if got := rdf.OutDegree(g, id); got != len(own) {
+			t.Fatalf("OutDegree(%d) = %d, want %d", id, got, len(own))
+		}
 	}
 
-	for i := 0; i < ss.NumShards(); i++ {
-		if im.ShardSize(i) != ss.ShardSize(i) {
-			t.Fatalf("shard %d size differs", i)
+	// Per-shard scans partition the global one.
+	for i := 0; i < n; i++ {
+		own := m.where(func(x rdf.Triple) bool { return rdf.ShardIndex(x.S, n) == i })
+		if got := scan(func(fn func(rdf.Triple)) { g.ShardTriples(i, fn) }); !reflect.DeepEqual(got, own) {
+			t.Fatalf("ShardTriples(%d) differs", i)
 		}
-		if !equalIDs(im.ShardSubjectIDs(i), ss.ShardSubjectIDs(i)) {
-			t.Fatalf("shard %d subjects differ", i)
+		var subjects []rdf.ID
+		for _, x := range own {
+			if len(subjects) == 0 || subjects[len(subjects)-1] != x.S {
+				subjects = append(subjects, x.S)
+			}
 		}
-		if !equalTripleScan(t, func(fn func(rdf.Triple)) { im.ShardTriples(i, fn) },
-			func(fn func(rdf.Triple)) { ss.ShardTriples(i, fn) }) {
-			t.Fatalf("shard %d triples differ", i)
+		if got := g.ShardSubjectIDs(i); !equalIDs(got, subjects) {
+			t.Fatalf("ShardSubjectIDs(%d) differs", i)
 		}
 	}
-	if !equalTripleScan(t, im.Triples, ss.Triples) {
-		t.Fatal("global Triples scan differs")
+
+	// Free functions: traversal, membership and path keys.
+	const key = "marriage→person→name"
+	path, ok := rdf.ParsePath(g, key)
+	if !ok || rdf.Key(g, path) != key {
+		t.Fatalf("ParsePath/Key round trip of %q: %v, %v", key, path, ok)
 	}
-	ss.Triples(func(tr rdf.Triple) {
-		if !equalTripleScan(t, func(fn func(rdf.Triple)) { im.SubjectTriples(tr.S, fn) },
-			func(fn func(rdf.Triple)) { ss.SubjectTriples(tr.S, fn) }) {
-			t.Fatalf("SubjectTriples(%d) differ", tr.S)
+	if _, ok := rdf.ParsePath(g, "marriage→no-such-predicate"); ok {
+		t.Fatal("ParsePath accepted an unknown predicate")
+	}
+	reached := 0
+	for _, e := range m.sym.Entities() {
+		frontier := []rdf.ID{e}
+		for _, p := range path {
+			var next []rdf.ID
+			for _, x := range m.triples {
+				for _, f := range frontier {
+					if x.S == f && x.P == p {
+						next = append(next, x.O)
+					}
+				}
+			}
+			frontier = next
 		}
-	})
+		want := sortedIDs(frontier)
+		got := rdf.PathObjects(g, e, path)
+		if !equalIDs(got, want) {
+			t.Fatalf("PathObjects(%d, %s) = %v, want %v", e, key, got, want)
+		}
+		for _, v := range got {
+			reached++
+			found := false
+			for _, p := range rdf.PathsBetween(g, e, v, 3, nil) {
+				found = found || rdf.Key(g, p) == key
+			}
+			if !found {
+				t.Fatalf("PathsBetween(%d,%d) misses %s", e, v, key)
+			}
+			if !rdf.DirectOrExpandedBetween(g, e, v, 3, nil) || rdf.DirectOrExpandedBetween(g, e, v, 1, nil) != (len(g.PredicatesBetween(e, v)) > 0) {
+				t.Fatalf("DirectOrExpandedBetween(%d,%d) disagrees with the paths found", e, v)
+			}
+		}
+	}
+	if reached == 0 {
+		t.Fatalf("no entity reaches anything over %s: the traversal checks are vacuous", key)
+	}
 }
 
 func TestImageSerializationByteIdentical(t *testing.T) {
 	ss := testWorld(t)
 	im := openTestImage(t, writeTestImage(t, ss))
 	var a, b bytes.Buffer
-	if err := ss.WriteNTriples(&a); err != nil {
+	if err := rdf.WriteNTriples(ss, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := im.WriteNTriples(&b); err != nil {
+	if err := rdf.WriteNTriples(im, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -225,7 +373,7 @@ func TestOpenImageRejectsWrongWorld(t *testing.T) {
 
 	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5, Shards: 4})
 	otherSS := other.Store.(*rdf.ShardedStore)
-	wrongFP := rdf.WorldFingerprint(otherSS, otherSS.NumShards())
+	wrongFP := rdf.WorldFingerprint(otherSS)
 	if _, err := OpenImage(path, OpenOptions{ExpectFingerprint: wrongFP}); err == nil {
 		t.Fatal("accepted image from a different world")
 	}
@@ -234,7 +382,7 @@ func TestOpenImageRejectsWrongWorld(t *testing.T) {
 	}
 	// The real fingerprint and shard count open fine.
 	im, err := OpenImage(path, OpenOptions{
-		ExpectFingerprint: rdf.WorldFingerprint(ss, ss.NumShards()),
+		ExpectFingerprint: rdf.WorldFingerprint(ss),
 		ExpectShards:      ss.NumShards(),
 	})
 	if err != nil {
@@ -295,12 +443,4 @@ func equalPIDs(a, b []rdf.PID) bool {
 		}
 	}
 	return true
-}
-
-func equalTripleScan(t testing.TB, a, b func(func(rdf.Triple))) bool {
-	t.Helper()
-	var as, bs []rdf.Triple
-	a(func(tr rdf.Triple) { as = append(as, tr) })
-	b(func(tr rdf.Triple) { bs = append(bs, tr) })
-	return reflect.DeepEqual(as, bs)
 }

@@ -23,7 +23,7 @@ func WriteImage(w io.Writer, src rdf.Sharded) error {
 	img := buildSections(src)
 	hdr := header{
 		numShards:   src.NumShards(),
-		fingerprint: rdf.WorldFingerprint(src, src.NumShards()),
+		fingerprint: rdf.WorldFingerprint(src),
 		numNodes:    src.NumNodes(),
 		numPreds:    src.NumPredicates(),
 		numTriples:  src.NumTriples(),

@@ -9,9 +9,9 @@ import (
 
 // buildToyKB reproduces Figure 1 of the paper: Barack Obama (a), a marriage
 // mediator (b), Michelle Obama (c), Honolulu (d).
-func buildToyKB(t testing.TB) (*Store, map[string]ID) {
+func buildToyKB(t testing.TB) (*ShardedStore, map[string]ID) {
 	t.Helper()
-	s := NewStore()
+	s := NewShardedStore(3)
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m:marriage1")
 	c := s.Entity("Michelle Obama")
@@ -42,7 +42,7 @@ func buildToyKB(t testing.TB) (*Store, map[string]ID) {
 }
 
 func TestEntityInterning(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	a := s.Entity("Barack Obama")
 	b := s.Entity("barack obama") // normalized identical
 	if a != b {
@@ -59,7 +59,7 @@ func TestEntityInterning(t *testing.T) {
 }
 
 func TestLiteralInterning(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	l1 := s.Literal("1961")
 	l2 := s.Literal("1961")
 	if l1 != l2 {
@@ -71,7 +71,7 @@ func TestLiteralInterning(t *testing.T) {
 }
 
 func TestAddDeduplicates(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	a := s.Entity("x")
 	p := s.Pred("p")
 	o := s.Literal("1")
@@ -107,22 +107,22 @@ func TestObjectsSubjectsPredicatesBetween(t *testing.T) {
 
 func TestPathObjects(t *testing.T) {
 	s, ids := buildToyKB(t)
-	path, ok := s.ParsePath("marriage→person→name")
+	path, ok := ParsePath(s, "marriage→person→name")
 	if !ok {
 		t.Fatal("ParsePath failed")
 	}
-	objs := s.PathObjects(ids["a"], path)
+	objs := PathObjects(s, ids["a"], path)
 	if len(objs) != 1 || s.Label(objs[0]) != "Michelle Obama" {
 		t.Fatalf("PathObjects(a, marriage→person→name) = %v", objs)
 	}
-	if got := s.PathObjects(ids["d"], path); got != nil {
+	if got := PathObjects(s, ids["d"], path); got != nil {
 		t.Fatalf("Honolulu has no marriage path, got %v", got)
 	}
 	// Key round-trips.
-	if key := s.Key(path); key != "marriage→person→name" {
+	if key := Key(s, path); key != "marriage→person→name" {
 		t.Errorf("Key = %q", key)
 	}
-	if _, ok := s.ParsePath("marriage→nosuch"); ok {
+	if _, ok := ParsePath(s, "marriage→nosuch"); ok {
 		t.Error("ParsePath accepted unknown predicate")
 	}
 }
@@ -133,24 +133,24 @@ func TestPathsBetween(t *testing.T) {
 	michelle := s.Literal("Michelle Obama")
 	endName := func(p PID) bool { return p == name }
 
-	paths := s.PathsBetween(ids["a"], michelle, 3, endName)
-	if len(paths) != 1 || s.Key(paths[0]) != "marriage→person→name" {
+	paths := PathsBetween(s, ids["a"], michelle, 3, endName)
+	if len(paths) != 1 || Key(s, paths[0]) != "marriage→person→name" {
 		t.Fatalf("PathsBetween = %v", renderPaths(s, paths))
 	}
 	// The dob literal of Michelle is reachable via marriage→person→dob, but
 	// the end filter must reject it.
 	d1964 := s.Literal("1964")
-	paths = s.PathsBetween(ids["a"], d1964, 3, endName)
+	paths = PathsBetween(s, ids["a"], d1964, 3, endName)
 	if len(paths) != 0 {
 		t.Fatalf("end filter violated: %v", renderPaths(s, paths))
 	}
 	// Without a filter it is found.
-	paths = s.PathsBetween(ids["a"], d1964, 3, nil)
-	if len(paths) != 1 || s.Key(paths[0]) != "marriage→person→dob" {
+	paths = PathsBetween(s, ids["a"], d1964, 3, nil)
+	if len(paths) != 1 || Key(s, paths[0]) != "marriage→person→dob" {
 		t.Fatalf("unfiltered PathsBetween = %v", renderPaths(s, paths))
 	}
 	// Length bound respected.
-	if got := s.PathsBetween(ids["a"], michelle, 2, endName); len(got) != 0 {
+	if got := PathsBetween(s, ids["a"], michelle, 2, endName); len(got) != 0 {
 		t.Fatalf("maxLen=2 must not reach length-3 path, got %v", renderPaths(s, got))
 	}
 }
@@ -161,12 +161,12 @@ func TestPathsBetweenEndFilter(t *testing.T) {
 	// Sec 6.3 rejects.
 	s, ids := buildToyKB(t)
 	v := s.Literal("390K")
-	paths := s.PathsBetween(ids["a"], v, 3, nil)
-	if len(paths) != 1 || s.Key(paths[0]) != "pob→population" {
+	paths := PathsBetween(s, ids["a"], v, 3, nil)
+	if len(paths) != 1 || Key(s, paths[0]) != "pob→population" {
 		t.Fatalf("unfiltered = %v, want [pob→population]", renderPaths(s, paths))
 	}
 	name, _ := s.PredID("name")
-	paths = s.PathsBetween(ids["a"], v, 3, func(p PID) bool { return p == name })
+	paths = PathsBetween(s, ids["a"], v, 3, func(p PID) bool { return p == name })
 	if len(paths) != 0 {
 		t.Fatalf("end filter failed to reject pob→population: %v", renderPaths(s, paths))
 	}
@@ -176,23 +176,23 @@ func TestDirectOrExpandedBetween(t *testing.T) {
 	s, ids := buildToyKB(t)
 	name, _ := s.PredID("name")
 	endName := func(p PID) bool { return p == name }
-	if !s.DirectOrExpandedBetween(ids["a"], s.Literal("1961"), 3, endName) {
+	if !DirectOrExpandedBetween(s, ids["a"], s.Literal("1961"), 3, endName) {
 		t.Error("direct fact not found")
 	}
-	if !s.DirectOrExpandedBetween(ids["a"], s.Literal("Michelle Obama"), 3, endName) {
+	if !DirectOrExpandedBetween(s, ids["a"], s.Literal("Michelle Obama"), 3, endName) {
 		t.Error("expanded fact not found")
 	}
-	if s.DirectOrExpandedBetween(ids["a"], s.Literal("1964"), 3, endName) {
+	if DirectOrExpandedBetween(s, ids["a"], s.Literal("1964"), 3, endName) {
 		t.Error("filtered expanded fact must not count")
 	}
-	if s.DirectOrExpandedBetween(ids["a"], s.Literal("Michelle Obama"), 1, endName) {
+	if DirectOrExpandedBetween(s, ids["a"], s.Literal("Michelle Obama"), 1, endName) {
 		t.Error("maxLen=1 must not see expanded facts")
 	}
 }
 
 func TestOutDegreeAndStats(t *testing.T) {
 	s, ids := buildToyKB(t)
-	if got := s.OutDegree(ids["a"]); got != 5 {
+	if got := OutDegree(s, ids["a"]); got != 5 {
 		t.Errorf("OutDegree(a) = %d, want 5", got)
 	}
 	if s.NumTriples() != 11 {
@@ -227,7 +227,7 @@ func TestOutEdgesDeterministic(t *testing.T) {
 // inserted is visible through all access paths, and the indexes agree.
 func TestIndexCoherence(t *testing.T) {
 	f := func(edges []struct{ S, P, O uint8 }) bool {
-		s := NewStore()
+		s := NewShardedStore(3)
 		subs := make([]ID, 8)
 		for i := range subs {
 			subs[i] = s.Entity(fmt.Sprintf("e%d", i))
@@ -277,16 +277,16 @@ func contains(ids []ID, want ID) bool {
 	return false
 }
 
-func renderPaths(s *Store, paths []Path) []string {
+func renderPaths(s *ShardedStore, paths []Path) []string {
 	out := make([]string, len(paths))
 	for i, p := range paths {
-		out[i] = s.Key(p)
+		out[i] = Key(s, p)
 	}
 	return out
 }
 
 func TestAddFact(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(3)
 	s.AddFact("Honolulu", "population", "390K")
 	e := s.Entity("Honolulu")
 	p, _ := s.PredID("population")

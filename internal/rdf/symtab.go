@@ -1,13 +1,9 @@
 package rdf
 
-import (
-	"strings"
+import "repro/internal/text"
 
-	"repro/internal/text"
-)
-
-// symtab is the node/predicate interning layer shared by Store and
-// ShardedStore: labels, kinds, predicate names and the label gazetteer.
+// symtab is ShardedStore's node/predicate interning layer: labels, kinds,
+// predicate names and the label gazetteer.
 // It is deliberately separate from the triple indexes so that sharding
 // can partition the indexes while node and predicate IDs stay global —
 // a triple's (ID, PID, ID) means the same thing in every shard.
@@ -128,12 +124,6 @@ func (s *symtab) EntitiesByLabel(label string) []ID {
 	return out
 }
 
-// HasLabel reports whether any node (entity or literal) carries the
-// normalized label.
-func (s *symtab) HasLabel(label string) bool {
-	return len(s.byLabel[text.Normalize(label)]) > 0
-}
-
 // NumNodes returns the number of nodes in the store.
 func (s *symtab) NumNodes() int { return len(s.labels) }
 
@@ -158,29 +148,4 @@ func (s *symtab) Entities() []ID {
 		}
 	}
 	return out
-}
-
-// Key renders the path in the paper's arrow notation
-// ("marriage→person→name"), the canonical string form used as a model key.
-func (s *symtab) Key(p Path) string {
-	parts := make([]string, len(p))
-	for i, pid := range p {
-		parts[i] = s.predNames[pid]
-	}
-	return strings.Join(parts, "→")
-}
-
-// ParsePath converts an arrow-notation key back to a Path. It returns false
-// when any predicate name is unknown.
-func (s *symtab) ParsePath(key string) (Path, bool) {
-	parts := strings.Split(key, "→")
-	path := make(Path, len(parts))
-	for i, name := range parts {
-		pid, ok := s.predIDs[name]
-		if !ok {
-			return nil, false
-		}
-		path[i] = pid
-	}
-	return path, true
 }

@@ -2,43 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
+	"repro/internal/benchjson"
 	"repro/internal/obs"
 )
-
-// writeBenchJSON merges payload under key into the JSON object at
-// $BENCH_JSON (creating the file if absent), so every benchmark in the CI
-// step contributes its section to one artifact instead of clobbering it.
-// No-op when BENCH_JSON is unset.
-func writeBenchJSON(b *testing.B, key string, payload map[string]any) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		// A corrupt or legacy flat file just starts the document over.
-		if json.Unmarshal(data, &doc) != nil {
-			doc = map[string]json.RawMessage{}
-		}
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc[key] = data
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkTraceOverhead prices the instrumentation on the hottest serving
 // path — a cache-hit Ask — in the two states that matter: untraced (the
@@ -81,7 +50,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.ReportMetric(tr, "traced-ns/op")
 	b.ReportMetric(tr-un, "overhead-ns/op")
 
-	writeBenchJSON(b, "trace_overhead", map[string]any{
+	benchjson.Write(b, "trace_overhead", map[string]any{
 		"benchmark":        "BenchmarkTraceOverhead",
 		"asks":             2 * b.N,
 		"untraced_ns_op":   un,

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/benchjson"
 )
 
 // BenchmarkPutTail measures the worst-case Put latency across a rotation
@@ -104,7 +106,7 @@ func BenchmarkPutTail(b *testing.B) {
 	speedup := float64(legacy) / float64(maxRotPut)
 	b.ReportMetric(speedup, "speedup-x")
 
-	writeBenchJSON(b, "put_tail", map[string]any{
+	benchjson.Write(b, "put_tail", map[string]any{
 		"benchmark":           "BenchmarkPutTail",
 		"compact_every_bytes": defaultCompactEvery,
 		"resident_entries":    len(live),

@@ -2,51 +2,21 @@ package shardrpc
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
+	"repro/internal/benchjson"
+	"repro/internal/core"
 	"repro/internal/rdf"
 )
 
-// writeBenchJSON merges payload under key into the JSON object at
-// $BENCH_JSON (creating the file if absent), so every benchmark in the CI
-// step contributes its section to one artifact instead of clobbering it.
-// No-op when BENCH_JSON is unset.
-func writeBenchJSON(b *testing.B, key string, payload map[string]any) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		// A corrupt or legacy flat file just starts the document over.
-		if json.Unmarshal(data, &doc) != nil {
-			doc = map[string]json.RawMessage{}
-		}
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc[key] = data
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkProbeDistributed prices the distributed probe path — a
-// PathObjectsCtx scatter/gather over loopback shard servers — against two
+// KB.PathObjects scatter/gather over loopback shard servers — against two
 // replicas, unhedged (pure failover routing) and hedged (the adaptive-delay
 // default). On a healthy loopback the two should be near-identical: the
 // hedge timer rarely fires, so its cost is the timer setup, not duplicate
-// RPCs. The single-process in-memory probe baseline lives in
-// BENCH_probe.json; the gap between the two is the price of the network hop.
+// RPCs. The same probes through core.LocalIndex are the in-process
+// baseline; the gap between the two is the price of the network hop.
 func BenchmarkProbeDistributed(b *testing.B) {
 	store := testWorld(b)
 	addrA, srvA := startServer(b, store)
@@ -83,25 +53,17 @@ func BenchmarkProbeDistributed(b *testing.B) {
 		b.Fatal("no non-empty probes in the test world")
 	}
 
-	run := func(b *testing.B, opts PoolOptions) float64 {
-		opts.Placement = pl
-		opts.Fingerprint = Fingerprint(store, store.NumShards())
-		pool, err := NewPool(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		kb := NewKB(store, pool)
+	run := func(b *testing.B, idx core.Index) float64 {
 		ctx := context.Background()
 		// Warm the per-server connection pools out of the timed region.
-		if _, err := kb.PathObjectsCtx(ctx, probes[0].subj, probes[0].path); err != nil {
+		if _, err := idx.PathObjects(ctx, probes[0].subj, probes[0].path); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		t0 := time.Now()
 		for i := 0; i < b.N; i++ {
 			pr := probes[i%len(probes)]
-			if _, err := kb.PathObjectsCtx(ctx, pr.subj, pr.path); err != nil {
+			if _, err := idx.PathObjects(ctx, pr.subj, pr.path); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -109,23 +71,38 @@ func BenchmarkProbeDistributed(b *testing.B) {
 		b.StopTimer()
 		return float64(d.Nanoseconds()) / float64(b.N)
 	}
+	remote := func(b *testing.B, opts PoolOptions) float64 {
+		opts.Placement = pl
+		opts.Fingerprint = rdf.WorldFingerprint(store)
+		pool, err := NewPool(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Close()
+		return run(b, NewKB(pool))
+	}
 
-	var unhedged, hedged float64
+	var local, unhedged, hedged float64
+	b.Run("local", func(b *testing.B) {
+		local = run(b, core.LocalIndex(store))
+		b.ReportMetric(local, "probe-ns/op")
+	})
 	b.Run("unhedged", func(b *testing.B) {
-		unhedged = run(b, PoolOptions{DisableHedge: true})
+		unhedged = remote(b, PoolOptions{DisableHedge: true})
 		b.ReportMetric(unhedged, "probe-ns/op")
 	})
 	b.Run("hedged", func(b *testing.B) {
-		hedged = run(b, PoolOptions{})
+		hedged = remote(b, PoolOptions{})
 		b.ReportMetric(hedged, "probe-ns/op")
 	})
 
-	writeBenchJSON(b, "probe_distributed", map[string]any{
+	benchjson.Write(b, "probe_distributed", map[string]any{
 		"benchmark":      "BenchmarkProbeDistributed",
 		"topology":       "2 own-all loopback servers, rendezvous placement, replicas=2, 4 shards",
+		"local_ns_op":    local,
 		"unhedged_ns_op": unhedged,
 		"hedged_ns_op":   hedged,
 		"hedge_note":     "hedged uses the adaptive delay (observed p95 clamped to [1ms,250ms]); on a healthy loopback the timer rarely fires, so the hedged number prices timer setup, not duplicate RPCs",
-		"probe_note":     "each op is one PathObjectsCtx single-hop frontier over a pre-collected non-empty (entity, predicate) probe; compare against the in-process probe baselines in BENCH_probe.json for the network-hop cost",
+		"probe_note":     "each op is one core.Index.PathObjects single-hop frontier over a pre-collected non-empty (entity, predicate) probe; local_ns_op is the same probe through core.LocalIndex, so the difference is the network-hop cost",
 	})
 }

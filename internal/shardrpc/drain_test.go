@@ -43,7 +43,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 	}
 	pool, err := NewPool(PoolOptions{
 		Placement:   pl,
-		Fingerprint: Fingerprint(gated, gated.NumShards()),
+		Fingerprint: rdf.WorldFingerprint(gated),
 		// One deterministic attempt: a hedge would park a second read.
 		DisableHedge: true,
 	})
@@ -59,7 +59,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		defer close(callDone)
 		// The reply races the conn teardown; either outcome is fine —
 		// the invariant under test is Close's ordering, not the reply.
-		pool.Objects(context.Background(), subj, pred)
+		pool.Frontier(context.Background(), rdf.ShardIndex(subj, store.NumShards()), pred, []rdf.ID{subj})
 	}()
 	<-gated.entered // the handler is now inside execute, reading the store
 

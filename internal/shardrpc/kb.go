@@ -2,112 +2,33 @@ package shardrpc
 
 import (
 	"context"
-	"io"
 	"sort"
 	"sync"
 
 	"repro/internal/rdf"
 )
 
-// KB adapts a Pool to the rdf.Graph interface, so core.Engine and
-// expand.ExpandParallel run unchanged against remote shard servers.
+// KB is the engine's index seam (core.Index) over a Pool: V(e, p+) and the
+// reverse lookup, scatter/gathered across the shard servers under the
+// caller's context, so deadlines, cancellation and trace spans cross the RPC
+// boundary and a failure comes back as an error, never as an empty set.
 //
-// The split follows the store's own layout: node/predicate interning is
-// global and deterministic in the world seed, so symtab lookups (Label,
-// PredID, EntitiesByLabel, ...) stay local — both sides loaded the same
-// world, enforced by the handshake fingerprint — while index reads
-// (Objects, Subjects, OutEdges, scans, traversals) scatter/gather over
-// the network. PathObjectsCtx is the engine's probe path: each hop of
-// V(e, p+) partitions the frontier by subject hash and fans one Frontier
-// RPC out per touched shard, gathering the k-way union exactly as the
-// in-process parallel expansion merges per-shard scans.
-//
-// Every remote read has a ctx-aware variant (ObjectsCtx, TriplesCtx, ...)
-// that threads the caller's deadline, cancellation and trace through the
-// RPC layer and returns its error; context-carrying callers (the engine,
-// the parallel expander, anything scatter/gathering) should use those. The
-// ctx-less Graph methods are shims over the variants for interface
-// compatibility only: they run from a fresh root context (CallTimeout
-// still bounds each RPC), cannot return errors, and record any RPC failure
-// instead — Err surfaces the first one.
+// It is deliberately not an rdf.Graph. Node/predicate interning is global
+// and deterministic in the world seed, so every symbol lookup stays on the
+// locally loaded world — both sides loaded the same one, enforced by the
+// handshake fingerprint — and only index reads travel.
 type KB struct {
-	local rdf.Graph
-	pool  *Pool
-
-	mu  sync.Mutex
-	err error
+	pool *Pool
 }
 
-// KB implements the Graph surface plus the sharded extensions the
-// expansion and trace layers dispatch on.
-var _ rdf.Graph = (*KB)(nil)
+// NewKB wraps the pool.
+func NewKB(pool *Pool) *KB { return &KB{pool: pool} }
 
-// NewKB wires the locally-loaded world (the symtab side) to the pool (the
-// index side).
-func NewKB(local rdf.Graph, pool *Pool) *KB {
-	return &KB{local: local, pool: pool}
-}
-
-// Err returns the first RPC failure observed on a ctx-less read path, or
-// nil. Sticky until the process decides what to do about it.
-func (kb *KB) Err() error {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	return kb.err
-}
-
-func (kb *KB) setErr(err error) {
-	if err == nil {
-		return
-	}
-	kb.mu.Lock()
-	if kb.err == nil {
-		kb.err = err
-	}
-	kb.mu.Unlock()
-}
-
-// Interning lookups: local by construction (see type comment).
-
-func (kb *KB) Label(id rdf.ID) string                { return kb.local.Label(id) }
-func (kb *KB) KindOf(id rdf.ID) rdf.Kind             { return kb.local.KindOf(id) }
-func (kb *KB) NumNodes() int                         { return kb.local.NumNodes() }
-func (kb *KB) NodesByLabel(label string) []rdf.ID    { return kb.local.NodesByLabel(label) }
-func (kb *KB) EntitiesByLabel(label string) []rdf.ID { return kb.local.EntitiesByLabel(label) }
-func (kb *KB) HasLabel(label string) bool            { return kb.local.HasLabel(label) }
-func (kb *KB) Entities() []rdf.ID                    { return kb.local.Entities() }
-func (kb *KB) PredName(p rdf.PID) string             { return kb.local.PredName(p) }
-func (kb *KB) PredID(name string) (rdf.PID, bool)    { return kb.local.PredID(name) }
-func (kb *KB) NumPredicates() int                    { return kb.local.NumPredicates() }
-func (kb *KB) Predicates() []rdf.PID                 { return kb.local.Predicates() }
-func (kb *KB) Key(p rdf.Path) string                 { return kb.local.Key(p) }
-func (kb *KB) ParsePath(key string) (rdf.Path, bool) { return kb.local.ParsePath(key) }
-
-// NumTriples is a world-identity constant (the handshake fingerprint pins
-// it equal on both sides), so it stays local.
-func (kb *KB) NumTriples() int { return kb.local.NumTriples() }
-
-// Index reads: remote. The Ctx variant is the real implementation; the
-// ctx-less Graph method is a shim that runs it from a fresh root context
-// and records the error.
-
-// ObjectsCtx is the ctx-aware V(e,p) probe.
-func (kb *KB) ObjectsCtx(ctx context.Context, subj rdf.ID, pred rdf.PID) ([]rdf.ID, error) {
-	return kb.pool.Objects(ctx, subj, pred)
-}
-
-func (kb *KB) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use ObjectsCtx
-	out, err := kb.ObjectsCtx(context.Background(), subj, pred)
-	kb.setErr(err)
-	return out
-}
-
-// SubjectsCtx gathers the per-shard subject lists and merges them into
+// Subjects gathers the per-shard subject lists and merges them into
 // ascending ID order, exactly as ShardedStore.Subjects does in process.
-func (kb *KB) SubjectsCtx(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
+func (kb *KB) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
 	var out []rdf.ID
-	for i := 0; i < kb.NumShards(); i++ {
+	for i := 0; i < kb.pool.NumShards(); i++ {
 		ids, err := kb.pool.ShardSubjects(ctx, i, pred, obj)
 		if err != nil {
 			return nil, err
@@ -118,123 +39,14 @@ func (kb *KB) SubjectsCtx(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.
 	return out, nil
 }
 
-func (kb *KB) Subjects(pred rdf.PID, obj rdf.ID) []rdf.ID {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use SubjectsCtx
-	out, err := kb.SubjectsCtx(context.Background(), pred, obj)
-	kb.setErr(err)
-	return out
-}
-
-// PredicatesBetweenCtx is the ctx-aware direct-connection lookup.
-func (kb *KB) PredicatesBetweenCtx(ctx context.Context, subj, obj rdf.ID) ([]rdf.PID, error) {
-	return kb.pool.PredicatesBetween(ctx, subj, obj)
-}
-
-func (kb *KB) PredicatesBetween(subj, obj rdf.ID) []rdf.PID {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use PredicatesBetweenCtx
-	out, err := kb.PredicatesBetweenCtx(context.Background(), subj, obj)
-	kb.setErr(err)
-	return out
-}
-
-// OutEdgesCtx streams the out-neighbourhood of one subject.
-func (kb *KB) OutEdgesCtx(ctx context.Context, subj rdf.ID, fn func(p rdf.PID, o rdf.ID)) error {
-	return kb.pool.OutEdges(ctx, subj, fn)
-}
-
-func (kb *KB) OutEdges(subj rdf.ID, fn func(p rdf.PID, o rdf.ID)) {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use OutEdgesCtx
-	kb.setErr(kb.OutEdgesCtx(context.Background(), subj, fn))
-}
-
-func (kb *KB) OutDegree(subj rdf.ID) int {
-	n := 0
-	kb.OutEdges(subj, func(rdf.PID, rdf.ID) { n++ })
-	return n
-}
-
-// TriplesCtx merges the per-shard scan streams back into the global
-// deterministic order (ascending subject): the shards partition the
-// subjects and each stream is ascending, so a k-pointer merge on the
-// current subject reproduces Store.Triples exactly.
-//
-// Memory cost: the merge is buffered, not streaming — all shards scan
-// concurrently and every triple is held until the merge emits it, so peak
-// memory is O(NumTriples) (~12 bytes per triple plus slice overhead) on
-// top of the local symtab. That is the price of reproducing the global
-// order with concurrent scans; callers that do not need the canonical
-// order should iterate ShardTriplesCtx per shard, which buffers nothing.
-func (kb *KB) TriplesCtx(ctx context.Context, fn func(rdf.Triple)) error {
-	n := kb.NumShards()
-	slices := make([][]rdf.Triple, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = kb.pool.ScanShard(ctx, i, func(t rdf.Triple) {
-				slices[i] = append(slices[i], t)
-			})
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	idx := make([]int, n)
-	for {
-		best := -1
-		for i := 0; i < n; i++ {
-			if idx[i] < len(slices[i]) && (best < 0 || slices[i][idx[i]].S < slices[best][idx[best]].S) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		fn(slices[best][idx[best]])
-		idx[best]++
-	}
-}
-
-func (kb *KB) Triples(fn func(rdf.Triple)) {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use TriplesCtx
-	kb.setErr(kb.TriplesCtx(context.Background(), fn))
-}
-
-// Sharded extensions: NumShards + ShardTriples make KB an
-// expand.ShardedGraph (remote parallel expansion), ShardOf feeds the
-// trace layer's per-shard probe attribution.
-
-func (kb *KB) NumShards() int { return kb.pool.NumShards() }
-
-// ShardTriplesCtx streams one shard's triples in ascending-subject order
-// under the caller's context — the ctx-aware scan the parallel expander
-// dispatches to (expand.ShardedGraphCtx).
-func (kb *KB) ShardTriplesCtx(ctx context.Context, i int, fn func(rdf.Triple)) error {
-	return kb.pool.ScanShard(ctx, i, fn)
-}
-
-func (kb *KB) ShardTriples(i int, fn func(rdf.Triple)) {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; callers with a context use ShardTriplesCtx
-	kb.setErr(kb.ShardTriplesCtx(context.Background(), i, fn))
-}
-
-func (kb *KB) ShardOf(id rdf.ID) int { return rdf.ShardIndex(id, kb.NumShards()) }
-
-// Traversals.
-
-// PathObjectsCtx is the engine's probe path: V(subj, path) computed by
-// per-hop frontier scatter/gather under the caller's context, so
-// deadlines, cancellation and trace spans cross the RPC boundary. The
-// result is identical to ShardedStore.PathObjects: the per-shard unions
-// are disjoint on input (subjects hash to exactly one shard), merged,
-// deduplicated, and the final frontier sorted ascending.
-func (kb *KB) PathObjectsCtx(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
-	n := kb.NumShards()
+// PathObjects computes V(subj, path) by per-hop frontier scatter/gather:
+// each hop partitions the frontier by subject hash and fans one Frontier
+// RPC out per touched shard. The result is identical to rdf.PathObjects
+// over the local world: the per-shard unions are disjoint on input
+// (subjects hash to exactly one shard), merged, deduplicated, and the final
+// frontier sorted ascending.
+func (kb *KB) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
+	n := kb.pool.NumShards()
 	frontier := []rdf.ID{subj}
 	for _, p := range path {
 		byShard := make([][]rdf.ID, n)
@@ -292,26 +104,4 @@ func (kb *KB) PathObjectsCtx(ctx context.Context, subj rdf.ID, path rdf.Path) ([
 	}
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 	return frontier, nil
-}
-
-func (kb *KB) PathObjects(subj rdf.ID, path rdf.Path) []rdf.ID {
-	//kbqa:nolint ctxpropagate — ctx-less rdf.Graph shim; engine probes use PathObjectsCtx
-	out, err := kb.PathObjectsCtx(context.Background(), subj, path)
-	kb.setErr(err)
-	return out
-}
-
-func (kb *KB) PathsBetween(subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) []rdf.Path {
-	return rdf.PathsBetweenOver(kb, subj, obj, maxLen, endFilter)
-}
-
-func (kb *KB) DirectOrExpandedBetween(subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) bool {
-	return rdf.DirectOrExpandedBetweenOver(kb, subj, obj, maxLen, endFilter)
-}
-
-func (kb *KB) WriteNTriples(w io.Writer) error {
-	if err := rdf.WriteNTriplesOver(kb, w); err != nil {
-		return err
-	}
-	return kb.Err()
 }

@@ -6,14 +6,45 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expand"
 	"repro/internal/rdf"
 )
 
-// KB's ctx-aware scan surface is what the parallel expander dispatches to.
-var _ expand.ShardedGraphCtx = (*KB)(nil)
+// The seam, pinned: KB is the engine's Index and nothing like a Graph, and
+// Pool.ScanShard is the scan the parallel expander takes.
+var (
+	_ core.Index       = (*KB)(nil)
+	_ expand.ShardScan = (*Pool)(nil).ScanShard
+)
 
-func newTestKB(t *testing.T) (*rdf.ShardedStore, *KB) {
+func TestSeamSize(t *testing.T) {
+	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
+	sharded := reflect.TypeOf((*rdf.Sharded)(nil)).Elem()
+	// Sharded embeds Graph, so its method set already counts both.
+	if n := sharded.NumMethod(); n > 22 || n <= graph.NumMethod() {
+		t.Errorf("rdf.Graph + rdf.Sharded have %d methods (Graph alone %d), want <= 22", n, graph.NumMethod())
+	}
+	kb := reflect.TypeOf((*KB)(nil))
+	if kb.NumMethod() > 5 {
+		t.Errorf("shardrpc.KB exports %d methods, want <= 5", kb.NumMethod())
+	}
+	if kb.Implements(graph) {
+		t.Error("shardrpc.KB satisfies rdf.Graph: symbol lookups must stay on the local world")
+	}
+	engine := reflect.TypeOf((*core.Engine)(nil))
+	var answers []string
+	for i := 0; i < engine.NumMethod(); i++ {
+		if name := engine.Method(i).Name; len(name) >= 6 && name[:6] == "Answer" {
+			answers = append(answers, name)
+		}
+	}
+	if !reflect.DeepEqual(answers, []string{"Answer", "AnswerVariant"}) {
+		t.Errorf("core.Engine answer methods = %v, want [Answer AnswerVariant]", answers)
+	}
+}
+
+func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 	t.Helper()
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -22,18 +53,19 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *KB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards())})
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pool.Close() })
-	return store, NewKB(store, pool)
+	return store, pool, NewKB(pool)
 }
 
-// TestKBCtxVariantsMatchLocal drives every ctx-aware read against a live
-// server and checks each result against the in-process store.
+// TestKBCtxVariantsMatchLocal drives every remote read against a live
+// server and checks each result against the in-process index.
 func TestKBCtxVariantsMatchLocal(t *testing.T) {
-	store, kb := newTestKB(t)
+	store, pool, kb := newTestKB(t)
+	local := core.LocalIndex(store)
 	ctx := context.Background()
 
 	checked := 0
@@ -42,98 +74,94 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 			return
 		}
 		checked++
-		objs, err := kb.ObjectsCtx(ctx, tr.S, tr.P)
-		if err != nil || !reflect.DeepEqual(objs, store.Objects(tr.S, tr.P)) {
-			t.Fatalf("ObjectsCtx(%d,%d) = %v, %v", tr.S, tr.P, objs, err)
+		got, err := kb.PathObjects(ctx, tr.S, rdf.Path{tr.P})
+		want, _ := local.PathObjects(ctx, tr.S, rdf.Path{tr.P})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("PathObjects(%d,%d) = %v, %v, want %v", tr.S, tr.P, got, err, want)
 		}
-		preds, err := kb.PredicatesBetweenCtx(ctx, tr.S, tr.O)
-		if err != nil || !reflect.DeepEqual(preds, store.PredicatesBetween(tr.S, tr.O)) {
-			t.Fatalf("PredicatesBetweenCtx(%d,%d) = %v, %v", tr.S, tr.O, preds, err)
-		}
-		subs, err := kb.SubjectsCtx(ctx, tr.P, tr.O)
+		subs, err := kb.Subjects(ctx, tr.P, tr.O)
 		if err != nil || !reflect.DeepEqual(subs, store.Subjects(tr.P, tr.O)) {
-			t.Fatalf("SubjectsCtx(%d,%d) = %v, %v", tr.P, tr.O, subs, err)
-		}
-		var got []rdf.Triple
-		if err := kb.OutEdgesCtx(ctx, tr.S, func(p rdf.PID, o rdf.ID) {
-			got = append(got, rdf.Triple{S: tr.S, P: p, O: o})
-		}); err != nil {
-			t.Fatalf("OutEdgesCtx(%d): %v", tr.S, err)
-		}
-		var want []rdf.Triple
-		store.OutEdges(tr.S, func(p rdf.PID, o rdf.ID) {
-			want = append(want, rdf.Triple{S: tr.S, P: p, O: o})
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("OutEdgesCtx(%d) differs", tr.S)
+			t.Fatalf("Subjects(%d,%d) = %v, %v", tr.P, tr.O, subs, err)
 		}
 	})
-
-	var remote, local []rdf.Triple
-	if err := kb.TriplesCtx(ctx, func(tr rdf.Triple) { remote = append(remote, tr) }); err != nil {
-		t.Fatal(err)
+	path, ok := rdf.ParsePath(store, "marriage→person→name")
+	if !ok {
+		t.Fatal("marriage→person→name not present")
 	}
-	store.Triples(func(tr rdf.Triple) { local = append(local, tr) })
-	if !reflect.DeepEqual(remote, local) {
-		t.Fatalf("TriplesCtx scan differs: %d vs %d triples", len(remote), len(local))
+	for _, e := range store.Entities() {
+		got, err := kb.PathObjects(ctx, e, path)
+		if err != nil || !reflect.DeepEqual(got, rdf.PathObjects(store, e, path)) {
+			t.Fatalf("PathObjects(%d, marriage→person→name) = %v, %v", e, got, err)
+		}
 	}
 	for i := 0; i < store.NumShards(); i++ {
 		var rs, ls []rdf.Triple
-		if err := kb.ShardTriplesCtx(ctx, i, func(tr rdf.Triple) { rs = append(rs, tr) }); err != nil {
+		if err := pool.ScanShard(ctx, i, func(tr rdf.Triple) { rs = append(rs, tr) }); err != nil {
 			t.Fatal(err)
 		}
 		store.ShardTriples(i, func(tr rdf.Triple) { ls = append(ls, tr) })
 		if !reflect.DeepEqual(rs, ls) {
-			t.Fatalf("ShardTriplesCtx(%d) differs", i)
+			t.Fatalf("ScanShard(%d) differs", i)
 		}
-	}
-	if err := kb.Err(); err != nil {
-		t.Fatalf("ctx paths must not record sticky errors, got %v", err)
 	}
 }
 
-// TestKBCtxVariantsHonorCancellation checks the scan paths fail fast under
-// a cancelled context and report the error to the caller rather than the
-// sticky Err.
+// TestKBCtxVariantsHonorCancellation checks every remote read fails fast
+// under a cancelled context and hands the error to its caller.
 func TestKBCtxVariantsHonorCancellation(t *testing.T) {
-	_, kb := newTestKB(t)
+	_, pool, kb := newTestKB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if err := kb.TriplesCtx(ctx, func(rdf.Triple) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TriplesCtx under cancelled ctx: %v", err)
+	if err := pool.ScanShard(ctx, 0, func(rdf.Triple) {}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanShard under cancelled ctx: %v", err)
 	}
-	if err := kb.ShardTriplesCtx(ctx, 0, func(rdf.Triple) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ShardTriplesCtx under cancelled ctx: %v", err)
+	if _, err := kb.PathObjects(ctx, 0, rdf.Path{0}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PathObjects under cancelled ctx: %v", err)
 	}
-	if _, err := kb.ObjectsCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ObjectsCtx under cancelled ctx: %v", err)
-	}
-	if _, err := kb.SubjectsCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubjectsCtx under cancelled ctx: %v", err)
-	}
-	if _, err := kb.PredicatesBetweenCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PredicatesBetweenCtx under cancelled ctx: %v", err)
-	}
-	if err := kb.OutEdgesCtx(ctx, 0, func(rdf.PID, rdf.ID) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("OutEdgesCtx under cancelled ctx: %v", err)
-	}
-	if err := kb.Err(); err != nil {
-		t.Fatalf("ctx-path failures must not stick, got %v", err)
+	if _, err := kb.Subjects(ctx, 0, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Subjects under cancelled ctx: %v", err)
 	}
 }
 
-// TestExpandParallelCtxOverRemoteKB checks the expander's ctx-aware scan
-// dispatch produces the same expansion remotely as in process.
+// TestExpandParallelCtxOverRemoteKB checks the expander produces the same
+// expansion over remote shard scans as in process — and that a shard failing
+// mid-scan fails the expansion instead of passing a partial result off as
+// complete.
 func TestExpandParallelCtxOverRemoteKB(t *testing.T) {
-	store, kb := newTestKB(t)
+	store, pool, _ := newTestKB(t)
+	ctx := context.Background()
 	cfg := expand.Config{MaxLen: 2}
-	local := expand.ExpandParallel(store, cfg)
-	remote := expand.ExpandParallelCtx(context.Background(), kb, cfg)
-	if err := kb.Err(); err != nil {
+	local, err := expand.ExpandParallel(ctx, store, store.NumShards(), expand.LocalScan(store), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(local.Triples, remote.Triples) {
+	remote, err := expand.ExpandParallel(ctx, store, pool.NumShards(), pool.ScanShard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Triples) == 0 || !reflect.DeepEqual(local.Triples, remote.Triples) {
 		t.Fatalf("remote expansion differs: %d vs %d triples", len(remote.Triples), len(local.Triples))
+	}
+
+	errShardDied := errors.New("shard 1 died mid-scan")
+	flaky := func(ctx context.Context, shard int, fn func(rdf.Triple)) error {
+		if shard != 1 {
+			return pool.ScanShard(ctx, shard, fn)
+		}
+		delivered := 0
+		err := pool.ScanShard(ctx, shard, func(tr rdf.Triple) {
+			if delivered++; delivered <= 10 {
+				fn(tr)
+			}
+		})
+		if err != nil || delivered <= 10 {
+			t.Errorf("shard 1 scan: %d triples, %v; the failure would not be mid-scan", delivered, err)
+		}
+		return errShardDied
+	}
+	res, err := expand.ExpandParallel(ctx, store, pool.NumShards(), flaky, cfg)
+	if !errors.Is(err, errShardDied) || res != nil {
+		t.Fatalf("expansion over a shard failing mid-scan = %v, %v; want nil, %v", res, err, errShardDied)
 	}
 }

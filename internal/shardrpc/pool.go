@@ -19,8 +19,8 @@ import (
 type PoolOptions struct {
 	// Placement routes shards to servers; required.
 	Placement *Placement
-	// Fingerprint is the local world's identity (Fingerprint over the
-	// local graph); every handshake asserts it. Required.
+	// Fingerprint is the local world's identity (rdf.WorldFingerprint over
+	// the local graph); every handshake asserts it. Required.
 	Fingerprint uint64
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
@@ -54,10 +54,7 @@ type PoolStats struct {
 
 // Pool is the scatter/gather client: it owns one connection pool per
 // server, routes per-shard calls by the placement, hedges slow calls, and
-// fails over across replicas. Safe for concurrent use. A nil context on
-// any call is allowed and means "no deadline, no trace" — the pool's
-// methods back the ctx-less rdf.Graph surface as well as the ctx-aware
-// probe path.
+// fails over across replicas. Safe for concurrent use.
 type Pool struct {
 	pl   *Placement
 	opts PoolOptions
@@ -206,13 +203,7 @@ func (h *host) down() bool {
 // dial opens and handshakes a fresh connection to addr.
 func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: p.opts.DialTimeout}
-	var conn net.Conn
-	var err error
-	if ctx != nil {
-		conn, err = d.DialContext(ctx, "tcp", addr)
-	} else {
-		conn, err = d.Dial("tcp", addr)
-	}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -367,28 +358,18 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 		return nil, errors.New("shardrpc: pool is closed")
 	}
 	p.calls.Add(1)
-	var sp *obs.Span
-	var traceID string
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ctx, sp = obs.StartSpan(ctx, "rpc.call")
-		sp.SetInt("op", int64(op))
-		sp.SetInt("shard", int64(shard))
-		defer sp.End()
-		traceID = obs.TraceID(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	var deadline int64
-	if ctx != nil {
-		if t, ok := ctx.Deadline(); ok {
-			deadline = t.UnixNano()
-		}
+	ctx, sp := obs.StartSpan(ctx, "rpc.call")
+	sp.SetInt("op", int64(op))
+	sp.SetInt("shard", int64(shard))
+	defer sp.End()
+	deadline := time.Now().Add(p.opts.CallTimeout).UnixNano()
+	if t, ok := ctx.Deadline(); ok {
+		deadline = t.UnixNano()
 	}
-	if deadline == 0 {
-		deadline = time.Now().Add(p.opts.CallTimeout).UnixNano()
-	}
-	req := reqHeader{op: op, shard: uint32(shard), deadline: deadline, traceID: traceID}.encode(body)
+	req := reqHeader{op: op, shard: uint32(shard), deadline: deadline, traceID: obs.TraceID(ctx)}.encode(body)
 
 	// Attempt order: the shard's replicas in preference order, up hosts
 	// before backed-off ones so failover lands on a healthy replica
@@ -424,11 +405,6 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 		hedgeCh = hedgeTimer.C
 		defer hedgeTimer.Stop()
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-
 	var firstErr error
 	for {
 		select {
@@ -461,7 +437,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 				launch()
 				outstanding++
 			}
-		case <-done:
+		case <-ctx.Done():
 			fl.abort()
 			return nil, ctx.Err()
 		}
@@ -500,12 +476,10 @@ func (p *Pool) finish(sp *obs.Span, out attemptOut) (*rbuf, error) {
 // simply have gone stale between calls.
 func (p *Pool) attempt(ctx context.Context, fl *inflight, addr string, shard int, op byte, req []byte, deadline time.Time, results chan<- attemptOut) {
 	var asp *obs.Span
-	if ctx != nil {
-		if parent := obs.ActiveSpan(ctx); parent != nil {
-			asp = parent.Child("rpc.attempt")
-			asp.SetAttr("server", addr)
-			defer asp.End()
-		}
+	if parent := obs.ActiveSpan(ctx); parent != nil {
+		asp = parent.Child("rpc.attempt")
+		asp.SetAttr("server", addr)
+		defer asp.End()
 	}
 	start := time.Now()
 	payload, usedPooled, err := p.attemptOnce(ctx, fl, addr, req, deadline, true)
@@ -574,19 +548,6 @@ func (p *Pool) Frontier(ctx context.Context, shard int, pred rdf.PID, nodes []rd
 	return out, r.err
 }
 
-// Objects returns V(subj, pred) from subj's shard, in store order.
-func (p *Pool) Objects(ctx context.Context, subj rdf.ID, pred rdf.PID) ([]rdf.ID, error) {
-	var body wbuf
-	body.u32(uint32(subj))
-	body.u32(uint32(pred))
-	r, err := p.call(ctx, rdf.ShardIndex(subj, p.NumShards()), opObjects, &body)
-	if err != nil {
-		return nil, err
-	}
-	out := r.ids()
-	return out, r.err
-}
-
 // ShardSubjects returns shard's subjects with (s, pred, obj) in
 // shard-local insertion order.
 func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
@@ -599,38 +560,6 @@ func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj r
 	}
 	out := r.ids()
 	return out, r.err
-}
-
-// PredicatesBetween returns the direct predicates from subj to obj.
-func (p *Pool) PredicatesBetween(ctx context.Context, subj, obj rdf.ID) ([]rdf.PID, error) {
-	var body wbuf
-	body.u32(uint32(subj))
-	body.u32(uint32(obj))
-	r, err := p.call(ctx, rdf.ShardIndex(subj, p.NumShards()), opPredsBetween, &body)
-	if err != nil {
-		return nil, err
-	}
-	out := r.pidList()
-	return out, r.err
-}
-
-// OutEdges streams subj's out-neighbourhood in canonical order.
-func (p *Pool) OutEdges(ctx context.Context, subj rdf.ID, fn func(pr rdf.PID, o rdf.ID)) error {
-	var body wbuf
-	body.u32(uint32(subj))
-	r, err := p.call(ctx, rdf.ShardIndex(subj, p.NumShards()), opOutEdges, &body)
-	if err != nil {
-		return err
-	}
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		pr, o := rdf.PID(r.u32()), rdf.ID(r.u32())
-		if r.err != nil {
-			return r.err
-		}
-		fn(pr, o)
-	}
-	return r.err
 }
 
 // scanPageLimit is the minimum triple count of one scan page.

@@ -70,6 +70,12 @@ func TestFrameDetectsCorruption(t *testing.T) {
 // TestHandshakeRejectsWorldMismatch: a client whose world fingerprint (or
 // shard topology) differs from the server's must be refused at handshake —
 // a wrong-world pool fails fast instead of serving subtly wrong answers.
+// eightShards is the test world as a client that partitioned it eight ways
+// would fingerprint it.
+type eightShards struct{ rdf.Sharded }
+
+func (eightShards) NumShards() int { return 8 }
+
 func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -79,7 +85,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards()) + 1})
+	wrong, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resharded, err := NewPool(PoolOptions{Placement: pl8, Fingerprint: Fingerprint(store, 8)})
+	resharded, err := NewPool(PoolOptions{Placement: pl8, Fingerprint: rdf.WorldFingerprint(eightShards{store})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal("Ping succeeded across mismatched shard counts")
 	}
 
-	ok, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards())})
+	ok, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	pool, err := NewPool(PoolOptions{
 		Placement:   pl,
-		Fingerprint: Fingerprint(store, store.NumShards()),
+		Fingerprint: rdf.WorldFingerprint(store),
 		// Deterministic routing: failover only on error, never on latency.
 		DisableHedge: true,
 	})
@@ -197,7 +203,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	}
 	pool, err := NewPool(PoolOptions{
 		Placement:   pl,
-		Fingerprint: Fingerprint(store, store.NumShards()),
+		Fingerprint: rdf.WorldFingerprint(store),
 		HedgeAfter:  time.Nanosecond, // hedge every call
 	})
 	if err != nil {
@@ -260,7 +266,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards())})
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +311,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards())})
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type ServerOptions struct {
 	Logger *obs.Logger
 }
 
-// Server answers shardrpc requests over an rdf.ShardedStore. Start it with
+// Server answers shardrpc requests over an rdf.Sharded world. Start it with
 // Serve; stop it with Close (or by cancelling Serve's context). Safe for
 // concurrent connections: the store is read-only at serve time.
 type Server struct {
@@ -58,7 +58,7 @@ type Server struct {
 func NewServer(store rdf.Sharded, o ServerOptions) *Server {
 	s := &Server{
 		store:   store,
-		fp:      Fingerprint(store, store.NumShards()),
+		fp:      rdf.WorldFingerprint(store),
 		log:     o.Logger,
 		scanIdx: make([][]rdf.ID, store.NumShards()),
 		conns:   make(map[net.Conn]bool),
@@ -321,37 +321,12 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		body.ids(out)
-	case opObjects:
-		subj, pred := rdf.ID(r.u32()), rdf.PID(r.u32())
-		if r.err != nil {
-			return r.err.Error()
-		}
-		body.ids(s.store.Objects(subj, pred))
 	case opSubjects:
 		pred, obj := rdf.PID(r.u32()), rdf.ID(r.u32())
 		if r.err != nil {
 			return r.err.Error()
 		}
 		body.ids(s.store.ShardSubjects(shard, pred, obj))
-	case opPredsBetween:
-		subj, obj := rdf.ID(r.u32()), rdf.ID(r.u32())
-		if r.err != nil {
-			return r.err.Error()
-		}
-		body.pids(s.store.PredicatesBetween(subj, obj))
-	case opOutEdges:
-		subj := rdf.ID(r.u32())
-		if r.err != nil {
-			return r.err.Error()
-		}
-		var pairs []uint32
-		s.store.OutEdges(subj, func(p rdf.PID, o rdf.ID) {
-			pairs = append(pairs, uint32(p), uint32(o))
-		})
-		body.u32(uint32(len(pairs) / 2))
-		for _, v := range pairs {
-			body.u32(v)
-		}
 	case opScan:
 		after, limit := r.u32(), int(r.u32())
 		if r.err != nil {

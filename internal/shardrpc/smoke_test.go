@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"context"
 	"net"
+	"reflect"
 	"testing"
 
 	"repro/internal/kbgen"
@@ -23,49 +24,38 @@ func TestSmokeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: Fingerprint(store, store.NumShards())})
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	remote := NewKB(store, pool)
-	// Objects equivalence over a sample of subjects.
+	remote := NewKB(pool)
+	ctx := context.Background()
+	// Probe equivalence over a sample of (subject, predicate) pairs.
 	n := 0
 	for _, e := range store.Entities() {
 		for _, p := range store.Predicates() {
-			want := store.Objects(e, p)
-			got := remote.Objects(e, p)
-			if len(want) != len(got) {
-				t.Fatalf("Objects(%d,%d): got %v want %v", e, p, got, want)
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("Objects(%d,%d): got %v want %v", e, p, got, want)
-				}
+			want := rdf.PathObjects(store, e, rdf.Path{p})
+			got, err := remote.PathObjects(ctx, e, rdf.Path{p})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("PathObjects(%d,%d): got %v, %v want %v", e, p, got, err, want)
 			}
 			n++
-			if n > 2000 {
-				break
-			}
 		}
 		if n > 2000 {
 			break
 		}
 	}
-	// Full scan equivalence.
-	var a, b []rdf.Triple
-	store.Triples(func(tr rdf.Triple) { a = append(a, tr) })
-	remote.Triples(func(tr rdf.Triple) { b = append(b, tr) })
-	if len(a) != len(b) {
-		t.Fatalf("Triples: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Triples[%d]: %v vs %v", i, a[i], b[i])
+	// Full scan equivalence, shard by shard.
+	for i := 0; i < store.NumShards(); i++ {
+		var a, b []rdf.Triple
+		store.ShardTriples(i, func(tr rdf.Triple) { a = append(a, tr) })
+		if err := pool.ScanShard(ctx, i, func(tr rdf.Triple) { b = append(b, tr) }); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("shard %d scan: %d vs %d triples", i, len(a), len(b))
+		}
 	}
 	st := pool.Stats()
 	t.Logf("pool stats: %+v", st)

@@ -4,8 +4,8 @@
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
-// KB adapts the pool to the rdf.Graph interface so core.Engine and
-// expand.ExpandParallel run unchanged against remote shards.
+// KB is the engine's index seam (core.Index) over the pool; Pool.ScanShard
+// is the scan expand.ExpandParallel runs against remote shards.
 //
 // The protocol is dependency-free and CRC-framed exactly like the answer
 // cache's segment log (internal/serve/persist.go): every frame is
@@ -44,15 +44,13 @@ const (
 	maxFrameLen = 1 << 26
 )
 
-// Request opcodes.
+// Request opcodes. 2, 4 and 5 were point lookups no client issued; their
+// numbers stay retired so the survivors keep ProtoVersion 1.
 const (
-	opFrontier     = byte(1) // pred + node set -> union of objects, sorted unique
-	opObjects      = byte(2) // (subj, pred) -> objects, store order
-	opSubjects     = byte(3) // (pred, obj) -> shard-local subjects, insertion order
-	opPredsBetween = byte(4) // (subj, obj) -> predicates, store order
-	opOutEdges     = byte(5) // subj -> (pred, obj) pairs, canonical order
-	opScan         = byte(6) // cursor scan of one shard, whole-subject pages
-	opStats        = byte(7) // server stats, JSON
+	opFrontier = byte(1) // pred + node set -> union of objects, sorted unique
+	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
+	opScan     = byte(6) // cursor scan of one shard, whole-subject pages
+	opStats    = byte(7) // server stats, JSON
 )
 
 // Response status codes.
@@ -64,14 +62,6 @@ const (
 // noSubject is the scan-cursor sentinel for "start of shard" (IDs are
 // dense from 0, so 0 cannot mean "before the first subject").
 const noSubject = ^uint32(0)
-
-// Fingerprint summarizes the identity of a loaded world. Both sides of a
-// connection must agree, since the protocol exchanges raw interned IDs.
-// It is the same fingerprint the snapshot image header carries, so an
-// image-booted shard server interoperates with a built-world frontend.
-func Fingerprint(g rdf.Graph, numShards int) uint64 {
-	return rdf.WorldFingerprint(g, numShards)
-}
 
 // writeFrame writes one CRC frame.
 func writeFrame(w io.Writer, payload []byte) error {
@@ -132,13 +122,6 @@ func (w *wbuf) ids(v []rdf.ID) {
 	w.u32(uint32(len(v)))
 	for _, id := range v {
 		w.u32(uint32(id))
-	}
-}
-
-func (w *wbuf) pids(v []rdf.PID) {
-	w.u32(uint32(len(v)))
-	for _, p := range v {
-		w.u32(uint32(p))
 	}
 }
 
@@ -217,19 +200,6 @@ func (r *rbuf) ids() []rdf.ID {
 	out := make([]rdf.ID, n)
 	for i := range out {
 		out[i] = rdf.ID(r.u32())
-	}
-	return out
-}
-
-func (r *rbuf) pidList() []rdf.PID {
-	n := int(r.u32())
-	if r.err != nil || r.off+4*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	out := make([]rdf.PID, n)
-	for i := range out {
-		out[i] = rdf.PID(r.u32())
 	}
 	return out
 }

@@ -1,0 +1,93 @@
+package kbqa
+
+import (
+	"context"
+	"errors"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/shardrpc"
+)
+
+// startShardServer serves world's knowledge base, every shard, on a
+// loopback listener.
+func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
+	t.Helper()
+	srv := shardrpc.NewServer(world.world.KB.Store, shardrpc.ServerOptions{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(context.Background(), lis)
+	t.Cleanup(srv.Close)
+	return lis.Addr().String(), srv
+}
+
+// TestClusterVariantFailsLoudly pins two bugs of the cluster shape's variant
+// path, which used to read the shards with no context and no error: with
+// every replica of some shards down a ranking dropped the entities living
+// there and was returned — and cached — as a success, and -timeout did not
+// apply to it.
+func TestClusterVariantFailsLoudly(t *testing.T) {
+	opts := Options{Flavor: "freebase", Seed: 42}
+	world, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrA, srvA := startShardServer(t, world)
+	addrB, srvB := startShardServer(t, world)
+
+	// One replica per shard: each server is the only home of its shards.
+	// The victim is a server the placement gave at least one shard.
+	opts.ShardServers, opts.ShardReplicas = []string{addrA, addrB}, 1
+	pl, err := shardrpc.NewPlacement(opts.ShardServers, world.world.KB.Store.NumShards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := srvA
+	if len(pl.Owned(addrA)) == 0 {
+		victim = srvB
+	}
+	sys, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sv := mustServer(t, sys, ServerOptions{})
+	defer sv.Close()
+	ctx := context.Background()
+
+	const ranking = "Which city has the largest population?"
+	want, err := world.Query(ctx, ranking)
+	if err != nil || want.Variant == nil {
+		t.Fatalf("monolith does not answer %q as a variant: %+v, %v", ranking, want, err)
+	}
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := sys.Query(expired, ranking); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("variant under an expired context: err = %v, want context.DeadlineExceeded", err)
+	}
+	start := time.Now()
+	if got, err := sys.Query(ctx, ranking); err != nil || got.Variant == nil || got.Variant.Entities[0] != want.Variant.Entities[0] {
+		t.Fatalf("healthy cluster: %+v, %v; want %+v", got, err, want.Variant)
+	}
+	took := time.Since(start)
+	// A deadline that expires while the ranking is still scanning the shards
+	// must stop it: the client's deadline or the shard server's refusal of a
+	// request past it, whichever the race yields — never an answer.
+	if got, err := sys.Query(ctx, ranking, WithTimeout(took/20)); err == nil || IsUnanswerable(err) {
+		t.Fatalf("variant (%v healthy) under WithTimeout(%v) = %+v, %v; want a deadline failure", took, took/20, got, err)
+	}
+
+	victim.Close()
+	for round := 0; round < 2; round++ {
+		res, err := sv.Query(ctx, ranking)
+		if err == nil || IsUnanswerable(err) || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: variant over a cluster missing a server = %+v, %v; want an infrastructure error", round, res, err)
+		}
+	}
+	if m := sv.Metrics(); m.CacheEntries != 0 || m.CacheHits != 0 {
+		t.Fatalf("the failed variant reached the cache: %d entries, %d hits", m.CacheEntries, m.CacheHits)
+	}
+}

@@ -24,13 +24,11 @@
 // Chain(sys, fallback) implements the paper's hybrid deployments over any
 // mix of KBQA systems, baselines (Baseline) and servers.
 //
-// The legacy Ask/AskVariant/Fallback/BuiltinBaseline entry points remain
-// as deprecated shims over Query. For corpora of your own, see
-// System.Learn; for serving traffic, System.Server.
+// For corpora of your own, see System.Learn; for serving traffic,
+// System.Server.
 package kbqa
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -66,11 +64,11 @@ type Options struct {
 	// pointer rather than a float so the zero value stays distinguishable
 	// from "use the default".
 	NoiseRate *float64
-	// Shards selects the knowledge-base layout: > 1 partitions the RDF
-	// store into that many subject-hash shards (offline expansion scans
-	// one worker per shard; online probes hash to their shard), 1 forces
-	// the single-map store, and 0 keeps the default (sharded). Answers
-	// are identical across layouts.
+	// Shards selects the knowledge-base layout: the RDF store is
+	// partitioned into that many subject-hash shards (offline expansion
+	// scans one worker per shard; online probes hash to their shard); 1 is
+	// a one-shard world and 0 keeps the default (4). Answers are identical
+	// across layouts.
 	Shards int
 	// ShardServers, when non-empty, distributes the knowledge base: index
 	// reads (probes, scans) are served by remote kbqa-shard processes at
@@ -78,8 +76,7 @@ type Options struct {
 	// consistent-hash placement, hedged requests, and replica failover.
 	// Every server must have loaded the same world (same flavor, seed,
 	// scale, and shard count — enforced by a fingerprint handshake).
-	// Requires a sharded layout (Shards != 1). Answers are byte-identical
-	// to the single-process layouts.
+	// Answers are byte-identical to the single-process layouts.
 	ShardServers []string
 	// ShardReplicas is the replication factor of the shard placement
 	// (default 2, clamped to len(ShardServers)).
@@ -89,9 +86,8 @@ type Options struct {
 	// all index reads from it instead of the generated store. The image
 	// must hold exactly the world the other options describe — its
 	// fingerprint is checked against the built store and a mismatch
-	// fails Build. Requires a sharded layout (Shards != 1) and is
-	// mutually exclusive with ShardServers. Answers are byte-identical
-	// to the in-memory layouts; Close unmaps the image.
+	// fails Build. Mutually exclusive with ShardServers. Answers are
+	// byte-identical to the in-memory layouts; Close unmaps the image.
 	KBImage string
 }
 
@@ -189,10 +185,13 @@ type VariantAnswer struct {
 type System struct {
 	mu    sync.RWMutex // guards the world's Model/Stats/Engine swaps and retrain
 	world *eval.World
-	// kb is the graph engines are built over: the local store, or the
-	// shardrpc adapter when Options.ShardServers distributed the KB. Set
-	// once in Build, immutable afterwards.
-	kb rdf.Graph
+	// kb is the local world engines read symbols from: the built store, or
+	// the image when Options.KBImage mapped one. index is the seam they
+	// read triples through: kb itself, or the shard pool when
+	// Options.ShardServers distributed the KB. Both are set once in Build
+	// and immutable afterwards.
+	kb    rdf.Sharded
+	index core.Index
 	// pool is the shard-server client when distributed (nil otherwise);
 	// Close releases it.
 	pool *shardrpc.Pool
@@ -211,11 +210,11 @@ type System struct {
 	retrainEpoch atomic.Uint64
 }
 
-// Build synthesizes a world and runs the complete offline procedure. With
-// Options.ShardServers set, the online engine is then rebuilt over the
-// remote shard pool: the locally built world keeps supplying the interning
-// tables and the trained model, while knowledge-base index reads go over
-// the network.
+// Build synthesizes a world and runs the complete offline procedure, then
+// builds the online engine over the KB backing the options select. With
+// Options.ShardServers set, the locally built world keeps supplying the
+// interning tables and the trained model, while knowledge-base index reads
+// go over the network.
 func Build(o Options) (*System, error) {
 	cfg, err := o.worldConfig()
 	if err != nil {
@@ -226,11 +225,13 @@ func Build(o Options) (*System, error) {
 	}
 	s := &System{world: eval.BuildWorld(cfg)}
 	s.kb = s.world.KB.Store
+	s.index = core.LocalIndex(s.kb)
 	if err := s.wire(o); err != nil {
 		//kbqa:nolint errsink — error-path release of whatever wiring already acquired; the build error is the one to surface
 		s.Close()
 		return nil, err
 	}
+	s.world.Engine = s.newEngine(s.world.Model, s.world.Stats)
 	return s, nil
 }
 
@@ -239,16 +240,17 @@ func Build(o Options) (*System, error) {
 // partially acquired resources; Build releases them via Close.
 func (s *System) wire(o Options) error {
 	if len(o.ShardServers) > 0 {
-		if err := s.connectShards(o); err != nil {
-			return err
-		}
+		return s.connectShards(o)
 	}
 	if o.KBImage != "" {
-		if err := s.openImage(o.KBImage); err != nil {
-			return err
-		}
+		return s.openImage(o.KBImage)
 	}
 	return nil
+}
+
+// newEngine builds an online engine over the system's KB backing.
+func (s *System) newEngine(model *learn.Model, stats *decompose.Stats) *core.Engine {
+	return core.NewEngine(s.kb, s.index, s.world.KB.Taxonomy, model, stats)
 }
 
 // openImage rebinds the system's online engine to a memory-mapped
@@ -256,20 +258,16 @@ func (s *System) wire(o Options) error {
 // built store's fingerprint and shard count as expectations, so a stale or
 // foreign image fails here instead of answering from the wrong world.
 func (s *System) openImage(path string) error {
-	ss, ok := s.world.KB.Store.(rdf.Sharded)
-	if !ok {
-		return fmt.Errorf("kbqa: KBImage requires a sharded knowledge base (Shards != 1)")
-	}
 	im, err := snapshot.OpenImage(path, snapshot.OpenOptions{
-		ExpectFingerprint: rdf.WorldFingerprint(ss, ss.NumShards()),
-		ExpectShards:      ss.NumShards(),
+		ExpectFingerprint: rdf.WorldFingerprint(s.world.KB.Store),
+		ExpectShards:      s.world.KB.Store.NumShards(),
 	})
 	if err != nil {
 		return fmt.Errorf("kbqa: open KB image: %w", err)
 	}
 	s.img = im
 	s.kb = im
-	s.world.Engine = core.NewEngine(s.kb, s.world.KB.Taxonomy, s.world.Model, s.world.Stats)
+	s.index = core.LocalIndex(im)
 	return nil
 }
 
@@ -278,37 +276,28 @@ func (s *System) openImage(path string) error {
 // -kb-image) maps read-only for instant boot. The write is atomic — the
 // image appears under path complete or not at all.
 func (s *System) SaveKBImage(path string) error {
-	ss, ok := s.world.KB.Store.(rdf.Sharded)
-	if !ok {
-		return fmt.Errorf("kbqa: SaveKBImage requires a sharded knowledge base (Shards != 1)")
-	}
-	return snapshot.WriteImageFile(path, ss)
+	return snapshot.WriteImageFile(path, s.world.KB.Store)
 }
 
-// connectShards rewires the system's online engine over a shardrpc pool.
+// connectShards points the system's index reads at a shardrpc pool.
 func (s *System) connectShards(o Options) error {
-	ss, ok := s.world.KB.Store.(rdf.Sharded)
-	if !ok {
-		return fmt.Errorf("kbqa: ShardServers requires a sharded knowledge base (Shards != 1)")
-	}
 	replicas := o.ShardReplicas
 	if replicas <= 0 {
 		replicas = 2
 	}
-	pl, err := shardrpc.NewPlacement(o.ShardServers, ss.NumShards(), replicas)
+	pl, err := shardrpc.NewPlacement(o.ShardServers, s.kb.NumShards(), replicas)
 	if err != nil {
 		return err
 	}
 	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{
 		Placement:   pl,
-		Fingerprint: shardrpc.Fingerprint(ss, ss.NumShards()),
+		Fingerprint: rdf.WorldFingerprint(s.kb),
 	})
 	if err != nil {
 		return err
 	}
 	s.pool = pool
-	s.kb = shardrpc.NewKB(ss, pool)
-	s.world.Engine = core.NewEngine(s.kb, s.world.KB.Taxonomy, s.world.Model, s.world.Stats)
+	s.index = shardrpc.NewKB(pool)
 	return nil
 }
 
@@ -374,35 +363,6 @@ func (s *System) notifyRetrain() {
 	}
 }
 
-// Ask answers a question (BFQ or complex). ok is false when the system has
-// no answer. The caller's context flows into Query, so cancellation and
-// trace IDs propagate exactly as they do for Query itself.
-//
-// Deprecated: use Query, which distinguishes the failure modes Ask
-// collapses into false and surfaces the ranked interpretations. Ask
-// remains as a shim and returns exactly the answer Query's Result.Answer
-// carries.
-func (s *System) Ask(ctx context.Context, question string) (Answer, bool) {
-	res, err := s.Query(ctx, question, WithoutVariants(), WithTopK(0))
-	if err != nil || res.Answer == nil {
-		return Answer{}, false
-	}
-	return *res.Answer, true
-}
-
-// AskVariant answers the BFQ variants of the paper's introduction:
-// ranking, comparison and listing questions.
-//
-// Deprecated: use Query, which auto-routes variants (Result.Variant) and
-// reports why a question failed instead of a bare false.
-func (s *System) AskVariant(question string) (VariantAnswer, bool) {
-	va, ok := s.engine().AnswerVariant(question)
-	if !ok {
-		return VariantAnswer{}, false
-	}
-	return variantFromCore(va), true
-}
-
 // QA is one question–answer pair of a training corpus.
 type QA = learn.QA
 
@@ -425,7 +385,7 @@ func (s *System) Learn(pairs []QA) {
 	stats := decompose.BuildStats(qs, func(toks []string, sp text.Span) bool {
 		return len(s.world.KB.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
 	})
-	engine := core.NewEngine(s.kb, s.world.KB.Taxonomy, model, stats)
+	engine := s.newEngine(model, stats)
 
 	s.mu.Lock()
 	s.world.Model = model
@@ -464,7 +424,7 @@ func (s *System) LoadModel(r io.Reader) error {
 	}
 	s.mu.Lock()
 	s.world.Model = m
-	s.world.Engine = core.NewEngine(s.kb, s.world.KB.Taxonomy, m, s.world.Stats)
+	s.world.Engine = s.newEngine(m, s.world.Stats)
 	s.mu.Unlock()
 	s.notifyRetrain()
 	return nil
@@ -529,44 +489,4 @@ func (s *System) ComplexQuestions(seed int64, n int) []ComplexQuestion {
 type ComplexQuestion struct {
 	Q           string
 	GoldAnswers []string
-}
-
-// Fallback composes this system with a secondary QA system: questions KBQA
-// cannot answer are forwarded (the hybrid scheme of Sec 7.3.1). The
-// returned function answers like Ask and threads its context through both
-// stages.
-//
-// Deprecated: use Chain, which composes any number of Answerers, keeps
-// typed errors, and aborts on context expiry instead of burning the
-// remaining budget on fallbacks.
-func (s *System) Fallback(secondary func(ctx context.Context, q string) (string, bool)) func(ctx context.Context, q string) (Answer, bool) {
-	return func(ctx context.Context, q string) (Answer, bool) {
-		if ans, ok := s.Ask(ctx, q); ok {
-			return ans, true
-		}
-		if v, ok := secondary(ctx, q); ok {
-			return Answer{Value: v}, true
-		}
-		return Answer{}, false
-	}
-}
-
-// BuiltinBaseline returns one of the reimplemented comparison systems
-// ("keyword", "synonym", "graph", "rule") with an Ask-like contract; the
-// caller's context flows into each evaluation.
-//
-// Deprecated: use Baseline, which returns the same system as an Answerer
-// for composition with Chain.
-func (s *System) BuiltinBaseline(name string) (func(ctx context.Context, q string) (string, bool), error) {
-	a, err := s.Baseline(name)
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, q string) (string, bool) {
-		res, err := a.Query(ctx, q)
-		if err != nil || res.Answer == nil {
-			return "", false
-		}
-		return res.Answer.Value, true
-	}, nil
 }

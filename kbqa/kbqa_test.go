@@ -3,6 +3,7 @@ package kbqa
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,16 @@ func testSystem(t testing.TB) *System {
 	return sys
 }
 
+// ask is Query held to the BFQ / complex pipeline with no ranking, every
+// failure folded into false — the yes/no view most of these tests want.
+func ask(ctx context.Context, a Answerer, q string) (Answer, bool) {
+	res, err := a.Query(ctx, q, WithoutVariants(), WithTopK(0))
+	if err != nil || res.Answer == nil {
+		return Answer{}, false
+	}
+	return *res.Answer, true
+}
+
 func TestBuildFlavors(t *testing.T) {
 	if _, err := Build(Options{Flavor: "klingon"}); err == nil {
 		t.Error("expected error for unknown flavor")
@@ -44,7 +55,7 @@ func TestAskSampleQuestions(t *testing.T) {
 	}
 	answered := 0
 	for _, q := range qs {
-		if ans, ok := s.Ask(context.Background(), q); ok {
+		if ans, ok := ask(context.Background(), s, q); ok {
 			answered++
 			if ans.Value == "" || ans.Predicate == "" || ans.Template == "" {
 				t.Errorf("incomplete answer for %q: %+v", q, ans)
@@ -58,7 +69,7 @@ func TestAskSampleQuestions(t *testing.T) {
 
 func TestAskUnanswerable(t *testing.T) {
 	s := testSystem(t)
-	if _, ok := s.Ask(context.Background(), "what is the airspeed velocity of an unladen swallow?"); ok {
+	if _, ok := ask(context.Background(), s, "what is the airspeed velocity of an unladen swallow?"); ok {
 		t.Error("answered an out-of-domain question")
 	}
 }
@@ -71,7 +82,7 @@ func TestComplexQuestionsAPI(t *testing.T) {
 	}
 	hits := 0
 	for _, cq := range cqs {
-		ans, ok := s.Ask(context.Background(), cq.Q)
+		ans, ok := ask(context.Background(), s, cq.Q)
 		if !ok {
 			continue
 		}
@@ -117,7 +128,7 @@ func TestSaveLoadModel(t *testing.T) {
 	qs := s.SampleQuestions(5)
 	ok := false
 	for _, q := range qs {
-		if _, o := s.Ask(context.Background(), q); o {
+		if _, o := ask(context.Background(), s, q); o {
 			ok = true
 		}
 	}
@@ -131,68 +142,75 @@ func TestSaveLoadModel(t *testing.T) {
 
 func TestFallbackAndBaselines(t *testing.T) {
 	s := testSystem(t)
-	syn, err := s.BuiltinBaseline("synonym")
+	syn, err := s.Baseline("synonym")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BuiltinBaseline("kbqa"); err == nil {
+	if _, err := s.Baseline("kbqa"); err == nil {
 		t.Error("kbqa must not be its own fallback")
 	}
-	if _, err := s.BuiltinBaseline("nope"); err == nil {
+	if _, err := s.Baseline("nope"); err == nil {
 		t.Error("expected error for unknown baseline")
 	}
-	hybrid := s.Fallback(syn)
+	hybrid := Chain(s, syn)
 	// A question KBQA answers: hybrid result carries the predicate.
 	q := s.SampleQuestions(1)[0]
-	if ans, ok := hybrid(context.Background(), q); !ok || ans.Predicate == "" {
+	if ans, ok := ask(context.Background(), hybrid, q); !ok || ans.Predicate == "" {
 		t.Errorf("hybrid lost the primary answer for %q", q)
 	}
 	// A question nobody answers.
-	if _, ok := hybrid(context.Background(), "how do magnets work?"); ok {
-		t.Error("hybrid answered the unanswerable")
+	if _, err := hybrid.Query(context.Background(), "how do magnets work?"); !IsUnanswerable(err) {
+		t.Errorf("hybrid on the unanswerable: err = %v, want a typed no-answer", err)
 	}
 }
 
 // TestBaselineHonorsCancellation pins the regression kbqa-vet's
-// ctxpropagate analyzer caught on the variant eval path: BuiltinBaseline
-// closures used to evaluate under a fresh context.Background(); now the
-// caller's context reaches the baseline adapter, which refuses to answer
-// once it is cancelled.
+// ctxpropagate analyzer caught on the variant eval path: baselines used to
+// evaluate under a fresh context.Background(); now the caller's context
+// reaches the baseline adapter, which refuses to answer once it is
+// cancelled.
 func TestBaselineHonorsCancellation(t *testing.T) {
 	s := testSystem(t)
-	syn, err := s.BuiltinBaseline("synonym")
+	syn, err := s.Baseline("synonym")
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := s.SampleQuestions(1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, ok := syn(ctx, q); ok {
-		t.Error("baseline answered under a cancelled context")
+	if _, err := syn.Query(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("baseline under a cancelled context: err = %v", err)
 	}
-	if _, ok := s.Fallback(syn)(ctx, q); ok {
-		t.Error("hybrid answered under a cancelled context")
+	if _, err := Chain(s, syn).Query(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("hybrid under a cancelled context: err = %v", err)
 	}
 }
 
 func TestAskVariant(t *testing.T) {
 	s := testSystem(t)
-	ans, ok := s.AskVariant("Which city has the largest population?")
-	if !ok {
+	variant := func(q string) *VariantAnswer {
+		res, err := s.Query(context.Background(), q)
+		if err != nil {
+			return nil
+		}
+		return res.Variant
+	}
+	ans := variant("Which city has the largest population?")
+	if ans == nil {
 		t.Fatal("ranking variant not answered")
 	}
 	if ans.Kind != "ranking" || ans.Predicate != "population" || len(ans.Entities) != 1 {
 		t.Fatalf("answer = %+v", ans)
 	}
-	list, ok := s.AskVariant("List cities ordered by population?")
-	if !ok || list.Kind != "listing" || len(list.Entities) < 2 {
-		t.Fatalf("listing = %+v ok=%v", list, ok)
+	list := variant("List cities ordered by population?")
+	if list == nil || list.Kind != "listing" || len(list.Entities) < 2 {
+		t.Fatalf("listing = %+v", list)
 	}
 	// The largest city heads the listing.
 	if list.Entities[0] != ans.Entities[0] {
 		t.Errorf("ranking and listing disagree: %q vs %q", ans.Entities[0], list.Entities[0])
 	}
-	if _, ok := s.AskVariant("what is love?"); ok {
+	if variant("what is love?") != nil {
 		t.Error("non-variant answered")
 	}
 }
@@ -214,7 +232,7 @@ func TestLearnCustomCorpus(t *testing.T) {
 	}
 	answered := false
 	for _, q := range s.SampleQuestions(20) {
-		if _, ok := s.Ask(context.Background(), q); ok {
+		if _, ok := ask(context.Background(), s, q); ok {
 			answered = true
 			break
 		}

@@ -108,8 +108,7 @@ type QueryOption func(*queryConfig)
 func WithTopK(k int) QueryOption { return func(c *queryConfig) { c.topK = k } }
 
 // WithoutVariants disables auto-routing to the ranking / comparison /
-// listing engine, forcing the BFQ / complex pipeline — the behaviour of
-// the deprecated Ask.
+// listing engine, forcing the BFQ / complex pipeline.
 func WithoutVariants() QueryOption { return func(c *queryConfig) { c.noVariants = true } }
 
 // WithTimeout bounds this call with a deadline, a convenience for callers
@@ -207,17 +206,18 @@ func (s *System) query(ctx context.Context, question string, cfg queryConfig) (*
 	eng := s.engine()
 	res := &Result{Question: question, TraceID: obs.TraceID(ctx)}
 	if !cfg.noVariants {
-		if va, ok := eng.AnswerVariant(question); ok {
+		va, ok, err := eng.AnswerVariant(ctx, question)
+		if err != nil {
+			return nil, core.Timings{Total: time.Since(start)}, err
+		}
+		if ok {
 			v := variantFromCore(va)
 			res.Variant = &v
 			res.Timings.Total = time.Since(start)
 			return res, core.Timings{Total: res.Timings.Total}, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, core.Timings{}, err
-		}
 	}
-	ans, ranked, tm, err := eng.AnswerTopKTimed(ctx, question, cfg.topK)
+	ans, ranked, tm, err := eng.Answer(ctx, question, cfg.topK)
 	tm.Total = time.Since(start)
 	if err != nil {
 		return nil, tm, err
@@ -302,8 +302,7 @@ func (b baselineAnswerer) Query(ctx context.Context, question string, opts ...Qu
 // serving-layer errors abort the cascade immediately — a timed-out
 // primary must not burn the remaining budget on fallbacks. When every
 // system fails, the primary's error is returned (the most informative
-// classification). Chain replaces the closure-based Fallback /
-// BuiltinBaseline pair.
+// classification).
 func Chain(primary Answerer, fallbacks ...Answerer) Answerer {
 	return chain(append([]Answerer{primary}, fallbacks...))
 }

@@ -26,30 +26,30 @@ func equivalenceQuestions(s *System) []string {
 	return qs
 }
 
-// TestQueryTopK1MatchesAsk is the acceptance gate of the API redesign:
-// with K=1 the Result's answer must be byte-identical to the pre-redesign
-// Ask answer (the raw engine argmax) over the full equivalence suite, and
-// the unanswerable set must map exactly onto typed errors.
+// TestQueryTopK1MatchesAsk: with K=1 the Result's answer must be
+// byte-identical to the raw engine argmax over the full equivalence suite,
+// and the unanswerable set must map exactly onto typed errors.
 func TestQueryTopK1MatchesAsk(t *testing.T) {
 	s := testSystem(t)
 	ctx := context.Background()
 	answered := 0
 	for _, q := range equivalenceQuestions(s) {
-		legacy, legacyOK := s.world.Engine.Answer(q) // the old Ask, verbatim
+		raw, _, _, engErr := s.world.Engine.Answer(ctx, q, 0)
+		engineOK := engErr == nil
 		res, err := s.Query(ctx, q, WithTopK(1), WithoutVariants())
-		if legacyOK != (err == nil) {
-			t.Fatalf("answerability diverges for %q: legacy %v, Query err %v", q, legacyOK, err)
+		if engineOK != (err == nil) {
+			t.Fatalf("answerability diverges for %q: engine %v, Query err %v", q, engineOK, err)
 		}
-		if !legacyOK {
+		if !engineOK {
 			if !IsUnanswerable(err) {
 				t.Fatalf("unanswerable %q maps to non-typed error %v", q, err)
 			}
 			continue
 		}
 		answered++
-		want := answerFromCore(legacy)
+		want := answerFromCore(raw)
 		if res.Answer == nil || !reflect.DeepEqual(*res.Answer, want) {
-			t.Fatalf("answer diverges for %q:\n  legacy: %+v\n  query:  %+v", q, want, res.Answer)
+			t.Fatalf("answer diverges for %q:\n  engine: %+v\n  query:  %+v", q, want, res.Answer)
 		}
 		if len(res.Interpretations) != 1 {
 			t.Fatalf("WithTopK(1) returned %d interpretations for %q", len(res.Interpretations), q)
@@ -109,11 +109,6 @@ func TestQueryVariantAutoRouting(t *testing.T) {
 	// pipeline (and typically fails typed).
 	if res, err := s.Query(ctx, "Which city has the largest population?", WithoutVariants()); err == nil && res.Variant != nil {
 		t.Fatalf("WithoutVariants still routed a variant: %+v", res)
-	}
-	// The deprecated shim agrees with the auto-routed result.
-	va, ok := s.AskVariant("Which city has the largest population?")
-	if !ok || !reflect.DeepEqual(va, *res.Variant) {
-		t.Errorf("AskVariant diverges from Query: %+v vs %+v", va, res.Variant)
 	}
 }
 

@@ -364,55 +364,6 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 	return out
 }
 
-// Ask answers one question through the serving pipeline. ok is false for
-// unanswerable questions; err is non-nil only for serving-layer failures.
-//
-// Deprecated: use Server.Query, which keeps the typed unanswerable errors
-// and the ranked interpretations this shim discards.
-func (sv *Server) Ask(ctx context.Context, question string) (Answer, bool, error) {
-	res, err := sv.Query(ctx, question, WithoutVariants(), WithTopK(0))
-	if err != nil {
-		if IsUnanswerable(err) {
-			return Answer{}, false, nil
-		}
-		return Answer{}, false, err
-	}
-	if res.Answer == nil {
-		return Answer{}, false, nil
-	}
-	return *res.Answer, true, nil
-}
-
-// BatchAnswer is one slot of a batch reply, aligned with the input order.
-type BatchAnswer struct {
-	Question string
-	Answer   Answer
-	Answered bool
-	Err      error
-}
-
-// AskBatch answers a slice of questions concurrently, preserving input
-// order.
-//
-// Deprecated: use Server.QueryBatch, which keeps typed errors and full
-// Results.
-func (sv *Server) AskBatch(ctx context.Context, questions []string) []BatchAnswer {
-	brs := sv.QueryBatch(ctx, questions, WithoutVariants(), WithTopK(0))
-	out := make([]BatchAnswer, len(brs))
-	for i, br := range brs {
-		ba := BatchAnswer{Question: br.Question}
-		switch {
-		case br.Err == nil && br.Result != nil && br.Result.Answer != nil:
-			ba.Answer = *br.Result.Answer
-			ba.Answered = true
-		case br.Err != nil && !IsUnanswerable(br.Err):
-			ba.Err = br.Err
-		}
-		out[i] = ba
-	}
-	return out
-}
-
 // Metrics snapshots the serving runtime's counters and latency histograms.
 func (sv *Server) Metrics() ServerMetrics {
 	return sv.rt.Metrics()
@@ -511,23 +462,6 @@ func (sv *Server) Flush() error { return sv.rt.Flush() }
 func (sv *Server) Close() error {
 	sv.unhook()
 	return sv.rt.Close()
-}
-
-// AskBatch is the uncached batch form of Ask: the questions fan out over a
-// bounded worker pool (GOMAXPROCS workers) and the replies come back in
-// input order. The batch context reaches every worker, so cancelling it
-// stops in-flight questions and marks undistributed slots with the
-// context error. For sustained serving traffic prefer Server, which adds
-// caching, deduplication and admission control.
-//
-// Deprecated: build a Server and use QueryBatch.
-func (s *System) AskBatch(ctx context.Context, questions []string) []BatchAnswer {
-	items := serve.RunBatch(ctx, questions, 0, s.Ask)
-	out := make([]BatchAnswer, len(items))
-	for i, it := range items {
-		out[i] = BatchAnswer{Question: it.Question, Answer: it.Answer, Answered: it.OK, Err: it.Err}
-	}
-	return out
 }
 
 // answerFromCore converts the engine's answer to the public shape.

@@ -24,12 +24,9 @@ func TestServerAskMatchesSystemAsk(t *testing.T) {
 	defer sv.Close()
 	ctx := context.Background()
 	for _, q := range s.SampleQuestions(10) {
-		want, wantOK := s.Ask(ctx, q)
+		want, wantOK := ask(ctx, s, q)
 		for i := 0; i < 2; i++ { // second round is served from the cache
-			got, gotOK, err := sv.Ask(ctx, q)
-			if err != nil {
-				t.Fatalf("Ask(%q): %v", q, err)
-			}
+			got, gotOK := ask(ctx, sv, q)
 			if gotOK != wantOK || got.Value != want.Value || got.Predicate != want.Predicate {
 				t.Errorf("Ask(%q) round %d = (%+v, %v), want (%+v, %v)", q, i, got, gotOK, want, wantOK)
 			}
@@ -50,7 +47,7 @@ func TestServerAskBatchOrder(t *testing.T) {
 	defer sv.Close()
 	qs := s.SampleQuestions(8)
 	qs = append(qs, "what is the meaning of life")
-	items := sv.AskBatch(context.Background(), qs)
+	items := sv.QueryBatch(context.Background(), qs, WithoutVariants(), WithTopK(0))
 	if len(items) != len(qs) {
 		t.Fatalf("got %d items, want %d", len(items), len(qs))
 	}
@@ -58,63 +55,27 @@ func TestServerAskBatchOrder(t *testing.T) {
 		if it.Question != qs[i] {
 			t.Errorf("slot %d out of order: %q != %q", i, it.Question, qs[i])
 		}
-		if it.Err != nil {
+		if it.Err != nil && !IsUnanswerable(it.Err) {
 			t.Errorf("slot %d error: %v", i, it.Err)
 		}
 	}
-	if items[len(items)-1].Answered {
-		t.Error("unanswerable question reported answered")
+	if last := items[len(items)-1]; last.Result != nil || !IsUnanswerable(last.Err) {
+		t.Errorf("unanswerable question reported as (%+v, %v)", last.Result, last.Err)
 	}
 }
 
-func TestSystemAskBatch(t *testing.T) {
-	s := testSystem(t)
-	qs := s.SampleQuestions(6)
-	items := s.AskBatch(context.Background(), qs)
-	for i, it := range items {
-		want, wantOK := s.Ask(context.Background(), qs[i])
-		if it.Answered != wantOK || it.Answer.Value != want.Value {
-			t.Errorf("slot %d = (%+v, %v), want (%+v, %v)", i, it.Answer, it.Answered, want, wantOK)
-		}
-	}
-}
-
-// TestSystemAskBatchHonorsCancellation pins the regression kbqa-vet's
-// ctxpropagate analyzer caught: AskBatch used to fan out under a fresh
-// context.Background(), so cancelling the caller's context changed
-// nothing. Now every slot must either fail with the context error or
-// never start.
-func TestSystemAskBatchHonorsCancellation(t *testing.T) {
-	s := testSystem(t)
-	qs := s.SampleQuestions(8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the batch starts: no slot may answer
-	items := s.AskBatch(ctx, qs)
-	if len(items) != len(qs) {
-		t.Fatalf("got %d items, want %d", len(items), len(qs))
-	}
-	for i, it := range items {
-		if it.Answered {
-			t.Errorf("slot %d answered despite cancelled context", i)
-		}
-		if !errors.Is(it.Err, context.Canceled) {
-			t.Errorf("slot %d error = %v, want context.Canceled", i, it.Err)
-		}
-	}
-}
-
-// TestSystemAskHonorsCancellation: the deprecated Ask shim must forward
-// the caller's context into Query (it used to mint its own Background).
+// TestSystemAskHonorsCancellation: the BFQ-only option set must honour the
+// caller's context like the default one does.
 func TestSystemAskHonorsCancellation(t *testing.T) {
 	s := testSystem(t)
 	q := s.SampleQuestions(1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
-	if _, ok := s.Ask(ctx, q); !ok {
+	if _, ok := ask(ctx, s, q); !ok {
 		t.Fatalf("sanity: %q unanswered under a live context", q)
 	}
 	cancel()
-	if _, ok := s.Ask(ctx, q); ok {
-		t.Error("Ask answered under a cancelled context")
+	if _, err := s.Query(ctx, q, WithoutVariants(), WithTopK(0)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Query under a cancelled context: err = %v", err)
 	}
 }
 
@@ -129,7 +90,7 @@ func TestServerConcurrentParity(t *testing.T) {
 	baseline := make([]Answer, len(qs))
 	baselineOK := make([]bool, len(qs))
 	for i, q := range qs {
-		baseline[i], baselineOK[i] = s.Ask(context.Background(), q)
+		baseline[i], baselineOK[i] = ask(context.Background(), s, q)
 	}
 
 	var wg sync.WaitGroup
@@ -139,12 +100,12 @@ func TestServerConcurrentParity(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for i := range qs {
-				got, ok, err := sv.Ask(ctx, qs[(g+i)%len(qs)])
+				got, ok := ask(ctx, sv, qs[(g+i)%len(qs)])
 				want := baseline[(g+i)%len(qs)]
 				wantOK := baselineOK[(g+i)%len(qs)]
-				if err != nil || ok != wantOK || got.Value != want.Value {
-					t.Errorf("g%d: Ask(%q) = (%q, %v, %v), want (%q, %v)",
-						g, qs[(g+i)%len(qs)], got.Value, ok, err, want.Value, wantOK)
+				if ok != wantOK || got.Value != want.Value {
+					t.Errorf("g%d: ask(%q) = (%q, %v), want (%q, %v)",
+						g, qs[(g+i)%len(qs)], got.Value, ok, want.Value, wantOK)
 					return
 				}
 			}
