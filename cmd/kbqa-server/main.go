@@ -145,18 +145,26 @@ func toAskResponse(q string, res *kbqa.Result, err error) askResponse {
 	return resp
 }
 
-// parseTopK reads a client topk value, clamped to [0, maxTopK]; empty
-// keeps the library default.
+// clampTopK validates a client-requested interpretation count for /ask and
+// /batch alike: a negative count is refused, one above maxTopK is capped.
+func clampTopK(k int) (int, error) {
+	if k < 0 {
+		return 0, fmt.Errorf("bad topk %q", strconv.Itoa(k))
+	}
+	return min(k, maxTopK), nil
+}
+
+// parseTopK reads the /ask topk parameter; empty keeps the library default.
 func parseTopK(raw string) ([]kbqa.QueryOption, error) {
 	if raw == "" {
 		return nil, nil
 	}
 	k, err := strconv.Atoi(raw)
-	if err != nil || k < 0 {
-		return nil, fmt.Errorf("bad topk %q", raw)
+	if err == nil {
+		k, err = clampTopK(k)
 	}
-	if k > maxTopK {
-		k = maxTopK
+	if err != nil {
+		return nil, fmt.Errorf("bad topk %q", raw)
 	}
 	return []kbqa.QueryOption{kbqa.WithTopK(k)}, nil
 }
@@ -218,18 +226,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			askResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Questions), maxBatchSize)})
 		return
 	}
+	topK, err := clampTopK(req.TopK)
+	if err != nil {
+		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Error: err.Error()})
+		return
+	}
 	// One quota unit per question: a 256-question batch spends the same
 	// budget as 256 /ask calls.
 	if s.overQuota(w, r, len(req.Questions)) {
 		return
 	}
 	var opts []kbqa.QueryOption
-	if req.TopK > 0 {
-		k := req.TopK
-		if k > maxTopK {
-			k = maxTopK
-		}
-		opts = append(opts, kbqa.WithTopK(k))
+	if topK > 0 {
+		opts = append(opts, kbqa.WithTopK(topK))
 	}
 	items := s.srv.QueryBatch(r.Context(), req.Questions, opts...)
 	resp := batchResponse{Results: make([]askResponse, len(items))}

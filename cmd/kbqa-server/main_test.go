@@ -148,6 +148,19 @@ func TestHandleBatchRejectsBadRequests(t *testing.T) {
 	if rec := postBatch(t, s, string(big)); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status = %d, want 400", rec.Code)
 	}
+	// A negative topk is the same 400, with the same error text, on both
+	// endpoints.
+	askRec := httptest.NewRecorder()
+	s.handleAsk(askRec, httptest.NewRequest(http.MethodGet, "/ask?q=x&topk=-1", nil))
+	var askErr, batchErr askResponse
+	json.Unmarshal(askRec.Body.Bytes(), &askErr)
+	negRec := postBatch(t, s, `{"questions": ["x"], "topk": -1}`)
+	json.Unmarshal(negRec.Body.Bytes(), &batchErr)
+	if negRec.Code != http.StatusBadRequest || askRec.Code != http.StatusBadRequest ||
+		batchErr.Error == "" || batchErr.Error != askErr.Error {
+		t.Errorf("negative topk: /batch = %d %q, /ask = %d %q, want 400 with one error text",
+			negRec.Code, batchErr.Error, askRec.Code, askErr.Error)
+	}
 	req := httptest.NewRequest(http.MethodGet, "/batch", nil)
 	rec := httptest.NewRecorder()
 	s.handleBatch(rec, req)

@@ -214,15 +214,6 @@ func sortedTemplateKeys(model *learn.Model) []string {
 	return out
 }
 
-// templateKeys returns the cached sorted template keys, recomputing only
-// for engines built as raw struct literals.
-func (e *Engine) templateKeys() []string {
-	if e.sortedTemplates != nil {
-		return e.sortedTemplates
-	}
-	return sortedTemplateKeys(e.Model)
-}
-
 // Timings splits an answer call across the online pipeline's stages for the
 // serving layer's latency histograms. Attribution is coarse by design so the
 // hot path stays cheap: Parse covers tokenization and entity-mention lookup,

@@ -300,11 +300,10 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, f
 	// made the winning predicate nondeterministic whenever two templates
 	// overlapped equally (e.g. a noise-trained template shadowing "how
 	// tall is $person").
-	tpls := e.templateKeys()
 	bestScore := 0.0
 	bestConf := 0.0
 	bestPath := ""
-	for _, tpl := range tpls {
+	for _, tpl := range e.sortedTemplates {
 		dist := e.Model.Theta[tpl]
 		overlap := 0
 		total := 0

@@ -55,7 +55,7 @@ func TestDistributedEngineAnswersIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if err := pool.Ping(context.Background()); err != nil {
+	if _, err := pool.ServerStats(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -125,12 +125,6 @@ func (ss *ShardedStore) Add(subj ID, pred PID, obj ID) {
 	}
 }
 
-// AddFact is the convenience form of Add for generator code: subject entity
-// label, predicate name, literal object label.
-func (ss *ShardedStore) AddFact(subj, pred, objLiteral string) {
-	ss.Add(ss.Entity(subj), ss.Pred(pred), ss.Literal(objLiteral))
-}
-
 // AddBatch bulk-loads a batch of triples, building every shard's indexes in
 // parallel: the batch is partitioned by subject hash in one sequential pass
 // and then inserted by one worker per shard. Triples already present (in

@@ -9,7 +9,7 @@
 //
 // The header carries the same world fingerprint the shardrpc handshake
 // exchanges, so a mismatched image fails fast at open exactly like a
-// mismatched world fails at Ping. Node and predicate IDs are preserved
+// mismatched world fails at the handshake. Node and predicate IDs are preserved
 // verbatim from the source store: an engine, taxonomy, or model built
 // against the original world works unchanged against the image.
 //

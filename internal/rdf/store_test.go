@@ -287,11 +287,11 @@ func renderPaths(s *ShardedStore, paths []Path) []string {
 
 func TestAddFact(t *testing.T) {
 	s := NewShardedStore(3)
-	s.AddFact("Honolulu", "population", "390K")
+	s.Add(s.Entity("Honolulu"), s.Pred("population"), s.Literal("390K"))
 	e := s.Entity("Honolulu")
 	p, _ := s.PredID("population")
 	objs := s.Objects(e, p)
 	if len(objs) != 1 || s.Label(objs[0]) != "390K" {
-		t.Fatalf("AddFact lookup = %v", objs)
+		t.Fatalf("Add lookup = %v", objs)
 	}
 }

@@ -16,20 +16,14 @@ type BatchItem[A any] struct {
 	Err      error
 }
 
-// AskBatch fans the questions across a bounded worker pool, each worker
-// going through the full Ask pipeline (cache, dedup, admission), and
-// returns the answers in input order. A cancelled or expired context marks
-// the not-yet-started items with the context error instead of abandoning
-// the batch.
-func (r *Runtime[A]) AskBatch(ctx context.Context, questions []string) []BatchItem[A] {
-	return r.DoBatch(ctx, questions, "", nil)
-}
-
-// DoBatch is AskBatch with a per-batch options fingerprint and compute
-// override, mirroring Do: every question of the batch is answered under
-// the same options, and each goes through the full serving pipeline keyed
-// by (question, fingerprint), so duplicates inside one batch — and across
-// concurrent batches with the same options — cost one engine call.
+// DoBatch fans the questions across a bounded worker pool and returns the
+// answers in input order. Every question of the batch is answered under
+// the same options fingerprint and compute override, mirroring Do, and each
+// goes through the full serving pipeline (cache, dedup, admission) keyed by
+// (question, fingerprint), so duplicates inside one batch — and across
+// concurrent batches with the same options — cost one engine call. A
+// cancelled or expired context marks the not-yet-started items with the
+// context error instead of abandoning the batch.
 func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprint string, compute AskFunc[A]) []BatchItem[A] {
 	workers := r.opts.BatchWorkers
 	if workers <= 0 {
@@ -37,25 +31,6 @@ func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprin
 	}
 	return runBatch(ctx, questions, workers, func(ctx context.Context, q string) (A, bool, error) {
 		return r.Do(ctx, q, fingerprint, compute)
-	})
-}
-
-// RunBatch is the standalone batch executor for callers without a Runtime:
-// it applies the same bounded fan-out and order preservation directly over
-// an Ask-shaped engine, with no caching or deduplication. The batch
-// context reaches every ask call, so cancellation stops in-flight work,
-// not just undistributed slots.
-func RunBatch[A any](ctx context.Context, questions []string, workers int, ask func(ctx context.Context, question string) (A, bool)) []BatchItem[A] {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runBatch(ctx, questions, workers, func(ctx context.Context, q string) (A, bool, error) {
-		if err := ctx.Err(); err != nil {
-			var zero A
-			return zero, false, err
-		}
-		a, ok := ask(ctx, q)
-		return a, ok, nil
 	})
 }
 

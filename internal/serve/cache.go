@@ -3,14 +3,43 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// answerCache is a sharded LRU cache over normalized questions, the
-// in-memory Store implementation. Each shard is an independently
-// mutex-guarded LRU list + map, so concurrent lookups of different
-// questions rarely contend on the same lock. The cache stores negative
-// results too ("no answer" replies), which protects the engine from
-// repeated unanswerable questions just as well as from popular ones.
+// Entry is one resident answer together with the metadata the persistence
+// and expiry machinery needs: the model generation that computed it (stale
+// generations become unreachable when the runtime's generation is bumped),
+// the computation time (the TTL anchor), and whether the entry was replayed
+// from disk rather than computed by this process (the persist-hit counter).
+type Entry[A any] struct {
+	Val A
+	OK  bool
+	// Gen is the model generation the answer was computed under. The
+	// runtime also encodes it into the cache key, so the field exists for
+	// the disk log, which drops entries of dead generations without parsing
+	// keys.
+	Gen uint64
+	// At is when the answer was computed; the runtime treats entries older
+	// than Options.TTL as misses.
+	At time.Time
+	// Persisted marks entries replayed from the disk log at open.
+	Persisted bool
+	// Weight is the entry's cost in cache-capacity units (SetWeigher): a
+	// heavy answer (a large top-K result) competes for the same budget as
+	// the many light entries it displaces, instead of evicting them
+	// one-for-one. Values below 1 count as 1. Weight is a residency hint,
+	// not part of the answer — it is not persisted, so entries replayed
+	// from disk weigh 1 until recomputed.
+	Weight int
+}
+
+// answerCache is the runtime's answer cache: a sharded LRU over normalized
+// questions. Get reports pure residency — TTL filtering is the runtime's
+// job. Each shard is an independently mutex-guarded LRU list + map, so
+// concurrent lookups of different questions rarely contend on the same
+// lock. The cache stores negative results too ("no answer" replies), which
+// protects the engine from repeated unanswerable questions just as well as
+// from popular ones.
 // Capacity is a weight budget: entries cost Entry.Weight units (floored at
 // 1), so a single giant answer competes against the many small entries it
 // would otherwise evict one-for-one.
@@ -93,15 +122,6 @@ func (c *answerCache[A]) Put(key string, e Entry[A]) {
 	}
 }
 
-// has reports residency without touching LRU order — the disk store's
-// merger asks about keys without promoting them.
-func (c *answerCache[A]) has(key string) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.items[key] != nil
-}
-
 // Delete removes the entry if resident, counting the removal as an
 // eviction — the caller is freeing a slot the entry no longer deserves
 // (typically a TTL-expired read).
@@ -126,8 +146,8 @@ func (c *answerCache[A]) Len() int {
 func (c *answerCache[A]) Evictions() uint64 { return c.evictions.Load() }
 
 // entries snapshots every resident entry, least recently used first within
-// each shard, for the disk store's online compaction (replaying the
-// snapshot in order re-warms the hottest entries last).
+// each shard, for the disk log's compaction (replaying the snapshot in
+// order re-warms the hottest entries last).
 func (c *answerCache[A]) entries() []liveEntry[A] {
 	var out []liveEntry[A]
 	for _, s := range c.shards {
@@ -139,12 +159,6 @@ func (c *answerCache[A]) entries() []liveEntry[A] {
 	}
 	return out
 }
-
-// Flush is a no-op: memory is the only storage.
-func (c *answerCache[A]) Flush() error { return nil }
-
-// Close is a no-op for the memory store.
-func (c *answerCache[A]) Close() error { return nil }
 
 func (s *cacheShard[A]) get(key string) (Entry[A], bool) {
 	s.mu.Lock()

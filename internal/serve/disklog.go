@@ -1,0 +1,556 @@
+package serve
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// diskLog is the optional write-behind half of the answer cache: a log of
+// append-only segment files that makes the runtime's answerCache survive a
+// restart. Memory is the source of truth — lookups never touch the disk,
+// and the log is write-only between opens: every computed answer is
+// appended as one length-prefixed, checksummed record (see segment.go),
+// generation bumps append a generation record carrying the model tag, and
+// the files are read exactly once, by openDiskLog, to refill the cache.
+//
+// The segments form a three-tier log, replayed in write order at open:
+//
+//	answers.base            dense base: the last published compaction
+//	answers.<seq>.sealed    sealed segments awaiting compaction, ascending seq
+//	answers.seg             the active segment, the only append target
+//
+// When the active segment crosses rotateEvery appended bytes, append
+// rotates: the active file is flushed, renamed to the next sealed name,
+// and a fresh active segment is created — an O(1) handful of metadata
+// operations, however much live data the cache holds. A single background
+// goroutine then compacts (see compact.go): it writes the resident entries
+// of the live generation inside the TTL — a snapshot of memory, not a
+// re-read of its own files — as a new dense base, publishes it with an
+// atomic rename, and only then deletes the sealed files that existed before
+// the snapshot, oldest first. A crash at any point between rotation and
+// publish loses nothing and resurrects nothing: replay of base + surviving
+// sealed + active reconstructs the last-write-wins state, and a sealed
+// segment that outlives its own compaction replays idempotently. Every
+// fresh active segment re-declares the current generation, so invalidation
+// survives restarts even after the segment that recorded the bump is gone.
+//
+// Durability is time-based when SyncEvery is set: the background goroutine
+// flushes and fsyncs the active segment on that period, so an answer is
+// durable within SyncEvery of being computed. With SyncEvery zero the
+// durability points are flush, close, and compaction publishes. Either way
+// the checksummed framing means a torn tail is detected and discarded at
+// the next open, never served.
+//
+// The log is single-writer, enforced: openDiskLog takes an exclusive flock
+// on a lock file inside the directory and fails fast when another process
+// holds it, instead of letting two writers interleave appends and corrupt
+// the log. The lock dies with the process, so a crashed owner never wedges
+// the directory.
+type diskLog[A any] struct {
+	mem   *answerCache[A] // the runtime's cache; compaction snapshots it
+	codec Codec[A]
+	dir   string
+	meta  string
+	ttl   time.Duration
+	// rotateEvery is the appended-bytes rotation threshold, bounding both
+	// segment growth and the worst-case put (rotation is O(1); compaction
+	// happens off the request path).
+	rotateEvery int64
+	// maxSealedBehind is the backpressure bound on the sealed backlog: once
+	// compaction has fallen this many sealed segments behind, rotation
+	// pauses — the active segment keeps growing past rotateEvery — until a
+	// compaction drains the backlog below the bound. Without it a write
+	// burst on a slow disk rotates faster than the merger can fold, and
+	// the sealed tier (disk space and the next open's replay) grows without
+	// bound. Surfaced as the kbqa_cache_rotation_paused gauge.
+	maxSealedBehind int
+
+	dropped        atomic.Uint64 // entries kept memory-only (unencodable or oversized)
+	rotations      atomic.Uint64 // active-segment rotations
+	compactions    atomic.Uint64 // completed compaction passes (background + boot)
+	sealedBytes    atomic.Int64  // bytes in sealed segments awaiting compaction
+	rotationPaused atomic.Bool   // rotation held back by sealed backlog
+	lastSync       atomic.Int64  // UnixNano of the last durability point
+	dirDirty       atomic.Bool   // a rename/create since the last directory fsync
+
+	lock *os.File // flock'd lock file; held for the log's lifetime
+
+	mu       sync.Mutex  // guards everything below
+	gen      uint64      // last recorded model generation; only moves forward
+	tag      string      // model tag recorded with gen
+	appended int64       // bytes appended to the active segment
+	seq      uint64      // next sealed-segment sequence number
+	sealed   []sealedSeg // rotation order; compaction consumes a prefix
+	f        *os.File    // active segment
+	w        *bufio.Writer
+	writeErr error // sticky: first append/flush failure, surfaced by flush/close
+	closed   bool
+
+	mergeCh    chan struct{} // signals the merger that sealed segments exist
+	stopMerger chan struct{}
+	mergerDone chan struct{}
+
+	log    *obs.Logger // nil-safe: discards when unset
+	tracer *obs.Tracer // nil-safe: inert when unset
+}
+
+// sealedSeg is one rotated-out segment awaiting compaction.
+type sealedSeg struct {
+	path string
+	size int64
+	// synced marks segments already fsynced by the periodic sync, so the
+	// SyncEvery durability bound covers rotated-out bytes too, not just the
+	// active segment.
+	synced bool
+}
+
+// LogOptions places the persistent half of the answer cache (Open). It
+// holds deployment settings only; the cache's shape — shards, capacity,
+// TTL — is the runtime's Options, stated once.
+type LogOptions[A any] struct {
+	// Dir is the directory holding the segment files and the lock file;
+	// created if absent.
+	Dir string
+	// Meta fingerprints the lineage of the answers (world identity). A
+	// segment written under a different Meta is discarded at open instead
+	// of replayed — a cache directory can never poison a different system.
+	Meta string
+	// ModelTag identifies the content of the model whose answers the
+	// current generation holds (BumpGeneration updates it on retrain).
+	// Every generation record carries the tag current at bump time; if at
+	// open the persisted generation's tag differs from ModelTag, the
+	// entries were computed by a model this process is not running — the
+	// generation is advanced past them and they are dropped, rather than
+	// served against the wrong model. Empty tags compare like any other
+	// value, so tag-less logs keep plain generation semantics.
+	ModelTag string
+	// SyncEvery is the period of the background fsync of the active
+	// segment: an answer is durable within SyncEvery of being computed.
+	// 0 (or negative) leaves durability to Flush, Close and compaction
+	// publishes.
+	SyncEvery time.Duration
+	// Codec serializes answers into entry records; nil means JSONCodec.
+	Codec Codec[A]
+	// Log receives the log's structured background events: completed
+	// compactions at Info, rotations at Debug, sticky write errors at
+	// Error. Nil discards them.
+	Log *obs.Logger
+	// Tracer captures the background maintenance work — compactions
+	// ("cache.merge" with snapshot/publish/cleanup child spans) and
+	// periodic syncs ("cache.sync") — in the same ring as request traces,
+	// subject to the same sampling and slow-capture rules. Nil disables.
+	Tracer *obs.Tracer
+}
+
+const (
+	// defaultRotateEvery is the appended-bytes rotation threshold.
+	defaultRotateEvery = 16 << 20
+	// defaultMaxSealedBehind is the sealed-backlog bound pausing rotation.
+	defaultMaxSealedBehind = 8
+
+	// segName is the active segment file inside the log directory.
+	segName = "answers.seg"
+	// baseName is the dense base segment compaction publishes.
+	baseName = "answers.base"
+	// sealedPrefix/sealedSuffix frame sealed segment names:
+	// answers.<8-digit seq>.sealed.
+	sealedPrefix = "answers."
+	sealedSuffix = ".sealed"
+	// lockName is the cross-process exclusion file.
+	lockName = "LOCK"
+)
+
+func (l *diskLog[A]) activePath() string { return filepath.Join(l.dir, segName) }
+func (l *diskLog[A]) basePath() string   { return filepath.Join(l.dir, baseName) }
+
+func sealedName(seq uint64) string {
+	return fmt.Sprintf("%s%08d%s", sealedPrefix, seq, sealedSuffix)
+}
+
+// openDiskLog opens (or creates) the log rooted at o.Dir: it replays base +
+// sealed + active segments in write order into mem, then compacts the
+// survivors into a fresh dense base before serving. The returned log
+// carries the last persisted generation; entries of dead generations,
+// entries past ttl, and any torn tail are dropped. It fails fast if another
+// process holds the directory.
+func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A]) (*diskLog[A], error) {
+	if o.Codec == nil {
+		o.Codec = JSONCodec[A]{}
+	}
+	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: open disk log: %w", err)
+	}
+	lock, err := acquireDirLock(o.Dir)
+	if err != nil {
+		return nil, err
+	}
+	l := &diskLog[A]{
+		mem:             mem,
+		codec:           o.Codec,
+		dir:             o.Dir,
+		meta:            o.Meta,
+		ttl:             ttl,
+		rotateEvery:     defaultRotateEvery,
+		maxSealedBehind: defaultMaxSealedBehind,
+		tag:             o.ModelTag,
+		lock:            lock,
+		log:             o.Log,
+		tracer:          o.Tracer,
+	}
+	fail := func(err error) (*diskLog[A], error) {
+		//kbqa:nolint errsink — error-path flock release; the open failure is the error that matters
+		lock.Close()
+		return nil, err
+	}
+
+	files, nextSeq := l.segmentFiles()
+	l.seq = nextSeq
+	live, gen, genTag, err := l.replay(files)
+	if err != nil {
+		return fail(err)
+	}
+	if genTag != o.ModelTag {
+		// The persisted answers belong to a model this process is not
+		// running (a retrained run's cache opened by a fresh seed model,
+		// or vice versa). Advancing the generation keeps them durably
+		// unreachable; serving them would be silently wrong.
+		if gen > 0 || len(live) > 0 {
+			gen++
+		}
+		live = nil
+	}
+	l.gen = gen
+	for _, le := range live {
+		le.e.Persisted = true
+		mem.Put(le.key, le.e)
+	}
+	// Boot-time compaction: fold everything into a dense base, then start
+	// an empty active segment — off any request path by definition.
+	if _, err := l.writeBase(mem.entries(), gen, o.ModelTag); err != nil {
+		return fail(err)
+	}
+	l.compactions.Add(1)
+	for _, p := range files {
+		// The sealed segments (and any half-written compaction output) are
+		// folded into the fresh base now; remove them so a later rotation
+		// can never collide with a leftover name.
+		if p != l.basePath() && p != l.activePath() {
+			os.Remove(p)
+		}
+	}
+	l.mu.Lock()
+	err = l.startActiveLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return fail(err)
+	}
+	// Make the fresh active's directory entry (and the sealed removals)
+	// durable, so a later data fsync of the active file cannot report
+	// bytes durable in a file a crash then unlinks.
+	syncDir(l.dir)
+	l.lastSync.Store(time.Now().UnixNano())
+	l.mergeCh = make(chan struct{}, 1)
+	l.stopMerger = make(chan struct{})
+	l.mergerDone = make(chan struct{})
+	go l.merger(o.SyncEvery)
+	return l, nil
+}
+
+// liveEntry is one key with its entry: a survivor of replay, or a resident
+// of the cache snapshotted for compaction.
+type liveEntry[A any] struct {
+	key string
+	e   Entry[A]
+}
+
+// segmentFiles lists the segment files to replay, in write order — base,
+// sealed ascending by sequence, active; the first and last may not exist —
+// plus the next sealed sequence number (one past the highest present, so a
+// rotation can never rename onto a leftover sealed file).
+func (l *diskLog[A]) segmentFiles() (files []string, nextSeq uint64) {
+	files = append(files, l.basePath())
+	ents, _ := os.ReadDir(l.dir)
+	var seqs []uint64
+	for _, de := range ents {
+		name := de.Name()
+		if !strings.HasPrefix(name, sealedPrefix) || !strings.HasSuffix(name, sealedSuffix) {
+			continue
+		}
+		mid := strings.TrimSuffix(strings.TrimPrefix(name, sealedPrefix), sealedSuffix)
+		q, err := strconv.ParseUint(mid, 10, 64)
+		if err != nil {
+			continue
+		}
+		seqs = append(seqs, q)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, q := range seqs {
+		files = append(files, filepath.Join(l.dir, sealedName(q)))
+		nextSeq = q + 1
+	}
+	return append(files, l.activePath()), nextSeq
+}
+
+// replay is the log's only reader, and runs only at open: it scans the
+// given segment files in order and returns the live entries — last record
+// per key in first-seen order, latest generation only, TTL-live only — plus
+// the highest generation seen and the model tag recorded with it. A missing
+// file, a foreign magic/meta header, or a corrupt prefix contributes
+// nothing; a corrupt or torn tail keeps that file's valid prefix.
+func (l *diskLog[A]) replay(files []string) ([]liveEntry[A], uint64, string, error) {
+	var (
+		order  []liveEntry[A]
+		index  = make(map[string]int)
+		gen    uint64
+		genTag = l.tag // an empty log matches the current model
+	)
+	readFile := func(path string) error {
+		f, err := os.Open(path)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("serve: open segment: %w", err)
+		}
+		defer f.Close()
+		br := bufio.NewReader(f)
+		if !readSegHeader(br, l.meta) {
+			return nil // foreign or mangled segment: contributes nothing
+		}
+		for {
+			payload, err := readRecord(br)
+			if err != nil {
+				// io.EOF is a clean end; anything else is a torn or corrupt
+				// tail — keep the prefix read so far.
+				return nil
+			}
+			switch payload[0] {
+			case recGen:
+				// >= so the latest record of the highest generation owns the
+				// tag — the write order setGeneration establishes.
+				if g, tag, ok := decodeGenPayload(payload); ok && g >= gen {
+					gen, genTag = g, tag
+				}
+			case recEntry:
+				key, val, eGen, at, ok, err := decodeEntryPayload(payload)
+				if err != nil {
+					continue // framing was valid but the body wasn't; skip
+				}
+				a, err := l.codec.Decode(val)
+				if err != nil {
+					continue // codec drift (e.g. a changed answer type)
+				}
+				e := Entry[A]{Val: a, OK: ok, Gen: eGen, At: at}
+				if i, seen := index[key]; seen {
+					order[i].e = e
+				} else {
+					index[key] = len(order)
+					order = append(order, liveEntry[A]{key: key, e: e})
+				}
+			}
+		}
+	}
+	for _, path := range files {
+		if err := readFile(path); err != nil {
+			return nil, 0, "", err
+		}
+	}
+	// Entries of dead generations are unreachable (the runtime keys by
+	// generation), and entries past the TTL cutoff will never be served
+	// again — drop both here so they stop costing memory and disk.
+	now := time.Now()
+	live := order[:0]
+	for _, le := range order {
+		if le.e.Gen == gen && l.alive(le.e, now) {
+			live = append(live, le)
+		}
+	}
+	return live, gen, genTag, nil
+}
+
+// alive reports whether an entry is inside the liveness cutoff. Entries
+// older than the TTL are misses forever at the runtime; persisting and
+// replaying them is pure dead weight.
+func (l *diskLog[A]) alive(e Entry[A], now time.Time) bool {
+	return l.ttl <= 0 || now.Sub(e.At) <= l.ttl
+}
+
+// startActiveLocked creates a fresh active segment: header plus a
+// generation record re-declaring the current generation and tag, so
+// invalidation survives a restart even after every older segment has been
+// compacted away. Called with l.mu held.
+func (l *diskLog[A]) startActiveLocked() error {
+	f, err := os.Create(l.activePath())
+	if err != nil {
+		return fmt.Errorf("serve: create active segment: %w", err)
+	}
+	l.f = f
+	l.w = bufio.NewWriter(f)
+	writeSegHeader(l.w, l.meta)
+	if err := writeRecord(l.w, encodeGenPayload(l.gen, l.tag)); err != nil {
+		return fmt.Errorf("serve: start active segment: %w", err)
+	}
+	l.appended = 0
+	return nil
+}
+
+// put appends an entry the runtime has just made resident. Disk failures
+// are sticky and surfaced by flush/close; the memory path keeps serving. An
+// entry whose value the codec cannot encode, or whose record would exceed
+// the reader's size bound (readRecord would reject it as corrupt at the
+// next open and drop everything after it with it), is a per-value problem,
+// not a log failure: it stays memory-only — losing one entry's restart
+// survival, counted in kbqa_cache_persist_dropped_total — and persistence
+// continues for everything else.
+func (l *diskLog[A]) put(key string, e Entry[A]) {
+	val, err := l.codec.Encode(e.Val)
+	if err != nil || entryPayloadLen(key, val) > maxRecordLen {
+		l.dropped.Add(1)
+		return
+	}
+	payload := encodeEntryPayload(key, val, e.Gen, e.At.UnixNano(), e.OK)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.appendLocked(payload)
+}
+
+// generation returns the last recorded model generation.
+func (l *diskLog[A]) generation() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gen
+}
+
+// setGeneration records a model-generation bump durably, so entries
+// invalidated before a restart stay invalidated after it. The record binds
+// the new generation to tag, the content tag of the model whose answers it
+// will hold — a later open under a different model refuses to serve them.
+// The recorded generation only moves forward: when two retrain hooks race,
+// the one carrying the older number is already superseded and must neither
+// regress the counter (a compaction filtering on it would resurrect
+// invalidated entries as the durable live set) nor append its stale record.
+func (l *diskLog[A]) setGeneration(gen uint64, tag string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if gen <= l.gen {
+		return
+	}
+	l.gen, l.tag = gen, tag
+	l.appendLocked(encodeGenPayload(gen, tag))
+}
+
+// appendLocked frames and buffers one record, rotating the active segment
+// once the threshold is crossed; I/O errors are sticky. Called with l.mu
+// held.
+func (l *diskLog[A]) appendLocked(payload []byte) {
+	if l.closed || l.writeErr != nil {
+		return
+	}
+	if err := writeRecord(l.w, payload); err != nil {
+		l.writeErr = fmt.Errorf("serve: append segment record: %w", err)
+		return
+	}
+	l.appended += int64(8 + len(payload))
+	if l.rotateEvery <= 0 || l.appended < l.rotateEvery {
+		return
+	}
+	if l.maxSealedBehind > 0 && len(l.sealed) >= l.maxSealedBehind {
+		// Backpressure: the merger is too far behind — sealing another
+		// segment would only lengthen the backlog (and the next open's
+		// replay). Keep appending to the oversized active segment and let
+		// the merger's drain unpause rotation.
+		if l.rotationPaused.CompareAndSwap(false, true) {
+			l.log.Warn("segment rotation paused: merger behind",
+				obs.F("sealed_pending", len(l.sealed)),
+				obs.F("max_sealed_behind", l.maxSealedBehind))
+		}
+		l.signalMerger()
+		return
+	}
+	l.rotateLocked()
+}
+
+// signalMerger wakes the merger; a signal already pending covers
+// this one too.
+func (l *diskLog[A]) signalMerger() {
+	select {
+	case l.mergeCh <- struct{}{}:
+	default:
+	}
+}
+
+// rotateLocked seals the active segment and starts a fresh one — a flush,
+// a rename, and a file create, O(1) regardless of how much live data the
+// cache holds. This is what keeps compaction off the request path: the
+// sealed segment is handed to the background merger, and the unlucky put
+// that crosses the threshold pays metadata operations, not a rewrite+fsync
+// of the live set. Called with l.mu held.
+func (l *diskLog[A]) rotateLocked() {
+	if err := l.w.Flush(); err != nil {
+		l.writeErr = fmt.Errorf("serve: flush before rotation: %w", err)
+		return
+	}
+	var size int64
+	if fi, err := l.f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	if err := l.f.Close(); err != nil {
+		l.writeErr = fmt.Errorf("serve: seal active segment: %w", err)
+		return
+	}
+	sealedPath := filepath.Join(l.dir, sealedName(l.seq))
+	// A rename is a directory-entry swap — O(1) metadata, no data write;
+	// paying it under the append mutex is the design that keeps rotation
+	// off the request path (the deferred directory fsync happens on the
+	// merger's side). This is the one vetted exception to locksync.
+	//kbqa:nolint locksync — O(1) metadata rename by design (PR 5)
+	if err := os.Rename(l.activePath(), sealedPath); err != nil {
+		l.writeErr = fmt.Errorf("serve: seal active segment: %w", err)
+		return
+	}
+	l.seq++
+	l.sealed = append(l.sealed, sealedSeg{path: sealedPath, size: size})
+	l.sealedBytes.Add(size)
+	l.rotations.Add(1)
+	// Debug only, and only when a logger is wired: this runs on the request
+	// path under l.mu, so it must stay as light as the rotation itself.
+	if l.log.Enabled(obs.LevelDebug) {
+		l.log.Debug("segment rotated",
+			obs.F("path", sealedPath), obs.F("bytes", size),
+			obs.F("sealed_pending", len(l.sealed)))
+	}
+	if err := l.startActiveLocked(); err != nil {
+		l.writeErr = err
+		return
+	}
+	// The rename and the fresh active's directory entry still need a
+	// directory fsync before any data fsync may count as durable — but
+	// not here, on the request path: mark the directory dirty and let the
+	// next durability point (periodic sync, flush, close) pay it. Until
+	// then nothing has been promised durable, so nothing can be lost.
+	l.dirDirty.Store(true)
+	l.signalMerger()
+}
+
+// fill adds the log's point-in-time counters to a metrics snapshot; the
+// Snapshot fields document each.
+func (l *diskLog[A]) fill(s *Snapshot) {
+	s.CachePersistent = true
+	s.CachePersistDropped = l.dropped.Load()
+	s.CacheSegmentRotations = l.rotations.Load()
+	s.CacheCompactions = l.compactions.Load()
+	s.CacheSealedBytes = l.sealedBytes.Load()
+	s.CacheRotationPaused = l.rotationPaused.Load()
+	s.CacheSyncAgeSeconds = time.Since(time.Unix(0, l.lastSync.Load())).Seconds()
+}

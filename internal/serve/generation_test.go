@@ -22,7 +22,7 @@ func TestGenerationKeysCache(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("engine calls = %d, want 1 before the bump", n)
 	}
-	if g := r.BumpGeneration(); g != 1 {
+	if g := r.BumpGeneration(""); g != 1 {
 		t.Fatalf("BumpGeneration = %d, want 1", g)
 	}
 	r.Ask(ctx, "q")
@@ -161,9 +161,9 @@ func TestGenerationInvalidationRace(t *testing.T) {
 
 	const retrains = 200
 	for i := uint64(1); i <= retrains; i++ {
-		model.Store(i)     // swap the model...
-		r.BumpGeneration() // ...then invalidate, as Learn's hook does
-		floor.Store(i)     // from here on, nobody may see < i
+		model.Store(i)       // swap the model...
+		r.BumpGeneration("") // ...then invalidate, as Learn's hook does
+		floor.Store(i)       // from here on, nobody may see < i
 		if i%50 == 0 {
 			time.Sleep(time.Millisecond) // let queries interleave
 		}

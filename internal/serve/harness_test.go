@@ -58,12 +58,12 @@ type harnessReply struct {
 // every engine call; limiter, when non-nil, guards /ask the way
 // cmd/kbqa-server guards its endpoints.
 func newHarness(t *testing.T, dir string, world map[string]string, limiter *Limiter) *harness {
-	return newHarnessDisk(t, dir, world, limiter, DiskOptions{Meta: "harness"})
+	return newHarnessDisk(t, dir, world, limiter, testLog{Meta: "harness"})
 }
 
 // newHarnessDisk is newHarness with explicit disk options, for tests that
 // shrink the rotation threshold or enable periodic sync.
-func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *Limiter, disk DiskOptions) *harness {
+func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *Limiter, disk testLog) *harness {
 	t.Helper()
 	h := &harness{}
 	h.world.Store(&world)
@@ -72,11 +72,12 @@ func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *
 		a, ok := (*h.world.Load())[q]
 		return a, StageTimings{}, ok, nil
 	}
-	store, err := OpenDiskStore[string](dir, JSONCodec[string]{}, disk)
+	rt, err := Open(ask, Options{}, disk.options(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.rt = NewWithStore(ask, Options{}, store)
+	disk.tune(rt.disk)
+	h.rt = rt
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ask", func(w http.ResponseWriter, r *http.Request) {
@@ -240,7 +241,7 @@ func TestHarnessRetrainInvalidation(t *testing.T) {
 	// "Retrain": swap the model, then bump — the order Learn uses.
 	retrained := harnessWorld(1)
 	h1.world.Store(&retrained)
-	h1.rt.BumpGeneration()
+	h1.rt.BumpGeneration("")
 
 	reply, _ = h1.ask(t, q, "")
 	if reply.Answer != "v0@m1" {
@@ -308,7 +309,7 @@ func TestHarnessRateLimit429(t *testing.T) {
 // the churn lost nothing and resurrected nothing.
 func TestHarnessRotationChurn(t *testing.T) {
 	dir := t.TempDir()
-	disk := DiskOptions{Meta: "harness", CompactEvery: 1024, SyncEvery: time.Millisecond}
+	disk := testLog{Meta: "harness", RotateEvery: 1024, SyncEvery: time.Millisecond}
 	h := newHarnessDisk(t, dir, harnessWorld(0), nil, disk)
 
 	// Concurrent traffic over every question, interleaved with retrains:
@@ -319,7 +320,7 @@ func TestHarnessRotationChurn(t *testing.T) {
 		if v > 0 {
 			w := harnessWorld(v)
 			h.world.Store(&w)
-			h.rt.BumpGeneration()
+			h.rt.BumpGeneration("")
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

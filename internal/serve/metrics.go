@@ -202,7 +202,7 @@ type metrics struct {
 	errCodes map[string]uint64
 
 	// start is the runtime's construction time (kbqa_uptime_seconds);
-	// written once in NewWithStore, before any concurrent access.
+	// written once in New, before any concurrent access.
 	start time.Time
 }
 
@@ -259,7 +259,7 @@ type Snapshot struct {
 	CacheSealedBytes int64 `json:"cache_sealed_bytes,omitempty"`
 	// CacheRotationPaused reports that segment rotation is paused because
 	// the background merger has fallen too many sealed segments behind
-	// (DiskOptions.MaxSealedBehind); the active segment keeps growing until
+	// (maxSealedBehind segments); the active segment keeps growing until
 	// the merger catches up (kbqa_cache_rotation_paused).
 	CacheRotationPaused bool `json:"cache_rotation_paused,omitempty"`
 	// CacheSyncAgeSeconds is the age of the persistent cache's last

@@ -246,26 +246,21 @@ func TestDoSpans(t *testing.T) {
 	}
 }
 
-// TestMergerTraceAndLog drives the disk store through a rotation and
+// TestMergerTraceAndLog drives the disk log through a rotation and
 // checks that the background merge shows up both as a cache.merge trace
-// (replay/publish/cleanup children) and as an Info log record whose
+// (snapshot/publish/cleanup children) and as an Info log record whose
 // trace_id matches the captured trace.
 func TestMergerTraceAndLog(t *testing.T) {
 	var buf syncBuffer
 	logger := obs.NewLogger(&buf, obs.LevelDebug)
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1, Logger: logger})
-	s, err := OpenDiskStore[string](t.TempDir(), JSONCodec[string]{}, DiskOptions{
-		CompactEvery: 2048, Log: logger, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, t.TempDir(), testLog{RotateEvery: 2048, Log: logger, Tracer: tracer})
 	defer s.Close()
 	val := strings.Repeat("x", 256)
 	for i := 0; i < 64; i++ {
 		s.Put("key", Entry[string]{Val: val, OK: true})
 	}
-	waitFor(t, time.Second, func() bool { return s.PersistStats().SealedBytes == 0 })
+	waitFor(t, time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
 	waitFor(t, time.Second, func() bool {
 		for _, tr := range tracer.Snapshot() {
 			if tr.Root.Name == "cache.merge" {
@@ -289,7 +284,7 @@ func TestMergerTraceAndLog(t *testing.T) {
 	if merge == nil {
 		t.Fatal("no cache.merge trace captured")
 	}
-	for _, name := range []string{"merge.replay", "merge.publish", "merge.cleanup"} {
+	for _, name := range []string{"merge.snapshot", "merge.publish", "merge.cleanup"} {
 		if merge.Root.Find(name) == nil {
 			t.Errorf("merge trace missing %s child", name)
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,7 @@ import (
 )
 
 // BenchmarkPutTail measures the worst-case Put latency across a rotation
-// threshold at the default CompactEvery — the number segment rotation
+// threshold at the default rotateEvery — the number segment rotation
 // exists to bound. Each iteration appends until the active segment
 // rotates at least once, tracking the slowest single Put; before rotation,
 // that threshold-crossing Put rewrote and fsynced the entire live set
@@ -25,10 +24,7 @@ import (
 // written to that path — CI emits BENCH_serve.json from it.
 func BenchmarkPutTail(b *testing.B) {
 	dir := b.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "bench"})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := openTestLog(b, dir, testLog{Meta: "bench"})
 	defer s.Close()
 
 	val := strings.Repeat("v", 256)
@@ -57,13 +53,13 @@ func BenchmarkPutTail(b *testing.B) {
 		// from background compaction, which taxed the legacy design too.
 		b.StopTimer()
 		deadline := time.Now().Add(30 * time.Second)
-		for s.PersistStats().SealedBytes != 0 && time.Now().Before(deadline) {
+		for s.PersistStats().CacheSealedBytes != 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		b.StartTimer()
-		start := s.PersistStats().Rotations
+		start := s.PersistStats().CacheSegmentRotations
 		for {
-			before := s.PersistStats().Rotations
+			before := s.PersistStats().CacheSegmentRotations
 			k := keys[puts%len(keys)]
 			t0 := time.Now()
 			s.Put(k, Entry[string]{Val: val, OK: true, At: at})
@@ -73,12 +69,12 @@ func BenchmarkPutTail(b *testing.B) {
 				maxPut = d
 			}
 			puts++
-			if s.PersistStats().Rotations != before {
+			if s.PersistStats().CacheSegmentRotations != before {
 				if d > maxRotPut {
 					maxRotPut = d
 				}
 			}
-			if s.PersistStats().Rotations != start {
+			if s.PersistStats().CacheSegmentRotations != start {
 				break
 			}
 		}
@@ -90,10 +86,13 @@ func BenchmarkPutTail(b *testing.B) {
 
 	// The legacy cost: what the pre-rotation store did to the
 	// threshold-crossing Put — synchronously re-encode, rewrite and fsync
-	// the whole resident set while holding the append mutex.
-	live := s.mem.entries()
+	// the whole resident set while holding the append mutex. That is one
+	// more publish of the base, once the merger is idle and cannot be
+	// writing it too.
+	waitFor(b, 30*time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
+	live := s.entries()
 	t0 := time.Now()
-	if err := s.writeSegment(filepath.Join(b.TempDir(), "legacy.seg"), live, s.gen.Load(), ""); err != nil {
+	if _, err := s.log.writeBase(live, s.Generation(), ""); err != nil {
 		b.Fatal(err)
 	}
 	legacy := time.Since(t0)
@@ -108,10 +107,10 @@ func BenchmarkPutTail(b *testing.B) {
 
 	benchjson.Write(b, "put_tail", map[string]any{
 		"benchmark":           "BenchmarkPutTail",
-		"compact_every_bytes": defaultCompactEvery,
+		"compact_every_bytes": defaultRotateEvery,
 		"resident_entries":    len(live),
 		"puts":                puts,
-		"rotations":           s.PersistStats().Rotations,
+		"rotations":           s.PersistStats().CacheSegmentRotations,
 		"mean_put_ns":         meanPut.Nanoseconds(),
 		"rotation_put_ns":     maxRotPut.Nanoseconds(),
 		"max_put_ns":          maxPut.Nanoseconds(),

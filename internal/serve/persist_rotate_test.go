@@ -19,7 +19,7 @@ import (
 )
 
 // rawEntry frames one recEntry payload with a JSON-encoded string value,
-// matching what DiskStore[string] + JSONCodec writes.
+// matching what a diskLog[string] + JSONCodec writes.
 func rawEntry(t testing.TB, key, val string, gen uint64, at time.Time) []byte {
 	t.Helper()
 	b, err := json.Marshal(val)
@@ -64,7 +64,7 @@ func segmentBytes(t testing.TB, meta string, payloads [][]byte) []byte {
 	return buf.Bytes()
 }
 
-func expectEntries(t *testing.T, s *DiskStore[string], want map[string]string) {
+func expectEntries(t *testing.T, s *testStore, want map[string]string) {
 	t.Helper()
 	if n := s.Len(); n != len(want) {
 		t.Errorf("Len = %d, want %d", n, len(want))
@@ -225,10 +225,7 @@ func TestDiskStoreCrashMidMerge(t *testing.T) {
 // reconstructs every entry exactly.
 func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", CompactEvery: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "m", RotateEvery: 2048})
 	at := time.Unix(2000, 0)
 	want := make(map[string]string, 200)
 	for i := 0; i < 200; i++ {
@@ -240,7 +237,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 		s.Put("key-000", Entry[string]{Val: want["key-000"], OK: true, At: at})
 	}
 	st := s.PersistStats()
-	if st.Rotations == 0 {
+	if st.CacheSegmentRotations == 0 {
 		t.Fatalf("no rotation across ~%d appended bytes with a 2KB threshold", 200*120)
 	}
 	// Serving stays correct while the merger churns underneath.
@@ -264,10 +261,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 // away — old-generation entries are never resurrected.
 func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", CompactEvery: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "m", RotateEvery: 1024})
 	at := time.Unix(2000, 0)
 	pad := strings.Repeat("p", 64)
 	for i := 0; i < 30; i++ {
@@ -277,10 +271,10 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		s.Put(fmt.Sprintf("new-%02d", i), Entry[string]{Val: pad, OK: true, Gen: 1, At: at})
 	}
-	if s.PersistStats().Rotations == 0 {
+	if s.PersistStats().CacheSegmentRotations == 0 {
 		t.Fatal("test never rotated; shrink the threshold")
 	}
-	waitFor(t, time.Second, func() bool { return s.PersistStats().SealedBytes == 0 })
+	waitFor(t, time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
 	s.Close()
 
 	r := openTestStore(t, dir, "m")
@@ -302,7 +296,7 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 func TestDiskStoreLocksOutSecondOpener(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, "m")
-	if _, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m"}); err == nil {
+	if _, err := openTestLogE(dir, testLog{Meta: "m"}); err == nil {
 		t.Fatal("second opener acquired a locked cache directory")
 	} else if !strings.Contains(err.Error(), "locked") {
 		t.Errorf("lock error %q does not say the directory is locked", err)
@@ -312,23 +306,17 @@ func TestDiskStoreLocksOutSecondOpener(t *testing.T) {
 	r.Close()
 }
 
-// TestDiskStoreTTLDropsExpiredAtReplay: entries past DiskOptions.TTL are
+// TestDiskStoreTTLDropsExpiredAtReplay: entries past the cache TTL are
 // dropped at boot instead of being replayed into memory — the runtime
 // would only ever treat them as misses.
 func TestDiskStoreTTLDropsExpiredAtReplay(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", TTL: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour})
 	s.Put("dead", Entry[string]{Val: "expired", OK: true, At: time.Now().Add(-2 * time.Hour)})
 	s.Put("live", Entry[string]{Val: "fresh", OK: true, At: time.Now()})
 	s.Close()
 
-	r, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", TTL: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour})
 	defer r.Close()
 	if _, hit := r.Get("dead"); hit {
 		t.Error("TTL-expired entry replayed into memory")
@@ -344,10 +332,7 @@ func TestDiskStoreTTLDropsExpiredAtReplay(t *testing.T) {
 // does no TTL filtering of its own.
 func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", TTL: time.Hour, CompactEvery: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour, RotateEvery: 4096})
 	old := time.Now().Add(-2 * time.Hour)
 	for i := 0; i < 20; i++ {
 		s.Put(fmt.Sprintf("dead-%02d", i), Entry[string]{Val: "expired", OK: true, At: old})
@@ -363,16 +348,13 @@ func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool {
 		st := s.PersistStats()
-		return st.Compactions >= 2 && st.SealedBytes == 0 // boot + ≥1 merge
+		return st.CacheCompactions >= 2 && st.CacheSealedBytes == 0 // boot + ≥1 merge
 	})
 	s.Close()
 
 	// Reopen with no TTL: if the merge had kept the expired entries they
 	// would replay here. They must not.
-	r, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, dir, testLog{Meta: "m"})
 	defer r.Close()
 	for i := 0; i < 20; i++ {
 		if _, hit := r.Get(fmt.Sprintf("dead-%02d", i)); hit {
@@ -390,10 +372,7 @@ func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 // loses at most the last SyncEvery of work, not everything since boot.
 func TestDiskStorePeriodicSyncMakesAppendsDurable(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "m", SyncEvery: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "m", SyncEvery: 2 * time.Millisecond})
 	defer s.Close()
 	headerSize, err := os.Stat(filepath.Join(dir, segName))
 	if err != nil {
@@ -404,8 +383,8 @@ func TestDiskStorePeriodicSyncMakesAppendsDurable(t *testing.T) {
 		fi, err := os.Stat(filepath.Join(dir, segName))
 		return err == nil && fi.Size() > headerSize.Size()
 	})
-	if age := s.PersistStats().SyncAge; age > time.Second {
-		t.Errorf("sync age = %v under a 2ms period", age)
+	if age := s.PersistStats().CacheSyncAgeSeconds; age > 1 {
+		t.Errorf("sync age = %vs under a 2ms period", age)
 	}
 
 	// "Crash": clone the on-disk state while the store still runs (the OS
@@ -426,52 +405,4 @@ func TestDiskStorePeriodicSyncMakesAppendsDurable(t *testing.T) {
 	if e, hit := r.Get("k"); !hit || e.Val != "durable-without-flush" {
 		t.Fatalf("periodically-synced entry lost in the crash clone: %+v hit=%v", e, hit)
 	}
-}
-
-// FuzzMultiSegmentReplay fuzzes the rotation replay order: an arbitrary
-// write log is split at arbitrary points into base / sealed / active
-// segments, and replay must reconstruct exactly the sequential
-// last-write-wins state — wherever the cuts fall.
-func FuzzMultiSegmentReplay(f *testing.F) {
-	f.Add([]byte("abcdefgh"), uint8(2), uint8(5))
-	f.Add([]byte(""), uint8(0), uint8(0))
-	f.Add([]byte{0xff, 0x00, 0x7f, 0x01, 0x01, 0x01}, uint8(6), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB uint8) {
-		if len(data) > 48 {
-			data = data[:48]
-		}
-		at := time.Unix(3000, 0)
-		payloads := make([][]byte, len(data))
-		want := make(map[string]string)
-		for i, c := range data {
-			key := fmt.Sprintf("k%d", c%8)
-			val := fmt.Sprintf("v%d-%d", i, c)
-			payloads[i] = rawEntry(t, key, val, 0, at)
-			want[key] = val
-		}
-		// Two cuts split the log into base | sealed | active.
-		i := int(cutA) % (len(payloads) + 1)
-		j := int(cutB) % (len(payloads) + 1)
-		if i > j {
-			i, j = j, i
-		}
-		dir := t.TempDir()
-		writeRawSegment(t, filepath.Join(dir, baseName), "fz", payloads[:i])
-		writeRawSegment(t, filepath.Join(dir, sealedName(0)), "fz", payloads[i:j])
-		writeRawSegment(t, filepath.Join(dir, segName), "fz", payloads[j:])
-
-		s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "fz"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if n := s.Len(); n != len(want) {
-			t.Fatalf("Len = %d, want %d", n, len(want))
-		}
-		for k, v := range want {
-			if e, hit := s.Get(k); !hit || e.Val != v {
-				t.Fatalf("Get(%q) = (%q, %v), want %q", k, e.Val, hit, v)
-			}
-		}
-	})
 }

@@ -1,23 +1,93 @@
 package serve
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-func openTestStore(t *testing.T, dir, meta string) *DiskStore[string] {
+// testStore pairs an answer cache with its disk log the way Runtime does
+// (memory first, then the log), so the persistence tests drive puts,
+// generation bumps and reopen cycles without an engine in the way.
+type testStore struct {
+	*answerCache[string]
+	log *diskLog[string]
+	tag string // the model tag SetGeneration records; SetModelTag changes it
+}
+
+// testLog is everything a persistence test varies at open: the deployment
+// options of LogOptions, the cache TTL, and the rotation constants tests
+// shrink to make rotation, merge and backpressure happen on small inputs.
+type testLog struct {
+	Meta, ModelTag  string
+	SyncEvery       time.Duration
+	Codec           Codec[string]
+	Log             *obs.Logger
+	Tracer          *obs.Tracer
+	TTL             time.Duration
+	RotateEvery     int64 // 0 keeps defaultRotateEvery
+	MaxSealedBehind int   // 0 keeps defaultMaxSealedBehind
+}
+
+func (o testLog) options(dir string) LogOptions[string] {
+	return LogOptions[string]{Dir: dir, Meta: o.Meta, ModelTag: o.ModelTag, SyncEvery: o.SyncEvery,
+		Codec: o.Codec, Log: o.Log, Tracer: o.Tracer}
+}
+
+// tune applies the shrunken rotation constants to a freshly opened log.
+func (o testLog) tune(l *diskLog[string]) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if o.RotateEvery != 0 {
+		l.rotateEvery = o.RotateEvery
+	}
+	if o.MaxSealedBehind != 0 {
+		l.maxSealedBehind = o.MaxSealedBehind
+	}
+}
+
+func openTestLogE(dir string, o testLog) (*testStore, error) {
+	mem := newAnswerCache[string](16, 4096)
+	l, err := openDiskLog(mem, o.TTL, o.options(dir))
+	if err != nil {
+		return nil, err
+	}
+	o.tune(l)
+	return &testStore{answerCache: mem, log: l, tag: o.ModelTag}, nil
+}
+
+func openTestLog(t testing.TB, dir string, o testLog) *testStore {
 	t.Helper()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: meta})
+	s, err := openTestLogE(dir, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
+
+func openTestStore(t testing.TB, dir, meta string) *testStore {
+	t.Helper()
+	return openTestLog(t, dir, testLog{Meta: meta})
+}
+
+func (s *testStore) Put(key string, e Entry[string]) {
+	s.answerCache.Put(key, e)
+	s.log.put(key, e)
+}
+
+func (s *testStore) SetModelTag(tag string)     { s.tag = tag }
+func (s *testStore) SetGeneration(gen uint64)   { s.log.setGeneration(gen, s.tag) }
+func (s *testStore) Generation() uint64         { return s.log.generation() }
+func (s *testStore) PersistStats() (m Snapshot) { s.log.fill(&m); return m }
+func (s *testStore) Flush() error               { return s.log.flush() }
+func (s *testStore) Close() error               { return s.log.close() }
 
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -183,18 +253,12 @@ func TestDiskStoreMetaMismatch(t *testing.T) {
 // the generation advances past them instead.
 func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "model-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-a"})
 	s.Put("k", Entry[string]{Val: "a's answer", OK: true, Gen: 0})
 	s.Close()
 
 	// Same world, different model: the cache is refused, durably.
-	r, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "model-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-b"})
 	if n := r.Len(); n != 0 {
 		t.Errorf("foreign model's entries replayed: %d", n)
 	}
@@ -205,10 +269,7 @@ func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	r.Close()
 
 	// Reopening under model-b again is a clean match.
-	r2, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "model-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-b"})
 	defer r2.Close()
 	if g := r2.Generation(); g != 1 {
 		t.Errorf("matching reopen generation = %d, want 1", g)
@@ -223,10 +284,7 @@ func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 // replays, a restart under the old one refuses.
 func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "m0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m0"})
 	s.Put("k", Entry[string]{Val: "v0", OK: true, Gen: 0})
 	s.SetModelTag("m1") // the retrain hook's order: tag, then bump
 	s.SetGeneration(1)
@@ -234,10 +292,7 @@ func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	s.Close()
 
 	// Boot running the retrained model: gen-1 entries replay.
-	r, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "m1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m1"})
 	if g := r.Generation(); g != 1 {
 		t.Fatalf("generation = %d, want 1", g)
 	}
@@ -247,10 +302,7 @@ func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	r.Close()
 
 	// Boot running the seed model again: the retrained answers are refused.
-	r2, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{Meta: "w", ModelTag: "m0"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m0"})
 	defer r2.Close()
 	if n := r2.Len(); n != 0 {
 		t.Errorf("seed-model boot replayed %d retrained entries", n)
@@ -261,12 +313,20 @@ func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 }
 
 // pickyCodec fails to encode one specific value, standing in for answers
-// JSON cannot represent (NaN scores and the like).
+// JSON cannot represent (NaN scores and the like), and blows another up
+// past the record size bound.
 type pickyCodec struct{}
 
+// hugeEncoding is what pickyCodec makes of "huge": with any key, a record
+// over maxRecordLen. Allocated once — 64MiB is slow under the race detector.
+var hugeEncoding = sync.OnceValue(func() []byte { return make([]byte, maxRecordLen) })
+
 func (pickyCodec) Encode(s string) ([]byte, error) {
-	if s == "poison" {
+	switch s {
+	case "poison":
 		return nil, errBadRecord
+	case "huge":
+		return hugeEncoding(), nil
 	}
 	return []byte(s), nil
 }
@@ -277,10 +337,7 @@ func (pickyCodec) Decode(b []byte) (string, error) { return string(b), nil }
 // for every other entry and Flush stays clean.
 func TestDiskStoreEncodeFailureIsPerEntry(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, pickyCodec{}, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{Codec: pickyCodec{}})
 	s.Put("a", Entry[string]{Val: "fine", OK: true})
 	s.Put("bad", Entry[string]{Val: "poison", OK: true})
 	s.Put("b", Entry[string]{Val: "also fine", OK: true})
@@ -295,10 +352,7 @@ func TestDiskStoreEncodeFailureIsPerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenDiskStore[string](dir, pickyCodec{}, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, dir, testLog{Codec: pickyCodec{}})
 	defer r.Close()
 	for _, k := range []string{"a", "b"} {
 		if _, hit := r.Get(k); !hit {
@@ -307,6 +361,60 @@ func TestDiskStoreEncodeFailureIsPerEntry(t *testing.T) {
 	}
 	if _, hit := r.Get("bad"); hit {
 		t.Error("unencodable entry reappeared from disk")
+	}
+}
+
+// TestDiskStoreUnloggableEntryStaysMemoryOnlyAcrossMerge: the merge writes
+// the base from memory, and memory can hold entries put refused to log (an
+// unencodable value, an oversized record). They must stay what put made
+// them — memory-only: the merges publish around them, the drop is counted
+// once per put rather than once per merge, and the directory replays clean
+// without them.
+func TestDiskStoreUnloggableEntryStaysMemoryOnlyAcrossMerge(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestLog(t, dir, testLog{Codec: pickyCodec{}, RotateEvery: 2048})
+	pad := strings.Repeat("p", 80)
+	merges := s.PersistStats().CacheCompactions // the boot compaction
+	// One rotation and one merge per round: 20 × ~116B against the 2KB
+	// threshold.
+	for _, refused := range []struct{ key, val string }{{"bad", "poison"}, {"big", "huge"}} {
+		s.Put(refused.key, Entry[string]{Val: refused.val, OK: true})
+		for i := 0; i < 20; i++ {
+			s.Put(fmt.Sprintf("pad-%02d", i), Entry[string]{Val: pad, OK: true})
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			st := s.PersistStats()
+			return st.CacheCompactions > merges && st.CacheSealedBytes == 0
+		})
+		merges = s.PersistStats().CacheCompactions
+	}
+	for key, val := range map[string]string{"bad": "poison", "big": "huge"} {
+		if e, hit := s.Get(key); !hit || e.Val != val {
+			t.Errorf("unloggable entry %q lost from memory: hit=%v", key, hit)
+		}
+	}
+	r := New(echoAsk(nil), Options{})
+	defer r.Close()
+	r.cache, r.disk = s.answerCache, s.log
+	if n := r.Metrics().CachePersistDropped; n != 2 {
+		t.Errorf("%s = %d after 2 refused puts and %d merges, want 2", MetricCachePersistDroppedTotal, n, merges-1)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close = %v, want nil (a refused entry is not a write error)", err)
+	}
+
+	re := openTestLog(t, dir, testLog{Codec: pickyCodec{}})
+	defer re.Close()
+	if n := re.Len(); n != 20 {
+		t.Errorf("reopened Len = %d, want the 20 pad entries and nothing else", n)
+	}
+	for _, key := range []string{"bad", "big"} {
+		if _, hit := re.Get(key); hit {
+			t.Errorf("memory-only entry %q reappeared from disk", key)
+		}
+	}
+	if e, hit := re.Get("pad-19"); !hit || e.Val != pad {
+		t.Errorf("entry logged beside the refused ones lost: hit=%v", hit)
 	}
 }
 
@@ -336,29 +444,26 @@ func TestDiskStoreSetGenerationNeverRegresses(t *testing.T) {
 }
 
 // TestDiskStoreRotationBoundsSegment: churning one key must not grow the
-// log without bound — the active segment rotates every CompactEvery bytes
+// log without bound — the active segment rotates every rotateEvery bytes
 // and the background merger folds the sealed segments into a dense base.
 func TestDiskStoreRotationBoundsSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, JSONCodec[string]{}, DiskOptions{CompactEvery: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{RotateEvery: 4096})
 	val := strings.Repeat("x", 100)
 	for i := 0; i < 1000; i++ {
 		s.Put("hot key", Entry[string]{Val: val, OK: true})
 	}
 	st := s.PersistStats()
-	if st.Rotations == 0 {
+	if st.CacheSegmentRotations == 0 {
 		t.Fatalf("~140KB of appends against a 4KB threshold never rotated: %+v", st)
 	}
 	// The merger drains the sealed backlog without any explicit flush.
-	waitFor(t, time.Second, func() bool { return s.PersistStats().SealedBytes == 0 })
+	waitFor(t, time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
 	if size := storeSize(t, dir); size > 3*4096 {
 		t.Errorf("log = %dB after churn and merge, want bounded by the rotation budget", size)
 	}
-	if st := s.PersistStats(); st.Compactions < 2 { // boot + at least one merge
-		t.Errorf("compactions = %d, want the background merger to have run", st.Compactions)
+	if st := s.PersistStats(); st.CacheCompactions < 2 { // boot + at least one merge
+		t.Errorf("compactions = %d, want the background merger to have run", st.CacheCompactions)
 	}
 	s.Close()
 
@@ -380,11 +485,14 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 	dir := t.TempDir()
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	r := NewWithStore(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r, err := Open(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		close(entered)
 		<-gate
 		return "slow answer", StageTimings{}, true, nil
-	}, Options{}, openTestStore(t, dir, "m"))
+	}, Options{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	askDone := make(chan error, 1)
 	go func() {
@@ -411,10 +519,13 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 
 	// A new "process" over the same directory serves the drained answer
 	// without an engine call.
-	r2 := NewWithStore(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r2, err := Open(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		t.Errorf("engine probed for an answer that should be on disk: %q", q)
 		return "", StageTimings{}, false, nil
-	}, Options{}, openTestStore(t, dir, "m"))
+	}, Options{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer r2.Close()
 	ans, ok, err := r2.Ask(context.Background(), "q")
 	if err != nil || !ok || ans != "slow answer" {
@@ -423,55 +534,6 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 	if m := r2.Metrics(); m.CachePersistHits != 1 {
 		t.Errorf("persist hits = %d, want 1", m.CachePersistHits)
 	}
-}
-
-// FuzzSegmentRoundTrip fuzzes the segment codec: every entry must encode →
-// frame → unframe → decode to exactly itself, and no truncation or
-// corruption of the framed bytes may ever panic the reader.
-func FuzzSegmentRoundTrip(f *testing.F) {
-	f.Add("what is the p of e?", []byte(`"answer"`), uint64(3), int64(123456789), true)
-	f.Add("", []byte{}, uint64(0), int64(-1), false)
-	f.Add("k\x1ffp", []byte{0xff, 0x00}, ^uint64(0), int64(1<<62), true)
-	f.Fuzz(func(t *testing.T, key string, val []byte, gen uint64, at int64, ok bool) {
-		payload := encodeEntryPayload(key, val, gen, at, ok)
-
-		key2, val2, gen2, at2, ok2, err := decodeEntryPayload(payload)
-		if err != nil {
-			t.Fatalf("decode of a fresh encode failed: %v", err)
-		}
-		if key2 != key || !bytes.Equal(val2, val) || gen2 != gen || at2.UnixNano() != at || ok2 != ok {
-			t.Fatalf("round trip mismatch: (%q,%x,%d,%d,%v) != (%q,%x,%d,%d,%v)",
-				key2, val2, gen2, at2.UnixNano(), ok2, key, val, gen, at, ok)
-		}
-
-		// Framed: write, read back, decode again.
-		var buf bytes.Buffer
-		if err := writeRecord(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
-		framed := buf.Bytes()
-		got, err := readRecord(bytes.NewReader(framed))
-		if err != nil {
-			t.Fatalf("readRecord of a fresh writeRecord failed: %v", err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatal("framing corrupted the payload")
-		}
-
-		// Any truncation must fail cleanly, never panic.
-		for cut := 0; cut < len(framed); cut++ {
-			if p, err := readRecord(bytes.NewReader(framed[:cut])); err == nil {
-				t.Fatalf("truncated record at %d/%d decoded: %x", cut, len(framed), p)
-			}
-		}
-		// Arbitrary decode input must fail cleanly too.
-		if len(payload) > 0 {
-			decodeEntryPayload(payload[:len(payload)-1])
-			mutated := append([]byte{}, payload...)
-			mutated[len(mutated)/2] ^= 0x5a
-			decodeEntryPayload(mutated)
-		}
-	})
 }
 
 // storeSize totals the bytes across every segment file in the log (base,

@@ -110,40 +110,37 @@ func TestHistogramExemplar(t *testing.T) {
 }
 
 // TestDiskStoreBackpressurePausesRotation: once the sealed backlog reaches
-// MaxSealedBehind, threshold-crossing appends must stop rotating (the
+// maxSealedBehind, threshold-crossing appends must stop rotating (the
 // active segment grows instead) and the pause must surface through
 // PersistStats and the metrics snapshot. The backlog is wedged with sealed
-// entries whose files don't exist — the merger can replay past them but
+// entries whose files don't exist — the merger can publish past them but
 // never delete them, so the backlog provably stays at the bound for the
 // duration of the test.
 func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore[string](dir, nil, DiskOptions{CompactEvery: 256, MaxSealedBehind: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openTestLog(t, dir, testLog{RotateEvery: 256, MaxSealedBehind: 2})
 	defer s.Close()
-	s.mu.Lock()
-	s.sealed = append(s.sealed,
+	s.log.mu.Lock()
+	s.log.sealed = append(s.log.sealed,
 		sealedSeg{path: filepath.Join(dir, "wedge.0")},
 		sealedSeg{path: filepath.Join(dir, "wedge.1")})
-	s.mu.Unlock()
+	s.log.mu.Unlock()
 
 	val := strings.Repeat("x", 64)
 	for i := 0; i < 50; i++ { // ~5KB of appends against a 256B threshold
 		s.Put(fmt.Sprintf("k%d", i), Entry[string]{Val: val, OK: true})
 	}
 	st := s.PersistStats()
-	if st.Rotations != 0 {
-		t.Errorf("Rotations = %d under a full sealed backlog, want 0", st.Rotations)
+	if st.CacheSegmentRotations != 0 {
+		t.Errorf("Rotations = %d under a full sealed backlog, want 0", st.CacheSegmentRotations)
 	}
-	if !st.RotationPaused {
+	if !st.CacheRotationPaused {
 		t.Error("RotationPaused = false, want true while the merger is behind")
 	}
 
 	r := New(echoAsk(nil), Options{})
 	defer r.Close()
-	r.cache = s
+	r.cache, r.disk = s.answerCache, s.log
 	snap := r.Metrics()
 	if !snap.CachePersistent || !snap.CacheRotationPaused {
 		t.Errorf("snapshot CachePersistent=%v CacheRotationPaused=%v, want true/true",

@@ -1,0 +1,179 @@
+package serve
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"io"
+	"time"
+)
+
+// The segment codec: pure functions between bytes and the records of a
+// cache segment file. Every file of the disk log (base, sealed, active) has
+// the same layout:
+//
+//	header  := magic("KBQASEG1") u32(metaLen) meta
+//	record  := u32(payloadLen) u32(crc32-IEEE(payload)) payload
+//	payload := recGen   u64(gen) modelTag
+//	         | recEntry u64(gen) i64(atUnixNano) u8(ok) u32(keyLen) key val
+//
+// All integers little-endian. The CRC covers the payload only; a record
+// whose length or checksum doesn't hold terminates that file's valid
+// prefix.
+
+const (
+	// segMagic heads every segment file; a version bump changes the suffix.
+	segMagic = "KBQASEG1"
+	// Record types.
+	recEntry = 1 // one cached answer
+	recGen   = 2 // a generation bump
+	// maxRecordLen bounds a record's declared payload length so a corrupt
+	// length prefix cannot drive a giant allocation.
+	maxRecordLen = 1 << 26
+)
+
+// errBadRecord marks a truncated or corrupt record; replay treats it as the
+// end of that file's valid prefix and drops everything after it.
+var errBadRecord = errors.New("serve: bad segment record")
+
+// Codec serializes answers into entry records. Encode/Decode must
+// round-trip: Decode(Encode(a)) observably equals a.
+type Codec[A any] interface {
+	Encode(a A) ([]byte, error)
+	Decode(b []byte) (A, error)
+}
+
+// JSONCodec is the default Codec, encoding answers with encoding/json.
+type JSONCodec[A any] struct{}
+
+func (JSONCodec[A]) Encode(a A) ([]byte, error) { return json.Marshal(a) }
+
+func (JSONCodec[A]) Decode(b []byte) (A, error) {
+	var a A
+	err := json.Unmarshal(b, &a)
+	return a, err
+}
+
+func writeSegHeader(w io.Writer, meta string) {
+	io.WriteString(w, segMagic)
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(meta)))
+	w.Write(n[:])
+	io.WriteString(w, meta)
+}
+
+// readSegHeader consumes and validates the header, reporting whether the
+// segment belongs to this (magic, meta) lineage.
+func readSegHeader(r io.Reader, meta string) bool {
+	magic := make([]byte, len(segMagic))
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
+		return false
+	}
+	var n [4]byte
+	if _, err := io.ReadFull(r, n[:]); err != nil {
+		return false
+	}
+	metaLen := binary.LittleEndian.Uint32(n[:])
+	if metaLen > maxRecordLen || int(metaLen) != len(meta) {
+		return false
+	}
+	got := make([]byte, metaLen)
+	if _, err := io.ReadFull(r, got); err != nil {
+		return false
+	}
+	return string(got) == meta
+}
+
+// writeRecord frames one payload.
+func writeRecord(w io.Writer, payload []byte) error {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readRecord reads one framed payload. io.EOF means a clean end of segment;
+// errBadRecord means a torn or corrupt record (drop the tail).
+func readRecord(r io.Reader) ([]byte, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, io.EOF
+		}
+		return nil, errBadRecord // torn mid-header
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if length == 0 || length > maxRecordLen {
+		return nil, errBadRecord
+	}
+	payload := make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, errBadRecord // torn mid-payload
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, errBadRecord
+	}
+	return payload, nil
+}
+
+func encodeGenPayload(gen uint64, tag string) []byte {
+	p := make([]byte, 0, 9+len(tag))
+	p = append(p, recGen)
+	p = binary.LittleEndian.AppendUint64(p, gen)
+	p = append(p, tag...)
+	return p
+}
+
+func decodeGenPayload(p []byte) (gen uint64, tag string, ok bool) {
+	if len(p) < 9 || p[0] != recGen {
+		return 0, "", false
+	}
+	return binary.LittleEndian.Uint64(p[1:9]), string(p[9:]), true
+}
+
+// entryFixedLen is the size of an entry payload's fixed-width prefix.
+const entryFixedLen = 1 + 8 + 8 + 1 + 4
+
+// entryPayloadLen is the size encodeEntryPayload will produce, for callers
+// that must refuse an oversized record before building it.
+func entryPayloadLen(key string, val []byte) int { return entryFixedLen + len(key) + len(val) }
+
+// encodeEntryPayload renders one cache entry body (value already
+// codec-encoded); decodeEntryPayload inverts it.
+func encodeEntryPayload(key string, val []byte, gen uint64, atUnixNano int64, ok bool) []byte {
+	p := make([]byte, 0, entryPayloadLen(key, val))
+	p = append(p, recEntry)
+	p = binary.LittleEndian.AppendUint64(p, gen)
+	p = binary.LittleEndian.AppendUint64(p, uint64(atUnixNano))
+	if ok {
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(key)))
+	p = append(p, key...)
+	p = append(p, val...)
+	return p
+}
+
+func decodeEntryPayload(p []byte) (key string, val []byte, gen uint64, at time.Time, ok bool, err error) {
+	if len(p) < entryFixedLen || p[0] != recEntry {
+		return "", nil, 0, time.Time{}, false, errBadRecord
+	}
+	gen = binary.LittleEndian.Uint64(p[1:9])
+	at = time.Unix(0, int64(binary.LittleEndian.Uint64(p[9:17])))
+	ok = p[17] == 1
+	keyLen := binary.LittleEndian.Uint32(p[18:22])
+	if uint64(keyLen) > uint64(len(p)-entryFixedLen) {
+		return "", nil, 0, time.Time{}, false, errBadRecord
+	}
+	key = string(p[entryFixedLen : entryFixedLen+int(keyLen)])
+	val = p[entryFixedLen+int(keyLen):]
+	return key, val, gen, at, ok, nil
+}

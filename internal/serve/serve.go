@@ -4,12 +4,15 @@
 // online answering phase (Sec 1); this package is what makes the online
 // phase survive heavy concurrent traffic without touching the engine:
 //
-//   - a generation-keyed answer cache behind the Store interface: the
-//     default in-memory sharded LRU, or the disk-backed append-only
-//     segment store (OpenDiskStore) whose entries survive restarts. Every
-//     entry is keyed by (model generation, normalized question, options
-//     fingerprint); retraining bumps the generation, making every stale
-//     entry unreachable without a stop-the-world flush;
+//   - a generation-keyed answer cache: one in-memory sharded LRU, the
+//     source of truth every lookup is served from. Every entry is keyed by
+//     (model generation, normalized question, options fingerprint);
+//     retraining bumps the generation, making every stale entry
+//     unreachable without a stop-the-world flush;
+//   - an optional write-behind disk log (Open) that makes that cache
+//     survive restarts: computed answers and generation bumps are appended
+//     to checksummed segment files, read back only at the next open and
+//     compacted in the background from a snapshot of memory;
 //   - TTL expiry (Options.TTL) and boot-time warming (WarmFromCorpus);
 //   - singleflight deduplication, so a thundering herd of identical
 //     questions costs one engine call;
@@ -90,20 +93,24 @@ func ErrorCode(err error) string {
 // Options tunes the runtime; the zero value is production-sensible.
 type Options struct {
 	// CacheShards is the number of independently locked cache shards
-	// (default 16). Ignored when Store is set.
+	// (default 16).
 	CacheShards int
 	// CacheEntries is the total cache capacity in answers. 0 means the
-	// default (4096); negative disables caching entirely. Ignored when
-	// the runtime is built over an explicit store (NewWithStore).
+	// default (4096); negative disables caching entirely. It also bounds
+	// the disk log in steady state: compaction keeps resident entries only,
+	// so the log converges on the in-memory working set rather than every
+	// key ever asked.
 	CacheEntries int
 	// TTL bounds an entry's lifetime: entries older than TTL are treated
-	// as misses and recomputed in place. 0 means no expiry.
+	// as misses and recomputed in place; the disk log drops them at
+	// compaction and replay instead of rewriting them forever. 0 means no
+	// expiry.
 	TTL time.Duration
 	// MaxConcurrent bounds concurrent engine calls (admission control).
 	// 0 means 4×GOMAXPROCS; negative means unbounded. Excess callers
 	// queue until a slot frees or their deadline expires.
 	MaxConcurrent int
-	// BatchWorkers sizes AskBatch's worker pool (default GOMAXPROCS).
+	// BatchWorkers sizes DoBatch's worker pool (default GOMAXPROCS).
 	BatchWorkers int
 	// Timeout is the per-request deadline applied when the caller's
 	// context has none. 0 means no default deadline.
@@ -118,7 +125,8 @@ type Options struct {
 type Runtime[A any] struct {
 	ask       AskFunc[A]
 	opts      Options
-	cache     Store[A] // nil when caching is disabled
+	cache     *answerCache[A] // nil when caching is disabled
+	disk      *diskLog[A]     // nil when the cache is memory-only
 	gen       atomic.Uint64
 	flight    flightGroup[A]
 	sem       chan struct{} // nil when unbounded
@@ -139,20 +147,9 @@ type Runtime[A any] struct {
 	closeErr  error
 }
 
-// New builds a runtime around ask with the built-in in-memory answer
-// cache; NewWithStore swaps in a caller-supplied store.
+// New builds a runtime around ask with a memory-only answer cache; Open
+// adds the disk log.
 func New[A any](ask AskFunc[A], o Options) *Runtime[A] {
-	return NewWithStore[A](ask, o, nil)
-}
-
-// NewWithStore builds a runtime whose answer cache is the given store —
-// typically a disk-backed one from OpenDiskStore, which makes cached
-// answers survive restarts. The runtime owns the store from here: Close
-// drains in-flight requests, then flushes and closes it. If the store also
-// implements GenerationStore, the runtime adopts its persisted generation,
-// so entries invalidated by a pre-restart retrain stay unreachable. A nil
-// store falls back to Options.CacheShards/CacheEntries.
-func NewWithStore[A any](ask AskFunc[A], o Options, store Store[A]) *Runtime[A] {
 	r := &Runtime[A]{ask: ask}
 	if o.CacheShards <= 0 {
 		o.CacheShards = 16
@@ -160,13 +157,7 @@ func NewWithStore[A any](ask AskFunc[A], o Options, store Store[A]) *Runtime[A] 
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 4096
 	}
-	switch {
-	case store != nil:
-		r.cache = store
-		if gs, ok := store.(GenerationStore); ok {
-			r.gen.Store(gs.Generation())
-		}
-	case o.CacheEntries > 0:
+	if o.CacheEntries > 0 {
 		r.cache = newAnswerCache[A](o.CacheShards, o.CacheEntries)
 	}
 	if o.MaxConcurrent == 0 {
@@ -182,6 +173,28 @@ func NewWithStore[A any](ask AskFunc[A], o Options, store Store[A]) *Runtime[A] 
 	r.opts = o
 	r.metrics.start = time.Now()
 	return r
+}
+
+// Open builds a runtime whose answer cache survives restarts: the cache is
+// refilled from the segment log under lo.Dir, and from then on every
+// computed answer and generation bump is appended to it. The runtime adopts
+// the log's persisted generation — a rebooted server keeps counting where
+// the dead process stopped, so entries invalidated by a pre-restart retrain
+// stay unreachable. Close drains in-flight requests, then flushes and
+// closes the log. It fails when caching is disabled, or the directory is
+// unusable or held by another process.
+func Open[A any](ask AskFunc[A], o Options, lo LogOptions[A]) (*Runtime[A], error) {
+	r := New(ask, o)
+	if r.cache == nil {
+		return nil, errors.New("serve: a persistent cache needs caching enabled (CacheEntries >= 0)")
+	}
+	disk, err := openDiskLog(r.cache, o.TTL, lo)
+	if err != nil {
+		return nil, err
+	}
+	r.disk = disk
+	r.gen.Store(disk.generation())
+	return r, nil
 }
 
 // defaultNormalize lower-cases and collapses whitespace so trivially
@@ -225,12 +238,15 @@ func (r *Runtime[A]) SetWeigher(fn func(A) int) { r.weigh = fn }
 // cache entry of earlier generations unreachable (no flush, no lock over
 // the shards). Call it after the new model is visible to the engine — then
 // any request keyed with the new generation is guaranteed to compute
-// against the new model or a newer one. Persistent stores record the bump
-// durably, so invalidation survives restarts too.
-func (r *Runtime[A]) BumpGeneration() uint64 {
+// against the new model or a newer one. modelTag is the content tag of
+// that model (see LogOptions.ModelTag): the disk log records the bump
+// durably together with it, so invalidation survives restarts and a later
+// boot running a different model refuses the entries. Memory-only runtimes
+// ignore the tag.
+func (r *Runtime[A]) BumpGeneration(modelTag string) uint64 {
 	g := r.gen.Add(1)
-	if gs, ok := r.cache.(GenerationStore); ok {
-		gs.SetGeneration(g)
+	if r.disk != nil {
+		r.disk.setGeneration(g, modelTag)
 	}
 	return g
 }
@@ -318,7 +334,7 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 			}
 			// Expired: free the slot now instead of letting the dead entry
 			// pin LRU capacity until ordinary eviction displaces it; the
-			// store counts the purge as an eviction. (A concurrent flight
+			// cache counts the purge as an eviction. (A concurrent flight
 			// may have just refreshed the key, in which case this deletes
 			// a fresh entry — a spare recompute later, never a wrong
 			// answer.)
@@ -380,6 +396,9 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 					ent.Weight = r.weigh(a)
 				}
 				r.cache.Put(key, ent)
+				if r.disk != nil {
+					r.disk.put(key, ent)
+				}
 				psp.End()
 			}
 			return a, okAns, nil
@@ -422,13 +441,9 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	}
 }
 
-// CacheEnabled reports whether the runtime holds an answer store at all
-// (false with Options.CacheEntries < 0 and no explicit store).
-func (r *Runtime[A]) CacheEnabled() bool { return r.cache != nil }
-
 // WarmFromCorpus primes the answer cache at boot by pushing qs through the
 // full serving pipeline over the batch worker pool; questions already
-// resident (for example replayed from a disk store) cost nothing. It
+// resident (for example replayed from the disk log) cost nothing. It
 // reports how many of qs ended resident — positive and negative answers
 // both warm the cache; context and infrastructure failures don't. With
 // caching disabled there is nothing to warm: the engine is not touched
@@ -497,18 +512,9 @@ func (r *Runtime[A]) Metrics() Snapshot {
 	if r.cache != nil {
 		s.CacheEvictions = r.cache.Evictions()
 		s.CacheEntries = r.cache.Len()
-		if d, ok := r.cache.(interface{ EncodeDrops() uint64 }); ok {
-			s.CachePersistDropped = d.EncodeDrops()
-		}
-		if p, ok := r.cache.(interface{ PersistStats() PersistStats }); ok {
-			st := p.PersistStats()
-			s.CachePersistent = true
-			s.CacheSegmentRotations = st.Rotations
-			s.CacheCompactions = st.Compactions
-			s.CacheSealedBytes = st.SealedBytes
-			s.CacheRotationPaused = st.RotationPaused
-			s.CacheSyncAgeSeconds = st.SyncAge.Seconds()
-		}
+	}
+	if r.disk != nil {
+		r.disk.fill(&s)
 	}
 	return s
 }
@@ -516,27 +522,27 @@ func (r *Runtime[A]) Metrics() Snapshot {
 // Flush forces buffered persistent writes down to durable storage without
 // closing the runtime; a no-op for memory-only runtimes.
 func (r *Runtime[A]) Flush() error {
-	if r.cache == nil {
+	if r.disk == nil {
 		return nil
 	}
-	return r.cache.Flush()
+	return r.disk.flush()
 }
 
 // Close puts the runtime into shutdown: requests arriving after Close fail
 // fast with ErrShuttingDown, while requests already in flight — including
 // singleflight computations — drain to completion. Once drained, buffered
-// persistent writes are flushed and the store is closed, so an answer
+// persistent writes are flushed and the disk log is closed, so an answer
 // computed by an in-flight request is never lost to the shutdown race.
-// Close is idempotent and returns the store's flush/close error (always
-// nil for memory-only runtimes).
+// Close is idempotent and returns the log's flush/close error (always nil
+// for memory-only runtimes).
 func (r *Runtime[A]) Close() error {
 	r.closeOnce.Do(func() {
 		r.closeMu.Lock()
 		r.isClosed = true
 		r.closeMu.Unlock()
 		r.wg.Wait()
-		if r.cache != nil {
-			r.closeErr = r.cache.Close()
+		if r.disk != nil {
+			r.closeErr = r.disk.close()
 		}
 	})
 	return r.closeErr

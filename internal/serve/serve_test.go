@@ -294,7 +294,7 @@ func TestBatchPreservesOrder(t *testing.T) {
 		questions[i] = fmt.Sprintf("q%d", i)
 	}
 	questions[7] = "unanswerable"
-	items := r.AskBatch(context.Background(), questions)
+	items := r.DoBatch(context.Background(), questions, "", nil)
 	if len(items) != len(questions) {
 		t.Fatalf("got %d items, want %d", len(items), len(questions))
 	}
@@ -333,7 +333,7 @@ func TestBatchWorkerBound(t *testing.T) {
 	for i := range questions {
 		questions[i] = fmt.Sprintf("q%d", i)
 	}
-	r.AskBatch(context.Background(), questions)
+	r.DoBatch(context.Background(), questions, "", nil)
 	if hw := highWater.Load(); hw > workers {
 		t.Errorf("high-water = %d, want <= %d", hw, workers)
 	}
@@ -343,20 +343,11 @@ func TestBatchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := New(echoAsk(nil), Options{})
-	items := r.AskBatch(ctx, []string{"a", "b", "c"})
+	items := r.DoBatch(ctx, []string{"a", "b", "c"}, "", nil)
 	for i, it := range items {
 		if it.Err == nil {
 			t.Errorf("slot %d has no error after cancellation: %+v", i, it)
 		}
-	}
-}
-
-func TestRunBatchStandalone(t *testing.T) {
-	items := RunBatch(context.Background(), []string{"a", "b"}, 2, func(_ context.Context, q string) (int, bool) {
-		return len(q), true
-	})
-	if len(items) != 2 || items[0].Answer != 1 || !items[1].OK {
-		t.Fatalf("items = %+v", items)
 	}
 }
 
@@ -453,7 +444,7 @@ func TestBatchContainsEnginePanic(t *testing.T) {
 		}
 		return "ans:" + q, StageTimings{}, true, nil
 	}, Options{})
-	items := r.AskBatch(context.Background(), []string{"a", "poison", "b"})
+	items := r.DoBatch(context.Background(), []string{"a", "poison", "b"}, "", nil)
 	if !errors.Is(items[1].Err, ErrEnginePanic) {
 		t.Fatalf("poison slot err = %v, want ErrEnginePanic", items[1].Err)
 	}
@@ -463,19 +454,20 @@ func TestBatchContainsEnginePanic(t *testing.T) {
 		}
 	}
 
-	// The standalone executor (no flight group in front) must contain the
-	// panic in the worker itself.
-	raw := RunBatch(context.Background(), []string{"a", "poison"}, 2, func(_ context.Context, q string) (string, bool) {
+	// The worker pool itself (no flight group in front) must contain a
+	// panic too: one escaping Do outside the engine call — a panicking
+	// Normalize, say — would otherwise kill the process.
+	raw := runBatch(context.Background(), []string{"a", "poison"}, 2, func(_ context.Context, q string) (string, bool, error) {
 		if q == "poison" {
 			panic("pathological question")
 		}
-		return "ans", true
+		return "ans", true, nil
 	})
 	if !errors.Is(raw[1].Err, ErrEnginePanic) {
-		t.Fatalf("RunBatch poison slot err = %v, want ErrEnginePanic", raw[1].Err)
+		t.Fatalf("runBatch poison slot err = %v, want ErrEnginePanic", raw[1].Err)
 	}
 	if raw[0].Err != nil || !raw[0].OK {
-		t.Errorf("RunBatch clean slot = %+v", raw[0])
+		t.Errorf("runBatch clean slot = %+v", raw[0])
 	}
 }
 
@@ -539,7 +531,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedLoad mixes Ask and AskBatch from 32 goroutines over a
+// TestConcurrentMixedLoad mixes Ask and DoBatch from 32 goroutines over a
 // capacity-starved cache (forcing evictions) — run with -race. Afterwards
 // the counters must balance exactly.
 func TestConcurrentMixedLoad(t *testing.T) {
@@ -560,7 +552,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				if (g+i)%3 == 0 {
 					batch := questions[(g+i)%16 : (g+i)%16+8]
-					items := r.AskBatch(ctx, batch)
+					items := r.DoBatch(ctx, batch, "", nil)
 					batchRequests.Add(uint64(len(items)))
 					for j, it := range items {
 						if it.Err != nil || !it.OK {

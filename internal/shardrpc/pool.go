@@ -135,19 +135,6 @@ func (p *Pool) Close() {
 	}
 }
 
-// Ping dials and handshakes every server in the placement, returning the
-// first failure — the fail-fast world-identity check for startup paths.
-func (p *Pool) Ping(ctx context.Context) error {
-	for _, addr := range p.pl.servers {
-		conn, err := p.dial(ctx, addr)
-		if err != nil {
-			return fmt.Errorf("shardrpc: ping %s: %w", addr, err)
-		}
-		p.host(addr).release(conn)
-	}
-	return nil
-}
-
 func (p *Pool) host(addr string) *host {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -90,8 +90,8 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wrong.Close()
-	if err := wrong.Ping(context.Background()); err == nil {
-		t.Fatal("Ping succeeded with a mismatched world fingerprint")
+	if _, err := wrong.ServerStats(context.Background(), 0); err == nil {
+		t.Fatal("call succeeded with a mismatched world fingerprint")
 	}
 
 	// Same world hashed over a different shard count is a different
@@ -106,8 +106,8 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resharded.Close()
-	if err := resharded.Ping(context.Background()); err == nil {
-		t.Fatal("Ping succeeded across mismatched shard counts")
+	if _, err := resharded.ServerStats(context.Background(), 0); err == nil {
+		t.Fatal("call succeeded across mismatched shard counts")
 	}
 
 	ok, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
@@ -115,8 +115,8 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ok.Close()
-	if err := ok.Ping(context.Background()); err != nil {
-		t.Fatalf("Ping failed for the matching world: %v", err)
+	if _, err := ok.ServerStats(context.Background(), 0); err != nil {
+		t.Fatalf("call failed for the matching world: %v", err)
 	}
 }
 

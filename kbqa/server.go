@@ -2,7 +2,6 @@ package kbqa
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -108,7 +107,7 @@ func (o ServerOptions) traceEnabled() bool {
 // questions just as a resident answer protects it from popular ones;
 // context and infrastructure errors are never cached. The fields are
 // exported (with JSON tags) because the persistent cache serializes served
-// values through serve.JSONCodec.
+// values through serve.JSONCodec, its default codec.
 type served struct {
 	Res  *Result `json:"res,omitempty"`
 	Code string  `json:"code,omitempty"`
@@ -123,7 +122,6 @@ type served struct {
 type Server struct {
 	sys     *System
 	rt      *serve.Runtime[served]
-	ds      *serve.DiskStore[served] // nil without CacheDir
 	limiter *serve.Limiter
 	tracer  *obs.Tracer // nil when tracing is off
 	log     *obs.Logger // nil discards
@@ -147,7 +145,7 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 			Logger:        o.Logger,
 		})
 	}
-	// The epoch is read before the store adopts a persisted generation and
+	// The epoch is read before the runtime adopts a persisted generation and
 	// re-checked after the retrain hook is live; a Learn completing in
 	// between would otherwise have notified nobody, leaving its stale
 	// entries reachable.
@@ -161,35 +159,27 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 		Timeout:       o.Timeout,
 		Normalize:     text.Normalize,
 	}
-	var store serve.Store[served]
-	if o.CacheDir != "" {
-		if o.CacheEntries < 0 {
-			return nil, errors.New("kbqa: CacheDir requires caching enabled (CacheEntries >= 0)")
-		}
+	ask := sv.compute(newQueryConfig(nil))
+	if o.CacheDir == "" {
+		sv.rt = serve.New(ask, ro)
+	} else {
 		sync := o.CacheSyncEvery
 		if sync == 0 {
 			sync = time.Second
 		}
-		if sync < 0 {
-			sync = 0
-		}
-		ds, err := serve.OpenDiskStore[served](o.CacheDir, serve.JSONCodec[served]{}, serve.DiskOptions{
-			Shards:    o.CacheShards,
-			Entries:   o.CacheEntries,
+		rt, err := serve.Open(ask, ro, serve.LogOptions[served]{
+			Dir:       o.CacheDir,
 			Meta:      s.cacheMeta(),
 			ModelTag:  s.modelTag(),
-			TTL:       o.CacheTTL,
-			SyncEvery: sync,
+			SyncEvery: sync, // negative: no periodic sync
 			Log:       o.Logger,
 			Tracer:    sv.tracer,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("kbqa: open persistent answer cache: %w", err)
 		}
-		sv.ds = ds
-		store = ds
+		sv.rt = rt
 	}
-	sv.rt = serve.NewWithStore(sv.compute(newQueryConfig(nil)), ro, store)
 	// Weight answers by their interpretation count, so a big top-K result
 	// pays for the cache room it occupies instead of evicting many
 	// single-answer entries one-for-one. Negative entries weigh the minimum.
@@ -202,16 +192,11 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 	if o.RateLimit > 0 {
 		sv.limiter = serve.NewLimiter(o.RateLimit, o.RateBurst)
 	}
-	// invalidate stamps the current model's content tag before bumping, so
-	// the persisted generation record binds generation → model; a later
-	// boot running a different model then refuses the entries instead of
+	// invalidate bumps under the current model's content tag, so the
+	// persisted generation record binds generation → model; a later boot
+	// running a different model then refuses the entries instead of
 	// serving another model's answers.
-	invalidate := func() {
-		if sv.ds != nil {
-			sv.ds.SetModelTag(s.modelTag())
-		}
-		sv.rt.BumpGeneration()
-	}
+	invalidate := func() { sv.rt.BumpGeneration(s.modelTag()) }
 	sv.unhook = s.onRetrain(invalidate)
 	if s.retrainEpoch.Load() != epoch {
 		invalidate() // a retrain raced construction; over-invalidating is harmless
