@@ -232,7 +232,7 @@ func BenchmarkOnlineAnswerBFQ(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.Answer(context.Background(), qs[i%len(qs)], 0)
+		w.Engine.Answer(context.Background(), qs[i%len(qs)], 0, false)
 	}
 }
 
@@ -247,7 +247,7 @@ func BenchmarkOnlineAnswerComplex(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.Answer(context.Background(), cps[i%len(cps)].Q, 0)
+		w.Engine.Answer(context.Background(), cps[i%len(cps)].Q, 0, false)
 	}
 }
 
@@ -292,7 +292,7 @@ func BenchmarkDecomposeDP(b *testing.B) {
 	q := cps[0].Q
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Engine.Answer(context.Background(), q, 0)
+		w.Engine.Answer(context.Background(), q, 0, false)
 	}
 }
 
@@ -626,7 +626,7 @@ func BenchmarkExpandParallel(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res, err := expand.ExpandParallel(context.Background(), shardSharded, 8, expand.LocalScan(shardSharded), cfg); err != nil || len(res.Triples) == 0 {
+				if len(expand.ExpandParallel(context.Background(), shardSharded, cfg).Triples) == 0 {
 					b.Fatal("no triples")
 				}
 			}

@@ -15,7 +15,6 @@
 //	     histograms; ?format=prometheus (or Accept: text/plain) returns
 //	     the Prometheus text exposition
 //	GET  /stats                      -> system statistics
-//	GET  /health                     -> plain-text liveness probe (legacy)
 //	GET  /healthz                    -> JSON liveness: status, generation,
 //	     uptime
 //	GET  /readyz                     -> JSON readiness: 503 until the boot
@@ -322,7 +321,7 @@ func (s *server) overQuota(w http.ResponseWriter, r *http.Request, n int) bool {
 // over-quota requests are refused with 429 and a Retry-After header before
 // they reach the serving pipeline. /batch charges per question inside its
 // handler instead (batching must not amplify a client's quota 256×), and
-// introspection endpoints (/metrics, /stats, /health) are never limited —
+// introspection endpoints (/metrics, /stats, /healthz) are never limited —
 // an over-quota client must still be observable.
 func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -463,9 +462,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/batch", s.traced("http.batch", s.handleBatch)) // charges per question, see overQuota
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/debug/traces", s.handleTraces)

@@ -37,7 +37,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		q = text.Join(text.Tokenize(q)) // canonical
 		q = replaceHole(q, w.KB.Store.Label(e))
 		total++
-		ans, _, _, err := w.Engine.Answer(context.Background(), q, 0)
+		ans, _, _, err := w.Engine.Answer(context.Background(), q, 0, false)
 		if err == nil && ans.Path == it.PathKey {
 			right++
 		}

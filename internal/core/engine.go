@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/concept"
@@ -86,6 +87,10 @@ type Answer struct {
 	Path     string
 	// Steps is non-empty when the question was answered by decomposition.
 	Steps []Step
+	// Variant, when non-nil, is the whole reply: the question was routed to
+	// the ranking / comparison / listing aggregation and every other field
+	// is zero.
+	Variant *VariantAnswer
 }
 
 // Complex reports whether the answer came from a decomposed question.
@@ -149,9 +154,6 @@ type Engine struct {
 	Model    *learn.Model
 	// Stats, when set, enables complex-question answering.
 	Stats *decompose.Stats
-	// MaxChainValues caps how many values of an intermediate step are
-	// expanded during complex-question execution (default 8).
-	MaxChainValues int
 
 	// sortedTemplates caches the model's template keys in sorted order;
 	// computed once at construction (the model is immutable while
@@ -167,39 +169,13 @@ func NewEngine(kb rdf.Sharded, idx Index, tax *concept.Taxonomy, model *learn.Mo
 		sortedTemplates: sortedTemplateKeys(model)}
 }
 
-// decomposerFor builds a decomposer whose primitive oracle uses the
-// precomputed mentions of the question about to be decomposed as a fast
-// rejection filter: a span without a fully-contained entity mention is
-// rejected before paying for full interpretation, which keeps the DP's δ
-// evaluations cheap. Engines are safe for concurrent Answer calls because
-// each call gets its own oracle closure. The oracle observes ctx so a
-// deadline also aborts the decomposition DP, not just the probe loops; an
-// Index failure inside it is kept in *failed for the caller to surface.
-func (e *Engine) decomposerFor(ctx context.Context, mentions []extract.Mention, failed *error) *decompose.Decomposer {
-	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
-	d.Primitive = func(toks []string, sp text.Span) bool {
-		if ctx.Err() != nil || *failed != nil {
-			return false
-		}
-		for _, m := range mentions {
-			if sp.Contains(m.Span) {
-				// The δ oracle of Algorithm 2: a token span is a primitive
-				// BFQ iff the engine can actually answer it.
-				cands, err := e.interpretations(ctx, toks[sp.Start:sp.End])
-				if err != nil {
-					*failed = err
-				}
-				return len(cands) > 0
-			}
-		}
-		return false
-	}
-	return d
-}
-
 // maxDecomposeTokens bounds the decomposition DP input; the paper notes
 // over 99% of corpus questions have |q| < 23 (Sec 5.3).
 const maxDecomposeTokens = 23
+
+// maxChainValues caps how many values of an intermediate step are expanded
+// during complex-question execution.
+const maxChainValues = 8
 
 // sortedTemplateKeys returns the model's template keys in sorted order.
 func sortedTemplateKeys(model *learn.Model) []string {
@@ -216,9 +192,12 @@ func sortedTemplateKeys(model *learn.Model) []string {
 
 // Timings splits an answer call across the online pipeline's stages for the
 // serving layer's latency histograms. Attribution is coarse by design so the
-// hot path stays cheap: Parse covers tokenization and entity-mention lookup,
-// Match covers template derivation and the decomposition DP, Probe covers
-// the per-interpretation model lookups and knowledge-base V(e,p+) probing.
+// hot path stays cheap: Parse covers the question's one tokenization and
+// every entity-mention lookup outside the decomposition DP (the question's
+// own — shared by variant routing and the direct path — and each bound
+// hop's), Match covers template derivation and the decomposition DP, Probe
+// covers the per-interpretation model lookups and knowledge-base V(e,p+)
+// probing. The aggregation scans of an answered variant are in Total only.
 type Timings struct {
 	Parse time.Duration
 	Match time.Duration
@@ -227,7 +206,8 @@ type Timings struct {
 }
 
 // stampIf returns a start time only when stage timing is requested; the
-// untimed path pays no clock reads.
+// untimed path (the δ oracle, whose whole DP is one Match lap) pays no
+// clock reads.
 func stampIf(tm *Timings) time.Time {
 	if tm == nil {
 		return time.Time{}
@@ -255,36 +235,72 @@ func (tm *Timings) lapProbe(start time.Time) {
 	}
 }
 
-// Answer answers a question. Primitive BFQs take the O(|P|) inference path
-// directly; only questions the direct path cannot answer pay for the
-// O(|q|^4) decomposition DP (Sec 5). Alongside the answer it returns the
-// top-k ranked interpretations — the scored (entity, template, predicate)
-// triples of Eq (7)'s summation that the argmax otherwise discards; for a
-// complex question the ranking covers the final hop's winning BFQ, and
-// k <= 0 asks for none — and the per-stage latency attribution.
+// parsed is a question after its one parse: the token sequence and, looked
+// up on first use and kept, the entity mentions in it. Every stage of an
+// Answer call — variant routing, the direct path, the δ oracle, each chain
+// hop — works on a parsed value, so no stage tokenizes or finds mentions
+// for a token sequence an earlier stage already handled.
+type parsed struct {
+	toks     []string
+	mentions []extract.Mention
+	found    bool // mentions holds FindMentions(toks)
+}
+
+// mentionsOf returns q's entity mentions, finding them on the first call.
+func (e *Engine) mentionsOf(q *parsed, tm *Timings) []extract.Mention {
+	if !q.found {
+		start := stampIf(tm)
+		q.mentions, q.found = extract.FindMentions(e.KB, q.toks), true
+		tm.lapParse(start)
+	}
+	return q.mentions
+}
+
+// Answer is the engine's one entry point: it answers a question of any
+// supported shape. The question is parsed once; with variants set, the
+// ranking / comparison / listing route is tried first over that parse (the
+// reply is then Answer.Variant alone). Otherwise primitive BFQs take the
+// O(|P|) inference path directly, and only questions the direct path cannot
+// answer pay for the O(|q|^4) decomposition DP (Sec 5). Alongside the
+// answer it returns the top-k ranked interpretations — the scored (entity,
+// template, predicate) triples of Eq (7)'s summation that the argmax
+// otherwise discards; for a complex question the ranking covers the final
+// hop's winning BFQ, and k <= 0 asks for none — and the per-stage latency
+// attribution, which is filled in for failed calls too.
 //
 // The error is ErrNoEntity, ErrNoTemplate or ErrNoAnswer for unanswerable
 // questions (see Unanswerable), ctx.Err() when the context expires, or the
 // Index's error when a read fails.
-func (e *Engine) Answer(ctx context.Context, question string, k int) (Answer, []Ranked, Timings, error) {
+func (e *Engine) Answer(ctx context.Context, question string, k int, variants bool) (Answer, []Ranked, Timings, error) {
 	var tm Timings
 	start := time.Now()
-	ans, ranked, err := e.answer(ctx, question, &tm, k)
+	ans, ranked, err := e.answer(ctx, question, k, variants, &tm)
 	tm.Total = time.Since(start)
 	return ans, ranked, tm, err
 }
 
-// answer tokenizes and locates entity mentions exactly once (the direct BFQ
-// attempt and the decomposition fallback share both), tries the direct
-// Eq (7) path, then falls back to decomposition.
+// answer routes one question: variant → direct Eq (7) → decomposition →
+// chain, all over the same parse.
 //
-// When the context carries a trace, the call runs under an "engine.answer"
-// span whose parse/match/probe stage children mirror the Timings laps
-// exactly — a captured trace's stage durations equal the Result's reported
-// Timings because both read the same accumulator.
-func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int) (Answer, []Ranked, error) {
+// When the context carries a trace, the BFQ / complex pipeline runs under an
+// "engine.answer" span whose parse/match/probe stage children mirror the
+// Timings laps exactly — a captured trace's stage durations equal the
+// Result's reported Timings because both read the same accumulator.
+func (e *Engine) answer(ctx context.Context, question string, k int, variants bool, tm *Timings) (Answer, []Ranked, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
+	}
+	parseStart := stampIf(tm)
+	q := &parsed{toks: text.Tokenize(question)}
+	tm.lapParse(parseStart)
+	if variants {
+		va, ok, err := e.answerVariant(ctx, q, tm)
+		if err != nil {
+			return Answer{}, nil, err
+		}
+		if ok {
+			return Answer{Variant: &va}, nil, nil
+		}
 	}
 	ctx, sp := obs.StartSpan(ctx, "engine.answer")
 	if sp != nil {
@@ -296,51 +312,59 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 			sp.End()
 		}()
 	}
-	parseStart := stampIf(tm)
-	qToks := text.Tokenize(question)
-	mentions := extract.FindMentions(e.KB, qToks)
-	tm.lapParse(parseStart)
-	hadMention := len(mentions) > 0
 
-	cands, sawMass, err := e.interpretationsFrom(ctx, qToks, mentions, tm)
-	if err != nil {
-		return Answer{}, nil, err
-	}
-	if ans, ok := e.aggregate(cands); ok {
+	ans, cands, direct := e.bfq(ctx, q, tm)
+	if direct == nil {
 		return ans, e.rankTopK(cands, k), nil
 	}
-
-	// The direct path failed; classify how far it got for the typed error
-	// should decomposition not rescue the question.
-	fail := func() error {
-		if !hadMention {
-			return ErrNoEntity
-		}
-		if !sawMass {
-			return ErrNoTemplate
-		}
-		return ErrNoAnswer
+	// The direct path's typed failure says how far the pipeline got; it is
+	// the reply unless decomposition rescues the question.
+	if !Unanswerable(direct) || e.Stats == nil {
+		return Answer{}, nil, direct
 	}
-
-	if e.Stats == nil {
-		return Answer{}, nil, fail()
-	}
-	dToks := qToks
-	if len(dToks) > maxDecomposeTokens {
+	whole := len(q.toks)
+	if whole > maxDecomposeTokens {
 		// The DP is bounded to the truncated window, so the mention set
 		// handed to its oracle must cover exactly the same tokens.
-		dToks = dToks[:maxDecomposeTokens]
-		parseStart = stampIf(tm)
-		mentions = extract.FindMentions(e.KB, dToks)
-		tm.lapParse(parseStart)
+		q = &parsed{toks: q.toks[:maxDecomposeTokens]}
 	}
+	mentions := e.mentionsOf(q, tm)
 	if len(mentions) == 0 {
-		return Answer{}, nil, fail()
+		return Answer{}, nil, direct
 	}
+
+	// The δ oracle of Algorithm 2: a token span is a primitive BFQ iff the
+	// engine can actually answer it. The question's mentions are a fast
+	// rejection filter — a span without a fully-contained mention is
+	// rejected before paying for a BFQ — which keeps the DP's δ evaluations
+	// cheap. The oracle observes ctx, so a deadline also aborts the DP, not
+	// just the probe loops, and keeps an Index failure for this call to
+	// surface. The span that is the whole question needs no second look —
+	// the direct path just failed on exactly those tokens — and accepted
+	// spans keep their parse: one of them is the chain's first hop.
 	var oracleErr error
-	d := e.decomposerFor(ctx, mentions, &oracleErr)
+	prims := make(map[text.Span]*parsed)
+	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
+	d.Primitive = func(toks []string, sp text.Span) bool {
+		if ctx.Err() != nil || oracleErr != nil || sp.Len() == whole {
+			return false
+		}
+		for _, m := range mentions {
+			if sp.Contains(m.Span) {
+				sub := &parsed{toks: toks[sp.Start:sp.End]}
+				_, _, err := e.bfq(ctx, sub, nil)
+				if err == nil {
+					prims[sp] = sub
+				} else if !Unanswerable(err) {
+					oracleErr = err
+				}
+				return err == nil
+			}
+		}
+		return false
+	}
 	matchStart := stampIf(tm)
-	dec, ok := d.DecomposeTokens(dToks)
+	dec, ok := d.Decompose(q.toks)
 	tm.lapMatch(matchStart)
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
@@ -349,46 +373,111 @@ func (e *Engine) answer(ctx context.Context, question string, tm *Timings, k int
 		return Answer{}, nil, oracleErr
 	}
 	if ok && dec.IsComplex() {
-		ans, ranked, answered, err := e.executeChain(ctx, dec, tm, k)
-		if err != nil {
-			return Answer{}, nil, err
-		}
-		if answered {
-			return ans, ranked, nil
+		ans, ranked, err := e.executeChain(ctx, prims[dec.First], dec.Sequence[1:], tm, k)
+		if err == nil || !Unanswerable(err) {
+			return ans, ranked, err
 		}
 	}
-	return Answer{}, nil, fail()
+	return Answer{}, nil, direct
 }
 
-// answerBFQ runs the direct inference path, returning the candidate
-// interpretations alongside the answer so chain execution can rank the
-// winning hop without re-probing.
-func (e *Engine) answerBFQ(ctx context.Context, question string, tm *Timings) (Answer, []interpretation, error) {
-	ctx, sp := obs.StartSpan(ctx, "engine.bfq")
-	if sp != nil {
-		sp.SetAttr("question", question)
-		defer sp.End()
+// bfq is Eq (7) over one parsed question, the routine behind the direct
+// path, the δ oracle and every chain hop. It enumerates the summation's
+// support — entities from the question's mentions, templates from
+// conceptualization, predicates from the learned model — probing V(e, p)
+// for each, and aggregates the argmax value; the candidates come back with
+// the answer so callers can rank the winner without re-probing. tm, when
+// non-nil, accumulates stage latencies.
+//
+// The error says how far the pipeline got: ErrNoEntity without a mention,
+// ErrNoTemplate when no derived template carried learned P(p|t) mass,
+// ErrNoAnswer when probing produced no value — or it is the Index's: ctx
+// expiry, which every read checks, so cancellation aborts the scan
+// mid-flight, or infrastructure failure (all replicas down), which aborts
+// the answer rather than shrinking it.
+func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []interpretation, error) {
+	mentions := e.mentionsOf(q, tm)
+	if len(mentions) == 0 {
+		return Answer{}, nil, ErrNoEntity
 	}
-	parseStart := stampIf(tm)
-	qToks := text.Tokenize(question)
-	mentions := extract.FindMentions(e.KB, qToks)
-	tm.lapParse(parseStart)
-	cands, sawMass, err := e.interpretationsFrom(ctx, qToks, mentions, tm)
-	if err != nil {
-		return Answer{}, nil, err
+	// P(e|q): uniform over all candidate entities across mentions.
+	var totalEntities int
+	for _, m := range mentions {
+		totalEntities += len(m.Entities)
 	}
-	ans, ok := e.aggregate(cands)
-	if !ok {
-		switch {
-		case len(mentions) == 0:
-			return Answer{}, nil, ErrNoEntity
-		case !sawMass:
-			return Answer{}, nil, ErrNoTemplate
-		default:
-			return Answer{}, nil, ErrNoAnswer
+	pe := 1.0 / float64(totalEntities)
+
+	var cands []interpretation
+	sawMass := false
+	for _, m := range mentions {
+		matchStart := stampIf(tm)
+		tmpls := template.DeriveAll(e.Taxonomy, q.toks, m.Span, m.Surface)
+		tm.lapMatch(matchStart)
+		_, psp := obs.StartSpan(ctx, "engine.probe")
+		before := len(cands)
+		if psp != nil {
+			psp.SetAttr("mention", m.Surface)
+			psp.SetInt("entities", int64(len(m.Entities)))
+			psp.SetInt("templates", int64(len(tmpls)))
+			e.annotateShards(psp, m.Entities)
+		}
+		probeStart := stampIf(tm)
+		for _, ent := range m.Entities {
+			for _, tw := range tmpls {
+				dist := e.Model.PredDist(tw.Text)
+				if len(dist) == 0 {
+					continue
+				}
+				sawMass = true
+				// Iterate the distribution in sorted-key order: cands
+				// order feeds float accumulation in aggregate, and map
+				// order would make near-tied answers flap across runs.
+				pathKeys := make([]string, 0, len(dist))
+				for pathKey := range dist {
+					pathKeys = append(pathKeys, pathKey)
+				}
+				sort.Strings(pathKeys)
+				for _, pathKey := range pathKeys {
+					ppt := dist[pathKey]
+					if ppt <= 0 {
+						continue
+					}
+					path, ok := rdf.ParsePath(e.KB, pathKey)
+					if !ok {
+						continue
+					}
+					values, err := e.Index.PathObjects(ctx, ent, path)
+					if err != nil {
+						tm.lapProbe(probeStart)
+						psp.End()
+						return Answer{}, nil, err
+					}
+					if len(values) == 0 {
+						continue
+					}
+					cands = append(cands, interpretation{
+						entity:   ent,
+						template: tw.Text,
+						path:     pathKey,
+						weight:   pe * tw.P * ppt,
+						values:   values,
+					})
+				}
+			}
+		}
+		tm.lapProbe(probeStart)
+		if psp != nil {
+			psp.SetInt("candidates", int64(len(cands)-before))
+			psp.End()
 		}
 	}
-	return ans, cands, nil
+	if ans, ok := e.aggregate(cands); ok {
+		return ans, cands, nil
+	}
+	if !sawMass {
+		return Answer{}, nil, ErrNoTemplate
+	}
+	return Answer{}, nil, ErrNoAnswer
 }
 
 // aggregate accumulates P(v|q) over interpretations and picks the argmax
@@ -526,97 +615,6 @@ type interpretation struct {
 	values   []rdf.ID
 }
 
-// interpretations enumerates Eq (7)'s summation support: entities from the
-// question's mentions, templates from conceptualization, predicates from
-// the learned model.
-func (e *Engine) interpretations(ctx context.Context, qToks []string) ([]interpretation, error) {
-	cands, _, err := e.interpretationsFrom(ctx, qToks, extract.FindMentions(e.KB, qToks), nil)
-	return cands, err
-}
-
-// interpretationsFrom is interpretations with the mention lookup hoisted
-// out, for callers that already hold the mentions of qToks. tm, when
-// non-nil, accumulates stage latencies. sawMass reports whether any derived
-// template carried learned P(p|t) mass (the ErrNoTemplate / ErrNoAnswer
-// discriminator); err is the Index's — ctx expiry, which every read checks,
-// so cancellation aborts the scan mid-flight, or infrastructure failure
-// (all replicas down), which aborts the answer rather than shrinking it.
-func (e *Engine) interpretationsFrom(ctx context.Context, qToks []string, mentions []extract.Mention, tm *Timings) (out []interpretation, sawMass bool, err error) {
-	if len(mentions) == 0 {
-		return nil, false, nil
-	}
-	// P(e|q): uniform over all candidate entities across mentions.
-	var totalEntities int
-	for _, m := range mentions {
-		totalEntities += len(m.Entities)
-	}
-	pe := 1.0 / float64(totalEntities)
-
-	for _, m := range mentions {
-		matchStart := stampIf(tm)
-		tmpls := template.DeriveAll(e.Taxonomy, qToks, m.Span, m.Surface)
-		tm.lapMatch(matchStart)
-		_, psp := obs.StartSpan(ctx, "engine.probe")
-		before := len(out)
-		if psp != nil {
-			psp.SetAttr("mention", m.Surface)
-			psp.SetInt("entities", int64(len(m.Entities)))
-			psp.SetInt("templates", int64(len(tmpls)))
-			e.annotateShards(psp, m.Entities)
-		}
-		probeStart := stampIf(tm)
-		for _, ent := range m.Entities {
-			for _, tw := range tmpls {
-				dist := e.Model.PredDist(tw.Text)
-				if len(dist) == 0 {
-					continue
-				}
-				sawMass = true
-				// Iterate the distribution in sorted-key order: cands
-				// order feeds float accumulation in aggregate, and map
-				// order would make near-tied answers flap across runs.
-				pathKeys := make([]string, 0, len(dist))
-				for pathKey := range dist {
-					pathKeys = append(pathKeys, pathKey)
-				}
-				sort.Strings(pathKeys)
-				for _, pathKey := range pathKeys {
-					ppt := dist[pathKey]
-					if ppt <= 0 {
-						continue
-					}
-					path, ok := rdf.ParsePath(e.KB, pathKey)
-					if !ok {
-						continue
-					}
-					values, err := e.Index.PathObjects(ctx, ent, path)
-					if err != nil {
-						tm.lapProbe(probeStart)
-						psp.End()
-						return nil, sawMass, err
-					}
-					if len(values) == 0 {
-						continue
-					}
-					out = append(out, interpretation{
-						entity:   ent,
-						template: tw.Text,
-						path:     pathKey,
-						weight:   pe * tw.P * ppt,
-						values:   values,
-					})
-				}
-			}
-		}
-		tm.lapProbe(probeStart)
-		if psp != nil {
-			psp.SetInt("candidates", int64(len(out)-before))
-			psp.End()
-		}
-	}
-	return out, sawMass, nil
-}
-
 // annotateShards attributes a probe span to the knowledge-base shards that
 // own the candidate entities. Each distinct shard becomes a "probe.shard"
 // child span so a trace shows exactly which partitions one mention's probes
@@ -641,53 +639,47 @@ func (e *Engine) annotateShards(psp *obs.Span, entities []rdf.ID) {
 	}
 }
 
-// executeChain runs a decomposition sequence: answer the innermost BFQ,
-// then repeatedly bind the answer(s) into the next pattern (Sec 5.1).
+// executeChain runs a decomposition sequence: answer the innermost BFQ
+// (first, already parsed by the δ oracle), then repeatedly bind the
+// answer(s) into the next pattern's $e token (Sec 5.1) — tokens in, tokens
+// out; questions are rendered to text for Steps and span attributes only.
 // Cancellation is checked between hops and between bindings, so a deadline
-// stops a multi-hop question instead of fanning out more work; answered is
-// false when some hop has no answer (err stays nil), and err is non-nil
-// only for context expiry or an Index failure.
-func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, tm *Timings, k int) (_ Answer, _ []Ranked, answered bool, err error) {
-	maxVals := e.MaxChainValues
-	if maxVals <= 0 {
-		maxVals = 8
-	}
+// stops a multi-hop question instead of fanning out more work. The error is
+// a typed unanswerable one when some hop has no answer (the caller then
+// keeps the direct path's classification), else ctx's or the Index's.
+func (e *Engine) executeChain(ctx context.Context, first *parsed, patterns [][]string, tm *Timings, k int) (Answer, []Ranked, error) {
+	firstQ := text.Join(first.toks)
 	hctx, hsp := obs.StartSpan(ctx, "engine.hop")
 	if hsp != nil {
 		hsp.SetInt("hop", 0)
-		hsp.SetAttr("question", dec.Sequence[0])
+		hsp.SetAttr("question", firstQ)
 	}
-	first, firstCands, err := e.answerBFQ(hctx, dec.Sequence[0], tm)
+	final, finalCands, err := e.hopBFQ(hctx, first, firstQ, tm)
 	hsp.End()
 	if err != nil {
-		if Unanswerable(err) {
-			return Answer{}, nil, false, nil
-		}
-		return Answer{}, nil, false, err
+		return Answer{}, nil, err
 	}
-	hsp.SetAttr("value", first.Value)
+	hsp.SetAttr("value", final.Value)
 	steps := []Step{{
-		Question:  dec.Sequence[0],
-		Questions: []string{dec.Sequence[0]},
-		Template:  first.Template,
-		Path:      first.Path,
-		Value:     first.Value,
+		Question:  firstQ,
+		Questions: []string{firstQ},
+		Template:  final.Template,
+		Path:      final.Path,
+		Value:     final.Value,
 	}}
-	current := first.Values
-	if len(current) > maxVals {
-		current = current[:maxVals]
+	current := final.Values
+	if len(current) > maxChainValues {
+		current = current[:maxChainValues]
 	}
-	final := first
-	finalCands := firstCands
 
-	for hop, pat := range dec.Sequence[1:] {
+	for hop, pat := range patterns {
 		if err := ctx.Err(); err != nil {
-			return Answer{}, nil, false, err
+			return Answer{}, nil, err
 		}
 		hctx, hsp := obs.StartSpan(ctx, "engine.hop")
 		if hsp != nil {
 			hsp.SetInt("hop", int64(hop+1))
-			hsp.SetAttr("pattern", pat)
+			hsp.SetAttr("pattern", text.Join(pat))
 		}
 		valueSet := make(map[string]bool)
 		var stepAnswer Answer
@@ -698,23 +690,26 @@ func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, 
 		for _, v := range current {
 			if err := ctx.Err(); err != nil {
 				hsp.End()
-				return Answer{}, nil, false, err
+				return Answer{}, nil, err
 			}
-			q := decompose.Bind(pat, v)
-			executed = append(executed, q)
-			ans, cands, err := e.answerBFQ(hctx, q, tm)
+			// v is a normalized label — its tokens joined by single spaces
+			// — so splitting on them is Join's exact inverse.
+			q := &parsed{toks: decompose.Bind(pat, strings.Fields(v))}
+			qs := text.Join(q.toks)
+			executed = append(executed, qs)
+			ans, cands, err := e.hopBFQ(hctx, q, qs, tm)
 			if err != nil {
 				if Unanswerable(err) {
 					continue
 				}
 				hsp.End()
-				return Answer{}, nil, false, err
+				return Answer{}, nil, err
 			}
 			hopAnswered = true
 			if !ans.less(stepAnswer) {
 				stepAnswer = ans
 				stepCands = cands
-				stepQuestion = q
+				stepQuestion = qs
 			}
 			for _, nv := range ans.Values {
 				valueSet[nv] = true
@@ -723,7 +718,7 @@ func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, 
 		hsp.SetInt("bindings", int64(len(executed)))
 		hsp.End()
 		if !hopAnswered {
-			return Answer{}, nil, false, nil
+			return Answer{}, nil, ErrNoAnswer
 		}
 		hsp.SetAttr("value", stepAnswer.Value)
 		next := make([]string, 0, len(valueSet))
@@ -731,8 +726,8 @@ func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, 
 			next = append(next, v)
 		}
 		sort.Strings(next)
-		if len(next) > maxVals {
-			next = next[:maxVals]
+		if len(next) > maxChainValues {
+			next = next[:maxChainValues]
 		}
 		steps = append(steps, Step{
 			Question:  stepQuestion,
@@ -757,7 +752,18 @@ func (e *Engine) executeChain(ctx context.Context, dec decompose.Decomposition, 
 			}
 		}
 	}
-	return final, e.rankTopK(finalCands, k), true, nil
+	return final, e.rankTopK(finalCands, k), nil
+}
+
+// hopBFQ answers one concrete BFQ of a chain under an "engine.bfq" span;
+// question is q rendered for the trace.
+func (e *Engine) hopBFQ(ctx context.Context, q *parsed, question string, tm *Timings) (Answer, []interpretation, error) {
+	ctx, sp := obs.StartSpan(ctx, "engine.bfq")
+	if sp != nil {
+		sp.SetAttr("question", question)
+		defer sp.End()
+	}
+	return e.bfq(ctx, q, tm)
 }
 
 // less orders answers by score for picking the strongest step answer; the

@@ -58,26 +58,30 @@ func world(t testing.TB) *fixture {
 }
 
 // ask, askCtx, askBFQ and askVariant are the tests' shorthands over the
-// engine's entry points: no ranking, no timings, and for the bool forms a
-// background context with any failure folded into false.
+// engine's one entry point (askBFQ: over the BFQ routine under it): no
+// ranking, no timings, and for the bool forms a background context with any
+// failure folded into false.
 func ask(e *Engine, q string) (Answer, bool) {
 	ans, err := askCtx(context.Background(), e, q)
 	return ans, err == nil
 }
 
 func askCtx(ctx context.Context, e *Engine, q string) (Answer, error) {
-	ans, _, _, err := e.Answer(ctx, q, 0)
+	ans, _, _, err := e.Answer(ctx, q, 0, false)
 	return ans, err
 }
 
 func askBFQ(e *Engine, q string) (Answer, bool) {
-	ans, _, err := e.answerBFQ(context.Background(), q, nil)
+	ans, _, err := e.bfq(context.Background(), &parsed{toks: text.Tokenize(q)}, nil)
 	return ans, err == nil
 }
 
 func askVariant(e *Engine, q string) (VariantAnswer, bool) {
-	va, ok, err := e.AnswerVariant(context.Background(), q)
-	return va, ok && err == nil
+	ans, _, _, err := e.Answer(context.Background(), q, 0, true)
+	if err != nil || ans.Variant == nil {
+		return VariantAnswer{}, false
+	}
+	return *ans.Variant, true
 }
 
 // TestAnswersCleanCorpusQuestions checks end-to-end accuracy on the clean

@@ -29,7 +29,7 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 	ctx, trace := tracer.Start(context.Background(), "test")
-	ans, _, tm, err := f.engine.Answer(ctx, q, 3)
+	ans, _, tm, err := f.engine.Answer(ctx, q, 3, false)
 	trace.Finish()
 	if err != nil {
 		t.Fatalf("no answer for %q: %v", q, err)

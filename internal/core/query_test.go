@@ -67,7 +67,7 @@ func TestAnswerTopKRankedInterpretations(t *testing.T) {
 			continue
 		}
 		want, wantOK := ask(f.engine, p.Q)
-		ans, top, _, err := f.engine.Answer(ctx, p.Q, 5)
+		ans, top, _, err := f.engine.Answer(ctx, p.Q, 5, false)
 		if (err == nil) != wantOK {
 			t.Fatalf("Answer(%q, 5) err = %v, Answer ok = %v", p.Q, err, wantOK)
 		}
@@ -96,7 +96,7 @@ func TestAnswerTopKRankedInterpretations(t *testing.T) {
 
 	// k <= 0 asks for no ranking and must not pay for one.
 	q := f.pairs[0].Q
-	if _, top, _, err := f.engine.Answer(ctx, q, 0); err == nil && top != nil {
+	if _, top, _, err := f.engine.Answer(ctx, q, 0, false); err == nil && top != nil {
 		t.Errorf("k=0 returned interpretations: %+v", top)
 	}
 }
@@ -273,12 +273,8 @@ func TestIndexFailureAbortsAnswer(t *testing.T) {
 		counter := &failingIndex{Index: f.engine.Index}
 		counter.healthy.Store(1 << 30)
 		e := NewEngine(f.kb.Store, counter, f.kb.Taxonomy, f.model, f.engine.Stats)
-		if _, ok, err := e.AnswerVariant(ctx, q); err != nil {
-			t.Fatalf("healthy AnswerVariant(%q): %v", q, err)
-		} else if !ok {
-			if _, _, _, err := e.Answer(ctx, q, 0); err != nil {
-				t.Fatalf("healthy Answer(%q): %v", q, err)
-			}
+		if _, _, _, err := e.Answer(ctx, q, 0, true); err != nil {
+			t.Fatalf("healthy Answer(%q): %v", q, err)
 		}
 		reads := 1<<30 - counter.healthy.Load()
 		if reads == 0 {
@@ -289,13 +285,10 @@ func TestIndexFailureAbortsAnswer(t *testing.T) {
 			fi := &failingIndex{Index: f.engine.Index}
 			fi.healthy.Store(healthy)
 			e := NewEngine(f.kb.Store, fi, f.kb.Taxonomy, f.model, f.engine.Stats)
-			_, ok, err := e.AnswerVariant(ctx, q)
-			if err == nil && !ok {
-				_, _, _, err = e.Answer(ctx, q, 0)
-			}
+			ans, _, _, err := e.Answer(ctx, q, 0, true)
 			if !errors.Is(err, errShardDown) {
 				t.Fatalf("%q with the index failing after %d of %d reads: err = %v (variant ok %v), want the index's error",
-					q, healthy, reads, err, ok)
+					q, healthy, reads, err, ans.Variant != nil)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ func TestAnswerTimedMatchesAnswer(t *testing.T) {
 			continue
 		}
 		want, wantOK := ask(f.engine, p.Q)
-		got, _, tm, err := f.engine.Answer(context.Background(), p.Q, 3)
+		got, _, tm, err := f.engine.Answer(context.Background(), p.Q, 3, false)
 		gotOK := err == nil
 		if gotOK != wantOK || got.Value != want.Value || got.Path != want.Path {
 			t.Fatalf("Answer(%q, 3) = (%+v, %v), want (%+v, %v)", p.Q, got, gotOK, want, wantOK)
@@ -60,7 +60,7 @@ func TestConcurrentAnswerTimed(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, q := range questions {
-				if _, _, tm, err := f.engine.Answer(context.Background(), q, 0); err == nil && tm.Total <= 0 {
+				if _, _, tm, err := f.engine.Answer(context.Background(), q, 0, false); err == nil && tm.Total <= 0 {
 					t.Errorf("non-positive total for %q", q)
 					return
 				}

@@ -77,30 +77,31 @@ var superlativeMin = map[string]bool{
 	"fewest": true, "youngest": true,
 }
 
-// AnswerVariant recognizes and answers ranking, comparison and listing
-// questions. ok is false when the question is not a recognizable variant or
-// the aggregation cannot be grounded. err is ctx's or the Index's: a
-// ranking over a category whose shard is unreachable is an error, never a
-// shorter ranking.
-func (e *Engine) AnswerVariant(ctx context.Context, question string) (VariantAnswer, bool, error) {
-	toks := text.Tokenize(question)
-	if len(toks) == 0 {
+// answerVariant recognizes and answers ranking, comparison and listing
+// questions over the question's shared parse (a comparison needs the
+// mentions; whatever it finds the direct path reuses). ok is false when the
+// question is not a recognizable variant or the aggregation cannot be
+// grounded. err is ctx's or the Index's: a ranking over a category whose
+// shard is unreachable is an error, never a shorter ranking.
+func (e *Engine) answerVariant(ctx context.Context, q *parsed, tm *Timings) (VariantAnswer, bool, error) {
+	if len(q.toks) == 0 {
 		return VariantAnswer{}, false, nil
 	}
-	if ans, ok, err := e.tryComparison(ctx, toks); ok || err != nil {
+	if ans, ok, err := e.tryComparison(ctx, q, tm); ok || err != nil {
 		return ans, ok, err
 	}
-	if ans, ok, err := e.tryRanking(ctx, toks); ok || err != nil {
+	if ans, ok, err := e.tryRanking(ctx, q.toks); ok || err != nil {
 		return ans, ok, err
 	}
-	return e.tryListing(ctx, toks)
+	return e.tryListing(ctx, q.toks)
 }
 
 // tryComparison handles "which city has more people , Honolulu or New
 // Jersey" and "who is taller , A or B": two entity mentions joined by
 // "or", with the comparative phrase resolving to a numeric predicate
 // through the learned templates.
-func (e *Engine) tryComparison(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
+func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (VariantAnswer, bool, error) {
+	toks := q.toks
 	orIdx := -1
 	for i, t := range toks {
 		if t == "or" {
@@ -110,7 +111,7 @@ func (e *Engine) tryComparison(ctx context.Context, toks []string) (VariantAnswe
 	if orIdx <= 0 {
 		return VariantAnswer{}, false, nil
 	}
-	mentions := extract.FindMentions(e.KB, toks)
+	mentions := e.mentionsOf(q, tm)
 	if len(mentions) < 2 {
 		return VariantAnswer{}, false, nil
 	}
@@ -190,14 +191,15 @@ func (e *Engine) tryRanking(ctx context.Context, toks []string) (VariantAnswer, 
 	}, true, nil
 }
 
-// tryListing handles "list cities ordered by population" and "list all
-// cities by area".
-func (e *Engine) tryLeading(toks []string) bool {
+// listingLead reports whether the question opens like a listing request.
+func listingLead(toks []string) bool {
 	return toks[0] == "list" || toks[0] == "name" || (len(toks) > 1 && toks[0] == "give" && toks[1] == "me")
 }
 
+// tryListing handles "list cities ordered by population" and "list all
+// cities by area".
 func (e *Engine) tryListing(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
-	if !e.tryLeading(toks) {
+	if !listingLead(toks) {
 		return VariantAnswer{}, false, nil
 	}
 	hasOrder := false

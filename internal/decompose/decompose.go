@@ -5,11 +5,7 @@
 // QA corpus (Eq 26).
 package decompose
 
-import (
-	"strings"
-
-	"repro/internal/text"
-)
+import "repro/internal/text"
 
 // Hole is the entity-variable placeholder used in question patterns.
 const Hole = "$e"
@@ -71,11 +67,14 @@ func (s *Stats) Counts(pattern string) (fv, fo int) {
 // NumPatterns returns the number of distinct patterns observed.
 func (s *Stats) NumPatterns() int { return len(s.fo) }
 
-// Decomposition is a valid question sequence A = (q̌_0, ..., q̌_k): the
-// first element is a concrete primitive BFQ; each later element contains
-// the $e variable to be bound to the previous answer (Sec 5.1).
+// Decomposition is a valid question sequence A = (q̌_0, ..., q̌_k), each
+// element a token sequence: the first is a concrete primitive BFQ — the
+// tokens of span First of the decomposed question, the span the δ oracle
+// accepted — and each later element contains the Hole token to be bound to
+// the previous answer (Sec 5.1).
 type Decomposition struct {
-	Sequence []string
+	First    text.Span
+	Sequence [][]string
 	P        float64
 }
 
@@ -98,16 +97,12 @@ type Decomposer struct {
 }
 
 // Decompose returns the maximum-probability valid decomposition of the
-// question, or ok=false when no valid decomposition exists (P(A) = 0 for
-// all A).
-func (d *Decomposer) Decompose(question string) (Decomposition, bool) {
-	return d.DecomposeTokens(text.Tokenize(question))
-}
-
-// DecomposeTokens is Decompose over a pre-tokenized question, for callers
-// (the online engine) that have already tokenized it once and must hand
-// the DP exactly the token window their δ-oracle mentions were located in.
-func (d *Decomposer) DecomposeTokens(toks []string) (Decomposition, bool) {
+// tokenized question, or ok=false when no valid decomposition exists
+// (P(A) = 0 for all A). It works on tokens end to end: the caller (the
+// online engine) tokenized the question once and hands the DP exactly the
+// token window its δ-oracle mentions were located in, and the sequence
+// comes back as tokens, so nothing downstream re-tokenizes a joined string.
+func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
 	if max := d.MaxQuestionTokens; max > 0 && len(toks) > max {
 		toks = toks[:max]
 	}
@@ -117,8 +112,9 @@ func (d *Decomposer) DecomposeTokens(toks []string) (Decomposition, bool) {
 	}
 
 	type cell struct {
-		p   float64
-		seq []string
+		p     float64
+		first text.Span
+		seq   [][]string
 	}
 	// memo[i][j] covers span [i, j). live lists spans with non-zero
 	// probability: only those can serve as nested questions, so the inner
@@ -135,26 +131,26 @@ func (d *Decomposer) DecomposeTokens(toks []string) (Decomposition, bool) {
 		for i := 0; i+length <= n; i++ {
 			j := i + length
 			sub := toks[i:j]
+			span := text.Span{Start: i, End: j}
 			best := cell{}
-			if d.Primitive(toks, text.Span{Start: i, End: j}) {
-				best = cell{p: 1, seq: []string{text.Join(sub)}}
+			if d.Primitive(toks, span) {
+				best = cell{p: 1, first: span, seq: [][]string{sub}}
 			}
 			// Try every live proper inner span as the nested question q_j.
 			// The hole is bounded like the counting side: longer holes can
 			// never have been counted valid.
-			span := text.Span{Start: i, End: j}
 			for _, inSp := range live {
 				if !span.Contains(inSp) || inSp == span || inSp.Len() > maxHoleTokens {
 					continue
 				}
 				inner := memo[inSp.Start][inSp.End]
-				pat := text.Join(text.ReplaceSpan(sub, text.Span{Start: inSp.Start - i, End: inSp.End - i}, Hole))
-				pr := d.Stats.P(pat) * inner.p
+				pat := text.ReplaceSpan(sub, text.Span{Start: inSp.Start - i, End: inSp.End - i}, Hole)
+				pr := d.Stats.P(text.Join(pat)) * inner.p
 				if pr > best.p {
-					seq := make([]string, 0, len(inner.seq)+1)
+					seq := make([][]string, 0, len(inner.seq)+1)
 					seq = append(seq, inner.seq...)
 					seq = append(seq, pat)
-					best = cell{p: pr, seq: seq}
+					best = cell{p: pr, first: inner.first, seq: seq}
 				}
 			}
 			memo[i][j] = best
@@ -168,11 +164,18 @@ func (d *Decomposer) DecomposeTokens(toks []string) (Decomposition, bool) {
 	if full.p == 0 {
 		return Decomposition{}, false
 	}
-	return Decomposition{Sequence: full.seq, P: full.p}, true
+	return Decomposition{First: full.first, Sequence: full.seq, P: full.p}, true
 }
 
-// Bind substitutes an answer for the $e variable of a pattern, producing
-// the next concrete question of the sequence.
-func Bind(pattern, answer string) string {
-	return strings.Replace(pattern, Hole, text.Normalize(answer), 1)
+// Bind substitutes an answer's tokens for the first Hole token of a
+// pattern, producing the next concrete question of the sequence; a pattern
+// without a hole comes back unchanged.
+func Bind(pattern, answer []string) []string {
+	for i, t := range pattern {
+		if t == Hole {
+			out := make([]string, 0, len(pattern)-1+len(answer))
+			return append(append(append(out, pattern[:i]...), answer...), pattern[i+1:]...)
+		}
+	}
+	return pattern
 }

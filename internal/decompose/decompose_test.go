@@ -84,13 +84,20 @@ func decomposerForWife() *Decomposer {
 // q̌0 = "barack obama 's wife", q̌1 = "when was $e born".
 func TestDecomposeWifeQuestion(t *testing.T) {
 	d := decomposerForWife()
-	dec, ok := d.Decompose("When was Barack Obama's wife born?")
+	dec, ok := d.Decompose(text.Tokenize("When was Barack Obama's wife born?"))
 	if !ok {
 		t.Fatal("no decomposition found")
 	}
 	want := []string{"barack obama 's wife", "when was $e born"}
-	if !reflect.DeepEqual(dec.Sequence, want) {
-		t.Fatalf("sequence = %v, want %v", dec.Sequence, want)
+	got := make([]string, len(dec.Sequence))
+	for i, toks := range dec.Sequence {
+		got[i] = text.Join(toks)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sequence = %v, want %v", got, want)
+	}
+	if first := (text.Span{Start: 2, End: 6}); dec.First != first {
+		t.Errorf("First = %v, want %v (the span of %q)", dec.First, first, want[0])
 	}
 	if !dec.IsComplex() {
 		t.Error("IsComplex must be true")
@@ -102,7 +109,7 @@ func TestDecomposeWifeQuestion(t *testing.T) {
 
 func TestDecomposePrimitivePassThrough(t *testing.T) {
 	d := decomposerForWife()
-	dec, ok := d.Decompose("When was Barack Obama born?")
+	dec, ok := d.Decompose(text.Tokenize("When was Barack Obama born?"))
 	if !ok {
 		t.Fatal("no decomposition")
 	}
@@ -116,21 +123,24 @@ func TestDecomposePrimitivePassThrough(t *testing.T) {
 
 func TestDecomposeUnanswerable(t *testing.T) {
 	d := decomposerForWife()
-	if _, ok := d.Decompose("what is the meaning of life?"); ok {
+	if _, ok := d.Decompose(text.Tokenize("what is the meaning of life?")); ok {
 		t.Error("unanswerable question decomposed")
 	}
-	if _, ok := d.Decompose(""); ok {
+	if _, ok := d.Decompose(text.Tokenize("")); ok {
 		t.Error("empty question decomposed")
 	}
 }
 
 func TestBind(t *testing.T) {
-	got := Bind("when was $e born", "Michelle Obama")
+	bind := func(pattern, answer string) string {
+		return text.Join(Bind(text.Tokenize(pattern), text.Tokenize(answer)))
+	}
+	got := bind("when was $e born", "Michelle Obama")
 	if got != "when was michelle obama born" {
 		t.Errorf("Bind = %q", got)
 	}
 	// Only the first hole is bound.
-	if got := Bind("$e and $e", "x"); got != "x and $e" {
+	if got := bind("$e and $e", "x"); got != "x and $e" {
 		t.Errorf("Bind multiple = %q", got)
 	}
 }
@@ -175,7 +185,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 	for _, q := range questions {
 		toks := text.Tokenize(q)
 		wantP, _ := bruteForce(d, toks)
-		dec, ok := d.Decompose(q)
+		dec, ok := d.Decompose(text.Tokenize(q))
 		gotP := 0.0
 		if ok {
 			gotP = dec.P
@@ -206,7 +216,7 @@ func TestMaxQuestionTokens(t *testing.T) {
 	d.MaxQuestionTokens = 5
 	long := "When was Barack Obama born " + strings.Repeat("blah ", 50) + "?"
 	// Must terminate quickly and operate on the truncated prefix.
-	if dec, ok := d.Decompose(long); ok {
+	if dec, ok := d.Decompose(text.Tokenize(long)); ok {
 		if len(dec.Sequence) == 0 {
 			t.Error("empty sequence")
 		}

@@ -74,8 +74,8 @@ func TestDistributedEngineAnswersIdentical(t *testing.T) {
 	compare := func(qs []string, phase string) {
 		diverged := 0
 		for _, q := range qs {
-			a, _, _, aerr := w.Engine.Answer(ctx, q, 0)
-			b, _, _, berr := eng.Answer(ctx, q, 0)
+			a, _, _, aerr := w.Engine.Answer(ctx, q, 0, false)
+			b, _, _, berr := eng.Answer(ctx, q, 0, false)
 			// The remote engine may fail only the way the local one does: an
 			// RPC failure would show up here as a foreign error.
 			if !errors.Is(berr, aerr) {
@@ -139,7 +139,7 @@ func TestDistributedEngineHonorsDeadline(t *testing.T) {
 	if _, err := remote.PathObjects(ctx, store.Entities()[0], rdf.Path{store.Predicates()[0]}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("PathObjects err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, _, _, err := eng.Answer(ctx, corpus.Questions(w.Pairs)[0], 0); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := eng.Answer(ctx, corpus.Questions(w.Pairs)[0], 0, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Answer err = %v, want context.DeadlineExceeded", err)
 	}
 	if d := time.Since(start); d > time.Second {

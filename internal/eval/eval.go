@@ -121,7 +121,7 @@ func (k *KBQASystem) Name() string {
 // for the engine.
 func (k *KBQASystem) Answer(q string) (baseline.Result, bool) {
 	//kbqa:nolint ctxpropagate — baseline.System is the offline experiment contract; nothing upstream holds a context
-	ans, _, _, err := k.Engine.Answer(context.Background(), q, 0)
+	ans, _, _, err := k.Engine.Answer(context.Background(), q, 0, false)
 	if err != nil {
 		return baseline.Result{}, false
 	}

@@ -65,13 +65,13 @@ func TestSnapshotEngineAnswersIdentical(t *testing.T) {
 	ctx := context.Background()
 	diverged := 0
 	for _, q := range qs {
-		a, _, _, aerr := w.Engine.Answer(ctx, q, 0)
+		a, _, _, aerr := w.Engine.Answer(ctx, q, 0, false)
 		aok := aerr == nil
 		for _, alt := range []struct {
 			name string
 			eng  *core.Engine
 		}{{"ntriples", ntEng}, {"image", imgEng}} {
-			b, _, _, berr := alt.eng.Answer(ctx, q, 0)
+			b, _, _, berr := alt.eng.Answer(ctx, q, 0, false)
 			bok := berr == nil
 			if aok != bok {
 				t.Errorf("[%s] answerability diverges for %q: %v vs %v", alt.name, q, aok, bok)

@@ -280,8 +280,7 @@ func Expand(g rdf.Graph, cfg Config) *Result {
 func Over(g rdf.Sharded, cfg Config) *Result {
 	if g.NumShards() > 1 {
 		//kbqa:nolint ctxpropagate — offline expansion over an in-memory world: nothing to cancel, no trace to join
-		res, _ := ExpandParallel(context.Background(), g, g.NumShards(), LocalScan(g), cfg) // LocalScan never fails
-		return res
+		return ExpandParallel(context.Background(), g, cfg)
 	}
 	return Expand(g, cfg)
 }

@@ -102,7 +102,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := expandLocal(t, context.Background(), ss, cfg)
+			par := ExpandParallel(context.Background(), ss, cfg)
 			if par.Scans != seq.Scans || par.Scanned != seq.Scanned {
 				t.Fatalf("shards=%d keep=%v: scan accounting diverges: scans %d/%d scanned %d/%d",
 					shards, keep, par.Scans, seq.Scans, par.Scanned, seq.Scanned)
@@ -160,7 +160,7 @@ func TestExpandParallelSpans(t *testing.T) {
 	}
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 	ctx, trace := tracer.Start(context.Background(), "expand")
-	res := expandLocal(t, ctx, ss, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
+	res := ExpandParallel(ctx, ss, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
 	trace.Finish()
 
 	snaps := tracer.Snapshot()
@@ -207,22 +207,11 @@ func TestExpandParallelSpans(t *testing.T) {
 func TestExpandParallelUntracedIdentical(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 5, Flavor: kbgen.Freebase, Scale: 8, Shards: 2})
 	cfg := Config{MaxLen: 2, EndFilter: kb.EndFilter}
-	a := expandLocal(t, context.Background(), kb.Store, cfg)
+	a := ExpandParallel(context.Background(), kb.Store, cfg)
 	ctx, trace := obs.NewTracer(obs.Options{SampleRate: 1}).Start(context.Background(), "expand")
-	b := expandLocal(t, ctx, kb.Store, cfg)
+	b := ExpandParallel(ctx, kb.Store, cfg)
 	trace.Finish()
 	if len(a.Triples) != len(b.Triples) || a.Scanned != b.Scanned || a.Scans != b.Scans {
 		t.Fatalf("traced run diverged: %+v vs %+v", a, b)
 	}
-}
-
-// expandLocal runs ExpandParallel over an in-process sharded graph, whose
-// scans cannot fail.
-func expandLocal(t *testing.T, ctx context.Context, ss rdf.Sharded, cfg Config) *Result {
-	t.Helper()
-	res, err := ExpandParallel(ctx, ss, ss.NumShards(), LocalScan(ss), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }

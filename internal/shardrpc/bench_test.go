@@ -88,7 +88,7 @@ func BenchmarkProbeDistributed(b *testing.B) {
 		b.ReportMetric(local, "probe-ns/op")
 	})
 	b.Run("unhedged", func(b *testing.B) {
-		unhedged = remote(b, PoolOptions{DisableHedge: true})
+		unhedged = remote(b, PoolOptions{disableHedge: true})
 		b.ReportMetric(unhedged, "probe-ns/op")
 	})
 	b.Run("hedged", func(b *testing.B) {

@@ -45,7 +45,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		Placement:   pl,
 		Fingerprint: rdf.WorldFingerprint(gated),
 		// One deterministic attempt: a hedge would park a second read.
-		DisableHedge: true,
+		disableHedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,16 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/expand"
 	"repro/internal/rdf"
 )
 
-// The seam, pinned: KB is the engine's Index and nothing like a Graph, and
-// Pool.ScanShard is the scan the parallel expander takes.
-var (
-	_ core.Index       = (*KB)(nil)
-	_ expand.ShardScan = (*Pool)(nil).ScanShard
-)
+// The seam, pinned: KB is the engine's Index and nothing like a Graph.
+var _ core.Index = (*KB)(nil)
 
 func TestSeamSize(t *testing.T) {
 	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
@@ -39,8 +34,8 @@ func TestSeamSize(t *testing.T) {
 			answers = append(answers, name)
 		}
 	}
-	if !reflect.DeepEqual(answers, []string{"Answer", "AnswerVariant"}) {
-		t.Errorf("core.Engine answer methods = %v, want [Answer AnswerVariant]", answers)
+	if !reflect.DeepEqual(answers, []string{"Answer"}) {
+		t.Errorf("core.Engine answer methods = %v, want [Answer]", answers)
 	}
 }
 
@@ -64,7 +59,7 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 // TestKBCtxVariantsMatchLocal drives every remote read against a live
 // server and checks each result against the in-process index.
 func TestKBCtxVariantsMatchLocal(t *testing.T) {
-	store, pool, kb := newTestKB(t)
+	store, _, kb := newTestKB(t)
 	local := core.LocalIndex(store)
 	ctx := context.Background()
 
@@ -94,74 +89,19 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 			t.Fatalf("PathObjects(%d, marriage→person→name) = %v, %v", e, got, err)
 		}
 	}
-	for i := 0; i < store.NumShards(); i++ {
-		var rs, ls []rdf.Triple
-		if err := pool.ScanShard(ctx, i, func(tr rdf.Triple) { rs = append(rs, tr) }); err != nil {
-			t.Fatal(err)
-		}
-		store.ShardTriples(i, func(tr rdf.Triple) { ls = append(ls, tr) })
-		if !reflect.DeepEqual(rs, ls) {
-			t.Fatalf("ScanShard(%d) differs", i)
-		}
-	}
 }
 
 // TestKBCtxVariantsHonorCancellation checks every remote read fails fast
 // under a cancelled context and hands the error to its caller.
 func TestKBCtxVariantsHonorCancellation(t *testing.T) {
-	_, pool, kb := newTestKB(t)
+	_, _, kb := newTestKB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if err := pool.ScanShard(ctx, 0, func(rdf.Triple) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanShard under cancelled ctx: %v", err)
-	}
 	if _, err := kb.PathObjects(ctx, 0, rdf.Path{0}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PathObjects under cancelled ctx: %v", err)
 	}
 	if _, err := kb.Subjects(ctx, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Subjects under cancelled ctx: %v", err)
-	}
-}
-
-// TestExpandParallelCtxOverRemoteKB checks the expander produces the same
-// expansion over remote shard scans as in process — and that a shard failing
-// mid-scan fails the expansion instead of passing a partial result off as
-// complete.
-func TestExpandParallelCtxOverRemoteKB(t *testing.T) {
-	store, pool, _ := newTestKB(t)
-	ctx := context.Background()
-	cfg := expand.Config{MaxLen: 2}
-	local, err := expand.ExpandParallel(ctx, store, store.NumShards(), expand.LocalScan(store), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := expand.ExpandParallel(ctx, store, pool.NumShards(), pool.ScanShard, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(local.Triples) == 0 || !reflect.DeepEqual(local.Triples, remote.Triples) {
-		t.Fatalf("remote expansion differs: %d vs %d triples", len(remote.Triples), len(local.Triples))
-	}
-
-	errShardDied := errors.New("shard 1 died mid-scan")
-	flaky := func(ctx context.Context, shard int, fn func(rdf.Triple)) error {
-		if shard != 1 {
-			return pool.ScanShard(ctx, shard, fn)
-		}
-		delivered := 0
-		err := pool.ScanShard(ctx, shard, func(tr rdf.Triple) {
-			if delivered++; delivered <= 10 {
-				fn(tr)
-			}
-		})
-		if err != nil || delivered <= 10 {
-			t.Errorf("shard 1 scan: %d triples, %v; the failure would not be mid-scan", delivered, err)
-		}
-		return errShardDied
-	}
-	res, err := expand.ExpandParallel(ctx, store, pool.NumShards(), flaky, cfg)
-	if !errors.Is(err, errShardDied) || res != nil {
-		t.Fatalf("expansion over a shard failing mid-scan = %v, %v; want nil, %v", res, err, errShardDied)
 	}
 }

@@ -22,27 +22,32 @@ type PoolOptions struct {
 	// Fingerprint is the local world's identity (rdf.WorldFingerprint over
 	// the local graph); every handshake asserts it. Required.
 	Fingerprint uint64
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// CallTimeout bounds a call whose context carries no deadline
-	// (default 30s); contexts with deadlines always win.
-	CallTimeout time.Duration
-	// HedgeAfter, when > 0, pins the hedge delay. When 0 the pool adapts:
-	// it hedges after the observed p95 call latency, clamped to
-	// [1ms, 250ms] (25ms until enough samples accumulate). Hedging sends
-	// the same request to the next replica and takes the first answer.
-	HedgeAfter time.Duration
-	// DisableHedge turns hedging off (failover on error still applies).
-	DisableHedge bool
-	// BackoffBase and BackoffMax bound the per-server down-marking
-	// backoff after failures (defaults 100ms and 5s). A down server is
-	// deprioritized, not excluded: it is retried when every replica of a
-	// shard is down, and recovers on first success.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Logger receives structured failover/hedge events; nil discards.
 	Logger *obs.Logger
+
+	// hedgeAfter, when > 0, pins the hedge delay and disableHedge turns
+	// hedging off (failover on error still applies); tests and the probe
+	// benchmark set them for deterministic routing. In production the pool
+	// adapts: it hedges after the observed p95 call latency, clamped to
+	// [1ms, 250ms] (25ms until enough samples accumulate). Hedging sends
+	// the same request to the next replica and takes the first answer.
+	hedgeAfter   time.Duration
+	disableHedge bool
 }
+
+const (
+	// dialTimeout bounds connection establishment and the handshake.
+	dialTimeout = 5 * time.Second
+	// callTimeout bounds a call whose context carries no deadline;
+	// contexts with deadlines always win.
+	callTimeout = 30 * time.Second
+	// backoffBase and backoffMax bound the per-server down-marking backoff
+	// after failures. A down server is deprioritized, not excluded: it is
+	// retried when every replica of a shard is down, and recovers on first
+	// success.
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
 
 // PoolStats counts the pool's lifetime routing decisions.
 type PoolStats struct {
@@ -85,18 +90,6 @@ type host struct {
 func NewPool(o PoolOptions) (*Pool, error) {
 	if o.Placement == nil {
 		return nil, errors.New("shardrpc: pool needs a placement")
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 30 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
 	}
 	return &Pool{pl: o.Placement, opts: o, hosts: make(map[string]*host)}, nil
 }
@@ -169,12 +162,12 @@ func (h *host) release(c net.Conn) {
 }
 
 // markDown records a failure and backs the host off exponentially.
-func (h *host) markDown(base, max time.Duration) {
+func (h *host) markDown() {
 	h.mu.Lock()
 	h.fails++
-	d := base << uint(h.fails-1)
-	if d > max || d <= 0 {
-		d = max
+	d := backoffBase << uint(h.fails-1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	h.downUntil = time.Now().Add(d)
 	h.mu.Unlock()
@@ -189,12 +182,12 @@ func (h *host) down() bool {
 
 // dial opens and handshakes a fresh connection to addr.
 func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: p.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(p.opts.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	he := hello{version: ProtoVersion, fingerprint: p.opts.Fingerprint, numShards: uint32(p.pl.NumShards())}
 	if err := writeFrame(conn, he.encode()); err != nil {
 		conn.Close()
@@ -264,8 +257,8 @@ func (l *latencyWindow) p95() (time.Duration, bool) {
 
 // hedgeDelay resolves the current hedge delay.
 func (p *Pool) hedgeDelay() time.Duration {
-	if p.opts.HedgeAfter > 0 {
-		return p.opts.HedgeAfter
+	if p.opts.hedgeAfter > 0 {
+		return p.opts.hedgeAfter
 	}
 	q, ok := p.lat.p95()
 	if !ok {
@@ -352,7 +345,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 	sp.SetInt("op", int64(op))
 	sp.SetInt("shard", int64(shard))
 	defer sp.End()
-	deadline := time.Now().Add(p.opts.CallTimeout).UnixNano()
+	deadline := time.Now().Add(callTimeout).UnixNano()
 	if t, ok := ctx.Deadline(); ok {
 		deadline = t.UnixNano()
 	}
@@ -387,7 +380,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 
 	var hedgeCh <-chan time.Time
 	var hedgeTimer *time.Timer
-	if !p.opts.DisableHedge && next < len(order) {
+	if !p.opts.disableHedge && next < len(order) {
 		hedgeTimer = time.NewTimer(p.hedgeDelay())
 		hedgeCh = hedgeTimer.C
 		defer hedgeTimer.Stop()
@@ -495,7 +488,7 @@ func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req [
 	if conn == nil {
 		conn, err = p.dial(ctx, addr)
 		if err != nil {
-			h.markDown(p.opts.BackoffBase, p.opts.BackoffMax)
+			h.markDown()
 			return nil, false, err
 		}
 	}
@@ -512,7 +505,7 @@ func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req [
 	if err != nil {
 		conn.Close()
 		if !fl.wasAborted() && !usedPooled {
-			h.markDown(p.opts.BackoffBase, p.opts.BackoffMax)
+			h.markDown()
 		}
 		return nil, usedPooled, err
 	}
@@ -547,40 +540,6 @@ func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj r
 	}
 	out := r.ids()
 	return out, r.err
-}
-
-// scanPageLimit is the minimum triple count of one scan page.
-const scanPageLimit = 4096
-
-// ScanShard streams every triple of one shard in ascending-subject order
-// via cursor-paginated whole-subject pages.
-func (p *Pool) ScanShard(ctx context.Context, shard int, fn func(rdf.Triple)) error {
-	after := noSubject
-	for {
-		var body wbuf
-		body.u32(after)
-		body.u32(scanPageLimit)
-		r, err := p.call(ctx, shard, opScan, &body)
-		if err != nil {
-			return err
-		}
-		done := r.u8() == 1
-		after = r.u32()
-		n := int(r.u32())
-		for i := 0; i < n; i++ {
-			s, pr, o := rdf.ID(r.u32()), rdf.PID(r.u32()), rdf.ID(r.u32())
-			if r.err != nil {
-				return r.err
-			}
-			fn(rdf.Triple{S: s, P: pr, O: o})
-		}
-		if r.err != nil {
-			return r.err
-		}
-		if done {
-			return nil
-		}
-	}
 }
 
 // ServerStats fetches the stats of the server currently preferred for

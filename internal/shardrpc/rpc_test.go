@@ -137,7 +137,7 @@ func TestReplicaFailover(t *testing.T) {
 		Placement:   pl,
 		Fingerprint: rdf.WorldFingerprint(store),
 		// Deterministic routing: failover only on error, never on latency.
-		DisableHedge: true,
+		disableHedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	pool, err := NewPool(PoolOptions{
 		Placement:   pl,
 		Fingerprint: rdf.WorldFingerprint(store),
-		HedgeAfter:  time.Nanosecond, // hedge every call
+		hedgeAfter:  time.Nanosecond, // hedge every call
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 	if st := pool.Stats(); st.Hedges == 0 {
-		t.Fatalf("Stats().Hedges = 0 with HedgeAfter=1ns: %+v", st)
+		t.Fatalf("Stats().Hedges = 0 with hedgeAfter=1ns: %+v", st)
 	}
 	// Cancelled callers abandon their in-flight attempts mid-call.
 	for i := 0; i < 8; i++ {

@@ -35,11 +35,6 @@ type Server struct {
 	owns  map[int]bool // nil = all shards
 	log   *obs.Logger
 
-	// scanIdx lazily caches each shard's ascending subject list, the
-	// cursor index for paginated scans.
-	scanMu  sync.Mutex
-	scanIdx [][]rdf.ID
-
 	mu     sync.Mutex
 	lis    net.Listener
 	conns  map[net.Conn]bool
@@ -57,11 +52,10 @@ type Server struct {
 // writes after NewServer race with request handling.
 func NewServer(store rdf.Sharded, o ServerOptions) *Server {
 	s := &Server{
-		store:   store,
-		fp:      rdf.WorldFingerprint(store),
-		log:     o.Logger,
-		scanIdx: make([][]rdf.ID, store.NumShards()),
-		conns:   make(map[net.Conn]bool),
+		store: store,
+		fp:    rdf.WorldFingerprint(store),
+		log:   o.Logger,
+		conns: make(map[net.Conn]bool),
 	}
 	if len(o.Owns) > 0 {
 		s.owns = make(map[int]bool, len(o.Owns))
@@ -327,15 +321,6 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 			return r.err.Error()
 		}
 		body.ids(s.store.ShardSubjects(shard, pred, obj))
-	case opScan:
-		after, limit := r.u32(), int(r.u32())
-		if r.err != nil {
-			return r.err.Error()
-		}
-		if limit <= 0 {
-			limit = 4096
-		}
-		s.scan(shard, after, limit, body)
 	case opStats:
 		j, err := json.Marshal(s.Stats())
 		if err != nil {
@@ -346,61 +331,4 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 		return fmt.Sprintf("unknown op %d", hdr.op)
 	}
 	return ""
-}
-
-// scan emits one whole-subject page of shard i's triples: every triple of
-// each subject after the cursor, until at least limit triples are written
-// or the shard is exhausted. Pages never split a subject, so the cursor is
-// just the last subject emitted.
-func (s *Server) scan(shard int, after uint32, limit int, body *wbuf) {
-	subjects := s.shardSubjects(shard)
-	start := 0
-	if after != noSubject {
-		start = sort.Search(len(subjects), func(i int) bool { return subjects[i] > rdf.ID(after) })
-	}
-	var triples []rdf.Triple
-	next := after
-	done := true
-	for i := start; i < len(subjects); i++ {
-		s.store.SubjectTriples(subjects[i], func(t rdf.Triple) { triples = append(triples, t) })
-		next = uint32(subjects[i])
-		if len(triples) >= limit {
-			done = i == len(subjects)-1
-			break
-		}
-	}
-	if done {
-		body.u8(1)
-	} else {
-		body.u8(0)
-	}
-	body.u32(next)
-	body.u32(uint32(len(triples)))
-	for _, t := range triples {
-		body.u32(uint32(t.S))
-		body.u32(uint32(t.P))
-		body.u32(uint32(t.O))
-	}
-}
-
-// shardSubjects returns (building on first use) shard i's ascending
-// subject list.
-func (s *Server) shardSubjects(i int) []rdf.ID {
-	s.scanMu.Lock()
-	idx := s.scanIdx[i]
-	s.scanMu.Unlock()
-	if idx != nil {
-		return idx
-	}
-	built := s.store.ShardSubjectIDs(i)
-	if built == nil {
-		built = []rdf.ID{} // non-nil marks "built" for empty shards
-	}
-	s.scanMu.Lock()
-	if s.scanIdx[i] == nil {
-		s.scanIdx[i] = built
-	}
-	idx = s.scanIdx[i]
-	s.scanMu.Unlock()
-	return idx
 }

@@ -1,11 +1,10 @@
 // Package shardrpc promotes the ShardedStore's subject-hash partition
 // boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (probe, expand-frontier, scan, stats) over a small
+// answers index reads (expand-frontier, subjects, stats) over a small
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
-// KB is the engine's index seam (core.Index) over the pool; Pool.ScanShard
-// is the scan expand.ExpandParallel runs against remote shards.
+// KB is the engine's index seam (core.Index) over the pool.
 //
 // The protocol is dependency-free and CRC-framed exactly like the answer
 // cache's segment log (internal/serve/persist.go): every frame is
@@ -39,17 +38,16 @@ const (
 	// ProtoVersion is the wire protocol version; client and server must
 	// match exactly.
 	ProtoVersion = 1
-	// maxFrameLen bounds a single frame, mirroring the segment codec's
-	// cap; scans paginate well below it.
+	// maxFrameLen bounds a single frame, mirroring the segment codec's cap.
 	maxFrameLen = 1 << 26
 )
 
-// Request opcodes. 2, 4 and 5 were point lookups no client issued; their
-// numbers stay retired so the survivors keep ProtoVersion 1.
+// Request opcodes. 2, 4 and 5 were point lookups and 6 a paginated shard
+// scan no client issued; their numbers stay retired so the survivors keep
+// ProtoVersion 1.
 const (
 	opFrontier = byte(1) // pred + node set -> union of objects, sorted unique
 	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
-	opScan     = byte(6) // cursor scan of one shard, whole-subject pages
 	opStats    = byte(7) // server stats, JSON
 )
 
@@ -58,10 +56,6 @@ const (
 	statusOK  = byte(0)
 	statusErr = byte(1)
 )
-
-// noSubject is the scan-cursor sentinel for "start of shard" (IDs are
-// dense from 0, so 0 cannot mean "before the first subject").
-const noSubject = ^uint32(0)
 
 // writeFrame writes one CRC frame.
 func writeFrame(w io.Writer, payload []byte) error {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -90,6 +89,20 @@ func newQueryConfig(opts []QueryOption) queryConfig {
 	return cfg
 }
 
+// arm moves WithTimeout from the config onto ctx: the outermost layer that
+// sees the option owns the deadline (a Server arms it before the cache,
+// flight and admission waits, so it bounds queueing and belongs to this
+// caller, not to a singleflight leader), and the cleared config keeps an
+// inner layer from re-arming it. The cancel func must be called.
+func (c *queryConfig) arm(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.timeout <= 0 {
+		return ctx, func() {}
+	}
+	d := c.timeout
+	c.timeout = 0
+	return context.WithTimeout(ctx, d)
+}
+
 // fingerprint canonically encodes the result-shaping options; the serving
 // layer keys its answer cache and singleflight on (question, fingerprint)
 // so differently-optioned queries never share a result. Timeout is
@@ -133,10 +146,12 @@ type Interpretation struct {
 	Values []string `json:"values,omitempty"`
 }
 
-// QueryTimings carries per-stage latencies of one query: Parse covers
-// tokenization and mention lookup, Match template derivation and the
-// decomposition DP, Probe the model lookups and knowledge-base probing;
-// Total is end-to-end including variant routing.
+// QueryTimings carries per-stage latencies of one query: Parse covers the
+// question's one tokenization and its entity-mention lookups (shared by
+// variant routing and the BFQ path, so variant answers report it too),
+// Match template derivation and the decomposition DP, Probe the model
+// lookups and knowledge-base probing; Total is end-to-end including variant
+// routing and aggregation.
 type QueryTimings struct {
 	Parse time.Duration `json:"parse"`
 	Match time.Duration `json:"match"`
@@ -188,44 +203,30 @@ type Answerer interface {
 // on large stores instead of letting the scan run to completion.
 func (s *System) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
 	res, _, err := s.query(ctx, question, newQueryConfig(opts))
-	return res, err
+	return stampTraceID(res, ctx), err
 }
 
 // query is the resolved-config implementation shared with the serving
-// layer, which also wants the engine stage timings for failed calls.
+// layer, which also wants the engine stage timings for failed calls: arm
+// the timeout, make the one engine call, convert. The Result carries no
+// trace ID — it may be cached and outlive the request; the public entry
+// points stamp the caller's own on the way out.
 func (s *System) query(ctx context.Context, question string, cfg queryConfig) (*Result, core.Timings, error) {
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Timings{}, err
-	}
-	start := time.Now()
-	eng := s.engine()
-	res := &Result{Question: question, TraceID: obs.TraceID(ctx)}
-	if !cfg.noVariants {
-		va, ok, err := eng.AnswerVariant(ctx, question)
-		if err != nil {
-			return nil, core.Timings{Total: time.Since(start)}, err
-		}
-		if ok {
-			v := variantFromCore(va)
-			res.Variant = &v
-			res.Timings.Total = time.Since(start)
-			return res, core.Timings{Total: res.Timings.Total}, nil
-		}
-	}
-	ans, ranked, tm, err := eng.Answer(ctx, question, cfg.topK)
-	tm.Total = time.Since(start)
+	ctx, cancel := cfg.arm(ctx)
+	defer cancel()
+	ans, ranked, tm, err := s.engine().Answer(ctx, question, cfg.topK, !cfg.noVariants)
 	if err != nil {
 		return nil, tm, err
+	}
+	res := &Result{Question: question, Timings: QueryTimings(tm)}
+	if ans.Variant != nil {
+		v := variantFromCore(*ans.Variant)
+		res.Variant = &v
+		return res, tm, nil
 	}
 	a := answerFromCore(ans)
 	res.Answer = &a
 	res.Interpretations = interpretationsFromCore(ranked)
-	res.Timings = QueryTimings{Parse: tm.Parse, Match: tm.Match, Probe: tm.Probe, Total: tm.Total}
 	return res, tm, nil
 }
 
@@ -279,11 +280,8 @@ type baselineAnswerer struct {
 
 func (b baselineAnswerer) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
 	cfg := newQueryConfig(opts)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
+	ctx, cancel := cfg.arm(ctx)
+	defer cancel()
 	start := time.Now()
 	res, err := b.ad.Query(ctx, question)
 	if err != nil {

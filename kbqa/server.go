@@ -255,16 +255,8 @@ func (sv *Server) compute(cfg queryConfig) serve.AskFunc[served] {
 // computation that produced it, which a cache hit skips.
 func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
 	cfg := newQueryConfig(opts)
-	// Arm WithTimeout here, not inside the engine call: the deadline must
-	// also bound cache/flight/admission waiting, and it must belong to
-	// this caller — a singleflight leader's compute runs under the
-	// leader's context, not a follower's.
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-		cfg.timeout = 0 // the deadline lives on ctx now; don't re-arm
-	}
+	ctx, cancel := cfg.arm(ctx)
+	defer cancel()
 	ctx, finish := sv.startTrace(ctx, "kbqa.query", question)
 	defer finish()
 	out, ok, err := sv.rt.Do(ctx, question, cfg.fingerprint(), sv.compute(cfg))
@@ -296,12 +288,15 @@ func (sv *Server) startTrace(ctx context.Context, name, question string) (contex
 	return tctx, trace.Finish
 }
 
-// stampTraceID returns res carrying the context's trace ID. Cached
+// stampTraceID returns res carrying exactly the context's trace ID — the
+// request's own, or none when the request is untraced. It is the one place
+// a reply gets its ID: Results enter the cache without one (and an entry
+// persisted by an older build that did carry one is cleared here). Cached
 // Results are shared between concurrent callers and must stay read-only,
 // so a differing ID is stamped onto a shallow copy, never in place.
 func stampTraceID(res *Result, ctx context.Context) *Result {
 	tid := obs.TraceID(ctx)
-	if res == nil || tid == "" || res.TraceID == tid {
+	if res == nil || res.TraceID == tid {
 		return res
 	}
 	r2 := *res
@@ -323,13 +318,8 @@ type BatchResult struct {
 // so duplicates inside one batch cost one engine call.
 func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...QueryOption) []BatchResult {
 	cfg := newQueryConfig(opts)
-	// WithTimeout bounds the whole batch, queueing included (see Query).
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-		cfg.timeout = 0
-	}
+	ctx, cancel := cfg.arm(ctx) // bounds the whole batch, queueing included
+	defer cancel()
 	ctx, finish := sv.startTrace(ctx, "kbqa.batch", fmt.Sprintf("[batch of %d]", len(questions)))
 	defer finish()
 	items := sv.rt.DoBatch(ctx, questions, cfg.fingerprint(), sv.compute(cfg))
@@ -401,12 +391,8 @@ func (sv *Server) Generation() uint64 { return sv.rt.Generation() }
 // is nothing to warm: it returns 0 without touching the engine.
 func (sv *Server) WarmFromCorpus(ctx context.Context, qs []string, opts ...QueryOption) (warmed int) {
 	cfg := newQueryConfig(opts)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-		cfg.timeout = 0
-	}
+	ctx, cancel := cfg.arm(ctx)
+	defer cancel()
 	return sv.rt.Warm(ctx, qs, cfg.fingerprint(), sv.compute(cfg))
 }
 
