@@ -471,6 +471,7 @@ func BenchmarkBootstrap(b *testing.B) {
 
 var (
 	serveOnce sync.Once
+	serveSys  *kbqa.System // the system both servers wrap
 	serveCold *kbqa.Server // caching disabled: every Ask pays the engine
 	serveWarm *kbqa.Server // default cache, pre-warmed over serveQs
 	serveQs   []string
@@ -484,6 +485,7 @@ func serveFixture(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
+		serveSys = sys
 		serveQs = sys.SampleQuestions(64)
 		serveCold, err = sys.Server(kbqa.ServerOptions{CacheEntries: -1})
 		if err != nil {
@@ -546,10 +548,9 @@ func BenchmarkBatchAsk(b *testing.B) {
 func BenchmarkQueryTopK(b *testing.B) {
 	serveFixture(b)
 	ctx := context.Background()
-	sys := serveCold.System()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.Query(ctx, serveQs[i%len(serveQs)], kbqa.WithTopK(5), kbqa.WithoutVariants())
+		res, err := serveSys.Query(ctx, serveQs[i%len(serveQs)], kbqa.WithTopK(5), kbqa.WithoutVariants())
 		if err == nil && len(res.Interpretations) == 0 {
 			b.Fatal("no interpretations ranked")
 		}

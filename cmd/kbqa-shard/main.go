@@ -1,8 +1,8 @@
 // Command kbqa-shard is the knowledge-base shard server of the
 // distributed serving topology: it loads the (deterministically
 // generated) world, owns a subset of its subject-hash shards, and answers
-// shardrpc index reads — probe frontiers, point lookups, cursor scans —
-// for kbqa-server frontends.
+// shardrpc index reads — probe frontiers and reverse subject lookups — for
+// kbqa-server frontends.
 //
 // Every shard server loads the full world; ownership is the routing
 // contract with the placement, not a storage split, so replicas need no
@@ -37,7 +37,6 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
 	"repro/internal/shardrpc"
-	"repro/kbqa"
 )
 
 func main() {
@@ -73,7 +72,7 @@ func main() {
 		defer im.Close()
 		store = im
 	} else {
-		f, err := kbqa.ParseFlavor(*flavor)
+		f, err := kbgen.ParseFlavor(*flavor)
 		if err != nil {
 			fatal("parse flavor", obs.F("error", err.Error()))
 		}

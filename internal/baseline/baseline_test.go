@@ -182,11 +182,11 @@ func TestBootstrap(t *testing.T) {
 		}
 	}
 	// Patterns for population should include an abstracted ?D ... ?R form.
-	pats := m.PatternsFor("population")
+	pats := m.Patterns["population"]
 	if len(pats) == 0 {
 		t.Fatal("no population patterns")
 	}
-	for _, p := range pats {
+	for p := range pats {
 		if !strings.Contains(p, "?D") || !strings.Contains(p, "?R") {
 			t.Errorf("pattern %q not abstracted", p)
 		}

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/extract"
@@ -30,23 +29,6 @@ func (m *PatternModel) NumPatterns() int {
 
 // NumPredicates returns the number of predicates with at least one pattern.
 func (m *PatternModel) NumPredicates() int { return len(m.Patterns) }
-
-// PatternsFor returns the patterns of a predicate sorted by descending
-// support.
-func (m *PatternModel) PatternsFor(pred string) []string {
-	ps := m.Patterns[pred]
-	out := make([]string, 0, len(ps))
-	for p := range ps {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if ps[out[i]] != ps[out[j]] {
-			return ps[out[i]] > ps[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
 
 // Bootstrap learns BOA patterns from declarative sentences: for every
 // sentence containing both an entity and one of its direct predicate

@@ -88,9 +88,6 @@ func (t *Taxonomy) Concepts(entity string) []Scored {
 // HasConcept reports whether the concept name is known to the taxonomy.
 func (t *Taxonomy) HasConcept(c string) bool { return t.concepts[c] }
 
-// NumConcepts returns the number of distinct concepts.
-func (t *Taxonomy) NumConcepts() int { return len(t.concepts) }
-
 // smoothing added to context likelihoods so that a concept with no evidence
 // for the observed words is damped rather than eliminated; mirrors the
 // smoothed naive-Bayes of short-text conceptualization [25].

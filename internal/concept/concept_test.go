@@ -134,8 +134,8 @@ func TestConceptualizeDistributionProperty(t *testing.T) {
 
 func TestNumConcepts(t *testing.T) {
 	tax := appleTaxonomy()
-	if got := tax.NumConcepts(); got != 2 {
-		t.Errorf("NumConcepts = %d, want 2", got)
+	if got := len(tax.concepts); got != 2 {
+		t.Errorf("%d concepts, want 2", got)
 	}
 	if !tax.HasConcept("fruit") || tax.HasConcept("vegetable") {
 		t.Error("HasConcept wrong")

@@ -93,9 +93,6 @@ type Answer struct {
 	Variant *VariantAnswer
 }
 
-// Complex reports whether the answer came from a decomposed question.
-func (a Answer) Complex() bool { return len(a.Steps) > 1 }
-
 // Ranked is one scored candidate interpretation of a question: an
 // (entity, template, predicate) triple with its joint Eq (7) weight
 // P(e|q)·P(t|e,q)·P(p|t) and the values it would answer with. Answer

@@ -253,7 +253,7 @@ func TestIndexFailureAbortsAnswer(t *testing.T) {
 	ctx := context.Background()
 	complexQ := ""
 	for _, cp := range corpus.ComposeComplex(f.kb, 99, 30) {
-		if ans, err := askCtx(ctx, f.engine, cp.Q); err == nil && ans.Complex() {
+		if ans, err := askCtx(ctx, f.engine, cp.Q); err == nil && len(ans.Steps) > 1 {
 			complexQ = cp.Q
 			break
 		}

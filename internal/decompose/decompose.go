@@ -64,9 +64,6 @@ func (s *Stats) Counts(pattern string) (fv, fo int) {
 	return s.fv[pattern], s.fo[pattern]
 }
 
-// NumPatterns returns the number of distinct patterns observed.
-func (s *Stats) NumPatterns() int { return len(s.fo) }
-
 // Decomposition is a valid question sequence A = (q̌_0, ..., q̌_k), each
 // element a token sequence: the first is a concrete primitive BFQ — the
 // tokens of span First of the decomposed question, the span the δ oracle

@@ -225,7 +225,7 @@ func TestMaxQuestionTokens(t *testing.T) {
 
 func TestNumPatterns(t *testing.T) {
 	stats := BuildStats(paperCorpus, entityOracle("Barack Obama", "Honolulu"))
-	if stats.NumPatterns() == 0 {
+	if len(stats.fo) == 0 {
 		t.Error("no patterns counted")
 	}
 }

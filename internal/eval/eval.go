@@ -77,9 +77,6 @@ func (c Counts) RStar() float64 { return ratio(c.Ri+c.Par, c.Total) }
 // RBFQ is recall restricted to BFQs, #ri/#BFQ.
 func (c Counts) RBFQ() float64 { return ratio(c.Ri, c.BFQ) }
 
-// RStarBFQ is partial recall over BFQs.
-func (c Counts) RStarBFQ() float64 { return ratio(c.Ri+c.Par, c.BFQ) }
-
 // F1 combines P and R.
 func (c Counts) F1() float64 {
 	p, r := c.P(), c.R()

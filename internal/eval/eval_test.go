@@ -40,9 +40,6 @@ func TestCountsMath(t *testing.T) {
 	if got := c.RBFQ(); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("R_BFQ = %v", got)
 	}
-	if got := c.RStarBFQ(); math.Abs(got-0.55) > 1e-9 {
-		t.Errorf("R*_BFQ = %v", got)
-	}
 	f1 := 2 * 0.8 * 0.2 / (0.8 + 0.2)
 	if got := c.F1(); math.Abs(got-f1) > 1e-9 {
 		t.Errorf("F1 = %v", got)

@@ -32,12 +32,6 @@ func NewSuite() *Suite {
 	}
 }
 
-// NewSuiteWith lets callers shrink or grow the worlds (benchmarks use a
-// smaller configuration to keep iteration time sane).
-func NewSuiteWith(mk func(kbgen.Flavor) WorldConfig) *Suite {
-	return &Suite{worlds: make(map[kbgen.Flavor]*World), mkCfg: mk}
-}
-
 // World returns (building on first use) the world for a flavor.
 func (s *Suite) World(f kbgen.Flavor) *World {
 	if w, ok := s.worlds[f]; ok {

@@ -303,19 +303,6 @@ func (r *Result) DistinctPaths(g rdf.Graph, length int) []string {
 	return out
 }
 
-// Lookup answers "is v reachable from e through path" questions over the
-// materialized result set; used by tests to cross-check against the
-// store's online traversal.
-func (r *Result) Lookup(g rdf.Graph, subj rdf.ID, pathKey string) []rdf.ID {
-	var out []rdf.ID
-	for _, t := range r.Triples {
-		if t.S == subj && rdf.Key(g, t.Path) == pathKey {
-			out = append(out, t.O)
-		}
-	}
-	return out
-}
-
 // Meaningful reports, per the Infobox criterion of Sec 6.3, whether an
 // expanded triple has ground-truth support. It is injected as a function so
 // the package does not depend on the infobox implementation.

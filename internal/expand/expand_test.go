@@ -27,6 +27,18 @@ func figure1() (*rdf.ShardedStore, rdf.ID, rdf.PID) {
 	return s, a, name
 }
 
+// lookup lists the objects the materialized result set reaches from subj
+// through path, for cross-checks against the store's online traversal.
+func lookup(r *Result, g rdf.Graph, subj rdf.ID, pathKey string) []rdf.ID {
+	var out []rdf.ID
+	for _, t := range r.Triples {
+		if t.S == subj && rdf.Key(g, t.Path) == pathKey {
+			out = append(out, t.O)
+		}
+	}
+	return out
+}
+
 func TestExpandToyKB(t *testing.T) {
 	s, a, name := figure1()
 	res := Expand(s, Config{
@@ -44,11 +56,11 @@ func TestExpandToyKB(t *testing.T) {
 	}
 	// Length 3 must include marriage→person→name -> Michelle Obama and
 	// nothing ending in dob/date.
-	objs := res.Lookup(s, a, "marriage→person→name")
+	objs := lookup(res, s, a, "marriage→person→name")
 	if len(objs) != 1 || s.Label(objs[0]) != "Michelle Obama" {
 		t.Fatalf("marriage→person→name lookup = %v", objs)
 	}
-	if got := res.Lookup(s, a, "marriage→person→dob"); len(got) != 0 {
+	if got := lookup(res, s, a, "marriage→person→dob"); len(got) != 0 {
 		t.Error("end filter violated: marriage→person→dob emitted")
 	}
 	// Expansion agrees with the store's online traversal.

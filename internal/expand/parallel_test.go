@@ -33,9 +33,9 @@ func diamondKB() (*rdf.ShardedStore, rdf.ID, rdf.ID) {
 func TestExpandDiamondDedupe(t *testing.T) {
 	s, src, o := diamondKB()
 	res := Expand(s, Config{MaxLen: 2, Sources: []rdf.ID{src}, KeepAllLengths: true})
-	objs := res.Lookup(s, src, "a→b")
+	objs := lookup(res, s, src, "a→b")
 	if len(objs) != 1 || objs[0] != o {
-		t.Fatalf("Lookup(src, a→b) = %v, want exactly [%d]: diamond emitted duplicates", objs, o)
+		t.Fatalf("lookup(src, a→b) = %v, want exactly [%d]: diamond emitted duplicates", objs, o)
 	}
 	if res.ByLength[2] != 1 {
 		t.Errorf("ByLength[2] = %d, want 1", res.ByLength[2])

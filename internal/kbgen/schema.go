@@ -1,6 +1,11 @@
 package kbgen
 
-import "repro/internal/qclass"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/qclass"
+)
 
 // Intent is one question intent: a knowledge-base predicate (direct or
 // expanded, identified by its arrow-notation path key) together with the
@@ -341,6 +346,21 @@ func (f Flavor) String() string {
 		return "DBpedia"
 	default:
 		return "Flavor(?)"
+	}
+}
+
+// ParseFlavor converts a flavor name (as the binaries' -flavor flags spell
+// it) to the flavor; the empty name is Freebase.
+func ParseFlavor(name string) (Flavor, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "freebase", "fb":
+		return Freebase, nil
+	case "kba":
+		return KBA, nil
+	case "dbpedia", "dbp":
+		return DBpedia, nil
+	default:
+		return 0, fmt.Errorf("unknown flavor %q (want kba, freebase, or dbpedia)", name)
 	}
 }
 

@@ -59,38 +59,18 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// logSink serializes writes from every Logger derived from the same
-// NewLogger call, so concurrent records never interleave mid-line.
-type logSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
 // Logger writes one JSON object per line: {"ts":...,"level":...,
-// "msg":..., <fields>...}. Derive request-scoped loggers with With. A nil
-// *Logger discards everything — all methods are nil-safe — so optional
-// logging costs one nil check at the call site.
+// "msg":..., <fields>...}. A nil *Logger discards everything — all methods
+// are nil-safe — so optional logging costs one nil check at the call site.
 type Logger struct {
-	sink   *logSink
-	min    Level
-	fields []Field
+	mu  sync.Mutex // serializes writes, so concurrent records never interleave mid-line
+	w   io.Writer
+	min Level
 }
 
 // NewLogger builds a Logger writing JSON lines at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{sink: &logSink{w: w}, min: min}
-}
-
-// With returns a Logger that prepends fields to every record; the parent
-// is unchanged and output stays serialized through the shared sink.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
-	}
-	merged := make([]Field, 0, len(l.fields)+len(fields))
-	merged = append(merged, l.fields...)
-	merged = append(merged, fields...)
-	return &Logger{sink: l.sink, min: l.min, fields: merged}
+	return &Logger{w: w, min: min}
 }
 
 // Enabled reports whether records at lv would be written.
@@ -119,16 +99,13 @@ func (l *Logger) log(lv Level, msg string, fields []Field) {
 	buf = append(buf, lv.String()...)
 	buf = append(buf, `","msg":`...)
 	buf = appendJSONValue(buf, msg)
-	for _, f := range l.fields {
-		buf = appendField(buf, f)
-	}
 	for _, f := range fields {
 		buf = appendField(buf, f)
 	}
 	buf = append(buf, '}', '\n')
-	l.sink.mu.Lock()
-	l.sink.w.Write(buf)
-	l.sink.mu.Unlock()
+	l.mu.Lock()
+	l.w.Write(buf)
+	l.mu.Unlock()
 }
 
 func appendField(buf []byte, f Field) []byte {

@@ -56,29 +56,12 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	}
 }
 
-func TestLoggerWithFields(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo).With(F("component", "server"))
-	l2 := l.With(F("trace_id", "abc"))
-	l2.Info("req", F("status", 200))
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec["component"] != "server" || rec["trace_id"] != "abc" || rec["status"] != float64(200) {
-		t.Fatalf("with-fields lost: %v", rec)
-	}
-}
-
 func TestNilLoggerIsSafe(t *testing.T) {
 	var l *Logger
 	l.Debug("x")
 	l.Info("x", F("k", "v"))
 	l.Warn("x")
 	l.Error("x")
-	if l.With(F("a", 1)) != nil {
-		t.Fatal("With on nil must return nil")
-	}
 	if l.Enabled(LevelError) {
 		t.Fatal("nil logger must report disabled")
 	}
@@ -93,7 +76,7 @@ func TestLoggerConcurrentLinesDoNotInterleave(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.With(F("goroutine", i)).Info("tick", F("j", j))
+				l.Info("tick", F("goroutine", i), F("j", j))
 			}
 		}(i)
 	}

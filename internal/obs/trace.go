@@ -63,16 +63,6 @@ func NewRemoteRoot(traceID, name string) *Span {
 	return t.root
 }
 
-// ContextWithSpan returns a context carrying sp as the active span, so
-// StartSpan calls downstream create children under it. Nil-safe: a nil
-// span returns ctx unchanged (the request stays untraced).
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // Snapshot converts the span tree to its immutable form with StartNanos
 // offsets relative to this span's own start — the wire form a remote
 // server returns for AttachRemote. Zero on a nil receiver.
@@ -363,11 +353,9 @@ type Tracer struct {
 	idBase uint64
 	seq    atomic.Uint64
 
-	mu      sync.Mutex
-	ring    []TraceSnapshot
-	next    int
-	total   uint64 // traces retained ever (ring may have evicted some)
-	started uint64 // traces started ever
+	mu   sync.Mutex
+	ring []TraceSnapshot
+	next int
 }
 
 // NewTracer builds a Tracer. SampleRate is clamped to [0,1].
@@ -405,9 +393,6 @@ func (tr *Tracer) Start(ctx context.Context, name string) (context.Context, *Tra
 		sampled: tr.opts.SampleRate > 0 && mrand.Float64() < tr.opts.SampleRate,
 	}
 	t.root = &Span{trace: t, name: name, start: now}
-	tr.mu.Lock()
-	tr.started++
-	tr.mu.Unlock()
 	return context.WithValue(ctx, spanKey{}, t.root), t
 }
 
@@ -416,7 +401,6 @@ func (tr *Tracer) Start(ctx context.Context, name string) (context.Context, *Tra
 func (tr *Tracer) keep(snap TraceSnapshot) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.total++
 	if len(tr.ring) < tr.opts.Capacity {
 		tr.ring = append(tr.ring, snap)
 		return
@@ -457,15 +441,4 @@ func (tr *Tracer) Find(id string) (TraceSnapshot, bool) {
 		}
 	}
 	return TraceSnapshot{}, false
-}
-
-// Stats reports lifetime tracer counters: traces started, traces
-// retained, and the current ring occupancy.
-func (tr *Tracer) Stats() (started, retained uint64, buffered int) {
-	if tr == nil {
-		return 0, 0, 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.started, tr.total, len(tr.ring)
 }

@@ -103,10 +103,6 @@ func TestSamplingZeroKeepsNothingFastQueries(t *testing.T) {
 	if got := len(tr.Snapshot()); got != 0 {
 		t.Fatalf("retained %d traces with sampling off and nothing slow", got)
 	}
-	started, retained, buffered := tr.Stats()
-	if started != 10 || retained != 0 || buffered != 0 {
-		t.Fatalf("stats = %d/%d/%d, want 10/0/0", started, retained, buffered)
-	}
 }
 
 func TestSlowTracesAlwaysCapturedAndLogged(t *testing.T) {

@@ -9,8 +9,6 @@
 // only consumed as a boolean agreement filter.
 package qclass
 
-import "repro/internal/text"
-
 // Class is a coarse UIUC question class.
 type Class uint8
 
@@ -34,15 +32,10 @@ func (c Class) String() string {
 	return "Class(?)"
 }
 
-// Classify assigns a UIUC coarse class to the question. It never fails; a
-// question with no recognizable interrogative pattern maps to Enty, the
-// taxonomy's catch-all, matching the behaviour of [22] on tail questions.
-func Classify(question string) Class {
-	toks := text.Tokenize(question)
-	return ClassifyTokens(toks)
-}
-
-// ClassifyTokens is Classify over pre-tokenized input.
+// ClassifyTokens assigns a UIUC coarse class to a tokenized question. It
+// never fails; a question with no recognizable interrogative pattern maps to
+// Enty, the taxonomy's catch-all, matching the behaviour of [22] on tail
+// questions.
 func ClassifyTokens(toks []string) Class {
 	if len(toks) == 0 {
 		return Unknown

@@ -1,6 +1,10 @@
 package qclass
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/text"
+)
 
 func TestClassify(t *testing.T) {
 	cases := []struct {
@@ -33,8 +37,8 @@ func TestClassify(t *testing.T) {
 		{"whose car is this", Hum},
 	}
 	for _, c := range cases {
-		if got := Classify(c.q); got != c.want {
-			t.Errorf("Classify(%q) = %v, want %v", c.q, got, c.want)
+		if got := ClassifyTokens(text.Tokenize(c.q)); got != c.want {
+			t.Errorf("ClassifyTokens(%q) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
@@ -76,7 +80,7 @@ func TestAgrees(t *testing.T) {
 // agree, while the noise value "politician" (ENTY, via predicate category)
 // must be filtered.
 func TestRefinementScenario(t *testing.T) {
-	q := Classify("When was Barack Obama born?")
+	q := ClassifyTokens(text.Tokenize("When was Barack Obama born?"))
 	if q != Num {
 		t.Fatalf("question class = %v", q)
 	}

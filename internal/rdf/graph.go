@@ -219,16 +219,3 @@ func PathsBetween(g Graph, subj, obj ID, maxLen int, endFilter func(PID) bool) [
 	walk(subj, nil)
 	return out
 }
-
-// DirectOrExpandedBetween reports whether any direct predicate or any
-// expanded predicate of length <= maxLen connects subj and obj. It is the
-// membership test "(e, p, v) ∈ K" of Eq (8) under predicate expansion.
-func DirectOrExpandedBetween(g Graph, subj, obj ID, maxLen int, endFilter func(PID) bool) bool {
-	if len(g.PredicatesBetween(subj, obj)) > 0 {
-		return true
-	}
-	if maxLen <= 1 {
-		return false
-	}
-	return len(PathsBetween(g, subj, obj, maxLen, endFilter)) > 0
-}

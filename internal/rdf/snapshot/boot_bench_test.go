@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/kbgen"
 	"repro/internal/rdf"
 )
@@ -86,20 +85,6 @@ func BenchmarkBootNTriples(b *testing.B) {
 	}
 	perBoot := time.Since(t0) / time.Duration(b.N)
 	b.ReportMetric(float64(perBoot.Nanoseconds()), "ns/boot")
-
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchjson.Write(b, "boot_ntriples", map[string]any{
-		"benchmark":   "BenchmarkBootNTriples",
-		"ns_per_boot": perBoot.Nanoseconds(),
-		"triples":     ss.NumTriples(),
-		"nodes":       ss.NumNodes(),
-		"file_bytes":  fi.Size(),
-		"boot_note":   "open + parse + re-intern the textual export, then a first probe (label, predicate, index read)",
-		"boots_timed": b.N,
-	})
 }
 
 // BenchmarkBootImage measures cold boot from the snapshot image: open,
@@ -151,20 +136,4 @@ func BenchmarkBootImage(b *testing.B) {
 	b.ReportMetric(float64(perBoot.Nanoseconds()), "ns/boot")
 	speedup := float64(ntBoot.Nanoseconds()) / float64(perBoot.Nanoseconds())
 	b.ReportMetric(speedup, "speedup_x")
-
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchjson.Write(b, "boot_image", map[string]any{
-		"benchmark":            "BenchmarkBootImage",
-		"ns_per_boot":          perBoot.Nanoseconds(),
-		"ntriples_ns_one_shot": ntBoot.Nanoseconds(),
-		"speedup_x":            speedup,
-		"triples":              ss.NumTriples(),
-		"nodes":                ss.NumNodes(),
-		"image_bytes":          fi.Size(),
-		"boot_note":            "open + mmap + full CRC/fingerprint verification + first probe + close; ntriples_ns_one_shot is the same boot via the textual export, timed once in this process",
-		"boots_timed":          b.N,
-	})
 }

@@ -283,10 +283,6 @@ func (im *Image) Close() error {
 	return im.unmap(data)
 }
 
-// Fingerprint returns the world fingerprint carried in the image header,
-// identical to rdf.WorldFingerprint over the image.
-func (im *Image) Fingerprint() uint64 { return im.fingerprint }
-
 // --- interning lookups ---
 
 func (im *Image) Label(id rdf.ID) string {

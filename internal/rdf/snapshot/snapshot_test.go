@@ -82,7 +82,7 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 		})
 	}
 	im := rows[3].g.(*Image)
-	if got, want := im.Fingerprint(), rdf.WorldFingerprint(four); got != want {
+	if got, want := im.fingerprint, rdf.WorldFingerprint(four); got != want {
 		t.Fatalf("fingerprint %016x, want %016x", got, want)
 	}
 }
@@ -277,9 +277,6 @@ func (m *model) check(t *testing.T, g rdf.Sharded) {
 			}
 			if !found {
 				t.Fatalf("PathsBetween(%d,%d) misses %s", e, v, key)
-			}
-			if !rdf.DirectOrExpandedBetween(g, e, v, 3, nil) || rdf.DirectOrExpandedBetween(g, e, v, 1, nil) != (len(g.PredicatesBetween(e, v)) > 0) {
-				t.Fatalf("DirectOrExpandedBetween(%d,%d) disagrees with the paths found", e, v)
 			}
 		}
 	}

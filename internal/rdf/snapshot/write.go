@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/rdf"
+	"repro/internal/safeio"
 	"repro/internal/text"
 )
 
@@ -51,51 +50,14 @@ func WriteImage(w io.Writer, src rdf.Sharded) error {
 }
 
 // WriteImageFile writes the image to path with the atomic-publish idiom of
-// the segment store: write to a temp file in the same directory, fsync,
-// rename over path, fsync the directory. Readers either see the previous
-// complete image or the new one, never a torn mix.
-func WriteImageFile(path string, src rdf.Sharded) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// the segment store: readers either see the previous complete image or the
+// new one, never a torn mix.
+func WriteImageFile(path string, src rdf.Sharded) error {
+	err := safeio.PublishFile(path, func(w *bufio.Writer) error { return WriteImage(w, src) })
 	if err != nil {
-		return fmt.Errorf("snapshot: create temp image: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err = WriteImage(bw, src); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flush image: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("snapshot: sync image: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: close image: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("snapshot: publish image: %w", err)
 	}
-	syncDir(dir)
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-published rename survives a crash;
-// best-effort, as not every filesystem supports it.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	//kbqa:nolint errsink — best-effort by contract: not every filesystem supports dir fsync
-	d.Sync()
 }
 
 // section is one contiguous region of the image body.

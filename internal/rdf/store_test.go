@@ -172,24 +172,6 @@ func TestPathsBetweenEndFilter(t *testing.T) {
 	}
 }
 
-func TestDirectOrExpandedBetween(t *testing.T) {
-	s, ids := buildToyKB(t)
-	name, _ := s.PredID("name")
-	endName := func(p PID) bool { return p == name }
-	if !DirectOrExpandedBetween(s, ids["a"], s.Literal("1961"), 3, endName) {
-		t.Error("direct fact not found")
-	}
-	if !DirectOrExpandedBetween(s, ids["a"], s.Literal("Michelle Obama"), 3, endName) {
-		t.Error("expanded fact not found")
-	}
-	if DirectOrExpandedBetween(s, ids["a"], s.Literal("1964"), 3, endName) {
-		t.Error("filtered expanded fact must not count")
-	}
-	if DirectOrExpandedBetween(s, ids["a"], s.Literal("Michelle Obama"), 1, endName) {
-		t.Error("maxLen=1 must not see expanded facts")
-	}
-}
-
 func TestOutDegreeAndStats(t *testing.T) {
 	s, ids := buildToyKB(t)
 	if got := OutDegree(s, ids["a"]); got != 5 {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -18,18 +17,14 @@ type BatchItem[A any] struct {
 
 // DoBatch fans the questions across a bounded worker pool and returns the
 // answers in input order. Every question of the batch is answered under
-// the same options fingerprint and compute override, mirroring Do, and each
+// the same options fingerprint and compute, mirroring Do, and each
 // goes through the full serving pipeline (cache, dedup, admission) keyed by
 // (question, fingerprint), so duplicates inside one batch — and across
 // concurrent batches with the same options — cost one engine call. A
 // cancelled or expired context marks the not-yet-started items with the
 // context error instead of abandoning the batch.
 func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprint string, compute AskFunc[A]) []BatchItem[A] {
-	workers := r.opts.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return runBatch(ctx, questions, workers, func(ctx context.Context, q string) (A, bool, error) {
+	return runBatch(ctx, questions, r.batchWorkers, func(ctx context.Context, q string) (A, bool, error) {
 		return r.Do(ctx, q, fingerprint, compute)
 	})
 }

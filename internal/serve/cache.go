@@ -24,7 +24,7 @@ type Entry[A any] struct {
 	At time.Time
 	// Persisted marks entries replayed from the disk log at open.
 	Persisted bool
-	// Weight is the entry's cost in cache-capacity units (SetWeigher): a
+	// Weight is the entry's cost in cache-capacity units (Options.Weigh): a
 	// heavy answer (a large top-K result) competes for the same budget as
 	// the many light entries it displaces, instead of evicting them
 	// one-for-one. Values below 1 count as 1. Weight is a residency hint,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/safeio"
 )
 
 // merger is the single background maintenance goroutine: it compacts
@@ -139,62 +140,31 @@ func (l *diskLog[A]) mergeSealed() {
 // put refused to log (unencodable, oversized); it is skipped here the same
 // way and stays memory-only.
 func (l *diskLog[A]) writeBase(resident []liveEntry[A], gen uint64, tag string) (live int, err error) {
-	tmp := l.basePath() + ".tmp"
-	f, err := os.Create(tmp)
+	err = safeio.PublishFile(l.basePath(), func(w *bufio.Writer) error {
+		writeSegHeader(w, l.meta)
+		if err := safeio.WriteFrame(w, encodeGenPayload(gen, tag)); err != nil {
+			return err
+		}
+		now := time.Now()
+		for _, le := range resident {
+			if le.e.Gen != gen || !l.alive(le.e, now) {
+				continue
+			}
+			live++
+			val, err := l.codec.Encode(le.e.Val)
+			if err != nil || entryPayloadLen(le.key, val) > maxRecordLen {
+				continue
+			}
+			if err := safeio.WriteFrame(w, encodeEntryPayload(le.key, val, le.e.Gen, le.e.At.UnixNano(), le.e.OK)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("serve: write segment: %w", err)
+		return 0, fmt.Errorf("serve: publish base segment: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	writeSegHeader(w, l.meta)
-	writeRecord(w, encodeGenPayload(gen, tag))
-	now := time.Now()
-	for _, le := range resident {
-		if le.e.Gen != gen || !l.alive(le.e, now) {
-			continue
-		}
-		live++
-		val, err := l.codec.Encode(le.e.Val)
-		if err != nil || entryPayloadLen(le.key, val) > maxRecordLen {
-			continue
-		}
-		writeRecord(w, encodeEntryPayload(le.key, val, le.e.Gen, le.e.At.UnixNano(), le.e.OK))
-	}
-	if err := w.Flush(); err != nil {
-		//kbqa:nolint errsink — error-path cleanup of a temp file about to be unlinked
-		f.Close()
-		return 0, fmt.Errorf("serve: write segment: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		//kbqa:nolint errsink — error-path cleanup of a temp file about to be unlinked
-		f.Close()
-		return 0, fmt.Errorf("serve: write segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("serve: write segment: %w", err)
-	}
-	if err := os.Rename(tmp, l.basePath()); err != nil {
-		return 0, fmt.Errorf("serve: publish segment: %w", err)
-	}
-	// Make the rename itself durable before the caller acts on it (the
-	// merger deletes the sealed inputs next): POSIX does not order a
-	// rename against later unlinks across a power cut, and a persisted
-	// unlink with a lost rename would drop those records from every
-	// surviving copy.
-	syncDir(l.dir)
 	return live, nil
-}
-
-// syncDir fsyncs the directory, ordering just-performed renames/creates
-// durably before whatever follows; best-effort where directory fsync is
-// unsupported.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	//kbqa:nolint errsink — best-effort by contract: not every filesystem supports dir fsync
-	d.Sync()
 }
 
 // syncActive is the periodic durability point: one syncPoint pass,
@@ -294,7 +264,7 @@ func (l *diskLog[A]) syncPoint(strict bool) (retry bool, err error) {
 // directory sync next time, never a missed one.
 func (l *diskLog[A]) syncDirIfDirty() {
 	if l.dirDirty.Swap(false) {
-		syncDir(l.dir)
+		safeio.SyncDir(l.dir)
 	}
 }
 

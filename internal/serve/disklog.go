@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/safeio"
 )
 
 // diskLog is the optional write-behind half of the answer cache: a log of
@@ -258,7 +259,7 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 	// Make the fresh active's directory entry (and the sealed removals)
 	// durable, so a later data fsync of the active file cannot report
 	// bytes durable in a file a crash then unlinks.
-	syncDir(l.dir)
+	safeio.SyncDir(l.dir)
 	l.lastSync.Store(time.Now().UnixNano())
 	l.mergeCh = make(chan struct{}, 1)
 	l.stopMerger = make(chan struct{})
@@ -398,7 +399,7 @@ func (l *diskLog[A]) startActiveLocked() error {
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	writeSegHeader(l.w, l.meta)
-	if err := writeRecord(l.w, encodeGenPayload(l.gen, l.tag)); err != nil {
+	if err := safeio.WriteFrame(l.w, encodeGenPayload(l.gen, l.tag)); err != nil {
 		return fmt.Errorf("serve: start active segment: %w", err)
 	}
 	l.appended = 0
@@ -457,7 +458,7 @@ func (l *diskLog[A]) appendLocked(payload []byte) {
 	if l.closed || l.writeErr != nil {
 		return
 	}
-	if err := writeRecord(l.w, payload); err != nil {
+	if err := safeio.WriteFrame(l.w, payload); err != nil {
 		l.writeErr = fmt.Errorf("serve: append segment record: %w", err)
 		return
 	}

@@ -14,7 +14,7 @@ import (
 // repeats under the same fingerprint share one engine call.
 func TestDoFingerprintKeysCache(t *testing.T) {
 	var calls atomic.Int64
-	r := New[string](nil, Options{})
+	r := New(Options[string]{})
 	ctx := context.Background()
 	compute := func(tag string) AskFunc[string] {
 		return func(_ context.Context, q string) (string, StageTimings, bool, error) {
@@ -49,12 +49,12 @@ func TestDoFingerprintKeysCache(t *testing.T) {
 func TestDoComputeErrorNotCached(t *testing.T) {
 	var calls atomic.Int64
 	fail := errors.New("boom")
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		if calls.Add(1) == 1 {
 			return "", StageTimings{}, false, fail
 		}
 		return "ans", StageTimings{}, true, nil
-	}, Options{})
+	}, Options[string]{})
 	ctx := context.Background()
 	if _, _, err := r.Ask(ctx, "q"); !errors.Is(err, fail) {
 		t.Fatalf("first ask err = %v, want boom", err)
@@ -72,10 +72,10 @@ func TestDoComputeErrorNotCached(t *testing.T) {
 // surfaces the deadline as the request error and counts under the timeout
 // code.
 func TestDoEngineContextError(t *testing.T) {
-	r := New(func(ctx context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(ctx context.Context, q string) (string, StageTimings, bool, error) {
 		<-ctx.Done()
 		return "", StageTimings{}, false, ctx.Err()
-	}, Options{Timeout: 5 * time.Millisecond})
+	}, Options[string]{Timeout: 5 * time.Millisecond})
 	_, _, err := r.Ask(context.Background(), "slow")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -103,7 +103,7 @@ func TestErrorCodeMapping(t *testing.T) {
 }
 
 func TestCountErrorSurfacesInSnapshot(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	r.CountError("no_entity")
 	r.CountError("no_entity")
 	r.CountError("no_answer")
@@ -115,7 +115,7 @@ func TestCountErrorSurfacesInSnapshot(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	ctx := context.Background()
 	r.Ask(ctx, "q1")
 	r.Ask(ctx, "q1")
@@ -159,7 +159,7 @@ func TestDoBatchSharesFingerprintedCache(t *testing.T) {
 		calls.Add(1)
 		return "ans:" + q, StageTimings{}, true, nil
 	}
-	r := New[string](nil, Options{BatchWorkers: 2})
+	r := New(Options[string]{})
 	ctx := context.Background()
 	if _, _, err := r.Do(ctx, "a", "fp", compute); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // holds the old entry (no stop-the-world flush).
 func TestGenerationKeysCache(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{})
+	r := withEngine(echoAsk(&calls), Options[string]{})
 	ctx := context.Background()
 	r.Ask(ctx, "q")
 	r.Ask(ctx, "q")
@@ -42,7 +42,7 @@ func TestGenerationKeysCache(t *testing.T) {
 // is recomputed in place.
 func TestGenerationTTLExpiry(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{TTL: time.Nanosecond})
+	r := withEngine(echoAsk(&calls), Options[string]{TTL: time.Nanosecond})
 	ctx := context.Background()
 	r.Ask(ctx, "q")
 	time.Sleep(time.Millisecond)
@@ -57,7 +57,7 @@ func TestGenerationTTLExpiry(t *testing.T) {
 
 	// And with a generous TTL the second ask is a hit.
 	var calls2 atomic.Int64
-	r2 := New(echoAsk(&calls2), Options{TTL: time.Hour})
+	r2 := withEngine(echoAsk(&calls2), Options[string]{TTL: time.Hour})
 	r2.Ask(ctx, "q")
 	r2.Ask(ctx, "q")
 	if n := calls2.Load(); n != 1 {
@@ -70,7 +70,7 @@ func TestGenerationTTLExpiry(t *testing.T) {
 // to displace it — and the purge is counted as an eviction.
 func TestTTLExpiredReadFreesSlot(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{TTL: time.Nanosecond})
+	r := withEngine(echoAsk(&calls), Options[string]{TTL: time.Nanosecond})
 	ctx := context.Background()
 	r.Ask(ctx, "q")
 	time.Sleep(time.Millisecond)
@@ -91,9 +91,9 @@ func TestTTLExpiredReadFreesSlot(t *testing.T) {
 // with caching disabled it is a no-op that never touches the engine.
 func TestWarmFromCorpus(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{})
+	r := withEngine(echoAsk(&calls), Options[string]{})
 	qs := []string{"q1", "q2", "unanswerable"}
-	if warmed := r.WarmFromCorpus(context.Background(), qs); warmed != 3 {
+	if warmed := r.Warm(context.Background(), qs, "", r.ask); warmed != 3 {
 		t.Fatalf("warmed = %d, want 3 (negative answers warm too)", warmed)
 	}
 	for _, q := range qs {
@@ -104,8 +104,8 @@ func TestWarmFromCorpus(t *testing.T) {
 	}
 
 	var coldCalls atomic.Int64
-	cold := New(echoAsk(&coldCalls), Options{CacheEntries: -1})
-	if warmed := cold.WarmFromCorpus(context.Background(), qs); warmed != 0 {
+	cold := withEngine(echoAsk(&coldCalls), Options[string]{CacheEntries: -1})
+	if warmed := cold.Warm(context.Background(), qs, "", cold.ask); warmed != 0 {
 		t.Errorf("cache-less warm reported %d resident entries", warmed)
 	}
 	if n := coldCalls.Load(); n != 0 {
@@ -124,7 +124,7 @@ func TestGenerationInvalidationRace(t *testing.T) {
 	ask := func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		return fmt.Sprintf("v%d", model.Load()), StageTimings{}, true, nil
 	}
-	r := New(ask, Options{})
+	r := withEngine(ask, Options[string]{})
 	defer r.Close()
 
 	var floor atomic.Uint64 // min model version a newly started query may see

@@ -43,7 +43,7 @@ func harnessWorld(modelVersion int) map[string]string {
 // another over the same cache directory. The world sits behind an atomic
 // pointer so a test can "retrain" (swap it) while the server runs.
 type harness struct {
-	rt          *Runtime[string]
+	rt          *engineRT[string]
 	ts          *httptest.Server
 	world       atomic.Pointer[map[string]string]
 	engineCalls atomic.Int64
@@ -72,7 +72,7 @@ func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *
 		a, ok := (*h.world.Load())[q]
 		return a, StageTimings{}, ok, nil
 	}
-	rt, err := Open(ask, Options{}, disk.options(dir))
+	rt, err := openWithEngine(ask, Options[string]{}, disk.options(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *
 			if client == "" {
 				client = r.RemoteAddr
 			}
-			if ok, retry := limiter.Allow(client, time.Now()); !ok {
+			if ok, retry := limiter.AllowN(client, 1, time.Now()); !ok {
 				h.rt.CountRateLimited()
 				w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
 				w.WriteHeader(http.StatusTooManyRequests)

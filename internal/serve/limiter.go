@@ -6,7 +6,7 @@ import (
 )
 
 // limiterShardCount spreads client buckets over independently locked shards
-// so the per-request Allow check doesn't serialize the whole frontend.
+// so the per-request AllowN check doesn't serialize the whole frontend.
 const limiterShardCount = 16
 
 // maxBucketsPerShard bounds limiter memory under a flood of distinct client
@@ -19,7 +19,7 @@ const maxBucketsPerShard = 4096
 // front of admission control: admission protects the engine from aggregate
 // overload, the limiter protects it from any single client. Each client key
 // (API key, remote address, …) owns a bucket of burst tokens refilled at
-// rate tokens/second; a request costs one token. Allow takes the clock as
+// rate tokens/second; a question costs one token. AllowN takes the clock as
 // an argument so policies are testable without sleeping.
 type Limiter struct {
 	rate   float64 // tokens per second
@@ -53,14 +53,9 @@ func NewLimiter(perSecond float64, burst int) *Limiter {
 	return &Limiter{rate: perSecond, burst: float64(burst)}
 }
 
-// Allow reports whether one request from client may proceed at time now;
-// when it may not, retryAfter is how long until the bucket holds a full
-// token again (the Retry-After hint).
-func (l *Limiter) Allow(client string, now time.Time) (ok bool, retryAfter time.Duration) {
-	return l.AllowN(client, 1, now)
-}
-
-// AllowN is Allow for a request worth n tokens — a batch of n questions
+// AllowN reports whether a request worth n tokens from client may proceed
+// at time now; when it may not, retryAfter is how long until the bucket
+// holds a full token again (the Retry-After hint). A batch of n questions
 // must not out-run the quota 256 requests at a time. Admission needs only
 // a positive balance, but the full n is charged, driving the balance as
 // far negative as the batch is big; the client then refills back above

@@ -11,11 +11,11 @@ func TestLimiterBurstThenRefill(t *testing.T) {
 	now := time.Unix(1000, 0)
 
 	for i := 0; i < 2; i++ {
-		if ok, _ := l.Allow("c", now); !ok {
+		if ok, _ := l.AllowN("c", 1, now); !ok {
 			t.Fatalf("request %d inside burst rejected", i)
 		}
 	}
-	ok, retry := l.Allow("c", now)
+	ok, retry := l.AllowN("c", 1, now)
 	if ok {
 		t.Fatal("request beyond burst allowed")
 	}
@@ -24,11 +24,11 @@ func TestLimiterBurstThenRefill(t *testing.T) {
 	}
 
 	// One token refills after one second.
-	if ok, _ := l.Allow("c", now.Add(time.Second)); !ok {
+	if ok, _ := l.AllowN("c", 1, now.Add(time.Second)); !ok {
 		t.Fatal("refilled token rejected")
 	}
 	// ... and it was spent: an immediate repeat is rejected again.
-	if ok, _ := l.Allow("c", now.Add(time.Second)); ok {
+	if ok, _ := l.AllowN("c", 1, now.Add(time.Second)); ok {
 		t.Fatal("second request on one refilled token allowed")
 	}
 }
@@ -44,17 +44,17 @@ func TestLimiterAllowNDebt(t *testing.T) {
 		t.Fatal("first batch refused despite positive balance")
 	}
 	// Balance is now 2-10 = -8: nothing is admitted until it refills past 1.
-	ok, retry := l.Allow("c", now)
+	ok, retry := l.AllowN("c", 1, now)
 	if ok {
 		t.Fatal("admitted at negative balance")
 	}
 	if retry < 9*time.Second {
 		t.Fatalf("retryAfter = %v, want >= 9s (8s debt + 1 token)", retry)
 	}
-	if ok, _ := l.Allow("c", now.Add(8*time.Second)); ok {
+	if ok, _ := l.AllowN("c", 1, now.Add(8*time.Second)); ok {
 		t.Fatal("admitted while still in debt")
 	}
-	if ok, _ := l.Allow("c", now.Add(10*time.Second)); !ok {
+	if ok, _ := l.AllowN("c", 1, now.Add(10*time.Second)); !ok {
 		t.Fatal("refused after the debt refilled")
 	}
 }
@@ -62,13 +62,13 @@ func TestLimiterAllowNDebt(t *testing.T) {
 func TestLimiterClientsIndependent(t *testing.T) {
 	l := NewLimiter(1, 1)
 	now := time.Unix(0, 0)
-	if ok, _ := l.Allow("a", now); !ok {
+	if ok, _ := l.AllowN("a", 1, now); !ok {
 		t.Fatal("a's first request rejected")
 	}
-	if ok, _ := l.Allow("a", now); ok {
+	if ok, _ := l.AllowN("a", 1, now); ok {
 		t.Fatal("a's second request allowed")
 	}
-	if ok, _ := l.Allow("b", now); !ok {
+	if ok, _ := l.AllowN("b", 1, now); !ok {
 		t.Fatal("b throttled by a's spending")
 	}
 }
@@ -80,7 +80,7 @@ func TestLimiterBurstCapsRefill(t *testing.T) {
 	later := now.Add(time.Hour)
 	allowed := 0
 	for i := 0; i < 50; i++ {
-		if ok, _ := l.Allow("c", later); ok {
+		if ok, _ := l.AllowN("c", 1, later); ok {
 			allowed++
 		}
 	}
@@ -94,7 +94,7 @@ func TestLimiterDefaultBurst(t *testing.T) {
 	now := time.Unix(0, 0)
 	allowed := 0
 	for i := 0; i < 10; i++ {
-		if ok, _ := l.Allow("c", now); ok {
+		if ok, _ := l.AllowN("c", 1, now); ok {
 			allowed++
 		}
 	}
@@ -113,7 +113,7 @@ func TestLimiterBoundedUnderKeyFlood(t *testing.T) {
 	// refilled) and are mass-pruned once a shard fills, keeping the
 	// pruning amortized instead of O(shard) per insert.
 	for i := 0; i < limiterShardCount*maxBucketsPerShard*2; i++ {
-		l.Allow(fmt.Sprintf("client-%d", i), now.Add(time.Duration(i)*time.Millisecond))
+		l.AllowN(fmt.Sprintf("client-%d", i), 1, now.Add(time.Duration(i)*time.Millisecond))
 	}
 	total := 0
 	for i := range l.shards {

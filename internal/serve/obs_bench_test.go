@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/obs"
 )
 
@@ -16,7 +15,7 @@ import (
 // built). The untraced number is what every production request pays when
 // sampling is off; the traced number is the per-request cost of capture.
 func BenchmarkTraceOverhead(b *testing.B) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()
 	ctx := context.Background()
 	if _, _, err := r.Ask(ctx, "q"); err != nil {
@@ -49,15 +48,4 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.ReportMetric(un, "untraced-ns/op")
 	b.ReportMetric(tr, "traced-ns/op")
 	b.ReportMetric(tr-un, "overhead-ns/op")
-
-	benchjson.Write(b, "trace_overhead", map[string]any{
-		"benchmark":        "BenchmarkTraceOverhead",
-		"asks":             2 * b.N,
-		"untraced_ns_op":   un,
-		"traced_ns_op":     tr,
-		"overhead_ns_op":   tr - un,
-		"overhead_note":    "untraced_ns_op is a cache-hit Ask with tracing compiled in but no trace in the context (the sampling-off production path); traced_ns_op carries a sampled trace so every serve.* span is materialized",
-		"span_fast_path":   "StartSpan on an untraced context is one context lookup returning a nil span; all span methods no-op on nil",
-		"sampling_off_gap": "a Tracer with SampleRate 0 and no SlowThreshold returns a nil trace from Start, so fully disabled tracing never allocates",
-	})
 }

@@ -42,7 +42,7 @@ var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S
 // and monotone, and the +Inf bucket must equal the series count — including
 // when observations landed in the overflow bucket.
 func TestPrometheusWellFormed(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()
 	ctx := context.Background()
 	for _, q := range []string{"a", "b", "a"} {
@@ -196,7 +196,7 @@ func TestHistogramOverflowClamp(t *testing.T) {
 // serve.admit, serve.engine and serve.persist; the following hit produces
 // serve.cache(hit=true) and no flight at all.
 func TestDoSpans(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()
 	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
 

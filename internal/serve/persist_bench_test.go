@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/benchjson"
 )
 
 // BenchmarkPutTail measures the worst-case Put latency across a rotation
@@ -20,8 +18,8 @@ import (
 //
 // Reported metrics: max-put-ns (worst observed request-path Put),
 // legacy-rewrite-ns (what the old threshold-crossing Put paid), and
-// speedup-x (their ratio). With BENCH_JSON set, the results are also
-// written to that path — CI emits BENCH_serve.json from it.
+// speedup-x (their ratio). The committed record of the same layer is
+// BENCHMARK.json's persist.put_self_us.
 func BenchmarkPutTail(b *testing.B) {
 	dir := b.TempDir()
 	s := openTestLog(b, dir, testLog{Meta: "bench"})
@@ -104,18 +102,4 @@ func BenchmarkPutTail(b *testing.B) {
 	b.ReportMetric(float64(legacy.Nanoseconds()), "legacy-rewrite-ns")
 	speedup := float64(legacy) / float64(maxRotPut)
 	b.ReportMetric(speedup, "speedup-x")
-
-	benchjson.Write(b, "put_tail", map[string]any{
-		"benchmark":           "BenchmarkPutTail",
-		"compact_every_bytes": defaultRotateEvery,
-		"resident_entries":    len(live),
-		"puts":                puts,
-		"rotations":           s.PersistStats().CacheSegmentRotations,
-		"mean_put_ns":         meanPut.Nanoseconds(),
-		"rotation_put_ns":     maxRotPut.Nanoseconds(),
-		"max_put_ns":          maxPut.Nanoseconds(),
-		"legacy_rewrite_ns":   legacy.Nanoseconds(),
-		"threshold_speedup_x": speedup,
-		"speedup_note":        "rotation_put_ns is the worst threshold-crossing Put (the op that rotates the segment); legacy_rewrite_ns is the synchronous rewrite+fsync of the resident set the pre-rotation store charged that same Put",
-	})
 }

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/safeio"
 )
 
 // rawEntry frames one recEntry payload with a JSON-encoded string value,
@@ -39,7 +41,7 @@ func writeRawSegment(t testing.TB, path, meta string, payloads [][]byte) {
 	w := bufio.NewWriter(f)
 	writeSegHeader(w, meta)
 	for _, p := range payloads {
-		if err := writeRecord(w, p); err != nil {
+		if err := safeio.WriteFrame(w, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +59,7 @@ func segmentBytes(t testing.TB, meta string, payloads [][]byte) []byte {
 	var buf bytes.Buffer
 	writeSegHeader(&buf, meta)
 	for _, p := range payloads {
-		if err := writeRecord(&buf, p); err != nil {
+		if err := safeio.WriteFrame(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}

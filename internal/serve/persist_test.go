@@ -393,7 +393,7 @@ func TestDiskStoreUnloggableEntryStaysMemoryOnlyAcrossMerge(t *testing.T) {
 			t.Errorf("unloggable entry %q lost from memory: hit=%v", key, hit)
 		}
 	}
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()
 	r.cache, r.disk = s.answerCache, s.log
 	if n := r.Metrics().CachePersistDropped; n != 2 {
@@ -485,11 +485,11 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 	dir := t.TempDir()
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	r, err := Open(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r, err := openWithEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		close(entered)
 		<-gate
 		return "slow answer", StageTimings{}, true, nil
-	}, Options{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	}, Options[string]{}, LogOptions[string]{Dir: dir, Meta: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,10 +519,10 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 
 	// A new "process" over the same directory serves the drained answer
 	// without an engine call.
-	r2, err := Open(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r2, err := openWithEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		t.Errorf("engine probed for an answer that should be on disk: %q", q)
 		return "", StageTimings{}, false, nil
-	}, Options{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	}, Options[string]{}, LogOptions[string]{Dir: dir, Meta: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 		t.Error("RotationPaused = false, want true while the merger is behind")
 	}
 
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()
 	r.cache, r.disk = s.answerCache, s.log
 	snap := r.Metrics()
@@ -155,15 +155,15 @@ func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 	}
 }
 
-// TestRuntimeWeighsComputedAnswers: the runtime applies SetWeigher on the
+// TestRuntimeWeighsComputedAnswers: the runtime applies Options.Weigh on the
 // miss path, so heavy answers land in the cache with their weight and
 // compete accordingly.
 func TestRuntimeWeighsComputedAnswers(t *testing.T) {
-	r := New(func(ctx context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(ctx context.Context, q string) (string, StageTimings, bool, error) {
 		return strings.Repeat(q, 3), StageTimings{}, true, nil
-	}, Options{CacheShards: 1, CacheEntries: 4})
+	}, Options[string]{Weigh: func(a string) int { return len(a) / 3 }}) // == len(question)
 	defer r.Close()
-	r.SetWeigher(func(a string) int { return len(a) / 3 }) // == len(question)
+	r.cache = newAnswerCache[string](1, 4)
 
 	if _, _, err := r.Ask(context.Background(), "ab"); err != nil { // weight 2
 		t.Fatal(err)

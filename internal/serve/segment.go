@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
 	"time"
+
+	"repro/internal/safeio"
 )
 
 // The segment codec: pure functions between bytes and the records of a
@@ -14,7 +15,7 @@ import (
 // the same layout:
 //
 //	header  := magic("KBQASEG1") u32(metaLen) meta
-//	record  := u32(payloadLen) u32(crc32-IEEE(payload)) payload
+//	record  := one safeio frame: u32(payloadLen) u32(crc32-IEEE(payload)) payload
 //	payload := recGen   u64(gen) modelTag
 //	         | recEntry u64(gen) i64(atUnixNano) u8(ok) u32(keyLen) key val
 //
@@ -28,9 +29,9 @@ const (
 	// Record types.
 	recEntry = 1 // one cached answer
 	recGen   = 2 // a generation bump
-	// maxRecordLen bounds a record's declared payload length so a corrupt
-	// length prefix cannot drive a giant allocation.
-	maxRecordLen = 1 << 26
+	// maxRecordLen bounds a record's payload: the frame reader refuses
+	// anything longer, so the writers refuse to produce it.
+	maxRecordLen = safeio.MaxFrameLen
 )
 
 // errBadRecord marks a truncated or corrupt record; replay treats it as the
@@ -85,38 +86,17 @@ func readSegHeader(r io.Reader, meta string) bool {
 	return string(got) == meta
 }
 
-// writeRecord frames one payload.
-func writeRecord(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readRecord reads one framed payload. io.EOF means a clean end of segment;
-// errBadRecord means a torn or corrupt record (drop the tail).
+// readRecord reads one record through the shared frame reader and maps its
+// outcomes onto the segment's two: io.EOF is a clean end of segment,
+// errBadRecord a torn or corrupt record (drop the tail). A zero-length
+// frame is well-formed on the wire but no record — every payload starts
+// with its type byte.
 func readRecord(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, errBadRecord // torn mid-header
+	payload, err := safeio.ReadFrame(r)
+	if err == io.EOF {
+		return nil, io.EOF
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxRecordLen {
-		return nil, errBadRecord
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errBadRecord // torn mid-payload
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
+	if err != nil || len(payload) == 0 {
 		return nil, errBadRecord
 	}
 	return payload, nil

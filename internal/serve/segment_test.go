@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/safeio"
 )
 
 // FuzzSegmentRoundTrip fuzzes the segment codec: every entry must encode →
@@ -32,7 +34,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 
 		// Framed: write, read back, decode again.
 		var buf bytes.Buffer
-		if err := writeRecord(&buf, payload); err != nil {
+		if err := safeio.WriteFrame(&buf, payload); err != nil {
 			t.Fatal(err)
 		}
 		framed := buf.Bytes()

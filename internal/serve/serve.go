@@ -13,7 +13,7 @@
 //     survive restarts: computed answers and generation bumps are appended
 //     to checksummed segment files, read back only at the next open and
 //     compacted in the background from a snapshot of memory;
-//   - TTL expiry (Options.TTL) and boot-time warming (WarmFromCorpus);
+//   - TTL expiry (Options.TTL) and boot-time warming (Warm);
 //   - singleflight deduplication, so a thundering herd of identical
 //     questions costs one engine call;
 //   - admission control bounding concurrent engine calls, plus
@@ -38,19 +38,20 @@ import (
 	"errors"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/text"
 )
 
-// AskFunc is the engine the runtime wraps: it answers one question under a
-// context, reporting per-stage latencies for the metrics pipeline. ok is
-// the domain-level "has an answer" flag and is cached (negatively too); a
-// non-nil error is an infrastructure failure — typically ctx.Err()
-// surfaced from the engine's probe loops — and is never cached.
+// AskFunc is the engine call the runtime wraps, handed to Do, DoBatch and
+// Warm per request: it answers one question under a context, reporting
+// per-stage latencies for the metrics pipeline. ok is the domain-level "has
+// an answer" flag and is cached (negatively too); a non-nil error is an
+// infrastructure failure — typically ctx.Err() surfaced from the engine's
+// probe loops — and is never cached.
 type AskFunc[A any] func(ctx context.Context, question string) (A, StageTimings, bool, error)
 
 // ErrShuttingDown is returned for requests arriving after Close.
@@ -91,10 +92,7 @@ func ErrorCode(err error) string {
 }
 
 // Options tunes the runtime; the zero value is production-sensible.
-type Options struct {
-	// CacheShards is the number of independently locked cache shards
-	// (default 16).
-	CacheShards int
+type Options[A any] struct {
 	// CacheEntries is the total cache capacity in answers. 0 means the
 	// default (4096); negative disables caching entirely. It also bounds
 	// the disk log in steady state: compaction keeps resident entries only,
@@ -110,29 +108,32 @@ type Options struct {
 	// 0 means 4×GOMAXPROCS; negative means unbounded. Excess callers
 	// queue until a slot frees or their deadline expires.
 	MaxConcurrent int
-	// BatchWorkers sizes DoBatch's worker pool (default GOMAXPROCS).
-	BatchWorkers int
 	// Timeout is the per-request deadline applied when the caller's
 	// context has none. 0 means no default deadline.
 	Timeout time.Duration
-	// Normalize produces the question half of the cache/deduplication key.
-	// Default: lower-cased, space-collapsed trimming.
-	Normalize func(string) string
+	// Weigh is the cache-admission weighing function: an entry costs
+	// Weigh(answer) capacity units (floored at 1), so one giant answer — a
+	// top-K result with many interpretations — competes for the same budget
+	// as the many small entries it would otherwise displace one-for-one.
+	// Nil weighs every entry 1, the classic entry-count LRU.
+	Weigh func(A) int
 }
 
-// Runtime is a concurrent serving layer over one engine. All methods are
-// safe for concurrent use.
+// cacheShards is the number of independently locked answer-cache shards.
+const cacheShards = 16
+
+// Runtime is a concurrent serving layer in front of an engine. All methods
+// are safe for concurrent use.
 type Runtime[A any] struct {
-	ask       AskFunc[A]
-	opts      Options
-	cache     *answerCache[A] // nil when caching is disabled
-	disk      *diskLog[A]     // nil when the cache is memory-only
-	gen       atomic.Uint64
-	flight    flightGroup[A]
-	sem       chan struct{} // nil when unbounded
-	metrics   metrics
-	normalize func(string) string
-	weigh     func(A) int // nil: every entry weighs 1 (SetWeigher)
+	opts    Options[A]
+	cache   *answerCache[A] // nil when caching is disabled
+	disk    *diskLog[A]     // nil when the cache is memory-only
+	gen     atomic.Uint64
+	flight  flightGroup[A]
+	sem     chan struct{} // nil when unbounded
+	metrics metrics
+	// batchWorkers sizes DoBatch's worker pool.
+	batchWorkers int
 
 	// closeMu guards isClosed so wg.Add never races wg.Wait: a request
 	// registers with the drain group only while holding the read lock and
@@ -147,28 +148,21 @@ type Runtime[A any] struct {
 	closeErr  error
 }
 
-// New builds a runtime around ask with a memory-only answer cache; Open
-// adds the disk log.
-func New[A any](ask AskFunc[A], o Options) *Runtime[A] {
-	r := &Runtime[A]{ask: ask}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
+// New builds a runtime with a memory-only answer cache; Open adds the disk
+// log.
+func New[A any](o Options[A]) *Runtime[A] {
+	r := &Runtime[A]{batchWorkers: runtime.GOMAXPROCS(0)}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 4096
 	}
 	if o.CacheEntries > 0 {
-		r.cache = newAnswerCache[A](o.CacheShards, o.CacheEntries)
+		r.cache = newAnswerCache[A](cacheShards, o.CacheEntries)
 	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
 	}
 	if o.MaxConcurrent > 0 {
 		r.sem = make(chan struct{}, o.MaxConcurrent)
-	}
-	r.normalize = o.Normalize
-	if r.normalize == nil {
-		r.normalize = defaultNormalize
 	}
 	r.opts = o
 	r.metrics.start = time.Now()
@@ -183,8 +177,8 @@ func New[A any](ask AskFunc[A], o Options) *Runtime[A] {
 // stay unreachable. Close drains in-flight requests, then flushes and
 // closes the log. It fails when caching is disabled, or the directory is
 // unusable or held by another process.
-func Open[A any](ask AskFunc[A], o Options, lo LogOptions[A]) (*Runtime[A], error) {
-	r := New(ask, o)
+func Open[A any](o Options[A], lo LogOptions[A]) (*Runtime[A], error) {
+	r := New(o)
 	if r.cache == nil {
 		return nil, errors.New("serve: a persistent cache needs caching enabled (CacheEntries >= 0)")
 	}
@@ -195,12 +189,6 @@ func Open[A any](ask AskFunc[A], o Options, lo LogOptions[A]) (*Runtime[A], erro
 	r.disk = disk
 	r.gen.Store(disk.generation())
 	return r, nil
-}
-
-// defaultNormalize lower-cases and collapses whitespace so trivially
-// restyled questions share a cache entry.
-func defaultNormalize(q string) string {
-	return strings.Join(strings.Fields(strings.ToLower(q)), " ")
 }
 
 // fingerprintSep joins the normalized question and the options fingerprint
@@ -224,15 +212,6 @@ func cacheKey(gen uint64, normalized, fingerprint string) string {
 
 // Generation returns the model generation keying new cache entries.
 func (r *Runtime[A]) Generation() uint64 { return r.gen.Load() }
-
-// SetWeigher installs the cache-admission weighing function: an entry
-// costs fn(answer) capacity units (floored at 1), so one giant answer — a
-// top-K result with many interpretations — competes for the same budget as
-// the many small entries it would otherwise displace one-for-one. Nil (the
-// default) weighs every entry 1, the classic entry-count LRU. Install it
-// at construction time, before serving traffic: the weigher is read
-// without synchronization on the miss path.
-func (r *Runtime[A]) SetWeigher(fn func(A) int) { r.weigh = fn }
 
 // BumpGeneration advances the model generation, atomically making every
 // cache entry of earlier generations unreachable (no flush, no lock over
@@ -268,18 +247,13 @@ func (r *Runtime[A]) fresh(e Entry[A]) bool {
 	return r.opts.TTL <= 0 || time.Since(e.At) <= r.opts.TTL
 }
 
-// Ask answers one question with the runtime's fixed engine function and an
-// empty fingerprint; see Do.
-func (r *Runtime[A]) Ask(ctx context.Context, question string) (A, bool, error) {
-	return r.Do(ctx, question, "", nil)
-}
-
 // Do answers one question through the cache → singleflight → admission →
 // engine pipeline, keyed by (generation, normalized question, fingerprint).
-// compute, when non-nil, replaces the runtime's engine function for this
-// call — the hook for per-request options, which MUST be encoded into
-// fingerprint so differently-optioned results never share a cache entry or
-// a flight.
+// compute is the engine call for this request; whatever per-request options
+// it closes over MUST be encoded into fingerprint so differently-optioned
+// results never share a cache entry or a flight. The question half of the
+// key is text.Normalize(question), so trivially restyled questions share an
+// entry.
 //
 // ok mirrors the engine's "has an answer" flag; err is non-nil for
 // serving-layer failures (deadline exceeded while queued or waiting,
@@ -287,9 +261,6 @@ func (r *Runtime[A]) Ask(ctx context.Context, question string) (A, bool, error) 
 // errors returned by compute itself (context expiry inside the engine) —
 // never for unanswerable questions. Compute errors are not cached.
 func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compute AskFunc[A]) (ans A, ok bool, err error) {
-	if compute == nil {
-		compute = r.ask
-	}
 	if !r.begin() {
 		r.metrics.countError(CodeShuttingDown)
 		var zero A
@@ -315,7 +286,7 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	// before the retrain finished), but every request beginning after the
 	// bump uses the new keyspace.
 	gen := r.gen.Load()
-	key := cacheKey(gen, r.normalize(question), fingerprint)
+	key := cacheKey(gen, text.Normalize(question), fingerprint)
 	r.metrics.served.Add(1)
 	if r.cache != nil {
 		_, csp := obs.StartSpan(ctx, "serve.cache")
@@ -392,8 +363,8 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 			if r.cache != nil {
 				_, psp := obs.StartSpan(fctx, "serve.persist")
 				ent := Entry[A]{Val: a, OK: okAns, Gen: gen, At: time.Now()}
-				if r.weigh != nil {
-					ent.Weight = r.weigh(a)
+				if r.opts.Weigh != nil {
+					ent.Weight = r.opts.Weigh(a)
 				}
 				r.cache.Put(key, ent)
 				if r.disk != nil {
@@ -441,21 +412,14 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	}
 }
 
-// WarmFromCorpus primes the answer cache at boot by pushing qs through the
-// full serving pipeline over the batch worker pool; questions already
-// resident (for example replayed from the disk log) cost nothing. It
-// reports how many of qs ended resident — positive and negative answers
+// Warm primes the answer cache at boot by pushing qs through the full
+// serving pipeline over the batch worker pool, under the same fingerprint
+// and compute as real traffic so primed entries share its keys; questions
+// already resident (for example replayed from the disk log) cost nothing.
+// It reports how many of qs ended resident — positive and negative answers
 // both warm the cache; context and infrastructure failures don't. With
-// caching disabled there is nothing to warm: the engine is not touched
-// and 0 is returned.
-func (r *Runtime[A]) WarmFromCorpus(ctx context.Context, qs []string) int {
-	return r.Warm(ctx, qs, "", nil)
-}
-
-// Warm is WarmFromCorpus with a per-call options fingerprint and compute
-// override, mirroring Do — the form layers with per-request options (like
-// kbqa.Server) warm through so primed entries share keys with real
-// traffic.
+// caching disabled there is nothing to warm: the engine is not touched and
+// 0 is returned.
 func (r *Runtime[A]) Warm(ctx context.Context, qs []string, fingerprint string, compute AskFunc[A]) (warmed int) {
 	if r.cache == nil {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +25,61 @@ func echoAsk(calls *atomic.Int64) AskFunc[string] {
 	}
 }
 
+// engineRT is a Runtime bound to one engine function and the empty
+// fingerprint — the shape most tests drive. Production callers hand Do a
+// compute per request; Ask and AskBatch do that with the bound one.
+type engineRT[A any] struct {
+	*Runtime[A]
+	ask AskFunc[A]
+}
+
+func withEngine[A any](ask AskFunc[A], o Options[A]) *engineRT[A] {
+	return &engineRT[A]{Runtime: New(o), ask: ask}
+}
+
+func openWithEngine[A any](ask AskFunc[A], o Options[A], lo LogOptions[A]) (*engineRT[A], error) {
+	r, err := Open(o, lo)
+	if err != nil {
+		return nil, err
+	}
+	return &engineRT[A]{Runtime: r, ask: ask}, nil
+}
+
+func (e *engineRT[A]) Ask(ctx context.Context, q string) (A, bool, error) {
+	return e.Do(ctx, q, "", e.ask)
+}
+
+func (e *engineRT[A]) AskBatch(ctx context.Context, qs []string) []BatchItem[A] {
+	return e.DoBatch(ctx, qs, "", e.ask)
+}
+
+// TestRuntimeSurface pins the runtime's shape: ten exported methods, and
+// five settable values — every request names its engine call (Do, DoBatch,
+// Warm take compute), so there is no stored-engine twin of any of them, and
+// a knob with one production value is a constant, not a field.
+func TestRuntimeSurface(t *testing.T) {
+	rt := reflect.TypeOf((*Runtime[string])(nil))
+	var methods []string
+	for i := 0; i < rt.NumMethod(); i++ {
+		methods = append(methods, rt.Method(i).Name)
+	}
+	want := []string{"BumpGeneration", "Close", "CountError", "CountRateLimited", "Do", "DoBatch", "Flush", "Generation", "Metrics", "Warm"}
+	if !reflect.DeepEqual(methods, want) {
+		t.Errorf("*serve.Runtime exports %v, want exactly %v", methods, want)
+	}
+	opts := reflect.TypeOf(Options[string]{})
+	var fields []string
+	for i := 0; i < opts.NumField(); i++ {
+		fields = append(fields, opts.Field(i).Name)
+	}
+	if want := []string{"CacheEntries", "TTL", "MaxConcurrent", "Timeout", "Weigh"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("serve.Options has fields %v, want exactly %v", fields, want)
+	}
+}
+
 func TestAskCachesAnswers(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{})
+	r := withEngine(echoAsk(&calls), Options[string]{})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		ans, ok, err := r.Ask(ctx, "Who Is X?")
@@ -49,7 +102,7 @@ func TestAskCachesAnswers(t *testing.T) {
 
 func TestAskCachesNegativeResults(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{})
+	r := withEngine(echoAsk(&calls), Options[string]{})
 	for i := 0; i < 3; i++ {
 		if _, ok, err := r.Ask(context.Background(), "unanswerable"); ok || err != nil {
 			t.Fatalf("unanswerable: ok=%v err=%v", ok, err)
@@ -62,7 +115,7 @@ func TestAskCachesNegativeResults(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{CacheEntries: -1})
+	r := withEngine(echoAsk(&calls), Options[string]{CacheEntries: -1})
 	for i := 0; i < 3; i++ {
 		r.Ask(context.Background(), "q")
 	}
@@ -84,12 +137,12 @@ func TestSingleflightDedup(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		calls.Add(1)
 		started <- struct{}{}
 		<-gate
 		return "ans", StageTimings{}, true, nil
-	}, Options{})
+	}, Options[string]{})
 
 	var launched sync.WaitGroup
 	var wg sync.WaitGroup
@@ -131,7 +184,7 @@ func TestSingleflightDedup(t *testing.T) {
 func TestAdmissionBound(t *testing.T) {
 	const limit = 2
 	var inEngine, highWater atomic.Int64
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		n := inEngine.Add(1)
 		for {
 			hw := highWater.Load()
@@ -142,7 +195,7 @@ func TestAdmissionBound(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		inEngine.Add(-1)
 		return "ans", StageTimings{}, true, nil
-	}, Options{MaxConcurrent: limit, CacheEntries: -1})
+	}, Options[string]{MaxConcurrent: limit, CacheEntries: -1})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -163,10 +216,10 @@ func TestAdmissionBound(t *testing.T) {
 func TestAdmissionDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		<-gate
 		return "ans", StageTimings{}, true, nil
-	}, Options{MaxConcurrent: 1, CacheEntries: -1})
+	}, Options[string]{MaxConcurrent: 1, CacheEntries: -1})
 
 	// Occupy the only slot.
 	go r.Ask(context.Background(), "blocker")
@@ -193,11 +246,11 @@ func TestFollowerHonoursOwnDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	started := make(chan struct{})
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		close(started)
 		<-gate
 		return "ans", StageTimings{}, true, nil
-	}, Options{})
+	}, Options[string]{})
 
 	go r.Ask(context.Background(), "slow question")
 	<-started
@@ -216,14 +269,14 @@ func TestFollowerHonoursOwnDeadline(t *testing.T) {
 func TestFollowerRetriesAfterLeaderDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		if q == "blocker" {
 			<-gate
 			return "blocked", StageTimings{}, true, nil
 		}
 		calls.Add(1)
 		return "ans", StageTimings{}, true, nil
-	}, Options{MaxConcurrent: 1, CacheEntries: -1})
+	}, Options[string]{MaxConcurrent: 1, CacheEntries: -1})
 
 	// Occupy the only engine slot.
 	go r.Ask(context.Background(), "blocker")
@@ -272,11 +325,11 @@ func TestDefaultTimeoutApplied(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	started := make(chan struct{})
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		close(started)
 		<-gate
 		return "ans", StageTimings{}, true, nil
-	}, Options{Timeout: 5 * time.Millisecond})
+	}, Options[string]{Timeout: 5 * time.Millisecond})
 
 	go r.Ask(context.Background(), "slow")
 	<-started
@@ -288,13 +341,14 @@ func TestDefaultTimeoutApplied(t *testing.T) {
 }
 
 func TestBatchPreservesOrder(t *testing.T) {
-	r := New(echoAsk(nil), Options{BatchWorkers: 4})
+	r := withEngine(echoAsk(nil), Options[string]{})
+	r.batchWorkers = 4
 	questions := make([]string, 50)
 	for i := range questions {
 		questions[i] = fmt.Sprintf("q%d", i)
 	}
 	questions[7] = "unanswerable"
-	items := r.DoBatch(context.Background(), questions, "", nil)
+	items := r.AskBatch(context.Background(), questions)
 	if len(items) != len(questions) {
 		t.Fatalf("got %d items, want %d", len(items), len(questions))
 	}
@@ -317,7 +371,7 @@ func TestBatchPreservesOrder(t *testing.T) {
 func TestBatchWorkerBound(t *testing.T) {
 	const workers = 3
 	var inFlight, highWater atomic.Int64
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		n := inFlight.Add(1)
 		for {
 			hw := highWater.Load()
@@ -328,12 +382,13 @@ func TestBatchWorkerBound(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		inFlight.Add(-1)
 		return "ans", StageTimings{}, true, nil
-	}, Options{BatchWorkers: workers, CacheEntries: -1, MaxConcurrent: -1})
+	}, Options[string]{CacheEntries: -1, MaxConcurrent: -1})
+	r.batchWorkers = workers
 	questions := make([]string, 24)
 	for i := range questions {
 		questions[i] = fmt.Sprintf("q%d", i)
 	}
-	r.DoBatch(context.Background(), questions, "", nil)
+	r.AskBatch(context.Background(), questions)
 	if hw := highWater.Load(); hw > workers {
 		t.Errorf("high-water = %d, want <= %d", hw, workers)
 	}
@@ -342,8 +397,8 @@ func TestBatchWorkerBound(t *testing.T) {
 func TestBatchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := New(echoAsk(nil), Options{})
-	items := r.DoBatch(ctx, []string{"a", "b", "c"}, "", nil)
+	r := withEngine(echoAsk(nil), Options[string]{})
+	items := r.AskBatch(ctx, []string{"a", "b", "c"})
 	for i, it := range items {
 		if it.Err == nil {
 			t.Errorf("slot %d has no error after cancellation: %+v", i, it)
@@ -357,13 +412,13 @@ func TestBatchContextCancelled(t *testing.T) {
 // fresh instead of blocking forever on an unclosed done channel.
 func TestFlightLeaderPanicContained(t *testing.T) {
 	first := true
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		if first {
 			first = false
 			panic("pathological question")
 		}
 		return "ans", StageTimings{}, true, nil
-	}, Options{})
+	}, Options[string]{})
 
 	if _, _, err := r.Ask(context.Background(), "q"); !errors.Is(err, ErrEnginePanic) {
 		t.Fatalf("leader err = %v, want ErrEnginePanic", err)
@@ -391,13 +446,13 @@ func TestFlightFollowerSeesEnginePanicError(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var calls atomic.Int64
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 		}
 		<-gate
 		panic("pathological question")
-	}, Options{})
+	}, Options[string]{})
 
 	leaderDone := make(chan error, 1)
 	go func() {
@@ -438,13 +493,13 @@ func TestFlightFollowerSeesEnginePanicError(t *testing.T) {
 // down the whole process) — it becomes an ErrEnginePanic item while the
 // rest of the batch answers normally.
 func TestBatchContainsEnginePanic(t *testing.T) {
-	r := New(func(_ context.Context, q string) (string, StageTimings, bool, error) {
+	r := withEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		if q == "poison" {
 			panic("pathological question")
 		}
 		return "ans:" + q, StageTimings{}, true, nil
-	}, Options{})
-	items := r.DoBatch(context.Background(), []string{"a", "poison", "b"}, "", nil)
+	}, Options[string]{})
+	items := r.AskBatch(context.Background(), []string{"a", "poison", "b"})
 	if !errors.Is(items[1].Err, ErrEnginePanic) {
 		t.Fatalf("poison slot err = %v, want ErrEnginePanic", items[1].Err)
 	}
@@ -456,7 +511,7 @@ func TestBatchContainsEnginePanic(t *testing.T) {
 
 	// The worker pool itself (no flight group in front) must contain a
 	// panic too: one escaping Do outside the engine call — a panicking
-	// Normalize, say — would otherwise kill the process.
+	// normalizer, say — would otherwise kill the process.
 	raw := runBatch(context.Background(), []string{"a", "poison"}, 2, func(_ context.Context, q string) (string, bool, error) {
 		if q == "poison" {
 			panic("pathological question")
@@ -472,7 +527,7 @@ func TestBatchContainsEnginePanic(t *testing.T) {
 }
 
 func TestCloseFailsFast(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	r.Close()
 	r.Close() // idempotent
 	if _, _, err := r.Ask(context.Background(), "q"); !errors.Is(err, ErrShuttingDown) {
@@ -481,7 +536,7 @@ func TestCloseFailsFast(t *testing.T) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	r := New(echoAsk(nil), Options{})
+	r := withEngine(echoAsk(nil), Options[string]{})
 	ctx := context.Background()
 	r.Ask(ctx, "q1")
 	r.Ask(ctx, "q1")
@@ -536,7 +591,8 @@ func TestHistogramQuantiles(t *testing.T) {
 // the counters must balance exactly.
 func TestConcurrentMixedLoad(t *testing.T) {
 	var calls atomic.Int64
-	r := New(echoAsk(&calls), Options{CacheShards: 4, CacheEntries: 8})
+	r := withEngine(echoAsk(&calls), Options[string]{})
+	r.cache = newAnswerCache[string](4, 8)
 	questions := make([]string, 32)
 	for i := range questions {
 		questions[i] = fmt.Sprintf("question %d", i)
@@ -552,7 +608,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				if (g+i)%3 == 0 {
 					batch := questions[(g+i)%16 : (g+i)%16+8]
-					items := r.DoBatch(ctx, batch, "", nil)
+					items := r.AskBatch(ctx, batch)
 					batchRequests.Add(uint64(len(items)))
 					for j, it := range items {
 						if it.Err != nil || !it.OK {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/core"
 	"repro/internal/rdf"
 )
@@ -82,27 +81,13 @@ func BenchmarkProbeDistributed(b *testing.B) {
 		return run(b, NewKB(pool))
 	}
 
-	var local, unhedged, hedged float64
 	b.Run("local", func(b *testing.B) {
-		local = run(b, core.LocalIndex(store))
-		b.ReportMetric(local, "probe-ns/op")
+		b.ReportMetric(run(b, core.LocalIndex(store)), "probe-ns/op")
 	})
 	b.Run("unhedged", func(b *testing.B) {
-		unhedged = remote(b, PoolOptions{disableHedge: true})
-		b.ReportMetric(unhedged, "probe-ns/op")
+		b.ReportMetric(remote(b, PoolOptions{disableHedge: true}), "probe-ns/op")
 	})
 	b.Run("hedged", func(b *testing.B) {
-		hedged = remote(b, PoolOptions{})
-		b.ReportMetric(hedged, "probe-ns/op")
-	})
-
-	benchjson.Write(b, "probe_distributed", map[string]any{
-		"benchmark":      "BenchmarkProbeDistributed",
-		"topology":       "2 own-all loopback servers, rendezvous placement, replicas=2, 4 shards",
-		"local_ns_op":    local,
-		"unhedged_ns_op": unhedged,
-		"hedged_ns_op":   hedged,
-		"hedge_note":     "hedged uses the adaptive delay (observed p95 clamped to [1ms,250ms]); on a healthy loopback the timer rarely fires, so the hedged number prices timer setup, not duplicate RPCs",
-		"probe_note":     "each op is one core.Index.PathObjects single-hop frontier over a pre-collected non-empty (entity, predicate) probe; local_ns_op is the same probe through core.LocalIndex, so the difference is the network-hop cost",
+		b.ReportMetric(remote(b, PoolOptions{}), "probe-ns/op")
 	})
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/safeio"
 )
 
 // PoolOptions configures a client Pool.
@@ -180,20 +181,27 @@ func (h *host) down() bool {
 	return time.Now().Before(h.downUntil)
 }
 
-// dial opens and handshakes a fresh connection to addr.
+// dial opens and handshakes a fresh connection to addr. The handshake runs
+// before the connection is registered with the call's inflight set, so its
+// I/O deadline is the only thing that ends it against a server that accepts
+// and then stalls: the earlier of dialTimeout and the caller's deadline.
 func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(dialTimeout))
+	limit := time.Now().Add(dialTimeout)
+	if t, ok := ctx.Deadline(); ok && t.Before(limit) {
+		limit = t
+	}
+	conn.SetDeadline(limit)
 	he := hello{version: ProtoVersion, fingerprint: p.opts.Fingerprint, numShards: uint32(p.pl.NumShards())}
-	if err := writeFrame(conn, he.encode()); err != nil {
+	if err := safeio.WriteFrame(conn, he.encode()); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	payload, err := readFrame(conn)
+	payload, err := safeio.ReadFrame(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -497,9 +505,9 @@ func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req [
 		return nil, usedPooled, errors.New("shardrpc: call already decided")
 	}
 	conn.SetDeadline(deadline)
-	err = writeFrame(conn, req)
+	err = safeio.WriteFrame(conn, req)
 	if err == nil {
-		payload, err = readFrame(conn)
+		payload, err = safeio.ReadFrame(conn)
 	}
 	fl.remove(conn)
 	if err != nil {
@@ -540,19 +548,4 @@ func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj r
 	}
 	out := r.ids()
 	return out, r.err
-}
-
-// ServerStats fetches the stats of the server currently preferred for
-// shard.
-func (p *Pool) ServerStats(ctx context.Context, shard int) (ServerStats, error) {
-	var body wbuf
-	r, err := p.call(ctx, shard, opStats, &body)
-	if err != nil {
-		return ServerStats{}, err
-	}
-	var st ServerStats
-	if err := json.Unmarshal(r.bytes(), &st); err != nil {
-		return ServerStats{}, err
-	}
-	return st, r.err
 }

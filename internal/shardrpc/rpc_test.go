@@ -6,12 +6,14 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/kbgen"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/safeio"
 )
 
 // testWorld builds a small deterministic KB shared by the tests.
@@ -49,19 +51,19 @@ func shardedNodes(store *rdf.ShardedStore) [][]rdf.ID {
 
 func TestFrameDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello shardrpc")); err != nil {
+	if err := safeio.WriteFrame(&buf, []byte("hello shardrpc")); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload byte: the CRC must catch it.
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0x40
-	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := safeio.ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("readFrame accepted a corrupted frame")
 	}
 	// And an uncorrupted round trip still works.
 	buf.Reset()
-	writeFrame(&buf, []byte("hello shardrpc"))
-	got, err := readFrame(&buf)
+	safeio.WriteFrame(&buf, []byte("hello shardrpc"))
+	got, err := safeio.ReadFrame(&buf)
 	if err != nil || string(got) != "hello shardrpc" {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
@@ -90,7 +92,11 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wrong.Close()
-	if _, err := wrong.ServerStats(context.Background(), 0); err == nil {
+	probe := func(p *Pool) error {
+		_, err := p.Frontier(context.Background(), 0, store.Predicates()[0], nil)
+		return err
+	}
+	if err := probe(wrong); err == nil {
 		t.Fatal("call succeeded with a mismatched world fingerprint")
 	}
 
@@ -106,7 +112,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resharded.Close()
-	if _, err := resharded.ServerStats(context.Background(), 0); err == nil {
+	if err := probe(resharded); err == nil {
 		t.Fatal("call succeeded across mismatched shard counts")
 	}
 
@@ -115,7 +121,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ok.Close()
-	if _, err := ok.ServerStats(context.Background(), 0); err != nil {
+	if err := probe(ok); err != nil {
 		t.Fatalf("call failed for the matching world: %v", err)
 	}
 }
@@ -326,5 +332,103 @@ func TestCallHonorsDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("expired-context call took %v, want immediate failure", d)
+	}
+}
+
+// TestDialHonorsCallDeadline: a shard that accepts the connection and then
+// never answers the handshake must not hold the attempt past the caller's
+// deadline — the call returns at the deadline and the attempt goroutine
+// (which is not in the inflight set yet, so abort cannot reach it) is gone
+// right after, not dialTimeout later.
+func TestDialHonorsCallDeadline(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	stalled := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				close(stalled)
+				return
+			}
+			stalled <- c // accepted, never read, never answered
+		}
+	}()
+	defer func() {
+		lis.Close()
+		for c := range stalled {
+			c.Close()
+		}
+	}()
+
+	pl, err := NewPlacement([]string{lis.Addr().String()}, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	// The handshake's I/O deadline and the context expire together, so the
+	// error is either the context's or the read's timeout.
+	if _, err = pool.Frontier(ctx, 0, 0, nil); err == nil {
+		t.Fatal("call against a stalled handshake succeeded")
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("call against a stalled handshake took %v, want ~50ms", d)
+	}
+	settle := time.Now().Add(500 * time.Millisecond) // generous for a loaded runner; the parent took dialTimeout (5s)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(settle) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("attempt goroutine outlived the call: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWireOps pins the op set: the server executes exactly opFrontier and
+// opSubjects and refuses every other number — the retired ones included —
+// as unknown. Adding an op means editing this list (and the README table).
+func TestWireOps(t *testing.T) {
+	store := testWorld(t)
+	addr, srv := startServer(t, store)
+	defer srv.Close()
+	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	var served []byte
+	for op := 0; op < 256; op++ {
+		var body wbuf
+		body.u32(0) // pred
+		body.u32(0) // empty node set / obj 0: a well-formed body for both live ops
+		_, err := pool.call(context.Background(), 0, byte(op), &body)
+		switch {
+		case err == nil:
+			served = append(served, byte(op))
+		case !strings.Contains(err.Error(), "unknown op"):
+			t.Fatalf("op %d: %v, want success or an unknown-op refusal", op, err)
+		}
+	}
+	if want := []byte{opFrontier, opSubjects}; !bytes.Equal(served, want) {
+		t.Fatalf("served ops = %v, want %v", served, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/safeio"
 )
 
 // ServerOptions configures a shard server.
@@ -66,13 +67,13 @@ func NewServer(store rdf.Sharded, o ServerOptions) *Server {
 	return s
 }
 
-// ServerStats is the opStats reply.
+// ServerStats is a snapshot of a server's identity and counters.
 type ServerStats struct {
-	NumShards int    `json:"num_shards"`
-	Owned     []int  `json:"owned"`
-	Triples   int    `json:"triples"`
-	Requests  uint64 `json:"requests"`
-	Failures  uint64 `json:"failures"`
+	NumShards int
+	Owned     []int
+	Triples   int
+	Requests  uint64
+	Failures  uint64
 }
 
 // Stats snapshots the server's counters.
@@ -186,7 +187,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	for {
-		payload, err := readFrame(conn)
+		payload, err := safeio.ReadFrame(conn)
 		if err != nil {
 			return // peer closed or conn broke; either way the conn is done
 		}
@@ -201,7 +202,7 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) handshake(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	defer conn.SetDeadline(time.Time{})
-	payload, err := readFrame(conn)
+	payload, err := safeio.ReadFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -226,7 +227,7 @@ func (s *Server) handshake(conn net.Conn) error {
 	}
 	w.b = append(w.b, hello{version: ProtoVersion, fingerprint: s.fp, numShards: uint32(s.store.NumShards())}.encode()...)
 	w.str(reject)
-	if err := writeFrame(conn, w.b); err != nil {
+	if err := safeio.WriteFrame(conn, w.b); err != nil {
 		return err
 	}
 	if reject != "" {
@@ -280,7 +281,7 @@ func (s *Server) handleRequest(conn net.Conn, payload []byte) error {
 	} else {
 		w.b = append(w.b, body.b...)
 	}
-	return writeFrame(conn, w.b)
+	return safeio.WriteFrame(conn, w.b)
 }
 
 // execute runs one op into body, returning a non-empty message on
@@ -293,7 +294,7 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 	if shard < 0 || shard >= s.store.NumShards() {
 		return fmt.Sprintf("shard %d out of range [0,%d)", shard, s.store.NumShards())
 	}
-	if hdr.op != opStats && !s.ownsShard(shard) {
+	if !s.ownsShard(shard) {
 		return fmt.Sprintf("shard %d not owned by this server", shard)
 	}
 	switch hdr.op {
@@ -321,12 +322,6 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 			return r.err.Error()
 		}
 		body.ids(s.store.ShardSubjects(shard, pred, obj))
-	case opStats:
-		j, err := json.Marshal(s.Stats())
-		if err != nil {
-			return err.Error()
-		}
-		body.bytes(j)
 	default:
 		return fmt.Sprintf("unknown op %d", hdr.op)
 	}

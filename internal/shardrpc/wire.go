@@ -1,13 +1,13 @@
 // Package shardrpc promotes the ShardedStore's subject-hash partition
 // boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (expand-frontier, subjects, stats) over a small
+// answers index reads (expand-frontier, subjects) over a small
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
 // KB is the engine's index seam (core.Index) over the pool.
 //
-// The protocol is dependency-free and CRC-framed exactly like the answer
-// cache's segment log (internal/serve/persist.go): every frame is
+// The protocol is dependency-free and CRC-framed by the same codec as the
+// answer cache's segment log (safeio.WriteFrame / ReadFrame): every frame is
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
@@ -25,8 +25,6 @@ package shardrpc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"repro/internal/rdf"
 )
@@ -38,17 +36,14 @@ const (
 	// ProtoVersion is the wire protocol version; client and server must
 	// match exactly.
 	ProtoVersion = 1
-	// maxFrameLen bounds a single frame, mirroring the segment codec's cap.
-	maxFrameLen = 1 << 26
 )
 
-// Request opcodes. 2, 4 and 5 were point lookups and 6 a paginated shard
-// scan no client issued; their numbers stay retired so the survivors keep
-// ProtoVersion 1.
+// Request opcodes. 2, 4 and 5 were point lookups, 6 a paginated shard scan
+// and 7 a stats fetch no client issued; their numbers stay retired so the
+// survivors keep ProtoVersion 1.
 const (
 	opFrontier = byte(1) // pred + node set -> union of objects, sorted unique
 	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
-	opStats    = byte(7) // server stats, JSON
 )
 
 // Response status codes.
@@ -56,38 +51,6 @@ const (
 	statusOK  = byte(0)
 	statusErr = byte(1)
 )
-
-// writeFrame writes one CRC frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one CRC frame, verifying length bound and checksum.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("shardrpc: frame length %d exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("shardrpc: frame checksum mismatch")
-	}
-	return payload, nil
-}
 
 // wbuf builds a frame payload.
 type wbuf struct{ b []byte }

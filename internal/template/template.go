@@ -60,17 +60,6 @@ func DeriveAll(tax *concept.Taxonomy, qToks []string, mention text.Span, surface
 	return out
 }
 
-// ConceptOf extracts the concept name from a canonical template string, or
-// "" when the template has no placeholder.
-func ConceptOf(templateText string) string {
-	for _, tok := range strings.Fields(templateText) {
-		if strings.HasPrefix(tok, sigil) && len(tok) > 1 {
-			return tok[1:]
-		}
-	}
-	return ""
-}
-
 // Instantiate substitutes an entity surface form back into a template,
 // producing a concrete question string. It is the inverse of Derive and is
 // used by the corpus generator and by tests.
@@ -83,51 +72,4 @@ func Instantiate(templateText, surface string) string {
 		}
 	}
 	return text.Normalize(strings.Join(toks, " "))
-}
-
-// Matches reports whether the question tokens match the template with some
-// span substituted for the placeholder, and returns that span. A template
-// without a placeholder matches only the identical token sequence (with an
-// empty span at 0).
-func Matches(templateText string, qToks []string) (text.Span, bool) {
-	tToks := strings.Fields(templateText)
-	hole := -1
-	for i, tok := range tToks {
-		if strings.HasPrefix(tok, sigil) && len(tok) > 1 {
-			hole = i
-			break
-		}
-	}
-	if hole == -1 {
-		if len(tToks) != len(qToks) {
-			return text.Span{}, false
-		}
-		for i := range tToks {
-			if tToks[i] != qToks[i] {
-				return text.Span{}, false
-			}
-		}
-		return text.Span{}, true
-	}
-	// Prefix before the hole must match exactly.
-	suffix := tToks[hole+1:]
-	minLen := hole + 1 + len(suffix) // at least one token in the hole
-	if len(qToks) < minLen {
-		return text.Span{}, false
-	}
-	for i := 0; i < hole; i++ {
-		if qToks[i] != tToks[i] {
-			return text.Span{}, false
-		}
-	}
-	end := len(qToks) - len(suffix)
-	for i, tok := range suffix {
-		if qToks[end+i] != tok {
-			return text.Span{}, false
-		}
-	}
-	if end <= hole {
-		return text.Span{}, false
-	}
-	return text.Span{Start: hole, End: end}, true
 }

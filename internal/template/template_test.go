@@ -63,15 +63,6 @@ func TestDeriveAllContext(t *testing.T) {
 	}
 }
 
-func TestConceptOf(t *testing.T) {
-	if got := ConceptOf("when was $person born"); got != "person" {
-		t.Errorf("ConceptOf = %q", got)
-	}
-	if got := ConceptOf("no placeholder here"); got != "" {
-		t.Errorf("ConceptOf = %q, want empty", got)
-	}
-}
-
 func TestInstantiate(t *testing.T) {
 	got := Instantiate("when was $person born", "Barack Obama")
 	if got != "when was barack obama born" {
@@ -83,30 +74,5 @@ func TestInstantiate(t *testing.T) {
 	tpl := Derive(toks, text.Span{Start: 6, End: 7}, "city")
 	if back := Instantiate(tpl.Text, "honolulu"); back != q {
 		t.Errorf("round trip = %q, want %q", back, q)
-	}
-}
-
-func TestMatches(t *testing.T) {
-	cases := []struct {
-		tpl   string
-		q     string
-		want  text.Span
-		match bool
-	}{
-		{"when was $e born", "when was michelle obama born", text.Span{Start: 2, End: 4}, true},
-		{"when was $e born", "when was barack born", text.Span{Start: 2, End: 3}, true},
-		{"when was $e born", "when was born", text.Span{}, false},        // empty hole
-		{"when was $e born", "where was obama born", text.Span{}, false}, // prefix mismatch
-		{"when was $e born", "when was obama buried", text.Span{}, false},
-		{"$e population", "honolulu population", text.Span{Start: 0, End: 1}, true},
-		{"who is $e", "who is the ceo of google", text.Span{Start: 2, End: 6}, true},
-		{"fixed question", "fixed question", text.Span{}, true},
-		{"fixed question", "other question", text.Span{}, false},
-	}
-	for _, c := range cases {
-		sp, ok := Matches(c.tpl, text.Tokenize(c.q))
-		if ok != c.match || (ok && sp != c.want) {
-			t.Errorf("Matches(%q, %q) = %v,%v want %v,%v", c.tpl, c.q, sp, ok, c.want, c.match)
-		}
 	}
 }

@@ -123,43 +123,6 @@ func (sp Span) Overlaps(other Span) bool {
 	return sp.Start < other.End && other.Start < sp.End
 }
 
-// FindSpan locates needle as a contiguous token subsequence of hay and
-// returns its span. The second result is false when needle does not occur.
-// The first (leftmost) occurrence wins.
-func FindSpan(hay, needle []string) (Span, bool) {
-	if len(needle) == 0 || len(needle) > len(hay) {
-		return Span{}, false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		for j, t := range needle {
-			if hay[i+j] != t {
-				continue outer
-			}
-		}
-		return Span{Start: i, End: i + len(needle)}, true
-	}
-	return Span{}, false
-}
-
-// FindAllSpans returns every (possibly overlapping) occurrence of needle in hay.
-func FindAllSpans(hay, needle []string) []Span {
-	var out []Span
-	if len(needle) == 0 {
-		return nil
-	}
-outer:
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		for j, t := range needle {
-			if hay[i+j] != t {
-				continue outer
-			}
-		}
-		out = append(out, Span{Start: i, End: i + len(needle)})
-	}
-	return out
-}
-
 // ReplaceSpan returns a new token slice with the span replaced by repl.
 // It panics if the span is invalid for toks, because a bad span indicates a
 // programming error upstream, never a data condition.
@@ -180,12 +143,6 @@ func CutSpan(toks []string, sp Span) []string {
 		panic("text: CutSpan with invalid span")
 	}
 	return toks[sp.Start:sp.End]
-}
-
-// HasSubslice reports whether needle occurs as a contiguous subsequence of hay.
-func HasSubslice(hay, needle []string) bool {
-	_, ok := FindSpan(hay, needle)
-	return ok
 }
 
 // TitleCase upper-cases the first letter of every token, used when rendering

@@ -2,7 +2,6 @@ package text
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,35 +101,6 @@ func TestSpanBasics(t *testing.T) {
 	}
 }
 
-func TestFindSpan(t *testing.T) {
-	hay := Tokenize("when was barack obama 's wife born")
-	sp, ok := FindSpan(hay, []string{"barack", "obama"})
-	if !ok || sp != (Span{2, 4}) {
-		t.Errorf("FindSpan = %v,%v want {2 4},true", sp, ok)
-	}
-	if _, ok := FindSpan(hay, []string{"michelle"}); ok {
-		t.Error("found non-existent needle")
-	}
-	if _, ok := FindSpan(hay, nil); ok {
-		t.Error("empty needle must not match")
-	}
-	// Leftmost match wins.
-	hay2 := []string{"a", "b", "a", "b"}
-	sp, _ = FindSpan(hay2, []string{"a", "b"})
-	if sp.Start != 0 {
-		t.Errorf("expected leftmost match, got %v", sp)
-	}
-	all := FindAllSpans(hay2, []string{"a", "b"})
-	if len(all) != 2 || all[1] != (Span{2, 4}) {
-		t.Errorf("FindAllSpans = %v", all)
-	}
-	// Overlapping occurrences are all reported.
-	aaa := FindAllSpans([]string{"a", "a", "a"}, []string{"a", "a"})
-	if len(aaa) != 2 {
-		t.Errorf("overlapping FindAllSpans = %v, want 2 spans", aaa)
-	}
-}
-
 func TestReplaceSpan(t *testing.T) {
 	toks := Tokenize("how many people are there in honolulu")
 	got := ReplaceSpan(toks, Span{6, 7}, "$city")
@@ -182,15 +152,5 @@ func TestReplaceSpanPreservesLengthArithmetic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHasSubslice(t *testing.T) {
-	hay := strings.Fields("the quick brown fox")
-	if !HasSubslice(hay, []string{"quick", "brown"}) {
-		t.Error("HasSubslice missed a present subslice")
-	}
-	if HasSubslice(hay, []string{"brown", "quick"}) {
-		t.Error("HasSubslice matched out-of-order tokens")
 	}
 }

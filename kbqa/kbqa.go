@@ -31,7 +31,6 @@ package kbqa
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -97,16 +96,11 @@ func Noise(rate float64) *float64 { return &rate }
 
 // ParseFlavor converts a flavor name to the kbgen flavor.
 func ParseFlavor(name string) (kbgen.Flavor, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "freebase", "fb":
-		return kbgen.Freebase, nil
-	case "kba":
-		return kbgen.KBA, nil
-	case "dbpedia", "dbp":
-		return kbgen.DBpedia, nil
-	default:
-		return 0, fmt.Errorf("kbqa: unknown flavor %q (want kba, freebase, or dbpedia)", name)
+	f, err := kbgen.ParseFlavor(name)
+	if err != nil {
+		return 0, fmt.Errorf("kbqa: %w", err)
 	}
+	return f, nil
 }
 
 // worldConfig resolves Options onto the per-flavor defaults; every zero

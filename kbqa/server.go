@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/text"
 )
 
 // Sentinel errors of the serving runtime, for callers mapping failures to
@@ -24,13 +23,10 @@ var (
 )
 
 // ServerOptions tunes a System.Server runtime; the zero value is
-// production-sensible (16 cache shards × 4096 total entries, admission
-// bounded at 4×GOMAXPROCS, no default deadline, memory-only cache, no
-// expiry, no rate limit).
+// production-sensible (4096 cache entries, admission bounded at
+// 4×GOMAXPROCS, no default deadline, memory-only cache, no expiry, no rate
+// limit).
 type ServerOptions struct {
-	// CacheShards is the number of independently locked answer-cache
-	// shards (default 16).
-	CacheShards int
 	// CacheEntries is the total answer-cache capacity. 0 means the
 	// default (4096); negative disables caching.
 	CacheEntries int
@@ -64,14 +60,12 @@ type ServerOptions struct {
 	// MaxConcurrent bounds concurrent engine calls. 0 means
 	// 4×GOMAXPROCS; negative means unbounded.
 	MaxConcurrent int
-	// BatchWorkers sizes QueryBatch's worker pool (default GOMAXPROCS).
-	BatchWorkers int
 	// Timeout is the per-request deadline applied when the caller's
 	// context has none (0 = none). The deadline is handed to the engine,
 	// so expiry stops the probe loops instead of leaking the work.
 	Timeout time.Duration
 	// RateLimit caps each client's sustained request rate in
-	// requests/second, enforced by Server.Allow in front of admission
+	// requests/second, enforced by Server.AllowN in front of admission
 	// control; 0 disables rate limiting. Rejections are counted in
 	// kbqa_ratelimit_rejected_total.
 	RateLimit float64
@@ -124,7 +118,6 @@ type Server struct {
 	rt      *serve.Runtime[served]
 	limiter *serve.Limiter
 	tracer  *obs.Tracer // nil when tracing is off
-	log     *obs.Logger // nil discards
 	unhook  func()      // deregisters the retrain hook; called by Close
 }
 
@@ -136,7 +129,7 @@ type Server struct {
 // paths are the persistence options (an unopenable CacheDir, or CacheDir
 // combined with disabled caching).
 func (s *System) Server(o ServerOptions) (*Server, error) {
-	sv := &Server{sys: s, log: o.Logger}
+	sv := &Server{sys: s}
 	if o.traceEnabled() {
 		sv.tracer = obs.NewTracer(obs.Options{
 			Capacity:      o.TraceBuffer,
@@ -150,24 +143,30 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 	// between would otherwise have notified nobody, leaving its stale
 	// entries reachable.
 	epoch := s.retrainEpoch.Load()
-	ro := serve.Options{
-		CacheShards:   o.CacheShards,
+	ro := serve.Options[served]{
 		CacheEntries:  o.CacheEntries,
 		TTL:           o.CacheTTL,
 		MaxConcurrent: o.MaxConcurrent,
-		BatchWorkers:  o.BatchWorkers,
 		Timeout:       o.Timeout,
-		Normalize:     text.Normalize,
+		// Weight answers by their interpretation count, so a big top-K
+		// result pays for the cache room it occupies instead of evicting
+		// many single-answer entries one-for-one. Negative entries weigh
+		// the minimum.
+		Weigh: func(a served) int {
+			if a.Res == nil || len(a.Res.Interpretations) < 2 {
+				return 1
+			}
+			return len(a.Res.Interpretations)
+		},
 	}
-	ask := sv.compute(newQueryConfig(nil))
 	if o.CacheDir == "" {
-		sv.rt = serve.New(ask, ro)
+		sv.rt = serve.New(ro)
 	} else {
 		sync := o.CacheSyncEvery
 		if sync == 0 {
 			sync = time.Second
 		}
-		rt, err := serve.Open(ask, ro, serve.LogOptions[served]{
+		rt, err := serve.Open(ro, serve.LogOptions[served]{
 			Dir:       o.CacheDir,
 			Meta:      s.cacheMeta(),
 			ModelTag:  s.modelTag(),
@@ -180,15 +179,6 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 		}
 		sv.rt = rt
 	}
-	// Weight answers by their interpretation count, so a big top-K result
-	// pays for the cache room it occupies instead of evicting many
-	// single-answer entries one-for-one. Negative entries weigh the minimum.
-	sv.rt.SetWeigher(func(a served) int {
-		if a.Res == nil || len(a.Res.Interpretations) < 2 {
-			return 1
-		}
-		return len(a.Res.Interpretations)
-	})
 	if o.RateLimit > 0 {
 		sv.limiter = serve.NewLimiter(o.RateLimit, o.RateBurst)
 	}
@@ -356,9 +346,6 @@ func (sv *Server) WriteMetricsPrometheus(w io.Writer) error {
 // output.
 const PrometheusContentType = serve.PrometheusContentType
 
-// System returns the wrapped system (for /stats-style introspection).
-func (sv *Server) System() *System { return sv.sys }
-
 // Tracer returns the server's request tracer, nil when tracing is off.
 // Hand it to HTTP middleware that wants to root traces itself (and set
 // X-Kbqa-Trace); Server.Query joins a caller-started trace instead of
@@ -373,9 +360,6 @@ func (sv *Server) Traces() []TraceSnapshot { return sv.tracer.Snapshot() }
 // ring still holds it; a miss means the trace was never retained (not
 // sampled, not slow) or has since been evicted.
 func (sv *Server) FindTrace(id string) (TraceSnapshot, bool) { return sv.tracer.Find(id) }
-
-// Logger returns the logger the server was built with (nil discards).
-func (sv *Server) Logger() *Logger { return sv.log }
 
 // Generation returns the model generation keying new cache entries; it
 // starts from the persisted generation when CacheDir is set and bumps on
@@ -396,19 +380,14 @@ func (sv *Server) WarmFromCorpus(ctx context.Context, qs []string, opts ...Query
 	return sv.rt.Warm(ctx, qs, cfg.fingerprint(), sv.compute(cfg))
 }
 
-// Allow applies the per-client rate limit (ServerOptions.RateLimit) to one
-// request from the given client key — an API key, a remote address,
-// whatever identifies a caller. ok=false means the request must be refused
-// (HTTP 429) and retryAfter is the Retry-After hint; rejections bump
-// kbqa_ratelimit_rejected_total. With no rate limit configured every
-// request is allowed.
-func (sv *Server) Allow(client string) (ok bool, retryAfter time.Duration) {
-	return sv.AllowN(client, 1)
-}
-
-// AllowN is Allow for a request worth n quota units — a batch of n
-// questions is charged n, so batching cannot out-run the per-client rate
-// (see serve.Limiter.AllowN for the debt semantics).
+// AllowN applies the per-client rate limit (ServerOptions.RateLimit) to a
+// request worth n quota units from the given client key — an API key, a
+// remote address, whatever identifies a caller. A batch of n questions is
+// charged n, so batching cannot out-run the per-client rate (see
+// serve.Limiter.AllowN for the debt semantics). ok=false means the request
+// must be refused (HTTP 429) and retryAfter is the Retry-After hint;
+// rejections bump kbqa_ratelimit_rejected_total. With no rate limit
+// configured every request is allowed.
 func (sv *Server) AllowN(client string, n int) (ok bool, retryAfter time.Duration) {
 	if sv.limiter == nil {
 		return true, 0

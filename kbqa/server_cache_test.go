@@ -260,18 +260,18 @@ func TestServerRateLimit(t *testing.T) {
 	defer sv.Close()
 
 	for i := 0; i < 2; i++ {
-		if ok, _ := sv.Allow("client-a"); !ok {
+		if ok, _ := sv.AllowN("client-a", 1); !ok {
 			t.Fatalf("request %d inside burst refused", i)
 		}
 	}
-	ok, retry := sv.Allow("client-a")
+	ok, retry := sv.AllowN("client-a", 1)
 	if ok {
 		t.Fatal("over-quota request allowed")
 	}
 	if retry <= 0 {
 		t.Fatalf("retryAfter = %v, want > 0", retry)
 	}
-	if ok, _ := sv.Allow("client-b"); !ok {
+	if ok, _ := sv.AllowN("client-b", 1); !ok {
 		t.Fatal("distinct client throttled")
 	}
 	if m := sv.Metrics(); m.RateLimitRejected != 1 {
@@ -282,7 +282,7 @@ func TestServerRateLimit(t *testing.T) {
 	unlimited := mustServer(t, s, ServerOptions{})
 	defer unlimited.Close()
 	for i := 0; i < 100; i++ {
-		if ok, _ := unlimited.Allow("anyone"); !ok {
+		if ok, _ := unlimited.AllowN("anyone", 1); !ok {
 			t.Fatal("unlimited server refused a request")
 		}
 	}

@@ -103,7 +103,7 @@ func TestServerQueryTypedErrorsCached(t *testing.T) {
 
 func TestServerQueryBatch(t *testing.T) {
 	s := testSystem(t)
-	sv := mustServer(t, s, ServerOptions{BatchWorkers: 4})
+	sv := mustServer(t, s, ServerOptions{})
 	defer sv.Close()
 	qs := append(s.SampleQuestions(6), "what is the meaning of life")
 	items := sv.QueryBatch(context.Background(), qs, WithTopK(2))

@@ -43,7 +43,7 @@ func TestServerAskMatchesSystemAsk(t *testing.T) {
 
 func TestServerAskBatchOrder(t *testing.T) {
 	s := testSystem(t)
-	sv := mustServer(t, s, ServerOptions{BatchWorkers: 4})
+	sv := mustServer(t, s, ServerOptions{})
 	defer sv.Close()
 	qs := s.SampleQuestions(8)
 	qs = append(qs, "what is the meaning of life")
