@@ -10,8 +10,12 @@
 // The engine holds the locally loaded world for symbols (labels, predicate
 // names, the gazetteer) and reads the triple indexes through Index alone —
 // in process or across shard servers, under the caller's context either
-// way. Cancellation is checked at every index read and between chain hops,
-// so a deadline stops work mid-inference instead of letting an abandoned
+// way. A BFQ enumerates Eq (7)'s support into a probe plan — every (e, p)
+// the model gives mass to, each once — and reads it in one Index call, so
+// the cost of the summation on a cluster is a frame per shard per path
+// depth, not a round trip per term. Cancellation is checked at every probe
+// of a local read, every frame of a remote one and between chain hops, so
+// a deadline stops work mid-inference instead of letting an abandoned
 // request run to completion; failures are the typed errors ErrNoEntity,
 // ErrNoTemplate and ErrNoAnswer so callers can tell the failure stages
 // apart, and an Index failure (every replica of a shard down) aborts the
@@ -21,8 +25,10 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/concept"
@@ -112,26 +118,35 @@ type Ranked struct {
 // Index is the engine's whole view of the knowledge base's triple indexes:
 // V(e, p+) and the reverse lookup of the ranking variants. Reads take the
 // caller's context and return an error, so one code path serves the
-// in-process world (LocalIndex) and the shard servers (shardrpc.KB).
+// in-process world (LocalIndex) and the shard servers (shardrpc.KB). V(e, p+)
+// is read a question's whole probe set at a time, which is what lets the
+// cluster send one frame per shard per path depth instead of one RPC per
+// term of Eq (7).
 type Index interface {
-	// PathObjects returns V(subj, path), ascending and deduplicated.
-	PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error)
+	// PathObjects returns V(p.Subj, p.Path) for every probe, in probe order,
+	// each ascending and deduplicated. It is all or nothing: an error means
+	// no result is usable, never that some came back shorter.
+	PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error)
 	// Subjects returns all subjects with (s, pred, obj) in K, ascending.
 	Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error)
 }
 
 // LocalIndex serves Index from an in-process graph. The reads themselves
 // cannot fail or block; the context is honoured before each one, so a
-// cancelled request stops probing.
+// cancelled request stops probing mid-batch.
 func LocalIndex(g rdf.Graph) Index { return localIndex{g} }
 
 type localIndex struct{ g rdf.Graph }
 
-func (l localIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+func (l localIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
+	out := make([][]rdf.ID, len(probes))
+	for i, p := range probes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = rdf.PathObjects(l.g, p.Subj, p.Path)
 	}
-	return rdf.PathObjects(l.g, subj, path), nil
+	return out, nil
 }
 
 func (l localIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
@@ -156,6 +171,8 @@ type Engine struct {
 	// computed once at construction (the model is immutable while
 	// serving) so the variant path doesn't re-sort per question.
 	sortedTemplates []string
+	// numeric memoises numericPredicate: path key → bool.
+	numeric sync.Map
 }
 
 // NewEngine builds an engine over the local world kb whose index reads go
@@ -379,17 +396,18 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 }
 
 // bfq is Eq (7) over one parsed question, the routine behind the direct
-// path, the δ oracle and every chain hop. It enumerates the summation's
-// support — entities from the question's mentions, templates from
-// conceptualization, predicates from the learned model — probing V(e, p)
-// for each, and aggregates the argmax value; the candidates come back with
+// path, the δ oracle and every chain hop, in three steps. Enumerate the
+// summation's support — entities from the question's mentions, templates
+// from conceptualization, predicates from the learned model — into a probe
+// plan; read the plan's V(e, p) sets in one Index call; assemble the
+// candidates and aggregate the argmax value. The candidates come back with
 // the answer so callers can rank the winner without re-probing. tm, when
 // non-nil, accumulates stage latencies.
 //
 // The error says how far the pipeline got: ErrNoEntity without a mention,
 // ErrNoTemplate when no derived template carried learned P(p|t) mass,
 // ErrNoAnswer when probing produced no value — or it is the Index's: ctx
-// expiry, which every read checks, so cancellation aborts the scan
+// expiry, which the read checks, so cancellation aborts the scan
 // mid-flight, or infrastructure failure (all replicas down), which aborts
 // the answer rather than shrinking it.
 func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []interpretation, error) {
@@ -404,70 +422,90 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 	}
 	pe := 1.0 / float64(totalEntities)
 
+	// Enumerate. cands is filled in the order aggregate needs — mention,
+	// entity, template, sorted path key: it feeds float accumulation, and
+	// map order would make near-tied answers flap across runs — each
+	// naming the probe whose values it is waiting for.
+	plan := probePlan{kb: e.KB}
 	var cands []interpretation
+	// Scratch for one mention's model lookups, on the stack at the usual
+	// handful of templates and paths.
+	var learnedBuf [8]learnedPath
+	var keysBuf [8]string
+	learned, keys := learnedBuf[:0], keysBuf[:0]
+	templates := 0
 	sawMass := false
 	for _, m := range mentions {
 		matchStart := stampIf(tm)
 		tmpls := template.DeriveAll(e.Taxonomy, q.toks, m.Span, m.Surface)
 		tm.lapMatch(matchStart)
-		_, psp := obs.StartSpan(ctx, "engine.probe")
-		before := len(cands)
-		if psp != nil {
-			psp.SetAttr("mention", m.Surface)
-			psp.SetInt("entities", int64(len(m.Entities)))
-			psp.SetInt("templates", int64(len(tmpls)))
-			e.annotateShards(psp, m.Entities)
-		}
 		probeStart := stampIf(tm)
-		for _, ent := range m.Entities {
-			for _, tw := range tmpls {
-				dist := e.Model.PredDist(tw.Text)
-				if len(dist) == 0 {
+		templates += len(tmpls)
+		// What the model knows of the mention's templates is the same for
+		// each of its entities: look it up once.
+		learned = learned[:0]
+		for _, tw := range tmpls {
+			dist := e.Model.PredDist(tw.Text)
+			if len(dist) == 0 {
+				continue
+			}
+			sawMass = true
+			keys = keys[:0]
+			for pathKey := range dist {
+				keys = append(keys, pathKey)
+			}
+			sort.Strings(keys)
+			for _, pathKey := range keys {
+				ppt := dist[pathKey]
+				if ppt <= 0 {
 					continue
 				}
-				sawMass = true
-				// Iterate the distribution in sorted-key order: cands
-				// order feeds float accumulation in aggregate, and map
-				// order would make near-tied answers flap across runs.
-				pathKeys := make([]string, 0, len(dist))
-				for pathKey := range dist {
-					pathKeys = append(pathKeys, pathKey)
-				}
-				sort.Strings(pathKeys)
-				for _, pathKey := range pathKeys {
-					ppt := dist[pathKey]
-					if ppt <= 0 {
-						continue
-					}
-					path, ok := rdf.ParsePath(e.KB, pathKey)
-					if !ok {
-						continue
-					}
-					values, err := e.Index.PathObjects(ctx, ent, path)
-					if err != nil {
-						tm.lapProbe(probeStart)
-						psp.End()
-						return Answer{}, nil, err
-					}
-					if len(values) == 0 {
-						continue
-					}
-					cands = append(cands, interpretation{
-						entity:   ent,
-						template: tw.Text,
-						path:     pathKey,
-						weight:   pe * tw.P * ppt,
-						values:   values,
-					})
+				if path := plan.path(pathKey); path >= 0 {
+					learned = append(learned, learnedPath{template: tw.Text, key: pathKey, path: path, weight: pe * tw.P * ppt})
 				}
 			}
 		}
+		cands = slices.Grow(cands, len(m.Entities)*len(learned))
+		for _, ent := range m.Entities {
+			for _, lp := range learned {
+				cands = append(cands, interpretation{entity: ent, template: lp.template, path: lp.key,
+					weight: lp.weight, probe: plan.add(ent, lp.path)})
+			}
+		}
 		tm.lapProbe(probeStart)
-		if psp != nil {
-			psp.SetInt("candidates", int64(len(cands)-before))
-			psp.End()
+	}
+
+	// Probe: the whole set in one read.
+	ctx, psp := obs.StartSpan(ctx, "engine.probe")
+	if psp != nil {
+		psp.SetInt("mentions", int64(len(mentions)))
+		psp.SetInt("entities", int64(totalEntities))
+		psp.SetInt("templates", int64(templates))
+		psp.SetInt("probes", int64(len(plan.probes)))
+		e.annotateShards(psp, mentions)
+		defer psp.End()
+	}
+	probeStart := stampIf(tm)
+	var values [][]rdf.ID
+	if len(plan.probes) > 0 {
+		var err error
+		if values, err = e.Index.PathObjects(ctx, plan.probes); err != nil {
+			tm.lapProbe(probeStart)
+			return Answer{}, nil, err
 		}
 	}
+	// Assemble: interpretations whose probe found values, order kept;
+	// duplicates across templates share one read-only value slice.
+	kept := cands[:0]
+	for _, c := range cands {
+		if c.values = values[c.probe]; len(c.values) > 0 {
+			kept = append(kept, c)
+		}
+	}
+	cands = kept
+	tm.lapProbe(probeStart)
+	psp.SetInt("candidates", int64(len(cands)))
+
 	if ans, ok := e.aggregate(cands); ok {
 		return ans, cands, nil
 	}
@@ -475,6 +513,65 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 		return Answer{}, nil, ErrNoTemplate
 	}
 	return Answer{}, nil, ErrNoAnswer
+}
+
+// learnedPath is one (template, path) the model gives mass to for a mention,
+// with the joint weight P(e|q)·P(t|e,q)·P(p|t) every entity of the mention
+// shares. path indexes the plan's distinct paths.
+type learnedPath struct {
+	template string
+	key      string
+	path     int
+	weight   float64
+}
+
+// probePlan is one question's probe set: every (entity, path) Eq (7) gives
+// mass to, each pair once however many templates and mentions lead to it,
+// each path key parsed once. A question's distinct path keys are few, so
+// they are a list; its (entity, path) pairs can be many, so they are a map.
+type probePlan struct {
+	kb     rdf.Graph
+	paths  []parsedPath
+	slot   map[uint64]int // entity<<32 | path index → index into probes
+	probes []rdf.Probe
+}
+
+// parsedPath is a path key and what it parses to; nil when it does not
+// ground in the KB.
+type parsedPath struct {
+	key  string
+	path rdf.Path
+}
+
+// path returns the index of key's parsed path, parsing it on first sight,
+// or -1 when the KB has no such predicates.
+func (pl *probePlan) path(key string) int {
+	i := slices.IndexFunc(pl.paths, func(p parsedPath) bool { return p.key == key })
+	if i < 0 {
+		i = len(pl.paths)
+		path, _ := rdf.ParsePath(pl.kb, key)
+		pl.paths = append(pl.paths, parsedPath{key, path})
+	}
+	if pl.paths[i].path == nil {
+		return -1
+	}
+	return i
+}
+
+// add returns the plan's index for V(ent, paths[path].path), adding the
+// probe if it is new.
+func (pl *probePlan) add(ent rdf.ID, path int) int {
+	k := uint64(uint32(ent))<<32 | uint64(path)
+	i, ok := pl.slot[k]
+	if !ok {
+		if pl.slot == nil {
+			pl.slot = make(map[uint64]int)
+		}
+		i = len(pl.probes)
+		pl.slot[k] = i
+		pl.probes = append(pl.probes, rdf.Probe{Subj: ent, Path: pl.paths[path].path})
+	}
+	return i
 }
 
 // aggregate accumulates P(v|q) over interpretations and picks the argmax
@@ -609,29 +706,29 @@ type interpretation struct {
 	template string
 	path     string
 	weight   float64
+	probe    int // the read of the question's probe plan that values came from
 	values   []rdf.ID
 }
 
 // annotateShards attributes a probe span to the knowledge-base shards that
 // own the candidate entities. Each distinct shard becomes a "probe.shard"
-// child span so a trace shows exactly which partitions one mention's probes
-// touched.
-func (e *Engine) annotateShards(psp *obs.Span, entities []rdf.ID) {
+// child span so a trace shows exactly which partitions the question's
+// probes start from.
+func (e *Engine) annotateShards(psp *obs.Span, mentions []extract.Mention) {
 	n := e.KB.NumShards()
-	perShard := map[int]int64{}
-	order := make([]int, 0, 4)
-	for _, ent := range entities {
-		s := rdf.ShardIndex(ent, n)
-		if _, seen := perShard[s]; !seen {
-			order = append(order, s)
+	perShard := make([]int64, n)
+	for _, m := range mentions {
+		for _, ent := range m.Entities {
+			perShard[rdf.ShardIndex(ent, n)]++
 		}
-		perShard[s]++
 	}
-	sort.Ints(order)
-	for _, s := range order {
+	for s, ents := range perShard {
+		if ents == 0 {
+			continue
+		}
 		c := psp.Child("probe.shard")
 		c.SetInt("shard", int64(s))
-		c.SetInt("entities", perShard[s])
+		c.SetInt("entities", ents)
 		c.End()
 	}
 }

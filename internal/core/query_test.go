@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -13,22 +14,37 @@ import (
 	"repro/internal/text"
 )
 
-// probeCountingIndex wraps an Index and counts PathObjects probes, invoking
-// an optional hook per probe — the instrument behind the cancellation
-// tests: it proves a cancelled context stops the interpretation scan
-// instead of letting it run to completion.
+// probeCountingIndex wraps an Index and counts PathObjects calls and the
+// probes they carry, invoking an optional hook per probe — the instrument
+// behind the cancellation tests: it proves a cancelled context stops the
+// interpretation scan instead of letting it run to completion. It hands the
+// batch on a probe at a time, so the hook acts between two reads exactly
+// where LocalIndex's own loop checks the context.
 type probeCountingIndex struct {
 	Index
+	calls   atomic.Int64
 	probes  atomic.Int64
 	onProbe func(n int64)
+	// batches keeps every batch seen, for the plan-shape assertions.
+	batches [][]rdf.Probe
 }
 
-func (g *probeCountingIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
-	n := g.probes.Add(1)
-	if g.onProbe != nil {
-		g.onProbe(n)
+func (g *probeCountingIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
+	g.calls.Add(1)
+	g.batches = append(g.batches, probes)
+	out := make([][]rdf.ID, 0, len(probes))
+	for i := range probes {
+		n := g.probes.Add(1)
+		if g.onProbe != nil {
+			g.onProbe(n)
+		}
+		vals, err := g.Index.PathObjects(ctx, probes[i:i+1])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vals[0])
 	}
-	return g.Index.PathObjects(ctx, subj, path)
+	return out, nil
 }
 
 // countingEngine builds an engine identical to the fixture's but probing
@@ -179,6 +195,81 @@ func TestCancelMidScanAbortsProbing(t *testing.T) {
 	}
 }
 
+// cancellingGraph cancels a context on its first Objects read and counts
+// them all.
+type cancellingGraph struct {
+	rdf.Graph
+	cancel context.CancelFunc
+	reads  int
+}
+
+func (g *cancellingGraph) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
+	g.reads++
+	g.cancel()
+	return g.Graph.Objects(subj, pred)
+}
+
+// TestLocalIndexChecksCtxBeforeEveryProbe: a batch is not a licence to run
+// to completion — the in-process index looks at the context before each
+// probe of it, so a cancellation during the first read stops the second.
+func TestLocalIndexChecksCtxBeforeEveryProbe(t *testing.T) {
+	f := world(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := &cancellingGraph{Graph: f.kb.Store, cancel: cancel}
+	ent, pred := f.kb.Store.Entities()[0], f.kb.Store.Predicates()[0]
+	batch := []rdf.Probe{{Subj: ent, Path: rdf.Path{pred}}, {Subj: ent, Path: rdf.Path{pred}}, {Subj: ent, Path: rdf.Path{pred}}}
+	if vals, err := LocalIndex(g).PathObjects(ctx, batch); !errors.Is(err, context.Canceled) || vals != nil {
+		t.Fatalf("PathObjects = %v, %v; want nil, context.Canceled", vals, err)
+	}
+	if g.reads != 1 {
+		t.Errorf("%d graph reads after cancelling during the first, want 1", g.reads)
+	}
+}
+
+// TestBFQReadsItsProbePlanOnce pins the enumerate/probe split with counts:
+// whatever a question's mentions, entities and templates, one bfq makes one
+// PathObjects call (none when no template carries mass — there is nothing
+// to read), and the probes of that call are pairwise distinct.
+func TestBFQReadsItsProbePlanOnce(t *testing.T) {
+	f := world(t)
+	e, g := countingEngine(f)
+	ctx := context.Background()
+	answered, shared := 0, 0
+	for _, p := range f.pairs {
+		g.calls.Store(0)
+		g.batches = g.batches[:0]
+		_, cands, err := e.bfq(ctx, &parsed{toks: text.Tokenize(p.Q)}, nil)
+		calls := g.calls.Load()
+		if want := int64(1); (err == nil || errors.Is(err, ErrNoAnswer)) && calls != want {
+			t.Fatalf("bfq(%q) = %v made %d PathObjects calls, want %d", p.Q, err, calls, want)
+		}
+		if calls > 1 {
+			t.Fatalf("bfq(%q) made %d PathObjects calls", p.Q, calls)
+		}
+		if calls == 0 {
+			continue
+		}
+		seen := make(map[string]bool)
+		for _, pr := range g.batches[0] {
+			k := fmt.Sprint(pr.Subj, pr.Path)
+			if seen[k] {
+				t.Fatalf("bfq(%q) probes (%d, %s) twice in one plan", p.Q, pr.Subj, rdf.Key(f.kb.Store, pr.Path))
+			}
+			seen[k] = true
+		}
+		if err == nil {
+			answered++
+			if len(cands) > len(g.batches[0]) {
+				shared++
+			}
+		}
+	}
+	if answered == 0 || shared == 0 {
+		t.Fatalf("%d questions answered, %d with more candidates than probes; the fixture must exercise deduplication", answered, shared)
+	}
+}
+
 // TestDeadlineStopsBetweenHops cancels midway through a multi-hop complex
 // question: execution must stop between hops/bindings with the context
 // error rather than fanning out the remaining bindings.
@@ -230,11 +321,11 @@ type failingIndex struct {
 
 var errShardDown = errors.New("every replica of the shard is down")
 
-func (f *failingIndex) PathObjects(ctx context.Context, subj rdf.ID, path rdf.Path) ([]rdf.ID, error) {
+func (f *failingIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
 	if f.healthy.Add(-1) < 0 {
 		return nil, errShardDown
 	}
-	return f.Index.PathObjects(ctx, subj, path)
+	return f.Index.PathObjects(ctx, probes)
 }
 
 func (f *failingIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {

@@ -349,29 +349,65 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, f
 }
 
 // numericPredicate reports whether the predicate's values parse as numbers
-// for at least one subject (spot check).
+// for at least one subject (spot check). The verdict is a fact of (world,
+// path) and the engine lives no longer than either, so it is worked out
+// once per path key; a failed or cancelled scan decides nothing and is not
+// kept.
 func (e *Engine) numericPredicate(ctx context.Context, pathKey string) (bool, error) {
+	if v, ok := e.numeric.Load(pathKey); ok {
+		return v.(bool), nil
+	}
+	numeric, err := e.scanNumeric(ctx, pathKey)
+	if err == nil {
+		e.numeric.Store(pathKey, numeric)
+	}
+	return numeric, err
+}
+
+// numericScanBatch is how many entities one read of the spot check covers:
+// wide enough that the cluster pays a frame per shard rather than per
+// entity, narrow enough that the scan still stops near its first verdict
+// instead of reading V(e, p) for the whole knowledge base.
+const numericScanBatch = 64
+
+// scanNumeric walks the entities in order until a value of the path parses
+// as a number, or more than 50 values have not.
+func (e *Engine) scanNumeric(ctx context.Context, pathKey string) (bool, error) {
 	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
 		return false, nil
 	}
 	checked := 0
-	for _, ent := range e.KB.Entities() {
-		vals, err := e.Index.PathObjects(ctx, ent, path)
+	ents := e.KB.Entities()
+	for len(ents) > 0 {
+		batch := ents[:min(len(ents), numericScanBatch)]
+		ents = ents[len(batch):]
+		values, err := e.valuesOf(ctx, batch, path)
 		if err != nil {
 			return false, err
 		}
-		for _, v := range vals {
-			if _, ok := parseNumber(e.KB.Label(v)); ok {
-				return true, nil
-			}
-			checked++
-			if checked > 50 {
-				return false, nil
+		for _, vals := range values {
+			for _, v := range vals {
+				if _, ok := parseNumber(e.KB.Label(v)); ok {
+					return true, nil
+				}
+				checked++
+				if checked > 50 {
+					return false, nil
+				}
 			}
 		}
 	}
 	return false, nil
+}
+
+// valuesOf reads V(ent, path) for every ent, in order, as one batch.
+func (e *Engine) valuesOf(ctx context.Context, ents []rdf.ID, path rdf.Path) ([][]rdf.ID, error) {
+	probes := make([]rdf.Probe, len(ents))
+	for i, ent := range ents {
+		probes[i] = rdf.Probe{Subj: ent, Path: path}
+	}
+	return e.Index.PathObjects(ctx, probes)
 }
 
 type rankedEntity struct {
@@ -404,16 +440,16 @@ func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, des
 	if err != nil {
 		return nil, err
 	}
+	values, err := e.valuesOf(ctx, members, path)
+	if err != nil {
+		return nil, err
+	}
 	var out []rankedEntity
-	for _, ent := range members {
-		vals, err := e.Index.PathObjects(ctx, ent, path)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) == 0 {
+	for i, ent := range members {
+		if len(values[i]) == 0 {
 			continue
 		}
-		if n, ok := parseNumber(e.KB.Label(vals[0])); ok {
+		if n, ok := parseNumber(e.KB.Label(values[i][0])); ok {
 			out = append(out, rankedEntity{label: text.Normalize(e.KB.Label(ent)), value: n})
 		}
 	}
@@ -436,11 +472,11 @@ func (e *Engine) numericValue(ctx context.Context, ents []rdf.ID, pathKey string
 	if !ok {
 		return 0, false, nil
 	}
-	for _, ent := range ents {
-		vals, err := e.Index.PathObjects(ctx, ent, path)
-		if err != nil {
-			return 0, false, err
-		}
+	values, err := e.valuesOf(ctx, ents, path)
+	if err != nil {
+		return 0, false, err
+	}
+	for _, vals := range values {
 		for _, v := range vals {
 			if n, ok := parseNumber(e.KB.Label(v)); ok {
 				return n, true, nil

@@ -165,6 +165,36 @@ func TestRankCategoryDeterministic(t *testing.T) {
 	}
 }
 
+// TestNumericPredicateMemoised: whether a path's values are numbers is
+// settled once per engine. A second identical ranking question reads the
+// index for the ranking alone — one batch over the category's members — and
+// a scan the index failed decides nothing.
+func TestNumericPredicateMemoised(t *testing.T) {
+	f := world(t)
+	e, g := countingEngine(f)
+	const q = "Which city has the 3rd largest population?"
+	first, ok := askVariant(e, q)
+	cold := g.calls.Load()
+	second, ok2 := askVariant(e, q)
+	warm := g.calls.Load() - cold
+	if !ok || !ok2 || first.Entities[0] != second.Entities[0] {
+		t.Fatalf("ranking answers: %+v (%v), %+v (%v)", first, ok, second, ok2)
+	}
+	if warm != 1 || cold <= warm {
+		t.Errorf("PathObjects calls: %d for the first ranking question, %d for the second; want > 1, then 1 (no numericPredicate reads)", cold, warm)
+	}
+
+	fi := &failingIndex{Index: f.engine.Index}
+	flaky := NewEngine(f.kb.Store, fi, f.kb.Taxonomy, f.model, f.engine.Stats)
+	if _, err := flaky.numericPredicate(context.Background(), "population"); err == nil {
+		t.Fatal("numericPredicate over a failing index reported a verdict")
+	}
+	fi.healthy.Store(1 << 30)
+	if numeric, err := flaky.numericPredicate(context.Background(), "population"); err != nil || !numeric {
+		t.Fatalf("numericPredicate after the index recovered = %v, %v; the failed scan must not have been kept", numeric, err)
+	}
+}
+
 func TestBestTemplateForUsesLearnedModel(t *testing.T) {
 	f := world(t)
 	path, score, _ := f.engine.bestTemplateFor(context.Background(), text.Tokenize("which city has the largest population"))

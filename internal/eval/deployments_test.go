@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,9 @@ import (
 func startShardServer(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server) {
 	t.Helper()
 	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
+	if d, ok := store.(*dyingStore); ok {
+		d.srv = srv
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +37,12 @@ func startShardServer(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server
 
 // clusterEngine serves w's store from two own-all loopback shard servers
 // (R=2) and returns an engine probing through them, plus the kill switch
-// of the first server.
-func clusterEngine(t *testing.T, w *World) (*core.Engine, func()) {
+// of the first server. dying, when non-nil, is armed instead: the next
+// server to execute a read dies inside it.
+func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, func()) {
 	store := w.KB.Store
-	addrA, srvA := startShardServer(t, store)
-	addrB, srvB := startShardServer(t, store)
+	addrA, srvA := startShardServer(t, dying.wrap(store))
+	addrB, srvB := startShardServer(t, dying.wrap(store))
 	t.Cleanup(srvA.Close)
 	t.Cleanup(srvB.Close)
 	pl, err := shardrpc.NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
@@ -52,7 +57,51 @@ func clusterEngine(t *testing.T, w *World) (*core.Engine, func()) {
 		t.Logf("pool stats %+v", pool.Stats())
 		pool.Close()
 	})
-	return core.NewEngine(store, shardrpc.NewKB(pool), w.KB.Taxonomy, w.Model, w.Stats), srvA.Close
+	eng := core.NewEngine(store, shardrpc.NewKB(pool), w.KB.Taxonomy, w.Model, w.Stats)
+	if dying != nil {
+		t.Cleanup(func() {
+			if st := pool.Stats(); !dying.fired.Load() || st.Failovers == 0 {
+				t.Errorf("no frame died mid-batch (fired %v, %+v): the row did not reach its fault", dying.fired.Load(), st)
+			}
+		})
+		return eng, func() { dying.armed.Store(true) }
+	}
+	return eng, srvA.Close
+}
+
+// midFrameFault kills a shard server from inside a frame it is executing:
+// once armed, the first store read of either server closes that server and
+// holds the read until its connections are gone, so the frame's reply is
+// never delivered — a batch that dies half-executed, not a server that was
+// already down when the frame was sent.
+type midFrameFault struct {
+	armed, fired atomic.Bool
+}
+
+// wrap returns the store a server of the faulty cluster loads; a nil fault
+// wraps nothing.
+func (f *midFrameFault) wrap(store rdf.Sharded) rdf.Sharded {
+	if f == nil {
+		return store
+	}
+	return &dyingStore{Sharded: store, fault: f}
+}
+
+type dyingStore struct {
+	rdf.Sharded
+	fault *midFrameFault
+	srv   *shardrpc.Server
+}
+
+func (d *dyingStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
+	if d.fault.armed.CompareAndSwap(true, false) {
+		// Close waits for this very handler, so it runs beside it; it
+		// severs the connections first, which is all the read waits for.
+		d.fault.fired.Store(true)
+		go d.srv.Close()
+		time.Sleep(20 * time.Millisecond)
+	}
+	return d.Sharded.Objects(subj, pred)
 }
 
 // deployments is the table of the differential harness
@@ -100,12 +149,19 @@ var deployments = []struct {
 	}},
 	// Probing through networked shard servers.
 	{"cluster", func(t *testing.T, w *World) (*core.Engine, func()) {
-		eng, _ := clusterEngine(t, w)
+		eng, _ := clusterEngine(t, w, nil)
 		return eng, nil
 	}},
 	// One of the two replicas is killed mid-run: the pool must fail over
 	// to the survivor with no visible difference in any answer.
-	{"cluster-replica-killed", clusterEngine},
+	{"cluster-replica-killed", func(t *testing.T, w *World) (*core.Engine, func()) {
+		return clusterEngine(t, w, nil)
+	}},
+	// A replica dies while executing a multi-group frame: the frame fails
+	// as a whole and is replayed on the survivor, never half-applied.
+	{"cluster-frame-killed", func(t *testing.T, w *World) (*core.Engine, func()) {
+		return clusterEngine(t, w, &midFrameFault{})
+	}},
 }
 
 // shardedWorlds builds, once for the package's tests, the one-shard
@@ -250,7 +306,7 @@ func TestDistributedEngineHonorsDeadline(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	if _, err := remote.PathObjects(ctx, store.Entities()[0], rdf.Path{store.Predicates()[0]}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := remote.PathObjects(ctx, []rdf.Probe{{Subj: store.Entities()[0], Path: rdf.Path{store.Predicates()[0]}}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("PathObjects err = %v, want context.DeadlineExceeded", err)
 	}
 	if _, _, _, err := eng.Answer(ctx, corpus.Questions(w.Pairs)[0], 0, false); !errors.Is(err, context.DeadlineExceeded) {

@@ -11,9 +11,11 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	mrand "math/rand/v2"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,17 +75,20 @@ func (s *Span) Snapshot() SpanSnapshot {
 	return s.snapshot(s.start)
 }
 
-// AttachRemote grafts a remote span tree (another process's Snapshot)
-// under s. The remote offsets are relative to the remote root's own
-// start; when the trace is snapshotted they are rebased onto s's start,
-// which sidesteps clock skew between machines (the remote work began,
-// by construction, after s did). No-op on a nil receiver.
-func (s *Span) AttachRemote(snap SpanSnapshot) {
+// AttachRemote grafts a remote span tree (another process's Snapshot, as
+// the JSON it arrived in) under s. It is decoded only if the trace is
+// retained, so a call that crosses a process boundary does not pay for a
+// tree nobody will look at; one that does not decode is dropped then. The
+// remote offsets are relative to the remote root's own start; when the
+// trace is snapshotted they are rebased onto s's start, which sidesteps
+// clock skew between machines (the remote work began, by construction,
+// after s did). No-op on a nil receiver.
+func (s *Span) AttachRemote(snapshotJSON []byte) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.remote = append(s.remote, snap)
+	s.remote = append(s.remote, snapshotJSON)
 	s.mu.Unlock()
 }
 
@@ -122,7 +127,7 @@ type Span struct {
 	ended    bool
 	attrs    []Attr
 	children []*Span
-	remote   []SpanSnapshot // grafted remote subtrees (AttachRemote)
+	remote   [][]byte // grafted remote subtrees, still JSON (AttachRemote)
 }
 
 func (s *Span) newChild(name string) *Span {
@@ -158,7 +163,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", v))
+	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
 // Stage records a completed child span with an explicit duration, for
@@ -200,15 +205,18 @@ func (s *Span) snapshot(base time.Time) SpanSnapshot {
 		snap.Attrs = append([]Attr(nil), s.attrs...)
 	}
 	children := append([]*Span(nil), s.children...)
-	remote := append([]SpanSnapshot(nil), s.remote...)
+	remote := append([][]byte(nil), s.remote...)
 	s.mu.Unlock()
 	for _, c := range children {
 		snap.Children = append(snap.Children, c.snapshot(base))
 	}
 	if len(remote) > 0 {
 		off := s.start.Sub(base).Nanoseconds()
-		for _, r := range remote {
-			snap.Children = append(snap.Children, rebaseSnapshot(r, off))
+		for _, raw := range remote {
+			var r SpanSnapshot
+			if json.Unmarshal(raw, &r) == nil {
+				snap.Children = append(snap.Children, rebaseSnapshot(r, off))
+			}
 		}
 	}
 	return snap

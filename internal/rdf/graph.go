@@ -163,6 +163,13 @@ func OutDegree(g Graph, subj ID) int {
 	return n
 }
 
+// Probe names one V(e, p+) read: the value set of Path from Subj. A
+// question's reads travel as a []Probe so an index can plan them together.
+type Probe struct {
+	Subj ID
+	Path Path
+}
+
 // PathObjects returns every object reachable from subj by traversing the
 // path, i.e. V(e, p+) for an expanded predicate (Sec 6.1 "online part").
 // Duplicates are removed; the result is ascending.

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 )
@@ -30,15 +31,15 @@ var (
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
-// with both integers little-endian.
+// with both integers little-endian. Header and payload go out as one
+// vectored write where w has one (a TCP connection: one syscall and one
+// segment per frame, not two), and as two plain writes elsewhere.
 func WriteFrame(w io.Writer, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := net.Buffers{hdr[:], payload}
+	_, err := frame.WriteTo(w)
 	return err
 }
 

@@ -10,12 +10,12 @@ import (
 )
 
 // BenchmarkProbeDistributed prices the distributed probe path — a
-// KB.PathObjects scatter/gather over loopback shard servers — against two
-// replicas, unhedged (pure failover routing) and hedged (the adaptive-delay
-// default). On a healthy loopback the two should be near-identical: the
-// hedge timer rarely fires, so its cost is the timer setup, not duplicate
-// RPCs. The same probes through core.LocalIndex are the in-process
-// baseline; the gap between the two is the price of the network hop.
+// KB.PathObjects scatter/gather over loopback shard servers, two replicas,
+// adaptive hedging — a probe at a time and eight to a batch, against the
+// same probes through core.LocalIndex. probe-ns/op is per probe: batch=1 is
+// the price of a network round trip, and batch=8 shows how much of it a
+// question's probe plan shares (eight probes spread over four shards cost
+// one parallel round of at most four frames, not eight round trips).
 func BenchmarkProbeDistributed(b *testing.B) {
 	store := testWorld(b)
 	addrA, srvA := startServer(b, store)
@@ -27,67 +27,47 @@ func BenchmarkProbeDistributed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
 
 	// Pre-collect (entity, path) probes that have non-empty local results,
 	// so every iteration measures a real frontier expansion.
-	type probe struct {
-		subj rdf.ID
-		path rdf.Path
-	}
-	var probes []probe
+	var probes []rdf.Probe
 	for _, e := range store.Entities() {
 		for _, p := range store.Predicates() {
-			if len(store.Objects(e, p)) > 0 {
-				probes = append(probes, probe{subj: e, path: rdf.Path{p}})
-				if len(probes) >= 256 {
-					break
-				}
+			if len(probes) < 256 && len(store.Objects(e, p)) > 0 {
+				probes = append(probes, rdf.Probe{Subj: e, Path: rdf.Path{p}})
 			}
 		}
-		if len(probes) >= 256 {
-			break
-		}
 	}
-	if len(probes) == 0 {
-		b.Fatal("no non-empty probes in the test world")
+	if len(probes) < 8 {
+		b.Fatal("too few non-empty probes in the test world")
 	}
 
-	run := func(b *testing.B, idx core.Index) float64 {
-		ctx := context.Background()
-		// Warm the per-server connection pools out of the timed region.
-		if _, err := idx.PathObjects(ctx, probes[0].subj, probes[0].path); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		t0 := time.Now()
-		for i := 0; i < b.N; i++ {
-			pr := probes[i%len(probes)]
-			if _, err := idx.PathObjects(ctx, pr.subj, pr.path); err != nil {
+	run := func(idx core.Index, batch int) func(b *testing.B) {
+		return func(b *testing.B) {
+			ctx := context.Background()
+			// Warm the per-server connection pools out of the timed region.
+			if _, err := idx.PathObjects(ctx, probes); err != nil {
 				b.Fatal(err)
 			}
+			b.ResetTimer()
+			t0 := time.Now()
+			for i := 0; i < b.N; i++ {
+				at := i * batch % (len(probes) - batch + 1)
+				if _, err := idx.PathObjects(ctx, probes[at:at+batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d := time.Since(t0)
+			b.StopTimer()
+			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N*batch), "probe-ns/op")
 		}
-		d := time.Since(t0)
-		b.StopTimer()
-		return float64(d.Nanoseconds()) / float64(b.N)
 	}
-	remote := func(b *testing.B, opts PoolOptions) float64 {
-		opts.Placement = pl
-		opts.Fingerprint = rdf.WorldFingerprint(store)
-		pool, err := NewPool(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		return run(b, NewKB(pool))
-	}
-
-	b.Run("local", func(b *testing.B) {
-		b.ReportMetric(run(b, core.LocalIndex(store)), "probe-ns/op")
-	})
-	b.Run("unhedged", func(b *testing.B) {
-		b.ReportMetric(remote(b, PoolOptions{disableHedge: true}), "probe-ns/op")
-	})
-	b.Run("hedged", func(b *testing.B) {
-		b.ReportMetric(remote(b, PoolOptions{}), "probe-ns/op")
-	})
+	b.Run("local", run(core.LocalIndex(store), 1))
+	b.Run("batch=1", run(NewKB(pool), 1))
+	b.Run("batch=8", run(NewKB(pool), 8))
 }

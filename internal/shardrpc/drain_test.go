@@ -59,7 +59,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		defer close(callDone)
 		// The reply races the conn teardown; either outcome is fine —
 		// the invariant under test is Close's ordering, not the reply.
-		pool.Frontier(context.Background(), rdf.ShardIndex(subj, store.NumShards()), pred, []rdf.ID{subj})
+		pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), []ProbeGroup{{pred, []rdf.ID{subj}}})
 	}()
 	<-gated.entered // the handler is now inside execute, reading the store
 

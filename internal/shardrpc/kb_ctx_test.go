@@ -57,23 +57,22 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 }
 
 // TestKBCtxVariantsMatchLocal drives every remote read against a live
-// server and checks each result against the in-process index.
+// server and checks each result against the in-process index: the probes
+// one to a batch, then all of them — paths of one and of three edges, a
+// path of none, subjects on every shard, subjects with no such edge — as
+// one batch, whose frames mix groups at different stages of different
+// probes.
 func TestKBCtxVariantsMatchLocal(t *testing.T) {
-	store, _, kb := newTestKB(t)
+	store, pool, kb := newTestKB(t)
 	local := core.LocalIndex(store)
 	ctx := context.Background()
 
-	checked := 0
+	var batch []rdf.Probe
 	store.Triples(func(tr rdf.Triple) {
-		if checked >= 300 {
+		if len(batch) >= 300 {
 			return
 		}
-		checked++
-		got, err := kb.PathObjects(ctx, tr.S, rdf.Path{tr.P})
-		want, _ := local.PathObjects(ctx, tr.S, rdf.Path{tr.P})
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("PathObjects(%d,%d) = %v, %v, want %v", tr.S, tr.P, got, err, want)
-		}
+		batch = append(batch, rdf.Probe{Subj: tr.S, Path: rdf.Path{tr.P}})
 		subs, err := kb.Subjects(ctx, tr.P, tr.O)
 		if err != nil || !reflect.DeepEqual(subs, store.Subjects(tr.P, tr.O)) {
 			t.Fatalf("Subjects(%d,%d) = %v, %v", tr.P, tr.O, subs, err)
@@ -84,10 +83,23 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 		t.Fatal("marriage→person→name not present")
 	}
 	for _, e := range store.Entities() {
-		got, err := kb.PathObjects(ctx, e, path)
-		if err != nil || !reflect.DeepEqual(got, rdf.PathObjects(store, e, path)) {
-			t.Fatalf("PathObjects(%d, marriage→person→name) = %v, %v", e, got, err)
+		batch = append(batch, rdf.Probe{Subj: e, Path: path}, rdf.Probe{Subj: e})
+	}
+	want, _ := local.PathObjects(ctx, batch)
+	for i := range batch {
+		got, err := kb.PathObjects(ctx, batch[i:i+1])
+		if err != nil || !reflect.DeepEqual(got[0], want[i]) {
+			t.Fatalf("PathObjects(%+v) = %v, %v, want %v", batch[i], got, err, want[i])
 		}
+	}
+	before := pool.Stats().Calls
+	got, err := kb.PathObjects(ctx, batch)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("PathObjects(batch of %d) = %v, diverges from the local index", len(batch), err)
+	}
+	// One frame per touched shard per depth, whatever the batch holds.
+	if frames, most := pool.Stats().Calls-before, uint64(len(path)*store.NumShards()); frames > most {
+		t.Errorf("a batch of %d probes took %d frames, want <= %d (path depth x shards)", len(batch), frames, most)
 	}
 }
 
@@ -98,7 +110,7 @@ func TestKBCtxVariantsHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := kb.PathObjects(ctx, 0, rdf.Path{0}); !errors.Is(err, context.Canceled) {
+	if _, err := kb.PathObjects(ctx, []rdf.Probe{{Subj: 0, Path: rdf.Path{0}}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PathObjects under cancelled ctx: %v", err)
 	}
 	if _, err := kb.Subjects(ctx, 0, 0); !errors.Is(err, context.Canceled) {

@@ -2,11 +2,10 @@ package shardrpc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +26,8 @@ type PoolOptions struct {
 	Logger *obs.Logger
 
 	// hedgeAfter, when > 0, pins the hedge delay and disableHedge turns
-	// hedging off (failover on error still applies); tests and the probe
-	// benchmark set them for deterministic routing. In production the pool
+	// hedging off (failover on error still applies); tests set them for
+	// deterministic routing. In production the pool
 	// adapts: it hedges after the observed p95 call latency, clamped to
 	// [1ms, 250ms] (25ms until enough samples accumulate). Hedging sends
 	// the same request to the next replica and takes the first answer.
@@ -231,36 +230,35 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // latencyWindow is a small ring of recent successful call durations used
-// to derive the adaptive hedge delay.
+// to derive the adaptive hedge delay. The percentile moves slowly and every
+// call reads it, so it is re-derived on every eighth sample, not per call.
 type latencyWindow struct {
 	mu   sync.Mutex
 	ring [64]time.Duration
-	n    int // total recorded
+	n    int           // total recorded
+	q95  time.Duration // 95th percentile of the ring as of the last refresh
 }
 
 func (l *latencyWindow) record(d time.Duration) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.ring[l.n%len(l.ring)] = d
 	l.n++
-	l.mu.Unlock()
+	if l.n%8 != 0 {
+		return
+	}
+	samples := l.ring
+	n := min(l.n, len(samples))
+	slices.Sort(samples[:n])
+	l.q95 = samples[(n*95+99)/100-1]
 }
 
 // p95 returns the 95th-percentile recorded latency and whether enough
 // samples exist to trust it.
 func (l *latencyWindow) p95() (time.Duration, bool) {
 	l.mu.Lock()
-	n := l.n
-	if n > len(l.ring) {
-		n = len(l.ring)
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, l.ring[:n])
-	l.mu.Unlock()
-	if n < 8 {
-		return 0, false
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[(n*95+99)/100-1], true
+	defer l.mu.Unlock()
+	return l.q95, l.n >= 8
 }
 
 // hedgeDelay resolves the current hedge delay.
@@ -339,9 +337,10 @@ func (f *inflight) wasAborted() bool {
 	return f.aborted
 }
 
-// call performs one per-shard request with hedging and replica failover,
-// returning the response body positioned after the status/span envelope.
-func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf, error) {
+// call performs one per-shard request — a frame of groups lookups — with
+// hedging and replica failover, returning the response body positioned
+// after the status/span envelope.
+func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *wbuf) (*rbuf, error) {
 	if p.closed.Load() {
 		return nil, errors.New("shardrpc: pool is closed")
 	}
@@ -352,6 +351,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 	ctx, sp := obs.StartSpan(ctx, "rpc.call")
 	sp.SetInt("op", int64(op))
 	sp.SetInt("shard", int64(shard))
+	sp.SetInt("groups", int64(groups))
 	defer sp.End()
 	deadline := time.Now().Add(callTimeout).UnixNano()
 	if t, ok := ctx.Deadline(); ok {
@@ -437,12 +437,8 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, body *wbuf) (*rbuf,
 func (p *Pool) finish(sp *obs.Span, out attemptOut) (*rbuf, error) {
 	r := &rbuf{b: out.payload}
 	status := r.u8()
-	spanJSON := r.bytes()
-	if sp != nil && len(spanJSON) > 0 {
-		var snap obs.SpanSnapshot
-		if json.Unmarshal(spanJSON, &snap) == nil {
-			sp.AttachRemote(snap)
-		}
+	if spanJSON := r.bytes(); len(spanJSON) > 0 {
+		sp.AttachRemote(spanJSON)
 	}
 	if status != statusOK {
 		msg := r.str()
@@ -522,18 +518,17 @@ func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req [
 	return payload, usedPooled, nil
 }
 
-// Frontier returns the sorted, deduplicated union of Objects(n, pred) for
-// the given nodes, all of which must hash to shard.
-func (p *Pool) Frontier(ctx context.Context, shard int, pred rdf.PID, nodes []rdf.ID) ([]rdf.ID, error) {
-	var body wbuf
-	body.u32(uint32(pred))
-	body.ids(nodes)
-	r, err := p.call(ctx, shard, opFrontier, &body)
+// Probe sends one multi-group frame to shard and returns, per group, the
+// sorted, deduplicated union of Objects(n, Pred) over its nodes. Every node
+// must hash to shard; the server refuses the frame otherwise. Hedging,
+// failover and the deadline apply to the frame as a whole, and a failed
+// frame yields no groups at all.
+func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([][]rdf.ID, error) {
+	r, err := p.call(ctx, shard, opProbe, len(groups), encodeProbeRequest(groups))
 	if err != nil {
 		return nil, err
 	}
-	out := r.ids()
-	return out, r.err
+	return decodeProbeReply(r, len(groups))
 }
 
 // ShardSubjects returns shard's subjects with (s, pred, obj) in
@@ -542,7 +537,7 @@ func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj r
 	var body wbuf
 	body.u32(uint32(pred))
 	body.u32(uint32(obj))
-	r, err := p.call(ctx, shard, opSubjects, &body)
+	r, err := p.call(ctx, shard, opSubjects, 1, &body)
 	if err != nil {
 		return nil, err
 	}

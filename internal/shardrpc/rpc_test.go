@@ -36,8 +36,8 @@ func startServer(t testing.TB, store *rdf.ShardedStore) (string, *Server) {
 	return lis.Addr().String(), srv
 }
 
-// shardedNodes groups a few entities by their home shard so Frontier
-// calls can be aimed at every shard.
+// shardedNodes groups a few entities by their home shard so Probe calls
+// can be aimed at every shard.
 func shardedNodes(store *rdf.ShardedStore) [][]rdf.ID {
 	out := make([][]rdf.ID, store.NumShards())
 	for _, e := range store.Entities() {
@@ -93,7 +93,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	}
 	defer wrong.Close()
 	probe := func(p *Pool) error {
-		_, err := p.Frontier(context.Background(), 0, store.Predicates()[0], nil)
+		_, err := p.Probe(context.Background(), 0, []ProbeGroup{{store.Predicates()[0], nil}})
 		return err
 	}
 	if err := probe(wrong); err == nil {
@@ -176,9 +176,9 @@ func TestReplicaFailover(t *testing.T) {
 		if len(nodes) == 0 {
 			continue
 		}
-		got, err := pool.Frontier(context.Background(), sh, pred, nodes)
+		got, err := pool.Probe(context.Background(), sh, []ProbeGroup{{pred, nodes}})
 		if err != nil {
-			t.Fatalf("Frontier(shard %d) with a replica down: %v", sh, err)
+			t.Fatalf("Probe(shard %d) with a replica down: %v", sh, err)
 		}
 		want := make(map[rdf.ID]bool)
 		for _, n := range nodes {
@@ -186,8 +186,8 @@ func TestReplicaFailover(t *testing.T) {
 				want[o] = true
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("Frontier(shard %d): %d results, want %d", sh, len(got), len(want))
+		if len(got[0]) != len(want) {
+			t.Fatalf("Probe(shard %d): %d results, want %d", sh, len(got[0]), len(want))
 		}
 	}
 	if st := pool.Stats(); st.Failovers == 0 {
@@ -224,8 +224,8 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		if len(nodes[sh]) == 0 {
 			continue
 		}
-		if _, err := pool.Frontier(context.Background(), sh, pred, nodes[sh]); err != nil {
-			t.Fatalf("hedged Frontier: %v", err)
+		if _, err := pool.Probe(context.Background(), sh, []ProbeGroup{{pred, nodes[sh]}}); err != nil {
+			t.Fatalf("hedged Probe: %v", err)
 		}
 	}
 	if st := pool.Stats(); st.Hedges == 0 {
@@ -235,8 +235,8 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pool.Frontier(ctx, i%store.NumShards(), pred, nil); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled Frontier: err = %v, want context.Canceled", err)
+		if _, err := pool.Probe(ctx, i%store.NumShards(), []ProbeGroup{{pred, nil}}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Probe: err = %v, want context.Canceled", err)
 		}
 	}
 
@@ -285,7 +285,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	for sh, ns := range shardedNodes(store) {
 		if len(ns) > 0 {
 			nodes = ns
-			if _, err := pool.Frontier(ctx, sh, pred, nodes); err != nil {
+			if _, err := pool.Probe(ctx, sh, []ProbeGroup{{pred, nodes}}); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -326,7 +326,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	_, err = pool.Frontier(ctx, 0, store.Predicates()[0], nil)
+	_, err = pool.Probe(ctx, 0, []ProbeGroup{{store.Predicates()[0], nil}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -380,7 +380,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 	start := time.Now()
 	// The handshake's I/O deadline and the context expire together, so the
 	// error is either the context's or the read's timeout.
-	if _, err = pool.Frontier(ctx, 0, 0, nil); err == nil {
+	if _, err = pool.Probe(ctx, 0, []ProbeGroup{{0, nil}}); err == nil {
 		t.Fatal("call against a stalled handshake succeeded")
 	}
 	if d := time.Since(start); d > 500*time.Millisecond {
@@ -398,9 +398,10 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 	}
 }
 
-// TestWireOps pins the op set: the server executes exactly opFrontier and
-// opSubjects and refuses every other number — the retired ones included —
-// as unknown. Adding an op means editing this list (and the README table).
+// TestWireOps pins the op set: the server executes exactly opSubjects and
+// opProbe and refuses every other number — the retired ones, opFrontier's 1
+// included — as unknown. Adding an op means editing this list (and the
+// README table).
 func TestWireOps(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -418,9 +419,12 @@ func TestWireOps(t *testing.T) {
 	var served []byte
 	for op := 0; op < 256; op++ {
 		var body wbuf
-		body.u32(0) // pred
-		body.u32(0) // empty node set / obj 0: a well-formed body for both live ops
-		_, err := pool.call(context.Background(), 0, byte(op), &body)
+		body.u32(1) // one probe group / pred 1
+		body.u32(0) // of pred 0 / obj 0
+		if byte(op) == opProbe {
+			body.u32(0) // with no nodes
+		}
+		_, err := pool.call(context.Background(), 0, byte(op), 1, &body)
 		switch {
 		case err == nil:
 			served = append(served, byte(op))
@@ -428,7 +432,10 @@ func TestWireOps(t *testing.T) {
 			t.Fatalf("op %d: %v, want success or an unknown-op refusal", op, err)
 		}
 	}
-	if want := []byte{opFrontier, opSubjects}; !bytes.Equal(served, want) {
+	if want := []byte{opSubjects, opProbe}; !bytes.Equal(served, want) {
 		t.Fatalf("served ops = %v, want %v", served, want)
+	}
+	if ProtoVersion != 2 {
+		t.Errorf("ProtoVersion = %d; the op set above is version 2's", ProtoVersion)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,24 +298,24 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 		return fmt.Sprintf("shard %d not owned by this server", shard)
 	}
 	switch hdr.op {
-	case opFrontier:
-		pred := rdf.PID(r.u32())
-		nodes := r.ids()
-		if r.err != nil {
-			return r.err.Error()
+	case opProbe:
+		groups, err := decodeProbeRequest(r, shard, s.store.NumShards())
+		if err != nil {
+			return err.Error()
 		}
-		seen := make(map[rdf.ID]bool)
-		var out []rdf.ID
-		for _, n := range nodes {
-			for _, o := range s.store.Objects(n, pred) {
-				if !seen[o] {
-					seen[o] = true
-					out = append(out, o)
-				}
+		var union []rdf.ID
+		for i, g := range groups {
+			// A batch can be long; the caller's deadline holds between groups.
+			if i > 0 && hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
+				return "deadline exceeded mid-batch"
 			}
+			union = union[:0]
+			for _, n := range g.Nodes {
+				union = append(union, s.store.Objects(n, g.Pred)...)
+			}
+			slices.Sort(union)
+			body.ids(slices.Compact(union))
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		body.ids(out)
 	case opSubjects:
 		pred, obj := rdf.PID(r.u32()), rdf.ID(r.u32())
 		if r.err != nil {

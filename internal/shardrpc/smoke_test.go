@@ -34,15 +34,20 @@ func TestSmokeRoundTrip(t *testing.T) {
 	// Probe equivalence over a sample of (subject, predicate) pairs.
 	n := 0
 	for _, e := range store.Entities() {
+		var batch []rdf.Probe
 		for _, p := range store.Predicates() {
-			want := rdf.PathObjects(store, e, rdf.Path{p})
-			got, err := remote.PathObjects(ctx, e, rdf.Path{p})
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("PathObjects(%d,%d): got %v, %v want %v", e, p, got, err, want)
-			}
-			n++
+			batch = append(batch, rdf.Probe{Subj: e, Path: rdf.Path{p}})
 		}
-		if n > 2000 {
+		got, err := remote.PathObjects(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pr := range batch {
+			if want := rdf.PathObjects(store, pr.Subj, pr.Path); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("PathObjects(%d,%d): got %v want %v", pr.Subj, pr.Path[0], got[i], want)
+			}
+		}
+		if n += len(batch); n > 2000 {
 			break
 		}
 	}

@@ -1,10 +1,13 @@
 // Package shardrpc promotes the ShardedStore's subject-hash partition
 // boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (expand-frontier, subjects) over a small
+// answers index reads (multi-group probe, subjects) over a small
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
-// KB is the engine's index seam (core.Index) over the pool.
+// KB is the engine's index seam (core.Index) over the pool: it plans a
+// question's whole probe set into one frame per touched shard per path
+// depth, so a question waits for as many round trips as its longest path
+// has edges, not for one per term of Eq (7).
 //
 // The protocol is dependency-free and CRC-framed by the same codec as the
 // answer cache's segment log (safeio.WriteFrame / ReadFrame): every frame is
@@ -34,16 +37,16 @@ const (
 	// protoMagic opens every handshake frame in both directions.
 	protoMagic = "KBQARPC1"
 	// ProtoVersion is the wire protocol version; client and server must
-	// match exactly.
-	ProtoVersion = 1
+	// match exactly. 2 replaced the one-group frontier op with opProbe.
+	ProtoVersion = 2
 )
 
-// Request opcodes. 2, 4 and 5 were point lookups, 6 a paginated shard scan
-// and 7 a stats fetch no client issued; their numbers stay retired so the
-// survivors keep ProtoVersion 1.
+// Request opcodes. 1 was the single-group frontier expansion opProbe
+// replaced, 2, 4 and 5 point lookups, 6 a paginated shard scan and 7 a stats
+// fetch no client issued; their numbers stay retired.
 const (
-	opFrontier = byte(1) // pred + node set -> union of objects, sorted unique
 	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
+	opProbe    = byte(8) // list of (pred + node set) -> per group, union of objects, sorted unique
 )
 
 // Response status codes.
@@ -150,7 +153,7 @@ func (r *rbuf) bytes() []byte {
 
 func (r *rbuf) ids() []rdf.ID {
 	n := int(r.u32())
-	if r.err != nil || r.off+4*n > len(r.b) {
+	if r.err != nil || n > (len(r.b)-r.off)/4 {
 		r.fail()
 		return nil
 	}
@@ -211,4 +214,71 @@ func decodeReqHeader(r *rbuf) reqHeader {
 		deadline: int64(r.u64()),
 		traceID:  r.str(),
 	}
+}
+
+// ProbeGroup is one entry of a probe frame: expand Nodes, all owned by the
+// frame's shard, along Pred. The reply is one sorted, deduplicated union of
+// Objects(node, Pred) per group, in group order.
+type ProbeGroup struct {
+	Pred  rdf.PID
+	Nodes []rdf.ID
+}
+
+// encodeProbeRequest writes an opProbe body: u32 group count, then per
+// group u32 pred and the node ids.
+func encodeProbeRequest(groups []ProbeGroup) *wbuf {
+	var w wbuf
+	w.u32(uint32(len(groups)))
+	for _, g := range groups {
+		w.u32(uint32(g.Pred))
+		w.ids(g.Nodes)
+	}
+	return &w
+}
+
+// decodeProbeRequest parses an opProbe body from a client that is not
+// trusted to have routed it: a count the remaining payload cannot hold, a
+// node that does not hash to shard (of numShards), or bytes past the last
+// group are errors.
+func decodeProbeRequest(r *rbuf, shard, numShards int) ([]ProbeGroup, error) {
+	n := int(r.u32())
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A group is at least its pred and its node count.
+	if n > (len(r.b)-r.off)/8 {
+		return nil, fmt.Errorf("shardrpc: probe frame declares %d groups in %d bytes", n, len(r.b)-r.off)
+	}
+	groups := make([]ProbeGroup, n)
+	for i := range groups {
+		groups[i] = ProbeGroup{Pred: rdf.PID(r.u32()), Nodes: r.ids()}
+		if r.err != nil {
+			return nil, r.err
+		}
+		for _, node := range groups[i].Nodes {
+			if owner := rdf.ShardIndex(node, numShards); owner != shard {
+				return nil, fmt.Errorf("shardrpc: probe frame for shard %d carries node %d of shard %d", shard, node, owner)
+			}
+		}
+	}
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("shardrpc: %d bytes after the last probe group", len(r.b)-r.off)
+	}
+	return groups, nil
+}
+
+// decodeProbeReply parses an opProbe reply — one id list per group asked
+// for, nothing before, between or after — into exactly want lists or an
+// error.
+func decodeProbeReply(r *rbuf, want int) ([][]rdf.ID, error) {
+	out := make([][]rdf.ID, want)
+	for i := range out {
+		if out[i] = r.ids(); r.err != nil {
+			return nil, r.err
+		}
+	}
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("shardrpc: %d bytes after the last of %d reply groups", len(r.b)-r.off, want)
+	}
+	return out, nil
 }

@@ -91,3 +91,53 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 		t.Fatalf("the failed variant reached the cache: %d entries, %d hits", m.CacheEntries, m.CacheHits)
 	}
 }
+
+// TestClusterFramesPerQuestion pins the probe plan with counts that need no
+// clock: on a 2-server, 4-shard, R=2 cluster a BFQ costs at most 2 shard
+// frames on average (one per touched shard per path depth of its
+// deduplicated probe set — it was 7.3 RPCs when every term of Eq (7) was its
+// own round trip) and a complex question at most 8 (23).
+func TestClusterFramesPerQuestion(t *testing.T) {
+	opts := Options{Flavor: "freebase", Seed: 42}
+	world, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrA, _ := startShardServer(t, world)
+	addrB, _ := startShardServer(t, world)
+	opts.ShardServers, opts.ShardReplicas = []string{addrA, addrB}, 2
+	sys, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if n := sys.kb.NumShards(); n != 4 {
+		t.Fatalf("default world has %d shards, the pins are for 4", n)
+	}
+	ctx := context.Background()
+	var complexQs []string
+	for _, cq := range world.ComplexQuestions(7, 200) {
+		complexQs = append(complexQs, cq.Q)
+	}
+	for _, row := range []struct {
+		name string
+		qs   []string
+		most float64
+	}{
+		{"BFQ", world.SampleQuestions(400), 2.0},
+		{"complex question", complexQs, 8},
+	} {
+		// Calls counts frames, not attempts: a hedge does not add to it.
+		before := sys.pool.Stats().Calls
+		for _, q := range row.qs {
+			if _, err := sys.Query(ctx, q, WithoutVariants()); err != nil && !IsUnanswerable(err) {
+				t.Fatalf("Query(%q): %v", q, err)
+			}
+		}
+		per := float64(sys.pool.Stats().Calls-before) / float64(len(row.qs))
+		t.Logf("%.2f shard frames per %s over %d questions", per, row.name, len(row.qs))
+		if len(row.qs) == 0 || per > row.most {
+			t.Errorf("%.2f shard frames per %s over %d questions, want <= %v", per, row.name, len(row.qs), row.most)
+		}
+	}
+}
