@@ -1,4 +1,4 @@
-// Package kbqavet holds the nine project-specific analyzers behind
+// Package kbqavet holds the eight project-specific analyzers behind
 // cmd/kbqa-vet. Each encodes an invariant a prior PR established in
 // review and that the runtime's correctness now depends on:
 //
@@ -6,7 +6,6 @@
 //	locksync      no blocking I/O under the append mutex (PR 5)
 //	spanend       every started span/trace is ended on every path (PR 6)
 //	structuredlog all logging goes through obs.Logger (PR 6)
-//	metricname    metric names are kbqa_-prefixed consts declared once
 //	goroutinelife goroutines have provable termination signals (PR 8/10)
 //	mustclose     acquired resources are closed on all paths (PR 9/10)
 //	lockorder     lock acquisition order is acyclic package-wide (PR 10)
@@ -15,6 +14,8 @@
 // The lifecycle analyzers share the callgraph facts layer
 // (internal/analysis/callgraph): the same-package call-graph fixpoint
 // locksync grew and the branch-sensitive path walker spanend grew.
+// locksync and lockorder share one held-lock statement walker
+// (heldWalker, heldlocks.go).
 //
 // Suppression: //kbqa:nolint <analyzer> — justification required by
 // convention, enforced by review; a directive that suppresses nothing
@@ -38,7 +39,6 @@ func Analyzers() []*analysis.Analyzer {
 		LockSync,
 		SpanEnd,
 		StructuredLog,
-		MetricName,
 		GoroutineLife,
 		MustClose,
 		LockOrder,

@@ -31,10 +31,6 @@ func TestStructuredLogMain(t *testing.T) {
 	analysis.RunFixture(t, ".", StructuredLog, "structmain")
 }
 
-func TestMetricName(t *testing.T) {
-	analysis.RunFixture(t, ".", MetricName, "metricname")
-}
-
 func TestGoroutineLife(t *testing.T) {
 	analysis.RunFixture(t, ".", GoroutineLife, "goroutinelife")
 }
@@ -66,7 +62,7 @@ func TestNolintUnused(t *testing.T) {
 // set: adding or renaming an analyzer must update this list, the README
 // "Static analysis" section, and the CI step together.
 func TestRegistry(t *testing.T) {
-	want := []string{"ctxpropagate", "locksync", "spanend", "structuredlog", "metricname", "goroutinelife", "mustclose", "lockorder", "errsink"}
+	want := []string{"ctxpropagate", "locksync", "spanend", "structuredlog", "goroutinelife", "mustclose", "lockorder", "errsink"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		names := make([]string, len(got))

@@ -31,13 +31,6 @@ var LockOrder = &analysis.Analyzer{
 	Run: runLockOrder,
 }
 
-// lockEdge is one observed "to acquired while from held", anchored at
-// the acquisition (or call) site that creates it.
-type lockEdge struct {
-	from, to string
-	pos      token.Pos
-}
-
 func runLockOrder(pass *analysis.Pass) error {
 	g := callgraph.New(pass)
 
@@ -49,7 +42,7 @@ func runLockOrder(pass *analysis.Pass) error {
 		set := make(map[string]bool)
 		ast.Inspect(g.Decls[obj].Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if e, kind := mutexOpExpr(pass.TypesInfo, call); kind == opLock {
+				if e, kind := mutexOp(pass.TypesInfo, call); kind == opLock {
 					set[lockName(pass, e)] = true
 				}
 			}
@@ -66,15 +59,39 @@ func runLockOrder(pass *analysis.Pass) error {
 	// lock-acquiring function inside a critical section. Suppressed
 	// sites contribute no edges — a vetted exception must not poison
 	// the package graph.
-	ow := &orderWalker{pass: pass, acquires: acquires, edges: make(map[[2]string]token.Pos)}
+	edges := make(map[[2]string]token.Pos) // first site wins, for stable reports
+	addEdges := func(call *ast.CallExpr, held, acquired map[string]bool) {
+		if pass.Suppressed(pass.Analyzer.Name, call.Pos()) {
+			return
+		}
+		for from := range held {
+			for to := range acquired {
+				if _, seen := edges[[2]string{from, to}]; !seen {
+					edges[[2]string{from, to}] = call.Pos()
+				}
+			}
+		}
+	}
+	w := &heldWalker{
+		info: pass.TypesInfo,
+		name: func(e ast.Expr) string { return lockName(pass, e) },
+		acquire: func(call *ast.CallExpr, lock string, held map[string]bool) {
+			addEdges(call, held, map[string]bool{lock: true})
+		},
+		call: func(call *ast.CallExpr, held map[string]bool) {
+			if fn := calleeFunc(pass.TypesInfo, call); fn != nil && len(acquires[fn]) > 0 {
+				addEdges(call, held, acquires[fn])
+			}
+		},
+	}
 	for _, obj := range g.Funcs {
-		ow.walkBody(g.Decls[obj].Body.List, map[string]bool{})
+		w.walkBody(g.Decls[obj].Body.List, map[string]bool{})
 	}
 
 	// Cycle detection over the edge graph; each offending edge (one
 	// whose target can reach back to its source) is reported at the
 	// site that recorded it, with the cycle spelled out.
-	reportLockCycles(pass, ow.edges)
+	reportLockCycles(pass, edges)
 	return nil
 }
 
@@ -98,159 +115,6 @@ func lockName(pass *analysis.Pass, e ast.Expr) string {
 		return e.Name
 	default:
 		return types.ExprString(e)
-	}
-}
-
-// orderWalker tracks held lock classes through a body — the same
-// branch-sensitive discipline as locksync's walker — and records order
-// edges instead of reporting blocking calls.
-type orderWalker struct {
-	pass     *analysis.Pass
-	acquires map[*types.Func]map[string]bool
-	edges    map[[2]string]token.Pos // first site wins, for stable reports
-}
-
-func (w *orderWalker) walkBody(stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *orderWalker) walkStmt(s ast.Stmt, held map[string]bool) {
-	switch s := s.(type) {
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held to function end; other
-		// deferred calls only evaluate their arguments now.
-		if _, kind := mutexOpExpr(w.pass.TypesInfo, s.Call); kind == opUnlock {
-			return
-		}
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		w.walkBody(s.Body.List, copyHeld(held))
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			w.walkBody(e.List, copyHeld(held))
-		case *ast.IfStmt:
-			w.walkStmt(e, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held)
-		}
-		w.walkBody(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		w.walkBody(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkBody(s.List, held)
-	case *ast.GoStmt:
-		// The spawned goroutine does not inherit the critical section.
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, held)
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	default:
-		ast.Inspect(s, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // runs later, outside this lexical section
-			case ast.Stmt:
-				if n != s {
-					w.walkStmt(n, held)
-					return false
-				}
-			case *ast.CallExpr:
-				w.checkCall(n, held)
-			}
-			return true
-		})
-	}
-}
-
-func (w *orderWalker) scanExpr(e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.checkCall(call, held)
-		}
-		return true
-	})
-}
-
-// checkCall updates lock state and records order edges: a direct Lock
-// while locks are held, or a call into a function whose transitive
-// acquisitions nest under the held set.
-func (w *orderWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
-	if e, kind := mutexOpExpr(w.pass.TypesInfo, call); kind != opNone {
-		name := lockName(w.pass, e)
-		if kind == opLock {
-			if !w.pass.Suppressed(w.pass.Analyzer.Name, call.Pos()) {
-				for from := range held {
-					w.addEdge(from, name, call.Pos())
-				}
-			}
-			held[name] = true
-		} else {
-			delete(held, name)
-		}
-		return
-	}
-	if len(held) == 0 {
-		return
-	}
-	fn := calleeFunc(w.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-	if acq, ok := w.acquires[fn]; ok && !w.pass.Suppressed(w.pass.Analyzer.Name, call.Pos()) {
-		for from := range held {
-			for to := range acq {
-				w.addEdge(from, to, call.Pos())
-			}
-		}
-	}
-}
-
-func (w *orderWalker) addEdge(from, to string, pos token.Pos) {
-	key := [2]string{from, to}
-	if _, seen := w.edges[key]; !seen {
-		w.edges[key] = pos
 	}
 }
 

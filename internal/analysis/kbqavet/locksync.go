@@ -26,12 +26,6 @@ var LockSync = &analysis.Analyzer{
 	Run: runLockSync,
 }
 
-// blockedFunc records why a function counts as blocking: the description
-// of one banned call it (transitively) performs.
-type blockedFunc struct {
-	why string
-}
-
 func runLockSync(pass *analysis.Pass) error {
 	// Pass 1: facts over the shared call graph. For every function in
 	// the package, record whether it directly performs a banned call
@@ -61,20 +55,32 @@ func runLockSync(pass *analysis.Pass) error {
 		})
 	}
 
-	// Fixpoint: propagate blocking facts through same-package calls.
-	why := callgraph.Propagate(g, direct, func(callee *types.Func, why string) string {
+	// Fixpoint: propagate blocking facts through same-package calls —
+	// function → the banned call it (transitively) performs.
+	blocking := callgraph.Propagate(g, direct, func(callee *types.Func, why string) string {
 		return callee.Name() + " → " + why
 	})
-	blocking := make(map[*types.Func]blockedFunc, len(why))
-	for fn, w := range why {
-		blocking[fn] = blockedFunc{why: w}
-	}
 
-	// Pass 2: walk each function body tracking which mutexes are held
-	// (lexically, branch-sensitive) and report banned or blocking calls
-	// inside a critical section.
+	// Pass 2: walk each function body tracking which mutexes are held and
+	// report banned or blocking calls inside a critical section. Mutexes
+	// are keyed by the printed receiver expression of the Lock call (e.g.
+	// "s.mu").
+	w := &heldWalker{
+		info: pass.TypesInfo,
+		name: types.ExprString,
+		call: func(call *ast.CallExpr, held map[string]bool) {
+			fn := calleeFunc(pass.TypesInfo, call)
+			if fn == nil {
+				return
+			}
+			if why, banned := bannedCall(fn); banned {
+				pass.Reportf(call.Pos(), "blocking %s inside critical section (%s held); move the I/O off the lock", why, heldNames(held))
+			} else if why, ok := blocking[fn]; ok {
+				pass.Reportf(call.Pos(), "call to %s, which performs blocking I/O (%s), inside critical section (%s held)", fn.Name(), why, heldNames(held))
+			}
+		},
+	}
 	for _, obj := range g.Funcs {
-		w := &lockWalker{pass: pass, blocking: blocking}
 		w.walkBody(g.Decls[obj].Body.List, map[string]bool{})
 	}
 	return nil
@@ -107,226 +113,4 @@ func isMethodOf(fn *types.Func, typeName string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == typeName
-}
-
-// lockWalker tracks held mutexes through a function body. Keys are the
-// printed receiver expression of the Lock call (e.g. "s.mu"), so the
-// matching Unlock releases exactly what Lock acquired. Branch bodies get
-// copies of the held set: an unlock on one branch doesn't release the
-// mutex for code after the branch.
-type lockWalker struct {
-	pass     *analysis.Pass
-	blocking map[*types.Func]blockedFunc
-}
-
-func (w *lockWalker) walkBody(stmts []ast.Stmt, held map[string]bool) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held map[string]bool) {
-	switch s := s.(type) {
-	case *ast.DeferStmt:
-		// A deferred Unlock runs at return: the mutex stays held for the
-		// rest of the body, which is exactly what leaving it in the set
-		// models. Other deferred calls run at return too — whether the
-		// lock is held then depends on defer ordering; keep it simple and
-		// only scan the argument expressions evaluated now.
-		if key, kind := mutexOp(w.pass.TypesInfo, s.Call); kind == opUnlock {
-			_ = key // held until function end
-			return
-		}
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		w.walkBody(s.Body.List, copyHeld(held))
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			w.walkBody(e.List, copyHeld(held))
-		case *ast.IfStmt:
-			w.walkStmt(e, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held)
-		}
-		w.walkBody(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		w.walkBody(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.walkBody(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkBody(s.List, held)
-	case *ast.GoStmt:
-		// The spawned goroutine does not inherit the critical section;
-		// only its argument expressions evaluate now.
-		for _, arg := range s.Call.Args {
-			w.scanExpr(arg, held)
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	default:
-		ast.Inspect(s, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // runs later, outside this lexical section
-			case ast.Stmt:
-				if n != s {
-					// Nested statements of compound forms are handled by
-					// the cases above; anything reaching here is a simple
-					// statement whose sub-statements share the held set.
-					w.walkStmt(n, held)
-					return false
-				}
-			case *ast.CallExpr:
-				w.checkCall(n, held)
-			}
-			return true
-		})
-	}
-}
-
-// scanExpr reports offending calls inside an expression (no lock-state
-// changes can occur there that outlive the expression, but a blocking
-// call in a condition still runs under the lock).
-func (w *lockWalker) scanExpr(e ast.Expr, held map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.checkCall(call, held)
-		}
-		return true
-	})
-}
-
-// checkCall updates lock state for Lock/Unlock calls and reports banned
-// or transitively blocking calls while any mutex is held.
-func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
-	if key, kind := mutexOp(w.pass.TypesInfo, call); kind != opNone {
-		if kind == opLock {
-			held[key] = true
-		} else {
-			delete(held, key)
-		}
-		return
-	}
-	if len(held) == 0 {
-		return
-	}
-	fn := calleeFunc(w.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-	if why, banned := bannedCall(fn); banned {
-		w.pass.Reportf(call.Pos(), "blocking %s inside critical section (%s held); move the I/O off the lock", why, heldNames(held))
-		return
-	}
-	if b, ok := w.blocking[fn]; ok {
-		w.pass.Reportf(call.Pos(), "call to %s, which performs blocking I/O (%s), inside critical section (%s held)", fn.Name(), b.why, heldNames(held))
-	}
-}
-
-type mutexOpKind int
-
-const (
-	opNone mutexOpKind = iota
-	opLock
-	opUnlock
-)
-
-// mutexOp classifies call as a Lock/RLock or Unlock/RUnlock on a
-// sync.Mutex or sync.RWMutex and returns the receiver expression key.
-func mutexOp(info *types.Info, call *ast.CallExpr) (string, mutexOpKind) {
-	e, kind := mutexOpExpr(info, call)
-	if kind == opNone {
-		return "", opNone
-	}
-	return types.ExprString(e), kind
-}
-
-// mutexOpExpr is mutexOp before key rendering: it returns the mutex
-// receiver expression itself, so lockorder can normalize it to a
-// package-stable lock name while locksync keys by the printed form.
-func mutexOpExpr(info *types.Info, call *ast.CallExpr) (ast.Expr, mutexOpKind) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, opNone
-	}
-	var kind mutexOpKind
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		kind = opLock
-	case "Unlock", "RUnlock":
-		kind = opUnlock
-	default:
-		return nil, opNone
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, opNone
-	}
-	if !isMethodOf(fn, "Mutex") && !isMethodOf(fn, "RWMutex") {
-		return nil, opNone
-	}
-	return sel.X, kind
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	cp := make(map[string]bool, len(held))
-	for k, v := range held {
-		cp[k] = v
-	}
-	return cp
-}
-
-func heldNames(held map[string]bool) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	// Deterministic output for tests and stable CI diffs.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
 }

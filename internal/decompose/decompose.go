@@ -59,11 +59,6 @@ func (s *Stats) P(pattern string) float64 {
 	return float64(s.fv[pattern]) / float64(fo)
 }
 
-// Counts exposes (fv, fo) for a pattern, for diagnostics and tests.
-func (s *Stats) Counts(pattern string) (fv, fo int) {
-	return s.fv[pattern], s.fo[pattern]
-}
-
 // Decomposition is a valid question sequence A = (q̌_0, ..., q̌_k), each
 // element a token sequence: the first is a concrete primitive BFQ — the
 // tokens of span First of the decomposed question, the span the δ oracle

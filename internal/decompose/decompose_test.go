@@ -31,16 +31,15 @@ func entityOracle(entities ...string) func(toks []string, sp text.Span) bool {
 func TestExample4(t *testing.T) {
 	stats := BuildStats(paperCorpus, entityOracle("Barack Obama", "Honolulu"))
 	if p := stats.P("when was $e born"); p != 1 {
-		fv, fo := stats.Counts("when was $e born")
-		t.Errorf("P(when was $e born) = %v (fv=%d fo=%d), want 1", p, fv, fo)
+		t.Errorf("P(when was $e born) = %v, want 1", p)
 	}
-	if fv, fo := stats.Counts("when was $e born"); fv != 2 || fo != 2 {
+	if fv, fo := stats.fv["when was $e born"], stats.fo["when was $e born"]; fv != 2 || fo != 2 {
 		t.Errorf("counts = %d/%d, want 2/2", fv, fo)
 	}
 	if p := stats.P("when $e"); p != 0 {
 		t.Errorf("P(when $e) = %v, want 0", p)
 	}
-	if _, fo := stats.Counts("when $e"); fo != 2 {
+	if fo := stats.fo["when $e"]; fo != 2 {
 		t.Errorf("fo(when $e) = %d, want 2", fo)
 	}
 	if p := stats.P("never seen $e"); p != 0 {
@@ -50,7 +49,7 @@ func TestExample4(t *testing.T) {
 
 func TestStatsFullSpanSkipped(t *testing.T) {
 	stats := BuildStats([]string{"Honolulu?"}, entityOracle("Honolulu"))
-	if _, fo := stats.Counts("$e"); fo != 0 {
+	if fo := stats.fo["$e"]; fo != 0 {
 		t.Errorf("whole-question hole must not be counted, fo=%d", fo)
 	}
 }

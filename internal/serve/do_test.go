@@ -146,8 +146,8 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 	// le labels must not use exponent notation, which some scrapers reject.
-	if got := formatSeconds(1e-6); got != "0.000001" {
-		t.Errorf("formatSeconds(1e-6) = %q", got)
+	if got := formatFloat(1e-6); got != "0.000001" {
+		t.Errorf("formatFloat(1e-6) = %q", got)
 	}
 }
 

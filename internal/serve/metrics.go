@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shardrpc"
 )
 
 // Stage names of the latency histograms, matching core.Timings attribution.
@@ -48,10 +49,9 @@ var bucketBounds = [numBuckets - 1]time.Duration{
 type histogram struct {
 	sumNanos atomic.Int64
 	buckets  [numBuckets]atomic.Uint64
-	// ex is the most recent traced observation — the OpenMetrics-style
-	// exemplar linking the latency family to a concrete trace in the
-	// /debug/traces ring. Last-write-wins; untraced requests never clobber
-	// a traced sample.
+	// ex is the most recent traced observation — the exemplar linking the
+	// latency family to a concrete trace in the /debug/traces ring.
+	// Last-write-wins; untraced requests never clobber a traced sample.
 	ex atomic.Pointer[stageExemplar]
 }
 
@@ -106,10 +106,13 @@ type HistogramSnapshot struct {
 	Buckets  []Bucket `json:"buckets,omitempty"`
 	// ExemplarTraceID/ExemplarSeconds are the most recent traced
 	// observation: the trace ID to look up in /debug/traces and the latency
-	// it recorded. Rendered as an OpenMetrics exemplar on the +Inf bucket;
-	// empty when no traced request has been observed.
+	// it recorded. Rendered as an "# exemplar" comment line after the
+	// stage's samples; empty when no traced request has been observed.
 	ExemplarTraceID string  `json:"exemplar_trace_id,omitempty"`
 	ExemplarSeconds float64 `json:"exemplar_seconds,omitempty"`
+	// sumNanos is the recorded total behind the exposition's _sum sample
+	// (MeanMillis × Count would re-derive it with rounding noise).
+	sumNanos int64
 }
 
 func (h *histogram) snapshot() HistogramSnapshot {
@@ -119,7 +122,7 @@ func (h *histogram) snapshot() HistogramSnapshot {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
 	}
-	snap := HistogramSnapshot{Count: total, Overflow: counts[numBuckets-1]}
+	snap := HistogramSnapshot{Count: total, Overflow: counts[numBuckets-1], sumNanos: h.sumNanos.Load()}
 	if ex := h.ex.Load(); ex != nil {
 		snap.ExemplarTraceID = ex.traceID
 		snap.ExemplarSeconds = ex.seconds
@@ -127,7 +130,7 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	if total == 0 {
 		return snap
 	}
-	snap.MeanMillis = float64(h.sumNanos.Load()) / float64(total) / 1e6
+	snap.MeanMillis = float64(snap.sumNanos) / float64(total) / 1e6
 	snap.P50Millis = quantile(counts[:], total, 0.50)
 	snap.P90Millis = quantile(counts[:], total, 0.90)
 	snap.P99Millis = quantile(counts[:], total, 0.99)
@@ -227,7 +230,8 @@ func (m *metrics) observeStages(tm StageTimings, traceID string) {
 
 // Snapshot is the JSON document served by /metrics. The counters satisfy
 // CacheHits + CacheMisses == Served for all quiescent snapshots: every
-// request records exactly one hit or miss.
+// request records exactly one hit or miss. The Prometheus exposition reads
+// these fields through the families table of prometheus.go.
 type Snapshot struct {
 	Served      uint64 `json:"served"`
 	CacheHits   uint64 `json:"cache_hits"`
@@ -298,6 +302,10 @@ type Snapshot struct {
 	// bytes and GC pause totals (kbqa_goroutines, kbqa_heap_alloc_bytes,
 	// kbqa_gc_pause_seconds_total, ...).
 	Runtime obs.RuntimeStats `json:"runtime"`
+	// RPC is the shard pool's routing counters (kbqa_rpc_*_total), filled
+	// by the layer that owns the pool; nil unless the KB is served by
+	// shard servers.
+	RPC *shardrpc.PoolStats `json:"rpc,omitempty"`
 }
 
 func (m *metrics) snapshot() Snapshot {

@@ -33,8 +33,14 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// sampleLine matches one Prometheus sample: name, optional labels, value.
-var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
+// sampleLine is the strict text-format 0.0.4 grammar for one sample line:
+// metric name, optional label set, a float value, optionally an integer
+// timestamp — and nothing else (no trailing exemplar or comment).
+var (
+	promLabel  = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"`
+	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(?:` + promLabel + `(?:,` + promLabel + `)*)?\})? ` +
+		`((?:[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]?Inf|NaN))(?: -?[0-9]+)?$`)
+)
 
 // TestPrometheusWellFormed parses every line of the exposition: each sample
 // line must match the text format, each metric family must declare HELP and

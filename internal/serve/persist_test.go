@@ -397,7 +397,7 @@ func TestDiskStoreUnloggableEntryStaysMemoryOnlyAcrossMerge(t *testing.T) {
 	defer r.Close()
 	r.cache, r.disk = s.answerCache, s.log
 	if n := r.Metrics().CachePersistDropped; n != 2 {
-		t.Errorf("%s = %d after 2 refused puts and %d merges, want 2", MetricCachePersistDroppedTotal, n, merges-1)
+		t.Errorf("CachePersistDropped = %d after 2 refused puts and %d merges, want 2", n, merges-1)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close = %v, want nil (a refused entry is not a write error)", err)

@@ -80,8 +80,8 @@ func TestWeightedAdmissionRefreshAdjustsBudget(t *testing.T) {
 
 // TestHistogramExemplar: a traced observation becomes the family's
 // exemplar, an untraced one never clobbers it, and the Prometheus
-// exposition renders it on the +Inf bucket in OpenMetrics style (after a
-// '#', so plain text-format parsers read it as a comment).
+// exposition renders it as a comment line of its own — format 0.0.4 allows
+// nothing but an integer timestamp after a sample's value.
 func TestHistogramExemplar(t *testing.T) {
 	var m metrics
 	m.observeStages(StageTimings{Parse: time.Millisecond, Match: time.Millisecond, Probe: time.Millisecond}, "trace-abc")
@@ -103,7 +103,10 @@ func TestHistogramExemplar(t *testing.T) {
 	if err := WritePrometheus(&b, snap); err != nil {
 		t.Fatal(err)
 	}
-	want := `le="+Inf"} 2 # {trace_id="trace-abc"} 0.004`
+	want := "{stage=\"total\",le=\"+Inf\"} 2\n" +
+		"kbqa_stage_latency_seconds_sum{stage=\"total\"} 0.006\n" +
+		"kbqa_stage_latency_seconds_count{stage=\"total\"} 2\n" +
+		"# exemplar kbqa_stage_latency_seconds{stage=\"total\",trace_id=\"trace-abc\"} 0.004\n"
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("exposition missing exemplar %q:\n%s", want, b.String())
 	}
@@ -150,8 +153,8 @@ func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 	if err := WritePrometheus(&b, snap); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), MetricCacheRotationPaused+" 1\n") {
-		t.Errorf("exposition missing %s 1", MetricCacheRotationPaused)
+	if !strings.Contains(b.String(), "\nkbqa_cache_rotation_paused 1\n") {
+		t.Error("exposition missing kbqa_cache_rotation_paused 1")
 	}
 }
 

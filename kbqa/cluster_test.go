@@ -3,7 +3,9 @@ package kbqa
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,5 +141,45 @@ func TestClusterFramesPerQuestion(t *testing.T) {
 		if len(row.qs) == 0 || per > row.most {
 			t.Errorf("%.2f shard frames per %s over %d questions, want <= %v", per, row.name, len(row.qs), row.most)
 		}
+	}
+}
+
+// TestClusterMetricsCarryPoolStats: the pool's routing counters reach the
+// operator — the rpc object of the JSON snapshot and the kbqa_rpc_*
+// families of the scrape — on the cluster shape and only there.
+func TestClusterMetricsCarryPoolStats(t *testing.T) {
+	opts := Options{Flavor: "freebase", Seed: 42}
+	world, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := mustServer(t, world, ServerOptions{})
+	defer mono.Close()
+	if m := mono.Metrics(); m.RPC != nil {
+		t.Errorf("monolith snapshot has an rpc object: %+v", m.RPC)
+	}
+
+	addr, _ := startShardServer(t, world)
+	opts.ShardServers, opts.ShardReplicas = []string{addr}, 1
+	sys, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sv := mustServer(t, sys, ServerOptions{})
+	defer sv.Close()
+	if _, err := sv.Query(context.Background(), world.SampleQuestions(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	m := sv.Metrics()
+	if m.RPC == nil || m.RPC.Calls == 0 || *m.RPC != sys.pool.Stats() {
+		t.Fatalf("cluster snapshot rpc = %+v, pool says %+v", m.RPC, sys.pool.Stats())
+	}
+	var b strings.Builder
+	if err := sv.WriteMetricsPrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nkbqa_rpc_calls_total %d\n", m.RPC.Calls); !strings.Contains(b.String(), want) {
+		t.Errorf("scrape missing %q", want)
 	}
 }

@@ -329,9 +329,15 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 	return out
 }
 
-// Metrics snapshots the serving runtime's counters and latency histograms.
+// Metrics snapshots the serving runtime's counters and latency histograms
+// and, when the KB is served by shard servers, the pool's routing counters.
 func (sv *Server) Metrics() ServerMetrics {
-	return sv.rt.Metrics()
+	m := sv.rt.Metrics()
+	if sv.sys.pool != nil {
+		st := sv.sys.pool.Stats()
+		m.RPC = &st
+	}
+	return m
 }
 
 // WriteMetricsPrometheus renders the same snapshot in the Prometheus text
@@ -339,7 +345,7 @@ func (sv *Server) Metrics() ServerMetrics {
 // histograms, with kbqa_query_errors_total labelled by error code);
 // PrometheusContentType is the matching Content-Type.
 func (sv *Server) WriteMetricsPrometheus(w io.Writer) error {
-	return serve.WritePrometheus(w, sv.rt.Metrics())
+	return serve.WritePrometheus(w, sv.Metrics())
 }
 
 // PrometheusContentType is the Content-Type of WriteMetricsPrometheus
