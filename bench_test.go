@@ -458,7 +458,7 @@ func BenchmarkBootstrap(b *testing.B) {
 	w := s.World(kbgen.Freebase)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := baseline.Bootstrap(w.KB.Store, w.WebDocs)
+		m := baseline.Bootstrap(w.KB.Store, w.Symbols.Lexicon, w.WebDocs)
 		if m.NumPatterns() == 0 {
 			b.Fatal("no patterns")
 		}
@@ -574,12 +574,9 @@ func BenchmarkDecomposeStats(b *testing.B) {
 	s := benchSuite(b)
 	w := s.World(kbgen.DBpedia)
 	qs := corpus.Questions(w.Pairs)
-	oracle := func(toks []string, sp text.Span) bool {
-		return len(w.KB.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decompose.BuildStats(qs, oracle)
+		decompose.BuildStats(qs, w.Symbols.Lexicon.Has)
 	}
 }
 

@@ -47,7 +47,8 @@ type System interface {
 // ("population" in the question → predicate population). It cannot answer
 // paraphrases with no lexical overlap ("how many people are there in ...").
 type Keyword struct {
-	KB rdf.Graph
+	KB       rdf.Graph
+	Mentions *extract.Lexicon // KB's mention lexicon
 }
 
 // Name implements System.
@@ -56,7 +57,7 @@ func (k *Keyword) Name() string { return "keyword" }
 // Answer implements System.
 func (k *Keyword) Answer(question string) (Result, bool) {
 	toks := text.Tokenize(question)
-	mentions := extract.FindMentions(k.KB, toks)
+	mentions := k.Mentions.Find(toks)
 	if len(mentions) == 0 {
 		return Result{}, false
 	}
@@ -147,8 +148,9 @@ func DefaultLexicon() Lexicon {
 // disambiguation is an NP-hard ILP (Table 14) — and its cost shows up in
 // the latency benchmarks.
 type Synonym struct {
-	KB      rdf.Graph
-	Lexicon Lexicon
+	KB       rdf.Graph
+	Mentions *extract.Lexicon // KB's mention lexicon
+	Lexicon  Lexicon
 }
 
 // Name implements System.
@@ -157,7 +159,7 @@ func (s *Synonym) Name() string { return "synonym(DEANNA)" }
 // Answer implements System.
 func (s *Synonym) Answer(question string) (Result, bool) {
 	toks := text.Tokenize(question)
-	mentions := extract.FindMentions(s.KB, toks)
+	mentions := s.Mentions.Find(toks)
 	if len(mentions) == 0 {
 		return Result{}, false
 	}
@@ -280,8 +282,9 @@ func (s *Synonym) Answer(question string) (Result, bool) {
 // "learns synonyms for more complex sub-structures", so unlike DEANNA it
 // can answer spouse-style questions).
 type GraphMatch struct {
-	KB      rdf.Graph
-	Lexicon Lexicon
+	KB       rdf.Graph
+	Mentions *extract.Lexicon // KB's mention lexicon
+	Lexicon  Lexicon
 	// PathSynonyms maps expanded predicate keys to phrases.
 	PathSynonyms map[string][]string
 }
@@ -301,7 +304,7 @@ func (g *GraphMatch) Name() string { return "graph(gAnswer)" }
 // Answer implements System.
 func (g *GraphMatch) Answer(question string) (Result, bool) {
 	toks := text.Tokenize(question)
-	mentions := extract.FindMentions(g.KB, toks)
+	mentions := g.Mentions.Find(toks)
 	if len(mentions) == 0 {
 		return Result{}, false
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/extract"
 	"repro/internal/kbgen"
 	"repro/internal/rdf"
 	"repro/internal/text"
@@ -29,7 +30,7 @@ func pickSubject(kb *kbgen.KB, cat, pred string) (string, string) {
 
 func TestKeywordAnswersLexicalOverlap(t *testing.T) {
 	kb := benchKB(t)
-	k := &Keyword{KB: kb.Store}
+	k := &Keyword{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store)}
 	city, want := pickSubject(kb, "city", "population")
 	res, ok := k.Answer("What is the population of " + city + "?")
 	if !ok {
@@ -47,7 +48,7 @@ func TestKeywordAnswersLexicalOverlap(t *testing.T) {
 // matching cannot recover "population" from "how many people are there".
 func TestKeywordFailsOnParaphrase(t *testing.T) {
 	kb := benchKB(t)
-	k := &Keyword{KB: kb.Store}
+	k := &Keyword{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store)}
 	city, _ := pickSubject(kb, "city", "population")
 	res, ok := k.Answer("How many people are there in " + city + "?")
 	if ok && res.Path == "population" {
@@ -57,7 +58,7 @@ func TestKeywordFailsOnParaphrase(t *testing.T) {
 
 func TestKeywordNoEntity(t *testing.T) {
 	kb := benchKB(t)
-	k := &Keyword{KB: kb.Store}
+	k := &Keyword{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store)}
 	if _, ok := k.Answer("what is the population of nowhere at all"); ok {
 		t.Error("answered with no KB entity")
 	}
@@ -65,7 +66,7 @@ func TestKeywordNoEntity(t *testing.T) {
 
 func TestSynonymAnswersParaphrase(t *testing.T) {
 	kb := benchKB(t)
-	s := &Synonym{KB: kb.Store, Lexicon: DefaultLexicon()}
+	s := &Synonym{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store), Lexicon: DefaultLexicon()}
 	person, want := pickSubject(kb, "person", "dob")
 	// "born" is a synonym of dob; keywords alone cannot do this.
 	res, ok := s.Answer("When was " + person + " born?")
@@ -84,7 +85,7 @@ func TestSynonymAnswersParaphrase(t *testing.T) {
 // synonym methods cannot map to multi-edge KB structures.
 func TestSynonymFailsOnExpandedPredicate(t *testing.T) {
 	kb := benchKB(t)
-	s := &Synonym{KB: kb.Store, Lexicon: DefaultLexicon()}
+	s := &Synonym{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store), Lexicon: DefaultLexicon()}
 	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person string
 	for _, p := range kb.ByCategory["person"] {
@@ -101,7 +102,7 @@ func TestSynonymFailsOnExpandedPredicate(t *testing.T) {
 
 func TestGraphMatchHandlesSubStructure(t *testing.T) {
 	kb := benchKB(t)
-	g := &GraphMatch{KB: kb.Store, Lexicon: DefaultLexicon(), PathSynonyms: DefaultPathSynonyms()}
+	g := &GraphMatch{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store), Lexicon: DefaultLexicon(), PathSynonyms: DefaultPathSynonyms()}
 	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person, want string
 	for _, p := range kb.ByCategory["person"] {
@@ -144,7 +145,7 @@ func TestRuleBased(t *testing.T) {
 func TestHybridFallback(t *testing.T) {
 	kb := benchKB(t)
 	rule := &Rule{KB: kb.Store}
-	syn := &Synonym{KB: kb.Store, Lexicon: DefaultLexicon()}
+	syn := &Synonym{KB: kb.Store, Mentions: extract.NewLexicon(kb.Store), Lexicon: DefaultLexicon()}
 	h := &Hybrid{Primary: rule, Secondary: syn}
 	person, _ := pickSubject(kb, "person", "dob")
 
@@ -171,7 +172,7 @@ func TestHybridFallback(t *testing.T) {
 func TestBootstrap(t *testing.T) {
 	kb := benchKB(t)
 	docs := corpus.GenerateWebDocs(kb, 5, 30)
-	m := Bootstrap(kb.Store, docs)
+	m := Bootstrap(kb.Store, extract.NewLexicon(kb.Store), docs)
 	if m.NumPredicates() == 0 || m.NumPatterns() == 0 {
 		t.Fatalf("bootstrapping learned nothing: %d preds, %d patterns", m.NumPredicates(), m.NumPatterns())
 	}

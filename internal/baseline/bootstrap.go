@@ -36,11 +36,11 @@ func (m *PatternModel) NumPredicates() int { return len(m.Patterns) }
 // recorded as a pattern for that predicate. Only direct predicates are
 // learnable — the method has no notion of multi-edge structures, which is
 // the coverage gap Table 12 quantifies.
-func Bootstrap(kb rdf.Graph, docs []string) *PatternModel {
+func Bootstrap(kb rdf.Graph, lex *extract.Lexicon, docs []string) *PatternModel {
 	m := &PatternModel{Patterns: make(map[string]map[string]int)}
 	for _, doc := range docs {
 		toks := text.Tokenize(doc)
-		mentions := extract.FindMentions(kb, toks)
+		mentions := lex.Find(toks)
 		for _, men := range mentions {
 			for _, e := range men.Entities {
 				// Scan value spans elsewhere in the sentence.

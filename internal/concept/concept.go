@@ -13,7 +13,8 @@
 package concept
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/text"
 )
@@ -82,7 +83,7 @@ func (t *Taxonomy) AddContextEvidence(concept, word string, weight float64) {
 // surface form, normalized to sum to 1. The result is sorted by descending
 // probability, ties broken by concept name for determinism.
 func (t *Taxonomy) Concepts(entity string) []Scored {
-	return normalize(t.isA[text.Normalize(entity)])
+	return normalize(slices.Clone(t.isA[text.Normalize(entity)]))
 }
 
 // HasConcept reports whether the concept name is known to the taxonomy.
@@ -127,31 +128,31 @@ func (t *Taxonomy) Best(entity string, contextTokens []string) string {
 	return cs[0].Concept
 }
 
-func normalize(in []Scored) []Scored {
-	if len(in) == 0 {
+// normalize scales s to sum to 1 and sorts it by descending probability,
+// ties by concept name, in place.
+func normalize(s []Scored) []Scored {
+	if len(s) == 0 {
 		return nil
 	}
-	out := make([]Scored, len(in))
-	copy(out, in)
 	var sum float64
-	for _, s := range out {
-		sum += s.P
+	for _, c := range s {
+		sum += c.P
 	}
 	if sum <= 0 {
-		u := 1.0 / float64(len(out))
-		for i := range out {
-			out[i].P = u
+		u := 1.0 / float64(len(s))
+		for i := range s {
+			s[i].P = u
 		}
 	} else {
-		for i := range out {
-			out[i].P /= sum
+		for i := range s {
+			s[i].P /= sum
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
+	slices.SortFunc(s, func(a, b Scored) int {
+		if a.P != b.P {
+			return cmp.Compare(b.P, a.P)
 		}
-		return out[i].Concept < out[j].Concept
+		return cmp.Compare(a.Concept, b.Concept)
 	})
-	return out
+	return s
 }

@@ -7,7 +7,9 @@ import (
 
 // TestConcurrentAnswer exercises the engine from many goroutines (the HTTP
 // server's usage pattern). Run with -race to catch shared-state mutation;
-// answers must also be identical across goroutines.
+// answers must also be identical across goroutines. The goroutines share an
+// engine over freshly compiled symbols, so they fill its normalized-label
+// memo together, from empty.
 func TestConcurrentAnswer(t *testing.T) {
 	f := world(t)
 	questions := make([]string, 0, 16)
@@ -29,6 +31,7 @@ func TestConcurrentAnswer(t *testing.T) {
 		baseline[i] = result{ans.Value, ok}
 	}
 
+	cold := NewEngine(f.kb.Store, f.engine.Index, f.kb.Taxonomy, f.model, f.engine.Stats)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
@@ -36,7 +39,7 @@ func TestConcurrentAnswer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, q := range questions {
-				ans, ok := ask(f.engine, q)
+				ans, ok := ask(cold, q)
 				if ok != baseline[i].ok || (ok && ans.Value != baseline[i].value) {
 					errs <- q
 					return

@@ -8,18 +8,21 @@
 // the next question's entity variable.
 //
 // The engine holds the locally loaded world for symbols (labels, predicate
-// names, the gazetteer) and reads the triple indexes through Index alone —
-// in process or across shard servers, under the caller's context either
-// way. A BFQ enumerates Eq (7)'s support into a probe plan — every (e, p)
-// the model gives mass to, each once — and reads it in one Index call, so
-// the cost of the summation on a cluster is a frame per shard per path
-// depth, not a round trip per term. Cancellation is checked at every probe
-// of a local read, every frame of a remote one and between chain hops, so
-// a deadline stops work mid-inference instead of letting an abandoned
-// request run to completion; failures are the typed errors ErrNoEntity,
-// ErrNoTemplate and ErrNoAnswer so callers can tell the failure stages
-// apart, and an Index failure (every replica of a shard down) aborts the
-// answer rather than shrinking it.
+// names, the mention lexicon) and reads the triple indexes through Index
+// alone — in process or across shard servers, under the caller's context
+// either way. What a question needs of the world and the model is compiled
+// before the first one arrives (compile.go): a token trie finds mentions,
+// θ = P(p|t) is a sorted slice of parsed paths per template. A BFQ
+// enumerates Eq (7)'s support into a probe plan — every (e, p) the model
+// gives mass to, each once — and reads it in one Index call, so the cost of
+// the summation on a cluster is a frame per shard per path depth, not a
+// round trip per term. Cancellation is checked at every probe of a local
+// read, every frame of a remote one and between chain hops, so a deadline
+// stops work mid-inference instead of letting an abandoned request run to
+// completion; failures are the typed errors ErrNoEntity, ErrNoTemplate and
+// ErrNoAnswer so callers can tell the failure stages apart, and an Index
+// failure (every replica of a shard down) aborts the answer rather than
+// shrinking it.
 package core
 
 import (
@@ -156,31 +159,36 @@ func (l localIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]r
 	return l.g.Subjects(pred, obj), nil
 }
 
-// Engine is the online QA engine. All fields except Stats are required.
+// Engine is the online QA engine; NewEngine builds one.
 type Engine struct {
 	// KB is the locally loaded world, read for symbols only.
-	KB rdf.Sharded
+	KB *Symbols
 	// Index serves every triple-index read.
 	Index    Index
 	Taxonomy *concept.Taxonomy
-	Model    *learn.Model
 	// Stats, when set, enables complex-question answering.
 	Stats *decompose.Stats
 
-	// sortedTemplates caches the model's template keys in sorted order;
-	// computed once at construction (the model is immutable while
-	// serving) so the variant path doesn't re-sort per question.
-	sortedTemplates []string
+	// find is KB.Lexicon.Find, a field so that a test can count the calls.
+	find func(toks []string) []extract.Mention
+	// theta is the model compiled (compileModel), by template text, and
+	// templates the same in ascending text order; a retrain builds a new engine.
+	theta     map[string]*compiledTemplate
+	templates []*compiledTemplate
 	// numeric memoises numericPredicate: path key → bool.
 	numeric sync.Map
 }
 
 // NewEngine builds an engine over the local world kb whose index reads go
-// through idx — LocalIndex(kb) in process, a shardrpc.KB for a cluster. A
+// through idx — LocalIndex(kb) in process, a shardrpc.KB for a cluster —
+// and compiles model for it. kb is compiled too unless it is a *Symbols
+// already, which is how the engines of successive retrains share one. A
 // non-nil stats enables complex-question decomposition.
 func NewEngine(kb rdf.Sharded, idx Index, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
-	return &Engine{KB: kb, Index: idx, Taxonomy: tax, Model: model, Stats: stats,
-		sortedTemplates: sortedTemplateKeys(model)}
+	e := &Engine{KB: CompileSymbols(kb), Index: idx, Taxonomy: tax, Stats: stats}
+	e.find = e.KB.Lexicon.Find
+	e.theta, e.templates = compileModel(kb, model)
+	return e
 }
 
 // maxDecomposeTokens bounds the decomposition DP input; the paper notes
@@ -190,19 +198,6 @@ const maxDecomposeTokens = 23
 // maxChainValues caps how many values of an intermediate step are expanded
 // during complex-question execution.
 const maxChainValues = 8
-
-// sortedTemplateKeys returns the model's template keys in sorted order.
-func sortedTemplateKeys(model *learn.Model) []string {
-	if model == nil {
-		return nil
-	}
-	out := make([]string, 0, len(model.Theta))
-	for tpl := range model.Theta {
-		out = append(out, tpl)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Timings splits an answer call across the online pipeline's stages for the
 // serving layer's latency histograms. Attribution is coarse by design so the
@@ -257,14 +252,14 @@ func (tm *Timings) lapProbe(start time.Time) {
 type parsed struct {
 	toks     []string
 	mentions []extract.Mention
-	found    bool // mentions holds FindMentions(toks)
+	found    bool // mentions holds the lexicon's Find(toks)
 }
 
 // mentionsOf returns q's entity mentions, finding them on the first call.
 func (e *Engine) mentionsOf(q *parsed, tm *Timings) []extract.Mention {
 	if !q.found {
 		start := stampIf(tm)
-		q.mentions, q.found = extract.FindMentions(e.KB, q.toks), true
+		q.mentions, q.found = e.find(q.toks), true
 		tm.lapParse(start)
 	}
 	return q.mentions
@@ -423,16 +418,15 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 	pe := 1.0 / float64(totalEntities)
 
 	// Enumerate. cands is filled in the order aggregate needs — mention,
-	// entity, template, sorted path key: it feeds float accumulation, and
-	// map order would make near-tied answers flap across runs — each
-	// naming the probe whose values it is waiting for.
-	plan := probePlan{kb: e.KB}
+	// entity, template, ascending path key (the compiled order): it feeds
+	// float accumulation, and map order would make near-tied answers flap
+	// across runs — each naming the probe whose values it is waiting for.
+	var plan probePlan
 	var cands []interpretation
-	// Scratch for one mention's model lookups, on the stack at the usual
-	// handful of templates and paths.
-	var learnedBuf [8]learnedPath
-	var keysBuf [8]string
-	learned, keys := learnedBuf[:0], keysBuf[:0]
+	// Scratch for one mention's model lookups — its interpretations but for
+	// the entity — on the stack at the usual handful of templates and paths.
+	var learnedBuf [8]interpretation
+	learned := learnedBuf[:0]
 	templates := 0
 	sawMass := false
 	for _, m := range mentions {
@@ -445,31 +439,20 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 		// each of its entities: look it up once.
 		learned = learned[:0]
 		for _, tw := range tmpls {
-			dist := e.Model.PredDist(tw.Text)
-			if len(dist) == 0 {
+			ct := e.theta[tw.Text]
+			if ct == nil {
 				continue
 			}
 			sawMass = true
-			keys = keys[:0]
-			for pathKey := range dist {
-				keys = append(keys, pathKey)
-			}
-			sort.Strings(keys)
-			for _, pathKey := range keys {
-				ppt := dist[pathKey]
-				if ppt <= 0 {
-					continue
-				}
-				if path := plan.path(pathKey); path >= 0 {
-					learned = append(learned, learnedPath{template: tw.Text, key: pathKey, path: path, weight: pe * tw.P * ppt})
-				}
+			for _, p := range ct.paths {
+				learned = append(learned, interpretation{template: ct.text, path: p.groundedPath, weight: pe * tw.P * p.p})
 			}
 		}
 		cands = slices.Grow(cands, len(m.Entities)*len(learned))
 		for _, ent := range m.Entities {
-			for _, lp := range learned {
-				cands = append(cands, interpretation{entity: ent, template: lp.template, path: lp.key,
-					weight: lp.weight, probe: plan.add(ent, lp.path)})
+			for _, c := range learned {
+				c.entity, c.probe = ent, plan.add(ent, c.path)
+				cands = append(cands, c)
 			}
 		}
 		tm.lapProbe(probeStart)
@@ -515,61 +498,29 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 	return Answer{}, nil, ErrNoAnswer
 }
 
-// learnedPath is one (template, path) the model gives mass to for a mention,
-// with the joint weight P(e|q)·P(t|e,q)·P(p|t) every entity of the mention
-// shares. path indexes the plan's distinct paths.
-type learnedPath struct {
-	template string
-	key      string
-	path     int
-	weight   float64
-}
-
 // probePlan is one question's probe set: every (entity, path) Eq (7) gives
-// mass to, each pair once however many templates and mentions lead to it,
-// each path key parsed once. A question's distinct path keys are few, so
-// they are a list; its (entity, path) pairs can be many, so they are a map.
+// mass to, each pair once however many templates and mentions lead to it.
 type probePlan struct {
-	kb     rdf.Graph
-	paths  []parsedPath
-	slot   map[uint64]int // entity<<32 | path index → index into probes
+	slot   map[probeKey]int // index into probes
 	probes []rdf.Probe
 }
 
-// parsedPath is a path key and what it parses to; nil when it does not
-// ground in the KB.
-type parsedPath struct {
-	key  string
-	path rdf.Path
+type probeKey struct {
+	ent  rdf.ID
+	path *groundedPath
 }
 
-// path returns the index of key's parsed path, parsing it on first sight,
-// or -1 when the KB has no such predicates.
-func (pl *probePlan) path(key string) int {
-	i := slices.IndexFunc(pl.paths, func(p parsedPath) bool { return p.key == key })
-	if i < 0 {
-		i = len(pl.paths)
-		path, _ := rdf.ParsePath(pl.kb, key)
-		pl.paths = append(pl.paths, parsedPath{key, path})
-	}
-	if pl.paths[i].path == nil {
-		return -1
-	}
-	return i
-}
-
-// add returns the plan's index for V(ent, paths[path].path), adding the
-// probe if it is new.
-func (pl *probePlan) add(ent rdf.ID, path int) int {
-	k := uint64(uint32(ent))<<32 | uint64(path)
-	i, ok := pl.slot[k]
+// add returns the plan's index for V(ent, path), adding the probe if it is
+// new.
+func (pl *probePlan) add(ent rdf.ID, path *groundedPath) int {
+	i, ok := pl.slot[probeKey{ent, path}]
 	if !ok {
 		if pl.slot == nil {
-			pl.slot = make(map[uint64]int)
+			pl.slot = make(map[probeKey]int)
 		}
 		i = len(pl.probes)
-		pl.slot[k] = i
-		pl.probes = append(pl.probes, rdf.Probe{Subj: ent, Path: pl.paths[path].path})
+		pl.slot[probeKey{ent, path}] = i
+		pl.probes = append(pl.probes, rdf.Probe{Subj: ent, Path: path.path})
 	}
 	return i
 }
@@ -590,7 +541,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 	for _, c := range cands {
 		perValue := c.weight / float64(len(c.values))
 		for _, v := range c.values {
-			label := text.Normalize(e.KB.Label(v))
+			label := e.KB.normLabel(v)
 			a := byValue[label]
 			if a == nil {
 				a = &acc{}
@@ -602,7 +553,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 			// first-seen maximum would make the reported (template, path)
 			// flap between runs and between store layouts.
 			if perValue > a.bestW || (perValue == a.bestW && a.bestW > 0 &&
-				(c.path < a.best.path || (c.path == a.best.path && c.template < a.best.template))) {
+				(c.path.key < a.best.path.key || (c.path == a.best.path && c.template < a.best.template))) {
 				a.bestW = perValue
 				a.best = c
 			}
@@ -619,7 +570,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 
 	values := make([]string, 0, len(best.best.values))
 	for _, v := range best.best.values {
-		values = append(values, text.Normalize(e.KB.Label(v)))
+		values = append(values, e.KB.normLabel(v))
 	}
 	sort.Strings(values)
 
@@ -629,7 +580,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 		Score:    best.score,
 		Entity:   best.best.entity,
 		Template: best.best.template,
-		Path:     best.best.path,
+		Path:     best.best.path.key,
 	}, true
 }
 
@@ -652,7 +603,7 @@ func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 	byKey := make(map[tkey]*merged, len(cands))
 	order := make([]tkey, 0, len(cands))
 	for i, c := range cands {
-		kk := tkey{c.entity, c.template, c.path}
+		kk := tkey{c.entity, c.template, c.path.key}
 		if m := byKey[kk]; m != nil {
 			m.score += c.weight
 			continue
@@ -684,12 +635,12 @@ func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 		c := cands[m.cand]
 		values := make([]string, 0, len(c.values))
 		for _, v := range c.values {
-			values = append(values, text.Normalize(e.KB.Label(v)))
+			values = append(values, e.KB.normLabel(v))
 		}
 		sort.Strings(values)
 		out[i] = Ranked{
 			Entity:      kk.ent,
-			EntityLabel: text.Normalize(e.KB.Label(kk.ent)),
+			EntityLabel: e.KB.normLabel(kk.ent),
 			Template:    kk.tpl,
 			Path:        kk.path,
 			Score:       m.score,
@@ -704,7 +655,7 @@ func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 type interpretation struct {
 	entity   rdf.ID
 	template string
-	path     string
+	path     *groundedPath
 	weight   float64
 	probe    int // the read of the question's probe plan that values came from
 	values   []rdf.ID

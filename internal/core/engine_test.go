@@ -33,11 +33,13 @@ func world(t testing.TB) *fixture {
 	fixOnce.Do(func() {
 		kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 30})
 		pairs := corpus.Generate(kb, corpus.Config{Seed: 7, PairsPerIntent: 40, NoiseRate: 0.15})
+		symbols := CompileSymbols(kb.Store)
 		learner := &learn.Learner{
 			KB:       kb.Store,
 			Taxonomy: kb.Taxonomy,
 			Extractor: &extract.Extractor{
 				KB:         kb.Store,
+				Lexicon:    symbols.Lexicon,
 				MaxPathLen: 3,
 				EndFilter:  kb.EndFilter,
 				PredClass:  kb.ClassOf,
@@ -48,10 +50,8 @@ func world(t testing.TB) *fixture {
 			qa[i] = learn.QA{Q: p.Q, A: p.A}
 		}
 		model := learner.Learn(qa)
-		stats := decompose.BuildStats(corpus.Questions(pairs), func(toks []string, sp text.Span) bool {
-			return len(kb.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
-		})
-		engine := NewEngine(kb.Store, LocalIndex(kb.Store), kb.Taxonomy, model, stats)
+		stats := decompose.BuildStats(corpus.Questions(pairs), symbols.Lexicon.Has)
+		engine := NewEngine(symbols, LocalIndex(kb.Store), kb.Taxonomy, model, stats)
 		fix = &fixture{kb: kb, pairs: pairs, model: model, engine: engine}
 	})
 	return fix

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/extract"
 	"repro/internal/learn"
-	"repro/internal/rdf"
 	"repro/internal/text"
 )
 
@@ -26,36 +26,21 @@ func TestEngineSurface(t *testing.T) {
 	}
 }
 
-// labelCounter counts the gazetteer lookups behind extract.FindMentions.
-type labelCounter struct {
-	rdf.Sharded
-	n int
-}
-
-func (c *labelCounter) EntitiesByLabel(label string) []rdf.ID {
-	c.n++
-	return c.Sharded.EntitiesByLabel(label)
-}
-
-// lookups is the gazetteer cost of one FindMentions over toks.
-func (c *labelCounter) lookups(toks []string) int {
-	before := c.n
-	extract.FindMentions(c, toks)
-	n := c.n - before
-	c.n = before
-	return n
-}
-
-// TestParsesOncePerQuestion counts gazetteer lookups through one Answer
-// call: a question's tokens are searched for mentions exactly once however
-// many stages (variant routing, the direct path, decomposition, the chain's
-// first hop) need them.
+// TestParsesOncePerQuestion records every mention lookup of one Answer
+// call: a token sequence is searched for mentions exactly once however many
+// stages (variant routing, the direct path, decomposition, the chain's first
+// hop) need its mentions.
 func TestParsesOncePerQuestion(t *testing.T) {
 	f := world(t)
 	ctx := context.Background()
-	kb := &labelCounter{Sharded: f.kb.Store}
+	var found []string // the token sequences handed to Find, joined
 	engine := func(model *learn.Model) *Engine {
-		return NewEngine(kb, f.engine.Index, f.kb.Taxonomy, model, f.engine.Stats)
+		e := NewEngine(f.engine.KB, f.engine.Index, f.kb.Taxonomy, model, f.engine.Stats)
+		e.find = func(toks []string) []extract.Mention {
+			found = append(found, text.Join(toks))
+			return e.KB.Lexicon.Find(toks)
+		}
+		return e
 	}
 
 	// A BFQ with variant routing on, and the same BFQ trailing " or so"
@@ -75,49 +60,97 @@ func TestParsesOncePerQuestion(t *testing.T) {
 		{bfq, f.model},
 		{bfq + " or so", orModel},
 	} {
-		kb.n = 0
+		found = nil
 		ans, _, _, err := engine(row.model).Answer(ctx, row.q, 3, true)
 		if err != nil || ans.Variant != nil || ans.Value != plain.Value {
 			t.Fatalf("Answer(%q) = %+v, %v; want the BFQ answer %q", row.q, ans, err, plain.Value)
 		}
-		if want := kb.lookups(text.Tokenize(row.q)); kb.n != want {
-			t.Errorf("%q: %d gazetteer lookups, want %d (one FindMentions over its tokens)", row.q, kb.n, want)
+		if want := []string{text.Normalize(row.q)}; !reflect.DeepEqual(found, want) {
+			t.Errorf("%q: Find ran over %q, want %q (its tokens, once)", row.q, found, want)
 		}
 	}
 
-	// A two-hop question: one FindMentions for the question, one per proper
-	// span the δ oracle examines (those containing a mention), one per bound
-	// question of the later hops — and none for the whole-question span or
-	// the first hop, whose token sequences were parsed already.
+	// A two-hop question: one Find for the question, one per proper span the
+	// δ oracle examines (those containing a mention), one per bound question
+	// of the later hops — and none for the whole-question span or the first
+	// hop, whose token sequences were parsed already.
 	e := engine(f.model)
 	for _, cp := range corpus.ComposeComplex(f.kb, 99, 30) {
-		kb.n = 0
+		found = nil
 		ans, _, _, err := e.Answer(ctx, cp.Q, 0, true)
 		if err != nil || len(ans.Steps) != 2 {
 			continue
 		}
-		got := kb.n
+		got := found
 		toks := text.Tokenize(cp.Q)
-		want := kb.lookups(toks)
-		mentions := extract.FindMentions(f.kb.Store, toks)
+		want := []string{text.Join(toks)}
+		mentions := e.KB.Lexicon.Find(toks)
 		for i := range toks {
 			for j := i + 1; j <= len(toks); j++ {
 				sp := text.Span{Start: i, End: j}
 				for _, m := range mentions {
 					if sp.Contains(m.Span) && sp.Len() < len(toks) {
-						want += kb.lookups(toks[i:j])
+						want = append(want, text.Join(toks[i:j]))
 						break
 					}
 				}
 			}
 		}
-		for _, bound := range ans.Steps[1].Questions {
-			want += kb.lookups(text.Tokenize(bound))
-		}
-		if got != want {
-			t.Errorf("%q: %d gazetteer lookups, want %d", cp.Q, got, want)
+		want = append(want, ans.Steps[1].Questions...)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: Find ran over\n%q, want\n%q", cp.Q, got, want)
 		}
 		return
 	}
 	t.Fatal("fixture decomposes no two-hop question")
+}
+
+// TestAllocationCeilings bounds what one question may allocate, so a
+// regression in the compiled forms (a re-joined n-gram, a re-parsed path
+// key, a re-normalized label) fails here, by layer, and not only in the
+// end-to-end ledger. The worst question of its kind is measured, and logged;
+// the ceilings leave well under a factor of two over today's worst (a BFQ
+// 31, a two-hop question 295; before the lexicon they averaged 213 and
+// 1,994).
+func TestAllocationCeilings(t *testing.T) {
+	f := world(t)
+	ctx := context.Background()
+	worst := func(questions []string, complex bool) (string, float64) {
+		var q string
+		var n float64
+		for _, cand := range questions {
+			ans, err := askCtx(ctx, f.engine, cand)
+			if err != nil || complex != (len(ans.Steps) == 2) {
+				continue
+			}
+			if a := testing.AllocsPerRun(10, func() { f.engine.Answer(ctx, cand, 0, false) }); a > n {
+				q, n = cand, a
+			}
+		}
+		if q == "" {
+			t.Fatalf("fixture answers no such question (complex=%v)", complex)
+		}
+		return q, n
+	}
+	var bfqs, hops []string
+	for _, p := range f.pairs[:200] {
+		if !p.Noise {
+			bfqs = append(bfqs, p.Q)
+		}
+	}
+	for _, cp := range corpus.ComposeComplex(f.kb, 5, 16) {
+		hops = append(hops, cp.Q)
+	}
+	q, n := worst(bfqs, false)
+	t.Logf("worst BFQ: %v allocations (%q)", n, q)
+	if n > 60 {
+		t.Errorf("a BFQ allocates %v times (%q), ceiling 60", n, q)
+	}
+	q, n = worst(hops, true)
+	t.Logf("worst two-hop question: %v allocations (%q)", n, q)
+	if n > 450 {
+		t.Errorf("a two-hop question allocates %v times (%q), ceiling 450", n, q)
+	}
 }

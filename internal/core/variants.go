@@ -70,7 +70,7 @@ var ordinals = map[string]int{
 // predicate.
 var superlativeMax = map[string]bool{
 	"largest": true, "biggest": true, "highest": true, "longest": true,
-	"tallest": true, "most": true, "greatest": true, "oldest": false,
+	"tallest": true, "most": true, "greatest": true,
 }
 var superlativeMin = map[string]bool{
 	"smallest": true, "lowest": true, "shortest": true, "least": true,
@@ -305,31 +305,19 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, f
 	bestScore := 0.0
 	bestConf := 0.0
 	bestPath := ""
-	for _, tpl := range e.sortedTemplates {
-		dist := e.Model.Theta[tpl]
+	for _, tpl := range e.templates {
 		overlap := 0
-		total := 0
-		for _, tok := range strings.Fields(tpl) {
-			if strings.HasPrefix(tok, "$") || text.IsStopword(tok) {
-				continue
-			}
-			total++
+		for _, tok := range tpl.content {
 			if content[tok] {
 				overlap++
 			}
 		}
-		if overlap == 0 || total == 0 {
+		if overlap == 0 {
 			continue
 		}
-		score := float64(overlap) * float64(overlap) / float64(total)
+		score := float64(overlap) * float64(overlap) / float64(len(tpl.content))
 		if score > bestScore || (score == bestScore && bestPath != "") {
-			var bp string
-			var bpv float64
-			for p, v := range dist {
-				if v > bpv || (v == bpv && p < bp) {
-					bp, bpv = p, v
-				}
-			}
+			bp, bpv := tpl.best, tpl.bestP
 			// Only numeric predicates can be ranked.
 			numeric, err := e.numericPredicate(ctx, bp)
 			if err != nil {
@@ -450,7 +438,7 @@ func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, des
 			continue
 		}
 		if n, ok := parseNumber(e.KB.Label(values[i][0])); ok {
-			out = append(out, rankedEntity{label: text.Normalize(e.KB.Label(ent)), value: n})
+			out = append(out, rankedEntity{label: e.KB.normLabel(ent), value: n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -359,3 +359,15 @@ func TestAllRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestLearnedModelDidNotMove pins the default world's learned model to the
+// fingerprint its parent commit (a25a7ec, before mentions were found through
+// the compiled lexicon) computed: the offline phase reads the knowledge base
+// through a different layout, and must learn the same θ from it. Persisted
+// answer caches are bound to this number.
+func TestLearnedModelDidNotMove(t *testing.T) {
+	_, w := shardedWorlds()
+	if got, want := w.Model.Fingerprint(), uint64(0xe16a535d811f4ef4); got != want {
+		t.Errorf("default world: Model.Fingerprint() = %#x, want %#x", got, want)
+	}
+}

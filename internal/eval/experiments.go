@@ -144,7 +144,7 @@ func (s *Suite) Table6() Table6Stats {
 			break
 		}
 		toks := text.Tokenize(p.Q)
-		mentions := extract.FindMentions(w.KB.Store, toks)
+		mentions := w.Symbols.Lexicon.Find(toks)
 		nq++
 		for _, m := range mentions {
 			entSum += len(m.Entities)
@@ -390,7 +390,7 @@ func (s *Suite) Table12() []Table12Row {
 		})
 	}
 	w := s.World(kbgen.KBA)
-	pm := baseline.Bootstrap(w.KB.Store, w.WebDocs)
+	pm := baseline.Bootstrap(w.KB.Store, w.Symbols.Lexicon, w.WebDocs)
 	rows = append(rows, Table12Row{
 		System:     "Bootstrapping",
 		Corpus:     fmt.Sprintf("%d sentences", len(w.WebDocs)),
@@ -806,6 +806,7 @@ func (s *Suite) EntityValueID(n int) EVIDResult {
 	w := s.World(kbgen.KBA)
 	x := &extract.Extractor{
 		KB:         w.KB.Store,
+		Lexicon:    w.Symbols.Lexicon,
 		MaxPathLen: 3,
 		EndFilter:  w.KB.EndFilter,
 		PredClass:  w.KB.ClassOf,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/infobox"
 	"repro/internal/kbgen"
 	"repro/internal/learn"
-	"repro/internal/text"
 )
 
 // WorldConfig parameterizes a full offline build.
@@ -51,8 +50,11 @@ func DefaultWorldConfig(f kbgen.Flavor) WorldConfig {
 // the experiments need: the raw corpus, the learned model, the
 // decomposition statistics, the infobox and the comparison systems.
 type World struct {
-	Cfg     WorldConfig
-	KB      *kbgen.KB
+	Cfg WorldConfig
+	KB  *kbgen.KB
+	// Symbols is KB.Store compiled for the question path; its mention
+	// lexicon serves the learner, the baselines and every engine.
+	Symbols *core.Symbols
 	Pairs   []corpus.Pair
 	Obs     []learn.Observation
 	Model   *learn.Model
@@ -73,6 +75,7 @@ func (w *World) Learner() *learn.Learner {
 		Taxonomy: w.KB.Taxonomy,
 		Extractor: &extract.Extractor{
 			KB:         w.KB.Store,
+			Lexicon:    w.Symbols.Lexicon,
 			MaxPathLen: 3,
 			EndFilter:  w.KB.EndFilter,
 			PredClass:  w.KB.ClassOf,
@@ -93,6 +96,7 @@ func BuildWorld(cfg WorldConfig) *World {
 	}
 	w := &World{Cfg: cfg}
 	w.KB = kbgen.Generate(kbgen.Config{Seed: cfg.Seed, Flavor: cfg.Flavor, Scale: cfg.Scale, Shards: cfg.Shards})
+	w.Symbols = core.CompileSymbols(w.KB.Store)
 	w.Pairs = corpus.Generate(w.KB, corpus.Config{
 		Seed:           cfg.Seed + 1,
 		PairsPerIntent: cfg.PairsPerIntent,
@@ -107,19 +111,17 @@ func BuildWorld(cfg WorldConfig) *World {
 	w.Obs = learner.BuildObservations(qa)
 	w.Model = learner.EM(w.Obs)
 
-	w.Stats = decompose.BuildStats(corpus.Questions(w.Pairs), func(toks []string, sp text.Span) bool {
-		return len(w.KB.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
-	})
-	w.Engine = core.NewEngine(w.KB.Store, core.LocalIndex(w.KB.Store), w.KB.Taxonomy, w.Model, w.Stats)
+	w.Stats = decompose.BuildStats(corpus.Questions(w.Pairs), w.Symbols.Lexicon.Has)
+	w.Engine = core.NewEngine(w.Symbols, core.LocalIndex(w.KB.Store), w.KB.Taxonomy, w.Model, w.Stats)
 	w.Infobox = infobox.Build(w.KB.Store, infobox.Config{Seed: cfg.Seed + 2})
 	w.WebDocs = corpus.GenerateWebDocs(w.KB, cfg.Seed+3, cfg.PairsPerIntent)
 
-	lex := baseline.DefaultLexicon()
+	lex, mentions := baseline.DefaultLexicon(), w.Symbols.Lexicon
 	w.Systems = map[string]baseline.System{
 		"kbqa":    &KBQASystem{Engine: w.Engine, Label: "KBQA+" + cfg.Flavor.String()},
-		"keyword": &baseline.Keyword{KB: w.KB.Store},
-		"synonym": &baseline.Synonym{KB: w.KB.Store, Lexicon: lex},
-		"graph":   &baseline.GraphMatch{KB: w.KB.Store, Lexicon: lex, PathSynonyms: baseline.DefaultPathSynonyms()},
+		"keyword": &baseline.Keyword{KB: w.KB.Store, Mentions: mentions},
+		"synonym": &baseline.Synonym{KB: w.KB.Store, Mentions: mentions, Lexicon: lex},
+		"graph":   &baseline.GraphMatch{KB: w.KB.Store, Mentions: mentions, Lexicon: lex, PathSynonyms: baseline.DefaultPathSynonyms()},
 		"rule":    &baseline.Rule{KB: w.KB.Store},
 	}
 	return w

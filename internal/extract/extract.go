@@ -3,8 +3,8 @@
 //
 // Three pieces:
 //
-//   - FindMentions: gazetteer entity recognition against the knowledge base
-//     (longest-match over token spans), condition (a)+(b) of Sec 3.2 —
+//   - Lexicon: gazetteer entity recognition against the knowledge base
+//     (longest-match over token spans, by a trie), condition (a)+(b) of Sec 3.2 —
 //     "it is an entity in the question AND it is in the knowledge base".
 //   - NoisyCapNER: a stand-in for the Stanford Named Entity Recognizer used
 //     as the comparison baseline in Sec 7.5. It relies on capitalization
@@ -35,43 +35,89 @@ type Mention struct {
 	Entities []rdf.ID // all KB entities carrying this surface form
 }
 
-// FindMentions locates entity mentions in toks by longest-match lookup
-// against the knowledge base's entity labels. Overlapping shorter matches
-// are suppressed by longer ones (leftmost-longest), the standard gazetteer
-// discipline.
-func FindMentions(kb rdf.Graph, toks []string) []Mention {
-	var out []Mention
-	i := 0
-	for i < len(toks) {
-		matched := false
-		maxLen := maxMentionTokens
-		if rem := len(toks) - i; rem < maxLen {
-			maxLen = rem
+// Lexicon is the knowledge base's entity gazetteer compiled for lookup by
+// token: a trie over the tokens of every entity label. It is built once per
+// knowledge base and immutable afterwards, so every learner, baseline and
+// engine over that knowledge base shares one, from any goroutine.
+type Lexicon struct {
+	root lexNode
+}
+
+// lexNode is the trie position after one token path from the root.
+type lexNode struct {
+	next map[string]*lexNode
+	// surface is the normalized label the path spells and entities the
+	// nodes carrying it, ascending; both empty when no label ends here.
+	surface  string
+	entities []rdf.ID
+}
+
+// NewLexicon compiles the entity labels of kb. A label is filed under its
+// tokens, so a lookup by tokens finds exactly the entities
+// kb.EntitiesByLabel finds for their join.
+func NewLexicon(kb rdf.Graph) *Lexicon {
+	lx := &Lexicon{}
+	for _, e := range kb.Entities() {
+		toks := text.Tokenize(kb.Label(e))
+		n := &lx.root
+		for _, t := range toks {
+			child := n.next[t]
+			if child == nil {
+				if n.next == nil {
+					n.next = make(map[string]*lexNode)
+				}
+				child = &lexNode{}
+				n.next[t] = child
+			}
+			n = child
 		}
-		for l := maxLen; l >= 1; l-- {
-			surface := text.Join(toks[i : i+l])
-			ents := kb.EntitiesByLabel(surface)
-			if len(ents) == 0 {
-				continue
+		// A label without tokens lands on the root, which no lookup reads.
+		n.surface, n.entities = text.Join(toks), append(n.entities, e)
+	}
+	return lx
+}
+
+// Find locates entity mentions in toks by longest-match lookup against the
+// entity labels. Overlapping shorter matches are suppressed by longer ones
+// (leftmost-longest), the standard gazetteer discipline. Each position costs
+// at most maxMentionTokens map steps and nothing is allocated but the
+// result; a mention's Entities are the lexicon's own slice and must not be
+// modified.
+func (lx *Lexicon) Find(toks []string) []Mention {
+	var out []Mention
+	for i := 0; i < len(toks); i++ {
+		var match *lexNode
+		end := 0
+		n := &lx.root
+		for j := i; j < len(toks) && j < i+maxMentionTokens; j++ {
+			if n = n.next[toks[j]]; n == nil {
+				break
 			}
 			// Single-token stopwords ("the") are never entity mentions.
-			if l == 1 && text.IsStopword(toks[i]) {
-				continue
+			if len(n.entities) > 0 && !(j == i && text.IsStopword(toks[i])) {
+				match, end = n, j+1
 			}
-			out = append(out, Mention{
-				Span:     text.Span{Start: i, End: i + l},
-				Surface:  surface,
-				Entities: ents,
-			})
-			i += l
-			matched = true
-			break
 		}
-		if !matched {
-			i++
+		if match != nil {
+			out = append(out, Mention{text.Span{Start: i, End: end}, match.surface, match.entities})
+			i = end - 1
 		}
 	}
 	return out
+}
+
+// Has reports whether the tokens of span sp are, exactly, the label of some
+// entity — the entity-mention test of the decomposition statistics
+// (Sec 5.2), which unlike Find bounds neither the span's length nor its
+// vocabulary.
+func (lx *Lexicon) Has(toks []string, sp text.Span) bool {
+	n := &lx.root
+	for _, t := range text.CutSpan(toks, sp) {
+		if n = n.next[t]; n == nil {
+			return false
+		}
+	}
+	return len(n.entities) > 0
 }
 
 // NoisyCapNER extracts entity-looking spans from the raw (cased) question
@@ -125,6 +171,8 @@ type EVPair struct {
 // Extractor performs joint entity–value extraction against a knowledge base.
 type Extractor struct {
 	KB rdf.Graph
+	// Lexicon is KB's mention lexicon.
+	Lexicon *Lexicon
 	// MaxPathLen bounds the expanded predicates considered when testing
 	// (e, p, v) ∈ K; 1 restricts to direct predicates. The paper uses k=3.
 	MaxPathLen int
@@ -147,7 +195,7 @@ type Extractor struct {
 func (x *Extractor) EntityValues(question, answer string) []EVPair {
 	qToks := text.Tokenize(question)
 	aToks := text.Tokenize(answer)
-	mentions := FindMentions(x.KB, qToks)
+	mentions := x.Lexicon.Find(qToks)
 	if len(mentions) == 0 || len(aToks) == 0 {
 		return nil
 	}

@@ -40,6 +40,7 @@ func figure1KB() (*rdf.ShardedStore, *Extractor) {
 	}
 	x := &Extractor{
 		KB:         s,
+		Lexicon:    NewLexicon(s),
 		MaxPathLen: 3,
 		EndFilter:  func(p rdf.PID) bool { return p == name },
 		PredClass: func(p rdf.PID) qclass.Class {
@@ -52,7 +53,7 @@ func figure1KB() (*rdf.ShardedStore, *Extractor) {
 func TestFindMentions(t *testing.T) {
 	s, _ := figure1KB()
 	toks := text.Tokenize("When was Barack Obama born?")
-	ms := FindMentions(s, toks)
+	ms := NewLexicon(s).Find(toks)
 	if len(ms) != 1 || ms[0].Surface != "barack obama" {
 		t.Fatalf("mentions = %+v", ms)
 	}
@@ -66,7 +67,7 @@ func TestFindMentionsLongestMatch(t *testing.T) {
 	s.Entity("new york")
 	s.Entity("new york city")
 	toks := text.Tokenize("how big is new york city")
-	ms := FindMentions(s, toks)
+	ms := NewLexicon(s).Find(toks)
 	if len(ms) != 1 || ms[0].Surface != "new york city" {
 		t.Fatalf("longest match failed: %+v", ms)
 	}
@@ -76,7 +77,7 @@ func TestFindMentionsAmbiguous(t *testing.T) {
 	s := rdf.NewShardedStore(1)
 	s.NewAmbiguousEntity("springfield")
 	s.NewAmbiguousEntity("springfield")
-	ms := FindMentions(s, text.Tokenize("population of springfield"))
+	ms := NewLexicon(s).Find(text.Tokenize("population of springfield"))
 	if len(ms) != 1 || len(ms[0].Entities) != 2 {
 		t.Fatalf("ambiguity lost: %+v", ms)
 	}
@@ -85,7 +86,7 @@ func TestFindMentionsAmbiguous(t *testing.T) {
 func TestFindMentionsStopword(t *testing.T) {
 	s := rdf.NewShardedStore(1)
 	s.Entity("the") // a perverse entity named "the"
-	ms := FindMentions(s, text.Tokenize("the population"))
+	ms := NewLexicon(s).Find(text.Tokenize("the population"))
 	if len(ms) != 0 {
 		t.Fatalf("stopword matched as entity: %+v", ms)
 	}

@@ -75,9 +75,6 @@ type Model struct {
 	LogLikelihood float64
 }
 
-// PredDist returns P(·|t) for a template, or nil when unseen.
-func (m *Model) PredDist(t string) map[string]float64 { return m.Theta[t] }
-
 // BestPred returns the argmax predicate for a template and its probability.
 func (m *Model) BestPred(t string) (string, float64) {
 	var best string
@@ -215,7 +212,7 @@ func (l *Learner) BuildObservations(pairs []QA) []Observation {
 		}
 		prior := extract.EntityPrior(evs)
 		qToks := text.Tokenize(qa.Q)
-		mentions := extract.FindMentions(l.KB, qToks)
+		mentions := l.Extractor.Lexicon.Find(qToks)
 		for _, ev := range evs {
 			cands := l.candidates(qToks, mentions, ev, prior[ev.Entity])
 			if len(cands) == 0 {

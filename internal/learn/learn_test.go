@@ -27,6 +27,7 @@ func world(t testing.TB, scale, pairsPerIntent int) (*kbgen.KB, []QA, *Learner) 
 		Taxonomy: kb.Taxonomy,
 		Extractor: &extract.Extractor{
 			KB:         kb.Store,
+			Lexicon:    extract.NewLexicon(kb.Store),
 			MaxPathLen: 3,
 			EndFilter:  kb.EndFilter,
 			PredClass:  kb.ClassOf,
@@ -96,7 +97,7 @@ func TestLearnsCorrectMappings(t *testing.T) {
 		{"who are the members of $band", "group_member→member→name"},
 	}
 	for _, c := range cases {
-		dist := m.PredDist(c.template)
+		dist := m.Theta[c.template]
 		if dist == nil {
 			t.Errorf("template %q not learned", c.template)
 			continue
@@ -114,7 +115,7 @@ func TestLearnsCorrectMappings(t *testing.T) {
 func TestEMOutvotesNoise(t *testing.T) {
 	_, qa, l := world(t, 30, 40)
 	m := l.Learn(qa)
-	dist := m.PredDist("how many people are there in $city")
+	dist := m.Theta["how many people are there in $city"]
 	if dist == nil {
 		t.Fatal("template missing")
 	}

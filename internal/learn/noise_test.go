@@ -23,6 +23,7 @@ func noisyWorld(t testing.TB, noise float64) (*kbgen.KB, []QA, *Learner) {
 		Taxonomy: kb.Taxonomy,
 		Extractor: &extract.Extractor{
 			KB:         kb.Store,
+			Lexicon:    extract.NewLexicon(kb.Store),
 			MaxPathLen: 3,
 			EndFilter:  kb.EndFilter,
 			PredClass:  kb.ClassOf,

@@ -43,12 +43,13 @@ type Weighted struct {
 // concept of the entity surface form, weighted by the context-aware
 // conceptualization distribution (Eq 5: P(t|q,e) = P(c|q,e)).
 func DeriveAll(tax *concept.Taxonomy, qToks []string, mention text.Span, surface string) []Weighted {
-	// Context = the question with the mention removed.
-	ctx := make([]string, 0, len(qToks)-mention.Len())
-	ctx = append(ctx, qToks[:mention.Start]...)
+	// Context = the question with the mention removed (read, never kept).
+	var buf [24]string
+	ctx := append(buf[:0], qToks[:mention.Start]...)
 	ctx = append(ctx, qToks[mention.End:]...)
-	var out []Weighted
-	for _, c := range tax.Conceptualize(surface, ctx) {
+	concepts := tax.Conceptualize(surface, ctx)
+	out := make([]Weighted, 0, len(concepts))
+	for _, c := range concepts {
 		if c.P <= 0 {
 			continue
 		}

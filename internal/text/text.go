@@ -11,6 +11,7 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lower-cased word tokens. Punctuation is dropped
@@ -19,46 +20,82 @@ import (
 // ("Barack Obama's wife" -> [barack obama 's wife]).
 func Tokenize(s string) []string {
 	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
+	for tok, _, end, _ := scan(s, 0); end >= 0; tok, _, end, _ = scan(s, end) {
+		if toks == nil {
+			// Most separators are single spaces; the rest grow the slice.
+			toks = make([]string, 0, strings.Count(s[end:], " ")+1)
 		}
+		toks = append(toks, tok)
 	}
-	runes := []rune(s)
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(unicode.ToLower(r))
-		case r == '\'' && i+1 < len(runes) && (runes[i+1] == 's' || runes[i+1] == 'S') &&
-			(i+2 >= len(runes) || !unicode.IsLetter(runes[i+2])):
-			// Possessive clitic: split "'s" into its own token.
-			flush()
-			toks = append(toks, "'s")
-			i++
-		case r == '$' || r == '_':
-			// Keep placeholder sigils ($city) and identifier underscores.
-			cur.WriteRune(r)
-		case r == '.' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsDigit(runes[i+1]) && isDigits(cur.String()):
-			// Decimal point inside a number (390.5).
-			cur.WriteRune(r)
-		default:
-			flush()
-		}
-	}
-	flush()
 	return toks
 }
 
-func isDigits(s string) bool {
-	for _, r := range s {
-		if !unicode.IsDigit(r) && r != '.' {
-			return false
+// scan finds the first token of s at or after byte offset i, in one pass
+// over the bytes: ASCII is classified without decoding, and a token that is
+// already lower-case is the substring s[start:end] itself (verbatim reports
+// that), so only a token with a rune to lower-case is built. end is -1 when
+// no token is left.
+func scan(s string, i int) (tok string, start, end int, verbatim bool) {
+	start = -1
+	var buf [32]byte   // backs lowered, off the heap for a token of usual length
+	var lowered []byte // the token so far, once a rune of it was lower-cased
+	numeric := true    // every rune of the token so far is a digit or '.'
+scanning:
+	for w := 0; i < len(s); i += w {
+		r := rune(s[i])
+		if w = 1; r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		lr, word := r, false
+		switch {
+		case 'a' <= r && r <= 'z', r == '$', r == '_':
+			// Placeholder sigils ($city) and identifier underscores are kept.
+			word, numeric = true, false
+		case '0' <= r && r <= '9':
+			word = true
+		case 'A' <= r && r <= 'Z':
+			lr, word, numeric = r+('a'-'A'), true, false
+		case r == '.':
+			// Decimal point inside a number (390.5).
+			word = start >= 0 && numeric && unicode.IsDigit(runeAt(s, i+1))
+		case r == '\'' && i+1 < len(s) && (s[i+1] == 's' || s[i+1] == 'S') && !unicode.IsLetter(runeAt(s, i+2)):
+			// Possessive clitic: "'s" is a token of its own, so it ends the
+			// token before it and is scanned by the next call.
+			if start < 0 {
+				return "'s", i, i + 2, s[i+1] == 's'
+			}
+		case unicode.IsDigit(r):
+			word = true
+		case unicode.IsLetter(r):
+			lr, word, numeric = unicode.ToLower(r), true, false
+		}
+		switch {
+		case word && start < 0:
+			start = i
+		case !word && start >= 0:
+			break scanning
+		}
+		if lr != r && lowered == nil {
+			lowered = append(buf[:0], s[start:i]...)
+		}
+		if word && lowered != nil {
+			lowered = utf8.AppendRune(lowered, lr)
 		}
 	}
-	return len(s) > 0
+	switch {
+	case start < 0:
+		return "", -1, -1, false
+	case lowered != nil:
+		return string(lowered), start, i, false
+	}
+	return s[start:i], start, i, true
+}
+
+// runeAt decodes the rune at s[i:]; at the end of s it is utf8.RuneError,
+// which is neither a letter nor a digit.
+func runeAt(s string, i int) rune {
+	r, _ := utf8.DecodeRuneInString(s[i:])
+	return r
 }
 
 // Join renders a token slice back into a canonical single-spaced string.
@@ -67,10 +104,20 @@ func Join(toks []string) string {
 	return strings.Join(toks, " ")
 }
 
-// Normalize is shorthand for Join(Tokenize(s)): the canonical form used as a
-// map key for questions, templates and entity names throughout the system.
+// Normalize is Join(Tokenize(s)): the canonical form used as a map key for
+// questions, templates and entity names throughout the system. A string
+// that is already canonical — its tokens verbatim, one space between them,
+// nothing else — comes back as is, without allocating, so a caller holding
+// joined tokens or a normalized label pays one scan.
 func Normalize(s string) string {
-	return Join(Tokenize(s))
+	for i := 0; i < len(s); {
+		_, start, end, verbatim := scan(s, i)
+		if !verbatim || start != i+min(i, 1) || (i > 0 && s[i] != ' ') {
+			return Join(Tokenize(s))
+		}
+		i = end
+	}
+	return s
 }
 
 // stopwords is the closed class vocabulary treated as non-content tokens by

@@ -2,8 +2,11 @@ package text
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -152,5 +155,114 @@ func TestReplaceSpanPreservesLengthArithmetic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// tokenizeRunes is Tokenize as it was before it scanned bytes — []rune, a
+// builder per token — kept as the oracle the one-pass scanner must equal.
+func tokenizeRunes(s string) []string {
+	var toks []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			toks = append(toks, cur.String())
+			cur.Reset()
+		}
+	}
+	isDigits := func(s string) bool {
+		for _, r := range s {
+			if !unicode.IsDigit(r) && r != '.' {
+				return false
+			}
+		}
+		return len(s) > 0
+	}
+	runes := []rune(s)
+	for i := 0; i < len(runes); i++ {
+		r := runes[i]
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			cur.WriteRune(unicode.ToLower(r))
+		case r == '\'' && i+1 < len(runes) && (runes[i+1] == 's' || runes[i+1] == 'S') &&
+			(i+2 >= len(runes) || !unicode.IsLetter(runes[i+2])):
+			flush()
+			toks = append(toks, "'s")
+			i++
+		case r == '$' || r == '_':
+			cur.WriteRune(r)
+		case r == '.' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsDigit(runes[i+1]) && isDigits(cur.String()):
+			cur.WriteRune(r)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return toks
+}
+
+// checkTokenize holds the three facts the rest of the system leans on: the
+// scanner equals the oracle, joined tokens tokenize to themselves (which is
+// what lets the mention lexicon match tokens without re-normalizing their
+// join), and Normalize is the oracle's and idempotent.
+func checkTokenize(t *testing.T, s string) {
+	t.Helper()
+	got, want := Tokenize(s), tokenizeRunes(s)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tokenize(%q) = %q, the rune-based oracle says %q", s, got, want)
+	}
+	joined := Join(got)
+	if again := Tokenize(joined); !reflect.DeepEqual(again, got) {
+		t.Fatalf("Tokenize(Join(Tokenize(%q))) = %q, want %q", s, again, got)
+	}
+	if n := Normalize(s); n != joined {
+		t.Fatalf("Normalize(%q) = %q, want %q", s, n, joined)
+	}
+	if n := Normalize(joined); n != joined {
+		t.Fatalf("Normalize(%q) = %q: not idempotent", joined, n)
+	}
+}
+
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"", "   ", "When was Barack Obama's wife born?", "it'S 390.5K.", "3.14.15 .5 5.", "x.5",
+		"What is the population of $city?", "marriage_person_name", "'s", "'sx", "a'S5", "O'Brien",
+		"ÉCOLE İstanbul ǅ K", "٣.٣ ３.５", "\xff\xfea\xc0\xafb", "a b c", "barack obama 's wife",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(checkTokenize)
+}
+
+// TestTokenizeEveryRune sweeps the code points — all of the two planes that
+// hold every cased letter and every digit (and the surrogates a string
+// conversion turns into U+FFFD), a sample of the caseless rest — through
+// the contexts in which the scanner treats a rune specially: inside a word,
+// after a number's point, after a clitic and alone.
+func TestTokenizeEveryRune(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if r > 0x1ffff {
+			r += 96
+		}
+		c := string(r)
+		s := "a" + c + "B 1." + c + " x's" + c + "s " + c
+		if got, want := Tokenize(s), tokenizeRunes(s); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, the rune-based oracle says %q", s, got, want)
+		}
+	}
+}
+
+func TestNormalizeCanonicalAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"", "honolulu", "barack obama 's wife", "how many people are there in $city", "390.5 sq km", "école ３"} {
+		if Normalize(s) != s {
+			t.Fatalf("%q is not canonical", s)
+		}
+		if n := testing.AllocsPerRun(100, func() { Normalize(s) }); n != 0 {
+			t.Errorf("Normalize(%q) of a canonical string: %v allocs, want 0", s, n)
+		}
+	}
+	for _, s := range []string{" a", "a ", "a  b", "A", "a's", "a 'S", "a.b", "5.", "a\tb"} {
+		if n := Normalize(s); n == s || n != Join(tokenizeRunes(s)) {
+			t.Errorf("Normalize(%q) = %q, want %q", s, n, Join(tokenizeRunes(s)))
+		}
 	}
 }

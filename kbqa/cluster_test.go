@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/rdf"
 	"repro/internal/shardrpc"
 )
 
@@ -16,7 +18,12 @@ import (
 // loopback listener.
 func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
 	t.Helper()
-	srv := shardrpc.NewServer(world.world.KB.Store, shardrpc.ServerOptions{})
+	return serveShards(t, world.world.KB.Store)
+}
+
+func serveShards(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server) {
+	t.Helper()
+	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -24,6 +31,29 @@ func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
 	go srv.Serve(context.Background(), lis)
 	t.Cleanup(srv.Close)
 	return lis.Addr().String(), srv
+}
+
+// heldStore is a knowledge base whose index reads wait for as long as a
+// channel is stored in hold: a shard server over it holds its replies.
+type heldStore struct {
+	rdf.Sharded
+	hold atomic.Pointer[chan struct{}]
+}
+
+func (h *heldStore) wait() {
+	if ch := h.hold.Load(); ch != nil {
+		<-*ch
+	}
+}
+
+func (h *heldStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
+	h.wait()
+	return h.Sharded.Objects(subj, pred)
+}
+
+func (h *heldStore) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
+	h.wait()
+	return h.Sharded.ShardSubjects(i, pred, obj)
 }
 
 // TestClusterVariantFailsLoudly pins two bugs of the cluster shape's variant
@@ -37,8 +67,9 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrA, srvA := startShardServer(t, world)
-	addrB, srvB := startShardServer(t, world)
+	held := &heldStore{Sharded: world.world.KB.Store}
+	addrA, srvA := serveShards(t, held)
+	addrB, srvB := serveShards(t, held)
 
 	// One replica per shard: each server is the only home of its shards.
 	// The victim is a server the placement gave at least one shard.
@@ -70,16 +101,27 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 	if _, err := sys.Query(expired, ranking); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("variant under an expired context: err = %v, want context.DeadlineExceeded", err)
 	}
-	start := time.Now()
 	if got, err := sys.Query(ctx, ranking); err != nil || got.Variant == nil || got.Variant.Entities[0] != want.Variant.Entities[0] {
 		t.Fatalf("healthy cluster: %+v, %v; want %+v", got, err, want.Variant)
 	}
-	took := time.Since(start)
 	// A deadline that expires while the ranking is still scanning the shards
-	// must stop it: the client's deadline or the shard server's refusal of a
-	// request past it, whichever the race yields — never an answer.
-	if got, err := sys.Query(ctx, ranking, WithTimeout(took/20)); err == nil || IsUnanswerable(err) {
-		t.Fatalf("variant (%v healthy) under WithTimeout(%v) = %+v, %v; want a deadline failure", took, took/20, got, err)
+	// must stop it — never an answer. No clock decides whether the scan is
+	// still running: the shard servers hold their replies until the deadlined
+	// call has returned, so it cannot ride a warm memo or a fast machine to a
+	// result (timing the healthy call above and allowing a fraction of it
+	// did: that call pays a one-off scan the deadlined one is spared).
+	release := make(chan struct{})
+	held.hold.Store(&release)
+	// Were the deadline ignored the call would wait for the shards; letting
+	// them go in the end makes that a failure message, not a hung test.
+	unstick := time.AfterFunc(10*time.Second, func() { close(release) })
+	got, err := sys.Query(ctx, ranking, WithTimeout(20*time.Millisecond))
+	held.hold.Store(nil)
+	if unstick.Stop() {
+		close(release)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("variant whose shard reads outlast WithTimeout = %+v, %v; want context.DeadlineExceeded", got, err)
 	}
 
 	victim.Close()

@@ -43,7 +43,6 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
 	"repro/internal/shardrpc"
-	"repro/internal/text"
 )
 
 // Options configures Build. The zero value builds the default Freebase
@@ -179,12 +178,12 @@ type VariantAnswer struct {
 type System struct {
 	mu    sync.RWMutex // guards the world's Model/Stats/Engine swaps and retrain
 	world *eval.World
-	// kb is the local world engines read symbols from: the built store, or
-	// the image when Options.KBImage mapped one. index is the seam they
-	// read triples through: kb itself, or the shard pool when
-	// Options.ShardServers distributed the KB. Both are set once in Build
-	// and immutable afterwards.
-	kb    rdf.Sharded
+	// kb is the local world engines read symbols from, compiled once for
+	// all of them: the built store, or the image when Options.KBImage
+	// mapped one. index is the seam they read triples through: kb itself,
+	// or the shard pool when Options.ShardServers distributed the KB. Both
+	// are set once in Build and immutable afterwards.
+	kb    *core.Symbols
 	index core.Index
 	// pool is the shard-server client when distributed (nil otherwise);
 	// Close releases it.
@@ -218,8 +217,8 @@ func Build(o Options) (*System, error) {
 		return nil, fmt.Errorf("kbqa: KBImage and ShardServers are mutually exclusive")
 	}
 	s := &System{world: eval.BuildWorld(cfg)}
-	s.kb = s.world.KB.Store
-	s.index = core.LocalIndex(s.kb)
+	s.kb = s.world.Symbols
+	s.index = core.LocalIndex(s.world.KB.Store)
 	if err := s.wire(o); err != nil {
 		//kbqa:nolint errsink — error-path release of whatever wiring already acquired; the build error is the one to surface
 		s.Close()
@@ -260,7 +259,7 @@ func (s *System) openImage(path string) error {
 		return fmt.Errorf("kbqa: open KB image: %w", err)
 	}
 	s.img = im
-	s.kb = im
+	s.kb = core.CompileSymbols(im)
 	s.index = core.LocalIndex(im)
 	return nil
 }
@@ -376,9 +375,7 @@ func (s *System) Learn(pairs []QA) {
 	for i, p := range pairs {
 		qs[i] = p.Q
 	}
-	stats := decompose.BuildStats(qs, func(toks []string, sp text.Span) bool {
-		return len(s.world.KB.Store.EntitiesByLabel(text.Join(text.CutSpan(toks, sp)))) > 0
-	})
+	stats := decompose.BuildStats(qs, s.world.Symbols.Lexicon.Has)
 	engine := s.newEngine(model, stats)
 
 	s.mu.Lock()
