@@ -3,19 +3,20 @@ package serve
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/safeio"
 )
 
-// merger is the single background maintenance goroutine: it compacts
-// sealed segments into the base off the request path, and drives the
-// periodic fsync that gives the log its time-based durability bound. It
-// exits when close signals stopMerger.
+// merger is the goroutine that owns the cache directory once openDiskLog
+// returns: it rotates and merges when appends cross the threshold, and runs
+// every durability point — the periodic tick, flush and close — so it is
+// the only code that renames, creates, fsyncs, closes or deletes a segment
+// file. It exits after close's final sync.
 func (l *diskLog[A]) merger(syncEvery time.Duration) {
 	defer close(l.mergerDone)
 	var tickC <-chan time.Time
@@ -27,44 +28,89 @@ func (l *diskLog[A]) merger(syncEvery time.Duration) {
 	for {
 		select {
 		case <-l.stopMerger:
+			l.shutdown()
 			return
 		case <-l.mergeCh:
-			l.mergeSealed()
+			l.rotateAndMerge()
+		case reply := <-l.flushCh:
+			reply <- l.syncPoint()
 		case <-tickC:
-			l.syncActive()
+			l.syncTick()
 		}
 	}
 }
 
-// mergeSealed replaces the base and every sealed segment present at call
-// time with a fresh dense base: last write per key, current generation
-// only, TTL-live only, resident only. It reads no segment: every record in
-// those files was made resident before it was appended, so what survives is
-// by construction what the cache holds now, and the merge snapshots that.
-// Dropping what memory evicted bounds the base to the working set instead
-// of every key ever asked: without it, a TTL-less server with a
+// rotateLocked seals the active segment when a rotation is due: it flushes
+// the buffered writer, renames the active file to the next sealed name and
+// starts a fresh active segment — metadata work and no fsync, so appends
+// never wait out the disk. It returns the sealed file, still open, for the
+// merger to fsync and close off the lock; nil when nothing was sealed.
+// Called on the merger with l.mu held.
+func (l *diskLog[A]) rotateLocked() (path string, sealed *os.File, err error) {
+	if l.closed || l.writeErr != nil || l.appended < l.rotateEvery {
+		return "", nil, nil
+	}
+	if err := l.w.Flush(); err != nil {
+		return "", nil, fmt.Errorf("serve: flush before rotation: %w", err)
+	}
+	path = filepath.Join(l.dir, sealedName(l.seq))
+	// The rename has to land before the fresh active is created under the
+	// same name, with no append in between: the one vetted exception to
+	// locksync.
+	//kbqa:nolint locksync — O(1) metadata rename on the merger; appends wait out no fsync
+	if err := os.Rename(l.activePath(), path); err != nil {
+		return "", nil, fmt.Errorf("serve: seal active segment: %w", err)
+	}
+	l.seq++
+	sealed = l.f
+	var size int64
+	if fi, err := sealed.Stat(); err == nil {
+		size = fi.Size()
+	}
+	if err := l.startActiveLocked(); err != nil {
+		// No fresh active: l.f is still the sealed file, which close syncs
+		// and closes and the next open folds.
+		return "", nil, err
+	}
+	l.sealedBytes.Store(size)
+	l.rotations.Add(1)
+	return path, sealed, nil
+}
+
+// rotateAndMerge is one rotation, start to finish. Under mu it seals the
+// active segment and reads the generation the base keeps; off the lock it
+// makes the sealed file and the directory durable, then replaces the base
+// with a fresh dense one: last write per key, current generation only,
+// TTL-live only, resident only. It reads no segment: every record of the
+// sealed file was made resident before it was appended, so what survives
+// is by construction what the cache holds now, and the merge snapshots
+// that. Dropping what memory evicted bounds the base to the working set
+// instead of every key ever asked: without it, a TTL-less server with a
 // high-cardinality question stream grows the base, every merge, and every
 // boot replay without bound.
 //
-// The sealed list is captured before the snapshot, the base is published
-// with an atomic rename, and only then are the captured files deleted,
-// oldest first — so a crash at any point leaves a directory whose replay
-// equals the pre- or post-merge state. An entry newer than the captured
-// files is in the base early and again in a later segment, which replays
-// after the base to the same value. Oldest-first matters: a sealed file
-// surviving its own merge is then among the newest consumed, so replaying
-// it over the base re-applies writes that won; deleting newest-first could
-// leave an older file to clobber the base's newer values.
-func (l *diskLog[A]) mergeSealed() {
+// The sealed file is deleted only after the base is published, so a crash
+// at any point leaves a directory whose replay equals the pre- or
+// post-merge state: an entry newer than the rotation is in the base early
+// and again in the active segment, which replays after the base to the
+// same value. A failed step is sticky and leaves the sealed file for the
+// next open to fold.
+func (l *diskLog[A]) rotateAndMerge() {
 	l.mu.Lock()
-	pending := append([]sealedSeg(nil), l.sealed...)
-	// A bump landing after this point filters nothing here, and need not:
-	// its record is in a segment that replays after this base.
+	path, sealed, err := l.rotateLocked()
+	// A bump landing after the rotation filters nothing here, and need
+	// not: its record is in the fresh active segment, which replays after
+	// this base.
 	gen, tag := l.gen, l.tag
 	l.mu.Unlock()
-	if len(pending) == 0 {
+	if err != nil {
+		l.setWriteErr(err)
+	}
+	if sealed == nil {
 		return
 	}
+	size := l.sealedBytes.Load()
+	l.log.Debug("segment rotated", obs.F("path", path), obs.F("bytes", size))
 	begin := time.Now()
 	// The merger is a detached background goroutine with no caller to
 	// inherit from; its trace root is deliberately fresh.
@@ -72,61 +118,58 @@ func (l *diskLog[A]) mergeSealed() {
 	_, mtr := l.tracer.Start(context.Background(), "cache.merge")
 	defer mtr.Finish()
 	root := mtr.Root()
-	root.SetInt("segments", int64(len(pending)))
+	root.SetInt("segments", 1)
+	fail := func(err error) {
+		root.SetAttr("error", err.Error())
+		l.setWriteErr(err)
+	}
+
+	// The rotation is a durability point: everything appended before it
+	// is in the sealed file, and the directory fsync makes the rename and
+	// the fresh active's entry durable before a later fsync of the active
+	// can count.
+	err = sealed.Sync()
+	if cerr := sealed.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fail(fmt.Errorf("serve: sync sealed segment: %w", err))
+		return
+	}
+	safeio.SyncDir(l.dir)
+	l.lastSync.Store(time.Now().UnixNano())
+
 	ssp := root.Child("merge.snapshot")
 	resident := l.mem.entries()
 	ssp.SetInt("records", int64(len(resident)))
 	ssp.End()
-	// No pre-sync of the sealed inputs: the output base is fsynced before
-	// the inputs are deleted — the base is the durable copy. The SyncEvery
-	// durability bound for still-unmerged sealed bytes is syncActive's job.
 	psp := root.Child("merge.publish")
 	live, err := l.writeBase(resident, gen, tag)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-		psp.End()
-		l.setWriteErr(err)
-		return
-	}
 	psp.SetInt("live", int64(live))
 	psp.End()
+	if err != nil {
+		fail(err)
+		return
+	}
 	csp := root.Child("merge.cleanup")
-	removed, freed := 0, int64(0)
-	for _, seg := range pending { // oldest first — see above
-		if err := os.Remove(seg.path); err != nil {
-			break // keep the newest-survive invariant; retried next merge
-		}
-		removed++
-		freed += seg.size
-	}
-	csp.SetInt("removed", int64(removed))
-	csp.SetInt("freed_bytes", freed)
+	err = os.Remove(path)
+	csp.SetInt("freed_bytes", size)
 	csp.End()
-	l.mu.Lock()
-	l.sealed = l.sealed[removed:]
-	behind := len(l.sealed)
-	l.mu.Unlock()
-	l.sealedBytes.Add(-freed)
-	if l.maxSealedBehind > 0 && behind < l.maxSealedBehind && l.rotationPaused.Swap(false) {
-		l.log.Info("segment rotation resumed", obs.F("sealed_pending", behind))
-		// The pause let the active segment grow past the threshold; rotate
-		// it here, on the merger's goroutine rather than a request's, so
-		// the log re-converges on the rotation budget even if traffic
-		// stops. The rotation re-signals the merger to fold it.
-		l.mu.Lock()
-		if !l.closed && l.writeErr == nil && l.rotateEvery > 0 && l.appended >= l.rotateEvery {
-			l.rotateLocked()
-		}
-		l.mu.Unlock()
+	if err != nil {
+		fail(fmt.Errorf("serve: delete sealed segment: %w", err))
+		return
 	}
+	l.mu.Lock()
+	l.sealedBytes.Store(0)
+	l.rotationPaused.Store(false)
+	l.mu.Unlock()
 	l.compactions.Add(1)
-	l.lastSync.Store(time.Now().UnixNano())
 	root.SetInt("live", int64(live))
-	root.SetInt("freed_bytes", freed)
+	root.SetInt("freed_bytes", size)
+	mtr.Finish() // before the log line, so its trace_id is already in the ring
 	l.log.Info("cache merge",
-		obs.F("trace_id", mtr.ID()),
-		obs.F("segments", len(pending)), obs.F("live", live),
-		obs.F("freed_bytes", freed), obs.F("generation", gen),
+		obs.F("trace_id", mtr.ID()), obs.F("live", live),
+		obs.F("freed_bytes", size), obs.F("generation", gen),
 		obs.F("duration", time.Since(begin)))
 }
 
@@ -167,123 +210,39 @@ func (l *diskLog[A]) writeBase(resident []liveEntry[A], gen uint64, tag string) 
 	return live, nil
 }
 
-// syncActive is the periodic durability point: one syncPoint pass,
-// retried when a rotation seals the active file mid-sync (the bytes moved
-// to a sealed segment the next pass covers). Sealed-sync failures are
-// recorded sticky but don't stop the tick — the disk may recover.
-func (l *diskLog[A]) syncActive() {
+// syncTick is the periodic durability point, traced as cache.sync.
+func (l *diskLog[A]) syncTick() {
 	// Periodic ticker goroutine: no caller context exists to thread.
 	//kbqa:nolint ctxpropagate — background sync tick owns its trace root
 	_, str := l.tracer.Start(context.Background(), "cache.sync")
 	defer str.Finish()
-	passes := 0
-	for {
-		passes++
-		retry, err := l.syncPoint(false)
-		if !retry {
-			sp := str.Root()
-			sp.SetInt("passes", int64(passes))
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			return
-		}
+	if err := l.syncPoint(); err != nil {
+		str.Root().SetAttr("error", err.Error())
 	}
 }
 
-// syncPoint is the shared durability-point sequence behind the periodic
-// sync and flush: flush the buffered writer (under the mutex — a memcpy),
-// then fsync un-durable sealed segments, the active file, and any
-// directory metadata deferred by rotations — all outside the mutex, so
-// appends never wait out a disk sync. Covering unsynced sealed segments
-// matters: rotation does not fsync, and the merger may lag, so without it
-// a just-sealed segment could sit un-durable past the SyncEvery bound.
-//
-// retry reports that a rotation closed the active file mid-sync — benign,
-// the bytes now live in a sealed segment a subsequent pass covers. strict
-// makes a sealed-sync failure abort with the error (flush's contract);
-// otherwise it is recorded sticky and the pass continues.
-func (l *diskLog[A]) syncPoint(strict bool) (retry bool, err error) {
+// syncPoint is the log's durability point: flush the buffered writer under
+// the mutex (a memcpy), then fsync the active file outside it, so appends
+// never wait out a disk sync. It runs on the merger — the only goroutine
+// that replaces or closes l.f — and returns the sticky write error.
+func (l *diskLog[A]) syncPoint() error {
 	l.mu.Lock()
-	if l.closed || l.writeErr != nil {
-		err := l.writeErr
-		l.mu.Unlock()
-		return false, err
-	}
-	if werr := l.w.Flush(); werr != nil {
-		l.writeErr = fmt.Errorf("serve: flush segment: %w", werr)
-		err := l.writeErr
-		l.mu.Unlock()
-		return false, err
-	}
+	err := l.w.Flush()
 	f := l.f
-	var unsynced []string
-	for i := range l.sealed {
-		if !l.sealed[i].synced {
-			unsynced = append(unsynced, l.sealed[i].path)
-		}
-	}
 	l.mu.Unlock()
-
-	var synced []string
-	for _, p := range unsynced {
-		serr := syncFile(p)
-		if serr == nil {
-			synced = append(synced, p)
-			continue
-		}
-		l.setWriteErr(fmt.Errorf("serve: sync sealed segment: %w", serr))
-		if strict {
-			if len(synced) > 0 {
-				l.markSealedSynced(synced)
-			}
-			return false, serr
-		}
+	if err == nil {
+		err = f.Sync()
 	}
-	if len(synced) > 0 {
-		l.markSealedSynced(synced)
-	}
-	switch serr := f.Sync(); {
-	case serr == nil:
-		l.syncDirIfDirty()
+	if err != nil {
+		l.setWriteErr(fmt.Errorf("serve: sync segment: %w", err))
+	} else {
 		l.lastSync.Store(time.Now().UnixNano())
-		return false, nil
-	case errors.Is(serr, os.ErrClosed):
-		return true, nil
-	default:
-		// A failing disk must not break the durability contract silently:
-		// record it so flush/close surface the failure.
-		l.setWriteErr(fmt.Errorf("serve: sync segment: %w", serr))
-		return false, serr
 	}
+	return l.err()
 }
 
-// syncDirIfDirty pays the directory fsync deferred by rotations (renames
-// and creates since the last one), so a durability point covers metadata
-// too. A rotation racing the fsync re-sets the flag — at worst one spare
-// directory sync next time, never a missed one.
-func (l *diskLog[A]) syncDirIfDirty() {
-	if l.dirDirty.Swap(false) {
-		safeio.SyncDir(l.dir)
-	}
-}
-
-// markSealedSynced flags the given sealed paths as durable; matched by
-// path because the merger may have pruned the list meanwhile.
-func (l *diskLog[A]) markSealedSynced(paths []string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.sealed {
-		for _, p := range paths {
-			if l.sealed[i].path == p {
-				l.sealed[i].synced = true
-			}
-		}
-	}
-}
-
-// setWriteErr records the first background failure; surfaced by flush and
-// close like append-path errors, and logged at Error the first time.
+// setWriteErr records the first failure; surfaced by flush and close like
+// append-path errors, and logged at Error the first time.
 func (l *diskLog[A]) setWriteErr(err error) {
 	l.mu.Lock()
 	first := l.writeErr == nil
@@ -296,87 +255,48 @@ func (l *diskLog[A]) setWriteErr(err error) {
 	}
 }
 
-// syncFile fsyncs path (a read-only descriptor syncs fine). A missing
-// file is success: the merger deleted it, which means its records are
-// already durable in the published base.
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
-// flush pushes buffered records through to the OS and syncs every segment
-// holding un-durable appended data (active plus unmerged sealed),
-// returning the first write error seen so far. The fsyncs run outside the
-// append mutex — concurrent puts never wait out a disk sync behind a
-// flush; only the buffered-writer flush (a memcpy) holds the lock.
-func (l *diskLog[A]) flush() error {
-	for {
-		retry, err := l.syncPoint(true)
-		if retry {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		l.mu.Lock()
-		err = l.writeErr
-		l.mu.Unlock()
-		return err
-	}
-}
-
-// close stops and drains the background merger (a merge already underway
-// completes), folds any remaining sealed segments into the base, then
-// flushes, syncs and closes the active segment and releases the directory
-// lock. Idempotent. Further puts are silently discarded (memory only).
-func (l *diskLog[A]) close() error {
-	l.mu.Lock()
-	if l.closed {
-		err := l.writeErr
-		l.mu.Unlock()
-		return err
-	}
-	l.closed = true
-	l.mu.Unlock()
-
-	close(l.stopMerger)
-	<-l.mergerDone
-	l.mergeSealed() // leave a dense directory; crash-safe if it fails
-
-	// From here close is the sole owner of the writer and file: closed is
-	// set (appends return early), the merger is drained, and a concurrent
-	// close returned above. Flush under the mutex — it orders after any
-	// append that won the lock before closed was set — then take the
-	// fsync, close, and directory sync (blocking disk I/O) off the
-	// critical section: the append mutex never waits on the disk.
-	l.mu.Lock()
-	flushErr := l.w.Flush()
-	f := l.f
-	l.mu.Unlock()
-
-	syncErr := f.Sync()
-	closeErr := f.Close()
-	l.syncDirIfDirty() // dirDirty is atomic; no lock needed
-	//kbqa:nolint errsink — advisory flock dies with the fd either way; nothing to recover
-	l.lock.Close() // releases the flock
-
+// err returns the sticky write error.
+func (l *diskLog[A]) err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if flushErr != nil && l.writeErr == nil {
-		l.writeErr = fmt.Errorf("serve: flush segment: %w", flushErr)
-	}
-	if syncErr != nil && l.writeErr == nil {
-		l.writeErr = fmt.Errorf("serve: sync segment: %w", syncErr)
-	}
-	if closeErr != nil && l.writeErr == nil {
-		l.writeErr = fmt.Errorf("serve: close segment: %w", closeErr)
-	}
 	return l.writeErr
+}
+
+// flush runs a durability point on the merger and returns the first write
+// error seen so far; after close it only reports that error.
+func (l *diskLog[A]) flush() error {
+	reply := make(chan error, 1)
+	select {
+	case l.flushCh <- reply:
+		return <-reply
+	case <-l.mergerDone:
+		return l.err()
+	}
+}
+
+// close stops the merger, whose last step is a final durability point, and
+// returns the sticky write error. Idempotent. Further puts are silently
+// discarded (memory only).
+func (l *diskLog[A]) close() error {
+	l.mu.Lock()
+	first := !l.closed
+	l.closed = true
+	l.mu.Unlock()
+	if first {
+		close(l.stopMerger)
+	}
+	<-l.mergerDone
+	return l.err()
+}
+
+// shutdown is the merger's last step: closed is set, so no append touches
+// the writer again; flush and fsync it one final time, close the active
+// file and release the directory lock.
+func (l *diskLog[A]) shutdown() {
+	l.syncPoint() // a failure is sticky; close returns it
+	if err := l.f.Close(); err != nil {
+		l.setWriteErr(fmt.Errorf("serve: close segment: %w", err))
+	}
+	//kbqa:nolint errsink — advisory flock dies with the fd either way; nothing to recover
+	l.lock.Close() // releases the flock
 }

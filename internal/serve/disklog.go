@@ -28,30 +28,33 @@ import (
 // The segments form a three-tier log, replayed in write order at open:
 //
 //	answers.base            dense base: the last published compaction
-//	answers.<seq>.sealed    sealed segments awaiting compaction, ascending seq
+//	answers.<seq>.sealed    at most one sealed segment, being merged
 //	answers.seg             the active segment, the only append target
 //
-// When the active segment crosses rotateEvery appended bytes, append
-// rotates: the active file is flushed, renamed to the next sealed name,
-// and a fresh active segment is created — an O(1) handful of metadata
-// operations, however much live data the cache holds. A single background
-// goroutine then compacts (see compact.go): it writes the resident entries
-// of the live generation inside the TTL — a snapshot of memory, not a
-// re-read of its own files — as a new dense base, publishes it with an
-// atomic rename, and only then deletes the sealed files that existed before
-// the snapshot, oldest first. A crash at any point between rotation and
-// publish loses nothing and resurrects nothing: replay of base + surviving
-// sealed + active reconstructs the last-write-wins state, and a sealed
-// segment that outlives its own compaction replays idempotently. Every
+// Requests only append: put and setGeneration frame a record into the
+// buffered writer under mu and, once the active segment holds rotateEvery
+// appended bytes, wake the merger. After openDiskLog returns, the merger
+// goroutine (compact.go) is the only code that touches a file of the
+// directory. A rotation is one merger step: under mu it flushes the writer,
+// renames the active file to the next sealed name and starts a fresh active
+// segment; off the lock it fsyncs and closes the sealed file, fsyncs the
+// directory, writes the resident entries of the live generation inside the
+// TTL — a snapshot of memory, not a re-read of its own files — as a new
+// dense base, publishes it with an atomic rename, and deletes the sealed
+// file. A rotation that falls due while that merge runs waits for it
+// (kbqa_cache_rotation_paused), so a second sealed file never exists. A
+// crash at any point loses nothing and resurrects nothing: replay of base +
+// surviving sealed + active reconstructs the last-write-wins state, and a
+// sealed segment that outlives its own merge replays idempotently. Every
 // fresh active segment re-declares the current generation, so invalidation
 // survives restarts even after the segment that recorded the bump is gone.
 //
-// Durability is time-based when SyncEvery is set: the background goroutine
-// flushes and fsyncs the active segment on that period, so an answer is
-// durable within SyncEvery of being computed. With SyncEvery zero the
-// durability points are flush, close, and compaction publishes. Either way
-// the checksummed framing means a torn tail is detected and discarded at
-// the next open, never served.
+// Every durability point runs on the merger: rotations, the periodic fsync
+// when SyncEvery is set (an answer is durable within SyncEvery of being
+// computed), flush and close. A failed file step is sticky: appends stop,
+// memory keeps serving, flush and close report the error, and the next
+// open folds whatever the directory holds. The checksummed framing means a
+// torn tail is detected and discarded at the next open, never served.
 //
 // The log is single-writer, enforced: openDiskLog takes an exclusive flock
 // on a lock file inside the directory and fails fast when another process
@@ -64,56 +67,36 @@ type diskLog[A any] struct {
 	dir   string
 	meta  string
 	ttl   time.Duration
-	// rotateEvery is the appended-bytes rotation threshold, bounding both
-	// segment growth and the worst-case put (rotation is O(1); compaction
-	// happens off the request path).
+	// rotateEvery is the appended-bytes threshold at which the merger
+	// rotates the active segment, bounding segment growth and replay.
 	rotateEvery int64
-	// maxSealedBehind is the backpressure bound on the sealed backlog: once
-	// compaction has fallen this many sealed segments behind, rotation
-	// pauses — the active segment keeps growing past rotateEvery — until a
-	// compaction drains the backlog below the bound. Without it a write
-	// burst on a slow disk rotates faster than the merger can fold, and
-	// the sealed tier (disk space and the next open's replay) grows without
-	// bound. Surfaced as the kbqa_cache_rotation_paused gauge.
-	maxSealedBehind int
 
 	dropped        atomic.Uint64 // entries kept memory-only (unencodable or oversized)
 	rotations      atomic.Uint64 // active-segment rotations
 	compactions    atomic.Uint64 // completed compaction passes (background + boot)
-	sealedBytes    atomic.Int64  // bytes in sealed segments awaiting compaction
-	rotationPaused atomic.Bool   // rotation held back by sealed backlog
+	sealedBytes    atomic.Int64  // bytes of the sealed segment being merged; 0 when none
+	rotationPaused atomic.Bool   // a rotation is due while the sealed segment merges
 	lastSync       atomic.Int64  // UnixNano of the last durability point
-	dirDirty       atomic.Bool   // a rename/create since the last directory fsync
 
 	lock *os.File // flock'd lock file; held for the log's lifetime
 
-	mu       sync.Mutex  // guards everything below
-	gen      uint64      // last recorded model generation; only moves forward
-	tag      string      // model tag recorded with gen
-	appended int64       // bytes appended to the active segment
-	seq      uint64      // next sealed-segment sequence number
-	sealed   []sealedSeg // rotation order; compaction consumes a prefix
-	f        *os.File    // active segment
+	mu       sync.Mutex // guards everything below
+	gen      uint64     // last recorded model generation; only moves forward
+	tag      string     // model tag recorded with gen
+	appended int64      // bytes appended to the active segment
+	seq      uint64     // next sealed-segment sequence number
+	f        *os.File   // active segment; only the merger replaces or closes it
 	w        *bufio.Writer
-	writeErr error // sticky: first append/flush failure, surfaced by flush/close
+	writeErr error // sticky: the first append or file-step failure
 	closed   bool
 
-	mergeCh    chan struct{} // signals the merger that sealed segments exist
+	mergeCh    chan struct{}   // a rotation is due
+	flushCh    chan chan error // flush requests, answered by the merger
 	stopMerger chan struct{}
 	mergerDone chan struct{}
 
 	log    *obs.Logger // nil-safe: discards when unset
 	tracer *obs.Tracer // nil-safe: inert when unset
-}
-
-// sealedSeg is one rotated-out segment awaiting compaction.
-type sealedSeg struct {
-	path string
-	size int64
-	// synced marks segments already fsynced by the periodic sync, so the
-	// SyncEvery durability bound covers rotated-out bytes too, not just the
-	// active segment.
-	synced bool
 }
 
 // LogOptions places the persistent half of the answer cache (Open). It
@@ -138,8 +121,7 @@ type LogOptions[A any] struct {
 	ModelTag string
 	// SyncEvery is the period of the background fsync of the active
 	// segment: an answer is durable within SyncEvery of being computed.
-	// 0 (or negative) leaves durability to Flush, Close and compaction
-	// publishes.
+	// 0 (or negative) leaves durability to Flush, Close and rotations.
 	SyncEvery time.Duration
 	// Codec serializes answers into entry records; nil means JSONCodec.
 	Codec Codec[A]
@@ -157,8 +139,6 @@ type LogOptions[A any] struct {
 const (
 	// defaultRotateEvery is the appended-bytes rotation threshold.
 	defaultRotateEvery = 16 << 20
-	// defaultMaxSealedBehind is the sealed-backlog bound pausing rotation.
-	defaultMaxSealedBehind = 8
 
 	// segName is the active segment file inside the log directory.
 	segName = "answers.seg"
@@ -197,17 +177,16 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 		return nil, err
 	}
 	l := &diskLog[A]{
-		mem:             mem,
-		codec:           o.Codec,
-		dir:             o.Dir,
-		meta:            o.Meta,
-		ttl:             ttl,
-		rotateEvery:     defaultRotateEvery,
-		maxSealedBehind: defaultMaxSealedBehind,
-		tag:             o.ModelTag,
-		lock:            lock,
-		log:             o.Log,
-		tracer:          o.Tracer,
+		mem:         mem,
+		codec:       o.Codec,
+		dir:         o.Dir,
+		meta:        o.Meta,
+		ttl:         ttl,
+		rotateEvery: defaultRotateEvery,
+		tag:         o.ModelTag,
+		lock:        lock,
+		log:         o.Log,
+		tracer:      o.Tracer,
 	}
 	fail := func(err error) (*diskLog[A], error) {
 		//kbqa:nolint errsink — error-path flock release; the open failure is the error that matters
@@ -262,6 +241,7 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 	safeio.SyncDir(l.dir)
 	l.lastSync.Store(time.Now().UnixNano())
 	l.mergeCh = make(chan struct{}, 1)
+	l.flushCh = make(chan chan error)
 	l.stopMerger = make(chan struct{})
 	l.mergerDone = make(chan struct{})
 	go l.merger(o.SyncEvery)
@@ -451,9 +431,9 @@ func (l *diskLog[A]) setGeneration(gen uint64, tag string) {
 	l.appendLocked(encodeGenPayload(gen, tag))
 }
 
-// appendLocked frames and buffers one record, rotating the active segment
-// once the threshold is crossed; I/O errors are sticky. Called with l.mu
-// held.
+// appendLocked frames and buffers one record and, once the active segment
+// has crossed the rotation threshold, wakes the merger to rotate it; I/O
+// errors are sticky. Called with l.mu held.
 func (l *diskLog[A]) appendLocked(payload []byte) {
 	if l.closed || l.writeErr != nil {
 		return
@@ -463,85 +443,18 @@ func (l *diskLog[A]) appendLocked(payload []byte) {
 		return
 	}
 	l.appended += int64(8 + len(payload))
-	if l.rotateEvery <= 0 || l.appended < l.rotateEvery {
+	if l.appended < l.rotateEvery {
 		return
 	}
-	if l.maxSealedBehind > 0 && len(l.sealed) >= l.maxSealedBehind {
-		// Backpressure: the merger is too far behind — sealing another
-		// segment would only lengthen the backlog (and the next open's
-		// replay). Keep appending to the oversized active segment and let
-		// the merger's drain unpause rotation.
-		if l.rotationPaused.CompareAndSwap(false, true) {
-			l.log.Warn("segment rotation paused: merger behind",
-				obs.F("sealed_pending", len(l.sealed)),
-				obs.F("max_sealed_behind", l.maxSealedBehind))
-		}
-		l.signalMerger()
-		return
+	if l.sealedBytes.Load() > 0 {
+		// The merger is still merging the previous sealed segment: the
+		// rotation waits for it and the active segment keeps growing.
+		l.rotationPaused.Store(true)
 	}
-	l.rotateLocked()
-}
-
-// signalMerger wakes the merger; a signal already pending covers
-// this one too.
-func (l *diskLog[A]) signalMerger() {
 	select {
 	case l.mergeCh <- struct{}{}:
-	default:
+	default: // a wake-up is already pending
 	}
-}
-
-// rotateLocked seals the active segment and starts a fresh one — a flush,
-// a rename, and a file create, O(1) regardless of how much live data the
-// cache holds. This is what keeps compaction off the request path: the
-// sealed segment is handed to the background merger, and the unlucky put
-// that crosses the threshold pays metadata operations, not a rewrite+fsync
-// of the live set. Called with l.mu held.
-func (l *diskLog[A]) rotateLocked() {
-	if err := l.w.Flush(); err != nil {
-		l.writeErr = fmt.Errorf("serve: flush before rotation: %w", err)
-		return
-	}
-	var size int64
-	if fi, err := l.f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	if err := l.f.Close(); err != nil {
-		l.writeErr = fmt.Errorf("serve: seal active segment: %w", err)
-		return
-	}
-	sealedPath := filepath.Join(l.dir, sealedName(l.seq))
-	// A rename is a directory-entry swap — O(1) metadata, no data write;
-	// paying it under the append mutex is the design that keeps rotation
-	// off the request path (the deferred directory fsync happens on the
-	// merger's side). This is the one vetted exception to locksync.
-	//kbqa:nolint locksync — O(1) metadata rename by design (PR 5)
-	if err := os.Rename(l.activePath(), sealedPath); err != nil {
-		l.writeErr = fmt.Errorf("serve: seal active segment: %w", err)
-		return
-	}
-	l.seq++
-	l.sealed = append(l.sealed, sealedSeg{path: sealedPath, size: size})
-	l.sealedBytes.Add(size)
-	l.rotations.Add(1)
-	// Debug only, and only when a logger is wired: this runs on the request
-	// path under l.mu, so it must stay as light as the rotation itself.
-	if l.log.Enabled(obs.LevelDebug) {
-		l.log.Debug("segment rotated",
-			obs.F("path", sealedPath), obs.F("bytes", size),
-			obs.F("sealed_pending", len(l.sealed)))
-	}
-	if err := l.startActiveLocked(); err != nil {
-		l.writeErr = err
-		return
-	}
-	// The rename and the fresh active's directory entry still need a
-	// directory fsync before any data fsync may count as durable — but
-	// not here, on the request path: mark the directory dirty and let the
-	// next durability point (periodic sync, flush, close) pay it. Until
-	// then nothing has been promised durable, so nothing can be lost.
-	l.dirDirty.Store(true)
-	l.signalMerger()
 }
 
 // fill adds the log's point-in-time counters to a metrics snapshot; the

@@ -338,6 +338,7 @@ func TestHarnessRotationChurn(t *testing.T) {
 		}
 		wg.Wait()
 	}
+	waitFor(t, 5*time.Second, func() bool { return h.rt.Metrics().CacheSegmentRotations > 0 })
 	m := h.rt.Metrics()
 	if !m.CachePersistent || m.CacheSegmentRotations == 0 {
 		t.Fatalf("churn never rotated (persistent=%v rotations=%d); shrink the threshold", m.CachePersistent, m.CacheSegmentRotations)

@@ -250,21 +250,19 @@ type Snapshot struct {
 	// CachePersistent marks runtimes whose store is disk-backed; the
 	// rotation/merge/sync fields below are meaningful only when set.
 	CachePersistent bool `json:"cache_persistent,omitempty"`
-	// CacheSegmentRotations counts active-segment rotations — each sealed
-	// the segment in O(1) and handed it to the background merger
+	// CacheSegmentRotations counts active-segment rotations, each sealed
+	// and made durable by the background merger before it merges
 	// (kbqa_cache_segment_rotations_total).
 	CacheSegmentRotations uint64 `json:"cache_segment_rotations,omitempty"`
 	// CacheCompactions counts completed compaction passes: background
 	// merges plus the boot-time compaction (kbqa_cache_compactions_total).
 	CacheCompactions uint64 `json:"cache_compactions,omitempty"`
-	// CacheSealedBytes is the bytes in sealed segments awaiting merge —
-	// sustained growth means the merger is not keeping up with rotation
-	// (kbqa_cache_sealed_bytes).
+	// CacheSealedBytes is the size of the one sealed segment the merger is
+	// merging, 0 when it is idle (kbqa_cache_sealed_bytes).
 	CacheSealedBytes int64 `json:"cache_sealed_bytes,omitempty"`
-	// CacheRotationPaused reports that segment rotation is paused because
-	// the background merger has fallen too many sealed segments behind
-	// (maxSealedBehind segments); the active segment keeps growing until
-	// the merger catches up (kbqa_cache_rotation_paused).
+	// CacheRotationPaused reports that a rotation is due while the merger
+	// is still merging the previous sealed segment; the active segment
+	// keeps growing until that merge completes (kbqa_cache_rotation_paused).
 	CacheRotationPaused bool `json:"cache_rotation_paused,omitempty"`
 	// CacheSyncAgeSeconds is the age of the persistent cache's last
 	// durability point; with CacheSyncEvery set it hovers around that

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/safeio"
 )
 
@@ -222,11 +224,96 @@ func TestDiskStoreCrashMidMerge(t *testing.T) {
 	}
 }
 
+// TestDiskStoreMergerFileStepFailures puts a non-empty directory — an
+// obstacle even root cannot write through — where the merger's rotation
+// renames to, then where its base publish creates. Either failure is
+// sticky and loud exactly once, memory keeps serving every entry, and once
+// the obstacle is gone a reopen replays what was logged before the failure:
+// last write wins and the dead generation stays dead.
+func TestDiskStoreMergerFileStepFailures(t *testing.T) {
+	for _, tc := range []struct{ step, obstacle string }{
+		{"rotation rename", sealedName(0)},
+		{"base publish", baseName + ".tmp"},
+	} {
+		t.Run(tc.step, func(t *testing.T) {
+			dir := t.TempDir()
+			var buf syncBuffer
+			s := openTestLog(t, dir, testLog{Meta: "m", Log: obs.NewLogger(&buf, obs.LevelDebug)})
+			obstacle := filepath.Join(dir, tc.obstacle)
+			if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			at := time.Unix(1000, 0)
+			s.Put("dead", Entry[string]{Val: "gen-0", OK: true, At: at})
+			s.SetGeneration(1)
+			want := map[string]string{}
+			for i := 0; i < 20; i++ {
+				k, v := fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%02d", i)
+				s.Put(k, Entry[string]{Val: v, OK: true, Gen: 1, At: at})
+				want[k] = v
+			}
+			// The last logged put makes a rotation due; nothing is appended
+			// after it until the failure is in.
+			s.log.setRotateEvery(1)
+			s.Put("last", Entry[string]{Val: "logged", OK: true, Gen: 1, At: at})
+			want["last"] = "logged"
+			waitFor(t, 5*time.Second, func() bool { return s.Flush() != nil })
+			s.Put("late", Entry[string]{Val: "memory-only", OK: true, Gen: 1, At: at})
+
+			for k, v := range map[string]string{"dead": "gen-0", "late": "memory-only", "last": "logged", "k6": want["k6"]} {
+				if e, hit := s.Get(k); !hit || e.Val != v {
+					t.Errorf("memory stopped serving %q after the failure: (%q, %v)", k, e.Val, hit)
+				}
+			}
+			flushErr, closeErr := s.Flush(), s.Close()
+			if flushErr == nil || !strings.Contains(flushErr.Error(), tc.obstacle) || !errors.Is(closeErr, flushErr) {
+				t.Errorf("Flush = %v, Close = %v, want the same sticky error naming %s", flushErr, closeErr, tc.obstacle)
+			}
+			var errorLines int
+			for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var rec map[string]any
+				if json.Unmarshal([]byte(line), &rec) == nil && rec["level"] == "error" {
+					errorLines++
+				}
+			}
+			if errorLines != 1 {
+				t.Errorf("%d Error log lines, want the sticky error once:\n%s", errorLines, buf.String())
+			}
+
+			if err := os.RemoveAll(obstacle); err != nil {
+				t.Fatal(err)
+			}
+			r := openTestStore(t, dir, "m")
+			defer r.Close()
+			if g := r.Generation(); g != 1 {
+				t.Errorf("reopened generation = %d, want 1", g)
+			}
+			expectEntries(t, r, want)
+		})
+	}
+}
+
 // TestDiskStoreRotationPipelineEndToEnd drives the real pipeline — many
 // rotations, background merges racing appends — and proves a restart
-// reconstructs every entry exactly.
+// reconstructs every entry exactly. A poller watches the directory the
+// whole time: the merger never lets a second sealed segment exist.
 func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 	dir := t.TempDir()
+	stop, most := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				most <- n
+				return
+			default:
+			}
+			sealed, _ := filepath.Glob(filepath.Join(dir, sealedPrefix+"*"+sealedSuffix))
+			n = max(n, len(sealed))
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
 	s := openTestLog(t, dir, testLog{Meta: "m", RotateEvery: 2048})
 	at := time.Unix(2000, 0)
 	want := make(map[string]string, 200)
@@ -238,6 +325,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 		// Churn an early key every step so merges must pick the last write.
 		s.Put("key-000", Entry[string]{Val: want["key-000"], OK: true, At: at})
 	}
+	s.settle(t)
 	st := s.PersistStats()
 	if st.CacheSegmentRotations == 0 {
 		t.Fatalf("no rotation across ~%d appended bytes with a 2KB threshold", 200*120)
@@ -250,6 +338,10 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	close(stop)
+	if n := <-most; n > 1 {
+		t.Errorf("saw %d sealed segments at once, want at most 1", n)
 	}
 
 	r := openTestStore(t, dir, "m")
@@ -273,10 +365,10 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		s.Put(fmt.Sprintf("new-%02d", i), Entry[string]{Val: pad, OK: true, Gen: 1, At: at})
 	}
+	s.settle(t)
 	if s.PersistStats().CacheSegmentRotations == 0 {
 		t.Fatal("test never rotated; shrink the threshold")
 	}
-	waitFor(t, time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
 	s.Close()
 
 	r := openTestStore(t, dir, "m")

@@ -23,17 +23,16 @@ type testStore struct {
 }
 
 // testLog is everything a persistence test varies at open: the deployment
-// options of LogOptions, the cache TTL, and the rotation constants tests
-// shrink to make rotation, merge and backpressure happen on small inputs.
+// options of LogOptions, the cache TTL, and the rotation threshold tests
+// shrink to make rotation and merge happen on small inputs.
 type testLog struct {
-	Meta, ModelTag  string
-	SyncEvery       time.Duration
-	Codec           Codec[string]
-	Log             *obs.Logger
-	Tracer          *obs.Tracer
-	TTL             time.Duration
-	RotateEvery     int64 // 0 keeps defaultRotateEvery
-	MaxSealedBehind int   // 0 keeps defaultMaxSealedBehind
+	Meta, ModelTag string
+	SyncEvery      time.Duration
+	Codec          Codec[string]
+	Log            *obs.Logger
+	Tracer         *obs.Tracer
+	TTL            time.Duration
+	RotateEvery    int64 // 0 keeps defaultRotateEvery
 }
 
 func (o testLog) options(dir string) LogOptions[string] {
@@ -41,16 +40,18 @@ func (o testLog) options(dir string) LogOptions[string] {
 		Codec: o.Codec, Log: o.Log, Tracer: o.Tracer}
 }
 
-// tune applies the shrunken rotation constants to a freshly opened log.
+// tune applies the shrunken rotation threshold to a freshly opened log.
 func (o testLog) tune(l *diskLog[string]) {
+	if o.RotateEvery != 0 {
+		l.setRotateEvery(o.RotateEvery)
+	}
+}
+
+// setRotateEvery changes the rotation threshold; the next append checks it.
+func (l *diskLog[A]) setRotateEvery(n int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if o.RotateEvery != 0 {
-		l.rotateEvery = o.RotateEvery
-	}
-	if o.MaxSealedBehind != 0 {
-		l.maxSealedBehind = o.MaxSealedBehind
-	}
+	l.rotateEvery = n
 }
 
 func openTestLogE(dir string, o testLog) (*testStore, error) {
@@ -453,12 +454,11 @@ func TestDiskStoreRotationBoundsSegment(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Put("hot key", Entry[string]{Val: val, OK: true})
 	}
+	s.settle(t)
 	st := s.PersistStats()
 	if st.CacheSegmentRotations == 0 {
 		t.Fatalf("~140KB of appends against a 4KB threshold never rotated: %+v", st)
 	}
-	// The merger drains the sealed backlog without any explicit flush.
-	waitFor(t, time.Second, func() bool { return s.PersistStats().CacheSealedBytes == 0 })
 	if size := storeSize(t, dir); size > 3*4096 {
 		t.Errorf("log = %dB after churn and merge, want bounded by the rotation budget", size)
 	}
@@ -556,6 +556,17 @@ func storeSize(t testing.TB, dir string) int64 {
 		total += fi.Size()
 	}
 	return total
+}
+
+// settle waits until the merger has caught up with the appends: no sealed
+// segment is being merged and no rotation is due.
+func (s *testStore) settle(t testing.TB) {
+	t.Helper()
+	waitFor(t, 5*time.Second, func() bool {
+		s.log.mu.Lock()
+		defer s.log.mu.Unlock()
+		return s.log.sealedBytes.Load() == 0 && s.log.appended < s.log.rotateEvery
+	})
 }
 
 // waitFor polls cond until it holds or the deadline passes.

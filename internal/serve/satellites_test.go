@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -112,33 +114,58 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBackpressurePausesRotation: once the sealed backlog reaches
-// maxSealedBehind, threshold-crossing appends must stop rotating (the
-// active segment grows instead) and the pause must surface through
-// PersistStats and the metrics snapshot. The backlog is wedged with sealed
-// entries whose files don't exist — the merger can publish past them but
-// never delete them, so the backlog provably stays at the bound for the
-// duration of the test.
+// gateCodec is JSONCodec except for the value "gate", whose encode blocks
+// until release is closed — it holds a merge in progress at its base write.
+type gateCodec struct{ entered, release chan struct{} }
+
+func (c gateCodec) Encode(s string) ([]byte, error) {
+	if s == "gate" {
+		select {
+		case c.entered <- struct{}{}:
+		default:
+		}
+		<-c.release
+	}
+	return JSONCodec[string]{}.Encode(s)
+}
+func (gateCodec) Decode(b []byte) (string, error) { return JSONCodec[string]{}.Decode(b) }
+
+// TestDiskStoreBackpressurePausesRotation: a rotation that falls due while
+// the merger is still merging the previous sealed segment waits — the
+// active segment grows past the threshold, no second sealed file appears —
+// and the pause surfaces through PersistStats, the metrics snapshot and
+// the exposition. The merge is held at its base write by an entry resident
+// in memory only, whose encode blocks; releasing it clears the pause.
 func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{RotateEvery: 256, MaxSealedBehind: 2})
+	codec := gateCodec{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := openTestLog(t, dir, testLog{RotateEvery: 256, Codec: codec})
 	defer s.Close()
-	s.log.mu.Lock()
-	s.log.sealed = append(s.log.sealed,
-		sealedSeg{path: filepath.Join(dir, "wedge.0")},
-		sealedSeg{path: filepath.Join(dir, "wedge.1")})
-	s.log.mu.Unlock()
+	release := sync.OnceFunc(func() { close(codec.release) })
+	defer release() // before Close, even when the test fails early
+	s.answerCache.Put("gate", Entry[string]{Val: "gate", OK: true})
 
 	val := strings.Repeat("x", 64)
-	for i := 0; i < 50; i++ { // ~5KB of appends against a 256B threshold
+	for i := 0; i < 4; i++ { // ~400B: the first rotation falls due
+		s.Put(fmt.Sprintf("k%d", i), Entry[string]{Val: val, OK: true})
+	}
+	<-codec.entered            // the merge is writing the base, and holds
+	for i := 4; i < 104; i++ { // ~10KB more, past the writer's 4KB buffer
 		s.Put(fmt.Sprintf("k%d", i), Entry[string]{Val: val, OK: true})
 	}
 	st := s.PersistStats()
-	if st.CacheSegmentRotations != 0 {
-		t.Errorf("Rotations = %d under a full sealed backlog, want 0", st.CacheSegmentRotations)
+	if st.CacheSegmentRotations != 1 {
+		t.Errorf("Rotations = %d while the first merge holds, want 1", st.CacheSegmentRotations)
 	}
 	if !st.CacheRotationPaused {
-		t.Error("RotationPaused = false, want true while the merger is behind")
+		t.Error("RotationPaused = false, want true while the merge holds")
+	}
+	sealed, err := filepath.Glob(filepath.Join(dir, sealedPrefix+"*"+sealedSuffix))
+	if err != nil || len(sealed) != 1 {
+		t.Errorf("sealed files = %v (err %v), want exactly one", sealed, err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, segName)); err != nil || fi.Size() <= 256 {
+		t.Errorf("active segment did not grow past the threshold: %v %v", fi, err)
 	}
 
 	r := withEngine(echoAsk(nil), Options[string]{})
@@ -155,6 +182,12 @@ func TestDiskStoreBackpressurePausesRotation(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "\nkbqa_cache_rotation_paused 1\n") {
 		t.Error("exposition missing kbqa_cache_rotation_paused 1")
+	}
+
+	release()
+	s.settle(t)
+	if st := s.PersistStats(); st.CacheRotationPaused || st.CacheSegmentRotations != 2 {
+		t.Errorf("after release: paused=%v rotations=%d, want false/2", st.CacheRotationPaused, st.CacheSegmentRotations)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -63,39 +64,70 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 }
 
 // FuzzMultiSegmentReplay fuzzes the rotation replay order: an arbitrary
-// write log is split at arbitrary points into base / sealed / active
-// segments, and replay must reconstruct exactly the sequential
-// last-write-wins state — wherever the cuts fall.
+// write log is split at arbitrary points into base / sealed a / sealed b /
+// active segments — two sealed files with a gap in their sequence numbers,
+// the backlog a parent's writer could leave — with a generation bump
+// optionally recorded in either sealed file, and replay must reconstruct
+// exactly the sequential last-write-wins state of the live generation,
+// wherever the cuts fall.
 func FuzzMultiSegmentReplay(f *testing.F) {
-	f.Add([]byte("abcdefgh"), uint8(2), uint8(5))
-	f.Add([]byte(""), uint8(0), uint8(0))
-	f.Add([]byte{0xff, 0x00, 0x7f, 0x01, 0x01, 0x01}, uint8(6), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB uint8) {
+	f.Add([]byte("abcdefgh"), uint8(2), uint8(5), uint8(7), uint8(0))
+	f.Add([]byte(""), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add([]byte{0xff, 0x00, 0x7f, 0x01, 0x01, 0x01}, uint8(6), uint8(1), uint8(3), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB, cutC, bump uint8) {
 		if len(data) > 48 {
 			data = data[:48]
 		}
-		at := time.Unix(3000, 0)
-		payloads := make([][]byte, len(data))
-		want := make(map[string]string)
-		for i, c := range data {
-			key := fmt.Sprintf("k%d", c%8)
-			val := fmt.Sprintf("v%d-%d", i, c)
-			payloads[i] = rawEntry(t, key, val, 0, at)
-			want[key] = val
+		// Three cuts split the log into base | sealed a | sealed b | active.
+		cuts := []int{int(cutA) % (len(data) + 1), int(cutB) % (len(data) + 1), int(cutC) % (len(data) + 1)}
+		sort.Ints(cuts)
+		i, k := cuts[0], cuts[2]
+		// bump 0 records no generation; otherwise generation 1 is recorded
+		// before entry g of the sealed range, in the file that holds it.
+		g, gen := len(data), uint64(0)
+		if bump > 0 {
+			g, gen = i+int(bump-1)%(k-i+1), 1
 		}
-		// Two cuts split the log into base | sealed | active.
-		i := int(cutA) % (len(payloads) + 1)
-		j := int(cutB) % (len(payloads) + 1)
-		if i > j {
-			i, j = j, i
+		at := time.Unix(3000, 0)
+		segs := make([][][]byte, 4)
+		want := make(map[string]string)
+		for n, c := range data {
+			key := fmt.Sprintf("k%d", c%8)
+			val := fmt.Sprintf("v%d-%d", n, c)
+			seg := 0
+			for _, cut := range cuts {
+				if n >= cut {
+					seg++
+				}
+			}
+			if n == g && g < k {
+				segs[seg] = append(segs[seg], encodeGenPayload(1, ""))
+			}
+			eGen := uint64(0)
+			if n >= g {
+				eGen = 1
+			}
+			segs[seg] = append(segs[seg], rawEntry(t, key, val, eGen, at))
+			if eGen == gen {
+				want[key] = val
+			} else {
+				delete(want, key)
+			}
+		}
+		if g == k && gen == 1 { // the bump is the last record of sealed b
+			segs[2] = append(segs[2], encodeGenPayload(1, ""))
 		}
 		dir := t.TempDir()
-		writeRawSegment(t, filepath.Join(dir, baseName), "fz", payloads[:i])
-		writeRawSegment(t, filepath.Join(dir, sealedName(0)), "fz", payloads[i:j])
-		writeRawSegment(t, filepath.Join(dir, segName), "fz", payloads[j:])
+		writeRawSegment(t, filepath.Join(dir, baseName), "fz", segs[0])
+		writeRawSegment(t, filepath.Join(dir, sealedName(3)), "fz", segs[1])
+		writeRawSegment(t, filepath.Join(dir, sealedName(7)), "fz", segs[2])
+		writeRawSegment(t, filepath.Join(dir, segName), "fz", segs[3])
 
 		s := openTestLog(t, dir, testLog{Meta: "fz"})
 		defer s.Close()
+		if got := s.Generation(); got != gen {
+			t.Fatalf("Generation = %d, want %d", got, gen)
+		}
 		if n := s.Len(); n != len(want) {
 			t.Fatalf("Len = %d, want %d", n, len(want))
 		}

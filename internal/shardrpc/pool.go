@@ -183,7 +183,8 @@ func (h *host) down() bool {
 // dial opens and handshakes a fresh connection to addr. The handshake runs
 // before the connection is registered with the call's inflight set, so its
 // I/O deadline is the only thing that ends it against a server that accepts
-// and then stalls: the earlier of dialTimeout and the caller's deadline.
+// and then stalls: the earlier of dialTimeout and the caller's deadline,
+// expired at once if ctx is cancelled first.
 func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -195,6 +196,8 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 		limit = t
 	}
 	conn.SetDeadline(limit)
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
 	he := hello{version: ProtoVersion, fingerprint: p.opts.Fingerprint, numShards: uint32(p.pl.NumShards())}
 	if err := safeio.WriteFrame(conn, he.encode()); err != nil {
 		conn.Close()
@@ -224,6 +227,10 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	if status != statusOK {
 		conn.Close()
 		return nil, fmt.Errorf("shardrpc: server %s rejected handshake: %s", addr, reject)
+	}
+	if !stop() { // cancelled as the handshake finished: the deadline may be expired
+		conn.Close()
+		return nil, ctx.Err()
 	}
 	conn.SetDeadline(time.Time{})
 	return conn, nil

@@ -337,64 +337,80 @@ func TestCallHonorsDeadline(t *testing.T) {
 
 // TestDialHonorsCallDeadline: a shard that accepts the connection and then
 // never answers the handshake must not hold the attempt past the caller's
-// deadline — the call returns at the deadline and the attempt goroutine
-// (which is not in the inflight set yet, so abort cannot reach it) is gone
-// right after, not dialTimeout later.
+// deadline or cancellation — the call returns then and the attempt
+// goroutine (which is not in the inflight set yet, so abort cannot reach
+// it) is gone right after, not dialTimeout later.
 func TestDialHonorsCallDeadline(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	stalled := make(chan net.Conn, 4)
-	go func() {
-		for {
-			c, err := lis.Accept()
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+	}{
+		{"deadline 50ms", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}},
+		{"cancel after 50ms, no deadline", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				close(stalled)
-				return
+				t.Fatal(err)
 			}
-			stalled <- c // accepted, never read, never answered
-		}
-	}()
-	defer func() {
-		lis.Close()
-		for c := range stalled {
-			c.Close()
-		}
-	}()
+			defer lis.Close()
+			stalled := make(chan net.Conn, 4)
+			go func() {
+				for {
+					c, err := lis.Accept()
+					if err != nil {
+						close(stalled)
+						return
+					}
+					stalled <- c // accepted, never read, never answered
+				}
+			}()
+			defer func() {
+				lis.Close()
+				for c := range stalled {
+					c.Close()
+				}
+			}()
 
-	pl, err := NewPlacement([]string{lis.Addr().String()}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+			pl, err := NewPlacement([]string{lis.Addr().String()}, 4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
 
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	// The handshake's I/O deadline and the context expire together, so the
-	// error is either the context's or the read's timeout.
-	if _, err = pool.Probe(ctx, 0, []ProbeGroup{{0, nil}}); err == nil {
-		t.Fatal("call against a stalled handshake succeeded")
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("call against a stalled handshake took %v, want ~50ms", d)
-	}
-	settle := time.Now().Add(500 * time.Millisecond) // generous for a loaded runner; the parent took dialTimeout (5s)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(settle) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("attempt goroutine outlived the call: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
+			before := runtime.NumGoroutine()
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			// The handshake's I/O deadline and the context end together, so
+			// the error is either the context's or the read's timeout.
+			if _, err = pool.Probe(ctx, 0, []ProbeGroup{{0, nil}}); err == nil {
+				t.Fatal("call against a stalled handshake succeeded")
+			}
+			if d := time.Since(start); d > 500*time.Millisecond {
+				t.Fatalf("call against a stalled handshake took %v, want ~50ms", d)
+			}
+			settle := time.Now().Add(500 * time.Millisecond) // generous for a loaded runner; unbounded, the attempt lives dialTimeout (5s)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(settle) {
+					buf := make([]byte, 1<<16)
+					n := runtime.Stack(buf, true)
+					t.Fatalf("attempt goroutine outlived the call: %d before, %d after\n%s",
+						before, runtime.NumGoroutine(), buf[:n])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
