@@ -72,6 +72,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/kbqa"
 )
 
@@ -86,11 +87,12 @@ const maxBatchBodyBytes = 1 << 20
 const maxTopK = 32
 
 type server struct {
-	sys   *kbqa.System
-	srv   *kbqa.Server
-	log   *kbqa.Logger // nil discards
-	start time.Time
-	ready atomic.Bool // set once the boot sequence (replay, warm) completes
+	sys     *kbqa.System
+	srv     *kbqa.Server
+	log     *kbqa.Logger // nil discards
+	limited bool         // a per-client rate limit is configured
+	start   time.Time
+	ready   atomic.Bool // set once the boot sequence (replay, warm) completes
 }
 
 func newServer(sys *kbqa.System, o kbqa.ServerOptions) (*server, error) {
@@ -98,50 +100,7 @@ func newServer(sys *kbqa.System, o kbqa.ServerOptions) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &server{sys: sys, srv: srv, log: o.Logger, start: time.Now()}, nil
-}
-
-type askResponse struct {
-	Question        string                `json:"question"`
-	Answered        bool                  `json:"answered"`
-	Answer          string                `json:"answer,omitempty"`
-	Values          []string              `json:"values,omitempty"`
-	Predicate       string                `json:"predicate,omitempty"`
-	Template        string                `json:"template,omitempty"`
-	Steps           []kbqa.Step           `json:"steps,omitempty"`
-	Variant         *kbqa.VariantAnswer   `json:"variant,omitempty"`
-	Interpretations []kbqa.Interpretation `json:"interpretations,omitempty"`
-	// TraceID echoes the request trace (also the X-Kbqa-Trace header);
-	// empty when tracing is off.
-	TraceID string `json:"trace_id,omitempty"`
-	// Timings attributes the latency of the computation that produced the
-	// result; a cache hit reports the original computation's.
-	Timings   *kbqa.QueryTimings `json:"timings,omitempty"`
-	Error     string             `json:"error,omitempty"`
-	ErrorCode string             `json:"error_code,omitempty"`
-}
-
-// toAskResponse renders one Query outcome: a Result when err is nil, the
-// typed failure otherwise.
-func toAskResponse(q string, res *kbqa.Result, err error) askResponse {
-	if err != nil {
-		return askResponse{Question: q, Error: err.Error(), ErrorCode: kbqa.ErrorCode(err)}
-	}
-	resp := askResponse{Question: q, Answered: true, Interpretations: res.Interpretations, TraceID: res.TraceID}
-	tm := res.Timings
-	resp.Timings = &tm
-	if res.Answer != nil {
-		resp.Answer = res.Answer.Value
-		resp.Values = res.Answer.Values
-		resp.Predicate = res.Answer.Predicate
-		resp.Template = res.Answer.Template
-		resp.Steps = res.Answer.Steps
-	}
-	if res.Variant != nil {
-		resp.Variant = res.Variant
-		resp.Answer = strings.Join(res.Variant.Entities, ", ")
-	}
-	return resp
+	return &server{sys: sys, srv: srv, log: o.Logger, limited: o.RateLimit > 0, start: time.Now()}, nil
 }
 
 // clampTopK validates a client-requested interpretation count for /ask and
@@ -168,23 +127,37 @@ func parseTopK(raw string) ([]kbqa.QueryOption, error) {
 	return []kbqa.QueryOption{kbqa.WithTopK(k)}, nil
 }
 
+// handleAsk parses the query string once. The question goes on the
+// request's root span (traced's, the span active on entry) first, and the
+// quota is charged before the question is checked, so a refused request's
+// trace still names its question and an over-quota client is refused
+// whatever it sent.
 func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Error: `missing query parameter "q"`})
+	query := r.URL.Query()
+	q := query.Get("q")
+	if q != "" {
+		obs.ActiveSpan(r.Context()).SetAttr("question", q)
+	}
+	if s.overQuota(w, r, 1) {
 		return
 	}
-	opts, err := parseTopK(r.URL.Query().Get("topk"))
+	if q == "" {
+		s.fail(w, http.StatusBadRequest, "", `missing query parameter "q"`, "")
+		return
+	}
+	opts, err := parseTopK(query.Get("topk"))
 	if err != nil {
-		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Question: q, Error: err.Error()})
+		s.fail(w, http.StatusBadRequest, q, err.Error(), "")
 		return
 	}
 	res, err := s.srv.Query(r.Context(), q, opts...)
+	status := http.StatusOK
 	if err != nil {
-		s.writeJSONStatus(w, errStatus(err), toAskResponse(q, nil, err))
-		return
+		status = errStatus(err)
 	}
-	s.writeJSON(w, toAskResponse(q, res, nil))
+	rp := newReply()
+	rp.outcome(q, res, err)
+	s.send(w, status, rp)
 }
 
 type batchRequest struct {
@@ -194,14 +167,10 @@ type batchRequest struct {
 	TopK int `json:"topk,omitempty"`
 }
 
-type batchResponse struct {
-	Results []askResponse `json:"results"`
-}
-
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeJSONStatus(w, http.StatusMethodNotAllowed, askResponse{Error: "POST only"})
+		s.fail(w, http.StatusMethodNotAllowed, "", "POST only", "")
 		return
 	}
 	var req batchRequest
@@ -209,25 +178,23 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			s.writeJSONStatus(w, http.StatusRequestEntityTooLarge,
-				askResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxBatchBodyBytes)})
+			s.fail(w, http.StatusRequestEntityTooLarge, "", fmt.Sprintf("request body exceeds %d bytes", maxBatchBodyBytes), "")
 			return
 		}
-		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Error: "bad request body: " + err.Error()})
+		s.fail(w, http.StatusBadRequest, "", "bad request body: "+err.Error(), "")
 		return
 	}
 	if len(req.Questions) == 0 {
-		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Error: `empty "questions"`})
+		s.fail(w, http.StatusBadRequest, "", `empty "questions"`, "")
 		return
 	}
 	if len(req.Questions) > maxBatchSize {
-		s.writeJSONStatus(w, http.StatusBadRequest,
-			askResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Questions), maxBatchSize)})
+		s.fail(w, http.StatusBadRequest, "", fmt.Sprintf("batch of %d exceeds limit %d", len(req.Questions), maxBatchSize), "")
 		return
 	}
 	topK, err := clampTopK(req.TopK)
 	if err != nil {
-		s.writeJSONStatus(w, http.StatusBadRequest, askResponse{Error: err.Error()})
+		s.fail(w, http.StatusBadRequest, "", err.Error(), "")
 		return
 	}
 	// One quota unit per question: a 256-question batch spends the same
@@ -240,11 +207,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, kbqa.WithTopK(topK))
 	}
 	items := s.srv.QueryBatch(r.Context(), req.Questions, opts...)
-	resp := batchResponse{Results: make([]askResponse, len(items))}
+	rp := newReply()
+	rp.b = append(rp.b, `{"results":[`...)
 	var firstInfraErr error
 	infraErrored := 0
 	for i, it := range items {
-		resp.Results[i] = toAskResponse(it.Question, it.Result, it.Err)
+		if i > 0 {
+			rp.b = append(rp.b, ',')
+		}
+		rp.outcome(it.Question, it.Result, it.Err)
 		if it.Err != nil && !kbqa.IsUnanswerable(it.Err) {
 			infraErrored++
 			if firstInfraErr == nil {
@@ -256,11 +227,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// saturation) should look unhealthy to status-code-based clients, the
 	// same way /ask does; partial failures and unanswerable questions stay
 	// 200 with per-item error codes.
+	rp.b = append(rp.b, "]}"...)
+	status := http.StatusOK
 	if infraErrored == len(items) {
-		s.writeJSONStatus(w, errStatus(firstInfraErr), resp)
-		return
+		status = errStatus(firstInfraErr)
 	}
-	s.writeJSON(w, resp)
+	s.send(w, status, rp)
 }
 
 // handleMetrics serves the JSON snapshot by default and the Prometheus
@@ -283,14 +255,15 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, s.sys.Stats())
 }
 
-// clientKey identifies the caller for rate limiting: the X-API-Key header
-// when present (keyed quotas shared across a client's machines), else the
-// remote host. The header is trusted as-is — there is no key registry —
-// so against adversarial clients (who could mint a fresh key per request
-// for a fresh bucket) the limiter is a fairness mechanism, not a security
-// boundary; put an authenticating proxy in front for that.
+// clientKey identifies the caller for rate limiting, traces and the access
+// log: the X-API-Key header when present (keyed quotas shared across a
+// client's machines), else the remote host. The header is trusted as-is —
+// there is no key registry — so against adversarial clients (who could
+// mint a fresh key per request for a fresh bucket) the limiter is a
+// fairness mechanism, not a security boundary; put an authenticating proxy
+// in front for that.
 func clientKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
+	if k := r.Header.Get("X-Api-Key"); k != "" { // X-API-Key spelled canonically, so Get need not rebuild it
 		return k
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -302,7 +275,15 @@ func clientKey(r *http.Request) string {
 
 // overQuota charges n quota units to the request's client; when the quota
 // is exhausted it writes the 429 + Retry-After refusal and reports true.
+// /ask charges one unit and /batch one per question, so batching does not
+// amplify a client's quota 256×. Over-quota requests are refused before
+// they reach the serving pipeline; introspection endpoints (/metrics,
+// /stats, /healthz) are never charged, so an over-quota client stays
+// observable.
 func (s *server) overQuota(w http.ResponseWriter, r *http.Request, n int) bool {
+	if !s.limited {
+		return false
+	}
 	ok, retry := s.srv.AllowN(clientKey(r), n)
 	if ok {
 		return false
@@ -312,24 +293,8 @@ func (s *server) overQuota(w http.ResponseWriter, r *http.Request, n int) bool {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.writeJSONStatus(w, http.StatusTooManyRequests,
-		askResponse{Error: "rate limit exceeded", ErrorCode: "rate_limited"})
+	s.fail(w, http.StatusTooManyRequests, "", "rate limit exceeded", "rate_limited")
 	return true
-}
-
-// limited wraps an answering handler with the per-client rate limit:
-// over-quota requests are refused with 429 and a Retry-After header before
-// they reach the serving pipeline. /batch charges per question inside its
-// handler instead (batching must not amplify a client's quota 256×), and
-// introspection endpoints (/metrics, /stats, /healthz) are never limited —
-// an over-quota client must still be observable.
-func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.overQuota(w, r, 1) {
-			return
-		}
-		h(w, r)
-	}
 }
 
 // statusRecorder captures the status a handler writes so the access log
@@ -349,22 +314,20 @@ func (sr *statusRecorder) WriteHeader(code int) {
 
 // traced wraps an answering handler with the request observability layer:
 // when tracing is on, the request runs under a root span named name
-// (method/path/client/question attributes, final status), the trace ID is
-// echoed as X-Kbqa-Trace before the handler writes, and the trace finishes
-// — and is retained if sampled or slow — when the handler returns. Every
-// request is also access-logged with request-scoped fields.
+// (method/path/client attributes, the question /ask adds, final status),
+// the trace ID is echoed as X-Kbqa-Trace before the handler writes, and the
+// trace finishes — and is retained if sampled or slow — when the handler
+// returns. Every request is also access-logged with request-scoped fields.
 func (s *server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		client := clientKey(r)
 		ctx, trace := s.srv.Tracer().Start(r.Context(), name)
 		if trace != nil {
 			root := trace.Root()
 			root.SetAttr("method", r.Method)
 			root.SetAttr("path", r.URL.Path)
-			root.SetAttr("client", clientKey(r))
-			if q := r.URL.Query().Get("q"); q != "" {
-				root.SetAttr("question", q)
-			}
+			root.SetAttr("client", client)
 			w.Header().Set("X-Kbqa-Trace", trace.ID())
 			r = r.WithContext(ctx)
 		}
@@ -383,7 +346,7 @@ func (s *server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 				kbqa.LogF("method", r.Method), kbqa.LogF("path", r.URL.Path),
 				kbqa.LogF("status", status),
 				kbqa.LogF("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-				kbqa.LogF("client", clientKey(r)),
+				kbqa.LogF("client", client),
 				kbqa.LogF("generation", s.srv.Generation()),
 				kbqa.LogF("trace_id", trace.ID()))
 		}
@@ -458,7 +421,7 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ask", s.traced("http.ask", s.limited(s.handleAsk)))
+	mux.HandleFunc("/ask", s.traced("http.ask", s.handleAsk))
 	mux.HandleFunc("/batch", s.traced("http.batch", s.handleBatch)) // charges per question, see overQuota
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/stats", s.handleStats)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/kbqa"
 )
@@ -297,6 +299,57 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	if m.InFlight != 0 {
 		t.Errorf("in-flight gauge = %d after drain, want 0", m.InFlight)
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector, which drops
+// sync.Pool items at random and so changes allocation counts.
+var raceEnabled bool
+
+// discardWriter is a ResponseWriter that allocates nothing of its own.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.status = code }
+
+// TestWarmAskAllocs counts what a warm /ask allocates in the HTTP shell: the
+// mux, the tracer as shipped (-slow-query 500ms, so nothing is retained), an
+// info access log, the cache hit and the reply. A count repeats where a
+// clock does not. Rendering the reply and the log line by reflection, and
+// parsing the query string twice, cost 72 here; appending them costs 28,
+// and the ceiling leaves under 10 % headroom over that.
+func TestWarmAskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	sys := testServer(t).sys
+	s, err := newServer(sys, kbqa.ServerOptions{
+		SlowQueryThreshold: 500 * time.Millisecond,
+		Logger:             kbqa.NewLogger(io.Discard, kbqa.LogInfo),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := s.mux()
+	req := httptest.NewRequest(http.MethodGet, "/ask?q="+escapeQuery(sys.SampleQuestions(1)[0]), nil)
+	w := &discardWriter{h: http.Header{}}
+	ask := func() {
+		clear(w.h)
+		w.status = 0
+		mux.ServeHTTP(w, req)
+	}
+	ask() // the miss that fills the cache
+	if w.status != http.StatusOK || w.h.Get("X-Kbqa-Trace") == "" {
+		t.Fatalf("status %d, header %v: want a traced 200", w.status, w.h)
+	}
+	n := testing.AllocsPerRun(200, ask)
+	t.Logf("a warm /ask allocates %v times", n)
+	if n > 30 {
+		t.Errorf("a warm /ask allocates %v times, ceiling 30", n)
 	}
 }
 

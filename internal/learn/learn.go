@@ -123,10 +123,11 @@ func (m *Model) TemplatesByFrequency() []string {
 // Fingerprint returns a deterministic content hash of the model —
 // iteration is sorted, so equal models hash equal regardless of map
 // layout (gob serialization does not have this property), and θ values
-// are quantized to 1e-6 so the last-bit float noise EM picks up from
-// summation order doesn't make re-learned-identical models look
-// different across processes. The serving layer uses the hash to bind
-// persisted cache generations to the model that computed them.
+// are quantized to 1e-6 so last-bit float differences (another
+// platform's arithmetic, a changed summation order) don't make
+// re-learned-identical models look different across processes. The
+// serving layer uses the hash to bind persisted cache generations to the
+// model that computed them.
 func (m *Model) Fingerprint() uint64 {
 	h := fnv.New64a()
 	writeU64 := func(v uint64) {
@@ -285,8 +286,12 @@ func (l *Learner) EM(obs []Observation) *Model {
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		// E-step (Eq 21): posterior over z_i, normalized per observation.
-		// M-step (Eq 22): accumulate posteriors into the next θ.
+		// M-step (Eq 22): accumulate posteriors into the next θ, and each
+		// template's total beside them, in observation order: a total
+		// summed over the row map would take map order, and move θ in its
+		// last bits from one process to the next.
 		next := make(map[string]map[string]float64, len(theta))
+		sums := make(map[string]float64, len(theta))
 		for i := range obs {
 			o := &obs[i]
 			var norm float64
@@ -304,17 +309,14 @@ func (l *Learner) EM(obs []Observation) *Model {
 					next[c.Template] = row
 				}
 				row[c.Path] += post
+				sums[c.Template] += post
 			}
 		}
 		// Normalize each template's row (the Lagrange-multiplier solution
 		// of Eq 22).
-		for _, row := range next {
-			var sum float64
-			for _, v := range row {
-				sum += v
-			}
+		for t, row := range next {
 			for p := range row {
-				row[p] /= sum
+				row[p] /= sums[t]
 			}
 		}
 		delta := maxDelta(theta, next)
@@ -352,6 +354,7 @@ func (l *Learner) Learn(pairs []QA) *Model {
 // DESIGN.md calls this out as the "EM vs counting" ablation.
 func CountEstimate(obs []Observation) *Model {
 	theta := make(map[string]map[string]float64)
+	sums := make(map[string]float64) // in observation order, as in EM
 	freq := make(map[string]int)
 	for i := range obs {
 		seen := make(map[string]bool)
@@ -362,19 +365,16 @@ func CountEstimate(obs []Observation) *Model {
 				theta[c.Template] = row
 			}
 			row[c.Path] += c.F
+			sums[c.Template] += c.F
 			if !seen[c.Template] {
 				seen[c.Template] = true
 				freq[c.Template]++
 			}
 		}
 	}
-	for _, row := range theta {
-		var sum float64
-		for _, v := range row {
-			sum += v
-		}
+	for t, row := range theta {
 		for p := range row {
-			row[p] /= sum
+			row[p] /= sums[t]
 		}
 	}
 	return &Model{Theta: theta, TemplateFreq: freq, Iterations: 0}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -88,41 +89,74 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 // Error logs at LevelError.
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
 
+// lineBufs recycles record buffers: a record is formatted into one and
+// goes out in one Write, which must not keep it.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
 func (l *Logger) log(lv Level, msg string, fields []Field) {
 	if !l.Enabled(lv) {
 		return
 	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":"`...)
+	bp := lineBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `{"ts":"`...)
 	buf = time.Now().UTC().AppendFormat(buf, time.RFC3339Nano)
 	buf = append(buf, `","level":"`...)
 	buf = append(buf, lv.String()...)
 	buf = append(buf, `","msg":`...)
-	buf = appendJSONValue(buf, msg)
+	buf = AppendJSONString(buf, msg)
 	for _, f := range fields {
-		buf = appendField(buf, f)
+		buf = append(buf, ',')
+		buf = AppendJSONString(buf, f.Key)
+		buf = append(buf, ':')
+		buf = appendJSONValue(buf, f.Value)
 	}
 	buf = append(buf, '}', '\n')
 	l.mu.Lock()
 	l.w.Write(buf)
 	l.mu.Unlock()
+	*bp = buf
+	lineBufs.Put(bp)
 }
 
-func appendField(buf []byte, f Field) []byte {
-	buf = append(buf, ',')
-	buf = appendJSONValue(buf, f.Key)
-	buf = append(buf, ':')
-	return appendJSONValue(buf, f.Value)
-}
-
-// appendJSONValue marshals v, rendering errors and durations as their
-// strings (json.Marshal would emit {} and a bare nanosecond count).
+// appendJSONValue writes v as json.Marshal would, except that errors and
+// durations render as their strings (json.Marshal would emit {} and a bare
+// nanosecond count). The types log fields carry are appended directly;
+// anything else, and a float JSON cannot represent, goes through
+// reflection.
 func appendJSONValue(buf []byte, v any) []byte {
 	switch t := v.(type) {
+	case string:
+		return AppendJSONString(buf, t)
 	case error:
-		v = t.Error()
+		return AppendJSONString(buf, t.Error())
 	case time.Duration:
-		v = t.String()
+		return AppendJSONString(buf, t.String())
+	case bool:
+		return strconv.AppendBool(buf, t)
+	case int:
+		return strconv.AppendInt(buf, int64(t), 10)
+	case int8:
+		return strconv.AppendInt(buf, int64(t), 10)
+	case int16:
+		return strconv.AppendInt(buf, int64(t), 10)
+	case int32:
+		return strconv.AppendInt(buf, int64(t), 10)
+	case int64:
+		return strconv.AppendInt(buf, t, 10)
+	case uint:
+		return strconv.AppendUint(buf, uint64(t), 10)
+	case uint8:
+		return strconv.AppendUint(buf, uint64(t), 10)
+	case uint16:
+		return strconv.AppendUint(buf, uint64(t), 10)
+	case uint32:
+		return strconv.AppendUint(buf, uint64(t), 10)
+	case uint64:
+		return strconv.AppendUint(buf, t, 10)
+	case float64:
+		if b, ok := AppendJSONFloat(buf, t); ok {
+			return b
+		}
 	}
 	b, err := json.Marshal(v)
 	if err != nil {

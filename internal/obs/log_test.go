@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +40,56 @@ func TestLoggerEmitsJSONLines(t *testing.T) {
 	}
 	if _, err := time.Parse(time.RFC3339Nano, rec["ts"].(string)); err != nil {
 		t.Fatalf("ts is not RFC3339Nano: %v", err)
+	}
+}
+
+// referenceValue is how every field value was rendered before the logger
+// appended them: by json.Marshal, errors and durations as their strings.
+func referenceValue(v any) string {
+	switch t := v.(type) {
+	case error:
+		v = t.Error()
+	case time.Duration:
+		v = t.String()
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		b, _ = json.Marshal(fmt.Sprintf("%v", v))
+	}
+	return string(b)
+}
+
+// TestLoggerLinesMatchReflection: whole lines — an access-log record and
+// one field of every type the logger appends itself, or hands to
+// reflection — are what the reflective renderer wrote.
+func TestLoggerLinesMatchReflection(t *testing.T) {
+	type point struct{ X, Y int }
+	records := [][]Field{
+		{F("method", "GET"), F("path", "/ask"), F("status", 200), F("duration_ms", 0.123456),
+			F("client", "192.0.2.7"), F("generation", uint64(3)), F("trace_id", "1f2e3d4c5b6a7988")},
+		{F("s", "<tag> & \"q\" \\ \x00\n\u2028 bad\xff ü"), F("empty", ""), F("t", true), F("f", false)},
+		{F("int", -7), F("int8", int8(-8)), F("int16", int16(16)), F("int32", int32(-32)), F("int64", int64(math.MinInt64)),
+			F("uint", uint(7)), F("uint8", uint8(255)), F("uint16", uint16(16)), F("uint32", uint32(32)), F("uint64", uint64(math.MaxUint64))},
+		{F("f0", 0.0), F("f1", 1e-7), F("f2", 1e21), F("f3", 123.5), F("nan", math.NaN()), F("inf", math.Inf(-1)), F("f32", float32(0.1))},
+		{F("err", errors.New("disk <full>")), F("nilerr", error(nil)), F("d", 1500*time.Millisecond), F("nil", nil),
+			F("struct", point{1, 2}), F("list", []string{"a", "<b>"}), F("level", LevelWarn), F("bytes", []byte("hi"))},
+	}
+	for i, fields := range records {
+		var buf bytes.Buffer
+		NewLogger(&buf, LevelInfo).Info("request <"+fmt.Sprint(i)+">", fields...)
+		line := buf.String()
+		ts, _, ok := strings.Cut(strings.TrimPrefix(line, `{"ts":"`), `"`)
+		if !ok {
+			t.Fatalf("no ts in %q", line)
+		}
+		want := `{"ts":"` + ts + `","level":"info","msg":` + referenceValue("request <"+fmt.Sprint(i)+">")
+		for _, f := range fields {
+			want += "," + referenceValue(f.Key) + ":" + referenceValue(f.Value)
+		}
+		want += "}\n"
+		if line != want {
+			t.Errorf("record %d:\n got %s\nwant %s", i, line, want)
+		}
 	}
 }
 

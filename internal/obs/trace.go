@@ -12,7 +12,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math"
 	mrand "math/rand/v2"
 	"strconv"
@@ -113,6 +112,14 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
+// attr is an annotation as it was set: SetInt keeps the integer, and only
+// snapshot, which a retained trace alone reaches, formats it.
+type attr struct {
+	key, str string
+	num      int64
+	isInt    bool
+}
+
 // Span is one timed operation inside a trace. Spans form a tree under the
 // trace root; children may be created concurrently (e.g. per-shard scan
 // workers), so mutation is mutex-guarded. All methods are safe on a nil
@@ -125,7 +132,8 @@ type Span struct {
 	mu       sync.Mutex
 	dur      time.Duration
 	ended    bool
-	attrs    []Attr
+	attrs    []attr  // backed by inline until a span outgrows it
+	inline   [5]attr // an HTTP root and engine.probe set five
 	children []*Span
 	remote   [][]byte // grafted remote subtrees, still JSON (AttachRemote)
 }
@@ -153,9 +161,7 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
+	s.setAttr(attr{key: key, str: value})
 }
 
 // SetInt annotates the span with an integer attribute.
@@ -163,7 +169,16 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, strconv.FormatInt(v, 10))
+	s.setAttr(attr{key: key, num: v, isInt: true})
+}
+
+func (s *Span) setAttr(a attr) {
+	s.mu.Lock()
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
+	s.attrs = append(s.attrs, a)
+	s.mu.Unlock()
 }
 
 // Stage records a completed child span with an explicit duration, for
@@ -202,7 +217,13 @@ func (s *Span) snapshot(base time.Time) SpanSnapshot {
 		DurationNanos: s.dur.Nanoseconds(),
 	}
 	if len(s.attrs) > 0 {
-		snap.Attrs = append([]Attr(nil), s.attrs...)
+		snap.Attrs = make([]Attr, len(s.attrs))
+		for i, a := range s.attrs {
+			if a.isInt {
+				a.str = strconv.FormatInt(a.num, 10)
+			}
+			snap.Attrs[i] = Attr{Key: a.key, Value: a.str}
+		}
 	}
 	children := append([]*Span(nil), s.children...)
 	remote := append([][]byte(nil), s.remote...)
@@ -395,13 +416,24 @@ func (tr *Tracer) Start(ctx context.Context, name string) (context.Context, *Tra
 	}
 	now := time.Now()
 	t := &Trace{
-		id:      fmt.Sprintf("%016x", tr.idBase+tr.seq.Add(1)),
+		id:      traceID(tr.idBase + tr.seq.Add(1)),
 		start:   now,
 		tracer:  tr,
 		sampled: tr.opts.SampleRate > 0 && mrand.Float64() < tr.opts.SampleRate,
 	}
 	t.root = &Span{trace: t, name: name, start: now}
 	return context.WithValue(ctx, spanKey{}, t.root), t
+}
+
+// traceID formats n as 16 lowercase hex digits.
+func traceID(n uint64) string {
+	const hex = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hex[n&0xf]
+		n >>= 4
+	}
+	return string(b[:])
 }
 
 // keep inserts a finished trace into the ring, evicting the oldest when

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,10 @@ func TestTraceNestingAndAttrs(t *testing.T) {
 	ctx1, sp1 := StartSpan(ctx, "child")
 	sp1.SetAttr("k", "v")
 	sp1.SetInt("n", 42)
+	for _, v := range []int64{-1, 0, 1 << 40, 7} { // past the inline attributes
+		sp1.SetInt("more", v)
+	}
+	sp1.SetAttr("last", "x")
 	_, sp2 := StartSpan(ctx1, "grandchild")
 	sp2.End()
 	sp1.Stage("stage", 5*time.Millisecond)
@@ -77,6 +82,10 @@ func TestTraceNestingAndAttrs(t *testing.T) {
 	}
 	if v, ok := child.Attr("n"); !ok || v != "42" {
 		t.Fatalf("attr n = %q, %v", v, ok)
+	}
+	want := []Attr{{"k", "v"}, {"n", "42"}, {"more", "-1"}, {"more", "0"}, {"more", "1099511627776"}, {"more", "7"}, {"last", "x"}}
+	if !reflect.DeepEqual(child.Attrs, want) {
+		t.Fatalf("attrs = %v, want %v in the order set", child.Attrs, want)
 	}
 	if child.Find("grandchild") == nil {
 		t.Fatal("missing grandchild span")

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -41,9 +42,10 @@ type goldenRow struct {
 	Code            string           `json:"code,omitempty"`
 }
 
-// roundScore keeps six significant digits: EM sums its posteriors in map
-// order, so learned probabilities (and every score built from them) move in
-// the last few ulps from one process to the next.
+// roundScore keeps six significant digits, so the digest pins answers,
+// rankings and scores but not the last bits of the arithmetic: a change that
+// only reorders a floating-point sum moves a score in its last ulps. Two
+// builds of one binary agree to the bit (TestBuildsAgreeBitForBit).
 func roundScore(x float64) float64 {
 	r, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'g', 6, 64), 64)
 	return r
@@ -109,6 +111,43 @@ func TestGoldenQueryDigest(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBuildsAgreeBitForBit: two builds of the default world learn θ to the
+// same bits, so Query returns the same results, scores at full precision,
+// from one boot of a server to the next.
+func TestBuildsAgreeBitForBit(t *testing.T) {
+	var runs [2][]goldenRow
+	for i := range runs {
+		sys, err := Build(Options{Flavor: "freebase", Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range goldenQuestions(sys) {
+			row := goldenRow{Q: q}
+			res, err := sys.Query(context.Background(), q, WithTopK(8))
+			if err != nil {
+				row.Code = ErrorCode(err)
+			} else {
+				row.Answer, row.Interpretations, row.Variant = res.Answer, res.Interpretations, res.Variant
+			}
+			runs[i] = append(runs[i], row)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	differ := 0
+	for j, a := range runs[0] {
+		if b := runs[1][j]; !reflect.DeepEqual(a, b) {
+			if differ++; differ <= 3 {
+				t.Errorf("%q differs between two builds:\n  %+v\n  %+v", a.Q, a.Interpretations, b.Interpretations)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d questions differ between two builds", differ, len(runs[0]))
 	}
 }
 

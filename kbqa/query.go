@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/baseline"
@@ -108,7 +109,7 @@ func (c *queryConfig) arm(ctx context.Context) (context.Context, context.CancelF
 // so differently-optioned queries never share a result. Timeout is
 // deliberately excluded: it bounds the work, not the value.
 func (c queryConfig) fingerprint() string {
-	return fmt.Sprintf("k=%d;v=%t", c.topK, !c.noVariants)
+	return "k=" + strconv.Itoa(c.topK) + ";v=" + strconv.FormatBool(!c.noVariants)
 }
 
 // QueryOption tunes one Query call.
