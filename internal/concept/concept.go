@@ -99,23 +99,37 @@ const ctxSmoothing = 0.1
 // tokens with the mention removed. With no context evidence at all this
 // reduces to the prior P(c|e).
 func (t *Taxonomy) Conceptualize(entity string, contextTokens []string) []Scored {
-	prior := t.isA[text.Normalize(entity)]
+	return t.ConceptualizeInto(nil, text.Normalize(entity), contextTokens)
+}
+
+// ConceptualizeInto appends Conceptualize(surface, contextTokens) to dst for
+// a surface form that is normalized already, as a mention lexicon returns
+// it. It allocates nothing when dst has room, and it drops the context's
+// stopwords once rather than once per concept; the products and the
+// normalisation run in Conceptualize's order, so the scores are bit-equal.
+func (t *Taxonomy) ConceptualizeInto(dst []Scored, surface string, contextTokens []string) []Scored {
+	prior := t.isA[surface]
 	if len(prior) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Scored, len(prior))
-	for i, s := range prior {
+	var buf [24]string
+	content := buf[:0]
+	for _, w := range contextTokens {
+		if !text.IsStopword(w) {
+			content = append(content, w)
+		}
+	}
+	n := len(dst)
+	for _, s := range prior {
 		like := 1.0
 		ev := t.ctx[s.Concept]
-		for _, w := range contextTokens {
-			if text.IsStopword(w) {
-				continue
-			}
+		for _, w := range content {
 			like *= ctxSmoothing + ev[w]
 		}
-		out[i] = Scored{Concept: s.Concept, P: s.P * like}
+		dst = append(dst, Scored{Concept: s.Concept, P: s.P * like})
 	}
-	return normalize(out)
+	normalize(dst[n:])
+	return dst
 }
 
 // Best returns the highest-probability concept for the mention in context,

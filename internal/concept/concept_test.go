@@ -2,6 +2,8 @@ package concept
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,5 +141,77 @@ func TestNumConcepts(t *testing.T) {
 	}
 	if !tax.HasConcept("fruit") || tax.HasConcept("vegetable") {
 		t.Error("HasConcept wrong")
+	}
+}
+
+// referenceConceptualize is Conceptualize as it was written before
+// ConceptualizeInto: the surface normalized here, the stopword test run for
+// every concept, the result a fresh slice.
+func referenceConceptualize(t *Taxonomy, entity string, contextTokens []string) []Scored {
+	prior := t.isA[text.Normalize(entity)]
+	if len(prior) == 0 {
+		return nil
+	}
+	out := make([]Scored, len(prior))
+	for i, s := range prior {
+		like := 1.0
+		ev := t.ctx[s.Concept]
+		for _, w := range contextTokens {
+			if text.IsStopword(w) {
+				continue
+			}
+			like *= ctxSmoothing + ev[w]
+		}
+		out[i] = Scored{Concept: s.Concept, P: s.P * like}
+	}
+	return normalize(out)
+}
+
+// TestConceptualizeIntoEqualsReference checks the appending form against
+// the reference over random taxonomies and contexts — stopwords, repeated
+// words, words without evidence, contexts longer than its stack buffer —
+// bit for bit in P and in order, appended after whatever dst held, which it
+// leaves alone; and Conceptualize, which is now built on it, agrees too.
+func TestConceptualizeIntoEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"the", "of", "is", "who", "born", "ceo", "pie", "river", "city", "'s", "long"}
+	concepts := []string{"person", "city", "company", "fruit", "river", "band", "film"}
+	for trial := 0; trial < 200; trial++ {
+		tax := NewTaxonomy()
+		entities := []string{"apple", "paris", "new york", "the nile"}
+		for _, e := range entities {
+			for range 1 + rng.Intn(5) {
+				tax.AddIsA(e, concepts[rng.Intn(len(concepts))], rng.Float64()*3)
+			}
+		}
+		for range rng.Intn(30) {
+			tax.AddContextEvidence(concepts[rng.Intn(len(concepts))], words[rng.Intn(len(words))], rng.Float64()*5)
+		}
+		for _, e := range append(entities, "zzz") {
+			ctx := make([]string, rng.Intn(40))
+			for i := range ctx {
+				ctx[i] = words[rng.Intn(len(words))]
+			}
+			want := referenceConceptualize(tax, e, ctx)
+			head := []Scored{{"kept", 0.5}}
+			got := tax.ConceptualizeInto(slices.Clone(head), text.Normalize(e), ctx)
+			if !slices.Equal(got[:1], head) || !slices.Equal(got[1:], want) {
+				t.Fatalf("trial %d, %q in %q:\nConceptualizeInto %v\nreference         %v", trial, e, ctx, got, want)
+			}
+			if got := tax.Conceptualize(e, ctx); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %q in %q: Conceptualize %v, reference %v", trial, e, ctx, got, want)
+			}
+		}
+	}
+}
+
+// TestConceptualizeIntoAllocatesNothing: with room in dst the engine's
+// per-mention call is free.
+func TestConceptualizeIntoAllocatesNothing(t *testing.T) {
+	tax := appleTaxonomy()
+	ctx := text.Tokenize("what is the headquarter of")
+	var buf [8]Scored
+	if n := testing.AllocsPerRun(100, func() { tax.ConceptualizeInto(buf[:0], "apple", ctx) }); n != 0 {
+		t.Errorf("ConceptualizeInto allocates %v times, want 0", n)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/rdf"
-	"repro/internal/template"
 	"repro/internal/text"
 )
 
@@ -322,7 +321,7 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 		}()
 	}
 
-	ans, cands, direct := e.bfq(ctx, q, tm)
+	ans, cands, direct := e.bfq(ctx, q, tm, nil)
 	if direct == nil {
 		return ans, e.rankTopK(cands, k), nil
 	}
@@ -350,20 +349,27 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	// just the probe loops, and keeps an Index failure for this call to
 	// surface. The span that is the whole question needs no second look —
 	// the direct path just failed on exactly those tokens — and accepted
-	// spans keep their parse: one of them is the chain's first hop.
+	// spans keep their parse: one of them is the chain's first hop. The DP
+	// and its oracle run under one "engine.oracle" span, so the oracle's
+	// BFQs trace no span of their own and, on a cluster, their rpc.call
+	// frames nest under it.
 	var oracleErr error
+	var tally oracleTally
 	prims := make(map[text.Span]*parsed)
+	octx, osp := obs.StartSpan(ctx, "engine.oracle")
 	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
 	d.Primitive = func(toks []string, sp text.Span) bool {
-		if ctx.Err() != nil || oracleErr != nil || sp.Len() == whole {
+		if octx.Err() != nil || oracleErr != nil || sp.Len() == whole {
 			return false
 		}
 		for _, m := range mentions {
 			if sp.Contains(m.Span) {
 				sub := &parsed{toks: toks[sp.Start:sp.End]}
-				_, _, err := e.bfq(ctx, sub, nil)
+				tally.tried++
+				_, _, err := e.bfq(octx, sub, nil, &tally)
 				if err == nil {
 					prims[sp] = sub
+					tally.accepted++
 				} else if !Unanswerable(err) {
 					oracleErr = err
 				}
@@ -375,6 +381,12 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	matchStart := stampIf(tm)
 	dec, ok := d.Decompose(q.toks)
 	tm.lapMatch(matchStart)
+	if osp != nil {
+		osp.SetInt("spans_tried", int64(tally.tried))
+		osp.SetInt("spans_accepted", int64(tally.accepted))
+		osp.SetInt("probes", int64(tally.probes))
+		osp.End()
+	}
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
 	}
@@ -395,9 +407,12 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 // summation's support — entities from the question's mentions, templates
 // from conceptualization, predicates from the learned model — into a probe
 // plan; read the plan's V(e, p) sets in one Index call; assemble the
-// candidates and aggregate the argmax value. The candidates come back with
-// the answer so callers can rank the winner without re-probing. tm, when
-// non-nil, accumulates stage latencies.
+// candidates and aggregate the argmax value. No template is built as a
+// string: each is written into a reused key buffer to look θ up. The
+// candidates come back with the answer so callers can rank the winner
+// without re-probing. tm, when non-nil, accumulates stage latencies. tally
+// is nil except for the δ oracle's calls: without one the read is traced as
+// an "engine.probe" span, with one it is counted there instead.
 //
 // The error says how far the pipeline got: ErrNoEntity without a mention,
 // ErrNoTemplate when no derived template carried learned P(p|t) mass,
@@ -405,7 +420,7 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 // expiry, which the read checks, so cancellation aborts the scan
 // mid-flight, or infrastructure failure (all replicas down), which aborts
 // the answer rather than shrinking it.
-func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []interpretation, error) {
+func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings, tally *oracleTally) (Answer, []interpretation, error) {
 	mentions := e.mentionsOf(q, tm)
 	if len(mentions) == 0 {
 		return Answer{}, nil, ErrNoEntity
@@ -424,28 +439,34 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 	var plan probePlan
 	var cands []interpretation
 	// Scratch for one mention's model lookups — its interpretations but for
-	// the entity — on the stack at the usual handful of templates and paths.
+	// the entity — its concepts and its template keys, on the stack at the
+	// usual handful of templates, paths and bytes.
 	var learnedBuf [8]interpretation
+	var conceptBuf [8]concept.Scored
+	var keyBuf [128]byte
 	learned := learnedBuf[:0]
 	templates := 0
 	sawMass := false
 	for _, m := range mentions {
 		matchStart := stampIf(tm)
-		tmpls := template.DeriveAll(e.Taxonomy, q.toks, m.Span, m.Surface)
+		prefix, concepts := e.mentionTemplates(keyBuf[:0], conceptBuf[:0], q.toks, m)
 		tm.lapMatch(matchStart)
 		probeStart := stampIf(tm)
-		templates += len(tmpls)
 		// What the model knows of the mention's templates is the same for
 		// each of its entities: look it up once.
 		learned = learned[:0]
-		for _, tw := range tmpls {
-			ct := e.theta[tw.Text]
+		for _, c := range concepts {
+			if c.P <= 0 {
+				continue
+			}
+			templates++
+			ct := e.theta[string(text.AppendPlaceholder(prefix, c.Concept, q.toks[m.Span.End:]))]
 			if ct == nil {
 				continue
 			}
 			sawMass = true
 			for _, p := range ct.paths {
-				learned = append(learned, interpretation{template: ct.text, path: p.groundedPath, weight: pe * tw.P * p.p})
+				learned = append(learned, interpretation{template: ct.text, path: p.groundedPath, weight: pe * c.P * p.p})
 			}
 		}
 		cands = slices.Grow(cands, len(m.Entities)*len(learned))
@@ -458,8 +479,14 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 		tm.lapProbe(probeStart)
 	}
 
-	// Probe: the whole set in one read.
-	ctx, psp := obs.StartSpan(ctx, "engine.probe")
+	// Probe: the whole set in one read, traced on its own unless the caller
+	// is the δ oracle, whose span covers all its reads.
+	var psp *obs.Span
+	if tally == nil {
+		ctx, psp = obs.StartSpan(ctx, "engine.probe")
+	} else {
+		tally.probes += len(plan.probes)
+	}
 	if psp != nil {
 		psp.SetInt("mentions", int64(len(mentions)))
 		psp.SetInt("entities", int64(totalEntities))
@@ -496,6 +523,21 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 		return Answer{}, nil, ErrNoTemplate
 	}
 	return Answer{}, nil, ErrNoAnswer
+}
+
+// oracleTally counts the δ oracle's work for its span: the spans it ran a
+// BFQ on, those it accepted, and the probes their reads held.
+type oracleTally struct{ tried, accepted, probes int }
+
+// mentionTemplates prepares the templates t(q, e, c) of mention m of toks
+// (Sec 2, "Templates"): it appends the text before the mention to key, and
+// P(c|q,e) — a template's weight P(t|q,e) (Eq 5) — to concepts. Concept c's
+// template text is then text.AppendPlaceholder(prefix, c.Concept,
+// toks[m.Span.End:]).
+func (e *Engine) mentionTemplates(key []byte, concepts []concept.Scored, toks []string, m extract.Mention) (prefix []byte, _ []concept.Scored) {
+	var buf [24]string // the mention's context: the question without it
+	ctx := append(append(buf[:0], toks[:m.Span.Start]...), toks[m.Span.End:]...)
+	return text.AppendHead(key, toks[:m.Span.Start]), e.Taxonomy.ConceptualizeInto(concepts, m.Surface, ctx)
 }
 
 // probePlan is one question's probe set: every (entity, path) Eq (7) gives
@@ -808,7 +850,7 @@ func (e *Engine) hopBFQ(ctx context.Context, q *parsed, question string, tm *Tim
 		sp.SetAttr("question", question)
 		defer sp.End()
 	}
-	return e.bfq(ctx, q, tm)
+	return e.bfq(ctx, q, tm, nil)
 }
 
 // less orders answers by score for picking the strongest step answer; the

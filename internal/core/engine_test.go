@@ -72,7 +72,7 @@ func askCtx(ctx context.Context, e *Engine, q string) (Answer, error) {
 }
 
 func askBFQ(e *Engine, q string) (Answer, bool) {
-	ans, _, err := e.bfq(context.Background(), &parsed{toks: text.Tokenize(q)}, nil)
+	ans, _, err := e.bfq(context.Background(), &parsed{toks: text.Tokenize(q)}, nil, nil)
 	return ans, err == nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 // TestAnswerTraceStagesMatchTimings drives a traced chain question through
 // the engine and checks the span tree: an engine.answer root with
 // parse/match/probe stage children whose durations equal the returned
-// Timings exactly (both read the same accumulator), plus per-hop and
-// per-BFQ spans from chain execution.
+// Timings exactly (both read the same accumulator), per-hop and per-BFQ
+// spans from chain execution, one engine.oracle span for the decomposition
+// DP, and an engine.probe span for each BFQ outside it.
 func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	f := world(t)
 	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
@@ -78,8 +80,44 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	if hops < 2 {
 		t.Fatalf("found %d engine.hop spans, want >= 2 for a 2-step chain", hops)
 	}
-	if eng.Find("engine.probe") == nil {
-		t.Fatal("no engine.probe span captured")
+	// One engine.oracle span covers the δ oracle's BFQs, which open no
+	// engine.probe of their own; the direct path and every hop BFQ keep
+	// theirs, and nothing else opens one.
+	var count func(sp *obs.SpanSnapshot, name string) int
+	count = func(sp *obs.SpanSnapshot, name string) int {
+		n := 0
+		if sp.Name == name {
+			n++
+		}
+		for i := range sp.Children {
+			n += count(&sp.Children[i], name)
+		}
+		return n
+	}
+	if n := count(eng, "engine.oracle"); n != 1 {
+		t.Fatalf("%d engine.oracle spans, want 1", n)
+	}
+	oracle := eng.Find("engine.oracle")
+	if n := count(oracle, "engine.probe") + count(oracle, "probe.shard"); n != 0 {
+		t.Errorf("the oracle's BFQs opened %d probe spans, want 0", n)
+	}
+	wantProbes := 1 // the direct path
+	for _, st := range ans.Steps {
+		wantProbes += len(st.Questions)
+	}
+	if n := count(eng, "engine.probe"); n != wantProbes {
+		t.Errorf("%d engine.probe spans, want %d: the direct path + one per hop BFQ", n, wantProbes)
+	}
+	attr := func(key string) int {
+		v, ok := oracle.Attr(key)
+		n, err := strconv.Atoi(v)
+		if !ok || err != nil {
+			t.Fatalf("engine.oracle %s attr = %q, %v", key, v, ok)
+		}
+		return n
+	}
+	if tried, accepted, probes := attr("spans_tried"), attr("spans_accepted"), attr("probes"); accepted < 1 || tried < accepted || probes < accepted {
+		t.Errorf("engine.oracle tried %d spans, accepted %d, probed %d", tried, accepted, probes)
 	}
 	if v, ok := eng.Attr("question"); !ok || v != q {
 		t.Errorf("engine.answer question attr = %q, want %q", v, q)

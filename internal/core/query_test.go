@@ -239,7 +239,7 @@ func TestBFQReadsItsProbePlanOnce(t *testing.T) {
 	for _, p := range f.pairs {
 		g.calls.Store(0)
 		g.batches = g.batches[:0]
-		_, cands, err := e.bfq(ctx, &parsed{toks: text.Tokenize(p.Q)}, nil)
+		_, cands, err := e.bfq(ctx, &parsed{toks: text.Tokenize(p.Q)}, nil, nil)
 		calls := g.calls.Load()
 		if want := int64(1); (err == nil || errors.Is(err, ErrNoAnswer)) && calls != want {
 			t.Fatalf("bfq(%q) = %v made %d PathObjects calls, want %d", p.Q, err, calls, want)

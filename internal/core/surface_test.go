@@ -6,9 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/concept"
 	"repro/internal/corpus"
 	"repro/internal/extract"
 	"repro/internal/learn"
+	"repro/internal/template"
 	"repro/internal/text"
 )
 
@@ -109,11 +111,11 @@ func TestParsesOncePerQuestion(t *testing.T) {
 
 // TestAllocationCeilings bounds what one question may allocate, so a
 // regression in the compiled forms (a re-joined n-gram, a re-parsed path
-// key, a re-normalized label) fails here, by layer, and not only in the
-// end-to-end ledger. The worst question of its kind is measured, and logged;
-// the ceilings leave well under a factor of two over today's worst (a BFQ
-// 31, a two-hop question 295; before the lexicon they averaged 213 and
-// 1,994).
+// key, a re-normalized label, a template built as a string) fails here, by
+// layer, and not only in the end-to-end ledger. The worst question of its
+// kind is measured, and logged; the ceilings sit just above today's worst
+// (a BFQ 24, a two-hop question 170; with template strings they were 43 and
+// 406, before the lexicon they averaged 213 and 1,994).
 func TestAllocationCeilings(t *testing.T) {
 	f := world(t)
 	ctx := context.Background()
@@ -145,12 +147,60 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 	q, n := worst(bfqs, false)
 	t.Logf("worst BFQ: %v allocations (%q)", n, q)
-	if n > 60 {
-		t.Errorf("a BFQ allocates %v times (%q), ceiling 60", n, q)
+	if n > 28 {
+		t.Errorf("a BFQ allocates %v times (%q), ceiling 28", n, q)
 	}
 	q, n = worst(hops, true)
 	t.Logf("worst two-hop question: %v allocations (%q)", n, q)
-	if n > 450 {
-		t.Errorf("a two-hop question allocates %v times (%q), ceiling 450", n, q)
+	if n > 190 {
+		t.Errorf("a two-hop question allocates %v times (%q), ceiling 190", n, q)
 	}
+}
+
+// TestTemplateKeysEqualDeriveAll pins the θ keys the engine writes into its
+// key buffer to the template strings of the template package: over every
+// corpus question and every complex question of the fixture — and every
+// span the δ oracle could hand a BFQ, which is a prefix of neither — each
+// mention × concept gives the bytes and the weight of
+// template.DeriveAll's entry, in its order.
+func TestTemplateKeysEqualDeriveAll(t *testing.T) {
+	f := world(t)
+	e := f.engine
+	var questions [][]string
+	for _, p := range f.pairs {
+		questions = append(questions, text.Tokenize(p.Q))
+	}
+	for _, cp := range corpus.ComposeComplex(f.kb, 5, 200) {
+		toks := text.Tokenize(cp.Q)
+		for i := range toks {
+			for j := i + 1; j <= len(toks); j++ {
+				questions = append(questions, toks[i:j])
+			}
+		}
+	}
+	keys, terms := 0, 0
+	var keyBuf [128]byte
+	var conceptBuf [8]concept.Scored
+	for _, toks := range questions {
+		for _, m := range e.find(toks) {
+			want := template.DeriveAll(e.Taxonomy, toks, m.Span, m.Surface)
+			prefix, concepts := e.mentionTemplates(keyBuf[:0], conceptBuf[:0], toks, m)
+			var got []template.Weighted
+			for _, c := range concepts {
+				if c.P > 0 {
+					key := string(text.AppendPlaceholder(prefix, c.Concept, toks[m.Span.End:]))
+					got = append(got, template.Weighted{Template: template.Template{Text: key, Concept: c.Concept}, P: c.P})
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%q, mention %q:\nengine keys %v\nDeriveAll   %v", text.Join(toks), m.Surface, got, want)
+			}
+			keys += len(got)
+			terms++
+		}
+	}
+	if terms == 0 || keys < terms {
+		t.Fatalf("compared %d keys over %d mentions", keys, terms)
+	}
+	t.Logf("%d template keys over %d mentions of %d token sequences", keys, terms, len(questions))
 }

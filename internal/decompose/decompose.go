@@ -8,7 +8,9 @@ package decompose
 import "repro/internal/text"
 
 // Hole is the entity-variable placeholder used in question patterns.
-const Hole = "$e"
+const Hole = "$" + holeName
+
+const holeName = "e"
 
 // Stats holds the corpus pattern statistics of Sec 5.2: for a question
 // pattern q̌ (a question with one substring replaced by $e), fo counts the
@@ -31,6 +33,7 @@ const maxHoleTokens = 8
 // knowledge-base gazetteer check).
 func BuildStats(questions []string, isEntitySpan func(toks []string, sp text.Span) bool) *Stats {
 	s := &Stats{fo: make(map[string]int), fv: make(map[string]int)}
+	var key []byte
 	for _, q := range questions {
 		toks := text.Tokenize(q)
 		for i := 0; i < len(toks); i++ {
@@ -39,7 +42,8 @@ func BuildStats(questions []string, isEntitySpan func(toks []string, sp text.Spa
 				if sp.Len() == len(toks) {
 					continue // replacing everything is not a pattern
 				}
-				pat := text.Join(text.ReplaceSpan(toks, sp, Hole))
+				key = patternKey(key[:0], toks, sp)
+				pat := string(key) // Join(ReplaceSpan(toks, sp, Hole))
 				s.fo[pat]++
 				if isEntitySpan(toks, sp) {
 					s.fv[pat]++
@@ -50,13 +54,20 @@ func BuildStats(questions []string, isEntitySpan func(toks []string, sp text.Spa
 	return s
 }
 
-// P returns P(q̌) = fv(q̌)/fo(q̌) (Eq 26); 0 when the pattern never occurs.
-func (s *Stats) P(pattern string) float64 {
-	fo := s.fo[pattern]
+// prob returns P(q̌) = fv(q̌)/fo(q̌) (Eq 26) for a pattern written by
+// patternKey, without allocating; 0 when the pattern never occurs.
+func (s *Stats) prob(key []byte) float64 {
+	fo := s.fo[string(key)]
 	if fo == 0 {
 		return 0
 	}
-	return float64(s.fv[pattern]) / float64(fo)
+	return float64(s.fv[string(key)]) / float64(fo)
+}
+
+// patternKey appends the pattern q̌ — toks with the span hole replaced by
+// Hole — to dst, as text.AppendHead describes.
+func patternKey(dst []byte, toks []string, hole text.Span) []byte {
+	return text.AppendPlaceholder(text.AppendHead(dst, toks[:hole.Start]), holeName, toks[hole.End:])
 }
 
 // Decomposition is a valid question sequence A = (q̌_0, ..., q̌_k), each
@@ -116,6 +127,7 @@ func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
 		memo[i] = make([]cell, n+1)
 	}
 	var live []text.Span
+	var keyBuf [128]byte
 
 	// Ascending span length guarantees sub-solutions exist (Theorem 2's
 	// local optimality).
@@ -136,12 +148,12 @@ func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
 					continue
 				}
 				inner := memo[inSp.Start][inSp.End]
-				pat := text.ReplaceSpan(sub, text.Span{Start: inSp.Start - i, End: inSp.End - i}, Hole)
-				pr := d.Stats.P(text.Join(pat)) * inner.p
+				hole := text.Span{Start: inSp.Start - i, End: inSp.End - i}
+				pr := d.Stats.prob(patternKey(keyBuf[:0], sub, hole)) * inner.p
 				if pr > best.p {
 					seq := make([][]string, 0, len(inner.seq)+1)
 					seq = append(seq, inner.seq...)
-					seq = append(seq, pat)
+					seq = append(seq, text.ReplaceSpan(sub, hole, Hole))
 					best = cell{p: pr, first: inner.first, seq: seq}
 				}
 			}

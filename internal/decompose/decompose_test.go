@@ -30,19 +30,19 @@ func entityOracle(entities ...string) func(toks []string, sp text.Span) bool {
 // "was ... born"), fv = 0 so P = 0.
 func TestExample4(t *testing.T) {
 	stats := BuildStats(paperCorpus, entityOracle("Barack Obama", "Honolulu"))
-	if p := stats.P("when was $e born"); p != 1 {
+	if p := stats.prob([]byte("when was $e born")); p != 1 {
 		t.Errorf("P(when was $e born) = %v, want 1", p)
 	}
 	if fv, fo := stats.fv["when was $e born"], stats.fo["when was $e born"]; fv != 2 || fo != 2 {
 		t.Errorf("counts = %d/%d, want 2/2", fv, fo)
 	}
-	if p := stats.P("when $e"); p != 0 {
+	if p := stats.prob([]byte("when $e")); p != 0 {
 		t.Errorf("P(when $e) = %v, want 0", p)
 	}
 	if fo := stats.fo["when $e"]; fo != 2 {
 		t.Errorf("fo(when $e) = %d, want 2", fo)
 	}
-	if p := stats.P("never seen $e"); p != 0 {
+	if p := stats.prob([]byte("never seen $e")); p != 0 {
 		t.Errorf("unseen pattern must have P=0, got %v", p)
 	}
 }
@@ -161,7 +161,7 @@ func bruteForce(d *Decomposer, toks []string) (float64, []string) {
 				continue
 			}
 			pat := text.Join(text.ReplaceSpan(toks, text.Span{Start: a, End: b}, Hole))
-			p := d.Stats.P(pat) * innerP
+			p := d.Stats.prob([]byte(pat)) * innerP
 			if p > bestP {
 				bestP = p
 				bestSeq = append(append([]string{}, innerSeq...), pat)
@@ -204,9 +204,9 @@ func TestOverGeneralizedPatternPunished(t *testing.T) {
 	}
 	oracle := entityOracle("Barack Obama", "Michelle Obama")
 	stats := BuildStats(corpus, oracle)
-	if stats.P("when $e") >= stats.P("when was $e born") {
+	if stats.prob([]byte("when $e")) >= stats.prob([]byte("when was $e born")) {
 		t.Errorf("over-generalized pattern not punished: %v vs %v",
-			stats.P("when $e"), stats.P("when was $e born"))
+			stats.prob([]byte("when $e")), stats.prob([]byte("when was $e born")))
 	}
 }
 

@@ -64,7 +64,7 @@ type World struct {
 	WebDocs []string
 
 	// Systems are the comparison QA systems, keyed by short name:
-	// kbqa, keyword, synonym, graph, rule.
+	// keyword, synonym, graph, rule, and kbqa once BuildWorld wired Engine.
 	Systems map[string]baseline.System
 }
 
@@ -83,11 +83,20 @@ func (w *World) Learner() *learn.Learner {
 	}
 }
 
-// BuildWorld generates the KB and corpus, runs the offline procedure
-// (entity–value extraction, EM, decomposition statistics, predicate
-// expansion support structures) and wires the online engine plus all
-// baselines.
+// BuildWorld is LearnWorld with the online engine wired over the
+// in-process store, answering as the "kbqa" system.
 func BuildWorld(cfg WorldConfig) *World {
+	w := LearnWorld(cfg)
+	w.Engine = core.NewEngine(w.Symbols, core.LocalIndex(w.KB.Store), w.KB.Taxonomy, w.Model, w.Stats)
+	w.Systems["kbqa"] = &KBQASystem{Engine: w.Engine, Label: "KBQA+" + w.Cfg.Flavor.String()}
+	return w
+}
+
+// LearnWorld generates the KB and corpus, runs the offline procedure
+// (entity–value extraction, EM, decomposition statistics, predicate
+// expansion support structures) and wires the baselines. Engine is left
+// nil for the caller to build over the index it reads through.
+func LearnWorld(cfg WorldConfig) *World {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 30
 	}
@@ -112,13 +121,11 @@ func BuildWorld(cfg WorldConfig) *World {
 	w.Model = learner.EM(w.Obs)
 
 	w.Stats = decompose.BuildStats(corpus.Questions(w.Pairs), w.Symbols.Lexicon.Has)
-	w.Engine = core.NewEngine(w.Symbols, core.LocalIndex(w.KB.Store), w.KB.Taxonomy, w.Model, w.Stats)
 	w.Infobox = infobox.Build(w.KB.Store, infobox.Config{Seed: cfg.Seed + 2})
 	w.WebDocs = corpus.GenerateWebDocs(w.KB, cfg.Seed+3, cfg.PairsPerIntent)
 
 	lex, mentions := baseline.DefaultLexicon(), w.Symbols.Lexicon
 	w.Systems = map[string]baseline.System{
-		"kbqa":    &KBQASystem{Engine: w.Engine, Label: "KBQA+" + cfg.Flavor.String()},
 		"keyword": &baseline.Keyword{KB: w.KB.Store, Mentions: mentions},
 		"synonym": &baseline.Synonym{KB: w.KB.Store, Mentions: mentions, Lexicon: lex},
 		"graph":   &baseline.GraphMatch{KB: w.KB.Store, Mentions: mentions, Lexicon: lex, PathSynonyms: baseline.DefaultPathSynonyms()},

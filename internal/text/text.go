@@ -184,6 +184,29 @@ func ReplaceSpan(toks []string, sp Span, repl string) []string {
 	return out
 }
 
+// AppendHead appends the tokens before a template's or a pattern's
+// placeholder to dst, each followed by its separator; AppendPlaceholder
+// completes the text. Writing a span's replacement into a reused buffer
+// this way renders Join(ReplaceSpan(toks, sp, "$"+name)) byte for byte
+// without building either, so a map keyed by that string can be read with
+// m[string(key)], which does not allocate.
+func AppendHead(dst []byte, head []string) []byte {
+	for _, t := range head {
+		dst = append(append(dst, t...), ' ')
+	}
+	return dst
+}
+
+// AppendPlaceholder appends "$"+name and then the tail tokens, each after a
+// separator, to the head AppendHead wrote.
+func AppendPlaceholder(head []byte, name string, tail []string) []byte {
+	key := append(append(head, '$'), name...)
+	for _, t := range tail {
+		key = append(append(key, ' '), t...)
+	}
+	return key
+}
+
 // CutSpan returns the tokens covered by sp.
 func CutSpan(toks []string, sp Span) []string {
 	if !sp.Valid(len(toks)) {

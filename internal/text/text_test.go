@@ -266,3 +266,23 @@ func TestNormalizeCanonicalAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPlaceholderEqualsJoin pins the key a template or a pattern is
+// looked up by to its string form, Join(ReplaceSpan(toks, sp, "$"+name)):
+// every span of every question, spans at either end, a one-token question
+// and a question already holding a placeholder included, written after
+// whatever the buffer held.
+func TestAppendPlaceholderEqualsJoin(t *testing.T) {
+	for _, q := range []string{"Honolulu?", "When was Barack Obama's wife born?", "who founded $e 's label", "a b c d e f g h i j"} {
+		toks := Tokenize(q)
+		for i := range toks {
+			for j := i + 1; j <= len(toks); j++ {
+				sp := Span{Start: i, End: j}
+				want := "junk" + Join(ReplaceSpan(toks, sp, "$city"))
+				if got := string(AppendPlaceholder(AppendHead([]byte("junk"), toks[:i]), "city", toks[j:])); got != want {
+					t.Errorf("%q %v: key %q, want %q", q, sp, got, want)
+				}
+			}
+		}
+	}
+}

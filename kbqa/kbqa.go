@@ -216,7 +216,7 @@ func Build(o Options) (*System, error) {
 	if o.KBImage != "" && len(o.ShardServers) > 0 {
 		return nil, fmt.Errorf("kbqa: KBImage and ShardServers are mutually exclusive")
 	}
-	s := &System{world: eval.BuildWorld(cfg)}
+	s := &System{world: eval.LearnWorld(cfg)}
 	s.kb = s.world.Symbols
 	s.index = core.LocalIndex(s.world.KB.Store)
 	if err := s.wire(o); err != nil {

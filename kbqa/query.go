@@ -268,7 +268,7 @@ func variantFromCore(va core.VariantAnswer) VariantAnswer {
 // routing; unanswered questions return ErrNoAnswer.
 func (s *System) Baseline(name string) (Answerer, error) {
 	sys, ok := s.world.Systems[name]
-	if !ok || name == "kbqa" {
+	if !ok {
 		return nil, fmt.Errorf("kbqa: unknown baseline %q (want keyword, synonym, graph, or rule)", name)
 	}
 	return baselineAnswerer{ad: baseline.Adapter{Sys: sys}}, nil
