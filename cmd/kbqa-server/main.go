@@ -1,8 +1,8 @@
 // Command kbqa-server exposes a trained KBQA system over HTTP through the
-// production serving runtime (generation-keyed answer cache — optionally
-// disk-backed so answers survive restarts — singleflight deduplication,
-// per-client rate limiting, admission control, batch executor, metrics
-// pipeline) on top of the unified Query API.
+// production serving runtime (answer cache keyed by the model that computed
+// each answer — optionally disk-backed so answers survive restarts —
+// singleflight deduplication, per-client rate limiting, admission control,
+// batch executor, metrics pipeline) on top of the unified Query API.
 //
 // Endpoints:
 //
@@ -15,8 +15,8 @@
 //	     histograms; ?format=prometheus (or Accept: text/plain) returns
 //	     the Prometheus text exposition
 //	GET  /stats                      -> system statistics
-//	GET  /healthz                    -> JSON liveness: status, generation,
-//	     uptime
+//	GET  /healthz                    -> JSON liveness: status, generation
+//	     (model swaps since boot), uptime
 //	GET  /readyz                     -> JSON readiness: 503 until the boot
 //	     sequence (replay, warm) completes, 200 after
 //	GET  /debug/traces               -> retained request traces, newest
@@ -550,7 +550,7 @@ func main() {
 	if *cacheDir != "" {
 		m := s.srv.Metrics()
 		logger.Info("persistent cache replayed", kbqa.LogF("dir", *cacheDir),
-			kbqa.LogF("entries", m.CacheEntries), kbqa.LogF("generation", m.Generation))
+			kbqa.LogF("entries", m.CacheEntries))
 	}
 	if *warm > 0 {
 		if *cacheEntries < 0 {

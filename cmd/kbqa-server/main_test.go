@@ -320,8 +320,8 @@ func (d *discardWriter) WriteHeader(code int)        { d.status = code }
 // mux, the tracer as shipped (-slow-query 500ms, so nothing is retained), an
 // info access log, the cache hit and the reply. A count repeats where a
 // clock does not. Rendering the reply and the log line by reflection, and
-// parsing the query string twice, cost 72 here; appending them costs 28,
-// and the ceiling leaves under 10 % headroom over that.
+// parsing the query string twice, cost 72 here; appending them costs 27,
+// and the ceiling leaves about 10 % headroom over that.
 func TestWarmAskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")

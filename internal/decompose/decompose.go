@@ -64,6 +64,29 @@ func (s *Stats) prob(key []byte) float64 {
 	return float64(s.fv[string(key)]) / float64(fo)
 }
 
+// Fingerprint is a deterministic content hash of the statistics: equal
+// (pattern, fo, fv) sets hash equal whatever the map order or the order of
+// the corpus questions. Each pattern is hashed on its own (FNV-1a over the
+// pattern and its two counts, then a splitmix64 finalizer so the sum mixes)
+// and the per-pattern hashes are summed.
+func (s *Stats) Fingerprint() uint64 {
+	var sum uint64
+	for pat, fo := range s.fo {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(pat); i++ {
+			h = (h ^ uint64(pat[i])) * 1099511628211
+		}
+		h = (h ^ uint64(fo)) * 1099511628211
+		h = (h ^ uint64(s.fv[pat])) * 1099511628211
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		sum += h ^ h>>31
+	}
+	return sum
+}
+
 // patternKey appends the pattern q̌ — toks with the span hole replaced by
 // Hole — to dst, as text.AppendHead describes.
 func patternKey(dst []byte, toks []string, hole text.Span) []byte {

@@ -25,6 +25,26 @@ func entityOracle(entities ...string) func(toks []string, sp text.Span) bool {
 	}
 }
 
+// TestStatsFingerprint: the fingerprint depends on the counted patterns,
+// not on the order the questions came in or the maps iterate in, and a
+// change of fv alone (the same questions, another entity oracle) moves it.
+func TestStatsFingerprint(t *testing.T) {
+	oracle := entityOracle("Barack Obama", "Honolulu")
+	a := BuildStats(paperCorpus, oracle)
+	reversed := []string{paperCorpus[2], paperCorpus[1], paperCorpus[0]}
+	for i := 0; i < 10; i++ {
+		if got, want := BuildStats(reversed, oracle).Fingerprint(), a.Fingerprint(); got != want {
+			t.Fatalf("reordered corpus fingerprints %#x, want %#x", got, want)
+		}
+	}
+	if BuildStats(paperCorpus[1:], oracle).Fingerprint() == a.Fingerprint() {
+		t.Error("dropping a question did not move the fingerprint")
+	}
+	if BuildStats(paperCorpus, entityOracle("Honolulu")).Fingerprint() == a.Fingerprint() {
+		t.Error("changing only fv did not move the fingerprint")
+	}
+}
+
 // TestExample4 reproduces the paper's Example 4: for q̌1 = "when was $e
 // born" we get fv = fo = 2 so P = 1; for q̌2 = "when $e" (which swallows
 // "was ... born"), fv = 0 so P = 0.

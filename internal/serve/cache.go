@@ -7,18 +7,13 @@ import (
 )
 
 // Entry is one resident answer together with the metadata the persistence
-// and expiry machinery needs: the model generation that computed it (stale
-// generations become unreachable when the runtime's generation is bumped),
-// the computation time (the TTL anchor), and whether the entry was replayed
-// from disk rather than computed by this process (the persist-hit counter).
+// and expiry machinery needs: the computation time (the TTL anchor), and
+// whether the entry was replayed from disk rather than computed by this
+// process (the persist-hit counter). Which model computed it is part of the
+// key, not the entry.
 type Entry[A any] struct {
 	Val A
 	OK  bool
-	// Gen is the model generation the answer was computed under. The
-	// runtime also encodes it into the cache key, so the field exists for
-	// the disk log, which drops entries of dead generations without parsing
-	// keys.
-	Gen uint64
 	// At is when the answer was computed; the runtime treats entries older
 	// than Options.TTL as misses.
 	At time.Time

@@ -78,10 +78,10 @@ func (l *diskLog[A]) rotateLocked() (path string, sealed *os.File, err error) {
 }
 
 // rotateAndMerge is one rotation, start to finish. Under mu it seals the
-// active segment and reads the generation the base keeps; off the lock it
-// makes the sealed file and the directory durable, then replaces the base
-// with a fresh dense one: last write per key, current generation only,
-// TTL-live only, resident only. It reads no segment: every record of the
+// active segment; off the lock it makes the sealed file and the directory
+// durable, then replaces the base with a fresh dense one: last write per
+// key, TTL-live only, resident only — whichever model computed it, since
+// replay sorts models out by key. It reads no segment: every record of the
 // sealed file was made resident before it was appended, so what survives
 // is by construction what the cache holds now, and the merge snapshots
 // that. Dropping what memory evicted bounds the base to the working set
@@ -98,10 +98,6 @@ func (l *diskLog[A]) rotateLocked() (path string, sealed *os.File, err error) {
 func (l *diskLog[A]) rotateAndMerge() {
 	l.mu.Lock()
 	path, sealed, err := l.rotateLocked()
-	// A bump landing after the rotation filters nothing here, and need
-	// not: its record is in the fresh active segment, which replays after
-	// this base.
-	gen, tag := l.gen, l.tag
 	l.mu.Unlock()
 	if err != nil {
 		l.setWriteErr(err)
@@ -144,7 +140,7 @@ func (l *diskLog[A]) rotateAndMerge() {
 	ssp.SetInt("records", int64(len(resident)))
 	ssp.End()
 	psp := root.Child("merge.publish")
-	live, err := l.writeBase(resident, gen, tag)
+	live, err := l.writeBase(resident)
 	psp.SetInt("live", int64(live))
 	psp.End()
 	if err != nil {
@@ -169,28 +165,22 @@ func (l *diskLog[A]) rotateAndMerge() {
 	mtr.Finish() // before the log line, so its trace_id is already in the ring
 	l.log.Info("cache merge",
 		obs.F("trace_id", mtr.ID()), obs.F("live", live),
-		obs.F("freed_bytes", size), obs.F("generation", gen),
-		obs.F("duration", time.Since(begin)))
+		obs.F("freed_bytes", size), obs.F("duration", time.Since(begin)))
 }
 
 // writeBase is the publish step of boot compaction and every merge: it
-// renders a cache snapshot (plus one generation record) into a dense,
-// checksum-clean segment, fsyncs it, and atomically renames it over the
-// base, reporting how many entries were live. Only entries of generation
-// gen inside the TTL are live: dead generations are unreachable (the
-// runtime keys by generation) and expired entries will never be served
-// again, however long they stay resident. Memory can also hold an entry
-// put refused to log (unencodable, oversized); it is skipped here the same
-// way and stays memory-only.
-func (l *diskLog[A]) writeBase(resident []liveEntry[A], gen uint64, tag string) (live int, err error) {
+// renders a cache snapshot into a dense, checksum-clean segment, fsyncs it,
+// and atomically renames it over the base, reporting how many entries were
+// live. Only entries inside the TTL are live: expired entries will never be
+// served again, however long they stay resident. Memory can also hold an
+// entry put refused to log (unencodable, oversized); it is skipped here the
+// same way and stays memory-only.
+func (l *diskLog[A]) writeBase(resident []liveEntry[A]) (live int, err error) {
 	err = safeio.PublishFile(l.basePath(), func(w *bufio.Writer) error {
 		writeSegHeader(w, l.meta)
-		if err := safeio.WriteFrame(w, encodeGenPayload(gen, tag)); err != nil {
-			return err
-		}
 		now := time.Now()
 		for _, le := range resident {
-			if le.e.Gen != gen || !l.alive(le.e, now) {
+			if !l.alive(le.e, now) {
 				continue
 			}
 			live++
@@ -198,7 +188,7 @@ func (l *diskLog[A]) writeBase(resident []liveEntry[A], gen uint64, tag string) 
 			if err != nil || entryPayloadLen(le.key, val) > maxRecordLen {
 				continue
 			}
-			if err := safeio.WriteFrame(w, encodeEntryPayload(le.key, val, le.e.Gen, le.e.At.UnixNano(), le.e.OK)); err != nil {
+			if err := safeio.WriteFrame(w, encodeEntryPayload(le.key, val, le.e.At.UnixNano(), le.e.OK)); err != nil {
 				return err
 			}
 		}

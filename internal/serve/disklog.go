@@ -21,9 +21,9 @@ import (
 // append-only segment files that makes the runtime's answerCache survive a
 // restart. Memory is the source of truth — lookups never touch the disk,
 // and the log is write-only between opens: every computed answer is
-// appended as one length-prefixed, checksummed record (see segment.go),
-// generation bumps append a generation record carrying the model tag, and
-// the files are read exactly once, by openDiskLog, to refill the cache.
+// appended as one length-prefixed, checksummed record (see segment.go), and
+// the files are read exactly once, by openDiskLog, to refill the cache with
+// the entries of the model this process runs (LogOptions.ModelTag).
 //
 // The segments form a three-tier log, replayed in write order at open:
 //
@@ -31,23 +31,21 @@ import (
 //	answers.<seq>.sealed    at most one sealed segment, being merged
 //	answers.seg             the active segment, the only append target
 //
-// Requests only append: put and setGeneration frame a record into the
-// buffered writer under mu and, once the active segment holds rotateEvery
-// appended bytes, wake the merger. After openDiskLog returns, the merger
-// goroutine (compact.go) is the only code that touches a file of the
-// directory. A rotation is one merger step: under mu it flushes the writer,
-// renames the active file to the next sealed name and starts a fresh active
-// segment; off the lock it fsyncs and closes the sealed file, fsyncs the
-// directory, writes the resident entries of the live generation inside the
-// TTL — a snapshot of memory, not a re-read of its own files — as a new
-// dense base, publishes it with an atomic rename, and deletes the sealed
-// file. A rotation that falls due while that merge runs waits for it
+// Requests only append: put frames a record into the buffered writer under
+// mu and, once the active segment holds rotateEvery appended bytes, wakes
+// the merger. After openDiskLog returns, the merger goroutine (compact.go)
+// is the only code that touches a file of the directory. A rotation is one
+// merger step: under mu it flushes the writer, renames the active file to
+// the next sealed name and starts a fresh active segment; off the lock it
+// fsyncs and closes the sealed file, fsyncs the directory, writes the
+// resident entries inside the TTL — a snapshot of memory, whichever model
+// computed them, not a re-read of its own files — as a new dense base,
+// publishes it with an atomic rename, and deletes the sealed file. A
+// rotation that falls due while that merge runs waits for it
 // (kbqa_cache_rotation_paused), so a second sealed file never exists. A
 // crash at any point loses nothing and resurrects nothing: replay of base +
 // surviving sealed + active reconstructs the last-write-wins state, and a
-// sealed segment that outlives its own merge replays idempotently. Every
-// fresh active segment re-declares the current generation, so invalidation
-// survives restarts even after the segment that recorded the bump is gone.
+// sealed segment that outlives its own merge replays idempotently.
 //
 // Every durability point runs on the merger: rotations, the periodic fsync
 // when SyncEvery is set (an answer is durable within SyncEvery of being
@@ -81,8 +79,6 @@ type diskLog[A any] struct {
 	lock *os.File // flock'd lock file; held for the log's lifetime
 
 	mu       sync.Mutex // guards everything below
-	gen      uint64     // last recorded model generation; only moves forward
-	tag      string     // model tag recorded with gen
 	appended int64      // bytes appended to the active segment
 	seq      uint64     // next sealed-segment sequence number
 	f        *os.File   // active segment; only the merger replaces or closes it
@@ -110,14 +106,11 @@ type LogOptions[A any] struct {
 	// segment written under a different Meta is discarded at open instead
 	// of replayed — a cache directory can never poison a different system.
 	Meta string
-	// ModelTag identifies the content of the model whose answers the
-	// current generation holds (BumpGeneration updates it on retrain).
-	// Every generation record carries the tag current at bump time; if at
-	// open the persisted generation's tag differs from ModelTag, the
-	// entries were computed by a model this process is not running — the
-	// generation is advanced past them and they are dropped, rather than
-	// served against the wrong model. Empty tags compare like any other
-	// value, so tag-less logs keep plain generation semantics.
+	// ModelTag is how the caller leads the fingerprints it hands Do for the
+	// model it runs at open: replay keeps only entries whose key starts
+	// with it, so answers another model computed are dropped instead of
+	// served. No tag may be a prefix of another (a fixed width does it).
+	// Empty keeps every entry.
 	ModelTag string
 	// SyncEvery is the period of the background fsync of the active
 	// segment: an answer is durable within SyncEvery of being computed.
@@ -161,10 +154,9 @@ func sealedName(seq uint64) string {
 
 // openDiskLog opens (or creates) the log rooted at o.Dir: it replays base +
 // sealed + active segments in write order into mem, then compacts the
-// survivors into a fresh dense base before serving. The returned log
-// carries the last persisted generation; entries of dead generations,
-// entries past ttl, and any torn tail are dropped. It fails fast if another
-// process holds the directory.
+// survivors into a fresh dense base before serving. Entries of another
+// model (no o.ModelTag prefix), entries past ttl, and any torn tail are
+// dropped. It fails fast if another process holds the directory.
 func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A]) (*diskLog[A], error) {
 	if o.Codec == nil {
 		o.Codec = JSONCodec[A]{}
@@ -183,7 +175,6 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 		meta:        o.Meta,
 		ttl:         ttl,
 		rotateEvery: defaultRotateEvery,
-		tag:         o.ModelTag,
 		lock:        lock,
 		log:         o.Log,
 		tracer:      o.Tracer,
@@ -196,28 +187,17 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 
 	files, nextSeq := l.segmentFiles()
 	l.seq = nextSeq
-	live, gen, genTag, err := l.replay(files)
+	live, err := l.replay(files, o.ModelTag)
 	if err != nil {
 		return fail(err)
 	}
-	if genTag != o.ModelTag {
-		// The persisted answers belong to a model this process is not
-		// running (a retrained run's cache opened by a fresh seed model,
-		// or vice versa). Advancing the generation keeps them durably
-		// unreachable; serving them would be silently wrong.
-		if gen > 0 || len(live) > 0 {
-			gen++
-		}
-		live = nil
-	}
-	l.gen = gen
 	for _, le := range live {
 		le.e.Persisted = true
 		mem.Put(le.key, le.e)
 	}
 	// Boot-time compaction: fold everything into a dense base, then start
 	// an empty active segment — off any request path by definition.
-	if _, err := l.writeBase(mem.entries(), gen, o.ModelTag); err != nil {
+	if _, err := l.writeBase(mem.entries()); err != nil {
 		return fail(err)
 	}
 	l.compactions.Add(1)
@@ -285,16 +265,14 @@ func (l *diskLog[A]) segmentFiles() (files []string, nextSeq uint64) {
 
 // replay is the log's only reader, and runs only at open: it scans the
 // given segment files in order and returns the live entries — last record
-// per key in first-seen order, latest generation only, TTL-live only — plus
-// the highest generation seen and the model tag recorded with it. A missing
-// file, a foreign magic/meta header, or a corrupt prefix contributes
-// nothing; a corrupt or torn tail keeps that file's valid prefix.
-func (l *diskLog[A]) replay(files []string) ([]liveEntry[A], uint64, string, error) {
+// per key in first-seen order, keys starting with tag only, TTL-live only.
+// A missing file, a foreign magic/meta header, or a corrupt prefix
+// contributes nothing; a corrupt or torn tail keeps that file's valid
+// prefix.
+func (l *diskLog[A]) replay(files []string, tag string) ([]liveEntry[A], error) {
 	var (
-		order  []liveEntry[A]
-		index  = make(map[string]int)
-		gen    uint64
-		genTag = l.tag // an empty log matches the current model
+		order []liveEntry[A]
+		index = make(map[string]int)
 	)
 	readFile := func(path string) error {
 		f, err := os.Open(path)
@@ -316,48 +294,38 @@ func (l *diskLog[A]) replay(files []string) ([]liveEntry[A], uint64, string, err
 				// tail — keep the prefix read so far.
 				return nil
 			}
-			switch payload[0] {
-			case recGen:
-				// >= so the latest record of the highest generation owns the
-				// tag — the write order setGeneration establishes.
-				if g, tag, ok := decodeGenPayload(payload); ok && g >= gen {
-					gen, genTag = g, tag
-				}
-			case recEntry:
-				key, val, eGen, at, ok, err := decodeEntryPayload(payload)
-				if err != nil {
-					continue // framing was valid but the body wasn't; skip
-				}
-				a, err := l.codec.Decode(val)
-				if err != nil {
-					continue // codec drift (e.g. a changed answer type)
-				}
-				e := Entry[A]{Val: a, OK: ok, Gen: eGen, At: at}
-				if i, seen := index[key]; seen {
-					order[i].e = e
-				} else {
-					index[key] = len(order)
-					order = append(order, liveEntry[A]{key: key, e: e})
-				}
+			key, val, at, ok, err := decodeEntryPayload(payload)
+			if err != nil || !strings.HasPrefix(key, tag) {
+				continue // a malformed body, or another model's answer
+			}
+			a, err := l.codec.Decode(val)
+			if err != nil {
+				continue // codec drift (e.g. a changed answer type)
+			}
+			e := Entry[A]{Val: a, OK: ok, At: at}
+			if i, seen := index[key]; seen {
+				order[i].e = e
+			} else {
+				index[key] = len(order)
+				order = append(order, liveEntry[A]{key: key, e: e})
 			}
 		}
 	}
 	for _, path := range files {
 		if err := readFile(path); err != nil {
-			return nil, 0, "", err
+			return nil, err
 		}
 	}
-	// Entries of dead generations are unreachable (the runtime keys by
-	// generation), and entries past the TTL cutoff will never be served
-	// again — drop both here so they stop costing memory and disk.
+	// Entries past the TTL cutoff will never be served again — drop them
+	// here so they stop costing memory and disk.
 	now := time.Now()
 	live := order[:0]
 	for _, le := range order {
-		if le.e.Gen == gen && l.alive(le.e, now) {
+		if l.alive(le.e, now) {
 			live = append(live, le)
 		}
 	}
-	return live, gen, genTag, nil
+	return live, nil
 }
 
 // alive reports whether an entry is inside the liveness cutoff. Entries
@@ -367,10 +335,8 @@ func (l *diskLog[A]) alive(e Entry[A], now time.Time) bool {
 	return l.ttl <= 0 || now.Sub(e.At) <= l.ttl
 }
 
-// startActiveLocked creates a fresh active segment: header plus a
-// generation record re-declaring the current generation and tag, so
-// invalidation survives a restart even after every older segment has been
-// compacted away. Called with l.mu held.
+// startActiveLocked creates a fresh active segment and buffers its header.
+// Called with l.mu held.
 func (l *diskLog[A]) startActiveLocked() error {
 	f, err := os.Create(l.activePath())
 	if err != nil {
@@ -379,9 +345,6 @@ func (l *diskLog[A]) startActiveLocked() error {
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	writeSegHeader(l.w, l.meta)
-	if err := safeio.WriteFrame(l.w, encodeGenPayload(l.gen, l.tag)); err != nil {
-		return fmt.Errorf("serve: start active segment: %w", err)
-	}
 	l.appended = 0
 	return nil
 }
@@ -400,35 +363,10 @@ func (l *diskLog[A]) put(key string, e Entry[A]) {
 		l.dropped.Add(1)
 		return
 	}
-	payload := encodeEntryPayload(key, val, e.Gen, e.At.UnixNano(), e.OK)
+	payload := encodeEntryPayload(key, val, e.At.UnixNano(), e.OK)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.appendLocked(payload)
-}
-
-// generation returns the last recorded model generation.
-func (l *diskLog[A]) generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
-// setGeneration records a model-generation bump durably, so entries
-// invalidated before a restart stay invalidated after it. The record binds
-// the new generation to tag, the content tag of the model whose answers it
-// will hold — a later open under a different model refuses to serve them.
-// The recorded generation only moves forward: when two retrain hooks race,
-// the one carrying the older number is already superseded and must neither
-// regress the counter (a compaction filtering on it would resurrect
-// invalidated entries as the durable live set) nor append its stale record.
-func (l *diskLog[A]) setGeneration(gen uint64, tag string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if gen <= l.gen {
-		return
-	}
-	l.gen, l.tag = gen, tag
-	l.appendLocked(encodeGenPayload(gen, tag))
 }
 
 // appendLocked frames and buffers one record and, once the active segment

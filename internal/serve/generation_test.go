@@ -9,31 +9,29 @@ import (
 	"time"
 )
 
-// TestGenerationKeysCache: bumping the generation makes the resident entry
-// unreachable — the same question pays a fresh engine call and caches
-// under the new generation, while the in-memory store still physically
-// holds the old entry (no stop-the-world flush).
+// TestGenerationKeysCache: the fingerprint leads the key, so a caller that
+// starts it with the model's identity gets one keyspace per model — a new
+// model's first ask pays an engine call, while the in-memory store still
+// physically holds the old entry (no stop-the-world flush), and a swap back
+// to the old model hits it again.
 func TestGenerationKeysCache(t *testing.T) {
 	var calls atomic.Int64
 	r := withEngine(echoAsk(&calls), Options[string]{})
 	ctx := context.Background()
-	r.Ask(ctx, "q")
-	r.Ask(ctx, "q")
+	r.Do(ctx, "q", "m0", r.ask)
+	r.Do(ctx, "q", "m0", r.ask)
 	if n := calls.Load(); n != 1 {
-		t.Fatalf("engine calls = %d, want 1 before the bump", n)
+		t.Fatalf("engine calls = %d, want 1 under one model", n)
 	}
-	if g := r.BumpGeneration(""); g != 1 {
-		t.Fatalf("BumpGeneration = %d, want 1", g)
-	}
-	r.Ask(ctx, "q")
+	r.Do(ctx, "q", "m1", r.ask)
 	if n := calls.Load(); n != 2 {
-		t.Fatalf("engine calls = %d, want 2 (old generation unreachable)", n)
+		t.Fatalf("engine calls = %d, want 2 (a new model misses)", n)
 	}
-	m := r.Metrics()
-	if m.Generation != 1 {
-		t.Errorf("snapshot generation = %d, want 1", m.Generation)
+	r.Do(ctx, "q", "m0", r.ask)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("engine calls = %d, want 2 (the old model's entry is still keyed by it)", n)
 	}
-	if m.CacheEntries != 2 {
+	if m := r.Metrics(); m.CacheEntries != 2 {
 		t.Errorf("cache entries = %d, want 2 (old entry lingers until LRU turnover)", m.CacheEntries)
 	}
 }
@@ -113,18 +111,15 @@ func TestWarmFromCorpus(t *testing.T) {
 	}
 }
 
-// TestGenerationInvalidationRace is the retrain-correctness invariant under
-// -race: queries hammer the runtime from many goroutines while the "model"
-// is repeatedly retrained (model swap, then generation bump — the order
-// kbqa.System.Learn uses). Once a retrain to version v has completed, no
-// subsequently started query may be served an answer computed by a model
-// older than v, cached or not.
+// TestGenerationInvalidationRace: with the model's identity at the front of
+// the fingerprint, a retrain needs no flush. Eight goroutines ask while the
+// "engine state" is swapped 200 times; each reads the model once, keys its
+// ask by it and computes with it, so a query started after a swap sees that
+// model or a later one, and every answer is the one computed under the
+// fingerprint it was asked with — never another model's entry.
 func TestGenerationInvalidationRace(t *testing.T) {
 	var model atomic.Uint64 // the "engine state"
-	ask := func(_ context.Context, q string) (string, StageTimings, bool, error) {
-		return fmt.Sprintf("v%d", model.Load()), StageTimings{}, true, nil
-	}
-	r := withEngine(ask, Options[string]{})
+	r := withEngine(echoAsk(new(atomic.Int64)), Options[string]{})
 	defer r.Close()
 
 	var floor atomic.Uint64 // min model version a newly started query may see
@@ -141,14 +136,18 @@ func TestGenerationInvalidationRace(t *testing.T) {
 				default:
 				}
 				lo := floor.Load()
-				ans, ok, err := r.Ask(context.Background(), "the question")
+				v := model.Load()
+				fp := fmt.Sprintf("v%d", v)
+				ask := func(context.Context, string) (string, StageTimings, bool, error) {
+					return fp, StageTimings{}, true, nil
+				}
+				ans, ok, err := r.Do(context.Background(), "the question", fp, ask)
 				if err != nil || !ok {
 					t.Errorf("ask = (%q, %v, %v)", ans, ok, err)
 					return
 				}
-				var v uint64
-				if _, err := fmt.Sscanf(ans, "v%d", &v); err != nil {
-					t.Errorf("unparseable answer %q", ans)
+				if ans != fp {
+					t.Errorf("ask keyed by %s served %q, another model's answer", fp, ans)
 					return
 				}
 				if v < lo {
@@ -161,16 +160,15 @@ func TestGenerationInvalidationRace(t *testing.T) {
 
 	const retrains = 200
 	for i := uint64(1); i <= retrains; i++ {
-		model.Store(i)       // swap the model...
-		r.BumpGeneration("") // ...then invalidate, as Learn's hook does
-		floor.Store(i)       // from here on, nobody may see < i
+		model.Store(i) // swap the model: its identity is the new fingerprint
+		floor.Store(i) // from here on, nobody may see < i
 		if i%50 == 0 {
 			time.Sleep(time.Millisecond) // let queries interleave
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if g := r.Generation(); g != retrains {
-		t.Fatalf("generation = %d, want %d", g, retrains)
+	if m := r.Metrics(); m.CacheHits == 0 {
+		t.Error("no ask hit the cache between two swaps")
 	}
 }

@@ -5,7 +5,7 @@ package serve
 // (httptest) with the same rate-limit semantics cmd/kbqa-server applies.
 // The TestHarness* tests are what CI runs twice (-run TestHarness
 // -count=2) to prove the whole stack — answers, restart survival,
-// generation invalidation, rate limiting — is restart-deterministic.
+// model-swap invalidation, rate limiting — is restart-deterministic.
 
 import (
 	"context"
@@ -38,14 +38,27 @@ func harnessWorld(modelVersion int) map[string]string {
 	return m
 }
 
+// harnessModel is one trained "model" of the harness: the tag its answers
+// are keyed under (the fingerprint the frontend hands Do) and the answers.
+type harnessModel struct {
+	tag     string
+	answers map[string]string
+}
+
+func newHarnessModel(version int) *harnessModel {
+	return &harnessModel{tag: fmt.Sprintf("m%d", version), answers: harnessWorld(version)}
+}
+
 // harness is one serving "process": counting engine → disk-backed Runtime
 // → HTTP mux. Restarts are simulated by closing one harness and opening
-// another over the same cache directory. The world sits behind an atomic
-// pointer so a test can "retrain" (swap it) while the server runs.
+// another over the same cache directory. The model sits behind an atomic
+// pointer so a test can "retrain" (swap it) while the server runs; each
+// request reads it once and both keys and computes with it, the way
+// kbqa.Server does.
 type harness struct {
-	rt          *engineRT[string]
+	rt          *Runtime[string]
 	ts          *httptest.Server
-	world       atomic.Pointer[map[string]string]
+	model       atomic.Pointer[harnessModel]
 	engineCalls atomic.Int64
 }
 
@@ -54,25 +67,21 @@ type harnessReply struct {
 	OK     bool   `json:"ok"`
 }
 
-// newHarness boots a harness over dir. world is consulted (and counted) on
-// every engine call; limiter, when non-nil, guards /ask the way
-// cmd/kbqa-server guards its endpoints.
-func newHarness(t *testing.T, dir string, world map[string]string, limiter *Limiter) *harness {
-	return newHarnessDisk(t, dir, world, limiter, testLog{Meta: "harness"})
+// newHarness boots a harness over dir running model version. The model
+// is consulted (and counted) on every engine call; limiter, when non-nil,
+// guards /ask the way cmd/kbqa-server guards its endpoints.
+func newHarness(t *testing.T, dir string, version int, limiter *Limiter) *harness {
+	return newHarnessDisk(t, dir, version, limiter, testLog{Meta: "harness"})
 }
 
 // newHarnessDisk is newHarness with explicit disk options, for tests that
 // shrink the rotation threshold or enable periodic sync.
-func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *Limiter, disk testLog) *harness {
+func newHarnessDisk(t *testing.T, dir string, version int, limiter *Limiter, disk testLog) *harness {
 	t.Helper()
 	h := &harness{}
-	h.world.Store(&world)
-	ask := func(_ context.Context, q string) (string, StageTimings, bool, error) {
-		h.engineCalls.Add(1)
-		a, ok := (*h.world.Load())[q]
-		return a, StageTimings{}, ok, nil
-	}
-	rt, err := openWithEngine(ask, Options[string]{}, disk.options(dir))
+	h.model.Store(newHarnessModel(version))
+	disk.ModelTag = h.model.Load().tag
+	rt, err := Open(Options[string]{}, disk.options(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,13 @@ func newHarnessDisk(t *testing.T, dir string, world map[string]string, limiter *
 				return
 			}
 		}
-		ans, ok, err := h.rt.Ask(r.Context(), r.URL.Query().Get("q"))
+		m := h.model.Load()
+		ans, ok, err := h.rt.Do(r.Context(), r.URL.Query().Get("q"), m.tag,
+			func(_ context.Context, q string) (string, StageTimings, bool, error) {
+				h.engineCalls.Add(1)
+				a, ok := m.answers[q]
+				return a, StageTimings{}, ok, nil
+			})
 		if err != nil {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
@@ -176,7 +191,7 @@ func TestHarnessRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	world := harnessWorld(0)
 
-	h1 := newHarness(t, dir, world, nil)
+	h1 := newHarness(t, dir, 0, nil)
 	first := make(map[string]string, len(world))
 	for q := range world {
 		reply, resp := h1.ask(t, q, "")
@@ -204,7 +219,7 @@ func TestHarnessRestartServesFromDisk(t *testing.T) {
 
 	// Reboot over the same cache dir. The world map is rebuilt but the
 	// engine must never be consulted: every answer comes from the segment.
-	h2 := newHarness(t, dir, harnessWorld(0), nil)
+	h2 := newHarness(t, dir, 0, nil)
 	defer h2.shutdown(t)
 	for q := range world {
 		reply, resp := h2.ask(t, q, "")
@@ -224,37 +239,33 @@ func TestHarnessRestartServesFromDisk(t *testing.T) {
 	}
 }
 
-// TestHarnessRetrainInvalidation: a model swap plus generation bump makes
-// every pre-retrain answer unreachable — across a restart too, because the
-// bump is persisted in the segment.
+// TestHarnessRetrainInvalidation: a model swap makes every pre-retrain
+// answer unreachable — across a restart too, because every persisted key
+// names the model that computed it.
 func TestHarnessRetrainInvalidation(t *testing.T) {
 	dir := t.TempDir()
-	world := harnessWorld(0)
 	q := fmt.Sprintf("what is the p%d of e%d?", 0, 0)
 
-	h1 := newHarness(t, dir, world, nil)
+	h1 := newHarness(t, dir, 0, nil)
 	reply, _ := h1.ask(t, q, "")
 	if reply.Answer != "v0@m0" {
 		t.Fatalf("pre-retrain answer = %q", reply.Answer)
 	}
 
-	// "Retrain": swap the model, then bump — the order Learn uses.
-	retrained := harnessWorld(1)
-	h1.world.Store(&retrained)
-	h1.rt.BumpGeneration("")
-
+	// "Retrain": swap the model; the next request keys with its tag.
+	h1.model.Store(newHarnessModel(1))
 	reply, _ = h1.ask(t, q, "")
 	if reply.Answer != "v0@m1" {
 		t.Fatalf("post-retrain answer = %q, want the new model's v0@m1", reply.Answer)
 	}
 	h1.shutdown(t)
 
-	// After a restart the generation must still be 1: the old generation's
-	// entries stay unreachable, the new one's replay from disk.
-	h2 := newHarness(t, dir, harnessWorld(1), nil)
+	// After a restart running m1, m0's entries stay unreachable and m1's
+	// replay from disk.
+	h2 := newHarness(t, dir, 1, nil)
 	defer h2.shutdown(t)
-	if g := h2.rt.Generation(); g != 1 {
-		t.Fatalf("post-restart generation = %d, want 1", g)
+	if n := h2.rt.Metrics().CacheEntries; n != 1 {
+		t.Fatalf("post-restart entries = %d, want m1's one", n)
 	}
 	reply, _ = h2.ask(t, q, "")
 	if reply.Answer != "v0@m1" {
@@ -270,10 +281,9 @@ func TestHarnessRetrainInvalidation(t *testing.T) {
 // unaffected.
 func TestHarnessRateLimit429(t *testing.T) {
 	dir := t.TempDir()
-	world := harnessWorld(0)
 	// Refill is negligible (0.01 rps), so the outcome is deterministic
 	// however slowly CI runs: exactly burst=2 requests pass per client.
-	h := newHarness(t, dir, world, NewLimiter(0.01, 2))
+	h := newHarness(t, dir, 0, NewLimiter(0.01, 2))
 	defer h.shutdown(t)
 
 	q := fmt.Sprintf("what is the p%d of e%d?", 1, 1)
@@ -310,17 +320,15 @@ func TestHarnessRateLimit429(t *testing.T) {
 func TestHarnessRotationChurn(t *testing.T) {
 	dir := t.TempDir()
 	disk := testLog{Meta: "harness", RotateEvery: 1024, SyncEvery: time.Millisecond}
-	h := newHarnessDisk(t, dir, harnessWorld(0), nil, disk)
+	h := newHarnessDisk(t, dir, 0, nil, disk)
 
 	// Concurrent traffic over every question, interleaved with retrains:
-	// each version swap + bump re-answers the world under a new generation,
-	// pushing enough appends through the log to rotate several times.
+	// each model swap re-answers the world under a new tag, pushing enough
+	// appends through the log to rotate several times.
 	const versions = 3
 	for v := 0; v <= versions; v++ {
 		if v > 0 {
-			w := harnessWorld(v)
-			h.world.Store(&w)
-			h.rt.BumpGeneration("")
+			h.model.Store(newHarnessModel(v))
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -351,10 +359,10 @@ func TestHarnessRotationChurn(t *testing.T) {
 
 	// Reboot: only the final version's answers may exist, all served from
 	// disk, none recomputed — across however many segments the churn left.
-	h2 := newHarnessDisk(t, dir, harnessWorld(versions), nil, disk)
+	h2 := newHarnessDisk(t, dir, versions, nil, disk)
 	defer h2.shutdown(t)
-	if g := h2.rt.Generation(); g != versions {
-		t.Fatalf("post-restart generation = %d, want %d", g, versions)
+	if n := h2.rt.Metrics().CacheEntries; n != harnessWorldSize {
+		t.Fatalf("post-restart entries = %d, want the final model's %d", n, harnessWorldSize)
 	}
 	for q, want := range harnessWorld(versions) {
 		reply, resp := h2.ask(t, q, "")

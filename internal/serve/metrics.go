@@ -268,8 +268,10 @@ type Snapshot struct {
 	// durability point; with CacheSyncEvery set it hovers around that
 	// period (kbqa_cache_sync_age_seconds).
 	CacheSyncAgeSeconds float64 `json:"cache_sync_age_seconds,omitempty"`
-	// Generation is the model generation keying new cache entries; it
-	// bumps on every retrain (Learn/LoadModel), unreaching prior entries.
+	// Generation counts the model swaps (Learn/LoadModel) of the system
+	// behind the runtime since boot. The runtime leaves it 0 and
+	// kbqa.Server.Metrics fills it: answers are keyed by the model itself,
+	// so the count informs operators and invalidates nothing.
 	Generation uint64 `json:"generation"`
 	Deduped    uint64 `json:"deduped"`
 	// RateLimitRejected counts requests refused by the per-client rate

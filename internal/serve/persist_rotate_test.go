@@ -24,13 +24,13 @@ import (
 
 // rawEntry frames one recEntry payload with a JSON-encoded string value,
 // matching what a diskLog[string] + JSONCodec writes.
-func rawEntry(t testing.TB, key, val string, gen uint64, at time.Time) []byte {
+func rawEntry(t testing.TB, key, val string, at time.Time) []byte {
 	t.Helper()
 	b, err := json.Marshal(val)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeEntryPayload(key, b, gen, at.UnixNano(), true)
+	return encodeEntryPayload(key, b, at.UnixNano(), true)
 }
 
 // writeRawSegment renders a segment file byte-for-byte: header + records.
@@ -92,17 +92,16 @@ func TestDiskStoreReplaysSealedBeforeMergePublish(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
 	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
-		encodeGenPayload(0, ""),
-		rawEntry(t, "k1", "base-only", 0, at),
-		rawEntry(t, "k2", "stale", 0, at),
+		rawEntry(t, "k1", "base-only", at),
+		rawEntry(t, "k2", "stale", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
-		rawEntry(t, "k2", "sealed-supersedes", 0, at),
-		rawEntry(t, "k3", "sealed-only", 0, at),
+		rawEntry(t, "k2", "sealed-supersedes", at),
+		rawEntry(t, "k3", "sealed-only", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, segName), "m", [][]byte{
-		rawEntry(t, "k3", "active-supersedes", 0, at),
-		rawEntry(t, "k4", "active-only", 0, at),
+		rawEntry(t, "k3", "active-supersedes", at),
+		rawEntry(t, "k4", "active-only", at),
 	})
 
 	s := openTestStore(t, dir, "m")
@@ -141,12 +140,11 @@ func TestDiskStoreStaleSealedAfterMergePublish(t *testing.T) {
 	// The published base already holds the merge of sealed 0 (deleted,
 	// carried k:v1) and sealed 1 (still on disk).
 	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
-		encodeGenPayload(0, ""),
-		rawEntry(t, "k", "v2", 0, at),
-		rawEntry(t, "j", "w", 0, at),
+		rawEntry(t, "k", "v2", at),
+		rawEntry(t, "j", "w", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, sealedName(1)), "m", [][]byte{
-		rawEntry(t, "k", "v2", 0, at),
+		rawEntry(t, "k", "v2", at),
 	})
 
 	s := openTestStore(t, dir, "m")
@@ -162,15 +160,14 @@ func TestDiskStoreTornActiveTailAfterRotation(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
 	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
-		encodeGenPayload(0, ""),
-		rawEntry(t, "k1", "base", 0, at),
+		rawEntry(t, "k1", "base", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
-		rawEntry(t, "k2", "sealed", 0, at),
+		rawEntry(t, "k2", "sealed", at),
 	})
 	active := segmentBytes(t, "m", [][]byte{
-		rawEntry(t, "k3", "kept-prefix", 0, at),
-		rawEntry(t, "k4", "torn", 0, at),
+		rawEntry(t, "k3", "kept-prefix", at),
+		rawEntry(t, "k4", "torn", at),
 	})
 	if err := os.WriteFile(filepath.Join(dir, segName), active[:len(active)-5], 0o644); err != nil {
 		t.Fatal(err)
@@ -196,18 +193,17 @@ func TestDiskStoreCrashMidMerge(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
 	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
-		encodeGenPayload(0, ""),
-		rawEntry(t, "k1", "base", 0, at),
+		rawEntry(t, "k1", "base", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
-		rawEntry(t, "k2", "sealed", 0, at),
+		rawEntry(t, "k2", "sealed", at),
 	})
 	writeRawSegment(t, filepath.Join(dir, segName), "m", [][]byte{
-		rawEntry(t, "k3", "active", 0, at),
+		rawEntry(t, "k3", "active", at),
 	})
 	// A torn merge output: valid header, then a record cut mid-payload —
 	// and a poison value that must never be served.
-	tmp := segmentBytes(t, "m", [][]byte{rawEntry(t, "k1", "half-merged-poison", 0, at)})
+	tmp := segmentBytes(t, "m", [][]byte{rawEntry(t, "k1", "half-merged-poison", at)})
 	if err := os.WriteFile(filepath.Join(dir, baseName+".tmp"), tmp[:len(tmp)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +225,7 @@ func TestDiskStoreCrashMidMerge(t *testing.T) {
 // renames to, then where its base publish creates. Either failure is
 // sticky and loud exactly once, memory keeps serving every entry, and once
 // the obstacle is gone a reopen replays what was logged before the failure:
-// last write wins and the dead generation stays dead.
+// last write wins and the previous model's entry stays dead.
 func TestDiskStoreMergerFileStepFailures(t *testing.T) {
 	for _, tc := range []struct{ step, obstacle string }{
 		{"rotation rename", sealedName(0)},
@@ -238,29 +234,29 @@ func TestDiskStoreMergerFileStepFailures(t *testing.T) {
 		t.Run(tc.step, func(t *testing.T) {
 			dir := t.TempDir()
 			var buf syncBuffer
-			s := openTestLog(t, dir, testLog{Meta: "m", Log: obs.NewLogger(&buf, obs.LevelDebug)})
+			s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0", Log: obs.NewLogger(&buf, obs.LevelDebug)})
 			obstacle := filepath.Join(dir, tc.obstacle)
 			if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			at := time.Unix(1000, 0)
-			s.Put("dead", Entry[string]{Val: "gen-0", OK: true, At: at})
-			s.SetGeneration(1)
+			key := func(k string) string { return cacheKey("m1", k) } // the model swapped to
+			s.Put(cacheKey("m0", "dead"), Entry[string]{Val: "m0's", OK: true, At: at})
 			want := map[string]string{}
 			for i := 0; i < 20; i++ {
-				k, v := fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%02d", i)
-				s.Put(k, Entry[string]{Val: v, OK: true, Gen: 1, At: at})
+				k, v := key(fmt.Sprintf("k%d", i%7)), fmt.Sprintf("v%02d", i)
+				s.Put(k, Entry[string]{Val: v, OK: true, At: at})
 				want[k] = v
 			}
 			// The last logged put makes a rotation due; nothing is appended
 			// after it until the failure is in.
 			s.log.setRotateEvery(1)
-			s.Put("last", Entry[string]{Val: "logged", OK: true, Gen: 1, At: at})
-			want["last"] = "logged"
+			s.Put(key("last"), Entry[string]{Val: "logged", OK: true, At: at})
+			want[key("last")] = "logged"
 			waitFor(t, 5*time.Second, func() bool { return s.Flush() != nil })
-			s.Put("late", Entry[string]{Val: "memory-only", OK: true, Gen: 1, At: at})
+			s.Put(key("late"), Entry[string]{Val: "memory-only", OK: true, At: at})
 
-			for k, v := range map[string]string{"dead": "gen-0", "late": "memory-only", "last": "logged", "k6": want["k6"]} {
+			for k, v := range map[string]string{cacheKey("m0", "dead"): "m0's", key("late"): "memory-only", key("last"): "logged", key("k6"): want[key("k6")]} {
 				if e, hit := s.Get(k); !hit || e.Val != v {
 					t.Errorf("memory stopped serving %q after the failure: (%q, %v)", k, e.Val, hit)
 				}
@@ -283,11 +279,8 @@ func TestDiskStoreMergerFileStepFailures(t *testing.T) {
 			if err := os.RemoveAll(obstacle); err != nil {
 				t.Fatal(err)
 			}
-			r := openTestStore(t, dir, "m")
+			r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
 			defer r.Close()
-			if g := r.Generation(); g != 1 {
-				t.Errorf("reopened generation = %d, want 1", g)
-			}
 			expectEntries(t, r, want)
 		})
 	}
@@ -349,21 +342,21 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 	expectEntries(t, r, want)
 }
 
-// TestDiskStoreGenerationBumpSurvivesRotationAndRestart: the generation
-// record is re-emitted at every rotation, so invalidation survives a
-// restart even after the segment that recorded the bump has been merged
-// away — old-generation entries are never resurrected.
+// TestDiskStoreGenerationBumpSurvivesRotationAndRestart: a model swap
+// mid-run leaves both models' entries in memory, so merges carry both into
+// the base; the key names the model, so a restart running the new one
+// still never resurrects the old one's answers, however many rotations
+// happened in between.
 func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", RotateEvery: 1024})
+	s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0", RotateEvery: 1024})
 	at := time.Unix(2000, 0)
 	pad := strings.Repeat("p", 64)
 	for i := 0; i < 30; i++ {
-		s.Put(fmt.Sprintf("old-%02d", i), Entry[string]{Val: pad, OK: true, Gen: 0, At: at})
+		s.Put(cacheKey("m0", fmt.Sprintf("q-%02d", i)), Entry[string]{Val: pad, OK: true, At: at})
 	}
-	s.SetGeneration(1)
 	for i := 0; i < 30; i++ {
-		s.Put(fmt.Sprintf("new-%02d", i), Entry[string]{Val: pad, OK: true, Gen: 1, At: at})
+		s.Put(cacheKey("m1", fmt.Sprintf("q-%02d", i)), Entry[string]{Val: pad, OK: true, At: at})
 	}
 	s.settle(t)
 	if s.PersistStats().CacheSegmentRotations == 0 {
@@ -371,16 +364,16 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	}
 	s.Close()
 
-	r := openTestStore(t, dir, "m")
+	r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
 	defer r.Close()
-	if g := r.Generation(); g != 1 {
-		t.Fatalf("reopened generation = %d, want 1", g)
+	if _, hit := r.Get(cacheKey("m0", "q-00")); hit {
+		t.Error("the previous model's entry resurrected across rotation + restart")
 	}
-	if _, hit := r.Get("old-00"); hit {
-		t.Error("dead-generation entry resurrected across rotation + restart")
+	if _, hit := r.Get(cacheKey("m1", "q-29")); !hit {
+		t.Error("the live model's entry lost")
 	}
-	if e, hit := r.Get("new-29"); !hit || e.Gen != 1 {
-		t.Errorf("live-generation entry lost: hit=%v gen=%d", hit, e.Gen)
+	if n := r.Len(); n != 30 {
+		t.Errorf("Len = %d, want the live model's 30", n)
 	}
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,15 +13,15 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/safeio"
 )
 
 // testStore pairs an answer cache with its disk log the way Runtime does
-// (memory first, then the log), so the persistence tests drive puts,
-// generation bumps and reopen cycles without an engine in the way.
+// (memory first, then the log), so the persistence tests drive puts and
+// reopen cycles without an engine in the way.
 type testStore struct {
 	*answerCache[string]
 	log *diskLog[string]
-	tag string // the model tag SetGeneration records; SetModelTag changes it
 }
 
 // testLog is everything a persistence test varies at open: the deployment
@@ -61,7 +63,7 @@ func openTestLogE(dir string, o testLog) (*testStore, error) {
 		return nil, err
 	}
 	o.tune(l)
-	return &testStore{answerCache: mem, log: l, tag: o.ModelTag}, nil
+	return &testStore{answerCache: mem, log: l}, nil
 }
 
 func openTestLog(t testing.TB, dir string, o testLog) *testStore {
@@ -83,9 +85,6 @@ func (s *testStore) Put(key string, e Entry[string]) {
 	s.log.put(key, e)
 }
 
-func (s *testStore) SetModelTag(tag string)     { s.tag = tag }
-func (s *testStore) SetGeneration(gen uint64)   { s.log.setGeneration(gen, s.tag) }
-func (s *testStore) Generation() uint64         { return s.log.generation() }
 func (s *testStore) PersistStats() (m Snapshot) { s.log.fill(&m); return m }
 func (s *testStore) Flush() error               { return s.log.flush() }
 func (s *testStore) Close() error               { return s.log.close() }
@@ -137,24 +136,30 @@ func TestDiskStoreLastWriteWinsAndCompacts(t *testing.T) {
 	}
 }
 
+// TestDiskStoreGenerationSurvivesRestartAndDropsDeadEntries: one process
+// logs answers of two models (a swap in between); a restart running the
+// second keeps exactly its entries, and its boot compaction leaves the
+// first model's out of the base for good.
 func TestDiskStoreGenerationSurvivesRestartAndDropsDeadEntries(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
-	s.Put("old", Entry[string]{Val: "stale", OK: true, Gen: 0})
-	s.SetGeneration(3)
-	s.Put("new", Entry[string]{Val: "fresh", OK: true, Gen: 3})
+	s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0"})
+	s.Put(cacheKey("m0", "q"), Entry[string]{Val: "stale", OK: true})
+	s.Put(cacheKey("m1", "q"), Entry[string]{Val: "fresh", OK: true})
 	s.Close()
 
-	r := openTestStore(t, dir, "m")
-	defer r.Close()
-	if g := r.Generation(); g != 3 {
-		t.Fatalf("Generation = %d, want 3", g)
+	r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
+	if _, hit := r.Get(cacheKey("m0", "q")); hit {
+		t.Error("the previous model's entry survived the restart")
 	}
-	if _, hit := r.Get("old"); hit {
-		t.Error("dead-generation entry survived compaction")
-	}
-	if e, hit := r.Get("new"); !hit || e.Val != "fresh" || e.Gen != 3 {
+	if e, hit := r.Get(cacheKey("m1", "q")); !hit || e.Val != "fresh" {
 		t.Errorf("live entry = %+v hit=%v", e, hit)
+	}
+	r.Close()
+
+	r2 := openTestStore(t, dir, "m") // no tag: replay keeps everything logged
+	defer r2.Close()
+	if n := r2.Len(); n != 1 {
+		t.Errorf("Len = %d, want 1 (the dead model's entry left the base)", n)
 	}
 }
 
@@ -227,16 +232,12 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 func TestDiskStoreMetaMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, "flavor-a")
-	s.SetGeneration(7)
-	s.Put("k", Entry[string]{Val: "v", OK: true, Gen: 7})
+	s.Put("k", Entry[string]{Val: "v", OK: true})
 	s.Close()
 
 	r := openTestStore(t, dir, "flavor-b")
 	if n := r.Len(); n != 0 {
 		t.Errorf("foreign segment replayed %d entries", n)
-	}
-	if g := r.Generation(); g != 0 {
-		t.Errorf("foreign generation adopted: %d", g)
 	}
 	r.Put("k2", Entry[string]{Val: "v2", OK: true})
 	r.Close()
@@ -250,12 +251,12 @@ func TestDiskStoreMetaMismatch(t *testing.T) {
 }
 
 // TestDiskStoreModelTagMismatchInvalidates: entries persisted under one
-// model tag must not be served by a process whose model carries another —
-// the generation advances past them instead.
+// model tag must not be served by a process whose model carries another.
 func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	dir := t.TempDir()
+	a, b := cacheKey("model-a", "k"), cacheKey("model-b", "k")
 	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-a"})
-	s.Put("k", Entry[string]{Val: "a's answer", OK: true, Gen: 0})
+	s.Put(a, Entry[string]{Val: "a's answer", OK: true})
 	s.Close()
 
 	// Same world, different model: the cache is refused, durably.
@@ -263,42 +264,37 @@ func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	if n := r.Len(); n != 0 {
 		t.Errorf("foreign model's entries replayed: %d", n)
 	}
-	if g := r.Generation(); g != 1 {
-		t.Errorf("generation = %d, want 1 (advanced past the foreign entries)", g)
-	}
-	r.Put("k", Entry[string]{Val: "b's answer", OK: true, Gen: 1})
+	r.Put(b, Entry[string]{Val: "b's answer", OK: true})
 	r.Close()
 
 	// Reopening under model-b again is a clean match.
 	r2 := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-b"})
 	defer r2.Close()
-	if g := r2.Generation(); g != 1 {
-		t.Errorf("matching reopen generation = %d, want 1", g)
+	if n := r2.Len(); n != 1 {
+		t.Errorf("matching reopen Len = %d, want 1", n)
 	}
-	if e, hit := r2.Get("k"); !hit || e.Val != "b's answer" {
+	if e, hit := r2.Get(b); !hit || e.Val != "b's answer" {
 		t.Errorf("matching reopen lost the entry: %+v hit=%v", e, hit)
 	}
 }
 
-// TestDiskStoreRetrainedTagSurvivesRestart: SetModelTag + SetGeneration
-// bind the new generation to the new model; a restart under that model
-// replays, a restart under the old one refuses.
+// TestDiskStoreRetrainedTagSurvivesRestart: a process that swapped from m0
+// to m1 logged answers of both; a restart under m1 replays m1's, and a
+// later restart under m0 finds none of m1's.
 func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m0"})
-	s.Put("k", Entry[string]{Val: "v0", OK: true, Gen: 0})
-	s.SetModelTag("m1") // the retrain hook's order: tag, then bump
-	s.SetGeneration(1)
-	s.Put("k1", Entry[string]{Val: "v1", OK: true, Gen: 1})
+	s.Put(cacheKey("m0", "k"), Entry[string]{Val: "v0", OK: true})
+	s.Put(cacheKey("m1", "k1"), Entry[string]{Val: "v1", OK: true})
 	s.Close()
 
-	// Boot running the retrained model: gen-1 entries replay.
+	// Boot running the retrained model: its entries replay, m0's do not.
 	r := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m1"})
-	if g := r.Generation(); g != 1 {
-		t.Fatalf("generation = %d, want 1", g)
-	}
-	if e, hit := r.Get("k1"); !hit || e.Val != "v1" {
+	if e, hit := r.Get(cacheKey("m1", "k1")); !hit || e.Val != "v1" {
 		t.Errorf("retrained model's entry lost: %+v hit=%v", e, hit)
+	}
+	if n := r.Len(); n != 1 {
+		t.Errorf("retrained boot Len = %d, want 1", n)
 	}
 	r.Close()
 
@@ -308,8 +304,52 @@ func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	if n := r2.Len(); n != 0 {
 		t.Errorf("seed-model boot replayed %d retrained entries", n)
 	}
-	if g := r2.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2", g)
+}
+
+// TestDiskStoreRefusesOlderLayout: a directory written in the KBQASEG1
+// layout — a generation record, then entries carrying a generation — is
+// refused by its magic, never misread as the current layout: it opens with
+// no entries and no error, and the boot compaction leaves a current base.
+func TestDiskStoreRefusesOlderLayout(t *testing.T) {
+	dir := t.TempDir()
+	v1 := func(payloads ...[]byte) []byte {
+		var buf bytes.Buffer
+		buf.WriteString("KBQASEG1")
+		buf.Write(binary.LittleEndian.AppendUint32(nil, 1))
+		buf.WriteString("m")
+		for _, p := range payloads {
+			if err := safeio.WriteFrame(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	genRec := binary.LittleEndian.AppendUint64([]byte{2}, 1)
+	entry := binary.LittleEndian.AppendUint64([]byte{1}, 1)                        // gen
+	entry = binary.LittleEndian.AppendUint64(entry, uint64(time.Now().UnixNano())) // at
+	entry = append(entry, 1)                                                       // ok
+	entry = binary.LittleEndian.AppendUint32(entry, 1)
+	entry = append(entry, `k"v"`...)
+	for _, name := range []string{baseName, segName} {
+		if err := os.WriteFile(filepath.Join(dir, name), v1(genRec, entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := openTestLogE(dir, testLog{Meta: "m"})
+	if err != nil {
+		t.Fatalf("open over an older layout: %v", err)
+	}
+	defer s.Close()
+	if n := s.Len(); n != 0 {
+		t.Errorf("Len = %d, want 0 from an older layout", n)
+	}
+	base, err := os.ReadFile(filepath.Join(dir, baseName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(base, []byte(segMagic)) || segMagic != "KBQASEG2" {
+		t.Errorf("base after boot starts %q, want the %s header", base[:min(len(base), 8)], segMagic)
 	}
 }
 
@@ -416,31 +456,6 @@ func TestDiskStoreUnloggableEntryStaysMemoryOnlyAcrossMerge(t *testing.T) {
 	}
 	if e, hit := re.Get("pad-19"); !hit || e.Val != pad {
 		t.Errorf("entry logged beside the refused ones lost: hit=%v", hit)
-	}
-}
-
-// TestDiskStoreSetGenerationNeverRegresses: when racing retrain hooks
-// deliver bumps out of order, the stale one must not win — a regressed
-// counter would let the next compaction rewrite the segment around
-// already-invalidated entries.
-func TestDiskStoreSetGenerationNeverRegresses(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
-	s.SetGeneration(6)
-	s.SetGeneration(5) // the slower hook of an older retrain
-	if g := s.Generation(); g != 6 {
-		t.Fatalf("Generation = %d, want 6 (monotonic)", g)
-	}
-	s.Put("k", Entry[string]{Val: "v", OK: true, Gen: 6})
-	s.Close()
-
-	r := openTestStore(t, dir, "m")
-	defer r.Close()
-	if g := r.Generation(); g != 6 {
-		t.Fatalf("reopened Generation = %d, want 6", g)
-	}
-	if _, hit := r.Get("k"); !hit {
-		t.Error("current-generation entry lost to a stale gen record")
 	}
 }
 

@@ -47,7 +47,7 @@ var families = []family{
 		value: func(s *Snapshot) float64 { return float64(s.CacheEvictions) }},
 	{name: "kbqa_cache_entries", typ: "gauge", help: "Resident answer-cache entries.",
 		value: func(s *Snapshot) float64 { return float64(s.CacheEntries) }},
-	{name: "kbqa_cache_generation", typ: "gauge", help: "Model generation keying new cache entries; bumps on Learn/LoadModel.",
+	{name: "kbqa_cache_generation", typ: "gauge", help: "Model swaps (Learn/LoadModel) since boot; cached answers are keyed by the model itself.",
 		value: func(s *Snapshot) float64 { return float64(s.Generation) }},
 	{name: "kbqa_cache_segment_rotations_total", typ: "counter", help: "Active-segment rotations: each sealed the segment in O(1) and handed it to the background merger.",
 		when: persistent, value: func(s *Snapshot) float64 { return float64(s.CacheSegmentRotations) }},

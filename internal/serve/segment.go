@@ -14,21 +14,22 @@ import (
 // cache segment file. Every file of the disk log (base, sealed, active) has
 // the same layout:
 //
-//	header  := magic("KBQASEG1") u32(metaLen) meta
+//	header  := magic("KBQASEG2") u32(metaLen) meta
 //	record  := one safeio frame: u32(payloadLen) u32(crc32-IEEE(payload)) payload
-//	payload := recGen   u64(gen) modelTag
-//	         | recEntry u64(gen) i64(atUnixNano) u8(ok) u32(keyLen) key val
+//	payload := recEntry i64(atUnixNano) u8(ok) u32(keyLen) key val
 //
 // All integers little-endian. The CRC covers the payload only; a record
 // whose length or checksum doesn't hold terminates that file's valid
-// prefix.
+// prefix. The key starts with the fingerprint the runtime was handed, so
+// it names the model that computed the answer; the log keeps no other
+// record of models.
 
 const (
-	// segMagic heads every segment file; a version bump changes the suffix.
-	segMagic = "KBQASEG1"
-	// Record types.
-	recEntry = 1 // one cached answer
-	recGen   = 2 // a generation bump
+	// segMagic heads every segment file; a version bump changes the suffix,
+	// so a directory of an older layout replays as empty.
+	segMagic = "KBQASEG2"
+	// recEntry is the type byte of a record: one cached answer.
+	recEntry = 1
 	// maxRecordLen bounds a record's payload: the frame reader refuses
 	// anything longer, so the writers refuse to produce it.
 	maxRecordLen = safeio.MaxFrameLen
@@ -102,23 +103,8 @@ func readRecord(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-func encodeGenPayload(gen uint64, tag string) []byte {
-	p := make([]byte, 0, 9+len(tag))
-	p = append(p, recGen)
-	p = binary.LittleEndian.AppendUint64(p, gen)
-	p = append(p, tag...)
-	return p
-}
-
-func decodeGenPayload(p []byte) (gen uint64, tag string, ok bool) {
-	if len(p) < 9 || p[0] != recGen {
-		return 0, "", false
-	}
-	return binary.LittleEndian.Uint64(p[1:9]), string(p[9:]), true
-}
-
 // entryFixedLen is the size of an entry payload's fixed-width prefix.
-const entryFixedLen = 1 + 8 + 8 + 1 + 4
+const entryFixedLen = 1 + 8 + 1 + 4
 
 // entryPayloadLen is the size encodeEntryPayload will produce, for callers
 // that must refuse an oversized record before building it.
@@ -126,10 +112,9 @@ func entryPayloadLen(key string, val []byte) int { return entryFixedLen + len(ke
 
 // encodeEntryPayload renders one cache entry body (value already
 // codec-encoded); decodeEntryPayload inverts it.
-func encodeEntryPayload(key string, val []byte, gen uint64, atUnixNano int64, ok bool) []byte {
+func encodeEntryPayload(key string, val []byte, atUnixNano int64, ok bool) []byte {
 	p := make([]byte, 0, entryPayloadLen(key, val))
 	p = append(p, recEntry)
-	p = binary.LittleEndian.AppendUint64(p, gen)
 	p = binary.LittleEndian.AppendUint64(p, uint64(atUnixNano))
 	if ok {
 		p = append(p, 1)
@@ -142,18 +127,17 @@ func encodeEntryPayload(key string, val []byte, gen uint64, atUnixNano int64, ok
 	return p
 }
 
-func decodeEntryPayload(p []byte) (key string, val []byte, gen uint64, at time.Time, ok bool, err error) {
+func decodeEntryPayload(p []byte) (key string, val []byte, at time.Time, ok bool, err error) {
 	if len(p) < entryFixedLen || p[0] != recEntry {
-		return "", nil, 0, time.Time{}, false, errBadRecord
+		return "", nil, time.Time{}, false, errBadRecord
 	}
-	gen = binary.LittleEndian.Uint64(p[1:9])
-	at = time.Unix(0, int64(binary.LittleEndian.Uint64(p[9:17])))
-	ok = p[17] == 1
-	keyLen := binary.LittleEndian.Uint32(p[18:22])
+	at = time.Unix(0, int64(binary.LittleEndian.Uint64(p[1:9])))
+	ok = p[9] == 1
+	keyLen := binary.LittleEndian.Uint32(p[10:14])
 	if uint64(keyLen) > uint64(len(p)-entryFixedLen) {
-		return "", nil, 0, time.Time{}, false, errBadRecord
+		return "", nil, time.Time{}, false, errBadRecord
 	}
 	key = string(p[entryFixedLen : entryFixedLen+int(keyLen)])
 	val = p[entryFixedLen+int(keyLen):]
-	return key, val, gen, at, ok, nil
+	return key, val, at, ok, nil
 }

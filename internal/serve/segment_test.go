@@ -18,19 +18,19 @@ import (
 // frame → unframe → decode to exactly itself, and no truncation or
 // corruption of the framed bytes may ever panic the reader.
 func FuzzSegmentRoundTrip(f *testing.F) {
-	f.Add("what is the p of e?", []byte(`"answer"`), uint64(3), int64(123456789), true)
-	f.Add("", []byte{}, uint64(0), int64(-1), false)
-	f.Add("k\x1ffp", []byte{0xff, 0x00}, ^uint64(0), int64(1<<62), true)
-	f.Fuzz(func(t *testing.T, key string, val []byte, gen uint64, at int64, ok bool) {
-		payload := encodeEntryPayload(key, val, gen, at, ok)
+	f.Add("00ea9ecf86a99481;k=3;v=true\x1fwhat is the p of e?", []byte(`"answer"`), int64(123456789), true)
+	f.Add("", []byte{}, int64(-1), false)
+	f.Add("fp\x1fk", []byte{0xff, 0x00}, int64(1<<62), true)
+	f.Fuzz(func(t *testing.T, key string, val []byte, at int64, ok bool) {
+		payload := encodeEntryPayload(key, val, at, ok)
 
-		key2, val2, gen2, at2, ok2, err := decodeEntryPayload(payload)
+		key2, val2, at2, ok2, err := decodeEntryPayload(payload)
 		if err != nil {
 			t.Fatalf("decode of a fresh encode failed: %v", err)
 		}
-		if key2 != key || !bytes.Equal(val2, val) || gen2 != gen || at2.UnixNano() != at || ok2 != ok {
-			t.Fatalf("round trip mismatch: (%q,%x,%d,%d,%v) != (%q,%x,%d,%d,%v)",
-				key2, val2, gen2, at2.UnixNano(), ok2, key, val, gen, at, ok)
+		if key2 != key || !bytes.Equal(val2, val) || at2.UnixNano() != at || ok2 != ok {
+			t.Fatalf("round trip mismatch: (%q,%x,%d,%v) != (%q,%x,%d,%v)",
+				key2, val2, at2.UnixNano(), ok2, key, val, at, ok)
 		}
 
 		// Framed: write, read back, decode again.
@@ -66,15 +66,15 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 // FuzzMultiSegmentReplay fuzzes the rotation replay order: an arbitrary
 // write log is split at arbitrary points into base / sealed a / sealed b /
 // active segments — two sealed files with a gap in their sequence numbers,
-// the backlog a parent's writer could leave — with a generation bump
-// optionally recorded in either sealed file, and replay must reconstruct
-// exactly the sequential last-write-wins state of the live generation,
-// wherever the cuts fall.
+// the backlog an older writer could leave — with a model swap optionally
+// falling inside the sealed range, and replay under the model live at the
+// end must reconstruct exactly the sequential last-write-wins state of that
+// model's keys, wherever the cuts fall.
 func FuzzMultiSegmentReplay(f *testing.F) {
 	f.Add([]byte("abcdefgh"), uint8(2), uint8(5), uint8(7), uint8(0))
-	f.Add([]byte(""), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add([]byte("swap"), uint8(0), uint8(1), uint8(4), uint8(2))
 	f.Add([]byte{0xff, 0x00, 0x7f, 0x01, 0x01, 0x01}, uint8(6), uint8(1), uint8(3), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB, cutC, bump uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB, cutC, swap uint8) {
 		if len(data) > 48 {
 			data = data[:48]
 		}
@@ -82,17 +82,21 @@ func FuzzMultiSegmentReplay(f *testing.F) {
 		cuts := []int{int(cutA) % (len(data) + 1), int(cutB) % (len(data) + 1), int(cutC) % (len(data) + 1)}
 		sort.Ints(cuts)
 		i, k := cuts[0], cuts[2]
-		// bump 0 records no generation; otherwise generation 1 is recorded
-		// before entry g of the sealed range, in the file that holds it.
-		g, gen := len(data), uint64(0)
-		if bump > 0 {
-			g, gen = i+int(bump-1)%(k-i+1), 1
+		// swap 0 keeps model m0 throughout; otherwise entries from index g of
+		// the sealed range on are m1's answers, and the restart runs m1.
+		g, live := len(data), "m0"
+		if swap > 0 {
+			g, live = i+int(swap-1)%(k-i+1), "m1"
 		}
 		at := time.Unix(3000, 0)
 		segs := make([][][]byte, 4)
 		want := make(map[string]string)
 		for n, c := range data {
-			key := fmt.Sprintf("k%d", c%8)
+			tag := "m0"
+			if n >= g {
+				tag = "m1"
+			}
+			key := cacheKey(tag, fmt.Sprintf("k%d", c%8))
 			val := fmt.Sprintf("v%d-%d", n, c)
 			seg := 0
 			for _, cut := range cuts {
@@ -100,22 +104,10 @@ func FuzzMultiSegmentReplay(f *testing.F) {
 					seg++
 				}
 			}
-			if n == g && g < k {
-				segs[seg] = append(segs[seg], encodeGenPayload(1, ""))
-			}
-			eGen := uint64(0)
-			if n >= g {
-				eGen = 1
-			}
-			segs[seg] = append(segs[seg], rawEntry(t, key, val, eGen, at))
-			if eGen == gen {
+			segs[seg] = append(segs[seg], rawEntry(t, key, val, at))
+			if tag == live {
 				want[key] = val
-			} else {
-				delete(want, key)
 			}
-		}
-		if g == k && gen == 1 { // the bump is the last record of sealed b
-			segs[2] = append(segs[2], encodeGenPayload(1, ""))
 		}
 		dir := t.TempDir()
 		writeRawSegment(t, filepath.Join(dir, baseName), "fz", segs[0])
@@ -123,11 +115,8 @@ func FuzzMultiSegmentReplay(f *testing.F) {
 		writeRawSegment(t, filepath.Join(dir, sealedName(7)), "fz", segs[2])
 		writeRawSegment(t, filepath.Join(dir, segName), "fz", segs[3])
 
-		s := openTestLog(t, dir, testLog{Meta: "fz"})
+		s := openTestLog(t, dir, testLog{Meta: "fz", ModelTag: live})
 		defer s.Close()
-		if got := s.Generation(); got != gen {
-			t.Fatalf("Generation = %d, want %d", got, gen)
-		}
 		if n := s.Len(); n != len(want) {
 			t.Fatalf("Len = %d, want %d", n, len(want))
 		}

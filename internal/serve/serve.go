@@ -4,15 +4,15 @@
 // online answering phase (Sec 1); this package is what makes the online
 // phase survive heavy concurrent traffic without touching the engine:
 //
-//   - a generation-keyed answer cache: one in-memory sharded LRU, the
+//   - a fingerprint-keyed answer cache: one in-memory sharded LRU, the
 //     source of truth every lookup is served from. Every entry is keyed by
-//     (model generation, normalized question, options fingerprint);
-//     retraining bumps the generation, making every stale entry
-//     unreachable without a stop-the-world flush;
+//     (fingerprint, normalized question), and the caller leads the
+//     fingerprint with the identity of the model that computes the answer,
+//     so a new model reads a fresh keyspace without a stop-the-world flush;
 //   - an optional write-behind disk log (Open) that makes that cache
-//     survive restarts: computed answers and generation bumps are appended
-//     to checksummed segment files, read back only at the next open and
-//     compacted in the background from a snapshot of memory;
+//     survive restarts: computed answers are appended to checksummed
+//     segment files, read back only at the next open and compacted in the
+//     background from a snapshot of memory;
 //   - TTL expiry (Options.TTL) and boot-time warming (Warm);
 //   - singleflight deduplication, so a thundering herd of identical
 //     questions costs one engine call;
@@ -39,7 +39,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -128,7 +127,6 @@ type Runtime[A any] struct {
 	opts    Options[A]
 	cache   *answerCache[A] // nil when caching is disabled
 	disk    *diskLog[A]     // nil when the cache is memory-only
-	gen     atomic.Uint64
 	flight  flightGroup[A]
 	sem     chan struct{} // nil when unbounded
 	metrics metrics
@@ -170,13 +168,11 @@ func New[A any](o Options[A]) *Runtime[A] {
 }
 
 // Open builds a runtime whose answer cache survives restarts: the cache is
-// refilled from the segment log under lo.Dir, and from then on every
-// computed answer and generation bump is appended to it. The runtime adopts
-// the log's persisted generation — a rebooted server keeps counting where
-// the dead process stopped, so entries invalidated by a pre-restart retrain
-// stay unreachable. Close drains in-flight requests, then flushes and
-// closes the log. It fails when caching is disabled, or the directory is
-// unusable or held by another process.
+// refilled from the segment log under lo.Dir — only entries whose key
+// starts with lo.ModelTag — and from then on every computed answer is
+// appended to it. Close drains in-flight requests, then flushes and closes
+// the log. It fails when caching is disabled, or the directory is unusable
+// or held by another process.
 func Open[A any](o Options[A], lo LogOptions[A]) (*Runtime[A], error) {
 	r := New(o)
 	if r.cache == nil {
@@ -187,47 +183,18 @@ func Open[A any](o Options[A], lo LogOptions[A]) (*Runtime[A], error) {
 		return nil, err
 	}
 	r.disk = disk
-	r.gen.Store(disk.generation())
 	return r, nil
 }
 
-// fingerprintSep joins the normalized question and the options fingerprint
-// in the cache key; genSep terminates the generation prefix. Both are
-// information separators no normalizer emits.
-const (
-	fingerprintSep = "\x1f"
-	genSep         = "\x1e"
-)
+// fingerprintSep joins the fingerprint and the normalized question in the
+// cache key; it is an information separator no normalizer emits.
+const fingerprintSep = "\x1f"
 
-// cacheKey assembles the full cache/deduplication key. The generation
-// prefix is what makes retrain invalidation free: bumping the generation
-// changes every key, so stale entries are simply never looked up again.
-func cacheKey(gen uint64, normalized, fingerprint string) string {
-	key := "g" + strconv.FormatUint(gen, 10) + genSep + normalized
-	if fingerprint != "" {
-		key += fingerprintSep + fingerprint
-	}
-	return key
-}
-
-// Generation returns the model generation keying new cache entries.
-func (r *Runtime[A]) Generation() uint64 { return r.gen.Load() }
-
-// BumpGeneration advances the model generation, atomically making every
-// cache entry of earlier generations unreachable (no flush, no lock over
-// the shards). Call it after the new model is visible to the engine — then
-// any request keyed with the new generation is guaranteed to compute
-// against the new model or a newer one. modelTag is the content tag of
-// that model (see LogOptions.ModelTag): the disk log records the bump
-// durably together with it, so invalidation survives restarts and a later
-// boot running a different model refuses the entries. Memory-only runtimes
-// ignore the tag.
-func (r *Runtime[A]) BumpGeneration(modelTag string) uint64 {
-	g := r.gen.Add(1)
-	if r.disk != nil {
-		r.disk.setGeneration(g, modelTag)
-	}
-	return g
+// cacheKey assembles the full cache/deduplication key. The fingerprint
+// leads, so the disk log can tell at replay which model an entry belongs to
+// by its prefix alone (LogOptions.ModelTag).
+func cacheKey(fingerprint, normalized string) string {
+	return fingerprint + fingerprintSep + normalized
 }
 
 // begin registers a request with the drain group; false means the runtime
@@ -248,12 +215,14 @@ func (r *Runtime[A]) fresh(e Entry[A]) bool {
 }
 
 // Do answers one question through the cache → singleflight → admission →
-// engine pipeline, keyed by (generation, normalized question, fingerprint).
-// compute is the engine call for this request; whatever per-request options
-// it closes over MUST be encoded into fingerprint so differently-optioned
-// results never share a cache entry or a flight. The question half of the
-// key is text.Normalize(question), so trivially restyled questions share an
-// entry.
+// engine pipeline, keyed by (fingerprint, normalized question). compute is
+// the engine call for this request; whatever it closes over that shapes the
+// answer — the model it runs, the per-request options — MUST be encoded into
+// fingerprint, so answers of different models or options never share a
+// cache entry or a flight. Put the model's identity first: a new model then
+// misses, the same model after a swap back hits, and the disk log keeps
+// exactly its entries across a restart. The question half of the key is
+// text.Normalize(question), so trivially restyled questions share an entry.
 //
 // ok mirrors the engine's "has an answer" flag; err is non-nil for
 // serving-layer failures (deadline exceeded while queued or waiting,
@@ -281,12 +250,7 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 		}
 	}()
 
-	// The generation is read once per request: a retrain completing
-	// mid-request doesn't retarget work already underway (it started
-	// before the retrain finished), but every request beginning after the
-	// bump uses the new keyspace.
-	gen := r.gen.Load()
-	key := cacheKey(gen, text.Normalize(question), fingerprint)
+	key := cacheKey(fingerprint, text.Normalize(question))
 	r.metrics.served.Add(1)
 	if r.cache != nil {
 		_, csp := obs.StartSpan(ctx, "serve.cache")
@@ -362,7 +326,7 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 			r.metrics.observeStages(tm, traceID)
 			if r.cache != nil {
 				_, psp := obs.StartSpan(fctx, "serve.persist")
-				ent := Entry[A]{Val: a, OK: okAns, Gen: gen, At: time.Now()}
+				ent := Entry[A]{Val: a, OK: okAns, At: time.Now()}
 				if r.opts.Weigh != nil {
 					ent.Weight = r.opts.Weigh(a)
 				}
@@ -472,7 +436,6 @@ func (r *Runtime[A]) admit(ctx context.Context) (release func(), err error) {
 // latency histograms.
 func (r *Runtime[A]) Metrics() Snapshot {
 	s := r.metrics.snapshot()
-	s.Generation = r.gen.Load()
 	if r.cache != nil {
 		s.CacheEvictions = r.cache.Evictions()
 		s.CacheEntries = r.cache.Len()

@@ -53,7 +53,7 @@ func (e *engineRT[A]) AskBatch(ctx context.Context, qs []string) []BatchItem[A] 
 	return e.DoBatch(ctx, qs, "", e.ask)
 }
 
-// TestRuntimeSurface pins the runtime's shape: ten exported methods, and
+// TestRuntimeSurface pins the runtime's shape: eight exported methods, and
 // five settable values — every request names its engine call (Do, DoBatch,
 // Warm take compute), so there is no stored-engine twin of any of them, and
 // a knob with one production value is a constant, not a field.
@@ -63,7 +63,7 @@ func TestRuntimeSurface(t *testing.T) {
 	for i := 0; i < rt.NumMethod(); i++ {
 		methods = append(methods, rt.Method(i).Name)
 	}
-	want := []string{"BumpGeneration", "Close", "CountError", "CountRateLimited", "Do", "DoBatch", "Flush", "Generation", "Metrics", "Warm"}
+	want := []string{"Close", "CountError", "CountRateLimited", "Do", "DoBatch", "Flush", "Metrics", "Warm"}
 	if !reflect.DeepEqual(methods, want) {
 		t.Errorf("*serve.Runtime exports %v, want exactly %v", methods, want)
 	}

@@ -172,11 +172,16 @@ type VariantAnswer struct {
 }
 
 // System is a trained KBQA instance. It implements Answerer. Query and the
-// other read paths may be used concurrently with Learn/LoadModel: model
-// swaps are atomic behind a read-write lock, and in-flight queries finish
+// other read paths may be used concurrently with Learn/LoadModel: a model
+// swap publishes the new engine atomically, and in-flight queries finish
 // against the engine they started with.
 type System struct {
-	mu    sync.RWMutex // guards the world's Model/Stats/Engine swaps and retrain
+	// cur is the published online half; Build, Learn and LoadModel store
+	// it, serialized by swapMu, and every reader loads it once per call.
+	cur    atomic.Pointer[online]
+	swapMu sync.Mutex
+	// world holds what Build generated and learned; the model and
+	// statistics serving now are cur's, not world's.
 	world *eval.World
 	// kb is the local world engines read symbols from, compiled once for
 	// all of them: the built store, or the image when Options.KBImage
@@ -191,16 +196,43 @@ type System struct {
 	// img is the memory-mapped snapshot image when Options.KBImage
 	// loaded one (nil otherwise); Close unmaps it.
 	img *snapshot.Image
-	// retrain holds invalidation hooks run after every model swap, keyed
-	// for deregistration; a Server registers one to bump its cache
-	// generation, so answers computed by the old model become unreachable
-	// the moment Learn/LoadModel returns, and removes it on Close.
-	retrain    map[uint64]func()
-	nextHookID uint64
-	// retrainEpoch counts completed model swaps; Server uses it to close
-	// the construction race between adopting a persisted generation and
-	// registering its hook.
-	retrainEpoch atomic.Uint64
+}
+
+// online is one published state of a System's online half: the engine,
+// the model it compiled (with the statistics in engine.Stats) and their
+// content tag, which a Server leads its cache keys with — so an answer is
+// keyed by exactly what computed it.
+type online struct {
+	engine *core.Engine
+	model  *learn.Model
+	tag    string
+	// swaps counts the states published before this one: the model swaps
+	// since Build (Server.Generation).
+	swaps uint64
+}
+
+// newOnline compiles model and stats into an engine and tags them.
+func (s *System) newOnline(model *learn.Model, stats *decompose.Stats) *online {
+	return &online{engine: s.newEngine(model, stats), model: model, tag: contentTag(model, stats)}
+}
+
+// contentTag is the identity of a (model, statistics) pair: Model.Fingerprint
+// folded with Stats.Fingerprint, as 16 hex digits — equal across processes
+// for equal content. The fixed width keeps one tag from being a prefix of
+// another, which the persistent cache's replay filter needs.
+func contentTag(model *learn.Model, stats *decompose.Stats) string {
+	return fmt.Sprintf("%016x", model.Fingerprint()^stats.Fingerprint())
+}
+
+// publish makes next(prev) the serving state, counting it as one more
+// swap; swapMu orders it against every other swap.
+func (s *System) publish(next func(prev *online) *online) {
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
+	prev := s.cur.Load()
+	n := next(prev)
+	n.swaps = prev.swaps + 1
+	s.cur.Store(n)
 }
 
 // Build synthesizes a world and runs the complete offline procedure, then
@@ -224,7 +256,7 @@ func Build(o Options) (*System, error) {
 		s.Close()
 		return nil, err
 	}
-	s.world.Engine = s.newEngine(s.world.Model, s.world.Stats)
+	s.cur.Store(s.newOnline(s.world.Model, s.world.Stats))
 	return s, nil
 }
 
@@ -310,64 +342,18 @@ func (s *System) Close() error {
 	return nil
 }
 
-// engine snapshots the current online engine; queries run against the
-// snapshot so a concurrent Learn cannot swap state mid-question.
-func (s *System) engine() *core.Engine {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.world.Engine
-}
-
-// onRetrain registers fn to run after every model swap (Learn, LoadModel)
-// and returns its deregistration, which the owner must call when it stops
-// caring (Server.Close does) so dead hooks don't accumulate on a
-// long-lived system.
-func (s *System) onRetrain(fn func()) (remove func()) {
-	s.mu.Lock()
-	if s.retrain == nil {
-		s.retrain = make(map[uint64]func())
-	}
-	id := s.nextHookID
-	s.nextHookID++
-	s.retrain[id] = fn
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.retrain, id)
-		s.mu.Unlock()
-	}
-}
-
-// notifyRetrain advances the retrain epoch and runs the registered
-// invalidation hooks. It is called after the engine swap is visible, so a
-// hook that bumps a cache generation guarantees every request keyed with
-// the new generation computes against the new model (or a newer one) —
-// never the old.
-func (s *System) notifyRetrain() {
-	s.retrainEpoch.Add(1)
-	s.mu.RLock()
-	hooks := make([]func(), 0, len(s.retrain))
-	for _, fn := range s.retrain {
-		hooks = append(hooks, fn)
-	}
-	s.mu.RUnlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
 // QA is one question–answer pair of a training corpus.
 type QA = learn.QA
 
 // Learn re-runs the offline learning over a caller-supplied QA corpus
-// against this system's knowledge base, replacing the current model. Use
-// it to train on your own data instead of the synthetic corpus. Learn is
-// safe to call while the system is answering: the heavy learning runs
-// outside the lock and the model/engine swap is atomic, with concurrent
+// against this system's knowledge base, replacing the current model and
+// decomposition statistics. Use it to train on your own data instead of the
+// synthetic corpus. Learn is safe to call while the system is answering:
+// the learning runs before the swap and the swap is atomic, with concurrent
 // queries finishing against whichever engine they started with. Servers
-// built from this system invalidate their answer caches the moment Learn
-// returns — the model generation keying cache entries is bumped after the
-// swap, so no later query is served an answer the old model computed.
+// built from this system key cached answers by the content of the model
+// that computed them, so once Learn returns no query is served an answer
+// the old model computed — unless the new model is the same one.
 func (s *System) Learn(pairs []QA) {
 	learner := s.world.Learner()
 	model := learner.Learn(pairs)
@@ -375,15 +361,8 @@ func (s *System) Learn(pairs []QA) {
 	for i, p := range pairs {
 		qs[i] = p.Q
 	}
-	stats := decompose.BuildStats(qs, s.world.Symbols.Lexicon.Has)
-	engine := s.newEngine(model, stats)
-
-	s.mu.Lock()
-	s.world.Model = model
-	s.world.Stats = stats
-	s.world.Engine = engine
-	s.mu.Unlock()
-	s.notifyRetrain()
+	next := s.newOnline(model, decompose.BuildStats(qs, s.world.Symbols.Lexicon.Has))
+	s.publish(func(*online) *online { return next })
 }
 
 // TrainingCorpus returns the synthetic QA corpus the system was built with,
@@ -398,26 +377,19 @@ func (s *System) TrainingCorpus() []QA {
 
 // SaveModel serializes the learned P(p|t) model.
 func (s *System) SaveModel(w io.Writer) error {
-	s.mu.RLock()
-	m := s.world.Model
-	s.mu.RUnlock()
-	return m.Save(w)
+	return s.cur.Load().model.Save(w)
 }
 
 // LoadModel replaces the learned model with one written by SaveModel and
-// rewires the online engine; like Learn, the swap is atomic under
-// concurrent queries and attached Servers invalidate their caches before
-// LoadModel returns.
+// rewires the online engine over the current decomposition statistics;
+// like Learn, the swap is atomic under concurrent queries, and attached
+// Servers stop serving the old model's answers once LoadModel returns.
 func (s *System) LoadModel(r io.Reader) error {
 	m, err := learn.LoadModel(r)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.world.Model = m
-	s.world.Engine = s.newEngine(m, s.world.Stats)
-	s.mu.Unlock()
-	s.notifyRetrain()
+	s.publish(func(prev *online) *online { return s.newOnline(m, prev.engine.Stats) })
 	return nil
 }
 
@@ -434,9 +406,7 @@ type Stats struct {
 
 // Stats reports the system's sizes.
 func (s *System) Stats() Stats {
-	s.mu.RLock()
-	model := s.world.Model
-	s.mu.RUnlock()
+	model := s.cur.Load().model
 	return Stats{
 		Flavor:     s.world.KB.Flavor.String(),
 		Entities:   len(s.world.KB.Store.Entities()),

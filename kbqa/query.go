@@ -104,12 +104,13 @@ func (c *queryConfig) arm(ctx context.Context) (context.Context, context.CancelF
 	return context.WithTimeout(ctx, d)
 }
 
-// fingerprint canonically encodes the result-shaping options; the serving
-// layer keys its answer cache and singleflight on (question, fingerprint)
-// so differently-optioned queries never share a result. Timeout is
+// fingerprint canonically encodes what shapes a result — the content tag of
+// the model computing it, first, then the options; the serving layer keys
+// its answer cache and singleflight on (fingerprint, question), so answers
+// of different models or options never share an entry. Timeout is
 // deliberately excluded: it bounds the work, not the value.
-func (c queryConfig) fingerprint() string {
-	return "k=" + strconv.Itoa(c.topK) + ";v=" + strconv.FormatBool(!c.noVariants)
+func (c queryConfig) fingerprint(tag string) string {
+	return tag + ";k=" + strconv.Itoa(c.topK) + ";v=" + strconv.FormatBool(!c.noVariants)
 }
 
 // QueryOption tunes one Query call.
@@ -203,19 +204,19 @@ type Answerer interface {
 // knowledge-base probes and between chain hops, so a deadline stops work
 // on large stores instead of letting the scan run to completion.
 func (s *System) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
-	res, _, err := s.query(ctx, question, newQueryConfig(opts))
+	res, _, err := query(ctx, s.cur.Load().engine, question, newQueryConfig(opts))
 	return stampTraceID(res, ctx), err
 }
 
 // query is the resolved-config implementation shared with the serving
 // layer, which also wants the engine stage timings for failed calls: arm
-// the timeout, make the one engine call, convert. The Result carries no
+// the timeout, make the one call on eng, convert. The Result carries no
 // trace ID — it may be cached and outlive the request; the public entry
 // points stamp the caller's own on the way out.
-func (s *System) query(ctx context.Context, question string, cfg queryConfig) (*Result, core.Timings, error) {
+func query(ctx context.Context, eng *core.Engine, question string, cfg queryConfig) (*Result, core.Timings, error) {
 	ctx, cancel := cfg.arm(ctx)
 	defer cancel()
-	ans, ranked, tm, err := s.engine().Answer(ctx, question, cfg.topK, !cfg.noVariants)
+	ans, ranked, tm, err := eng.Answer(ctx, question, cfg.topK, !cfg.noVariants)
 	if err != nil {
 		return nil, tm, err
 	}

@@ -34,7 +34,7 @@ func TestQueryTopK1MatchesAsk(t *testing.T) {
 	ctx := context.Background()
 	answered := 0
 	for _, q := range equivalenceQuestions(s) {
-		raw, _, _, engErr := s.world.Engine.Answer(ctx, q, 0, false)
+		raw, _, _, engErr := s.cur.Load().engine.Answer(ctx, q, 0, false)
 		engineOK := engErr == nil
 		res, err := s.Query(ctx, q, WithTopK(1), WithoutVariants())
 		if engineOK != (err == nil) {

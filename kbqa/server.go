@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -30,19 +29,17 @@ type ServerOptions struct {
 	// CacheEntries is the total answer-cache capacity. 0 means the
 	// default (4096); negative disables caching.
 	CacheEntries int
-	// CacheDir enables the persistent answer cache: answers and the model
-	// generation are appended to a checksummed segment log under the
-	// directory and replayed on the next boot, so a restarted server
-	// answers its hot set from disk without re-probing the engine. The
-	// active segment rotates once it crosses a size threshold and a
-	// background merger compacts sealed segments into a dense base, so
-	// maintenance never stalls the request path. The directory is bound to
-	// the system that wrote it (flavor, sizes): opening it under a
-	// different system discards the log instead of serving a foreign
-	// model's answers, and it is flock-guarded — a second server process
-	// pointed at the same directory fails fast instead of corrupting it.
-	// Entries invalidated by Learn/LoadModel before a restart stay
-	// invalidated after it.
+	// CacheDir enables the persistent answer cache: answers are appended
+	// to a checksummed segment log under the directory and replayed on the
+	// next boot, so a restarted server answers its hot set from disk
+	// without re-probing the engine. The active segment rotates once it
+	// crosses a size threshold and a background merger compacts sealed
+	// segments into a dense base, so maintenance never stalls the request
+	// path. The directory is bound to the system that wrote it (flavor,
+	// sizes): opening it under a different system discards the log, and
+	// only the answers of the model the system runs at construction are
+	// replayed. It is flock-guarded — a second server process pointed at
+	// the same directory fails fast instead of corrupting it.
 	CacheDir string
 	// CacheTTL expires cache entries: an entry older than CacheTTL is
 	// recomputed on next access (and purged from memory on the expired
@@ -108,7 +105,7 @@ type served struct {
 }
 
 // Server is the production serving runtime around a System: a
-// generation-keyed answer cache (sharded LRU, optionally disk-backed so
+// model-keyed answer cache (sharded LRU, optionally disk-backed so
 // answers survive restarts) with singleflight deduplication, admission
 // control, a per-client rate limiter, an order-preserving batch executor,
 // and a self-instrumented metrics pipeline. It implements Answerer;
@@ -118,16 +115,17 @@ type Server struct {
 	rt      *serve.Runtime[served]
 	limiter *serve.Limiter
 	tracer  *obs.Tracer // nil when tracing is off
-	unhook  func()      // deregisters the retrain hook; called by Close
 }
 
 // Server wraps the system in a serving runtime. The system may be
-// retrained (Learn, LoadModel) while serving: queries in flight finish on
-// the engine they started with, and the retrain bumps the cache's model
-// generation the moment it completes — every cached answer the old model
-// computed becomes unreachable, in memory and on disk. The only error
-// paths are the persistence options (an unopenable CacheDir, or CacheDir
-// combined with disabled caching).
+// retrained (Learn, LoadModel) while serving: every request reads the
+// system's published engine once, keys the cache with that engine's
+// content tag and computes with that same engine, so queries in flight
+// finish on the engine they started with and no query starting after a
+// swap is served an answer the old model computed — unless the new model
+// is the same one, whose answers stay warm. The only error paths are the
+// persistence options (an unopenable CacheDir, or CacheDir combined with
+// disabled caching).
 func (s *System) Server(o ServerOptions) (*Server, error) {
 	sv := &Server{sys: s}
 	if o.traceEnabled() {
@@ -138,11 +136,6 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 			Logger:        o.Logger,
 		})
 	}
-	// The epoch is read before the runtime adopts a persisted generation and
-	// re-checked after the retrain hook is live; a Learn completing in
-	// between would otherwise have notified nobody, leaving its stale
-	// entries reachable.
-	epoch := s.retrainEpoch.Load()
 	ro := serve.Options[served]{
 		CacheEntries:  o.CacheEntries,
 		TTL:           o.CacheTTL,
@@ -169,7 +162,7 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 		rt, err := serve.Open(ro, serve.LogOptions[served]{
 			Dir:       o.CacheDir,
 			Meta:      s.cacheMeta(),
-			ModelTag:  s.modelTag(),
+			ModelTag:  s.cur.Load().tag,
 			SyncEvery: sync, // negative: no periodic sync
 			Log:       o.Logger,
 			Tracer:    sv.tracer,
@@ -182,15 +175,6 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 	if o.RateLimit > 0 {
 		sv.limiter = serve.NewLimiter(o.RateLimit, o.RateBurst)
 	}
-	// invalidate bumps under the current model's content tag, so the
-	// persisted generation record binds generation → model; a later boot
-	// running a different model then refuses the entries instead of
-	// serving another model's answers.
-	invalidate := func() { sv.rt.BumpGeneration(s.modelTag()) }
-	sv.unhook = s.onRetrain(invalidate)
-	if s.retrainEpoch.Load() != epoch {
-		invalidate() // a retrain raced construction; over-invalidating is harmless
-	}
 	return sv, nil
 }
 
@@ -198,30 +182,22 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 // to, so a segment written by one system is never replayed into another
 // (different flavor, seed or scale ⇒ different meta ⇒ the segment is
 // discarded at open). Learned state is deliberately excluded — the model's
-// identity travels separately as modelTag, per generation.
+// identity leads every cache key instead (online.tag).
 func (s *System) cacheMeta() string {
 	st := s.Stats()
 	return fmt.Sprintf("%s|e%d|t%d|p%d|c%d", st.Flavor, st.Entities, st.Triples, st.Predicates, st.CorpusSize)
 }
 
-// modelTag fingerprints the content of the current learned model, binding
-// persisted cache generations to the model that computed them: a cache
-// written under one model is never served by a process running another,
-// however the mismatch arose (a Learn before the shutdown, a Learn before
-// Server construction, a different training corpus entirely).
-func (s *System) modelTag() string {
-	s.mu.RLock()
-	m := s.world.Model
-	s.mu.RUnlock()
-	return strconv.FormatUint(m.Fingerprint(), 16)
-}
-
-// compute builds the serving-layer engine function for one resolved option
-// set: typed unanswerable failures become cacheable negative entries,
-// while context and infrastructure errors propagate uncached.
-func (sv *Server) compute(cfg queryConfig) serve.AskFunc[served] {
+// compute builds the serving-layer engine function for one engine and one
+// resolved option set: typed unanswerable failures become cacheable
+// negative entries, while context and infrastructure errors propagate
+// uncached. Callers key the call with cfg.fingerprint of the same
+// published state whose engine they pass, so the key always names the
+// model that computes the answer. It is small enough to inline, which
+// keeps the closure off the heap on the cache-hit path.
+func compute(eng *core.Engine, cfg queryConfig) serve.AskFunc[served] {
 	return func(ctx context.Context, question string) (served, serve.StageTimings, bool, error) {
-		res, tm, err := sv.sys.query(ctx, question, cfg)
+		res, tm, err := query(ctx, eng, question, cfg)
 		st := serve.StageTimings{Parse: tm.Parse, Match: tm.Match, Probe: tm.Probe}
 		if err != nil {
 			if IsUnanswerable(err) {
@@ -235,8 +211,8 @@ func (sv *Server) compute(cfg queryConfig) serve.AskFunc[served] {
 
 // Query answers one question through the cache → singleflight → admission
 // → engine pipeline, implementing Answerer. The cache and deduplication
-// key is (normalized question, options fingerprint), so the same question
-// under different options never shares a result. Errors are the same
+// key is (model tag, options fingerprint, normalized question), so the same
+// question under different options or models never shares a result. Errors are the same
 // typed set as System.Query plus the serving-layer sentinels
 // (ErrShuttingDown, ErrEnginePanic, deadline errors from queueing).
 //
@@ -249,7 +225,8 @@ func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOptio
 	defer cancel()
 	ctx, finish := sv.startTrace(ctx, "kbqa.query", question)
 	defer finish()
-	out, ok, err := sv.rt.Do(ctx, question, cfg.fingerprint(), sv.compute(cfg))
+	cur := sv.sys.cur.Load()
+	out, ok, err := sv.rt.Do(ctx, question, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +289,8 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 	defer cancel()
 	ctx, finish := sv.startTrace(ctx, "kbqa.batch", fmt.Sprintf("[batch of %d]", len(questions)))
 	defer finish()
-	items := sv.rt.DoBatch(ctx, questions, cfg.fingerprint(), sv.compute(cfg))
+	cur := sv.sys.cur.Load()
+	items := sv.rt.DoBatch(ctx, questions, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
 	out := make([]BatchResult, len(items))
 	for i, it := range items {
 		br := BatchResult{Question: it.Question, Err: it.Err}
@@ -329,10 +307,12 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 	return out
 }
 
-// Metrics snapshots the serving runtime's counters and latency histograms
-// and, when the KB is served by shard servers, the pool's routing counters.
+// Metrics snapshots the serving runtime's counters and latency histograms,
+// the system's model swaps since boot and, when the KB is served by shard
+// servers, the pool's routing counters.
 func (sv *Server) Metrics() ServerMetrics {
 	m := sv.rt.Metrics()
+	m.Generation = sv.Generation()
 	if sv.sys.pool != nil {
 		st := sv.sys.pool.Stats()
 		m.RPC = &st
@@ -367,10 +347,9 @@ func (sv *Server) Traces() []TraceSnapshot { return sv.tracer.Snapshot() }
 // sampled, not slow) or has since been evicted.
 func (sv *Server) FindTrace(id string) (TraceSnapshot, bool) { return sv.tracer.Find(id) }
 
-// Generation returns the model generation keying new cache entries; it
-// starts from the persisted generation when CacheDir is set and bumps on
-// every Learn/LoadModel of the wrapped system.
-func (sv *Server) Generation() uint64 { return sv.rt.Generation() }
+// Generation counts the wrapped system's model swaps (Learn, LoadModel)
+// since it was built; it starts at 0 on every boot, CacheDir or not.
+func (sv *Server) Generation() uint64 { return sv.sys.cur.Load().swaps }
 
 // WarmFromCorpus primes the answer cache at boot by answering qs through
 // the full serving pipeline under the given options — the paper's cheap
@@ -383,7 +362,8 @@ func (sv *Server) WarmFromCorpus(ctx context.Context, qs []string, opts ...Query
 	cfg := newQueryConfig(opts)
 	ctx, cancel := cfg.arm(ctx)
 	defer cancel()
-	return sv.rt.Warm(ctx, qs, cfg.fingerprint(), sv.compute(cfg))
+	cur := sv.sys.cur.Load()
+	return sv.rt.Warm(ctx, qs, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
 }
 
 // AllowN applies the per-client rate limit (ServerOptions.RateLimit) to a
@@ -411,14 +391,9 @@ func (sv *Server) Flush() error { return sv.rt.Flush() }
 
 // Close puts the server into shutdown: subsequent calls fail fast while
 // in-flight requests drain to completion, after which pending
-// persistent-cache writes are flushed and the cache closed. The server's
-// retrain hook is deregistered from the system, so closed servers aren't
-// retained (or notified) by later Learn/LoadModel calls. The error is the
-// flush/close outcome (always nil for memory-only servers).
-func (sv *Server) Close() error {
-	sv.unhook()
-	return sv.rt.Close()
-}
+// persistent-cache writes are flushed and the cache closed. The error is
+// the flush/close outcome (always nil for memory-only servers).
+func (sv *Server) Close() error { return sv.rt.Close() }
 
 // answerFromCore converts the engine's answer to the public shape.
 func answerFromCore(ans core.Answer) Answer {
