@@ -56,26 +56,16 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // behalf of a trace that lives in another process. traceID is the caller's
 // trace ID as carried across the wire, so TraceID(ctx) and log correlation
 // work on the serving side; the span belongs to no Tracer and is never
-// retained locally — the server Ends it and ships Snapshot() back to the
-// caller, which grafts it with AttachRemote.
+// retained locally — the server Ends it and ships AppendJSON's bytes back
+// to the caller, which grafts them with AttachRemote.
 func NewRemoteRoot(traceID, name string) *Span {
 	t := &Trace{id: traceID, start: time.Now()}
 	t.root = &Span{trace: t, name: name, start: t.start}
 	return t.root
 }
 
-// Snapshot converts the span tree to its immutable form with StartNanos
-// offsets relative to this span's own start — the wire form a remote
-// server returns for AttachRemote. Zero on a nil receiver.
-func (s *Span) Snapshot() SpanSnapshot {
-	if s == nil {
-		return SpanSnapshot{}
-	}
-	return s.snapshot(s.start)
-}
-
-// AttachRemote grafts a remote span tree (another process's Snapshot, as
-// the JSON it arrived in) under s. It is decoded only if the trace is
+// AttachRemote grafts a remote span tree (another process's AppendJSON, as
+// it arrived) under s. It is decoded only if the trace is
 // retained, so a call that crosses a process boundary does not pay for a
 // tree nobody will look at; one that does not decode is dropped then. The
 // remote offsets are relative to the remote root's own start; when the
@@ -241,6 +231,61 @@ func (s *Span) snapshot(base time.Time) SpanSnapshot {
 		}
 	}
 	return snap
+}
+
+// AppendJSON appends the span tree's SpanSnapshot, with StartNanos offsets
+// relative to s's own start, as exactly the JSON json.Marshal writes for it,
+// without building the snapshot or reflecting over it: the wire form a
+// shard server returns for AttachRemote. Nil-safe.
+func (s *Span) AppendJSON(dst []byte) []byte {
+	if s == nil {
+		return append(dst, `{"name":"","start_ns":0,"duration_ns":0}`...)
+	}
+	return s.appendJSON(dst, s.start)
+}
+
+func (s *Span) appendJSON(dst []byte, base time.Time) []byte {
+	s.mu.Lock()
+	dst = append(dst, `{"name":`...)
+	dst = AppendJSONString(dst, s.name)
+	dst = append(dst, `,"start_ns":`...)
+	dst = strconv.AppendInt(dst, s.start.Sub(base).Nanoseconds(), 10)
+	dst = append(dst, `,"duration_ns":`...)
+	dst = strconv.AppendInt(dst, s.dur.Nanoseconds(), 10)
+	sep := `,"attrs":[`
+	for _, a := range s.attrs {
+		dst = AppendJSONString(append(append(dst, sep...), `{"key":`...), a.key)
+		dst = append(dst, `,"value":`...)
+		if a.isInt {
+			dst = append(strconv.AppendInt(append(dst, '"'), a.num, 10), '"')
+		} else {
+			dst = AppendJSONString(dst, a.str)
+		}
+		dst, sep = append(dst, '}'), ","
+	}
+	if len(s.attrs) > 0 {
+		dst = append(dst, ']')
+	}
+	// Both lists only grow, so the prefixes read here stay valid unlocked.
+	children, remote := s.children, s.remote
+	s.mu.Unlock()
+	sep = `,"children":[`
+	for _, c := range children {
+		dst, sep = c.appendJSON(append(dst, sep...), base), ","
+	}
+	for _, raw := range remote {
+		var r SpanSnapshot
+		if json.Unmarshal(raw, &r) != nil {
+			continue
+		}
+		if b, err := json.Marshal(rebaseSnapshot(r, s.start.Sub(base).Nanoseconds())); err == nil {
+			dst, sep = append(append(dst, sep...), b...), ","
+		}
+	}
+	if sep == "," {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // SpanSnapshot is the immutable JSON form of a completed span. Durations

@@ -283,3 +283,67 @@ func TestTracerFindByID(t *testing.T) {
 		t.Fatal("nil tracer Find must miss")
 	}
 }
+
+// TestSpanAppendJSONMatchesMarshal: the span appender writes exactly the
+// bytes json.Marshal writes for the span's snapshot — nested and staged
+// children, grafted remote subtrees (one that does not decode is dropped),
+// and keys and values that need escaping.
+func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
+	hostile := []string{`say "hi"\`, "<a href='x'>&amp;</a>", "line\u2028sep\u2029", "bad \xff\xfe utf8", "tab\tnl\n\x01"}
+	remote := NewRemoteRoot("t", "shard.serve")
+	remote.SetInt("op", 8)
+	remote.Child("inner").SetAttr("k", hostile[1])
+	remote.End()
+	for _, tc := range []struct {
+		name  string
+		build func() *Span
+	}{
+		{"nil", func() *Span { return nil }},
+		{"bare", func() *Span { return NewRemoteRoot("t", "bare") }},
+		{"attributes", func() *Span {
+			sp := NewRemoteRoot("t", hostile[0])
+			for i, s := range hostile {
+				sp.SetAttr(s, s)
+				sp.SetInt(s, int64(-i*1000))
+			}
+			sp.End()
+			return sp
+		}},
+		{"nested", func() *Span {
+			sp := NewRemoteRoot("t", "root")
+			c := sp.Child("child")
+			c.SetInt("n", 7)
+			c.Child(hostile[2]).SetAttr(hostile[3], hostile[4])
+			c.End()
+			sp.Stage("stage", time.Millisecond)
+			sp.Child("empty")
+			sp.End()
+			return sp
+		}},
+		{"remote", func() *Span {
+			sp := NewRemoteRoot("t", "rpc.call")
+			sp.Child("local").End()
+			sp.AttachRemote(remote.AppendJSON(nil))
+			sp.AttachRemote([]byte("{not json"))
+			sp.End()
+			return sp
+		}},
+		{"only an undecodable remote", func() *Span {
+			sp := NewRemoteRoot("t", "rpc.call")
+			sp.AttachRemote([]byte("]"))
+			return sp
+		}},
+	} {
+		sp, snap := tc.build(), SpanSnapshot{}
+		if sp != nil {
+			snap = sp.snapshot(sp.start)
+		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.AppendJSON([]byte("prefix")); string(got) != "prefix"+string(want) {
+			t.Errorf("%s:\n got %s\nwant prefix%s", tc.name, got, want)
+		}
+	}
+}

@@ -43,6 +43,67 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// FrameHeaderLen is the length of the header in front of every payload.
+const FrameHeaderLen = 8
+
+// SealFrame writes the header of the payload frame[FrameHeaderLen:] into
+// frame's first FrameHeaderLen bytes, so a payload built in place behind
+// reserved room goes out as one plain Write of the same bytes WriteFrame
+// would send.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+}
+
+// FrameReader reads frames in as many pieces as its reader delivers and
+// remembers how far into the header and the payload it got, so a read that
+// a deadline cuts short resumes where it stopped on the next call. Apart
+// from such an interruption it returns what ReadFrame returns for the same
+// bytes. The zero value is ready to use.
+type FrameReader struct {
+	hdr     [FrameHeaderLen]byte
+	n       int    // bytes of the current frame read so far, header included
+	payload []byte // allocated once the header is in
+}
+
+// Read reads on into the current frame and returns its payload once the
+// frame is complete. An error from the reader is returned as it came,
+// except that an end mid-frame is io.ErrUnexpectedEOF; after a timeout the
+// next Read resumes.
+func (f *FrameReader) Read(r io.Reader) ([]byte, error) {
+	for {
+		piece := f.hdr[min(f.n, FrameHeaderLen):]
+		if f.n >= FrameHeaderLen {
+			if f.payload == nil {
+				n := binary.LittleEndian.Uint32(f.hdr[0:4])
+				if n > MaxFrameLen {
+					return nil, ErrFrameTooLong
+				}
+				f.payload = make([]byte, n)
+			}
+			piece = f.payload[f.n-FrameHeaderLen:]
+		}
+		if len(piece) == 0 {
+			break
+		}
+		k, err := r.Read(piece)
+		f.n += k
+		if k < len(piece) && err != nil {
+			if err == io.EOF && f.n > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	payload := f.payload
+	f.n, f.payload = 0, nil
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(f.hdr[4:8]) {
+		return nil, ErrFrameChecksum
+	}
+	return payload, nil
+}
+
 // ReadFrame reads one frame, verifying the length bound and the checksum.
 // io.EOF means the reader ended cleanly on a frame boundary.
 func ReadFrame(r io.Reader) ([]byte, error) {

@@ -53,6 +53,85 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// piecewise delivers data in the piece sizes cuts names (a cut's low seven
+// bits plus one; 128 once cuts run out) and, before a piece whose cut has
+// the high bit set, first fails once with a timeout, as a connection read
+// under an expiring deadline does.
+type piecewise struct {
+	data, cuts []byte
+	timedOut   bool
+}
+
+func (p *piecewise) Read(b []byte) (int, error) {
+	if len(p.data) == 0 {
+		return 0, io.EOF
+	}
+	cut := byte(0x7f)
+	if len(p.cuts) > 0 {
+		cut = p.cuts[0]
+	}
+	if cut&0x80 != 0 && !p.timedOut {
+		p.timedOut = true
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := copy(b, p.data[:min(int(cut&0x7f)+1, len(p.data))])
+	p.data = p.data[n:]
+	if len(p.cuts) > 0 {
+		p.cuts = p.cuts[1:]
+	}
+	p.timedOut = false
+	return n, nil
+}
+
+// FuzzFrameReaderResumes: a FrameReader fed a stream in pieces, with
+// timeouts between some of them, returns what ReadFrame returns for the
+// whole stream — the same payloads, then the same clean end or typed error —
+// when every timeout is answered by reading on.
+func FuzzFrameReaderResumes(f *testing.F) {
+	var ok bytes.Buffer
+	WriteFrame(&ok, []byte("hello"))
+	WriteFrame(&ok, nil)
+	WriteFrame(&ok, bytes.Repeat([]byte("x"), 300))
+	f.Add(ok.Bytes(), []byte{0x83, 0x80, 0x02, 0x85, 0x00})              // timeouts inside the header and the payload
+	f.Add(ok.Bytes()[:ok.Len()-3], []byte{0x87, 0x88})                   // torn payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, []byte{0x83})      // length over the cap
+	f.Add([]byte{1, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'x'}, []byte{0x88}) // checksum mismatch
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		var want [][]byte
+		var wantErr error
+		for r := bytes.NewReader(stream); wantErr == nil; {
+			var p []byte
+			if p, wantErr = ReadFrame(r); wantErr == nil {
+				want = append(want, p)
+			}
+		}
+		var got [][]byte
+		var gotErr error
+		var fr FrameReader
+		for src := (&piecewise{data: stream, cuts: cuts}); gotErr == nil; {
+			p, err := fr.Read(src)
+			switch {
+			case errors.Is(err, os.ErrDeadlineExceeded):
+			case err != nil:
+				gotErr = err
+			default:
+				got = append(got, p)
+			}
+		}
+		if gotErr != wantErr {
+			t.Fatalf("resumed reader ended with %v, ReadFrame with %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("resumed reader read %d frames, ReadFrame %d", len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d: resumed reader read %x, ReadFrame %x", i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // TestPublishFileIsAtomic: a failed write leaves the previous file and no
 // temp file; a successful one replaces the file whole, and clears a temp
 // file a crashed writer left behind.

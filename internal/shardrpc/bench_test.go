@@ -6,35 +6,30 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
-// BenchmarkProbeDistributed prices the distributed probe path — a
-// KB.PathObjects scatter/gather over loopback shard servers, two replicas,
-// adaptive hedging — a probe at a time and eight to a batch, against the
-// same probes through core.LocalIndex. probe-ns/op is per probe: batch=1 is
-// the price of a network round trip, and batch=8 shows how much of it a
-// question's probe plan shares (eight probes spread over four shards cost
-// one parallel round of at most four frames, not eight round trips).
-func BenchmarkProbeDistributed(b *testing.B) {
-	store := testWorld(b)
-	addrA, srvA := startServer(b, store)
-	addrB, srvB := startServer(b, store)
-	defer srvA.Close()
-	defer srvB.Close()
-
+// probeCluster starts two loopback shard servers over the test world and a
+// pool over them with two replicas and adaptive hedging (or none), and collects
+// (entity, path) probes with non-empty local results, so every probe
+// measures a real frontier expansion. Cleanup closes all of it.
+func probeCluster(tb testing.TB, disableHedge bool) (*rdf.ShardedStore, *Pool, []rdf.Probe) {
+	tb.Helper()
+	store := testWorld(tb)
+	addrA, srvA := startServer(tb, store)
+	addrB, srvB := startServer(tb, store)
+	tb.Cleanup(srvA.Close)
+	tb.Cleanup(srvB.Close)
 	pl, err := NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store), disableHedge: disableHedge})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer pool.Close()
-
-	// Pre-collect (entity, path) probes that have non-empty local results,
-	// so every iteration measures a real frontier expansion.
+	tb.Cleanup(pool.Close)
 	var probes []rdf.Probe
 	for _, e := range store.Entities() {
 		for _, p := range store.Predicates() {
@@ -44,30 +39,89 @@ func BenchmarkProbeDistributed(b *testing.B) {
 		}
 	}
 	if len(probes) < 8 {
-		b.Fatal("too few non-empty probes in the test world")
+		tb.Fatal("too few non-empty probes in the test world")
 	}
+	return store, pool, probes
+}
 
-	run := func(idx core.Index, batch int) func(b *testing.B) {
+// slowOnly traces every request but retains only those slower than an hour:
+// the serving default (a slow-query threshold, no sampling) with nothing
+// ever retained, so a run pays for its spans but not for the ring.
+func slowOnly() *obs.Tracer { return obs.NewTracer(obs.Options{SlowThreshold: time.Hour}) }
+
+// BenchmarkProbeDistributed prices the distributed probe path — a
+// KB.PathObjects scatter/gather over loopback shard servers, two replicas,
+// adaptive hedging — a probe at a time and eight to a batch, against the
+// same probes through core.LocalIndex. probe-ns/op is per probe: batch=1 is
+// the price of a network round trip, and batch=8 shows how much of it a
+// question's probe plan shares (eight probes spread over four shards cost
+// one parallel round of at most four frames, not eight round trips).
+// traced is batch=1 under a trace, as every request is served: it adds the
+// spans on both sides and the shard's span in every reply.
+func BenchmarkProbeDistributed(b *testing.B) {
+	store, pool, probes := probeCluster(b, false)
+
+	run := func(idx core.Index, batch int, tracer *obs.Tracer) func(b *testing.B) {
 		return func(b *testing.B) {
-			ctx := context.Background()
 			// Warm the per-server connection pools out of the timed region.
-			if _, err := idx.PathObjects(ctx, probes); err != nil {
+			if _, err := idx.PathObjects(context.Background(), probes); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			t0 := time.Now()
 			for i := 0; i < b.N; i++ {
 				at := i * batch % (len(probes) - batch + 1)
+				ctx, tr := tracer.Start(context.Background(), "bench.probe")
 				if _, err := idx.PathObjects(ctx, probes[at:at+batch]); err != nil {
 					b.Fatal(err)
 				}
+				tr.Finish()
 			}
 			d := time.Since(t0)
 			b.StopTimer()
 			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N*batch), "probe-ns/op")
 		}
 	}
-	b.Run("local", run(core.LocalIndex(store), 1))
-	b.Run("batch=1", run(NewKB(pool), 1))
-	b.Run("batch=8", run(NewKB(pool), 8))
+	b.Run("local", run(core.LocalIndex(store), 1, nil))
+	b.Run("batch=1", run(NewKB(pool), 1, nil))
+	b.Run("batch=8", run(NewKB(pool), 8, nil))
+	b.Run("traced", run(NewKB(pool), 1, slowOnly()))
+}
+
+// TestProbeRoundTripAllocs pins the allocations of one KB.PathObjects round
+// trip (one probe, one frame) over loopback, client and in-process server
+// together, untraced and traced. Hedging is off so that a slow run cannot
+// add a hedge's goroutine and channel to the count; an answer in time costs
+// the same either way. Each ceiling sits one above the count; lower it when
+// a frame gets cheaper.
+func TestProbeRoundTripAllocs(t *testing.T) {
+	_, pool, probes := probeCluster(t, true)
+	kb := NewKB(pool)
+	for _, tc := range []struct {
+		name    string
+		tracer  *obs.Tracer
+		ceiling float64
+	}{
+		{"untraced", nil, 19},
+		{"traced", slowOnly(), 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := kb.PathObjects(context.Background(), probes); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				ctx, tr := tc.tracer.Start(context.Background(), "test.probe")
+				if _, err := kb.PathObjects(ctx, probes[i%len(probes):i%len(probes)+1]); err != nil {
+					t.Fatal(err)
+				}
+				tr.Finish()
+				i++
+			})
+			t.Logf("%s round trip: %.1f allocations", tc.name, allocs)
+			if allocs > tc.ceiling {
+				t.Errorf("%s round trip: %.1f allocations, ceiling %.0f", tc.name, allocs, tc.ceiling)
+			}
+		})
+	}
 }

@@ -82,3 +82,51 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 	}
 	<-callDone
 }
+
+// TestPoolCloseClosesInflightConns: a call in flight when the pool closes
+// hands its connection back to a pool that has been drained already. The
+// pool must close it then: kept, nothing would ever close it, and the
+// shard's handler goroutine for it would live on.
+func TestPoolCloseClosesInflightConns(t *testing.T) {
+	store := testWorld(t)
+	gated := &gatedStore{Sharded: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewServer(gated, ServerOptions{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(context.Background(), lis)
+	defer srv.Close()
+	pl, err := NewPlacement([]string{lis.Addr().String()}, store.NumShards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(gated)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	subj := store.Entities()[0]
+	pred := store.Predicates()[0]
+	callDone := make(chan error)
+	go func() {
+		_, err := pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), []ProbeGroup{{pred, []rdf.ID{subj}}})
+		callDone <- err
+	}()
+	<-gated.entered
+	pool.Close()
+	close(gated.release)
+	if err := <-callDone; err != nil {
+		t.Fatalf("the call in flight: %v", err)
+	}
+	conns := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+	for deadline := time.Now().Add(2 * time.Second); conns() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the server still holds %d connections 2s after the pool closed", conns())
+		}
+	}
+}

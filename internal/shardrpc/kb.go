@@ -24,9 +24,9 @@ type KB struct {
 // NewKB wraps the pool.
 func NewKB(pool *Pool) *KB { return &KB{pool: pool} }
 
-// scatter runs do for each of shards — inline for one, a goroutine each for
-// more — waits for all of them, and returns the error of the first listed
-// shard that failed.
+// scatter runs do for each of shards — the last on the caller's goroutine,
+// one more goroutine for each of the others — waits for all of them, and
+// returns the error of the first listed shard that failed.
 func scatter(shards []int, do func(shard int) error) error {
 	if len(shards) == 1 {
 		return do(shards[0])
@@ -34,6 +34,10 @@ func scatter(shards []int, do func(shard int) error) error {
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for k, s := range shards {
+		if k == len(shards)-1 {
+			errs[k] = do(s)
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -81,10 +82,22 @@ type host struct {
 	addr string
 
 	mu        sync.Mutex
-	free      []net.Conn
+	free      []*conn
+	closed    bool // the pool is closed: a released connection is closed, not kept
 	fails     int
 	downUntil time.Time
 }
+
+// conn is a pooled connection and the reply frame being read off it, which
+// an attempt's own goroutine resumes when the hedge deadline cuts the first
+// read short.
+type conn struct {
+	net.Conn
+	fr safeio.FrameReader
+}
+
+// expire fails the connection's pending and future I/O at once.
+func (c *conn) expire() { c.SetDeadline(time.Unix(1, 0)) }
 
 // NewPool builds a pool over the placement. Connections are dialed lazily.
 func NewPool(o PoolOptions) (*Pool, error) {
@@ -121,6 +134,7 @@ func (p *Pool) Close() {
 		h.mu.Lock()
 		free := h.free
 		h.free = nil
+		h.closed = true
 		h.mu.Unlock()
 		for _, c := range free {
 			c.Close()
@@ -133,14 +147,14 @@ func (p *Pool) host(addr string) *host {
 	defer p.mu.Unlock()
 	h, ok := p.hosts[addr]
 	if !ok {
-		h = &host{addr: addr}
+		h = &host{addr: addr, closed: p.closed.Load()}
 		p.hosts[addr] = h
 	}
 	return h
 }
 
 // take pops a pooled connection, or returns nil when the host has none.
-func (h *host) take() net.Conn {
+func (h *host) take() *conn {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if n := len(h.free); n > 0 {
@@ -151,14 +165,20 @@ func (h *host) take() net.Conn {
 	return nil
 }
 
-// release returns a healthy connection to the pool and clears the host's
-// failure state.
-func (h *host) release(c net.Conn) {
+// release returns a healthy connection to the pool, or closes it once the
+// pool is closed, and clears the host's failure state.
+func (h *host) release(c *conn) {
 	h.mu.Lock()
-	h.free = append(h.free, c)
+	closed := h.closed
+	if !closed {
+		h.free = append(h.free, c)
+	}
 	h.fails = 0
 	h.downUntil = time.Time{}
 	h.mu.Unlock()
+	if closed {
+		c.Close()
+	}
 }
 
 // markDown records a failure and backs the host off exponentially.
@@ -299,26 +319,24 @@ type attemptOut struct {
 // marking the host down.
 type inflight struct {
 	mu      sync.Mutex
-	conns   map[net.Conn]bool
+	conns   []*conn
 	aborted bool
 }
 
-func (f *inflight) add(c net.Conn) bool {
+func (f *inflight) add(c *conn) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.aborted {
-		return false
+	if !f.aborted {
+		f.conns = append(f.conns, c)
 	}
-	if f.conns == nil {
-		f.conns = make(map[net.Conn]bool)
-	}
-	f.conns[c] = true
-	return true
+	return !f.aborted
 }
 
-func (f *inflight) remove(c net.Conn) {
+func (f *inflight) remove(c *conn) {
 	f.mu.Lock()
-	delete(f.conns, c)
+	if i := slices.Index(f.conns, c); i >= 0 {
+		f.conns = slices.Delete(f.conns, i, i+1)
+	}
 	f.mu.Unlock()
 }
 
@@ -327,14 +345,11 @@ func (f *inflight) remove(c net.Conn) {
 func (f *inflight) abort() {
 	f.mu.Lock()
 	f.aborted = true
-	conns := make([]net.Conn, 0, len(f.conns))
-	for c := range f.conns {
-		conns = append(conns, c)
-	}
+	conns := f.conns
+	f.conns = nil // later removes must not shift the slice read below
 	f.mu.Unlock()
-	past := time.Now().Add(-time.Second)
 	for _, c := range conns {
-		c.SetDeadline(past)
+		c.expire()
 	}
 }
 
@@ -344,59 +359,222 @@ func (f *inflight) wasAborted() bool {
 	return f.aborted
 }
 
-// call performs one per-shard request — a frame of groups lookups — with
-// hedging and replica failover, returning the response body positioned
-// after the status/span envelope.
-func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *wbuf) (*rbuf, error) {
+// attempt is one request to one replica: the connection it holds, how much
+// of the request frame it has written there, and its rpc.attempt span.
+type attempt struct {
+	addr     string
+	req      []byte // the whole request frame
+	deadline time.Time
+	span     *obs.Span
+	start    time.Time
+	c        *conn
+	sent     int  // bytes of req written on c
+	pooled   bool // c came from the pool; once it fails, the next is dialed
+}
+
+func newAttempt(ctx context.Context, addr string, req []byte, deadline time.Time) attempt {
+	a := attempt{addr: addr, req: req, deadline: deadline, start: time.Now()}
+	if parent := obs.ActiveSpan(ctx); parent != nil {
+		a.span = parent.Child("rpc.attempt")
+		a.span.SetAttr("server", addr)
+	}
+	return a
+}
+
+// end closes the attempt's span with its outcome and returns err.
+func (a *attempt) end(err error) error {
+	if err != nil {
+		a.span.SetAttr("error", err.Error())
+	}
+	a.span.End()
+	return err
+}
+
+// errResume reports that an attempt's leg on the caller's goroutine stopped
+// short — at the hedge deadline, or on a pooled connection that failed —
+// and its own goroutine must go on with it.
+var errResume = errors.New("shardrpc: attempt resumes on its own goroutine")
+
+// run drives a until its reply arrives or it fails, with until as the read
+// deadline. On the caller's goroutine (fl nil) until is the hedge deadline
+// and ctx's cancellation expires the read; a read that until cuts short
+// leaves a.c open and mid-frame and returns errResume, and so does a failed
+// pooled connection, with a.c nil. a's own goroutine then resumes it with
+// run(ctx, a, a.deadline, fl), where fl is the call's in-flight set and a
+// pooled connection that fails is retried once on a fresh dial — it may
+// simply have gone stale between calls.
+func (p *Pool) run(ctx context.Context, a *attempt, until time.Time, fl *inflight) ([]byte, error) {
+	h := p.host(a.addr)
+	for {
+		if a.c == nil {
+			if !a.pooled {
+				a.c = h.take()
+			}
+			a.pooled, a.sent = a.c != nil, 0
+			if a.c == nil {
+				nc, err := p.dial(ctx, a.addr)
+				if err != nil {
+					h.markDown()
+					return nil, a.end(err)
+				}
+				a.c = &conn{Conn: nc}
+			}
+		}
+		c := a.c
+		c.SetDeadline(until)
+		stop := func() bool { return true }
+		if fl == nil && ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, c.expire)
+		} else if fl != nil && !fl.add(c) {
+			a.c = nil
+			c.Close()
+			return nil, a.end(errors.New("shardrpc: call already decided"))
+		}
+		payload, err := a.roundTrip()
+		if fl != nil {
+			fl.remove(c)
+		}
+		if !stop() { // cancelled: the deadline may be expired under a reply
+			a.c = nil
+			c.Close()
+			return nil, a.end(ctx.Err())
+		}
+		if err == nil {
+			c.SetDeadline(time.Time{})
+			a.c = nil
+			h.release(c)
+			p.lat.record(time.Since(a.start))
+			return payload, a.end(nil)
+		}
+		if fl == nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, errResume
+		}
+		a.c = nil
+		c.Close()
+		aborted := fl != nil && fl.wasAborted()
+		if a.pooled && !aborted {
+			if fl == nil {
+				return nil, errResume
+			}
+			continue
+		}
+		if !a.pooled && !aborted {
+			h.markDown()
+		}
+		return nil, a.end(err)
+	}
+}
+
+// roundTrip writes what is left of the request on a.c and reads on into
+// the reply frame.
+func (a *attempt) roundTrip() ([]byte, error) {
+	for a.sent < len(a.req) {
+		n, err := a.c.Write(a.req[a.sent:])
+		a.sent += n
+		if err != nil {
+			return nil, err
+		}
+	}
+	return a.c.fr.Read(a.c)
+}
+
+// call performs one per-shard request — a frame of groups lookups whose
+// body the caller appended to newRequest's buffer — with hedging and
+// replica failover, returning the response body positioned after the
+// status/span envelope. The first attempt goes to the preferred up replica
+// on the caller's goroutine over a pooled connection, reading until the
+// hedge deadline; only a call that outlives it, or finds no pooled
+// connection, starts goroutines.
+func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, req *wbuf) (*rbuf, error) {
 	if p.closed.Load() {
 		return nil, errors.New("shardrpc: pool is closed")
 	}
-	p.calls.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	p.calls.Add(1)
 	ctx, sp := obs.StartSpan(ctx, "rpc.call")
 	sp.SetInt("op", int64(op))
 	sp.SetInt("shard", int64(shard))
 	sp.SetInt("groups", int64(groups))
 	defer sp.End()
-	deadline := time.Now().Add(callTimeout).UnixNano()
+	now := time.Now()
+	deadline := now.Add(callTimeout)
 	if t, ok := ctx.Deadline(); ok {
-		deadline = t.UnixNano()
+		deadline = t
 	}
-	req := reqHeader{op: op, shard: uint32(shard), deadline: deadline, traceID: obs.TraceID(ctx)}.encode(body)
+	reqHeader{op: op, shard: uint32(shard), deadline: deadline.UnixNano(), traceID: obs.TraceID(ctx)}.put(req.b[safeio.FrameHeaderLen:])
+	safeio.SealFrame(req.b)
 
 	// Attempt order: the shard's replicas in preference order, up hosts
 	// before backed-off ones so failover lands on a healthy replica
 	// first; a fully-down replica set is still tried (the backoff
 	// deprioritizes, it never blackholes).
 	replicas := p.pl.Replicas(shard)
-	order := make([]string, 0, len(replicas))
+	first := slices.IndexFunc(replicas, func(addr string) bool { return !p.host(addr).down() })
+	first = max(first, 0)
+	hedgeBy := deadline
+	if !p.opts.disableHedge && len(replicas) > 1 {
+		if by := now.Add(p.hedgeDelay()); by.Before(deadline) {
+			hedgeBy = by
+		}
+	}
+	a := newAttempt(ctx, replicas[first], req.b, deadline)
+	if c := p.host(a.addr).take(); c != nil {
+		a.c, a.pooled = c, true
+		payload, err := p.run(ctx, &a, hedgeBy, nil)
+		switch {
+		case err == nil:
+			return p.finish(sp, a.addr, payload)
+		case err != errResume:
+			return nil, err
+		case ctx.Err() != nil:
+			if a.c != nil {
+				a.c.Close()
+			}
+			return nil, a.end(ctx.Err())
+		}
+	}
+	order := make([]string, 0, len(replicas)-1)
 	var downed []string
-	for _, addr := range replicas {
-		if p.host(addr).down() {
+	for i, addr := range replicas {
+		switch {
+		case i == first:
+		case p.host(addr).down():
 			downed = append(downed, addr)
-		} else {
+		default:
 			order = append(order, addr)
 		}
 	}
-	order = append(order, downed...)
+	return p.hedged(ctx, sp, shard, a, append(order, downed...), hedgeBy)
+}
 
-	results := make(chan attemptOut, len(order)) // buffered: losers never block
+// hedged finishes a call whose first attempt, a, did not finish on the
+// caller's goroutine: a goes on on its own goroutine, the next replica of
+// order is hedged at hedgeBy (at once when it has passed), a failed attempt
+// fails over to the next, and the first reply wins and aborts the rest.
+func (p *Pool) hedged(ctx context.Context, sp *obs.Span, shard int, a attempt, order []string, hedgeBy time.Time) (*rbuf, error) {
+	req, deadline := a.req, a.deadline
+	results := make(chan attemptOut, 1+len(order)) // buffered: losers never block
 	fl := &inflight{}
-	next := 0
-	launch := func() {
-		addr := order[next]
-		next++
-		go p.attempt(ctx, fl, addr, shard, op, req, time.Unix(0, deadline), results)
+	launch := func(a *attempt) {
+		go func() {
+			payload, err := p.run(ctx, a, deadline, fl)
+			results <- attemptOut{addr: a.addr, payload: payload, err: err}
+		}()
 	}
-	launch()
+	next := 0
+	launchNext := func() {
+		b := newAttempt(ctx, order[next], req, deadline)
+		next++
+		launch(&b)
+	}
+	launch(&a)
 	outstanding := 1
 
 	var hedgeCh <-chan time.Time
-	var hedgeTimer *time.Timer
-	if !p.opts.disableHedge && next < len(order) {
-		hedgeTimer = time.NewTimer(p.hedgeDelay())
+	if hedgeBy.Before(deadline) && next < len(order) {
+		hedgeTimer := time.NewTimer(time.Until(hedgeBy))
 		hedgeCh = hedgeTimer.C
 		defer hedgeTimer.Stop()
 	}
@@ -407,7 +585,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *w
 			outstanding--
 			if out.err == nil {
 				fl.abort() // expire the losers; they drain into the buffered channel
-				return p.finish(sp, out)
+				return p.finish(sp, out.addr, out.payload)
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shardrpc: shard %d via %s: %w", shard, out.addr, out.err)
@@ -419,7 +597,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *w
 				obs.F("error", out.err.Error()))
 			if next < len(order) {
 				p.failovers.Add(1)
-				launch()
+				launchNext()
 				outstanding++
 			} else if outstanding == 0 {
 				return nil, firstErr
@@ -429,7 +607,7 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *w
 			if next < len(order) {
 				p.hedges.Add(1)
 				sp.SetAttr("hedged", "true")
-				launch()
+				launchNext()
 				outstanding++
 			}
 		case <-ctx.Done():
@@ -441,8 +619,8 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, body *w
 
 // finish parses a winning response: graft the server's span subtree, then
 // surface either the application error or the body.
-func (p *Pool) finish(sp *obs.Span, out attemptOut) (*rbuf, error) {
-	r := &rbuf{b: out.payload}
+func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) {
+	r := &rbuf{b: payload}
 	status := r.u8()
 	if spanJSON := r.bytes(); len(spanJSON) > 0 {
 		sp.AttachRemote(spanJSON)
@@ -453,76 +631,12 @@ func (p *Pool) finish(sp *obs.Span, out attemptOut) (*rbuf, error) {
 			return nil, r.err
 		}
 		p.errcount.Add(1)
-		return nil, fmt.Errorf("shardrpc: server %s: %s", out.addr, msg)
+		return nil, fmt.Errorf("shardrpc: server %s: %s", addr, msg)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	return r, nil
-}
-
-// attempt runs one request against one replica and reports into results
-// (buffered by the caller, so this goroutine never blocks on send). A
-// pooled connection that fails is retried once on a fresh dial — it may
-// simply have gone stale between calls.
-func (p *Pool) attempt(ctx context.Context, fl *inflight, addr string, shard int, op byte, req []byte, deadline time.Time, results chan<- attemptOut) {
-	var asp *obs.Span
-	if parent := obs.ActiveSpan(ctx); parent != nil {
-		asp = parent.Child("rpc.attempt")
-		asp.SetAttr("server", addr)
-		defer asp.End()
-	}
-	start := time.Now()
-	payload, usedPooled, err := p.attemptOnce(ctx, fl, addr, req, deadline, true)
-	if err != nil && usedPooled && !fl.wasAborted() {
-		payload, _, err = p.attemptOnce(ctx, fl, addr, req, deadline, false)
-	}
-	if err == nil {
-		p.lat.record(time.Since(start))
-	} else {
-		asp.SetAttr("error", err.Error())
-	}
-	results <- attemptOut{addr: addr, payload: payload, err: err}
-}
-
-// attemptOnce performs one write/read round trip. usePool selects whether
-// a pooled connection may be reused; usedPooled reports whether one was
-// (its failure is retryable on a fresh dial — it may simply have gone
-// stale between calls).
-func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req []byte, deadline time.Time, usePool bool) (payload []byte, usedPooled bool, err error) {
-	h := p.host(addr)
-	var conn net.Conn
-	if usePool {
-		conn = h.take()
-	}
-	usedPooled = conn != nil
-	if conn == nil {
-		conn, err = p.dial(ctx, addr)
-		if err != nil {
-			h.markDown()
-			return nil, false, err
-		}
-	}
-	if !fl.add(conn) {
-		conn.Close()
-		return nil, usedPooled, errors.New("shardrpc: call already decided")
-	}
-	conn.SetDeadline(deadline)
-	err = safeio.WriteFrame(conn, req)
-	if err == nil {
-		payload, err = safeio.ReadFrame(conn)
-	}
-	fl.remove(conn)
-	if err != nil {
-		conn.Close()
-		if !fl.wasAborted() && !usedPooled {
-			h.markDown()
-		}
-		return nil, usedPooled, err
-	}
-	conn.SetDeadline(time.Time{})
-	h.release(conn)
-	return payload, usedPooled, nil
 }
 
 // Probe sends one multi-group frame to shard and returns, per group, the
@@ -531,7 +645,9 @@ func (p *Pool) attemptOnce(ctx context.Context, fl *inflight, addr string, req [
 // failover and the deadline apply to the frame as a whole, and a failed
 // frame yields no groups at all.
 func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([][]rdf.ID, error) {
-	r, err := p.call(ctx, shard, opProbe, len(groups), encodeProbeRequest(groups))
+	req := newRequest(ctx)
+	encodeProbeRequest(req, groups)
+	r, err := p.call(ctx, shard, opProbe, len(groups), req)
 	if err != nil {
 		return nil, err
 	}
@@ -541,10 +657,10 @@ func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([][]r
 // ShardSubjects returns shard's subjects with (s, pred, obj) in
 // shard-local insertion order.
 func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
-	var body wbuf
-	body.u32(uint32(pred))
-	body.u32(uint32(obj))
-	r, err := p.call(ctx, shard, opSubjects, 1, &body)
+	req := newRequest(ctx)
+	req.u32(uint32(pred))
+	req.u32(uint32(obj))
+	r, err := p.call(ctx, shard, opSubjects, 1, req)
 	if err != nil {
 		return nil, err
 	}

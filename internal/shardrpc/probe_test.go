@@ -15,10 +15,12 @@ func probeFrames(store *rdf.ShardedStore) [][]byte {
 	preds := store.Predicates()
 	var out [][]byte
 	for _, nodes := range shardedNodes(store) {
-		out = append(out, encodeProbeRequest([]ProbeGroup{
+		var w wbuf
+		encodeProbeRequest(&w, []ProbeGroup{
 			{Pred: preds[0], Nodes: nodes},
 			{Pred: preds[len(preds)-1], Nodes: nodes[:len(nodes)/2]},
-		}).b)
+		})
+		out = append(out, w.b)
 	}
 	return out
 }
@@ -47,7 +49,7 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	nodes := shardedNodes(store)
 	own, foreign := nodes[0][0], nodes[1][0]
 	pred := store.Predicates()[0]
-	var misrouted, manyGroups, manyIDs wbuf
+	misrouted, manyGroups, manyIDs := newRequest(ctx), newRequest(ctx), newRequest(ctx)
 	misrouted.u32(1)
 	misrouted.u32(uint32(pred))
 	misrouted.ids([]rdf.ID{own, foreign})
@@ -63,9 +65,9 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 		body *wbuf
 		want string
 	}{
-		{"a node of another shard", &misrouted, "of shard 1"},
-		{"a group count past the payload", &manyGroups, "groups in"},
-		{"an id count past the payload", &manyIDs, "truncated"},
+		{"a node of another shard", misrouted, "of shard 1"},
+		{"a group count past the payload", manyGroups, "groups in"},
+		{"an id count past the payload", manyIDs, "truncated"},
 	} {
 		_, err := pool.call(ctx, 0, opProbe, 1, row.body)
 		if err == nil || !strings.Contains(err.Error(), row.want) {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,6 +337,173 @@ func TestCallHonorsDeadline(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("expired-context call took %v, want immediate failure", d)
 	}
+	// It sent no frame, so it is not a call of kbqa_rpc_calls_total.
+	if st := pool.Stats(); st.Calls != 0 {
+		t.Fatalf("Stats().Calls = %d after a call that sent nothing, want 0", st.Calls)
+	}
+}
+
+// splitProxy forwards connections to a shard server and writes each reply
+// frame after the handshake in two pieces with stall between them: split
+// bytes, then the rest (split 0: whole frames; -1: half the payload).
+type splitProxy struct {
+	addr     string
+	split    atomic.Int32
+	stall    time.Duration
+	accepted atomic.Int32
+}
+
+func startSplitProxy(t *testing.T, upstream string, stall time.Duration) *splitProxy {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := &splitProxy{addr: lis.Addr().String(), stall: stall}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { lis.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			px.accepted.Add(1)
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			wg.Add(2)
+			go func() { defer wg.Done(); io.Copy(up, c); up.Close() }()
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				for handshake := true; ; handshake = false {
+					payload, err := safeio.ReadFrame(up)
+					if err != nil {
+						return
+					}
+					var frame bytes.Buffer
+					safeio.WriteFrame(&frame, payload)
+					b, k := frame.Bytes(), 0
+					if !handshake {
+						if k = int(px.split.Load()); k < 0 {
+							k = safeio.FrameHeaderLen + len(payload)/2
+						}
+					}
+					if k > 0 {
+						c.Write(b[:k])
+						time.Sleep(px.stall)
+					}
+					if _, err := c.Write(b[k:]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return px
+}
+
+// TestSlowReplyResumesPastTheHedge: a replica whose reply stalls past the
+// hedge deadline, cut inside the frame header or inside the payload, is
+// read on where the first read stopped — on the same connection — while
+// the hedge goes out. Against a stalled second replica the resumed read is
+// the only answer, and it is exactly the direct Probe's; against a live one
+// the hedge is still drawn.
+func TestSlowReplyResumesPastTheHedge(t *testing.T) {
+	store := testWorld(t)
+	upstream, srv := startServer(t, store)
+	defer srv.Close()
+	stalled, err := net.Listen("tcp", "127.0.0.1:0") // accepts, never answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	live, liveSrv := startServer(t, store)
+	defer liveSrv.Close()
+
+	pl, err := NewPlacement([]string{upstream}, store.NumShards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	var shard int
+	var nodes []rdf.ID
+	for sh, ns := range shardedNodes(store) {
+		if len(ns) > 0 {
+			shard, nodes = sh, ns
+			break
+		}
+	}
+	groups := []ProbeGroup{{store.Predicates()[0], nodes}, {store.Predicates()[1], nodes[:1]}}
+	want, err := direct.Probe(context.Background(), shard, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, other := range []struct{ name, addr string }{{"other replica stalled", stalled.Addr().String()}, {"other replica live", live}} {
+		for _, cut := range []struct {
+			name  string
+			split int32
+		}{{"inside the header", 3}, {"inside the payload", -1}} {
+			t.Run(other.name+"/"+cut.name, func(t *testing.T) {
+				px := startSplitProxy(t, upstream, 60*time.Millisecond)
+				pl, err := NewPlacement([]string{px.addr, other.addr}, store.NumShards(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store), hedgeAfter: 10 * time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pool.Close()
+				// Back the other replica off so the proxy is asked first.
+				backOff := func() {
+					for range 6 {
+						pool.host(other.addr).markDown()
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				// Pool a connection to the proxy; a warm-up slower than the
+				// hedge can lose its connection to the hedge, so repeat it.
+				for tries := 0; len(pool.host(px.addr).free) == 0; tries++ {
+					if tries == 20 {
+						t.Fatal("no warm-up call left a pooled connection to the proxy")
+					}
+					backOff()
+					if _, err := pool.Probe(ctx, shard, groups); err != nil {
+						t.Fatal(err)
+					}
+				}
+				accepted := px.accepted.Load()
+				px.split.Store(cut.split)
+				backOff()
+				before := pool.Stats()
+				got, err := pool.Probe(ctx, shard, groups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("got %v, want the direct Probe's %v", got, want)
+				}
+				if st := pool.Stats(); st.Hedges <= before.Hedges {
+					t.Errorf("the reply stalled past the hedge deadline and drew no hedge: %+v", st)
+				}
+				if n := px.accepted.Load(); n != accepted {
+					t.Errorf("the call dialed the proxy %d more times, want it to resume on its pooled connection", n-accepted)
+				}
+			})
+		}
+	}
 }
 
 // TestDialHonorsCallDeadline: a shard that accepts the connection and then
@@ -434,13 +605,13 @@ func TestWireOps(t *testing.T) {
 
 	var served []byte
 	for op := 0; op < 256; op++ {
-		var body wbuf
+		body := newRequest(context.Background())
 		body.u32(1) // one probe group / pred 1
 		body.u32(0) // of pred 0 / obj 0
 		if byte(op) == opProbe {
 			body.u32(0) // with no nodes
 		}
-		_, err := pool.call(context.Background(), 0, byte(op), 1, &body)
+		_, err := pool.call(context.Background(), 0, byte(op), 1, body)
 		switch {
 		case err == nil:
 			served = append(served, byte(op))

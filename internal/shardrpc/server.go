@@ -2,7 +2,7 @@ package shardrpc
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -186,15 +186,24 @@ func (s *Server) handleConn(conn net.Conn) {
 			obs.F("error", err.Error()))
 		return
 	}
+	ss := &session{conn: conn}
 	for {
-		payload, err := safeio.ReadFrame(conn)
+		payload, err := ss.fr.Read(conn)
 		if err != nil {
 			return // peer closed or conn broke; either way the conn is done
 		}
-		if err := s.handleRequest(conn, payload); err != nil {
+		if err := s.handleRequest(ss, payload); err != nil {
 			return
 		}
 	}
+}
+
+// session is one connection's state, reused by every request on it.
+type session struct {
+	conn    net.Conn
+	fr      safeio.FrameReader
+	reply   wbuf  // the reply frame being built
+	writeBy int64 // the write deadline in force, UnixNano; 0 = none
 }
 
 // handshake validates the client hello and acknowledges (or rejects with a
@@ -238,7 +247,7 @@ func (s *Server) handshake(conn net.Conn) error {
 
 // handleRequest decodes one request frame, executes it, and writes the
 // response. A returned error means the connection is unusable.
-func (s *Server) handleRequest(conn net.Conn, payload []byte) error {
+func (s *Server) handleRequest(ss *session, payload []byte) error {
 	s.requests.Add(1)
 	r := &rbuf{b: payload}
 	hdr := decodeReqHeader(r)
@@ -252,36 +261,41 @@ func (s *Server) handleRequest(conn net.Conn, payload []byte) error {
 		sp.SetInt("op", int64(hdr.op))
 		sp.SetInt("shard", int64(hdr.shard))
 	}
-	var body wbuf
-	errmsg := s.execute(hdr, r, &body)
+	// The reply is built in place behind room for the frame header: status
+	// (zero is statusOK), span length, body. A span is appended once it has
+	// ended, then moved ahead of the body.
+	w := &ss.reply
+	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+1+4)...)
+	mark := len(w.b)
+	errmsg := s.execute(hdr, r, w)
 	if errmsg != "" {
 		s.failures.Add(1)
+		w.b[safeio.FrameHeaderLen] = statusErr
+		w.b = w.b[:mark]
+		w.str(errmsg)
 	}
 	sp.End()
-	var spanJSON []byte
 	if sp != nil {
-		//kbqa:nolint errsink — a span snapshot of strings and ints cannot fail to marshal; the reply must not
-		spanJSON, _ = json.Marshal(sp.Snapshot())
+		body := len(w.b) - mark
+		w.b = sp.AppendJSON(w.b)
+		binary.LittleEndian.PutUint32(w.b[mark-4:], uint32(len(w.b)-mark-body))
+		w.b = append(w.b, w.b[mark:mark+body]...)
+		w.b = w.b[:mark+copy(w.b[mark:], w.b[mark+body:])]
 	}
-	if hdr.deadline != 0 {
+	if hdr.deadline != ss.writeBy {
 		// Bound the response write by the caller's deadline so an
-		// abandoned request cannot wedge the handler goroutine.
-		conn.SetWriteDeadline(time.Unix(0, hdr.deadline))
-		defer conn.SetWriteDeadline(time.Time{})
+		// abandoned request cannot wedge the handler goroutine. The frames
+		// of one question share it, so it is set only when it changes.
+		var by time.Time
+		if hdr.deadline != 0 {
+			by = time.Unix(0, hdr.deadline)
+		}
+		ss.conn.SetWriteDeadline(by)
+		ss.writeBy = hdr.deadline
 	}
-	var w wbuf
-	if errmsg == "" {
-		w.u8(statusOK)
-	} else {
-		w.u8(statusErr)
-	}
-	w.bytes(spanJSON)
-	if errmsg != "" {
-		w.str(errmsg)
-	} else {
-		w.b = append(w.b, body.b...)
-	}
-	return safeio.WriteFrame(conn, w.b)
+	safeio.SealFrame(w.b)
+	_, err := ss.conn.Write(w.b)
+	return err
 }
 
 // execute runs one op into body, returning a non-empty message on

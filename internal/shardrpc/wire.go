@@ -10,7 +10,8 @@
 // has edges, not for one per term of Eq (7).
 //
 // The protocol is dependency-free and CRC-framed by the same codec as the
-// answer cache's segment log (safeio.WriteFrame / ReadFrame): every frame is
+// answer cache's segment log (safeio's frame, read by a FrameReader that
+// can resume): every frame is
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
@@ -23,13 +24,26 @@
 // response frame per request; requests carry the caller's deadline and
 // trace ID, and responses carry the server's span subtree so traces
 // stitch across the process boundary.
+//
+// A call's first attempt runs on the caller's goroutine over a pooled
+// connection, with the hedge deadline as its read deadline, so a call
+// answered in time starts no goroutine, channel or timer. When the hedge
+// deadline cuts the read short, the connection and its half-read frame
+// move to a goroutine that reads on to the call deadline, and the hedge
+// goes to the next replica at once; a call with no pooled connection starts
+// there. The first reply wins and expires the losers' deadlines; a failure
+// fails over to the next replica; a cancelled caller expires every attempt.
+// The server builds each reply, span included, in one buffer per connection.
 package shardrpc
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/safeio"
 )
 
 // Protocol identity.
@@ -71,11 +85,6 @@ func (w *wbuf) u64(v uint64) {
 func (w *wbuf) str(s string) {
 	w.u32(uint32(len(s)))
 	w.b = append(w.b, s...)
-}
-
-func (w *wbuf) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
 }
 
 func (w *wbuf) ids(v []rdf.ID) {
@@ -197,14 +206,24 @@ type reqHeader struct {
 	traceID  string
 }
 
-func (h reqHeader) encode(body *wbuf) []byte {
-	var w wbuf
+// reqHeaderLen is a request header's length before its trace ID.
+const reqHeaderLen = 1 + 4 + 8 + 4
+
+// newRequest returns the buffer a request body under ctx is appended to.
+// Its head is room for the frame header and the request header, which
+// Pool.call writes in place, so the frame is built in one buffer.
+func newRequest(ctx context.Context) *wbuf {
+	n := safeio.FrameHeaderLen + reqHeaderLen + len(obs.TraceID(ctx))
+	return &wbuf{b: make([]byte, n, n+64)}
+}
+
+// put writes h into b, which is exactly its length.
+func (h reqHeader) put(b []byte) {
+	w := wbuf{b: b[:0:len(b)]}
 	w.u8(h.op)
 	w.u32(h.shard)
 	w.u64(uint64(h.deadline))
 	w.str(h.traceID)
-	w.b = append(w.b, body.b...)
-	return w.b
 }
 
 func decodeReqHeader(r *rbuf) reqHeader {
@@ -224,16 +243,14 @@ type ProbeGroup struct {
 	Nodes []rdf.ID
 }
 
-// encodeProbeRequest writes an opProbe body: u32 group count, then per
-// group u32 pred and the node ids.
-func encodeProbeRequest(groups []ProbeGroup) *wbuf {
-	var w wbuf
+// encodeProbeRequest appends an opProbe body to w: u32 group count, then
+// per group u32 pred and the node ids.
+func encodeProbeRequest(w *wbuf, groups []ProbeGroup) {
 	w.u32(uint32(len(groups)))
 	for _, g := range groups {
 		w.u32(uint32(g.Pred))
 		w.ids(g.Nodes)
 	}
-	return &w
 }
 
 // decodeProbeRequest parses an opProbe body from a client that is not
