@@ -296,9 +296,9 @@ func BenchmarkDecomposeDP(b *testing.B) {
 	}
 }
 
-// BenchmarkExpandBFS measures the sequential k=3 scan+join expansion over
-// the full KB (expand.Expand regardless of store layout, for comparability
-// with earlier commits; the parallel path has BenchmarkExpandParallel).
+// BenchmarkExpandBFS measures the k=3 scan+join expansion over the full KB
+// of the eval world (one worker per shard of its layout;
+// BenchmarkExpandParallel varies the layout).
 func BenchmarkExpandBFS(b *testing.B) {
 	s := benchSuite(b)
 	w := s.World(kbgen.Freebase)
@@ -581,7 +581,7 @@ func BenchmarkDecomposeStats(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-store benches (rdf.ShardedStore + expand.ExpandParallel).
+// Sharded-store benches (rdf.ShardedStore + expand.Expand).
 // ---------------------------------------------------------------------------
 
 var (
@@ -599,16 +599,16 @@ func shardFixture(b *testing.B) {
 	b.Helper()
 	shardOnce.Do(func() {
 		shardKB = kbgen.Generate(kbgen.Config{Seed: 9, Flavor: kbgen.Freebase, Scale: 150})
-		shardFlat = shardKB.Store.(*rdf.ShardedStore)
+		shardFlat = shardKB.Store
 		shardSharded = rdf.Repartition(shardFlat, 8)
 	})
 }
 
-// BenchmarkExpandParallel compares the sequential k=3 expansion against the
-// one-worker-per-shard expansion across GOMAXPROCS settings. On a machine
-// with >= 4 cores the procs=4 and procs=8 rows should run >= 2x faster than
-// sequential; both paths produce identical results (asserted by
-// TestExpandParallelMatchesSequential).
+// BenchmarkExpandParallel compares the k=3 expansion of the one-shard store
+// (one worker: sequential) against the 8-shard store across GOMAXPROCS
+// settings. On a machine with >= 4 cores the procs=4 and procs=8 rows should
+// run >= 2x faster than sequential; both layouts produce identical results
+// (asserted by TestExpandParallelMatchesSequential).
 func BenchmarkExpandParallel(b *testing.B) {
 	shardFixture(b)
 	cfg := expand.Config{MaxLen: 3, EndFilter: shardKB.EndFilter, KeepAllLengths: true}
@@ -624,7 +624,7 @@ func BenchmarkExpandParallel(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(expand.ExpandParallel(context.Background(), shardSharded, cfg).Triples) == 0 {
+				if len(expand.Expand(shardSharded, cfg).Triples) == 0 {
 					b.Fatal("no triples")
 				}
 			}

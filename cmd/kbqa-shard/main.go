@@ -59,7 +59,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var store rdf.Sharded
+	var store rdf.Graph
 	if *kbImage != "" {
 		if *kbSave != "" {
 			fatal("-kb-save needs a generated world; it cannot be combined with -kb-image")
@@ -78,9 +78,10 @@ func main() {
 		}
 		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed),
 			obs.F("scale", *scale), obs.F("shards", *shards))
-		store = kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards}).Store
+		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards}).Store
+		store = gen
 		if *kbSave != "" {
-			if err := snapshot.WriteImageFile(*kbSave, store); err != nil {
+			if err := snapshot.WriteImageFile(*kbSave, gen); err != nil {
 				fatal("save kb image", obs.F("path", *kbSave), obs.F("error", err.Error()))
 			}
 			logger.Info("world image saved", obs.F("path", *kbSave),

@@ -18,7 +18,7 @@ import (
 // Compile one per knowledge base and hand it to every engine over it — a
 // retrain then recompiles θ and nothing else. Safe for concurrent use.
 type Symbols struct {
-	rdf.Sharded
+	rdf.Graph
 	// Lexicon finds entity mentions, for the offline learner too.
 	Lexicon *extract.Lexicon
 
@@ -26,12 +26,12 @@ type Symbols struct {
 }
 
 // CompileSymbols compiles kb, unless it is compiled already.
-func CompileSymbols(kb rdf.Sharded) *Symbols {
+func CompileSymbols(kb rdf.Graph) *Symbols {
 	if s, ok := kb.(*Symbols); ok {
 		return s
 	}
 	return &Symbols{
-		Sharded: kb,
+		Graph:   kb,
 		Lexicon: extract.NewLexicon(kb),
 		norm:    make([]atomic.Pointer[string], kb.NumNodes()),
 	}

@@ -158,7 +158,7 @@ func (l localIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]r
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return l.g.Subjects(pred, obj), nil
+	return rdf.Subjects(l.g, pred, obj), nil
 }
 
 // Engine is the online QA engine; NewEngine builds one.
@@ -186,7 +186,7 @@ type Engine struct {
 // and compiles model for it. kb is compiled too unless it is a *Symbols
 // already, which is how the engines of successive retrains share one. A
 // non-nil stats enables complex-question decomposition.
-func NewEngine(kb rdf.Sharded, idx Index, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
+func NewEngine(kb rdf.Graph, idx Index, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
 	e := &Engine{KB: CompileSymbols(kb), Index: idx, Taxonomy: tax, Stats: stats}
 	e.find = e.KB.Lexicon.Find
 	e.theta, e.templates = compileModel(kb, model)

@@ -148,13 +148,13 @@ func (s *Suite) AblationReductionOnS() []AblationReductionRow {
 			sources = append(sources, p.GoldEntity)
 		}
 	}
-	reduced := expand.Over(w.KB.Store, expand.Config{
+	reduced := expand.Expand(w.KB.Store, expand.Config{
 		KeepAllLengths: true,
 		MaxLen:         3,
 		Sources:        sources,
 		EndFilter:      w.KB.EndFilter,
 	})
-	all := expand.Over(w.KB.Store, expand.Config{MaxLen: 3, EndFilter: w.KB.EndFilter, KeepAllLengths: true})
+	all := expand.Expand(w.KB.Store, expand.Config{MaxLen: 3, EndFilter: w.KB.EndFilter, KeepAllLengths: true})
 	return []AblationReductionRow{
 		{Config: "reduction on s (paper)", Sources: len(sources), Triples: len(reduced.Triples), Scanned: reduced.Scanned},
 		{Config: "all entities", Sources: len(w.KB.Store.Entities()), Triples: len(all.Triples), Scanned: all.Scanned},

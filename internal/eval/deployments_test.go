@@ -21,7 +21,7 @@ import (
 )
 
 // startShardServer runs an own-all shardrpc server on a loopback listener.
-func startShardServer(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server) {
+func startShardServer(t *testing.T, store rdf.Graph) (string, *shardrpc.Server) {
 	t.Helper()
 	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
 	if d, ok := store.(*dyingStore); ok {
@@ -84,15 +84,15 @@ type midFrameFault struct {
 
 // wrap returns the store a server of the faulty cluster loads; a nil fault
 // wraps nothing.
-func (f *midFrameFault) wrap(store rdf.Sharded) rdf.Sharded {
+func (f *midFrameFault) wrap(store rdf.Graph) rdf.Graph {
 	if f == nil {
 		return store
 	}
-	return &dyingStore{Sharded: store, fault: f}
+	return &dyingStore{Graph: store, fault: f}
 }
 
 type dyingStore struct {
-	rdf.Sharded
+	rdf.Graph
 	fault *midFrameFault
 	srv   *shardrpc.Server
 }
@@ -105,7 +105,7 @@ func (d *dyingStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 		go d.srv.Close()
 		time.Sleep(20 * time.Millisecond)
 	}
-	return d.Sharded.Objects(subj, pred)
+	return d.Graph.Objects(subj, pred)
 }
 
 // deployments is the table of the differential harness

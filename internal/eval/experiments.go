@@ -763,7 +763,7 @@ var expandedSemantics = map[string]string{
 // Table18 lists discovered expanded predicates with their semantics.
 func (s *Suite) Table18() map[string]string {
 	w := s.World(kbgen.Freebase)
-	res := expand.Over(w.KB.Store, expand.Config{MaxLen: 3, EndFilter: w.KB.EndFilter, KeepAllLengths: true})
+	res := expand.Expand(w.KB.Store, expand.Config{MaxLen: 3, EndFilter: w.KB.EndFilter, KeepAllLengths: true})
 	out := make(map[string]string)
 	for _, key := range res.DistinctPaths(w.KB.Store, 3) {
 		if sem, ok := expandedSemantics[key]; ok {

@@ -20,7 +20,7 @@ type WorldConfig struct {
 	NoiseRate      float64
 	// Shards > 1 partitions the knowledge base into that many
 	// subject-hash shards: predicate expansion runs one worker per shard
-	// (expand.ExpandParallel) and online probes hash to their shard. <= 1
+	// (expand.Expand) and online probes hash to their shard. <= 1
 	// is a one-shard world. Answers are identical either way; only the
 	// layout and parallelism change.
 	Shards int

@@ -7,16 +7,16 @@
 // rounds, each a full scan of the knowledge base's triples joined (via a
 // hash index) against the frontier produced by the previous round. The
 // "reduction on s" optimization — starting only from entities that occur
-// in the QA corpus — is exposed through Config.Sources. Over a sharded
-// store, ExpandParallel runs each round's scan one worker per shard and
-// merges deterministically; Expand and ExpandParallel produce identical
-// results (same triples, same order).
+// in the QA corpus — is exposed through Config.Sources. Expansion is
+// offline work over the one in-memory backend, rdf.ShardedStore: each
+// round's scan runs one worker per shard and merges deterministically, so
+// the result does not depend on the shard layout.
 package expand
 
 import (
-	"context"
 	"encoding/binary"
 	"sort"
+	"sync"
 
 	"repro/internal/rdf"
 )
@@ -36,8 +36,8 @@ type Config struct {
 	// Nil means every entity in the store.
 	Sources []rdf.ID
 	// EndFilter accepts the final predicate of any path of length >= 2
-	// (the end-with-name rule). Nil accepts everything. ExpandParallel
-	// calls it from one goroutine per shard, so it must be safe for
+	// (the end-with-name rule). Nil accepts everything. Expand calls it
+	// from one goroutine per shard, so it must be safe for
 	// concurrent use — in practice a pure function of the PID.
 	EndFilter func(rdf.PID) bool
 	// KeepAllLengths, when true, emits (s, p+, o) for every length
@@ -101,12 +101,12 @@ type roundBuf struct {
 }
 
 // scanRound runs one scan+join over a triple source. The source must
-// deliver triples in ascending-subject order (both Graph.Triples and
-// Sharded.ShardTriples do), so the buffers come back sorted by scanS.
+// deliver triples in ascending-subject order (ShardedStore's Triples and
+// ShardTriples both do), so the buffers come back sorted by scanS.
 // EndFilter and the length policy are applied here; deduplication is not —
 // the same (s, path, o) can surface from scans of different shards, so it
 // happens in applyRound on the merged stream.
-func scanRound(scan func(func(rdf.Triple)), g rdf.Graph, cfg Config, frontier map[rdf.ID][]frontierEntry, round int) roundBuf {
+func scanRound(scan func(func(rdf.Triple)), g *rdf.ShardedStore, cfg Config, frontier map[rdf.ID][]frontierEntry, round int) roundBuf {
 	var buf roundBuf
 	scan(func(t rdf.Triple) {
 		buf.scanned++
@@ -152,26 +152,17 @@ type entryKey struct {
 	sig       string
 }
 
-// expandState carries the result under construction across rounds.
-type expandState struct {
-	res *Result
-}
-
-func newExpandState() *expandState {
-	return &expandState{res: &Result{ByLength: make(map[int]int)}}
-}
-
 // applyRound merges one round's per-worker buffers back into global
 // ascending-subject scan order, deduplicates, appends the surviving
-// triples to the result and builds the next frontier. With a single buffer
-// (the sequential path) the merge is the identity, so Expand and
-// ExpandParallel apply candidates in exactly the same order and produce
+// triples to res and builds the next frontier. With a single buffer
+// the merge is the identity, so every shard layout applies candidates in
+// exactly the order one scan of the whole store would, and produces
 // identical results.
-func (st *expandState) applyRound(bufs []roundBuf) map[rdf.ID][]frontierEntry {
+func (res *Result) applyRound(bufs []roundBuf) map[rdf.ID][]frontierEntry {
 	emits := make([][]emitCand, 0, len(bufs))
 	nexts := make([][]nextCand, 0, len(bufs))
 	for _, b := range bufs {
-		st.res.Scanned += b.scanned
+		res.Scanned += b.scanned
 		if len(b.emits) > 0 {
 			emits = append(emits, b.emits)
 		}
@@ -189,8 +180,8 @@ func (st *expandState) applyRound(bufs []roundBuf) map[rdf.ID][]frontierEntry {
 			return
 		}
 		emitted[k] = true
-		st.res.Triples = append(st.res.Triples, c.spo)
-		st.res.ByLength[len(c.spo.Path)]++
+		res.Triples = append(res.Triples, c.spo)
+		res.ByLength[len(c.spo.Path)]++
 	})
 	entrySeen := make(map[entryKey]bool)
 	next := make(map[rdf.ID][]frontierEntry)
@@ -256,8 +247,14 @@ func sourceFrontier(sources []rdf.ID) map[rdf.ID][]frontierEntry {
 	return frontier
 }
 
-// Expand runs the k-round scan+join BFS over any Graph.
-func Expand(g rdf.Graph, cfg Config) *Result {
+// Expand runs the k-round scan+join BFS with one worker per shard. Each
+// round, every worker scans its own shard's triples and joins them against
+// the shared frontier index — the frontier is read-only during a round, so
+// workers share it without locks. The per-shard candidate buffers are then
+// merged back into global ascending-subject scan order and deduplicated, so
+// Expand returns exactly the triples, in exactly the order, that one scan
+// of the whole store per round produces, whatever the shard count.
+func Expand(g *rdf.ShardedStore, cfg Config) *Result {
 	if cfg.MaxLen <= 0 {
 		cfg.MaxLen = 1
 	}
@@ -265,29 +262,28 @@ func Expand(g rdf.Graph, cfg Config) *Result {
 	if sources == nil {
 		sources = g.Entities()
 	}
-	st := newExpandState()
+	res := &Result{ByLength: make(map[int]int)}
 	frontier := sourceFrontier(sources)
+	bufs := make([]roundBuf, g.NumShards())
 	for round := 1; round <= cfg.MaxLen && len(frontier) > 0; round++ {
-		st.res.Scans++
-		buf := scanRound(g.Triples, g, cfg, frontier, round)
-		frontier = st.applyRound([]roundBuf{buf})
+		res.Scans++
+		var wg sync.WaitGroup
+		for i := range bufs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				bufs[i] = scanRound(func(fn func(rdf.Triple)) { g.ShardTriples(i, fn) }, g, cfg, frontier, round)
+			}(i)
+		}
+		wg.Wait()
+		frontier = res.applyRound(bufs)
 	}
-	return st.res
-}
-
-// Over dispatches to the layout-appropriate expansion of a local world:
-// ExpandParallel for a multi-shard one, Expand otherwise.
-func Over(g rdf.Sharded, cfg Config) *Result {
-	if g.NumShards() > 1 {
-		//kbqa:nolint ctxpropagate — offline expansion over an in-memory world: nothing to cancel, no trace to join
-		return ExpandParallel(context.Background(), g, cfg)
-	}
-	return Expand(g, cfg)
+	return res
 }
 
 // DistinctPaths returns the distinct expanded predicates of the result,
 // sorted by their key, optionally restricted to a single length (0 = all).
-func (r *Result) DistinctPaths(g rdf.Graph, length int) []string {
+func (r *Result) DistinctPaths(g *rdf.ShardedStore, length int) []string {
 	set := make(map[string]bool)
 	for _, t := range r.Triples {
 		if length != 0 && len(t.Path) != length {
@@ -313,8 +309,8 @@ type Meaningful func(s rdf.ID, valueLabel string) bool
 // (subject, value) pair the infobox supports. Each supported (s, p+, o) is
 // counted exactly once — diamond-shaped subgraphs that reach the same
 // object through several mediators do not inflate the count.
-func ValidK(g rdf.Sharded, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
-	res := Over(g, Config{MaxLen: k, Sources: entities, EndFilter: endFilter})
+func ValidK(g *rdf.ShardedStore, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
+	res := Expand(g, Config{MaxLen: k, Sources: entities, EndFilter: endFilter})
 	n := 0
 	for _, t := range res.Triples {
 		if len(t.Path) != k {
@@ -329,7 +325,7 @@ func ValidK(g rdf.Sharded, entities []rdf.ID, k int, endFilter func(rdf.PID) boo
 
 // TopEntitiesByFrequency returns the n entities with the highest out-degree
 // (the paper's trustworthy-entity sampling for valid(k)).
-func TopEntitiesByFrequency(g rdf.Graph, n int) []rdf.ID {
+func TopEntitiesByFrequency(g *rdf.ShardedStore, n int) []rdf.ID {
 	ents := g.Entities()
 	deg := make(map[rdf.ID]int, len(ents))
 	for _, e := range ents {

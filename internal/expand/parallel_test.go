@@ -2,15 +2,32 @@ package expand
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/infobox"
 	"repro/internal/kbgen"
-	"repro/internal/obs"
 	"repro/internal/rdf"
 )
+
+// serialExpand is the reference Expand is held to: the same rounds, each
+// one scan of the whole store in global subject order, applied as a single
+// buffer — no partition, no merge.
+func serialExpand(g *rdf.ShardedStore, cfg Config) *Result {
+	if cfg.MaxLen <= 0 {
+		cfg.MaxLen = 1
+	}
+	sources := cfg.Sources
+	if sources == nil {
+		sources = g.Entities()
+	}
+	res := &Result{ByLength: make(map[int]int)}
+	frontier := sourceFrontier(sources)
+	for round := 1; round <= cfg.MaxLen && len(frontier) > 0; round++ {
+		res.Scans++
+		frontier = res.applyRound([]roundBuf{scanRound(g.Triples, g, cfg, frontier, round)})
+	}
+	return res
+}
 
 // diamondKB builds a diamond-shaped subgraph: src reaches o through two
 // different mediators via the same predicate path a→b. Before the dedupe
@@ -94,7 +111,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 	}
 	for _, keep := range []bool{true, false} {
 		cfg := Config{MaxLen: 3, EndFilter: endFilter, KeepAllLengths: keep}
-		seq := Expand(flat, cfg)
+		seq := serialExpand(flat, cfg)
 		for _, shards := range []int{1, 2, 4, 7} {
 			// Load from the same byte stream as flat: parsing assigns IDs
 			// in first-seen order, so equal inputs give equal IDs.
@@ -102,7 +119,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := ExpandParallel(context.Background(), ss, cfg)
+			par := Expand(ss, cfg)
 			if par.Scans != seq.Scans || par.Scanned != seq.Scanned {
 				t.Fatalf("shards=%d keep=%v: scan accounting diverges: scans %d/%d scanned %d/%d",
 					shards, keep, par.Scans, seq.Scans, par.Scanned, seq.Scanned)
@@ -126,14 +143,14 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestOverDispatches(t *testing.T) {
+func TestValidKSameAcrossLayouts(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 3, Flavor: kbgen.DBpedia, Scale: 8, Shards: 4})
-	if _, ok := kb.Store.(*rdf.ShardedStore); !ok {
-		t.Fatalf("Shards config ignored: store is %T", kb.Store)
+	if n := kb.Store.NumShards(); n != 4 {
+		t.Fatalf("Shards config ignored: store has %d shards", n)
 	}
-	res := Over(kb.Store, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
+	res := Expand(kb.Store, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
 	if len(res.Triples) == 0 {
-		t.Fatal("Over over sharded store produced nothing")
+		t.Fatal("Expand over sharded store produced nothing")
 	}
 	// valid(k) over the sharded layout matches the unsharded one.
 	flat := kbgen.Generate(kbgen.Config{Seed: 3, Flavor: kbgen.DBpedia, Scale: 8})
@@ -145,73 +162,5 @@ func TestOverDispatches(t *testing.T) {
 		if a != b {
 			t.Fatalf("valid(%d) diverges across layouts: %d vs %d", k, a, b)
 		}
-	}
-}
-
-// TestExpandParallelSpans checks the trace shape of a traced parallel
-// expansion: one expand.round span per scan round, each with one
-// expand.scan child per shard, and per-shard scanned counts that sum to
-// the result's Scanned total.
-func TestExpandParallelSpans(t *testing.T) {
-	kb := kbgen.Generate(kbgen.Config{Seed: 5, Flavor: kbgen.Freebase, Scale: 8, Shards: 4})
-	ss, ok := kb.Store.(*rdf.ShardedStore)
-	if !ok {
-		t.Fatalf("store is %T, want sharded", kb.Store)
-	}
-	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
-	ctx, trace := tracer.Start(context.Background(), "expand")
-	res := ExpandParallel(ctx, ss, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
-	trace.Finish()
-
-	snaps := tracer.Snapshot()
-	if len(snaps) != 1 {
-		t.Fatalf("captured %d traces, want 1", len(snaps))
-	}
-	var rounds []obs.SpanSnapshot
-	for _, c := range snaps[0].Root.Children {
-		if c.Name == "expand.round" {
-			rounds = append(rounds, c)
-		}
-	}
-	if len(rounds) != res.Scans {
-		t.Fatalf("%d expand.round spans, want %d (res.Scans)", len(rounds), res.Scans)
-	}
-	var scanned int64
-	for _, r := range rounds {
-		shards := map[string]bool{}
-		for _, c := range r.Children {
-			if c.Name != "expand.scan" {
-				continue
-			}
-			id, ok := c.Attr("shard")
-			if !ok || shards[id] {
-				t.Fatalf("scan span missing or duplicate shard attr: %+v", c)
-			}
-			shards[id] = true
-			n, _ := c.Attr("scanned")
-			var v int64
-			fmt.Sscan(n, &v)
-			scanned += v
-		}
-		if len(shards) != ss.NumShards() {
-			t.Fatalf("round has %d scan spans, want %d", len(shards), ss.NumShards())
-		}
-	}
-	if scanned != int64(res.Scanned) {
-		t.Fatalf("per-shard scanned sums to %d, result reports %d", scanned, res.Scanned)
-	}
-}
-
-// TestExpandParallelUntracedIdentical pins that a trace in the context
-// changes nothing about the result.
-func TestExpandParallelUntracedIdentical(t *testing.T) {
-	kb := kbgen.Generate(kbgen.Config{Seed: 5, Flavor: kbgen.Freebase, Scale: 8, Shards: 2})
-	cfg := Config{MaxLen: 2, EndFilter: kb.EndFilter}
-	a := ExpandParallel(context.Background(), kb.Store, cfg)
-	ctx, trace := obs.NewTracer(obs.Options{SampleRate: 1}).Start(context.Background(), "expand")
-	b := ExpandParallel(ctx, kb.Store, cfg)
-	trace.Finish()
-	if len(a.Triples) != len(b.Triples) || a.Scanned != b.Scanned || a.Scans != b.Scans {
-		t.Fatalf("traced run diverged: %+v vs %+v", a, b)
 	}
 }

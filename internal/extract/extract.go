@@ -170,7 +170,7 @@ type EVPair struct {
 
 // Extractor performs joint entity–value extraction against a knowledge base.
 type Extractor struct {
-	KB rdf.Graph
+	KB *rdf.ShardedStore
 	// Lexicon is KB's mention lexicon.
 	Lexicon *Lexicon
 	// MaxPathLen bounds the expanded predicates considered when testing

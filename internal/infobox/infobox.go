@@ -51,7 +51,7 @@ func DefaultSkipPreds() map[string]bool {
 }
 
 // Build constructs the infobox for every entity of the store.
-func Build(s rdf.Graph, cfg Config) *Infobox {
+func Build(s *rdf.ShardedStore, cfg Config) *Infobox {
 	if cfg.LiteralKeepRate <= 0 {
 		cfg.LiteralKeepRate = 0.6
 	}

@@ -43,7 +43,7 @@ type Config struct {
 // inventory used by the corpus generator and the evaluation gold labels.
 type KB struct {
 	Flavor     Flavor
-	Store      rdf.Sharded
+	Store      *rdf.ShardedStore
 	Taxonomy   *concept.Taxonomy
 	Intents    []Intent
 	PredClass  map[rdf.PID]qclass.Class

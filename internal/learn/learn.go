@@ -178,7 +178,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 
 // Learner wires the substrates needed to build observations and run EM.
 type Learner struct {
-	KB        rdf.Graph
+	KB        *rdf.ShardedStore
 	Taxonomy  *concept.Taxonomy
 	Extractor *extract.Extractor
 	// MaxIter bounds EM sweeps (default 30).

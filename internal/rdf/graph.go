@@ -3,12 +3,14 @@
 // system needs (S→P→O for value lookup, P→O→S for reverse lookup, S→O→P for
 // predicate discovery between an entity and a candidate value).
 //
-// The store plays the role of Trinity.RDF in the paper (Sec 7.1). KBQA's
-// algorithms only touch the knowledge base through V(e,p), "which predicates
-// connect e and v", and a scan for the BFS of Sec 6.2 — the six index
-// primitives of Graph. Everything else (bounded traversal, serialization,
-// path keys) is a free function over that interface, written once for every
-// backend: ShardedStore in memory, snapshot.Image over a mapped file.
+// The store plays the role of Trinity.RDF in the paper (Sec 7.1). The types
+// follow the paper's two phases. The online phase only reads V(e, p+) for
+// the templates a question matched (Eq 7), plus the reverse lookup of the
+// ranking variants: that is Graph, the one interface, implemented by the
+// ShardedStore in memory and by snapshot.Image over a mapped file. The
+// offline phase — extraction, EM, the k-round expansion BFS of Sec 6.2 —
+// scans and joins the knowledge base and has one backend, so it takes a
+// *ShardedStore and calls its scan methods directly.
 package rdf
 
 import (
@@ -63,61 +65,44 @@ type Triple struct {
 // subject-to-object (Definition 1 in the paper).
 type Path []PID
 
-// Graph is the read API of a knowledge base: the interning lookups plus six
-// index primitives. A backend implements exactly this; extraction, learning,
-// the baselines and serialization are written against it.
+// Graph is the online read API of a knowledge base: the interning lookups,
+// V(e,p), and the per-shard reverse lookup. It is exactly what the question
+// path, the shard server and the mapped image need, and nothing more.
 type Graph interface {
 	// Node and predicate interning lookups.
 	Label(id ID) string
 	KindOf(id ID) Kind
 	NumNodes() int
 	NodesByLabel(label string) []ID
-	EntitiesByLabel(label string) []ID
 	Entities() []ID
 	PredName(p PID) string
 	PredID(name string) (PID, bool)
 	NumPredicates() int
-	Predicates() []PID
+	NumTriples() int
+	// NumShards is the subject-hash shard count (ShardIndex).
+	NumShards() int
 
 	// Objects returns V(e,p): all objects o with (subj, pred, o) in K. The
 	// returned slice may be owned by the backend and must not be mutated.
 	Objects(subj ID, pred PID) []ID
-	// Subjects returns all subjects with (s, pred, obj) in K, ascending.
-	Subjects(pred PID, obj ID) []ID
-	// PredicatesBetween returns every direct predicate connecting subj to
-	// obj.
-	PredicatesBetween(subj, obj ID) []PID
-	// OutEdges calls fn for each (pred, obj) pair of subj, predicates
-	// ascending, objects of one predicate in insertion order.
-	OutEdges(subj ID, fn func(p PID, o ID))
-	NumTriples() int
-	// Triples iterates over every triple in ascending subject order, each
-	// subject's edges as OutEdges yields them — the "scan the RDF triples
-	// resident on disk" primitive of the memory-efficient BFS (Sec 6.2).
-	Triples(fn func(Triple))
-}
-
-// Sharded is a Graph whose triples are partitioned by subject hash
-// (ShardIndex), plus the per-shard access paths a shard server, the
-// parallel expander and the image writer need.
-type Sharded interface {
-	Graph
-	NumShards() int
-	// ShardTriples iterates shard i's triples in ascending subject order.
-	// The shards partition the subjects, so scanning every shard visits each
-	// triple exactly once; distinct shards may be scanned concurrently.
-	ShardTriples(i int, fn func(Triple))
-	// ShardSubjectIDs returns shard i's distinct subjects, ascending — the
-	// cursor index of a paginated shard scan.
-	ShardSubjectIDs(i int) []ID
 	// ShardSubjects returns shard i's subjects with (s, pred, obj), the
 	// per-shard half of a scatter/gather Subjects.
 	ShardSubjects(i int, pred PID, obj ID) []ID
-	// SubjectTriples iterates the triples of one subject in scan order.
-	SubjectTriples(subj ID, fn func(Triple))
 }
 
-var _ Sharded = (*ShardedStore)(nil)
+var _ Graph = (*ShardedStore)(nil)
+
+// Subjects returns all subjects with (s, pred, obj) in K, ascending: the
+// shards' ShardSubjects concatenated and sorted, the one merge every
+// in-process backend shares.
+func Subjects(g Graph, pred PID, obj ID) []ID {
+	var out []ID
+	for i := 0; i < g.NumShards(); i++ {
+		out = append(out, g.ShardSubjects(i, pred, obj)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 // ShardIndex maps a subject ID to its owning shard in an n-shard layout —
 // the one placement function shared by every backend and by the remote
@@ -157,7 +142,7 @@ func ParsePath(g Graph, key string) (Path, bool) {
 // OutDegree returns the number of triples with subj as subject. The paper
 // uses this as the entity "frequency" when sampling trustworthy entities for
 // valid(k) (Sec 6.3).
-func OutDegree(g Graph, subj ID) int {
+func OutDegree(g *ShardedStore, subj ID) int {
 	n := 0
 	g.OutEdges(subj, func(PID, ID) { n++ })
 	return n
@@ -200,7 +185,7 @@ func PathObjects(g Graph, subj ID, path Path) []ID {
 // depth-first enumeration over the (small) out-neighbourhood; endFilter, when
 // non-nil, must accept the final predicate of any multi-edge path (the paper
 // requires length>=2 paths to end in a name-like predicate, Sec 6.3).
-func PathsBetween(g Graph, subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
+func PathsBetween(g *ShardedStore, subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
 	var out []Path
 	var walk func(cur ID, prefix Path)
 	walk = func(cur ID, prefix Path) {

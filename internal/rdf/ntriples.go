@@ -23,9 +23,10 @@ import (
 // knowledge base gives each entity at least a name fact, so nothing is
 // lost in practice.
 
-// WriteNTriples serializes every triple of g in scan order; two backends
-// holding the same world serialize byte-identically.
-func WriteNTriples(g Graph, w io.Writer) error {
+// WriteNTriples serializes every triple of g in scan order; two stores
+// holding the same world serialize byte-identically, whatever their shard
+// layout.
+func WriteNTriples(g *ShardedStore, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var err error
 	g.Triples(func(t Triple) {
@@ -44,7 +45,7 @@ func WriteNTriples(g Graph, w io.Writer) error {
 	return nil
 }
 
-func nodeRef(g Graph, id ID) string {
+func nodeRef(g *ShardedStore, id ID) string {
 	kind := "e"
 	if g.KindOf(id) == KindMediator {
 		kind = "m"
@@ -52,7 +53,7 @@ func nodeRef(g Graph, id ID) string {
 	return fmt.Sprintf("<%s/%d/%s>", kind, id, escapeIRI(g.Label(id)))
 }
 
-func objectRef(g Graph, id ID) string {
+func objectRef(g *ShardedStore, id ID) string {
 	if g.KindOf(id) == KindLiteral {
 		return fmt.Sprintf("%q", g.Label(id))
 	}

@@ -194,7 +194,7 @@ func TestNTriplesLongLine(t *testing.T) {
 
 // tripleLabels flattens a store to a sorted label-level rendering — the
 // id-independent canonical form used to compare stores across reloads.
-func tripleLabels(g Graph) string {
+func tripleLabels(g *ShardedStore) string {
 	var lines []string
 	g.Triples(func(tr Triple) {
 		lines = append(lines, fmt.Sprintf("%d%q %q %d%q",

@@ -180,18 +180,6 @@ func (ss *ShardedStore) Objects(subj ID, pred PID) []ID {
 	return ss.shards[ss.shardOf(subj)].spo[subj][pred]
 }
 
-// Subjects returns all subjects with (s, pred, obj) in K, in ascending ID
-// order (insertion is spread across shards, so ascending ID is the
-// deterministic merge).
-func (ss *ShardedStore) Subjects(pred PID, obj ID) []ID {
-	var out []ID
-	for i := range ss.shards {
-		out = append(out, ss.shards[i].pos[pred][obj]...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // PredicatesBetween returns every direct predicate connecting subj to obj.
 func (ss *ShardedStore) PredicatesBetween(subj, obj ID) []PID {
 	return ss.shards[ss.shardOf(subj)].so[subj][obj]
@@ -275,7 +263,7 @@ func (ss *ShardedStore) SubjectTriples(subj ID, fn func(Triple)) {
 }
 
 // ShardSubjects returns shard i's subjects with (s, pred, obj), in the
-// shard-local insertion order Subjects concatenates before sorting — the
+// shard-local insertion order rdf.Subjects concatenates before sorting — the
 // per-shard half of a scatter/gather Subjects.
 func (ss *ShardedStore) ShardSubjects(i int, pred PID, obj ID) []ID {
 	return ss.shards[i].pos[pred][obj]
@@ -286,7 +274,7 @@ func (ss *ShardedStore) ShardSubjects(i int, pred PID, obj ID) []ID {
 // shardrpc handshake, the snapshot image header — must agree on it; the
 // counts pin the world tightly enough in practice because generation is
 // deterministic in the seed.
-func WorldFingerprint(g Sharded) uint64 {
+func WorldFingerprint(g Graph) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, v := range []int{g.NumNodes(), g.NumPredicates(), g.NumTriples(), g.NumShards()} {

@@ -1,11 +1,13 @@
 // Package snapshot is a binary, offset-based, CRC-framed image of a fully
 // built sharded knowledge base (rdf.ShardedStore + its interning tables).
 // WriteImageFile publishes an image with the same tmp-fsync-rename idiom as
-// the answer cache's segment log (internal/serve/persist.go); OpenImage
-// memory-maps it and serves the whole rdf.Sharded read API directly from
+// the answer cache's segment log (safeio.PublishFile); OpenImage
+// memory-maps it and serves rdf.Graph, the online read API, directly from
 // the mapped bytes — no parsing, no re-interning, no per-triple work — so a
-// shard server or frontend boots in roughly the time it takes to CRC one
-// sequential pass over the file.
+// shard server or frontend boots in roughly the time it takes to check one
+// sequential pass over the file. The offline phase reads the store an image
+// is written from, never an image; the per-shard so sections (S→O→P) are
+// still written and validated, though nothing reads them.
 //
 // The header carries the same world fingerprint the shardrpc handshake
 // exchanges, so a mismatched image fails fast at open exactly like a

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"sort"
 
@@ -22,10 +24,11 @@ type OpenOptions struct {
 }
 
 // Image is a read-only knowledge base served directly from a mapped
-// snapshot file. It implements rdf.Sharded — and nothing beyond it — so the
-// engine, the parallel expander, and shardrpc.Server run on it unchanged. An Image is safe for
-// concurrent readers; Close unmaps the file, after which no method may be
-// called.
+// snapshot file. It implements rdf.Graph, the online read API, and nothing
+// beyond it but Close, so the engine and shardrpc.Server run on it
+// unchanged; the offline phase reads the rdf.ShardedStore it was written
+// from. An Image is safe for concurrent readers; Close unmaps the file,
+// after which no method may be called.
 type Image struct {
 	data  []byte
 	unmap func([]byte) error
@@ -102,8 +105,12 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.numShards <= 0 {
+	// Every shard has sections, and an ID must fit rdf.ID.
+	if hdr.numShards <= 0 || hdr.numShards > len(hdr.sections) {
 		return nil, fmt.Errorf("snapshot: invalid shard count %d", hdr.numShards)
+	}
+	if hdr.numNodes < 0 || hdr.numNodes > math.MaxInt32 || hdr.numPreds < 0 || hdr.numPreds > math.MaxInt32 {
+		return nil, fmt.Errorf("snapshot: implausible counts: %d nodes, %d predicates", hdr.numNodes, hdr.numPreds)
 	}
 	im := &Image{
 		data:        data,
@@ -205,70 +212,118 @@ func (im *Image) attach(kind, shard uint32, body []byte) error {
 	return nil
 }
 
-// validate cross-checks section lengths against the header counts; the
-// per-section CRCs already passed, so this guards against a header/body
-// mismatch, not random corruption.
+// validate cross-checks the sections against the header counts and each
+// other: lengths, offset tables, ID ranges, and the orders Objects and
+// lookupPairKey binary-search. The CRCs already passed, so this guards
+// against a well-sealed but malformed image — one that would otherwise open
+// and then panic on its first read.
 func (im *Image) validate() error {
-	offTable := func(name string, offs []byte, n int, unit int, body []byte) error {
-		if len(offs) != (n+1)*8 {
-			return fmt.Errorf("snapshot: %s offsets have %d bytes, want %d", name, len(offs), (n+1)*8)
-		}
-		if u64at(offs, 0) != 0 {
-			return fmt.Errorf("snapshot: %s offsets do not start at 0", name)
-		}
-		if last := u64at(offs, n) * uint64(unit); last != uint64(len(body)) {
-			return fmt.Errorf("snapshot: %s body has %d bytes, offsets claim %d", name, len(body), last)
-		}
-		return nil
-	}
-	if err := offTable("label", im.labelOffs, im.numNodes, 1, im.labelBytes); err != nil {
-		return err
-	}
-	if len(im.kinds) != im.numNodes {
-		return fmt.Errorf("snapshot: kinds have %d entries, want %d", len(im.kinds), im.numNodes)
-	}
-	if err := offTable("predicate", im.predOffs, im.numPreds, 1, im.predBytes); err != nil {
-		return err
-	}
-	if len(im.predSorted) != im.numPreds*4 {
-		return fmt.Errorf("snapshot: predicate sort index has %d bytes, want %d", len(im.predSorted), im.numPreds*4)
-	}
-	if len(im.entities)%4 != 0 {
-		return fmt.Errorf("snapshot: ragged entity section")
-	}
 	nKeys := len(im.keyOffs)/8 - 1
-	if nKeys < 0 || len(im.keyOffs) != len(im.keyIDOffs) {
-		return fmt.Errorf("snapshot: gazetteer offset tables disagree")
+	var err error
+	switch {
+	case len(im.kinds) != im.numNodes:
+		err = fmt.Errorf("kinds have %d entries, want %d", len(im.kinds), im.numNodes)
+	case len(im.predSorted) != im.numPreds*4:
+		err = fmt.Errorf("predicate sort index has %d bytes, want %d", len(im.predSorted), im.numPreds*4)
+	case len(im.entities)%4 != 0:
+		err = fmt.Errorf("ragged entity section")
+	case nKeys < 0 || len(im.keyOffs) != len(im.keyIDOffs):
+		err = fmt.Errorf("gazetteer offset tables disagree")
+	default:
+		err = errors.Join(offTable("label", im.labelOffs, im.numNodes, 1, im.labelBytes),
+			offTable("predicate", im.predOffs, im.numPreds, 1, im.predBytes),
+			offTable("gazetteer key", im.keyOffs, nKeys, 1, im.keyBytes),
+			offTable("gazetteer id", im.keyIDOffs, nKeys, 4, im.keyIDs),
+			below("predicate sort entry", im.predSorted, im.numPreds),
+			below("entity", im.entities, im.numNodes),
+			below("gazetteer node", im.keyIDs, im.numNodes))
 	}
-	if err := offTable("gazetteer key", im.keyOffs, nKeys, 1, im.keyBytes); err != nil {
-		return err
-	}
-	if err := offTable("gazetteer id", im.keyIDOffs, nKeys, 4, im.keyIDs); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	total := 0
 	for i := range im.shards {
-		sh := &im.shards[i]
-		if len(sh.subjects)%4 != 0 {
-			return fmt.Errorf("snapshot: shard %d ragged subject section", i)
+		if err := im.validateShard(i); err != nil {
+			return fmt.Errorf("snapshot: shard %d: %w", i, err)
 		}
-		nsubj := len(sh.subjects) / 4
-		if err := offTable(fmt.Sprintf("shard %d edge", i), sh.edgeOffs, nsubj, 8, sh.edges); err != nil {
-			return err
-		}
-		if len(sh.soKeys)%8 != 0 || len(sh.poKeys)%8 != 0 {
-			return fmt.Errorf("snapshot: shard %d ragged key section", i)
-		}
-		if err := offTable(fmt.Sprintf("shard %d so", i), sh.soOffs, len(sh.soKeys)/8, 4, sh.soPids); err != nil {
-			return err
-		}
-		if err := offTable(fmt.Sprintf("shard %d pos", i), sh.poOffs, len(sh.poKeys)/8, 4, sh.poSubjs); err != nil {
-			return err
-		}
-		total += len(sh.edges) / 8
+		total += len(im.shards[i].edges) / 8
 	}
 	if total != im.numTriples {
 		return fmt.Errorf("snapshot: shards hold %d triples, header claims %d", total, im.numTriples)
+	}
+	return nil
+}
+
+// validateShard is validate for shard i's sections.
+func (im *Image) validateShard(i int) error {
+	sh := &im.shards[i]
+	if len(sh.subjects)%4 != 0 || len(sh.soKeys)%8 != 0 || len(sh.poKeys)%8 != 0 {
+		return fmt.Errorf("ragged subject or key section")
+	}
+	nsubj := len(sh.subjects) / 4
+	if err := errors.Join(offTable("edge", sh.edgeOffs, nsubj, 8, sh.edges),
+		offTable("so", sh.soOffs, len(sh.soKeys)/8, 4, sh.soPids),
+		offTable("pos", sh.poOffs, len(sh.poKeys)/8, 4, sh.poSubjs),
+		below("pos subject", sh.poSubjs, im.numNodes)); err != nil {
+		return err
+	}
+	prev := -1
+	for row := 0; row < nsubj; row++ {
+		subj := int(u32at(sh.subjects, row))
+		if subj <= prev || subj >= im.numNodes || rdf.ShardIndex(rdf.ID(subj), len(im.shards)) != i {
+			return fmt.Errorf("subject %d at row %d is out of order, out of range or in the wrong shard", subj, row)
+		}
+		prev = subj
+		start, end := sh.edgeRange(row)
+		var last uint32
+		for e := sh.edges[start*8 : end*8]; len(e) > 0; e = e[8:] {
+			p, o := binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:])
+			if p < last || p >= uint32(im.numPreds) || o >= uint32(im.numNodes) {
+				return fmt.Errorf("subject %d's edge (%d, %d) is out of order or out of range", subj, p, o)
+			}
+			last = p
+		}
+	}
+	var lastP, lastO uint32
+	for k, key := 0, sh.poKeys; len(key) > 0; k, key = k+1, key[8:] {
+		p, o := binary.LittleEndian.Uint32(key), binary.LittleEndian.Uint32(key[4:])
+		if k > 0 && (p < lastP || p == lastP && o <= lastO) || p >= uint32(im.numPreds) || o >= uint32(im.numNodes) {
+			return fmt.Errorf("pos key (%d, %d) is out of order or out of range", p, o)
+		}
+		lastP, lastO = p, o
+	}
+	return nil
+}
+
+// offTable checks an offset table of n entries into body: n+1 offsets,
+// from 0, never decreasing, ending at body's length in units of unit bytes.
+func offTable(name string, offs []byte, n int, unit int, body []byte) error {
+	if len(offs) != (n+1)*8 {
+		return fmt.Errorf("%s offsets have %d bytes, want %d", name, len(offs), (n+1)*8)
+	}
+	if u64at(offs, 0) != 0 {
+		return fmt.Errorf("%s offsets do not start at 0", name)
+	}
+	var last uint64
+	for b := offs; len(b) > 0; b = b[8:] {
+		v := binary.LittleEndian.Uint64(b)
+		if v < last {
+			return fmt.Errorf("%s offsets decrease", name)
+		}
+		last = v
+	}
+	if len(body)%unit != 0 || last != uint64(len(body)/unit) {
+		return fmt.Errorf("%s body has %d bytes, offsets claim %d units of %d", name, len(body), last, unit)
+	}
+	return nil
+}
+
+// below checks every u32 of b against limit.
+func below(name string, b []byte, limit int) error {
+	for ; len(b) >= 4; b = b[4:] {
+		if v := binary.LittleEndian.Uint32(b); v >= uint32(limit) {
+			return fmt.Errorf("%s %d out of range [0,%d)", name, v, limit)
+		}
 	}
 	return nil
 }
@@ -320,16 +375,6 @@ func (im *Image) NodesByLabel(label string) []rdf.ID {
 	return out
 }
 
-func (im *Image) EntitiesByLabel(label string) []rdf.ID {
-	var out []rdf.ID
-	for _, id := range im.NodesByLabel(label) {
-		if im.KindOf(id) == rdf.KindEntity {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 func (im *Image) Entities() []rdf.ID {
 	out := make([]rdf.ID, 0, len(im.entities)/4)
 	for i := 0; i < len(im.entities)/4; i++ {
@@ -356,14 +401,6 @@ func (im *Image) PredID(name string) (rdf.PID, bool) {
 }
 
 func (im *Image) NumPredicates() int { return im.numPreds }
-
-func (im *Image) Predicates() []rdf.PID {
-	out := make([]rdf.PID, im.numPreds)
-	for i := range out {
-		out[i] = rdf.PID(i)
-	}
-	return out
-}
 
 // --- index access paths ---
 
@@ -425,93 +462,9 @@ func lookupPairKey(keys []byte, a, b uint32) (int, bool) {
 	return 0, false
 }
 
-func (im *Image) Subjects(pred rdf.PID, obj rdf.ID) []rdf.ID {
-	var out []rdf.ID
-	for i := range im.shards {
-		out = append(out, im.ShardSubjects(i, pred, obj)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (im *Image) PredicatesBetween(subj, obj rdf.ID) []rdf.PID {
-	sh := &im.shards[im.shardOf(subj)]
-	i, ok := lookupPairKey(sh.soKeys, uint32(subj), uint32(obj))
-	if !ok {
-		return nil
-	}
-	start, end := u64at(sh.soOffs, i), u64at(sh.soOffs, i+1)
-	out := make([]rdf.PID, 0, end-start)
-	for j := start; j < end; j++ {
-		out = append(out, rdf.PID(u32at(sh.soPids, int(j))))
-	}
-	return out
-}
-
-func (im *Image) OutEdges(subj rdf.ID, fn func(p rdf.PID, o rdf.ID)) {
-	sh := &im.shards[im.shardOf(subj)]
-	row, ok := sh.subjectIndex(subj)
-	if !ok {
-		return
-	}
-	start, end := sh.edgeRange(row)
-	for i := start; i < end; i++ {
-		fn(sh.pair(i))
-	}
-}
-
 func (im *Image) NumTriples() int { return im.numTriples }
 
-// Triples iterates in the canonical global order (ascending subject,
-// sorted predicate, insertion-order objects) by walking all node IDs with
-// one cursor per shard — O(numNodes + numTriples), no sorting.
-func (im *Image) Triples(fn func(rdf.Triple)) {
-	cur := make([]int, len(im.shards))
-	for id := 0; id < im.numNodes; id++ {
-		s := im.shardOf(rdf.ID(id))
-		sh := &im.shards[s]
-		if cur[s] < len(sh.subjects)/4 && rdf.ID(u32at(sh.subjects, cur[s])) == rdf.ID(id) {
-			im.emitSubject(sh, cur[s], fn)
-			cur[s]++
-		}
-	}
-}
-
-func (im *Image) emitSubject(sh *imageShard, row int, fn func(rdf.Triple)) {
-	subj := rdf.ID(u32at(sh.subjects, row))
-	start, end := sh.edgeRange(row)
-	for i := start; i < end; i++ {
-		p, o := sh.pair(i)
-		fn(rdf.Triple{S: subj, P: p, O: o})
-	}
-}
-
-// --- sharded extensions ---
-
 func (im *Image) NumShards() int { return len(im.shards) }
-
-func (im *Image) ShardTriples(i int, fn func(rdf.Triple)) {
-	sh := &im.shards[i]
-	for row := 0; row < len(sh.subjects)/4; row++ {
-		im.emitSubject(sh, row, fn)
-	}
-}
-
-func (im *Image) ShardSubjectIDs(i int) []rdf.ID {
-	sh := &im.shards[i]
-	out := make([]rdf.ID, len(sh.subjects)/4)
-	for j := range out {
-		out[j] = rdf.ID(u32at(sh.subjects, j))
-	}
-	return out
-}
-
-func (im *Image) SubjectTriples(subj rdf.ID, fn func(rdf.Triple)) {
-	sh := &im.shards[im.shardOf(subj)]
-	if row, ok := sh.subjectIndex(subj); ok {
-		im.emitSubject(sh, row, fn)
-	}
-}
 
 func (im *Image) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
 	sh := &im.shards[i]
@@ -527,4 +480,4 @@ func (im *Image) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
 	return out
 }
 
-var _ rdf.Sharded = (*Image)(nil)
+var _ rdf.Graph = (*Image)(nil)

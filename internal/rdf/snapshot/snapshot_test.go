@@ -15,12 +15,7 @@ import (
 // testWorld generates a small sharded world once per test binary.
 func testWorld(t testing.TB) *rdf.ShardedStore {
 	t.Helper()
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: 4})
-	ss, ok := kb.Store.(*rdf.ShardedStore)
-	if !ok {
-		t.Fatal("generator did not shard the store")
-	}
-	return ss
+	return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: 4}).Store
 }
 
 // writeTestImage writes the world's image into a temp dir and returns the
@@ -45,22 +40,24 @@ func openTestImage(t testing.TB, path string) *Image {
 }
 
 // TestImageMatchesStoreMethodByMethod is the backend table: every rdf.Graph
-// and rdf.Sharded method and every free function of internal/rdf, checked on
-// every backend against a naive model built from nothing but the world's
-// triple list. A new backend is one more row.
+// method and every online free function of internal/rdf, checked on every
+// backend against a naive model built from nothing but the world's triple
+// list, and the store's offline methods on the store rows. A new backend
+// is one more row.
 func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 	gen := func(shards int) *rdf.ShardedStore {
-		return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: shards}).Store.(*rdf.ShardedStore)
+		return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: shards}).Store
 	}
 	one, four := gen(1), gen(4)
 	rows := []struct {
-		name string
-		g    rdf.Sharded
+		name  string
+		g     rdf.Graph
+		store *rdf.ShardedStore // nil for an image
 	}{
-		{"ShardedStore(1)", one},
-		{"ShardedStore(4)", four},
-		{"Image(1)", openTestImage(t, writeTestImage(t, one))},
-		{"Image(4)", openTestImage(t, writeTestImage(t, four))},
+		{"ShardedStore(1)", one, one},
+		{"ShardedStore(4)", four, four},
+		{"Image(1)", openTestImage(t, writeTestImage(t, one)), nil},
+		{"Image(4)", openTestImage(t, writeTestImage(t, four)), nil},
 	}
 	// Equal seeds give equal IDs in every layout, so one model serves all
 	// rows; it takes symbols and the triple list from the one-shard store.
@@ -72,8 +69,12 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			m.check(t, row.g)
+			if row.store == nil {
+				return
+			}
+			m.checkOffline(t, row.store)
 			var nt bytes.Buffer
-			if err := rdf.WriteNTriples(row.g, &nt); err != nil {
+			if err := rdf.WriteNTriples(row.store, &nt); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(nt.Bytes(), wantNT.Bytes()) {
@@ -90,13 +91,13 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 // model is the reference the backend table checks against: the world's
 // symbols and its triples in scan order, queried by linear search.
 type model struct {
-	sym     rdf.Graph
+	sym     *rdf.ShardedStore
 	triples []rdf.Triple
 }
 
-func newModel(g rdf.Graph) *model {
-	m := &model{sym: g}
-	g.Triples(func(tr rdf.Triple) { m.triples = append(m.triples, tr) })
+func newModel(ss *rdf.ShardedStore) *model {
+	m := &model{sym: ss}
+	ss.Triples(func(tr rdf.Triple) { m.triples = append(m.triples, tr) })
 	return m
 }
 
@@ -129,7 +130,9 @@ func scan(f func(func(rdf.Triple))) []rdf.Triple {
 	return out
 }
 
-func (m *model) check(t *testing.T, g rdf.Sharded) {
+// check runs the online read API — the twelve rdf.Graph methods and the
+// free functions over them — against the model.
+func (m *model) check(t *testing.T, g rdf.Graph) {
 	t.Helper()
 	n := g.NumShards()
 	if g.NumNodes() != m.sym.NumNodes() || g.NumPredicates() != m.sym.NumPredicates() || g.NumTriples() != len(m.triples) {
@@ -146,17 +149,11 @@ func (m *model) check(t *testing.T, g rdf.Sharded) {
 		if got, want := g.NodesByLabel(label), m.sym.NodesByLabel(label); !equalIDs(got, want) {
 			t.Fatalf("NodesByLabel(%q) = %v, want %v", label, got, want)
 		}
-		if got, want := g.EntitiesByLabel(label), m.sym.EntitiesByLabel(label); !equalIDs(got, want) {
-			t.Fatalf("EntitiesByLabel(%q) = %v, want %v", label, got, want)
-		}
 	}
 	if !equalIDs(g.Entities(), m.sym.Entities()) {
 		t.Fatal("Entities differ")
 	}
-	if !equalPIDs(g.Predicates(), m.sym.Predicates()) {
-		t.Fatal("Predicates differ")
-	}
-	for _, p := range m.sym.Predicates() {
+	for p := rdf.PID(0); int(p) < m.sym.NumPredicates(); p++ {
 		name := m.sym.PredName(p)
 		if got, ok := g.PredID(name); g.PredName(p) != name || !ok || got != p {
 			t.Fatalf("predicate %d: PredName %q, PredID(%q) = %v,%v", p, g.PredName(p), name, got, ok)
@@ -167,9 +164,6 @@ func (m *model) check(t *testing.T, g rdf.Sharded) {
 	}
 
 	// Index primitives, across every edge of the world.
-	if !reflect.DeepEqual(scan(g.Triples), m.triples) {
-		t.Fatal("Triples scan differs")
-	}
 	for _, tr := range m.triples {
 		var objs []rdf.ID
 		for _, x := range m.where(func(x rdf.Triple) bool { return x.S == tr.S && x.P == tr.P }) {
@@ -178,70 +172,27 @@ func (m *model) check(t *testing.T, g rdf.Sharded) {
 		if got := g.Objects(tr.S, tr.P); !equalIDs(got, objs) {
 			t.Fatalf("Objects(%d,%d) = %v, want %v", tr.S, tr.P, got, objs)
 		}
-		var subjs []rdf.ID
-		var preds []rdf.PID
+		var subjs, inShard []rdf.ID
 		for _, x := range m.triples {
 			if x.P == tr.P && x.O == tr.O {
 				subjs = append(subjs, x.S)
-			}
-			if x.S == tr.S && x.O == tr.O {
-				preds = append(preds, x.P)
+				if rdf.ShardIndex(x.S, n) == rdf.ShardIndex(tr.S, n) {
+					inShard = append(inShard, x.S)
+				}
 			}
 		}
-		if got := g.Subjects(tr.P, tr.O); !equalIDs(got, subjs) {
+		if got := rdf.Subjects(g, tr.P, tr.O); !equalIDs(got, subjs) {
 			t.Fatalf("Subjects(%d,%d) = %v, want %v", tr.P, tr.O, got, subjs)
-		}
-		// Only the set is specified: a store lists predicates in the order
-		// it was fed them.
-		if got := sortedPIDs(g.PredicatesBetween(tr.S, tr.O)); !equalPIDs(got, preds) {
-			t.Fatalf("PredicatesBetween(%d,%d) = %v, want %v", tr.S, tr.O, got, preds)
-		}
-		var inShard []rdf.ID
-		for _, s := range subjs {
-			if rdf.ShardIndex(s, n) == rdf.ShardIndex(tr.S, n) {
-				inShard = append(inShard, s)
-			}
 		}
 		if got := sortedIDs(g.ShardSubjects(rdf.ShardIndex(tr.S, n), tr.P, tr.O)); !equalIDs(got, inShard) {
 			t.Fatalf("ShardSubjects(%d,%d,%d) = %v, want %v", rdf.ShardIndex(tr.S, n), tr.P, tr.O, got, inShard)
 		}
 	}
-	if g.Objects(0, rdf.PID(g.NumPredicates()-1)) != nil || g.Subjects(0, 0) != nil || g.PredicatesBetween(0, 0) != nil {
+	if g.Objects(0, rdf.PID(g.NumPredicates()-1)) != nil || rdf.Subjects(g, 0, 0) != nil {
 		t.Fatal("absent lookups are not nil")
 	}
-	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
-		own := m.where(func(x rdf.Triple) bool { return x.S == id })
-		var edges []rdf.Triple
-		g.OutEdges(id, func(p rdf.PID, o rdf.ID) { edges = append(edges, rdf.Triple{S: id, P: p, O: o}) })
-		if !reflect.DeepEqual(edges, own) {
-			t.Fatalf("OutEdges(%d) = %v, want %v", id, edges, own)
-		}
-		if got := scan(func(fn func(rdf.Triple)) { g.SubjectTriples(id, fn) }); !reflect.DeepEqual(got, own) {
-			t.Fatalf("SubjectTriples(%d) differs", id)
-		}
-		if got := rdf.OutDegree(g, id); got != len(own) {
-			t.Fatalf("OutDegree(%d) = %d, want %d", id, got, len(own))
-		}
-	}
 
-	// Per-shard scans partition the global one.
-	for i := 0; i < n; i++ {
-		own := m.where(func(x rdf.Triple) bool { return rdf.ShardIndex(x.S, n) == i })
-		if got := scan(func(fn func(rdf.Triple)) { g.ShardTriples(i, fn) }); !reflect.DeepEqual(got, own) {
-			t.Fatalf("ShardTriples(%d) differs", i)
-		}
-		var subjects []rdf.ID
-		for _, x := range own {
-			if len(subjects) == 0 || subjects[len(subjects)-1] != x.S {
-				subjects = append(subjects, x.S)
-			}
-		}
-		if got := g.ShardSubjectIDs(i); !equalIDs(got, subjects) {
-			t.Fatalf("ShardSubjectIDs(%d) differs", i)
-		}
-	}
-
-	// Free functions: traversal, membership and path keys.
+	// Free functions: path keys and traversal.
 	const key = "marriage→person→name"
 	path, ok := rdf.ParsePath(g, key)
 	if !ok || rdf.Key(g, path) != key {
@@ -265,57 +216,131 @@ func (m *model) check(t *testing.T, g rdf.Sharded) {
 			frontier = next
 		}
 		want := sortedIDs(frontier)
-		got := rdf.PathObjects(g, e, path)
-		if !equalIDs(got, want) {
+		if got := rdf.PathObjects(g, e, path); !equalIDs(got, want) {
 			t.Fatalf("PathObjects(%d, %s) = %v, want %v", e, key, got, want)
 		}
-		for _, v := range got {
-			reached++
-			found := false
-			for _, p := range rdf.PathsBetween(g, e, v, 3, nil) {
-				found = found || rdf.Key(g, p) == key
-			}
-			if !found {
-				t.Fatalf("PathsBetween(%d,%d) misses %s", e, v, key)
-			}
-		}
+		reached += len(want)
 	}
 	if reached == 0 {
 		t.Fatalf("no entity reaches anything over %s: the traversal checks are vacuous", key)
 	}
 }
 
-func TestImageSerializationByteIdentical(t *testing.T) {
-	ss := testWorld(t)
-	im := openTestImage(t, writeTestImage(t, ss))
-	var a, b bytes.Buffer
-	if err := rdf.WriteNTriples(ss, &a); err != nil {
-		t.Fatal(err)
+// checkOffline runs the store's offline scan methods and the free
+// functions over them against the model.
+func (m *model) checkOffline(t *testing.T, ss *rdf.ShardedStore) {
+	t.Helper()
+	n := ss.NumShards()
+	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
+		label := m.sym.Label(id)
+		var want []rdf.ID
+		for _, x := range m.sym.NodesByLabel(label) {
+			if m.sym.KindOf(x) == rdf.KindEntity {
+				want = append(want, x)
+			}
+		}
+		if got := ss.EntitiesByLabel(label); !equalIDs(got, want) {
+			t.Fatalf("EntitiesByLabel(%q) = %v, want %v", label, got, want)
+		}
 	}
-	if err := rdf.WriteNTriples(im, &b); err != nil {
-		t.Fatal(err)
+	if ps := ss.Predicates(); len(ps) != m.sym.NumPredicates() || (len(ps) > 0 && ps[len(ps)-1] != rdf.PID(len(ps)-1)) {
+		t.Fatalf("Predicates = %v", ps)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("image N-Triples serialization differs from the store's")
+	if !reflect.DeepEqual(scan(ss.Triples), m.triples) {
+		t.Fatal("Triples scan differs")
+	}
+	for _, tr := range m.triples {
+		var preds []rdf.PID
+		for _, x := range m.where(func(x rdf.Triple) bool { return x.S == tr.S && x.O == tr.O }) {
+			preds = append(preds, x.P)
+		}
+		// Only the set is specified: a store lists predicates in the order
+		// it was fed them.
+		if got := sortedPIDs(ss.PredicatesBetween(tr.S, tr.O)); !equalPIDs(got, preds) {
+			t.Fatalf("PredicatesBetween(%d,%d) = %v, want %v", tr.S, tr.O, got, preds)
+		}
+	}
+	if ss.PredicatesBetween(0, 0) != nil {
+		t.Fatal("absent PredicatesBetween is not nil")
+	}
+	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
+		own := m.where(func(x rdf.Triple) bool { return x.S == id })
+		var edges []rdf.Triple
+		ss.OutEdges(id, func(p rdf.PID, o rdf.ID) { edges = append(edges, rdf.Triple{S: id, P: p, O: o}) })
+		if !reflect.DeepEqual(edges, own) {
+			t.Fatalf("OutEdges(%d) = %v, want %v", id, edges, own)
+		}
+		if got := scan(func(fn func(rdf.Triple)) { ss.SubjectTriples(id, fn) }); !reflect.DeepEqual(got, own) {
+			t.Fatalf("SubjectTriples(%d) differs", id)
+		}
+		if got := rdf.OutDegree(ss, id); got != len(own) {
+			t.Fatalf("OutDegree(%d) = %d, want %d", id, got, len(own))
+		}
+	}
+
+	// Per-shard scans partition the global one.
+	for i := 0; i < n; i++ {
+		own := m.where(func(x rdf.Triple) bool { return rdf.ShardIndex(x.S, n) == i })
+		if got := scan(func(fn func(rdf.Triple)) { ss.ShardTriples(i, fn) }); !reflect.DeepEqual(got, own) {
+			t.Fatalf("ShardTriples(%d) differs", i)
+		}
+		var subjects []rdf.ID
+		for _, x := range own {
+			if len(subjects) == 0 || subjects[len(subjects)-1] != x.S {
+				subjects = append(subjects, x.S)
+			}
+		}
+		if got := ss.ShardSubjectIDs(i); !equalIDs(got, subjects) {
+			t.Fatalf("ShardSubjectIDs(%d) differs", i)
+		}
+	}
+
+	// PathsBetween finds every path PathObjects follows.
+	const key = "marriage→person→name"
+	path, _ := rdf.ParsePath(ss, key)
+	for _, e := range m.sym.Entities() {
+		for _, v := range rdf.PathObjects(ss, e, path) {
+			found := false
+			for _, p := range rdf.PathsBetween(ss, e, v, 3, nil) {
+				found = found || rdf.Key(ss, p) == key
+			}
+			if !found {
+				t.Fatalf("PathsBetween(%d,%d) misses %s", e, v, key)
+			}
+		}
 	}
 }
 
-// TestImageOfImage checks the writer runs off the public read API alone: an
-// image taken of an image is byte-identical to the original file.
-func TestImageOfImage(t *testing.T) {
+// TestImageContentMatchesStore checks what the writer froze into the file
+// against the store it was written from, in the orders the store promises:
+// Objects for every (node, predicate) pair, and ShardSubjects for every
+// shard and every (predicate, object) key the store holds. The golden image
+// digest pins the bytes; this pins their meaning.
+func TestImageContentMatchesStore(t *testing.T) {
 	ss := testWorld(t)
-	path := writeTestImage(t, ss)
-	im := openTestImage(t, path)
-	var second bytes.Buffer
-	if err := WriteImage(&second, im); err != nil {
-		t.Fatal(err)
+	im := openTestImage(t, writeTestImage(t, ss))
+	for id := rdf.ID(0); int(id) < ss.NumNodes(); id++ {
+		for p := rdf.PID(0); int(p) < ss.NumPredicates(); p++ {
+			if got, want := im.Objects(id, p), ss.Objects(id, p); !equalIDs(got, want) {
+				t.Fatalf("Objects(%d,%d) = %v, store says %v", id, p, got, want)
+			}
+		}
 	}
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, second.Bytes()) {
-		t.Fatal("image of image is not byte-identical")
+	keys := map[[2]int]bool{}
+	ss.Triples(func(tr rdf.Triple) {
+		k := [2]int{int(tr.P), int(tr.O)}
+		if keys[k] {
+			return
+		}
+		keys[k] = true
+		for i := 0; i < ss.NumShards(); i++ {
+			if got, want := im.ShardSubjects(i, tr.P, tr.O), ss.ShardSubjects(i, tr.P, tr.O); !equalIDs(got, want) {
+				t.Fatalf("ShardSubjects(%d,%d,%d) = %v, store says %v", i, tr.P, tr.O, got, want)
+			}
+		}
+	})
+	if len(keys) == 0 {
+		t.Fatal("empty world: the check is vacuous")
 	}
 }
 
@@ -369,7 +394,7 @@ func TestOpenImageRejectsWrongWorld(t *testing.T) {
 	path := writeTestImage(t, ss)
 
 	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5, Shards: 4})
-	otherSS := other.Store.(*rdf.ShardedStore)
+	otherSS := other.Store
 	wrongFP := rdf.WorldFingerprint(otherSS)
 	if _, err := OpenImage(path, OpenOptions{ExpectFingerprint: wrongFP}); err == nil {
 		t.Fatal("accepted image from a different world")

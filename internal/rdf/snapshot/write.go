@@ -18,7 +18,7 @@ import (
 // engine probes, shardrpc wire IDs) means the same thing against the
 // image. The source must be fully loaded and must not be written to while
 // the image is being taken.
-func WriteImage(w io.Writer, src rdf.Sharded) error {
+func WriteImage(w io.Writer, src *rdf.ShardedStore) error {
 	img := buildSections(src)
 	hdr := header{
 		numShards:   src.NumShards(),
@@ -52,7 +52,7 @@ func WriteImage(w io.Writer, src rdf.Sharded) error {
 // WriteImageFile writes the image to path with the atomic-publish idiom of
 // the segment store: readers either see the previous complete image or the
 // new one, never a torn mix.
-func WriteImageFile(path string, src rdf.Sharded) error {
+func WriteImageFile(path string, src *rdf.ShardedStore) error {
 	err := safeio.PublishFile(path, func(w *bufio.Writer) error { return WriteImage(w, src) })
 	if err != nil {
 		return fmt.Errorf("snapshot: publish image: %w", err)
@@ -70,12 +70,12 @@ type section struct {
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// buildSections walks the source through its public read API only, in the
-// same deterministic orders the API itself guarantees — so an image taken
-// of an image is byte-identical, and every ordering the in-memory store
-// promises (insertion-order object lists, insertion-order PredicatesBetween
-// and ShardSubjects, ascending scans) is frozen into the file verbatim.
-func buildSections(src rdf.Sharded) []section {
+// buildSections walks the store through its exported methods, in the
+// deterministic orders they guarantee, so every ordering the in-memory
+// store promises (insertion-order object lists, insertion-order
+// PredicatesBetween and ShardSubjects, ascending scans) is frozen into the
+// file verbatim.
+func buildSections(src *rdf.ShardedStore) []section {
 	numNodes := src.NumNodes()
 	numPreds := src.NumPredicates()
 
@@ -170,7 +170,7 @@ type predObj struct {
 	obj  rdf.ID
 }
 
-func buildShardSections(src rdf.Sharded, i int) []section {
+func buildShardSections(src *rdf.ShardedStore, i int) []section {
 	subjects := src.ShardSubjectIDs(i)
 	subjSec := make([]byte, 0, len(subjects)*4)
 	for _, s := range subjects {

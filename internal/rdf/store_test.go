@@ -92,7 +92,7 @@ func TestObjectsSubjectsPredicatesBetween(t *testing.T) {
 	if len(objs) != 1 || s.Label(objs[0]) != "1961" {
 		t.Fatalf("V(a, dob) = %v", objs)
 	}
-	subs := s.Subjects(dob, s.Literal("1961"))
+	subs := Subjects(s, dob, s.Literal("1961"))
 	if len(subs) != 1 || subs[0] != ids["a"] {
 		t.Fatalf("Subjects(dob, 1961) = %v", subs)
 	}
@@ -230,7 +230,7 @@ func TestIndexCoherence(t *testing.T) {
 			if !contains(s.Objects(sub, p), o) {
 				return false
 			}
-			if !contains(s.Subjects(p, o), sub) {
+			if !contains(Subjects(s, p, o), sub) {
 				return false
 			}
 			found := false

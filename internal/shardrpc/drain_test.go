@@ -12,7 +12,7 @@ import (
 // gatedStore parks every Objects read until release closes, so a test
 // can hold a request mid-execute on purpose.
 type gatedStore struct {
-	rdf.Sharded
+	rdf.Graph
 	entered chan struct{}
 	release chan struct{}
 }
@@ -20,7 +20,7 @@ type gatedStore struct {
 func (g *gatedStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 	g.entered <- struct{}{}
 	<-g.release
-	return g.Sharded.Objects(subj, pred)
+	return g.Graph.Objects(subj, pred)
 }
 
 // TestCloseWaitsForInflightHandlers: Close must not return while a
@@ -29,7 +29,7 @@ func (g *gatedStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 // image — so a handler outliving Close reads freed (or unmapped) memory.
 func TestCloseWaitsForInflightHandlers(t *testing.T) {
 	store := testWorld(t)
-	gated := &gatedStore{Sharded: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	gated := &gatedStore{Graph: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv := NewServer(gated, ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,7 +89,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 // shard's handler goroutine for it would live on.
 func TestPoolCloseClosesInflightConns(t *testing.T) {
 	store := testWorld(t)
-	gated := &gatedStore{Sharded: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	gated := &gatedStore{Graph: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv := NewServer(gated, ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

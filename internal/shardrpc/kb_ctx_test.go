@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 // The seam, pinned: KB is the engine's Index and nothing like a Graph.
@@ -15,10 +17,23 @@ var _ core.Index = (*KB)(nil)
 
 func TestSeamSize(t *testing.T) {
 	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
-	sharded := reflect.TypeOf((*rdf.Sharded)(nil)).Elem()
-	// Sharded embeds Graph, so its method set already counts both.
-	if n := sharded.NumMethod(); n > 22 || n <= graph.NumMethod() {
-		t.Errorf("rdf.Graph + rdf.Sharded have %d methods (Graph alone %d), want <= 22", n, graph.NumMethod())
+	if n := graph.NumMethod(); n != 12 {
+		t.Errorf("rdf.Graph has %d methods, want 12: the online seam grew or shrank", n)
+	}
+	// The image serves the seam and nothing else: an offline method on it
+	// would be code no binary calls.
+	want := []string{"Close"}
+	for i := 0; i < graph.NumMethod(); i++ {
+		want = append(want, graph.Method(i).Name)
+	}
+	sort.Strings(want)
+	var got []string
+	image := reflect.TypeOf((*snapshot.Image)(nil))
+	for i := 0; i < image.NumMethod(); i++ {
+		got = append(got, image.Method(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot.Image exports %v, want rdf.Graph's methods plus Close: %v", got, want)
 	}
 	kb := reflect.TypeOf((*KB)(nil))
 	if kb.NumMethod() > 5 {
@@ -74,7 +89,7 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 		}
 		batch = append(batch, rdf.Probe{Subj: tr.S, Path: rdf.Path{tr.P}})
 		subs, err := kb.Subjects(ctx, tr.P, tr.O)
-		if err != nil || !reflect.DeepEqual(subs, store.Subjects(tr.P, tr.O)) {
+		if err != nil || !reflect.DeepEqual(subs, rdf.Subjects(store, tr.P, tr.O)) {
 			t.Fatalf("Subjects(%d,%d) = %v, %v", tr.P, tr.O, subs, err)
 		}
 	})

@@ -24,7 +24,7 @@ import (
 func testWorld(t testing.TB) *rdf.ShardedStore {
 	t.Helper()
 	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 4})
-	return kb.Store.(*rdf.ShardedStore)
+	return kb.Store
 }
 
 // startServer runs an own-all server on a loopback listener and returns
@@ -78,7 +78,7 @@ func TestFrameDetectsCorruption(t *testing.T) {
 // a wrong-world pool fails fast instead of serving subtly wrong answers.
 // eightShards is the test world as a client that partitioned it eight ways
 // would fingerprint it.
-type eightShards struct{ rdf.Sharded }
+type eightShards struct{ rdf.Graph }
 
 func (eightShards) NumShards() int { return 8 }
 

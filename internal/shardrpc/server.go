@@ -27,11 +27,11 @@ type ServerOptions struct {
 	Logger *obs.Logger
 }
 
-// Server answers shardrpc requests over an rdf.Sharded world. Start it with
+// Server answers shardrpc requests over an rdf.Graph world. Start it with
 // Serve; stop it with Close (or by cancelling Serve's context). Safe for
 // concurrent connections: the store is read-only at serve time.
 type Server struct {
-	store rdf.Sharded
+	store rdf.Graph
 	fp    uint64
 	owns  map[int]bool // nil = all shards
 	log   *obs.Logger
@@ -51,7 +51,7 @@ type Server struct {
 
 // NewServer builds a server over store. The store must be fully loaded;
 // writes after NewServer race with request handling.
-func NewServer(store rdf.Sharded, o ServerOptions) *Server {
+func NewServer(store rdf.Graph, o ServerOptions) *Server {
 	s := &Server{
 		store: store,
 		fp:    rdf.WorldFingerprint(store),

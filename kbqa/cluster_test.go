@@ -21,7 +21,7 @@ func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
 	return serveShards(t, world.world.KB.Store)
 }
 
-func serveShards(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server) {
+func serveShards(t *testing.T, store rdf.Graph) (string, *shardrpc.Server) {
 	t.Helper()
 	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,7 +36,7 @@ func serveShards(t *testing.T, store rdf.Sharded) (string, *shardrpc.Server) {
 // heldStore is a knowledge base whose index reads wait for as long as a
 // channel is stored in hold: a shard server over it holds its replies.
 type heldStore struct {
-	rdf.Sharded
+	rdf.Graph
 	hold atomic.Pointer[chan struct{}]
 }
 
@@ -48,12 +48,12 @@ func (h *heldStore) wait() {
 
 func (h *heldStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 	h.wait()
-	return h.Sharded.Objects(subj, pred)
+	return h.Graph.Objects(subj, pred)
 }
 
 func (h *heldStore) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
 	h.wait()
-	return h.Sharded.ShardSubjects(i, pred, obj)
+	return h.Graph.ShardSubjects(i, pred, obj)
 }
 
 // TestClusterVariantFailsLoudly pins two bugs of the cluster shape's variant
@@ -67,7 +67,7 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := &heldStore{Sharded: world.world.KB.Store}
+	held := &heldStore{Graph: world.world.KB.Store}
 	addrA, srvA := serveShards(t, held)
 	addrB, srvB := serveShards(t, held)
 

@@ -20,13 +20,10 @@ import (
 // each with the reason it stays. An entry that becomes linked, or whose
 // function is deleted, fails the test too, so the list cannot go stale.
 var unlinkedOnPurpose = map[string]string{
-	"repro/internal/analysis.RunFixture":             "the fixture harness the analyzer tests of another package call",
-	"repro/internal/obs.SpanSnapshot.Find":           "trace inspection for tests of other packages",
-	"repro/internal/obs.SpanSnapshot.Attr":           "trace inspection for tests of other packages",
-	"repro/kbqa.WithoutVariants":                     "public API",
-	"repro/internal/rdf/snapshot.Image.Triples":      "rdf.Graph requires it; the linker drops what the type system cannot",
-	"repro/internal/rdf/snapshot.Image.Predicates":   "rdf.Graph requires it; the linker drops what the type system cannot",
-	"repro/internal/rdf/snapshot.Image.ShardTriples": "rdf.Sharded requires it; the linker drops what the type system cannot",
+	"repro/internal/analysis.RunFixture":   "the fixture harness the analyzer tests of another package call",
+	"repro/internal/obs.SpanSnapshot.Find": "trace inspection for tests of other packages",
+	"repro/internal/obs.SpanSnapshot.Attr": "trace inspection for tests of other packages",
+	"repro/kbqa.WithoutVariants":           "public API",
 }
 
 // unlinkedFiles exempts whole files. ROADMAP, "Offline is offline": "The
