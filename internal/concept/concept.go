@@ -10,11 +10,19 @@
 //   - a probabilistic isA taxonomy (entity → weighted concepts), and
 //   - context evidence (concept → context words that co-occur with it),
 //     combined by naive-Bayes style reweighting.
+//
+// A Taxonomy is built by name. The question path reads it compiled
+// (Compile): concepts numbered in ascending name order, an entity's isA
+// weights found once per surface by whoever compiles the mentions, and
+// context evidence in a table by the word's vocabulary ID. The by-name
+// Conceptualize is a thin adapter over the same compiled form.
 package concept
 
 import (
 	"cmp"
 	"slices"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/text"
 )
@@ -36,6 +44,14 @@ type Taxonomy struct {
 	ctx map[string]map[string]float64
 	// concepts is the set of all concept names ever registered.
 	concepts map[string]bool
+	// own is the taxonomy compiled over a vocabulary of its own, for
+	// Conceptualize: built on first use, dropped by every change.
+	own atomic.Pointer[ownCompiled]
+}
+
+type ownCompiled struct {
+	c     *Compiled
+	vocab *text.Vocab
 }
 
 // NewTaxonomy returns an empty taxonomy.
@@ -54,6 +70,7 @@ func (t *Taxonomy) AddIsA(entity, concept string, weight float64) {
 		return
 	}
 	key := text.Normalize(entity)
+	t.own.Store(nil)
 	t.concepts[concept] = true
 	for i := range t.isA[key] {
 		if t.isA[key][i].Concept == concept {
@@ -77,17 +94,15 @@ func (t *Taxonomy) AddContextEvidence(concept, word string, weight float64) {
 	}
 	m[text.Normalize(word)] += weight
 	t.concepts[concept] = true
+	t.own.Store(nil)
 }
 
 // Concepts returns the prior concept distribution P(c|e) for the entity
 // surface form, normalized to sum to 1. The result is sorted by descending
 // probability, ties broken by concept name for determinism.
 func (t *Taxonomy) Concepts(entity string) []Scored {
-	return normalize(slices.Clone(t.isA[text.Normalize(entity)]))
+	return t.Conceptualize(entity, nil)
 }
-
-// HasConcept reports whether the concept name is known to the taxonomy.
-func (t *Taxonomy) HasConcept(c string) bool { return t.concepts[c] }
 
 // smoothing added to context likelihoods so that a concept with no evidence
 // for the observed words is damped rather than eliminated; mirrors the
@@ -97,36 +112,134 @@ const ctxSmoothing = 0.1
 // Conceptualize computes P(c|q,e): the concept distribution of the entity
 // mention given the question context. contextTokens should be the question
 // tokens with the mention removed. With no context evidence at all this
-// reduces to the prior P(c|e).
+// reduces to the prior P(c|e). It maps its arguments onto the compiled form
+// and runs Compiled.ConceptualizeInto.
 func (t *Taxonomy) Conceptualize(entity string, contextTokens []string) []Scored {
-	return t.ConceptualizeInto(nil, text.Normalize(entity), contextTokens)
+	own := t.own.Load()
+	if own == nil {
+		// Two goroutines that miss together compile equal forms.
+		own = &ownCompiled{vocab: text.NewVocab()}
+		own.c = t.Compile(own.vocab)
+		t.own.Store(own)
+	}
+	var ctx [24]uint32
+	var buf [8]ScoredID
+	ws := own.c.ConceptualizeInto(buf[:0], own.c.Priors(text.Normalize(entity)), own.vocab.AppendIDs(ctx[:0], contextTokens))
+	if len(ws) == 0 {
+		return nil
+	}
+	out := make([]Scored, len(ws))
+	for i, w := range ws {
+		out[i] = Scored{Concept: own.c.names[w.Concept], P: w.P}
+	}
+	return out
 }
 
-// ConceptualizeInto appends Conceptualize(surface, contextTokens) to dst for
-// a surface form that is normalized already, as a mention lexicon returns
-// it. It allocates nothing when dst has room, and it drops the context's
-// stopwords once rather than once per concept; the products and the
-// normalisation run in Conceptualize's order, so the scores are bit-equal.
-func (t *Taxonomy) ConceptualizeInto(dst []Scored, surface string, contextTokens []string) []Scored {
-	prior := t.isA[surface]
+// ScoredID is Scored with the concept by its ID in a Compiled taxonomy.
+type ScoredID struct {
+	Concept uint32
+	P       float64
+}
+
+// Compiled is a taxonomy laid out for a question read as vocabulary IDs.
+// Concepts are numbered in ascending name order, so a tie broken by ID is a
+// tie broken by name. It is immutable: a later change to the taxonomy does
+// not reach it.
+type Compiled struct {
+	names  []string // by concept ID, ascending
+	ids    map[string]uint32
+	priors map[string][]ScoredID // normalized surface → isA weights, in the order they were registered
+	// ev is, by word ID, the concepts the word is evidence for, with the
+	// weight.
+	ev [][]ScoredID
+}
+
+// Compile lays the taxonomy out over v, adding every context word to it.
+// A context word of several tokens (or none) can never be one question
+// token, so it is left out.
+func (t *Taxonomy) Compile(v *text.Vocab) *Compiled {
+	c := &Compiled{ids: make(map[string]uint32, len(t.concepts)), priors: make(map[string][]ScoredID, len(t.isA))}
+	for name := range t.concepts {
+		c.names = append(c.names, name)
+	}
+	slices.Sort(c.names)
+	for i, name := range c.names {
+		c.ids[name] = uint32(i)
+	}
+	for surface, prior := range t.isA {
+		ps := make([]ScoredID, len(prior))
+		for i, s := range prior {
+			ps[i] = ScoredID{Concept: c.ids[s.Concept], P: s.P}
+		}
+		c.priors[surface] = ps
+	}
+	for concept, words := range t.ctx {
+		for w, weight := range words {
+			if w == "" || strings.Contains(w, " ") {
+				continue
+			}
+			id := v.Add(w)
+			if int(id) >= len(c.ev) {
+				c.ev = slices.Grow(c.ev, int(id)+1-len(c.ev))[:id+1]
+			}
+			c.ev[id] = append(c.ev[id], ScoredID{Concept: c.ids[concept], P: weight})
+		}
+	}
+	return c
+}
+
+// ID returns the ID of the concept name.
+func (c *Compiled) ID(name string) (uint32, bool) {
+	id, ok := c.ids[name]
+	return id, ok
+}
+
+// Len is the number of concepts: their IDs are 0 to Len()-1.
+func (c *Compiled) Len() int { return len(c.names) }
+
+// Name returns the name of concept id.
+func (c *Compiled) Name(id uint32) string { return c.names[id] }
+
+// Priors returns the isA weights of the entity with the normalized surface,
+// for ConceptualizeInto. The slice is the compiled form's own.
+func (c *Compiled) Priors(surface string) []ScoredID { return c.priors[surface] }
+
+// ConceptualizeInto appends P(c|q,e) to dst for an entity whose isA weights
+// are prior (Priors) in a context given by vocabulary IDs — the question
+// without the mention; an ID the vocabulary does not know (text.NoWord) is
+// a word without evidence. It allocates nothing when dst has room, hashes
+// nothing, and drops the context's stopwords once rather than once per
+// concept; the products and the normalisation run in the order of the
+// by-name definition, so the scores are bit-equal to it.
+func (c *Compiled) ConceptualizeInto(dst, prior []ScoredID, ctx []uint32) []ScoredID {
 	if len(prior) == 0 {
 		return dst
 	}
-	var buf [24]string
+	var buf [24][]ScoredID // the content words' evidence
 	content := buf[:0]
-	for _, w := range contextTokens {
-		if !text.IsStopword(w) {
-			content = append(content, w)
+	for _, w := range ctx {
+		if !text.IsStopID(w) {
+			var ev []ScoredID
+			if int(w) < len(c.ev) {
+				ev = c.ev[w]
+			}
+			content = append(content, ev)
 		}
 	}
 	n := len(dst)
 	for _, s := range prior {
 		like := 1.0
-		ev := t.ctx[s.Concept]
-		for _, w := range content {
-			like *= ctxSmoothing + ev[w]
+		for _, ev := range content {
+			var weight float64
+			for _, e := range ev {
+				if e.Concept == s.Concept {
+					weight = e.P
+					break
+				}
+			}
+			like *= ctxSmoothing + weight
 		}
-		dst = append(dst, Scored{Concept: s.Concept, P: s.P * like})
+		dst = append(dst, ScoredID{Concept: s.Concept, P: s.P * like})
 	}
 	normalize(dst[n:])
 	return dst
@@ -143,10 +256,10 @@ func (t *Taxonomy) Best(entity string, contextTokens []string) string {
 }
 
 // normalize scales s to sum to 1 and sorts it by descending probability,
-// ties by concept name, in place.
-func normalize(s []Scored) []Scored {
+// ties by concept ID — by name — in place.
+func normalize(s []ScoredID) {
 	if len(s) == 0 {
-		return nil
+		return
 	}
 	var sum float64
 	for _, c := range s {
@@ -162,11 +275,10 @@ func normalize(s []Scored) []Scored {
 			s[i].P /= sum
 		}
 	}
-	slices.SortFunc(s, func(a, b Scored) int {
+	slices.SortFunc(s, func(a, b ScoredID) int {
 		if a.P != b.P {
 			return cmp.Compare(b.P, a.P)
 		}
 		return cmp.Compare(a.Concept, b.Concept)
 	})
-	return s
 }

@@ -1,9 +1,11 @@
 package concept
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -97,7 +99,7 @@ func TestIgnoresNonPositiveWeights(t *testing.T) {
 		t.Errorf("non-positive weights registered: %v", cs)
 	}
 	tax.AddContextEvidence("c", "w", 0)
-	if tax.HasConcept("c") {
+	if tax.concepts["c"] {
 		t.Error("zero-weight context evidence registered a concept")
 	}
 }
@@ -139,14 +141,18 @@ func TestNumConcepts(t *testing.T) {
 	if got := len(tax.concepts); got != 2 {
 		t.Errorf("%d concepts, want 2", got)
 	}
-	if !tax.HasConcept("fruit") || tax.HasConcept("vegetable") {
-		t.Error("HasConcept wrong")
+	c := tax.Compile(text.NewVocab())
+	_, fruit := c.ID("fruit")
+	_, vegetable := c.ID("vegetable")
+	if c.Len() != 2 || !fruit || vegetable || c.Name(0) != "company" || c.Name(1) != "fruit" {
+		t.Error("the compiled concepts are wrong: IDs go to every concept, in name order")
 	}
 }
 
-// referenceConceptualize is Conceptualize as it was written before
-// ConceptualizeInto: the surface normalized here, the stopword test run for
-// every concept, the result a fresh slice.
+// referenceConceptualize is Conceptualize as it was written by name,
+// before the compiled form: the surface normalized here, the stopword test
+// run for every concept, the evidence read from the name-keyed maps, the
+// result a fresh slice.
 func referenceConceptualize(t *Taxonomy, entity string, contextTokens []string) []Scored {
 	prior := t.isA[text.Normalize(entity)]
 	if len(prior) == 0 {
@@ -164,39 +170,82 @@ func referenceConceptualize(t *Taxonomy, entity string, contextTokens []string) 
 		}
 		out[i] = Scored{Concept: s.Concept, P: s.P * like}
 	}
-	return normalize(out)
+	return referenceNormalize(out)
 }
 
-// TestConceptualizeIntoEqualsReference checks the appending form against
-// the reference over random taxonomies and contexts — stopwords, repeated
-// words, words without evidence, contexts longer than its stack buffer —
-// bit for bit in P and in order, appended after whatever dst held, which it
-// leaves alone; and Conceptualize, which is now built on it, agrees too.
+// referenceNormalize is normalize by name.
+func referenceNormalize(s []Scored) []Scored {
+	var sum float64
+	for _, c := range s {
+		sum += c.P
+	}
+	if sum <= 0 {
+		u := 1.0 / float64(len(s))
+		for i := range s {
+			s[i].P = u
+		}
+	} else {
+		for i := range s {
+			s[i].P /= sum
+		}
+	}
+	slices.SortFunc(s, func(a, b Scored) int {
+		if a.P != b.P {
+			return cmp.Compare(b.P, a.P)
+		}
+		return cmp.Compare(a.Concept, b.Concept)
+	})
+	return s
+}
+
+// TestConceptualizeIntoEqualsReference checks the compiled form against the
+// by-name reference over random taxonomies and contexts — stopwords,
+// repeated words, words without evidence, words the vocabulary does not
+// know, contexts longer than its stack buffer, tied concepts — bit for bit
+// in P and in order (concept IDs in ascending name order), appended after
+// whatever dst held, which it leaves alone; and Conceptualize, the adapter
+// over it, agrees too, also after the taxonomy changes under it.
 func TestConceptualizeIntoEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	words := []string{"the", "of", "is", "who", "born", "ceo", "pie", "river", "city", "'s", "long"}
+	words := []string{"the", "of", "is", "who", "born", "ceo", "pie", "river", "city", "'s", "long", "unseen"}
 	concepts := []string{"person", "city", "company", "fruit", "river", "band", "film"}
 	for trial := 0; trial < 200; trial++ {
 		tax := NewTaxonomy()
 		entities := []string{"apple", "paris", "new york", "the nile"}
+		// Every other trial draws whole weights, so that concepts tie and
+		// the order of their IDs must be the order of their names.
+		weight := func(max float64) float64 {
+			if trial%2 == 0 {
+				return float64(1 + rng.Intn(2))
+			}
+			return rng.Float64() * max
+		}
 		for _, e := range entities {
 			for range 1 + rng.Intn(5) {
-				tax.AddIsA(e, concepts[rng.Intn(len(concepts))], rng.Float64()*3)
+				tax.AddIsA(e, concepts[rng.Intn(len(concepts))], weight(3))
 			}
 		}
 		for range rng.Intn(30) {
-			tax.AddContextEvidence(concepts[rng.Intn(len(concepts))], words[rng.Intn(len(words))], rng.Float64()*5)
+			tax.AddContextEvidence(concepts[rng.Intn(len(concepts))], words[rng.Intn(len(words)-1)], weight(5))
 		}
+		tax.Conceptualize("apple", nil) // compiled now; the change below must drop it
+		tax.AddContextEvidence(concepts[rng.Intn(len(concepts))], words[rng.Intn(len(words)-1)], 1)
+		vocab := text.NewVocab()
+		c := tax.Compile(vocab)
 		for _, e := range append(entities, "zzz") {
 			ctx := make([]string, rng.Intn(40))
 			for i := range ctx {
 				ctx[i] = words[rng.Intn(len(words))]
 			}
 			want := referenceConceptualize(tax, e, ctx)
-			head := []Scored{{"kept", 0.5}}
-			got := tax.ConceptualizeInto(slices.Clone(head), text.Normalize(e), ctx)
-			if !slices.Equal(got[:1], head) || !slices.Equal(got[1:], want) {
-				t.Fatalf("trial %d, %q in %q:\nConceptualizeInto %v\nreference         %v", trial, e, ctx, got, want)
+			head := []ScoredID{{99, 0.5}}
+			got := c.ConceptualizeInto(slices.Clone(head), c.Priors(text.Normalize(e)), vocab.AppendIDs(nil, ctx))
+			named := make([]Scored, 0, len(got))
+			for _, s := range got[1:] {
+				named = append(named, Scored{Concept: c.Name(s.Concept), P: s.P})
+			}
+			if !slices.Equal(got[:1], head) || !slices.Equal(named, want) {
+				t.Fatalf("trial %d, %q in %q:\nConceptualizeInto %v\nreference         %v", trial, e, ctx, named, want)
 			}
 			if got := tax.Conceptualize(e, ctx); !slices.Equal(got, want) {
 				t.Fatalf("trial %d, %q in %q: Conceptualize %v, reference %v", trial, e, ctx, got, want)
@@ -209,9 +258,35 @@ func TestConceptualizeIntoEqualsReference(t *testing.T) {
 // per-mention call is free.
 func TestConceptualizeIntoAllocatesNothing(t *testing.T) {
 	tax := appleTaxonomy()
-	ctx := text.Tokenize("what is the headquarter of")
-	var buf [8]Scored
-	if n := testing.AllocsPerRun(100, func() { tax.ConceptualizeInto(buf[:0], "apple", ctx) }); n != 0 {
+	vocab := text.NewVocab()
+	c := tax.Compile(vocab)
+	_, ctx := vocab.Tokenize("what is the headquarter of", nil)
+	prior := c.Priors("apple")
+	var buf [8]ScoredID
+	if n := testing.AllocsPerRun(100, func() { c.ConceptualizeInto(buf[:0], prior, ctx) }); n != 0 {
 		t.Errorf("ConceptualizeInto allocates %v times, want 0", n)
 	}
+}
+
+// TestConceptualizeConcurrent: the form Conceptualize compiles on first use
+// is built and read from many goroutines at once, and each agrees with the
+// reference.
+func TestConceptualizeConcurrent(t *testing.T) {
+	tax := appleTaxonomy()
+	ctx := text.Tokenize("what is the headquarter of")
+	want := referenceConceptualize(tax, "apple", ctx)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got := tax.Conceptualize("apple", ctx); !slices.Equal(got, want) {
+					t.Errorf("Conceptualize = %v, reference %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

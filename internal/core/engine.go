@@ -11,8 +11,12 @@
 // names, the mention lexicon) and reads the triple indexes through Index
 // alone — in process or across shard servers, under the caller's context
 // either way. What a question needs of the world and the model is compiled
-// before the first one arrives (compile.go): a token trie finds mentions,
-// θ = P(p|t) is a sorted slice of parsed paths per template. A BFQ
+// before the first one arrives (compile.go), keyed by the IDs of one token
+// vocabulary: a question is mapped to IDs in the pass that tokenizes it,
+// and after that a trie over label token IDs finds mentions, the taxonomy
+// weighs concepts by label index and word ID, θ = P(p|t) is a trie over
+// template token IDs to a sorted slice of parsed paths per template, and
+// variant routing reads a table by ID — no string is hashed again. A BFQ
 // enumerates Eq (7)'s support into a probe plan — every (e, p) the model
 // gives mass to, each once — and reads it in one Index call, so the cost of
 // the summation on a cluster is a frame per shard per path depth, not a
@@ -29,6 +33,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -171,12 +176,23 @@ type Engine struct {
 	// Stats, when set, enables complex-question answering.
 	Stats *decompose.Stats
 
-	// find is KB.Lexicon.Find, a field so that a test can count the calls.
-	find func(toks []string) []extract.Mention
-	// theta is the model compiled (compileModel), by template text, and
-	// templates the same in ascending text order; a retrain builds a new engine.
-	theta     map[string]*compiledTemplate
+	// find is KB.Lexicon.FindIDs, a field so that a test can count the
+	// calls.
+	find func(ids []uint32) []extract.Mention
+	// vocab maps a question's tokens to the IDs everything below is keyed
+	// by: the lexicon's vocabulary grown by the context words, θ's words
+	// and the variant words.
+	vocab *text.Vocab
+	// concepts is Taxonomy compiled over vocab, and priors its isA weights
+	// by Mention.Label.
+	concepts *concept.Compiled
+	priors   [][]concept.ScoredID
+	// theta is the model compiled (compileModel) as a trie, and templates
+	// the same in ascending text order; a retrain builds a new engine.
+	theta     theta
 	templates []*compiledTemplate
+	// words is what variant routing reads of a token, by ID.
+	words []wordRole
 	// numeric memoises numericPredicate: path key → bool.
 	numeric sync.Map
 }
@@ -188,8 +204,16 @@ type Engine struct {
 // non-nil stats enables complex-question decomposition.
 func NewEngine(kb rdf.Graph, idx Index, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
 	e := &Engine{KB: CompileSymbols(kb), Index: idx, Taxonomy: tax, Stats: stats}
-	e.find = e.KB.Lexicon.Find
-	e.theta, e.templates = compileModel(kb, model)
+	e.find = e.KB.Lexicon.FindIDs
+	e.vocab = e.KB.Lexicon.Vocab().Clone()
+	e.concepts = tax.Compile(e.vocab)
+	labels := e.KB.Lexicon.Labels()
+	e.priors = make([][]concept.ScoredID, len(labels))
+	for i, surface := range labels {
+		e.priors[i] = e.concepts.Priors(surface)
+	}
+	e.theta, e.templates = compileModel(kb, model, e.vocab, e.concepts)
+	e.words = compileWords(e.vocab, e.concepts)
 	return e
 }
 
@@ -246,22 +270,43 @@ func (tm *Timings) lapProbe(start time.Time) {
 	}
 }
 
-// parsed is a question after its one parse: the token sequence and, looked
-// up on first use and kept, the entity mentions in it. Every stage of an
-// Answer call — variant routing, the direct path, the δ oracle, each chain
-// hop — works on a parsed value, so no stage tokenizes or finds mentions
-// for a token sequence an earlier stage already handled.
+// parsed is a question after its one parse: the token sequence, each
+// token's vocabulary ID and, looked up on first use and kept, the entity
+// mentions in it. Every stage of an Answer call — variant routing, the
+// direct path, the δ oracle, each chain hop — works on a parsed value, so
+// no stage tokenizes, maps a token to its ID or finds mentions for a token
+// sequence an earlier stage already handled. After the parse only ids is
+// read to match; toks is kept for the text of Steps and spans, the
+// decomposition patterns and a comparison's or a listing's cue words.
 type parsed struct {
 	toks     []string
+	ids      []uint32 // ids[i] is toks[i]'s, text.NoWord outside the vocabulary
 	mentions []extract.Mention
-	found    bool // mentions holds the lexicon's Find(toks)
+	found    bool // mentions holds the lexicon's FindIDs(ids)
+}
+
+// askedQuestion is the parse of a question as asked, with room for the IDs
+// of a usual one.
+type askedQuestion struct {
+	parsed
+	idBuf [maxDecomposeTokens]uint32
+}
+
+// parse maps toks, a question's tokens, to their IDs.
+func (e *Engine) parse(toks []string) parsed {
+	return parsed{toks: toks, ids: e.vocab.AppendIDs(make([]uint32, 0, len(toks)), toks)}
+}
+
+// span is q's tokens sp, parsed.
+func (q *parsed) span(sp text.Span) *parsed {
+	return &parsed{toks: q.toks[sp.Start:sp.End], ids: q.ids[sp.Start:sp.End]}
 }
 
 // mentionsOf returns q's entity mentions, finding them on the first call.
 func (e *Engine) mentionsOf(q *parsed, tm *Timings) []extract.Mention {
 	if !q.found {
 		start := stampIf(tm)
-		q.mentions, q.found = e.find(q.toks), true
+		q.mentions, q.found = e.find(q.ids), true
 		tm.lapParse(start)
 	}
 	return q.mentions
@@ -302,7 +347,9 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 		return Answer{}, nil, err
 	}
 	parseStart := stampIf(tm)
-	q := &parsed{toks: text.Tokenize(question)}
+	asked := &askedQuestion{}
+	asked.toks, asked.ids = e.vocab.Tokenize(question, asked.idBuf[:0])
+	q := &asked.parsed
 	tm.lapParse(parseStart)
 	if variants {
 		va, ok, err := e.answerVariant(ctx, q, tm)
@@ -337,7 +384,7 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	if whole > maxDecomposeTokens {
 		// The DP is bounded to the truncated window, so the mention set
 		// handed to its oracle must cover exactly the same tokens.
-		q = &parsed{toks: q.toks[:maxDecomposeTokens]}
+		q = q.span(text.Span{End: maxDecomposeTokens})
 	}
 	mentions := e.mentionsOf(q, tm)
 	if len(mentions) == 0 {
@@ -351,7 +398,7 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	// leaves the DP nothing to do.
 	octx, osp := obs.StartSpan(ctx, "engine.oracle")
 	matchStart := stampIf(tm)
-	prims, err := e.oracle(octx, osp, q.toks, whole, mentions)
+	prims, err := e.oracle(octx, osp, q, whole, mentions)
 	dec, ok := decompose.Decomposition{}, false
 	if err == nil {
 		d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats,
@@ -461,8 +508,8 @@ type bfqWork struct {
 // enumerate adds q's summation support — entities from its mentions,
 // templates from conceptualization, predicates from the learned model — to
 // plan, whose probes may be shared with other questions. No template is
-// built as a string: each is written into a reused key buffer to look θ up.
-// tm, when non-nil, accumulates stage latencies.
+// built: θ's trie is walked along q's IDs. tm, when non-nil, accumulates
+// stage latencies.
 func (e *Engine) enumerate(q *parsed, tm *Timings, plan *probePlan) bfqWork {
 	w := bfqWork{mentions: e.mentionsOf(q, tm)}
 	if len(w.mentions) == 0 {
@@ -475,15 +522,14 @@ func (e *Engine) enumerate(q *parsed, tm *Timings, plan *probePlan) bfqWork {
 	pe := 1.0 / float64(w.entities)
 
 	// Scratch for one mention's model lookups — its interpretations but for
-	// the entity — its concepts and its template keys, on the stack at the
-	// usual handful of templates, paths and bytes.
+	// the entity — and its concepts, on the stack at the usual handful of
+	// templates and paths.
 	var learnedBuf [8]interpretation
-	var conceptBuf [8]concept.Scored
-	var keyBuf [128]byte
+	var conceptBuf [8]concept.ScoredID
 	learned := learnedBuf[:0]
 	for _, m := range w.mentions {
 		matchStart := stampIf(tm)
-		prefix, concepts := e.mentionTemplates(keyBuf[:0], conceptBuf[:0], q.toks, m)
+		prefix, ok, concepts := e.mentionTemplates(conceptBuf[:0], q.ids, m)
 		tm.lapMatch(matchStart)
 		probeStart := stampIf(tm)
 		// What the model knows of the mention's templates is the same for
@@ -494,13 +540,16 @@ func (e *Engine) enumerate(q *parsed, tm *Timings, plan *probePlan) bfqWork {
 				continue
 			}
 			w.templates++
-			ct := e.theta[string(text.AppendPlaceholder(prefix, c.Concept, q.toks[m.Span.End:]))]
+			if !ok {
+				continue
+			}
+			ct := e.theta.lookup(prefix, c.Concept, q.ids[m.Span.End:])
 			if ct == nil {
 				continue
 			}
 			w.sawMass = true
 			for _, p := range ct.paths {
-				learned = append(learned, interpretation{template: ct.text, path: p.groundedPath, weight: pe * c.P * p.p})
+				learned = append(learned, interpretation{tpl: ct, path: p.groundedPath, weight: pe * c.P * p.p})
 			}
 		}
 		w.cands = slices.Grow(w.cands, len(m.Entities)*len(learned))
@@ -561,7 +610,7 @@ type oracleSpan struct {
 	cands []interpretation
 }
 
-// oracle is the δ oracle of Algorithm 2, evaluated for every span of toks
+// oracle is the δ oracle of Algorithm 2, evaluated for every span of q
 // before the DP asks: a span is a primitive BFQ iff the engine can answer
 // it. The candidate spans are those that contain one of the question's
 // mentions — a span without one is rejected before paying for a BFQ — and
@@ -570,10 +619,10 @@ type oracleSpan struct {
 // probe plan, read in one Index call and settled; the accepted ones come
 // back by span. An Index failure fails the oracle, and with it the question.
 // sp, the "engine.oracle" span, counts the work.
-func (e *Engine) oracle(ctx context.Context, sp *obs.Span, toks []string, whole int, mentions []extract.Mention) (map[text.Span]*oracleSpan, error) {
+func (e *Engine) oracle(ctx context.Context, sp *obs.Span, q *parsed, whole int, mentions []extract.Mention) (map[text.Span]*oracleSpan, error) {
 	var buf [64]text.Span // the usual question's candidate spans, on the stack
 	tried := buf[:0]
-	n := len(toks)
+	n := len(q.toks)
 	for length := 1; length <= n && length < whole; length++ {
 		for i := 0; i+length <= n; i++ {
 			s := text.Span{Start: i, End: i + length}
@@ -588,7 +637,7 @@ func (e *Engine) oracle(ctx context.Context, sp *obs.Span, toks []string, whole 
 	works := make([]bfqWork, len(tried))
 	var plan probePlan
 	for i, s := range tried {
-		works[i] = e.enumerate(&parsed{toks: toks[s.Start:s.End]}, nil, &plan)
+		works[i] = e.enumerate(q.span(s), nil, &plan)
 	}
 	sp.SetInt("spans_tried", int64(len(tried)))
 	sp.SetInt("probes", int64(len(plan.probes)))
@@ -599,46 +648,44 @@ func (e *Engine) oracle(ctx context.Context, sp *obs.Span, toks []string, whole 
 	prims := make(map[text.Span]*oracleSpan)
 	for i, s := range tried {
 		if ans, cands, err := e.settle(works[i], values); err == nil {
-			prims[s] = &oracleSpan{toks: toks[s.Start:s.End], ans: ans, cands: cands}
+			prims[s] = &oracleSpan{toks: q.toks[s.Start:s.End], ans: ans, cands: cands}
 		}
 	}
 	sp.SetInt("spans_accepted", int64(len(prims)))
 	return prims, nil
 }
 
-// mentionTemplates prepares the templates t(q, e, c) of mention m of toks
-// (Sec 2, "Templates"): it appends the text before the mention to key, and
-// P(c|q,e) — a template's weight P(t|q,e) (Eq 5) — to concepts. Concept c's
-// template text is then text.AppendPlaceholder(prefix, c.Concept,
-// toks[m.Span.End:]).
-func (e *Engine) mentionTemplates(key []byte, concepts []concept.Scored, toks []string, m extract.Mention) (prefix []byte, _ []concept.Scored) {
-	var buf [24]string // the mention's context: the question without it
-	ctx := append(append(buf[:0], toks[:m.Span.Start]...), toks[m.Span.End:]...)
-	return text.AppendHead(key, toks[:m.Span.Start]), e.Taxonomy.ConceptualizeInto(concepts, m.Surface, ctx)
+// mentionTemplates prepares the templates t(q, e, c) of mention m of the
+// question ids (Sec 2, "Templates"): it walks θ's trie along the words
+// before the mention, and appends P(c|q,e) — a template's weight P(t|q,e)
+// (Eq 5) — to concepts. Concept c's template is then
+// e.theta.lookup(prefix, c, ids[m.Span.End:]); ok is false when no
+// template starts with those words.
+func (e *Engine) mentionTemplates(concepts []concept.ScoredID, ids []uint32, m extract.Mention) (prefix uint32, ok bool, _ []concept.ScoredID) {
+	var buf [24]uint32 // the mention's context: the question without it
+	ctx := append(append(buf[:0], ids[:m.Span.Start]...), ids[m.Span.End:]...)
+	prefix, ok = e.theta.walk(0, ids[:m.Span.Start])
+	return prefix, ok, e.concepts.ConceptualizeInto(concepts, e.priors[m.Label], ctx)
 }
 
 // probePlan is one question's probe set: every (entity, path) Eq (7) gives
 // mass to, each pair once however many templates and mentions lead to it.
 type probePlan struct {
-	slot   map[probeKey]int // index into probes
+	slot   map[uint64]int // by the entity and the path's rank; index into probes
 	probes []rdf.Probe
-}
-
-type probeKey struct {
-	ent  rdf.ID
-	path *groundedPath
 }
 
 // add returns the plan's index for V(ent, path), adding the probe if it is
 // new.
 func (pl *probePlan) add(ent rdf.ID, path *groundedPath) int {
-	i, ok := pl.slot[probeKey{ent, path}]
+	key := uint64(uint32(ent))<<32 | uint64(path.rank)
+	i, ok := pl.slot[key]
 	if !ok {
 		if pl.slot == nil {
-			pl.slot = make(map[probeKey]int)
+			pl.slot = make(map[uint64]int)
 		}
 		i = len(pl.probes)
-		pl.slot[probeKey{ent, path}] = i
+		pl.slot[key] = i
 		pl.probes = append(pl.probes, rdf.Probe{Subj: ent, Path: path.path})
 	}
 	return i
@@ -646,44 +693,51 @@ func (pl *probePlan) add(ent rdf.ID, path *groundedPath) int {
 
 // aggregate accumulates P(v|q) over interpretations and picks the argmax
 // value, remembering the strongest interpretation per value for the trace.
+// A value is a normalized label; the nodes carrying one are found by the
+// first of them (valueLabel), so no label is hashed.
 func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 	if len(cands) == 0 {
 		return Answer{}, false
 	}
 
 	type acc struct {
+		label *valueLabel
 		score float64
 		best  interpretation
 		bestW float64
 	}
-	byValue := make(map[string]*acc)
+	var accBuf [8]acc // the usual handful of values, on the stack
+	accs := accBuf[:0]
+	byValue := make(map[rdf.ID]int) // by the label's first node; index into accs
 	for _, c := range cands {
 		perValue := c.weight / float64(len(c.values))
 		for _, v := range c.values {
-			label := e.KB.normLabel(v)
-			a := byValue[label]
-			if a == nil {
-				a = &acc{}
-				byValue[label] = a
+			label := e.KB.value(v)
+			i, ok := byValue[label.first]
+			if !ok {
+				i = len(accs)
+				byValue[label.first] = i
+				accs = append(accs, acc{label: label})
 			}
+			a := &accs[i]
 			a.score += perValue
 			// Deterministic winner among equal-weight interpretations:
 			// the model's P(p|t) map iterates in random order, so a plain
 			// first-seen maximum would make the reported (template, path)
 			// flap between runs and between store layouts.
 			if perValue > a.bestW || (perValue == a.bestW && a.bestW > 0 &&
-				(c.path.key < a.best.path.key || (c.path == a.best.path && c.template < a.best.template))) {
+				(c.path.rank < a.best.path.rank || (c.path == a.best.path && c.tpl.rank < a.best.tpl.rank))) {
 				a.bestW = perValue
 				a.best = c
 			}
 		}
 	}
 
-	var bestLabel string
-	var best *acc
-	for label, a := range byValue {
-		if best == nil || a.score > best.score || (a.score == best.score && label < bestLabel) {
-			bestLabel, best = label, a
+	best := &accs[0]
+	for i := range accs[1:] {
+		a := &accs[i+1]
+		if a.score > best.score || (a.score == best.score && a.label.text < best.label.text) {
+			best = a
 		}
 	}
 
@@ -694,75 +748,77 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 	sort.Strings(values)
 
 	return Answer{
-		Value:    bestLabel,
+		Value:    best.label.text,
 		Values:   values,
 		Score:    best.score,
 		Entity:   best.best.entity,
-		Template: best.best.template,
+		Template: best.best.tpl.text,
 		Path:     best.best.path.key,
 	}, true
 }
 
 // rankTopK merges the candidate interpretations by (entity, template,
 // path) — summing the Eq (7) mass of duplicates surfaced through distinct
-// mentions — and returns the strongest k, sorted by descending score with
-// deterministic tie-breaks.
+// mentions, in candidate order — and returns the strongest k, sorted by
+// descending score, ties by path key, template text and entity. The merge
+// and the tie-breaks compare IDs and ranks, never strings.
 func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
-	type tkey struct {
-		ent       rdf.ID
-		tpl, path string
-	}
-	type merged struct {
+	type row struct {
+		ent   rdf.ID
+		tpl   *compiledTemplate
+		path  *groundedPath
 		score float64
 		cand  int // first candidate with this key; duplicates share V(e,p)
 	}
-	byKey := make(map[tkey]*merged, len(cands))
-	order := make([]tkey, 0, len(cands))
+	byKey := func(a, b row) int {
+		if a.path != b.path {
+			return cmp.Compare(a.path.rank, b.path.rank)
+		}
+		if a.tpl != b.tpl {
+			return cmp.Compare(a.tpl.rank, b.tpl.rank)
+		}
+		return cmp.Compare(a.ent, b.ent)
+	}
+	var rowBuf [16]row // a usual question's candidates, on the stack
+	rows := rowBuf[:0]
 	for i, c := range cands {
-		kk := tkey{c.entity, c.template, c.path.key}
-		if m := byKey[kk]; m != nil {
-			m.score += c.weight
+		rows = append(rows, row{c.entity, c.tpl, c.path, c.weight, i})
+	}
+	// Sorted stably by key, a key's duplicates are adjacent and in candidate
+	// order; merged, the rows stay in key order, so a stable sort by score
+	// leaves ties in the order of the tie-breaks.
+	slices.SortStableFunc(rows, byKey)
+	merged := rows[:1]
+	for _, r := range rows[1:] {
+		if last := &merged[len(merged)-1]; byKey(*last, r) == 0 {
+			last.score += r.score
 			continue
 		}
-		byKey[kk] = &merged{score: c.weight, cand: i}
-		order = append(order, kk)
+		merged = append(merged, r)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := byKey[order[i]], byKey[order[j]]
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		if order[i].path != order[j].path {
-			return order[i].path < order[j].path
-		}
-		if order[i].tpl != order[j].tpl {
-			return order[i].tpl < order[j].tpl
-		}
-		return order[i].ent < order[j].ent
-	})
-	if len(order) > k {
-		order = order[:k]
+	slices.SortStableFunc(merged, func(a, b row) int { return cmp.Compare(b.score, a.score) })
+	if len(merged) > k {
+		merged = merged[:k]
 	}
 	// Label resolution and per-value normalization are deferred to the k
 	// winners; losers cost only their score accumulation above.
-	out := make([]Ranked, len(order))
-	for i, kk := range order {
-		m := byKey[kk]
-		c := cands[m.cand]
+	out := make([]Ranked, len(merged))
+	for i, r := range merged {
+		c := cands[r.cand]
 		values := make([]string, 0, len(c.values))
 		for _, v := range c.values {
 			values = append(values, e.KB.normLabel(v))
 		}
 		sort.Strings(values)
 		out[i] = Ranked{
-			Entity:      kk.ent,
-			EntityLabel: e.KB.normLabel(kk.ent),
-			Template:    kk.tpl,
-			Path:        kk.path,
-			Score:       m.score,
+			Entity:      r.ent,
+			EntityLabel: e.KB.normLabel(r.ent),
+			Template:    r.tpl.text,
+			Path:        r.path.key,
+			Score:       r.score,
 			Values:      values,
 		}
 	}
@@ -772,12 +828,12 @@ func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 // interpretation is one (e, t, p) triple with its joint weight
 // P(e|q)·P(t|e,q)·P(p|t) and the value set V(e, p).
 type interpretation struct {
-	entity   rdf.ID
-	template string
-	path     *groundedPath
-	weight   float64
-	probe    int // the read of the question's probe plan that values came from
-	values   []rdf.ID
+	entity rdf.ID
+	tpl    *compiledTemplate
+	path   *groundedPath
+	weight float64
+	probe  int // the read of the question's probe plan that values came from
+	values []rdf.ID
 }
 
 // executeChain runs a decomposition sequence: take the innermost BFQ's
@@ -827,7 +883,7 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 		for i, v := range current {
 			// v is a normalized label — its tokens joined by single spaces
 			// — so splitting on them is Join's exact inverse.
-			qs[i].toks = decompose.Bind(pat, strings.Fields(v))
+			qs[i] = e.parse(decompose.Bind(pat, strings.Fields(v)))
 			bound[i] = &qs[i]
 			executed[i] = text.Join(qs[i].toks)
 		}

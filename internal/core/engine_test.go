@@ -30,14 +30,14 @@ var (
 
 func world(t testing.TB) *fixture {
 	t.Helper()
-	fixOnce.Do(func() { fix = trainedWorld(kbgen.Freebase) })
+	fixOnce.Do(func() { fix = trainedWorld(kbgen.Freebase, 42) })
 	return fix
 }
 
-// trainedWorld generates a world of the flavor, learns its model and
-// statistics from its corpus and builds an engine over it.
-func trainedWorld(flavor kbgen.Flavor) *fixture {
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: flavor, Scale: 30})
+// trainedWorld generates a world of the flavor and seed, learns its model
+// and statistics from its corpus and builds an engine over it.
+func trainedWorld(flavor kbgen.Flavor, seed int64) *fixture {
+	kb := kbgen.Generate(kbgen.Config{Seed: seed, Flavor: flavor, Scale: 30})
 	pairs := corpus.Generate(kb, corpus.Config{Seed: 7, PairsPerIntent: 40, NoiseRate: 0.15})
 	symbols := CompileSymbols(kb.Store)
 	learner := &learn.Learner{
@@ -76,7 +76,8 @@ func askCtx(ctx context.Context, e *Engine, q string) (Answer, error) {
 }
 
 func askBFQ(e *Engine, q string) (Answer, bool) {
-	ans, _, err := e.bfq(context.Background(), &parsed{toks: text.Tokenize(q)}, nil)
+	p := e.parse(text.Tokenize(q))
+	ans, _, err := e.bfq(context.Background(), &p, nil)
 	return ans, err == nil
 }
 

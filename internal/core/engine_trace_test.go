@@ -147,7 +147,8 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	toks := text.Tokenize(q)
 	var plan probePlan
 	for _, sp := range oracleSpans(f.engine, toks) {
-		f.engine.enumerate(&parsed{toks: toks[sp.Start:sp.End]}, nil, &plan)
+		p := f.engine.parse(toks[sp.Start:sp.End])
+		f.engine.enumerate(&p, nil, &plan)
 	}
 	if tried, accepted, probes := attr(oracle, "spans_tried"), attr(oracle, "spans_accepted"), attr(oracle, "probes"); accepted < 1 || tried < accepted || probes != len(plan.probes) {
 		t.Errorf("engine.oracle tried %d spans, accepted %d, probed %d; want %d distinct probes", tried, accepted, probes, len(plan.probes))

@@ -240,7 +240,8 @@ func TestBFQReadsItsProbePlanOnce(t *testing.T) {
 	for _, p := range f.pairs {
 		g.calls.Store(0)
 		g.batches = g.batches[:0]
-		_, cands, err := e.bfq(ctx, &parsed{toks: text.Tokenize(p.Q)}, nil)
+		q := e.parse(text.Tokenize(p.Q))
+		_, cands, err := e.bfq(ctx, &q, nil)
 		calls := g.calls.Load()
 		if want := int64(1); (err == nil || errors.Is(err, ErrNoAnswer)) && calls != want {
 			t.Fatalf("bfq(%q) = %v made %d PathObjects calls, want %d", p.Q, err, calls, want)
@@ -362,7 +363,8 @@ func TestComplexQuestionReadsPerPhase(t *testing.T) {
 		seen := make(map[string]bool)
 		for _, toks := range questions {
 			var plan probePlan
-			e.enumerate(&parsed{toks: toks}, nil, &plan)
+			q := e.parse(toks)
+			e.enumerate(&q, nil, &plan)
 			for _, k := range keys(plan.probes) {
 				if !seen[k] {
 					seen[k] = true

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -35,15 +37,16 @@ func TestEngineSurface(t *testing.T) {
 func TestParsesOncePerQuestion(t *testing.T) {
 	f := world(t)
 	ctx := context.Background()
-	var found []string // the token sequences handed to Find, joined
+	var found []string // the ID sequences handed to FindIDs, printed
 	engine := func(model *learn.Model) *Engine {
 		e := NewEngine(f.engine.KB, f.engine.Index, f.kb.Taxonomy, model, f.engine.Stats)
-		e.find = func(toks []string) []extract.Mention {
-			found = append(found, text.Join(toks))
-			return e.KB.Lexicon.Find(toks)
+		e.find = func(ids []uint32) []extract.Mention {
+			found = append(found, fmt.Sprint(ids))
+			return e.KB.Lexicon.FindIDs(ids)
 		}
 		return e
 	}
+	idsOf := func(e *Engine, toks []string) string { return fmt.Sprint(e.parse(toks).ids) }
 
 	// A BFQ with variant routing on, and the same BFQ trailing " or so"
 	// under a model that learned that shape: the "or" sends it through
@@ -63,19 +66,20 @@ func TestParsesOncePerQuestion(t *testing.T) {
 		{bfq + " or so", orModel},
 	} {
 		found = nil
-		ans, _, _, err := engine(row.model).Answer(ctx, row.q, 3, true)
+		e := engine(row.model)
+		ans, _, _, err := e.Answer(ctx, row.q, 3, true)
 		if err != nil || ans.Variant != nil || ans.Value != plain.Value {
 			t.Fatalf("Answer(%q) = %+v, %v; want the BFQ answer %q", row.q, ans, err, plain.Value)
 		}
-		if want := []string{text.Normalize(row.q)}; !reflect.DeepEqual(found, want) {
-			t.Errorf("%q: Find ran over %q, want %q (its tokens, once)", row.q, found, want)
+		if want := []string{idsOf(e, text.Tokenize(row.q))}; !reflect.DeepEqual(found, want) {
+			t.Errorf("%q: FindIDs ran over %q, want %q (its IDs, once)", row.q, found, want)
 		}
 	}
 
-	// A two-hop question: one Find for the question, one per proper span the
-	// δ oracle examines (those containing a mention), one per bound question
-	// of the later hops — and none for the whole-question span or the first
-	// hop, whose token sequences were parsed already.
+	// A two-hop question: one lookup for the question, one per proper span
+	// the δ oracle examines (those containing a mention), one per bound
+	// question of the later hops — and none for the whole-question span or
+	// the first hop, whose token sequences were parsed already.
 	e := engine(f.model)
 	for _, cp := range corpus.ComposeComplex(f.kb, 99, 30) {
 		found = nil
@@ -85,24 +89,26 @@ func TestParsesOncePerQuestion(t *testing.T) {
 		}
 		got := found
 		toks := text.Tokenize(cp.Q)
-		want := []string{text.Join(toks)}
+		want := []string{idsOf(e, toks)}
 		mentions := e.KB.Lexicon.Find(toks)
 		for i := range toks {
 			for j := i + 1; j <= len(toks); j++ {
 				sp := text.Span{Start: i, End: j}
 				for _, m := range mentions {
 					if sp.Contains(m.Span) && sp.Len() < len(toks) {
-						want = append(want, text.Join(toks[i:j]))
+						want = append(want, idsOf(e, toks[i:j]))
 						break
 					}
 				}
 			}
 		}
-		want = append(want, ans.Steps[1].Questions...)
+		for _, q := range ans.Steps[1].Questions {
+			want = append(want, idsOf(e, text.Tokenize(q)))
+		}
 		slices.Sort(got)
 		slices.Sort(want)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: Find ran over\n%q, want\n%q", cp.Q, got, want)
+			t.Errorf("%q: FindIDs ran over\n%q, want\n%q", cp.Q, got, want)
 		}
 		return
 	}
@@ -111,16 +117,22 @@ func TestParsesOncePerQuestion(t *testing.T) {
 
 // TestAllocationCeilings bounds what one question may allocate, so a
 // regression in the compiled forms (a re-joined n-gram, a re-parsed path
-// key, a re-normalized label, a template built as a string) fails here, by
-// layer, and not only in the end-to-end ledger. The worst question of its
-// kind is measured, and logged; the ceilings sit just above today's worst
-// (a BFQ 24, a two-hop question 116; with one read per sub-question the
-// two-hop worst was 170, with template strings they were 43 and 406, before
-// the lexicon they averaged 213 and 1,994).
+// key, a re-normalized label, a template built as a string, a token hashed
+// twice) fails here, by layer, and not only in the end-to-end ledger. The
+// worst question of its kind is measured, and logged, without a ranking
+// and with the top 3 the server asks for (kbqa.DefaultTopK), which counts
+// the merge of the ranked interpretations. The ceilings sit just above
+// today's worst under the race detector, whose instrumentation moves some
+// scratch off the stack: a BFQ 23 (24 under -race) and 27 (28) with the
+// top 3, a two-hop question 111 (117) and 115 (121). Read by string, before
+// the vocabulary, they were 24 and 46, 116 and 127, and the ceilings 28 and
+// 145 without the top 3; with one read per sub-question the two-hop worst
+// was 170, with template strings they were 43 and 406, before the lexicon
+// they averaged 213 and 1,994.
 func TestAllocationCeilings(t *testing.T) {
 	f := world(t)
 	ctx := context.Background()
-	worst := func(questions []string, complex bool) (string, float64) {
+	worst := func(questions []string, complex bool, k int) (string, float64) {
 		var q string
 		var n float64
 		for _, cand := range questions {
@@ -128,7 +140,7 @@ func TestAllocationCeilings(t *testing.T) {
 			if err != nil || complex != (len(ans.Steps) == 2) {
 				continue
 			}
-			if a := testing.AllocsPerRun(10, func() { f.engine.Answer(ctx, cand, 0, false) }); a > n {
+			if a := testing.AllocsPerRun(10, func() { f.engine.Answer(ctx, cand, k, false) }); a > n {
 				q, n = cand, a
 			}
 		}
@@ -146,25 +158,34 @@ func TestAllocationCeilings(t *testing.T) {
 	for _, cp := range corpus.ComposeComplex(f.kb, 5, 16) {
 		hops = append(hops, cp.Q)
 	}
-	q, n := worst(bfqs, false)
-	t.Logf("worst BFQ: %v allocations (%q)", n, q)
-	if n > 28 {
-		t.Errorf("a BFQ allocates %v times (%q), ceiling 28", n, q)
-	}
-	q, n = worst(hops, true)
-	t.Logf("worst two-hop question: %v allocations (%q)", n, q)
-	if n > 145 {
-		t.Errorf("a two-hop question allocates %v times (%q), ceiling 145", n, q)
+	for _, row := range []struct {
+		kind      string
+		questions []string
+		complex   bool
+		k         int
+		ceiling   float64
+	}{
+		{"a BFQ", bfqs, false, 0, 26},
+		{"a BFQ with the top 3", bfqs, false, 3, 30},
+		{"a two-hop question", hops, true, 0, 120},
+		{"a two-hop question with the top 3", hops, true, 3, 124},
+	} {
+		q, n := worst(row.questions, row.complex, row.k)
+		t.Logf("worst of %s: %v allocations (%q)", row.kind, n, q)
+		if n > row.ceiling {
+			t.Errorf("%s allocates %v times (%q), ceiling %v", row.kind, n, q, row.ceiling)
+		}
 	}
 }
 
-// TestTemplateKeysEqualDeriveAll pins the θ keys the engine writes into its
-// key buffer to the template strings of the template package: over every
-// corpus question and every complex question of the fixture — and every
-// span the δ oracle could hand a BFQ, which is a prefix of neither — each
-// mention × concept gives the bytes and the weight of
-// template.DeriveAll's entry, in its order.
-func TestTemplateKeysEqualDeriveAll(t *testing.T) {
+// TestThetaLookupEqualsDeriveAll pins θ's trie to the template strings of
+// the template package: over every corpus question and every span of 200
+// composed questions (what the δ oracle could hand a BFQ), each mention ×
+// concept gives template.DeriveAll's entry, in its order, with P(c|q,e) bit
+// for bit, and the trie finds exactly the compiled row of
+// model.Theta[entry.Text] — nil iff the model has no row, or an empty one,
+// for that text.
+func TestThetaLookupEqualsDeriveAll(t *testing.T) {
 	f := world(t)
 	e := f.engine
 	var questions [][]string
@@ -179,29 +200,50 @@ func TestTemplateKeysEqualDeriveAll(t *testing.T) {
 			}
 		}
 	}
-	keys, terms := 0, 0
-	var keyBuf [128]byte
-	var conceptBuf [8]concept.Scored
+	terms, mentions, hits := 0, 0, 0
+	var conceptBuf [8]concept.ScoredID
 	for _, toks := range questions {
-		for _, m := range e.find(toks) {
+		q := e.parse(toks)
+		for _, m := range e.find(q.ids) {
 			want := template.DeriveAll(e.Taxonomy, toks, m.Span, m.Surface)
-			prefix, concepts := e.mentionTemplates(keyBuf[:0], conceptBuf[:0], toks, m)
-			var got []template.Weighted
+			prefix, ok, concepts := e.mentionTemplates(conceptBuf[:0], q.ids, m)
+			type term struct {
+				concept string
+				p       float64
+				row     *compiledTemplate
+			}
+			var got []term
 			for _, c := range concepts {
-				if c.P > 0 {
-					key := string(text.AppendPlaceholder(prefix, c.Concept, toks[m.Span.End:]))
-					got = append(got, template.Weighted{Template: template.Template{Text: key, Concept: c.Concept}, P: c.P})
+				if c.P <= 0 {
+					continue
+				}
+				tm := term{concept: e.concepts.Name(c.Concept), p: c.P}
+				if ok {
+					tm.row = e.theta.lookup(prefix, c.Concept, q.ids[m.Span.End:])
+				}
+				got = append(got, tm)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%q, mention %q: %d concepts, DeriveAll %d", text.Join(toks), m.Surface, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if g.concept != w.Concept || math.Float64bits(g.p) != math.Float64bits(w.P) {
+					t.Fatalf("%q, mention %q, #%d: concept %q P %v, DeriveAll %q P %v", text.Join(toks), m.Surface, i, g.concept, g.p, w.Concept, w.P)
+				}
+				if row := f.model.Theta[w.Text]; (g.row == nil) != (len(row) == 0) || (g.row != nil && g.row.text != w.Text) {
+					t.Fatalf("%q, mention %q: θ trie found %v for %q (the model's row: %v)", text.Join(toks), m.Surface, g.row, w.Text, row)
+				}
+				if g.row != nil {
+					hits++
 				}
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%q, mention %q:\nengine keys %v\nDeriveAll   %v", text.Join(toks), m.Surface, got, want)
-			}
-			keys += len(got)
-			terms++
+			terms += len(want)
+			mentions++
 		}
 	}
-	if terms == 0 || keys < terms {
-		t.Fatalf("compared %d keys over %d mentions", keys, terms)
+	if mentions == 0 || terms < mentions || hits == 0 {
+		t.Fatalf("compared %d templates (%d in θ) over %d mentions", terms, hits, mentions)
 	}
-	t.Logf("%d template keys over %d mentions of %d token sequences", keys, terms, len(questions))
+	t.Logf("%d templates, %d of them in θ, over %d mentions of %d token sequences", terms, hits, mentions, len(questions))
 }

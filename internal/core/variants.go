@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/concept"
 	"repro/internal/extract"
 	"repro/internal/rdf"
 	"repro/internal/text"
@@ -66,15 +69,69 @@ var ordinals = map[string]int{
 	"tenth": 10, "10th": 10,
 }
 
-// superlatives that select the maximum vs the minimum of a numeric
+// superlatives select the maximum (1) or the minimum (-1) of a numeric
 // predicate.
-var superlativeMax = map[string]bool{
-	"largest": true, "biggest": true, "highest": true, "longest": true,
-	"tallest": true, "most": true, "greatest": true,
+var superlatives = map[string]int8{
+	"largest": 1, "biggest": 1, "highest": 1, "longest": 1, "tallest": 1, "most": 1, "greatest": 1,
+	"smallest": -1, "lowest": -1, "shortest": -1, "least": -1, "fewest": -1, "youngest": -1,
 }
-var superlativeMin = map[string]bool{
-	"smallest": true, "lowest": true, "shortest": true, "least": true,
-	"fewest": true, "youngest": true,
+
+// canon maps a comparative to the canonical content word that appears in
+// templates.
+var canon = map[string]string{
+	"more": "many", "taller": "tall", "larger": "large", "bigger": "big",
+	"higher": "high", "longer": "long", "older": "old", "smaller": "large",
+}
+
+// wordRole is what variant routing reads of one token, by the token's ID.
+type wordRole struct {
+	rank  uint8 // an ordinal's rank, 0 for any other word
+	super int8  // superlatives
+	// category is 1 + the ID of the concept the word names, itself or as a
+	// plural (singularForms), and canon the ID of a comparative's canonical
+	// word; 0 for none.
+	category, canon uint32
+}
+
+// compileWords gives every word variant routing looks for an ID in vocab —
+// the ordinals, the superlatives, the comparatives and their canonical
+// words, and every token singularForms takes to a concept: the name, the
+// name + "s", a name in "y" as "ies" — and returns the roles of all of
+// vocab's IDs. A token without an ID has no role.
+func compileWords(vocab *text.Vocab, concepts *concept.Compiled) []wordRole {
+	roles := make(map[uint32]*wordRole)
+	role := func(w string) *wordRole {
+		id := vocab.Add(w)
+		if roles[id] == nil {
+			roles[id] = &wordRole{}
+		}
+		return roles[id]
+	}
+	for w, r := range ordinals {
+		role(w).rank = uint8(r)
+	}
+	for w, d := range superlatives {
+		role(w).super = d
+	}
+	for w, c := range canon {
+		role(w).canon = vocab.Add(c)
+	}
+	for c := range concepts.Len() {
+		name := concepts.Name(uint32(c))
+		for _, w := range []string{name, name + "s", strings.TrimSuffix(name, "y") + "ies"} {
+			for _, cand := range singularForms(w) {
+				if id, ok := concepts.ID(cand); ok {
+					role(w).category = id + 1
+					break
+				}
+			}
+		}
+	}
+	words := make([]wordRole, vocab.Len())
+	for id, r := range roles {
+		words[id] = *r
+	}
+	return words
 }
 
 // answerVariant recognizes and answers ranking, comparison and listing
@@ -90,10 +147,10 @@ func (e *Engine) answerVariant(ctx context.Context, q *parsed, tm *Timings) (Var
 	if ans, ok, err := e.tryComparison(ctx, q, tm); ok || err != nil {
 		return ans, ok, err
 	}
-	if ans, ok, err := e.tryRanking(ctx, q.toks); ok || err != nil {
+	if ans, ok, err := e.tryRanking(ctx, q.ids); ok || err != nil {
 		return ans, ok, err
 	}
-	return e.tryListing(ctx, q.toks)
+	return e.tryListing(ctx, q)
 }
 
 // tryComparison handles "which city has more people , Honolulu or New
@@ -129,7 +186,7 @@ func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (Var
 		return VariantAnswer{}, false, nil
 	}
 	// Resolve the predicate from the non-entity words; more is better.
-	path, err := e.resolveComparativePredicate(ctx, toks[:left.Span.Start])
+	path, err := e.resolveComparativePredicate(ctx, q.ids[:left.Span.Start])
 	if path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -154,26 +211,26 @@ func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (Var
 }
 
 // tryRanking handles "which city has the 3rd largest population".
-func (e *Engine) tryRanking(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
+func (e *Engine) tryRanking(ctx context.Context, ids []uint32) (VariantAnswer, bool, error) {
 	rank := 1
 	dirMax := true
 	hasSuper := false
-	for _, t := range toks {
-		if r, ok := ordinals[t]; ok {
-			rank = r
+	for _, id := range ids {
+		w := e.words[id]
+		if w.rank > 0 {
+			rank = int(w.rank)
 		}
-		if superlativeMax[t] {
+		if w.super != 0 {
 			hasSuper = true
 		}
-		if superlativeMin[t] {
-			hasSuper = true
+		if w.super < 0 {
 			dirMax = false
 		}
 	}
 	if !hasSuper {
 		return VariantAnswer{}, false, nil
 	}
-	category, path, err := e.resolveCategoryPredicate(ctx, toks)
+	category, path, err := e.resolveCategoryPredicate(ctx, ids)
 	if category == "" || path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -198,7 +255,8 @@ func listingLead(toks []string) bool {
 
 // tryListing handles "list cities ordered by population" and "list all
 // cities by area".
-func (e *Engine) tryListing(ctx context.Context, toks []string) (VariantAnswer, bool, error) {
+func (e *Engine) tryListing(ctx context.Context, q *parsed) (VariantAnswer, bool, error) {
+	toks := q.toks
 	if !listingLead(toks) {
 		return VariantAnswer{}, false, nil
 	}
@@ -211,7 +269,7 @@ func (e *Engine) tryListing(ctx context.Context, toks []string) (VariantAnswer, 
 	if !hasOrder {
 		return VariantAnswer{}, false, nil
 	}
-	category, path, err := e.resolveCategoryPredicate(ctx, toks)
+	category, path, err := e.resolveCategoryPredicate(ctx, q.ids)
 	if category == "" || path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -233,20 +291,15 @@ func (e *Engine) tryListing(ctx context.Context, toks []string) (VariantAnswer, 
 
 // resolveComparativePredicate grounds a comparative phrase ("has more
 // people", "is taller") in a predicate by scoring the phrase's content
-// words against the learned templates and taking the best template's
-// argmax predicate.
-func (e *Engine) resolveComparativePredicate(ctx context.Context, head []string) (string, error) {
-	// Comparative → canonical content word that appears in templates.
-	canon := map[string]string{
-		"more": "many", "taller": "tall", "larger": "large", "bigger": "big",
-		"higher": "high", "longer": "long", "older": "old", "smaller": "large",
-	}
-	words := make([]string, 0, len(head))
-	for _, t := range head {
-		if c, ok := canon[t]; ok {
-			t = c
+// words, each comparative read as its canonical word, against the learned
+// templates and taking the best template's argmax predicate.
+func (e *Engine) resolveComparativePredicate(ctx context.Context, head []uint32) (string, error) {
+	words := make([]uint32, 0, len(head))
+	for _, id := range head {
+		if c := e.words[id].canon; c != 0 {
+			id = c
 		}
-		words = append(words, t)
+		words = append(words, id)
 	}
 	path, _, err := e.bestTemplateFor(ctx, words)
 	return path, err
@@ -254,22 +307,17 @@ func (e *Engine) resolveComparativePredicate(ctx context.Context, head []string)
 
 // resolveCategoryPredicate finds the subject category word and the
 // predicate of a ranking/listing question.
-func (e *Engine) resolveCategoryPredicate(ctx context.Context, toks []string) (category, path string, err error) {
-	for _, t := range toks {
-		for _, cand := range singularForms(t) {
-			if e.Taxonomy.HasConcept(cand) {
-				category = cand
-				break
-			}
-		}
-		if category != "" {
+func (e *Engine) resolveCategoryPredicate(ctx context.Context, ids []uint32) (category, path string, err error) {
+	for _, id := range ids {
+		if c := e.words[id].category; c != 0 {
+			category = e.concepts.Name(c - 1)
 			break
 		}
 	}
 	if category == "" {
 		return "", "", nil
 	}
-	path, _, err = e.bestTemplateFor(ctx, toks)
+	path, _, err = e.bestTemplateFor(ctx, ids)
 	return category, path, err
 }
 
@@ -289,12 +337,16 @@ func singularForms(t string) []string {
 // bestTemplateFor scores the learned templates against the question's
 // content words by token overlap and returns the argmax predicate of the
 // best-matching template. This is how variants reuse the knowledge the EM
-// phase learned instead of a hand-written keyword table.
-func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, float64, error) {
-	content := make(map[string]bool)
-	for _, w := range words {
-		if !text.IsStopword(w) && !strings.HasPrefix(w, "$") {
-			content[w] = true
+// phase learned instead of a hand-written keyword table. Every template's
+// content IDs are looked up among the question's content IDs, a few words.
+func (e *Engine) bestTemplateFor(ctx context.Context, words []uint32) (string, float64, error) {
+	var buf [24]uint32
+	content := buf[:0]
+	for _, id := range words {
+		// A placeholder-like word ("$x") is no template's content word, so
+		// it needs no test here.
+		if !text.IsStopID(id) {
+			content = append(content, id)
 		}
 	}
 	// Iterate templates in sorted order and break score ties on the
@@ -307,8 +359,8 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []string) (string, f
 	bestPath := ""
 	for _, tpl := range e.templates {
 		overlap := 0
-		for _, tok := range tpl.content {
-			if content[tok] {
+		for _, id := range tpl.content {
+			if slices.Contains(content, id) {
 				overlap++
 			}
 		}
@@ -475,7 +527,10 @@ func (e *Engine) numericValue(ctx context.Context, ents []rdf.ID, pathKey string
 }
 
 // parseNumber parses the knowledge base's literal formats: "390k", "12m",
-// "4300 sq km", "1.85 m", "42 billion", "1923", "250 kcal".
+// "4300 sq km", "1.85 m", "42 billion", "1923", "250 kcal". The number is
+// an optional sign and decimal digits with at most one '.': what
+// strconv.ParseFloat takes beyond that ("nan", "inf", "1_000", "0x1p4",
+// "1e3") is a word, not a number.
 func parseNumber(label string) (float64, bool) {
 	fields := strings.Fields(strings.ToLower(label))
 	if len(fields) == 0 {
@@ -501,8 +556,15 @@ func parseNumber(label string) (float64, bool) {
 		// field and is handled by the plain parse below.
 		head, mult = head[:len(head)-1], 1e6
 	}
+	body := strings.TrimLeft(head, "+-")
+	if len(head)-len(body) > 1 || strings.Trim(body, "0123456789.") != "" || strings.Count(body, ".") > 1 || strings.Trim(body, ".") == "" {
+		return 0, false
+	}
+	// Too many digits overflow to ±Inf, which ParseFloat reports as an
+	// error; a suffix can still multiply a finite head past the largest
+	// float64.
 	n, err := strconv.ParseFloat(head, 64)
-	if err != nil {
+	if err != nil || math.IsInf(n*mult, 0) {
 		return 0, false
 	}
 	return n * mult, true

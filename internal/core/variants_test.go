@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/text"
@@ -23,6 +24,31 @@ func TestParseNumber(t *testing.T) {
 		{"guitar", 0, false},
 		{"", 0, false},
 		{"vitamin c", 0, false},
+		// The edges of the grammar — a sign, one '.', digits only — which
+		// the parser has always agreed with.
+		{"-12", -12, true},
+		{"+2.5k", 2500, true},
+		{"1.2.3", 0, false},
+		{".", 0, false},
+		{"-", 0, false},
+		{strings.Repeat("9", 400), 0, false},
+		// Digits that fit a float64 until the suffix multiplies them past it.
+		{strings.Repeat("9", 300) + " billion", 0, false},
+		{strings.Repeat("9", 306) + "k", 0, false},
+		// What strconv.ParseFloat takes but a label never means: a person
+		// named "Nan" is no NaN, "Infinity" no +Inf.
+		{"nan", 0, false},
+		{"Nan", 0, false},
+		{"NaN k", 0, false},
+		{"inf", 0, false},
+		{"-Inf", 0, false},
+		{"Infinity", 0, false},
+		{"+infinity m", 0, false},
+		{"infk", 0, false},
+		{"1_000", 0, false},
+		{"0x1p4", 0, false},
+		{"1e3", 0, false},
+		{"1E3 billion", 0, false},
 	}
 	for _, c := range cases {
 		got, ok := parseNumber(c.in)
@@ -197,11 +223,11 @@ func TestNumericPredicateMemoised(t *testing.T) {
 
 func TestBestTemplateForUsesLearnedModel(t *testing.T) {
 	f := world(t)
-	path, score, _ := f.engine.bestTemplateFor(context.Background(), text.Tokenize("which city has the largest population"))
+	path, score, _ := f.engine.bestTemplateFor(context.Background(), f.engine.parse(text.Tokenize("which city has the largest population")).ids)
 	if path != "population" || score <= 0 {
 		t.Errorf("bestTemplateFor = %q (%.2f), want population", path, score)
 	}
-	path, _, _ = f.engine.bestTemplateFor(context.Background(), text.Tokenize("how tall"))
+	path, _, _ = f.engine.bestTemplateFor(context.Background(), f.engine.parse(text.Tokenize("how tall")).ids)
 	if path != "height" && path != "elevation" {
 		t.Errorf("bestTemplateFor(how tall) = %q", path)
 	}

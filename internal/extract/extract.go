@@ -4,8 +4,10 @@
 // Three pieces:
 //
 //   - Lexicon: gazetteer entity recognition against the knowledge base
-//     (longest-match over token spans, by a trie), condition (a)+(b) of Sec 3.2 —
-//     "it is an entity in the question AND it is in the knowledge base".
+//     (longest-match over token spans, by a trie over token IDs), condition
+//     (a)+(b) of Sec 3.2 — "it is an entity in the question AND it is in the
+//     knowledge base". The online engine reads it by ID (FindIDs); Find and
+//     Has map tokens to IDs first for the offline callers.
 //   - NoisyCapNER: a stand-in for the Stanford Named Entity Recognizer used
 //     as the comparison baseline in Sec 7.5. It relies on capitalization
 //     heuristics and therefore misses lower-cased mentions and picks up
@@ -30,24 +32,34 @@ const maxMentionTokens = 6
 
 // Mention is an entity mention located in a token sequence.
 type Mention struct {
-	Span     text.Span
-	Surface  string   // normalized surface form
+	Span    text.Span
+	Surface string // normalized surface form
+	// Label is the lexicon's index of Surface, dense over its distinct
+	// labels (Lexicon.Labels), so that what is known of a surface can be
+	// kept in a table and read without hashing it.
+	Label    uint32
 	Entities []rdf.ID // all KB entities carrying this surface form
 }
 
 // Lexicon is the knowledge base's entity gazetteer compiled for lookup by
-// token: a trie over the tokens of every entity label. It is built once per
+// token ID: a trie over the ID sequences of every entity label, the IDs
+// from the lexicon's own vocabulary of label tokens. It is built once per
 // knowledge base and immutable afterwards, so every learner, baseline and
-// engine over that knowledge base shares one, from any goroutine.
+// engine over that knowledge base shares one, from any goroutine. An engine
+// reads questions with a vocabulary that extends Vocab, so its IDs walk the
+// same trie.
 type Lexicon struct {
-	root lexNode
+	vocab *text.Vocab
+	trie  text.Trie
+	// at is, by trie node, 1 + the index into labels of the label the path
+	// to the node spells, 0 when no label ends there.
+	at     []uint32
+	labels []lexLabel
 }
 
-// lexNode is the trie position after one token path from the root.
-type lexNode struct {
-	next map[string]*lexNode
-	// surface is the normalized label the path spells and entities the
-	// nodes carrying it, ascending; both empty when no label ends here.
+// lexLabel is one distinct label: its normalized surface and the nodes
+// carrying it, ascending.
+type lexLabel struct {
 	surface  string
 	entities []rdf.ID
 }
@@ -56,50 +68,74 @@ type lexNode struct {
 // tokens, so a lookup by tokens finds exactly the entities
 // kb.EntitiesByLabel finds for their join.
 func NewLexicon(kb rdf.Graph) *Lexicon {
-	lx := &Lexicon{}
+	lx := &Lexicon{vocab: text.NewVocab()}
+	ends := make(map[uint32]uint32) // trie node → 1 + label index
 	for _, e := range kb.Entities() {
 		toks := text.Tokenize(kb.Label(e))
-		n := &lx.root
+		var n uint32
 		for _, t := range toks {
-			child := n.next[t]
-			if child == nil {
-				if n.next == nil {
-					n.next = make(map[string]*lexNode)
-				}
-				child = &lexNode{}
-				n.next[t] = child
-			}
-			n = child
+			n = lx.trie.Insert(n, lx.vocab.Add(t))
 		}
 		// A label without tokens lands on the root, which no lookup reads.
-		n.surface, n.entities = text.Join(toks), append(n.entities, e)
+		i := ends[n]
+		if i == 0 {
+			lx.labels = append(lx.labels, lexLabel{surface: text.Join(toks)})
+			i = uint32(len(lx.labels))
+			ends[n] = i
+		}
+		lx.labels[i-1].entities = append(lx.labels[i-1].entities, e)
+	}
+	lx.at = make([]uint32, lx.trie.Len())
+	for n, i := range ends {
+		lx.at[n] = i
 	}
 	return lx
 }
 
-// Find locates entity mentions in toks by longest-match lookup against the
-// entity labels. Overlapping shorter matches are suppressed by longer ones
-// (leftmost-longest), the standard gazetteer discipline. Each position costs
-// at most maxMentionTokens map steps and nothing is allocated but the
-// result; a mention's Entities are the lexicon's own slice and must not be
-// modified.
+// Vocab is the vocabulary of the lexicon's label tokens. A vocabulary cloned
+// from it and grown maps a question to IDs FindIDs reads.
+func (lx *Lexicon) Vocab() *text.Vocab { return lx.vocab }
+
+// Labels returns the distinct labels' surfaces, by Mention.Label.
+func (lx *Lexicon) Labels() []string {
+	out := make([]string, len(lx.labels))
+	for i, l := range lx.labels {
+		out[i] = l.surface
+	}
+	return out
+}
+
+// Find is FindIDs over toks mapped through the lexicon's vocabulary.
 func (lx *Lexicon) Find(toks []string) []Mention {
+	var buf [32]uint32
+	return lx.FindIDs(lx.vocab.AppendIDs(buf[:0], toks))
+}
+
+// FindIDs locates entity mentions in a token sequence given by vocabulary
+// IDs, by longest-match lookup against the entity labels. Overlapping
+// shorter matches are suppressed by longer ones (leftmost-longest), the
+// standard gazetteer discipline. Each position costs at most
+// maxMentionTokens trie steps and nothing is allocated but the result; a
+// mention's Entities are the lexicon's own slice and must not be modified.
+func (lx *Lexicon) FindIDs(ids []uint32) []Mention {
 	var out []Mention
-	for i := 0; i < len(toks); i++ {
-		var match *lexNode
+	for i := 0; i < len(ids); i++ {
+		var match uint32
 		end := 0
-		n := &lx.root
-		for j := i; j < len(toks) && j < i+maxMentionTokens; j++ {
-			if n = n.next[toks[j]]; n == nil {
+		var n uint32
+		for j := i; j < len(ids) && j < i+maxMentionTokens; j++ {
+			var ok bool
+			if n, ok = lx.trie.Child(n, ids[j]); !ok {
 				break
 			}
 			// Single-token stopwords ("the") are never entity mentions.
-			if len(n.entities) > 0 && !(j == i && text.IsStopword(toks[i])) {
-				match, end = n, j+1
+			if l := lx.at[n]; l != 0 && !(j == i && text.IsStopID(ids[i])) {
+				match, end = l, j+1
 			}
 		}
-		if match != nil {
-			out = append(out, Mention{text.Span{Start: i, End: end}, match.surface, match.entities})
+		if match != 0 {
+			l := &lx.labels[match-1]
+			out = append(out, Mention{text.Span{Start: i, End: end}, l.surface, match - 1, l.entities})
 			i = end - 1
 		}
 	}
@@ -111,13 +147,14 @@ func (lx *Lexicon) Find(toks []string) []Mention {
 // (Sec 5.2), which unlike Find bounds neither the span's length nor its
 // vocabulary.
 func (lx *Lexicon) Has(toks []string, sp text.Span) bool {
-	n := &lx.root
+	var n uint32
 	for _, t := range text.CutSpan(toks, sp) {
-		if n = n.next[t]; n == nil {
+		var ok bool
+		if n, ok = lx.trie.Child(n, lx.vocab.ID(t)); !ok {
 			return false
 		}
 	}
-	return len(n.entities) > 0
+	return lx.at[n] != 0
 }
 
 // NoisyCapNER extracts entity-looking spans from the raw (cased) question

@@ -66,9 +66,10 @@ func FindMentions(kb rdf.Graph, toks []string) []Mention {
 // TestLexiconEqualsReferenceLoop is the lexicon's licence to replace the
 // loop above: over every question of the training corpus, 200 complex
 // questions and every sub-span of each (what the δ oracle parses), Find
-// returns the reference's mentions — spans, surfaces, entity IDs, order —
-// and Has the reference's verdict, on the sharded store and on its mapped
-// image, with the labels that stress the rules added to the world.
+// returns the reference's mentions — spans, surfaces, entity IDs, order;
+// Label is the lexicon's index of the surface — and Has the reference's
+// verdict, on the sharded store and on its mapped image, with the labels
+// that stress the rules added to the world.
 func TestLexiconEqualsReferenceLoop(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 30, Shards: 4})
 	odd := []string{
@@ -111,6 +112,10 @@ func TestLexiconEqualsReferenceLoop(t *testing.T) {
 		kb   rdf.Graph
 	}{{"sharded", kb.Store}, {"image", im}} {
 		lx := NewLexicon(backend.kb)
+		labels := map[string]uint32{} // surface → Mention.Label
+		for i, surface := range lx.Labels() {
+			labels[surface] = uint32(i)
+		}
 		seen := map[string]bool{}
 		mentions := 0
 		for _, q := range questions {
@@ -124,6 +129,9 @@ func TestLexiconEqualsReferenceLoop(t *testing.T) {
 						seen[key] = true
 					}
 					got, want := lx.Find(sub), FindMentions(backend.kb, sub)
+					for i := range want {
+						want[i].Label = labels[want[i].Surface]
+					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Find(%q) = %+v, the reference loop says %+v", backend.name, sub, got, want)
 					}

@@ -120,21 +120,22 @@ func Normalize(s string) string {
 	return s
 }
 
-// stopwords is the closed class vocabulary treated as non-content tokens by
-// keyword matching and by the bootstrapping baseline. Interrogatives are kept
-// OUT of this set on purpose: templates need them ("how many people...").
-var stopwords = map[string]bool{
-	"a": true, "an": true, "the": true, "of": true, "in": true, "on": true,
-	"at": true, "to": true, "for": true, "by": true, "with": true,
-	"is": true, "are": true, "was": true, "were": true, "be": true,
-	"been": true, "am": true, "do": true, "does": true, "did": true,
-	"it": true, "its": true, "'s": true, "and": true, "or": true,
-	"there": true, "that": true, "this": true, "from": true, "as": true,
-	"he": true, "she": true, "they": true, "his": true, "her": true,
+// stopwordList is the closed class vocabulary treated as non-content tokens
+// by keyword matching and by the bootstrapping baseline, in the order a
+// Vocab numbers it. Interrogatives are kept OUT of this set on purpose:
+// templates need them ("how many people...").
+var stopwordList = []string{
+	"a", "an", "the", "of", "in", "on", "at", "to", "for", "by", "with",
+	"is", "are", "was", "were", "be", "been", "am", "do", "does", "did",
+	"it", "its", "'s", "and", "or", "there", "that", "this", "from", "as",
+	"he", "she", "they", "his", "her",
 }
 
+// stopVocab is a vocabulary of the stopwords alone.
+var stopVocab = NewVocab()
+
 // IsStopword reports whether tok carries no content for keyword matching.
-func IsStopword(tok string) bool { return stopwords[tok] }
+func IsStopword(tok string) bool { return IsStopID(stopVocab.ID(tok)) }
 
 // ContentTokens filters toks down to non-stopword tokens.
 func ContentTokens(toks []string) []string {

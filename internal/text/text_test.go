@@ -200,8 +200,9 @@ func tokenizeRunes(s string) []string {
 	return toks
 }
 
-// checkTokenize holds the three facts the rest of the system leans on: the
-// scanner equals the oracle, joined tokens tokenize to themselves (which is
+// checkTokenize holds the four facts the rest of the system leans on: the
+// scanner equals the oracle, a vocabulary's Tokenize returns the same
+// tokens with each one's ID, joined tokens tokenize to themselves (which is
 // what lets the mention lexicon match tokens without re-normalizing their
 // join), and Normalize is the oracle's and idempotent.
 func checkTokenize(t *testing.T, s string) {
@@ -209,6 +210,18 @@ func checkTokenize(t *testing.T, s string) {
 	got, want := Tokenize(s), tokenizeRunes(s)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize(%q) = %q, the rune-based oracle says %q", s, got, want)
+	}
+	v := NewVocab()
+	v.Add("barack")
+	v.Add("'s")
+	toks, ids := v.Tokenize(s, []uint32{7})
+	if !reflect.DeepEqual(toks, got) || len(ids) != 1+len(toks) || ids[0] != 7 {
+		t.Fatalf("Vocab.Tokenize(%q) = %q, %v; want %q after the ID kept", s, toks, ids, got)
+	}
+	for i, tok := range toks {
+		if ids[1+i] != v.ID(tok) {
+			t.Fatalf("Vocab.Tokenize(%q): %q has ID %d, the vocabulary says %d", s, tok, ids[1+i], v.ID(tok))
+		}
 	}
 	joined := Join(got)
 	if again := Tokenize(joined); !reflect.DeepEqual(again, got) {
