@@ -484,7 +484,7 @@ func main() {
 	shards := flag.Int("shards", 0, "RDF store subject-hash shards (0 = default 4, 1 = one shard)")
 	shardServers := flag.String("shard-servers", "", "comma-separated kbqa-shard addresses; when set, knowledge-base index reads are served remotely (every server must have loaded the same world)")
 	shardReplicas := flag.Int("shard-replicas", 2, "replication factor of the shard placement")
-	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (must hold the world the other flags describe; exclusive with -shard-servers)")
+	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (refused unless its world digest equals that of the world the other flags describe; exclusive with -shard-servers)")
 	kbSave := flag.String("kb-save", "", "after building, write the knowledge base as a snapshot image to this path")
 	traceSample := flag.Float64("trace-sample", 0, "probability [0,1] that a request trace is retained for /debug/traces")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "always capture and log traces of requests at or above this duration (0 = off)")

@@ -19,13 +19,15 @@
 // from such an image instead of generating, memory-mapping the file so the
 // world is served pages-on-demand (and shared between replicas on one
 // host). With -kb-image the generation flags (-flavor, -seed, -scale,
-// -shards) are ignored — the image is the world, and the fingerprint
-// handshake still guarantees it matches what the frontends built.
+// -shards) are ignored — the image is the world. Either way the handshake
+// refuses a frontend that built another world, down to one triple: it
+// compares the frontend's world digest with this world's.
 package main
 
 import (
 	"context"
 	"flag"
+	"fmt"
 	"net"
 	"os"
 	"os/signal"
@@ -60,17 +62,18 @@ func main() {
 	}
 
 	var store rdf.Graph
+	var digest uint64
 	if *kbImage != "" {
 		if *kbSave != "" {
 			fatal("-kb-save needs a generated world; it cannot be combined with -kb-image")
 		}
 		logger.Info("mapping world image", obs.F("path", *kbImage))
-		im, err := snapshot.OpenImage(*kbImage, snapshot.OpenOptions{})
+		im, err := snapshot.OpenImage(*kbImage)
 		if err != nil {
 			fatal("open kb image", obs.F("path", *kbImage), obs.F("error", err.Error()))
 		}
 		defer im.Close()
-		store = im
+		store, digest = im, im.Digest()
 	} else {
 		f, err := kbgen.ParseFlavor(*flavor)
 		if err != nil {
@@ -79,13 +82,12 @@ func main() {
 		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed),
 			obs.F("scale", *scale), obs.F("shards", *shards))
 		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards}).Store
-		store = gen
+		store, digest = gen, snapshot.Digest(gen)
 		if *kbSave != "" {
 			if err := snapshot.WriteImageFile(*kbSave, gen); err != nil {
 				fatal("save kb image", obs.F("path", *kbSave), obs.F("error", err.Error()))
 			}
-			logger.Info("world image saved", obs.F("path", *kbSave),
-				obs.F("fingerprint", rdf.WorldFingerprint(store)))
+			logger.Info("world image saved", obs.F("path", *kbSave))
 		}
 	}
 
@@ -110,11 +112,11 @@ func main() {
 		}
 	}
 
-	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{Owns: owns, Logger: logger})
+	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Owns: owns, Logger: logger})
 	st := srv.Stats()
 	logger.Info("world ready", obs.F("triples", st.Triples),
 		obs.F("shards", st.NumShards), obs.F("owned", len(st.Owned)),
-		obs.F("fingerprint", rdf.WorldFingerprint(store)))
+		obs.F("digest", fmt.Sprintf("%016x", digest)))
 
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {

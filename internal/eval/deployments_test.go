@@ -20,10 +20,11 @@ import (
 	"repro/internal/shardrpc"
 )
 
-// startShardServer runs an own-all shardrpc server on a loopback listener.
-func startShardServer(t *testing.T, store rdf.Graph) (string, *shardrpc.Server) {
+// startShardServer runs an own-all shardrpc server over store, a world
+// whose digest is digest, on a loopback listener.
+func startShardServer(t *testing.T, store rdf.Graph, digest uint64) (string, *shardrpc.Server) {
 	t.Helper()
-	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
+	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{})
 	if d, ok := store.(*dyingStore); ok {
 		d.srv = srv
 	}
@@ -40,16 +41,16 @@ func startShardServer(t *testing.T, store rdf.Graph) (string, *shardrpc.Server) 
 // of the first server. dying, when non-nil, is armed instead: the next
 // server to execute a read dies inside it.
 func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, func()) {
-	store := w.KB.Store
-	addrA, srvA := startShardServer(t, dying.wrap(store))
-	addrB, srvB := startShardServer(t, dying.wrap(store))
+	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)
+	addrA, srvA := startShardServer(t, dying.wrap(store), digest)
+	addrB, srvB := startShardServer(t, dying.wrap(store), digest)
 	t.Cleanup(srvA.Close)
 	t.Cleanup(srvB.Close)
 	pl, err := shardrpc.NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Placement: pl, Digest: digest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +135,21 @@ var deployments = []struct {
 		}
 		return core.NewEngine(st, core.LocalIndex(st), w.KB.Taxonomy, w.Model, w.Stats), nil
 	}},
-	// A memory-mapped snapshot image, opened with the built world's
-	// fingerprint; IDs are preserved verbatim.
+	// A memory-mapped snapshot image, checked against the built world's
+	// digest; IDs are preserved verbatim.
 	{"image", func(t *testing.T, w *World) (*core.Engine, func()) {
 		path := filepath.Join(t.TempDir(), "world.img")
 		if err := snapshot.WriteImageFile(path, w.KB.Store); err != nil {
 			t.Fatal(err)
 		}
-		im, err := snapshot.OpenImage(path, snapshot.OpenOptions{
-			ExpectFingerprint: rdf.WorldFingerprint(w.KB.Store),
-			ExpectShards:      w.KB.Store.NumShards(),
-		})
+		im, err := snapshot.OpenImage(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { im.Close() })
+		if im.Digest() != snapshot.Digest(w.KB.Store) {
+			t.Fatal("the image holds another world")
+		}
 		return core.NewEngine(im, core.LocalIndex(im), w.KB.Taxonomy, w.Model, w.Stats), nil
 	}},
 	// Probing through networked shard servers.
@@ -287,8 +288,8 @@ func askVariant(e *core.Engine, q string) (core.VariantAnswer, bool, error) {
 // context's error, instead of fanning out doomed RPCs.
 func TestDistributedEngineHonorsDeadline(t *testing.T) {
 	w := BuildWorld(DefaultWorldConfig(kbgen.Freebase))
-	store := w.KB.Store
-	addr, srv := startShardServer(t, store)
+	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)
+	addr, srv := startShardServer(t, store, digest)
 	defer srv.Close()
 
 	pl, err := shardrpc.NewPlacement([]string{addr}, store.NumShards(), 1)
@@ -296,8 +297,8 @@ func TestDistributedEngineHonorsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{
-		Placement:   pl,
-		Fingerprint: rdf.WorldFingerprint(store),
+		Placement: pl,
+		Digest:    digest,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func TestLexiconEqualsReferenceLoop(t *testing.T) {
 	if err := snapshot.WriteImageFile(path, kb.Store); err != nil {
 		t.Fatal(err)
 	}
-	im, err := snapshot.OpenImage(path, snapshot.OpenOptions{})
+	im, err := snapshot.OpenImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}

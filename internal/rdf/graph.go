@@ -77,7 +77,6 @@ type Graph interface {
 	Entities() []ID
 	PredName(p PID) string
 	PredID(name string) (PID, bool)
-	NumPredicates() int
 	NumTriples() int
 	// NumShards is the subject-hash shard count (ShardIndex).
 	NumShards() int

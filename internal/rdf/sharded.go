@@ -1,8 +1,6 @@
 package rdf
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
@@ -267,19 +265,4 @@ func (ss *ShardedStore) SubjectTriples(subj ID, fn func(Triple)) {
 // per-shard half of a scatter/gather Subjects.
 func (ss *ShardedStore) ShardSubjects(i int, pred PID, obj ID) []ID {
 	return ss.shards[i].pos[pred][obj]
-}
-
-// WorldFingerprint summarizes the identity of a loaded world. Every
-// consumer that exchanges raw interned IDs across a boundary — the
-// shardrpc handshake, the snapshot image header — must agree on it; the
-// counts pin the world tightly enough in practice because generation is
-// deterministic in the seed.
-func WorldFingerprint(g Graph) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range []int{g.NumNodes(), g.NumPredicates(), g.NumTriples(), g.NumShards()} {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }

@@ -6,14 +6,16 @@
 // the mapped bytes — no parsing, no re-interning, no per-triple work — so a
 // shard server or frontend boots in roughly the time it takes to check one
 // sequential pass over the file. The offline phase reads the store an image
-// is written from, never an image; the per-shard so sections (S→O→P) are
-// still written and validated, though nothing reads them.
+// is written from, never an image, so the image holds only what rdf.Graph
+// reads.
 //
-// The header carries the same world fingerprint the shardrpc handshake
-// exchanges, so a mismatched image fails fast at open exactly like a
-// mismatched world fails at the handshake. Node and predicate IDs are preserved
-// verbatim from the source store: an engine, taxonomy, or model built
-// against the original world works unchanged against the image.
+// The section table is the world's identity: Digest folds each section's
+// kind, shard, length and CRC-32 in table order, off a store or off an
+// image's verified table, so worlds differing in one triple differ. The
+// shardrpc handshake, kbqa's image check and the answer cache's keys all
+// compare it. Node and predicate IDs are preserved verbatim from the source
+// store: an engine, taxonomy, or model built against the original world
+// works unchanged against the image.
 //
 // Unlike the segment log there is no torn-tail recovery: an image is
 // all-or-nothing, so a truncated or bit-flipped file is rejected at open
@@ -25,13 +27,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 )
 
 const (
 	// imgMagic opens every image file.
 	imgMagic = "KBQAIMG1"
-	// imgVersion is the format version; readers reject anything else.
-	imgVersion = 1
+	// imgVersion is the format version; readers reject anything else. 2
+	// dropped the header's stored fingerprint and the per-shard S→O
+	// sections.
+	imgVersion = 2
 	// maxSections bounds the section table against corrupt headers.
 	maxSections = 1 << 20
 )
@@ -53,12 +58,9 @@ const (
 	secShardSubj   = uint32(12) // per shard: u32 subject IDs, ascending
 	secShardEdgOff = uint32(13) // per shard: (nsubj+1) u64 offsets into secShardEdges, in pair units
 	secShardEdges  = uint32(14) // per shard: (u32 pred, u32 obj) pairs, canonical per-subject order
-	secShardSOKeys = uint32(15) // per shard: (u32 subj, u32 obj) pairs, sorted
-	secShardSOOffs = uint32(16) // per shard: (nSO+1) u64 offsets into secShardSOPids, in PID units
-	secShardSOPids = uint32(17) // per shard: u32 PIDs, insertion order per (subj,obj)
-	secShardPOKeys = uint32(18) // per shard: (u32 pred, u32 obj) pairs, sorted
-	secShardPOOffs = uint32(19) // per shard: (nPO+1) u64 offsets into secShardPOSubj, in ID units
-	secShardPOSubj = uint32(20) // per shard: u32 subject IDs, insertion order per (pred,obj)
+	secShardPOKeys = uint32(15) // per shard: (u32 pred, u32 obj) pairs, sorted
+	secShardPOOffs = uint32(16) // per shard: (nPO+1) u64 offsets into secShardPOSubj, in ID units
+	secShardPOSubj = uint32(17) // per shard: u32 subject IDs, insertion order per (pred,obj)
 )
 
 // noShard marks a global section in the table.
@@ -66,17 +68,16 @@ const noShard = ^uint32(0)
 
 // header is the decoded fixed-size prefix plus section table.
 //
-//	magic (8) | u32 version | u32 numShards | u64 fingerprint |
+//	magic (8) | u32 version | u32 numShards |
 //	u64 numNodes | u64 numPreds | u64 numTriples | u32 sectionCount |
 //	sectionCount × { u32 kind | u32 shard | u64 off | u64 len | u32 crc } |
 //	u32 headerCRC
 type header struct {
-	numShards   int
-	fingerprint uint64
-	numNodes    int
-	numPreds    int
-	numTriples  int
-	sections    []sectionEntry
+	numShards  int
+	numNodes   int
+	numPreds   int
+	numTriples int
+	sections   []sectionEntry
 }
 
 type sectionEntry struct {
@@ -88,7 +89,8 @@ type sectionEntry struct {
 }
 
 const (
-	fixedHeaderLen  = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 4
+	fixedHeaderLen  = 8 + 4 + 4 + 8 + 8 + 8 + 4
+	sectionCountOff = fixedHeaderLen - 4
 	sectionEntryLen = 4 + 4 + 8 + 8 + 4
 )
 
@@ -101,7 +103,6 @@ func (h *header) encode() []byte {
 	b = append(b, imgMagic...)
 	b = binary.LittleEndian.AppendUint32(b, imgVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.numShards))
-	b = binary.LittleEndian.AppendUint64(b, h.fingerprint)
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numNodes))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numPreds))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numTriples))
@@ -130,11 +131,10 @@ func decodeHeader(data []byte) (header, error) {
 		return h, fmt.Errorf("snapshot: unsupported image version %d", v)
 	}
 	h.numShards = int(binary.LittleEndian.Uint32(data[12:]))
-	h.fingerprint = binary.LittleEndian.Uint64(data[16:])
-	h.numNodes = int(binary.LittleEndian.Uint64(data[24:]))
-	h.numPreds = int(binary.LittleEndian.Uint64(data[32:]))
-	h.numTriples = int(binary.LittleEndian.Uint64(data[40:]))
-	n := int(binary.LittleEndian.Uint32(data[48:]))
+	h.numNodes = int(binary.LittleEndian.Uint64(data[16:]))
+	h.numPreds = int(binary.LittleEndian.Uint64(data[24:]))
+	h.numTriples = int(binary.LittleEndian.Uint64(data[32:]))
+	n := int(binary.LittleEndian.Uint32(data[sectionCountOff:]))
 	if n < 0 || n > maxSections {
 		return h, fmt.Errorf("snapshot: implausible section count %d", n)
 	}
@@ -158,4 +158,19 @@ func decodeHeader(data []byte) (header, error) {
 		}
 	}
 	return h, nil
+}
+
+// digest folds a section table's entries, in order, into the world's
+// identity; offsets follow from the lengths.
+func digest(table []sectionEntry) uint64 {
+	h := fnv.New64a()
+	var b [20]byte
+	for _, s := range table {
+		binary.LittleEndian.PutUint32(b[0:], s.kind)
+		binary.LittleEndian.PutUint32(b[4:], s.shard)
+		binary.LittleEndian.PutUint64(b[8:], s.len)
+		binary.LittleEndian.PutUint32(b[16:], s.crc)
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }

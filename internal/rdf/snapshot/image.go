@@ -13,19 +13,9 @@ import (
 	"repro/internal/text"
 )
 
-// OpenOptions configures the fail-fast checks at open.
-type OpenOptions struct {
-	// ExpectFingerprint, when nonzero, requires the image's world
-	// fingerprint to match exactly — the same check the shardrpc handshake
-	// makes, moved to boot time.
-	ExpectFingerprint uint64
-	// ExpectShards, when nonzero, requires the image's shard count.
-	ExpectShards int
-}
-
 // Image is a read-only knowledge base served directly from a mapped
 // snapshot file. It implements rdf.Graph, the online read API, and nothing
-// beyond it but Close, so the engine and shardrpc.Server run on it
+// beyond it but Close and Digest, so the engine and shardrpc.Server run on it
 // unchanged; the offline phase reads the rdf.ShardedStore it was written
 // from. An Image is safe for concurrent readers; Close unmaps the file,
 // after which no method may be called.
@@ -33,10 +23,10 @@ type Image struct {
 	data  []byte
 	unmap func([]byte) error
 
-	fingerprint uint64
-	numNodes    int
-	numPreds    int
-	numTriples  int
+	digest     uint64
+	numNodes   int
+	numPreds   int
+	numTriples int
 
 	labelBytes, labelOffs, kinds    []byte
 	predBytes, predOffs, predSorted []byte
@@ -51,9 +41,6 @@ type imageShard struct {
 	subjects []byte // u32 subject IDs, ascending
 	edgeOffs []byte // (nsubj+1) u64, pair units
 	edges    []byte // (u32 pred, u32 obj) pairs
-	soKeys   []byte // (u32 subj, u32 obj) pairs, sorted
-	soOffs   []byte // (nSO+1) u64, PID units
-	soPids   []byte // u32 PIDs
 	poKeys   []byte // (u32 pred, u32 obj) pairs, sorted
 	poOffs   []byte // (nPO+1) u64, ID units
 	poSubjs  []byte // u32 subject IDs
@@ -63,12 +50,13 @@ func u32at(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i*4:]) 
 func u64at(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
 
 // OpenImage maps the image at path and verifies it completely — header
-// checksum, every section checksum, structural consistency, and the world
-// fingerprint — before returning. A truncated, bit-flipped, or mismatched
-// image is rejected here, never part-served. The verification is one
-// sequential pass (which also pages the mapping in), so boot cost is
-// approximately the file's read bandwidth, not its parse cost.
-func OpenImage(path string, opts OpenOptions) (*Image, error) {
+// checksum, every section checksum and structural consistency — before
+// returning. A truncated or bit-flipped image is rejected here, never
+// part-served; whether it holds the world the caller expects is the
+// caller's comparison of Digest. The verification is one sequential pass
+// (which also pages the mapping in), so boot cost is approximately the
+// file's read bandwidth, not its parse cost.
+func OpenImage(path string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: open image: %w", err)
@@ -87,17 +75,12 @@ func OpenImage(path string, opts OpenOptions) (*Image, error) {
 		unmap(data)
 		return nil, err
 	}
-	if opts.ExpectShards != 0 && opts.ExpectShards != im.NumShards() {
-		unmap(data)
-		return nil, fmt.Errorf("snapshot: image has %d shards, want %d", im.NumShards(), opts.ExpectShards)
-	}
-	if opts.ExpectFingerprint != 0 && opts.ExpectFingerprint != im.fingerprint {
-		unmap(data)
-		return nil, fmt.Errorf("snapshot: image fingerprint %016x, want %016x (different world)",
-			im.fingerprint, opts.ExpectFingerprint)
-	}
 	return im, nil
 }
+
+// Digest is the identity of the world the image holds, folded off its
+// verified section table: equal to Digest of the store it was written from.
+func (im *Image) Digest() uint64 { return im.digest }
 
 // newImage decodes, checksums and structurally validates the mapped bytes.
 func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
@@ -113,13 +96,13 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 		return nil, fmt.Errorf("snapshot: implausible counts: %d nodes, %d predicates", hdr.numNodes, hdr.numPreds)
 	}
 	im := &Image{
-		data:        data,
-		unmap:       unmap,
-		fingerprint: hdr.fingerprint,
-		numNodes:    hdr.numNodes,
-		numPreds:    hdr.numPreds,
-		numTriples:  hdr.numTriples,
-		shards:      make([]imageShard, hdr.numShards),
+		data:       data,
+		unmap:      unmap,
+		digest:     digest(hdr.sections),
+		numNodes:   hdr.numNodes,
+		numPreds:   hdr.numPreds,
+		numTriples: hdr.numTriples,
+		shards:     make([]imageShard, hdr.numShards),
 	}
 	seen := make(map[[2]uint32]bool, len(hdr.sections))
 	for _, s := range hdr.sections {
@@ -143,13 +126,6 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 	if err := im.validate(); err != nil {
 		return nil, err
 	}
-	// The stored fingerprint must be the fingerprint of the world the
-	// sections actually describe — the image is now fully decoded, so
-	// recompute it the same way every other consumer does.
-	if got := rdf.WorldFingerprint(im); got != im.fingerprint {
-		return nil, fmt.Errorf("snapshot: stored fingerprint %016x does not match content %016x",
-			im.fingerprint, got)
-	}
 	return im, nil
 }
 
@@ -166,12 +142,6 @@ func (im *Image) attach(kind, shard uint32, body []byte) error {
 			sh.edgeOffs = body
 		case secShardEdges:
 			sh.edges = body
-		case secShardSOKeys:
-			sh.soKeys = body
-		case secShardSOOffs:
-			sh.soOffs = body
-		case secShardSOPids:
-			sh.soPids = body
 		case secShardPOKeys:
 			sh.poKeys = body
 		case secShardPOOffs:
@@ -257,12 +227,11 @@ func (im *Image) validate() error {
 // validateShard is validate for shard i's sections.
 func (im *Image) validateShard(i int) error {
 	sh := &im.shards[i]
-	if len(sh.subjects)%4 != 0 || len(sh.soKeys)%8 != 0 || len(sh.poKeys)%8 != 0 {
+	if len(sh.subjects)%4 != 0 || len(sh.poKeys)%8 != 0 {
 		return fmt.Errorf("ragged subject or key section")
 	}
 	nsubj := len(sh.subjects) / 4
 	if err := errors.Join(offTable("edge", sh.edgeOffs, nsubj, 8, sh.edges),
-		offTable("so", sh.soOffs, len(sh.soKeys)/8, 4, sh.soPids),
 		offTable("pos", sh.poOffs, len(sh.poKeys)/8, 4, sh.poSubjs),
 		below("pos subject", sh.poSubjs, im.numNodes)); err != nil {
 		return err
@@ -399,8 +368,6 @@ func (im *Image) PredID(name string) (rdf.PID, bool) {
 	}
 	return 0, false
 }
-
-func (im *Image) NumPredicates() int { return im.numPreds }
 
 // --- index access paths ---
 

@@ -31,7 +31,7 @@ func writeTestImage(t testing.TB, ss *rdf.ShardedStore) string {
 
 func openTestImage(t testing.TB, path string) *Image {
 	t.Helper()
-	im, err := OpenImage(path, OpenOptions{})
+	im, err := OpenImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,8 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 			}
 		})
 	}
-	im := rows[3].g.(*Image)
-	if got, want := im.fingerprint, rdf.WorldFingerprint(four); got != want {
-		t.Fatalf("fingerprint %016x, want %016x", got, want)
+	if got, want := rows[3].g.(*Image).Digest(), Digest(four); got != want {
+		t.Fatalf("image digest %016x, want the store's %016x", got, want)
 	}
 }
 
@@ -130,14 +129,13 @@ func scan(f func(func(rdf.Triple))) []rdf.Triple {
 	return out
 }
 
-// check runs the online read API — the twelve rdf.Graph methods and the
+// check runs the online read API — the eleven rdf.Graph methods and the
 // free functions over them — against the model.
 func (m *model) check(t *testing.T, g rdf.Graph) {
 	t.Helper()
 	n := g.NumShards()
-	if g.NumNodes() != m.sym.NumNodes() || g.NumPredicates() != m.sym.NumPredicates() || g.NumTriples() != len(m.triples) {
-		t.Fatalf("counts (%d,%d,%d), want (%d,%d,%d)", g.NumNodes(), g.NumPredicates(), g.NumTriples(),
-			m.sym.NumNodes(), m.sym.NumPredicates(), len(m.triples))
+	if g.NumNodes() != m.sym.NumNodes() || g.NumTriples() != len(m.triples) {
+		t.Fatalf("counts (%d,%d), want (%d,%d)", g.NumNodes(), g.NumTriples(), m.sym.NumNodes(), len(m.triples))
 	}
 
 	// Interning lookups.
@@ -188,7 +186,7 @@ func (m *model) check(t *testing.T, g rdf.Graph) {
 			t.Fatalf("ShardSubjects(%d,%d,%d) = %v, want %v", rdf.ShardIndex(tr.S, n), tr.P, tr.O, got, inShard)
 		}
 	}
-	if g.Objects(0, rdf.PID(g.NumPredicates()-1)) != nil || rdf.Subjects(g, 0, 0) != nil {
+	if g.Objects(0, rdf.PID(m.sym.NumPredicates()-1)) != nil || rdf.Subjects(g, 0, 0) != nil {
 		t.Fatal("absent lookups are not nil")
 	}
 
@@ -357,7 +355,7 @@ func TestOpenImageRejectsTruncation(t *testing.T) {
 		if err := os.WriteFile(trunc, orig[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if im, err := OpenImage(trunc, OpenOptions{}); err == nil {
+		if im, err := OpenImage(trunc); err == nil {
 			im.Close()
 			t.Fatalf("accepted image truncated to %d of %d bytes", n, len(orig))
 		}
@@ -382,35 +380,80 @@ func TestOpenImageRejectsBitFlips(t *testing.T) {
 		if err := os.WriteFile(flip, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if im, err := OpenImage(flip, OpenOptions{}); err == nil {
+		if im, err := OpenImage(flip); err == nil {
 			im.Close()
 			t.Fatalf("accepted image with bit flipped at offset %d", off)
 		}
 	}
 }
 
+// TestOpenImageRejectsWrongWorld: an image of one world must not pass for
+// another. A caller decides by comparing Image.Digest with the Digest of
+// the world it expects: another seed, or the same world under another
+// shard count, compares unequal; the world the image was written from
+// compares equal.
 func TestOpenImageRejectsWrongWorld(t *testing.T) {
 	ss := testWorld(t)
-	path := writeTestImage(t, ss)
+	im := openTestImage(t, writeTestImage(t, ss))
 
-	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5, Shards: 4})
-	otherSS := other.Store
-	wrongFP := rdf.WorldFingerprint(otherSS)
-	if _, err := OpenImage(path, OpenOptions{ExpectFingerprint: wrongFP}); err == nil {
-		t.Fatal("accepted image from a different world")
+	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5, Shards: 4}).Store
+	if Digest(other) == im.Digest() {
+		t.Fatal("an image of another world has the expected digest")
 	}
-	if _, err := OpenImage(path, OpenOptions{ExpectShards: ss.NumShards() + 1}); err == nil {
-		t.Fatal("accepted image with wrong shard count")
+	resharded := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: ss.NumShards() + 1}).Store
+	if Digest(resharded) == im.Digest() {
+		t.Fatal("an image with another shard count has the expected digest")
 	}
-	// The real fingerprint and shard count open fine.
-	im, err := OpenImage(path, OpenOptions{
-		ExpectFingerprint: rdf.WorldFingerprint(ss),
-		ExpectShards:      ss.NumShards(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := im.Digest(), Digest(ss); got != want {
+		t.Fatalf("image digest %016x, want the store's %016x", got, want)
 	}
-	im.Close()
+}
+
+// twinWorlds returns two stores that agree on every count — nodes,
+// predicates, triples, shards — and differ in one triple's object.
+func twinWorlds() (a, b *rdf.ShardedStore) {
+	twin := func(obj string) *rdf.ShardedStore {
+		s := fuzzWorld()
+		s.Add(s.Entity("ada"), s.Pred("spouse"), s.Entity(obj))
+		return s
+	}
+	return twin("bob"), twin("paris")
+}
+
+// TestDigestSeesOneObject: two worlds with every count equal that differ in
+// one triple's object have different digests, as stores and as images.
+func TestDigestSeesOneObject(t *testing.T) {
+	a, b := twinWorlds()
+	if a.NumNodes() != b.NumNodes() || a.NumPredicates() != b.NumPredicates() ||
+		a.NumTriples() != b.NumTriples() || a.NumShards() != b.NumShards() {
+		t.Fatal("the twins' counts differ: the check is vacuous")
+	}
+	if Digest(a) == Digest(b) {
+		t.Fatalf("worlds differing in one object share the digest %016x", Digest(a))
+	}
+	if openTestImage(t, writeTestImage(t, a)).Digest() == openTestImage(t, writeTestImage(t, b)).Digest() {
+		t.Fatal("images of worlds differing in one object share a digest")
+	}
+}
+
+// TestDigestEqualsImageDigest: for every flavor and shard layout, a
+// store's digest is the digest of the image written from it, and the one-
+// and four-shard layouts of one world are different worlds.
+func TestDigestEqualsImageDigest(t *testing.T) {
+	for _, f := range []kbgen.Flavor{kbgen.KBA, kbgen.Freebase, kbgen.DBpedia} {
+		byShards := map[int]uint64{}
+		for _, shards := range []int{1, 4} {
+			ss := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: f, Scale: 6, Shards: shards}).Store
+			d := Digest(ss)
+			if got := openTestImage(t, writeTestImage(t, ss)).Digest(); got != d {
+				t.Errorf("%v/%d shards: image digest %016x, store digest %016x", f, shards, got, d)
+			}
+			byShards[shards] = d
+		}
+		if byShards[1] == byShards[4] {
+			t.Errorf("%v: the 1- and 4-shard layouts share the digest %016x", f, byShards[1])
+		}
+	}
 }
 
 func TestWriteImageFilePublishesAtomically(t *testing.T) {
@@ -422,7 +465,7 @@ func TestWriteImageFilePublishesAtomically(t *testing.T) {
 	}
 	// Overwrite in place: the previous image must stay openable throughout,
 	// and no temp files may be left behind.
-	im, err := OpenImage(path, OpenOptions{})
+	im, err := OpenImage(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func reseal(img []byte) {
 	if len(img) < fixedHeaderLen {
 		return
 	}
-	n := int(binary.LittleEndian.Uint32(img[48:]))
+	n := int(binary.LittleEndian.Uint32(img[sectionCountOff:]))
 	end := fixedHeaderLen + n*sectionEntryLen
 	if n > maxSections || end+4 > len(img) {
 		return
@@ -155,7 +155,7 @@ func TestOpenImageRejectsMalformedSections(t *testing.T) {
 			if err := os.WriteFile(path, img, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			im, err := OpenImage(path, OpenOptions{})
+			im, err := OpenImage(path)
 			if err == nil {
 				im.Close()
 				t.Fatal("opened a malformed image")
@@ -211,6 +211,7 @@ func FuzzOpenImageResealed(f *testing.F) {
 	for i := range hdr.sections {
 		f.Add(uint16(i), uint32(0), []byte{0xff, 0xff, 0xff, 0x7f})
 		f.Add(uint16(i), uint32(4), []byte{1})
+		f.Add(uint16(i), uint32(8), make([]byte, 8))
 	}
 	f.Add(uint16(len(hdr.sections)), uint32(12), []byte{3})
 	f.Fuzz(func(t *testing.T, sec uint16, off uint32, patch []byte) {
@@ -242,7 +243,7 @@ func FuzzOpenImageResealed(f *testing.F) {
 			label(im.NodesByLabel(im.Label(id)))
 		}
 		label(im.Entities())
-		for p := rdf.PID(0); int(p) < im.NumPredicates(); p++ {
+		for p := rdf.PID(0); int(p) < im.numPreds; p++ {
 			im.PredID(im.PredName(p))
 			for id := rdf.ID(0); int(id) < im.NumNodes(); id++ {
 				label(im.Objects(id, p))

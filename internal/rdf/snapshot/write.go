@@ -21,22 +21,11 @@ import (
 func WriteImage(w io.Writer, src *rdf.ShardedStore) error {
 	img := buildSections(src)
 	hdr := header{
-		numShards:   src.NumShards(),
-		fingerprint: rdf.WorldFingerprint(src),
-		numNodes:    src.NumNodes(),
-		numPreds:    src.NumPredicates(),
-		numTriples:  src.NumTriples(),
-	}
-	off := uint64(fixedHeaderLen + len(img)*sectionEntryLen + 4)
-	for _, s := range img {
-		hdr.sections = append(hdr.sections, sectionEntry{
-			kind:  s.kind,
-			shard: s.shard,
-			off:   off,
-			len:   uint64(len(s.data)),
-			crc:   crc32.ChecksumIEEE(s.data),
-		})
-		off += uint64(len(s.data))
+		numShards:  src.NumShards(),
+		numNodes:   src.NumNodes(),
+		numPreds:   src.NumPredicates(),
+		numTriples: src.NumTriples(),
+		sections:   table(img),
 	}
 	if _, err := w.Write(hdr.encode()); err != nil {
 		return fmt.Errorf("snapshot: write header: %w", err)
@@ -47,6 +36,24 @@ func WriteImage(w io.Writer, src *rdf.ShardedStore) error {
 		}
 	}
 	return nil
+}
+
+// Digest is the identity of the world src holds: the digest of the section
+// table WriteImage would write for it, so it equals the Digest of the
+// image written from src. It builds the sections to checksum them — one
+// pass over the store, run once per boot.
+func Digest(src *rdf.ShardedStore) uint64 { return digest(table(buildSections(src))) }
+
+// table lays img out behind the header: one entry per section, at the
+// offset WriteImage writes it to.
+func table(img []section) []sectionEntry {
+	out := make([]sectionEntry, len(img))
+	off := uint64(fixedHeaderLen + len(img)*sectionEntryLen + 4)
+	for i, s := range img {
+		out[i] = sectionEntry{kind: s.kind, shard: s.shard, off: off, len: uint64(len(s.data)), crc: crc32.ChecksumIEEE(s.data)}
+		off += out[i].len
+	}
+	return out
 }
 
 // WriteImageFile writes the image to path with the atomic-publish idiom of
@@ -72,9 +79,8 @@ func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUin
 
 // buildSections walks the store through its exported methods, in the
 // deterministic orders they guarantee, so every ordering the in-memory
-// store promises (insertion-order object lists, insertion-order
-// PredicatesBetween and ShardSubjects, ascending scans) is frozen into the
-// file verbatim.
+// store promises (insertion-order object lists and ShardSubjects,
+// ascending scans) is frozen into the file verbatim.
 func buildSections(src *rdf.ShardedStore) []section {
 	numNodes := src.NumNodes()
 	numPreds := src.NumPredicates()
@@ -180,38 +186,15 @@ func buildShardSections(src *rdf.ShardedStore, i int) []section {
 	var edges []byte
 	edgeOffs := appendU64(make([]byte, 0, (len(subjects)+1)*8), 0)
 	nPairs := uint64(0)
-	var soKeys, soOffs, soPids []byte
-	soOffs = appendU64(soOffs, 0)
-	nSOPids := uint64(0)
 	poSeen := make(map[predObj]bool)
-
-	objScratch := make([]rdf.ID, 0, 64)
 	for _, subj := range subjects {
-		objScratch = objScratch[:0]
 		src.SubjectTriples(subj, func(t rdf.Triple) {
 			edges = appendU32(edges, uint32(t.P))
 			edges = appendU32(edges, uint32(t.O))
 			nPairs++
-			objScratch = append(objScratch, t.O)
 			poSeen[predObj{t.P, t.O}] = true
 		})
 		edgeOffs = appendU64(edgeOffs, nPairs)
-
-		// Distinct objects of this subject, ascending, each carrying its
-		// verbatim (insertion-ordered) PredicatesBetween list.
-		sort.Slice(objScratch, func(a, b int) bool { return objScratch[a] < objScratch[b] })
-		for j, obj := range objScratch {
-			if j > 0 && obj == objScratch[j-1] {
-				continue
-			}
-			soKeys = appendU32(soKeys, uint32(subj))
-			soKeys = appendU32(soKeys, uint32(obj))
-			for _, p := range src.PredicatesBetween(subj, obj) {
-				soPids = appendU32(soPids, uint32(p))
-				nSOPids++
-			}
-			soOffs = appendU64(soOffs, nSOPids)
-		}
 	}
 
 	poKeys := make([]predObj, 0, len(poSeen))
@@ -242,9 +225,6 @@ func buildShardSections(src *rdf.ShardedStore, i int) []section {
 		{kind: secShardSubj, shard: sh, data: subjSec},
 		{kind: secShardEdgOff, shard: sh, data: edgeOffs},
 		{kind: secShardEdges, shard: sh, data: edges},
-		{kind: secShardSOKeys, shard: sh, data: soKeys},
-		{kind: secShardSOOffs, shard: sh, data: soOffs},
-		{kind: secShardSOPids, shard: sh, data: soPids},
 		{kind: secShardPOKeys, shard: sh, data: poKeySec},
 		{kind: secShardPOOffs, shard: sh, data: poOffs},
 		{kind: secShardPOSubj, shard: sh, data: poSubjs},

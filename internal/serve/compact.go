@@ -177,7 +177,7 @@ func (l *diskLog[A]) rotateAndMerge() {
 // same way and stays memory-only.
 func (l *diskLog[A]) writeBase(resident []liveEntry[A]) (live int, err error) {
 	err = safeio.PublishFile(l.basePath(), func(w *bufio.Writer) error {
-		writeSegHeader(w, l.meta)
+		writeSegHeader(w)
 		now := time.Now()
 		for _, le := range resident {
 			if !l.alive(le.e, now) {

@@ -63,7 +63,6 @@ type diskLog[A any] struct {
 	mem   *answerCache[A] // the runtime's cache; compaction snapshots it
 	codec Codec[A]
 	dir   string
-	meta  string
 	ttl   time.Duration
 	// rotateEvery is the appended-bytes threshold at which the merger
 	// rotates the active segment, bounding segment growth and replay.
@@ -102,15 +101,13 @@ type LogOptions[A any] struct {
 	// Dir is the directory holding the segment files and the lock file;
 	// created if absent.
 	Dir string
-	// Meta fingerprints the lineage of the answers (world identity). A
-	// segment written under a different Meta is discarded at open instead
-	// of replayed — a cache directory can never poison a different system.
-	Meta string
-	// ModelTag is how the caller leads the fingerprints it hands Do for the
-	// model it runs at open: replay keeps only entries whose key starts
-	// with it, so answers another model computed are dropped instead of
-	// served. No tag may be a prefix of another (a fixed width does it).
-	// Empty keeps every entry.
+	// ModelTag is how the caller leads the fingerprints it hands Do for
+	// what computes its answers at open — kbqa folds the world's digest
+	// and the model into it: replay keeps only entries whose key starts
+	// with it, so answers another world or model computed are dropped
+	// instead of served, and a cache directory can never poison a
+	// different system. No tag may be a prefix of another (a fixed width
+	// does it). Empty keeps every entry.
 	ModelTag string
 	// SyncEvery is the period of the background fsync of the active
 	// segment: an answer is durable within SyncEvery of being computed.
@@ -172,7 +169,6 @@ func openDiskLog[A any](mem *answerCache[A], ttl time.Duration, o LogOptions[A])
 		mem:         mem,
 		codec:       o.Codec,
 		dir:         o.Dir,
-		meta:        o.Meta,
 		ttl:         ttl,
 		rotateEvery: defaultRotateEvery,
 		lock:        lock,
@@ -266,7 +262,7 @@ func (l *diskLog[A]) segmentFiles() (files []string, nextSeq uint64) {
 // replay is the log's only reader, and runs only at open: it scans the
 // given segment files in order and returns the live entries — last record
 // per key in first-seen order, keys starting with tag only, TTL-live only.
-// A missing file, a foreign magic/meta header, or a corrupt prefix
+// A missing file, a foreign magic, or a corrupt prefix
 // contributes nothing; a corrupt or torn tail keeps that file's valid
 // prefix.
 func (l *diskLog[A]) replay(files []string, tag string) ([]liveEntry[A], error) {
@@ -284,7 +280,7 @@ func (l *diskLog[A]) replay(files []string, tag string) ([]liveEntry[A], error) 
 		}
 		defer f.Close()
 		br := bufio.NewReader(f)
-		if !readSegHeader(br, l.meta) {
+		if !readSegHeader(br) {
 			return nil // foreign or mangled segment: contributes nothing
 		}
 		for {
@@ -344,7 +340,7 @@ func (l *diskLog[A]) startActiveLocked() error {
 	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
-	writeSegHeader(l.w, l.meta)
+	writeSegHeader(l.w)
 	l.appended = 0
 	return nil
 }

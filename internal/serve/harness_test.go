@@ -71,7 +71,7 @@ type harnessReply struct {
 // is consulted (and counted) on every engine call; limiter, when non-nil,
 // guards /ask the way cmd/kbqa-server guards its endpoints.
 func newHarness(t *testing.T, dir string, version int, limiter *Limiter) *harness {
-	return newHarnessDisk(t, dir, version, limiter, testLog{Meta: "harness"})
+	return newHarnessDisk(t, dir, version, limiter, testLog{})
 }
 
 // newHarnessDisk is newHarness with explicit disk options, for tests that
@@ -319,7 +319,7 @@ func TestHarnessRateLimit429(t *testing.T) {
 // the churn lost nothing and resurrected nothing.
 func TestHarnessRotationChurn(t *testing.T) {
 	dir := t.TempDir()
-	disk := testLog{Meta: "harness", RotateEvery: 1024, SyncEvery: time.Millisecond}
+	disk := testLog{RotateEvery: 1024, SyncEvery: time.Millisecond}
 	h := newHarnessDisk(t, dir, 0, nil, disk)
 
 	// Concurrent traffic over every question, interleaved with retrains:

@@ -34,14 +34,14 @@ func rawEntry(t testing.TB, key, val string, at time.Time) []byte {
 }
 
 // writeRawSegment renders a segment file byte-for-byte: header + records.
-func writeRawSegment(t testing.TB, path, meta string, payloads [][]byte) {
+func writeRawSegment(t testing.TB, path string, payloads [][]byte) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := bufio.NewWriter(f)
-	writeSegHeader(w, meta)
+	writeSegHeader(w)
 	for _, p := range payloads {
 		if err := safeio.WriteFrame(w, p); err != nil {
 			t.Fatal(err)
@@ -56,10 +56,10 @@ func writeRawSegment(t testing.TB, path, meta string, payloads [][]byte) {
 }
 
 // segmentBytes renders a segment in memory (for building torn tails).
-func segmentBytes(t testing.TB, meta string, payloads [][]byte) []byte {
+func segmentBytes(t testing.TB, payloads [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	writeSegHeader(&buf, meta)
+	writeSegHeader(&buf)
 	for _, p := range payloads {
 		if err := safeio.WriteFrame(&buf, p); err != nil {
 			t.Fatal(err)
@@ -91,20 +91,20 @@ func expectEntries(t *testing.T, s *testStore, want map[string]string) {
 func TestDiskStoreReplaysSealedBeforeMergePublish(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
-	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, baseName), [][]byte{
 		rawEntry(t, "k1", "base-only", at),
 		rawEntry(t, "k2", "stale", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, sealedName(0)), [][]byte{
 		rawEntry(t, "k2", "sealed-supersedes", at),
 		rawEntry(t, "k3", "sealed-only", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, segName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, segName), [][]byte{
 		rawEntry(t, "k3", "active-supersedes", at),
 		rawEntry(t, "k4", "active-only", at),
 	})
 
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	expectEntries(t, s, map[string]string{
 		"k1": "base-only",
 		"k2": "sealed-supersedes",
@@ -119,7 +119,7 @@ func TestDiskStoreReplaysSealedBeforeMergePublish(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, sealedName(0))); err == nil {
 		t.Error("sealed segment not cleaned up after boot compaction")
 	}
-	r := openTestStore(t, dir, "m")
+	r := openTestStore(t, dir)
 	defer r.Close()
 	expectEntries(t, r, map[string]string{
 		"k1": "base-only",
@@ -139,15 +139,15 @@ func TestDiskStoreStaleSealedAfterMergePublish(t *testing.T) {
 	at := time.Unix(1000, 0)
 	// The published base already holds the merge of sealed 0 (deleted,
 	// carried k:v1) and sealed 1 (still on disk).
-	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, baseName), [][]byte{
 		rawEntry(t, "k", "v2", at),
 		rawEntry(t, "j", "w", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, sealedName(1)), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, sealedName(1)), [][]byte{
 		rawEntry(t, "k", "v2", at),
 	})
 
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	defer s.Close()
 	expectEntries(t, s, map[string]string{"k": "v2", "j": "w"})
 }
@@ -159,13 +159,13 @@ func TestDiskStoreStaleSealedAfterMergePublish(t *testing.T) {
 func TestDiskStoreTornActiveTailAfterRotation(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
-	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, baseName), [][]byte{
 		rawEntry(t, "k1", "base", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, sealedName(0)), [][]byte{
 		rawEntry(t, "k2", "sealed", at),
 	})
-	active := segmentBytes(t, "m", [][]byte{
+	active := segmentBytes(t, [][]byte{
 		rawEntry(t, "k3", "kept-prefix", at),
 		rawEntry(t, "k4", "torn", at),
 	})
@@ -173,7 +173,7 @@ func TestDiskStoreTornActiveTailAfterRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	defer s.Close()
 	expectEntries(t, s, map[string]string{
 		"k1": "base",
@@ -192,23 +192,23 @@ func TestDiskStoreTornActiveTailAfterRotation(t *testing.T) {
 func TestDiskStoreCrashMidMerge(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Unix(1000, 0)
-	writeRawSegment(t, filepath.Join(dir, baseName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, baseName), [][]byte{
 		rawEntry(t, "k1", "base", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, sealedName(0)), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, sealedName(0)), [][]byte{
 		rawEntry(t, "k2", "sealed", at),
 	})
-	writeRawSegment(t, filepath.Join(dir, segName), "m", [][]byte{
+	writeRawSegment(t, filepath.Join(dir, segName), [][]byte{
 		rawEntry(t, "k3", "active", at),
 	})
 	// A torn merge output: valid header, then a record cut mid-payload —
 	// and a poison value that must never be served.
-	tmp := segmentBytes(t, "m", [][]byte{rawEntry(t, "k1", "half-merged-poison", at)})
+	tmp := segmentBytes(t, [][]byte{rawEntry(t, "k1", "half-merged-poison", at)})
 	if err := os.WriteFile(filepath.Join(dir, baseName+".tmp"), tmp[:len(tmp)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	expectEntries(t, s, map[string]string{
 		"k1": "base",
 		"k2": "sealed",
@@ -234,7 +234,7 @@ func TestDiskStoreMergerFileStepFailures(t *testing.T) {
 		t.Run(tc.step, func(t *testing.T) {
 			dir := t.TempDir()
 			var buf syncBuffer
-			s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0", Log: obs.NewLogger(&buf, obs.LevelDebug)})
+			s := openTestLog(t, dir, testLog{ModelTag: "m0", Log: obs.NewLogger(&buf, obs.LevelDebug)})
 			obstacle := filepath.Join(dir, tc.obstacle)
 			if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
 				t.Fatal(err)
@@ -279,7 +279,7 @@ func TestDiskStoreMergerFileStepFailures(t *testing.T) {
 			if err := os.RemoveAll(obstacle); err != nil {
 				t.Fatal(err)
 			}
-			r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
+			r := openTestLog(t, dir, testLog{ModelTag: "m1"})
 			defer r.Close()
 			expectEntries(t, r, want)
 		})
@@ -307,7 +307,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
-	s := openTestLog(t, dir, testLog{Meta: "m", RotateEvery: 2048})
+	s := openTestLog(t, dir, testLog{RotateEvery: 2048})
 	at := time.Unix(2000, 0)
 	want := make(map[string]string, 200)
 	for i := 0; i < 200; i++ {
@@ -337,7 +337,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 		t.Errorf("saw %d sealed segments at once, want at most 1", n)
 	}
 
-	r := openTestStore(t, dir, "m")
+	r := openTestStore(t, dir)
 	defer r.Close()
 	expectEntries(t, r, want)
 }
@@ -349,7 +349,7 @@ func TestDiskStoreRotationPipelineEndToEnd(t *testing.T) {
 // happened in between.
 func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0", RotateEvery: 1024})
+	s := openTestLog(t, dir, testLog{ModelTag: "m0", RotateEvery: 1024})
 	at := time.Unix(2000, 0)
 	pad := strings.Repeat("p", 64)
 	for i := 0; i < 30; i++ {
@@ -364,7 +364,7 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 	}
 	s.Close()
 
-	r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
+	r := openTestLog(t, dir, testLog{ModelTag: "m1"})
 	defer r.Close()
 	if _, hit := r.Get(cacheKey("m0", "q-00")); hit {
 		t.Error("the previous model's entry resurrected across rotation + restart")
@@ -382,14 +382,14 @@ func TestDiskStoreGenerationBumpSurvivesRotationAndRestart(t *testing.T) {
 // instead of corrupting the log, and the lock releases on Close.
 func TestDiskStoreLocksOutSecondOpener(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
-	if _, err := openTestLogE(dir, testLog{Meta: "m"}); err == nil {
+	s := openTestStore(t, dir)
+	if _, err := openTestLogE(dir, testLog{}); err == nil {
 		t.Fatal("second opener acquired a locked cache directory")
 	} else if !strings.Contains(err.Error(), "locked") {
 		t.Errorf("lock error %q does not say the directory is locked", err)
 	}
 	s.Close()
-	r := openTestStore(t, dir, "m") // the lock died with the first store
+	r := openTestStore(t, dir) // the lock died with the first store
 	r.Close()
 }
 
@@ -398,12 +398,12 @@ func TestDiskStoreLocksOutSecondOpener(t *testing.T) {
 // would only ever treat them as misses.
 func TestDiskStoreTTLDropsExpiredAtReplay(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour})
+	s := openTestLog(t, dir, testLog{TTL: time.Hour})
 	s.Put("dead", Entry[string]{Val: "expired", OK: true, At: time.Now().Add(-2 * time.Hour)})
 	s.Put("live", Entry[string]{Val: "fresh", OK: true, At: time.Now()})
 	s.Close()
 
-	r := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour})
+	r := openTestLog(t, dir, testLog{TTL: time.Hour})
 	defer r.Close()
 	if _, hit := r.Get("dead"); hit {
 		t.Error("TTL-expired entry replayed into memory")
@@ -419,7 +419,7 @@ func TestDiskStoreTTLDropsExpiredAtReplay(t *testing.T) {
 // does no TTL filtering of its own.
 func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", TTL: time.Hour, RotateEvery: 4096})
+	s := openTestLog(t, dir, testLog{TTL: time.Hour, RotateEvery: 4096})
 	old := time.Now().Add(-2 * time.Hour)
 	for i := 0; i < 20; i++ {
 		s.Put(fmt.Sprintf("dead-%02d", i), Entry[string]{Val: "expired", OK: true, At: old})
@@ -441,7 +441,7 @@ func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 
 	// Reopen with no TTL: if the merge had kept the expired entries they
 	// would replay here. They must not.
-	r := openTestLog(t, dir, testLog{Meta: "m"})
+	r := openTestLog(t, dir, testLog{})
 	defer r.Close()
 	for i := 0; i < 20; i++ {
 		if _, hit := r.Get(fmt.Sprintf("dead-%02d", i)); hit {
@@ -459,7 +459,7 @@ func TestDiskStoreTTLDropsExpiredAtMerge(t *testing.T) {
 // loses at most the last SyncEvery of work, not everything since boot.
 func TestDiskStorePeriodicSyncMakesAppendsDurable(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", SyncEvery: 2 * time.Millisecond})
+	s := openTestLog(t, dir, testLog{SyncEvery: 2 * time.Millisecond})
 	defer s.Close()
 	headerSize, err := os.Stat(filepath.Join(dir, segName))
 	if err != nil {
@@ -487,7 +487,7 @@ func TestDiskStorePeriodicSyncMakesAppendsDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := openTestStore(t, crash, "m")
+	r := openTestStore(t, crash)
 	defer r.Close()
 	if e, hit := r.Get("k"); !hit || e.Val != "durable-without-flush" {
 		t.Fatalf("periodically-synced entry lost in the crash clone: %+v hit=%v", e, hit)

@@ -28,17 +28,17 @@ type testStore struct {
 // options of LogOptions, the cache TTL, and the rotation threshold tests
 // shrink to make rotation and merge happen on small inputs.
 type testLog struct {
-	Meta, ModelTag string
-	SyncEvery      time.Duration
-	Codec          Codec[string]
-	Log            *obs.Logger
-	Tracer         *obs.Tracer
-	TTL            time.Duration
-	RotateEvery    int64 // 0 keeps defaultRotateEvery
+	ModelTag    string
+	SyncEvery   time.Duration
+	Codec       Codec[string]
+	Log         *obs.Logger
+	Tracer      *obs.Tracer
+	TTL         time.Duration
+	RotateEvery int64 // 0 keeps defaultRotateEvery
 }
 
 func (o testLog) options(dir string) LogOptions[string] {
-	return LogOptions[string]{Dir: dir, Meta: o.Meta, ModelTag: o.ModelTag, SyncEvery: o.SyncEvery,
+	return LogOptions[string]{Dir: dir, ModelTag: o.ModelTag, SyncEvery: o.SyncEvery,
 		Codec: o.Codec, Log: o.Log, Tracer: o.Tracer}
 }
 
@@ -75,9 +75,9 @@ func openTestLog(t testing.TB, dir string, o testLog) *testStore {
 	return s
 }
 
-func openTestStore(t testing.TB, dir, meta string) *testStore {
+func openTestStore(t testing.TB, dir string) *testStore {
 	t.Helper()
-	return openTestLog(t, dir, testLog{Meta: meta})
+	return openTestLog(t, dir, testLog{})
 }
 
 func (s *testStore) Put(key string, e Entry[string]) {
@@ -91,7 +91,7 @@ func (s *testStore) Close() error               { return s.log.close() }
 
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	at := time.Unix(100, 200)
 	s.Put("k1", Entry[string]{Val: "v1", OK: true, At: at})
 	s.Put("k2", Entry[string]{Val: "", OK: false, At: at}) // negative entry
@@ -99,7 +99,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openTestStore(t, dir, "m")
+	r := openTestStore(t, dir)
 	defer r.Close()
 	if n := r.Len(); n != 2 {
 		t.Fatalf("reopened Len = %d, want 2", n)
@@ -116,14 +116,14 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 
 func TestDiskStoreLastWriteWinsAndCompacts(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	for i := 0; i < 3; i++ {
 		s.Put("k", Entry[string]{Val: string(rune('a' + i)), OK: true})
 	}
 	s.Close()
 	sizeBefore := storeSize(t, dir)
 
-	r := openTestStore(t, dir, "m")
+	r := openTestStore(t, dir)
 	if e, hit := r.Get("k"); !hit || e.Val != "c" {
 		t.Errorf("k = %+v hit=%v, want last write c", e, hit)
 	}
@@ -142,12 +142,12 @@ func TestDiskStoreLastWriteWinsAndCompacts(t *testing.T) {
 // first model's out of the base for good.
 func TestDiskStoreGenerationSurvivesRestartAndDropsDeadEntries(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m0"})
+	s := openTestLog(t, dir, testLog{ModelTag: "m0"})
 	s.Put(cacheKey("m0", "q"), Entry[string]{Val: "stale", OK: true})
 	s.Put(cacheKey("m1", "q"), Entry[string]{Val: "fresh", OK: true})
 	s.Close()
 
-	r := openTestLog(t, dir, testLog{Meta: "m", ModelTag: "m1"})
+	r := openTestLog(t, dir, testLog{ModelTag: "m1"})
 	if _, hit := r.Get(cacheKey("m0", "q")); hit {
 		t.Error("the previous model's entry survived the restart")
 	}
@@ -156,7 +156,7 @@ func TestDiskStoreGenerationSurvivesRestartAndDropsDeadEntries(t *testing.T) {
 	}
 	r.Close()
 
-	r2 := openTestStore(t, dir, "m") // no tag: replay keeps everything logged
+	r2 := openTestStore(t, dir) // no tag: replay keeps everything logged
 	defer r2.Close()
 	if n := r2.Len(); n != 1 {
 		t.Errorf("Len = %d, want 1 (the dead model's entry left the base)", n)
@@ -168,7 +168,7 @@ func TestDiskStoreGenerationSurvivesRestartAndDropsDeadEntries(t *testing.T) {
 // open must never panic.
 func TestDiskStoreDropsCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, "m")
+	s := openTestStore(t, dir)
 	for _, k := range []string{"a", "b", "c"} {
 		s.Put(k, Entry[string]{Val: "v-" + k, OK: true})
 	}
@@ -181,7 +181,7 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 	t.Run("garbage appended", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSeg(t, dir, append(append([]byte{}, clean...), "!!garbage!!"...))
-		r := openTestStore(t, dir, "m")
+		r := openTestStore(t, dir)
 		defer r.Close()
 		if n := r.Len(); n != 3 {
 			t.Errorf("Len = %d, want all 3 records before the garbage", n)
@@ -191,7 +191,7 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 	t.Run("torn tail", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSeg(t, dir, clean[:len(clean)-5]) // cut into the last record
-		r := openTestStore(t, dir, "m")
+		r := openTestStore(t, dir)
 		defer r.Close()
 		if n := r.Len(); n != 2 {
 			t.Errorf("Len = %d, want 2 (torn third record dropped)", n)
@@ -209,7 +209,7 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 		flipped := append([]byte{}, clean...)
 		flipped[len(flipped)-3] ^= 0xff // corrupt the last record's payload
 		writeSeg(t, dir, flipped)
-		r := openTestStore(t, dir, "m")
+		r := openTestStore(t, dir)
 		defer r.Close()
 		if n := r.Len(); n != 2 {
 			t.Errorf("Len = %d, want 2 (checksum-failed record dropped)", n)
@@ -219,7 +219,7 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 	t.Run("mangled header", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSeg(t, dir, []byte("not a segment at all"))
-		r := openTestStore(t, dir, "m")
+		r := openTestStore(t, dir)
 		defer r.Close()
 		if n := r.Len(); n != 0 {
 			t.Errorf("Len = %d, want 0 for a foreign file", n)
@@ -227,40 +227,17 @@ func TestDiskStoreDropsCorruptTail(t *testing.T) {
 	})
 }
 
-// TestDiskStoreMetaMismatch: a segment written under one lineage must not
-// replay into a system with another.
-func TestDiskStoreMetaMismatch(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir, "flavor-a")
-	s.Put("k", Entry[string]{Val: "v", OK: true})
-	s.Close()
-
-	r := openTestStore(t, dir, "flavor-b")
-	if n := r.Len(); n != 0 {
-		t.Errorf("foreign segment replayed %d entries", n)
-	}
-	r.Put("k2", Entry[string]{Val: "v2", OK: true})
-	r.Close()
-
-	// The discard is durable: the compacted segment now carries lineage b.
-	r2 := openTestStore(t, dir, "flavor-b")
-	defer r2.Close()
-	if e, hit := r2.Get("k2"); !hit || e.Val != "v2" {
-		t.Errorf("rewritten segment lost its entry: %+v hit=%v", e, hit)
-	}
-}
-
 // TestDiskStoreModelTagMismatchInvalidates: entries persisted under one
 // model tag must not be served by a process whose model carries another.
 func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	a, b := cacheKey("model-a", "k"), cacheKey("model-b", "k")
-	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-a"})
+	s := openTestLog(t, dir, testLog{ModelTag: "model-a"})
 	s.Put(a, Entry[string]{Val: "a's answer", OK: true})
 	s.Close()
 
 	// Same world, different model: the cache is refused, durably.
-	r := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-b"})
+	r := openTestLog(t, dir, testLog{ModelTag: "model-b"})
 	if n := r.Len(); n != 0 {
 		t.Errorf("foreign model's entries replayed: %d", n)
 	}
@@ -268,7 +245,7 @@ func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 	r.Close()
 
 	// Reopening under model-b again is a clean match.
-	r2 := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "model-b"})
+	r2 := openTestLog(t, dir, testLog{ModelTag: "model-b"})
 	defer r2.Close()
 	if n := r2.Len(); n != 1 {
 		t.Errorf("matching reopen Len = %d, want 1", n)
@@ -283,13 +260,13 @@ func TestDiskStoreModelTagMismatchInvalidates(t *testing.T) {
 // later restart under m0 finds none of m1's.
 func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m0"})
+	s := openTestLog(t, dir, testLog{ModelTag: "m0"})
 	s.Put(cacheKey("m0", "k"), Entry[string]{Val: "v0", OK: true})
 	s.Put(cacheKey("m1", "k1"), Entry[string]{Val: "v1", OK: true})
 	s.Close()
 
 	// Boot running the retrained model: its entries replay, m0's do not.
-	r := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m1"})
+	r := openTestLog(t, dir, testLog{ModelTag: "m1"})
 	if e, hit := r.Get(cacheKey("m1", "k1")); !hit || e.Val != "v1" {
 		t.Errorf("retrained model's entry lost: %+v hit=%v", e, hit)
 	}
@@ -299,22 +276,24 @@ func TestDiskStoreRetrainedTagSurvivesRestart(t *testing.T) {
 	r.Close()
 
 	// Boot running the seed model again: the retrained answers are refused.
-	r2 := openTestLog(t, dir, testLog{Meta: "w", ModelTag: "m0"})
+	r2 := openTestLog(t, dir, testLog{ModelTag: "m0"})
 	defer r2.Close()
 	if n := r2.Len(); n != 0 {
 		t.Errorf("seed-model boot replayed %d retrained entries", n)
 	}
 }
 
-// TestDiskStoreRefusesOlderLayout: a directory written in the KBQASEG1
-// layout — a generation record, then entries carrying a generation — is
-// refused by its magic, never misread as the current layout: it opens with
-// no entries and no error, and the boot compaction leaves a current base.
+// TestDiskStoreRefusesOlderLayout: directories written in an older layout
+// are refused by their magic, never misread as the current one. The base
+// is KBQASEG1 — a generation record, then entries carrying a generation —
+// and the active segment KBQASEG2, whose header carried a meta string
+// before records of today's format. Either opens with no entries and no
+// error, and the boot compaction leaves a KBQASEG3 base.
 func TestDiskStoreRefusesOlderLayout(t *testing.T) {
 	dir := t.TempDir()
-	v1 := func(payloads ...[]byte) []byte {
+	older := func(magic string, payloads ...[]byte) []byte {
 		var buf bytes.Buffer
-		buf.WriteString("KBQASEG1")
+		buf.WriteString(magic)
 		buf.Write(binary.LittleEndian.AppendUint32(nil, 1))
 		buf.WriteString("m")
 		for _, p := range payloads {
@@ -330,13 +309,16 @@ func TestDiskStoreRefusesOlderLayout(t *testing.T) {
 	entry = append(entry, 1)                                                       // ok
 	entry = binary.LittleEndian.AppendUint32(entry, 1)
 	entry = append(entry, `k"v"`...)
-	for _, name := range []string{baseName, segName} {
-		if err := os.WriteFile(filepath.Join(dir, name), v1(genRec, entry), 0o644); err != nil {
+	for name, data := range map[string][]byte{
+		baseName: older("KBQASEG1", genRec, entry),
+		segName:  older("KBQASEG2", rawEntry(t, "k", "v", time.Now())),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s, err := openTestLogE(dir, testLog{Meta: "m"})
+	s, err := openTestLogE(dir, testLog{})
 	if err != nil {
 		t.Fatalf("open over an older layout: %v", err)
 	}
@@ -348,7 +330,7 @@ func TestDiskStoreRefusesOlderLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(base, []byte(segMagic)) || segMagic != "KBQASEG2" {
+	if !bytes.HasPrefix(base, []byte(segMagic)) || segMagic != "KBQASEG3" {
 		t.Errorf("base after boot starts %q, want the %s header", base[:min(len(base), 8)], segMagic)
 	}
 }
@@ -482,7 +464,7 @@ func TestDiskStoreRotationBoundsSegment(t *testing.T) {
 	}
 	s.Close()
 
-	r := openTestStore(t, dir, "")
+	r := openTestStore(t, dir)
 	defer r.Close()
 	if e, hit := r.Get("hot key"); !hit || e.Val != val {
 		t.Errorf("churned key lost across rotations and merges: hit=%v", hit)
@@ -504,7 +486,7 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 		close(entered)
 		<-gate
 		return "slow answer", StageTimings{}, true, nil
-	}, Options[string]{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	}, Options[string]{}, LogOptions[string]{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +519,7 @@ func TestRuntimeCloseFlushesInFlightWrite(t *testing.T) {
 	r2, err := openWithEngine(func(_ context.Context, q string) (string, StageTimings, bool, error) {
 		t.Errorf("engine probed for an answer that should be on disk: %q", q)
 		return "", StageTimings{}, false, nil
-	}, Options[string]{}, LogOptions[string]{Dir: dir, Meta: "m"})
+	}, Options[string]{}, LogOptions[string]{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

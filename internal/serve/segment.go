@@ -14,20 +14,21 @@ import (
 // cache segment file. Every file of the disk log (base, sealed, active) has
 // the same layout:
 //
-//	header  := magic("KBQASEG2") u32(metaLen) meta
+//	header  := magic("KBQASEG3")
 //	record  := one safeio frame: u32(payloadLen) u32(crc32-IEEE(payload)) payload
 //	payload := recEntry i64(atUnixNano) u8(ok) u32(keyLen) key val
 //
 // All integers little-endian. The CRC covers the payload only; a record
 // whose length or checksum doesn't hold terminates that file's valid
 // prefix. The key starts with the fingerprint the runtime was handed, so
-// it names the model that computed the answer; the log keeps no other
-// record of models.
+// it names what computed the answer (LogOptions.ModelTag); the log keeps
+// no other record of worlds or models.
 
 const (
 	// segMagic heads every segment file; a version bump changes the suffix,
-	// so a directory of an older layout replays as empty.
-	segMagic = "KBQASEG2"
+	// so a directory of an older layout replays as empty. 3 dropped the
+	// header's meta string: the key's tag names the world.
+	segMagic = "KBQASEG3"
 	// recEntry is the type byte of a record: one cached answer.
 	recEntry = 1
 	// maxRecordLen bounds a record's payload: the frame reader refuses
@@ -57,34 +58,14 @@ func (JSONCodec[A]) Decode(b []byte) (A, error) {
 	return a, err
 }
 
-func writeSegHeader(w io.Writer, meta string) {
-	io.WriteString(w, segMagic)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(meta)))
-	w.Write(n[:])
-	io.WriteString(w, meta)
-}
+func writeSegHeader(w io.Writer) { io.WriteString(w, segMagic) }
 
-// readSegHeader consumes and validates the header, reporting whether the
-// segment belongs to this (magic, meta) lineage.
-func readSegHeader(r io.Reader, meta string) bool {
+// readSegHeader consumes the header, reporting whether the segment is of
+// this layout.
+func readSegHeader(r io.Reader) bool {
 	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
-		return false
-	}
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return false
-	}
-	metaLen := binary.LittleEndian.Uint32(n[:])
-	if metaLen > maxRecordLen || int(metaLen) != len(meta) {
-		return false
-	}
-	got := make([]byte, metaLen)
-	if _, err := io.ReadFull(r, got); err != nil {
-		return false
-	}
-	return string(got) == meta
+	_, err := io.ReadFull(r, magic)
+	return err == nil && string(magic) == segMagic
 }
 
 // readRecord reads one record through the shared frame reader and maps its

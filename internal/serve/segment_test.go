@@ -110,12 +110,12 @@ func FuzzMultiSegmentReplay(f *testing.F) {
 			}
 		}
 		dir := t.TempDir()
-		writeRawSegment(t, filepath.Join(dir, baseName), "fz", segs[0])
-		writeRawSegment(t, filepath.Join(dir, sealedName(3)), "fz", segs[1])
-		writeRawSegment(t, filepath.Join(dir, sealedName(7)), "fz", segs[2])
-		writeRawSegment(t, filepath.Join(dir, segName), "fz", segs[3])
+		writeRawSegment(t, filepath.Join(dir, baseName), segs[0])
+		writeRawSegment(t, filepath.Join(dir, sealedName(3)), segs[1])
+		writeRawSegment(t, filepath.Join(dir, sealedName(7)), segs[2])
+		writeRawSegment(t, filepath.Join(dir, segName), segs[3])
 
-		s := openTestLog(t, dir, testLog{Meta: "fz", ModelTag: live})
+		s := openTestLog(t, dir, testLog{ModelTag: live})
 		defer s.Close()
 		if n := s.Len(); n != len(want) {
 			t.Fatalf("Len = %d, want %d", n, len(want))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 // probeCluster starts two loopback shard servers over the test world and a
@@ -25,7 +26,7 @@ func probeCluster(tb testing.TB, disableHedge bool) (*rdf.ShardedStore, *Pool, [
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store), disableHedge: disableHedge})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store), disableHedge: disableHedge})
 	if err != nil {
 		tb.Fatal(err)
 	}

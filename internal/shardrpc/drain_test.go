@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 // gatedStore parks every Objects read until release closes, so a test
@@ -30,7 +31,7 @@ func (g *gatedStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 func TestCloseWaitsForInflightHandlers(t *testing.T) {
 	store := testWorld(t)
 	gated := &gatedStore{Graph: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := NewServer(gated, ServerOptions{})
+	srv := NewServer(gated, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +43,8 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, err := NewPool(PoolOptions{
-		Placement:   pl,
-		Fingerprint: rdf.WorldFingerprint(gated),
+		Placement: pl,
+		Digest:    snapshot.Digest(store),
 		// One deterministic attempt: a hedge would park a second read.
 		disableHedge: true,
 	})
@@ -90,7 +91,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 func TestPoolCloseClosesInflightConns(t *testing.T) {
 	store := testWorld(t)
 	gated := &gatedStore{Graph: store, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := NewServer(gated, ServerOptions{})
+	srv := NewServer(gated, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestPoolCloseClosesInflightConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(gated)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

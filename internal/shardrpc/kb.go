@@ -16,7 +16,7 @@ import (
 // It is deliberately not an rdf.Graph. Node/predicate interning is global
 // and deterministic in the world seed, so every symbol lookup stays on the
 // locally loaded world — both sides loaded the same one, enforced by the
-// handshake fingerprint — and only index reads travel.
+// handshake's world digest — and only index reads travel.
 type KB struct {
 	pool *Pool
 }

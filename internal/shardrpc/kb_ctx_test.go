@@ -17,12 +17,12 @@ var _ core.Index = (*KB)(nil)
 
 func TestSeamSize(t *testing.T) {
 	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
-	if n := graph.NumMethod(); n != 12 {
-		t.Errorf("rdf.Graph has %d methods, want 12: the online seam grew or shrank", n)
+	if n := graph.NumMethod(); n != 11 {
+		t.Errorf("rdf.Graph has %d methods, want 11: the online seam grew or shrank", n)
 	}
-	// The image serves the seam and nothing else: an offline method on it
-	// would be code no binary calls.
-	want := []string{"Close"}
+	// The image serves the seam, its world digest and nothing else: an
+	// offline method on it would be code no binary calls.
+	want := []string{"Close", "Digest"}
 	for i := 0; i < graph.NumMethod(); i++ {
 		want = append(want, graph.Method(i).Name)
 	}
@@ -33,7 +33,7 @@ func TestSeamSize(t *testing.T) {
 		got = append(got, image.Method(i).Name)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot.Image exports %v, want rdf.Graph's methods plus Close: %v", got, want)
+		t.Errorf("snapshot.Image exports %v, want rdf.Graph's methods plus Close and Digest: %v", got, want)
 	}
 	kb := reflect.TypeOf((*KB)(nil))
 	if kb.NumMethod() > 5 {
@@ -63,7 +63,7 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

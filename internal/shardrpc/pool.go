@@ -20,9 +20,9 @@ import (
 type PoolOptions struct {
 	// Placement routes shards to servers; required.
 	Placement *Placement
-	// Fingerprint is the local world's identity (rdf.WorldFingerprint over
-	// the local graph); every handshake asserts it. Required.
-	Fingerprint uint64
+	// Digest is the local world's identity (snapshot.Digest of the local
+	// store); every handshake asserts it. Required.
+	Digest uint64
 	// Logger receives structured failover/hedge events; nil discards.
 	Logger *obs.Logger
 
@@ -218,7 +218,7 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	conn.SetDeadline(limit)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
-	he := hello{version: ProtoVersion, fingerprint: p.opts.Fingerprint, numShards: uint32(p.pl.NumShards())}
+	he := hello{version: ProtoVersion, digest: p.opts.Digest, numShards: uint32(p.pl.NumShards())}
 	if err := safeio.WriteFrame(conn, he.encode()); err != nil {
 		conn.Close()
 		return nil, err
@@ -228,23 +228,22 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	r := &rbuf{b: payload}
-	status := r.u8()
-	if len(r.b) < r.off+len(protoMagic)+16 {
+	// The reply is a status byte, the server's hello and a reject message.
+	if len(payload) < 1+helloLen {
 		conn.Close()
 		return nil, fmt.Errorf("shardrpc: short handshake reply from %s", addr)
 	}
-	if _, err := decodeHello(r.b[r.off:]); err != nil {
+	if _, err := decodeHello(payload[1 : 1+helloLen]); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	r.off += len(protoMagic) + 16
+	r := &rbuf{b: payload, off: 1 + helloLen}
 	reject := r.str()
 	if r.err != nil {
 		conn.Close()
 		return nil, r.err
 	}
-	if status != statusOK {
+	if payload[0] != statusOK {
 		conn.Close()
 		return nil, fmt.Errorf("shardrpc: server %s rejected handshake: %s", addr, reject)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 // probeFrames returns, for each shard of store, a real opProbe body aimed at
@@ -39,7 +40,7 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func FuzzProbeRequest(f *testing.F) {
 		f.Add(uint8(shard+1), frame) // every node misrouted
 		f.Add(uint8(shard), frame[:len(frame)-3])
 	}
-	srv := NewServer(store, ServerOptions{})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	f.Fuzz(func(t *testing.T, shard uint8, data []byte) {
 		hdr := reqHeader{op: opProbe, shard: uint32(shard)}
 		var body wbuf
@@ -127,7 +128,7 @@ func FuzzProbeRequest(f *testing.F) {
 // error or exactly as many groups as it asked for.
 func FuzzProbeReply(f *testing.F) {
 	store := testWorld(f)
-	srv := NewServer(store, ServerOptions{})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	for shard, frame := range probeFrames(store) {
 		var body wbuf
 		if errmsg := srv.execute(reqHeader{op: opProbe, shard: uint32(shard)}, &rbuf{b: frame}, &body); errmsg != "" {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/kbgen"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 	"repro/internal/safeio"
 )
 
@@ -31,7 +32,7 @@ func testWorld(t testing.TB) *rdf.ShardedStore {
 // its address. The caller owns Close.
 func startServer(t testing.TB, store *rdf.ShardedStore) (string, *Server) {
 	t.Helper()
-	srv := NewServer(store, ServerOptions{})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +74,9 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsWorldMismatch: a client whose world fingerprint (or
+// TestHandshakeRejectsWorldMismatch: a client whose world digest (or
 // shard topology) differs from the server's must be refused at handshake —
 // a wrong-world pool fails fast instead of serving subtly wrong answers.
-// eightShards is the test world as a client that partitioned it eight ways
-// would fingerprint it.
-type eightShards struct{ rdf.Graph }
-
-func (eightShards) NumShards() int { return 8 }
-
 func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -91,7 +86,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store) + 1})
+	wrong, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +96,17 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		return err
 	}
 	if err := probe(wrong); err == nil {
-		t.Fatal("call succeeded with a mismatched world fingerprint")
+		t.Fatal("call succeeded with a mismatched world digest")
 	}
 
-	// Same world hashed over a different shard count is a different
-	// topology: frontier sets computed client-side would not match the
-	// server's shard ownership, so the handshake must refuse it too.
+	// A client that partitioned the world another way is refused even when
+	// it asserts the server's digest: frontier sets computed client-side
+	// would not match the server's shard ownership.
 	pl8, err := NewPlacement([]string{addr}, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resharded, err := NewPool(PoolOptions{Placement: pl8, Fingerprint: rdf.WorldFingerprint(eightShards{store})})
+	resharded, err := NewPool(PoolOptions{Placement: pl8, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +115,53 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal("call succeeded across mismatched shard counts")
 	}
 
-	ok, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	ok, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ok.Close()
 	if err := probe(ok); err != nil {
 		t.Fatalf("call failed for the matching world: %v", err)
+	}
+}
+
+// TestHandshakeRefusesOneObjectOff: a shard server over one world refuses a
+// pool built for a world with every count equal that differs in one
+// triple's object — the case a digest of counts let through.
+func TestHandshakeRefusesOneObjectOff(t *testing.T) {
+	twin := func(obj string) *rdf.ShardedStore {
+		s := rdf.NewShardedStore(2)
+		name := s.Pred("name")
+		for _, l := range []string{"ada", "bob", "cy"} {
+			s.Add(s.Entity(l), name, s.Literal(l))
+		}
+		s.Add(s.Entity("ada"), s.Pred("spouse"), s.Entity(obj))
+		return s
+	}
+	served, other := twin("bob"), twin("cy")
+	if served.NumNodes() != other.NumNodes() || served.NumTriples() != other.NumTriples() ||
+		served.NumPredicates() != other.NumPredicates() {
+		t.Fatal("the twins' counts differ: the check is vacuous")
+	}
+	addr, srv := startServer(t, served)
+	defer srv.Close()
+	pl, err := NewPlacement([]string{addr}, served.NumShards(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		store  *rdf.ShardedStore
+		accept bool
+	}{{other, false}, {served, true}} {
+		pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(c.store)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = pool.Probe(context.Background(), 0, []ProbeGroup{{0, nil}})
+		pool.Close()
+		if (err == nil) != c.accept {
+			t.Errorf("pool for the world served (%v): probe error %v", c.accept, err)
+		}
 	}
 }
 
@@ -144,8 +179,8 @@ func TestReplicaFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, err := NewPool(PoolOptions{
-		Placement:   pl,
-		Fingerprint: rdf.WorldFingerprint(store),
+		Placement: pl,
+		Digest:    snapshot.Digest(store),
 		// Deterministic routing: failover only on error, never on latency.
 		disableHedge: true,
 	})
@@ -212,9 +247,9 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, err := NewPool(PoolOptions{
-		Placement:   pl,
-		Fingerprint: rdf.WorldFingerprint(store),
-		hedgeAfter:  time.Nanosecond, // hedge every call
+		Placement:  pl,
+		Digest:     snapshot.Digest(store),
+		hedgeAfter: time.Nanosecond, // hedge every call
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +311,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +356,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +465,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	direct, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +495,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store), hedgeAfter: 10 * time.Millisecond})
+				pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store), hedgeAfter: 10 * time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -553,7 +588,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: 1})
+			pool, err := NewPool(PoolOptions{Placement: pl, Digest: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -597,7 +632,7 @@ func TestWireOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

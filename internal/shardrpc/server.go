@@ -31,10 +31,10 @@ type ServerOptions struct {
 // Serve; stop it with Close (or by cancelling Serve's context). Safe for
 // concurrent connections: the store is read-only at serve time.
 type Server struct {
-	store rdf.Graph
-	fp    uint64
-	owns  map[int]bool // nil = all shards
-	log   *obs.Logger
+	store  rdf.Graph
+	digest uint64
+	owns   map[int]bool // nil = all shards
+	log    *obs.Logger
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -49,14 +49,15 @@ type Server struct {
 	failures atomic.Uint64
 }
 
-// NewServer builds a server over store. The store must be fully loaded;
-// writes after NewServer race with request handling.
-func NewServer(store rdf.Graph, o ServerOptions) *Server {
+// NewServer builds a server over store, whose world digest (snapshot.Digest)
+// is digest: the handshake refuses every client that asserts another. The
+// store must be fully loaded; writes after NewServer race with requests.
+func NewServer(store rdf.Graph, digest uint64, o ServerOptions) *Server {
 	s := &Server{
-		store: store,
-		fp:    rdf.WorldFingerprint(store),
-		log:   o.Logger,
-		conns: make(map[net.Conn]bool),
+		store:  store,
+		digest: digest,
+		log:    o.Logger,
+		conns:  make(map[net.Conn]bool),
 	}
 	if len(o.Owns) > 0 {
 		s.owns = make(map[int]bool, len(o.Owns))
@@ -225,8 +226,8 @@ func (s *Server) handshake(conn net.Conn) error {
 		reject = fmt.Sprintf("protocol version %d, want %d", h.version, ProtoVersion)
 	case h.numShards != uint32(s.store.NumShards()):
 		reject = fmt.Sprintf("shard count %d, want %d", h.numShards, s.store.NumShards())
-	case h.fingerprint != s.fp:
-		reject = fmt.Sprintf("kb fingerprint %016x, want %016x (different worlds)", h.fingerprint, s.fp)
+	case h.digest != s.digest:
+		reject = fmt.Sprintf("world digest %016x, want %016x (different worlds)", h.digest, s.digest)
 	}
 	var w wbuf
 	if reject == "" {
@@ -234,7 +235,7 @@ func (s *Server) handshake(conn net.Conn) error {
 	} else {
 		w.u8(statusErr)
 	}
-	w.b = append(w.b, hello{version: ProtoVersion, fingerprint: s.fp, numShards: uint32(s.store.NumShards())}.encode()...)
+	w.b = append(w.b, hello{version: ProtoVersion, digest: s.digest, numShards: uint32(s.store.NumShards())}.encode()...)
 	w.str(reject)
 	if err := safeio.WriteFrame(conn, w.b); err != nil {
 		return err

@@ -8,12 +8,13 @@ import (
 
 	"repro/internal/kbgen"
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 func TestSmokeRoundTrip(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 4})
 	store := kb.Store
-	srv := NewServer(store, ServerOptions{})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func TestSmokeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Fingerprint: rdf.WorldFingerprint(store)})
+	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
 // with all integers little-endian. A connection opens with a handshake
-// (magic, protocol version, knowledge-base fingerprint, shard count) that
-// fails fast when client and server were built from different worlds —
+// (magic, protocol version, world digest, shard count) that fails fast when
+// client and server were built from different worlds, down to one triple —
 // node/predicate IDs are only meaningful because both sides intern the
-// same world, so the fingerprint check is load-bearing, not cosmetic.
+// same world, so the digest check is load-bearing, not cosmetic.
 // After the handshake the client sends request frames and reads one
 // response frame per request; requests carry the caller's deadline and
 // trace ID, and responses carry the server's span subtree so traces
@@ -175,27 +175,31 @@ func (r *rbuf) ids() []rdf.ID {
 
 // hello is the handshake exchanged in both directions.
 type hello struct {
-	version     uint32
-	fingerprint uint64
-	numShards   uint32
+	version   uint32
+	digest    uint64
+	numShards uint32
 }
+
+// helloLen is an encoded hello's length.
+const helloLen = len(protoMagic) + 4 + 8 + 4
 
 func (h hello) encode() []byte {
 	var w wbuf
 	w.b = append(w.b, protoMagic...)
 	w.u32(h.version)
-	w.u64(h.fingerprint)
+	w.u64(h.digest)
 	w.u32(h.numShards)
 	return w.b
 }
 
+// decodeHello parses exactly one encoded hello: a payload of any other
+// length, or with another magic, is an error.
 func decodeHello(payload []byte) (hello, error) {
-	if len(payload) < len(protoMagic) || string(payload[:len(protoMagic)]) != protoMagic {
-		return hello{}, fmt.Errorf("shardrpc: bad handshake magic")
+	if len(payload) != helloLen || string(payload[:len(protoMagic)]) != protoMagic {
+		return hello{}, fmt.Errorf("shardrpc: malformed handshake")
 	}
 	r := rbuf{b: payload, off: len(protoMagic)}
-	h := hello{version: r.u32(), fingerprint: r.u64(), numShards: r.u32()}
-	return h, r.err
+	return hello{version: r.u32(), digest: r.u64(), numShards: r.u32()}, nil
 }
 
 // reqHeader precedes every request body.

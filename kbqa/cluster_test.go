@@ -18,12 +18,14 @@ import (
 // loopback listener.
 func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
 	t.Helper()
-	return serveShards(t, world.world.KB.Store)
+	return serveShards(t, world.world.KB.Store, world.digest)
 }
 
-func serveShards(t *testing.T, store rdf.Graph) (string, *shardrpc.Server) {
+// serveShards serves store, a world whose digest is digest, every shard,
+// on a loopback listener.
+func serveShards(t *testing.T, store rdf.Graph, digest uint64) (string, *shardrpc.Server) {
 	t.Helper()
-	srv := shardrpc.NewServer(store, shardrpc.ServerOptions{})
+	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +70,8 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := &heldStore{Graph: world.world.KB.Store}
-	addrA, srvA := serveShards(t, held)
-	addrB, srvB := serveShards(t, held)
+	addrA, srvA := serveShards(t, held, world.digest)
+	addrB, srvB := serveShards(t, held, world.digest)
 
 	// One replica per shard: each server is the only home of its shards.
 	// The victim is a server the placement gave at least one shard.

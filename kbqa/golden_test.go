@@ -12,13 +12,15 @@ import (
 	"testing"
 )
 
-// The golden gate pins the observable output of the default world. Both
-// digests were recorded on the commit before the KB seam was narrowed; a
-// refactor of the store, the engine's read path or the public API must
-// leave them unchanged. A deliberate change of answers or of the image
-// format re-records them — and says so in the PR.
+// The golden gate pins the observable output of the default world. The
+// query digest was recorded on the commit before the KB seam was
+// narrowed, the image digest when image format 2 dropped the header's
+// stored fingerprint and the S→O sections; a refactor of the store, the
+// engine's read path or the public API must leave them unchanged. A
+// deliberate change of answers or of the image format re-records them —
+// and says so in the PR.
 const (
-	goldenImageSHA256 = "b52c75331f4a04effd7bc4cde4368bd4ab0ec03226ccfe7c60b639f2abfd90da"
+	goldenImageSHA256 = "2427bf46da882738c5b0705d6b6878c5188b8a693925dde08d477a36eba3d41e"
 	goldenQuerySHA256 = "1094259151b385648ec7cbe7b50bb5f5aee087eb0cc3704ed741dfe85413b598"
 )
 

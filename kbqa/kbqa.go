@@ -40,7 +40,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/kbgen"
 	"repro/internal/learn"
-	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
 	"repro/internal/shardrpc"
 )
@@ -72,9 +71,9 @@ type Options struct {
 	// reads (probes, scans) are served by remote kbqa-shard processes at
 	// these addresses instead of the local store, scatter/gathered with
 	// consistent-hash placement, hedged requests, and replica failover.
-	// Every server must have loaded the same world (same flavor, seed,
-	// scale, and shard count — enforced by a fingerprint handshake).
-	// Answers are byte-identical to the single-process layouts.
+	// Every server must have loaded the same world, shard count included
+	// (the handshake compares world digests). Answers are byte-identical
+	// to the single-process layouts.
 	ShardServers []string
 	// ShardReplicas is the replication factor of the shard placement
 	// (default 2, clamped to len(ShardServers)).
@@ -82,9 +81,9 @@ type Options struct {
 	// KBImage, when non-empty, memory-maps a knowledge-base snapshot
 	// image (written by SaveKBImage or kbqa-shard -kb-save) and serves
 	// all index reads from it instead of the generated store. The image
-	// must hold exactly the world the other options describe — its
-	// fingerprint is checked against the built store and a mismatch
-	// fails Build. Mutually exclusive with ShardServers. Answers are
+	// must hold exactly the world the other options describe: Build fails
+	// unless the image's digest equals the built store's, down to one
+	// triple. Mutually exclusive with ShardServers. Answers are
 	// byte-identical to the in-memory layouts; Close unmaps the image.
 	KBImage string
 }
@@ -183,6 +182,9 @@ type System struct {
 	// world holds what Build generated and learned; the model and
 	// statistics serving now are cur's, not world's.
 	world *eval.World
+	// digest is snapshot.Digest of the built store: the image check and
+	// the shard handshake compare it, and every online tag folds it in.
+	digest uint64
 	// kb is the local world engines read symbols from, compiled once for
 	// all of them: the built store, or the image when Options.KBImage
 	// mapped one. index is the seam they read triples through: kb itself,
@@ -199,9 +201,9 @@ type System struct {
 }
 
 // online is one published state of a System's online half: the engine,
-// the model it compiled (with the statistics in engine.Stats) and their
-// content tag, which a Server leads its cache keys with — so an answer is
-// keyed by exactly what computed it.
+// the model it compiled (with the statistics in engine.Stats) and the
+// content tag of both and the world, which a Server leads its cache keys
+// with — so an answer is keyed by exactly what computed it.
 type online struct {
 	engine *core.Engine
 	model  *learn.Model
@@ -213,15 +215,15 @@ type online struct {
 
 // newOnline compiles model and stats into an engine and tags them.
 func (s *System) newOnline(model *learn.Model, stats *decompose.Stats) *online {
-	return &online{engine: s.newEngine(model, stats), model: model, tag: contentTag(model, stats)}
+	return &online{engine: s.newEngine(model, stats), model: model, tag: contentTag(s.digest, model, stats)}
 }
 
-// contentTag is the identity of a (model, statistics) pair: Model.Fingerprint
-// folded with Stats.Fingerprint, as 16 hex digits — equal across processes
-// for equal content. The fixed width keeps one tag from being a prefix of
-// another, which the persistent cache's replay filter needs.
-func contentTag(model *learn.Model, stats *decompose.Stats) string {
-	return fmt.Sprintf("%016x", model.Fingerprint()^stats.Fingerprint())
+// contentTag is the identity of a (world, model, statistics) triple: the
+// world's digest folded with Model.Fingerprint and Stats.Fingerprint, as 16
+// hex digits — equal across processes for equal content. The fixed width
+// keeps one tag from being a prefix of another (the cache's replay filter).
+func contentTag(world uint64, model *learn.Model, stats *decompose.Stats) string {
+	return fmt.Sprintf("%016x", world^model.Fingerprint()^stats.Fingerprint())
 }
 
 // publish makes next(prev) the serving state, counting it as one more
@@ -248,15 +250,18 @@ func Build(o Options) (*System, error) {
 	if o.KBImage != "" && len(o.ShardServers) > 0 {
 		return nil, fmt.Errorf("kbqa: KBImage and ShardServers are mutually exclusive")
 	}
-	s := &System{world: eval.LearnWorld(cfg)}
-	s.kb = s.world.Symbols
-	s.index = core.LocalIndex(s.world.KB.Store)
+	return newSystem(eval.LearnWorld(cfg), o)
+}
+
+// newSystem serves the learned world w over the KB backing o selects.
+func newSystem(w *eval.World, o Options) (*System, error) {
+	s := &System{world: w, digest: snapshot.Digest(w.KB.Store), kb: w.Symbols, index: core.LocalIndex(w.KB.Store)}
 	if err := s.wire(o); err != nil {
 		//kbqa:nolint errsink — error-path release of whatever wiring already acquired; the build error is the one to surface
 		s.Close()
 		return nil, err
 	}
-	s.cur.Store(s.newOnline(s.world.Model, s.world.Stats))
+	s.cur.Store(s.newOnline(w.Model, w.Stats))
 	return s, nil
 }
 
@@ -279,18 +284,18 @@ func (s *System) newEngine(model *learn.Model, stats *decompose.Stats) *core.Eng
 }
 
 // openImage rebinds the system's online engine to a memory-mapped
-// snapshot image of the world it just built. The image is opened with the
-// built store's fingerprint and shard count as expectations, so a stale or
-// foreign image fails here instead of answering from the wrong world.
+// snapshot image of the world it just built. The image's digest must equal
+// the built store's, so a stale or foreign image fails here instead of
+// answering from the wrong world.
 func (s *System) openImage(path string) error {
-	im, err := snapshot.OpenImage(path, snapshot.OpenOptions{
-		ExpectFingerprint: rdf.WorldFingerprint(s.world.KB.Store),
-		ExpectShards:      s.world.KB.Store.NumShards(),
-	})
+	im, err := snapshot.OpenImage(path)
 	if err != nil {
 		return fmt.Errorf("kbqa: open KB image: %w", err)
 	}
 	s.img = im
+	if im.Digest() != s.digest {
+		return fmt.Errorf("kbqa: KB image %s holds world %016x, the options describe %016x", path, im.Digest(), s.digest)
+	}
 	s.kb = core.CompileSymbols(im)
 	s.index = core.LocalIndex(im)
 	return nil
@@ -315,8 +320,8 @@ func (s *System) connectShards(o Options) error {
 		return err
 	}
 	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{
-		Placement:   pl,
-		Fingerprint: rdf.WorldFingerprint(s.kb),
+		Placement: pl,
+		Digest:    s.digest,
 	})
 	if err != nil {
 		return err

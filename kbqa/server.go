@@ -35,11 +35,12 @@ type ServerOptions struct {
 	// without re-probing the engine. The active segment rotates once it
 	// crosses a size threshold and a background merger compacts sealed
 	// segments into a dense base, so maintenance never stalls the request
-	// path. The directory is bound to the system that wrote it (flavor,
-	// sizes): opening it under a different system discards the log, and
-	// only the answers of the model the system runs at construction are
-	// replayed. It is flock-guarded — a second server process pointed at
-	// the same directory fails fast instead of corrupting it.
+	// path. Every answer is keyed by the world's digest and the model that
+	// computed it, and only the answers of the world and model the system
+	// runs at construction are replayed: a directory written over another
+	// world — even one differing in a single triple — replays nothing. It
+	// is flock-guarded — a second server process pointed at the same
+	// directory fails fast instead of corrupting it.
 	CacheDir string
 	// CacheTTL expires cache entries: an entry older than CacheTTL is
 	// recomputed on next access (and purged from memory on the expired
@@ -161,7 +162,6 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 		}
 		rt, err := serve.Open(ro, serve.LogOptions[served]{
 			Dir:       o.CacheDir,
-			Meta:      s.cacheMeta(),
 			ModelTag:  s.cur.Load().tag,
 			SyncEvery: sync, // negative: no periodic sync
 			Log:       o.Logger,
@@ -176,16 +176,6 @@ func (s *System) Server(o ServerOptions) (*Server, error) {
 		sv.limiter = serve.NewLimiter(o.RateLimit, o.RateBurst)
 	}
 	return sv, nil
-}
-
-// cacheMeta fingerprints the world a persistent cache directory belongs
-// to, so a segment written by one system is never replayed into another
-// (different flavor, seed or scale ⇒ different meta ⇒ the segment is
-// discarded at open). Learned state is deliberately excluded — the model's
-// identity leads every cache key instead (online.tag).
-func (s *System) cacheMeta() string {
-	st := s.Stats()
-	return fmt.Sprintf("%s|e%d|t%d|p%d|c%d", st.Flavor, st.Entities, st.Triples, st.Predicates, st.CorpusSize)
 }
 
 // compute builds the serving-layer engine function for one engine and one

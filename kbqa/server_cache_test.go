@@ -210,10 +210,10 @@ func TestContentTagCoversStats(t *testing.T) {
 		qs = append(qs, p.Q)
 	}
 	half := decompose.BuildStats(qs[:len(qs)/2], s.world.Symbols.Lexicon.Has)
-	if a, b := contentTag(cur.model, cur.engine.Stats), contentTag(cur.model, half); a == b {
+	if a, b := contentTag(s.digest, cur.model, cur.engine.Stats), contentTag(s.digest, cur.model, half); a == b {
 		t.Fatalf("one model over two statistics tags %s both times", a)
 	}
-	if got := contentTag(cur.model, cur.engine.Stats); got != cur.tag || len(got) != 16 {
+	if got := contentTag(s.digest, cur.model, cur.engine.Stats); got != cur.tag || len(got) != 16 {
 		t.Errorf("tag %q is not the published %q or not 16 hex digits", got, cur.tag)
 	}
 }
