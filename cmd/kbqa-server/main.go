@@ -23,9 +23,9 @@
 //	     first (see -trace-sample / -slow-query)
 //	GET  /debug/pprof/...            -> the Go runtime profiler
 //
-// Requests to /ask and /batch run under a trace when tracing is on
-// (-trace-sample > 0 or -slow-query > 0): the response carries the trace
-// ID in the X-Kbqa-Trace header (and trace_id in the JSON body), and
+// Requests to /ask and /batch run under a trace when tracing is on (by
+// default: -slow-query > 0 or -trace-sample > 0): the response carries the
+// trace ID in the X-Kbqa-Trace header (and trace_id in the JSON body), and
 // sampled or slow traces are retained for /debug/traces with nested
 // parse/match/probe, per-hop and per-shard spans. Logs are structured
 // JSON lines on stderr (-log-level selects the floor); every request is
@@ -487,7 +487,7 @@ func main() {
 	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (refused unless its world digest equals that of the world the other flags describe; exclusive with -shard-servers)")
 	kbSave := flag.String("kb-save", "", "after building, write the knowledge base as a snapshot image to this path")
 	traceSample := flag.Float64("trace-sample", 0, "probability [0,1] that a request trace is retained for /debug/traces")
-	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "always capture and log traces of requests at or above this duration (0 = off)")
+	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "always capture and log traces of requests at or above this duration; any value but 0 traces every request (0 = off)")
 	traceBuffer := flag.Int("trace-buffer", 0, "retained trace ring size (0 = default 128)")
 	logLevel := flag.String("log-level", "info", "log floor: debug, info, warn, or error")
 	flag.Parse()

@@ -468,15 +468,17 @@ func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork, t
 		sp.SetInt("entities", int64(entities))
 		sp.SetInt("templates", int64(templates))
 		sp.SetInt("probes", int64(len(plan.probes)))
-		perShard := make([]int64, e.KB.NumShards())
-		for _, w := range works {
-			for _, m := range w.mentions {
-				for _, ent := range m.Entities {
-					perShard[rdf.ShardIndex(ent, len(perShard))]++
+		for s, n := 0, e.KB.NumShards(); s < n; s++ {
+			var ents int64
+			for _, w := range works {
+				for _, m := range w.mentions {
+					for _, ent := range m.Entities {
+						if rdf.ShardIndex(ent, n) == s {
+							ents++
+						}
+					}
 				}
 			}
-		}
-		for s, ents := range perShard {
 			if ents == 0 {
 				continue
 			}

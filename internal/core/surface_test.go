@@ -7,11 +7,13 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/concept"
 	"repro/internal/corpus"
 	"repro/internal/extract"
 	"repro/internal/learn"
+	"repro/internal/obs"
 	"repro/internal/template"
 	"repro/internal/text"
 )
@@ -132,49 +134,104 @@ func TestParsesOncePerQuestion(t *testing.T) {
 func TestAllocationCeilings(t *testing.T) {
 	f := world(t)
 	ctx := context.Background()
-	worst := func(questions []string, complex bool, k int) (string, float64) {
+	worst := func(questions []string, k int) (string, float64) {
 		var q string
 		var n float64
 		for _, cand := range questions {
-			ans, err := askCtx(ctx, f.engine, cand)
-			if err != nil || complex != (len(ans.Steps) == 2) {
-				continue
-			}
 			if a := testing.AllocsPerRun(10, func() { f.engine.Answer(ctx, cand, k, false) }); a > n {
 				q, n = cand, a
 			}
 		}
-		if q == "" {
-			t.Fatalf("fixture answers no such question (complex=%v)", complex)
-		}
 		return q, n
 	}
-	var bfqs, hops []string
-	for _, p := range f.pairs[:200] {
-		if !p.Noise {
-			bfqs = append(bfqs, p.Q)
-		}
-	}
-	for _, cp := range corpus.ComposeComplex(f.kb, 5, 16) {
-		hops = append(hops, cp.Q)
-	}
+	bfqs, hops := allocationQuestions(t, f)
 	for _, row := range []struct {
 		kind      string
 		questions []string
-		complex   bool
 		k         int
 		ceiling   float64
 	}{
-		{"a BFQ", bfqs, false, 0, 26},
-		{"a BFQ with the top 3", bfqs, false, 3, 30},
-		{"a two-hop question", hops, true, 0, 120},
-		{"a two-hop question with the top 3", hops, true, 3, 124},
+		{"a BFQ", bfqs, 0, 26},
+		{"a BFQ with the top 3", bfqs, 3, 30},
+		{"a two-hop question", hops, 0, 120},
+		{"a two-hop question with the top 3", hops, 3, 124},
 	} {
-		q, n := worst(row.questions, row.complex, row.k)
+		q, n := worst(row.questions, row.k)
 		t.Logf("worst of %s: %v allocations (%q)", row.kind, n, q)
 		if n > row.ceiling {
 			t.Errorf("%s allocates %v times (%q), ceiling %v", row.kind, n, q, row.ceiling)
 		}
+	}
+}
+
+// allocationQuestions is what the allocation ceilings ask: the BFQs among
+// the fixture's first 200 corpus questions, and the two-hop questions
+// among 16 composed ones, each answered by the engine.
+func allocationQuestions(t *testing.T, f *fixture) (bfqs, hops []string) {
+	t.Helper()
+	answered := func(q string, complex bool) bool {
+		ans, err := askCtx(context.Background(), f.engine, q)
+		return err == nil && complex == (len(ans.Steps) == 2)
+	}
+	for _, p := range f.pairs[:200] {
+		if !p.Noise && answered(p.Q, false) {
+			bfqs = append(bfqs, p.Q)
+		}
+	}
+	for _, cp := range corpus.ComposeComplex(f.kb, 5, 16) {
+		if answered(cp.Q, true) {
+			hops = append(hops, cp.Q)
+		}
+	}
+	if len(bfqs) == 0 || len(hops) == 0 {
+		t.Fatalf("fixture answers %d BFQs and %d two-hop questions, want some of each", len(bfqs), len(hops))
+	}
+	return bfqs, hops
+}
+
+// TestTracedAllocationCeilings prices a traced question as a count. Slow
+// capture traces every request, so the shipped server (-slow-query 500ms)
+// asks every question under a live trace that it almost never retains.
+// The mean over the same questions as TestAllocationCeilings, trace start
+// and Finish included, may exceed the untraced mean by 4 allocations for
+// a BFQ and 10 for a two-hop question. With a heap span, a context and
+// growing attributes per span they exceeded it by 18.0 and 36.8.
+func TestTracedAllocationCeilings(t *testing.T) {
+	f := world(t)
+	ctx := context.Background()
+	tracer := obs.NewTracer(obs.Options{SlowThreshold: 500 * time.Millisecond})
+	mean := func(questions []string, traced bool) float64 {
+		var sum float64
+		for _, q := range questions {
+			sum += testing.AllocsPerRun(10, func() {
+				if !traced {
+					f.engine.Answer(ctx, q, 0, false)
+					return
+				}
+				tctx, trace := tracer.Start(ctx, "question")
+				f.engine.Answer(tctx, q, 0, false)
+				trace.Finish()
+			})
+		}
+		return sum / float64(len(questions))
+	}
+	bfqs, hops := allocationQuestions(t, f)
+	for _, row := range []struct {
+		kind      string
+		questions []string
+		ceiling   float64
+	}{
+		{"a BFQ", bfqs, 4},
+		{"a two-hop question", hops, 10},
+	} {
+		plain, traced := mean(row.questions, false), mean(row.questions, true)
+		t.Logf("%s: %.1f allocations untraced, %.1f traced (mean of %d)", row.kind, plain, traced, len(row.questions))
+		if traced-plain > row.ceiling {
+			t.Errorf("a trace adds %.1f allocations to %s, ceiling %v", traced-plain, row.kind, row.ceiling)
+		}
+	}
+	if n := len(tracer.Snapshot()); n != 0 {
+		t.Errorf("the tracer retained %d fast, unsampled traces", n)
 	}
 }
 

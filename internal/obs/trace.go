@@ -4,7 +4,9 @@
 // and runtime introspection helpers (runtime.go). Everything is nil-safe:
 // an untraced request pays one context lookup per StartSpan and a nil
 // Logger discards everything, so instrumentation can stay compiled in on
-// hot paths.
+// hot paths. Slow capture traces every request (kbqa-server ships with
+// -slow-query 500ms), so a trace's spans, their contexts and attributes
+// come from chunks the Trace owns: a few allocations per question.
 package obs
 
 import (
@@ -38,18 +40,44 @@ func TraceID(ctx context.Context) string {
 	return ""
 }
 
+// SampledTraceID returns the ID of the trace active in ctx if it was
+// sampled at Start, and so is sure to be retained, or "" otherwise.
+func SampledTraceID(ctx context.Context) string {
+	if sp := ActiveSpan(ctx); sp != nil && sp.trace.sampled {
+		return sp.trace.id
+	}
+	return ""
+}
+
 // StartSpan opens a child span under the span active in ctx and returns a
 // context carrying it. When ctx carries no trace it returns (ctx, nil)
 // after a single context lookup — the no-trace fast path — and the nil
 // span's methods (SetAttr, SetInt, Stage, End) are all no-ops, so call
-// sites never branch.
+// sites never branch. The returned context is the span itself.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := ActiveSpan(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := parent.newChild(name)
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	sp := parent.add(name, parent.trace.since(), 0, false)
+	sp.ctx = ctx
+	return (*spanCtx)(sp), sp
+}
+
+// spanCtx is a span as the context that carries it: the context it was
+// opened under, but for Value(spanKey{}). Done and Value reach the
+// parent's own, so context.WithCancel under it starts no goroutine.
+type spanCtx Span
+
+func (c *spanCtx) Deadline() (time.Time, bool) { return c.ctx.Deadline() }
+func (c *spanCtx) Done() <-chan struct{}       { return c.ctx.Done() }
+func (c *spanCtx) Err() error                  { return c.ctx.Err() }
+
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanKey); ok {
+		return (*Span)(c)
+	}
+	return c.ctx.Value(key)
 }
 
 // NewRemoteRoot opens a detached root span for serving one remote call on
@@ -59,9 +87,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // retained locally — the server Ends it and ships AppendJSON's bytes back
 // to the caller, which grafts them with AttachRemote.
 func NewRemoteRoot(traceID, name string) *Span {
-	t := &Trace{id: traceID, start: time.Now()}
-	t.root = &Span{trace: t, name: name, start: t.start}
-	return t.root
+	return newTrace(traceID, name, nil).root
 }
 
 // AttachRemote grafts a remote span tree (another process's AppendJSON, as
@@ -76,24 +102,18 @@ func (s *Span) AttachRemote(snapshotJSON []byte) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	s.trace.mu.Lock()
 	s.remote = append(s.remote, snapshotJSON)
-	s.mu.Unlock()
+	s.trace.mu.Unlock()
 }
 
-// rebaseSnapshot shifts a remote snapshot's start offsets by off
+// rebase shifts a decoded remote snapshot's start offsets by off
 // nanoseconds, recursively.
-func rebaseSnapshot(s SpanSnapshot, off int64) SpanSnapshot {
+func rebase(s *SpanSnapshot, off int64) {
 	s.StartNanos += off
-	if len(s.Children) == 0 {
-		return s
+	for i := range s.Children {
+		rebase(&s.Children[i], off)
 	}
-	kids := make([]SpanSnapshot, len(s.Children))
-	for i, c := range s.Children {
-		kids[i] = rebaseSnapshot(c, off)
-	}
-	s.Children = kids
-	return s
 }
 
 // Attr is one key/value annotation on a span.
@@ -108,31 +128,42 @@ type attr struct {
 	key, str string
 	num      int64
 	isInt    bool
+	next     *attr
 }
 
 // Span is one timed operation inside a trace. Spans form a tree under the
 // trace root; children may be created concurrently (e.g. per-shard scan
-// workers), so mutation is mutex-guarded. All methods are safe on a nil
-// receiver.
+// workers), so the trace's mutex guards its spans. A span is never reused,
+// so one may be written after Trace.Finish (a losing hedge attempt Ends
+// its span when it gives up). All methods are safe on a nil receiver.
 type Span struct {
+	ctx   context.Context // what StartSpan or Start opened it under; nil otherwise
 	trace *Trace
 	name  string
-	start time.Time
+	start int64 // nanoseconds after the trace's start, on the monotonic clock
 
-	mu       sync.Mutex
-	dur      time.Duration
-	ended    bool
-	attrs    []attr  // backed by inline until a span outgrows it
-	inline   [5]attr // an HTTP root and engine.probe set five
-	children []*Span
-	remote   [][]byte // grafted remote subtrees, still JSON (AttachRemote)
+	// Guarded by trace.mu.
+	dur             int64
+	ended           bool
+	first, last     *Span    // children, in the order opened
+	next            *Span    // the next sibling
+	attrs, lastAttr *attr    // in the order set
+	remote          [][]byte // grafted remote subtrees, still JSON (AttachRemote)
 }
 
-func (s *Span) newChild(name string) *Span {
-	c := &Span{trace: s.trace, name: name, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+// add appends a span to s's children, taken from the trace's slab.
+func (s *Span) add(name string, start, dur int64, ended bool) *Span {
+	t := s.trace
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.spans.take()
+	*c = Span{trace: t, name: name, start: start, dur: dur, ended: ended}
+	if s.last == nil {
+		s.first = c
+	} else {
+		s.last.next = c
+	}
+	s.last = c
 	return c
 }
 
@@ -143,7 +174,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.newChild(name)
+	return s.add(name, s.trace.since(), 0, false)
 }
 
 // SetAttr annotates the span with a string attribute.
@@ -163,12 +194,17 @@ func (s *Span) SetInt(key string, v int64) {
 }
 
 func (s *Span) setAttr(a attr) {
-	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = s.inline[:0]
+	t := s.trace
+	t.mu.Lock()
+	r := t.attrs.take()
+	*r = a
+	if s.lastAttr == nil {
+		s.attrs = r
+	} else {
+		s.lastAttr.next = r
 	}
-	s.attrs = append(s.attrs, a)
-	s.mu.Unlock()
+	s.lastAttr = r
+	t.mu.Unlock()
 }
 
 // Stage records a completed child span with an explicit duration, for
@@ -178,10 +214,7 @@ func (s *Span) Stage(name string, d time.Duration) {
 	if s == nil {
 		return
 	}
-	c := &Span{trace: s.trace, name: name, start: s.start, dur: d, ended: true}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+	s.add(name, s.start, int64(d), true)
 }
 
 // End stamps the span's duration. Idempotent: the first End wins.
@@ -189,45 +222,35 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	t := s.trace
+	now := t.since()
+	t.mu.Lock()
 	if !s.ended {
-		s.ended = true
-		s.dur = time.Since(s.start)
+		s.ended, s.dur = true, now-s.start
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // snapshot converts the span tree to its immutable JSON form. base is the
-// trace start, so StartNanos is an offset into the trace.
-func (s *Span) snapshot(base time.Time) SpanSnapshot {
-	s.mu.Lock()
-	snap := SpanSnapshot{
-		Name:          s.name,
-		StartNanos:    s.start.Sub(base).Nanoseconds(),
-		DurationNanos: s.dur.Nanoseconds(),
-	}
-	if len(s.attrs) > 0 {
-		snap.Attrs = make([]Attr, len(s.attrs))
-		for i, a := range s.attrs {
-			if a.isInt {
-				a.str = strconv.FormatInt(a.num, 10)
-			}
-			snap.Attrs[i] = Attr{Key: a.key, Value: a.str}
+// start of the span StartNanos offsets count from. The trace's mutex is
+// held.
+func (s *Span) snapshot(base int64) SpanSnapshot {
+	snap := SpanSnapshot{Name: s.name, StartNanos: s.start - base, DurationNanos: s.dur}
+	for a := s.attrs; a != nil; a = a.next {
+		v := a.str
+		if a.isInt {
+			v = strconv.FormatInt(a.num, 10)
 		}
+		snap.Attrs = append(snap.Attrs, Attr{Key: a.key, Value: v})
 	}
-	children := append([]*Span(nil), s.children...)
-	remote := append([][]byte(nil), s.remote...)
-	s.mu.Unlock()
-	for _, c := range children {
+	for c := s.first; c != nil; c = c.next {
 		snap.Children = append(snap.Children, c.snapshot(base))
 	}
-	if len(remote) > 0 {
-		off := s.start.Sub(base).Nanoseconds()
-		for _, raw := range remote {
-			var r SpanSnapshot
-			if json.Unmarshal(raw, &r) == nil {
-				snap.Children = append(snap.Children, rebaseSnapshot(r, off))
-			}
+	for _, raw := range s.remote {
+		var r SpanSnapshot
+		if json.Unmarshal(raw, &r) == nil {
+			rebase(&r, s.start-base)
+			snap.Children = append(snap.Children, r)
 		}
 	}
 	return snap
@@ -241,19 +264,20 @@ func (s *Span) AppendJSON(dst []byte) []byte {
 	if s == nil {
 		return append(dst, `{"name":"","start_ns":0,"duration_ns":0}`...)
 	}
+	s.trace.mu.Lock()
+	defer s.trace.mu.Unlock()
 	return s.appendJSON(dst, s.start)
 }
 
-func (s *Span) appendJSON(dst []byte, base time.Time) []byte {
-	s.mu.Lock()
+func (s *Span) appendJSON(dst []byte, base int64) []byte {
 	dst = append(dst, `{"name":`...)
 	dst = AppendJSONString(dst, s.name)
 	dst = append(dst, `,"start_ns":`...)
-	dst = strconv.AppendInt(dst, s.start.Sub(base).Nanoseconds(), 10)
+	dst = strconv.AppendInt(dst, s.start-base, 10)
 	dst = append(dst, `,"duration_ns":`...)
-	dst = strconv.AppendInt(dst, s.dur.Nanoseconds(), 10)
+	dst = strconv.AppendInt(dst, s.dur, 10)
 	sep := `,"attrs":[`
-	for _, a := range s.attrs {
+	for a := s.attrs; a != nil; a = a.next {
 		dst = AppendJSONString(append(append(dst, sep...), `{"key":`...), a.key)
 		dst = append(dst, `,"value":`...)
 		if a.isInt {
@@ -263,22 +287,20 @@ func (s *Span) appendJSON(dst []byte, base time.Time) []byte {
 		}
 		dst, sep = append(dst, '}'), ","
 	}
-	if len(s.attrs) > 0 {
+	if s.attrs != nil {
 		dst = append(dst, ']')
 	}
-	// Both lists only grow, so the prefixes read here stay valid unlocked.
-	children, remote := s.children, s.remote
-	s.mu.Unlock()
 	sep = `,"children":[`
-	for _, c := range children {
+	for c := s.first; c != nil; c = c.next {
 		dst, sep = c.appendJSON(append(dst, sep...), base), ","
 	}
-	for _, raw := range remote {
+	for _, raw := range s.remote {
 		var r SpanSnapshot
 		if json.Unmarshal(raw, &r) != nil {
 			continue
 		}
-		if b, err := json.Marshal(rebaseSnapshot(r, s.start.Sub(base).Nanoseconds())); err == nil {
+		rebase(&r, s.start-base)
+		if b, err := json.Marshal(r); err == nil {
 			dst, sep = append(append(dst, sep...), b...), ","
 		}
 	}
@@ -346,7 +368,43 @@ type Trace struct {
 	tracer   *Tracer
 	sampled  bool
 	finished atomic.Bool
+
+	// mu guards the spans. They and their attributes are taken from slabs
+	// whose first chunks are inline: a cache hit's trace fits in 1 KiB.
+	mu          sync.Mutex
+	spans       slab[Span]
+	attrs       slab[attr]
+	inlineSpans [3]Span
+	inlineAttrs [9]attr
 }
+
+// slab hands out zeroed records from chunks it never moves or reuses, so a
+// record outlives its trace's Finish for as long as anything holds it.
+// Each chunk is twice as long as the last, up to 64 records.
+type slab[T any] struct {
+	chunk []T
+	n     int // records of chunk handed out
+}
+
+func (s *slab[T]) take() *T {
+	if s.n == len(s.chunk) {
+		s.chunk, s.n = make([]T, min(2*len(s.chunk), 64)), 0
+	}
+	s.n++
+	return &s.chunk[s.n-1]
+}
+
+// newTrace builds a trace starting now, with its root span called name.
+func newTrace(id, name string, tr *Tracer) *Trace {
+	t := &Trace{id: id, start: time.Now(), tracer: tr}
+	t.spans.chunk, t.attrs.chunk = t.inlineSpans[:], t.inlineAttrs[:]
+	t.root = t.spans.take()
+	t.root.trace, t.root.name = t, name
+	return t
+}
+
+// since is the time since the trace started, in nanoseconds.
+func (t *Trace) since() int64 { return int64(time.Since(t.start)) }
 
 // ID returns the trace's identifier ("" on nil).
 func (t *Trace) ID() string {
@@ -372,21 +430,23 @@ func (t *Trace) Finish() {
 		return
 	}
 	t.root.End()
-	t.root.mu.Lock()
-	dur := t.root.dur
-	t.root.mu.Unlock()
+	t.mu.Lock()
+	dur := time.Duration(t.root.dur)
 	tr := t.tracer
 	slow := tr.opts.SlowThreshold > 0 && dur >= tr.opts.SlowThreshold
 	if !t.sampled && !slow {
+		t.mu.Unlock()
 		return
 	}
+	root := t.root.snapshot(t.root.start)
+	t.mu.Unlock()
 	snap := TraceSnapshot{
 		ID:             t.id,
 		Start:          t.start,
 		DurationNanos:  dur.Nanoseconds(),
 		DurationMillis: float64(dur) / float64(time.Millisecond),
 		Slow:           slow,
-		Root:           t.root.snapshot(t.start),
+		Root:           root,
 	}
 	tr.keep(snap)
 	if slow {
@@ -459,15 +519,10 @@ func (tr *Tracer) Start(ctx context.Context, name string) (context.Context, *Tra
 	if tr == nil || (tr.opts.SampleRate == 0 && tr.opts.SlowThreshold == 0) {
 		return ctx, nil
 	}
-	now := time.Now()
-	t := &Trace{
-		id:      traceID(tr.idBase + tr.seq.Add(1)),
-		start:   now,
-		tracer:  tr,
-		sampled: tr.opts.SampleRate > 0 && mrand.Float64() < tr.opts.SampleRate,
-	}
-	t.root = &Span{trace: t, name: name, start: now}
-	return context.WithValue(ctx, spanKey{}, t.root), t
+	t := newTrace(traceID(tr.idBase+tr.seq.Add(1)), name, tr)
+	t.sampled = tr.opts.SampleRate > 0 && mrand.Float64() < tr.opts.SampleRate
+	t.root.ctx = ctx
+	return (*spanCtx)(t.root), t
 }
 
 // traceID formats n as 16 lowercase hex digits.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -163,23 +166,123 @@ func TestRingEvictionNewestFirst(t *testing.T) {
 }
 
 func TestConcurrentChildSpans(t *testing.T) {
+	const workers = 64 // three spans and three attributes each: past several chunks of both slabs
 	tr := NewTracer(Options{SampleRate: 1})
 	ctx, trace := tr.Start(context.Background(), "root")
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, sp := StartSpan(ctx, "worker")
+			wctx, sp := StartSpan(ctx, "worker")
 			sp.SetInt("i", int64(i))
+			_, inner := StartSpan(wctx, "inner")
+			inner.SetInt("i", int64(i))
+			inner.Stage("stage", time.Duration(i))
+			inner.SetAttr("done", "yes")
+			inner.End()
 			sp.End()
 		}(i)
 	}
 	wg.Wait()
 	trace.Finish()
 	snaps := tr.Snapshot()
-	if len(snaps) != 1 || len(snaps[0].Root.Children) != 16 {
-		t.Fatalf("expected 16 concurrent children, got %+v", snaps)
+	if len(snaps) != 1 || len(snaps[0].Root.Children) != workers {
+		t.Fatalf("expected %d concurrent children, got %+v", workers, snaps)
+	}
+	seen := make([]bool, workers)
+	for _, w := range snaps[0].Root.Children {
+		v, _ := w.Attr("i")
+		i, err := strconv.Atoi(v)
+		if err != nil || i < 0 || i >= workers || seen[i] {
+			t.Fatalf("worker attribute i = %q", v)
+		}
+		seen[i] = true
+		want := SpanSnapshot{Name: "inner", StartNanos: w.Children[0].StartNanos, DurationNanos: w.Children[0].DurationNanos,
+			Attrs:    []Attr{{"i", v}, {"done", "yes"}},
+			Children: []SpanSnapshot{{Name: "stage", StartNanos: w.Children[0].StartNanos, DurationNanos: int64(i)}}}
+		if len(w.Children) != 1 || !reflect.DeepEqual(w.Children[0], want) {
+			t.Fatalf("worker %d's children = %+v, want [%+v]", i, w.Children, want)
+		}
+	}
+}
+
+// TestSpanWritesAfterFinish: a losing hedge attempt ends and annotates its
+// span, and opens children under it, whenever it gives up — after
+// Trace.Finish too. Nothing it does then races with Finish or the readers
+// of the retained trace, or changes what was retained.
+func TestSpanWritesAfterFinish(t *testing.T) {
+	tr := NewTracer(Options{SampleRate: 1})
+	ctx, trace := tr.Start(context.Background(), "rpc.call")
+	actx, attempt := StartSpan(ctx, "rpc.attempt")
+	attempt.SetAttr("server", "a")
+	hedge := trace.Root().Child("rpc.attempt")
+	hedge.SetAttr("server", "b")
+	hedge.End()
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		attempt.End()
+		attempt.SetAttr("error", "lost the race")
+		for i := 0; i < 100; i++ { // through chunks of up to 64 records
+			_, late := StartSpan(actx, "late")
+			late.SetInt("i", int64(i))
+			late.End()
+			attempt.Child("late.child").Stage("stage", time.Millisecond)
+		}
+	}()
+	close(start)
+	trace.Finish()
+	retained := tr.Snapshot()
+	want, err := json.Marshal(retained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got, _ := json.Marshal(tr.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("writes after Finish changed the retained trace:\n got %s\nwant %s", got, want)
+	}
+	if len(retained) != 1 || retained[0].Root.Find("rpc.attempt") == nil {
+		t.Fatalf("retained %+v, want the one trace with its attempts", retained)
+	}
+}
+
+// TestSpanContextKeepsCancelFastPath: a span's context is its parent's for
+// cancellation, so context.WithTimeout under it finds the cancelable
+// ancestor and links to it, as it does under context.WithValue, rather
+// than starting a goroutine to watch the parent's Done channel.
+func TestSpanContextKeepsCancelFastPath(t *testing.T) {
+	const n = 16
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := NewTracer(Options{SampleRate: 1})
+	ctx, trace := tr.Start(parent, "root")
+	defer trace.Finish()
+	ctx, sp := StartSpan(ctx, "child")
+	defer sp.End()
+	before := runtime.NumGoroutine()
+	var derived [n]context.Context
+	for i := range derived {
+		var stop context.CancelFunc
+		derived[i], stop = context.WithTimeout(ctx, time.Hour)
+		defer stop()
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 0 {
+		t.Fatalf("%d contexts derived under a span started %d goroutines", n, grew)
+	}
+	if ActiveSpan(derived[0]) != sp || TraceID(derived[0]) != trace.ID() {
+		t.Fatal("a context derived under a span lost the span")
+	}
+	cancel()
+	for _, d := range derived {
+		<-d.Done()
+		if !errors.Is(d.Err(), context.Canceled) {
+			t.Fatalf("derived context ended with %v, want Canceled", d.Err())
+		}
 	}
 }
 
@@ -223,8 +326,9 @@ func TestFindAndAttrMiss(t *testing.T) {
 }
 
 // BenchmarkStartSpanUntraced is the fast path: tracing compiled in, no
-// trace in the context. This is the cost every production request pays
-// when sampling is off and no trace was started.
+// trace in the context. This is the cost a request pays when no trace was
+// started — with slow capture on, as kbqa-server ships, every request has
+// one.
 func BenchmarkStartSpanUntraced(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -235,10 +339,11 @@ func BenchmarkStartSpanUntraced(b *testing.B) {
 }
 
 // BenchmarkStartSpanTraced is the slow path: a live trace, one span per
-// iteration. The trace is recycled in batches so the accumulated span
-// tree stays bounded at large b.N.
+// iteration, under slow capture as kbqa-server ships (a tracer that can
+// retain nothing starts no trace). The trace is recycled in batches so the
+// accumulated span tree stays bounded at large b.N.
 func BenchmarkStartSpanTraced(b *testing.B) {
-	tr := NewTracer(Options{SampleRate: 0})
+	tr := NewTracer(Options{SlowThreshold: time.Hour})
 	ctx, trace := tr.Start(context.Background(), "bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -328,6 +433,19 @@ func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
 			sp.End()
 			return sp
 		}},
+		{"more spans and attributes than a chunk holds", func() *Span {
+			sp := NewRemoteRoot("t", "shard.serve")
+			for i := 0; i < 100; i++ { // chunks of up to 64 records
+				c := sp.Child("probe")
+				c.SetInt("i", int64(i))
+				c.SetAttr("k", hostile[i%len(hostile)])
+				c.Stage("stage", time.Duration(i))
+				c.End()
+				sp.SetInt("n", int64(i))
+			}
+			sp.End()
+			return sp
+		}},
 		{"only an undecodable remote", func() *Span {
 			sp := NewRemoteRoot("t", "rpc.call")
 			sp.AttachRemote([]byte("]"))
@@ -345,5 +463,51 @@ func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
 		if got := sp.AppendJSON([]byte("prefix")); string(got) != "prefix"+string(want) {
 			t.Errorf("%s:\n got %s\nwant prefix%s", tc.name, got, want)
 		}
+	}
+}
+
+// BenchmarkBatchTrace builds the trace that a /batch of 64 cold BFQs
+// builds, and finishes it unretained, as slow capture does for almost
+// every batch: an http.batch root, and per question serve.flight >
+// serve.admit, serve.engine > engine.answer with its three stages and an
+// engine.probe with one probe.shard, each with the attributes the serving
+// path sets on it.
+func BenchmarkBatchTrace(b *testing.B) {
+	tr := NewTracer(Options{SlowThreshold: time.Hour})
+	b.ReportAllocs()
+	for b.Loop() {
+		ctx, trace := tr.Start(context.Background(), "http.batch")
+		root := trace.Root()
+		root.SetAttr("method", "POST")
+		root.SetAttr("path", "/batch")
+		root.SetAttr("client", "127.0.0.1")
+		for i := 0; i < 64; i++ {
+			fctx, fsp := StartSpan(ctx, "serve.flight")
+			_, asp := StartSpan(fctx, "serve.admit")
+			asp.End()
+			ectx, esp := StartSpan(fctx, "serve.engine")
+			actx, sp := StartSpan(ectx, "engine.answer")
+			sp.SetAttr("question", "who is the mayor of victoria?")
+			_, psp := StartSpan(actx, "engine.probe")
+			psp.SetInt("mentions", 1)
+			psp.SetInt("entities", 1)
+			psp.SetInt("templates", 3)
+			psp.SetInt("probes", 2)
+			c := psp.Child("probe.shard")
+			c.SetInt("shard", int64(i%4))
+			c.SetInt("entities", 1)
+			c.End()
+			psp.End()
+			psp.SetInt("candidates", 1)
+			sp.Stage("parse", time.Microsecond)
+			sp.Stage("match", time.Microsecond)
+			sp.Stage("probe", time.Microsecond)
+			sp.End()
+			esp.End()
+			fsp.SetAttr("shared", "false")
+			fsp.End()
+		}
+		root.SetInt("status", 200)
+		trace.Finish()
 	}
 }

@@ -49,9 +49,9 @@ var bucketBounds = [numBuckets - 1]time.Duration{
 type histogram struct {
 	sumNanos atomic.Int64
 	buckets  [numBuckets]atomic.Uint64
-	// ex is the most recent traced observation — the exemplar linking the
+	// ex is the most recent sampled observation — the exemplar linking the
 	// latency family to a concrete trace in the /debug/traces ring.
-	// Last-write-wins; untraced requests never clobber a traced sample.
+	// Last-write-wins; unsampled requests never clobber a sampled one.
 	ex atomic.Pointer[stageExemplar]
 }
 
@@ -104,10 +104,10 @@ type HistogramSnapshot struct {
 	// true quantile lies somewhere above it.
 	Overflow uint64   `json:"overflow,omitempty"`
 	Buckets  []Bucket `json:"buckets,omitempty"`
-	// ExemplarTraceID/ExemplarSeconds are the most recent traced
+	// ExemplarTraceID/ExemplarSeconds are the most recent sampled
 	// observation: the trace ID to look up in /debug/traces and the latency
 	// it recorded. Rendered as an "# exemplar" comment line after the
-	// stage's samples; empty when no traced request has been observed.
+	// stage's samples; empty when no sampled request has been observed.
 	ExemplarTraceID string  `json:"exemplar_trace_id,omitempty"`
 	ExemplarSeconds float64 `json:"exemplar_seconds,omitempty"`
 	// sumNanos is the recorded total behind the exposition's _sum sample

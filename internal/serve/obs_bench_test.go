@@ -12,8 +12,10 @@ import (
 // path — a cache-hit Ask — in the two states that matter: untraced (the
 // compiled-in StartSpan calls hit their one-context-lookup fast path) and
 // fully traced (a sampled trace in the context, so every span is actually
-// built). The untraced number is what every production request pays when
-// sampling is off; the traced number is the per-request cost of capture.
+// built). The untraced number is what a request pays with tracing off: a
+// Server with no trace option, or kbqa-server with -slow-query 0 and no
+// -trace-sample. The traced number is what kbqa-server's requests pay by
+// default, since its -slow-query 500ms traces every request.
 func BenchmarkTraceOverhead(b *testing.B) {
 	r := withEngine(echoAsk(nil), Options[string]{})
 	defer r.Close()

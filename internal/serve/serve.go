@@ -237,10 +237,10 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	}
 	defer r.wg.Done()
 	r.metrics.inFlight.Add(1)
-	// The trace ID (empty for untraced requests) rides along into the
-	// latency histograms as their exemplar, linking a scraped bucket to a
-	// concrete trace in the /debug/traces ring.
-	traceID := obs.TraceID(ctx)
+	// A sampled trace's ID rides along into the latency histograms as their
+	// exemplar, linking a scraped bucket to a trace in the /debug/traces
+	// ring; an unsampled one (slow capture's) may never be retained there.
+	traceID := obs.SampledTraceID(ctx)
 	start := time.Now()
 	defer func() {
 		r.metrics.total.observeTraced(time.Since(start), traceID)

@@ -104,7 +104,7 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"untraced", nil, 19},
-		{"traced", slowOnly(), 32},
+		{"traced", slowOnly(), 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := kb.PathObjects(context.Background(), probes); err != nil {

@@ -77,7 +77,8 @@ type ServerOptions struct {
 	TraceSampleRate float64
 	// SlowQueryThreshold always-captures (and logs, when Logger is set)
 	// traces of requests at or above this duration, independent of
-	// sampling — the slow-query log. 0 disables slow capture.
+	// sampling — the slow-query log. 0 disables slow capture; any other
+	// value traces every request, a few allocations per question.
 	SlowQueryThreshold time.Duration
 	// TraceBuffer bounds the ring of retained traces behind Server.Traces
 	// and /debug/traces (default 128 once tracing is on).

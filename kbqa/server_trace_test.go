@@ -127,3 +127,44 @@ func TestServerBatchTraceIDs(t *testing.T) {
 	}
 	t.Fatalf("batch trace %s not retained", tid)
 }
+
+// TestExemplarsResolveToRetainedTraces: a latency exemplar names a trace
+// that /debug/traces can return. Slow capture alone traces every request
+// and retains none that finishes fast, so no stage may publish one; under
+// sampling every stage still has one, and each resolves through FindTrace.
+func TestExemplarsResolveToRetainedTraces(t *testing.T) {
+	s := testSystem(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		opts    ServerOptions
+		sampled bool
+	}{
+		{"slow capture only", ServerOptions{SlowQueryThreshold: 500 * time.Millisecond}, false},
+		{"sampled", ServerOptions{TraceSampleRate: 1, SlowQueryThreshold: 500 * time.Millisecond}, true},
+	} {
+		sv := mustServer(t, s, tc.opts)
+		for _, q := range s.SampleQuestions(4) {
+			if _, err := sv.Query(ctx, q); err != nil {
+				t.Fatalf("%s: Query(%q): %v", tc.name, q, err)
+			}
+		}
+		stages := sv.Metrics().Stages
+		if len(stages) != 4 {
+			t.Fatalf("%s: %d stage histograms, want 4", tc.name, len(stages))
+		}
+		for stage, h := range stages {
+			if h.ExemplarTraceID == "" {
+				if tc.sampled {
+					t.Errorf("%s: stage %s has no exemplar", tc.name, stage)
+				}
+				continue
+			}
+			if _, ok := sv.FindTrace(h.ExemplarTraceID); !ok {
+				t.Errorf("%s: stage %s's exemplar %s is not a retained trace (%d retained)",
+					tc.name, stage, h.ExemplarTraceID, len(sv.Traces()))
+			}
+		}
+		sv.Close()
+	}
+}
