@@ -8,7 +8,6 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -663,29 +662,4 @@ func BenchmarkProbeSharded(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkLoadNTriples compares sequential parse+index against parse plus
-// parallel per-shard index build on the same serialized KB.
-func BenchmarkLoadNTriples(b *testing.B) {
-	shardFixture(b)
-	var buf bytes.Buffer
-	if err := rdf.WriteNTriples(shardFlat, &buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rdf.LoadNTriples(bytes.NewReader(data), 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sharded=8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rdf.LoadNTriples(bytes.NewReader(data), 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -42,6 +42,10 @@
 // quota, answering 429 with a Retry-After header once a client (identified
 // by X-API-Key, else remote address) exhausts its bucket.
 //
+// -kb-image serves the knowledge base from a snapshot image written by
+// kbqa-learn -kb-image; -shard-servers serves it from kbqa-shard processes.
+// Either must hold the world -flavor, -seed and -shards describe.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests and flushing the persistent cache before exiting; per-request
 // deadlines reach the engine's probe loops, so expired requests stop
@@ -481,11 +485,10 @@ func main() {
 	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client burst allowance (0 = ceil of -rate-limit)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent engine calls (0 = 4×GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "RDF store subject-hash shards (0 = default 4, 1 = one shard)")
+	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match every kbqa-shard)")
 	shardServers := flag.String("shard-servers", "", "comma-separated kbqa-shard addresses; when set, knowledge-base index reads are served remotely (every server must have loaded the same world)")
 	shardReplicas := flag.Int("shard-replicas", 2, "replication factor of the shard placement")
 	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (refused unless its world digest equals that of the world the other flags describe; exclusive with -shard-servers)")
-	kbSave := flag.String("kb-save", "", "after building, write the knowledge base as a snapshot image to this path")
 	traceSample := flag.Float64("trace-sample", 0, "probability [0,1] that a request trace is retained for /debug/traces")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "always capture and log traces of requests at or above this duration; any value but 0 traces every request (0 = off)")
 	traceBuffer := flag.Int("trace-buffer", 0, "retained trace ring size (0 = default 128)")
@@ -496,6 +499,9 @@ func main() {
 	fatal := func(msg string, fields ...kbqa.LogField) {
 		logger.Error(msg, fields...)
 		os.Exit(1)
+	}
+	if *shards < 1 {
+		fatal("-shards must be at least 1", kbqa.LogF("shards", *shards))
 	}
 
 	logger.Info("building world", kbqa.LogF("flavor", *flavor), kbqa.LogF("seed", *seed))
@@ -517,12 +523,6 @@ func main() {
 	}
 	if *kbImage != "" {
 		logger.Info("knowledge base memory-mapped", kbqa.LogF("image", *kbImage))
-	}
-	if *kbSave != "" {
-		if err := sys.SaveKBImage(*kbSave); err != nil {
-			fatal("save kb image", kbqa.LogF("path", *kbSave), kbqa.LogF("error", err))
-		}
-		logger.Info("kb image saved", kbqa.LogF("path", *kbSave))
 	}
 	st := sys.Stats()
 	logger.Info("world ready", kbqa.LogF("templates", st.Templates), kbqa.LogF("predicates", st.Intents))

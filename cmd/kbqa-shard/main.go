@@ -14,14 +14,15 @@
 //	kbqa-shard -addr :9102 -servers :9101,:9102 -replicas 2
 //	kbqa-server -shard-servers :9101,:9102 -shard-replicas 2
 //
-// Generating the world from scratch dominates boot time. -kb-save writes
-// the loaded world as a snapshot image after generation; -kb-image boots
-// from such an image instead of generating, memory-mapping the file so the
-// world is served pages-on-demand (and shared between replicas on one
-// host). With -kb-image the generation flags (-flavor, -seed, -scale,
-// -shards) are ignored — the image is the world. Either way the handshake
-// refuses a frontend that built another world, down to one triple: it
-// compares the frontend's world digest with this world's.
+// The generated world is the one kbqa-server builds from the same -flavor,
+// -seed and -shards, at the default scale. Generating it dominates boot
+// time: -kb-image boots from a snapshot image (written by kbqa-learn
+// -kb-image) instead, memory-mapping the file so the world is served
+// pages-on-demand (and shared between replicas on one host). With
+// -kb-image the generation flags are ignored — the image is the world.
+// Either way the handshake refuses a frontend that built another world,
+// down to one triple: it compares the frontend's world digest with this
+// world's.
 package main
 
 import (
@@ -45,13 +46,11 @@ func main() {
 	addr := flag.String("addr", ":9101", "listen address")
 	flavor := flag.String("flavor", "freebase", "knowledge base flavor (must match the frontend)")
 	seed := flag.Int64("seed", 42, "generation seed (must match the frontend)")
-	scale := flag.Int("scale", 30, "base entities per category (must match the frontend)")
-	shards := flag.Int("shards", 4, "subject-hash shard count of the world (must match the frontend)")
+	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match the frontend)")
 	servers := flag.String("servers", "", "comma-separated list of every shard server; with -replicas this derives the shards this server owns (empty = own all shards)")
 	self := flag.String("self", "", "this server's entry in -servers (default: -addr)")
 	replicas := flag.Int("replicas", 2, "replication factor of the placement (used with -servers)")
 	kbImage := flag.String("kb-image", "", "boot from this snapshot image instead of generating the world (generation flags are ignored)")
-	kbSave := flag.String("kb-save", "", "after generating, write the world as a snapshot image to this path")
 	logLevel := flag.String("log-level", "info", "log floor: debug, info, warn, or error")
 	flag.Parse()
 
@@ -60,13 +59,13 @@ func main() {
 		logger.Error(msg, fields...)
 		os.Exit(1)
 	}
+	if *shards < 1 {
+		fatal("-shards must be at least 1", obs.F("shards", *shards))
+	}
 
 	var store rdf.Graph
 	var digest uint64
 	if *kbImage != "" {
-		if *kbSave != "" {
-			fatal("-kb-save needs a generated world; it cannot be combined with -kb-image")
-		}
 		logger.Info("mapping world image", obs.F("path", *kbImage))
 		im, err := snapshot.OpenImage(*kbImage)
 		if err != nil {
@@ -79,16 +78,9 @@ func main() {
 		if err != nil {
 			fatal("parse flavor", obs.F("error", err.Error()))
 		}
-		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed),
-			obs.F("scale", *scale), obs.F("shards", *shards))
-		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Scale: *scale, Shards: *shards}).Store
+		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed), obs.F("shards", *shards))
+		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Shards: *shards}).Store
 		store, digest = gen, snapshot.Digest(gen)
-		if *kbSave != "" {
-			if err := snapshot.WriteImageFile(*kbSave, gen); err != nil {
-				fatal("save kb image", obs.F("path", *kbSave), obs.F("error", err.Error()))
-			}
-			logger.Info("world image saved", obs.F("path", *kbSave))
-		}
 	}
 
 	var owns []int

@@ -6,12 +6,16 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/kbgen"
 	"repro/internal/learn"
-	"repro/internal/rdf"
 	"repro/internal/text"
 	"repro/kbqa"
 )
@@ -61,61 +65,6 @@ func replaceHole(pattern, entity string) string {
 		}
 	}
 	return pattern
-}
-
-// TestKBSerializationPreservesAnswers round-trips the knowledge base
-// through N-Triples and checks that online answering over the reloaded
-// store gives identical results (the taxonomy and model are reused: the
-// store is the only serialized piece here).
-func TestKBSerializationPreservesAnswers(t *testing.T) {
-	w := eval.BuildWorld(eval.WorldConfig{
-		Flavor: kbgen.DBpedia, Seed: 5, Scale: 15, PairsPerIntent: 15,
-	})
-	var buf bytes.Buffer
-	if err := rdf.WriteNTriples(w.KB.Store, &buf); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := rdf.LoadNTriples(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.NumTriples() != w.KB.Store.NumTriples() {
-		t.Fatalf("triples: %d vs %d", reloaded.NumTriples(), w.KB.Store.NumTriples())
-	}
-	// Spot check: every intent's first subject answers identically.
-	for _, it := range w.KB.Intents {
-		subs := w.KB.SubjectsWithPath(it)
-		if len(subs) == 0 {
-			continue
-		}
-		path, _ := rdf.ParsePath(w.KB.Store, it.PathKey)
-		origVals := labelsOf(w.KB.Store, rdf.PathObjects(w.KB.Store, subs[0], path))
-
-		label := w.KB.Store.Label(subs[0])
-		var again []string
-		path2, ok := rdf.ParsePath(reloaded, it.PathKey)
-		if !ok {
-			t.Fatalf("path %s lost in serialization", it.PathKey)
-		}
-		for _, e2 := range reloaded.EntitiesByLabel(label) {
-			vals := labelsOf(reloaded, rdf.PathObjects(reloaded, e2, path2))
-			if len(vals) > 0 {
-				again = vals
-				break
-			}
-		}
-		if len(origVals) > 0 && len(again) == 0 {
-			t.Fatalf("intent %s: values lost for %q", it.PathKey, label)
-		}
-	}
-}
-
-func labelsOf(s rdf.Graph, ids []rdf.ID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = text.Normalize(s.Label(id))
-	}
-	return out
 }
 
 // TestModelPortability: a model learned in one process state answers
@@ -170,5 +119,27 @@ func TestLearnerIsPureOverQA(t *testing.T) {
 	w.Learner().Learn(qa)
 	if w.KB.Store.NumTriples() != triples || w.KB.Store.NumNodes() != nodes {
 		t.Error("learning mutated the knowledge base")
+	}
+}
+
+// TestServersRefuseShardsBelowOne: kbqa-server and kbqa-shard must agree on
+// the world a -shards value names, so both refuse a count below 1 at start
+// rather than each resolving it its own way.
+func TestServersRefuseShardsBelowOne(t *testing.T) {
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/kbqa-server", "./cmd/kbqa-shard")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("%v: %v\n%s", build.Args, err, out)
+	}
+	for _, name := range []string{"kbqa-server", "kbqa-shard"} {
+		for _, n := range []string{"0", "-1"} {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			out, err := exec.CommandContext(ctx, filepath.Join(bin, name), "-addr", "127.0.0.1:0", "-shards", n).CombinedOutput()
+			cancel()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "-shards must be at least 1") {
+				t.Errorf("%s -shards %s: err %v, output:\n%s", name, n, err, out)
+			}
+		}
 	}
 }

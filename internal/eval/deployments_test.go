@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -122,19 +121,6 @@ var deployments = []struct {
 	// The four-shard in-process store: any divergence is a sharded read
 	// path misbehaving.
 	{"shards4", func(t *testing.T, w *World) (*core.Engine, func()) { return w.Engine, nil }},
-	// Serialized to N-Triples and loaded back: every node is re-interned
-	// (fresh IDs in scan order), which must be invisible at the answer layer.
-	{"ntriples", func(t *testing.T, w *World) (*core.Engine, func()) {
-		var nt bytes.Buffer
-		if err := rdf.WriteNTriples(w.KB.Store, &nt); err != nil {
-			t.Fatal(err)
-		}
-		st, err := rdf.LoadNTriples(&nt, w.KB.Store.NumShards())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.NewEngine(st, core.LocalIndex(st), w.KB.Taxonomy, w.Model, w.Stats), nil
-	}},
 	// A memory-mapped snapshot image, checked against the built world's
 	// digest; IDs are preserved verbatim.
 	{"image", func(t *testing.T, w *World) (*core.Engine, func()) {

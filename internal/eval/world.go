@@ -43,7 +43,7 @@ func DefaultWorldConfig(f kbgen.Flavor) WorldConfig {
 	case kbgen.DBpedia:
 		pairs = 28
 	}
-	return WorldConfig{Flavor: f, Seed: 42, Scale: 30, PairsPerIntent: pairs, NoiseRate: 0.15, Shards: 4}
+	return WorldConfig{Flavor: f, Seed: 42, Scale: kbgen.DefaultScale, PairsPerIntent: pairs, NoiseRate: 0.15, Shards: 4}
 }
 
 // World bundles a fully built and trained KBQA instance with everything
@@ -98,7 +98,7 @@ func BuildWorld(cfg WorldConfig) *World {
 // nil for the caller to build over the index it reads through.
 func LearnWorld(cfg WorldConfig) *World {
 	if cfg.Scale <= 0 {
-		cfg.Scale = 30
+		cfg.Scale = kbgen.DefaultScale
 	}
 	if cfg.PairsPerIntent <= 0 {
 		cfg.PairsPerIntent = 40

@@ -1,7 +1,6 @@
 package expand
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/infobox"
@@ -95,16 +94,9 @@ func TestKeepAllLengthsFalseEmitsOnlyComplete(t *testing.T) {
 
 func TestExpandParallelMatchesSequential(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 11, Flavor: kbgen.Freebase, Scale: 12})
-	// Round-trip the store once so the sequential and sharded copies carry
-	// identical node IDs (serialization re-assigns them in scan order).
-	var buf bytes.Buffer
-	if err := rdf.WriteNTriples(kb.Store, &buf); err != nil {
-		t.Fatal(err)
-	}
-	flat, err := rdf.LoadNTriples(bytes.NewReader(buf.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Rebuild the store in canonical scan order, as every layout below is:
+	// Repartition keeps node IDs, so all copies answer in the same IDs.
+	flat := rdf.Repartition(kb.Store, 1)
 	endFilter := func(p rdf.PID) bool {
 		name := flat.PredName(p)
 		return name == "name" || name == "alias"
@@ -113,12 +105,7 @@ func TestExpandParallelMatchesSequential(t *testing.T) {
 		cfg := Config{MaxLen: 3, EndFilter: endFilter, KeepAllLengths: keep}
 		seq := serialExpand(flat, cfg)
 		for _, shards := range []int{1, 2, 4, 7} {
-			// Load from the same byte stream as flat: parsing assigns IDs
-			// in first-seen order, so equal inputs give equal IDs.
-			ss, err := rdf.LoadNTriples(bytes.NewReader(buf.Bytes()), shards)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ss := rdf.Repartition(kb.Store, shards)
 			par := Expand(ss, cfg)
 			if par.Scans != seq.Scans || par.Scanned != seq.Scanned {
 				t.Fatalf("shards=%d keep=%v: scan accounting diverges: scans %d/%d scanned %d/%d",

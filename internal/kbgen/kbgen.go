@@ -27,8 +27,8 @@ type Config struct {
 	Seed int64
 	// Flavor selects the KBA / Freebase / DBpedia analogue.
 	Flavor Flavor
-	// Scale is the base number of entities per category. Zero means the
-	// default of 50. Actual counts are scaled per flavor and per category.
+	// Scale is the base number of entities per category. Zero means
+	// DefaultScale. Actual counts are scaled per flavor and per category.
 	Scale int
 	// Shards > 1 re-partitions the generated store into that many
 	// subject-hash shards, with the per-shard indexes bulk-loaded in
@@ -120,10 +120,14 @@ type generator struct {
 	nutrientNodes            []rdf.ID
 }
 
+// DefaultScale is the Scale of the world the servers and kbqa-learn build
+// unless told otherwise.
+const DefaultScale = 30
+
 // Generate synthesizes a knowledge base.
 func Generate(cfg Config) *KB {
 	if cfg.Scale <= 0 {
-		cfg.Scale = 50
+		cfg.Scale = DefaultScale
 	}
 	r := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Flavor)*7919))
 	s := rdf.NewShardedStore(1)

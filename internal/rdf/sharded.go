@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -81,26 +80,9 @@ func (sh *storeShard) add(subj ID, pred PID, obj ID) bool {
 	return true
 }
 
-// DefaultShards is the shard count used when a caller passes n <= 0:
-// one shard per available core, capped so tiny machines and huge ones both
-// get a sensible layout.
-func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
-// NewShardedStore returns an empty knowledge base partitioned into n
-// subject-hash shards (n <= 0 selects DefaultShards()).
+// NewShardedStore returns an empty knowledge base partitioned into n >= 1
+// subject-hash shards.
 func NewShardedStore(n int) *ShardedStore {
-	if n <= 0 {
-		n = DefaultShards()
-	}
 	ss := &ShardedStore{symtab: newSymtab(), shards: make([]storeShard, n)}
 	for i := range ss.shards {
 		ss.shards[i] = newStoreShard()
@@ -157,11 +139,11 @@ func (ss *ShardedStore) AddBatch(batch []Triple) {
 	}
 }
 
-// Repartition rebuilds src as an n-shard store (n <= 0 selects
-// DefaultShards()), feeding the new indexes in src's canonical scan order —
-// so the result, and everything learned from it, depends on src's content
-// only, not on the order src was filled in. The interning tables are taken
-// over, not copied, so src must not be written to afterwards; the per-shard
+// Repartition rebuilds src as an n-shard store (n >= 1) with the same node
+// IDs, feeding the new indexes in src's canonical scan order — so the
+// result, and everything learned from it, depends on src's content only,
+// not on the order src was filled in. The interning tables are taken over,
+// not copied, so src must not be written to afterwards; the per-shard
 // indexes are rebuilt in parallel, one worker per shard.
 func Repartition(src *ShardedStore, n int) *ShardedStore {
 	ss := NewShardedStore(n)

@@ -64,8 +64,8 @@ type Options struct {
 	// Shards selects the knowledge-base layout: the RDF store is
 	// partitioned into that many subject-hash shards (offline expansion
 	// scans one worker per shard; online probes hash to their shard); 1 is
-	// a one-shard world and 0 keeps the default (4). Answers are identical
-	// across layouts.
+	// a one-shard world, 0 keeps the default (4) and Build refuses a
+	// negative count. Answers are identical across layouts.
 	Shards int
 	// ShardServers, when non-empty, distributes the knowledge base: index
 	// reads (probes, scans) are served by remote kbqa-shard processes at
@@ -79,7 +79,7 @@ type Options struct {
 	// (default 2, clamped to len(ShardServers)).
 	ShardReplicas int
 	// KBImage, when non-empty, memory-maps a knowledge-base snapshot
-	// image (written by SaveKBImage or kbqa-shard -kb-save) and serves
+	// image (written by SaveKBImage, as kbqa-learn -kb-image does) and serves
 	// all index reads from it instead of the generated store. The image
 	// must hold exactly the world the other options describe: Build fails
 	// unless the image's digest equals the built store's, down to one
@@ -108,6 +108,9 @@ func (o Options) worldConfig() (eval.WorldConfig, error) {
 	f, err := ParseFlavor(o.Flavor)
 	if err != nil {
 		return eval.WorldConfig{}, err
+	}
+	if o.Shards < 0 {
+		return eval.WorldConfig{}, fmt.Errorf("kbqa: Shards is %d, want at least 1 (0 keeps the default)", o.Shards)
 	}
 	cfg := eval.DefaultWorldConfig(f)
 	if o.Seed != 0 {

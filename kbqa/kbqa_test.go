@@ -47,6 +47,14 @@ func TestBuildFlavors(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesNegativeShards: a negative shard count is an error, not a
+// one-shard world that no peer started with the same value would build.
+func TestBuildRefusesNegativeShards(t *testing.T) {
+	if _, err := Build(Options{Shards: -1}); err == nil {
+		t.Fatal("Build accepted Shards: -1")
+	}
+}
+
 func TestAskSampleQuestions(t *testing.T) {
 	s := testSystem(t)
 	qs := s.SampleQuestions(30)
@@ -167,7 +175,7 @@ func TestFallbackAndBaselines(t *testing.T) {
 // TestBaselineHonorsCancellation pins the regression kbqa-vet's
 // ctxpropagate analyzer caught on the variant eval path: baselines used to
 // evaluate under a fresh context.Background(); now the caller's context
-// reaches the baseline adapter, which refuses to answer once it is
+// reaches the baseline answerer, which refuses to answer once it is
 // cancelled.
 func TestBaselineHonorsCancellation(t *testing.T) {
 	s := testSystem(t)

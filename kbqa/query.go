@@ -272,12 +272,16 @@ func (s *System) Baseline(name string) (Answerer, error) {
 	if !ok {
 		return nil, fmt.Errorf("kbqa: unknown baseline %q (want keyword, synonym, graph, or rule)", name)
 	}
-	return baselineAnswerer{ad: baseline.Adapter{Sys: sys}}, nil
+	return baselineAnswerer{sys: sys}, nil
 }
 
-// baselineAnswerer adapts baseline.Adapter to the public Answerer shape.
+// baselineAnswerer lifts a comparison system into the Answerer contract.
+// The baselines are synchronous and uninterruptible (their cost is the
+// point of the Table 14 comparison), so the context is checked before the
+// call and again after — an expired context wins over a concurrently
+// computed answer — and a miss becomes ErrNoAnswer.
 type baselineAnswerer struct {
-	ad baseline.Adapter
+	sys baseline.System
 }
 
 func (b baselineAnswerer) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
@@ -285,9 +289,15 @@ func (b baselineAnswerer) Query(ctx context.Context, question string, opts ...Qu
 	ctx, cancel := cfg.arm(ctx)
 	defer cancel()
 	start := time.Now()
-	res, err := b.ad.Query(ctx, question)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	res, ok := b.sys.Answer(question)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, ErrNoAnswer
 	}
 	return &Result{
 		Question: question,

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/baseline"
+	"repro/internal/eval"
 )
 
 // equivalenceQuestions is the full eval equivalence suite: every training
@@ -265,6 +268,42 @@ func TestBaselineAnswerer(t *testing.T) {
 	cancel()
 	if _, err := rule.Query(ctx, "What is the population of nowhere?"); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled baseline err = %v, want context.Canceled", err)
+	}
+}
+
+// scriptedSystem is a comparison system that answers a fixed set of
+// questions.
+type scriptedSystem map[string]baseline.Result
+
+func (s scriptedSystem) Name() string { return "scripted" }
+func (s scriptedSystem) Answer(q string) (baseline.Result, bool) {
+	res, ok := s[q]
+	return res, ok
+}
+
+// TestBaselineTypedErrors holds System.Baseline to the Answerer contract:
+// an answer carries the system's value and path, a miss is ErrNoAnswer, and
+// a cancelled context wins over an answer the system has.
+func TestBaselineTypedErrors(t *testing.T) {
+	s := &System{world: &eval.World{Systems: map[string]baseline.System{
+		"scripted": scriptedSystem{"known": {Value: "v", Values: []string{"v", "w"}, Path: "p"}},
+	}}}
+	b, err := s.Baseline("scripted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := b.Query(ctx, "known")
+	if err != nil || res.Question != "known" || !reflect.DeepEqual(*res.Answer, Answer{Value: "v", Values: []string{"v", "w"}, Predicate: "p"}) {
+		t.Fatalf("Query(known) = (%+v, %v)", res, err)
+	}
+	if _, err := b.Query(ctx, "unknown"); !errors.Is(err, ErrNoAnswer) {
+		t.Fatalf("Query(unknown) err = %v, want ErrNoAnswer", err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := b.Query(cancelled, "known"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Query err = %v, want context.Canceled", err)
 	}
 }
 

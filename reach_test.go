@@ -26,13 +26,6 @@ var unlinkedOnPurpose = map[string]string{
 	"repro/kbqa.WithoutVariants":           "public API",
 }
 
-// unlinkedFiles exempts whole files. ROADMAP, "Offline is offline": "The
-// N-Triples reader/writer (11 functions, fuzzed, linked by no binary since
-// PR 15) becomes reachable through kbqa-learn -kb — or, if this item is
-// rejected, is deleted with its tests; it does not survive another round
-// unlinked."
-var unlinkedFiles = map[string]bool{"internal/rdf/ntriples.go": true}
-
 var nmLine = regexp.MustCompile(`^\s*[0-9a-f]*\s+[A-Za-z]\s+(repro/.*)$`)
 
 // TestEveryFunctionIsLinked is the reachability rule: a non-test function
@@ -104,7 +97,7 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 
 	var unlinked []string
 	for fn, file := range declared {
-		if !linked[fn] && !unlinkedFiles[file] && unlinkedOnPurpose[fn] == "" {
+		if !linked[fn] && unlinkedOnPurpose[fn] == "" {
 			unlinked = append(unlinked, fn+"  ("+file+")")
 		}
 	}
