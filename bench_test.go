@@ -655,7 +655,7 @@ func BenchmarkProbeSharded(b *testing.B) {
 				i := 0
 				for pb.Next() {
 					e := ents[i%len(ents)]
-					rdf.PathObjects(l.g, e, path)
+					rdf.PathObjects(nil, l.g, e, path)
 					l.g.Objects(e, 0)
 					i++
 				}

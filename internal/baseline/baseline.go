@@ -377,7 +377,7 @@ func (g *GraphMatch) Answer(question string) (Result, bool) {
 				}
 				for _, syn := range syns {
 					if sim := matchSyn(syn); sim > 0 {
-						consider(sim*float64(len(syn))+0.5, pathKey, rdf.PathObjects(g.KB, e, path))
+						consider(sim*float64(len(syn))+0.5, pathKey, rdf.PathObjects(nil, g.KB, e, path))
 					}
 				}
 			}

@@ -89,7 +89,7 @@ func TestSynonymFailsOnExpandedPredicate(t *testing.T) {
 	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person string
 	for _, p := range kb.ByCategory["person"] {
-		if len(rdf.PathObjects(kb.Store, p, path)) > 0 {
+		if len(rdf.PathObjects(nil, kb.Store, p, path)) > 0 {
 			person = kb.Store.Label(p)
 			break
 		}
@@ -106,7 +106,7 @@ func TestGraphMatchHandlesSubStructure(t *testing.T) {
 	path, _ := rdf.ParsePath(kb.Store, "marriage→person→name")
 	var person, want string
 	for _, p := range kb.ByCategory["person"] {
-		objs := rdf.PathObjects(kb.Store, p, path)
+		objs := rdf.PathObjects(nil, kb.Store, p, path)
 		if len(objs) > 0 {
 			person = kb.Store.Label(p)
 			want = text.Normalize(kb.Store.Label(objs[0]))

@@ -260,7 +260,7 @@ func TestConceptualizeIntoAllocatesNothing(t *testing.T) {
 	tax := appleTaxonomy()
 	vocab := text.NewVocab()
 	c := tax.Compile(vocab)
-	_, ctx := vocab.Tokenize("what is the headquarter of", nil)
+	_, ctx := vocab.Tokenize("what is the headquarter of", nil, nil)
 	prior := c.Priors("apple")
 	var buf [8]ScoredID
 	if n := testing.AllocsPerRun(100, func() { c.ConceptualizeInto(buf[:0], prior, ctx) }); n != 0 {

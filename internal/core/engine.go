@@ -30,6 +30,14 @@
 // ErrNoEntity, ErrNoTemplate and ErrNoAnswer so callers can tell the failure
 // stages apart, and an Index failure (every replica of a shard down) aborts
 // the answer rather than shrinking it.
+//
+// Everything a question builds and throws away lives in one scratch
+// (scratch.go): taken from the engine's pool when Answer starts, reached
+// from the question's parse by every stage, put back when Answer returns,
+// and never pointed into by what Answer returns. Index reads write into its
+// storage and the decomposition DP keeps its flat table of backpointers
+// there, so a question allocates a small, fixed number of times: for what
+// it returns, and for each token it lower-cases.
 package core
 
 import (
@@ -37,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -133,10 +140,16 @@ type Ranked struct {
 // cluster send one frame per shard per path depth instead of one RPC per
 // term of Eq (7).
 type Index interface {
-	// PathObjects returns V(p.Subj, p.Path) for every probe, in probe order,
-	// each ascending and deduplicated. It is all or nothing: an error means
-	// no result is usable, never that some came back shorter.
-	PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error)
+	// PathObjects sets out[i] to V(p.Subj, p.Path) of probes[i] for every
+	// probe (len(out) == len(probes)), each ascending and deduplicated. The
+	// sets are written into storage the caller owns: appended to vals, whose
+	// extended form is returned for the caller to reuse, and out[i] is a
+	// window of it — or of storage of the index's own that the index never
+	// reuses, such as a reply it decoded. probes, out and vals are valid only
+	// for the duration of the call: the index keeps none of them. It is all
+	// or nothing: an error means no result is usable, never that some came
+	// back shorter.
+	PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error)
 	// Subjects returns all subjects with (s, pred, obj) in K, ascending.
 	Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error)
 }
@@ -148,15 +161,19 @@ func LocalIndex(g rdf.Graph) Index { return localIndex{g} }
 
 type localIndex struct{ g rdf.Graph }
 
-func (l localIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
-	out := make([][]rdf.ID, len(probes))
+func (l localIndex) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error) {
 	for i, p := range probes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = rdf.PathObjects(l.g, p.Subj, p.Path)
+		start := len(vals)
+		if vals = rdf.PathObjects(vals, l.g, p.Subj, p.Path); len(vals) > start {
+			out[i] = vals[start:len(vals):len(vals)]
+		} else {
+			out[i] = nil
+		}
 	}
-	return out, nil
+	return vals, nil
 }
 
 func (l localIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
@@ -178,7 +195,7 @@ type Engine struct {
 
 	// find is KB.Lexicon.FindIDs, a field so that a test can count the
 	// calls.
-	find func(ids []uint32) []extract.Mention
+	find func(dst []extract.Mention, ids []uint32) []extract.Mention
 	// vocab maps a question's tokens to the IDs everything below is keyed
 	// by: the lexicon's vocabulary grown by the context words, θ's words
 	// and the variant words.
@@ -195,6 +212,8 @@ type Engine struct {
 	words []wordRole
 	// numeric memoises numericPredicate: path key → bool.
 	numeric sync.Map
+	// scratches holds the idle per-question scratches (scratch.go).
+	scratches sync.Pool
 }
 
 // NewEngine builds an engine over the local world kb whose index reads go
@@ -214,6 +233,7 @@ func NewEngine(kb rdf.Graph, idx Index, tax *concept.Taxonomy, model *learn.Mode
 	}
 	e.theta, e.templates = compileModel(kb, model, e.vocab, e.concepts)
 	e.words = compileWords(e.vocab, e.concepts)
+	e.scratches.New = func() any { return new(scratch) }
 	return e
 }
 
@@ -233,41 +253,16 @@ const maxChainValues = 8
 // hop's), Match covers template derivation and the decomposition DP, Probe
 // covers the per-interpretation model lookups and knowledge-base V(e,p+)
 // probing. The aggregation scans of an answered variant are in Total only.
+// The stages are kept by the question's scratch clock, which reads the time
+// once per stage boundary: a read phase — the direct path's or a hop's —
+// finds every mention, then conceptualizes every mention, then looks every
+// template up and reads, and costs four clock readings however many
+// questions and mentions it holds.
 type Timings struct {
 	Parse time.Duration
 	Match time.Duration
 	Probe time.Duration
 	Total time.Duration
-}
-
-// stampIf returns a start time only when stage timing is requested; the
-// untimed path (the δ oracle, whose whole DP is one Match lap) pays no
-// clock reads.
-func stampIf(tm *Timings) time.Time {
-	if tm == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// lapParse, lapMatch and lapProbe accumulate elapsed time into their stage;
-// all are no-ops on a nil receiver (the untimed path).
-func (tm *Timings) lapParse(start time.Time) {
-	if tm != nil {
-		tm.Parse += time.Since(start)
-	}
-}
-
-func (tm *Timings) lapMatch(start time.Time) {
-	if tm != nil {
-		tm.Match += time.Since(start)
-	}
-}
-
-func (tm *Timings) lapProbe(start time.Time) {
-	if tm != nil {
-		tm.Probe += time.Since(start)
-	}
 }
 
 // parsed is a question after its one parse: the token sequence, each
@@ -277,37 +272,38 @@ func (tm *Timings) lapProbe(start time.Time) {
 // no stage tokenizes, maps a token to its ID or finds mentions for a token
 // sequence an earlier stage already handled. After the parse only ids is
 // read to match; toks is kept for the text of Steps and spans, the
-// decomposition patterns and a comparison's or a listing's cue words.
+// decomposition patterns and a comparison's or a listing's cue words. toks,
+// ids and mentions live in s, the scratch of the Answer call the question
+// belongs to, which every stage reaches through it.
 type parsed struct {
 	toks     []string
 	ids      []uint32 // ids[i] is toks[i]'s, text.NoWord outside the vocabulary
 	mentions []extract.Mention
 	found    bool // mentions holds the lexicon's FindIDs(ids)
+	s        *scratch
 }
 
-// askedQuestion is the parse of a question as asked, with room for the IDs
-// of a usual one.
-type askedQuestion struct {
-	parsed
-	idBuf [maxDecomposeTokens]uint32
-}
-
-// parse maps toks, a question's tokens, to their IDs.
-func (e *Engine) parse(toks []string) parsed {
-	return parsed{toks: toks, ids: e.vocab.AppendIDs(make([]uint32, 0, len(toks)), toks)}
+// parseInto sets *p to toks, a question's tokens, with their IDs looked up
+// into s.
+func (e *Engine) parseInto(s *scratch, p *parsed, toks []string) {
+	start := len(s.ids)
+	s.ids = e.vocab.AppendIDs(s.ids, toks)
+	*p = parsed{toks: toks, ids: s.ids[start:len(s.ids):len(s.ids)], s: s}
 }
 
 // span is q's tokens sp, parsed.
-func (q *parsed) span(sp text.Span) *parsed {
-	return &parsed{toks: q.toks[sp.Start:sp.End], ids: q.ids[sp.Start:sp.End]}
+func (q *parsed) span(sp text.Span) parsed {
+	return parsed{toks: q.toks[sp.Start:sp.End], ids: q.ids[sp.Start:sp.End], s: q.s}
 }
 
-// mentionsOf returns q's entity mentions, finding them on the first call.
-func (e *Engine) mentionsOf(q *parsed, tm *Timings) []extract.Mention {
+// mentionsOf returns q's entity mentions, finding them, into the scratch,
+// on the first call.
+func (e *Engine) mentionsOf(q *parsed) []extract.Mention {
 	if !q.found {
-		start := stampIf(tm)
-		q.mentions, q.found = e.find(q.ids), true
-		tm.lapParse(start)
+		s := q.s
+		start := len(s.mentions)
+		s.mentions = e.find(s.mentions, q.ids)
+		q.mentions, q.found = s.mentions[start:len(s.mentions):len(s.mentions)], true
 	}
 	return q.mentions
 }
@@ -322,37 +318,44 @@ func (e *Engine) mentionsOf(q *parsed, tm *Timings) []extract.Mention {
 // template, predicate) triples of Eq (7)'s summation that the argmax
 // otherwise discards; for a complex question the ranking covers the final
 // hop's winning BFQ, and k <= 0 asks for none — and the per-stage latency
-// attribution, which is filled in for failed calls too.
+// attribution, which is filled in for failed calls too. Everything the call
+// builds and throws away lives in one pooled scratch, returned to the pool
+// before Answer returns; nothing Answer returns points into it.
 //
 // The error is ErrNoEntity, ErrNoTemplate or ErrNoAnswer for unanswerable
 // questions (see Unanswerable), ctx.Err() when the context expires, or the
 // Index's error when a read fails.
 func (e *Engine) Answer(ctx context.Context, question string, k int, variants bool) (Answer, []Ranked, Timings, error) {
-	var tm Timings
 	start := time.Now()
-	ans, ranked, err := e.answer(ctx, question, k, variants, &tm)
+	s := e.scratches.Get().(*scratch)
+	ans, ranked, err := e.answer(ctx, s, question, k, variants)
+	tm := s.clock.tm
+	s.reset()
+	e.scratches.Put(s)
 	tm.Total = time.Since(start)
 	return ans, ranked, tm, err
 }
 
 // answer routes one question: variant → direct Eq (7) → decomposition →
-// chain, all over the same parse.
+// chain, all over the same parse, in the scratch s.
 //
 // When the context carries a trace, the BFQ / complex pipeline runs under an
 // "engine.answer" span whose parse/match/probe stage children mirror the
 // Timings laps exactly — a captured trace's stage durations equal the
 // Result's reported Timings because both read the same accumulator.
-func (e *Engine) answer(ctx context.Context, question string, k int, variants bool, tm *Timings) (Answer, []Ranked, error) {
+func (e *Engine) answer(ctx context.Context, s *scratch, question string, k int, variants bool) (Answer, []Ranked, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
 	}
-	parseStart := stampIf(tm)
-	asked := &askedQuestion{}
-	asked.toks, asked.ids = e.vocab.Tokenize(question, asked.idBuf[:0])
-	q := &asked.parsed
-	tm.lapParse(parseStart)
+	c := &s.clock
+	c.start()
+	q := &s.parses.take(1)[0]
+	toks, ids := e.vocab.Tokenize(question, s.toks, s.ids)
+	*q = parsed{toks: toks[:len(toks):len(toks)], ids: ids[:len(ids):len(ids)], s: s}
+	s.toks, s.ids = toks, ids
+	c.lap(parseStage)
 	if variants {
-		va, ok, err := e.answerVariant(ctx, q, tm)
+		va, ok, err := e.answerVariant(ctx, q)
 		if err != nil {
 			return Answer{}, nil, err
 		}
@@ -364,16 +367,18 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	if sp != nil {
 		sp.SetAttr("question", question)
 		defer func() {
-			sp.Stage("parse", tm.Parse)
-			sp.Stage("match", tm.Match)
-			sp.Stage("probe", tm.Probe)
+			sp.Stage("parse", c.tm.Parse)
+			sp.Stage("match", c.tm.Match)
+			sp.Stage("probe", c.tm.Probe)
 			sp.End()
 		}()
 	}
 
-	ans, cands, direct := e.bfq(ctx, q, tm)
+	ans, cands, direct := e.bfq(ctx, q)
 	if direct == nil {
-		return ans, e.rankTopK(cands, k), nil
+		ranked := e.rankTopK(s, cands, k)
+		ans.Values = slices.Clone(ans.Values)
+		return ans, ranked, nil
 	}
 	// The direct path's typed failure says how far the pipeline got; it is
 	// the reply unless decomposition rescues the question.
@@ -381,12 +386,16 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 		return Answer{}, nil, direct
 	}
 	whole := len(q.toks)
+	c.start()
 	if whole > maxDecomposeTokens {
 		// The DP is bounded to the truncated window, so the mention set
 		// handed to its oracle must cover exactly the same tokens.
-		q = q.span(text.Span{End: maxDecomposeTokens})
+		w := &s.parses.take(1)[0]
+		*w = q.span(text.Span{End: maxDecomposeTokens})
+		q = w
 	}
-	mentions := e.mentionsOf(q, tm)
+	mentions := e.mentionsOf(q)
+	c.lap(parseStage)
 	if len(mentions) == 0 {
 		return Answer{}, nil, direct
 	}
@@ -394,18 +403,16 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 	// The DP and its δ oracle run under one "engine.oracle" span, so on a
 	// cluster the oracle's rpc.call frames nest under it; both are one Match
 	// lap. The oracle settles every span before the DP starts, which then
-	// only looks spans up in the table of accepted ones; a failed read
-	// leaves the DP nothing to do.
+	// only reads the spans it accepted; a failed read leaves the DP nothing
+	// to do.
 	octx, osp := obs.StartSpan(ctx, "engine.oracle")
-	matchStart := stampIf(tm)
-	prims, err := e.oracle(octx, osp, q, whole, mentions)
+	accepted, err := e.oracle(octx, osp, q, whole, mentions)
 	dec, ok := decompose.Decomposition{}, false
 	if err == nil {
-		d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats,
-			Primitive: func(_ []string, sp text.Span) bool { return prims[sp] != nil }}
-		dec, ok = d.Decompose(q.toks)
+		s.dec.Stats, s.dec.MaxQuestionTokens = e.Stats, maxDecomposeTokens
+		dec, ok = s.dec.Decompose(q.toks, accepted)
 	}
-	tm.lapMatch(matchStart)
+	c.lap(matchStage)
 	osp.End()
 	if cerr := ctx.Err(); cerr != nil {
 		return Answer{}, nil, cerr
@@ -414,7 +421,8 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 		return Answer{}, nil, err
 	}
 	if ok && dec.IsComplex() {
-		ans, ranked, err := e.executeChain(ctx, prims[dec.First], dec.Sequence[1:], tm, k)
+		first := &s.spans[s.prim[primIndex(dec.First)]-1]
+		ans, ranked, err := e.executeChain(ctx, s, first, dec.Sequence[1:], k)
 		if err == nil || !Unanswerable(err) {
 			return ans, ranked, err
 		}
@@ -430,13 +438,15 @@ func (e *Engine) answer(ctx context.Context, question string, k int, variants bo
 // The error is settle's, or the Index's: ctx expiry, which the read checks,
 // so cancellation aborts the scan mid-flight, or infrastructure failure (all
 // replicas down), which aborts the answer rather than shrinking it.
-func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []interpretation, error) {
-	var w [1]bfqWork
-	values, psp, err := e.readPhase(ctx, []*parsed{q}, w[:], tm)
+func (e *Engine) bfq(ctx context.Context, q *parsed) (Answer, []interpretation, error) {
+	s := q.s
+	works := s.works.take(1)
+	s.qs = append(s.qs[:0], q)
+	values, psp, err := e.readPhase(ctx, s.qs, works)
 	if err != nil {
 		return Answer{}, nil, err
 	}
-	ans, cands, err := e.settle(w[0], values)
+	ans, cands, err := e.settle(s, &works[0], values)
 	psp.SetInt("candidates", int64(len(cands)))
 	return ans, cands, err
 }
@@ -449,15 +459,17 @@ func (e *Engine) bfq(ctx context.Context, q *parsed, tm *Timings) (Answer, []int
 // trace shows exactly which partitions the probes start from — that comes
 // back ended, for the caller to count the candidates it settles. With no
 // mention in any question there is neither span nor read, and settle
-// reports ErrNoEntity.
-func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork, tm *Timings) ([][]rdf.ID, *obs.Span, error) {
-	var plan probePlan
+// reports ErrNoEntity. The questions share one scratch, whose clock the
+// phase's stages are timed on.
+func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork) ([][]rdf.ID, *obs.Span, error) {
+	s := qs[0].s
+	plan := s.newPlan()
+	e.enumerate(qs, works, &s.clock, plan)
 	var mentions, entities, templates int
-	for i, q := range qs {
-		works[i] = e.enumerate(q, tm, &plan)
-		mentions += len(works[i].mentions)
-		entities += works[i].entities
-		templates += works[i].templates
+	for _, w := range works {
+		mentions += len(w.mentions)
+		entities += w.entities
+		templates += w.templates
 	}
 	if mentions == 0 {
 		return nil, nil, nil
@@ -468,12 +480,12 @@ func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork, t
 		sp.SetInt("entities", int64(entities))
 		sp.SetInt("templates", int64(templates))
 		sp.SetInt("probes", int64(len(plan.probes)))
-		for s, n := 0, e.KB.NumShards(); s < n; s++ {
+		for sh, n := 0, e.KB.NumShards(); sh < n; sh++ {
 			var ents int64
 			for _, w := range works {
 				for _, m := range w.mentions {
 					for _, ent := range m.Entities {
-						if rdf.ShardIndex(ent, n) == s {
+						if rdf.ShardIndex(ent, n) == sh {
 							ents++
 						}
 					}
@@ -483,12 +495,13 @@ func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork, t
 				continue
 			}
 			c := sp.Child("probe.shard")
-			c.SetInt("shard", int64(s))
+			c.SetInt("shard", int64(sh))
 			c.SetInt("entities", ents)
 			c.End()
 		}
 	}
-	values, err := e.read(ctx, &plan, tm)
+	values, err := s.read(ctx, e.Index, plan.probes)
+	s.clock.lap(probeStage)
 	sp.End()
 	return values, sp, err
 }
@@ -503,79 +516,94 @@ type bfqWork struct {
 	// cands is in the order aggregate needs — mention, entity, template,
 	// ascending path key (the compiled order): it feeds float accumulation,
 	// and map order would make near-tied answers flap across runs — each
-	// naming the plan's probe whose values it is waiting for.
+	// naming the plan's probe whose values it is waiting for. It is a window
+	// of the scratch's candidates.
 	cands []interpretation
 }
 
-// enumerate adds q's summation support — entities from its mentions,
-// templates from conceptualization, predicates from the learned model — to
-// plan, whose probes may be shared with other questions. No template is
-// built: θ's trie is walked along q's IDs. tm, when non-nil, accumulates
-// stage latencies.
-func (e *Engine) enumerate(q *parsed, tm *Timings, plan *probePlan) bfqWork {
-	w := bfqWork{mentions: e.mentionsOf(q, tm)}
-	if len(w.mentions) == 0 {
-		return w
-	}
-	// P(e|q): uniform over all candidate entities across mentions.
-	for _, m := range w.mentions {
-		w.entities += len(m.Entities)
-	}
-	pe := 1.0 / float64(w.entities)
-
-	// Scratch for one mention's model lookups — its interpretations but for
-	// the entity — and its concepts, on the stack at the usual handful of
-	// templates and paths.
-	var learnedBuf [8]interpretation
-	var conceptBuf [8]concept.ScoredID
-	learned := learnedBuf[:0]
-	for _, m := range w.mentions {
-		matchStart := stampIf(tm)
-		prefix, ok, concepts := e.mentionTemplates(conceptBuf[:0], q.ids, m)
-		tm.lapMatch(matchStart)
-		probeStart := stampIf(tm)
-		// What the model knows of the mention's templates is the same for
-		// each of its entities: look it up once.
-		learned = learned[:0]
-		for _, c := range concepts {
-			if c.P <= 0 {
-				continue
-			}
-			w.templates++
-			if !ok {
-				continue
-			}
-			ct := e.theta.lookup(prefix, c.Concept, q.ids[m.Span.End:])
-			if ct == nil {
-				continue
-			}
-			w.sawMass = true
-			for _, p := range ct.paths {
-				learned = append(learned, interpretation{tpl: ct, path: p.groundedPath, weight: pe * c.P * p.p})
-			}
-		}
-		w.cands = slices.Grow(w.cands, len(m.Entities)*len(learned))
-		for _, ent := range m.Entities {
-			for _, c := range learned {
-				c.entity, c.probe = ent, plan.add(ent, c.path)
-				w.cands = append(w.cands, c)
-			}
-		}
-		tm.lapProbe(probeStart)
-	}
-	return w
+// mentionTerm is what conceptualization found for one mention, waiting for
+// θ: the trie node after the words before the mention (ok is false when no
+// template starts with them) and P(c|q,e) per concept.
+type mentionTerm struct {
+	prefix   uint32
+	ok       bool
+	concepts []concept.ScoredID
 }
 
-// read fetches V(e, p) for every probe of plan in one Index call; an empty
-// plan reads nothing.
-func (e *Engine) read(ctx context.Context, plan *probePlan, tm *Timings) ([][]rdf.ID, error) {
-	if len(plan.probes) == 0 {
-		return nil, nil
+// enumerate adds the summation support of every question of qs — entities
+// from its mentions, templates from conceptualization, predicates from the
+// learned model — to plan, works[i] receiving qs[i]'s; a probe is shared by
+// every question that needs it. It runs as three passes over all of the
+// questions, each one stage of c: find every mention (Parse), conceptualize
+// every mention (Match), then walk θ's trie along each question's IDs and
+// add the probes (Probe, which the read that follows completes). No
+// template is built. A nil c times nothing: the δ oracle's whole phase is
+// one Match lap of its caller's.
+func (e *Engine) enumerate(qs []*parsed, works []bfqWork, c *clock, plan *probePlan) {
+	if len(qs) == 0 {
+		return
 	}
-	start := stampIf(tm)
-	values, err := e.Index.PathObjects(ctx, plan.probes)
-	tm.lapProbe(start)
-	return values, err
+	s := qs[0].s
+	c.start()
+	for i, q := range qs {
+		w := &works[i]
+		*w = bfqWork{mentions: e.mentionsOf(q)}
+		// P(e|q): uniform over all candidate entities across mentions.
+		for _, m := range w.mentions {
+			w.entities += len(m.Entities)
+		}
+	}
+	c.lap(parseStage)
+	terms := s.terms[:0]
+	s.concepts = s.concepts[:0]
+	for i, q := range qs {
+		for _, m := range works[i].mentions {
+			start := len(s.concepts)
+			var t mentionTerm
+			t.prefix, t.ok, s.concepts = e.mentionTemplates(s.concepts, q.ids, m)
+			t.concepts = s.concepts[start:len(s.concepts):len(s.concepts)]
+			terms = append(terms, t)
+		}
+	}
+	s.terms = terms
+	c.lap(matchStage)
+	for i, q := range qs {
+		w := &works[i]
+		start := len(s.cands)
+		for _, m := range w.mentions {
+			t := terms[0]
+			terms = terms[1:]
+			pe := 1.0 / float64(w.entities)
+			// What the model knows of the mention's templates is the same
+			// for each of its entities: look it up once.
+			learned := s.learned[:0]
+			for _, cp := range t.concepts {
+				if cp.P <= 0 {
+					continue
+				}
+				w.templates++
+				if !t.ok {
+					continue
+				}
+				ct := e.theta.lookup(t.prefix, cp.Concept, q.ids[m.Span.End:])
+				if ct == nil {
+					continue
+				}
+				w.sawMass = true
+				for _, p := range ct.paths {
+					learned = append(learned, interpretation{tpl: ct, path: p.groundedPath, weight: pe * cp.P * p.p})
+				}
+			}
+			s.learned = learned
+			for _, ent := range m.Entities {
+				for _, ip := range learned {
+					ip.entity, ip.probe = ent, plan.add(ent, ip.path)
+					s.cands = append(s.cands, ip)
+				}
+			}
+		}
+		w.cands = s.cands[start:len(s.cands):len(s.cands)]
+	}
 }
 
 // settle assembles w's candidates from the values of its plan — those whose
@@ -584,8 +612,9 @@ func (e *Engine) read(ctx context.Context, plan *probePlan, tm *Timings) ([][]rd
 // come back with the answer so callers can rank the winner without
 // re-probing. The error says how far the pipeline got: ErrNoEntity without
 // a mention, ErrNoTemplate when no derived template carried learned P(p|t)
-// mass, ErrNoAnswer when probing produced no value.
-func (e *Engine) settle(w bfqWork, values [][]rdf.ID) (Answer, []interpretation, error) {
+// mass, ErrNoAnswer when probing produced no value. The answer's Values are
+// the scratch's.
+func (e *Engine) settle(s *scratch, w *bfqWork, values [][]rdf.ID) (Answer, []interpretation, error) {
 	if len(w.mentions) == 0 {
 		return Answer{}, nil, ErrNoEntity
 	}
@@ -595,7 +624,7 @@ func (e *Engine) settle(w bfqWork, values [][]rdf.ID) (Answer, []interpretation,
 			cands = append(cands, c)
 		}
 	}
-	if ans, ok := e.aggregate(cands); ok {
+	if ans, ok := e.aggregate(s, cands); ok {
 		return ans, cands, nil
 	}
 	if !w.sawMass {
@@ -612,49 +641,62 @@ type oracleSpan struct {
 	cands []interpretation
 }
 
+// primIndex is span sp's index in the scratch's table of accepted spans.
+func primIndex(sp text.Span) int { return sp.Start*(maxDecomposeTokens+1) + sp.End }
+
 // oracle is the δ oracle of Algorithm 2, evaluated for every span of q
 // before the DP asks: a span is a primitive BFQ iff the engine can answer
 // it. The candidate spans are those that contain one of the question's
 // mentions — a span without one is rejected before paying for a BFQ — and
 // are not the whole question, which the direct path just failed on. They
 // are enumerated in the DP's order (length ascending, then start) into one
-// probe plan, read in one Index call and settled; the accepted ones come
-// back by span. An Index failure fails the oracle, and with it the question.
-// sp, the "engine.oracle" span, counts the work.
-func (e *Engine) oracle(ctx context.Context, sp *obs.Span, q *parsed, whole int, mentions []extract.Mention) (map[text.Span]*oracleSpan, error) {
-	var buf [64]text.Span // the usual question's candidate spans, on the stack
-	tried := buf[:0]
+// probe plan, read in one Index call and settled. The accepted spans come
+// back in that order, for the DP; each is filed in the scratch's table by
+// span (prim, spans). An Index failure fails the oracle, and with it the
+// question. sp, the "engine.oracle" span, counts the work.
+func (e *Engine) oracle(ctx context.Context, sp *obs.Span, q *parsed, whole int, mentions []extract.Mention) ([]text.Span, error) {
+	s := q.s
+	tried := s.tried[:0]
 	n := len(q.toks)
 	for length := 1; length <= n && length < whole; length++ {
 		for i := 0; i+length <= n; i++ {
-			s := text.Span{Start: i, End: i + length}
+			span := text.Span{Start: i, End: i + length}
 			for _, m := range mentions {
-				if s.Contains(m.Span) {
-					tried = append(tried, s)
+				if span.Contains(m.Span) {
+					tried = append(tried, span)
 					break
 				}
 			}
 		}
 	}
-	works := make([]bfqWork, len(tried))
-	var plan probePlan
-	for i, s := range tried {
-		works[i] = e.enumerate(q.span(s), nil, &plan)
+	s.tried = tried
+	parses, works := s.parses.take(len(tried)), s.works.take(len(tried))
+	qs := s.qs[:0]
+	for i, span := range tried {
+		parses[i] = q.span(span)
+		qs = append(qs, &parses[i])
 	}
+	s.qs = qs
+	plan := s.newPlan()
+	e.enumerate(qs, works, nil, plan)
 	sp.SetInt("spans_tried", int64(len(tried)))
 	sp.SetInt("probes", int64(len(plan.probes)))
-	values, err := e.read(ctx, &plan, nil)
+	values, err := s.read(ctx, e.Index, plan.probes)
 	if err != nil {
 		return nil, err
 	}
-	prims := make(map[text.Span]*oracleSpan)
-	for i, s := range tried {
-		if ans, cands, err := e.settle(works[i], values); err == nil {
-			prims[s] = &oracleSpan{toks: q.toks[s.Start:s.End], ans: ans, cands: cands}
+	clear(s.prim[:])
+	accepted := s.accepted[:0]
+	for i, span := range tried {
+		if ans, cands, err := e.settle(s, &works[i], values); err == nil {
+			s.spans = append(s.spans, oracleSpan{toks: parses[i].toks, ans: ans, cands: cands})
+			s.prim[primIndex(span)] = int32(len(s.spans))
+			accepted = append(accepted, span)
 		}
 	}
-	sp.SetInt("spans_accepted", int64(len(prims)))
-	return prims, nil
+	s.accepted = accepted
+	sp.SetInt("spans_accepted", int64(len(accepted)))
+	return accepted, nil
 }
 
 // mentionTemplates prepares the templates t(q, e, c) of mention m of the
@@ -670,8 +712,9 @@ func (e *Engine) mentionTemplates(concepts []concept.ScoredID, ids []uint32, m e
 	return prefix, ok, e.concepts.ConceptualizeInto(concepts, e.priors[m.Label], ctx)
 }
 
-// probePlan is one question's probe set: every (entity, path) Eq (7) gives
-// mass to, each pair once however many templates and mentions lead to it.
+// probePlan is one read phase's probe set: every (entity, path) Eq (7)
+// gives mass to, each pair once however many templates and mentions lead to
+// it.
 type probePlan struct {
 	slot   map[uint64]int // by the entity and the path's rank; index into probes
 	probes []rdf.Probe
@@ -693,24 +736,30 @@ func (pl *probePlan) add(ent rdf.ID, path *groundedPath) int {
 	return i
 }
 
+// valueAcc is what aggregate accumulates for one value: its label, its
+// P(v|q) so far and its strongest interpretation.
+type valueAcc struct {
+	label *valueLabel
+	score float64
+	best  interpretation
+	bestW float64
+}
+
 // aggregate accumulates P(v|q) over interpretations and picks the argmax
 // value, remembering the strongest interpretation per value for the trace.
 // A value is a normalized label; the nodes carrying one are found by the
-// first of them (valueLabel), so no label is hashed.
-func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
+// first of them (valueLabel), so no label is hashed. The accumulators and
+// the answer's Values are the scratch's.
+func (e *Engine) aggregate(s *scratch, cands []interpretation) (Answer, bool) {
 	if len(cands) == 0 {
 		return Answer{}, false
 	}
-
-	type acc struct {
-		label *valueLabel
-		score float64
-		best  interpretation
-		bestW float64
+	accs := s.accs[:0]
+	if s.byValue == nil {
+		s.byValue = make(map[rdf.ID]int)
 	}
-	var accBuf [8]acc // the usual handful of values, on the stack
-	accs := accBuf[:0]
-	byValue := make(map[rdf.ID]int) // by the label's first node; index into accs
+	byValue := s.byValue // by the label's first node; index into accs
+	clear(byValue)
 	for _, c := range cands {
 		perValue := c.weight / float64(len(c.values))
 		for _, v := range c.values {
@@ -719,7 +768,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 			if !ok {
 				i = len(accs)
 				byValue[label.first] = i
-				accs = append(accs, acc{label: label})
+				accs = append(accs, valueAcc{label: label})
 			}
 			a := &accs[i]
 			a.score += perValue
@@ -734,6 +783,7 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 			}
 		}
 	}
+	s.accs = accs
 
 	best := &accs[0]
 	for i := range accs[1:] {
@@ -743,11 +793,12 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 		}
 	}
 
-	values := make([]string, 0, len(best.best.values))
+	start := len(s.labels)
 	for _, v := range best.best.values {
-		values = append(values, e.KB.normLabel(v))
+		s.labels = append(s.labels, e.KB.normLabel(v))
 	}
-	sort.Strings(values)
+	values := s.labels[start:len(s.labels):len(s.labels)]
+	slices.Sort(values)
 
 	return Answer{
 		Value:    best.label.text,
@@ -759,49 +810,55 @@ func (e *Engine) aggregate(cands []interpretation) (Answer, bool) {
 	}, true
 }
 
+// rankRow is one (entity, template, path) key of rankTopK's merge.
+type rankRow struct {
+	ent   rdf.ID
+	tpl   *compiledTemplate
+	path  *groundedPath
+	score float64
+	cand  int // first candidate with this key; duplicates share V(e,p)
+}
+
+// byRankKey orders rows by path key, template text and entity, by rank and
+// ID.
+func byRankKey(a, b rankRow) int {
+	if a.path != b.path {
+		return cmp.Compare(a.path.rank, b.path.rank)
+	}
+	if a.tpl != b.tpl {
+		return cmp.Compare(a.tpl.rank, b.tpl.rank)
+	}
+	return cmp.Compare(a.ent, b.ent)
+}
+
 // rankTopK merges the candidate interpretations by (entity, template,
 // path) — summing the Eq (7) mass of duplicates surfaced through distinct
 // mentions, in candidate order — and returns the strongest k, sorted by
 // descending score, ties by path key, template text and entity. The merge
-// and the tie-breaks compare IDs and ranks, never strings.
-func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
+// and the tie-breaks compare IDs and ranks, never strings; its rows are the
+// scratch's.
+func (e *Engine) rankTopK(s *scratch, cands []interpretation, k int) []Ranked {
 	if k <= 0 || len(cands) == 0 {
 		return nil
 	}
-	type row struct {
-		ent   rdf.ID
-		tpl   *compiledTemplate
-		path  *groundedPath
-		score float64
-		cand  int // first candidate with this key; duplicates share V(e,p)
-	}
-	byKey := func(a, b row) int {
-		if a.path != b.path {
-			return cmp.Compare(a.path.rank, b.path.rank)
-		}
-		if a.tpl != b.tpl {
-			return cmp.Compare(a.tpl.rank, b.tpl.rank)
-		}
-		return cmp.Compare(a.ent, b.ent)
-	}
-	var rowBuf [16]row // a usual question's candidates, on the stack
-	rows := rowBuf[:0]
+	rows := s.rows[:0]
 	for i, c := range cands {
-		rows = append(rows, row{c.entity, c.tpl, c.path, c.weight, i})
+		rows = append(rows, rankRow{c.entity, c.tpl, c.path, c.weight, i})
 	}
+	s.rows = rows
 	// Sorted stably by key, a key's duplicates are adjacent and in candidate
 	// order; merged, the rows stay in key order, so a stable sort by score
 	// leaves ties in the order of the tie-breaks.
-	slices.SortStableFunc(rows, byKey)
+	slices.SortStableFunc(rows, byRankKey)
 	merged := rows[:1]
 	for _, r := range rows[1:] {
-		if last := &merged[len(merged)-1]; byKey(*last, r) == 0 {
+		if last := &merged[len(merged)-1]; byRankKey(*last, r) == 0 {
 			last.score += r.score
 			continue
 		}
 		merged = append(merged, r)
 	}
-	slices.SortStableFunc(merged, func(a, b row) int { return cmp.Compare(b.score, a.score) })
+	slices.SortStableFunc(merged, func(a, b rankRow) int { return cmp.Compare(b.score, a.score) })
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -814,7 +871,7 @@ func (e *Engine) rankTopK(cands []interpretation, k int) []Ranked {
 		for _, v := range c.values {
 			values = append(values, e.KB.normLabel(v))
 		}
-		sort.Strings(values)
+		slices.Sort(values)
 		out[i] = Ranked{
 			Entity:      r.ent,
 			EntityLabel: e.KB.normLabel(r.ent),
@@ -841,14 +898,14 @@ type interpretation struct {
 // executeChain runs a decomposition sequence: take the innermost BFQ's
 // answer (first, which the δ oracle already answered), then repeatedly bind
 // the answer(s) into the next pattern's $e token (Sec 5.1) — tokens in,
-// tokens out; questions are rendered to text for Steps and span attributes
-// only. A hop enumerates all of its bindings into one probe plan, reads it
-// once and settles the bindings in order. Cancellation is checked between
-// hops and by every read, so a deadline stops a multi-hop question instead
-// of fanning out more work. The error is a typed unanswerable one when some
-// hop has no answer (the caller then keeps the direct path's
-// classification), else ctx's or the Index's.
-func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [][]string, tm *Timings, k int) (Answer, []Ranked, error) {
+// tokens out, in the scratch s; questions are rendered to text for Steps
+// and span attributes only. A hop enumerates all of its bindings into one
+// probe plan, reads it once and settles the bindings in order.
+// Cancellation is checked between hops and by every read, so a deadline
+// stops a multi-hop question instead of fanning out more work. The error is
+// a typed unanswerable one when some hop has no answer (the caller then
+// keeps the direct path's classification), else ctx's or the Index's.
+func (e *Engine) executeChain(ctx context.Context, s *scratch, first *oracleSpan, patterns [][]string, k int) (Answer, []Ranked, error) {
 	firstQ := text.Join(first.toks)
 	final, finalCands := first.ans, first.cands
 	if _, hsp := obs.StartSpan(ctx, "engine.hop"); hsp != nil {
@@ -857,13 +914,14 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 		hsp.SetAttr("value", final.Value)
 		hsp.End()
 	}
-	steps := []Step{{
+	steps := make([]Step, 1, 1+len(patterns))
+	steps[0] = Step{
 		Question:  firstQ,
 		Questions: []string{firstQ},
 		Template:  final.Template,
 		Path:      final.Path,
 		Value:     final.Value,
-	}}
+	}
 	current := final.Values
 	if len(current) > maxChainValues {
 		current = current[:maxChainValues]
@@ -878,33 +936,46 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 			hsp.SetInt("hop", int64(hop+1))
 			hsp.SetAttr("pattern", text.Join(pat))
 		}
-		qs := make([]parsed, len(current))
-		bound := make([]*parsed, len(current))
-		works := make([]bfqWork, len(current))
+		parses, works := s.parses.take(len(current)), s.works.take(len(current))
+		qs := s.qs[:0]
 		executed := make([]string, len(current))
 		for i, v := range current {
 			// v is a normalized label — its tokens joined by single spaces
 			// — so splitting on them is Join's exact inverse.
-			qs[i] = e.parse(decompose.Bind(pat, strings.Fields(v)))
-			bound[i] = &qs[i]
-			executed[i] = text.Join(qs[i].toks)
+			fields := s.fields[:0]
+			for v != "" {
+				var f string
+				f, v, _ = strings.Cut(v, " ")
+				fields = append(fields, f)
+			}
+			s.fields = fields
+			start := len(s.toks)
+			s.toks = decompose.Bind(s.toks, pat, fields)
+			e.parseInto(s, &parses[i], s.toks[start:len(s.toks):len(s.toks)])
+			qs = append(qs, &parses[i])
+			executed[i] = text.Join(parses[i].toks)
 		}
-		values, psp, err := e.readPhase(hctx, bound, works, tm)
+		s.qs = qs
+		values, psp, err := e.readPhase(hctx, qs, works)
 		psp.SetInt("bindings", int64(len(works)))
 		if err != nil {
 			hsp.End()
 			return Answer{}, nil, err
 		}
-		valueSet := make(map[string]bool)
+		if s.valueSet == nil {
+			s.valueSet = make(map[string]bool)
+		}
+		valueSet := s.valueSet
+		clear(valueSet)
 		var stepAnswer Answer
 		var stepCands []interpretation
 		var stepQuestion string
 		hopAnswered := false
 		candidates := 0
-		for i, w := range works {
+		for i := range works {
 			_, bsp := obs.StartSpan(hctx, "engine.bfq")
 			bsp.SetAttr("question", executed[i])
-			ans, cands, err := e.settle(w, values)
+			ans, cands, err := e.settle(s, &works[i], values)
 			bsp.End()
 			candidates += len(cands)
 			if err != nil {
@@ -926,11 +997,12 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 			return Answer{}, nil, ErrNoAnswer
 		}
 		hsp.SetAttr("value", stepAnswer.Value)
-		next := make([]string, 0, len(valueSet))
+		start := len(s.labels)
 		for v := range valueSet {
-			next = append(next, v)
+			s.labels = append(s.labels, v)
 		}
-		sort.Strings(next)
+		next := s.labels[start:len(s.labels):len(s.labels)]
+		slices.Sort(next)
 		if len(next) > maxChainValues {
 			next = next[:maxChainValues]
 		}
@@ -948,6 +1020,7 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 	}
 
 	final.Steps = steps
+	final.Values = slices.Clone(final.Values)
 	if len(final.Values) > 0 {
 		final.Value = final.Values[0]
 		for _, v := range final.Values {
@@ -957,7 +1030,7 @@ func (e *Engine) executeChain(ctx context.Context, first *oracleSpan, patterns [
 			}
 		}
 	}
-	return final, e.rankTopK(finalCands, k), nil
+	return final, e.rankTopK(s, finalCands, k), nil
 }
 
 // less orders answers by score for picking the strongest step answer; the

@@ -29,8 +29,8 @@ type bfqFunc func(ctx context.Context, toks []string, k int) (Answer, []Ranked, 
 func idBFQ(e *Engine) bfqFunc {
 	return func(ctx context.Context, toks []string, k int) (Answer, []Ranked, error) {
 		q := e.parse(toks)
-		ans, cands, err := e.bfq(ctx, &q, nil)
-		return ans, e.rankTopK(cands, k), err
+		ans, cands, err := e.bfq(ctx, &q)
+		return ans, e.rankTopK(q.s, cands, k), err
 	}
 }
 
@@ -57,8 +57,7 @@ func serialAnswer(ctx context.Context, e *Engine, question string, k int, bfq bf
 	}
 	var oracleErr error
 	prims := make(map[text.Span][]string)
-	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
-	d.Primitive = func(toks []string, sp text.Span) bool {
+	primitive := func(sp text.Span) bool {
 		if ctx.Err() != nil || oracleErr != nil || sp.Len() == whole {
 			return false
 		}
@@ -76,7 +75,17 @@ func serialAnswer(ctx context.Context, e *Engine, question string, k int, bfq bf
 		}
 		return false
 	}
-	dec, ok := d.Decompose(toks)
+	// The oracle is asked about every span, in the DP's order.
+	var accepted []text.Span
+	for length := 1; length <= len(toks); length++ {
+		for i := 0; i+length <= len(toks); i++ {
+			if sp := (text.Span{Start: i, End: i + length}); primitive(sp) {
+				accepted = append(accepted, sp)
+			}
+		}
+	}
+	d := &decompose.Decomposer{MaxQuestionTokens: maxDecomposeTokens, Stats: e.Stats}
+	dec, ok := d.Decompose(toks, accepted)
 	if err := ctx.Err(); err != nil {
 		return Answer{}, nil, err
 	}
@@ -115,7 +124,7 @@ func serialChain(ctx context.Context, first []string, patterns [][]string, k int
 			if err := ctx.Err(); err != nil {
 				return Answer{}, nil, err
 			}
-			toks := decompose.Bind(pat, strings.Fields(v))
+			toks := decompose.Bind(nil, pat, strings.Fields(v))
 			qs := text.Join(toks)
 			executed = append(executed, qs)
 			ans, ranked, err := bfq(ctx, toks, k)
@@ -257,7 +266,7 @@ func stringBFQ(e *Engine) bfqFunc {
 		var values [][]rdf.ID
 		if len(probes) > 0 {
 			var err error
-			if values, err = e.Index.PathObjects(ctx, probes); err != nil {
+			if values, err = readAll(ctx, e.Index, probes); err != nil {
 				return Answer{}, nil, err
 			}
 		}
@@ -405,11 +414,11 @@ func stringVariant(ctx context.Context, e *Engine, toks []string) (VariantAnswer
 			if path == "" || err != nil {
 				return VariantAnswer{}, false, err
 			}
-			lv, lok, err := e.numericValue(ctx, left.Entities, path)
+			lv, lok, err := e.numericValue(ctx, new(scratch), left.Entities, path)
 			if !lok || err != nil {
 				return VariantAnswer{}, false, err
 			}
-			rv, rok, err := e.numericValue(ctx, right.Entities, path)
+			rv, rok, err := e.numericValue(ctx, new(scratch), right.Entities, path)
 			if !rok || err != nil {
 				return VariantAnswer{}, false, err
 			}
@@ -454,7 +463,7 @@ func stringVariant(ctx context.Context, e *Engine, toks []string) (VariantAnswer
 		if cat == "" || path == "" || err != nil {
 			return VariantAnswer{}, false, err
 		}
-		ranked, err := e.rankCategory(ctx, cat, path, dirMax)
+		ranked, err := e.rankCategory(ctx, new(scratch), cat, path, dirMax)
 		if rank > len(ranked) || err != nil {
 			return VariantAnswer{}, false, err
 		}
@@ -469,7 +478,7 @@ func stringVariant(ctx context.Context, e *Engine, toks []string) (VariantAnswer
 	if cat == "" || path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
-	ranked, err := e.rankCategory(ctx, cat, path, true)
+	ranked, err := e.rankCategory(ctx, new(scratch), cat, path, true)
 	if len(ranked) == 0 || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -516,7 +525,7 @@ func stringBestTemplateFor(ctx context.Context, e *Engine, words []string) (stri
 		score := float64(overlap) * float64(overlap) / float64(len(st.content[tpl]))
 		if score > bestScore || (score == bestScore && bestPath != "") {
 			bp, bpv := tpl.best, tpl.bestP
-			numeric, err := e.numericPredicate(ctx, bp)
+			numeric, err := e.numericPredicate(ctx, new(scratch), bp)
 			if err != nil {
 				return "", 0, err
 			}

@@ -77,8 +77,30 @@ func askCtx(ctx context.Context, e *Engine, q string) (Answer, error) {
 
 func askBFQ(e *Engine, q string) (Answer, bool) {
 	p := e.parse(text.Tokenize(q))
-	ans, _, err := e.bfq(context.Background(), &p, nil)
+	ans, _, err := e.bfq(context.Background(), &p)
 	return ans, err == nil
+}
+
+// parse maps toks, a question's tokens, to their IDs, in a scratch of the
+// question's own.
+func (e *Engine) parse(toks []string) parsed {
+	var q parsed
+	e.parseInto(new(scratch), &q, toks)
+	return q
+}
+
+// enumerateOne enumerates q alone into plan, untimed.
+func (e *Engine) enumerateOne(q *parsed, plan *probePlan) {
+	e.enumerate([]*parsed{q}, make([]bfqWork, 1), nil, plan)
+}
+
+// readAll reads probes through idx into storage of its own.
+func readAll(ctx context.Context, idx Index, probes []rdf.Probe) ([][]rdf.ID, error) {
+	out := make([][]rdf.ID, len(probes))
+	if _, err := idx.PathObjects(ctx, probes, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func askVariant(e *Engine, q string) (VariantAnswer, bool) {
@@ -151,7 +173,7 @@ func TestExpandedPredicateAnswer(t *testing.T) {
 	var subject string
 	var want string
 	for _, p := range f.kb.ByCategory["person"] {
-		objs := rdf.PathObjects(f.kb.Store, p, path)
+		objs := rdf.PathObjects(nil, f.kb.Store, p, path)
 		if len(objs) > 0 {
 			subject = f.kb.Store.Label(p)
 			want = text.Normalize(f.kb.Store.Label(objs[0]))
@@ -232,7 +254,7 @@ func TestComplexAnswerHasSteps(t *testing.T) {
 	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
+		if len(rdf.PathObjects(nil, f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}
@@ -263,7 +285,7 @@ func TestChainTraceRecordsExecutedQuestions(t *testing.T) {
 	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
+		if len(rdf.PathObjects(nil, f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}

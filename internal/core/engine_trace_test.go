@@ -25,7 +25,7 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	path, _ := rdf.ParsePath(f.kb.Store, "marriage→person→name")
 	var subject string
 	for _, p := range f.kb.ByCategory["person"] {
-		if len(rdf.PathObjects(f.kb.Store, p, path)) > 0 {
+		if len(rdf.PathObjects(nil, f.kb.Store, p, path)) > 0 {
 			subject = f.kb.Store.Label(p)
 			break
 		}
@@ -148,7 +148,7 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 	var plan probePlan
 	for _, sp := range oracleSpans(f.engine, toks) {
 		p := f.engine.parse(toks[sp.Start:sp.End])
-		f.engine.enumerate(&p, nil, &plan)
+		f.engine.enumerateOne(&p, &plan)
 	}
 	if tried, accepted, probes := attr(oracle, "spans_tried"), attr(oracle, "spans_accepted"), attr(oracle, "probes"); accepted < 1 || tried < accepted || probes != len(plan.probes) {
 		t.Errorf("engine.oracle tried %d spans, accepted %d, probed %d; want %d distinct probes", tried, accepted, probes, len(plan.probes))

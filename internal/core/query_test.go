@@ -26,26 +26,26 @@ type probeCountingIndex struct {
 	calls   atomic.Int64
 	probes  atomic.Int64
 	onProbe func(n int64)
-	// batches keeps every batch seen, for the plan-shape assertions.
+	// batches keeps a copy of every batch seen, for the plan-shape
+	// assertions: a batch is the engine's storage, valid only during the
+	// call.
 	batches [][]rdf.Probe
 }
 
-func (g *probeCountingIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
+func (g *probeCountingIndex) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error) {
 	g.calls.Add(1)
-	g.batches = append(g.batches, probes)
-	out := make([][]rdf.ID, 0, len(probes))
+	g.batches = append(g.batches, slices.Clone(probes))
 	for i := range probes {
 		n := g.probes.Add(1)
 		if g.onProbe != nil {
 			g.onProbe(n)
 		}
-		vals, err := g.Index.PathObjects(ctx, probes[i:i+1])
-		if err != nil {
+		var err error
+		if vals, err = g.Index.PathObjects(ctx, probes[i:i+1], out[i:i+1], vals); err != nil {
 			return nil, err
 		}
-		out = append(out, vals[0])
 	}
-	return out, nil
+	return vals, nil
 }
 
 // countingEngine builds an engine identical to the fixture's but probing
@@ -220,7 +220,7 @@ func TestLocalIndexChecksCtxBeforeEveryProbe(t *testing.T) {
 	g := &cancellingGraph{Graph: f.kb.Store, cancel: cancel}
 	ent, pred := f.kb.Store.Entities()[0], f.kb.Store.Predicates()[0]
 	batch := []rdf.Probe{{Subj: ent, Path: rdf.Path{pred}}, {Subj: ent, Path: rdf.Path{pred}}, {Subj: ent, Path: rdf.Path{pred}}}
-	if vals, err := LocalIndex(g).PathObjects(ctx, batch); !errors.Is(err, context.Canceled) || vals != nil {
+	if vals, err := LocalIndex(g).PathObjects(ctx, batch, make([][]rdf.ID, len(batch)), nil); !errors.Is(err, context.Canceled) || vals != nil {
 		t.Fatalf("PathObjects = %v, %v; want nil, context.Canceled", vals, err)
 	}
 	if g.reads != 1 {
@@ -241,7 +241,7 @@ func TestBFQReadsItsProbePlanOnce(t *testing.T) {
 		g.calls.Store(0)
 		g.batches = g.batches[:0]
 		q := e.parse(text.Tokenize(p.Q))
-		_, cands, err := e.bfq(ctx, &q, nil)
+		_, cands, err := e.bfq(ctx, &q)
 		calls := g.calls.Load()
 		if want := int64(1); (err == nil || errors.Is(err, ErrNoAnswer)) && calls != want {
 			t.Fatalf("bfq(%q) = %v made %d PathObjects calls, want %d", p.Q, err, calls, want)
@@ -364,7 +364,7 @@ func TestComplexQuestionReadsPerPhase(t *testing.T) {
 		for _, toks := range questions {
 			var plan probePlan
 			q := e.parse(toks)
-			e.enumerate(&q, nil, &plan)
+			e.enumerateOne(&q, &plan)
 			for _, k := range keys(plan.probes) {
 				if !seen[k] {
 					seen[k] = true
@@ -436,11 +436,11 @@ type failingIndex struct {
 
 var errShardDown = errors.New("every replica of the shard is down")
 
-func (f *failingIndex) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
+func (f *failingIndex) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error) {
 	if f.healthy.Add(-1) < 0 {
 		return nil, errShardDown
 	}
-	return f.Index.PathObjects(ctx, probes)
+	return f.Index.PathObjects(ctx, probes, out, vals)
 }
 
 func (f *failingIndex) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {

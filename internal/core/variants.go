@@ -1,13 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/concept"
 	"repro/internal/extract"
@@ -140,14 +140,14 @@ func compileWords(vocab *text.Vocab, concepts *concept.Compiled) []wordRole {
 // question is not a recognizable variant or the aggregation cannot be
 // grounded. err is ctx's or the Index's: a ranking over a category whose
 // shard is unreachable is an error, never a shorter ranking.
-func (e *Engine) answerVariant(ctx context.Context, q *parsed, tm *Timings) (VariantAnswer, bool, error) {
+func (e *Engine) answerVariant(ctx context.Context, q *parsed) (VariantAnswer, bool, error) {
 	if len(q.toks) == 0 {
 		return VariantAnswer{}, false, nil
 	}
-	if ans, ok, err := e.tryComparison(ctx, q, tm); ok || err != nil {
+	if ans, ok, err := e.tryComparison(ctx, q); ok || err != nil {
 		return ans, ok, err
 	}
-	if ans, ok, err := e.tryRanking(ctx, q.ids); ok || err != nil {
+	if ans, ok, err := e.tryRanking(ctx, q); ok || err != nil {
 		return ans, ok, err
 	}
 	return e.tryListing(ctx, q)
@@ -157,7 +157,7 @@ func (e *Engine) answerVariant(ctx context.Context, q *parsed, tm *Timings) (Var
 // Jersey" and "who is taller , A or B": two entity mentions joined by
 // "or", with the comparative phrase resolving to a numeric predicate
 // through the learned templates.
-func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (VariantAnswer, bool, error) {
+func (e *Engine) tryComparison(ctx context.Context, q *parsed) (VariantAnswer, bool, error) {
 	toks := q.toks
 	orIdx := -1
 	for i, t := range toks {
@@ -168,7 +168,9 @@ func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (Var
 	if orIdx <= 0 {
 		return VariantAnswer{}, false, nil
 	}
-	mentions := e.mentionsOf(q, tm)
+	q.s.clock.start()
+	mentions := e.mentionsOf(q)
+	q.s.clock.lap(parseStage)
 	if len(mentions) < 2 {
 		return VariantAnswer{}, false, nil
 	}
@@ -186,15 +188,15 @@ func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (Var
 		return VariantAnswer{}, false, nil
 	}
 	// Resolve the predicate from the non-entity words; more is better.
-	path, err := e.resolveComparativePredicate(ctx, q.ids[:left.Span.Start])
+	path, err := e.resolveComparativePredicate(ctx, q.s, q.ids[:left.Span.Start])
 	if path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
-	lv, lok, err := e.numericValue(ctx, left.Entities, path)
+	lv, lok, err := e.numericValue(ctx, q.s, left.Entities, path)
 	if !lok || err != nil {
 		return VariantAnswer{}, false, err
 	}
-	rv, rok, err := e.numericValue(ctx, right.Entities, path)
+	rv, rok, err := e.numericValue(ctx, q.s, right.Entities, path)
 	if !rok || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -211,11 +213,11 @@ func (e *Engine) tryComparison(ctx context.Context, q *parsed, tm *Timings) (Var
 }
 
 // tryRanking handles "which city has the 3rd largest population".
-func (e *Engine) tryRanking(ctx context.Context, ids []uint32) (VariantAnswer, bool, error) {
+func (e *Engine) tryRanking(ctx context.Context, q *parsed) (VariantAnswer, bool, error) {
 	rank := 1
 	dirMax := true
 	hasSuper := false
-	for _, id := range ids {
+	for _, id := range q.ids {
 		w := e.words[id]
 		if w.rank > 0 {
 			rank = int(w.rank)
@@ -230,11 +232,11 @@ func (e *Engine) tryRanking(ctx context.Context, ids []uint32) (VariantAnswer, b
 	if !hasSuper {
 		return VariantAnswer{}, false, nil
 	}
-	category, path, err := e.resolveCategoryPredicate(ctx, ids)
+	category, path, err := e.resolveCategoryPredicate(ctx, q.s, q.ids)
 	if category == "" || path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
-	ranked, err := e.rankCategory(ctx, category, path, dirMax)
+	ranked, err := e.rankCategory(ctx, q.s, category, path, dirMax)
 	if rank > len(ranked) || err != nil {
 		return VariantAnswer{}, false, err
 	}
@@ -269,22 +271,20 @@ func (e *Engine) tryListing(ctx context.Context, q *parsed) (VariantAnswer, bool
 	if !hasOrder {
 		return VariantAnswer{}, false, nil
 	}
-	category, path, err := e.resolveCategoryPredicate(ctx, q.ids)
+	category, path, err := e.resolveCategoryPredicate(ctx, q.s, q.ids)
 	if category == "" || path == "" || err != nil {
 		return VariantAnswer{}, false, err
 	}
-	ranked, err := e.rankCategory(ctx, category, path, true)
+	ranked, err := e.rankCategory(ctx, q.s, category, path, true)
 	if len(ranked) == 0 || err != nil {
 		return VariantAnswer{}, false, err
 	}
 	const listCap = 10
-	ans := VariantAnswer{Kind: VariantListing, Path: path, Category: category}
+	ranked = ranked[:min(len(ranked), listCap)]
+	ans := VariantAnswer{Kind: VariantListing, Path: path, Category: category,
+		Entities: make([]string, len(ranked)), Values: make([]string, len(ranked))}
 	for i, row := range ranked {
-		if i == listCap {
-			break
-		}
-		ans.Entities = append(ans.Entities, row.label)
-		ans.Values = append(ans.Values, formatNumber(row.value))
+		ans.Entities[i], ans.Values[i] = row.label, formatNumber(row.value)
 	}
 	return ans, true, nil
 }
@@ -293,21 +293,22 @@ func (e *Engine) tryListing(ctx context.Context, q *parsed) (VariantAnswer, bool
 // people", "is taller") in a predicate by scoring the phrase's content
 // words, each comparative read as its canonical word, against the learned
 // templates and taking the best template's argmax predicate.
-func (e *Engine) resolveComparativePredicate(ctx context.Context, head []uint32) (string, error) {
-	words := make([]uint32, 0, len(head))
+func (e *Engine) resolveComparativePredicate(ctx context.Context, s *scratch, head []uint32) (string, error) {
+	var buf [24]uint32
+	words := buf[:0]
 	for _, id := range head {
 		if c := e.words[id].canon; c != 0 {
 			id = c
 		}
 		words = append(words, id)
 	}
-	path, _, err := e.bestTemplateFor(ctx, words)
+	path, _, err := e.bestTemplateFor(ctx, s, words)
 	return path, err
 }
 
 // resolveCategoryPredicate finds the subject category word and the
 // predicate of a ranking/listing question.
-func (e *Engine) resolveCategoryPredicate(ctx context.Context, ids []uint32) (category, path string, err error) {
+func (e *Engine) resolveCategoryPredicate(ctx context.Context, s *scratch, ids []uint32) (category, path string, err error) {
 	for _, id := range ids {
 		if c := e.words[id].category; c != 0 {
 			category = e.concepts.Name(c - 1)
@@ -317,7 +318,7 @@ func (e *Engine) resolveCategoryPredicate(ctx context.Context, ids []uint32) (ca
 	if category == "" {
 		return "", "", nil
 	}
-	path, _, err = e.bestTemplateFor(ctx, ids)
+	path, _, err = e.bestTemplateFor(ctx, s, ids)
 	return category, path, err
 }
 
@@ -339,7 +340,7 @@ func singularForms(t string) []string {
 // best-matching template. This is how variants reuse the knowledge the EM
 // phase learned instead of a hand-written keyword table. Every template's
 // content IDs are looked up among the question's content IDs, a few words.
-func (e *Engine) bestTemplateFor(ctx context.Context, words []uint32) (string, float64, error) {
+func (e *Engine) bestTemplateFor(ctx context.Context, s *scratch, words []uint32) (string, float64, error) {
 	var buf [24]uint32
 	content := buf[:0]
 	for _, id := range words {
@@ -371,7 +372,7 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []uint32) (string, f
 		if score > bestScore || (score == bestScore && bestPath != "") {
 			bp, bpv := tpl.best, tpl.bestP
 			// Only numeric predicates can be ranked.
-			numeric, err := e.numericPredicate(ctx, bp)
+			numeric, err := e.numericPredicate(ctx, s, bp)
 			if err != nil {
 				return "", 0, err
 			}
@@ -393,11 +394,11 @@ func (e *Engine) bestTemplateFor(ctx context.Context, words []uint32) (string, f
 // path) and the engine lives no longer than either, so it is worked out
 // once per path key; a failed or cancelled scan decides nothing and is not
 // kept.
-func (e *Engine) numericPredicate(ctx context.Context, pathKey string) (bool, error) {
+func (e *Engine) numericPredicate(ctx context.Context, s *scratch, pathKey string) (bool, error) {
 	if v, ok := e.numeric.Load(pathKey); ok {
 		return v.(bool), nil
 	}
-	numeric, err := e.scanNumeric(ctx, pathKey)
+	numeric, err := e.scanNumeric(ctx, s, pathKey)
 	if err == nil {
 		e.numeric.Store(pathKey, numeric)
 	}
@@ -412,7 +413,7 @@ const numericScanBatch = 64
 
 // scanNumeric walks the entities in order until a value of the path parses
 // as a number, or more than 50 values have not.
-func (e *Engine) scanNumeric(ctx context.Context, pathKey string) (bool, error) {
+func (e *Engine) scanNumeric(ctx context.Context, s *scratch, pathKey string) (bool, error) {
 	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
 		return false, nil
@@ -422,7 +423,7 @@ func (e *Engine) scanNumeric(ctx context.Context, pathKey string) (bool, error) 
 	for len(ents) > 0 {
 		batch := ents[:min(len(ents), numericScanBatch)]
 		ents = ents[len(batch):]
-		values, err := e.valuesOf(ctx, batch, path)
+		values, err := e.valuesOf(ctx, s, batch, path)
 		if err != nil {
 			return false, err
 		}
@@ -441,13 +442,15 @@ func (e *Engine) scanNumeric(ctx context.Context, pathKey string) (bool, error) 
 	return false, nil
 }
 
-// valuesOf reads V(ent, path) for every ent, in order, as one batch.
-func (e *Engine) valuesOf(ctx context.Context, ents []rdf.ID, path rdf.Path) ([][]rdf.ID, error) {
-	probes := make([]rdf.Probe, len(ents))
-	for i, ent := range ents {
-		probes[i] = rdf.Probe{Subj: ent, Path: path}
+// valuesOf reads V(ent, path) for every ent, in order, as one batch, into
+// the scratch.
+func (e *Engine) valuesOf(ctx context.Context, s *scratch, ents []rdf.ID, path rdf.Path) ([][]rdf.ID, error) {
+	probes := s.probes[:0]
+	for _, ent := range ents {
+		probes = append(probes, rdf.Probe{Subj: ent, Path: path})
 	}
-	return e.Index.PathObjects(ctx, probes)
+	s.probes = probes
+	return s.read(ctx, e.Index, probes)
 }
 
 type rankedEntity struct {
@@ -456,8 +459,8 @@ type rankedEntity struct {
 }
 
 // rankCategory sorts the entities of a category by the numeric value of
-// the predicate.
-func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, desc bool) ([]rankedEntity, error) {
+// the predicate, into the scratch.
+func (e *Engine) rankCategory(ctx context.Context, s *scratch, category, pathKey string, desc bool) ([]rankedEntity, error) {
 	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
 		return nil, nil
@@ -480,11 +483,11 @@ func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, des
 	if err != nil {
 		return nil, err
 	}
-	values, err := e.valuesOf(ctx, members, path)
+	values, err := e.valuesOf(ctx, s, members, path)
 	if err != nil {
 		return nil, err
 	}
-	var out []rankedEntity
+	out := s.ranked[:0]
 	for i, ent := range members {
 		if len(values[i]) == 0 {
 			continue
@@ -493,26 +496,27 @@ func (e *Engine) rankCategory(ctx context.Context, category, pathKey string, des
 			out = append(out, rankedEntity{label: e.KB.normLabel(ent), value: n})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].value != out[j].value {
+	s.ranked = out
+	slices.SortFunc(out, func(a, b rankedEntity) int {
+		if a.value != b.value {
 			if desc {
-				return out[i].value > out[j].value
+				return cmp.Compare(b.value, a.value)
 			}
-			return out[i].value < out[j].value
+			return cmp.Compare(a.value, b.value)
 		}
-		return out[i].label < out[j].label
+		return strings.Compare(a.label, b.label)
 	})
 	return out, nil
 }
 
 // numericValue resolves the numeric predicate value of the first candidate
 // entity that has one.
-func (e *Engine) numericValue(ctx context.Context, ents []rdf.ID, pathKey string) (float64, bool, error) {
+func (e *Engine) numericValue(ctx context.Context, s *scratch, ents []rdf.ID, pathKey string) (float64, bool, error) {
 	path, ok := rdf.ParsePath(e.KB, pathKey)
 	if !ok {
 		return 0, false, nil
 	}
-	values, err := e.valuesOf(ctx, ents, path)
+	values, err := e.valuesOf(ctx, s, ents, path)
 	if err != nil {
 		return 0, false, err
 	}
@@ -532,14 +536,13 @@ func (e *Engine) numericValue(ctx context.Context, ents []rdf.ID, pathKey string
 // strconv.ParseFloat takes beyond that ("nan", "inf", "1_000", "0x1p4",
 // "1e3") is a word, not a number.
 func parseNumber(label string) (float64, bool) {
-	fields := strings.Fields(strings.ToLower(label))
-	if len(fields) == 0 {
+	head, rest := firstField(strings.ToLower(label))
+	if head == "" {
 		return 0, false
 	}
-	head := fields[0]
 	mult := 1.0
-	if len(fields) > 1 {
-		switch fields[1] {
+	if unit, _ := firstField(rest); unit != "" {
+		switch unit {
 		case "billion":
 			mult = 1e9
 		case "million":
@@ -570,16 +573,26 @@ func parseNumber(label string) (float64, bool) {
 	return n * mult, true
 }
 
+// firstField splits s as strings.Fields does, without allocating: its first
+// field, "" when it has none, and what follows the field.
+func firstField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
 // formatNumber renders a ranked value compactly.
 func formatNumber(v float64) string {
-	switch {
-	case v >= 1e9 && v == float64(int64(v/1e9))*1e9:
-		return fmt.Sprintf("%.0fb", v/1e9)
-	case v >= 1e6 && v == float64(int64(v/1e6))*1e6:
-		return fmt.Sprintf("%.0fm", v/1e6)
-	case v >= 1e3 && v == float64(int64(v/1e3))*1e3:
-		return fmt.Sprintf("%.0fk", v/1e3)
-	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+	var buf [32]byte
+	for _, u := range []struct {
+		scale  float64
+		suffix byte
+	}{{1e9, 'b'}, {1e6, 'm'}, {1e3, 'k'}} {
+		if v >= u.scale && v == float64(int64(v/u.scale))*u.scale {
+			return string(append(strconv.AppendFloat(buf[:0], v/u.scale, 'f', 0, 64), u.suffix))
+		}
 	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -88,7 +88,7 @@ func TestRankingQuestion(t *testing.T) {
 		t.Fatalf("answer = %+v", ans)
 	}
 	// Verify against a direct sort of the KB.
-	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", true)
 	if len(ranked) < 3 {
 		t.Fatal("too few cities")
 	}
@@ -105,7 +105,7 @@ func TestRankingQuestion(t *testing.T) {
 // TestComparisonQuestion reproduces "which city has more people, A or B?".
 func TestComparisonQuestion(t *testing.T) {
 	f := world(t)
-	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", true)
 	if len(ranked) < 2 {
 		t.Fatal("too few cities")
 	}
@@ -140,7 +140,7 @@ func TestListingQuestion(t *testing.T) {
 		t.Fatalf("answer = %+v", ans)
 	}
 	// Descending order by value.
-	ranked, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
+	ranked, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", true)
 	for i := range ans.Entities {
 		if ans.Entities[i] != ranked[i].label {
 			t.Fatalf("listing[%d] = %q, want %q", i, ans.Entities[i], ranked[i].label)
@@ -174,8 +174,8 @@ func TestVariantKindString(t *testing.T) {
 
 func TestRankCategoryDeterministic(t *testing.T) {
 	f := world(t)
-	a, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
-	b, _ := f.engine.rankCategory(context.Background(), "city", "population", true)
+	a, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", true)
+	b, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", true)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatal("rankCategory unstable size")
 	}
@@ -185,7 +185,7 @@ func TestRankCategoryDeterministic(t *testing.T) {
 		}
 	}
 	// Ascending vs descending are reverses for distinct values.
-	asc, _ := f.engine.rankCategory(context.Background(), "city", "population", false)
+	asc, _ := f.engine.rankCategory(context.Background(), new(scratch), "city", "population", false)
 	if asc[0].value > asc[len(asc)-1].value {
 		t.Error("ascending sort wrong")
 	}
@@ -212,22 +212,24 @@ func TestNumericPredicateMemoised(t *testing.T) {
 
 	fi := &failingIndex{Index: f.engine.Index}
 	flaky := NewEngine(f.kb.Store, fi, f.kb.Taxonomy, f.model, f.engine.Stats)
-	if _, err := flaky.numericPredicate(context.Background(), "population"); err == nil {
+	if _, err := flaky.numericPredicate(context.Background(), new(scratch), "population"); err == nil {
 		t.Fatal("numericPredicate over a failing index reported a verdict")
 	}
 	fi.healthy.Store(1 << 30)
-	if numeric, err := flaky.numericPredicate(context.Background(), "population"); err != nil || !numeric {
+	if numeric, err := flaky.numericPredicate(context.Background(), new(scratch), "population"); err != nil || !numeric {
 		t.Fatalf("numericPredicate after the index recovered = %v, %v; the failed scan must not have been kept", numeric, err)
 	}
 }
 
 func TestBestTemplateForUsesLearnedModel(t *testing.T) {
 	f := world(t)
-	path, score, _ := f.engine.bestTemplateFor(context.Background(), f.engine.parse(text.Tokenize("which city has the largest population")).ids)
+	q := f.engine.parse(text.Tokenize("which city has the largest population"))
+	path, score, _ := f.engine.bestTemplateFor(context.Background(), q.s, q.ids)
 	if path != "population" || score <= 0 {
 		t.Errorf("bestTemplateFor = %q (%.2f), want population", path, score)
 	}
-	path, _, _ = f.engine.bestTemplateFor(context.Background(), f.engine.parse(text.Tokenize("how tall")).ids)
+	q = f.engine.parse(text.Tokenize("how tall"))
+	path, _, _ = f.engine.bestTemplateFor(context.Background(), q.s, q.ids)
 	if path != "height" && path != "elevation" {
 		t.Errorf("bestTemplateFor(how tall) = %q", path)
 	}

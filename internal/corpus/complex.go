@@ -104,7 +104,7 @@ func valueCategory(kb *kbgen.KB, subjects []rdf.ID, path rdf.Path) string {
 		return ""
 	}
 	for i := 0; i < len(subjects) && i < 5; i++ {
-		for _, v := range rdf.PathObjects(kb.Store, subjects[i], path) {
+		for _, v := range rdf.PathObjects(nil, kb.Store, subjects[i], path) {
 			for _, ent := range entityOf(kb, v) {
 				cats := kb.Store.Objects(ent, catPred)
 				if len(cats) > 0 {
@@ -129,9 +129,9 @@ func entityOf(kb *kbgen.KB, v rdf.ID) []rdf.ID {
 func chainAnswers(kb *kbgen.KB, e rdf.ID, innerPath, outerPath rdf.Path) []string {
 	var answers []string
 	seen := make(map[string]bool)
-	for _, mid := range rdf.PathObjects(kb.Store, e, innerPath) {
+	for _, mid := range rdf.PathObjects(nil, kb.Store, e, innerPath) {
 		for _, ent := range entityOf(kb, mid) {
-			for _, v := range rdf.PathObjects(kb.Store, ent, outerPath) {
+			for _, v := range rdf.PathObjects(nil, kb.Store, ent, outerPath) {
 				label := text.Normalize(kb.Store.Label(v))
 				if !seen[label] {
 					seen[label] = true

@@ -114,7 +114,7 @@ func Generate(kb *kbgen.KB, cfg Config) []Pair {
 				out = append(out, noisePair(r, kb, q, e, it))
 				continue
 			}
-			values := rdf.PathObjects(kb.Store, e, path)
+			values := rdf.PathObjects(nil, kb.Store, e, path)
 			v := values[r.Intn(len(values))]
 			out = append(out, Pair{
 				Q:            q,
@@ -147,7 +147,7 @@ func nounPhrasePairs(r *rand.Rand, kb *kbgen.KB, it kbgen.Intent, subjects []rdf
 	for i := 0; i < n; i++ {
 		e := subjects[r.Intn(len(subjects))]
 		np := nps[r.Intn(len(nps))]
-		values := rdf.PathObjects(kb.Store, e, path)
+		values := rdf.PathObjects(nil, kb.Store, e, path)
 		v := values[r.Intn(len(values))]
 		out = append(out, Pair{
 			Q:            renderQuestion(r, np, kb.Store.Label(e)),
@@ -276,7 +276,7 @@ func GenerateWebDocs(kb *kbgen.KB, seed int64, sentencesPerIntent int) []string 
 		path, _ := rdf.ParsePath(kb.Store, it.PathKey)
 		for i := 0; i < sentencesPerIntent; i++ {
 			e := subjects[r.Intn(len(subjects))]
-			values := rdf.PathObjects(kb.Store, e, path)
+			values := rdf.PathObjects(nil, kb.Store, e, path)
 			v := values[r.Intn(len(values))]
 			pat := webDocPatterns[r.Intn(len(webDocPatterns))]
 			s := strings.Replace(pat, "%p", strings.ReplaceAll(it.PathKey, "_", " "), 1)

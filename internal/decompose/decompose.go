@@ -5,7 +5,11 @@
 // QA corpus (Eq 26).
 package decompose
 
-import "repro/internal/text"
+import (
+	"slices"
+
+	"repro/internal/text"
+)
 
 // Hole is the entity-variable placeholder used in question patterns.
 const Hole = "$" + holeName
@@ -107,19 +111,39 @@ type Decomposition struct {
 // IsComplex reports whether the decomposition has more than one step.
 func (d Decomposition) IsComplex() bool { return len(d.Sequence) > 1 }
 
-// Decomposer runs Algorithm 2. Primitive is the δ oracle: whether the
-// token span sp of the (full) question toks is a directly answerable BFQ —
-// in the full system, whether the online engine finds an entity and a
-// template with a known predicate for it. Receiving the full question
-// plus the span (rather than the bare substring) lets the oracle reject
-// spans without entity mentions in O(#mentions), which keeps the DP's
-// constant factor small.
+// Decomposer runs Algorithm 2. Its DP is one flat table of cells, one per
+// span, each holding the span's best probability and backpointers — the span
+// of its concrete first question and the inner span whose answer fills its
+// hole — rather than a sequence; the sequence is built once, from the whole
+// question's cell. The table, the sequence and its patterns' tokens are
+// storage the Decomposer keeps between calls, so one reused question after
+// question allocates nothing once it has grown. It is not safe for
+// concurrent use.
 type Decomposer struct {
-	Stats     *Stats
-	Primitive func(toks []string, sp text.Span) bool
+	Stats *Stats
 	// MaxQuestionTokens guards the O(|q|^4) loop for pathological inputs;
 	// 0 means unbounded. (|q| < 23 for 99% of questions per Sec 5.3.)
 	MaxQuestionTokens int
+
+	memo []cell // memo[i*(n+1)+j] covers span [i, j) of an n-token question
+	live []text.Span
+	seq  [][]string
+	toks []string // the tokens of seq's patterns
+}
+
+// cell is the best decomposition the DP found for one span: its probability,
+// the span of its first, concrete question, and the inner span whose answer
+// binds the span's hole — empty when the span is that first question itself.
+type cell struct {
+	p     float64
+	first text.Span
+	inner text.Span
+}
+
+// dpBefore reports whether span a comes before span b in the DP's order:
+// ascending length, then ascending start.
+func dpBefore(a, b text.Span) bool {
+	return a.Len() < b.Len() || (a.Len() == b.Len() && a.Start < b.Start)
 }
 
 // Decompose returns the maximum-probability valid decomposition of the
@@ -127,8 +151,16 @@ type Decomposer struct {
 // (P(A) = 0 for all A). It works on tokens end to end: the caller (the
 // online engine) tokenized the question once and hands the DP exactly the
 // token window its δ-oracle mentions were located in, and the sequence
-// comes back as tokens, so nothing downstream re-tokenizes a joined string.
-func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
+// comes back as tokens — the first element a window of toks, the patterns
+// the Decomposer's own storage, valid until its next call — so nothing
+// downstream re-tokenizes a joined string.
+//
+// primitive is the δ oracle's verdict, settled before the DP runs: the spans
+// of toks that are directly answerable BFQs, in the DP's order (by length,
+// then by start); every other span is not one. In the full system a span is
+// primitive when the online engine finds an entity and a template with a
+// known predicate for it.
+func (d *Decomposer) Decompose(toks []string, primitive []text.Span) (Decomposition, bool) {
 	if max := d.MaxQuestionTokens; max > 0 && len(toks) > max {
 		toks = toks[:max]
 	}
@@ -136,20 +168,14 @@ func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
 	if n == 0 {
 		return Decomposition{}, false
 	}
-
-	type cell struct {
-		p     float64
-		first text.Span
-		seq   [][]string
+	at := func(sp text.Span) *cell { return &d.memo[sp.Start*(n+1)+sp.End] }
+	if size := n * (n + 1); len(d.memo) < size {
+		d.memo = make([]cell, size)
 	}
-	// memo[i][j] covers span [i, j). live lists spans with non-zero
-	// probability: only those can serve as nested questions, so the inner
-	// loop walks the (short) live list instead of all O(|q|^2) sub-spans.
-	memo := make([][]cell, n)
-	for i := range memo {
-		memo[i] = make([]cell, n+1)
-	}
-	var live []text.Span
+	// live lists spans with non-zero probability: only those can serve as
+	// nested questions, so the inner loop walks the (short) live list
+	// instead of all O(|q|^2) sub-spans.
+	d.live = d.live[:0]
 	var keyBuf [128]byte
 
 	// Ascending span length guarantees sub-solutions exist (Theorem 2's
@@ -160,49 +186,66 @@ func (d *Decomposer) Decompose(toks []string) (Decomposition, bool) {
 			sub := toks[i:j]
 			span := text.Span{Start: i, End: j}
 			best := cell{}
-			if d.Primitive(toks, span) {
-				best = cell{p: 1, first: span, seq: [][]string{sub}}
+			for len(primitive) > 0 && dpBefore(primitive[0], span) {
+				primitive = primitive[1:]
+			}
+			if len(primitive) > 0 && primitive[0] == span {
+				best = cell{p: 1, first: span}
 			}
 			// Try every live proper inner span as the nested question q_j.
 			// The hole is bounded like the counting side: longer holes can
 			// never have been counted valid.
-			for _, inSp := range live {
+			for _, inSp := range d.live {
 				if !span.Contains(inSp) || inSp == span || inSp.Len() > maxHoleTokens {
 					continue
 				}
-				inner := memo[inSp.Start][inSp.End]
+				inner := at(inSp)
 				hole := text.Span{Start: inSp.Start - i, End: inSp.End - i}
-				pr := d.Stats.prob(patternKey(keyBuf[:0], sub, hole)) * inner.p
-				if pr > best.p {
-					seq := make([][]string, 0, len(inner.seq)+1)
-					seq = append(seq, inner.seq...)
-					seq = append(seq, text.ReplaceSpan(sub, hole, Hole))
-					best = cell{p: pr, first: inner.first, seq: seq}
+				if pr := d.Stats.prob(patternKey(keyBuf[:0], sub, hole)) * inner.p; pr > best.p {
+					best = cell{p: pr, first: inner.first, inner: inSp}
 				}
 			}
-			memo[i][j] = best
+			*at(span) = best
 			if best.p > 0 {
-				live = append(live, span)
+				d.live = append(d.live, span)
 			}
 		}
 	}
 
-	full := memo[0][n]
+	whole := text.Span{End: n}
+	full := *at(whole)
 	if full.p == 0 {
 		return Decomposition{}, false
 	}
-	return Decomposition{First: full.first, Sequence: full.seq, P: full.p}, true
+	// Follow the backpointers inward from the whole question, sizing the
+	// sequence and its patterns, then fill both from the outside in.
+	steps, size := 1, 0
+	for sp := whole; at(sp).inner.Len() > 0; sp = at(sp).inner {
+		steps++
+		size += sp.Len() - at(sp).inner.Len() + 1
+	}
+	d.seq = slices.Grow(d.seq[:0], steps)[:steps]
+	d.toks = slices.Grow(d.toks[:0], size)
+	sp := whole
+	for k := steps - 1; k > 0; k-- {
+		inner := at(sp).inner
+		start := len(d.toks)
+		d.toks = append(append(append(d.toks, toks[sp.Start:inner.Start]...), Hole), toks[inner.End:sp.End]...)
+		d.seq[k] = d.toks[start:len(d.toks):len(d.toks)]
+		sp = inner
+	}
+	d.seq[0] = toks[sp.Start:sp.End:sp.End]
+	return Decomposition{First: full.first, Sequence: d.seq, P: full.p}, true
 }
 
-// Bind substitutes an answer's tokens for the first Hole token of a
-// pattern, producing the next concrete question of the sequence; a pattern
-// without a hole comes back unchanged.
-func Bind(pattern, answer []string) []string {
+// Bind appends the next concrete question of the sequence to dst — the
+// pattern with an answer's tokens substituted for its first Hole token — and
+// returns the extended slice; a pattern without a hole is appended as it is.
+func Bind(dst, pattern, answer []string) []string {
 	for i, t := range pattern {
 		if t == Hole {
-			out := make([]string, 0, len(pattern)-1+len(answer))
-			return append(append(append(out, pattern[:i]...), answer...), pattern[i+1:]...)
+			return append(append(append(dst, pattern[:i]...), answer...), pattern[i+1:]...)
 		}
 	}
-	return pattern
+	return append(dst, pattern...)
 }

@@ -74,10 +74,34 @@ func TestStatsFullSpanSkipped(t *testing.T) {
 	}
 }
 
+// oracleCase is a Decomposer and the δ oracle its questions are settled by.
+type oracleCase struct {
+	*Decomposer
+	primitive func(toks []string, sp text.Span) bool
+}
+
+// decompose settles every span of the question with the oracle, in the DP's
+// order, and runs the DP over the accepted ones.
+func (c oracleCase) decompose(q string) (Decomposition, bool) {
+	toks := text.Tokenize(q)
+	if max := c.MaxQuestionTokens; max > 0 && len(toks) > max {
+		toks = toks[:max]
+	}
+	var accepted []text.Span
+	for length := 1; length <= len(toks); length++ {
+		for i := 0; i+length <= len(toks); i++ {
+			if sp := (text.Span{Start: i, End: i + length}); c.primitive(toks, sp) {
+				accepted = append(accepted, sp)
+			}
+		}
+	}
+	return c.Decompose(toks, accepted)
+}
+
 // decomposerForWife builds the Sec 5.1 scenario: corpus provides "when was
 // $e born" as a strong pattern and the primitive oracle accepts "barack
 // obama 's wife" (a BFQ the engine can answer) but not arbitrary strings.
-func decomposerForWife() *Decomposer {
+func decomposerForWife() oracleCase {
 	corpus := []string{
 		"When was Barack Obama born?",
 		"When was Michelle Obama born?",
@@ -90,12 +114,9 @@ func decomposerForWife() *Decomposer {
 		"barack obama 's wife":       true,
 		"when was barack obama born": true,
 	}
-	return &Decomposer{
-		Stats: stats,
-		Primitive: func(toks []string, sp text.Span) bool {
-			return primitives[text.Join(text.CutSpan(toks, sp))]
-		},
-	}
+	return oracleCase{&Decomposer{Stats: stats}, func(toks []string, sp text.Span) bool {
+		return primitives[text.Join(text.CutSpan(toks, sp))]
+	}}
 }
 
 // TestDecomposeWifeQuestion reproduces Example 3: the optimal decomposition
@@ -103,7 +124,7 @@ func decomposerForWife() *Decomposer {
 // q̌0 = "barack obama 's wife", q̌1 = "when was $e born".
 func TestDecomposeWifeQuestion(t *testing.T) {
 	d := decomposerForWife()
-	dec, ok := d.Decompose(text.Tokenize("When was Barack Obama's wife born?"))
+	dec, ok := d.decompose("When was Barack Obama's wife born?")
 	if !ok {
 		t.Fatal("no decomposition found")
 	}
@@ -128,7 +149,7 @@ func TestDecomposeWifeQuestion(t *testing.T) {
 
 func TestDecomposePrimitivePassThrough(t *testing.T) {
 	d := decomposerForWife()
-	dec, ok := d.Decompose(text.Tokenize("When was Barack Obama born?"))
+	dec, ok := d.decompose("When was Barack Obama born?")
 	if !ok {
 		t.Fatal("no decomposition")
 	}
@@ -142,17 +163,17 @@ func TestDecomposePrimitivePassThrough(t *testing.T) {
 
 func TestDecomposeUnanswerable(t *testing.T) {
 	d := decomposerForWife()
-	if _, ok := d.Decompose(text.Tokenize("what is the meaning of life?")); ok {
+	if _, ok := d.decompose("what is the meaning of life?"); ok {
 		t.Error("unanswerable question decomposed")
 	}
-	if _, ok := d.Decompose(text.Tokenize("")); ok {
+	if _, ok := d.decompose(""); ok {
 		t.Error("empty question decomposed")
 	}
 }
 
 func TestBind(t *testing.T) {
 	bind := func(pattern, answer string) string {
-		return text.Join(Bind(text.Tokenize(pattern), text.Tokenize(answer)))
+		return text.Join(Bind(nil, text.Tokenize(pattern), text.Tokenize(answer)))
 	}
 	got := bind("when was $e born", "Michelle Obama")
 	if got != "when was michelle obama born" {
@@ -166,9 +187,9 @@ func TestBind(t *testing.T) {
 
 // bruteForce enumerates all decompositions recursively to verify the DP's
 // optimality (Theorem 2).
-func bruteForce(d *Decomposer, toks []string) (float64, []string) {
+func bruteForce(d oracleCase, toks []string) (float64, []string) {
 	bestP, bestSeq := 0.0, []string(nil)
-	if d.Primitive(toks, text.Span{Start: 0, End: len(toks)}) {
+	if d.primitive(toks, text.Span{Start: 0, End: len(toks)}) {
 		bestP, bestSeq = 1, []string{text.Join(toks)}
 	}
 	for a := 0; a < len(toks); a++ {
@@ -204,7 +225,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 	for _, q := range questions {
 		toks := text.Tokenize(q)
 		wantP, _ := bruteForce(d, toks)
-		dec, ok := d.Decompose(text.Tokenize(q))
+		dec, ok := d.decompose(q)
 		gotP := 0.0
 		if ok {
 			gotP = dec.P
@@ -235,7 +256,7 @@ func TestMaxQuestionTokens(t *testing.T) {
 	d.MaxQuestionTokens = 5
 	long := "When was Barack Obama born " + strings.Repeat("blah ", 50) + "?"
 	// Must terminate quickly and operate on the truncated prefix.
-	if dec, ok := d.Decompose(text.Tokenize(long)); ok {
+	if dec, ok := d.decompose(long); ok {
 		if len(dec.Sequence) == 0 {
 			t.Error("empty sequence")
 		}

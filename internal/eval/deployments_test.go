@@ -297,7 +297,7 @@ func TestDistributedEngineHonorsDeadline(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	if _, err := remote.PathObjects(ctx, []rdf.Probe{{Subj: store.Entities()[0], Path: rdf.Path{store.Predicates()[0]}}}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := remote.PathObjects(ctx, []rdf.Probe{{Subj: store.Entities()[0], Path: rdf.Path{store.Predicates()[0]}}}, make([][]rdf.ID, 1), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("PathObjects err = %v, want context.DeadlineExceeded", err)
 	}
 	if _, _, _, err := eng.Answer(ctx, corpus.Questions(w.Pairs)[0], 0, false); !errors.Is(err, context.DeadlineExceeded) {

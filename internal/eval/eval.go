@@ -276,7 +276,7 @@ func GenBenchmark(kb *kbgen.KB, spec BenchSpec) Benchmark {
 			q = strings.ToUpper(q[:1]) + q[1:] + "?"
 		}
 		var golds []string
-		for _, v := range rdf.PathObjects(kb.Store, e, a.path) {
+		for _, v := range rdf.PathObjects(nil, kb.Store, e, a.path) {
 			golds = append(golds, text.Normalize(kb.Store.Label(v)))
 		}
 		b.Items = append(b.Items, Item{

@@ -65,7 +65,7 @@ func TestExpandToyKB(t *testing.T) {
 	}
 	// Expansion agrees with the store's online traversal.
 	path, _ := rdf.ParsePath(s, "marriage→person→name")
-	online := rdf.PathObjects(s, a, path)
+	online := rdf.PathObjects(nil, s, a, path)
 	if len(online) != 1 || online[0] != objs[0] {
 		t.Error("materialized expansion disagrees with online traversal")
 	}

@@ -59,7 +59,7 @@ func TestExpandDiamondDedupe(t *testing.T) {
 	// Cross-check against the store's online traversal, which always
 	// deduplicated.
 	path, _ := rdf.ParsePath(s, "a→b")
-	online := rdf.PathObjects(s, src, path)
+	online := rdf.PathObjects(nil, s, src, path)
 	if len(online) != len(objs) || online[0] != objs[0] {
 		t.Errorf("materialized expansion %v disagrees with PathObjects %v", objs, online)
 	}

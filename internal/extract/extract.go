@@ -108,17 +108,19 @@ func (lx *Lexicon) Labels() []string {
 // Find is FindIDs over toks mapped through the lexicon's vocabulary.
 func (lx *Lexicon) Find(toks []string) []Mention {
 	var buf [32]uint32
-	return lx.FindIDs(lx.vocab.AppendIDs(buf[:0], toks))
+	return lx.FindIDs(nil, lx.vocab.AppendIDs(buf[:0], toks))
 }
 
-// FindIDs locates entity mentions in a token sequence given by vocabulary
-// IDs, by longest-match lookup against the entity labels. Overlapping
+// FindIDs appends the entity mentions of a token sequence given by
+// vocabulary IDs to dst, in order, and returns the extended slice; it finds
+// them by longest-match lookup against the entity labels. Overlapping
 // shorter matches are suppressed by longer ones (leftmost-longest), the
 // standard gazetteer discipline. Each position costs at most
-// maxMentionTokens trie steps and nothing is allocated but the result; a
-// mention's Entities are the lexicon's own slice and must not be modified.
-func (lx *Lexicon) FindIDs(ids []uint32) []Mention {
-	var out []Mention
+// maxMentionTokens trie steps, and nothing is allocated unless dst has to
+// grow; a mention's Entities are the lexicon's own slice and must not be
+// modified.
+func (lx *Lexicon) FindIDs(dst []Mention, ids []uint32) []Mention {
+	out := dst
 	for i := 0; i < len(ids); i++ {
 		var match uint32
 		end := 0

@@ -162,9 +162,11 @@ func TestLexiconEqualsReferenceLoop(t *testing.T) {
 	}
 }
 
-// TestFindAllocatesOnlyItsResult: a lookup costs no joined n-gram and no
-// filtered entity list — nothing but the returned slice's growth.
-func TestFindAllocatesOnlyItsResult(t *testing.T) {
+// TestFindIDsAllocatesNothingIntoASizedBuffer: a lookup costs no joined
+// n-gram and no filtered entity list, and the append form writes its
+// mentions into the caller's storage — into a buffer with room for them it
+// allocates nothing, and what was in the buffer stays.
+func TestFindIDsAllocatesNothingIntoASizedBuffer(t *testing.T) {
 	s := rdf.NewShardedStore(1)
 	s.Entity("Barack Obama")
 	s.Entity("Honolulu")
@@ -175,10 +177,16 @@ func TestFindAllocatesOnlyItsResult(t *testing.T) {
 		"when was barack obama born",
 		"is barack obama from honolulu or new york city",
 	} {
-		toks := text.Tokenize(q)
-		mentions := len(lx.Find(toks))
-		if n := testing.AllocsPerRun(100, func() { lx.Find(toks) }); int(n) > 1+mentions || (mentions == 0 && n != 0) {
-			t.Errorf("Find(%q): %v allocs for %d mentions, want at most 1 + one per mention", q, n, mentions)
+		ids := lx.vocab.AppendIDs(nil, text.Tokenize(q))
+		want := lx.Find(text.Tokenize(q))
+		buf := make([]Mention, 1, 8)
+		buf[0].Surface = "kept"
+		got := lx.FindIDs(buf, ids)
+		if len(got) != 1+len(want) || got[0].Surface != "kept" || (len(want) > 0 && !reflect.DeepEqual(got[1:], want)) {
+			t.Errorf("FindIDs(%q) appended %+v to a buffer, Find says %+v", q, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { lx.FindIDs(buf[:0], ids) }); n != 0 {
+			t.Errorf("FindIDs(%q) into a sized buffer: %v allocs, want 0", q, n)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (kb *KB) SubjectsWithPath(it Intent) []rdf.ID {
 	}
 	var out []rdf.ID
 	for _, e := range kb.ByCategory[it.Category] {
-		if len(rdf.PathObjects(kb.Store, e, path)) > 0 {
+		if len(rdf.PathObjects(nil, kb.Store, e, path)) > 0 {
 			out = append(out, e)
 		}
 	}

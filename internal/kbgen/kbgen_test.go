@@ -100,7 +100,7 @@ func TestExpandedPredicatesExist(t *testing.T) {
 		found := false
 		for _, cat := range categoryOrder {
 			for _, e := range kb.ByCategory[cat] {
-				if len(rdf.PathObjects(s, e, path)) > 0 {
+				if len(rdf.PathObjects(nil, s, e, path)) > 0 {
 					found = true
 					break
 				}
@@ -118,7 +118,7 @@ func TestMarriageSymmetricButSelfFree(t *testing.T) {
 	path, _ := rdf.ParsePath(s, "marriage→person→name")
 	married := 0
 	for _, p := range kb.ByCategory["person"] {
-		objs := rdf.PathObjects(s, p, path)
+		objs := rdf.PathObjects(nil, s, p, path)
 		if len(objs) == 0 {
 			continue
 		}
@@ -223,7 +223,7 @@ func TestValuesPerEntityPredicateMultiplicity(t *testing.T) {
 	path, _ := rdf.ParsePath(kb.Store, "group_member→member→name")
 	multi := false
 	for _, b := range kb.ByCategory["band"] {
-		if len(rdf.PathObjects(kb.Store, b, path)) > 1 {
+		if len(rdf.PathObjects(nil, kb.Store, b, path)) > 1 {
 			multi = true
 			break
 		}

@@ -258,7 +258,7 @@ func (l *Learner) candidates(qToks []string, mentions []extract.Mention, ev extr
 	var cands []Cand
 	for _, tw := range tmpls {
 		for _, path := range ev.Paths {
-			nVals := len(rdf.PathObjects(l.KB, ev.Entity, path))
+			nVals := len(rdf.PathObjects(nil, l.KB, ev.Entity, path))
 			if nVals == 0 {
 				continue
 			}

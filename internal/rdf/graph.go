@@ -15,7 +15,7 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -99,7 +99,7 @@ func Subjects(g Graph, pred PID, obj ID) []ID {
 	for i := 0; i < g.NumShards(); i++ {
 		out = append(out, g.ShardSubjects(i, pred, obj)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -154,29 +154,29 @@ type Probe struct {
 	Path Path
 }
 
-// PathObjects returns every object reachable from subj by traversing the
-// path, i.e. V(e, p+) for an expanded predicate (Sec 6.1 "online part").
-// Duplicates are removed; the result is ascending.
-func PathObjects(g Graph, subj ID, path Path) []ID {
-	frontier := []ID{subj}
+// PathObjects appends every object reachable from subj by traversing the
+// path — V(e, p+) for an expanded predicate (Sec 6.1 "online part") — to
+// dst, ascending and without duplicates, and returns the extended slice;
+// dst's own elements are left as they were. Each hop's frontier lives in
+// dst's tail, sorted and compacted in place, so a caller that hands in
+// storage it reuses pays no allocation. With no value, dst comes back as it
+// was passed — nil for nil.
+func PathObjects(dst []ID, g Graph, subj ID, path Path) []ID {
+	base := len(dst)
+	out := append(dst, subj)
 	for _, p := range path {
-		var next []ID
-		seen := make(map[ID]bool)
-		for _, n := range frontier {
-			for _, o := range g.Objects(n, p) {
-				if !seen[o] {
-					seen[o] = true
-					next = append(next, o)
-				}
-			}
+		end := len(out)
+		for i := base; i < end; i++ {
+			out = append(out, g.Objects(out[i], p)...)
 		}
-		if len(next) == 0 {
-			return nil
+		next := out[end:]
+		slices.Sort(next)
+		out = append(out[:base], slices.Compact(next)...)
+		if len(out) == base {
+			return dst
 		}
-		frontier = next
 	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	return frontier
+	return out
 }
 
 // PathsBetween returns every predicate path of length at most maxLen leading

@@ -66,7 +66,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		t.Fatal("marriage→person→name not present")
 	}
 	for _, e := range s.Entities() {
-		if !reflect.DeepEqual(rdf.PathObjects(s, e, path), rdf.PathObjects(ss, e, path)) {
+		if !reflect.DeepEqual(rdf.PathObjects(nil, s, e, path), rdf.PathObjects(nil, ss, e, path)) {
 			t.Fatalf("PathObjects(%d) diverges", e)
 		}
 	}
@@ -173,7 +173,7 @@ func TestShardedConcurrentReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ents); i += 8 {
-				rdf.PathObjects(ss, ents[i], path)
+				rdf.PathObjects(nil, ss, ents[i], path)
 				rdf.OutDegree(ss, ents[i])
 				ss.OutEdges(ents[i], func(rdf.PID, rdf.ID) {})
 			}

@@ -202,7 +202,7 @@ func (m *model) check(t *testing.T, g rdf.Graph) {
 			frontier = next
 		}
 		want := sortedIDs(frontier)
-		if got := rdf.PathObjects(g, e, path); !equalIDs(got, want) {
+		if got := rdf.PathObjects(nil, g, e, path); !equalIDs(got, want) {
 			t.Fatalf("PathObjects(%d, %s) = %v, want %v", e, key, got, want)
 		}
 		reached += len(want)
@@ -285,7 +285,7 @@ func (m *model) checkOffline(t *testing.T, ss *rdf.ShardedStore) {
 	const key = "marriage→person→name"
 	path, _ := rdf.ParsePath(ss, key)
 	for _, e := range m.sym.Entities() {
-		for _, v := range rdf.PathObjects(ss, e, path) {
+		for _, v := range rdf.PathObjects(nil, ss, e, path) {
 			found := false
 			for _, p := range rdf.PathsBetween(ss, e, v, 3, nil) {
 				found = found || rdf.Key(ss, p) == key

@@ -111,11 +111,11 @@ func TestPathObjects(t *testing.T) {
 	if !ok {
 		t.Fatal("ParsePath failed")
 	}
-	objs := PathObjects(s, ids["a"], path)
+	objs := PathObjects(nil, s, ids["a"], path)
 	if len(objs) != 1 || s.Label(objs[0]) != "Michelle Obama" {
 		t.Fatalf("PathObjects(a, marriage→person→name) = %v", objs)
 	}
-	if got := PathObjects(s, ids["d"], path); got != nil {
+	if got := PathObjects(nil, s, ids["d"], path); got != nil {
 		t.Fatalf("Honolulu has no marriage path, got %v", got)
 	}
 	// Key round-trips.

@@ -65,15 +65,17 @@ func BenchmarkProbeDistributed(b *testing.B) {
 	run := func(idx core.Index, batch int, tracer *obs.Tracer) func(b *testing.B) {
 		return func(b *testing.B) {
 			// Warm the per-server connection pools out of the timed region.
-			if _, err := idx.PathObjects(context.Background(), probes); err != nil {
+			if _, err := readAll(context.Background(), idx, probes); err != nil {
 				b.Fatal(err)
 			}
+			out, vals := make([][]rdf.ID, batch), []rdf.ID(nil)
 			b.ResetTimer()
 			t0 := time.Now()
 			for i := 0; i < b.N; i++ {
 				at := i * batch % (len(probes) - batch + 1)
 				ctx, tr := tracer.Start(context.Background(), "bench.probe")
-				if _, err := idx.PathObjects(ctx, probes[at:at+batch]); err != nil {
+				var err error
+				if vals, err = idx.PathObjects(ctx, probes[at:at+batch], out, vals[:0]); err != nil {
 					b.Fatal(err)
 				}
 				tr.Finish()
@@ -103,17 +105,17 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		tracer  *obs.Tracer
 		ceiling float64
 	}{
-		{"untraced", nil, 19},
-		{"traced", slowOnly(), 24},
+		{"untraced", nil, 18},
+		{"traced", slowOnly(), 23},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := kb.PathObjects(context.Background(), probes); err != nil {
+			if _, err := readAll(context.Background(), kb, probes); err != nil {
 				t.Fatal(err)
 			}
-			i := 0
+			i, out := 0, make([][]rdf.ID, 1)
 			allocs := testing.AllocsPerRun(200, func() {
 				ctx, tr := tc.tracer.Start(context.Background(), "test.probe")
-				if _, err := kb.PathObjects(ctx, probes[i%len(probes):i%len(probes)+1]); err != nil {
+				if _, err := kb.PathObjects(ctx, probes[i%len(probes):i%len(probes)+1], out, nil); err != nil {
 					t.Fatal(err)
 				}
 				tr.Finish()

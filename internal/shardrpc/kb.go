@@ -100,8 +100,10 @@ func (f *frame) add(probe int, pred rdf.PID, node rdf.ID) {
 // probes it holds. Each result is identical to rdf.PathObjects over the
 // local world: a group's nodes are disjoint across shards (a subject hashes
 // to exactly one), the per-shard unions are merged and deduplicated, and
-// frontiers stay ascending. A frame that fails fails the whole batch.
-func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
+// frontiers stay ascending. A frame that fails fails the whole batch. The
+// sets are the decoded replies themselves, never reused, so out[i] is set
+// to one of them and vals comes back as it was given.
+func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -109,7 +111,7 @@ func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, 
 	// frontiers[i] is probe i's frontier at the current depth, ascending and
 	// unique; one that empties has no values and stays empty.
 	subjects := make([]rdf.ID, len(probes))
-	frontiers := make([][]rdf.ID, len(probes))
+	frontiers := out[:len(probes)]
 	for i, p := range probes {
 		subjects[i] = p.Subj
 		frontiers[i] = subjects[i : i+1 : i+1]
@@ -167,5 +169,5 @@ func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, 
 			frontiers[i] = nil
 		}
 	}
-	return frontiers, nil
+	return vals, nil
 }

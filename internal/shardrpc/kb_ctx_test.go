@@ -15,6 +15,15 @@ import (
 // The seam, pinned: KB is the engine's Index and nothing like a Graph.
 var _ core.Index = (*KB)(nil)
 
+// readAll reads probes through idx into storage of its own.
+func readAll(ctx context.Context, idx core.Index, probes []rdf.Probe) ([][]rdf.ID, error) {
+	out := make([][]rdf.ID, len(probes))
+	if _, err := idx.PathObjects(ctx, probes, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestSeamSize(t *testing.T) {
 	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
 	if n := graph.NumMethod(); n != 11 {
@@ -100,15 +109,15 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 	for _, e := range store.Entities() {
 		batch = append(batch, rdf.Probe{Subj: e, Path: path}, rdf.Probe{Subj: e})
 	}
-	want, _ := local.PathObjects(ctx, batch)
+	want, _ := readAll(ctx, local, batch)
 	for i := range batch {
-		got, err := kb.PathObjects(ctx, batch[i:i+1])
+		got, err := readAll(ctx, kb, batch[i:i+1])
 		if err != nil || !reflect.DeepEqual(got[0], want[i]) {
 			t.Fatalf("PathObjects(%+v) = %v, %v, want %v", batch[i], got, err, want[i])
 		}
 	}
 	before := pool.Stats().Calls
-	got, err := kb.PathObjects(ctx, batch)
+	got, err := readAll(ctx, kb, batch)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("PathObjects(batch of %d) = %v, diverges from the local index", len(batch), err)
 	}
@@ -125,7 +134,7 @@ func TestKBCtxVariantsHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := kb.PathObjects(ctx, []rdf.Probe{{Subj: 0, Path: rdf.Path{0}}}); !errors.Is(err, context.Canceled) {
+	if _, err := readAll(ctx, kb, []rdf.Probe{{Subj: 0, Path: rdf.Path{0}}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PathObjects under cancelled ctx: %v", err)
 	}
 	if _, err := kb.Subjects(ctx, 0, 0); !errors.Is(err, context.Canceled) {

@@ -80,7 +80,7 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 			t.Fatalf("after %s the pool holds %d idle connections, want the 1 it used", row.name, free)
 		}
 		got, err := pool.Probe(ctx, 0, []ProbeGroup{{pred, []rdf.ID{own}}})
-		if err != nil || !slices.Equal(got[0], rdf.PathObjects(store, own, rdf.Path{pred})) {
+		if err != nil || !slices.Equal(got[0], rdf.PathObjects(nil, store, own, rdf.Path{pred})) {
 			t.Fatalf("well-formed frame after %s: %v, %v", row.name, got, err)
 		}
 	}

@@ -39,12 +39,12 @@ func TestSmokeRoundTrip(t *testing.T) {
 		for _, p := range store.Predicates() {
 			batch = append(batch, rdf.Probe{Subj: e, Path: rdf.Path{p}})
 		}
-		got, err := remote.PathObjects(ctx, batch)
+		got, err := readAll(ctx, remote, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, pr := range batch {
-			if want := rdf.PathObjects(store, pr.Subj, pr.Path); !reflect.DeepEqual(got[i], want) {
+			if want := rdf.PathObjects(nil, store, pr.Subj, pr.Path); !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("PathObjects(%d,%d): got %v want %v", pr.Subj, pr.Path[0], got[i], want)
 			}
 		}

@@ -20,33 +20,31 @@ import (
 // ("Barack Obama's wife" -> [barack obama 's wife]).
 func Tokenize(s string) []string {
 	var toks []string
-	for tok, _, end, _ := scan(s, 0); end >= 0; tok, _, end, _ = scan(s, end) {
+	for start, end, lower := scan(s, 0); end >= 0; start, end, lower = scan(s, end) {
 		if toks == nil {
 			// Most separators are single spaces; the rest grow the slice.
 			toks = make([]string, 0, strings.Count(s[end:], " ")+1)
 		}
-		toks = append(toks, tok)
+		toks = append(toks, token(s[start:end], lower))
 	}
 	return toks
 }
 
 // scan finds the first token of s at or after byte offset i, in one pass
-// over the bytes: ASCII is classified without decoding, and a token that is
-// already lower-case is the substring s[start:end] itself (verbatim reports
-// that), so only a token with a rune to lower-case is built. end is -1 when
-// no token is left.
-func scan(s string, i int) (tok string, start, end int, verbatim bool) {
+// over the bytes: ASCII is classified without decoding. The token is
+// s[start:end], lower-cased when lower is set — some rune of it has a
+// lower-case form of its own — and as it stands otherwise; end is -1 when no
+// token is left. Nothing is allocated.
+func scan(s string, i int) (start, end int, lower bool) {
 	start = -1
-	var buf [32]byte   // backs lowered, off the heap for a token of usual length
-	var lowered []byte // the token so far, once a rune of it was lower-cased
-	numeric := true    // every rune of the token so far is a digit or '.'
+	numeric := true // every rune of the token so far is a digit or '.'
 scanning:
 	for w := 0; i < len(s); i += w {
 		r := rune(s[i])
 		if w = 1; r >= utf8.RuneSelf {
 			r, w = utf8.DecodeRuneInString(s[i:])
 		}
-		lr, word := r, false
+		word := false
 		switch {
 		case 'a' <= r && r <= 'z', r == '$', r == '_':
 			// Placeholder sigils ($city) and identifier underscores are kept.
@@ -54,7 +52,7 @@ scanning:
 		case '0' <= r && r <= '9':
 			word = true
 		case 'A' <= r && r <= 'Z':
-			lr, word, numeric = r+('a'-'A'), true, false
+			word, numeric, lower = true, false, true
 		case r == '.':
 			// Decimal point inside a number (390.5).
 			word = start >= 0 && numeric && unicode.IsDigit(runeAt(s, i+1))
@@ -62,12 +60,13 @@ scanning:
 			// Possessive clitic: "'s" is a token of its own, so it ends the
 			// token before it and is scanned by the next call.
 			if start < 0 {
-				return "'s", i, i + 2, s[i+1] == 's'
+				return i, i + 2, s[i+1] == 'S'
 			}
 		case unicode.IsDigit(r):
 			word = true
 		case unicode.IsLetter(r):
-			lr, word, numeric = unicode.ToLower(r), true, false
+			word, numeric = true, false
+			lower = lower || unicode.ToLower(r) != r
 		}
 		switch {
 		case word && start < 0:
@@ -75,20 +74,36 @@ scanning:
 		case !word && start >= 0:
 			break scanning
 		}
-		if lr != r && lowered == nil {
-			lowered = append(buf[:0], s[start:i]...)
-		}
-		if word && lowered != nil {
-			lowered = utf8.AppendRune(lowered, lr)
-		}
 	}
+	if start < 0 {
+		return -1, -1, false
+	}
+	return start, i, lower
+}
+
+// appendToken appends a token scan found, tok = s[start:end], to dst:
+// lower-cased when lower is set, as it stands otherwise.
+func appendToken(dst []byte, tok string, lower bool) []byte {
+	if !lower {
+		return append(dst, tok...)
+	}
+	for _, r := range tok {
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
+}
+
+// token returns a token scan found as a string: the substring itself unless
+// it has a rune to lower-case, so only such a token is built.
+func token(tok string, lower bool) string {
 	switch {
-	case start < 0:
-		return "", -1, -1, false
-	case lowered != nil:
-		return string(lowered), start, i, false
+	case !lower:
+		return tok
+	case tok == "'S":
+		return "'s"
 	}
-	return s[start:i], start, i, true
+	var buf [32]byte // off the heap for a token of usual length
+	return string(appendToken(buf[:0], tok, true))
 }
 
 // runeAt decodes the rune at s[i:]; at the end of s it is utf8.RuneError,
@@ -108,12 +123,23 @@ func Join(toks []string) string {
 // questions, templates and entity names throughout the system. A string
 // that is already canonical — its tokens verbatim, one space between them,
 // nothing else — comes back as is, without allocating, so a caller holding
-// joined tokens or a normalized label pays one scan.
+// joined tokens or a normalized label pays one scan. Any other string is
+// built in the same pass, from the first byte that is not canonical on,
+// with one allocation for the result when it fits in 256 bytes.
 func Normalize(s string) string {
 	for i := 0; i < len(s); {
-		_, start, end, verbatim := scan(s, i)
-		if !verbatim || start != i+min(i, 1) || (i > 0 && s[i] != ' ') {
-			return Join(Tokenize(s))
+		start, end, lower := scan(s, i)
+		if lower || start != i+min(i, 1) || (i > 0 && s[i] != ' ') {
+			// s[:i] is canonical tokens, the key's head as it stands.
+			var buf [256]byte // a usual question's key, off the heap
+			key := append(buf[:0], s[:i]...)
+			for ; end >= 0; start, end, lower = scan(s, end) {
+				if len(key) > 0 {
+					key = append(key, ' ')
+				}
+				key = appendToken(key, s[start:end], lower)
+			}
+			return string(key)
 		}
 		i = end
 	}

@@ -201,10 +201,11 @@ func tokenizeRunes(s string) []string {
 }
 
 // checkTokenize holds the four facts the rest of the system leans on: the
-// scanner equals the oracle, a vocabulary's Tokenize returns the same
+// scanner equals the oracle, a vocabulary's Tokenize appends the same
 // tokens with each one's ID, joined tokens tokenize to themselves (which is
 // what lets the mention lexicon match tokens without re-normalizing their
-// join), and Normalize is the oracle's and idempotent.
+// join), and Normalize is the oracle's join, Join(tokenizeRunes(s)), and
+// idempotent.
 func checkTokenize(t *testing.T, s string) {
 	t.Helper()
 	got, want := Tokenize(s), tokenizeRunes(s)
@@ -214,11 +215,11 @@ func checkTokenize(t *testing.T, s string) {
 	v := NewVocab()
 	v.Add("barack")
 	v.Add("'s")
-	toks, ids := v.Tokenize(s, []uint32{7})
-	if !reflect.DeepEqual(toks, got) || len(ids) != 1+len(toks) || ids[0] != 7 {
-		t.Fatalf("Vocab.Tokenize(%q) = %q, %v; want %q after the ID kept", s, toks, ids, got)
+	toks, ids := v.Tokenize(s, []string{"kept"}, []uint32{7})
+	if len(toks) != 1+len(got) || (len(got) > 0 && !reflect.DeepEqual(toks[1:], got)) || toks[0] != "kept" || len(ids) != len(toks) || ids[0] != 7 {
+		t.Fatalf("Vocab.Tokenize(%q) = %q, %v; want %q after the token and ID kept", s, toks, ids, got)
 	}
-	for i, tok := range toks {
+	for i, tok := range toks[1:] {
 		if ids[1+i] != v.ID(tok) {
 			t.Fatalf("Vocab.Tokenize(%q): %q has ID %d, the vocabulary says %d", s, tok, ids[1+i], v.ID(tok))
 		}
@@ -227,8 +228,8 @@ func checkTokenize(t *testing.T, s string) {
 	if again := Tokenize(joined); !reflect.DeepEqual(again, got) {
 		t.Fatalf("Tokenize(Join(Tokenize(%q))) = %q, want %q", s, again, got)
 	}
-	if n := Normalize(s); n != joined {
-		t.Fatalf("Normalize(%q) = %q, want %q", s, n, joined)
+	if n := Normalize(s); n != joined || n != Join(want) {
+		t.Fatalf("Normalize(%q) = %q, want %q", s, n, Join(want))
 	}
 	if n := Normalize(joined); n != joined {
 		t.Fatalf("Normalize(%q) = %q: not idempotent", joined, n)
@@ -264,6 +265,9 @@ func TestTokenizeEveryRune(t *testing.T) {
 	}
 }
 
+// TestNormalizeCanonicalAllocatesNothing: a canonical string is its own
+// key, and any other is built in one pass with at most one allocation, the
+// key's.
 func TestNormalizeCanonicalAllocatesNothing(t *testing.T) {
 	for _, s := range []string{"", "honolulu", "barack obama 's wife", "how many people are there in $city", "390.5 sq km", "école ３"} {
 		if Normalize(s) != s {
@@ -273,9 +277,12 @@ func TestNormalizeCanonicalAllocatesNothing(t *testing.T) {
 			t.Errorf("Normalize(%q) of a canonical string: %v allocs, want 0", s, n)
 		}
 	}
-	for _, s := range []string{" a", "a ", "a  b", "A", "a's", "a 'S", "a.b", "5.", "a\tb"} {
+	for _, s := range []string{" a", "a ", "a  b", "A", "a's", "a 'S", "a.b", "5.", "a\tb", "What is the population of Norhaven?"} {
 		if n := Normalize(s); n == s || n != Join(tokenizeRunes(s)) {
 			t.Errorf("Normalize(%q) = %q, want %q", s, n, Join(tokenizeRunes(s)))
+		}
+		if n := testing.AllocsPerRun(100, func() { Normalize(s) }); n > 1 {
+			t.Errorf("Normalize(%q) of a non-canonical string: %v allocs, want at most 1", s, n)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package text
 
-import (
-	"maps"
-	"strings"
-)
+import "maps"
 
 // NoWord is the ID of every token no compiled structure was built from. No
 // trie has an edge for it and every table indexed by ID leaves its entry
@@ -58,12 +55,12 @@ func (v *Vocab) AppendIDs(dst []uint32, toks []string) []uint32 {
 }
 
 // Tokenize is Tokenize that also looks every token up, in the same pass,
-// appending the IDs to ids: ids[len(ids)+i] is the ID of toks[i].
-func (v *Vocab) Tokenize(s string, ids []uint32) (toks []string, _ []uint32) {
-	for tok, _, end, _ := scan(s, 0); end >= 0; tok, _, end, _ = scan(s, end) {
-		if toks == nil {
-			toks = make([]string, 0, strings.Count(s[end:], " ")+1)
-		}
+// appending the tokens to toks and their IDs to ids: the i-th token appended
+// has the i-th ID appended. A caller that hands in storage it reuses pays
+// only for the tokens that had a rune to lower-case.
+func (v *Vocab) Tokenize(s string, toks []string, ids []uint32) ([]string, []uint32) {
+	for start, end, lower := scan(s, 0); end >= 0; start, end, lower = scan(s, end) {
+		tok := token(s[start:end], lower)
 		toks = append(toks, tok)
 		ids = append(ids, v.ids[tok])
 	}

@@ -208,8 +208,9 @@ func compute(eng *core.Engine, cfg queryConfig) serve.AskFunc[served] {
 // (ErrShuttingDown, ErrEnginePanic, deadline errors from queueing).
 //
 // The returned Result may be shared with concurrent callers via the
-// answer cache: treat it as read-only. Its Timings describe the
-// computation that produced it, which a cache hit skips.
+// answer cache: treat it as read-only. Its Question and TraceID are the
+// caller's own; its Timings describe the computation that produced it,
+// which a cache hit skips.
 func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
 	cfg := newQueryConfig(opts)
 	ctx, cancel := cfg.arm(ctx)
@@ -225,7 +226,7 @@ func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOptio
 		sv.rt.CountError(out.Code)
 		return nil, errorFromCode(out.Code)
 	}
-	return stampTraceID(out.Res, ctx), nil
+	return stamp(out.Res, question, ctx), nil
 }
 
 // startTrace opens a server-rooted trace when the server has a tracer and
@@ -246,19 +247,21 @@ func (sv *Server) startTrace(ctx context.Context, name, question string) (contex
 	return tctx, trace.Finish
 }
 
-// stampTraceID returns res carrying exactly the context's trace ID — the
-// request's own, or none when the request is untraced. It is the one place
-// a reply gets its ID: Results enter the cache without one (and an entry
-// persisted by an older build that did carry one is cleared here). Cached
-// Results are shared between concurrent callers and must stay read-only,
-// so a differing ID is stamped onto a shallow copy, never in place.
-func stampTraceID(res *Result, ctx context.Context) *Result {
+// stamp returns res carrying exactly the caller's question and the
+// context's trace ID — the request's own, or none when the request is
+// untraced. It is the one place a reply gets them: the cache and the
+// in-flight deduplication key a Result by the normalized question, so a
+// shared one carries the spelling of whoever computed it, and Results enter
+// the cache without a trace ID (an entry persisted by an older build that
+// did carry one is cleared here). Shared Results are read-only, so a
+// differing question or ID is stamped onto a shallow copy, never in place.
+func stamp(res *Result, question string, ctx context.Context) *Result {
 	tid := obs.TraceID(ctx)
-	if res == nil || res.TraceID == tid {
+	if res == nil || (res.Question == question && res.TraceID == tid) {
 		return res
 	}
 	r2 := *res
-	r2.TraceID = tid
+	r2.Question, r2.TraceID = question, tid
 	return &r2
 }
 
@@ -287,7 +290,7 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 		br := BatchResult{Question: it.Question, Err: it.Err}
 		if it.Err == nil {
 			if it.OK {
-				br.Result = stampTraceID(it.Answer.Res, ctx)
+				br.Result = stamp(it.Answer.Res, questions[i], ctx)
 			} else {
 				sv.rt.CountError(it.Answer.Code)
 				br.Err = errorFromCode(it.Answer.Code)

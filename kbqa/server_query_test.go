@@ -35,6 +35,43 @@ func TestServerQueryMatchesSystemQuery(t *testing.T) {
 	}
 }
 
+// TestSharedResultCarriesCallersQuestion: the cache and the in-flight
+// deduplication key a Result by the normalized question, so two spellings of
+// one question share it — and each caller must still get its own spelling
+// back as Result.Question, from Query and from QueryBatch, while the shared
+// Result keeps the first caller's.
+func TestSharedResultCarriesCallersQuestion(t *testing.T) {
+	s := testSystem(t)
+	sv := mustServer(t, s, ServerOptions{})
+	defer sv.Close()
+	ctx := context.Background()
+	q := s.SampleQuestions(1)[0]
+	spaced := "  " + q + " "
+	first, err := sv.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := sv.Query(ctx, spaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Question != spaced || first.Question != q {
+		t.Errorf("Query(%q) then Query(%q): Result.Question %q and %q, want each caller's own", q, spaced, first.Question, hit.Question)
+	}
+	if !reflect.DeepEqual(hit.Answer, first.Answer) {
+		t.Errorf("the cache hit answered %+v, the miss %+v", hit.Answer, first.Answer)
+	}
+	items := sv.QueryBatch(ctx, []string{spaced, q, strings.ToUpper(q)})
+	for _, it := range items {
+		if it.Err != nil || it.Result.Question != it.Question {
+			t.Errorf("QueryBatch slot %q: Result.Question %q, err %v; want the slot's own", it.Question, it.Result.Question, it.Err)
+		}
+	}
+	if m := sv.Metrics(); m.CacheHits < 3 {
+		t.Errorf("%d cache hits, want the spellings to share one entry", m.CacheHits)
+	}
+}
+
 // TestServerQueryFingerprintSeparation: the same question under different
 // options must not share a cache entry — each option set sees its own
 // interpretation count.
