@@ -417,7 +417,7 @@ func BenchmarkAblationContext(b *testing.B) {
 func BenchmarkAblationExpansionK(b *testing.B) {
 	s := benchSuite(b)
 	w := s.World(kbgen.Freebase)
-	ib := infobox.Build(w.KB.Store, infobox.Config{Seed: 1})
+	ib := infobox.Build(w.KB.Store, 1)
 	top := expand.TopEntitiesByFrequency(w.KB.Store, 100)
 	for _, k := range []int{1, 2, 3, 4} {
 		k := k

@@ -17,6 +17,7 @@ import (
 	"repro/internal/kbgen"
 	"repro/internal/learn"
 	"repro/internal/text"
+	"repro/internal/world"
 	"repro/kbqa"
 )
 
@@ -24,7 +25,7 @@ import (
 // checks global accuracy on held-out-style questions (fresh instantiations
 // of known intents about entities the corpus may not have covered).
 func TestEndToEndPipeline(t *testing.T) {
-	w := eval.BuildWorld(eval.WorldConfig{
+	w := eval.BuildWorld(world.Config{
 		Flavor: kbgen.Freebase, Seed: 99, Scale: 25, PairsPerIntent: 30, NoiseRate: 0.15,
 	})
 	// Fresh questions: first paraphrase of each intent instantiated with
@@ -107,7 +108,7 @@ func TestModelPortability(t *testing.T) {
 // TestLearnerIsPureOverQA: learning must not mutate the knowledge base
 // (observation building reads only).
 func TestLearnerIsPureOverQA(t *testing.T) {
-	w := eval.BuildWorld(eval.WorldConfig{
+	w := eval.BuildWorld(world.Config{
 		Flavor: kbgen.DBpedia, Seed: 3, Scale: 12, PairsPerIntent: 10,
 	})
 	triples := w.KB.Store.NumTriples()

@@ -17,6 +17,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
 	"repro/internal/shardrpc"
+	"repro/internal/world"
 )
 
 // startShardServer runs an own-all shardrpc server over store, a world
@@ -160,7 +161,7 @@ var deployments = []struct {
 // layouts share the generation seed, so node IDs, the learned model and the
 // decomposition statistics all match.
 var shardedWorlds = sync.OnceValues(func() (ref, w *World) {
-	cfg := DefaultWorldConfig(kbgen.Freebase)
+	cfg := world.DefaultConfig(kbgen.Freebase)
 	cfg.Shards = 1
 	ref = BuildWorld(cfg)
 	cfg.Shards = 4
@@ -273,7 +274,7 @@ func askVariant(e *core.Engine, q string) (core.VariantAnswer, bool, error) {
 // distributed probe path (and the whole answer) promptly with the
 // context's error, instead of fanning out doomed RPCs.
 func TestDistributedEngineHonorsDeadline(t *testing.T) {
-	w := BuildWorld(DefaultWorldConfig(kbgen.Freebase))
+	w := BuildWorld(world.DefaultConfig(kbgen.Freebase))
 	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)
 	addr, srv := startShardServer(t, store, digest)
 	defer srv.Close()

@@ -15,21 +15,18 @@ import (
 	"repro/internal/qclass"
 	"repro/internal/template"
 	"repro/internal/text"
+	"repro/internal/world"
 )
 
 // Suite lazily builds one trained World per knowledge-base flavor and
 // regenerates every table of the paper's evaluation section from them.
 type Suite struct {
 	worlds map[kbgen.Flavor]*World
-	mkCfg  func(kbgen.Flavor) WorldConfig
 }
 
 // NewSuite returns a suite with the default world configuration.
 func NewSuite() *Suite {
-	return &Suite{
-		worlds: make(map[kbgen.Flavor]*World),
-		mkCfg:  DefaultWorldConfig,
-	}
+	return &Suite{worlds: make(map[kbgen.Flavor]*World)}
 }
 
 // World returns (building on first use) the world for a flavor.
@@ -37,7 +34,7 @@ func (s *Suite) World(f kbgen.Flavor) *World {
 	if w, ok := s.worlds[f]; ok {
 		return w
 	}
-	w := BuildWorld(s.mkCfg(f))
+	w := BuildWorld(world.DefaultConfig(f))
 	s.worlds[f] = w
 	return w
 }

@@ -171,7 +171,7 @@ func TestValidKShape(t *testing.T) {
 	// Table 4's shape: valid(2) >= valid(1) (or at least comparable) and
 	// valid(3) collapses to a small fraction of valid(2).
 	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 30})
-	ib := infobox.Build(kb.Store, infobox.Config{Seed: 1})
+	ib := infobox.Build(kb.Store, 1)
 	top := TopEntitiesByFrequency(kb.Store, 170)
 	v1 := ValidK(kb.Store, top, 1, kb.EndFilter, ib.Has)
 	v2 := ValidK(kb.Store, top, 2, kb.EndFilter, ib.Has)

@@ -141,7 +141,7 @@ func TestValidKSameAcrossLayouts(t *testing.T) {
 	}
 	// valid(k) over the sharded layout matches the unsharded one.
 	flat := kbgen.Generate(kbgen.Config{Seed: 3, Flavor: kbgen.DBpedia, Scale: 8})
-	ib := infobox.Build(flat.Store, infobox.Config{Seed: 1})
+	ib := infobox.Build(flat.Store, 1)
 	top := TopEntitiesByFrequency(flat.Store, 50)
 	for k := 1; k <= 3; k++ {
 		a := ValidK(flat.Store, top, k, flat.EndFilter, ib.Has)

@@ -7,7 +7,7 @@
 // ("marriage→person→dob") do not. Our synthetic infobox is built from
 // generation knowledge, independently of the BFS under test:
 //
-//   - literal-valued direct facts are included with a configurable keep
+//   - literal-valued direct facts are included with a fixed keep
 //     rate (infoboxes are incomplete for plain attributes);
 //   - entity-valued direct facts contribute the object's name AND alias
 //     surface forms (infoboxes write values as free text);
@@ -33,32 +33,18 @@ type key struct {
 	value string
 }
 
-// Config controls infobox synthesis.
-type Config struct {
-	// Seed drives the literal sampling.
-	Seed int64
-	// LiteralKeepRate is the probability a literal-valued direct fact is
-	// listed (default 0.6).
-	LiteralKeepRate float64
-	// SkipPreds are predicate names whose facts never appear as infobox
-	// entries (identity/bookkeeping edges).
-	SkipPreds map[string]bool
-}
+// literalKeepRate is the probability a literal-valued direct fact is
+// listed.
+const literalKeepRate = 0.6
 
-// DefaultSkipPreds are the bookkeeping predicates excluded by default.
-func DefaultSkipPreds() map[string]bool {
-	return map[string]bool{"name": true, "alias": true, "category": true}
-}
+// skipPreds are the identity and bookkeeping predicates whose facts never
+// appear as infobox entries.
+var skipPreds = map[string]bool{"name": true, "alias": true, "category": true}
 
-// Build constructs the infobox for every entity of the store.
-func Build(s *rdf.ShardedStore, cfg Config) *Infobox {
-	if cfg.LiteralKeepRate <= 0 {
-		cfg.LiteralKeepRate = 0.6
-	}
-	if cfg.SkipPreds == nil {
-		cfg.SkipPreds = DefaultSkipPreds()
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
+// Build constructs the infobox for every entity of the store; seed drives
+// the literal sampling.
+func Build(s *rdf.ShardedStore, seed int64) *Infobox {
+	r := rand.New(rand.NewSource(seed))
 	ib := &Infobox{pairs: make(map[key]bool)}
 
 	nameID, hasName := s.PredID("name")
@@ -87,12 +73,12 @@ func Build(s *rdf.ShardedStore, cfg Config) *Infobox {
 
 	for _, e := range s.Entities() {
 		s.OutEdges(e, func(p rdf.PID, o rdf.ID) {
-			if cfg.SkipPreds[s.PredName(p)] {
+			if skipPreds[s.PredName(p)] {
 				return
 			}
 			switch s.KindOf(o) {
 			case rdf.KindLiteral:
-				if r.Float64() < cfg.LiteralKeepRate {
+				if r.Float64() < literalKeepRate {
 					ib.add(e, s.Label(o))
 				}
 			case rdf.KindEntity:
@@ -128,6 +114,3 @@ func (ib *Infobox) add(s rdf.ID, value string) {
 func (ib *Infobox) Has(s rdf.ID, valueLabel string) bool {
 	return ib.pairs[key{s: s, value: text.Normalize(valueLabel)}]
 }
-
-// Len returns the number of (subject, value) entries.
-func (ib *Infobox) Len() int { return len(ib.pairs) }

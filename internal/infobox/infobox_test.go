@@ -1,6 +1,7 @@
 package infobox
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/kbgen"
@@ -25,16 +26,29 @@ func toyKB() (*rdf.ShardedStore, rdf.ID, rdf.ID) {
 	return s, a, d
 }
 
+// seedKeeping returns a seed under which the toy KB's one literal fact
+// (dob), the only fact Build samples, is kept or dropped as asked.
+func seedKeeping(t *testing.T, keep bool) int64 {
+	t.Helper()
+	for seed := int64(1); seed < 100; seed++ {
+		if rand.New(rand.NewSource(seed)).Float64() < literalKeepRate == keep {
+			return seed
+		}
+	}
+	t.Fatalf("no seed below 100 keeps=%v the literal", keep)
+	return 0
+}
+
 func TestBuildEntityValued(t *testing.T) {
 	s, a, _ := toyKB()
-	ib := Build(s, Config{Seed: 1, LiteralKeepRate: 1})
+	ib := Build(s, seedKeeping(t, true))
 	// Direct entity-valued fact: pob -> Honolulu listed by name.
 	if !ib.Has(a, "Honolulu") {
 		t.Error("pob value missing from infobox")
 	}
-	// Literal fact with keep rate 1.
+	// Literal fact under a seed that keeps it.
 	if !ib.Has(a, "1961") {
-		t.Error("dob value missing at keep rate 1")
+		t.Error("dob value missing under a keeping seed")
 	}
 	// CVT value: spouse by primary name, not alias.
 	if !ib.Has(a, "Michelle Obama") {
@@ -51,11 +65,10 @@ func TestBuildEntityValued(t *testing.T) {
 
 func TestLiteralKeepRateZeroish(t *testing.T) {
 	s, a, _ := toyKB()
-	// Rate so small that literals are (almost surely) dropped; entity
-	// values must remain.
-	ib := Build(s, Config{Seed: 1, LiteralKeepRate: 1e-12})
+	// A seed that drops the literal; entity values must remain.
+	ib := Build(s, seedKeeping(t, false))
 	if ib.Has(a, "1961") {
-		t.Error("literal kept at ~0 keep rate")
+		t.Error("literal kept under a dropping seed")
 	}
 	if !ib.Has(a, "Honolulu") {
 		t.Error("entity value must not depend on keep rate")
@@ -64,20 +77,20 @@ func TestLiteralKeepRateZeroish(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	kb := kbgen.Generate(kbgen.Config{Seed: 3, Flavor: kbgen.DBpedia, Scale: 10})
-	a := Build(kb.Store, Config{Seed: 5})
-	b := Build(kb.Store, Config{Seed: 5})
-	if a.Len() != b.Len() {
-		t.Fatalf("nondeterministic infobox: %d vs %d", a.Len(), b.Len())
+	a := Build(kb.Store, 5)
+	b := Build(kb.Store, 5)
+	if len(a.pairs) != len(b.pairs) {
+		t.Fatalf("nondeterministic infobox: %d vs %d", len(a.pairs), len(b.pairs))
 	}
-	c := Build(kb.Store, Config{Seed: 6})
-	if c.Len() == 0 {
+	c := Build(kb.Store, 6)
+	if len(c.pairs) == 0 {
 		t.Fatal("empty infobox")
 	}
 }
 
 func TestSkipPreds(t *testing.T) {
 	s, a, _ := toyKB()
-	ib := Build(s, Config{Seed: 1, LiteralKeepRate: 1})
+	ib := Build(s, seedKeeping(t, true))
 	// name facts themselves are bookkeeping, not infobox rows.
 	if ib.Has(a, "Barack Obama") {
 		t.Error("subject's own name listed as a fact")

@@ -1,8 +1,10 @@
 package shardrpc
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -23,11 +25,19 @@ type Placement struct {
 	prefs [][]string
 }
 
+// ErrServerList is wrapped by NewPlacement's error for a server list that
+// is empty or names an address empty or twice: a repeated address would
+// make two replicas of a shard one host, and hedge back to the same server.
+var ErrServerList = errors.New("shardrpc: bad server list")
+
 // NewPlacement builds the placement for numShards shards over servers with
 // R-way replication. R is clamped to [1, len(servers)].
 func NewPlacement(servers []string, numShards, replicas int) (*Placement, error) {
 	if len(servers) == 0 {
-		return nil, fmt.Errorf("shardrpc: placement needs at least one server")
+		return nil, fmt.Errorf("%w: placement needs at least one server", ErrServerList)
+	}
+	if sorted := slices.Sorted(slices.Values(servers)); sorted[0] == "" || len(slices.Compact(sorted)) < len(servers) {
+		return nil, fmt.Errorf("%w: %q names an address empty or twice", ErrServerList, servers)
 	}
 	if numShards <= 0 {
 		return nil, fmt.Errorf("shardrpc: placement needs a positive shard count, got %d", numShards)

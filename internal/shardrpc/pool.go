@@ -23,8 +23,6 @@ type PoolOptions struct {
 	// Digest is the local world's identity (snapshot.Digest of the local
 	// store); every handshake asserts it. Required.
 	Digest uint64
-	// Logger receives structured failover/hedge events; nil discards.
-	Logger *obs.Logger
 
 	// hedgeAfter, when > 0, pins the hedge delay and disableHedge turns
 	// hedging off (failover on error still applies); tests set them for
@@ -590,10 +588,6 @@ func (p *Pool) hedged(ctx context.Context, sp *obs.Span, shard int, a attempt, o
 				firstErr = fmt.Errorf("shardrpc: shard %d via %s: %w", shard, out.addr, out.err)
 			}
 			p.errcount.Add(1)
-			p.opts.Logger.Warn("shard call failed",
-				obs.F("shard", shard),
-				obs.F("server", out.addr),
-				obs.F("error", out.err.Error()))
 			if next < len(order) {
 				p.failovers.Add(1)
 				launchNext()

@@ -26,6 +26,12 @@
 //
 // For corpora of your own, see System.Learn; for serving traffic,
 // System.Server.
+//
+// The offline procedure is internal/world's, and a System holds only the
+// world it serves: the knowledge base, the training corpus, the model, the
+// decomposition statistics and the baselines. What only the paper's
+// tables read (EM observations, the infobox, the web documents) is
+// internal/eval's, which this package does not import.
 package kbqa
 
 import (
@@ -37,11 +43,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/decompose"
-	"repro/internal/eval"
 	"repro/internal/kbgen"
 	"repro/internal/learn"
 	"repro/internal/rdf/snapshot"
 	"repro/internal/shardrpc"
+	"repro/internal/world"
 )
 
 // Options configures Build. The zero value builds the default Freebase
@@ -92,27 +98,18 @@ type Options struct {
 // training corpus.
 func Noise(rate float64) *float64 { return &rate }
 
-// ParseFlavor converts a flavor name to the kbgen flavor.
-func ParseFlavor(name string) (kbgen.Flavor, error) {
-	f, err := kbgen.ParseFlavor(name)
-	if err != nil {
-		return 0, fmt.Errorf("kbqa: %w", err)
-	}
-	return f, nil
-}
-
-// worldConfig resolves Options onto the per-flavor defaults; every zero
+// worldConfig resolves Options onto world.DefaultConfig; every zero
 // field keeps its default, and NoiseRate distinguishes "unset" (nil) from
 // an explicit 0 so noise-free corpora are expressible.
-func (o Options) worldConfig() (eval.WorldConfig, error) {
-	f, err := ParseFlavor(o.Flavor)
+func (o Options) worldConfig() (world.Config, error) {
+	f, err := kbgen.ParseFlavor(o.Flavor)
 	if err != nil {
-		return eval.WorldConfig{}, err
+		return world.Config{}, fmt.Errorf("kbqa: %w", err)
 	}
 	if o.Shards < 0 {
-		return eval.WorldConfig{}, fmt.Errorf("kbqa: Shards is %d, want at least 1 (0 keeps the default)", o.Shards)
+		return world.Config{}, fmt.Errorf("kbqa: Shards is %d, want at least 1 (0 keeps the default)", o.Shards)
 	}
-	cfg := eval.DefaultWorldConfig(f)
+	cfg := world.DefaultConfig(f)
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -184,7 +181,7 @@ type System struct {
 	swapMu sync.Mutex
 	// world holds what Build generated and learned; the model and
 	// statistics serving now are cur's, not world's.
-	world *eval.World
+	world *world.World
 	// digest is snapshot.Digest of the built store: the image check and
 	// the shard handshake compare it, and every online tag folds it in.
 	digest uint64
@@ -253,11 +250,12 @@ func Build(o Options) (*System, error) {
 	if o.KBImage != "" && len(o.ShardServers) > 0 {
 		return nil, fmt.Errorf("kbqa: KBImage and ShardServers are mutually exclusive")
 	}
-	return newSystem(eval.LearnWorld(cfg), o)
+	w, _ := world.Learn(cfg) // the EM observations are only the experiments'
+	return newSystem(w, o)
 }
 
 // newSystem serves the learned world w over the KB backing o selects.
-func newSystem(w *eval.World, o Options) (*System, error) {
+func newSystem(w *world.World, o Options) (*System, error) {
 	s := &System{world: w, digest: snapshot.Digest(w.KB.Store), kb: w.Symbols, index: core.LocalIndex(w.KB.Store)}
 	if err := s.wire(o); err != nil {
 		//kbqa:nolint errsink — error-path release of whatever wiring already acquired; the build error is the one to surface

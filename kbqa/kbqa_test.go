@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/shardrpc"
 )
 
 var (
@@ -41,8 +43,8 @@ func TestBuildFlavors(t *testing.T) {
 		t.Error("expected error for unknown flavor")
 	}
 	for _, f := range []string{"", "kba", "freebase", "dbpedia", "FB", "dbp"} {
-		if _, err := ParseFlavor(f); err != nil {
-			t.Errorf("ParseFlavor(%q) failed: %v", f, err)
+		if _, err := (Options{Flavor: f}).worldConfig(); err != nil {
+			t.Errorf("flavor %q refused: %v", f, err)
 		}
 	}
 }
@@ -52,6 +54,18 @@ func TestBuildFlavors(t *testing.T) {
 func TestBuildRefusesNegativeShards(t *testing.T) {
 	if _, err := Build(Options{Shards: -1}); err == nil {
 		t.Fatal("Build accepted Shards: -1")
+	}
+}
+
+// TestBuildRefusesRepeatedShardServers: a shard-server list naming one
+// address twice, or an empty one, fails Build before any dial, rather than
+// giving every shard one host as two replicas.
+func TestBuildRefusesRepeatedShardServers(t *testing.T) {
+	for _, servers := range [][]string{{"127.0.0.1:1", "127.0.0.1:1"}, {"127.0.0.1:1", ""}} {
+		_, err := Build(Options{Scale: 8, PairsPerIntent: 10, ShardServers: servers})
+		if !errors.Is(err, shardrpc.ErrServerList) {
+			t.Errorf("Build(ShardServers: %q) err = %v, want ErrServerList", servers, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/eval"
 )
 
 // equivalenceQuestions is the full eval equivalence suite: every training
@@ -281,17 +280,12 @@ func (s scriptedSystem) Answer(q string) (baseline.Result, bool) {
 	return res, ok
 }
 
-// TestBaselineTypedErrors holds System.Baseline to the Answerer contract:
+// TestBaselineTypedErrors holds a lifted baseline (what System.Baseline
+// returns) to the Answerer contract:
 // an answer carries the system's value and path, a miss is ErrNoAnswer, and
 // a cancelled context wins over an answer the system has.
 func TestBaselineTypedErrors(t *testing.T) {
-	s := &System{world: &eval.World{Systems: map[string]baseline.System{
-		"scripted": scriptedSystem{"known": {Value: "v", Values: []string{"v", "w"}, Path: "p"}},
-	}}}
-	b, err := s.Baseline("scripted")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := baselineAnswerer{sys: scriptedSystem{"known": {Value: "v", Values: []string{"v", "w"}, Path: "p"}}}
 	ctx := context.Background()
 	res, err := b.Query(ctx, "known")
 	if err != nil || res.Question != "known" || !reflect.DeepEqual(*res.Answer, Answer{Value: "v", Values: []string{"v", "w"}, Predicate: "p"}) {
