@@ -18,8 +18,8 @@ import (
 func main() {
 	flavor := flag.String("flavor", "freebase", "knowledge base flavor: kba, freebase, dbpedia")
 	seed := flag.Int64("seed", 42, "generation seed")
-	scale := flag.Int("scale", 30, "entities per category")
-	pairs := flag.Int("pairs", 40, "training QA pairs per intent")
+	scale := flag.Int("scale", 0, "entities per category (0: the library default, 30)")
+	pairs := flag.Int("pairs", 0, "training QA pairs per intent (0: the flavor's default, kba 80, freebase 40, dbpedia 28)")
 	noise := flag.Float64("noise", 0.15, "corpus noise rate")
 	out := flag.String("o", "kbqa-model.gob", "output model path")
 	kbOut := flag.String("kb-image", "", "also write the knowledge base as a snapshot image to this path (for kbqa-shard/-server -kb-image boot)")
@@ -47,8 +47,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kbqa-learn:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	if err := sys.SaveModel(f); err != nil {
+	err = sys.SaveModel(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "kbqa-learn:", err)
 		os.Exit(1)
 	}

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -101,6 +102,50 @@ func TestModelPortability(t *testing.T) {
 	for i, q := range qs {
 		if after := ask(sys, q); after != before[i] {
 			t.Fatalf("answer changed after model round trip for %q: %+v vs %+v", q, after, before[i])
+		}
+	}
+}
+
+// TestLearnBinaryLearnsTheServersModel: kbqa-learn with its default flags
+// writes the model kbqa.Build learns for the same flavor, so a server that
+// loads the file answers as one that learned it. Its -pairs default once
+// overrode the flavor's corpus size (KBA 80, DBpedia 28 pairs per intent).
+func TestLearnBinaryLearnsTheServersModel(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "kbqa-learn")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/kbqa-learn")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("%v: %v\n%s", build.Args, err, out)
+	}
+	for _, flavor := range []string{"kba", "dbpedia", "freebase"} {
+		path := filepath.Join(dir, flavor+".gob")
+		if out, err := exec.Command(bin, "-flavor", flavor, "-o", path).CombinedOutput(); err != nil {
+			t.Fatalf("kbqa-learn -flavor %s: %v\n%s", flavor, err, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		learned, err := learn.LoadModel(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := kbqa.Build(kbqa.Options{Flavor: flavor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sys.SaveModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sys.Close()
+		built, err := learn.LoadModel(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := learned.Fingerprint(), built.Fingerprint(); got != want {
+			t.Errorf("%s: kbqa-learn's model %016x (%d templates), kbqa.Build's %016x (%d templates)",
+				flavor, got, learned.NumTemplates(), want, built.NumTemplates())
 		}
 	}
 }

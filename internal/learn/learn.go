@@ -28,7 +28,10 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/extract"
 	"repro/internal/rdf"
@@ -203,36 +206,60 @@ func (l *Learner) tol() float64 {
 
 // BuildObservations converts QA pairs into EM observations. Pairs from
 // which no (entity, value) can be extracted contribute nothing, exactly as
-// in the paper (they only scale the constant β of Eq 13).
+// in the paper (they only scale the constant β of Eq 13). The pairs are
+// read on GOMAXPROCS workers, each writing its pair's observations into
+// that pair's own slot, and the slots are joined in pair order: the result
+// does not depend on the worker count.
 func (l *Learner) BuildObservations(pairs []QA) []Observation {
+	slots := make([][]Observation, len(pairs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(pairs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pairs); i = int(next.Add(1)) - 1 {
+				slots[i] = l.observe(pairs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	var out []Observation
-	for _, qa := range pairs {
-		evs := l.Extractor.EntityValues(qa.Q, qa.A)
-		if len(evs) == 0 {
+	for _, s := range slots {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// observe returns one pair's observations.
+func (l *Learner) observe(qa QA) []Observation {
+	evs := l.Extractor.EntityValues(qa.Q, qa.A)
+	if len(evs) == 0 {
+		return nil
+	}
+	prior := extract.EntityPrior(evs)
+	qToks := text.Tokenize(qa.Q)
+	mentions := l.Extractor.Lexicon.Find(qToks)
+	var out []Observation
+	for _, ev := range evs {
+		cands := l.candidates(qToks, mentions, ev, prior[ev.Entity])
+		if len(cands) == 0 {
 			continue
 		}
-		prior := extract.EntityPrior(evs)
-		qToks := text.Tokenize(qa.Q)
-		mentions := l.Extractor.Lexicon.Find(qToks)
-		for _, ev := range evs {
-			cands := l.candidates(qToks, mentions, ev, prior[ev.Entity])
-			if len(cands) == 0 {
-				continue
-			}
-			out = append(out, Observation{
-				Q:      qa.Q,
-				Entity: ev.Entity,
-				Value:  ev.Value,
-				Cands:  cands,
-			})
-		}
+		out = append(out, Observation{
+			Q:      qa.Q,
+			Entity: ev.Entity,
+			Value:  ev.Value,
+			Cands:  cands,
+		})
 	}
 	return out
 }
 
 // candidates enumerates z = (p, t) with f(x, z) > 0 for one observation:
 // templates derived by conceptualizing the mention of the entity, crossed
-// with the predicates connecting entity and value (Eq 24's pruning).
+// with the predicates connecting entity and value (Eq 24's pruning). Each
+// path's value count and key are computed once, not once per template.
 func (l *Learner) candidates(qToks []string, mentions []extract.Mention, ev extract.EVPair, entityPrior float64) []Cand {
 	var span text.Span
 	var surface string
@@ -255,30 +282,139 @@ func (l *Learner) candidates(qToks []string, mentions []extract.Mention, ev extr
 	if len(tmpls) == 0 {
 		return nil
 	}
+	// P(v|e,p) = 1/|V(e,p)|; a path without values yields no candidate.
+	keys := make([]string, len(ev.Paths))
+	inv := make([]float64, len(ev.Paths))
+	var vals []rdf.ID
+	for i, path := range ev.Paths {
+		vals = rdf.PathObjects(vals[:0], l.KB, ev.Entity, path)
+		if len(vals) > 0 {
+			keys[i] = rdf.Key(l.KB, path)
+			inv[i] = 1.0 / float64(len(vals))
+		}
+	}
 	var cands []Cand
 	for _, tw := range tmpls {
-		for _, path := range ev.Paths {
-			nVals := len(rdf.PathObjects(nil, l.KB, ev.Entity, path))
-			if nVals == 0 {
+		for i, key := range keys {
+			if key == "" {
 				continue
 			}
-			f := entityPrior * tw.P * (1.0 / float64(nVals))
+			f := entityPrior * tw.P * inv[i]
 			if f <= 0 {
 				continue
 			}
-			cands = append(cands, Cand{
-				Template: tw.Text,
-				Path:     rdf.Key(l.KB, path),
-				F:        f,
-			})
+			cands = append(cands, Cand{Template: tw.Text, Path: key, F: f})
 		}
 	}
 	return cands
 }
 
+// cells is a set of observations compiled for EM. Every distinct
+// (template, path) pair is one cell, numbered in first-seen order, and
+// every observation is a run of (cell, f) entries in candidate order, so
+// that an EM sweep is arithmetic over flat slices: no map is read or
+// written between the compile and the returned Model.
+type cells struct {
+	templates []string // by template index, first-seen order
+	tmpl      []int32  // by cell: its template index
+	path      []string // by cell: its path key
+	width     []int32  // by template: its cells, the feasible predicates of Eq 23
+	// Observation i's entries are [bounds[i], bounds[i+1]).
+	bounds []int32
+	cell   []int32   // by entry: its cell
+	f      []float64 // by entry: f(x, z)
+}
+
+// compile numbers the templates and cells of obs and lays out its entries.
+func compile(obs []Observation) *cells {
+	c := &cells{bounds: make([]int32, 1, len(obs)+1)}
+	tIdx := make(map[string]int32)
+	cIdx := make(map[[2]string]int32)
+	for i := range obs {
+		for _, cd := range obs[i].Cands {
+			t, ok := tIdx[cd.Template]
+			if !ok {
+				t = int32(len(c.templates))
+				tIdx[cd.Template] = t
+				c.templates = append(c.templates, cd.Template)
+				c.width = append(c.width, 0)
+			}
+			k, ok := cIdx[[2]string{cd.Template, cd.Path}]
+			if !ok {
+				k = int32(len(c.tmpl))
+				cIdx[[2]string{cd.Template, cd.Path}] = k
+				c.tmpl = append(c.tmpl, t)
+				c.path = append(c.path, cd.Path)
+				c.width[t]++
+			}
+			c.cell = append(c.cell, k)
+			c.f = append(c.f, cd.F)
+		}
+		c.bounds = append(c.bounds, int32(len(c.cell)))
+	}
+	return c
+}
+
+// numObs returns the number of observations compiled.
+func (c *cells) numObs() int { return len(c.bounds) - 1 }
+
+// entries returns observation i's cells and their f, in candidate order.
+func (c *cells) entries(i int) ([]int32, []float64) {
+	return c.cell[c.bounds[i]:c.bounds[i+1]], c.f[c.bounds[i]:c.bounds[i+1]]
+}
+
+// uniform writes Eq (23) into theta: for each template, uniform probability
+// over the predicates feasible with it in at least one observation.
+func (c *cells) uniform(theta []float64) {
+	for k, t := range c.tmpl {
+		theta[k] = 1.0 / float64(c.width[t])
+	}
+}
+
+// model builds the returned Model from θ by cell, keeping the cells
+// present, and counts each template's supporting observations.
+func (c *cells) model(theta []float64, present []bool, iters int) *Model {
+	m := &Model{
+		Theta:        make(map[string]map[string]float64),
+		TemplateFreq: make(map[string]int, len(c.templates)),
+		Iterations:   iters,
+	}
+	for k, ok := range present {
+		if !ok {
+			continue
+		}
+		t := c.templates[c.tmpl[k]]
+		row := m.Theta[t]
+		if row == nil {
+			row = make(map[string]float64, c.width[c.tmpl[k]])
+			m.Theta[t] = row
+		}
+		row[c.path[k]] = theta[k]
+	}
+	last := make([]int, len(c.templates)) // 1 + the last observation counted
+	for i := range c.numObs() {
+		cell, _ := c.entries(i)
+		for _, k := range cell {
+			if t := c.tmpl[k]; last[t] != i+1 {
+				last[t] = i + 1
+				m.TemplateFreq[c.templates[t]]++
+			}
+		}
+	}
+	return m
+}
+
 // EM runs Algorithm 1 over the observations and returns the learned model.
+// θ lives in a slice by cell; a cell absent from θ (no observation with a
+// positive likelihood reached it in the last sweep) reads as 0 and is left
+// out of the Model, as a missing map entry would be.
 func (l *Learner) EM(obs []Observation) *Model {
-	theta := initTheta(obs) // Eq 23
+	c := compile(obs)
+	n := len(c.tmpl)
+	theta, next := make([]float64, n), make([]float64, n)
+	present, nextPresent := make([]bool, n), make([]bool, n)
+	sums := make([]float64, len(c.templates))
+	c.uniform(theta) // Eq 23
 
 	maxIter := l.maxIter()
 	tol := l.tol()
@@ -287,60 +423,57 @@ func (l *Learner) EM(obs []Observation) *Model {
 		iters = iter + 1
 		// E-step (Eq 21): posterior over z_i, normalized per observation.
 		// M-step (Eq 22): accumulate posteriors into the next θ, and each
-		// template's total beside them, in observation order: a total
-		// summed over the row map would take map order, and move θ in its
-		// last bits from one process to the next.
-		next := make(map[string]map[string]float64, len(theta))
-		sums := make(map[string]float64, len(theta))
-		for i := range obs {
-			o := &obs[i]
+		// template's total beside them, in observation order.
+		clear(next)
+		clear(nextPresent)
+		clear(sums)
+		for i := range c.numObs() {
+			cell, f := c.entries(i)
 			var norm float64
-			for _, c := range o.Cands {
-				norm += c.F * theta[c.Template][c.Path]
+			for j, k := range cell {
+				norm += f[j] * theta[k]
 			}
 			if norm <= 0 {
 				continue
 			}
-			for _, c := range o.Cands {
-				post := c.F * theta[c.Template][c.Path] / norm
-				row := next[c.Template]
-				if row == nil {
-					row = make(map[string]float64)
-					next[c.Template] = row
-				}
-				row[c.Path] += post
-				sums[c.Template] += post
+			for j, k := range cell {
+				post := f[j] * theta[k] / norm
+				next[k] += post
+				nextPresent[k] = true
+				sums[c.tmpl[k]] += post
 			}
 		}
 		// Normalize each template's row (the Lagrange-multiplier solution
-		// of Eq 22).
-		for t, row := range next {
-			for p := range row {
-				row[p] /= sums[t]
+		// of Eq 22), and measure the largest move.
+		var delta float64
+		for k, ok := range nextPresent {
+			if !ok {
+				continue
+			}
+			next[k] /= sums[c.tmpl[k]]
+			if dv := math.Abs(next[k] - theta[k]); dv > delta {
+				delta = dv
 			}
 		}
-		delta := maxDelta(theta, next)
-		theta = next
+		theta, next = next, theta
+		present, nextPresent = nextPresent, present
 		if delta < tol {
 			break
 		}
 	}
 
-	m := &Model{
-		Theta:        theta,
-		TemplateFreq: make(map[string]int),
-		Iterations:   iters,
-	}
-	for i := range obs {
-		seen := make(map[string]bool)
-		for _, c := range obs[i].Cands {
-			if !seen[c.Template] {
-				seen[c.Template] = true
-				m.TemplateFreq[c.Template]++
-			}
+	m := c.model(theta, present, iters)
+	// L(θ) of Eq (16) up to the additive constant from β.
+	for i := range c.numObs() {
+		cell, f := c.entries(i)
+		var px float64
+		for j, k := range cell {
+			px += f[j] * theta[k]
+		}
+		if px > 0 {
+			m.LogLikelihood += math.Log(px)
 		}
 	}
-	m.LogLikelihood = logLikelihood(obs, theta)
 	return m
 }
 
@@ -353,83 +486,17 @@ func (l *Learner) Learn(pairs []QA) *Model {
 // pass of f-weighted co-occurrence counting (no latent-variable reweighting).
 // DESIGN.md calls this out as the "EM vs counting" ablation.
 func CountEstimate(obs []Observation) *Model {
-	theta := make(map[string]map[string]float64)
-	sums := make(map[string]float64) // in observation order, as in EM
-	freq := make(map[string]int)
-	for i := range obs {
-		seen := make(map[string]bool)
-		for _, c := range obs[i].Cands {
-			row := theta[c.Template]
-			if row == nil {
-				row = make(map[string]float64)
-				theta[c.Template] = row
-			}
-			row[c.Path] += c.F
-			sums[c.Template] += c.F
-			if !seen[c.Template] {
-				seen[c.Template] = true
-				freq[c.Template]++
-			}
-		}
+	c := compile(obs)
+	theta := make([]float64, len(c.tmpl))
+	sums := make([]float64, len(c.templates)) // in observation order, as in EM
+	for j, k := range c.cell {
+		theta[k] += c.f[j]
+		sums[c.tmpl[k]] += c.f[j]
 	}
-	for t, row := range theta {
-		for p := range row {
-			row[p] /= sums[t]
-		}
+	present := make([]bool, len(theta))
+	for k := range theta {
+		theta[k] /= sums[c.tmpl[k]]
+		present[k] = true
 	}
-	return &Model{Theta: theta, TemplateFreq: freq, Iterations: 0}
-}
-
-// initTheta implements Eq (23): for each template, uniform probability over
-// the predicates that are feasible with it in at least one observation.
-func initTheta(obs []Observation) map[string]map[string]float64 {
-	feasible := make(map[string]map[string]bool)
-	for i := range obs {
-		for _, c := range obs[i].Cands {
-			set := feasible[c.Template]
-			if set == nil {
-				set = make(map[string]bool)
-				feasible[c.Template] = set
-			}
-			set[c.Path] = true
-		}
-	}
-	theta := make(map[string]map[string]float64, len(feasible))
-	for t, set := range feasible {
-		row := make(map[string]float64, len(set))
-		u := 1.0 / float64(len(set))
-		for p := range set {
-			row[p] = u
-		}
-		theta[t] = row
-	}
-	return theta
-}
-
-func maxDelta(old, new map[string]map[string]float64) float64 {
-	var d float64
-	for t, row := range new {
-		oldRow := old[t]
-		for p, v := range row {
-			if dv := math.Abs(v - oldRow[p]); dv > d {
-				d = dv
-			}
-		}
-	}
-	return d
-}
-
-// logLikelihood computes L(θ) of Eq (16) up to the additive constant from β.
-func logLikelihood(obs []Observation, theta map[string]map[string]float64) float64 {
-	var ll float64
-	for i := range obs {
-		var px float64
-		for _, c := range obs[i].Cands {
-			px += c.F * theta[c.Template][c.Path]
-		}
-		if px > 0 {
-			ll += math.Log(px)
-		}
-	}
-	return ll
+	return c.model(theta, present, 0)
 }

@@ -226,8 +226,9 @@ func TestEmptyCorpus(t *testing.T) {
 	}
 }
 
-// Property: initTheta rows are uniform distributions over feasible
-// predicates for arbitrary synthetic observation sets.
+// Property: the compiled Eq (23) rows are uniform distributions over
+// feasible predicates, equal to the map-based initTheta, for arbitrary
+// synthetic observation sets.
 func TestInitThetaProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
@@ -243,7 +244,23 @@ func TestInitThetaProperty(t *testing.T) {
 				},
 			})
 		}
-		theta := initTheta(obs)
+		c, ref := compile(obs), initTheta(obs)
+		flat := make([]float64, len(c.tmpl))
+		c.uniform(flat)
+		theta := make(map[string]map[string]float64)
+		for k, v := range flat {
+			tpl, path := c.templates[c.tmpl[k]], c.path[k]
+			if ref[tpl][path] != v {
+				return false
+			}
+			if theta[tpl] == nil {
+				theta[tpl] = make(map[string]float64)
+			}
+			theta[tpl][path] = v
+		}
+		if len(theta) != len(ref) {
+			return false
+		}
 		for _, row := range theta {
 			var sum float64
 			first := -1.0

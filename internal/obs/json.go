@@ -6,6 +6,15 @@ import (
 	"unicode/utf8"
 )
 
+// jsonSafe reports, by ASCII byte, whether AppendJSONString writes it as
+// itself: one table read per byte instead of six comparisons.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := byte(' '); b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
 // AppendJSONString appends s as a JSON string, byte for byte what
 // json.Marshal writes: <, > and & escaped for HTML, U+2028 and U+2029
 // escaped, and each byte of invalid UTF-8 written as \ufffd. The logger and
@@ -16,7 +25,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if jsonSafe[b] {
 				i++
 				continue
 			}

@@ -184,29 +184,85 @@ func PathObjects(dst []ID, g Graph, subj ID, path Path) []ID {
 // depth-first enumeration over the (small) out-neighbourhood; endFilter, when
 // non-nil, must accept the final predicate of any multi-edge path (the paper
 // requires length>=2 paths to end in a name-like predicate, Sec 6.3).
+//
+// The walk extends one prefix in place and records a path only when it
+// reaches obj, into storage on the stack; the paths found are then copied
+// into one backing array. The last edge is read from the S→O index rather
+// than by visiting every out-edge. A walk that finds nothing allocates
+// nothing, and one that does allocates the result slice and its backing
+// array.
 func PathsBetween(g *ShardedStore, subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
-	var out []Path
-	var walk func(cur ID, prefix Path)
-	walk = func(cur ID, prefix Path) {
-		if len(prefix) >= maxLen {
-			return
+	if maxLen <= 0 {
+		return nil
+	}
+	var prefix [8]PID
+	var found [32]PID // the paths found, end to end
+	var ends [16]int  // where each found path ends in found
+	q := pathQuery{g: g, obj: obj, maxLen: maxLen, endFilter: endFilter}
+	fs, es := q.walk(subj, prefix[:0], found[:0], ends[:0])
+	if len(es) == 0 {
+		return nil
+	}
+	all := slices.Clone(fs)
+	out := make([]Path, len(es))
+	start := 0
+	for i, end := range es {
+		out[i] = Path(all[start:end:end])
+		start = end
+	}
+	return out
+}
+
+// pathQuery is what one PathsBetween search looks for.
+type pathQuery struct {
+	g         *ShardedStore
+	obj       ID
+	maxLen    int
+	endFilter func(PID) bool
+}
+
+// walk visits cur's out-edges, reached from the subject by prefix, in
+// sorted-predicate order, then object insertion order. It appends each
+// path into obj to found, and its end to ends, and descends through every
+// edge that has room for another.
+func (q *pathQuery) walk(cur ID, prefix, found []PID, ends []int) ([]PID, []int) {
+	match := func(p PID) {
+		if len(prefix) == 0 || q.endFilter == nil || q.endFilter(p) {
+			found = append(append(found, prefix...), p)
+			ends = append(ends, len(found))
 		}
-		g.OutEdges(cur, func(p PID, o ID) {
-			path := append(append(Path{}, prefix...), p)
-			if o == obj {
-				if len(path) == 1 || endFilter == nil || endFilter(p) {
-					out = append(out, path)
-				}
+	}
+	sh := &q.g.shards[q.g.shardOf(cur)]
+	var buf [32]PID
+	if len(prefix)+1 == q.maxLen {
+		// The last edge: only the direct predicates into obj can match,
+		// and the S→O index holds exactly those (each once).
+		preds := append(buf[:0], sh.so[cur][q.obj]...)
+		slices.Sort(preds)
+		for _, p := range preds {
+			match(p)
+		}
+		return found, ends
+	}
+	pm := sh.spo[cur]
+	preds := buf[:0]
+	for p := range pm {
+		preds = append(preds, p)
+	}
+	slices.Sort(preds)
+	for _, p := range preds {
+		for _, o := range pm[p] {
+			if o == q.obj {
+				match(p)
 			}
 			// Continue through mediators and entities (the paper's
 			// marriage→person→name crosses the spouse entity); literals
 			// have no out-edges. Meaningless multi-hop chains are culled
 			// by the end filter, exactly as in Sec 6.3.
-			if g.KindOf(o) != KindLiteral {
-				walk(o, path)
+			if q.g.KindOf(o) != KindLiteral {
+				found, ends = q.walk(o, append(prefix, p), found, ends)
 			}
-		})
+		}
 	}
-	walk(subj, nil)
-	return out
+	return found, ends
 }

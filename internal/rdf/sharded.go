@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -174,11 +175,12 @@ func (ss *ShardedStore) OutEdges(subj ID, fn func(p PID, o ID)) {
 
 // outEdges iterates a subject's predicate map in sorted-predicate order.
 func outEdges(pm map[PID][]ID, fn func(p PID, o ID)) {
-	preds := make([]PID, 0, len(pm))
+	var buf [32]PID
+	preds := buf[:0]
 	for p := range pm {
 		preds = append(preds, p)
 	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	slices.Sort(preds)
 	for _, p := range preds {
 		for _, o := range pm[p] {
 			fn(p, o)

@@ -155,6 +155,31 @@ func TestPathsBetween(t *testing.T) {
 	}
 }
 
+// TestPathsBetweenOrdersByPredicate: paths come in sorted-predicate order
+// at every hop, the last one included, whatever order the triples were
+// added in; paths sharing a prefix do not share storage a caller could
+// clobber.
+func TestPathsBetweenOrdersByPredicate(t *testing.T) {
+	s := NewShardedStore(2)
+	a, mid, v := s.Entity("a"), s.Mediator("m"), s.Literal("v")
+	x, y, m := s.Pred("x"), s.Pred("y"), s.Pred("m")
+	s.Add(a, y, v)
+	s.Add(a, x, v)
+	s.Add(a, m, mid)
+	s.Add(mid, y, v)
+	s.Add(mid, x, v)
+	for _, maxLen := range []int{2, 3} {
+		paths := PathsBetween(s, a, v, maxLen, nil)
+		if got := renderPaths(s, paths); !reflect.DeepEqual(got, []string{"x", "y", "m→x", "m→y"}) {
+			t.Fatalf("maxLen %d: PathsBetween = %v, want [x y m→x m→y]", maxLen, got)
+		}
+		paths[2] = append(paths[2], x)
+		if got := Key(s, paths[3]); got != "m→y" {
+			t.Fatalf("appending to one path changed the next to %q", got)
+		}
+	}
+}
+
 func TestPathsBetweenEndFilter(t *testing.T) {
 	// a -pob-> d(entity) -population-> 390K is reachable, but pob→population
 	// is exactly the kind of meaningless chain the end-with-name rule of

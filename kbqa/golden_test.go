@@ -153,6 +153,33 @@ func TestBuildsAgreeBitForBit(t *testing.T) {
 	}
 }
 
+// goldenModelFingerprints pins the model Build learns for each flavor and
+// seed (learn.Model.Fingerprint: θ to six decimals and the template
+// frequencies), recorded before EM moved onto a cell table. A change to the
+// offline phase that is meant to be a refactor must leave them unchanged.
+var goldenModelFingerprints = map[string]map[int64]uint64{
+	"freebase": {42: 0xe16a535d811f4ef4, 7: 0x712849c521f4dc0f},
+	"kba":      {42: 0xf0adc66557a2be2b, 7: 0xa30f598ff21dd29c},
+	"dbpedia":  {42: 0x0e8ccfa711cc9cad, 7: 0x411d77084863c024},
+}
+
+func TestGoldenModelFingerprints(t *testing.T) {
+	for flavor, seeds := range goldenModelFingerprints {
+		for seed, want := range seeds {
+			sys, err := Build(Options{Flavor: flavor, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.world.Model.Fingerprint(); got != want {
+				t.Errorf("%s seed %d: model fingerprint %016x, want %016x", flavor, seed, got, want)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestGoldenImageDigest(t *testing.T) {
 	sys, err := Build(Options{Flavor: "freebase", Seed: 42})
 	if err != nil {

@@ -60,7 +60,8 @@ type Options struct {
 	Seed int64
 	// Scale is the base number of entities per category (default 30).
 	Scale int
-	// PairsPerIntent sizes the training corpus (default 40).
+	// PairsPerIntent sizes the training corpus (default by flavor: kba 80,
+	// freebase 40, dbpedia 28).
 	PairsPerIntent int
 	// NoiseRate is the fraction of corrupted training pairs. nil keeps
 	// the default (0.15); Noise(0) requests a noise-free corpus — a
