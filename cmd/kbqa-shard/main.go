@@ -1,13 +1,14 @@
 // Command kbqa-shard is the knowledge-base shard server of the
 // distributed serving topology: it loads the (deterministically
 // generated) world, owns a subset of its subject-hash shards, and answers
-// shardrpc index reads — probe frontiers and reverse subject lookups — for
+// shardrpc index reads — path walks and reverse subject lookups — for
 // kbqa-server frontends.
 //
 // Every shard server loads the full world; ownership is the routing
 // contract with the placement, not a storage split, so replicas need no
 // data movement and a frontend with the same -servers list computes the
-// same placement. Start N of these and point kbqa-server's
+// same placement. A probe's walk goes on for as long as its frontier stays
+// on the shards this server owns. Start N of these and point kbqa-server's
 // -shard-servers at them:
 //
 //	kbqa-shard -addr :9101 -servers :9101,:9102 -replicas 2

@@ -19,8 +19,8 @@
 // variant routing reads a table by ID — no string is hashed again. A BFQ
 // enumerates Eq (7)'s support into a probe plan — every (e, p) the model
 // gives mass to, each once — and reads it in one Index call, so the cost of
-// the summation on a cluster is a frame per shard per path depth, not a
-// round trip per term. A complex question is read per phase, not per
+// the summation on a cluster is a frame per shard it touches, not a round
+// trip per term. A complex question is read per phase, not per
 // sub-question: the δ oracle enumerates every span it examines into one
 // plan read once, the chain's first hop takes the oracle's answer, and each
 // later hop reads all of its bindings at once. Cancellation is checked at
@@ -137,8 +137,8 @@ type Ranked struct {
 // caller's context and return an error, so one code path serves the
 // in-process world (LocalIndex) and the shard servers (shardrpc.KB). V(e, p+)
 // is read a question's whole probe set at a time, which is what lets the
-// cluster send one frame per shard per path depth instead of one RPC per
-// term of Eq (7).
+// cluster send one frame per touched shard instead of one RPC per term of
+// Eq (7).
 type Index interface {
 	// PathObjects sets out[i] to V(p.Subj, p.Path) of probes[i] for every
 	// probe (len(out) == len(probes)), each ascending and deduplicated. The

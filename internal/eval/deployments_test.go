@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,6 +73,48 @@ func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, 
 		return eng, func() { dying.armed.Store(true) }
 	}
 	return eng, srvA.Close
+}
+
+// splitCluster serves w's store from servers loopback shard servers with
+// one replica per shard (R=1), each server owning only the shards the
+// placement gives it, and returns an engine probing through them: a walk
+// that reaches a shard its server does not own stops there, and the client
+// walks it on. The placement hashes the listeners' random ports, so a draw
+// that leaves a server without shards is dealt again.
+func splitCluster(t *testing.T, w *World, servers int) *core.Engine {
+	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)
+	for {
+		lis := make([]net.Listener, servers)
+		addrs := make([]string, servers)
+		for i := range lis {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lis[i], addrs[i] = l, l.Addr().String()
+		}
+		pl, err := shardrpc.NewPlacement(addrs, store.NumShards(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(addrs, func(addr string) bool { return len(pl.Owned(addr)) == 0 }) {
+			for _, l := range lis {
+				l.Close()
+			}
+			continue
+		}
+		for i, l := range lis {
+			srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Owns: pl.Owned(addrs[i])})
+			go srv.Serve(context.Background(), l)
+			t.Cleanup(srv.Close)
+		}
+		pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Placement: pl, Digest: digest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pool.Close)
+		return core.NewEngine(store, shardrpc.NewKB(pool), w.KB.Taxonomy, w.Model, w.Stats)
+	}
 }
 
 // midFrameFault kills a shard server from inside a frame it is executing:
@@ -144,6 +187,10 @@ var deployments = []struct {
 		eng, _ := clusterEngine(t, w, nil)
 		return eng, nil
 	}},
+	// Each shard on one server of two, or of three: walks that leave a
+	// server's shards go on in a later round.
+	{"cluster-r1-of-2", func(t *testing.T, w *World) (*core.Engine, func()) { return splitCluster(t, w, 2), nil }},
+	{"cluster-r1-of-3", func(t *testing.T, w *World) (*core.Engine, func()) { return splitCluster(t, w, 3), nil }},
 	// One of the two replicas is killed mid-run: the pool must fail over
 	// to the survivor with no visible difference in any answer.
 	{"cluster-replica-killed", func(t *testing.T, w *World) (*core.Engine, func()) {

@@ -233,9 +233,37 @@ type Extractor struct {
 // with the question class.
 func (x *Extractor) EntityValues(question, answer string) []EVPair {
 	qToks := text.Tokenize(question)
+	return x.EntityValuesOf(qToks, x.Lexicon.Find(qToks), answer)
+}
+
+// EntityValuesOf is EntityValues for a question already tokenized into
+// qToks, in which Lexicon.Find found mentions, so that a caller that reads
+// them too computes them once.
+func (x *Extractor) EntityValuesOf(qToks []string, mentions []Mention, answer string) []EVPair {
+	if len(mentions) == 0 {
+		return nil
+	}
+	// The answer's candidate value spans, each looked up once by its joined
+	// tokens, which are already normalized: longest first at each position
+	// so "michelle obama" beats "michelle".
 	aToks := text.Tokenize(answer)
-	mentions := x.Lexicon.Find(qToks)
-	if len(mentions) == 0 || len(aToks) == 0 {
+	var spans [][]rdf.ID
+	var key []byte
+	for i := range aToks {
+		for l := min(maxMentionTokens, len(aToks)-i); l >= 1; l-- {
+			if l == 1 && text.IsStopword(aToks[i]) {
+				continue
+			}
+			key = append(key[:0], aToks[i]...)
+			for _, tok := range aToks[i+1 : i+l] {
+				key = append(append(key, ' '), tok...)
+			}
+			if nodes := x.KB.NodesByKey(key); len(nodes) > 0 {
+				spans = append(spans, nodes)
+			}
+		}
+	}
+	if len(spans) == 0 {
 		return nil
 	}
 	qClass := qclass.ClassifyTokens(qToks)
@@ -249,36 +277,24 @@ func (x *Extractor) EntityValues(question, answer string) []EVPair {
 	seen := make(map[[2]rdf.ID]bool)
 	for _, m := range mentions {
 		for _, e := range m.Entities {
-			// Enumerate candidate value spans in the answer. Longest first
-			// at each position so "michelle obama" beats "michelle".
-			for i := 0; i < len(aToks); i++ {
-				lmax := maxMentionTokens
-				if rem := len(aToks) - i; rem < lmax {
-					lmax = rem
-				}
-				for l := lmax; l >= 1; l-- {
-					if l == 1 && text.IsStopword(aToks[i]) {
+			for _, nodes := range spans {
+				for _, v := range nodes {
+					if v == e {
+						continue // the entity itself echoed in the answer
+					}
+					key := [2]rdf.ID{e, v}
+					if seen[key] {
 						continue
 					}
-					label := text.Join(aToks[i : i+l])
-					for _, v := range x.KB.NodesByLabel(label) {
-						if v == e {
-							continue // the entity itself echoed in the answer
-						}
-						key := [2]rdf.ID{e, v}
-						if seen[key] {
-							continue
-						}
-						paths := x.connecting(e, v, maxLen)
-						if len(paths) == 0 {
-							continue
-						}
-						if !x.DisableRefinement && !x.agrees(qClass, paths) {
-							continue
-						}
-						seen[key] = true
-						out = append(out, EVPair{Entity: e, Value: v, Paths: paths})
+					paths := x.connecting(e, v, maxLen)
+					if len(paths) == 0 {
+						continue
 					}
+					if !x.DisableRefinement && !x.agrees(qClass, paths) {
+						continue
+					}
+					seen[key] = true
+					out = append(out, EVPair{Entity: e, Value: v, Paths: paths})
 				}
 			}
 		}

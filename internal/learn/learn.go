@@ -233,13 +233,13 @@ func (l *Learner) BuildObservations(pairs []QA) []Observation {
 
 // observe returns one pair's observations.
 func (l *Learner) observe(qa QA) []Observation {
-	evs := l.Extractor.EntityValues(qa.Q, qa.A)
+	qToks := text.Tokenize(qa.Q)
+	mentions := l.Extractor.Lexicon.Find(qToks)
+	evs := l.Extractor.EntityValuesOf(qToks, mentions, qa.A)
 	if len(evs) == 0 {
 		return nil
 	}
 	prior := extract.EntityPrior(evs)
-	qToks := text.Tokenize(qa.Q)
-	mentions := l.Extractor.Lexicon.Find(qToks)
 	var out []Observation
 	for _, ev := range evs {
 		cands := l.candidates(qToks, mentions, ev, prior[ev.Entity])

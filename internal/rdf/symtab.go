@@ -113,6 +113,10 @@ func (s *symtab) NodesByLabel(label string) []ID {
 	return s.byLabel[text.Normalize(label)]
 }
 
+// NodesByKey returns all nodes whose normalized label is key, a label
+// already normalized: joined tokens of text.Tokenize are.
+func (s *symtab) NodesByKey(key []byte) []ID { return s.byLabel[string(key)] }
+
 // EntitiesByLabel returns only the entity nodes carrying the label.
 func (s *symtab) EntitiesByLabel(label string) []ID {
 	var out []ID

@@ -105,8 +105,8 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		tracer  *obs.Tracer
 		ceiling float64
 	}{
-		{"untraced", nil, 18},
-		{"traced", slowOnly(), 23},
+		{"untraced", nil, 16},
+		{"traced", slowOnly(), 21},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := readAll(context.Background(), kb, probes); err != nil {
@@ -126,5 +126,44 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 				t.Errorf("%s round trip: %.1f allocations, ceiling %.0f", tc.name, allocs, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestTwoHopProbeAllocatesAsOneHop: a walk is the server's, so a probe
+// along two edges costs the same round trip, and no more allocations, as
+// one along the first of them, from the same subjects.
+func TestTwoHopProbeAllocatesAsOneHop(t *testing.T) {
+	store, pool, _ := probeCluster(t, true)
+	kb := NewKB(pool)
+	path, ok := rdf.ParsePath(store, "marriage→person")
+	if !ok {
+		t.Fatal("marriage→person not present")
+	}
+	var oneHop, twoHop []rdf.Probe
+	for _, e := range store.Entities() {
+		if len(rdf.PathObjects(nil, store, e, path)) > 0 {
+			oneHop = append(oneHop, rdf.Probe{Subj: e, Path: path[:1]})
+			twoHop = append(twoHop, rdf.Probe{Subj: e, Path: path})
+		}
+	}
+	if len(twoHop) < 8 {
+		t.Fatalf("%d entities have a spouse", len(twoHop))
+	}
+	allocs := func(probes []rdf.Probe) float64 {
+		if _, err := readAll(context.Background(), kb, probes); err != nil {
+			t.Fatal(err)
+		}
+		i, out := 0, make([][]rdf.ID, 1)
+		return testing.AllocsPerRun(200, func() {
+			if _, err := kb.PathObjects(context.Background(), probes[i%len(probes):i%len(probes)+1], out, nil); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	one, two := allocs(oneHop), allocs(twoHop)
+	t.Logf("round trip: %.1f allocations along one edge, %.1f along two", one, two)
+	if two > one {
+		t.Errorf("a two-edge probe allocates %.1f times, a one-edge probe %.1f", two, one)
 	}
 }

@@ -12,6 +12,9 @@ import (
 // reverse lookup, scatter/gathered across the shard servers under the
 // caller's context, so deadlines, cancellation and trace spans cross the RPC
 // boundary and a failure comes back as an error, never as an empty set.
+// Paths are walked where the data is: the server that owns a probe's
+// subject walks the probe's path as far as its shards reach, and KB sends
+// on only the walks that stopped at a shard the server does not own.
 //
 // It is deliberately not an rdf.Graph. Node/predicate interning is global
 // and deterministic in the world seed, so every symbol lookup stays on the
@@ -74,68 +77,79 @@ func (kb *KB) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID,
 	return out, nil
 }
 
-// frame is what one shard is asked at one path depth: its groups, and for
-// each the probe whose frontier the group's nodes came from.
+// branch is part of a probe's walk: nodes it reached depth edges along
+// the probe's path.
+type branch struct {
+	probe, depth int
+	nodes        []rdf.ID
+}
+
+// frame is what one shard is asked in one round: its groups, and for each
+// the branch whose nodes it walks.
 type frame struct {
 	groups []ProbeGroup
 	owner  []int
 }
 
-// add routes one frontier node of probe to the frame. A probe's nodes
-// arrive together, so they extend the frame's last group or open a new one.
-func (f *frame) add(probe int, pred rdf.PID, node rdf.ID) {
-	if g := len(f.owner) - 1; g >= 0 && f.owner[g] == probe {
+// add routes one node of branch b, whose remaining path is rest, to the
+// frame. A branch's nodes arrive together, so they extend the frame's last
+// group or open a new one.
+func (f *frame) add(b int, rest rdf.Path, node rdf.ID) {
+	if g := len(f.owner) - 1; g >= 0 && f.owner[g] == b {
 		f.groups[g].Nodes = append(f.groups[g].Nodes, node)
 		return
 	}
-	f.groups = append(f.groups, ProbeGroup{Pred: pred, Nodes: []rdf.ID{node}})
-	f.owner = append(f.owner, probe)
+	f.groups = append(f.groups, ProbeGroup{Path: rest, Nodes: []rdf.ID{node}})
+	f.owner = append(f.owner, b)
 }
 
-// PathObjects computes V(p.Subj, p.Path) for every probe by advancing all of
-// them together, one path depth at a time: each depth partitions every
-// live frontier by subject hash and sends one multi-group frame per touched
-// shard, in parallel when there are several. A batch therefore costs as
-// many sequential round trips as its longest path has edges, however many
-// probes it holds. Each result is identical to rdf.PathObjects over the
-// local world: a group's nodes are disjoint across shards (a subject hashes
-// to exactly one), the per-shard unions are merged and deduplicated, and
-// frontiers stay ascending. A frame that fails fails the whole batch. The
-// sets are the decoded replies themselves, never reused, so out[i] is set
-// to one of them and vals comes back as it was given.
+// PathObjects computes V(p.Subj, p.Path) for every probe in rounds. A probe
+// starts as one branch, its subject at depth 0. Each round partitions the
+// nodes of every unfinished branch by subject hash and sends one
+// multi-group frame per touched shard, in parallel when there are several;
+// a group carries its branch's remaining path, and the shard walks it for
+// as long as the frontier stays on shards it owns. A reply that reached the
+// path's end, or an empty frontier, finishes its branch; one that stopped
+// at a foreign shard is a branch the next round walks on. On servers that
+// own every shard a batch therefore costs one round, however long its
+// paths. Each result is the sorted, deduplicated union of the probe's
+// finished branches, which is rdf.PathObjects over the local world: a walk
+// distributes over a union of frontiers, and a subject hashes to exactly
+// one shard. A frame that fails fails the whole batch. The sets are the
+// decoded replies themselves, never reused, so out[i] is set to one of them
+// and vals comes back as it was given.
 func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.ID, vals []rdf.ID) ([]rdf.ID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := kb.pool.NumShards()
-	// frontiers[i] is probe i's frontier at the current depth, ascending and
-	// unique; one that empties has no values and stays empty.
 	subjects := make([]rdf.ID, len(probes))
-	frontiers := out[:len(probes)]
+	live := make([]branch, 0, len(probes))
+	out = out[:len(probes)]
 	for i, p := range probes {
 		subjects[i] = p.Subj
-		frontiers[i] = subjects[i : i+1 : i+1]
+		out[i] = nil
+		if len(p.Path) == 0 {
+			out[i] = subjects[i : i+1 : i+1]
+		} else {
+			live = append(live, branch{probe: i, nodes: subjects[i : i+1 : i+1]})
+		}
 	}
 	frames := make([]frame, n)
-	replies := make([][][]rdf.ID, n)
+	replies := make([][]Reached, n)
+	var next []branch
 	var touched, unsorted []int
-	for depth := 0; ; depth++ {
+	for len(live) > 0 {
 		touched = touched[:0]
-		for i, p := range probes {
-			if depth >= len(p.Path) {
-				continue // complete: its frontier is its answer
-			}
-			for _, node := range frontiers[i] {
+		for b, br := range live {
+			rest := probes[br.probe].Path[br.depth:]
+			for _, node := range br.nodes {
 				s := rdf.ShardIndex(node, n)
 				if len(frames[s].owner) == 0 {
 					touched = append(touched, s)
 				}
-				frames[s].add(i, p.Path[depth], node)
+				frames[s].add(b, rest, node)
 			}
-			frontiers[i] = nil
-		}
-		if len(touched) == 0 {
-			break
 		}
 		err := scatter(touched, func(s int) (err error) {
 			replies[s], err = kb.pool.Probe(ctx, s, frames[s].groups)
@@ -144,30 +158,31 @@ func (kb *KB) PathObjects(ctx context.Context, probes []rdf.Probe, out [][]rdf.I
 		if err != nil {
 			return nil, err
 		}
-		// A probe's next frontier is the union of its groups' replies. One
-		// that drew on a single shard is that reply as it stands.
-		unsorted = unsorted[:0]
+		// A finished branch joins its probe's answer, as it stands when it
+		// is the first with values.
+		next = next[:0]
 		for _, s := range touched {
-			for g, i := range frames[s].owner {
-				part := replies[s][g]
-				if len(frontiers[i]) == 0 {
-					frontiers[i] = part
-				} else if len(part) > 0 {
-					frontiers[i] = append(frontiers[i], part...)
+			for g, b := range frames[s].owner {
+				br, r := live[b], replies[s][g]
+				i := br.probe
+				switch {
+				case len(r.Nodes) == 0:
+				case br.depth+r.Hops < len(probes[i].Path):
+					next = append(next, branch{probe: i, depth: br.depth + r.Hops, nodes: r.Nodes})
+				case len(out[i]) == 0:
+					out[i] = r.Nodes
+				default:
+					out[i] = append(out[i], r.Nodes...)
 					unsorted = append(unsorted, i)
 				}
 			}
 			frames[s] = frame{}
 		}
-		for _, i := range unsorted {
-			slices.Sort(frontiers[i])
-			frontiers[i] = slices.Compact(frontiers[i])
-		}
+		live, next = next, live
 	}
-	for i, f := range frontiers {
-		if len(f) == 0 {
-			frontiers[i] = nil
-		}
+	for _, i := range unsorted {
+		slices.Sort(out[i])
+		out[i] = slices.Compact(out[i])
 	}
 	return vals, nil
 }

@@ -632,19 +632,19 @@ func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) 
 	return r, nil
 }
 
-// Probe sends one multi-group frame to shard and returns, per group, the
-// sorted, deduplicated union of Objects(n, Pred) over its nodes. Every node
-// must hash to shard; the server refuses the frame otherwise. Hedging,
-// failover and the deadline apply to the frame as a whole, and a failed
-// frame yields no groups at all.
-func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([][]rdf.ID, error) {
+// Probe sends one multi-group frame to shard and returns, per group, how
+// far along its path the server walked its nodes and the frontier there.
+// Every node must hash to shard; the server refuses the frame otherwise.
+// Hedging, failover and the deadline apply to the frame as a whole, and a
+// failed frame yields no groups at all.
+func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([]Reached, error) {
 	req := newRequest(ctx)
 	encodeProbeRequest(req, groups)
 	r, err := p.call(ctx, shard, opProbe, len(groups), req)
 	if err != nil {
 		return nil, err
 	}
-	return decodeProbeReply(r, len(groups))
+	return decodeProbeReply(r, groups)
 }
 
 // ShardSubjects returns shard's subjects with (s, pred, obj) in

@@ -92,7 +92,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	}
 	defer wrong.Close()
 	probe := func(p *Pool) error {
-		_, err := p.Probe(context.Background(), 0, []ProbeGroup{{store.Predicates()[0], nil}})
+		_, err := p.Probe(context.Background(), 0, []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nil}})
 		return err
 	}
 	if err := probe(wrong); err == nil {
@@ -157,7 +157,7 @@ func TestHandshakeRefusesOneObjectOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pool.Probe(context.Background(), 0, []ProbeGroup{{0, nil}})
+		_, err = pool.Probe(context.Background(), 0, []ProbeGroup{{rdf.Path{0}, nil}})
 		pool.Close()
 		if (err == nil) != c.accept {
 			t.Errorf("pool for the world served (%v): probe error %v", c.accept, err)
@@ -215,7 +215,7 @@ func TestReplicaFailover(t *testing.T) {
 		if len(nodes) == 0 {
 			continue
 		}
-		got, err := pool.Probe(context.Background(), sh, []ProbeGroup{{pred, nodes}})
+		got, err := pool.Probe(context.Background(), sh, []ProbeGroup{{rdf.Path{pred}, nodes}})
 		if err != nil {
 			t.Fatalf("Probe(shard %d) with a replica down: %v", sh, err)
 		}
@@ -225,8 +225,8 @@ func TestReplicaFailover(t *testing.T) {
 				want[o] = true
 			}
 		}
-		if len(got[0]) != len(want) {
-			t.Fatalf("Probe(shard %d): %d results, want %d", sh, len(got[0]), len(want))
+		if len(got[0].Nodes) != len(want) {
+			t.Fatalf("Probe(shard %d): %d results, want %d", sh, len(got[0].Nodes), len(want))
 		}
 	}
 	if st := pool.Stats(); st.Failovers == 0 {
@@ -263,7 +263,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		if len(nodes[sh]) == 0 {
 			continue
 		}
-		if _, err := pool.Probe(context.Background(), sh, []ProbeGroup{{pred, nodes[sh]}}); err != nil {
+		if _, err := pool.Probe(context.Background(), sh, []ProbeGroup{{rdf.Path{pred}, nodes[sh]}}); err != nil {
 			t.Fatalf("hedged Probe: %v", err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pool.Probe(ctx, i%store.NumShards(), []ProbeGroup{{pred, nil}}); !errors.Is(err, context.Canceled) {
+		if _, err := pool.Probe(ctx, i%store.NumShards(), []ProbeGroup{{rdf.Path{pred}, nil}}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled Probe: err = %v, want context.Canceled", err)
 		}
 	}
@@ -324,7 +324,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	for sh, ns := range shardedNodes(store) {
 		if len(ns) > 0 {
 			nodes = ns
-			if _, err := pool.Probe(ctx, sh, []ProbeGroup{{pred, nodes}}); err != nil {
+			if _, err := pool.Probe(ctx, sh, []ProbeGroup{{rdf.Path{pred}, nodes}}); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -365,7 +365,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	_, err = pool.Probe(ctx, 0, []ProbeGroup{{store.Predicates()[0], nil}})
+	_, err = pool.Probe(ctx, 0, []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nil}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -478,7 +478,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 			break
 		}
 	}
-	groups := []ProbeGroup{{store.Predicates()[0], nodes}, {store.Predicates()[1], nodes[:1]}}
+	groups := []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nodes}, {rdf.Path{store.Predicates()[1]}, nodes[:1]}}
 	want, err := direct.Probe(context.Background(), shard, groups)
 	if err != nil {
 		t.Fatal(err)
@@ -600,7 +600,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 			start := time.Now()
 			// The handshake's I/O deadline and the context end together, so
 			// the error is either the context's or the read's timeout.
-			if _, err = pool.Probe(ctx, 0, []ProbeGroup{{0, nil}}); err == nil {
+			if _, err = pool.Probe(ctx, 0, []ProbeGroup{{rdf.Path{0}, nil}}); err == nil {
 				t.Fatal("call against a stalled handshake succeeded")
 			}
 			if d := time.Since(start); d > 500*time.Millisecond {
@@ -642,9 +642,10 @@ func TestWireOps(t *testing.T) {
 	for op := 0; op < 256; op++ {
 		body := newRequest(context.Background())
 		body.u32(1) // one probe group / pred 1
-		body.u32(0) // of pred 0 / obj 0
+		body.u32(1) // of one hop / obj 0
 		if byte(op) == opProbe {
-			body.u32(0) // with no nodes
+			body.u32(0) // along pred 0
+			body.u32(0) // from no nodes
 		}
 		_, err := pool.call(context.Background(), 0, byte(op), 1, body)
 		switch {
@@ -657,7 +658,7 @@ func TestWireOps(t *testing.T) {
 	if want := []byte{opSubjects, opProbe}; !bytes.Equal(served, want) {
 		t.Fatalf("served ops = %v, want %v", served, want)
 	}
-	if ProtoVersion != 2 {
-		t.Errorf("ProtoVersion = %d; the op set above is version 2's", ProtoVersion)
+	if ProtoVersion != 3 {
+		t.Errorf("ProtoVersion = %d; the op set above is version 3's", ProtoVersion)
 	}
 }

@@ -21,7 +21,8 @@ type ServerOptions struct {
 	// Owns lists the shard indexes this server answers for; nil or empty
 	// serves every shard (the server always loads the full world — the
 	// subset is a routing contract with the placement, not a storage
-	// split).
+	// split). A probe's walk goes on for as long as its frontier stays on
+	// owned shards.
 	Owns []int
 	// Logger receives structured serve/close events; nil discards.
 	Logger *obs.Logger
@@ -33,7 +34,7 @@ type ServerOptions struct {
 type Server struct {
 	store  rdf.Graph
 	digest uint64
-	owns   map[int]bool // nil = all shards
+	owns   []bool // by shard index; nil = all shards
 	log    *obs.Logger
 
 	mu     sync.Mutex
@@ -60,9 +61,11 @@ func NewServer(store rdf.Graph, digest uint64, o ServerOptions) *Server {
 		conns:  make(map[net.Conn]bool),
 	}
 	if len(o.Owns) > 0 {
-		s.owns = make(map[int]bool, len(o.Owns))
+		s.owns = make([]bool, store.NumShards())
 		for _, i := range o.Owns {
-			s.owns[i] = true
+			if i >= 0 && i < len(s.owns) {
+				s.owns[i] = true
+			}
 		}
 	}
 	return s
@@ -205,6 +208,16 @@ type session struct {
 	fr      safeio.FrameReader
 	reply   wbuf  // the reply frame being built
 	writeBy int64 // the write deadline in force, UnixNano; 0 = none
+	walk    walker
+}
+
+// walker is the state of the probe walks of one request: two frontier
+// buffers, reused by every group and request of a connection, and what the
+// request's span reports.
+type walker struct {
+	front, back []rdf.ID
+	hops        int // edges walked, summed over the groups
+	stopped     int // groups whose walk stopped at a foreign shard
 }
 
 // handshake validates the client hello and acknowledges (or rejects with a
@@ -268,7 +281,14 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	w := &ss.reply
 	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+1+4)...)
 	mark := len(w.b)
-	errmsg := s.execute(hdr, r, w)
+	ss.walk.hops, ss.walk.stopped = 0, 0
+	errmsg := s.execute(hdr, r, w, &ss.walk)
+	if hdr.op == opProbe {
+		sp.SetInt("hops", int64(ss.walk.hops))
+		if ss.walk.stopped > 0 {
+			sp.SetInt("stopped", int64(ss.walk.stopped))
+		}
+	}
 	if errmsg != "" {
 		s.failures.Add(1)
 		w.b[safeio.FrameHeaderLen] = statusErr
@@ -299,9 +319,10 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	return err
 }
 
-// execute runs one op into body, returning a non-empty message on
-// application-level failure (the connection stays usable).
-func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
+// execute runs one op into body, walking probes with wk, and returns a
+// non-empty message on application-level failure (the connection stays
+// usable).
+func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string {
 	if hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
 		return "deadline exceeded before execution"
 	}
@@ -314,22 +335,27 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 	}
 	switch hdr.op {
 	case opProbe:
-		groups, err := decodeProbeRequest(r, shard, s.store.NumShards())
-		if err != nil {
-			return err.Error()
+		n := int(r.u32())
+		if r.err != nil {
+			return r.err.Error()
 		}
-		var union []rdf.ID
-		for i, g := range groups {
+		if n > (len(r.b)-r.off)/minProbeGroupLen {
+			return fmt.Sprintf("shardrpc: probe frame declares %d groups in %d bytes", n, len(r.b)-r.off)
+		}
+		for i := 0; i < n; i++ {
 			// A batch can be long; the caller's deadline holds between groups.
 			if i > 0 && hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
 				return "deadline exceeded mid-batch"
 			}
-			union = union[:0]
-			for _, n := range g.Nodes {
-				union = append(union, s.store.Objects(n, g.Pred)...)
+			path, nodes, err := readProbeGroup(r, shard, s.store.NumShards())
+			if err != nil {
+				return err.Error()
 			}
-			slices.Sort(union)
-			body.ids(slices.Compact(union))
+			body.u32(uint32(s.walk(path, nodes, wk)))
+			body.ids(wk.front)
+		}
+		if r.off != len(r.b) {
+			return fmt.Sprintf("shardrpc: %d bytes after the last probe group", len(r.b)-r.off)
 		}
 	case opSubjects:
 		pred, obj := rdf.PID(r.u32()), rdf.ID(r.u32())
@@ -341,4 +367,48 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf) string {
 		return fmt.Sprintf("unknown op %d", hdr.op)
 	}
 	return ""
+}
+
+// walk follows path from nodes, as readProbeGroup read them, leaving the
+// frontier in wk.front, and returns the hops it walked: to the path's end,
+// to an empty frontier, or to the first frontier that touches a shard this
+// server does not own, which the client walks on from.
+func (s *Server) walk(path, nodes []byte, wk *walker) int {
+	wk.front = wk.front[:0]
+	for i := 0; i < len(nodes); i += 4 {
+		wk.front = append(wk.front, rdf.ID(binary.LittleEndian.Uint32(nodes[i:])))
+	}
+	hops := 0
+	for {
+		p := rdf.PID(binary.LittleEndian.Uint32(path[4*hops:]))
+		wk.back = wk.back[:0]
+		for _, n := range wk.front {
+			wk.back = append(wk.back, s.store.Objects(n, p)...)
+		}
+		slices.Sort(wk.back)
+		wk.front, wk.back = slices.Compact(wk.back), wk.front
+		hops++
+		if hops == len(path)/4 || len(wk.front) == 0 {
+			break
+		}
+		if !s.ownsAll(wk.front) {
+			wk.stopped++
+			break
+		}
+	}
+	wk.hops += hops
+	return hops
+}
+
+// ownsAll reports whether every node hashes to a shard this server owns.
+func (s *Server) ownsAll(nodes []rdf.ID) bool {
+	if s.owns == nil {
+		return true
+	}
+	for _, n := range nodes {
+		if !s.owns[rdf.ShardIndex(n, len(s.owns))] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,13 +1,15 @@
 // Package shardrpc promotes the ShardedStore's subject-hash partition
 // boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (multi-group probe, subjects) over a small
+// answers index reads (multi-group path walks, subjects) over a small
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
 // KB is the engine's index seam (core.Index) over the pool: it plans a
-// question's whole probe set into one frame per touched shard per path
-// depth, so a question waits for as many round trips as its longest path
-// has edges, not for one per term of Eq (7).
+// question's whole probe set into one frame per touched shard, and a shard
+// server walks each probe's whole remaining path for as long as the frontier
+// stays on shards it owns. On servers that own every shard a batch costs
+// one round trip, not one per path edge or per term of Eq (7); only a walk
+// that stopped at a foreign shard costs another round.
 //
 // The protocol is dependency-free and CRC-framed by the same codec as the
 // answer cache's segment log (safeio's frame, read by a FrameReader that
@@ -51,8 +53,10 @@ const (
 	// protoMagic opens every handshake frame in both directions.
 	protoMagic = "KBQARPC1"
 	// ProtoVersion is the wire protocol version; client and server must
-	// match exactly. 2 replaced the one-group frontier op with opProbe.
-	ProtoVersion = 2
+	// match exactly. 2 replaced the one-group frontier op with opProbe; 3
+	// sends a probe group's remaining path, not one predicate, and replies
+	// with the hops the server walked.
+	ProtoVersion = 3
 )
 
 // Request opcodes. 1 was the single-group frontier expansion opProbe
@@ -60,7 +64,7 @@ const (
 // fetch no client issued; their numbers stay retired.
 const (
 	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
-	opProbe    = byte(8) // list of (pred + node set) -> per group, union of objects, sorted unique
+	opProbe    = byte(8) // list of (path + node set) -> per group, (hops walked, frontier there)
 )
 
 // Response status codes.
@@ -160,15 +164,27 @@ func (r *rbuf) bytes() []byte {
 	return p
 }
 
-func (r *rbuf) ids() []rdf.ID {
+// u32s reads a u32 count and returns that many u32s as they lie in the
+// payload.
+func (r *rbuf) u32s() []byte {
 	n := int(r.u32())
 	if r.err != nil || n > (len(r.b)-r.off)/4 {
 		r.fail()
 		return nil
 	}
-	out := make([]rdf.ID, n)
+	p := r.b[r.off : r.off+4*n]
+	r.off += 4 * n
+	return p
+}
+
+func (r *rbuf) ids() []rdf.ID {
+	p := r.u32s()
+	if r.err != nil {
+		return nil
+	}
+	out := make([]rdf.ID, len(p)/4)
 	for i := range out {
-		out[i] = rdf.ID(r.u32())
+		out[i] = rdf.ID(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return out
 }
@@ -239,67 +255,78 @@ func decodeReqHeader(r *rbuf) reqHeader {
 	}
 }
 
-// ProbeGroup is one entry of a probe frame: expand Nodes, all owned by the
-// frame's shard, along Pred. The reply is one sorted, deduplicated union of
-// Objects(node, Pred) per group, in group order.
+// ProbeGroup is one entry of a probe frame: walk Nodes, all owned by the
+// frame's shard, along Path. The reply is one Reached per group, in group
+// order.
 type ProbeGroup struct {
-	Pred  rdf.PID
+	Path  rdf.Path
+	Nodes []rdf.ID
+}
+
+// Reached is the reply to one ProbeGroup: the server walked Hops edges of
+// its path, at least one, and Nodes is the frontier there, sorted and
+// deduplicated. A walk stops short of the path's end at an empty frontier,
+// or at one that touches a shard the server does not own.
+type Reached struct {
+	Hops  int
 	Nodes []rdf.ID
 }
 
 // encodeProbeRequest appends an opProbe body to w: u32 group count, then
-// per group u32 pred and the node ids.
+// per group the path (u32 hop count, then the predicates) and the node ids.
 func encodeProbeRequest(w *wbuf, groups []ProbeGroup) {
 	w.u32(uint32(len(groups)))
 	for _, g := range groups {
-		w.u32(uint32(g.Pred))
+		w.u32(uint32(len(g.Path)))
+		for _, p := range g.Path {
+			w.u32(uint32(p))
+		}
 		w.ids(g.Nodes)
 	}
 }
 
-// decodeProbeRequest parses an opProbe body from a client that is not
-// trusted to have routed it: a count the remaining payload cannot hold, a
-// node that does not hash to shard (of numShards), or bytes past the last
-// group are errors.
-func decodeProbeRequest(r *rbuf, shard, numShards int) ([]ProbeGroup, error) {
-	n := int(r.u32())
+// minProbeGroupLen is the shortest group: a hop count, one predicate and a
+// node count.
+const minProbeGroupLen = 12
+
+// readProbeGroup reads the next group of an opProbe body, in place, from a
+// client that is not trusted to have routed it: path and nodes are runs of
+// little-endian u32s. A count the remaining payload cannot hold, an empty
+// path, or a node that does not hash to shard (of numShards) is an error.
+func readProbeGroup(r *rbuf, shard, numShards int) (path, nodes []byte, err error) {
+	path, nodes = r.u32s(), r.u32s()
 	if r.err != nil {
-		return nil, r.err
+		return nil, nil, r.err
 	}
-	// A group is at least its pred and its node count.
-	if n > (len(r.b)-r.off)/8 {
-		return nil, fmt.Errorf("shardrpc: probe frame declares %d groups in %d bytes", n, len(r.b)-r.off)
+	if len(path) == 0 {
+		return nil, nil, fmt.Errorf("shardrpc: probe group with no path")
 	}
-	groups := make([]ProbeGroup, n)
-	for i := range groups {
-		groups[i] = ProbeGroup{Pred: rdf.PID(r.u32()), Nodes: r.ids()}
-		if r.err != nil {
-			return nil, r.err
-		}
-		for _, node := range groups[i].Nodes {
-			if owner := rdf.ShardIndex(node, numShards); owner != shard {
-				return nil, fmt.Errorf("shardrpc: probe frame for shard %d carries node %d of shard %d", shard, node, owner)
-			}
+	for i := 0; i < len(nodes); i += 4 {
+		node := rdf.ID(binary.LittleEndian.Uint32(nodes[i:]))
+		if owner := rdf.ShardIndex(node, numShards); owner != shard {
+			return nil, nil, fmt.Errorf("shardrpc: probe frame for shard %d carries node %d of shard %d", shard, node, owner)
 		}
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("shardrpc: %d bytes after the last probe group", len(r.b)-r.off)
-	}
-	return groups, nil
+	return path, nodes, nil
 }
 
-// decodeProbeReply parses an opProbe reply — one id list per group asked
-// for, nothing before, between or after — into exactly want lists or an
-// error.
-func decodeProbeReply(r *rbuf, want int) ([][]rdf.ID, error) {
-	out := make([][]rdf.ID, want)
-	for i := range out {
-		if out[i] = r.ids(); r.err != nil {
+// decodeProbeReply parses the reply to an opProbe frame of groups: per
+// group the hops walked, at least one and at most its path's, then the
+// frontier there; nothing before, between or after. It returns exactly one
+// Reached per group or an error.
+func decodeProbeReply(r *rbuf, groups []ProbeGroup) ([]Reached, error) {
+	out := make([]Reached, len(groups))
+	for i, g := range groups {
+		out[i].Hops = int(r.u32())
+		if out[i].Nodes = r.ids(); r.err != nil {
 			return nil, r.err
+		}
+		if out[i].Hops < 1 || out[i].Hops > len(g.Path) {
+			return nil, fmt.Errorf("shardrpc: reply group %d walked %d hops of a %d-hop path", i, out[i].Hops, len(g.Path))
 		}
 	}
 	if r.off != len(r.b) {
-		return nil, fmt.Errorf("shardrpc: %d bytes after the last of %d reply groups", len(r.b)-r.off, want)
+		return nil, fmt.Errorf("shardrpc: %d bytes after the last of %d reply groups", len(r.b)-r.off, len(groups))
 	}
 	return out, nil
 }
