@@ -7,9 +7,9 @@
 // Every shard server loads the full world; ownership is the routing
 // contract with the placement, not a storage split, so replicas need no
 // data movement and a frontend with the same -servers list computes the
-// same placement. A probe's walk goes on for as long as its frontier stays
-// on the shards this server owns. Start N of these and point kbqa-server's
-// -shard-servers at them:
+// same placement. A probe is walked to the end of its path, whatever shards
+// it reaches. Start N of these and point kbqa-server's -shard-servers at
+// them:
 //
 //	kbqa-shard -addr :9101 -servers :9101,:9102 -replicas 2
 //	kbqa-shard -addr :9102 -servers :9101,:9102 -replicas 2

@@ -78,8 +78,8 @@ func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, 
 // splitCluster serves w's store from servers loopback shard servers with
 // one replica per shard (R=1), each server owning only the shards the
 // placement gives it, and returns an engine probing through them: a walk
-// that reaches a shard its server does not own stops there, and the client
-// walks it on. The placement hashes the listeners' random ports, so a draw
+// that reaches a shard its server does not own goes on there all the same,
+// since every server loads the whole world. The placement hashes the listeners' random ports, so a draw
 // that leaves a server without shards is dealt again.
 func splitCluster(t *testing.T, w *World, servers int) *core.Engine {
 	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)

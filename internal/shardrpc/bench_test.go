@@ -105,8 +105,8 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		tracer  *obs.Tracer
 		ceiling float64
 	}{
-		{"untraced", nil, 16},
-		{"traced", slowOnly(), 21},
+		{"untraced", nil, 12},
+		{"traced", slowOnly(), 17},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := readAll(context.Background(), kb, probes); err != nil {

@@ -60,7 +60,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		defer close(callDone)
 		// The reply races the conn teardown; either outcome is fine —
 		// the invariant under test is Close's ordering, not the reply.
-		pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), []ProbeGroup{{rdf.Path{pred}, []rdf.ID{subj}}})
+		pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), probesOf(rdf.Path{pred}, subj))
 	}()
 	<-gated.entered // the handler is now inside execute, reading the store
 
@@ -111,7 +111,7 @@ func TestPoolCloseClosesInflightConns(t *testing.T) {
 	pred := store.Predicates()[0]
 	callDone := make(chan error)
 	go func() {
-		_, err := pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), []ProbeGroup{{rdf.Path{pred}, []rdf.ID{subj}}})
+		_, err := pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), probesOf(rdf.Path{pred}, subj))
 		callDone <- err
 	}()
 	<-gated.entered

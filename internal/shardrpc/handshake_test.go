@@ -22,17 +22,18 @@ import (
 func FuzzHandshake(f *testing.F) {
 	const digest, shards = 0x5eed, 2
 	srv := NewServer(rdf.NewShardedStore(shards), digest, ServerOptions{})
-	// Version 3 walks a probe's path on the shard; a hello of any other
-	// version is refused, 2 (one edge per frame) included.
-	good := hello{version: 3, digest: digest, numShards: shards}.encode()
+	// Version 4 sends each probe whole, its path and its subject; a hello
+	// of any other version is refused, 3 (walks that stop at a foreign
+	// shard) included.
+	good := hello{version: 4, digest: digest, numShards: shards}.encode()
 	okReply := framed(f, append([]byte{statusOK}, append(good, 0, 0, 0, 0)...))
 	errReply := framed(f, append([]byte{statusErr}, append(good, 2, 0, 0, 0, 'n', 'o')...))
 	for _, h := range [][]byte{
 		good,
 		hello{version: ProtoVersion, digest: digest + 1, numShards: shards}.encode(),
 		hello{version: ProtoVersion, digest: digest, numShards: shards + 1}.encode(),
-		hello{version: 2, digest: digest, numShards: shards}.encode(),
-		hello{version: 4, digest: digest, numShards: shards}.encode(),
+		hello{version: 3, digest: digest, numShards: shards}.encode(),
+		hello{version: 5, digest: digest, numShards: shards}.encode(),
 		append(append([]byte(nil), good...), 0),
 		good[:len(good)-1],
 		nil,

@@ -84,7 +84,7 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 // server and checks each result against the in-process index: the probes
 // one to a batch, then all of them — paths of one and of three edges, a
 // path of none, subjects on every shard, subjects with no such edge — as
-// one batch, whose frames mix groups of paths of different lengths.
+// one batch, whose frames mix probes of paths of different lengths.
 func TestKBCtxVariantsMatchLocal(t *testing.T) {
 	store, pool, kb := newTestKB(t)
 	local := core.LocalIndex(store)
@@ -120,8 +120,8 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("PathObjects(batch of %d) = %v, diverges from the local index", len(batch), err)
 	}
-	// One frame per touched shard, whatever the batch holds: the own-all
-	// server walks every path to its end.
+	// One frame per touched shard, whatever the batch holds: the server
+	// walks every path to its end.
 	if frames, most := pool.Stats().Calls-before, uint64(store.NumShards()); frames > most {
 		t.Errorf("a batch of %d probes took %d frames, want <= %d (one round)", len(batch), frames, most)
 	}

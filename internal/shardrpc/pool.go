@@ -632,19 +632,19 @@ func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) 
 	return r, nil
 }
 
-// Probe sends one multi-group frame to shard and returns, per group, how
-// far along its path the server walked its nodes and the frontier there.
-// Every node must hash to shard; the server refuses the frame otherwise.
-// Hedging, failover and the deadline apply to the frame as a whole, and a
-// failed frame yields no groups at all.
-func (p *Pool) Probe(ctx context.Context, shard int, groups []ProbeGroup) ([]Reached, error) {
+// Probe sends probes to shard in one frame and returns, per probe, the
+// objects at the end of its path, sorted and deduplicated. Every subject
+// must hash to shard; the server refuses the frame otherwise. Hedging,
+// failover and the deadline apply to the frame as a whole, and a failed
+// frame yields no sets at all.
+func (p *Pool) Probe(ctx context.Context, shard int, probes []rdf.Probe) ([][]rdf.ID, error) {
 	req := newRequest(ctx)
-	encodeProbeRequest(req, groups)
-	r, err := p.call(ctx, shard, opProbe, len(groups), req)
+	encodeProbeRequest(req, probes)
+	r, err := p.call(ctx, shard, opProbe, len(probes), req)
 	if err != nil {
 		return nil, err
 	}
-	return decodeProbeReply(r, groups)
+	return decodeProbeReply(r, len(probes))
 }
 
 // ShardSubjects returns shard's subjects with (s, pred, obj) in

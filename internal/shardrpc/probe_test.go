@@ -3,8 +3,10 @@ package shardrpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -14,91 +16,76 @@ import (
 )
 
 // probeFrames returns, for each shard of store, a real opProbe body aimed at
-// it: three groups over the shard's own nodes, walking one, two and three
-// edges.
+// it: its own nodes each walking one edge, and again walking two and three.
 func probeFrames(store *rdf.ShardedStore) [][]byte {
 	preds := store.Predicates()
 	path, _ := rdf.ParsePath(store, "marriage→person→name")
 	var out [][]byte
 	for _, nodes := range shardedNodes(store) {
+		var probes []rdf.Probe
+		for _, p := range []rdf.Path{{preds[0]}, path[:2], path} {
+			probes = append(probes, probesOf(p, nodes...)...)
+		}
 		var w wbuf
-		encodeProbeRequest(&w, []ProbeGroup{
-			{Path: rdf.Path{preds[0]}, Nodes: nodes},
-			{Path: path[:2], Nodes: nodes[:len(nodes)/2]},
-			{Path: path, Nodes: nodes},
-		})
+		encodeProbeRequest(&w, probes)
 		out = append(out, w.b)
 	}
 	return out
 }
 
 // refDecodeProbeRequest is the opProbe body layout written out plainly, the
-// reference the server's in-place reader is checked against: a group count,
-// then per group a hop count, that many predicates and an id list; every
-// group walks at least one edge from nodes of shard, and nothing follows
-// the last group.
-func refDecodeProbeRequest(data []byte, shard, numShards int) ([]ProbeGroup, error) {
+// reference the server's in-place reader is checked against: a probe count,
+// then per probe a hop count, that many predicates and a subject; every
+// probe walks at least one edge from a subject of shard, and nothing
+// follows the last probe.
+func refDecodeProbeRequest(data []byte, shard, numShards int) ([]rdf.Probe, error) {
 	r := &rbuf{b: data}
 	n := int(r.u32())
-	var groups []ProbeGroup
+	var probes []rdf.Probe
 	for i := 0; i < n && r.err == nil; i++ {
-		var g ProbeGroup
-		for hops := int(r.u32()); len(g.Path) < hops && r.err == nil; {
-			g.Path = append(g.Path, rdf.PID(r.u32()))
+		var p rdf.Probe
+		for hops := int(r.u32()); len(p.Path) < hops && r.err == nil; {
+			p.Path = append(p.Path, rdf.PID(r.u32()))
 		}
-		if g.Nodes = r.ids(); r.err != nil {
+		if p.Subj = rdf.ID(r.u32()); r.err != nil {
 			break
 		}
-		if len(g.Path) == 0 {
-			return nil, errors.New("a group with no path")
+		if len(p.Path) == 0 {
+			return nil, errors.New("a probe with no path")
 		}
-		for _, node := range g.Nodes {
-			if rdf.ShardIndex(node, numShards) != shard {
-				return nil, fmt.Errorf("node %d is not of shard %d", node, shard)
-			}
+		if rdf.ShardIndex(p.Subj, numShards) != shard {
+			return nil, fmt.Errorf("subject %d is not of shard %d", p.Subj, shard)
 		}
-		groups = append(groups, g)
+		probes = append(probes, p)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.off != len(data) {
-		return nil, errors.New("bytes after the last group")
+		return nil, errors.New("bytes after the last probe")
 	}
-	return groups, nil
-}
-
-// refWalk is the walk a server owning the shards owns reports for g: each
-// edge of the path in turn from g.Nodes, stopping at the path's end, at an
-// empty frontier, or at the first frontier with a node of a shard it does
-// not own.
-func refWalk(store rdf.Graph, owns func(int) bool, g ProbeGroup) (int, []rdf.ID) {
-	front := g.Nodes
-	for hops := 1; ; hops++ {
-		var next []rdf.ID
-		for _, n := range front {
-			next = append(next, store.Objects(n, g.Path[hops-1])...)
-		}
-		slices.Sort(next)
-		front = slices.Compact(next)
-		if hops == len(g.Path) || len(front) == 0 ||
-			slices.ContainsFunc(front, func(n rdf.ID) bool { return !owns(rdf.ShardIndex(n, store.NumShards())) }) {
-			return hops, front
-		}
-	}
+	return probes, nil
 }
 
 // TestProbeFrameRefusesMisroutedAndOversized: the server does not trust the
-// client's routing. A node that does not hash to the frame's shard, a
-// group, hop or id count the payload cannot hold, a group with no path and
-// bytes after the last group are refused with a status error that leaves
-// the connection usable. (The frontier op this replaced
-// read Objects for any node in the body: only the header's shard was
-// checked, so a server answered for shards it did not own.)
+// client's routing or framing. A frame for a shard it does not own, a
+// subject that does not hash to the frame's shard, a probe or hop count the
+// payload cannot hold, a probe with no path and bytes after the last probe
+// are refused with a status error that leaves the connection usable. (The
+// frontier op this replaced read Objects for any node in the body: only the
+// header's shard was checked, so a server answered for shards it did not
+// own.)
 func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	store := testWorld(t)
-	addr, srv := startServer(t, store)
+	// The server owns shard 0 only; the placement still sends it every shard.
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{Owns: []int{0}})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(context.Background(), lis)
 	defer srv.Close()
+	addr := lis.Addr().String()
 	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,42 +100,40 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	nodes := shardedNodes(store)
 	own, foreign := nodes[0][0], nodes[1][0]
 	pred := store.Predicates()[0]
-	// group appends a group of path from nodes, as the client writes it.
-	group := func(w *wbuf, path rdf.Path, nodes ...rdf.ID) *wbuf {
+	// probe appends a probe of path from subj, as the client writes it.
+	probe := func(w *wbuf, path rdf.Path, subj rdf.ID) *wbuf {
 		w.u32(uint32(len(path)))
 		for _, p := range path {
 			w.u32(uint32(p))
 		}
-		w.ids(nodes)
+		w.u32(uint32(subj))
 		return w
 	}
-	body := func(groups uint32) *wbuf {
+	body := func(probes uint32) *wbuf {
 		w := newRequest(ctx)
-		w.u32(groups)
+		w.u32(probes)
 		return w
 	}
-	manyHops, manyIDs, trailing := body(1), body(1), group(body(1), rdf.Path{pred}, own)
+	manyHops, noPath, trailing := body(1), probe(body(1), nil, own), probe(body(1), rdf.Path{pred}, own)
 	manyHops.u32(1 << 30)
 	manyHops.u32(uint32(pred))
-	manyHops.ids([]rdf.ID{own})
-	manyIDs.u32(1)
-	manyIDs.u32(uint32(pred))
-	manyIDs.u32(1 << 30)
-	manyIDs.u32(uint32(own))
+	manyHops.u32(uint32(own))
+	noPath.u32(0) // so that the count check passes a 12-byte probe
 	trailing.u8(0)
 	for _, row := range []struct {
-		name string
-		body *wbuf
-		want string
+		name  string
+		shard int
+		body  *wbuf
+		want  string
 	}{
-		{"a node of another shard", group(body(1), rdf.Path{pred}, own, foreign), "of shard 1"},
-		{"a group count past the payload", group(body(1<<30), rdf.Path{pred}, own), "groups in"},
-		{"a hop count past the payload", manyHops, "truncated"},
-		{"a group with no path", group(body(1), nil, own), "no path"},
-		{"an id count past the payload", manyIDs, "truncated"},
-		{"a byte after the last group", trailing, "after the last probe group"},
+		{"a shard the server does not own", 1, probe(body(1), rdf.Path{pred}, foreign), "not owned"},
+		{"a subject of another shard", 0, probe(body(1), rdf.Path{pred}, foreign), "of shard 1"},
+		{"a probe count past the payload", 0, probe(body(1<<30), rdf.Path{pred}, own), "probes in"},
+		{"a hop count past the payload", 0, manyHops, "truncated"},
+		{"a probe with no path", 0, noPath, "no path"},
+		{"a byte after the last probe", 0, trailing, "after the last probe"},
 	} {
-		_, err := pool.call(ctx, 0, opProbe, 1, row.body)
+		_, err := pool.call(ctx, row.shard, opProbe, 1, row.body)
 		if err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("frame with %s: err = %v, want a refusal mentioning %q", row.name, err, row.want)
 		}
@@ -157,8 +142,8 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 		if free := len(pool.host(addr).free); free != 1 {
 			t.Fatalf("after %s the pool holds %d idle connections, want the 1 it used", row.name, free)
 		}
-		got, err := pool.Probe(ctx, 0, []ProbeGroup{{rdf.Path{pred}, []rdf.ID{own}}})
-		if err != nil || !slices.Equal(got[0].Nodes, rdf.PathObjects(nil, store, own, rdf.Path{pred})) {
+		got, err := pool.Probe(ctx, 0, probesOf(rdf.Path{pred}, own))
+		if err != nil || !slices.Equal(got[0], rdf.PathObjects(nil, store, own, rdf.Path{pred})) {
 			t.Fatalf("well-formed frame after %s: %v, %v", row.name, got, err)
 		}
 	}
@@ -170,15 +155,16 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 // FuzzProbeRequest: Server.execute over arbitrary opProbe bodies, on a
 // server that owns any subset of the shards (the bits of owns; none set is
 // every shard), never panics and replies OK exactly to the bodies the
-// reference decoder accepts for a shard the server owns. Each reply group
-// is the reference walk: never more hops than the path has, and never past
-// a frontier that touches a shard the server does not own.
+// reference decoder accepts for a shard the server owns: a frame for any
+// other shard is refused. Each reply set is rdf.PathObjects, the walk to
+// the path's end, whatever shards it reaches.
 func FuzzProbeRequest(f *testing.F) {
 	store := testWorld(f)
 	for shard, frame := range probeFrames(store) {
 		f.Add(uint8(shard), uint8(0), frame)
-		f.Add(uint8(shard), uint8(1<<shard), frame) // every walk stops at the first foreign node
-		f.Add(uint8(shard+1), uint8(0), frame)      // every node misrouted
+		f.Add(uint8(shard), uint8(1<<shard), frame)      // walks leave the only owned shard
+		f.Add(uint8(shard), uint8(^(1 << shard)), frame) // every shard but the frame's
+		f.Add(uint8(shard+1), uint8(0), frame)           // every subject misrouted
 		f.Add(uint8(shard), uint8(0), frame[:len(frame)-3])
 	}
 	f.Fuzz(func(t *testing.T, shard, owns uint8, data []byte) {
@@ -191,7 +177,7 @@ func FuzzProbeRequest(f *testing.F) {
 		srv := NewServer(store, snapshot.Digest(store), ServerOptions{Owns: owned})
 		var body wbuf
 		errmsg := srv.execute(reqHeader{op: opProbe, shard: uint32(shard)}, &rbuf{b: data}, &body, &walker{})
-		groups, err := refDecodeProbeRequest(data, int(shard), store.NumShards())
+		probes, err := refDecodeProbeRequest(data, int(shard), store.NumShards())
 		wellFormed := err == nil && int(shard) < store.NumShards() && srv.ownsShard(int(shard))
 		if (errmsg == "") != wellFormed {
 			t.Fatalf("execute replied %q to a body the reference decoder judges %v", errmsg, err)
@@ -199,24 +185,22 @@ func FuzzProbeRequest(f *testing.F) {
 		if errmsg != "" {
 			return
 		}
-		got, err := decodeProbeReply(&rbuf{b: body.b}, groups)
+		got, err := decodeProbeReply(&rbuf{b: body.b}, len(probes))
 		if err != nil {
 			t.Fatalf("the server's own reply does not decode: %v", err)
 		}
-		for i, g := range groups {
-			hops, want := refWalk(store, srv.ownsShard, g)
-			if got[i].Hops != hops || !slices.Equal(got[i].Nodes, want) {
-				t.Fatalf("group %d (%d-hop path) walked %d hops to %v, want %d hops to %v", i, len(g.Path), got[i].Hops, got[i].Nodes, hops, want)
+		for i, p := range probes {
+			if want := rdf.PathObjects(nil, store, p.Subj, p.Path); !slices.Equal(got[i], want) {
+				t.Fatalf("probe %d (%d-hop path from %d) reached %v, want %v", i, len(p.Path), p.Subj, got[i], want)
 			}
 		}
 	})
 }
 
 // FuzzProbeReply: the client's reply decoder over arbitrary bytes, for a
-// frame of groups groups of hops-edge paths, returns an error or exactly
-// one Reached per group, each of 1 to hops hops, that encode back to the
-// very bytes it read: a reply with 0 hops, more hops than asked or trailing
-// bytes is refused.
+// frame of probes probes, returns an error or exactly one set per probe
+// that encodes back to the very bytes it read: a reply with too few sets
+// or trailing bytes is refused.
 func FuzzProbeReply(f *testing.F) {
 	store := testWorld(f)
 	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
@@ -225,38 +209,31 @@ func FuzzProbeReply(f *testing.F) {
 		if errmsg := srv.execute(reqHeader{op: opProbe, shard: uint32(shard)}, &rbuf{b: frame}, &body, &walker{}); errmsg != "" {
 			f.Fatal(errmsg)
 		}
-		f.Add(uint8(3), uint8(3), body.b)
-		f.Add(uint8(3), uint8(1), body.b)
-		f.Add(uint8(4), uint8(3), body.b)
-		f.Add(uint8(3), uint8(3), body.b[:len(body.b)-1])
-		f.Add(uint8(3), uint8(3), append(slices.Clone(body.b), 0))
+		n := uint8(binary.LittleEndian.Uint32(frame))
+		f.Add(n, body.b)
+		f.Add(n-1, body.b)
+		f.Add(n+1, body.b)
+		f.Add(n, body.b[:len(body.b)-1])
+		f.Add(n, append(slices.Clone(body.b), 0))
 	}
-	f.Add(uint8(1), uint8(2), []byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, groups, hops uint8, data []byte) {
-		asked := make([]ProbeGroup, groups)
-		for i := range asked {
-			asked[i].Path = make(rdf.Path, hops)
-		}
-		got, err := decodeProbeReply(&rbuf{b: data}, asked)
+	f.Add(uint8(2), []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, probes uint8, data []byte) {
+		got, err := decodeProbeReply(&rbuf{b: data}, int(probes))
 		if err != nil {
 			if got != nil {
-				t.Fatalf("decoder returned both %d groups and %v", len(got), err)
+				t.Fatalf("decoder returned both %d sets and %v", len(got), err)
 			}
 			return
 		}
-		if len(got) != len(asked) {
-			t.Fatalf("decoded %d groups with no error, asked for %d", len(got), len(asked))
+		if len(got) != int(probes) {
+			t.Fatalf("decoded %d sets with no error, asked for %d", len(got), probes)
 		}
 		var w wbuf
-		for _, r := range got {
-			if r.Hops < 1 || r.Hops > int(hops) {
-				t.Fatalf("decoded a group of %d hops along a %d-hop path", r.Hops, hops)
-			}
-			w.u32(uint32(r.Hops))
-			w.ids(r.Nodes)
+		for _, set := range got {
+			w.ids(set)
 		}
 		if !bytes.Equal(w.b, data) {
-			t.Fatalf("decoded %+v from %x, which encodes back to %x", got, data, w.b)
+			t.Fatalf("decoded %v from %x, which encodes back to %x", got, data, w.b)
 		}
 	})
 }

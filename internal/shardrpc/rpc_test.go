@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +55,15 @@ func shardedNodes(store *rdf.ShardedStore) [][]rdf.ID {
 	return out
 }
 
+// probesOf returns one probe along path from each of subjects.
+func probesOf(path rdf.Path, subjects ...rdf.ID) []rdf.Probe {
+	out := make([]rdf.Probe, len(subjects))
+	for i, s := range subjects {
+		out[i] = rdf.Probe{Subj: s, Path: path}
+	}
+	return out
+}
+
 func TestFrameDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := safeio.WriteFrame(&buf, []byte("hello shardrpc")); err != nil {
@@ -92,7 +102,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	}
 	defer wrong.Close()
 	probe := func(p *Pool) error {
-		_, err := p.Probe(context.Background(), 0, []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nil}})
+		_, err := p.Probe(context.Background(), 0, nil)
 		return err
 	}
 	if err := probe(wrong); err == nil {
@@ -157,7 +167,7 @@ func TestHandshakeRefusesOneObjectOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pool.Probe(context.Background(), 0, []ProbeGroup{{rdf.Path{0}, nil}})
+		_, err = pool.Probe(context.Background(), 0, nil)
 		pool.Close()
 		if (err == nil) != c.accept {
 			t.Errorf("pool for the world served (%v): probe error %v", c.accept, err)
@@ -215,18 +225,14 @@ func TestReplicaFailover(t *testing.T) {
 		if len(nodes) == 0 {
 			continue
 		}
-		got, err := pool.Probe(context.Background(), sh, []ProbeGroup{{rdf.Path{pred}, nodes}})
+		got, err := pool.Probe(context.Background(), sh, probesOf(rdf.Path{pred}, nodes...))
 		if err != nil {
 			t.Fatalf("Probe(shard %d) with a replica down: %v", sh, err)
 		}
-		want := make(map[rdf.ID]bool)
-		for _, n := range nodes {
-			for _, o := range store.Objects(n, pred) {
-				want[o] = true
+		for i, n := range nodes {
+			if want := rdf.PathObjects(nil, store, n, rdf.Path{pred}); !slices.Equal(got[i], want) {
+				t.Fatalf("Probe(shard %d) from %d: %v, want %v", sh, n, got[i], want)
 			}
-		}
-		if len(got[0].Nodes) != len(want) {
-			t.Fatalf("Probe(shard %d): %d results, want %d", sh, len(got[0].Nodes), len(want))
 		}
 	}
 	if st := pool.Stats(); st.Failovers == 0 {
@@ -263,7 +269,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		if len(nodes[sh]) == 0 {
 			continue
 		}
-		if _, err := pool.Probe(context.Background(), sh, []ProbeGroup{{rdf.Path{pred}, nodes[sh]}}); err != nil {
+		if _, err := pool.Probe(context.Background(), sh, probesOf(rdf.Path{pred}, nodes[sh]...)); err != nil {
 			t.Fatalf("hedged Probe: %v", err)
 		}
 	}
@@ -274,7 +280,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pool.Probe(ctx, i%store.NumShards(), []ProbeGroup{{rdf.Path{pred}, nil}}); !errors.Is(err, context.Canceled) {
+		if _, err := pool.Probe(ctx, i%store.NumShards(), nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled Probe: err = %v, want context.Canceled", err)
 		}
 	}
@@ -324,7 +330,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	for sh, ns := range shardedNodes(store) {
 		if len(ns) > 0 {
 			nodes = ns
-			if _, err := pool.Probe(ctx, sh, []ProbeGroup{{rdf.Path{pred}, nodes}}); err != nil {
+			if _, err := pool.Probe(ctx, sh, probesOf(rdf.Path{pred}, nodes...)); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -365,7 +371,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	_, err = pool.Probe(ctx, 0, []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nil}})
+	_, err = pool.Probe(ctx, 0, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -478,8 +484,8 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 			break
 		}
 	}
-	groups := []ProbeGroup{{rdf.Path{store.Predicates()[0]}, nodes}, {rdf.Path{store.Predicates()[1]}, nodes[:1]}}
-	want, err := direct.Probe(context.Background(), shard, groups)
+	probes := append(probesOf(rdf.Path{store.Predicates()[0]}, nodes...), probesOf(rdf.Path{store.Predicates()[1]}, nodes[0])...)
+	want, err := direct.Probe(context.Background(), shard, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +521,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 						t.Fatal("no warm-up call left a pooled connection to the proxy")
 					}
 					backOff()
-					if _, err := pool.Probe(ctx, shard, groups); err != nil {
+					if _, err := pool.Probe(ctx, shard, probes); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -523,7 +529,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 				px.split.Store(cut.split)
 				backOff()
 				before := pool.Stats()
-				got, err := pool.Probe(ctx, shard, groups)
+				got, err := pool.Probe(ctx, shard, probes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -600,7 +606,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 			start := time.Now()
 			// The handshake's I/O deadline and the context end together, so
 			// the error is either the context's or the read's timeout.
-			if _, err = pool.Probe(ctx, 0, []ProbeGroup{{rdf.Path{0}, nil}}); err == nil {
+			if _, err = pool.Probe(ctx, 0, nil); err == nil {
 				t.Fatal("call against a stalled handshake succeeded")
 			}
 			if d := time.Since(start); d > 500*time.Millisecond {
@@ -641,11 +647,11 @@ func TestWireOps(t *testing.T) {
 	var served []byte
 	for op := 0; op < 256; op++ {
 		body := newRequest(context.Background())
-		body.u32(1) // one probe group / pred 1
-		body.u32(1) // of one hop / obj 0
+		body.u32(1) // one probe / pred 1
+		body.u32(1) // of one hop / obj 1
 		if byte(op) == opProbe {
-			body.u32(0) // along pred 0
-			body.u32(0) // from no nodes
+			body.u32(0)                                 // along pred 0
+			body.u32(uint32(shardedNodes(store)[0][0])) // from a subject of shard 0
 		}
 		_, err := pool.call(context.Background(), 0, byte(op), 1, body)
 		switch {
@@ -658,7 +664,7 @@ func TestWireOps(t *testing.T) {
 	if want := []byte{opSubjects, opProbe}; !bytes.Equal(served, want) {
 		t.Fatalf("served ops = %v, want %v", served, want)
 	}
-	if ProtoVersion != 3 {
-		t.Errorf("ProtoVersion = %d; the op set above is version 3's", ProtoVersion)
+	if ProtoVersion != 4 {
+		t.Errorf("ProtoVersion = %d; the op set above is version 4's", ProtoVersion)
 	}
 }

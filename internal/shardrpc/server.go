@@ -19,10 +19,10 @@ import (
 // ServerOptions configures a shard server.
 type ServerOptions struct {
 	// Owns lists the shard indexes this server answers for; nil or empty
-	// serves every shard (the server always loads the full world — the
+	// serves every shard. The server always loads the full world — the
 	// subset is a routing contract with the placement, not a storage
-	// split). A probe's walk goes on for as long as its frontier stays on
-	// owned shards.
+	// split: a frame for a shard outside it is refused, and a probe whose
+	// subject is owned is walked to its end, whatever shards it reaches.
 	Owns []int
 	// Logger receives structured serve/close events; nil discards.
 	Logger *obs.Logger
@@ -212,12 +212,11 @@ type session struct {
 }
 
 // walker is the state of the probe walks of one request: two frontier
-// buffers, reused by every group and request of a connection, and what the
+// buffers, reused by every probe and request of a connection, and what the
 // request's span reports.
 type walker struct {
 	front, back []rdf.ID
-	hops        int // edges walked, summed over the groups
-	stopped     int // groups whose walk stopped at a foreign shard
+	hops        int // edges walked, summed over the probes
 }
 
 // handshake validates the client hello and acknowledges (or rejects with a
@@ -281,13 +280,10 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	w := &ss.reply
 	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+1+4)...)
 	mark := len(w.b)
-	ss.walk.hops, ss.walk.stopped = 0, 0
+	ss.walk.hops = 0
 	errmsg := s.execute(hdr, r, w, &ss.walk)
 	if hdr.op == opProbe {
 		sp.SetInt("hops", int64(ss.walk.hops))
-		if ss.walk.stopped > 0 {
-			sp.SetInt("stopped", int64(ss.walk.stopped))
-		}
 	}
 	if errmsg != "" {
 		s.failures.Add(1)
@@ -339,23 +335,22 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string 
 		if r.err != nil {
 			return r.err.Error()
 		}
-		if n > (len(r.b)-r.off)/minProbeGroupLen {
-			return fmt.Sprintf("shardrpc: probe frame declares %d groups in %d bytes", n, len(r.b)-r.off)
+		if n > (len(r.b)-r.off)/minProbeLen {
+			return fmt.Sprintf("shardrpc: probe frame declares %d probes in %d bytes", n, len(r.b)-r.off)
 		}
 		for i := 0; i < n; i++ {
-			// A batch can be long; the caller's deadline holds between groups.
+			// A batch can be long; the caller's deadline holds between probes.
 			if i > 0 && hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
 				return "deadline exceeded mid-batch"
 			}
-			path, nodes, err := readProbeGroup(r, shard, s.store.NumShards())
+			path, subj, err := readProbe(r, shard, s.store.NumShards())
 			if err != nil {
 				return err.Error()
 			}
-			body.u32(uint32(s.walk(path, nodes, wk)))
-			body.ids(wk.front)
+			body.ids(s.walk(path, subj, wk))
 		}
 		if r.off != len(r.b) {
-			return fmt.Sprintf("shardrpc: %d bytes after the last probe group", len(r.b)-r.off)
+			return fmt.Sprintf("shardrpc: %d bytes after the last probe", len(r.b)-r.off)
 		}
 	case opSubjects:
 		pred, obj := rdf.PID(r.u32()), rdf.ID(r.u32())
@@ -369,46 +364,20 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string 
 	return ""
 }
 
-// walk follows path from nodes, as readProbeGroup read them, leaving the
-// frontier in wk.front, and returns the hops it walked: to the path's end,
-// to an empty frontier, or to the first frontier that touches a shard this
-// server does not own, which the client walks on from.
-func (s *Server) walk(path, nodes []byte, wk *walker) int {
-	wk.front = wk.front[:0]
-	for i := 0; i < len(nodes); i += 4 {
-		wk.front = append(wk.front, rdf.ID(binary.LittleEndian.Uint32(nodes[i:])))
-	}
-	hops := 0
-	for {
-		p := rdf.PID(binary.LittleEndian.Uint32(path[4*hops:]))
+// walk follows path, as readProbe read it, from subj to its end or to an
+// empty frontier, and returns the frontier there, sorted and deduplicated,
+// in wk's storage.
+func (s *Server) walk(path []byte, subj rdf.ID, wk *walker) []rdf.ID {
+	wk.front = append(wk.front[:0], subj)
+	for i := 0; i < len(path) && len(wk.front) > 0; i += 4 {
+		p := rdf.PID(binary.LittleEndian.Uint32(path[i:]))
 		wk.back = wk.back[:0]
 		for _, n := range wk.front {
 			wk.back = append(wk.back, s.store.Objects(n, p)...)
 		}
 		slices.Sort(wk.back)
 		wk.front, wk.back = slices.Compact(wk.back), wk.front
-		hops++
-		if hops == len(path)/4 || len(wk.front) == 0 {
-			break
-		}
-		if !s.ownsAll(wk.front) {
-			wk.stopped++
-			break
-		}
+		wk.hops++
 	}
-	wk.hops += hops
-	return hops
-}
-
-// ownsAll reports whether every node hashes to a shard this server owns.
-func (s *Server) ownsAll(nodes []rdf.ID) bool {
-	if s.owns == nil {
-		return true
-	}
-	for _, n := range nodes {
-		if !s.owns[rdf.ShardIndex(n, len(s.owns))] {
-			return false
-		}
-	}
-	return true
+	return wk.front
 }

@@ -49,8 +49,8 @@ var plannedBatches = sync.OnceValues(func() (*rdf.ShardedStore, [][]rdf.Probe) {
 // ownedCluster serves store from servers loopback shard servers, each
 // owning exactly the shards a placement of replicas replicas gives it, and
 // returns a pool over them: with replicas == servers every server owns
-// every shard, with fewer a walk can stop at a shard its server does not
-// own. Cleanup closes all of it.
+// every shard, with fewer a walk can reach shards its server does not own.
+// Cleanup closes all of it.
 func ownedCluster(tb testing.TB, store *rdf.ShardedStore, servers, replicas int) *Pool {
 	tb.Helper()
 	lis := make([]net.Listener, servers)
@@ -86,6 +86,15 @@ func ownedCluster(tb testing.TB, store *rdf.ShardedStore, servers, replicas int)
 	return pool
 }
 
+// placements are the clusters the walk is checked on: servers that own
+// every shard, and servers that own one replica of their shards out of two
+// or three, where most paths reach shards their subject's server does not
+// own.
+var placements = []struct {
+	name              string
+	servers, replicas int
+}{{"own-all", 2, 2}, {"R=1 of 2", 2, 1}, {"R=1 of 3", 3, 1}}
+
 // subjectShards is how many shards the subjects of batch's probes with a
 // path hash to: the frames of one round.
 func subjectShards(batch []rdf.Probe, numShards int) int {
@@ -99,33 +108,21 @@ func subjectShards(batch []rdf.Probe, numShards int) int {
 }
 
 // TestKBWalksEqualPathObjects: KB.PathObjects answers every batch the
-// corpus plans exactly as rdf.PathObjects does, on servers that own every
-// shard and on servers that own one replica of their shards out of two or
-// three servers, where walks stop at foreign shards and go on in later
-// rounds. Each partial placement must reach that case: some batch takes
-// more frames than one round sends.
+// corpus plans exactly as rdf.PathObjects does, on every placement.
 func TestKBWalksEqualPathObjects(t *testing.T) {
 	store, batches := plannedBatches()
 	if len(batches) < 100 {
 		t.Fatalf("the corpus planned %d batches", len(batches))
 	}
-	for _, c := range []struct {
-		name              string
-		servers, replicas int
-	}{{"own-all", 2, 2}, {"R=1 of 2", 2, 1}, {"R=1 of 3", 3, 1}} {
+	for _, c := range placements {
 		t.Run(c.name, func(t *testing.T) {
-			pool := ownedCluster(t, store, c.servers, c.replicas)
-			kb := NewKB(pool)
+			kb := NewKB(ownedCluster(t, store, c.servers, c.replicas))
 			ctx := context.Background()
-			continued, probes := 0, 0
+			probes := 0
 			for _, batch := range batches {
-				before := pool.Stats().Calls
 				got, err := readAll(ctx, kb, batch)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if pool.Stats().Calls-before > uint64(subjectShards(batch, store.NumShards())) {
-					continued++
 				}
 				for i, p := range batch {
 					if want := rdf.PathObjects(nil, store, p.Subj, p.Path); !slices.Equal(got[i], want) || (got[i] == nil) != (want == nil) {
@@ -134,44 +131,47 @@ func TestKBWalksEqualPathObjects(t *testing.T) {
 				}
 				probes += len(batch)
 			}
-			t.Logf("%d batches of %d probes, %d of the batches took more than one round", len(batches), probes, continued)
-			if c.replicas < c.servers && continued == 0 {
-				t.Error("no walk stopped at a foreign shard: the placement does not cover continuation")
-			}
+			t.Logf("%d batches of %d probes", len(batches), probes)
 		})
 	}
 }
 
-// TestOneRoundPerBatchOnOwnAllServers pins the walk with counts: on servers
-// that own every shard, a batch of any paths costs one round, one frame
-// per shard its subjects hash to, however long its paths are.
-func TestOneRoundPerBatchOnOwnAllServers(t *testing.T) {
+// TestOneRoundPerBatchOnAnyPlacement pins the walk with counts: on every
+// placement a batch of any paths costs one round, one frame per shard its
+// subjects hash to, however long its paths are and whatever shards they
+// reach.
+func TestOneRoundPerBatchOnAnyPlacement(t *testing.T) {
 	store, batches := plannedBatches()
-	pool := ownedCluster(t, store, 2, 2)
-	kb := NewKB(pool)
 	longest := 0
 	for _, batch := range batches {
-		before := pool.Stats().Calls
-		if _, err := readAll(context.Background(), kb, batch); err != nil {
-			t.Fatal(err)
-		}
-		frames, want := pool.Stats().Calls-before, uint64(subjectShards(batch, store.NumShards()))
-		if frames != want {
-			t.Fatalf("a batch of %d probes took %d frames, want the %d of one round", len(batch), frames, want)
-		}
 		for _, p := range batch {
 			longest = max(longest, len(p.Path))
 		}
 	}
 	if longest < 2 {
-		t.Errorf("the longest planned path has %d edges: no batch needed a second round before", longest)
+		t.Errorf("the longest planned path has %d edges: no batch would need a second round", longest)
+	}
+	for _, c := range placements {
+		t.Run(c.name, func(t *testing.T) {
+			pool := ownedCluster(t, store, c.servers, c.replicas)
+			kb := NewKB(pool)
+			for _, batch := range batches {
+				before := pool.Stats().Calls
+				if _, err := readAll(context.Background(), kb, batch); err != nil {
+					t.Fatal(err)
+				}
+				frames, want := pool.Stats().Calls-before, uint64(subjectShards(batch, store.NumShards()))
+				if frames != want {
+					t.Fatalf("a batch of %d probes took %d frames, want the %d of one round", len(batch), frames, want)
+				}
+			}
+		})
 	}
 }
 
-// TestShardSpanRecordsTheWalk: each shard.serve span of a probe frame
-// records the edges its server walked, and how many walks it left at a
-// shard it does not own. A walk that stops there is walked on by a second
-// frame to the shard it stopped at.
+// TestShardSpanRecordsTheWalk: the shard.serve span of a probe frame
+// records the edges its server walked. A walk that leaves its server's
+// shards is walked on there, in the same one frame, as is one that stays.
 func TestShardSpanRecordsTheWalk(t *testing.T) {
 	store := testWorld(t)
 	path, ok := rdf.ParsePath(store, "marriage→person→name")
@@ -180,62 +180,53 @@ func TestShardSpanRecordsTheWalk(t *testing.T) {
 	}
 	// Round-robin over two servers: shards of one parity to each.
 	n := store.NumShards()
-	var stops, stays rdf.Probe
+	var leaves, stays rdf.Probe
 	for _, e := range store.Entities() {
 		foreign := func(node rdf.ID) bool { return rdf.ShardIndex(node, n)%2 != rdf.ShardIndex(e, n)%2 }
 		first, second := rdf.PathObjects(nil, store, e, path[:1]), rdf.PathObjects(nil, store, e, path[:2])
 		switch {
 		case len(second) == 0:
 		case slices.ContainsFunc(first, foreign):
-			stops = rdf.Probe{Subj: e, Path: path}
+			leaves = rdf.Probe{Subj: e, Path: path}
 		case !slices.ContainsFunc(second, foreign):
 			stays = rdf.Probe{Subj: e, Path: path}
 		}
 	}
-	if stops.Path == nil || stays.Path == nil {
+	if leaves.Path == nil || stays.Path == nil {
 		t.Fatal("the test world lacks a marriage that leaves its subject's server, or one that stays on it")
 	}
 	pool := ownedCluster(t, store, 2, 1)
 	kb := NewKB(pool)
 	tracer := obs.NewTracer(obs.Options{Capacity: 8, SampleRate: 1})
-	serves := func(p rdf.Probe) []*obs.SpanSnapshot {
+	for _, c := range []struct {
+		name  string
+		probe rdf.Probe
+	}{{"stays on", stays}, {"leaves", leaves}} {
 		ctx, tr := tracer.Start(context.Background(), "test.walk")
-		if _, err := readAll(ctx, kb, []rdf.Probe{p}); err != nil {
+		got, err := readAll(ctx, kb, []rdf.Probe{c.probe})
+		if err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
+		if want := rdf.PathObjects(nil, store, c.probe.Subj, c.probe.Path); !slices.Equal(got[0], want) {
+			t.Errorf("a walk that %s its server's shards reached %v, want %v", c.name, got[0], want)
+		}
 		snap, ok := tracer.Find(tr.ID())
 		if !ok {
 			t.Fatal("trace not retained")
 		}
-		var out []*obs.SpanSnapshot
+		var serves []*obs.SpanSnapshot
 		for i := range snap.Root.Children {
 			if sp := snap.Root.Children[i].Find("shard.serve"); sp != nil {
-				out = append(out, sp)
+				serves = append(serves, sp)
 			}
 		}
-		return out
-	}
-	attr := func(sp *obs.SpanSnapshot, key string) string {
-		v, _ := sp.Attr(key)
-		return v
-	}
-	attrs := func(sps []*obs.SpanSnapshot) (out [][]obs.Attr) {
-		for _, sp := range sps {
-			out = append(out, sp.Attrs)
+		if len(serves) != 1 {
+			t.Fatalf("a walk that %s its server's shards took %d frames, want 1", c.name, len(serves))
 		}
-		return out
-	}
-	if sp := serves(stays); len(sp) != 1 || attr(sp[0], "hops") != "3" || attr(sp[0], "stopped") != "" {
-		t.Errorf("a walk that stays on its server's shards: frames %v; want 1, hops 3, no stopped", attrs(sp))
-	}
-	sp := serves(stops)
-	if len(sp) < 2 || attr(sp[0], "hops") != "1" || attr(sp[0], "stopped") != "1" {
-		t.Fatalf("a walk that leaves its server's shards: frames %v; want more than 1, the first hops 1, stopped 1", attrs(sp))
-	}
-	for _, s := range sp[1:] {
-		if attr(s, "hops") != "2" && attr(s, "stopped") == "" {
-			t.Errorf("a continuing frame walked %s hops of the 2 left and stopped nowhere", attr(s, "hops"))
+		hops, _ := serves[0].Attr("hops")
+		if _, stopped := serves[0].Attr("stopped"); hops != "3" || stopped {
+			t.Errorf("a walk that %s its server's shards: span attributes %v, want hops 3 and no stopped", c.name, serves[0].Attrs)
 		}
 	}
 }

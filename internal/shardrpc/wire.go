@@ -1,15 +1,14 @@
 // Package shardrpc promotes the ShardedStore's subject-hash partition
 // boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (multi-group path walks, subjects) over a small
+// answers index reads (batches of path walks, subjects) over a small
 // versioned wire protocol, and a client Pool scatter/gathers those reads
 // with consistent-hash placement, per-shard connection pools, per-call
 // deadlines, hedged requests for tail latency, and R-way replica failover.
-// KB is the engine's index seam (core.Index) over the pool: it plans a
-// question's whole probe set into one frame per touched shard, and a shard
-// server walks each probe's whole remaining path for as long as the frontier
-// stays on shards it owns. On servers that own every shard a batch costs
-// one round trip, not one per path edge or per term of Eq (7); only a walk
-// that stopped at a foreign shard costs another round.
+// KB is the engine's index seam (core.Index) over the pool: it sends a
+// question's whole probe set as one frame per shard its subjects hash to,
+// and a shard server walks each probe to the end of its path, whatever
+// shards the frontier reaches — every server loads the whole world. A batch
+// costs one round trip, not one per path edge or per term of Eq (7).
 //
 // The protocol is dependency-free and CRC-framed by the same codec as the
 // answer cache's segment log (safeio's frame, read by a FrameReader that
@@ -54,9 +53,10 @@ const (
 	protoMagic = "KBQARPC1"
 	// ProtoVersion is the wire protocol version; client and server must
 	// match exactly. 2 replaced the one-group frontier op with opProbe; 3
-	// sends a probe group's remaining path, not one predicate, and replies
-	// with the hops the server walked.
-	ProtoVersion = 3
+	// sent a probe group's remaining path and replied with the hops the
+	// server walked; 4 sends each probe as it is, a path and a subject, and
+	// replies with the set at the path's end.
+	ProtoVersion = 4
 )
 
 // Request opcodes. 1 was the single-group frontier expansion opProbe
@@ -64,7 +64,7 @@ const (
 // fetch no client issued; their numbers stay retired.
 const (
 	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
-	opProbe    = byte(8) // list of (path + node set) -> per group, (hops walked, frontier there)
+	opProbe    = byte(8) // list of (path, subject) -> per probe, the objects at the path's end
 )
 
 // Response status codes.
@@ -177,9 +177,10 @@ func (r *rbuf) u32s() []byte {
 	return p
 }
 
+// ids reads an id list; an empty one is nil.
 func (r *rbuf) ids() []rdf.ID {
 	p := r.u32s()
-	if r.err != nil {
+	if r.err != nil || len(p) == 0 {
 		return nil
 	}
 	out := make([]rdf.ID, len(p)/4)
@@ -255,78 +256,54 @@ func decodeReqHeader(r *rbuf) reqHeader {
 	}
 }
 
-// ProbeGroup is one entry of a probe frame: walk Nodes, all owned by the
-// frame's shard, along Path. The reply is one Reached per group, in group
-// order.
-type ProbeGroup struct {
-	Path  rdf.Path
-	Nodes []rdf.ID
-}
-
-// Reached is the reply to one ProbeGroup: the server walked Hops edges of
-// its path, at least one, and Nodes is the frontier there, sorted and
-// deduplicated. A walk stops short of the path's end at an empty frontier,
-// or at one that touches a shard the server does not own.
-type Reached struct {
-	Hops  int
-	Nodes []rdf.ID
-}
-
-// encodeProbeRequest appends an opProbe body to w: u32 group count, then
-// per group the path (u32 hop count, then the predicates) and the node ids.
-func encodeProbeRequest(w *wbuf, groups []ProbeGroup) {
-	w.u32(uint32(len(groups)))
-	for _, g := range groups {
-		w.u32(uint32(len(g.Path)))
-		for _, p := range g.Path {
-			w.u32(uint32(p))
+// encodeProbeRequest appends an opProbe body to w: u32 probe count, then
+// per probe the path (u32 hop count, then the predicates) and the subject.
+func encodeProbeRequest(w *wbuf, probes []rdf.Probe) {
+	w.u32(uint32(len(probes)))
+	for _, p := range probes {
+		w.u32(uint32(len(p.Path)))
+		for _, pred := range p.Path {
+			w.u32(uint32(pred))
 		}
-		w.ids(g.Nodes)
+		w.u32(uint32(p.Subj))
 	}
 }
 
-// minProbeGroupLen is the shortest group: a hop count, one predicate and a
-// node count.
-const minProbeGroupLen = 12
+// minProbeLen is the shortest probe: a hop count, one predicate and a
+// subject.
+const minProbeLen = 12
 
-// readProbeGroup reads the next group of an opProbe body, in place, from a
-// client that is not trusted to have routed it: path and nodes are runs of
-// little-endian u32s. A count the remaining payload cannot hold, an empty
-// path, or a node that does not hash to shard (of numShards) is an error.
-func readProbeGroup(r *rbuf, shard, numShards int) (path, nodes []byte, err error) {
-	path, nodes = r.u32s(), r.u32s()
+// readProbe reads the next probe of an opProbe body, its path in place as a
+// run of little-endian u32s, from a client that is not trusted to have
+// routed it. A count the remaining payload cannot hold, an empty path, or a
+// subject that does not hash to shard (of numShards) is an error.
+func readProbe(r *rbuf, shard, numShards int) (path []byte, subj rdf.ID, err error) {
+	path, subj = r.u32s(), rdf.ID(r.u32())
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, 0, r.err
 	}
 	if len(path) == 0 {
-		return nil, nil, fmt.Errorf("shardrpc: probe group with no path")
+		return nil, 0, fmt.Errorf("shardrpc: probe with no path")
 	}
-	for i := 0; i < len(nodes); i += 4 {
-		node := rdf.ID(binary.LittleEndian.Uint32(nodes[i:]))
-		if owner := rdf.ShardIndex(node, numShards); owner != shard {
-			return nil, nil, fmt.Errorf("shardrpc: probe frame for shard %d carries node %d of shard %d", shard, node, owner)
-		}
+	if owner := rdf.ShardIndex(subj, numShards); owner != shard {
+		return nil, 0, fmt.Errorf("shardrpc: probe frame for shard %d carries subject %d of shard %d", shard, subj, owner)
 	}
-	return path, nodes, nil
+	return path, subj, nil
 }
 
-// decodeProbeReply parses the reply to an opProbe frame of groups: per
-// group the hops walked, at least one and at most its path's, then the
-// frontier there; nothing before, between or after. It returns exactly one
-// Reached per group or an error.
-func decodeProbeReply(r *rbuf, groups []ProbeGroup) ([]Reached, error) {
-	out := make([]Reached, len(groups))
-	for i, g := range groups {
-		out[i].Hops = int(r.u32())
-		if out[i].Nodes = r.ids(); r.err != nil {
-			return nil, r.err
-		}
-		if out[i].Hops < 1 || out[i].Hops > len(g.Path) {
-			return nil, fmt.Errorf("shardrpc: reply group %d walked %d hops of a %d-hop path", i, out[i].Hops, len(g.Path))
-		}
+// decodeProbeReply parses the reply to an opProbe frame of n probes: one id
+// list per probe, in probe order, and nothing after the last. It returns
+// exactly n lists or an error.
+func decodeProbeReply(r *rbuf, n int) ([][]rdf.ID, error) {
+	out := make([][]rdf.ID, n)
+	for i := range out {
+		out[i] = r.ids()
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	if r.off != len(r.b) {
-		return nil, fmt.Errorf("shardrpc: %d bytes after the last of %d reply groups", len(r.b)-r.off, len(groups))
+		return nil, fmt.Errorf("shardrpc: %d bytes after the last of %d reply sets", len(r.b)-r.off, n)
 	}
 	return out, nil
 }
