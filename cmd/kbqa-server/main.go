@@ -43,7 +43,8 @@
 // by X-API-Key, else remote address) exhausts its bucket.
 //
 // -kb-image serves the knowledge base from a snapshot image written by
-// kbqa-learn -kb-image; -shard-servers serves it from kbqa-shard processes.
+// kbqa-learn -kb-image; -shard-servers serves it from kbqa-shard processes,
+// each holding the whole world, one frame per read phase.
 // Either must hold the world -flavor, -seed and -shards describe.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
@@ -487,7 +488,7 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent engine calls (0 = 4×GOMAXPROCS)")
 	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match every kbqa-shard)")
 	shardServers := flag.String("shard-servers", "", "comma-separated kbqa-shard addresses; when set, knowledge-base index reads are served remotely (every server must have loaded the same world)")
-	shardReplicas := flag.Int("shard-replicas", 2, "replication factor of the shard placement")
+	flag.Int("shard-replicas", 2, "ignored: every shard server serves the whole world (ROADMAP item 1(d) deletes this flag)")
 	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (refused unless its world digest equals that of the world the other flags describe; exclusive with -shard-servers)")
 	traceSample := flag.Float64("trace-sample", 0, "probability [0,1] that a request trace is retained for /debug/traces")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "always capture and log traces of requests at or above this duration; any value but 0 traces every request (0 = off)")
@@ -512,14 +513,13 @@ func main() {
 		}
 	}
 	sys, err := kbqa.Build(kbqa.Options{Flavor: *flavor, Seed: *seed, Shards: *shards,
-		ShardServers: serverList, ShardReplicas: *shardReplicas, KBImage: *kbImage})
+		ShardServers: serverList, KBImage: *kbImage})
 	if err != nil {
 		fatal("build world", kbqa.LogF("error", err))
 	}
 	defer sys.Close()
 	if len(serverList) > 0 {
-		logger.Info("distributed knowledge base", kbqa.LogF("servers", *shardServers),
-			kbqa.LogF("replicas", *shardReplicas))
+		logger.Info("distributed knowledge base", kbqa.LogF("servers", *shardServers))
 	}
 	if *kbImage != "" {
 		logger.Info("knowledge base memory-mapped", kbqa.LogF("image", *kbImage))

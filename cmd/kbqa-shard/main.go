@@ -1,19 +1,16 @@
-// Command kbqa-shard is the knowledge-base shard server of the
-// distributed serving topology: it loads the (deterministically
-// generated) world, owns a subset of its subject-hash shards, and answers
-// shardrpc index reads — path walks and reverse subject lookups — for
-// kbqa-server frontends.
+// Command kbqa-shard is an index server of the distributed serving
+// topology: the cluster is a frontend (kbqa-server -shard-servers) over
+// replicated index servers. Each kbqa-shard loads the whole
+// (deterministically generated) world and answers shardrpc index reads —
+// path walks and reverse subject lookups — for any subject, so a read
+// phase is one frame to one server: the frontend takes the servers in
+// turn, hedges a slow frame and fails over to the next server. Replicas
+// need no data movement and no server list. Start N of these and point
+// kbqa-server's -shard-servers at them:
 //
-// Every shard server loads the full world; ownership is the routing
-// contract with the placement, not a storage split, so replicas need no
-// data movement and a frontend with the same -servers list computes the
-// same placement. A probe is walked to the end of its path, whatever shards
-// it reaches. Start N of these and point kbqa-server's -shard-servers at
-// them:
-//
-//	kbqa-shard -addr :9101 -servers :9101,:9102 -replicas 2
-//	kbqa-shard -addr :9102 -servers :9101,:9102 -replicas 2
-//	kbqa-server -shard-servers :9101,:9102 -shard-replicas 2
+//	kbqa-shard -addr :9101
+//	kbqa-shard -addr :9102
+//	kbqa-server -shard-servers :9101,:9102
 //
 // The generated world is the one kbqa-server builds from the same -flavor,
 // -seed and -shards, at the default scale. Generating it dominates boot
@@ -22,8 +19,8 @@
 // pages-on-demand (and shared between replicas on one host). With
 // -kb-image the generation flags are ignored — the image is the world.
 // Either way the handshake refuses a frontend that built another world,
-// down to one triple: it compares the frontend's world digest with this
-// world's.
+// down to one triple or one shard count: it compares the frontend's world
+// digest with this world's.
 package main
 
 import (
@@ -33,7 +30,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/kbgen"
@@ -48,9 +44,8 @@ func main() {
 	flavor := flag.String("flavor", "freebase", "knowledge base flavor (must match the frontend)")
 	seed := flag.Int64("seed", 42, "generation seed (must match the frontend)")
 	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match the frontend)")
-	servers := flag.String("servers", "", "comma-separated list of every shard server; with -replicas this derives the shards this server owns (empty = own all shards)")
-	self := flag.String("self", "", "this server's entry in -servers (default: -addr)")
-	replicas := flag.Int("replicas", 2, "replication factor of the placement (used with -servers)")
+	flag.String("servers", "", "ignored: every server serves the whole world (ROADMAP item 1(d) deletes this flag)")
+	flag.Int("replicas", 2, "ignored: every server serves the whole world (ROADMAP item 1(d) deletes this flag)")
 	kbImage := flag.String("kb-image", "", "boot from this snapshot image instead of generating the world (generation flags are ignored)")
 	logLevel := flag.String("log-level", "info", "log floor: debug, info, warn, or error")
 	flag.Parse()
@@ -84,31 +79,9 @@ func main() {
 		store, digest = gen, snapshot.Digest(gen)
 	}
 
-	var owns []int
-	if *servers != "" {
-		list := strings.Split(*servers, ",")
-		for i := range list {
-			list[i] = strings.TrimSpace(list[i])
-		}
-		me := *self
-		if me == "" {
-			me = *addr
-		}
-		pl, err := shardrpc.NewPlacement(list, store.NumShards(), *replicas)
-		if err != nil {
-			fatal("build placement", obs.F("error", err.Error()))
-		}
-		owns = pl.Owned(me)
-		if len(owns) == 0 {
-			fatal("this server owns no shards under the placement",
-				obs.F("self", me), obs.F("servers", *servers))
-		}
-	}
-
-	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Owns: owns, Logger: logger})
+	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Logger: logger})
 	st := srv.Stats()
-	logger.Info("world ready", obs.F("triples", st.Triples),
-		obs.F("shards", st.NumShards), obs.F("owned", len(st.Owned)),
+	logger.Info("world ready", obs.F("triples", st.Triples), obs.F("shards", st.NumShards),
 		obs.F("digest", fmt.Sprintf("%016x", digest)))
 
 	lis, err := net.Listen("tcp", *addr)

@@ -23,7 +23,7 @@ import (
 //
 // Channel sends inside spawned closures must be select-guarded or go to
 // a channel the spawning function made with a buffer (the fan-out shape
-// of shardrpc's hedged scatter: results sized to len(order) so losers
+// of shardrpc's hedged call: results sized to len(order) so losers
 // never block). An unguarded send on an unbuffered or unresolvable
 // channel blocks forever once the receiver leaves — the classic
 // goroutine leak.

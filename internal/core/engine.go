@@ -135,10 +135,11 @@ type Ranked struct {
 // Index is the engine's whole view of the knowledge base's triple indexes:
 // V(e, p+) and the reverse lookup of the ranking variants. Reads take the
 // caller's context and return an error, so one code path serves the
-// in-process world (LocalIndex) and the shard servers (shardrpc.KB). V(e, p+)
-// is read a question's whole probe set at a time, which is what lets the
-// cluster send one frame per touched shard instead of one RPC per term of
-// Eq (7).
+// in-process world (LocalIndex) and the cluster (shardrpc.KB), a frontend
+// over replicated index servers that each hold the whole world. V(e, p+) is
+// read a question's whole probe set at a time, which is what lets the
+// cluster send one frame per read phase to one server instead of one RPC
+// per term of Eq (7).
 type Index interface {
 	// PathObjects sets out[i] to V(p.Subj, p.Path) of probes[i] for every
 	// probe (len(out) == len(probes)), each ascending and deduplicated. The

@@ -6,7 +6,6 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +20,7 @@ import (
 	"repro/internal/world"
 )
 
-// startShardServer runs an own-all shardrpc server over store, a world
+// startShardServer runs a shardrpc server over store, a world
 // whose digest is digest, on a loopback listener.
 func startShardServer(t *testing.T, store rdf.Graph, digest uint64) (string, *shardrpc.Server) {
 	t.Helper()
@@ -37,8 +36,8 @@ func startShardServer(t *testing.T, store rdf.Graph, digest uint64) (string, *sh
 	return lis.Addr().String(), srv
 }
 
-// clusterEngine serves w's store from two own-all loopback shard servers
-// (R=2) and returns an engine probing through them, plus the kill switch
+// clusterEngine serves w's store from two loopback index servers and
+// returns an engine probing through them, plus the kill switch
 // of the first server. dying, when non-nil, is armed instead: the next
 // server to execute a read dies inside it.
 func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, func()) {
@@ -47,11 +46,7 @@ func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, 
 	addrB, srvB := startShardServer(t, dying.wrap(store), digest)
 	t.Cleanup(srvA.Close)
 	t.Cleanup(srvB.Close)
-	pl, err := shardrpc.NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Placement: pl, Digest: digest})
+	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Servers: []string{addrA, addrB}, Digest: digest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +57,8 @@ func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, 
 	eng := core.NewEngine(store, shardrpc.NewKB(pool), w.KB.Taxonomy, w.Model, w.Stats)
 	if dying != nil {
 		// The fault must fire inside a frame, and that call must then be
-		// answered by the other replica: by a failover, or by a hedge that
-		// had already sent it there, which leaves no replica to fail over
+		// answered by the other server: by a failover, or by a hedge that
+		// had already sent it there, which leaves no server to fail over
 		// to and so counts no failover.
 		t.Cleanup(func() {
 			if st := pool.Stats(); !dying.fired.Load() || st.Failovers+st.Hedges == 0 {
@@ -73,48 +68,6 @@ func clusterEngine(t *testing.T, w *World, dying *midFrameFault) (*core.Engine, 
 		return eng, func() { dying.armed.Store(true) }
 	}
 	return eng, srvA.Close
-}
-
-// splitCluster serves w's store from servers loopback shard servers with
-// one replica per shard (R=1), each server owning only the shards the
-// placement gives it, and returns an engine probing through them: a walk
-// that reaches a shard its server does not own goes on there all the same,
-// since every server loads the whole world. The placement hashes the listeners' random ports, so a draw
-// that leaves a server without shards is dealt again.
-func splitCluster(t *testing.T, w *World, servers int) *core.Engine {
-	store, digest := w.KB.Store, snapshot.Digest(w.KB.Store)
-	for {
-		lis := make([]net.Listener, servers)
-		addrs := make([]string, servers)
-		for i := range lis {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lis[i], addrs[i] = l, l.Addr().String()
-		}
-		pl, err := shardrpc.NewPlacement(addrs, store.NumShards(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices.ContainsFunc(addrs, func(addr string) bool { return len(pl.Owned(addr)) == 0 }) {
-			for _, l := range lis {
-				l.Close()
-			}
-			continue
-		}
-		for i, l := range lis {
-			srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Owns: pl.Owned(addrs[i])})
-			go srv.Serve(context.Background(), l)
-			t.Cleanup(srv.Close)
-		}
-		pool, err := shardrpc.NewPool(shardrpc.PoolOptions{Placement: pl, Digest: digest})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(pool.Close)
-		return core.NewEngine(store, shardrpc.NewKB(pool), w.KB.Taxonomy, w.Model, w.Stats)
-	}
 }
 
 // midFrameFault kills a shard server from inside a frame it is executing:
@@ -182,21 +135,18 @@ var deployments = []struct {
 		}
 		return core.NewEngine(im, core.LocalIndex(im), w.KB.Taxonomy, w.Model, w.Stats), nil
 	}},
-	// Probing through networked shard servers.
+	// Probing through two networked index servers, each holding the
+	// whole world.
 	{"cluster", func(t *testing.T, w *World) (*core.Engine, func()) {
 		eng, _ := clusterEngine(t, w, nil)
 		return eng, nil
 	}},
-	// Each shard on one server of two, or of three: walks that leave a
-	// server's shards go on in a later round.
-	{"cluster-r1-of-2", func(t *testing.T, w *World) (*core.Engine, func()) { return splitCluster(t, w, 2), nil }},
-	{"cluster-r1-of-3", func(t *testing.T, w *World) (*core.Engine, func()) { return splitCluster(t, w, 3), nil }},
-	// One of the two replicas is killed mid-run: the pool must fail over
+	// One of the two servers is killed mid-run: the pool must fail over
 	// to the survivor with no visible difference in any answer.
 	{"cluster-replica-killed", func(t *testing.T, w *World) (*core.Engine, func()) {
 		return clusterEngine(t, w, nil)
 	}},
-	// A replica dies while executing a multi-group frame: the frame fails
+	// A server dies while executing a multi-probe frame: the frame fails
 	// as a whole and is replayed on the survivor, never half-applied.
 	{"cluster-frame-killed", func(t *testing.T, w *World) (*core.Engine, func()) {
 		return clusterEngine(t, w, &midFrameFault{})
@@ -326,13 +276,9 @@ func TestDistributedEngineHonorsDeadline(t *testing.T) {
 	addr, srv := startShardServer(t, store, digest)
 	defer srv.Close()
 
-	pl, err := shardrpc.NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{
-		Placement: pl,
-		Digest:    digest,
+		Servers: []string{addr},
+		Digest:  digest,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ type Graph interface {
 	// returned slice may be owned by the backend and must not be mutated.
 	Objects(subj ID, pred PID) []ID
 	// ShardSubjects returns shard i's subjects with (s, pred, obj), the
-	// per-shard half of a scatter/gather Subjects.
+	// per-shard half of Subjects.
 	ShardSubjects(i int, pred PID, obj ID) []ID
 }
 
@@ -104,11 +104,10 @@ func Subjects(g Graph, pred PID, obj ID) []ID {
 }
 
 // ShardIndex maps a subject ID to its owning shard in an n-shard layout —
-// the one placement function shared by every backend and by the remote
-// shard topology, so a networked probe routes to exactly the shard an
-// in-process store would. Node IDs are dense, so a multiplicative
-// (Fibonacci) hash spreads consecutive IDs — which the generator assigns
-// category by category — evenly across shards.
+// the one layout function shared by every backend, so the image's shard
+// sections hold exactly the store's shards. Node IDs are dense, so a
+// multiplicative (Fibonacci) hash spreads consecutive IDs — which the
+// generator assigns category by category — evenly across shards.
 func ShardIndex(id ID, n int) int {
 	return int((uint32(id) * 2654435761) % uint32(n))
 }

@@ -245,8 +245,7 @@ func (ss *ShardedStore) SubjectTriples(subj ID, fn func(Triple)) {
 }
 
 // ShardSubjects returns shard i's subjects with (s, pred, obj), in the
-// shard-local insertion order rdf.Subjects concatenates before sorting — the
-// per-shard half of a scatter/gather Subjects.
+// shard-local insertion order rdf.Subjects concatenates before sorting.
 func (ss *ShardedStore) ShardSubjects(i int, pred PID, obj ID) []ID {
 	return ss.shards[i].pos[pred][obj]
 }

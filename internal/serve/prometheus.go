@@ -74,7 +74,7 @@ var families = []family{
 		value: func(s *Snapshot) float64 { return float64(s.EnginePanics) }},
 	{name: "kbqa_in_flight", typ: "gauge", help: "Requests currently executing.",
 		value: func(s *Snapshot) float64 { return float64(s.InFlight) }},
-	{name: "kbqa_rpc_calls_total", typ: "counter", help: "Per-shard calls the pool made: one frame per touched shard per probe batch; a shard walks each path to its end.",
+	{name: "kbqa_rpc_calls_total", typ: "counter", help: "Calls the pool made to the index servers: one frame per read phase.",
 		when: clustered, value: func(s *Snapshot) float64 { return float64(s.RPC.Calls) }},
 	{name: "kbqa_rpc_hedges_total", typ: "counter", help: "Shard calls that launched a hedged second attempt on another replica because the first was slow.",
 		when: clustered, value: func(s *Snapshot) float64 { return float64(s.RPC.Hedges) }},

@@ -8,29 +8,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rdf"
-	"repro/internal/rdf/snapshot"
 )
 
-// probeCluster starts two loopback shard servers over the test world and a
-// pool over them with two replicas and adaptive hedging (or none), and collects
+// probeCluster starts two loopback index servers over the test world and a
+// pool over them with adaptive hedging (or none), and collects
 // (entity, path) probes with non-empty local results, so every probe
 // measures a real frontier expansion. Cleanup closes all of it.
 func probeCluster(tb testing.TB, disableHedge bool) (*rdf.ShardedStore, *Pool, []rdf.Probe) {
 	tb.Helper()
 	store := testWorld(tb)
-	addrA, srvA := startServer(tb, store)
-	addrB, srvB := startServer(tb, store)
-	tb.Cleanup(srvA.Close)
-	tb.Cleanup(srvB.Close)
-	pl, err := NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store), disableHedge: disableHedge})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(pool.Close)
+	pool := twoServers(tb, store, disableHedge)
 	var probes []rdf.Probe
 	for _, e := range store.Entities() {
 		for _, p := range store.Predicates() {
@@ -51,12 +38,11 @@ func probeCluster(tb testing.TB, disableHedge bool) (*rdf.ShardedStore, *Pool, [
 func slowOnly() *obs.Tracer { return obs.NewTracer(obs.Options{SlowThreshold: time.Hour}) }
 
 // BenchmarkProbeDistributed prices the distributed probe path — a
-// KB.PathObjects scatter/gather over loopback shard servers, two replicas,
-// adaptive hedging — a probe at a time and eight to a batch, against the
-// same probes through core.LocalIndex. probe-ns/op is per probe: batch=1 is
-// the price of a network round trip, and batch=8 shows how much of it a
-// question's probe plan shares (eight probes spread over four shards cost
-// one parallel round of at most four frames, not eight round trips).
+// KB.PathObjects frame over two loopback index servers, adaptive hedging —
+// a probe at a time and eight to a batch, against the same probes through
+// core.LocalIndex. probe-ns/op is per probe: batch=1 is the price of a
+// network round trip, and batch=8 shows how much of it a question's probe
+// plan shares (eight probes cost one frame, not eight round trips).
 // traced is batch=1 under a trace, as every request is served: it adds the
 // spans on both sides and the shard's span in every reply.
 func BenchmarkProbeDistributed(b *testing.B) {
@@ -105,8 +91,8 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		tracer  *obs.Tracer
 		ceiling float64
 	}{
-		{"untraced", nil, 12},
-		{"traced", slowOnly(), 17},
+		{"untraced", nil, 7},
+		{"traced", slowOnly(), 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := readAll(context.Background(), kb, probes); err != nil {

@@ -38,13 +38,9 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 	}
 	go srv.Serve(context.Background(), lis)
 
-	pl, err := NewPlacement([]string{lis.Addr().String()}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool, err := NewPool(PoolOptions{
-		Placement: pl,
-		Digest:    snapshot.Digest(store),
+		Servers: []string{lis.Addr().String()},
+		Digest:  snapshot.Digest(store),
 		// One deterministic attempt: a hedge would park a second read.
 		disableHedge: true,
 	})
@@ -60,7 +56,7 @@ func TestCloseWaitsForInflightHandlers(t *testing.T) {
 		defer close(callDone)
 		// The reply races the conn teardown; either outcome is fine —
 		// the invariant under test is Close's ordering, not the reply.
-		pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), probesOf(rdf.Path{pred}, subj))
+		pool.Probe(context.Background(), probesOf(rdf.Path{pred}, subj))
 	}()
 	<-gated.entered // the handler is now inside execute, reading the store
 
@@ -98,11 +94,7 @@ func TestPoolCloseClosesInflightConns(t *testing.T) {
 	}
 	go srv.Serve(context.Background(), lis)
 	defer srv.Close()
-	pl, err := NewPlacement([]string{lis.Addr().String()}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{lis.Addr().String()}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +103,7 @@ func TestPoolCloseClosesInflightConns(t *testing.T) {
 	pred := store.Predicates()[0]
 	callDone := make(chan error)
 	go func() {
-		_, err := pool.Probe(context.Background(), rdf.ShardIndex(subj, store.NumShards()), probesOf(rdf.Path{pred}, subj))
+		_, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, subj))
 		callDone <- err
 	}()
 	<-gated.entered

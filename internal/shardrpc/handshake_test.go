@@ -14,26 +14,26 @@ import (
 // FuzzHandshake drives both ends of the handshake with arbitrary bytes.
 // Server side, over net.Pipe: hello is the payload of the client's first
 // frame, and the server refuses it unless it is exactly a well-formed hello
-// with the server's protocol version, digest and shard count, which gets an
-// OK reply. Client side, over loopback TCP: reply is replayed verbatim as
+// with the server's protocol version and digest, which gets an OK reply. Client side, over loopback TCP: reply is replayed verbatim as
 // the server's byte stream after the client's hello, and dial returns a
 // connection or an error, never both and never neither. Neither side may
 // panic or hang.
 func FuzzHandshake(f *testing.F) {
 	const digest, shards = 0x5eed, 2
 	srv := NewServer(rdf.NewShardedStore(shards), digest, ServerOptions{})
-	// Version 4 sends each probe whole, its path and its subject; a hello
-	// of any other version is refused, 3 (walks that stop at a foreign
-	// shard) included.
-	good := hello{version: 4, digest: digest, numShards: shards}.encode()
+	// Version 5 sends a read phase to one server, with no shard in the
+	// header or the hello; a hello of any other version is refused, 4 (a
+	// shard in both) and 6 included.
+	good := hello{version: 5, digest: digest}.encode()
 	okReply := framed(f, append([]byte{statusOK}, append(good, 0, 0, 0, 0)...))
 	errReply := framed(f, append([]byte{statusErr}, append(good, 2, 0, 0, 0, 'n', 'o')...))
 	for _, h := range [][]byte{
 		good,
-		hello{version: ProtoVersion, digest: digest + 1, numShards: shards}.encode(),
-		hello{version: ProtoVersion, digest: digest, numShards: shards + 1}.encode(),
-		hello{version: 3, digest: digest, numShards: shards}.encode(),
-		hello{version: 5, digest: digest, numShards: shards}.encode(),
+		hello{version: ProtoVersion, digest: digest + 1}.encode(),
+		hello{version: 3, digest: digest}.encode(),
+		hello{version: 4, digest: digest}.encode(),
+		append(hello{version: 4, digest: digest}.encode(), shards, 0, 0, 0), // a version 4 hello, shard count and all
+		hello{version: 6, digest: digest}.encode(),
 		append(append([]byte(nil), good...), 0),
 		good[:len(good)-1],
 		nil,
@@ -66,11 +66,7 @@ func FuzzHandshake(f *testing.F) {
 				c.Write(reply)
 			}
 		}()
-		pl, err := NewPlacement([]string{lis.Addr().String()}, shards, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, err := NewPool(PoolOptions{Placement: pl, Digest: digest})
+		pool, err := NewPool(PoolOptions{Servers: []string{lis.Addr().String()}, Digest: digest})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,11 +68,7 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
 	t.Cleanup(func() { srv.Close() })
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +77,11 @@ func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
 }
 
 // TestKBCtxVariantsMatchLocal drives every remote read against a live
-// server and checks each result against the in-process index: the probes
-// one to a batch, then all of them — paths of one and of three edges, a
-// path of none, subjects on every shard, subjects with no such edge — as
-// one batch, whose frames mix probes of paths of different lengths.
+// server and checks each result against the in-process index: each
+// Subjects call, in exactly one frame; the probes one to a batch; then all
+// of them — paths of one and of three edges, a path of none, subjects on
+// every shard, subjects with no such edge — as one batch, in exactly one
+// frame that mixes probes of paths of different lengths.
 func TestKBCtxVariantsMatchLocal(t *testing.T) {
 	store, pool, kb := newTestKB(t)
 	local := core.LocalIndex(store)
@@ -96,9 +93,13 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 			return
 		}
 		batch = append(batch, rdf.Probe{Subj: tr.S, Path: rdf.Path{tr.P}})
+		before := pool.Stats().Calls
 		subs, err := kb.Subjects(ctx, tr.P, tr.O)
 		if err != nil || !reflect.DeepEqual(subs, rdf.Subjects(store, tr.P, tr.O)) {
 			t.Fatalf("Subjects(%d,%d) = %v, %v", tr.P, tr.O, subs, err)
+		}
+		if frames := pool.Stats().Calls - before; frames != 1 {
+			t.Fatalf("Subjects(%d,%d) took %d frames, want 1", tr.P, tr.O, frames)
 		}
 	})
 	path, ok := rdf.ParsePath(store, "marriage→person→name")
@@ -120,10 +121,10 @@ func TestKBCtxVariantsMatchLocal(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("PathObjects(batch of %d) = %v, diverges from the local index", len(batch), err)
 	}
-	// One frame per touched shard, whatever the batch holds: the server
-	// walks every path to its end.
-	if frames, most := pool.Stats().Calls-before, uint64(store.NumShards()); frames > most {
-		t.Errorf("a batch of %d probes took %d frames, want <= %d (one round)", len(batch), frames, most)
+	// One frame, whatever the batch holds: the server walks every path to
+	// its end.
+	if frames := pool.Stats().Calls - before; frames != 1 {
+		t.Errorf("a batch of %d probes took %d frames, want 1", len(batch), frames)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 
 // PoolOptions configures a client Pool.
 type PoolOptions struct {
-	// Placement routes shards to servers; required.
-	Placement *Placement
+	// Servers lists the index servers, each serving the whole world: at
+	// least one, each address non-empty and named once. Required.
+	Servers []string
 	// Digest is the local world's identity (snapshot.Digest of the local
 	// store); every handshake asserts it. Required.
 	Digest uint64
@@ -29,7 +30,7 @@ type PoolOptions struct {
 	// deterministic routing. In production the pool
 	// adapts: it hedges after the observed p95 call latency, clamped to
 	// [1ms, 250ms] (25ms until enough samples accumulate). Hedging sends
-	// the same request to the next replica and takes the first answer.
+	// the same request to the next server and takes the first answer.
 	hedgeAfter   time.Duration
 	disableHedge bool
 }
@@ -42,8 +43,7 @@ const (
 	callTimeout = 30 * time.Second
 	// backoffBase and backoffMax bound the per-server down-marking backoff
 	// after failures. A down server is deprioritized, not excluded: it is
-	// retried when every replica of a shard is down, and recovers on first
-	// success.
+	// retried when every server is down, and recovers on first success.
 	backoffBase = 100 * time.Millisecond
 	backoffMax  = 5 * time.Second
 )
@@ -56,12 +56,12 @@ type PoolStats struct {
 	Errors    uint64 `json:"errors"`
 }
 
-// Pool is the scatter/gather client: it owns one connection pool per
-// server, routes per-shard calls by the placement, hedges slow calls, and
-// fails over across replicas. Safe for concurrent use.
+// Pool is the client of the index servers: it owns one connection pool per
+// server, starts each call at the next server in turn, hedges slow calls,
+// and fails over across servers. Safe for concurrent use.
 type Pool struct {
-	pl   *Placement
 	opts PoolOptions
+	turn atomic.Uint64 // calls so far: call k starts at server k mod len(Servers)
 
 	mu    sync.Mutex
 	hosts map[string]*host
@@ -97,16 +97,22 @@ type conn struct {
 // expire fails the connection's pending and future I/O at once.
 func (c *conn) expire() { c.SetDeadline(time.Unix(1, 0)) }
 
-// NewPool builds a pool over the placement. Connections are dialed lazily.
-func NewPool(o PoolOptions) (*Pool, error) {
-	if o.Placement == nil {
-		return nil, errors.New("shardrpc: pool needs a placement")
-	}
-	return &Pool{pl: o.Placement, opts: o, hosts: make(map[string]*host)}, nil
-}
+// ErrServerList is wrapped by NewPool's error for a server list that is
+// empty or names an address empty or twice: a repeated address would make
+// two servers one host, and hedge back to the same server.
+var ErrServerList = errors.New("shardrpc: bad server list")
 
-// NumShards returns the shard count of the pool's placement.
-func (p *Pool) NumShards() int { return p.pl.NumShards() }
+// NewPool builds a pool over o.Servers. Connections are dialed lazily.
+func NewPool(o PoolOptions) (*Pool, error) {
+	if len(o.Servers) == 0 {
+		return nil, fmt.Errorf("%w: a pool needs at least one server", ErrServerList)
+	}
+	if sorted := slices.Sorted(slices.Values(o.Servers)); sorted[0] == "" || len(slices.Compact(sorted)) < len(o.Servers) {
+		return nil, fmt.Errorf("%w: %q names an address empty or twice", ErrServerList, o.Servers)
+	}
+	o.Servers = slices.Clone(o.Servers)
+	return &Pool{opts: o, hosts: make(map[string]*host)}, nil
+}
 
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() PoolStats {
@@ -216,7 +222,7 @@ func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	conn.SetDeadline(limit)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
-	he := hello{version: ProtoVersion, digest: p.opts.Digest, numShards: uint32(p.pl.NumShards())}
+	he := hello{version: ProtoVersion, digest: p.opts.Digest}
 	if err := safeio.WriteFrame(conn, he.encode()); err != nil {
 		conn.Close()
 		return nil, err
@@ -303,7 +309,7 @@ func (p *Pool) hedgeDelay() time.Duration {
 	return q
 }
 
-// attemptOut is one replica attempt's outcome.
+// attemptOut is one attempt's outcome.
 type attemptOut struct {
 	addr    string
 	payload []byte
@@ -356,7 +362,7 @@ func (f *inflight) wasAborted() bool {
 	return f.aborted
 }
 
-// attempt is one request to one replica: the connection it holds, how much
+// attempt is one request to one server: the connection it holds, how much
 // of the request frame it has written there, and its rpc.attempt span.
 type attempt struct {
 	addr     string
@@ -475,14 +481,14 @@ func (a *attempt) roundTrip() ([]byte, error) {
 	return a.c.fr.Read(a.c)
 }
 
-// call performs one per-shard request — a frame of groups lookups whose
-// body the caller appended to newRequest's buffer — with hedging and
-// replica failover, returning the response body positioned after the
-// status/span envelope. The first attempt goes to the preferred up replica
-// on the caller's goroutine over a pooled connection, reading until the
-// hedge deadline; only a call that outlives it, or finds no pooled
-// connection, starts goroutines.
-func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, req *wbuf) (*rbuf, error) {
+// call performs one request — a frame of probes probes whose body the
+// caller appended to newRequest's buffer — with hedging and failover,
+// returning the response body positioned after the status/span envelope.
+// Each call takes the next server of the list in turn; the first attempt
+// goes to the first up server from there, on the caller's goroutine over a
+// pooled connection, reading until the hedge deadline; only a call that
+// outlives it, or finds no pooled connection, starts goroutines.
+func (p *Pool) call(ctx context.Context, op byte, probes int, req *wbuf) (*rbuf, error) {
 	if p.closed.Load() {
 		return nil, errors.New("shardrpc: pool is closed")
 	}
@@ -492,31 +498,36 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, req *wb
 	p.calls.Add(1)
 	ctx, sp := obs.StartSpan(ctx, "rpc.call")
 	sp.SetInt("op", int64(op))
-	sp.SetInt("shard", int64(shard))
-	sp.SetInt("groups", int64(groups))
+	sp.SetInt("probes", int64(probes))
 	defer sp.End()
 	now := time.Now()
 	deadline := now.Add(callTimeout)
 	if t, ok := ctx.Deadline(); ok {
 		deadline = t
 	}
-	reqHeader{op: op, shard: uint32(shard), deadline: deadline.UnixNano(), traceID: obs.TraceID(ctx)}.put(req.b[safeio.FrameHeaderLen:])
+	reqHeader{op: op, deadline: deadline.UnixNano(), traceID: obs.TraceID(ctx)}.put(req.b[safeio.FrameHeaderLen:])
 	safeio.SealFrame(req.b)
 
-	// Attempt order: the shard's replicas in preference order, up hosts
-	// before backed-off ones so failover lands on a healthy replica
-	// first; a fully-down replica set is still tried (the backoff
-	// deprioritizes, it never blackholes).
-	replicas := p.pl.Replicas(shard)
-	first := slices.IndexFunc(replicas, func(addr string) bool { return !p.host(addr).down() })
-	first = max(first, 0)
+	// Attempt order: the server list from this call's turn on, up hosts
+	// before backed-off ones so failover lands on a healthy server first;
+	// a fully-down list is still tried (the backoff deprioritizes, it
+	// never blackholes).
+	servers := p.opts.Servers
+	turn := int((p.turn.Add(1) - 1) % uint64(len(servers)))
+	first := turn
+	for i := range servers {
+		if k := (turn + i) % len(servers); !p.host(servers[k]).down() {
+			first = k
+			break
+		}
+	}
 	hedgeBy := deadline
-	if !p.opts.disableHedge && len(replicas) > 1 {
+	if !p.opts.disableHedge && len(servers) > 1 {
 		if by := now.Add(p.hedgeDelay()); by.Before(deadline) {
 			hedgeBy = by
 		}
 	}
-	a := newAttempt(ctx, replicas[first], req.b, deadline)
+	a := newAttempt(ctx, servers[first], req.b, deadline)
 	if c := p.host(a.addr).take(); c != nil {
 		a.c, a.pooled = c, true
 		payload, err := p.run(ctx, &a, hedgeBy, nil)
@@ -532,25 +543,25 @@ func (p *Pool) call(ctx context.Context, shard int, op byte, groups int, req *wb
 			return nil, a.end(ctx.Err())
 		}
 	}
-	order := make([]string, 0, len(replicas)-1)
+	order := make([]string, 0, len(servers)-1)
 	var downed []string
-	for i, addr := range replicas {
-		switch {
-		case i == first:
-		case p.host(addr).down():
-			downed = append(downed, addr)
+	for i := range servers {
+		switch k := (turn + i) % len(servers); {
+		case k == first:
+		case p.host(servers[k]).down():
+			downed = append(downed, servers[k])
 		default:
-			order = append(order, addr)
+			order = append(order, servers[k])
 		}
 	}
-	return p.hedged(ctx, sp, shard, a, append(order, downed...), hedgeBy)
+	return p.hedged(ctx, sp, a, append(order, downed...), hedgeBy)
 }
 
 // hedged finishes a call whose first attempt, a, did not finish on the
-// caller's goroutine: a goes on on its own goroutine, the next replica of
+// caller's goroutine: a goes on on its own goroutine, the next server of
 // order is hedged at hedgeBy (at once when it has passed), a failed attempt
 // fails over to the next, and the first reply wins and aborts the rest.
-func (p *Pool) hedged(ctx context.Context, sp *obs.Span, shard int, a attempt, order []string, hedgeBy time.Time) (*rbuf, error) {
+func (p *Pool) hedged(ctx context.Context, sp *obs.Span, a attempt, order []string, hedgeBy time.Time) (*rbuf, error) {
 	req, deadline := a.req, a.deadline
 	results := make(chan attemptOut, 1+len(order)) // buffered: losers never block
 	fl := &inflight{}
@@ -585,7 +596,7 @@ func (p *Pool) hedged(ctx context.Context, sp *obs.Span, shard int, a attempt, o
 				return p.finish(sp, out.addr, out.payload)
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("shardrpc: shard %d via %s: %w", shard, out.addr, out.err)
+				firstErr = fmt.Errorf("shardrpc: server %s: %w", out.addr, out.err)
 			}
 			p.errcount.Add(1)
 			if next < len(order) {
@@ -632,28 +643,28 @@ func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) 
 	return r, nil
 }
 
-// Probe sends probes to shard in one frame and returns, per probe, the
-// objects at the end of its path, sorted and deduplicated. Every subject
-// must hash to shard; the server refuses the frame otherwise. Hedging,
+// Probe sends probes to one server in one frame and returns, per probe,
+// the objects at the end of its path, sorted and deduplicated. Every probe
+// must have a path; the server refuses the frame otherwise. Hedging,
 // failover and the deadline apply to the frame as a whole, and a failed
 // frame yields no sets at all.
-func (p *Pool) Probe(ctx context.Context, shard int, probes []rdf.Probe) ([][]rdf.ID, error) {
+func (p *Pool) Probe(ctx context.Context, probes []rdf.Probe) ([][]rdf.ID, error) {
 	req := newRequest(ctx)
 	encodeProbeRequest(req, probes)
-	r, err := p.call(ctx, shard, opProbe, len(probes), req)
+	r, err := p.call(ctx, opProbe, len(probes), req)
 	if err != nil {
 		return nil, err
 	}
 	return decodeProbeReply(r, len(probes))
 }
 
-// ShardSubjects returns shard's subjects with (s, pred, obj) in
-// shard-local insertion order.
-func (p *Pool) ShardSubjects(ctx context.Context, shard int, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
+// Subjects returns the subjects with (s, pred, obj), ascending, read from
+// one server in one frame.
+func (p *Pool) Subjects(ctx context.Context, pred rdf.PID, obj rdf.ID) ([]rdf.ID, error) {
 	req := newRequest(ctx)
 	req.u32(uint32(pred))
 	req.u32(uint32(obj))
-	r, err := p.call(ctx, shard, opSubjects, 1, req)
+	r, err := p.call(ctx, opSubjects, 0, req)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -15,8 +14,8 @@ import (
 	"repro/internal/rdf/snapshot"
 )
 
-// probeFrames returns, for each shard of store, a real opProbe body aimed at
-// it: its own nodes each walking one edge, and again walking two and three.
+// probeFrames returns real opProbe bodies, one per shard of store: the
+// shard's nodes each walking one edge, and again walking two and three.
 func probeFrames(store *rdf.ShardedStore) [][]byte {
 	preds := store.Predicates()
 	path, _ := rdf.ParsePath(store, "marriage→person→name")
@@ -34,11 +33,10 @@ func probeFrames(store *rdf.ShardedStore) [][]byte {
 }
 
 // refDecodeProbeRequest is the opProbe body layout written out plainly, the
-// reference the server's in-place reader is checked against: a probe count,
-// then per probe a hop count, that many predicates and a subject; every
-// probe walks at least one edge from a subject of shard, and nothing
-// follows the last probe.
-func refDecodeProbeRequest(data []byte, shard, numShards int) ([]rdf.Probe, error) {
+// reference the server's reader is checked against: a probe count, then
+// per probe a hop count, that many predicates and a subject; every probe
+// walks at least one edge, and nothing follows the last probe.
+func refDecodeProbeRequest(data []byte) ([]rdf.Probe, error) {
 	r := &rbuf{b: data}
 	n := int(r.u32())
 	var probes []rdf.Probe
@@ -53,9 +51,6 @@ func refDecodeProbeRequest(data []byte, shard, numShards int) ([]rdf.Probe, erro
 		if len(p.Path) == 0 {
 			return nil, errors.New("a probe with no path")
 		}
-		if rdf.ShardIndex(p.Subj, numShards) != shard {
-			return nil, fmt.Errorf("subject %d is not of shard %d", p.Subj, shard)
-		}
 		probes = append(probes, p)
 	}
 	if r.err != nil {
@@ -68,17 +63,12 @@ func refDecodeProbeRequest(data []byte, shard, numShards int) ([]rdf.Probe, erro
 }
 
 // TestProbeFrameRefusesMisroutedAndOversized: the server does not trust the
-// client's routing or framing. A frame for a shard it does not own, a
-// subject that does not hash to the frame's shard, a probe or hop count the
-// payload cannot hold, a probe with no path and bytes after the last probe
-// are refused with a status error that leaves the connection usable. (The
-// frontier op this replaced read Objects for any node in the body: only the
-// header's shard was checked, so a server answered for shards it did not
-// own.)
+// client's framing. A probe or hop count the payload cannot hold, a probe
+// with no path and bytes after the last probe are refused with a status
+// error that leaves the connection usable.
 func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	store := testWorld(t)
-	// The server owns shard 0 only; the placement still sends it every shard.
-	srv := NewServer(store, snapshot.Digest(store), ServerOptions{Owns: []int{0}})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -86,19 +76,14 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 	go srv.Serve(context.Background(), lis)
 	defer srv.Close()
 	addr := lis.Addr().String()
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	ctx := context.Background()
 
-	nodes := shardedNodes(store)
-	own, foreign := nodes[0][0], nodes[1][0]
+	subj := store.Entities()[0]
 	pred := store.Predicates()[0]
 	// probe appends a probe of path from subj, as the client writes it.
 	probe := func(w *wbuf, path rdf.Path, subj rdf.ID) *wbuf {
@@ -114,26 +99,23 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 		w.u32(probes)
 		return w
 	}
-	manyHops, noPath, trailing := body(1), probe(body(1), nil, own), probe(body(1), rdf.Path{pred}, own)
+	manyHops, noPath, trailing := body(1), probe(body(1), nil, subj), probe(body(1), rdf.Path{pred}, subj)
 	manyHops.u32(1 << 30)
 	manyHops.u32(uint32(pred))
-	manyHops.u32(uint32(own))
+	manyHops.u32(uint32(subj))
 	noPath.u32(0) // so that the count check passes a 12-byte probe
 	trailing.u8(0)
 	for _, row := range []struct {
-		name  string
-		shard int
-		body  *wbuf
-		want  string
+		name string
+		body *wbuf
+		want string
 	}{
-		{"a shard the server does not own", 1, probe(body(1), rdf.Path{pred}, foreign), "not owned"},
-		{"a subject of another shard", 0, probe(body(1), rdf.Path{pred}, foreign), "of shard 1"},
-		{"a probe count past the payload", 0, probe(body(1<<30), rdf.Path{pred}, own), "probes in"},
-		{"a hop count past the payload", 0, manyHops, "truncated"},
-		{"a probe with no path", 0, noPath, "no path"},
-		{"a byte after the last probe", 0, trailing, "after the last probe"},
+		{"a probe count past the payload", probe(body(1<<30), rdf.Path{pred}, subj), "probes in"},
+		{"a hop count past the payload", manyHops, "truncated"},
+		{"a probe with no path", noPath, "no path"},
+		{"a byte after the last probe", trailing, "after the last probe"},
 	} {
-		_, err := pool.call(ctx, row.shard, opProbe, 1, row.body)
+		_, err := pool.call(ctx, opProbe, 1, row.body)
 		if err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("frame with %s: err = %v, want a refusal mentioning %q", row.name, err, row.want)
 		}
@@ -142,44 +124,34 @@ func TestProbeFrameRefusesMisroutedAndOversized(t *testing.T) {
 		if free := len(pool.host(addr).free); free != 1 {
 			t.Fatalf("after %s the pool holds %d idle connections, want the 1 it used", row.name, free)
 		}
-		got, err := pool.Probe(ctx, 0, probesOf(rdf.Path{pred}, own))
-		if err != nil || !slices.Equal(got[0], rdf.PathObjects(nil, store, own, rdf.Path{pred})) {
+		got, err := pool.Probe(ctx, probesOf(rdf.Path{pred}, subj))
+		if err != nil || !slices.Equal(got[0], rdf.PathObjects(nil, store, subj, rdf.Path{pred})) {
 			t.Fatalf("well-formed frame after %s: %v, %v", row.name, got, err)
 		}
 	}
-	if st := srv.Stats(); st.Failures != 6 {
-		t.Errorf("server counted %d failures, want the 6 refusals", st.Failures)
+	if st := srv.Stats(); st.Failures != 4 {
+		t.Errorf("server counted %d failures, want the 4 refusals", st.Failures)
 	}
 }
 
-// FuzzProbeRequest: Server.execute over arbitrary opProbe bodies, on a
-// server that owns any subset of the shards (the bits of owns; none set is
-// every shard), never panics and replies OK exactly to the bodies the
-// reference decoder accepts for a shard the server owns: a frame for any
-// other shard is refused. Each reply set is rdf.PathObjects, the walk to
-// the path's end, whatever shards it reaches.
+// FuzzProbeRequest: Server.execute over arbitrary opProbe bodies never
+// panics and replies OK exactly to the bodies the reference decoder
+// accepts. Each reply set is rdf.PathObjects, the walk to the path's end.
 func FuzzProbeRequest(f *testing.F) {
 	store := testWorld(f)
-	for shard, frame := range probeFrames(store) {
-		f.Add(uint8(shard), uint8(0), frame)
-		f.Add(uint8(shard), uint8(1<<shard), frame)      // walks leave the only owned shard
-		f.Add(uint8(shard), uint8(^(1 << shard)), frame) // every shard but the frame's
-		f.Add(uint8(shard+1), uint8(0), frame)           // every subject misrouted
-		f.Add(uint8(shard), uint8(0), frame[:len(frame)-3])
+	for _, frame := range probeFrames(store) {
+		f.Add(frame)
+		f.Add(frame[:len(frame)-3])
+		f.Add(append(slices.Clone(frame), 0))
+		f.Add(frame[4:])                                                                            // no probe count
+		f.Add(append(binary.LittleEndian.AppendUint32(nil, 1), 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0)) // a probe with no path
 	}
-	f.Fuzz(func(t *testing.T, shard, owns uint8, data []byte) {
-		var owned []int
-		for i := range store.NumShards() {
-			if owns>>i&1 == 1 {
-				owned = append(owned, i)
-			}
-		}
-		srv := NewServer(store, snapshot.Digest(store), ServerOptions{Owns: owned})
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		var body wbuf
-		errmsg := srv.execute(reqHeader{op: opProbe, shard: uint32(shard)}, &rbuf{b: data}, &body, &walker{})
-		probes, err := refDecodeProbeRequest(data, int(shard), store.NumShards())
-		wellFormed := err == nil && int(shard) < store.NumShards() && srv.ownsShard(int(shard))
-		if (errmsg == "") != wellFormed {
+		errmsg := srv.execute(reqHeader{op: opProbe}, &rbuf{b: data}, &body, &session{})
+		probes, err := refDecodeProbeRequest(data)
+		if (errmsg == "") != (err == nil) {
 			t.Fatalf("execute replied %q to a body the reference decoder judges %v", errmsg, err)
 		}
 		if errmsg != "" {
@@ -204,9 +176,9 @@ func FuzzProbeRequest(f *testing.F) {
 func FuzzProbeReply(f *testing.F) {
 	store := testWorld(f)
 	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
-	for shard, frame := range probeFrames(store) {
+	for _, frame := range probeFrames(store) {
 		var body wbuf
-		if errmsg := srv.execute(reqHeader{op: opProbe, shard: uint32(shard)}, &rbuf{b: frame}, &body, &walker{}); errmsg != "" {
+		if errmsg := srv.execute(reqHeader{op: opProbe}, &rbuf{b: frame}, &body, &session{}); errmsg != "" {
 			f.Fatal(errmsg)
 		}
 		n := uint8(binary.LittleEndian.Uint32(frame))

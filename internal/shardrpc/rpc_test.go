@@ -42,8 +42,25 @@ func startServer(t testing.TB, store *rdf.ShardedStore) (string, *Server) {
 	return lis.Addr().String(), srv
 }
 
-// shardedNodes groups a few entities by their home shard so Probe calls
-// can be aimed at every shard.
+// twoServers serves store from two loopback index servers and returns a
+// pool over them, hedging adaptively or not at all. Cleanup closes all of
+// it.
+func twoServers(tb testing.TB, store *rdf.ShardedStore, disableHedge bool) *Pool {
+	tb.Helper()
+	addrA, srvA := startServer(tb, store)
+	addrB, srvB := startServer(tb, store)
+	tb.Cleanup(srvA.Close)
+	tb.Cleanup(srvB.Close)
+	pool, err := NewPool(PoolOptions{Servers: []string{addrA, addrB}, Digest: snapshot.Digest(store), disableHedge: disableHedge})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(pool.Close)
+	return pool
+}
+
+// shardedNodes groups a few entities by their home shard, so that probes
+// start on every shard.
 func shardedNodes(store *rdf.ShardedStore) [][]rdf.ID {
 	out := make([][]rdf.ID, store.NumShards())
 	for _, e := range store.Entities() {
@@ -84,39 +101,36 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsWorldMismatch: a client whose world digest (or
-// shard topology) differs from the server's must be refused at handshake —
-// a wrong-world pool fails fast instead of serving subtly wrong answers.
+// TestHandshakeRejectsWorldMismatch: a client whose world digest differs
+// from the server's must be refused at handshake — a wrong-world pool fails
+// fast instead of serving subtly wrong answers. The digest covers the shard
+// layout too, so a frontend that built the world with another shard count
+// is refused as well.
 func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
 	defer srv.Close()
 
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store) + 1})
+	wrong, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wrong.Close()
 	probe := func(p *Pool) error {
-		_, err := p.Probe(context.Background(), 0, nil)
+		_, err := p.Probe(context.Background(), nil)
 		return err
 	}
 	if err := probe(wrong); err == nil {
 		t.Fatal("call succeeded with a mismatched world digest")
 	}
 
-	// A client that partitioned the world another way is refused even when
-	// it asserts the server's digest: frontier sets computed client-side
-	// would not match the server's shard ownership.
-	pl8, err := NewPlacement([]string{addr}, 8, 1)
-	if err != nil {
-		t.Fatal(err)
+	// A frontend built with -shards 1 holds the same triples in another
+	// layout: its digest differs, and the 4-shard server refuses it.
+	oneShard := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 1}).Store
+	if oneShard.NumTriples() != store.NumTriples() {
+		t.Fatalf("the 1-shard world has %d triples, the 4-shard one %d", oneShard.NumTriples(), store.NumTriples())
 	}
-	resharded, err := NewPool(PoolOptions{Placement: pl8, Digest: snapshot.Digest(store)})
+	resharded, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(oneShard)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +139,7 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal("call succeeded across mismatched shard counts")
 	}
 
-	ok, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	ok, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +169,15 @@ func TestHandshakeRefusesOneObjectOff(t *testing.T) {
 	}
 	addr, srv := startServer(t, served)
 	defer srv.Close()
-	pl, err := NewPlacement([]string{addr}, served.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		store  *rdf.ShardedStore
 		accept bool
 	}{{other, false}, {served, true}} {
-		pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(c.store)})
+		pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(c.store)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pool.Probe(context.Background(), 0, nil)
+		_, err = pool.Probe(context.Background(), nil)
 		pool.Close()
 		if (err == nil) != c.accept {
 			t.Errorf("pool for the world served (%v): probe error %v", c.accept, err)
@@ -175,8 +185,8 @@ func TestHandshakeRefusesOneObjectOff(t *testing.T) {
 	}
 }
 
-// TestReplicaFailover: with one of two replicas down, every shard's calls
-// must still succeed via the surviving replica, counting failovers.
+// TestReplicaFailover: with one of two servers down, every call must still
+// succeed via the surviving server, counting failovers.
 func TestReplicaFailover(t *testing.T) {
 	store := testWorld(t)
 	addrA, srvA := startServer(t, store)
@@ -184,13 +194,9 @@ func TestReplicaFailover(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	pl, err := NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool, err := NewPool(PoolOptions{
-		Placement: pl,
-		Digest:    snapshot.Digest(store),
+		Servers: []string{addrA, addrB},
+		Digest:  snapshot.Digest(store),
 		// Deterministic routing: failover only on error, never on latency.
 		disableHedge: true,
 	})
@@ -199,35 +205,18 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	defer pool.Close()
 
-	// Rendezvous preference depends on the (random) listener addresses, so
-	// kill the replica that placement prefers for a populated shard — that
-	// guarantees at least one call lands on the dead server first and must
-	// fail over.
+	// The first call starts at the first server: killing it guarantees
+	// that a call lands on the dead server first and must fail over.
+	srvA.Close()
 	perShard := shardedNodes(store)
-	dead := ""
-	for sh, nodes := range perShard {
-		if len(nodes) > 0 {
-			dead = pl.Replicas(sh)[0]
-			break
-		}
-	}
-	if dead == "" {
-		t.Fatal("no populated shards in the test world")
-	}
-	if dead == addrA {
-		srvA.Close()
-	} else {
-		srvB.Close()
-	}
-
 	pred := store.Predicates()[0]
 	for sh, nodes := range perShard {
 		if len(nodes) == 0 {
 			continue
 		}
-		got, err := pool.Probe(context.Background(), sh, probesOf(rdf.Path{pred}, nodes...))
+		got, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, nodes...))
 		if err != nil {
-			t.Fatalf("Probe(shard %d) with a replica down: %v", sh, err)
+			t.Fatalf("Probe(shard %d) with a server down: %v", sh, err)
 		}
 		for i, n := range nodes {
 			if want := rdf.PathObjects(nil, store, n, rdf.Path{pred}); !slices.Equal(got[i], want) {
@@ -236,7 +225,7 @@ func TestReplicaFailover(t *testing.T) {
 		}
 	}
 	if st := pool.Stats(); st.Failovers == 0 {
-		t.Errorf("Stats().Failovers = 0 after serving with a dead preferred replica: %+v", st)
+		t.Errorf("Stats().Failovers = 0 after serving with a dead first server: %+v", st)
 	}
 }
 
@@ -248,12 +237,8 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	addrA, srvA := startServer(t, store)
 	addrB, srvB := startServer(t, store)
 
-	pl, err := NewPlacement([]string{addrA, addrB}, store.NumShards(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool, err := NewPool(PoolOptions{
-		Placement:  pl,
+		Servers:    []string{addrA, addrB},
 		Digest:     snapshot.Digest(store),
 		hedgeAfter: time.Nanosecond, // hedge every call
 	})
@@ -269,7 +254,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 		if len(nodes[sh]) == 0 {
 			continue
 		}
-		if _, err := pool.Probe(context.Background(), sh, probesOf(rdf.Path{pred}, nodes[sh]...)); err != nil {
+		if _, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, nodes[sh]...)); err != nil {
 			t.Fatalf("hedged Probe: %v", err)
 		}
 	}
@@ -280,7 +265,7 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pool.Probe(ctx, i%store.NumShards(), nil); !errors.Is(err, context.Canceled) {
+		if _, err := pool.Probe(ctx, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled Probe: err = %v, want context.Canceled", err)
 		}
 	}
@@ -313,11 +298,7 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	addr, srv := startServer(t, store)
 	defer srv.Close()
 
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,15 +307,8 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	tracer := obs.NewTracer(obs.Options{Capacity: 8, SampleRate: 1})
 	ctx, tr := tracer.Start(context.Background(), "test.query")
 	pred := store.Predicates()[0]
-	var nodes []rdf.ID
-	for sh, ns := range shardedNodes(store) {
-		if len(ns) > 0 {
-			nodes = ns
-			if _, err := pool.Probe(ctx, sh, probesOf(rdf.Path{pred}, nodes...)); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
+	if _, err := pool.Probe(ctx, probesOf(rdf.Path{pred}, store.Entities()[:8]...)); err != nil {
+		t.Fatal(err)
 	}
 	tr.Finish()
 
@@ -358,11 +332,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	addr, srv := startServer(t, store)
 	defer srv.Close()
 
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +341,7 @@ func TestCallHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	_, err = pool.Probe(ctx, 0, nil)
+	_, err = pool.Probe(ctx, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -467,25 +437,14 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 	live, liveSrv := startServer(t, store)
 	defer liveSrv.Close()
 
-	pl, err := NewPlacement([]string{upstream}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	direct, err := NewPool(PoolOptions{Servers: []string{upstream}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer direct.Close()
-	var shard int
-	var nodes []rdf.ID
-	for sh, ns := range shardedNodes(store) {
-		if len(ns) > 0 {
-			shard, nodes = sh, ns
-			break
-		}
-	}
+	nodes := store.Entities()[:8]
 	probes := append(probesOf(rdf.Path{store.Predicates()[0]}, nodes...), probesOf(rdf.Path{store.Predicates()[1]}, nodes[0])...)
-	want, err := direct.Probe(context.Background(), shard, probes)
+	want, err := direct.Probe(context.Background(), probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +456,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 		}{{"inside the header", 3}, {"inside the payload", -1}} {
 			t.Run(other.name+"/"+cut.name, func(t *testing.T) {
 				px := startSplitProxy(t, upstream, 60*time.Millisecond)
-				pl, err := NewPlacement([]string{px.addr, other.addr}, store.NumShards(), 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store), hedgeAfter: 10 * time.Millisecond})
+				pool, err := NewPool(PoolOptions{Servers: []string{px.addr, other.addr}, Digest: snapshot.Digest(store), hedgeAfter: 10 * time.Millisecond})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -521,7 +476,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 						t.Fatal("no warm-up call left a pooled connection to the proxy")
 					}
 					backOff()
-					if _, err := pool.Probe(ctx, shard, probes); err != nil {
+					if _, err := pool.Probe(ctx, probes); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -529,7 +484,7 @@ func TestSlowReplyResumesPastTheHedge(t *testing.T) {
 				px.split.Store(cut.split)
 				backOff()
 				before := pool.Stats()
-				got, err := pool.Probe(ctx, shard, probes)
+				got, err := pool.Probe(ctx, probes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -590,11 +545,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 				}
 			}()
 
-			pl, err := NewPlacement([]string{lis.Addr().String()}, 4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool, err := NewPool(PoolOptions{Placement: pl, Digest: 1})
+			pool, err := NewPool(PoolOptions{Servers: []string{lis.Addr().String()}, Digest: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -606,7 +557,7 @@ func TestDialHonorsCallDeadline(t *testing.T) {
 			start := time.Now()
 			// The handshake's I/O deadline and the context end together, so
 			// the error is either the context's or the read's timeout.
-			if _, err = pool.Probe(ctx, 0, nil); err == nil {
+			if _, err = pool.Probe(ctx, nil); err == nil {
 				t.Fatal("call against a stalled handshake succeeded")
 			}
 			if d := time.Since(start); d > 500*time.Millisecond {
@@ -634,11 +585,7 @@ func TestWireOps(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
 	defer srv.Close()
-	pl, err := NewPlacement([]string{addr}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,10 +597,10 @@ func TestWireOps(t *testing.T) {
 		body.u32(1) // one probe / pred 1
 		body.u32(1) // of one hop / obj 1
 		if byte(op) == opProbe {
-			body.u32(0)                                 // along pred 0
-			body.u32(uint32(shardedNodes(store)[0][0])) // from a subject of shard 0
+			body.u32(0)                           // along pred 0
+			body.u32(uint32(store.Entities()[0])) // from an entity
 		}
-		_, err := pool.call(context.Background(), 0, byte(op), 1, body)
+		_, err := pool.call(context.Background(), byte(op), 1, body)
 		switch {
 		case err == nil:
 			served = append(served, byte(op))
@@ -664,7 +611,7 @@ func TestWireOps(t *testing.T) {
 	if want := []byte{opSubjects, opProbe}; !bytes.Equal(served, want) {
 		t.Fatalf("served ops = %v, want %v", served, want)
 	}
-	if ProtoVersion != 4 {
-		t.Errorf("ProtoVersion = %d; the op set above is version 4's", ProtoVersion)
+	if ProtoVersion != 5 {
+		t.Errorf("ProtoVersion = %d; the op set above is version 5's", ProtoVersion)
 	}
 }

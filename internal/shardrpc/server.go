@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,23 +17,16 @@ import (
 
 // ServerOptions configures a shard server.
 type ServerOptions struct {
-	// Owns lists the shard indexes this server answers for; nil or empty
-	// serves every shard. The server always loads the full world — the
-	// subset is a routing contract with the placement, not a storage
-	// split: a frame for a shard outside it is refused, and a probe whose
-	// subject is owned is walked to its end, whatever shards it reaches.
-	Owns []int
 	// Logger receives structured serve/close events; nil discards.
 	Logger *obs.Logger
 }
 
-// Server answers shardrpc requests over an rdf.Graph world. Start it with
-// Serve; stop it with Close (or by cancelling Serve's context). Safe for
-// concurrent connections: the store is read-only at serve time.
+// Server answers shardrpc requests over a whole rdf.Graph world. Start it
+// with Serve; stop it with Close (or by cancelling Serve's context). Safe
+// for concurrent connections: the store is read-only at serve time.
 type Server struct {
 	store  rdf.Graph
 	digest uint64
-	owns   []bool // by shard index; nil = all shards
 	log    *obs.Logger
 
 	mu     sync.Mutex
@@ -54,27 +46,17 @@ type Server struct {
 // is digest: the handshake refuses every client that asserts another. The
 // store must be fully loaded; writes after NewServer race with requests.
 func NewServer(store rdf.Graph, digest uint64, o ServerOptions) *Server {
-	s := &Server{
+	return &Server{
 		store:  store,
 		digest: digest,
 		log:    o.Logger,
 		conns:  make(map[net.Conn]bool),
 	}
-	if len(o.Owns) > 0 {
-		s.owns = make([]bool, store.NumShards())
-		for _, i := range o.Owns {
-			if i >= 0 && i < len(s.owns) {
-				s.owns[i] = true
-			}
-		}
-	}
-	return s
 }
 
 // ServerStats is a snapshot of a server's identity and counters.
 type ServerStats struct {
 	NumShards int
-	Owned     []int
 	Triples   int
 	Requests  uint64
 	Failures  uint64
@@ -82,22 +64,12 @@ type ServerStats struct {
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
+	return ServerStats{
 		NumShards: s.store.NumShards(),
 		Triples:   s.store.NumTriples(),
 		Requests:  s.requests.Load(),
 		Failures:  s.failures.Load(),
 	}
-	for i := 0; i < s.store.NumShards(); i++ {
-		if s.ownsShard(i) {
-			st.Owned = append(st.Owned, i)
-		}
-	}
-	return st
-}
-
-func (s *Server) ownsShard(i int) bool {
-	return s.owns == nil || s.owns[i]
 }
 
 // Serve accepts connections on lis until Close is called or ctx is
@@ -206,17 +178,10 @@ func (s *Server) handleConn(conn net.Conn) {
 type session struct {
 	conn    net.Conn
 	fr      safeio.FrameReader
-	reply   wbuf  // the reply frame being built
-	writeBy int64 // the write deadline in force, UnixNano; 0 = none
-	walk    walker
-}
-
-// walker is the state of the probe walks of one request: two frontier
-// buffers, reused by every probe and request of a connection, and what the
-// request's span reports.
-type walker struct {
-	front, back []rdf.ID
-	hops        int // edges walked, summed over the probes
+	reply   wbuf     // the reply frame being built
+	writeBy int64    // the write deadline in force, UnixNano; 0 = none
+	path    rdf.Path // the probe being walked, decoded
+	vals    []rdf.ID // its walk: the frontiers, then the answer
 }
 
 // handshake validates the client hello and acknowledges (or rejects with a
@@ -236,8 +201,6 @@ func (s *Server) handshake(conn net.Conn) error {
 	switch {
 	case h.version != ProtoVersion:
 		reject = fmt.Sprintf("protocol version %d, want %d", h.version, ProtoVersion)
-	case h.numShards != uint32(s.store.NumShards()):
-		reject = fmt.Sprintf("shard count %d, want %d", h.numShards, s.store.NumShards())
 	case h.digest != s.digest:
 		reject = fmt.Sprintf("world digest %016x, want %016x (different worlds)", h.digest, s.digest)
 	}
@@ -247,7 +210,7 @@ func (s *Server) handshake(conn net.Conn) error {
 	} else {
 		w.u8(statusErr)
 	}
-	w.b = append(w.b, hello{version: ProtoVersion, digest: s.digest, numShards: uint32(s.store.NumShards())}.encode()...)
+	w.b = append(w.b, hello{version: ProtoVersion, digest: s.digest}.encode()...)
 	w.str(reject)
 	if err := safeio.WriteFrame(conn, w.b); err != nil {
 		return err
@@ -272,7 +235,6 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	if hdr.traceID != "" {
 		sp = obs.NewRemoteRoot(hdr.traceID, "shard.serve")
 		sp.SetInt("op", int64(hdr.op))
-		sp.SetInt("shard", int64(hdr.shard))
 	}
 	// The reply is built in place behind room for the frame header: status
 	// (zero is statusOK), span length, body. A span is appended once it has
@@ -280,11 +242,7 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	w := &ss.reply
 	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+1+4)...)
 	mark := len(w.b)
-	ss.walk.hops = 0
-	errmsg := s.execute(hdr, r, w, &ss.walk)
-	if hdr.op == opProbe {
-		sp.SetInt("hops", int64(ss.walk.hops))
-	}
+	errmsg := s.execute(hdr, r, w, ss)
 	if errmsg != "" {
 		s.failures.Add(1)
 		w.b[safeio.FrameHeaderLen] = statusErr
@@ -315,19 +273,12 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	return err
 }
 
-// execute runs one op into body, walking probes with wk, and returns a
-// non-empty message on application-level failure (the connection stays
-// usable).
-func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string {
+// execute runs one op into body, walking probes in ss's buffers, and
+// returns a non-empty message on application-level failure (the
+// connection stays usable).
+func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, ss *session) string {
 	if hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
 		return "deadline exceeded before execution"
-	}
-	shard := int(hdr.shard)
-	if shard < 0 || shard >= s.store.NumShards() {
-		return fmt.Sprintf("shard %d out of range [0,%d)", shard, s.store.NumShards())
-	}
-	if !s.ownsShard(shard) {
-		return fmt.Sprintf("shard %d not owned by this server", shard)
 	}
 	switch hdr.op {
 	case opProbe:
@@ -343,11 +294,13 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string 
 			if i > 0 && hdr.deadline != 0 && time.Now().UnixNano() > hdr.deadline {
 				return "deadline exceeded mid-batch"
 			}
-			path, subj, err := readProbe(r, shard, s.store.NumShards())
+			path, subj, err := readProbe(r, ss.path)
+			ss.path = path
 			if err != nil {
 				return err.Error()
 			}
-			body.ids(s.walk(path, subj, wk))
+			ss.vals = rdf.PathObjects(ss.vals[:0], s.store, subj, path)
+			body.ids(ss.vals)
 		}
 		if r.off != len(r.b) {
 			return fmt.Sprintf("shardrpc: %d bytes after the last probe", len(r.b)-r.off)
@@ -357,27 +310,9 @@ func (s *Server) execute(hdr reqHeader, r *rbuf, body *wbuf, wk *walker) string 
 		if r.err != nil {
 			return r.err.Error()
 		}
-		body.ids(s.store.ShardSubjects(shard, pred, obj))
+		body.ids(rdf.Subjects(s.store, pred, obj))
 	default:
 		return fmt.Sprintf("unknown op %d", hdr.op)
 	}
 	return ""
-}
-
-// walk follows path, as readProbe read it, from subj to its end or to an
-// empty frontier, and returns the frontier there, sorted and deduplicated,
-// in wk's storage.
-func (s *Server) walk(path []byte, subj rdf.ID, wk *walker) []rdf.ID {
-	wk.front = append(wk.front[:0], subj)
-	for i := 0; i < len(path) && len(wk.front) > 0; i += 4 {
-		p := rdf.PID(binary.LittleEndian.Uint32(path[i:]))
-		wk.back = wk.back[:0]
-		for _, n := range wk.front {
-			wk.back = append(wk.back, s.store.Objects(n, p)...)
-		}
-		slices.Sort(wk.back)
-		wk.front, wk.back = slices.Compact(wk.back), wk.front
-		wk.hops++
-	}
-	return wk.front
 }

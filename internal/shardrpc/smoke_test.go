@@ -21,11 +21,7 @@ func TestSmokeRoundTrip(t *testing.T) {
 	}
 	go srv.Serve(context.Background(), lis)
 	defer srv.Close()
-	pl, err := NewPlacement([]string{lis.Addr().String()}, store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: snapshot.Digest(store)})
+	pool, err := NewPool(PoolOptions{Servers: []string{lis.Addr().String()}, Digest: snapshot.Digest(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

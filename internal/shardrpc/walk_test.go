@@ -2,7 +2,6 @@ package shardrpc
 
 import (
 	"context"
-	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/kbgen"
 	"repro/internal/obs"
 	"repro/internal/rdf"
-	"repro/internal/rdf/snapshot"
 	"repro/internal/world"
 )
 
@@ -46,100 +44,38 @@ var plannedBatches = sync.OnceValues(func() (*rdf.ShardedStore, [][]rdf.Probe) {
 	return w.KB.Store, rec.batches
 })
 
-// ownedCluster serves store from servers loopback shard servers, each
-// owning exactly the shards a placement of replicas replicas gives it, and
-// returns a pool over them: with replicas == servers every server owns
-// every shard, with fewer a walk can reach shards its server does not own.
-// Cleanup closes all of it.
-func ownedCluster(tb testing.TB, store *rdf.ShardedStore, servers, replicas int) *Pool {
-	tb.Helper()
-	lis := make([]net.Listener, servers)
-	addrs := make([]string, servers)
-	for i := range lis {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		lis[i], addrs[i] = l, l.Addr().String()
-	}
-	pl, err := NewPlacement(addrs, store.NumShards(), replicas)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Deal the shards round-robin rather than by the hash of random ports,
-	// so that with fewer replicas than servers each server owns some shards
-	// and none owns all.
-	for shard := range pl.prefs {
-		pl.prefs[shard] = slices.Concat(addrs[shard%servers:], addrs[:shard%servers])
-	}
-	digest := snapshot.Digest(store)
-	for i, l := range lis {
-		srv := NewServer(store, digest, ServerOptions{Owns: pl.Owned(addrs[i])})
-		go srv.Serve(context.Background(), l)
-		tb.Cleanup(srv.Close)
-	}
-	pool, err := NewPool(PoolOptions{Placement: pl, Digest: digest})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(pool.Close)
-	return pool
-}
-
-// placements are the clusters the walk is checked on: servers that own
-// every shard, and servers that own one replica of their shards out of two
-// or three, where most paths reach shards their subject's server does not
-// own.
-var placements = []struct {
-	name              string
-	servers, replicas int
-}{{"own-all", 2, 2}, {"R=1 of 2", 2, 1}, {"R=1 of 3", 3, 1}}
-
-// subjectShards is how many shards the subjects of batch's probes with a
-// path hash to: the frames of one round.
-func subjectShards(batch []rdf.Probe, numShards int) int {
-	touched := make(map[int]bool)
-	for _, p := range batch {
-		if len(p.Path) > 0 {
-			touched[rdf.ShardIndex(p.Subj, numShards)] = true
-		}
-	}
-	return len(touched)
-}
-
 // TestKBWalksEqualPathObjects: KB.PathObjects answers every batch the
-// corpus plans exactly as rdf.PathObjects does, on every placement.
+// corpus plans exactly as rdf.PathObjects does.
 func TestKBWalksEqualPathObjects(t *testing.T) {
 	store, batches := plannedBatches()
 	if len(batches) < 100 {
 		t.Fatalf("the corpus planned %d batches", len(batches))
 	}
-	for _, c := range placements {
-		t.Run(c.name, func(t *testing.T) {
-			kb := NewKB(ownedCluster(t, store, c.servers, c.replicas))
-			ctx := context.Background()
-			probes := 0
-			for _, batch := range batches {
-				got, err := readAll(ctx, kb, batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, p := range batch {
-					if want := rdf.PathObjects(nil, store, p.Subj, p.Path); !slices.Equal(got[i], want) || (got[i] == nil) != (want == nil) {
-						t.Fatalf("PathObjects(%+v) = %v, want %v", p, got[i], want)
-					}
-				}
-				probes += len(batch)
+	// own-all: the one placement left, every server holding every shard.
+	t.Run("own-all", func(t *testing.T) {
+		kb := NewKB(twoServers(t, store, false))
+		ctx := context.Background()
+		probes := 0
+		for _, batch := range batches {
+			got, err := readAll(ctx, kb, batch)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("%d batches of %d probes", len(batches), probes)
-		})
-	}
+			for i, p := range batch {
+				if want := rdf.PathObjects(nil, store, p.Subj, p.Path); !slices.Equal(got[i], want) || (got[i] == nil) != (want == nil) {
+					t.Fatalf("PathObjects(%+v) = %v, want %v", p, got[i], want)
+				}
+			}
+			probes += len(batch)
+		}
+		t.Logf("%d batches of %d probes", len(batches), probes)
+	})
 }
 
-// TestOneRoundPerBatchOnAnyPlacement pins the walk with counts: on every
-// placement a batch of any paths costs one round, one frame per shard its
-// subjects hash to, however long its paths are and whatever shards they
-// reach.
+// TestOneRoundPerBatchOnAnyPlacement pins the walk with counts: on the
+// one placement left, every server holding every shard, a batch of any
+// paths costs one frame to one server, however long its paths are, and a
+// batch of none but empty paths costs none.
 func TestOneRoundPerBatchOnAnyPlacement(t *testing.T) {
 	store, batches := plannedBatches()
 	longest := 0
@@ -151,82 +87,76 @@ func TestOneRoundPerBatchOnAnyPlacement(t *testing.T) {
 	if longest < 2 {
 		t.Errorf("the longest planned path has %d edges: no batch would need a second round", longest)
 	}
-	for _, c := range placements {
-		t.Run(c.name, func(t *testing.T) {
-			pool := ownedCluster(t, store, c.servers, c.replicas)
-			kb := NewKB(pool)
-			for _, batch := range batches {
-				before := pool.Stats().Calls
-				if _, err := readAll(context.Background(), kb, batch); err != nil {
-					t.Fatal(err)
-				}
-				frames, want := pool.Stats().Calls-before, uint64(subjectShards(batch, store.NumShards()))
-				if frames != want {
-					t.Fatalf("a batch of %d probes took %d frames, want the %d of one round", len(batch), frames, want)
-				}
+	t.Run("own-all", func(t *testing.T) {
+		pool := twoServers(t, store, false)
+		kb := NewKB(pool)
+		for _, batch := range batches {
+			before := pool.Stats().Calls
+			if _, err := readAll(context.Background(), kb, batch); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			want := uint64(0)
+			if slices.ContainsFunc(batch, func(p rdf.Probe) bool { return len(p.Path) > 0 }) {
+				want = 1
+			}
+			if frames := pool.Stats().Calls - before; frames != want {
+				t.Fatalf("a batch of %d probes took %d frames, want %d", len(batch), frames, want)
+			}
+		}
+	})
 }
 
-// TestShardSpanRecordsTheWalk: the shard.serve span of a probe frame
-// records the edges its server walked. A walk that leaves its server's
-// shards is walked on there, in the same one frame, as is one that stays.
+// TestShardSpanRecordsTheWalk: a walk of three edges is one frame, whose
+// rpc.call span counts its probes and carries the server's shard.serve span
+// grafted under it, and whose reply is the walk's end.
 func TestShardSpanRecordsTheWalk(t *testing.T) {
 	store := testWorld(t)
 	path, ok := rdf.ParsePath(store, "marriage→person→name")
 	if !ok {
 		t.Fatal("marriage→person→name not present")
 	}
-	// Round-robin over two servers: shards of one parity to each.
-	n := store.NumShards()
-	var leaves, stays rdf.Probe
+	var batch []rdf.Probe
 	for _, e := range store.Entities() {
-		foreign := func(node rdf.ID) bool { return rdf.ShardIndex(node, n)%2 != rdf.ShardIndex(e, n)%2 }
-		first, second := rdf.PathObjects(nil, store, e, path[:1]), rdf.PathObjects(nil, store, e, path[:2])
-		switch {
-		case len(second) == 0:
-		case slices.ContainsFunc(first, foreign):
-			leaves = rdf.Probe{Subj: e, Path: path}
-		case !slices.ContainsFunc(second, foreign):
-			stays = rdf.Probe{Subj: e, Path: path}
+		if len(batch) < 3 && len(rdf.PathObjects(nil, store, e, path)) > 0 {
+			batch = append(batch, rdf.Probe{Subj: e, Path: path})
 		}
 	}
-	if leaves.Path == nil || stays.Path == nil {
-		t.Fatal("the test world lacks a marriage that leaves its subject's server, or one that stays on it")
+	if len(batch) < 3 {
+		t.Fatal("the test world has fewer than 3 marriages")
 	}
-	pool := ownedCluster(t, store, 2, 1)
-	kb := NewKB(pool)
+	kb := NewKB(twoServers(t, store, false))
 	tracer := obs.NewTracer(obs.Options{Capacity: 8, SampleRate: 1})
-	for _, c := range []struct {
-		name  string
-		probe rdf.Probe
-	}{{"stays on", stays}, {"leaves", leaves}} {
-		ctx, tr := tracer.Start(context.Background(), "test.walk")
-		got, err := readAll(ctx, kb, []rdf.Probe{c.probe})
-		if err != nil {
-			t.Fatal(err)
+	ctx, tr := tracer.Start(context.Background(), "test.walk")
+	got, err := readAll(ctx, kb, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	for i, p := range batch {
+		if want := rdf.PathObjects(nil, store, p.Subj, p.Path); !slices.Equal(got[i], want) {
+			t.Errorf("the walk from %d reached %v, want %v", p.Subj, got[i], want)
 		}
-		tr.Finish()
-		if want := rdf.PathObjects(nil, store, c.probe.Subj, c.probe.Path); !slices.Equal(got[0], want) {
-			t.Errorf("a walk that %s its server's shards reached %v, want %v", c.name, got[0], want)
+	}
+	snap, ok := tracer.Find(tr.ID())
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	var calls []*obs.SpanSnapshot
+	for i := range snap.Root.Children {
+		if sp := snap.Root.Children[i].Find("rpc.call"); sp != nil {
+			calls = append(calls, sp)
 		}
-		snap, ok := tracer.Find(tr.ID())
-		if !ok {
-			t.Fatal("trace not retained")
-		}
-		var serves []*obs.SpanSnapshot
-		for i := range snap.Root.Children {
-			if sp := snap.Root.Children[i].Find("shard.serve"); sp != nil {
-				serves = append(serves, sp)
-			}
-		}
-		if len(serves) != 1 {
-			t.Fatalf("a walk that %s its server's shards took %d frames, want 1", c.name, len(serves))
-		}
-		hops, _ := serves[0].Attr("hops")
-		if _, stopped := serves[0].Attr("stopped"); hops != "3" || stopped {
-			t.Errorf("a walk that %s its server's shards: span attributes %v, want hops 3 and no stopped", c.name, serves[0].Attrs)
-		}
+	}
+	if len(calls) != 1 {
+		t.Fatalf("a batch of %d walks took %d frames, want 1", len(batch), len(calls))
+	}
+	if probes, _ := calls[0].Attr("probes"); probes != "3" {
+		t.Errorf("rpc.call attributes %v, want probes 3", calls[0].Attrs)
+	}
+	if _, ok := calls[0].Attr("shard"); ok {
+		t.Errorf("rpc.call attributes %v name a shard", calls[0].Attrs)
+	}
+	if calls[0].Find("shard.serve") == nil {
+		t.Errorf("no shard.serve span under the rpc.call: %+v", *calls[0])
 	}
 }

@@ -1,14 +1,15 @@
-// Package shardrpc promotes the ShardedStore's subject-hash partition
-// boundary to the network: a kbqa-shard server owns a subset of shards and
-// answers index reads (batches of path walks, subjects) over a small
-// versioned wire protocol, and a client Pool scatter/gathers those reads
-// with consistent-hash placement, per-shard connection pools, per-call
-// deadlines, hedged requests for tail latency, and R-way replica failover.
-// KB is the engine's index seam (core.Index) over the pool: it sends a
-// question's whole probe set as one frame per shard its subjects hash to,
-// and a shard server walks each probe to the end of its path, whatever
-// shards the frontier reaches — every server loads the whole world. A batch
-// costs one round trip, not one per path edge or per term of Eq (7).
+// Package shardrpc serves the knowledge base's index reads over the
+// network: the cluster is a frontend over replicated index servers. Every
+// kbqa-shard server holds the whole world and answers index reads (batches
+// of path walks, reverse subject lookups) over a small versioned wire
+// protocol, and a client Pool sends each read to one server, picked by
+// rotating over the server list, with per-server connection pools,
+// per-call deadlines, hedged requests for tail latency, and failover to the
+// next server. KB is the engine's index seam (core.Index) over the pool: a
+// read phase is one frame to one server — a question's whole probe set
+// goes in one frame, and the server walks each probe to the end of its
+// path. A batch costs one round trip, not one per path edge or per term of
+// Eq (7).
 //
 // The protocol is dependency-free and CRC-framed by the same codec as the
 // answer cache's segment log (safeio's frame, read by a FrameReader that
@@ -17,10 +18,10 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
 // with all integers little-endian. A connection opens with a handshake
-// (magic, protocol version, world digest, shard count) that fails fast when
-// client and server were built from different worlds, down to one triple —
-// node/predicate IDs are only meaningful because both sides intern the
-// same world, so the digest check is load-bearing, not cosmetic.
+// (magic, protocol version, world digest) that fails fast when client and
+// server were built from different worlds, down to one triple or one shard
+// count — node/predicate IDs are only meaningful because both sides intern
+// the same world, so the digest check is load-bearing, not cosmetic.
 // After the handshake the client sends request frames and reads one
 // response frame per request; requests carry the caller's deadline and
 // trace ID, and responses carry the server's span subtree so traces
@@ -31,9 +32,9 @@
 // answered in time starts no goroutine, channel or timer. When the hedge
 // deadline cuts the read short, the connection and its half-read frame
 // move to a goroutine that reads on to the call deadline, and the hedge
-// goes to the next replica at once; a call with no pooled connection starts
+// goes to the next server at once; a call with no pooled connection starts
 // there. The first reply wins and expires the losers' deadlines; a failure
-// fails over to the next replica; a cancelled caller expires every attempt.
+// fails over to the next server; a cancelled caller expires every attempt.
 // The server builds each reply, span included, in one buffer per connection.
 package shardrpc
 
@@ -55,15 +56,17 @@ const (
 	// match exactly. 2 replaced the one-group frontier op with opProbe; 3
 	// sent a probe group's remaining path and replied with the hops the
 	// server walked; 4 sends each probe as it is, a path and a subject, and
-	// replies with the set at the path's end.
-	ProtoVersion = 4
+	// replies with the set at the path's end; 5 drops the shard from the
+	// request header and the shard count from the hello, since every server
+	// answers for the whole world.
+	ProtoVersion = 5
 )
 
 // Request opcodes. 1 was the single-group frontier expansion opProbe
 // replaced, 2, 4 and 5 point lookups, 6 a paginated shard scan and 7 a stats
 // fetch no client issued; their numbers stay retired.
 const (
-	opSubjects = byte(3) // (pred, obj) -> shard-local subjects, insertion order
+	opSubjects = byte(3) // (pred, obj) -> the subjects, ascending
 	opProbe    = byte(8) // list of (path, subject) -> per probe, the objects at the path's end
 )
 
@@ -192,20 +195,18 @@ func (r *rbuf) ids() []rdf.ID {
 
 // hello is the handshake exchanged in both directions.
 type hello struct {
-	version   uint32
-	digest    uint64
-	numShards uint32
+	version uint32
+	digest  uint64
 }
 
 // helloLen is an encoded hello's length.
-const helloLen = len(protoMagic) + 4 + 8 + 4
+const helloLen = len(protoMagic) + 4 + 8
 
 func (h hello) encode() []byte {
 	var w wbuf
 	w.b = append(w.b, protoMagic...)
 	w.u32(h.version)
 	w.u64(h.digest)
-	w.u32(h.numShards)
 	return w.b
 }
 
@@ -216,19 +217,18 @@ func decodeHello(payload []byte) (hello, error) {
 		return hello{}, fmt.Errorf("shardrpc: malformed handshake")
 	}
 	r := rbuf{b: payload, off: len(protoMagic)}
-	return hello{version: r.u32(), digest: r.u64(), numShards: r.u32()}, nil
+	return hello{version: r.u32(), digest: r.u64()}, nil
 }
 
 // reqHeader precedes every request body.
 type reqHeader struct {
 	op       byte
-	shard    uint32
 	deadline int64 // UnixNano; 0 = none
 	traceID  string
 }
 
 // reqHeaderLen is a request header's length before its trace ID.
-const reqHeaderLen = 1 + 4 + 8 + 4
+const reqHeaderLen = 1 + 8 + 4
 
 // newRequest returns the buffer a request body under ctx is appended to.
 // Its head is room for the frame header and the request header, which
@@ -242,7 +242,6 @@ func newRequest(ctx context.Context) *wbuf {
 func (h reqHeader) put(b []byte) {
 	w := wbuf{b: b[:0:len(b)]}
 	w.u8(h.op)
-	w.u32(h.shard)
 	w.u64(uint64(h.deadline))
 	w.str(h.traceID)
 }
@@ -250,7 +249,6 @@ func (h reqHeader) put(b []byte) {
 func decodeReqHeader(r *rbuf) reqHeader {
 	return reqHeader{
 		op:       r.u8(),
-		shard:    r.u32(),
 		deadline: int64(r.u64()),
 		traceID:  r.str(),
 	}
@@ -273,20 +271,20 @@ func encodeProbeRequest(w *wbuf, probes []rdf.Probe) {
 // subject.
 const minProbeLen = 12
 
-// readProbe reads the next probe of an opProbe body, its path in place as a
-// run of little-endian u32s, from a client that is not trusted to have
-// routed it. A count the remaining payload cannot hold, an empty path, or a
-// subject that does not hash to shard (of numShards) is an error.
-func readProbe(r *rbuf, shard, numShards int) (path []byte, subj rdf.ID, err error) {
-	path, subj = r.u32s(), rdf.ID(r.u32())
+// readProbe reads the next probe of an opProbe body, its path into path's
+// storage, from a client that is not trusted to have framed it. A hop count
+// the remaining payload cannot hold, or an empty path, is an error.
+func readProbe(r *rbuf, path rdf.Path) (rdf.Path, rdf.ID, error) {
+	hops, subj := r.u32s(), rdf.ID(r.u32())
 	if r.err != nil {
-		return nil, 0, r.err
+		return path, 0, r.err
 	}
-	if len(path) == 0 {
-		return nil, 0, fmt.Errorf("shardrpc: probe with no path")
+	if len(hops) == 0 {
+		return path, 0, fmt.Errorf("shardrpc: probe with no path")
 	}
-	if owner := rdf.ShardIndex(subj, numShards); owner != shard {
-		return nil, 0, fmt.Errorf("shardrpc: probe frame for shard %d carries subject %d of shard %d", shard, subj, owner)
+	path = path[:0]
+	for i := 0; i < len(hops); i += 4 {
+		path = append(path, rdf.PID(binary.LittleEndian.Uint32(hops[i:])))
 	}
 	return path, subj, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,9 +60,10 @@ func (h *heldStore) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
 
 // TestClusterVariantFailsLoudly pins two bugs of the cluster shape's variant
 // path, which used to read the shards with no context and no error: with
-// every replica of some shards down a ranking dropped the entities living
+// the servers of some shards down a ranking dropped the entities living
 // there and was returned — and cached — as a success, and -timeout did not
-// apply to it.
+// apply to it. Every server holds the whole world now, so it takes every
+// server down to lose a shard.
 func TestClusterVariantFailsLoudly(t *testing.T) {
 	opts := Options{Flavor: "freebase", Seed: 42}
 	world, err := Build(opts)
@@ -74,17 +74,7 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 	addrA, srvA := serveShards(t, held, world.digest)
 	addrB, srvB := serveShards(t, held, world.digest)
 
-	// One replica per shard: each server is the only home of its shards.
-	// The victim is a server the placement gave at least one shard.
-	opts.ShardServers, opts.ShardReplicas = []string{addrA, addrB}, 1
-	pl, err := shardrpc.NewPlacement(opts.ShardServers, world.world.KB.Store.NumShards(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := srvA
-	if len(pl.Owned(addrA)) == 0 {
-		victim = srvB
-	}
+	opts.ShardServers = []string{addrA, addrB}
 	sys, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +117,12 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 		t.Fatalf("variant whose shard reads outlast WithTimeout = %+v, %v; want context.DeadlineExceeded", got, err)
 	}
 
-	victim.Close()
+	srvA.Close()
+	srvB.Close()
 	for round := 0; round < 2; round++ {
 		res, err := sv.Query(ctx, ranking)
 		if err == nil || IsUnanswerable(err) || errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("round %d: variant over a cluster missing a server = %+v, %v; want an infrastructure error", round, res, err)
+			t.Fatalf("round %d: variant over a cluster with its servers down = %+v, %v; want an infrastructure error", round, res, err)
 		}
 	}
 	if m := sv.Metrics(); m.CacheEntries != 0 || m.CacheHits != 0 {
@@ -139,52 +130,15 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 	}
 }
 
-// splitShardServers serves world's knowledge base from servers loopback
-// shard servers with one replica per shard (R=1), each owning only the
-// shards the placement gives it, and returns their addresses. The placement
-// hashes the listeners' random ports, so a draw that leaves a server without
-// shards is dealt again.
-func splitShardServers(t *testing.T, world *System, servers int) []string {
-	t.Helper()
-	store := world.world.KB.Store
-	for {
-		lis := make([]net.Listener, servers)
-		addrs := make([]string, servers)
-		for i := range lis {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lis[i], addrs[i] = l, l.Addr().String()
-		}
-		pl, err := shardrpc.NewPlacement(addrs, store.NumShards(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices.ContainsFunc(addrs, func(addr string) bool { return len(pl.Owned(addr)) == 0 }) {
-			for _, l := range lis {
-				l.Close()
-			}
-			continue
-		}
-		for i, l := range lis {
-			srv := shardrpc.NewServer(store, world.digest, shardrpc.ServerOptions{Owns: pl.Owned(addrs[i])})
-			go srv.Serve(context.Background(), l)
-			t.Cleanup(srv.Close)
-		}
-		return addrs
-	}
-}
-
 // TestClusterFramesPerQuestion pins the probe plan with counts that need no
-// clock: on a 2-server, 4-shard cluster, with two replicas per shard or with
-// one, a BFQ costs at most 1.1 shard frames on average (one per shard its
-// deduplicated probe set's subjects touch, the shard walking each path to
-// its end whatever shards it reaches — 1.39 when every path depth was a
-// round of its own, 7.3 when every term of Eq (7) was its own round trip)
-// and a complex question at most 2.4, read per phase — the δ oracle's spans
-// in one batch, each later hop's bindings in another (3.74 with a round per
-// depth, 6.37 with one read per sub-question, 23 with one RPC per term).
+// clock: on a 2-server, 4-shard cluster a BFQ costs exactly one frame (its
+// deduplicated probe set, every path walked to its end by one server —
+// 1.08 when each shard its subjects hashed to had a frame of its own, 1.39
+// when every path depth was a round of its own, 7.3 when every term of
+// Eq (7) was its own round trip) and a complex question exactly two, read
+// per phase — the δ oracle's spans in one batch, each later hop's bindings
+// in another (2.30 with a frame per shard, 3.74 with a round per depth,
+// 6.37 with one read per sub-question, 23 with one RPC per term).
 func TestClusterFramesPerQuestion(t *testing.T) {
 	opts := Options{Flavor: "freebase", Seed: 42}
 	world, err := Build(opts)
@@ -197,49 +151,41 @@ func TestClusterFramesPerQuestion(t *testing.T) {
 	for _, cq := range world.ComplexQuestions(7, 200) {
 		complexQs = append(complexQs, cq.Q)
 	}
-	for _, c := range []struct {
-		name     string
-		servers  []string
-		replicas int
-	}{
-		{"own-all", []string{addrA, addrB}, 2},
-		{"R=1 of 2", splitShardServers(t, world, 2), 1},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			opts := opts
-			opts.ShardServers, opts.ShardReplicas = c.servers, c.replicas
-			sys, err := Build(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-			if n := sys.kb.NumShards(); n != 4 {
-				t.Fatalf("default world has %d shards, the pins are for 4", n)
-			}
-			ctx := context.Background()
-			for _, row := range []struct {
-				name string
-				qs   []string
-				most float64
-			}{
-				{"BFQ", world.SampleQuestions(400), 1.1},
-				{"complex question", complexQs, 2.4},
-			} {
-				// Calls counts frames, not attempts: a hedge does not add to it.
-				before := sys.pool.Stats().Calls
-				for _, q := range row.qs {
-					if _, err := sys.Query(ctx, q, WithoutVariants()); err != nil && !IsUnanswerable(err) {
-						t.Fatalf("Query(%q): %v", q, err)
-					}
-				}
-				per := float64(sys.pool.Stats().Calls-before) / float64(len(row.qs))
-				t.Logf("%.2f shard frames per %s over %d questions", per, row.name, len(row.qs))
-				if len(row.qs) == 0 || per > row.most {
-					t.Errorf("%.2f shard frames per %s over %d questions, want <= %v", per, row.name, len(row.qs), row.most)
+	// own-all: the one placement left, every server holding every shard.
+	t.Run("own-all", func(t *testing.T) {
+		opts := opts
+		opts.ShardServers = []string{addrA, addrB}
+		sys, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if n := sys.kb.NumShards(); n != 4 {
+			t.Fatalf("default world has %d shards, the pins are for 4", n)
+		}
+		ctx := context.Background()
+		for _, row := range []struct {
+			name string
+			qs   []string
+			want float64
+		}{
+			{"BFQ", world.SampleQuestions(400), 1},
+			{"complex question", complexQs, 2},
+		} {
+			// Calls counts frames, not attempts: a hedge does not add to it.
+			before := sys.pool.Stats().Calls
+			for _, q := range row.qs {
+				if _, err := sys.Query(ctx, q, WithoutVariants()); err != nil && !IsUnanswerable(err) {
+					t.Fatalf("Query(%q): %v", q, err)
 				}
 			}
-		})
-	}
+			per := float64(sys.pool.Stats().Calls-before) / float64(len(row.qs))
+			t.Logf("%.2f frames per %s over %d questions", per, row.name, len(row.qs))
+			if len(row.qs) == 0 || per != row.want {
+				t.Errorf("%.4f frames per %s over %d questions, want exactly %v", per, row.name, len(row.qs), row.want)
+			}
+		}
+	})
 }
 
 // TestClusterMetricsCarryPoolStats: the pool's routing counters reach the
@@ -258,7 +204,7 @@ func TestClusterMetricsCarryPoolStats(t *testing.T) {
 	}
 
 	addr, _ := startShardServer(t, world)
-	opts.ShardServers, opts.ShardReplicas = []string{addr}, 1
+	opts.ShardServers = []string{addr}
 	sys, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -74,16 +74,18 @@ type Options struct {
 	// a one-shard world, 0 keeps the default (4) and Build refuses a
 	// negative count. Answers are identical across layouts.
 	Shards int
-	// ShardServers, when non-empty, distributes the knowledge base: index
-	// reads (probes, scans) are served by remote kbqa-shard processes at
-	// these addresses instead of the local store, scatter/gathered with
-	// consistent-hash placement, hedged requests, and replica failover.
-	// Every server must have loaded the same world, shard count included
-	// (the handshake compares world digests). Answers are byte-identical
-	// to the single-process layouts.
+	// ShardServers, when non-empty, distributes the knowledge base: the
+	// system becomes a frontend over replicated index servers, remote
+	// kbqa-shard processes at these addresses that each hold the whole
+	// world. Index reads (probes, scans) go to them instead of the local
+	// store, one frame per read phase to one server, taken in turn, with
+	// hedged requests and failover to the next server. Every server must
+	// have loaded the same world, shard count included (the handshake
+	// compares world digests). Answers are byte-identical to the
+	// single-process layouts.
 	ShardServers []string
-	// ShardReplicas is the replication factor of the shard placement
-	// (default 2, clamped to len(ShardServers)).
+	// ShardReplicas is ignored: every shard server serves the whole world.
+	// ROADMAP item 1(d) deletes it with the benchmark harness's use of it.
 	ShardReplicas int
 	// KBImage, when non-empty, memory-maps a knowledge-base snapshot
 	// image (written by SaveKBImage, as kbqa-learn -kb-image does) and serves
@@ -313,17 +315,9 @@ func (s *System) SaveKBImage(path string) error {
 
 // connectShards points the system's index reads at a shardrpc pool.
 func (s *System) connectShards(o Options) error {
-	replicas := o.ShardReplicas
-	if replicas <= 0 {
-		replicas = 2
-	}
-	pl, err := shardrpc.NewPlacement(o.ShardServers, s.kb.NumShards(), replicas)
-	if err != nil {
-		return err
-	}
 	pool, err := shardrpc.NewPool(shardrpc.PoolOptions{
-		Placement: pl,
-		Digest:    s.digest,
+		Servers: o.ShardServers,
+		Digest:  s.digest,
 	})
 	if err != nil {
 		return err
