@@ -5,8 +5,11 @@
 // an untraced request pays one context lookup per StartSpan and a nil
 // Logger discards everything, so instrumentation can stay compiled in on
 // hot paths. Slow capture traces every request (kbqa-server ships with
-// -slow-query 500ms), so a trace's spans, their contexts and attributes
-// come from chunks the Trace owns: a few allocations per question.
+// -slow-query 500ms) and keeps almost none, so a span is a small handle
+// from chunks the Trace owns, and what the spans record lives in an arena
+// that Finish hands back to a pool: a trace that is not kept costs a few
+// allocations per question, and a write through a span after Finish is
+// dropped.
 package obs
 
 import (
@@ -53,13 +56,17 @@ func SampledTraceID(ctx context.Context) string {
 // context carrying it. When ctx carries no trace it returns (ctx, nil)
 // after a single context lookup — the no-trace fast path — and the nil
 // span's methods (SetAttr, SetInt, Stage, End) are all no-ops, so call
-// sites never branch. The returned context is the span itself.
+// sites never branch. It returns (ctx, nil) too once the trace has
+// finished. The returned context is the span itself.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := ActiveSpan(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := parent.add(name, parent.trace.since(), 0, false)
+	sp := parent.child(name)
+	if sp == nil {
+		return ctx, nil
+	}
 	sp.ctx = ctx
 	return (*spanCtx)(sp), sp
 }
@@ -84,10 +91,24 @@ func (c *spanCtx) Value(key any) any {
 // behalf of a trace that lives in another process. traceID is the caller's
 // trace ID as carried across the wire, so TraceID(ctx) and log correlation
 // work on the serving side; the span belongs to no Tracer and is never
-// retained locally — the server Ends it and ships AppendJSON's bytes back
-// to the caller, which grafts them with AttachRemote.
+// retained locally — the server Ends it, ships AppendJSON's bytes back to
+// the caller, which grafts them with AttachRemote, and Releases it.
 func NewRemoteRoot(traceID, name string) *Span {
 	return newTrace(traceID, name, nil).root
+}
+
+// Release finishes the trace s belongs to without retaining it, as a
+// server does with the root NewRemoteRoot opened once AppendJSON has
+// copied its tree out: the records go back to the pool, and a later write
+// through any of the trace's spans is dropped. Idempotent; no-op on a nil
+// receiver.
+func (s *Span) Release() {
+	if s == nil || !s.trace.finished.CompareAndSwap(false, true) {
+		return
+	}
+	s.trace.mu.Lock()
+	s.trace.release()
+	s.trace.mu.Unlock()
 }
 
 // AttachRemote grafts a remote span tree (another process's AppendJSON, as
@@ -102,9 +123,12 @@ func (s *Span) AttachRemote(snapshotJSON []byte) {
 	if s == nil {
 		return
 	}
-	s.trace.mu.Lock()
-	s.remote = append(s.remote, snapshotJSON)
-	s.trace.mu.Unlock()
+	t := s.trace
+	t.mu.Lock()
+	if t.ar != nil {
+		t.ar.remotes = append(t.ar.remotes, remote{span: s.i, raw: snapshotJSON})
+	}
+	t.mu.Unlock()
 }
 
 // rebase shifts a decoded remote snapshot's start offsets by off
@@ -123,58 +147,103 @@ type Attr struct {
 }
 
 // attr is an annotation as it was set: SetInt keeps the integer, and only
-// snapshot, which a retained trace alone reaches, formats it.
+// a snapshot, which a retained trace alone reaches, formats it.
 type attr struct {
 	key, str string
 	num      int64
 	isInt    bool
-	next     *attr
+	next     int32 // the span's next attribute
 }
 
-// Span is one timed operation inside a trace. Spans form a tree under the
-// trace root; children may be created concurrently (e.g. per-shard scan
-// workers), so the trace's mutex guards its spans. A span is never reused,
-// so one may be written after Trace.Finish (a losing hedge attempt Ends
-// its span when it gives up). All methods are safe on a nil receiver.
+// Span is one timed operation inside a trace: a handle on the record the
+// trace's arena keeps of it. Spans form a tree under the trace root;
+// children may be created concurrently (e.g. per-shard scan workers), so
+// the trace's mutex guards the arena. A handle is never reused, but the
+// arena goes back to a pool at Trace.Finish, so a write through a span
+// after Finish (a losing hedge attempt Ends its span when it gives up) is
+// dropped, and a child opened then is nil. All methods are safe on a nil
+// receiver.
 type Span struct {
 	ctx   context.Context // what StartSpan or Start opened it under; nil otherwise
 	trace *Trace
-	name  string
-	start int64 // nanoseconds after the trace's start, on the monotonic clock
-
-	// Guarded by trace.mu.
-	dur             int64
-	ended           bool
-	first, last     *Span    // children, in the order opened
-	next            *Span    // the next sibling
-	attrs, lastAttr *attr    // in the order set
-	remote          [][]byte // grafted remote subtrees, still JSON (AttachRemote)
+	i     int32 // the span's record in the trace's arena
 }
 
-// add appends a span to s's children, taken from the trace's slab.
-func (s *Span) add(name string, start, dur int64, ended bool) *Span {
+// arena holds what a trace's spans record, from Start until Finish hands
+// it back to arenas. Links are indexes, and 0 links nothing: recs[0] is
+// the root, nobody's child or sibling, and attrs[0] is a placeholder.
+type arena struct {
+	recs    []rec
+	attrs   []attr
+	remotes []remote // in the order grafted
+
+	inlineRecs  [32]rec
+	inlineAttrs [32]attr
+}
+
+// rec is one span's record.
+type rec struct {
+	name              string
+	start             int64 // nanoseconds after the trace's start, on the monotonic clock
+	dur               int64
+	ended             bool
+	first, last, next int32 // children, in the order opened, and the next sibling
+	attrs, lastAttr   int32 // in the order set
+}
+
+// remote is a remote subtree grafted under a span, still JSON.
+type remote struct {
+	span int32
+	raw  []byte
+}
+
+// arenas holds the arenas of finished traces. A new one holds a
+// question's trace inline, so refilling the pool after a collection costs
+// one allocation per arena.
+var arenas = sync.Pool{New: func() any {
+	a := new(arena)
+	a.recs, a.attrs = a.inlineRecs[:0], a.inlineAttrs[:1]
+	return a
+}}
+
+// open appends r as the last child of recs[parent] and returns its index.
+func (a *arena) open(parent int32, r rec) int32 {
+	i := int32(len(a.recs))
+	a.recs = append(a.recs, r)
+	p := &a.recs[parent]
+	if p.last == 0 {
+		p.first = i
+	} else {
+		a.recs[p.last].next = i
+	}
+	p.last = i
+	return i
+}
+
+// child opens a span under s, with a handle from the trace's slab. Nil
+// once the trace has finished.
+func (s *Span) child(name string) *Span {
 	t := s.trace
+	now := t.since()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := t.spans.take()
-	*c = Span{trace: t, name: name, start: start, dur: dur, ended: ended}
-	if s.last == nil {
-		s.first = c
-	} else {
-		s.last.next = c
+	if t.ar == nil {
+		return nil
 	}
-	s.last = c
+	c := t.spans.take()
+	*c = Span{trace: t, i: t.ar.open(s.i, rec{name: name, start: now})}
 	return c
 }
 
 // Child opens a child span directly under s, for call sites that don't
 // thread a context (e.g. fan-out annotation of a finished scan). Returns
-// nil on a nil receiver, so the child chain stays no-op when untraced.
+// nil on a nil receiver or a finished trace, so the child chain stays
+// no-op.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.add(name, s.trace.since(), 0, false)
+	return s.child(name)
 }
 
 // SetAttr annotates the span with a string attribute.
@@ -193,17 +262,20 @@ func (s *Span) SetInt(key string, v int64) {
 	s.setAttr(attr{key: key, num: v, isInt: true})
 }
 
-func (s *Span) setAttr(a attr) {
+func (s *Span) setAttr(at attr) {
 	t := s.trace
 	t.mu.Lock()
-	r := t.attrs.take()
-	*r = a
-	if s.lastAttr == nil {
-		s.attrs = r
-	} else {
-		s.lastAttr.next = r
+	if a := t.ar; a != nil {
+		j := int32(len(a.attrs))
+		a.attrs = append(a.attrs, at)
+		r := &a.recs[s.i]
+		if r.lastAttr == 0 {
+			r.attrs = j
+		} else {
+			a.attrs[r.lastAttr].next = j
+		}
+		r.lastAttr = j
 	}
-	s.lastAttr = r
 	t.mu.Unlock()
 }
 
@@ -214,7 +286,12 @@ func (s *Span) Stage(name string, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.add(name, s.start, int64(d), true)
+	t := s.trace
+	t.mu.Lock()
+	if a := t.ar; a != nil {
+		a.open(s.i, rec{name: name, start: a.recs[s.i].start, dur: int64(d), ended: true})
+	}
+	t.mu.Unlock()
 }
 
 // End stamps the span's duration. Idempotent: the first End wins.
@@ -225,32 +302,36 @@ func (s *Span) End() {
 	t := s.trace
 	now := t.since()
 	t.mu.Lock()
-	if !s.ended {
-		s.ended, s.dur = true, now-s.start
+	if t.ar != nil {
+		if r := &t.ar.recs[s.i]; !r.ended {
+			r.ended, r.dur = true, now-r.start
+		}
 	}
 	t.mu.Unlock()
 }
 
-// snapshot converts the span tree to its immutable JSON form. base is the
-// start of the span StartNanos offsets count from. The trace's mutex is
+// snapshot converts the tree under recs[i] to its immutable JSON form.
+// base is the start StartNanos offsets count from. The trace's mutex is
 // held.
-func (s *Span) snapshot(base int64) SpanSnapshot {
-	snap := SpanSnapshot{Name: s.name, StartNanos: s.start - base, DurationNanos: s.dur}
-	for a := s.attrs; a != nil; a = a.next {
-		v := a.str
-		if a.isInt {
-			v = strconv.FormatInt(a.num, 10)
+func (a *arena) snapshot(i int32, base int64) SpanSnapshot {
+	r := &a.recs[i]
+	snap := SpanSnapshot{Name: r.name, StartNanos: r.start - base, DurationNanos: r.dur}
+	for j := r.attrs; j != 0; j = a.attrs[j].next {
+		at := &a.attrs[j]
+		v := at.str
+		if at.isInt {
+			v = strconv.FormatInt(at.num, 10)
 		}
-		snap.Attrs = append(snap.Attrs, Attr{Key: a.key, Value: v})
+		snap.Attrs = append(snap.Attrs, Attr{Key: at.key, Value: v})
 	}
-	for c := s.first; c != nil; c = c.next {
-		snap.Children = append(snap.Children, c.snapshot(base))
+	for c := r.first; c != 0; c = a.recs[c].next {
+		snap.Children = append(snap.Children, a.snapshot(c, base))
 	}
-	for _, raw := range s.remote {
-		var r SpanSnapshot
-		if json.Unmarshal(raw, &r) == nil {
-			rebase(&r, s.start-base)
-			snap.Children = append(snap.Children, r)
+	for _, rm := range a.remotes {
+		var sub SpanSnapshot
+		if rm.span == i && json.Unmarshal(rm.raw, &sub) == nil {
+			rebase(&sub, r.start-base)
+			snap.Children = append(snap.Children, sub)
 		}
 	}
 	return snap
@@ -259,48 +340,53 @@ func (s *Span) snapshot(base int64) SpanSnapshot {
 // AppendJSON appends the span tree's SpanSnapshot, with StartNanos offsets
 // relative to s's own start, as exactly the JSON json.Marshal writes for it,
 // without building the snapshot or reflecting over it: the wire form a
-// shard server returns for AttachRemote. Nil-safe.
+// shard server returns for AttachRemote. Nil-safe; once the trace has
+// finished, it appends what it does for nil.
 func (s *Span) AppendJSON(dst []byte) []byte {
-	if s == nil {
-		return append(dst, `{"name":"","start_ns":0,"duration_ns":0}`...)
+	if s != nil {
+		s.trace.mu.Lock()
+		defer s.trace.mu.Unlock()
+		if a := s.trace.ar; a != nil {
+			return a.appendJSON(dst, s.i, a.recs[s.i].start)
+		}
 	}
-	s.trace.mu.Lock()
-	defer s.trace.mu.Unlock()
-	return s.appendJSON(dst, s.start)
+	return append(dst, `{"name":"","start_ns":0,"duration_ns":0}`...)
 }
 
-func (s *Span) appendJSON(dst []byte, base int64) []byte {
+func (a *arena) appendJSON(dst []byte, i int32, base int64) []byte {
+	r := &a.recs[i]
 	dst = append(dst, `{"name":`...)
-	dst = AppendJSONString(dst, s.name)
+	dst = AppendJSONString(dst, r.name)
 	dst = append(dst, `,"start_ns":`...)
-	dst = strconv.AppendInt(dst, s.start-base, 10)
+	dst = strconv.AppendInt(dst, r.start-base, 10)
 	dst = append(dst, `,"duration_ns":`...)
-	dst = strconv.AppendInt(dst, s.dur, 10)
+	dst = strconv.AppendInt(dst, r.dur, 10)
 	sep := `,"attrs":[`
-	for a := s.attrs; a != nil; a = a.next {
-		dst = AppendJSONString(append(append(dst, sep...), `{"key":`...), a.key)
+	for j := r.attrs; j != 0; j = a.attrs[j].next {
+		at := &a.attrs[j]
+		dst = AppendJSONString(append(append(dst, sep...), `{"key":`...), at.key)
 		dst = append(dst, `,"value":`...)
-		if a.isInt {
-			dst = append(strconv.AppendInt(append(dst, '"'), a.num, 10), '"')
+		if at.isInt {
+			dst = append(strconv.AppendInt(append(dst, '"'), at.num, 10), '"')
 		} else {
-			dst = AppendJSONString(dst, a.str)
+			dst = AppendJSONString(dst, at.str)
 		}
 		dst, sep = append(dst, '}'), ","
 	}
-	if s.attrs != nil {
+	if r.attrs != 0 {
 		dst = append(dst, ']')
 	}
 	sep = `,"children":[`
-	for c := s.first; c != nil; c = c.next {
-		dst, sep = c.appendJSON(append(dst, sep...), base), ","
+	for c := r.first; c != 0; c = a.recs[c].next {
+		dst, sep = a.appendJSON(append(dst, sep...), c, base), ","
 	}
-	for _, raw := range s.remote {
-		var r SpanSnapshot
-		if json.Unmarshal(raw, &r) != nil {
+	for _, rm := range a.remotes {
+		var sub SpanSnapshot
+		if rm.span != i || json.Unmarshal(rm.raw, &sub) != nil {
 			continue
 		}
-		rebase(&r, s.start-base)
-		if b, err := json.Marshal(r); err == nil {
+		rebase(&sub, r.start-base)
+		if b, err := json.Marshal(sub); err == nil {
 			dst, sep = append(append(dst, sep...), b...), ","
 		}
 	}
@@ -360,7 +446,9 @@ type TraceSnapshot struct {
 
 // Trace is one in-flight request trace. Obtain one from Tracer.Start and
 // call Finish exactly once when the request completes; Finish decides
-// whether the trace is retained. All methods are nil-safe.
+// whether the trace is retained. The Trace itself is never reused, so its
+// ID and a write through one of its spans stay safe after Finish. All
+// methods are nil-safe.
 type Trace struct {
 	id       string
 	start    time.Time
@@ -369,17 +457,17 @@ type Trace struct {
 	sampled  bool
 	finished atomic.Bool
 
-	// mu guards the spans. They and their attributes are taken from slabs
-	// whose first chunks are inline: a cache hit's trace fits in 1 KiB.
+	// mu guards ar, the span records, which Finish hands back to arenas
+	// and sets to nil, and spans, the slab the handles come from, whose
+	// first chunk is inline: a cache hit's handles fit in the Trace.
 	mu          sync.Mutex
+	ar          *arena
 	spans       slab[Span]
-	attrs       slab[attr]
-	inlineSpans [3]Span
-	inlineAttrs [9]attr
+	inlineSpans [8]Span
 }
 
-// slab hands out zeroed records from chunks it never moves or reuses, so a
-// record outlives its trace's Finish for as long as anything holds it.
+// slab hands out zeroed values from chunks it never moves or reuses, so a
+// span handle outlives its trace's Finish for as long as anything holds it.
 // Each chunk is twice as long as the last, up to 64 records.
 type slab[T any] struct {
 	chunk []T
@@ -396,11 +484,22 @@ func (s *slab[T]) take() *T {
 
 // newTrace builds a trace starting now, with its root span called name.
 func newTrace(id, name string, tr *Tracer) *Trace {
-	t := &Trace{id: id, start: time.Now(), tracer: tr}
-	t.spans.chunk, t.attrs.chunk = t.inlineSpans[:], t.inlineAttrs[:]
+	t := &Trace{id: id, start: time.Now(), tracer: tr, ar: arenas.Get().(*arena)}
+	t.ar.recs = append(t.ar.recs, rec{name: name})
+	t.spans.chunk = t.inlineSpans[:]
 	t.root = t.spans.take()
-	t.root.trace, t.root.name = t, name
+	t.root.trace = t
 	return t
+}
+
+// release empties the arena, dropping its grafted subtrees, and hands it
+// back to arenas; writes after it are dropped. t.mu is held.
+func (t *Trace) release() {
+	a := t.ar
+	clear(a.remotes)
+	a.recs, a.attrs, a.remotes = a.recs[:0], a.attrs[:1], a.remotes[:0]
+	arenas.Put(a)
+	t.ar = nil
 }
 
 // since is the time since the trace started, in nanoseconds.
@@ -423,23 +522,28 @@ func (t *Trace) Root() *Span {
 }
 
 // Finish ends the root span and retains the trace in the tracer's ring if
-// it was sampled at start or its duration reached SlowThreshold. Slow
-// traces are additionally summarized on the tracer's Logger. Idempotent.
+// it was sampled at start or its duration reached SlowThreshold, then
+// hands the span records back to the pool. Slow traces are additionally
+// summarized on the tracer's Logger. Idempotent.
 func (t *Trace) Finish() {
 	if t == nil || !t.finished.CompareAndSwap(false, true) {
 		return
 	}
 	t.root.End()
 	t.mu.Lock()
-	dur := time.Duration(t.root.dur)
+	dur := time.Duration(t.ar.recs[0].dur)
 	tr := t.tracer
 	slow := tr.opts.SlowThreshold > 0 && dur >= tr.opts.SlowThreshold
-	if !t.sampled && !slow {
-		t.mu.Unlock()
+	kept := t.sampled || slow
+	var root SpanSnapshot
+	if kept {
+		root = t.ar.snapshot(0, 0)
+	}
+	t.release()
+	t.mu.Unlock()
+	if !kept {
 		return
 	}
-	root := t.root.snapshot(t.root.start)
-	t.mu.Unlock()
 	snap := TraceSnapshot{
 		ID:             t.id,
 		Start:          t.start,

@@ -251,6 +251,93 @@ func TestSpanWritesAfterFinish(t *testing.T) {
 	}
 }
 
+// TestRecycledArenaDropsLateWrites: a finished trace's arena goes to the
+// next trace that starts, and nothing written through the finished trace's
+// spans and contexts reaches it — End, SetAttr, SetInt, Child, Stage,
+// AttachRemote and StartSpan, from a goroutine that races Finish and goes
+// on while the next trace is built, and from the test's own goroutine
+// once the next trace holds the arena. The next trace retains exactly its
+// own tree.
+func TestRecycledArenaDropsLateWrites(t *testing.T) {
+	remote := NewRemoteRoot("r", "late.remote")
+	remote.End()
+	lateJSON := remote.AppendJSON(nil)
+	remote.Release()
+	tr := NewTracer(Options{SampleRate: 1})
+	reused := 0
+	for round := 0; round < 20; round++ {
+		actx, first := tr.Start(context.Background(), "first")
+		cctx, child := StartSpan(actx, "first.child")
+		spans := []*Span{first.Root(), child, child.Child("first.grandchild")}
+		write := func() {
+			for _, sp := range spans {
+				sp.End()
+				sp.SetAttr("late", "x")
+				sp.SetInt("late", 1)
+				sp.Child("late.child").End()
+				sp.Stage("late.stage", time.Millisecond)
+				sp.AttachRemote(lateJSON)
+			}
+			for _, ctx := range []context.Context{actx, cctx} {
+				_, sp := StartSpan(ctx, "late.span")
+				sp.SetAttr("late", "x")
+				sp.End()
+			}
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				write()
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		held := first.ar
+		first.Finish()
+		bctx, second := tr.Start(context.Background(), "second")
+		if second.ar == held {
+			reused++
+		}
+		write()
+		_, sp := StartSpan(bctx, "second.child")
+		sp.SetInt("n", int64(round))
+		sp.Stage("second.stage", time.Millisecond)
+		sp.End()
+		second.Root().SetAttr("k", "v")
+		second.Finish()
+		close(stop)
+		<-done
+
+		snap, ok := tr.Find(second.ID())
+		if !ok {
+			t.Fatal("the second trace was not retained")
+		}
+		stripTimes(&snap.Root)
+		got, _ := json.Marshal(snap.Root)
+		want, _ := json.Marshal(SpanSnapshot{Name: "second", Attrs: []Attr{{"k", "v"}},
+			Children: []SpanSnapshot{{Name: "second.child", Attrs: []Attr{{"n", strconv.Itoa(round)}},
+				Children: []SpanSnapshot{{Name: "second.stage"}}}}})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the second trace retained\n%s\nwant\n%s", round, got, want)
+		}
+	}
+	if reused == 0 {
+		t.Error("no trace took the arena of the trace finished before it")
+	}
+}
+
+// stripTimes zeroes the offsets and durations of a snapshot's tree.
+func stripTimes(s *SpanSnapshot) {
+	s.StartNanos, s.DurationNanos = 0, 0
+	for i := range s.Children {
+		stripTimes(&s.Children[i])
+	}
+}
+
 // TestSpanContextKeepsCancelFastPath: a span's context is its parent's for
 // cancellation, so context.WithTimeout under it finds the cancelable
 // ancestor and links to it, as it does under context.WithValue, rather
@@ -454,7 +541,7 @@ func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
 	} {
 		sp, snap := tc.build(), SpanSnapshot{}
 		if sp != nil {
-			snap = sp.snapshot(sp.start)
+			snap = sp.trace.ar.snapshot(sp.i, 0)
 		}
 		want, err := json.Marshal(snap)
 		if err != nil {
@@ -466,48 +553,76 @@ func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchTrace builds the trace that a /batch of 64 cold BFQs
-// builds, and finishes it unretained, as slow capture does for almost
-// every batch: an http.batch root, and per question serve.flight >
-// serve.admit, serve.engine > engine.answer with its three stages and an
-// engine.probe with one probe.shard, each with the attributes the serving
-// path sets on it.
+// batchTrace builds the trace that a /batch of 64 cold BFQs builds, and
+// finishes it unretained, as slow capture does for almost every batch: an
+// http.batch root, and per question serve.flight > serve.admit,
+// serve.engine > engine.answer with its three stages and an engine.probe
+// with one probe.shard, each with the attributes the serving path sets on
+// it.
+func batchTrace(tr *Tracer) {
+	ctx, trace := tr.Start(context.Background(), "http.batch")
+	root := trace.Root()
+	root.SetAttr("method", "POST")
+	root.SetAttr("path", "/batch")
+	root.SetAttr("client", "127.0.0.1")
+	for i := 0; i < 64; i++ {
+		fctx, fsp := StartSpan(ctx, "serve.flight")
+		_, asp := StartSpan(fctx, "serve.admit")
+		asp.End()
+		ectx, esp := StartSpan(fctx, "serve.engine")
+		actx, sp := StartSpan(ectx, "engine.answer")
+		sp.SetAttr("question", "who is the mayor of victoria?")
+		_, psp := StartSpan(actx, "engine.probe")
+		psp.SetInt("mentions", 1)
+		psp.SetInt("entities", 1)
+		psp.SetInt("templates", 3)
+		psp.SetInt("probes", 2)
+		c := psp.Child("probe.shard")
+		c.SetInt("shard", int64(i%4))
+		c.SetInt("entities", 1)
+		c.End()
+		psp.End()
+		psp.SetInt("candidates", 1)
+		sp.Stage("parse", time.Microsecond)
+		sp.Stage("match", time.Microsecond)
+		sp.Stage("probe", time.Microsecond)
+		sp.End()
+		esp.End()
+		fsp.SetAttr("shared", "false")
+		fsp.End()
+	}
+	root.SetInt("status", 200)
+	trace.Finish()
+}
+
+// BenchmarkBatchTrace times batchTrace.
 func BenchmarkBatchTrace(b *testing.B) {
 	tr := NewTracer(Options{SlowThreshold: time.Hour})
 	b.ReportAllocs()
 	for b.Loop() {
-		ctx, trace := tr.Start(context.Background(), "http.batch")
-		root := trace.Root()
-		root.SetAttr("method", "POST")
-		root.SetAttr("path", "/batch")
-		root.SetAttr("client", "127.0.0.1")
-		for i := 0; i < 64; i++ {
-			fctx, fsp := StartSpan(ctx, "serve.flight")
-			_, asp := StartSpan(fctx, "serve.admit")
-			asp.End()
-			ectx, esp := StartSpan(fctx, "serve.engine")
-			actx, sp := StartSpan(ectx, "engine.answer")
-			sp.SetAttr("question", "who is the mayor of victoria?")
-			_, psp := StartSpan(actx, "engine.probe")
-			psp.SetInt("mentions", 1)
-			psp.SetInt("entities", 1)
-			psp.SetInt("templates", 3)
-			psp.SetInt("probes", 2)
-			c := psp.Child("probe.shard")
-			c.SetInt("shard", int64(i%4))
-			c.SetInt("entities", 1)
-			c.End()
-			psp.End()
-			psp.SetInt("candidates", 1)
-			sp.Stage("parse", time.Microsecond)
-			sp.Stage("match", time.Microsecond)
-			sp.Stage("probe", time.Microsecond)
-			sp.End()
-			esp.End()
-			fsp.SetAttr("shared", "false")
-			fsp.End()
-		}
-		root.SetInt("status", 200)
-		trace.Finish()
+		batchTrace(tr)
+	}
+}
+
+// TestBatchTraceAllocs prices batchTrace's unretained trace as a count:
+// the span records go back to a pool at Finish, so what is left is the
+// Trace, its ID and the chunks of span handles past the inline one. The
+// ceiling sits one above the count (25 when the records lived in the
+// trace's own chunks); lower it when a trace gets cheaper. Under the race
+// detector the pool drops a quarter of the arenas put back, so a count
+// there would price the detector.
+func TestBatchTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under the race detector")
+	}
+	tr := NewTracer(Options{SlowThreshold: time.Hour})
+	batchTrace(tr)
+	allocs := testing.AllocsPerRun(50, func() { batchTrace(tr) })
+	t.Logf("an unretained /batch trace of 64 BFQs: %.1f allocations", allocs)
+	if allocs > 11 {
+		t.Errorf("an unretained /batch trace of 64 BFQs: %.1f allocations, ceiling 11", allocs)
+	}
+	if n := len(tr.Snapshot()); n != 0 {
+		t.Errorf("the tracer retained %d fast, unsampled traces", n)
 	}
 }

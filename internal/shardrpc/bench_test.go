@@ -92,7 +92,7 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"untraced", nil, 7},
-		{"traced", slowOnly(), 12},
+		{"traced", slowOnly(), 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := readAll(context.Background(), kb, probes); err != nil {

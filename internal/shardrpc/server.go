@@ -253,6 +253,7 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 	if sp != nil {
 		body := len(w.b) - mark
 		w.b = sp.AppendJSON(w.b)
+		sp.Release()
 		binary.LittleEndian.PutUint32(w.b[mark-4:], uint32(len(w.b)-mark-body))
 		w.b = append(w.b, w.b[mark:mark+body]...)
 		w.b = w.b[:mark+copy(w.b[mark:], w.b[mark+body:])]
