@@ -10,7 +10,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -296,8 +295,7 @@ func BenchmarkDecomposeDP(b *testing.B) {
 }
 
 // BenchmarkExpandBFS measures the k=3 scan+join expansion over the full KB
-// of the eval world (one worker per shard of its layout;
-// BenchmarkExpandParallel varies the layout).
+// of the eval world.
 func BenchmarkExpandBFS(b *testing.B) {
 	s := benchSuite(b)
 	w := s.World(kbgen.Freebase)
@@ -576,90 +574,5 @@ func BenchmarkDecomposeStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		decompose.BuildStats(qs, w.Symbols.Lexicon.Has)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-store benches (rdf.ShardedStore + expand.Expand).
-// ---------------------------------------------------------------------------
-
-var (
-	shardOnce    sync.Once
-	shardKB      *kbgen.KB
-	shardFlat    *rdf.ShardedStore
-	shardSharded *rdf.ShardedStore
-)
-
-// shardFixture generates one KB an order of magnitude larger than the eval
-// worlds, so the k-round scan+join dominates and the per-round merge is
-// amortized, then shards it. The one-shard store and the 8-shard store share
-// node IDs, so both layouts answer identical queries.
-func shardFixture(b *testing.B) {
-	b.Helper()
-	shardOnce.Do(func() {
-		shardKB = kbgen.Generate(kbgen.Config{Seed: 9, Flavor: kbgen.Freebase, Scale: 150})
-		shardFlat = shardKB.Store
-		shardSharded = rdf.Repartition(shardFlat, 8)
-	})
-}
-
-// BenchmarkExpandParallel compares the k=3 expansion of the one-shard store
-// (one worker: sequential) against the 8-shard store across GOMAXPROCS
-// settings. On a machine with >= 4 cores the procs=4 and procs=8 rows should
-// run >= 2x faster than sequential; both layouts produce identical results
-// (asserted by TestExpandParallelMatchesSequential).
-func BenchmarkExpandParallel(b *testing.B) {
-	shardFixture(b)
-	cfg := expand.Config{MaxLen: 3, EndFilter: shardKB.EndFilter, KeepAllLengths: true}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(expand.Expand(shardFlat, cfg).Triples) == 0 {
-				b.Fatal("no triples")
-			}
-		}
-	})
-	for _, procs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=8/procs=%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(expand.Expand(shardSharded, cfg).Triples) == 0 {
-					b.Fatal("no triples")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkProbeSharded measures the online point-probe path V(e, p+) on
-// both layouts under concurrent load: the store serves read-only probes
-// from GOMAXPROCS goroutines, the contention pattern of the serving
-// runtime's worker pool.
-func BenchmarkProbeSharded(b *testing.B) {
-	shardFixture(b)
-	path, ok := rdf.ParsePath(shardFlat, "marriage→person→name")
-	if !ok {
-		b.Fatal("expanded predicate missing")
-	}
-	ents := shardFlat.Entities()
-	layouts := []struct {
-		name string
-		g    rdf.Graph
-	}{
-		{"flat", shardFlat},
-		{"sharded", shardSharded},
-	}
-	for _, l := range layouts {
-		b.Run(l.name, func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					e := ents[i%len(ents)]
-					rdf.PathObjects(nil, l.g, e, path)
-					l.g.Objects(e, 0)
-					i++
-				}
-			})
-		})
 	}
 }

@@ -27,7 +27,7 @@
 // default: -slow-query > 0 or -trace-sample > 0): the response carries the
 // trace ID in the X-Kbqa-Trace header (and trace_id in the JSON body), and
 // sampled or slow traces are retained for /debug/traces with nested
-// parse/match/probe, per-hop and per-shard spans. Logs are structured
+// parse/match/probe, per-hop and per-RPC spans. Logs are structured
 // JSON lines on stderr (-log-level selects the floor); every request is
 // access-logged with trace_id, client, generation, status and duration.
 //
@@ -45,7 +45,7 @@
 // -kb-image serves the knowledge base from a snapshot image written by
 // kbqa-learn -kb-image; -shard-servers serves it from kbqa-shard processes,
 // each holding the whole world, one frame per read phase.
-// Either must hold the world -flavor, -seed and -shards describe.
+// Either must hold the world -flavor and -seed describe.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests and flushing the persistent cache before exiting; per-request
@@ -486,7 +486,6 @@ func main() {
 	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client burst allowance (0 = ceil of -rate-limit)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent engine calls (0 = 4×GOMAXPROCS)")
-	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match every kbqa-shard)")
 	shardServers := flag.String("shard-servers", "", "comma-separated kbqa-shard addresses; when set, knowledge-base index reads are served remotely (every server must have loaded the same world)")
 	flag.Int("shard-replicas", 2, "ignored: every shard server serves the whole world (ROADMAP item 1(d) deletes this flag)")
 	kbImage := flag.String("kb-image", "", "serve knowledge-base index reads from this memory-mapped snapshot image (refused unless its world digest equals that of the world the other flags describe; exclusive with -shard-servers)")
@@ -501,9 +500,6 @@ func main() {
 		logger.Error(msg, fields...)
 		os.Exit(1)
 	}
-	if *shards < 1 {
-		fatal("-shards must be at least 1", kbqa.LogF("shards", *shards))
-	}
 
 	logger.Info("building world", kbqa.LogF("flavor", *flavor), kbqa.LogF("seed", *seed))
 	var serverList []string
@@ -512,7 +508,7 @@ func main() {
 			serverList = append(serverList, strings.TrimSpace(a))
 		}
 	}
-	sys, err := kbqa.Build(kbqa.Options{Flavor: *flavor, Seed: *seed, Shards: *shards,
+	sys, err := kbqa.Build(kbqa.Options{Flavor: *flavor, Seed: *seed,
 		ShardServers: serverList, KBImage: *kbImage})
 	if err != nil {
 		fatal("build world", kbqa.LogF("error", err))

@@ -33,11 +33,10 @@ func (l *lockedBuffer) String() string {
 }
 
 // tracedServer builds a dedicated server whose tracer captures nothing by
-// sampling (rate 0) and everything by the slow path (threshold 1ns), over
-// a sharded store so probes emit per-shard spans.
+// sampling (rate 0) and everything by the slow path (threshold 1ns).
 func tracedServer(t *testing.T, logBuf *lockedBuffer) (*server, *httptest.Server) {
 	t.Helper()
-	sys, err := kbqa.Build(kbqa.Options{Flavor: "dbpedia", Seed: 21, Scale: 12, PairsPerIntent: 12, Shards: 4})
+	sys, err := kbqa.Build(kbqa.Options{Flavor: "dbpedia", Seed: 21, Scale: 12, PairsPerIntent: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +77,12 @@ func getJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestTraceAPIEndToEnd is the ISSUE's integration test: a deliberately
+// TestTraceAPIEndToEnd is the tracing integration test: a deliberately
 // slow chain question is always captured (sampling off, slow threshold
 // 1ns), the X-Kbqa-Trace header resolves to a /debug/traces entry, and
 // that trace nests the parse/match/probe stage spans with durations
-// exactly equal to the response's Timings, plus per-hop and per-shard
-// probe spans from the layers below.
+// exactly equal to the response's Timings, plus per-hop and probe spans
+// from the layers below.
 func TestTraceAPIEndToEnd(t *testing.T) {
 	var logBuf lockedBuffer
 	s, ts := tracedServer(t, &logBuf)
@@ -160,7 +159,7 @@ func TestTraceAPIEndToEnd(t *testing.T) {
 	}
 
 	// The serving pipeline and engine must hang off the HTTP root.
-	for _, name := range []string{"serve.cache", "serve.flight", "serve.engine", "engine.answer", "engine.hop", "probe.shard"} {
+	for _, name := range []string{"serve.cache", "serve.flight", "serve.engine", "engine.answer", "engine.hop", "engine.probe"} {
 		if root.Find(name) == nil {
 			t.Errorf("trace has no %s span", name)
 		}

@@ -12,15 +12,15 @@
 //	kbqa-shard -addr :9102
 //	kbqa-server -shard-servers :9101,:9102
 //
-// The generated world is the one kbqa-server builds from the same -flavor,
-// -seed and -shards, at the default scale. Generating it dominates boot
+// The generated world is the one kbqa-server builds from the same -flavor
+// and -seed, at the default scale. Generating it dominates boot
 // time: -kb-image boots from a snapshot image (written by kbqa-learn
 // -kb-image) instead, memory-mapping the file so the world is served
 // pages-on-demand (and shared between replicas on one host). With
 // -kb-image the generation flags are ignored — the image is the world.
 // Either way the handshake refuses a frontend that built another world,
-// down to one triple or one shard count: it compares the frontend's world
-// digest with this world's.
+// down to one triple: it compares the frontend's world digest with this
+// world's.
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 	addr := flag.String("addr", ":9101", "listen address")
 	flavor := flag.String("flavor", "freebase", "knowledge base flavor (must match the frontend)")
 	seed := flag.Int64("seed", 42, "generation seed (must match the frontend)")
-	shards := flag.Int("shards", 4, "subject-hash shard count of the world, at least 1 (must match the frontend)")
 	flag.String("servers", "", "ignored: every server serves the whole world (ROADMAP item 1(d) deletes this flag)")
 	flag.Int("replicas", 2, "ignored: every server serves the whole world (ROADMAP item 1(d) deletes this flag)")
 	kbImage := flag.String("kb-image", "", "boot from this snapshot image instead of generating the world (generation flags are ignored)")
@@ -54,9 +53,6 @@ func main() {
 	fatal := func(msg string, fields ...obs.Field) {
 		logger.Error(msg, fields...)
 		os.Exit(1)
-	}
-	if *shards < 1 {
-		fatal("-shards must be at least 1", obs.F("shards", *shards))
 	}
 
 	var store rdf.Graph
@@ -74,14 +70,14 @@ func main() {
 		if err != nil {
 			fatal("parse flavor", obs.F("error", err.Error()))
 		}
-		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed), obs.F("shards", *shards))
-		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f, Shards: *shards}).Store
+		logger.Info("loading world", obs.F("flavor", *flavor), obs.F("seed", *seed))
+		gen := kbgen.Generate(kbgen.Config{Seed: *seed, Flavor: f}).Store
 		store, digest = gen, snapshot.Digest(gen)
 	}
 
 	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{Logger: logger})
 	st := srv.Stats()
-	logger.Info("world ready", obs.F("triples", st.Triples), obs.F("shards", st.NumShards),
+	logger.Info("world ready", obs.F("triples", st.Triples),
 		obs.F("digest", fmt.Sprintf("%016x", digest)))
 
 	lis, err := net.Listen("tcp", *addr)

@@ -6,13 +6,10 @@ package repro
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/kbgen"
@@ -165,27 +162,5 @@ func TestLearnerIsPureOverQA(t *testing.T) {
 	w.Learner().Learn(qa)
 	if w.KB.Store.NumTriples() != triples || w.KB.Store.NumNodes() != nodes {
 		t.Error("learning mutated the knowledge base")
-	}
-}
-
-// TestServersRefuseShardsBelowOne: kbqa-server and kbqa-shard must agree on
-// the world a -shards value names, so both refuse a count below 1 at start
-// rather than each resolving it its own way.
-func TestServersRefuseShardsBelowOne(t *testing.T) {
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/kbqa-server", "./cmd/kbqa-shard")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("%v: %v\n%s", build.Args, err, out)
-	}
-	for _, name := range []string{"kbqa-server", "kbqa-shard"} {
-		for _, n := range []string{"0", "-1"} {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			out, err := exec.CommandContext(ctx, filepath.Join(bin, name), "-addr", "127.0.0.1:0", "-shards", n).CombinedOutput()
-			cancel()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "-shards must be at least 1") {
-				t.Errorf("%s -shards %s: err %v, output:\n%s", name, n, err, out)
-			}
-		}
 	}
 }

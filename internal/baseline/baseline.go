@@ -47,7 +47,7 @@ type System interface {
 // ("population" in the question → predicate population). It cannot answer
 // paraphrases with no lexical overlap ("how many people are there in ...").
 type Keyword struct {
-	KB       *rdf.ShardedStore
+	KB       *rdf.Store
 	Mentions *extract.Lexicon // KB's mention lexicon
 }
 
@@ -148,7 +148,7 @@ func DefaultLexicon() Lexicon {
 // disambiguation is an NP-hard ILP (Table 14) — and its cost shows up in
 // the latency benchmarks.
 type Synonym struct {
-	KB       *rdf.ShardedStore
+	KB       *rdf.Store
 	Mentions *extract.Lexicon // KB's mention lexicon
 	Lexicon  Lexicon
 }
@@ -282,7 +282,7 @@ func (s *Synonym) Answer(question string) (Result, bool) {
 // "learns synonyms for more complex sub-structures", so unlike DEANNA it
 // can answer spouse-style questions).
 type GraphMatch struct {
-	KB       *rdf.ShardedStore
+	KB       *rdf.Store
 	Mentions *extract.Lexicon // KB's mention lexicon
 	Lexicon  Lexicon
 	// PathSynonyms maps expanded predicate keys to phrases.
@@ -402,7 +402,7 @@ func (g *GraphMatch) Answer(question string) (Result, bool) {
 // "what/who is the <p> of <entity>" where <p> names a predicate directly
 // ([23]'s scheme). Precision is high; recall is tiny.
 type Rule struct {
-	KB *rdf.ShardedStore
+	KB *rdf.Store
 }
 
 // Name implements System.
@@ -508,7 +508,7 @@ func similarity(a, b string) float64 {
 	return 1 - float64(prev[lb])/float64(maxLen)
 }
 
-func labels(s *rdf.ShardedStore, ids []rdf.ID) []string {
+func labels(s *rdf.Store, ids []rdf.ID) []string {
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, text.Normalize(s.Label(id)))

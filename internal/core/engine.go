@@ -19,8 +19,7 @@
 // variant routing reads a table by ID — no string is hashed again. A BFQ
 // enumerates Eq (7)'s support into a probe plan — every (e, p) the model
 // gives mass to, each once — and reads it in one Index call, so the cost of
-// the summation on a cluster is a frame per shard it touches, not a round
-// trip per term. A complex question is read per phase, not per
+// the summation on a cluster is one frame, not a round trip per term. A complex question is read per phase, not per
 // sub-question: the δ oracle enumerates every span it examines into one
 // plan read once, the chain's first hop takes the oracle's answer, and each
 // later hop reads all of its bindings at once. Cancellation is checked at
@@ -28,8 +27,8 @@
 // chain hops, so a deadline stops work mid-inference instead of letting an
 // abandoned request run to completion; failures are the typed errors
 // ErrNoEntity, ErrNoTemplate and ErrNoAnswer so callers can tell the failure
-// stages apart, and an Index failure (every replica of a shard down) aborts
-// the answer rather than shrinking it.
+// stages apart, and an Index failure (every index server down) aborts the
+// answer rather than shrinking it.
 //
 // Everything a question builds and throws away lives in one scratch
 // (scratch.go): taken from the engine's pool when Answer starts, reached
@@ -455,10 +454,8 @@ func (e *Engine) bfq(ctx context.Context, q *parsed) (Answer, []interpretation, 
 // readPhase is one read of the online procedure: it enumerates every
 // question of qs into one shared probe plan, works[i] receiving qs[i]'s
 // support, and reads the plan in one Index call. The read is traced as an
-// "engine.probe" span — what the questions ask of the knowledge base, and a
-// "probe.shard" child per shard their candidate entities live on, so a
-// trace shows exactly which partitions the probes start from — that comes
-// back ended, for the caller to count the candidates it settles. With no
+// "engine.probe" span — what the questions ask of the knowledge base — that
+// comes back ended, for the caller to count the candidates it settles. With no
 // mention in any question there is neither span nor read, and settle
 // reports ErrNoEntity. The questions share one scratch, whose clock the
 // phase's stages are timed on.
@@ -481,25 +478,6 @@ func (e *Engine) readPhase(ctx context.Context, qs []*parsed, works []bfqWork) (
 		sp.SetInt("entities", int64(entities))
 		sp.SetInt("templates", int64(templates))
 		sp.SetInt("probes", int64(len(plan.probes)))
-		for sh, n := 0, e.KB.NumShards(); sh < n; sh++ {
-			var ents int64
-			for _, w := range works {
-				for _, m := range w.mentions {
-					for _, ent := range m.Entities {
-						if rdf.ShardIndex(ent, n) == sh {
-							ents++
-						}
-					}
-				}
-			}
-			if ents == 0 {
-				continue
-			}
-			c := sp.Child("probe.shard")
-			c.SetInt("shard", int64(sh))
-			c.SetInt("entities", ents)
-			c.End()
-		}
 	}
 	values, err := s.read(ctx, e.Index, plan.probes)
 	s.clock.lap(probeStage)

@@ -640,7 +640,7 @@ func variantQuestions(f *fixture) []string {
 // punctuationWorld is a city whose mayor is three entities, two of them
 // labelled with punctuation only.
 func punctuationWorld() *Engine {
-	kb := rdf.NewShardedStore(1)
+	kb := rdf.NewStore()
 	city, mayor := kb.Entity("Norhaven"), kb.Pred("mayor")
 	for _, label := range []string{"?!", "--", "Bob"} {
 		kb.Add(city, mayor, kb.Entity(label))

@@ -136,7 +136,7 @@ func TestAnswerTraceStagesMatchTimings(t *testing.T) {
 		t.Fatalf("%d engine.oracle spans, want 1", n)
 	}
 	oracle := eng.Find("engine.oracle")
-	if n := count(oracle, "engine.probe") + count(oracle, "probe.shard"); n != 0 {
+	if n := count(oracle, "engine.probe"); n != 0 {
 		t.Errorf("the oracle opened %d probe spans, want 0", n)
 	}
 	if n := count(eng, "engine.probe"); n != len(ans.Steps) {

@@ -139,7 +139,7 @@ func compileWords(vocab *text.Vocab, concepts *concept.Compiled) []wordRole {
 // mentions; whatever it finds the direct path reuses). ok is false when the
 // question is not a recognizable variant or the aggregation cannot be
 // grounded. err is ctx's or the Index's: a ranking over a category whose
-// shard is unreachable is an error, never a shorter ranking.
+// index is unreachable is an error, never a shorter ranking.
 func (e *Engine) answerVariant(ctx context.Context, q *parsed) (VariantAnswer, bool, error) {
 	if len(q.toks) == 0 {
 		return VariantAnswer{}, false, nil
@@ -406,7 +406,7 @@ func (e *Engine) numericPredicate(ctx context.Context, s *scratch, pathKey strin
 }
 
 // numericScanBatch is how many entities one read of the spot check covers:
-// wide enough that the cluster pays a frame per shard rather than per
+// wide enough that the cluster pays a frame per batch rather than per
 // entity, narrow enough that the scan still stops near its first verdict
 // instead of reading V(e, p) for the whole knowledge base.
 const numericScanBatch = 64

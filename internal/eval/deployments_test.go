@@ -115,9 +115,6 @@ var deployments = []struct {
 	name  string
 	build func(t *testing.T, w *World) (eng *core.Engine, fault func())
 }{
-	// The four-shard in-process store: any divergence is a sharded read
-	// path misbehaving.
-	{"shards4", func(t *testing.T, w *World) (*core.Engine, func()) { return w.Engine, nil }},
 	// A memory-mapped snapshot image, checked against the built world's
 	// digest; IDs are preserved verbatim.
 	{"image", func(t *testing.T, w *World) (*core.Engine, func()) {
@@ -153,36 +150,22 @@ var deployments = []struct {
 	}},
 }
 
-// shardedWorlds builds, once for the package's tests, the one-shard
-// reference world and the four-shard world every deployment serves. The two
-// layouts share the generation seed, so node IDs, the learned model and the
-// decomposition statistics all match.
-var shardedWorlds = sync.OnceValues(func() (ref, w *World) {
-	cfg := world.DefaultConfig(kbgen.Freebase)
-	cfg.Shards = 1
-	ref = BuildWorld(cfg)
-	cfg.Shards = 4
-	return ref, BuildWorld(cfg)
-})
+// defaultWorld builds, once for the package's tests, the default Freebase
+// world every deployment serves.
+var defaultWorld = sync.OnceValue(func() *World { return BuildWorld(world.DefaultConfig(kbgen.Freebase)) })
 
-// TestShardedWorldAnswersIdentical is the layout-, persistence- and
-// cross-machine oracle in one: every deployment of the four-shard world
-// must return exactly what the one-shard in-process engine returns — the
-// same typed failure or the same value, values, path and template — over
-// the full training corpus plus composed complex questions.
+// TestShardedWorldAnswersIdentical is the persistence and cross-machine
+// oracle in one: every deployment of the default world must return exactly
+// what its in-process engine over the store returns — the same typed
+// failure or the same value, values, path and template — over the full
+// training corpus plus composed complex questions.
 func TestShardedWorldAnswersIdentical(t *testing.T) {
-	ref, w := shardedWorlds()
-	if ref.KB.Store.NumShards() != 1 || w.KB.Store.NumShards() != 4 {
-		t.Fatalf("worlds have %d and %d shards, want 1 and 4", ref.KB.Store.NumShards(), w.KB.Store.NumShards())
-	}
-	if ref.KB.Store.NumTriples() != w.KB.Store.NumTriples() {
-		t.Fatalf("triple counts diverge: %d vs %d", ref.KB.Store.NumTriples(), w.KB.Store.NumTriples())
-	}
-	qs := corpus.Questions(ref.Pairs)
+	w := defaultWorld()
+	qs := corpus.Questions(w.Pairs)
 	if len(qs) == 0 {
 		t.Fatal("no corpus questions")
 	}
-	for _, cp := range corpus.ComposeComplex(ref.KB, 17, 20) {
+	for _, cp := range corpus.ComposeComplex(w.KB, 17, 20) {
 		qs = append(qs, cp.Q)
 	}
 	ctx := context.Background()
@@ -194,7 +177,7 @@ func TestShardedWorldAnswersIdentical(t *testing.T) {
 				if fault != nil && i == len(qs)/2 {
 					fault()
 				}
-				a, _, _, aerr := ref.Engine.Answer(ctx, q, 0, false)
+				a, _, _, aerr := w.Engine.Answer(ctx, q, 0, false)
 				b, _, _, berr := eng.Answer(ctx, q, 0, false)
 				// The deployment may fail only the way the reference does:
 				// an RPC or I/O failure would show up here as a foreign error.
@@ -222,7 +205,7 @@ func TestShardedWorldAnswersIdentical(t *testing.T) {
 // to the ranking, comparison and listing variants, which exercise the
 // Subjects reverse index; a fault row runs them with the fault injected.
 func TestShardedWorldVariantsIdentical(t *testing.T) {
-	ref, w := shardedWorlds()
+	w := defaultWorld()
 	qs := []string{
 		"Which city has the largest population?",
 		"Which city has the 3rd largest population?",
@@ -235,7 +218,7 @@ func TestShardedWorldVariantsIdentical(t *testing.T) {
 				fault()
 			}
 			for _, q := range qs {
-				a, aok, aerr := askVariant(ref.Engine, q)
+				a, aok, aerr := askVariant(w.Engine, q)
 				b, bok, berr := askVariant(eng, q)
 				if aerr != nil || berr != nil {
 					t.Fatalf("variant %q failed: %v / %v", q, aerr, berr)

@@ -373,7 +373,7 @@ func TestAllRenders(t *testing.T) {
 // through a different layout, and must learn the same θ from it. Persisted
 // answer caches are bound to this number.
 func TestLearnedModelDidNotMove(t *testing.T) {
-	_, w := shardedWorlds()
+	w := defaultWorld()
 	if got, want := w.Model.Fingerprint(), uint64(0xe16a535d811f4ef4); got != want {
 		t.Errorf("default world: Model.Fingerprint() = %#x, want %#x", got, want)
 	}

@@ -8,15 +8,12 @@
 // hash index) against the frontier produced by the previous round. The
 // "reduction on s" optimization — starting only from entities that occur
 // in the QA corpus — is exposed through Config.Sources. Expansion is
-// offline work over the one in-memory backend, rdf.ShardedStore: each
-// round's scan runs one worker per shard and merges deterministically, so
-// the result does not depend on the shard layout.
+// offline work over the one in-memory backend, rdf.Store.
 package expand
 
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"repro/internal/rdf"
 )
@@ -36,9 +33,7 @@ type Config struct {
 	// Nil means every entity in the store.
 	Sources []rdf.ID
 	// EndFilter accepts the final predicate of any path of length >= 2
-	// (the end-with-name rule). Nil accepts everything. Expand calls it
-	// from one goroutine per shard, so it must be safe for
-	// concurrent use — in practice a pure function of the PID.
+	// (the end-with-name rule). Nil accepts everything.
 	EndFilter func(rdf.PID) bool
 	// KeepAllLengths, when true, emits (s, p+, o) for every length
 	// <= MaxLen; when false only paths of exactly MaxLen are emitted.
@@ -77,67 +72,6 @@ func appendSig(sig string, p rdf.PID) string {
 	return sig + string(b[:])
 }
 
-// emitCand is a candidate output triple produced by a scan, tagged with the
-// scanned subject that generated it so per-shard buffers can be merged back
-// into global scan order.
-type emitCand struct {
-	scanS rdf.ID
-	spo   SPO
-	sig   string
-}
-
-// nextCand is a candidate next-round frontier entry, tagged like emitCand.
-type nextCand struct {
-	scanS rdf.ID
-	node  rdf.ID
-	entry frontierEntry
-}
-
-// roundBuf collects one scan's raw candidates before deduplication.
-type roundBuf struct {
-	emits   []emitCand
-	nexts   []nextCand
-	scanned int
-}
-
-// scanRound runs one scan+join over a triple source. The source must
-// deliver triples in ascending-subject order (ShardedStore's Triples and
-// ShardTriples both do), so the buffers come back sorted by scanS.
-// EndFilter and the length policy are applied here; deduplication is not —
-// the same (s, path, o) can surface from scans of different shards, so it
-// happens in applyRound on the merged stream.
-func scanRound(scan func(func(rdf.Triple)), g *rdf.ShardedStore, cfg Config, frontier map[rdf.ID][]frontierEntry, round int) roundBuf {
-	var buf roundBuf
-	scan(func(t rdf.Triple) {
-		buf.scanned++
-		entries, ok := frontier[t.S]
-		if !ok {
-			return
-		}
-		for i := range entries {
-			fe := &entries[i]
-			path := append(append(rdf.Path{}, fe.path...), t.P)
-			sig := appendSig(fe.sig, t.P)
-			if (len(path) == 1 || cfg.EndFilter == nil || cfg.EndFilter(t.P)) &&
-				(cfg.KeepAllLengths || len(path) == cfg.MaxLen) {
-				buf.emits = append(buf.emits, emitCand{
-					scanS: t.S,
-					spo:   SPO{S: fe.src, Path: path, O: t.O},
-					sig:   sig,
-				})
-			}
-			if g.KindOf(t.O) != rdf.KindLiteral && round < cfg.MaxLen {
-				buf.nexts = append(buf.nexts, nextCand{
-					scanS: t.S,
-					node:  t.O,
-					entry: frontierEntry{src: fe.src, path: path, sig: sig},
-				})
-			}
-		}
-	})
-	return buf
-}
-
 // emitKey identifies an output triple for deduplication: same source, same
 // expanded predicate, same object — however many mediator routes exist.
 type emitKey struct {
@@ -152,88 +86,38 @@ type entryKey struct {
 	sig       string
 }
 
-// applyRound merges one round's per-worker buffers back into global
-// ascending-subject scan order, deduplicates, appends the surviving
-// triples to res and builds the next frontier. With a single buffer
-// the merge is the identity, so every shard layout applies candidates in
-// exactly the order one scan of the whole store would, and produces
-// identical results.
-func (res *Result) applyRound(bufs []roundBuf) map[rdf.ID][]frontierEntry {
-	emits := make([][]emitCand, 0, len(bufs))
-	nexts := make([][]nextCand, 0, len(bufs))
-	for _, b := range bufs {
-		res.Scanned += b.scanned
-		if len(b.emits) > 0 {
-			emits = append(emits, b.emits)
-		}
-		if len(b.nexts) > 0 {
-			nexts = append(nexts, b.nexts)
-		}
-	}
-	// The dedupe sets are per round: a signature encodes the full path, so
-	// a round-r key (4·r sig bytes) can never recur in a later round, and
-	// holding the sets across rounds would only retain memory.
+// scanRound runs one round: a scan of the whole store in ascending-subject
+// order, joined against the frontier. It appends each new (s, p+, o) the
+// join supports to res and returns the next round's frontier, both
+// deduplicated as the scan meets them. The dedupe sets are per round: a
+// signature encodes the full path, so a round-r key (4·r sig bytes) can
+// never recur in a later round.
+func (res *Result) scanRound(g *rdf.Store, cfg Config, frontier map[rdf.ID][]frontierEntry, round int) map[rdf.ID][]frontierEntry {
 	emitted := make(map[emitKey]bool)
-	mergeBySubject(emits, func(c emitCand) rdf.ID { return c.scanS }, func(c emitCand) {
-		k := emitKey{src: c.spo.S, obj: c.spo.O, sig: c.sig}
-		if emitted[k] {
-			return
-		}
-		emitted[k] = true
-		res.Triples = append(res.Triples, c.spo)
-		res.ByLength[len(c.spo.Path)]++
-	})
 	entrySeen := make(map[entryKey]bool)
 	next := make(map[rdf.ID][]frontierEntry)
-	mergeBySubject(nexts, func(c nextCand) rdf.ID { return c.scanS }, func(c nextCand) {
-		k := entryKey{node: c.node, src: c.entry.src, sig: c.entry.sig}
-		if entrySeen[k] {
-			return
+	g.Triples(func(t rdf.Triple) {
+		res.Scanned++
+		for _, fe := range frontier[t.S] {
+			path := append(append(rdf.Path{}, fe.path...), t.P)
+			sig := appendSig(fe.sig, t.P)
+			if (len(path) == 1 || cfg.EndFilter == nil || cfg.EndFilter(t.P)) &&
+				(cfg.KeepAllLengths || len(path) == cfg.MaxLen) {
+				if k := (emitKey{src: fe.src, obj: t.O, sig: sig}); !emitted[k] {
+					emitted[k] = true
+					res.Triples = append(res.Triples, SPO{S: fe.src, Path: path, O: t.O})
+					res.ByLength[len(path)]++
+				}
+			}
+			if g.KindOf(t.O) != rdf.KindLiteral && round < cfg.MaxLen {
+				if k := (entryKey{node: t.O, src: fe.src, sig: sig}); !entrySeen[k] {
+					entrySeen[k] = true
+					next[t.O] = append(next[t.O], frontierEntry{src: fe.src, path: path, sig: sig})
+				}
+			}
 		}
-		entrySeen[k] = true
-		next[c.node] = append(next[c.node], c.entry)
 	})
 	return next
-}
-
-// mergeBySubject k-way-merges buffers that are each sorted by subject into
-// global ascending-subject order. Shards partition the subjects, so no two
-// buffers share a subject and the merge is a total order.
-func mergeBySubject[T any](bufs [][]T, key func(T) rdf.ID, apply func(T)) {
-	switch len(bufs) {
-	case 0:
-		return
-	case 1:
-		for _, c := range bufs[0] {
-			apply(c)
-		}
-		return
-	}
-	heads := make([]int, len(bufs))
-	for {
-		best := -1
-		var bestKey rdf.ID
-		for i, b := range bufs {
-			if heads[i] >= len(b) {
-				continue
-			}
-			k := key(b[heads[i]])
-			if best < 0 || k < bestKey {
-				best, bestKey = i, k
-			}
-		}
-		if best < 0 {
-			return
-		}
-		// Consume the full run of the winning subject; the next buffer
-		// entry for it (if any) is contiguous because each buffer is in
-		// ascending subject order.
-		b := bufs[best]
-		for heads[best] < len(b) && key(b[heads[best]]) == bestKey {
-			apply(b[heads[best]])
-			heads[best]++
-		}
-	}
 }
 
 // sourceFrontier builds round 1's frontier: the source set with empty
@@ -247,14 +131,10 @@ func sourceFrontier(sources []rdf.ID) map[rdf.ID][]frontierEntry {
 	return frontier
 }
 
-// Expand runs the k-round scan+join BFS with one worker per shard. Each
-// round, every worker scans its own shard's triples and joins them against
-// the shared frontier index — the frontier is read-only during a round, so
-// workers share it without locks. The per-shard candidate buffers are then
-// merged back into global ascending-subject scan order and deduplicated, so
-// Expand returns exactly the triples, in exactly the order, that one scan
-// of the whole store per round produces, whatever the shard count.
-func Expand(g *rdf.ShardedStore, cfg Config) *Result {
+// Expand runs the k-round scan+join BFS: each round is one scan of the
+// store joined against the previous round's frontier (the "hash index on
+// S0" of Sec 6.2), so the triples come out in scan order, round by round.
+func Expand(g *rdf.Store, cfg Config) *Result {
 	if cfg.MaxLen <= 0 {
 		cfg.MaxLen = 1
 	}
@@ -264,26 +144,16 @@ func Expand(g *rdf.ShardedStore, cfg Config) *Result {
 	}
 	res := &Result{ByLength: make(map[int]int)}
 	frontier := sourceFrontier(sources)
-	bufs := make([]roundBuf, g.NumShards())
 	for round := 1; round <= cfg.MaxLen && len(frontier) > 0; round++ {
 		res.Scans++
-		var wg sync.WaitGroup
-		for i := range bufs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				bufs[i] = scanRound(func(fn func(rdf.Triple)) { g.ShardTriples(i, fn) }, g, cfg, frontier, round)
-			}(i)
-		}
-		wg.Wait()
-		frontier = res.applyRound(bufs)
+		frontier = res.scanRound(g, cfg, frontier, round)
 	}
 	return res
 }
 
 // DistinctPaths returns the distinct expanded predicates of the result,
 // sorted by their key, optionally restricted to a single length (0 = all).
-func (r *Result) DistinctPaths(g *rdf.ShardedStore, length int) []string {
+func (r *Result) DistinctPaths(g *rdf.Store, length int) []string {
 	set := make(map[string]bool)
 	for _, t := range r.Triples {
 		if length != 0 && len(t.Path) != length {
@@ -309,7 +179,7 @@ type Meaningful func(s rdf.ID, valueLabel string) bool
 // (subject, value) pair the infobox supports. Each supported (s, p+, o) is
 // counted exactly once — diamond-shaped subgraphs that reach the same
 // object through several mediators do not inflate the count.
-func ValidK(g *rdf.ShardedStore, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
+func ValidK(g *rdf.Store, entities []rdf.ID, k int, endFilter func(rdf.PID) bool, has Meaningful) int {
 	res := Expand(g, Config{MaxLen: k, Sources: entities, EndFilter: endFilter})
 	n := 0
 	for _, t := range res.Triples {
@@ -325,7 +195,7 @@ func ValidK(g *rdf.ShardedStore, entities []rdf.ID, k int, endFilter func(rdf.PI
 
 // TopEntitiesByFrequency returns the n entities with the highest out-degree
 // (the paper's trustworthy-entity sampling for valid(k)).
-func TopEntitiesByFrequency(g *rdf.ShardedStore, n int) []rdf.ID {
+func TopEntitiesByFrequency(g *rdf.Store, n int) []rdf.ID {
 	ents := g.Entities()
 	deg := make(map[rdf.ID]int, len(ents))
 	for _, e := range ents {

@@ -1,6 +1,10 @@
 package expand
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"repro/internal/infobox"
@@ -9,8 +13,8 @@ import (
 )
 
 // figure1 builds the paper's toy KB.
-func figure1() (*rdf.ShardedStore, rdf.ID, rdf.PID) {
-	s := rdf.NewShardedStore(1)
+func figure1() (*rdf.Store, rdf.ID, rdf.PID) {
+	s := rdf.NewStore()
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m1")
 	c := s.Entity("Michelle Obama")
@@ -210,5 +214,106 @@ func TestExpandScannedAccounting(t *testing.T) {
 	res := Expand(s, Config{MaxLen: 2, Sources: []rdf.ID{a}, KeepAllLengths: true})
 	if res.Scanned != 2*s.NumTriples() {
 		t.Errorf("Scanned = %d, want %d (2 scans of %d triples)", res.Scanned, 2*s.NumTriples(), s.NumTriples())
+	}
+}
+
+// diamondKB builds a diamond-shaped subgraph: src reaches o through two
+// different mediators via the same predicate path a→b. Before the dedupe
+// fix, Expand emitted (src, a→b, o) twice and valid(k) double-counted it.
+func diamondKB() (*rdf.Store, rdf.ID, rdf.ID) {
+	s := rdf.NewStore()
+	src := s.Entity("source")
+	m1 := s.Mediator("m1")
+	m2 := s.Mediator("m2")
+	o := s.Literal("shared value")
+	a := s.Pred("a")
+	b := s.Pred("b")
+	s.Add(src, a, m1)
+	s.Add(src, a, m2)
+	s.Add(m1, b, o)
+	s.Add(m2, b, o)
+	return s, src, o
+}
+
+func TestExpandDiamondDedupe(t *testing.T) {
+	s, src, o := diamondKB()
+	res := Expand(s, Config{MaxLen: 2, Sources: []rdf.ID{src}, KeepAllLengths: true})
+	objs := lookup(res, s, src, "a→b")
+	if len(objs) != 1 || objs[0] != o {
+		t.Fatalf("lookup(src, a→b) = %v, want exactly [%d]: diamond emitted duplicates", objs, o)
+	}
+	if res.ByLength[2] != 1 {
+		t.Errorf("ByLength[2] = %d, want 1", res.ByLength[2])
+	}
+	// Cross-check against the store's online traversal, which always
+	// deduplicated.
+	path, _ := rdf.ParsePath(s, "a→b")
+	online := rdf.PathObjects(nil, s, src, path)
+	if len(online) != len(objs) || online[0] != objs[0] {
+		t.Errorf("materialized expansion %v disagrees with PathObjects %v", objs, online)
+	}
+}
+
+func TestValidKCountsDiamondOnce(t *testing.T) {
+	s, src, _ := diamondKB()
+	// With unconditional infobox support, valid(2) is the number of
+	// distinct supported (s, p+, o) triples of length 2 — exactly one
+	// here, however many mediator routes exist.
+	always := func(rdf.ID, string) bool { return true }
+	if got := ValidK(s, []rdf.ID{src}, 2, nil, always); got != 1 {
+		t.Fatalf("ValidK = %d, want 1: diamond double-counted (Eq 29)", got)
+	}
+}
+
+func TestKeepAllLengthsFalseEmitsOnlyComplete(t *testing.T) {
+	s, src, _ := diamondKB()
+	res := Expand(s, Config{MaxLen: 2, Sources: []rdf.ID{src}})
+	if res.ByLength[1] != 0 {
+		t.Errorf("ByLength[1] = %d, want 0 when KeepAllLengths is false", res.ByLength[1])
+	}
+	if res.ByLength[2] != 1 {
+		t.Errorf("ByLength[2] = %d, want 1", res.ByLength[2])
+	}
+	for _, tr := range res.Triples {
+		if len(tr.Path) != 2 {
+			t.Fatalf("emitted incomplete-length path %v", tr.Path)
+		}
+	}
+}
+
+// TestExpandPinned pins what Expand returns for the default world of every
+// flavor — the count, the scan accounting, the per-length counts and a
+// SHA-256 of the triple sequence (S, path length, path, O as u32 LE each) —
+// so a change to the scan order or the dedupe shows as a changed digest.
+func TestExpandPinned(t *testing.T) {
+	for _, c := range []struct {
+		flavor           kbgen.Flavor
+		triples, scanned int
+		byLength         map[int]int
+		sha256           string
+	}{
+		{kbgen.KBA, 6004, 8940, map[int]int{1: 2660, 2: 944, 3: 2400}, "03a4516f8ba1ecd147909c03db5430e6586b30205ec164cd582f6142da6600b2"},
+		{kbgen.Freebase, 4103, 6072, map[int]int{1: 1815, 2: 646, 3: 1642}, "02fbcaac9ed4d05b15b2f3accecaac82a1828c7bf08b9e7457f5ba7d43f4864c"},
+		{kbgen.DBpedia, 2319, 3255, map[int]int{1: 998, 2: 393, 3: 928}, "42c6a0da8a987d352e21b3d314ef232c1d562bf38016564660183438d992decc"},
+	} {
+		kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: c.flavor})
+		res := Expand(kb.Store, Config{MaxLen: 3, EndFilter: kb.EndFilter, KeepAllLengths: true})
+		h := sha256.New()
+		var b []byte
+		for _, tr := range res.Triples {
+			b = binary.LittleEndian.AppendUint32(b[:0], uint32(tr.S))
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(tr.Path)))
+			for _, p := range tr.Path {
+				b = binary.LittleEndian.AppendUint32(b, uint32(p))
+			}
+			h.Write(binary.LittleEndian.AppendUint32(b, uint32(tr.O)))
+		}
+		if len(res.Triples) != c.triples || res.Scanned != c.scanned || !reflect.DeepEqual(res.ByLength, c.byLength) {
+			t.Errorf("%v: %d triples, %d scanned, by length %v; want %d, %d, %v",
+				c.flavor, len(res.Triples), res.Scanned, res.ByLength, c.triples, c.scanned, c.byLength)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("%v: triple sequence SHA-256 %s, want %s", c.flavor, got, c.sha256)
+		}
 	}
 }

@@ -209,7 +209,7 @@ type EVPair struct {
 
 // Extractor performs joint entity–value extraction against a knowledge base.
 type Extractor struct {
-	KB *rdf.ShardedStore
+	KB *rdf.Store
 	// Lexicon is KB's mention lexicon.
 	Lexicon *Lexicon
 	// MaxPathLen bounds the expanded predicates considered when testing

@@ -10,8 +10,8 @@ import (
 )
 
 // figure1KB rebuilds the paper's toy KB with predicate classes.
-func figure1KB() (*rdf.ShardedStore, *Extractor) {
-	s := rdf.NewShardedStore(1)
+func figure1KB() (*rdf.Store, *Extractor) {
+	s := rdf.NewStore()
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m:marriage1")
 	c := s.Entity("Michelle Obama")
@@ -63,7 +63,7 @@ func TestFindMentions(t *testing.T) {
 }
 
 func TestFindMentionsLongestMatch(t *testing.T) {
-	s := rdf.NewShardedStore(1)
+	s := rdf.NewStore()
 	s.Entity("new york")
 	s.Entity("new york city")
 	toks := text.Tokenize("how big is new york city")
@@ -74,7 +74,7 @@ func TestFindMentionsLongestMatch(t *testing.T) {
 }
 
 func TestFindMentionsAmbiguous(t *testing.T) {
-	s := rdf.NewShardedStore(1)
+	s := rdf.NewStore()
 	s.NewAmbiguousEntity("springfield")
 	s.NewAmbiguousEntity("springfield")
 	ms := NewLexicon(s).Find(text.Tokenize("population of springfield"))
@@ -84,7 +84,7 @@ func TestFindMentionsAmbiguous(t *testing.T) {
 }
 
 func TestFindMentionsStopword(t *testing.T) {
-	s := rdf.NewShardedStore(1)
+	s := rdf.NewStore()
 	s.Entity("the") // a perverse entity named "the"
 	ms := NewLexicon(s).Find(text.Tokenize("the population"))
 	if len(ms) != 0 {
@@ -202,7 +202,7 @@ func TestEntityPrior(t *testing.T) {
 	}
 }
 
-func render(s *rdf.ShardedStore, pairs []EVPair) []string {
+func render(s *rdf.Store, pairs []EVPair) []string {
 	var out []string
 	for _, p := range pairs {
 		line := s.Label(p.Entity) + "->" + s.Label(p.Value) + " via"

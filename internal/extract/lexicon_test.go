@@ -68,10 +68,10 @@ func FindMentions(kb rdf.Graph, toks []string) []Mention {
 // questions and every sub-span of each (what the δ oracle parses), Find
 // returns the reference's mentions — spans, surfaces, entity IDs, order;
 // Label is the lexicon's index of the surface — and Has the reference's
-// verdict, on the sharded store and on its mapped image, with the labels
+// verdict, on the store and on its mapped image, with the labels
 // that stress the rules added to the world.
 func TestLexiconEqualsReferenceLoop(t *testing.T) {
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 30, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 30})
 	odd := []string{
 		"Twin Peaks",                        // made ambiguous below
 		"The",                               // a stopword-only label
@@ -167,7 +167,7 @@ func TestLexiconEqualsReferenceLoop(t *testing.T) {
 // mentions into the caller's storage — into a buffer with room for them it
 // allocates nothing, and what was in the buffer stays.
 func TestFindIDsAllocatesNothingIntoASizedBuffer(t *testing.T) {
-	s := rdf.NewShardedStore(1)
+	s := rdf.NewStore()
 	s.Entity("Barack Obama")
 	s.Entity("Honolulu")
 	s.Entity("New York City")

@@ -13,7 +13,7 @@ import (
 // referencePathsBetween is rdf.PathsBetween as it walked before it reused
 // its prefix: a new path for every edge visited, every out-edge of the last
 // hop visited.
-func referencePathsBetween(g *rdf.ShardedStore, subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) []rdf.Path {
+func referencePathsBetween(g *rdf.Store, subj, obj rdf.ID, maxLen int, endFilter func(rdf.PID) bool) []rdf.Path {
 	var out []rdf.Path
 	var walk func(cur rdf.ID, prefix rdf.Path)
 	walk = func(cur rdf.ID, prefix rdf.Path) {
@@ -67,7 +67,7 @@ func corpusPairs(kb *kbgen.KB, lx *Lexicon) [][2]rdf.ID {
 // filter, PathsBetween finds the reference walk's paths in its order.
 func TestPathsBetweenMatchesReference(t *testing.T) {
 	for _, f := range []kbgen.Flavor{kbgen.KBA, kbgen.Freebase, kbgen.DBpedia} {
-		kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: f, Shards: 4})
+		kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: f})
 		pairs := corpusPairs(kb, NewLexicon(kb.Store))
 		found := 0
 		for _, ev := range pairs {
@@ -93,7 +93,7 @@ func TestPathsBetweenMatchesReference(t *testing.T) {
 // returns — one slice of them over one backing array — and nothing when it
 // finds none.
 func TestPathsBetweenAllocatesOnlyItsResult(t *testing.T) {
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase})
 	pairs := corpusPairs(kb, NewLexicon(kb.Store))
 	withPaths, without := 0, 0
 	for i, ev := range pairs {

@@ -43,7 +43,7 @@ var skipPreds = map[string]bool{"name": true, "alias": true, "category": true}
 
 // Build constructs the infobox for every entity of the store; seed drives
 // the literal sampling.
-func Build(s *rdf.ShardedStore, seed int64) *Infobox {
+func Build(s *rdf.Store, seed int64) *Infobox {
 	r := rand.New(rand.NewSource(seed))
 	ib := &Infobox{pairs: make(map[key]bool)}
 

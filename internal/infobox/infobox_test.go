@@ -8,8 +8,8 @@ import (
 	"repro/internal/rdf"
 )
 
-func toyKB() (*rdf.ShardedStore, rdf.ID, rdf.ID) {
-	s := rdf.NewShardedStore(1)
+func toyKB() (*rdf.Store, rdf.ID, rdf.ID) {
+	s := rdf.NewStore()
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m1")
 	c := s.Entity("Michelle Obama")

@@ -30,11 +30,6 @@ type Config struct {
 	// Scale is the base number of entities per category. Zero means
 	// DefaultScale. Actual counts are scaled per flavor and per category.
 	Scale int
-	// Shards > 1 re-partitions the generated store into that many
-	// subject-hash shards, with the per-shard indexes bulk-loaded in
-	// parallel; <= 1 keeps the one shard generation filled. Node IDs,
-	// triples and all read results are identical either way.
-	Shards int
 }
 
 // KB bundles a generated knowledge base with the side information the rest
@@ -43,7 +38,7 @@ type Config struct {
 // inventory used by the corpus generator and the evaluation gold labels.
 type KB struct {
 	Flavor     Flavor
-	Store      *rdf.ShardedStore
+	Store      *rdf.Store
 	Taxonomy   *concept.Taxonomy
 	Intents    []Intent
 	PredClass  map[rdf.PID]qclass.Class
@@ -113,7 +108,7 @@ type generator struct {
 	r     *rand.Rand
 	names *nameGen
 	kb    *KB
-	s     *rdf.ShardedStore
+	s     *rdf.Store
 	// frequently used predicate ids
 	pName, pAlias, pCategory rdf.PID
 	medCount                 int
@@ -130,7 +125,7 @@ func Generate(cfg Config) *KB {
 		cfg.Scale = DefaultScale
 	}
 	r := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Flavor)*7919))
-	s := rdf.NewShardedStore(1)
+	s := rdf.NewStore()
 	kb := &KB{
 		Flavor:     cfg.Flavor,
 		Store:      s,
@@ -155,12 +150,6 @@ func Generate(cfg Config) *KB {
 	// Record predicate classes for every predicate actually created.
 	for _, p := range s.Predicates() {
 		kb.PredClass[p] = predClasses[s.PredName(p)]
-	}
-	if cfg.Shards > 1 {
-		// Re-partition by subject hash; the parallel bulk load inside
-		// Repartition is the only concurrency, generation itself stays
-		// deterministic in the seed.
-		kb.Store = rdf.Repartition(s, cfg.Shards)
 	}
 	return kb
 }

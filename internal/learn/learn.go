@@ -181,7 +181,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 
 // Learner wires the substrates needed to build observations and run EM.
 type Learner struct {
-	KB        *rdf.ShardedStore
+	KB        *rdf.Store
 	Taxonomy  *concept.Taxonomy
 	Extractor *extract.Extractor
 	// MaxIter bounds EM sweeps (default 30).

@@ -157,7 +157,7 @@ func logLikelihood(obs []Observation, theta map[string]map[string]float64) float
 func flavorWorld(t testing.TB, f kbgen.Flavor, seed int64) ([]QA, *Learner) {
 	t.Helper()
 	pairsPerIntent := map[kbgen.Flavor]int{kbgen.KBA: 80, kbgen.Freebase: 40, kbgen.DBpedia: 28}[f]
-	kb := kbgen.Generate(kbgen.Config{Seed: seed, Flavor: f, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: seed, Flavor: f})
 	pairs := corpus.Generate(kb, corpus.Config{Seed: seed + 1, PairsPerIntent: pairsPerIntent, NoiseRate: 0.15})
 	qa := make([]QA, len(pairs))
 	for i, p := range pairs {

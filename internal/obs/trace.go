@@ -157,7 +157,7 @@ type attr struct {
 
 // Span is one timed operation inside a trace: a handle on the record the
 // trace's arena keeps of it. Spans form a tree under the trace root;
-// children may be created concurrently (e.g. per-shard scan workers), so
+// children may be created concurrently (e.g. by parallel workers), so
 // the trace's mutex guards the arena. A handle is never reused, but the
 // arena goes back to a pool at Trace.Finish, so a write through a span
 // after Finish (a losing hedge attempt Ends its span when it gives up) is

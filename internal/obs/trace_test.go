@@ -556,16 +556,15 @@ func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
 // batchTrace builds the trace that a /batch of 64 cold BFQs builds, and
 // finishes it unretained, as slow capture does for almost every batch: an
 // http.batch root, and per question serve.flight > serve.admit,
-// serve.engine > engine.answer with its three stages and an engine.probe
-// with one probe.shard, each with the attributes the serving path sets on
-// it.
+// serve.engine > engine.answer with its three stages and an engine.probe,
+// each with the attributes the serving path sets on it.
 func batchTrace(tr *Tracer) {
 	ctx, trace := tr.Start(context.Background(), "http.batch")
 	root := trace.Root()
 	root.SetAttr("method", "POST")
 	root.SetAttr("path", "/batch")
 	root.SetAttr("client", "127.0.0.1")
-	for i := 0; i < 64; i++ {
+	for range 64 {
 		fctx, fsp := StartSpan(ctx, "serve.flight")
 		_, asp := StartSpan(fctx, "serve.admit")
 		asp.End()
@@ -577,10 +576,6 @@ func batchTrace(tr *Tracer) {
 		psp.SetInt("entities", 1)
 		psp.SetInt("templates", 3)
 		psp.SetInt("probes", 2)
-		c := psp.Child("probe.shard")
-		c.SetInt("shard", int64(i%4))
-		c.SetInt("entities", 1)
-		c.End()
 		psp.End()
 		psp.SetInt("candidates", 1)
 		sp.Stage("parse", time.Microsecond)

@@ -7,10 +7,10 @@
 // follow the paper's two phases. The online phase only reads V(e, p+) for
 // the templates a question matched (Eq 7), plus the reverse lookup of the
 // ranking variants: that is Graph, the one interface, implemented by the
-// ShardedStore in memory and by snapshot.Image over a mapped file. The
-// offline phase — extraction, EM, the k-round expansion BFS of Sec 6.2 —
-// scans and joins the knowledge base and has one backend, so it takes a
-// *ShardedStore and calls its scan methods directly.
+// Store in memory and by snapshot.Image over a mapped file. The offline
+// phase — extraction, EM, the k-round expansion BFS of Sec 6.2 — scans and
+// joins the knowledge base and has one backend, so it takes a *Store and
+// calls its scan methods directly.
 package rdf
 
 import (
@@ -66,7 +66,7 @@ type Triple struct {
 type Path []PID
 
 // Graph is the online read API of a knowledge base: the interning lookups,
-// V(e,p), and the per-shard reverse lookup. It is exactly what the question
+// V(e,p), and the reverse lookup. It is exactly what the question
 // path, the shard server and the mapped image need, and nothing more.
 type Graph interface {
 	// Node and predicate interning lookups.
@@ -78,38 +78,24 @@ type Graph interface {
 	PredName(p PID) string
 	PredID(name string) (PID, bool)
 	NumTriples() int
-	// NumShards is the subject-hash shard count (ShardIndex).
-	NumShards() int
 
 	// Objects returns V(e,p): all objects o with (subj, pred, o) in K. The
 	// returned slice may be owned by the backend and must not be mutated.
 	Objects(subj ID, pred PID) []ID
-	// ShardSubjects returns shard i's subjects with (s, pred, obj), the
-	// per-shard half of Subjects.
-	ShardSubjects(i int, pred PID, obj ID) []ID
+	// Subjects returns the subjects with (s, pred, obj) in K, in the
+	// backend's own order. The returned slice may be owned by the backend
+	// and must not be mutated.
+	Subjects(pred PID, obj ID) []ID
 }
 
-var _ Graph = (*ShardedStore)(nil)
+var _ Graph = (*Store)(nil)
 
-// Subjects returns all subjects with (s, pred, obj) in K, ascending: the
-// shards' ShardSubjects concatenated and sorted, the one merge every
-// in-process backend shares.
+// Subjects returns all subjects with (s, pred, obj) in K, ascending: a
+// sorted copy of g.Subjects, nil when there is none.
 func Subjects(g Graph, pred PID, obj ID) []ID {
-	var out []ID
-	for i := 0; i < g.NumShards(); i++ {
-		out = append(out, g.ShardSubjects(i, pred, obj)...)
-	}
+	out := append([]ID(nil), g.Subjects(pred, obj)...)
 	slices.Sort(out)
 	return out
-}
-
-// ShardIndex maps a subject ID to its owning shard in an n-shard layout —
-// the one layout function shared by every backend, so the image's shard
-// sections hold exactly the store's shards. Node IDs are dense, so a
-// multiplicative (Fibonacci) hash spreads consecutive IDs — which the
-// generator assigns category by category — evenly across shards.
-func ShardIndex(id ID, n int) int {
-	return int((uint32(id) * 2654435761) % uint32(n))
 }
 
 // Key renders the path in the paper's arrow notation
@@ -140,7 +126,7 @@ func ParsePath(g Graph, key string) (Path, bool) {
 // OutDegree returns the number of triples with subj as subject. The paper
 // uses this as the entity "frequency" when sampling trustworthy entities for
 // valid(k) (Sec 6.3).
-func OutDegree(g *ShardedStore, subj ID) int {
+func OutDegree(g *Store, subj ID) int {
 	n := 0
 	g.OutEdges(subj, func(PID, ID) { n++ })
 	return n
@@ -190,7 +176,7 @@ func PathObjects(dst []ID, g Graph, subj ID, path Path) []ID {
 // than by visiting every out-edge. A walk that finds nothing allocates
 // nothing, and one that does allocates the result slice and its backing
 // array.
-func PathsBetween(g *ShardedStore, subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
+func PathsBetween(g *Store, subj, obj ID, maxLen int, endFilter func(PID) bool) []Path {
 	if maxLen <= 0 {
 		return nil
 	}
@@ -214,7 +200,7 @@ func PathsBetween(g *ShardedStore, subj, obj ID, maxLen int, endFilter func(PID)
 
 // pathQuery is what one PathsBetween search looks for.
 type pathQuery struct {
-	g         *ShardedStore
+	g         *Store
 	obj       ID
 	maxLen    int
 	endFilter func(PID) bool
@@ -231,19 +217,18 @@ func (q *pathQuery) walk(cur ID, prefix, found []PID, ends []int) ([]PID, []int)
 			ends = append(ends, len(found))
 		}
 	}
-	sh := &q.g.shards[q.g.shardOf(cur)]
 	var buf [32]PID
 	if len(prefix)+1 == q.maxLen {
 		// The last edge: only the direct predicates into obj can match,
 		// and the S→O index holds exactly those (each once).
-		preds := append(buf[:0], sh.so[cur][q.obj]...)
+		preds := append(buf[:0], q.g.so[cur][q.obj]...)
 		slices.Sort(preds)
 		for _, p := range preds {
 			match(p)
 		}
 		return found, ends
 	}
-	pm := sh.spo[cur]
+	pm := q.g.spo[cur]
 	preds := buf[:0]
 	for p := range pm {
 		preds = append(preds, p)

@@ -12,9 +12,9 @@ import (
 // benchWorld is the boot-benchmark subject: a larger world than the unit
 // tests use, so per-boot cost is dominated by the load itself rather than
 // fixed overheads.
-func benchWorld(b *testing.B) *rdf.ShardedStore {
+func benchWorld(b *testing.B) *rdf.Store {
 	b.Helper()
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 60, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 60})
 	return kb.Store
 }
 

@@ -1,5 +1,5 @@
 // Package snapshot is a binary, offset-based, CRC-framed image of a fully
-// built sharded knowledge base (rdf.ShardedStore + its interning tables).
+// built knowledge base (rdf.Store + its interning tables).
 // WriteImageFile publishes an image with the same tmp-fsync-rename idiom as
 // the answer cache's segment log (safeio.PublishFile); OpenImage
 // memory-maps it and serves rdf.Graph, the online read API, directly from
@@ -10,7 +10,7 @@
 // reads.
 //
 // The section table is the world's identity: Digest folds each section's
-// kind, shard, length and CRC-32 in table order, off a store or off an
+// kind, length and CRC-32 in table order, off a store or off an
 // image's verified table, so worlds differing in one triple differ. The
 // shardrpc handshake, kbqa's image check and the answer cache's keys all
 // compare it. Node and predicate IDs are preserved verbatim from the source
@@ -35,45 +35,41 @@ const (
 	imgMagic = "KBQAIMG1"
 	// imgVersion is the format version; readers reject anything else. 2
 	// dropped the header's stored fingerprint and the per-shard S→O
-	// sections.
-	imgVersion = 2
+	// sections; 3 dropped the shard split: one set of triple sections,
+	// and neither a shard count in the header nor a shard in the table.
+	imgVersion = 3
 	// maxSections bounds the section table against corrupt headers.
 	maxSections = 1 << 20
 )
 
-// Section kinds. Global sections use shard = noShard; per-shard sections
-// repeat once per shard.
+// Section kinds; an image holds each exactly once.
 const (
-	secLabelBytes  = uint32(1)  // node labels, concatenated
-	secLabelOffs   = uint32(2)  // (numNodes+1) u64 byte offsets into secLabelBytes
-	secKinds       = uint32(3)  // numNodes bytes, rdf.Kind per node
-	secPredBytes   = uint32(4)  // predicate names, concatenated
-	secPredOffs    = uint32(5)  // (numPreds+1) u64 byte offsets into secPredBytes
-	secPredSorted  = uint32(6)  // numPreds u32 PIDs ordered by name
-	secEntities    = uint32(7)  // u32 entity IDs, ascending
-	secKeyBytes    = uint32(8)  // normalized labels (gazetteer keys), sorted, concatenated
-	secKeyOffs     = uint32(9)  // (K+1) u64 byte offsets into secKeyBytes
-	secKeyIDs      = uint32(10) // u32 node IDs, concatenated per key, ascending within key
-	secKeyIDOffs   = uint32(11) // (K+1) u64 offsets into secKeyIDs, in ID units
-	secShardSubj   = uint32(12) // per shard: u32 subject IDs, ascending
-	secShardEdgOff = uint32(13) // per shard: (nsubj+1) u64 offsets into secShardEdges, in pair units
-	secShardEdges  = uint32(14) // per shard: (u32 pred, u32 obj) pairs, canonical per-subject order
-	secShardPOKeys = uint32(15) // per shard: (u32 pred, u32 obj) pairs, sorted
-	secShardPOOffs = uint32(16) // per shard: (nPO+1) u64 offsets into secShardPOSubj, in ID units
-	secShardPOSubj = uint32(17) // per shard: u32 subject IDs, insertion order per (pred,obj)
+	secLabelBytes = uint32(1)  // node labels, concatenated
+	secLabelOffs  = uint32(2)  // (numNodes+1) u64 byte offsets into secLabelBytes
+	secKinds      = uint32(3)  // numNodes bytes, rdf.Kind per node
+	secPredBytes  = uint32(4)  // predicate names, concatenated
+	secPredOffs   = uint32(5)  // (numPreds+1) u64 byte offsets into secPredBytes
+	secPredSorted = uint32(6)  // numPreds u32 PIDs ordered by name
+	secEntities   = uint32(7)  // u32 entity IDs, ascending
+	secKeyBytes   = uint32(8)  // normalized labels (gazetteer keys), sorted, concatenated
+	secKeyOffs    = uint32(9)  // (K+1) u64 byte offsets into secKeyBytes
+	secKeyIDs     = uint32(10) // u32 node IDs, concatenated per key, ascending within key
+	secKeyIDOffs  = uint32(11) // (K+1) u64 offsets into secKeyIDs, in ID units
+	secSubjects   = uint32(12) // u32 subject IDs, ascending
+	secEdgeOffs   = uint32(13) // (nsubj+1) u64 offsets into secEdges, in pair units
+	secEdges      = uint32(14) // (u32 pred, u32 obj) pairs, canonical per-subject order
+	secPOKeys     = uint32(15) // (u32 pred, u32 obj) pairs, sorted
+	secPOOffs     = uint32(16) // (nPO+1) u64 offsets into secPOSubjects, in ID units
+	secPOSubjects = uint32(17) // u32 subject IDs, insertion order per (pred,obj)
 )
-
-// noShard marks a global section in the table.
-const noShard = ^uint32(0)
 
 // header is the decoded fixed-size prefix plus section table.
 //
-//	magic (8) | u32 version | u32 numShards |
+//	magic (8) | u32 version |
 //	u64 numNodes | u64 numPreds | u64 numTriples | u32 sectionCount |
-//	sectionCount × { u32 kind | u32 shard | u64 off | u64 len | u32 crc } |
+//	sectionCount × { u32 kind | u64 off | u64 len | u32 crc } |
 //	u32 headerCRC
 type header struct {
-	numShards  int
 	numNodes   int
 	numPreds   int
 	numTriples int
@@ -81,17 +77,16 @@ type header struct {
 }
 
 type sectionEntry struct {
-	kind  uint32
-	shard uint32
-	off   uint64
-	len   uint64
-	crc   uint32
+	kind uint32
+	off  uint64
+	len  uint64
+	crc  uint32
 }
 
 const (
-	fixedHeaderLen  = 8 + 4 + 4 + 8 + 8 + 8 + 4
+	fixedHeaderLen  = 8 + 4 + 8 + 8 + 8 + 4
 	sectionCountOff = fixedHeaderLen - 4
-	sectionEntryLen = 4 + 4 + 8 + 8 + 4
+	sectionEntryLen = 4 + 8 + 8 + 4
 )
 
 func (h *header) encodedLen() int {
@@ -102,14 +97,12 @@ func (h *header) encode() []byte {
 	b := make([]byte, 0, h.encodedLen())
 	b = append(b, imgMagic...)
 	b = binary.LittleEndian.AppendUint32(b, imgVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(h.numShards))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numNodes))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numPreds))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.numTriples))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(h.sections)))
 	for _, s := range h.sections {
 		b = binary.LittleEndian.AppendUint32(b, s.kind)
-		b = binary.LittleEndian.AppendUint32(b, s.shard)
 		b = binary.LittleEndian.AppendUint64(b, s.off)
 		b = binary.LittleEndian.AppendUint64(b, s.len)
 		b = binary.LittleEndian.AppendUint32(b, s.crc)
@@ -130,10 +123,9 @@ func decodeHeader(data []byte) (header, error) {
 	if v := binary.LittleEndian.Uint32(data[8:]); v != imgVersion {
 		return h, fmt.Errorf("snapshot: unsupported image version %d", v)
 	}
-	h.numShards = int(binary.LittleEndian.Uint32(data[12:]))
-	h.numNodes = int(binary.LittleEndian.Uint64(data[16:]))
-	h.numPreds = int(binary.LittleEndian.Uint64(data[24:]))
-	h.numTriples = int(binary.LittleEndian.Uint64(data[32:]))
+	h.numNodes = int(binary.LittleEndian.Uint64(data[12:]))
+	h.numPreds = int(binary.LittleEndian.Uint64(data[20:]))
+	h.numTriples = int(binary.LittleEndian.Uint64(data[28:]))
 	n := int(binary.LittleEndian.Uint32(data[sectionCountOff:]))
 	if n < 0 || n > maxSections {
 		return h, fmt.Errorf("snapshot: implausible section count %d", n)
@@ -150,11 +142,10 @@ func decodeHeader(data []byte) (header, error) {
 	for i := range h.sections {
 		p := data[fixedHeaderLen+i*sectionEntryLen:]
 		h.sections[i] = sectionEntry{
-			kind:  binary.LittleEndian.Uint32(p[0:]),
-			shard: binary.LittleEndian.Uint32(p[4:]),
-			off:   binary.LittleEndian.Uint64(p[8:]),
-			len:   binary.LittleEndian.Uint64(p[16:]),
-			crc:   binary.LittleEndian.Uint32(p[24:]),
+			kind: binary.LittleEndian.Uint32(p[0:]),
+			off:  binary.LittleEndian.Uint64(p[4:]),
+			len:  binary.LittleEndian.Uint64(p[12:]),
+			crc:  binary.LittleEndian.Uint32(p[20:]),
 		}
 	}
 	return h, nil
@@ -164,12 +155,11 @@ func decodeHeader(data []byte) (header, error) {
 // identity; offsets follow from the lengths.
 func digest(table []sectionEntry) uint64 {
 	h := fnv.New64a()
-	var b [20]byte
+	var b [16]byte
 	for _, s := range table {
 		binary.LittleEndian.PutUint32(b[0:], s.kind)
-		binary.LittleEndian.PutUint32(b[4:], s.shard)
-		binary.LittleEndian.PutUint64(b[8:], s.len)
-		binary.LittleEndian.PutUint32(b[16:], s.crc)
+		binary.LittleEndian.PutUint64(b[4:], s.len)
+		binary.LittleEndian.PutUint32(b[12:], s.crc)
 		h.Write(b[:])
 	}
 	return h.Sum64()

@@ -16,7 +16,7 @@ import (
 // Image is a read-only knowledge base served directly from a mapped
 // snapshot file. It implements rdf.Graph, the online read API, and nothing
 // beyond it but Close and Digest, so the engine and shardrpc.Server run on it
-// unchanged; the offline phase reads the rdf.ShardedStore it was written
+// unchanged; the offline phase reads the rdf.Store it was written
 // from. An Image is safe for concurrent readers; Close unmaps the file,
 // after which no method may be called.
 type Image struct {
@@ -33,17 +33,12 @@ type Image struct {
 	entities                        []byte
 	keyBytes, keyOffs               []byte
 	keyIDs, keyIDOffs               []byte
-	shards                          []imageShard
-}
-
-// imageShard is the resolved per-shard section set.
-type imageShard struct {
-	subjects []byte // u32 subject IDs, ascending
-	edgeOffs []byte // (nsubj+1) u64, pair units
-	edges    []byte // (u32 pred, u32 obj) pairs
-	poKeys   []byte // (u32 pred, u32 obj) pairs, sorted
-	poOffs   []byte // (nPO+1) u64, ID units
-	poSubjs  []byte // u32 subject IDs
+	subjects                        []byte // u32 subject IDs, ascending
+	edgeOffs                        []byte // (nsubj+1) u64, pair units
+	edges                           []byte // (u32 pred, u32 obj) pairs
+	poKeys                          []byte // (u32 pred, u32 obj) pairs, sorted
+	poOffs                          []byte // (nPO+1) u64, ID units
+	poSubjs                         []byte // u32 subject IDs
 }
 
 func u32at(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i*4:]) }
@@ -88,10 +83,7 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every shard has sections, and an ID must fit rdf.ID.
-	if hdr.numShards <= 0 || hdr.numShards > len(hdr.sections) {
-		return nil, fmt.Errorf("snapshot: invalid shard count %d", hdr.numShards)
-	}
+	// An ID must fit rdf.ID.
 	if hdr.numNodes < 0 || hdr.numNodes > math.MaxInt32 || hdr.numPreds < 0 || hdr.numPreds > math.MaxInt32 {
 		return nil, fmt.Errorf("snapshot: implausible counts: %d nodes, %d predicates", hdr.numNodes, hdr.numPreds)
 	}
@@ -102,26 +94,24 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 		numNodes:   hdr.numNodes,
 		numPreds:   hdr.numPreds,
 		numTriples: hdr.numTriples,
-		shards:     make([]imageShard, hdr.numShards),
 	}
-	seen := make(map[[2]uint32]bool, len(hdr.sections))
+	fields := im.fields()
 	for _, s := range hdr.sections {
 		end := s.off + s.len
 		if end < s.off || end > uint64(len(data)) {
-			return nil, fmt.Errorf("snapshot: section %d/%d out of bounds (file truncated?)", s.kind, s.shard)
+			return nil, fmt.Errorf("snapshot: section %d out of bounds (file truncated?)", s.kind)
 		}
 		body := data[s.off:end]
 		if crc32.ChecksumIEEE(body) != s.crc {
-			return nil, fmt.Errorf("snapshot: section %d/%d checksum mismatch", s.kind, s.shard)
+			return nil, fmt.Errorf("snapshot: section %d checksum mismatch", s.kind)
 		}
-		k := [2]uint32{s.kind, s.shard}
-		if seen[k] {
-			return nil, fmt.Errorf("snapshot: duplicate section %d/%d", s.kind, s.shard)
+		if s.kind >= uint32(len(fields)) || fields[s.kind] == nil {
+			return nil, fmt.Errorf("snapshot: unknown section kind %d", s.kind)
 		}
-		seen[k] = true
-		if err := im.attach(s.kind, s.shard, body); err != nil {
-			return nil, err
+		if *fields[s.kind] != nil {
+			return nil, fmt.Errorf("snapshot: duplicate section %d", s.kind)
 		}
+		*fields[s.kind] = body
 	}
 	if err := im.validate(); err != nil {
 		return nil, err
@@ -129,57 +119,27 @@ func newImage(data []byte, unmap func([]byte) error) (*Image, error) {
 	return im, nil
 }
 
-func (im *Image) attach(kind, shard uint32, body []byte) error {
-	if kind >= secShardSubj {
-		if int(shard) >= len(im.shards) {
-			return fmt.Errorf("snapshot: section %d for shard %d of %d", kind, shard, len(im.shards))
-		}
-		sh := &im.shards[shard]
-		switch kind {
-		case secShardSubj:
-			sh.subjects = body
-		case secShardEdgOff:
-			sh.edgeOffs = body
-		case secShardEdges:
-			sh.edges = body
-		case secShardPOKeys:
-			sh.poKeys = body
-		case secShardPOOffs:
-			sh.poOffs = body
-		case secShardPOSubj:
-			sh.poSubjs = body
-		default:
-			return fmt.Errorf("snapshot: unknown section kind %d", kind)
-		}
-		return nil
+// fields maps each section kind to the Image field its body fills.
+func (im *Image) fields() [secPOSubjects + 1]*[]byte {
+	return [...]*[]byte{
+		secLabelBytes: &im.labelBytes,
+		secLabelOffs:  &im.labelOffs,
+		secKinds:      &im.kinds,
+		secPredBytes:  &im.predBytes,
+		secPredOffs:   &im.predOffs,
+		secPredSorted: &im.predSorted,
+		secEntities:   &im.entities,
+		secKeyBytes:   &im.keyBytes,
+		secKeyOffs:    &im.keyOffs,
+		secKeyIDs:     &im.keyIDs,
+		secKeyIDOffs:  &im.keyIDOffs,
+		secSubjects:   &im.subjects,
+		secEdgeOffs:   &im.edgeOffs,
+		secEdges:      &im.edges,
+		secPOKeys:     &im.poKeys,
+		secPOOffs:     &im.poOffs,
+		secPOSubjects: &im.poSubjs,
 	}
-	switch kind {
-	case secLabelBytes:
-		im.labelBytes = body
-	case secLabelOffs:
-		im.labelOffs = body
-	case secKinds:
-		im.kinds = body
-	case secPredBytes:
-		im.predBytes = body
-	case secPredOffs:
-		im.predOffs = body
-	case secPredSorted:
-		im.predSorted = body
-	case secEntities:
-		im.entities = body
-	case secKeyBytes:
-		im.keyBytes = body
-	case secKeyOffs:
-		im.keyOffs = body
-	case secKeyIDs:
-		im.keyIDs = body
-	case secKeyIDOffs:
-		im.keyIDOffs = body
-	default:
-		return fmt.Errorf("snapshot: unknown section kind %d", kind)
-	}
-	return nil
 }
 
 // validate cross-checks the sections against the header counts and each
@@ -208,44 +168,39 @@ func (im *Image) validate() error {
 			below("entity", im.entities, im.numNodes),
 			below("gazetteer node", im.keyIDs, im.numNodes))
 	}
+	if err == nil {
+		err = im.validateTriples()
+	}
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
-	}
-	total := 0
-	for i := range im.shards {
-		if err := im.validateShard(i); err != nil {
-			return fmt.Errorf("snapshot: shard %d: %w", i, err)
-		}
-		total += len(im.shards[i].edges) / 8
-	}
-	if total != im.numTriples {
-		return fmt.Errorf("snapshot: shards hold %d triples, header claims %d", total, im.numTriples)
 	}
 	return nil
 }
 
-// validateShard is validate for shard i's sections.
-func (im *Image) validateShard(i int) error {
-	sh := &im.shards[i]
-	if len(sh.subjects)%4 != 0 || len(sh.poKeys)%8 != 0 {
+// validateTriples is validate for the triple sections.
+func (im *Image) validateTriples() error {
+	if len(im.subjects)%4 != 0 || len(im.poKeys)%8 != 0 {
 		return fmt.Errorf("ragged subject or key section")
 	}
-	nsubj := len(sh.subjects) / 4
-	if err := errors.Join(offTable("edge", sh.edgeOffs, nsubj, 8, sh.edges),
-		offTable("pos", sh.poOffs, len(sh.poKeys)/8, 4, sh.poSubjs),
-		below("pos subject", sh.poSubjs, im.numNodes)); err != nil {
+	if n := len(im.edges) / 8; n != im.numTriples {
+		return fmt.Errorf("edges hold %d triples, header claims %d", n, im.numTriples)
+	}
+	nsubj := len(im.subjects) / 4
+	if err := errors.Join(offTable("edge", im.edgeOffs, nsubj, 8, im.edges),
+		offTable("pos", im.poOffs, len(im.poKeys)/8, 4, im.poSubjs),
+		below("pos subject", im.poSubjs, im.numNodes)); err != nil {
 		return err
 	}
 	prev := -1
 	for row := 0; row < nsubj; row++ {
-		subj := int(u32at(sh.subjects, row))
-		if subj <= prev || subj >= im.numNodes || rdf.ShardIndex(rdf.ID(subj), len(im.shards)) != i {
-			return fmt.Errorf("subject %d at row %d is out of order, out of range or in the wrong shard", subj, row)
+		subj := int(u32at(im.subjects, row))
+		if subj <= prev || subj >= im.numNodes {
+			return fmt.Errorf("subject %d at row %d is out of order or out of range", subj, row)
 		}
 		prev = subj
-		start, end := sh.edgeRange(row)
+		start, end := im.edgeRange(row)
 		var last uint32
-		for e := sh.edges[start*8 : end*8]; len(e) > 0; e = e[8:] {
+		for e := im.edges[start*8 : end*8]; len(e) > 0; e = e[8:] {
 			p, o := binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:])
 			if p < last || p >= uint32(im.numPreds) || o >= uint32(im.numNodes) {
 				return fmt.Errorf("subject %d's edge (%d, %d) is out of order or out of range", subj, p, o)
@@ -254,7 +209,7 @@ func (im *Image) validateShard(i int) error {
 		}
 	}
 	var lastP, lastO uint32
-	for k, key := 0, sh.poKeys; len(key) > 0; k, key = k+1, key[8:] {
+	for k, key := 0, im.poKeys; len(key) > 0; k, key = k+1, key[8:] {
 		p, o := binary.LittleEndian.Uint32(key), binary.LittleEndian.Uint32(key[4:])
 		if k > 0 && (p < lastP || p == lastP && o <= lastO) || p >= uint32(im.numPreds) || o >= uint32(im.numNodes) {
 			return fmt.Errorf("pos key (%d, %d) is out of order or out of range", p, o)
@@ -371,43 +326,39 @@ func (im *Image) PredID(name string) (rdf.PID, bool) {
 
 // --- index access paths ---
 
-// shardOf mirrors ShardedStore's placement function exactly.
-func (im *Image) shardOf(id rdf.ID) int { return rdf.ShardIndex(id, len(im.shards)) }
-
-// subjectIndex binary-searches shard sh for subj, returning its row.
-func (sh *imageShard) subjectIndex(subj rdf.ID) (int, bool) {
-	n := len(sh.subjects) / 4
-	i := sort.Search(n, func(i int) bool { return rdf.ID(u32at(sh.subjects, i)) >= subj })
-	if i < n && rdf.ID(u32at(sh.subjects, i)) == subj {
+// subjectIndex binary-searches the subjects for subj, returning its row.
+func (im *Image) subjectIndex(subj rdf.ID) (int, bool) {
+	n := len(im.subjects) / 4
+	i := sort.Search(n, func(i int) bool { return rdf.ID(u32at(im.subjects, i)) >= subj })
+	if i < n && rdf.ID(u32at(im.subjects, i)) == subj {
 		return i, true
 	}
 	return 0, false
 }
 
 // edgeRange returns the [start, end) pair range of subject row i.
-func (sh *imageShard) edgeRange(i int) (int, int) {
-	return int(u64at(sh.edgeOffs, i)), int(u64at(sh.edgeOffs, i+1))
+func (im *Image) edgeRange(i int) (int, int) {
+	return int(u64at(im.edgeOffs, i)), int(u64at(im.edgeOffs, i+1))
 }
 
-func (sh *imageShard) pair(i int) (rdf.PID, rdf.ID) {
-	return rdf.PID(u32at(sh.edges, 2*i)), rdf.ID(u32at(sh.edges, 2*i+1))
+func (im *Image) pair(i int) (rdf.PID, rdf.ID) {
+	return rdf.PID(u32at(im.edges, 2*i)), rdf.ID(u32at(im.edges, 2*i+1))
 }
 
 func (im *Image) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
-	sh := &im.shards[im.shardOf(subj)]
-	row, ok := sh.subjectIndex(subj)
+	row, ok := im.subjectIndex(subj)
 	if !ok {
 		return nil
 	}
-	start, end := sh.edgeRange(row)
+	start, end := im.edgeRange(row)
 	// Pairs are grouped by ascending predicate; find the group bounds.
 	lo := start + sort.Search(end-start, func(i int) bool {
-		p, _ := sh.pair(start + i)
+		p, _ := im.pair(start + i)
 		return p >= pred
 	})
 	var out []rdf.ID
 	for i := lo; i < end; i++ {
-		p, o := sh.pair(i)
+		p, o := im.pair(i)
 		if p != pred {
 			break
 		}
@@ -431,18 +382,15 @@ func lookupPairKey(keys []byte, a, b uint32) (int, bool) {
 
 func (im *Image) NumTriples() int { return im.numTriples }
 
-func (im *Image) NumShards() int { return len(im.shards) }
-
-func (im *Image) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
-	sh := &im.shards[i]
-	k, ok := lookupPairKey(sh.poKeys, uint32(pred), uint32(obj))
+func (im *Image) Subjects(pred rdf.PID, obj rdf.ID) []rdf.ID {
+	k, ok := lookupPairKey(im.poKeys, uint32(pred), uint32(obj))
 	if !ok {
 		return nil
 	}
-	start, end := u64at(sh.poOffs, k), u64at(sh.poOffs, k+1)
+	start, end := u64at(im.poOffs, k), u64at(im.poOffs, k+1)
 	out := make([]rdf.ID, 0, end-start)
 	for j := start; j < end; j++ {
-		out = append(out, rdf.ID(u32at(sh.poSubjs, int(j))))
+		out = append(out, rdf.ID(u32at(im.poSubjs, int(j))))
 	}
 	return out
 }

@@ -11,15 +11,15 @@ import (
 	"repro/internal/rdf"
 )
 
-// testWorld generates a small sharded world once per test binary.
-func testWorld(t testing.TB) *rdf.ShardedStore {
+// testWorld generates a small world.
+func testWorld(t testing.TB) *rdf.Store {
 	t.Helper()
-	return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: 4}).Store
+	return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12}).Store
 }
 
 // writeTestImage writes the world's image into a temp dir and returns the
 // path.
-func writeTestImage(t testing.TB, ss *rdf.ShardedStore) string {
+func writeTestImage(t testing.TB, ss *rdf.Store) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "world.img")
 	if err := WriteImageFile(path, ss); err != nil {
@@ -44,23 +44,16 @@ func openTestImage(t testing.TB, path string) *Image {
 // list, and the store's offline methods on the store rows. A new backend
 // is one more row.
 func TestImageMatchesStoreMethodByMethod(t *testing.T) {
-	gen := func(shards int) *rdf.ShardedStore {
-		return kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: shards}).Store
-	}
-	one, four := gen(1), gen(4)
+	ss := testWorld(t)
 	rows := []struct {
 		name  string
 		g     rdf.Graph
-		store *rdf.ShardedStore // nil for an image
+		store *rdf.Store // nil for an image
 	}{
-		{"ShardedStore(1)", one, one},
-		{"ShardedStore(4)", four, four},
-		{"Image(1)", openTestImage(t, writeTestImage(t, one)), nil},
-		{"Image(4)", openTestImage(t, writeTestImage(t, four)), nil},
+		{"Store", ss, ss},
+		{"Image", openTestImage(t, writeTestImage(t, ss)), nil},
 	}
-	// Equal seeds give equal IDs in every layout, so one model serves all
-	// rows; it takes symbols and the triple list from the one-shard store.
-	m := newModel(one)
+	m := newModel(ss)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			m.check(t, row.g)
@@ -70,7 +63,7 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 			m.checkOffline(t, row.store)
 		})
 	}
-	if got, want := rows[3].g.(*Image).Digest(), Digest(four); got != want {
+	if got, want := rows[1].g.(*Image).Digest(), Digest(ss); got != want {
 		t.Fatalf("image digest %016x, want the store's %016x", got, want)
 	}
 }
@@ -78,11 +71,11 @@ func TestImageMatchesStoreMethodByMethod(t *testing.T) {
 // model is the reference the backend table checks against: the world's
 // symbols and its triples in scan order, queried by linear search.
 type model struct {
-	sym     *rdf.ShardedStore
+	sym     *rdf.Store
 	triples []rdf.Triple
 }
 
-func newModel(ss *rdf.ShardedStore) *model {
+func newModel(ss *rdf.Store) *model {
 	m := &model{sym: ss}
 	ss.Triples(func(tr rdf.Triple) { m.triples = append(m.triples, tr) })
 	return m
@@ -117,11 +110,10 @@ func scan(f func(func(rdf.Triple))) []rdf.Triple {
 	return out
 }
 
-// check runs the online read API — the eleven rdf.Graph methods and the
+// check runs the online read API — the ten rdf.Graph methods and the
 // free functions over them — against the model.
 func (m *model) check(t *testing.T, g rdf.Graph) {
 	t.Helper()
-	n := g.NumShards()
 	if g.NumNodes() != m.sym.NumNodes() || g.NumTriples() != len(m.triples) {
 		t.Fatalf("counts (%d,%d), want (%d,%d)", g.NumNodes(), g.NumTriples(), m.sym.NumNodes(), len(m.triples))
 	}
@@ -158,23 +150,19 @@ func (m *model) check(t *testing.T, g rdf.Graph) {
 		if got := g.Objects(tr.S, tr.P); !equalIDs(got, objs) {
 			t.Fatalf("Objects(%d,%d) = %v, want %v", tr.S, tr.P, got, objs)
 		}
-		var subjs, inShard []rdf.ID
-		for _, x := range m.triples {
-			if x.P == tr.P && x.O == tr.O {
-				subjs = append(subjs, x.S)
-				if rdf.ShardIndex(x.S, n) == rdf.ShardIndex(tr.S, n) {
-					inShard = append(inShard, x.S)
-				}
-			}
+		var subjs []rdf.ID
+		for _, x := range m.where(func(x rdf.Triple) bool { return x.P == tr.P && x.O == tr.O }) {
+			subjs = append(subjs, x.S)
 		}
 		if got := rdf.Subjects(g, tr.P, tr.O); !equalIDs(got, subjs) {
 			t.Fatalf("Subjects(%d,%d) = %v, want %v", tr.P, tr.O, got, subjs)
 		}
-		if got := sortedIDs(g.ShardSubjects(rdf.ShardIndex(tr.S, n), tr.P, tr.O)); !equalIDs(got, inShard) {
-			t.Fatalf("ShardSubjects(%d,%d,%d) = %v, want %v", rdf.ShardIndex(tr.S, n), tr.P, tr.O, got, inShard)
+		// The method's order is the backend's own; only the set is specified.
+		if got := sortedIDs(g.Subjects(tr.P, tr.O)); !equalIDs(got, subjs) {
+			t.Fatalf("g.Subjects(%d,%d) = %v, want %v", tr.P, tr.O, got, subjs)
 		}
 	}
-	if g.Objects(0, rdf.PID(m.sym.NumPredicates()-1)) != nil || rdf.Subjects(g, 0, 0) != nil {
+	if g.Objects(0, rdf.PID(m.sym.NumPredicates()-1)) != nil || rdf.Subjects(g, 0, 0) != nil || g.Subjects(0, 0) != nil {
 		t.Fatal("absent lookups are not nil")
 	}
 
@@ -214,9 +202,8 @@ func (m *model) check(t *testing.T, g rdf.Graph) {
 
 // checkOffline runs the store's offline scan methods and the free
 // functions over them against the model.
-func (m *model) checkOffline(t *testing.T, ss *rdf.ShardedStore) {
+func (m *model) checkOffline(t *testing.T, ss *rdf.Store) {
 	t.Helper()
-	n := ss.NumShards()
 	for id := rdf.ID(0); int(id) < m.sym.NumNodes(); id++ {
 		label := m.sym.Label(id)
 		var want []rdf.ID
@@ -264,23 +251,6 @@ func (m *model) checkOffline(t *testing.T, ss *rdf.ShardedStore) {
 		}
 	}
 
-	// Per-shard scans partition the global one.
-	for i := 0; i < n; i++ {
-		own := m.where(func(x rdf.Triple) bool { return rdf.ShardIndex(x.S, n) == i })
-		if got := scan(func(fn func(rdf.Triple)) { ss.ShardTriples(i, fn) }); !reflect.DeepEqual(got, own) {
-			t.Fatalf("ShardTriples(%d) differs", i)
-		}
-		var subjects []rdf.ID
-		for _, x := range own {
-			if len(subjects) == 0 || subjects[len(subjects)-1] != x.S {
-				subjects = append(subjects, x.S)
-			}
-		}
-		if got := ss.ShardSubjectIDs(i); !equalIDs(got, subjects) {
-			t.Fatalf("ShardSubjectIDs(%d) differs", i)
-		}
-	}
-
 	// PathsBetween finds every path PathObjects follows.
 	const key = "marriage→person→name"
 	path, _ := rdf.ParsePath(ss, key)
@@ -299,8 +269,8 @@ func (m *model) checkOffline(t *testing.T, ss *rdf.ShardedStore) {
 
 // TestImageContentMatchesStore checks what the writer froze into the file
 // against the store it was written from, in the orders the store promises:
-// Objects for every (node, predicate) pair, and ShardSubjects for every
-// shard and every (predicate, object) key the store holds. The golden image
+// Objects for every (node, predicate) pair, and Subjects for every
+// (predicate, object) key the store holds. The golden image
 // digest pins the bytes; this pins their meaning.
 func TestImageContentMatchesStore(t *testing.T) {
 	ss := testWorld(t)
@@ -319,10 +289,8 @@ func TestImageContentMatchesStore(t *testing.T) {
 			return
 		}
 		keys[k] = true
-		for i := 0; i < ss.NumShards(); i++ {
-			if got, want := im.ShardSubjects(i, tr.P, tr.O), ss.ShardSubjects(i, tr.P, tr.O); !equalIDs(got, want) {
-				t.Fatalf("ShardSubjects(%d,%d,%d) = %v, store says %v", i, tr.P, tr.O, got, want)
-			}
+		if got, want := im.Subjects(tr.P, tr.O), ss.Subjects(tr.P, tr.O); !equalIDs(got, want) {
+			t.Fatalf("Subjects(%d,%d) = %v, store says %v", tr.P, tr.O, got, want)
 		}
 	})
 	if len(keys) == 0 {
@@ -377,20 +345,15 @@ func TestOpenImageRejectsBitFlips(t *testing.T) {
 
 // TestOpenImageRejectsWrongWorld: an image of one world must not pass for
 // another. A caller decides by comparing Image.Digest with the Digest of
-// the world it expects: another seed, or the same world under another
-// shard count, compares unequal; the world the image was written from
-// compares equal.
+// the world it expects: another seed compares unequal; the world the image
+// was written from compares equal.
 func TestOpenImageRejectsWrongWorld(t *testing.T) {
 	ss := testWorld(t)
 	im := openTestImage(t, writeTestImage(t, ss))
 
-	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5, Shards: 4}).Store
+	other := kbgen.Generate(kbgen.Config{Seed: 7, Flavor: kbgen.KBA, Scale: 5}).Store
 	if Digest(other) == im.Digest() {
 		t.Fatal("an image of another world has the expected digest")
-	}
-	resharded := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.KBA, Scale: 12, Shards: ss.NumShards() + 1}).Store
-	if Digest(resharded) == im.Digest() {
-		t.Fatal("an image with another shard count has the expected digest")
 	}
 	if got, want := im.Digest(), Digest(ss); got != want {
 		t.Fatalf("image digest %016x, want the store's %016x", got, want)
@@ -398,9 +361,9 @@ func TestOpenImageRejectsWrongWorld(t *testing.T) {
 }
 
 // twinWorlds returns two stores that agree on every count — nodes,
-// predicates, triples, shards — and differ in one triple's object.
-func twinWorlds() (a, b *rdf.ShardedStore) {
-	twin := func(obj string) *rdf.ShardedStore {
+// predicates, triples — and differ in one triple's object.
+func twinWorlds() (a, b *rdf.Store) {
+	twin := func(obj string) *rdf.Store {
 		s := fuzzWorld()
 		s.Add(s.Entity("ada"), s.Pred("spouse"), s.Entity(obj))
 		return s
@@ -413,7 +376,7 @@ func twinWorlds() (a, b *rdf.ShardedStore) {
 func TestDigestSeesOneObject(t *testing.T) {
 	a, b := twinWorlds()
 	if a.NumNodes() != b.NumNodes() || a.NumPredicates() != b.NumPredicates() ||
-		a.NumTriples() != b.NumTriples() || a.NumShards() != b.NumShards() {
+		a.NumTriples() != b.NumTriples() {
 		t.Fatal("the twins' counts differ: the check is vacuous")
 	}
 	if Digest(a) == Digest(b) {
@@ -424,22 +387,13 @@ func TestDigestSeesOneObject(t *testing.T) {
 	}
 }
 
-// TestDigestEqualsImageDigest: for every flavor and shard layout, a
-// store's digest is the digest of the image written from it, and the one-
-// and four-shard layouts of one world are different worlds.
+// TestDigestEqualsImageDigest: for every flavor, a store's digest is the
+// digest of the image written from it.
 func TestDigestEqualsImageDigest(t *testing.T) {
 	for _, f := range []kbgen.Flavor{kbgen.KBA, kbgen.Freebase, kbgen.DBpedia} {
-		byShards := map[int]uint64{}
-		for _, shards := range []int{1, 4} {
-			ss := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: f, Scale: 6, Shards: shards}).Store
-			d := Digest(ss)
-			if got := openTestImage(t, writeTestImage(t, ss)).Digest(); got != d {
-				t.Errorf("%v/%d shards: image digest %016x, store digest %016x", f, shards, got, d)
-			}
-			byShards[shards] = d
-		}
-		if byShards[1] == byShards[4] {
-			t.Errorf("%v: the 1- and 4-shard layouts share the digest %016x", f, byShards[1])
+		ss := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: f, Scale: 6}).Store
+		if got, want := openTestImage(t, writeTestImage(t, ss)).Digest(), Digest(ss); got != want {
+			t.Errorf("%v: image digest %016x, store digest %016x", f, got, want)
 		}
 	}
 }

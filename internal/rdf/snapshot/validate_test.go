@@ -34,20 +34,20 @@ func reseal(img []byte) {
 	binary.LittleEndian.PutUint32(img[end:], crc32.ChecksumIEEE(img[:end]))
 }
 
-// sectionBody returns the body of section (kind, shard) as a slice of img,
-// so writes through it edit the image.
-func sectionBody(t testing.TB, img []byte, kind, shard uint32) []byte {
+// sectionBody returns the body of section kind as a slice of img, so
+// writes through it edit the image.
+func sectionBody(t testing.TB, img []byte, kind uint32) []byte {
 	t.Helper()
 	hdr, err := decodeHeader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range hdr.sections {
-		if s.kind == kind && s.shard == shard {
+		if s.kind == kind {
 			return img[s.off : s.off+s.len]
 		}
 	}
-	t.Fatalf("no section %d/%d", kind, shard)
+	t.Fatalf("no section %d", kind)
 	return nil
 }
 
@@ -65,55 +65,44 @@ func TestOpenImageRejectsMalformedSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes, preds := uint32(ss.NumNodes()), uint32(ss.NumPredicates())
-	n := ss.NumShards()
-	shard0 := func(img []byte, kind uint32) []byte { return sectionBody(t, img, kind, 0) }
+	section := func(img []byte, kind uint32) []byte { return sectionBody(t, img, kind) }
 	cases := []struct {
 		name string
 		edit func(img []byte)
 	}{
-		{"edge object out of range", func(img []byte) { putU32(shard0(img, secShardEdges), 1, 1<<30) }},
-		{"edge predicate out of range", func(img []byte) { putU32(shard0(img, secShardEdges), 0, preds) }},
+		{"edge object out of range", func(img []byte) { putU32(section(img, secEdges), 1, 1<<30) }},
+		{"edge predicate out of range", func(img []byte) { putU32(section(img, secEdges), 0, preds) }},
 		{"label offset past its successor", func(img []byte) {
-			putU64(sectionBody(t, img, secLabelOffs, noShard), 1, uint64(len(sectionBody(t, img, secLabelBytes, noShard))))
+			putU64(sectionBody(t, img, secLabelOffs), 1, uint64(len(sectionBody(t, img, secLabelBytes))))
 		}},
 		{"predicate name offsets decrease", func(img []byte) {
-			offs := sectionBody(t, img, secPredOffs, noShard)
+			offs := sectionBody(t, img, secPredOffs)
 			putU64(offs, 1, binary.LittleEndian.Uint64(offs[2*8:])+1)
 		}},
 		{"edge offsets decrease", func(img []byte) {
-			offs := shard0(img, secShardEdgOff)
+			offs := section(img, secEdgeOffs)
 			putU64(offs, 1, binary.LittleEndian.Uint64(offs[len(offs)-8:]))
 		}},
 		{"edge offset wraps the length check", func(img []byte) {
-			offs := shard0(img, secShardEdgOff)
+			offs := section(img, secEdgeOffs)
 			last := len(offs)/8 - 1
 			putU64(offs, last, binary.LittleEndian.Uint64(offs[last*8:])+1<<61)
 		}},
-		{"entity out of range", func(img []byte) { putU32(sectionBody(t, img, secEntities, noShard), 0, nodes) }},
-		{"gazetteer node out of range", func(img []byte) { putU32(sectionBody(t, img, secKeyIDs, noShard), 0, nodes+7) }},
-		{"predicate sort entry out of range", func(img []byte) { putU32(sectionBody(t, img, secPredSorted, noShard), 0, preds) }},
+		{"entity out of range", func(img []byte) { putU32(sectionBody(t, img, secEntities), 0, nodes) }},
+		{"gazetteer node out of range", func(img []byte) { putU32(sectionBody(t, img, secKeyIDs), 0, nodes+7) }},
+		{"predicate sort entry out of range", func(img []byte) { putU32(sectionBody(t, img, secPredSorted), 0, preds) }},
 		{"subjects not ascending", func(img []byte) {
-			subj := shard0(img, secShardSubj)
+			subj := section(img, secSubjects)
 			a, b := u32at(subj, 0), u32at(subj, 1)
 			putU32(subj, 0, b)
 			putU32(subj, 1, a)
 		}},
 		{"subject out of range", func(img []byte) {
-			subj := shard0(img, secShardSubj)
+			subj := section(img, secSubjects)
 			putU32(subj, len(subj)/4-1, nodes)
 		}},
-		{"subject in another shard", func(img []byte) {
-			subj := shard0(img, secShardSubj)
-			for id := uint32(0); id < u32at(subj, 1); id++ {
-				if rdf.ShardIndex(rdf.ID(id), n) != 0 {
-					putU32(subj, 0, id)
-					return
-				}
-			}
-			t.Fatal("no foreign subject below shard 0's second one")
-		}},
 		{"subject's pairs not ascending by predicate", func(img []byte) {
-			offs, edges := shard0(img, secShardEdgOff), shard0(img, secShardEdges)
+			offs, edges := section(img, secEdgeOffs), section(img, secEdges)
 			for row := 0; row < len(offs)/8-1; row++ {
 				start := int(binary.LittleEndian.Uint64(offs[row*8:]))
 				end := int(binary.LittleEndian.Uint64(offs[(row+1)*8:]))
@@ -129,21 +118,21 @@ func TestOpenImageRejectsMalformedSections(t *testing.T) {
 			t.Fatal("no subject with two predicates")
 		}},
 		{"pos keys not ascending", func(img []byte) {
-			keys := shard0(img, secShardPOKeys)
+			keys := section(img, secPOKeys)
 			var tmp [8]byte
 			copy(tmp[:], keys[:8])
 			copy(keys[:8], keys[8:16])
 			copy(keys[8:16], tmp[:])
 		}},
 		{"pos key predicate out of range", func(img []byte) {
-			keys := shard0(img, secShardPOKeys)
+			keys := section(img, secPOKeys)
 			putU32(keys, len(keys)/4-2, preds)
 		}},
 		{"pos key object out of range", func(img []byte) {
-			keys := shard0(img, secShardPOKeys)
+			keys := section(img, secPOKeys)
 			putU32(keys, len(keys)/4-1, nodes)
 		}},
-		{"pos subject out of range", func(img []byte) { putU32(shard0(img, secShardPOSubj), 0, nodes) }},
+		{"pos subject out of range", func(img []byte) { putU32(section(img, secPOSubjects), 0, nodes) }},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {
@@ -173,11 +162,11 @@ func TestOpenImageRejectsMalformedSections(t *testing.T) {
 	openTestImage(t, path)
 }
 
-// fuzzWorld is a small two-shard world, so one fuzz input can afford every
+// fuzzWorld is a small world, so one fuzz input can afford every
 // seam read: ambiguous labels, a mediator, literals, several objects under
 // one predicate and several subjects under one (predicate, object) key.
-func fuzzWorld() *rdf.ShardedStore {
-	s := rdf.NewShardedStore(2)
+func fuzzWorld() *rdf.Store {
+	s := rdf.NewStore()
 	name, spouse, born, in := s.Pred("name"), s.Pred("spouse"), s.Pred("born"), s.Pred("in")
 	a, b, c := s.Entity("ada"), s.Entity("bob"), s.NewAmbiguousEntity("ada")
 	m, city, year := s.Mediator("m"), s.Entity("paris"), s.Literal("1990")
@@ -196,8 +185,8 @@ func fuzzWorld() *rdf.ShardedStore {
 // FuzzOpenImageResealed writes bytes at an offset of one section of a
 // small image — or of its header and section table — reseals the
 // checksums, and decodes the result the way OpenImage does. The image must
-// be refused, or serve every rdf.Graph method over every node ID,
-// predicate and shard without panicking.
+// be refused, or serve every rdf.Graph method over every node ID and
+// predicate without panicking.
 func FuzzOpenImageResealed(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteImage(&buf, fuzzWorld()); err != nil {
@@ -214,6 +203,13 @@ func FuzzOpenImageResealed(f *testing.F) {
 		f.Add(uint16(i), uint32(8), make([]byte, 8))
 	}
 	f.Add(uint16(len(hdr.sections)), uint32(12), []byte{3})
+	// Section table edits: each entry's kind renamed to the next kind (a
+	// duplicate section; the last one to a kind no image has), and the
+	// header's triple count.
+	for i := range hdr.sections {
+		f.Add(uint16(len(hdr.sections)), uint32(fixedHeaderLen+i*sectionEntryLen), []byte{byte(i + 2)})
+	}
+	f.Add(uint16(len(hdr.sections)), uint32(sectionCountOff-8), []byte{0})
 	f.Fuzz(func(t *testing.T, sec uint16, off uint32, patch []byte) {
 		img := append([]byte(nil), orig...)
 		region := img[:fixedHeaderLen+len(hdr.sections)*sectionEntryLen]

@@ -18,10 +18,9 @@ import (
 // engine probes, shardrpc wire IDs) means the same thing against the
 // image. The source must be fully loaded and must not be written to while
 // the image is being taken.
-func WriteImage(w io.Writer, src *rdf.ShardedStore) error {
+func WriteImage(w io.Writer, src *rdf.Store) error {
 	img := buildSections(src)
 	hdr := header{
-		numShards:  src.NumShards(),
 		numNodes:   src.NumNodes(),
 		numPreds:   src.NumPredicates(),
 		numTriples: src.NumTriples(),
@@ -42,7 +41,7 @@ func WriteImage(w io.Writer, src *rdf.ShardedStore) error {
 // table WriteImage would write for it, so it equals the Digest of the
 // image written from src. It builds the sections to checksum them — one
 // pass over the store, run once per boot.
-func Digest(src *rdf.ShardedStore) uint64 { return digest(table(buildSections(src))) }
+func Digest(src *rdf.Store) uint64 { return digest(table(buildSections(src))) }
 
 // table lays img out behind the header: one entry per section, at the
 // offset WriteImage writes it to.
@@ -50,7 +49,7 @@ func table(img []section) []sectionEntry {
 	out := make([]sectionEntry, len(img))
 	off := uint64(fixedHeaderLen + len(img)*sectionEntryLen + 4)
 	for i, s := range img {
-		out[i] = sectionEntry{kind: s.kind, shard: s.shard, off: off, len: uint64(len(s.data)), crc: crc32.ChecksumIEEE(s.data)}
+		out[i] = sectionEntry{kind: s.kind, off: off, len: uint64(len(s.data)), crc: crc32.ChecksumIEEE(s.data)}
 		off += out[i].len
 	}
 	return out
@@ -59,7 +58,7 @@ func table(img []section) []sectionEntry {
 // WriteImageFile writes the image to path with the atomic-publish idiom of
 // the segment store: readers either see the previous complete image or the
 // new one, never a torn mix.
-func WriteImageFile(path string, src *rdf.ShardedStore) error {
+func WriteImageFile(path string, src *rdf.Store) error {
 	err := safeio.PublishFile(path, func(w *bufio.Writer) error { return WriteImage(w, src) })
 	if err != nil {
 		return fmt.Errorf("snapshot: publish image: %w", err)
@@ -69,9 +68,8 @@ func WriteImageFile(path string, src *rdf.ShardedStore) error {
 
 // section is one contiguous region of the image body.
 type section struct {
-	kind  uint32
-	shard uint32
-	data  []byte
+	kind uint32
+	data []byte
 }
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -79,15 +77,15 @@ func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUin
 
 // buildSections walks the store through its exported methods, in the
 // deterministic orders they guarantee, so every ordering the in-memory
-// store promises (insertion-order object lists and ShardSubjects,
-// ascending scans) is frozen into the file verbatim.
-func buildSections(src *rdf.ShardedStore) []section {
+// store promises (insertion-order object and subject lists, ascending
+// scans) is frozen into the file verbatim.
+func buildSections(src *rdf.Store) []section {
 	numNodes := src.NumNodes()
 	numPreds := src.NumPredicates()
 
 	var out []section
-	global := func(kind uint32, data []byte) {
-		out = append(out, section{kind: kind, shard: noShard, data: data})
+	add := func(kind uint32, data []byte) {
+		out = append(out, section{kind: kind, data: data})
 	}
 
 	// Node labels + kinds.
@@ -99,9 +97,9 @@ func buildSections(src *rdf.ShardedStore) []section {
 		labelOffs = appendU64(labelOffs, uint64(len(labelBytes)))
 		kinds[id] = byte(src.KindOf(rdf.ID(id)))
 	}
-	global(secLabelBytes, labelBytes)
-	global(secLabelOffs, labelOffs)
-	global(secKinds, kinds)
+	add(secLabelBytes, labelBytes)
+	add(secLabelOffs, labelOffs)
+	add(secKinds, kinds)
 
 	// Predicate names + the by-name lookup order.
 	predBytes := make([]byte, 0, numPreds*8)
@@ -121,16 +119,16 @@ func buildSections(src *rdf.ShardedStore) []section {
 	for _, p := range bySorted {
 		predSorted = appendU32(predSorted, uint32(p))
 	}
-	global(secPredBytes, predBytes)
-	global(secPredOffs, predOffs)
-	global(secPredSorted, predSorted)
+	add(secPredBytes, predBytes)
+	add(secPredOffs, predOffs)
+	add(secPredSorted, predSorted)
 
 	ents := src.Entities()
 	entities := make([]byte, 0, len(ents)*4)
 	for _, e := range ents {
 		entities = appendU32(entities, uint32(e))
 	}
-	global(secEntities, entities)
+	add(secEntities, entities)
 
 	// The label gazetteer, reconstructed exactly: walking IDs in ascending
 	// order reproduces each key's node list in creation order, and the
@@ -160,42 +158,33 @@ func buildSections(src *rdf.ShardedStore) []section {
 		}
 		keyIDOffs = appendU64(keyIDOffs, nIDs)
 	}
-	global(secKeyBytes, keyBytes)
-	global(secKeyOffs, keyOffs)
-	global(secKeyIDs, keyIDs)
-	global(secKeyIDOffs, keyIDOffs)
+	add(secKeyBytes, keyBytes)
+	add(secKeyOffs, keyOffs)
+	add(secKeyIDs, keyIDs)
+	add(secKeyIDOffs, keyIDOffs)
 
-	for i := 0; i < src.NumShards(); i++ {
-		out = append(out, buildShardSections(src, i)...)
-	}
-	return out
-}
-
-type predObj struct {
-	pred rdf.PID
-	obj  rdf.ID
-}
-
-func buildShardSections(src *rdf.ShardedStore, i int) []section {
-	subjects := src.ShardSubjectIDs(i)
-	subjSec := make([]byte, 0, len(subjects)*4)
-	for _, s := range subjects {
-		subjSec = appendU32(subjSec, uint32(s))
-	}
-
-	var edges []byte
-	edgeOffs := appendU64(make([]byte, 0, (len(subjects)+1)*8), 0)
+	// The triples: one pass over the node IDs lists each subject with its
+	// out-edges and collects the (predicate, object) keys of the reverse
+	// index.
+	var subjects, edges []byte
+	edgeOffs := appendU64(nil, 0)
 	nPairs := uint64(0)
 	poSeen := make(map[predObj]bool)
-	for _, subj := range subjects {
-		src.SubjectTriples(subj, func(t rdf.Triple) {
-			edges = appendU32(edges, uint32(t.P))
-			edges = appendU32(edges, uint32(t.O))
+	for id := 0; id < numNodes; id++ {
+		before := nPairs
+		src.SubjectTriples(rdf.ID(id), func(t rdf.Triple) {
+			edges = appendU32(appendU32(edges, uint32(t.P)), uint32(t.O))
 			nPairs++
 			poSeen[predObj{t.P, t.O}] = true
 		})
-		edgeOffs = appendU64(edgeOffs, nPairs)
+		if nPairs > before {
+			subjects = appendU32(subjects, uint32(id))
+			edgeOffs = appendU64(edgeOffs, nPairs)
+		}
 	}
+	add(secSubjects, subjects)
+	add(secEdgeOffs, edgeOffs)
+	add(secEdges, edges)
 
 	poKeys := make([]predObj, 0, len(poSeen))
 	for k := range poSeen {
@@ -211,22 +200,20 @@ func buildShardSections(src *rdf.ShardedStore, i int) []section {
 	poOffs := appendU64(nil, 0)
 	nPOSubjs := uint64(0)
 	for _, k := range poKeys {
-		poKeySec = appendU32(poKeySec, uint32(k.pred))
-		poKeySec = appendU32(poKeySec, uint32(k.obj))
-		for _, s := range src.ShardSubjects(i, k.pred, k.obj) {
+		poKeySec = appendU32(appendU32(poKeySec, uint32(k.pred)), uint32(k.obj))
+		for _, s := range src.Subjects(k.pred, k.obj) {
 			poSubjs = appendU32(poSubjs, uint32(s))
 			nPOSubjs++
 		}
 		poOffs = appendU64(poOffs, nPOSubjs)
 	}
+	add(secPOKeys, poKeySec)
+	add(secPOOffs, poOffs)
+	add(secPOSubjects, poSubjs)
+	return out
+}
 
-	sh := uint32(i)
-	return []section{
-		{kind: secShardSubj, shard: sh, data: subjSec},
-		{kind: secShardEdgOff, shard: sh, data: edgeOffs},
-		{kind: secShardEdges, shard: sh, data: edges},
-		{kind: secShardPOKeys, shard: sh, data: poKeySec},
-		{kind: secShardPOOffs, shard: sh, data: poOffs},
-		{kind: secShardPOSubj, shard: sh, data: poSubjs},
-	}
+type predObj struct {
+	pred rdf.PID
+	obj  rdf.ID
 }

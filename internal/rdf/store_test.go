@@ -3,15 +3,16 @@ package rdf
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // buildToyKB reproduces Figure 1 of the paper: Barack Obama (a), a marriage
 // mediator (b), Michelle Obama (c), Honolulu (d).
-func buildToyKB(t testing.TB) (*ShardedStore, map[string]ID) {
+func buildToyKB(t testing.TB) (*Store, map[string]ID) {
 	t.Helper()
-	s := NewShardedStore(3)
+	s := NewStore()
 	a := s.Entity("Barack Obama")
 	b := s.Mediator("m:marriage1")
 	c := s.Entity("Michelle Obama")
@@ -42,7 +43,7 @@ func buildToyKB(t testing.TB) (*ShardedStore, map[string]ID) {
 }
 
 func TestEntityInterning(t *testing.T) {
-	s := NewShardedStore(3)
+	s := NewStore()
 	a := s.Entity("Barack Obama")
 	b := s.Entity("barack obama") // normalized identical
 	if a != b {
@@ -59,7 +60,7 @@ func TestEntityInterning(t *testing.T) {
 }
 
 func TestLiteralInterning(t *testing.T) {
-	s := NewShardedStore(3)
+	s := NewStore()
 	l1 := s.Literal("1961")
 	l2 := s.Literal("1961")
 	if l1 != l2 {
@@ -71,7 +72,7 @@ func TestLiteralInterning(t *testing.T) {
 }
 
 func TestAddDeduplicates(t *testing.T) {
-	s := NewShardedStore(3)
+	s := NewStore()
 	a := s.Entity("x")
 	p := s.Pred("p")
 	o := s.Literal("1")
@@ -160,7 +161,7 @@ func TestPathsBetween(t *testing.T) {
 // added in; paths sharing a prefix do not share storage a caller could
 // clobber.
 func TestPathsBetweenOrdersByPredicate(t *testing.T) {
-	s := NewShardedStore(2)
+	s := NewStore()
 	a, mid, v := s.Entity("a"), s.Mediator("m"), s.Literal("v")
 	x, y, m := s.Pred("x"), s.Pred("y"), s.Pred("m")
 	s.Add(a, y, v)
@@ -234,7 +235,7 @@ func TestOutEdgesDeterministic(t *testing.T) {
 // inserted is visible through all access paths, and the indexes agree.
 func TestIndexCoherence(t *testing.T) {
 	f := func(edges []struct{ S, P, O uint8 }) bool {
-		s := NewShardedStore(3)
+		s := NewStore()
 		subs := make([]ID, 8)
 		for i := range subs {
 			subs[i] = s.Entity(fmt.Sprintf("e%d", i))
@@ -284,7 +285,7 @@ func contains(ids []ID, want ID) bool {
 	return false
 }
 
-func renderPaths(s *ShardedStore, paths []Path) []string {
+func renderPaths(s *Store, paths []Path) []string {
 	out := make([]string, len(paths))
 	for i, p := range paths {
 		out[i] = Key(s, p)
@@ -293,7 +294,7 @@ func renderPaths(s *ShardedStore, paths []Path) []string {
 }
 
 func TestAddFact(t *testing.T) {
-	s := NewShardedStore(3)
+	s := NewStore()
 	s.Add(s.Entity("Honolulu"), s.Pred("population"), s.Literal("390K"))
 	e := s.Entity("Honolulu")
 	p, _ := s.PredID("population")
@@ -301,4 +302,41 @@ func TestAddFact(t *testing.T) {
 	if len(objs) != 1 || s.Label(objs[0]) != "390K" {
 		t.Fatalf("Add lookup = %v", objs)
 	}
+}
+
+// TestShardedConcurrentReads drives point probes and scans from many
+// goroutines over a ring of marriages; run under -race this checks the
+// read paths share no hidden mutable state.
+func TestShardedConcurrentReads(t *testing.T) {
+	s := NewStore()
+	name, marriage, person := s.Pred("name"), s.Pred("marriage"), s.Pred("person")
+	const n = 256
+	ents := make([]ID, n)
+	for i := range ents {
+		ents[i] = s.Entity(fmt.Sprintf("person %d", i))
+		s.Add(ents[i], name, s.Literal(fmt.Sprintf("person %d", i)))
+	}
+	for i, e := range ents {
+		m := s.Mediator(fmt.Sprintf("m%d", i))
+		s.Add(e, marriage, m)
+		s.Add(m, person, ents[(i+1)%n])
+	}
+	path, _ := ParsePath(s, "marriage→person→name")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(ents); i += 8 {
+				if got := PathObjects(nil, s, ents[i], path); len(got) != 1 {
+					t.Errorf("PathObjects(%d) = %v, want one name", ents[i], got)
+				}
+				OutDegree(s, ents[i])
+				s.OutEdges(ents[i], func(PID, ID) {})
+				Subjects(s, person, ents[i])
+			}
+			s.Triples(func(Triple) {})
+		}(w)
+	}
+	wg.Wait()
 }

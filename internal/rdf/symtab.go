@@ -2,11 +2,9 @@ package rdf
 
 import "repro/internal/text"
 
-// symtab is ShardedStore's node/predicate interning layer: labels, kinds,
-// predicate names and the label gazetteer.
-// It is deliberately separate from the triple indexes so that sharding
-// can partition the indexes while node and predicate IDs stay global —
-// a triple's (ID, PID, ID) means the same thing in every shard.
+// symtab is Store's node/predicate interning layer: labels, kinds,
+// predicate names and the label gazetteer, kept apart from the triple
+// indexes.
 type symtab struct {
 	labels []string // node ID -> surface label
 	kinds  []Kind   // node ID -> kind

@@ -184,9 +184,9 @@ func quantile(counts []uint64, total uint64, q float64) float64 {
 // per-stage histograms, snapshotted on demand for the /metrics endpoint.
 type metrics struct {
 	served      atomic.Uint64 // requests that reached the cache/engine path
-	hits        atomic.Uint64 // answered straight from the cache
+	hits        atomic.Uint64 // answered from the cache, on lookup or by a leader's re-check
 	persistHits atomic.Uint64 // hits served by entries replayed from the disk store
-	misses      atomic.Uint64 // had to consult the flight group / engine
+	misses      atomic.Uint64 // not answered from the cache: joined a flight or ran the engine
 	deduped     atomic.Uint64 // misses resolved by joining an in-flight leader
 	rejected    atomic.Uint64 // failed on a non-panic serving error: admission/flight deadline, or an engine call aborted by its context
 	rlRejected  atomic.Uint64 // requests rejected by the per-client rate limiter (counted by the layer holding the Limiter)
@@ -207,6 +207,15 @@ type metrics struct {
 	// start is the runtime's construction time (kbqa_uptime_seconds);
 	// written once in New, before any concurrent access.
 	start time.Time
+}
+
+// countHit counts a request the cache answered, by an entry replayed from
+// the disk store when persisted.
+func (m *metrics) countHit(persisted bool) {
+	m.hits.Add(1)
+	if persisted {
+		m.persistHits.Add(1)
+	}
 }
 
 // countError bumps the labelled error counter for a non-empty code.

@@ -261,10 +261,7 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 		}
 		if hit {
 			if r.fresh(e) {
-				r.metrics.hits.Add(1)
-				if e.Persisted {
-					r.metrics.persistHits.Add(1)
-				}
+				r.metrics.countHit(e.Persisted)
 				return e.Val, e.OK, nil
 			}
 			// Expired: free the slot now instead of letting the dead entry
@@ -295,9 +292,13 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 		fctx, fsp := obs.StartSpan(ctx, "serve.flight")
 		val, okAns, shared, err := r.flight.do(fctx, key, func() (A, bool, error) {
 			// A flight for this key may have completed between the miss
-			// and this leader starting; don't redo resident work.
+			// and this leader starting; don't redo resident work. The
+			// cache answered the request after all, so its miss becomes
+			// a hit: hits + misses stays served.
 			if r.cache != nil {
 				if e, hit := r.cache.Get(key); hit && r.fresh(e) {
+					r.metrics.misses.Add(^uint64(0))
+					r.metrics.countHit(e.Persisted)
 					return e.Val, e.OK, nil
 				}
 			}

@@ -18,7 +18,7 @@ import (
 // 0 to 4 predicates, each either one the frontier has an edge along or any
 // PID at all, so that paths of predicates that never follow each other, and
 // unknown predicates, are drawn too.
-func drawProbe(rng *rand.Rand, g *rdf.ShardedStore, literals []rdf.ID) rdf.Probe {
+func drawProbe(rng *rand.Rand, g *rdf.Store, literals []rdf.ID) rdf.Probe {
 	n, np := g.NumNodes(), uint32(g.NumPredicates())
 	var p rdf.Probe
 	switch rng.IntN(8) {
@@ -48,7 +48,7 @@ func drawProbe(rng *rand.Rand, g *rdf.ShardedStore, literals []rdf.ID) rdf.Probe
 }
 
 // edgesOf returns the predicates some node of front has an edge along.
-func edgesOf(g *rdf.ShardedStore, front []rdf.ID) []rdf.PID {
+func edgesOf(g *rdf.Store, front []rdf.ID) []rdf.PID {
 	var out []rdf.PID
 	for _, p := range g.Predicates() {
 		for _, n := range front {

@@ -14,7 +14,7 @@ import (
 // pool over them with adaptive hedging (or none), and collects
 // (entity, path) probes with non-empty local results, so every probe
 // measures a real frontier expansion. Cleanup closes all of it.
-func probeCluster(tb testing.TB, disableHedge bool) (*rdf.ShardedStore, *Pool, []rdf.Probe) {
+func probeCluster(tb testing.TB, disableHedge bool) (*rdf.Store, *Pool, []rdf.Probe) {
 	tb.Helper()
 	store := testWorld(tb)
 	pool := twoServers(tb, store, disableHedge)

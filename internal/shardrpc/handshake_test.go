@@ -20,7 +20,7 @@ import (
 // panic or hang.
 func FuzzHandshake(f *testing.F) {
 	const digest, shards = 0x5eed, 2
-	srv := NewServer(rdf.NewShardedStore(shards), digest, ServerOptions{})
+	srv := NewServer(rdf.NewStore(), digest, ServerOptions{})
 	// Version 5 sends a read phase to one server, with no shard in the
 	// header or the hello; a hello of any other version is refused, 4 (a
 	// shard in both) and 6 included.

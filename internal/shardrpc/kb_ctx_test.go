@@ -26,8 +26,8 @@ func readAll(ctx context.Context, idx core.Index, probes []rdf.Probe) ([][]rdf.I
 
 func TestSeamSize(t *testing.T) {
 	graph := reflect.TypeOf((*rdf.Graph)(nil)).Elem()
-	if n := graph.NumMethod(); n != 11 {
-		t.Errorf("rdf.Graph has %d methods, want 11: the online seam grew or shrank", n)
+	if n := graph.NumMethod(); n != 10 {
+		t.Errorf("rdf.Graph has %d methods, want 10: the online seam grew or shrank", n)
 	}
 	// The image serves the seam, its world digest and nothing else: an
 	// offline method on it would be code no binary calls.
@@ -63,7 +63,7 @@ func TestSeamSize(t *testing.T) {
 	}
 }
 
-func newTestKB(t *testing.T) (*rdf.ShardedStore, *Pool, *KB) {
+func newTestKB(t *testing.T) (*rdf.Store, *Pool, *KB) {
 	t.Helper()
 	store := testWorld(t)
 	addr, srv := startServer(t, store)

@@ -14,13 +14,13 @@ import (
 	"repro/internal/rdf/snapshot"
 )
 
-// probeFrames returns real opProbe bodies, one per shard of store: the
-// shard's nodes each walking one edge, and again walking two and three.
-func probeFrames(store *rdf.ShardedStore) [][]byte {
+// probeFrames returns real opProbe bodies, one per node group of store:
+// the group's nodes each walking one edge, and again walking two and three.
+func probeFrames(store *rdf.Store) [][]byte {
 	preds := store.Predicates()
 	path, _ := rdf.ParsePath(store, "marriage→person→name")
 	var out [][]byte
-	for _, nodes := range shardedNodes(store) {
+	for _, nodes := range nodeGroups(store) {
 		var probes []rdf.Probe
 		for _, p := range []rdf.Path{{preds[0]}, path[:2], path} {
 			probes = append(probes, probesOf(p, nodes...)...)

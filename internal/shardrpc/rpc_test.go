@@ -23,15 +23,15 @@ import (
 )
 
 // testWorld builds a small deterministic KB shared by the tests.
-func testWorld(t testing.TB) *rdf.ShardedStore {
+func testWorld(t testing.TB) *rdf.Store {
 	t.Helper()
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10})
 	return kb.Store
 }
 
 // startServer runs an own-all server on a loopback listener and returns
 // its address. The caller owns Close.
-func startServer(t testing.TB, store *rdf.ShardedStore) (string, *Server) {
+func startServer(t testing.TB, store *rdf.Store) (string, *Server) {
 	t.Helper()
 	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -45,7 +45,7 @@ func startServer(t testing.TB, store *rdf.ShardedStore) (string, *Server) {
 // twoServers serves store from two loopback index servers and returns a
 // pool over them, hedging adaptively or not at all. Cleanup closes all of
 // it.
-func twoServers(tb testing.TB, store *rdf.ShardedStore, disableHedge bool) *Pool {
+func twoServers(tb testing.TB, store *rdf.Store, disableHedge bool) *Pool {
 	tb.Helper()
 	addrA, srvA := startServer(tb, store)
 	addrB, srvB := startServer(tb, store)
@@ -59,15 +59,12 @@ func twoServers(tb testing.TB, store *rdf.ShardedStore, disableHedge bool) *Pool
 	return pool
 }
 
-// shardedNodes groups a few entities by their home shard, so that probes
-// start on every shard.
-func shardedNodes(store *rdf.ShardedStore) [][]rdf.ID {
-	out := make([][]rdf.ID, store.NumShards())
-	for _, e := range store.Entities() {
-		sh := rdf.ShardIndex(e, store.NumShards())
-		if len(out[sh]) < 8 {
-			out[sh] = append(out[sh], e)
-		}
+// nodeGroups deals the first 32 entities into four groups of eight, the
+// subjects of the probe batches the tests send.
+func nodeGroups(store *rdf.Store) [][]rdf.ID {
+	out := make([][]rdf.ID, 4)
+	for i, e := range store.Entities()[:32] {
+		out[i%4] = append(out[i%4], e)
 	}
 	return out
 }
@@ -103,9 +100,8 @@ func TestFrameDetectsCorruption(t *testing.T) {
 
 // TestHandshakeRejectsWorldMismatch: a client whose world digest differs
 // from the server's must be refused at handshake — a wrong-world pool fails
-// fast instead of serving subtly wrong answers. The digest covers the shard
-// layout too, so a frontend that built the world with another shard count
-// is refused as well.
+// fast instead of serving subtly wrong answers, down to a world one object
+// off.
 func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -124,19 +120,41 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 		t.Fatal("call succeeded with a mismatched world digest")
 	}
 
-	// A frontend built with -shards 1 holds the same triples in another
-	// layout: its digest differs, and the 4-shard server refuses it.
-	oneShard := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 1}).Store
-	if oneShard.NumTriples() != store.NumTriples() {
-		t.Fatalf("the 1-shard world has %d triples, the 4-shard one %d", oneShard.NumTriples(), store.NumTriples())
+	// A frontend that built the world with one triple's object moved to
+	// another literal asserts another digest, and the server refuses it.
+	// Replaying the nodes and predicates in ID order keeps every ID.
+	off := rdf.NewStore()
+	var lits []rdf.ID
+	for id := rdf.ID(0); int(id) < store.NumNodes(); id++ {
+		switch store.KindOf(id) {
+		case rdf.KindEntity:
+			off.NewAmbiguousEntity(store.Label(id))
+		case rdf.KindMediator:
+			off.Mediator(store.Label(id))
+		default:
+			lits = append(lits, off.Literal(store.Label(id)))
+		}
 	}
-	resharded, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(oneShard)})
+	for p := rdf.PID(0); int(p) < store.NumPredicates(); p++ {
+		off.Pred(store.PredName(p))
+	}
+	moved := false
+	store.Triples(func(tr rdf.Triple) {
+		if !moved && store.KindOf(tr.O) == rdf.KindLiteral && !slices.Contains(store.Objects(tr.S, tr.P), lits[0]) {
+			tr.O, moved = lits[0], true
+		}
+		off.Add(tr.S, tr.P, tr.O)
+	})
+	if !moved || off.NumNodes() != store.NumNodes() || off.NumTriples() != store.NumTriples() {
+		t.Fatal("the copy's counts differ: the check is vacuous")
+	}
+	offPool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(off)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resharded.Close()
-	if err := probe(resharded); err == nil {
-		t.Fatal("call succeeded across mismatched shard counts")
+	defer offPool.Close()
+	if err := probe(offPool); err == nil {
+		t.Fatal("call succeeded for a world one object off")
 	}
 
 	ok, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(store)})
@@ -153,8 +171,8 @@ func TestHandshakeRejectsWorldMismatch(t *testing.T) {
 // pool built for a world with every count equal that differs in one
 // triple's object — the case a digest of counts let through.
 func TestHandshakeRefusesOneObjectOff(t *testing.T) {
-	twin := func(obj string) *rdf.ShardedStore {
-		s := rdf.NewShardedStore(2)
+	twin := func(obj string) *rdf.Store {
+		s := rdf.NewStore()
 		name := s.Pred("name")
 		for _, l := range []string{"ada", "bob", "cy"} {
 			s.Add(s.Entity(l), name, s.Literal(l))
@@ -170,7 +188,7 @@ func TestHandshakeRefusesOneObjectOff(t *testing.T) {
 	addr, srv := startServer(t, served)
 	defer srv.Close()
 	for _, c := range []struct {
-		store  *rdf.ShardedStore
+		store  *rdf.Store
 		accept bool
 	}{{other, false}, {served, true}} {
 		pool, err := NewPool(PoolOptions{Servers: []string{addr}, Digest: snapshot.Digest(c.store)})
@@ -208,19 +226,15 @@ func TestReplicaFailover(t *testing.T) {
 	// The first call starts at the first server: killing it guarantees
 	// that a call lands on the dead server first and must fail over.
 	srvA.Close()
-	perShard := shardedNodes(store)
 	pred := store.Predicates()[0]
-	for sh, nodes := range perShard {
-		if len(nodes) == 0 {
-			continue
-		}
+	for g, nodes := range nodeGroups(store) {
 		got, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, nodes...))
 		if err != nil {
-			t.Fatalf("Probe(shard %d) with a server down: %v", sh, err)
+			t.Fatalf("Probe(group %d) with a server down: %v", g, err)
 		}
 		for i, n := range nodes {
 			if want := rdf.PathObjects(nil, store, n, rdf.Path{pred}); !slices.Equal(got[i], want) {
-				t.Fatalf("Probe(shard %d) from %d: %v, want %v", sh, n, got[i], want)
+				t.Fatalf("Probe(group %d) from %d: %v, want %v", g, n, got[i], want)
 			}
 		}
 	}
@@ -248,13 +262,9 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	pred := store.Predicates()[0]
-	nodes := shardedNodes(store)
+	groups := nodeGroups(store)
 	for i := 0; i < 40; i++ {
-		sh := i % store.NumShards()
-		if len(nodes[sh]) == 0 {
-			continue
-		}
-		if _, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, nodes[sh]...)); err != nil {
+		if _, err := pool.Probe(context.Background(), probesOf(rdf.Path{pred}, groups[i%len(groups)]...)); err != nil {
 			t.Fatalf("hedged Probe: %v", err)
 		}
 	}

@@ -56,19 +56,17 @@ func NewServer(store rdf.Graph, digest uint64, o ServerOptions) *Server {
 
 // ServerStats is a snapshot of a server's identity and counters.
 type ServerStats struct {
-	NumShards int
-	Triples   int
-	Requests  uint64
-	Failures  uint64
+	Triples  int
+	Requests uint64
+	Failures uint64
 }
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		NumShards: s.store.NumShards(),
-		Triples:   s.store.NumTriples(),
-		Requests:  s.requests.Load(),
-		Failures:  s.failures.Load(),
+		Triples:  s.store.NumTriples(),
+		Requests: s.requests.Load(),
+		Failures: s.failures.Load(),
 	}
 }
 
@@ -86,9 +84,7 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	s.mu.Unlock()
 	stop := context.AfterFunc(ctx, func() { s.Close() })
 	defer stop()
-	s.log.Info("shard server listening",
-		obs.F("addr", lis.Addr().String()),
-		obs.F("shards", s.store.NumShards()))
+	s.log.Info("shard server listening", obs.F("addr", lis.Addr().String()))
 	for {
 		conn, err := lis.Accept()
 		if err != nil {

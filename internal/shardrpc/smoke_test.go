@@ -12,7 +12,7 @@ import (
 )
 
 func TestSmokeRoundTrip(t *testing.T) {
-	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10, Shards: 4})
+	kb := kbgen.Generate(kbgen.Config{Seed: 42, Flavor: kbgen.Freebase, Scale: 10})
 	store := kb.Store
 	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -30,7 +30,7 @@ func (r *recordingIndex) PathObjects(ctx context.Context, probes []rdf.Probe, ou
 // knowledge base and every probe batch the engine plans while it answers
 // the training corpus and 20 composed complex questions, batched as the
 // engine batched them.
-var plannedBatches = sync.OnceValues(func() (*rdf.ShardedStore, [][]rdf.Probe) {
+var plannedBatches = sync.OnceValues(func() (*rdf.Store, [][]rdf.Probe) {
 	w, _ := world.Learn(world.DefaultConfig(kbgen.Freebase))
 	rec := &recordingIndex{Index: core.LocalIndex(w.KB.Store)}
 	eng := core.NewEngine(w.Symbols, rec, w.KB.Taxonomy, w.Model, w.Stats)

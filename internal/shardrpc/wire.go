@@ -19,9 +19,9 @@
 //
 // with all integers little-endian. A connection opens with a handshake
 // (magic, protocol version, world digest) that fails fast when client and
-// server were built from different worlds, down to one triple or one shard
-// count — node/predicate IDs are only meaningful because both sides intern
-// the same world, so the digest check is load-bearing, not cosmetic.
+// server were built from different worlds, down to one triple —
+// node/predicate IDs are only meaningful because both sides intern the
+// same world, so the digest check is load-bearing, not cosmetic.
 // After the handshake the client sends request frames and reads one
 // response frame per request; requests carry the caller's deadline and
 // trace ID, and responses carry the server's span subtree so traces

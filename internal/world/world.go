@@ -23,12 +23,6 @@ type Config struct {
 	Scale          int
 	PairsPerIntent int
 	NoiseRate      float64
-	// Shards > 1 partitions the knowledge base into that many
-	// subject-hash shards: predicate expansion runs one worker per shard
-	// (expand.Expand) and online probes hash to their shard. <= 1
-	// is a one-shard world. Answers are identical either way; only the
-	// layout and parallelism change.
-	Shards int
 }
 
 // DefaultConfig returns the configuration of the servers' and the
@@ -46,7 +40,7 @@ func DefaultConfig(f kbgen.Flavor) Config {
 	case kbgen.DBpedia:
 		pairs = 28
 	}
-	return Config{Flavor: f, Seed: 42, Scale: kbgen.DefaultScale, PairsPerIntent: pairs, NoiseRate: 0.15, Shards: 4}
+	return Config{Flavor: f, Seed: 42, Scale: kbgen.DefaultScale, PairsPerIntent: pairs, NoiseRate: 0.15}
 }
 
 // World is a learned KBQA instance: the knowledge base, the corpus it
@@ -88,7 +82,7 @@ func (w *World) Learner() *learn.Learner {
 // experiments read them.
 func Learn(cfg Config) (*World, []learn.Observation) {
 	w := &World{Cfg: cfg}
-	w.KB = kbgen.Generate(kbgen.Config{Seed: cfg.Seed, Flavor: cfg.Flavor, Scale: cfg.Scale, Shards: cfg.Shards})
+	w.KB = kbgen.Generate(kbgen.Config{Seed: cfg.Seed, Flavor: cfg.Flavor, Scale: cfg.Scale})
 	w.Symbols = core.CompileSymbols(w.KB.Store)
 	w.Pairs = corpus.Generate(w.KB, corpus.Config{
 		Seed:           cfg.Seed + 1,

@@ -14,15 +14,14 @@ import (
 	"repro/internal/shardrpc"
 )
 
-// startShardServer serves world's knowledge base, every shard, on a
-// loopback listener.
+// startShardServer serves world's knowledge base on a loopback listener.
 func startShardServer(t *testing.T, world *System) (string, *shardrpc.Server) {
 	t.Helper()
 	return serveShards(t, world.world.KB.Store, world.digest)
 }
 
-// serveShards serves store, a world whose digest is digest, every shard,
-// on a loopback listener.
+// serveShards serves store, a world whose digest is digest, on a loopback
+// listener.
 func serveShards(t *testing.T, store rdf.Graph, digest uint64) (string, *shardrpc.Server) {
 	t.Helper()
 	srv := shardrpc.NewServer(store, digest, shardrpc.ServerOptions{})
@@ -53,9 +52,9 @@ func (h *heldStore) Objects(subj rdf.ID, pred rdf.PID) []rdf.ID {
 	return h.Graph.Objects(subj, pred)
 }
 
-func (h *heldStore) ShardSubjects(i int, pred rdf.PID, obj rdf.ID) []rdf.ID {
+func (h *heldStore) Subjects(pred rdf.PID, obj rdf.ID) []rdf.ID {
 	h.wait()
-	return h.Graph.ShardSubjects(i, pred, obj)
+	return h.Graph.Subjects(pred, obj)
 }
 
 // TestClusterVariantFailsLoudly pins two bugs of the cluster shape's variant
@@ -131,7 +130,7 @@ func TestClusterVariantFailsLoudly(t *testing.T) {
 }
 
 // TestClusterFramesPerQuestion pins the probe plan with counts that need no
-// clock: on a 2-server, 4-shard cluster a BFQ costs exactly one frame (its
+// clock: on a 2-server cluster a BFQ costs exactly one frame (its
 // deduplicated probe set, every path walked to its end by one server —
 // 1.08 when each shard its subjects hashed to had a frame of its own, 1.39
 // when every path depth was a round of its own, 7.3 when every term of
@@ -151,7 +150,7 @@ func TestClusterFramesPerQuestion(t *testing.T) {
 	for _, cq := range world.ComplexQuestions(7, 200) {
 		complexQs = append(complexQs, cq.Q)
 	}
-	// own-all: the one placement left, every server holding every shard.
+	// own-all: the one placement left, every server holding the whole world.
 	t.Run("own-all", func(t *testing.T) {
 		opts := opts
 		opts.ShardServers = []string{addrA, addrB}
@@ -160,9 +159,6 @@ func TestClusterFramesPerQuestion(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		if n := sys.kb.NumShards(); n != 4 {
-			t.Fatalf("default world has %d shards, the pins are for 4", n)
-		}
 		ctx := context.Background()
 		for _, row := range []struct {
 			name string

@@ -14,13 +14,14 @@ import (
 
 // The golden gate pins the observable output of the default world. The
 // query digest was recorded on the commit before the KB seam was
-// narrowed, the image digest when image format 2 dropped the header's
-// stored fingerprint and the S→O sections; a refactor of the store, the
-// engine's read path or the public API must leave them unchanged. A
+// narrowed, the image digest when image format 3 dropped the shard split
+// (one set of triple sections, no shard count or shard field); a refactor
+// of the store, the engine's read path or the public API must leave them
+// unchanged. A
 // deliberate change of answers or of the image format re-records them —
 // and says so in the PR.
 const (
-	goldenImageSHA256 = "2427bf46da882738c5b0705d6b6878c5188b8a693925dde08d477a36eba3d41e"
+	goldenImageSHA256 = "3d011a8dcc68ff1870439441f71e9eec8a413bb557a26d2e76424a483ff89a0e"
 	goldenQuerySHA256 = "1094259151b385648ec7cbe7b50bb5f5aee087eb0cc3704ed741dfe85413b598"
 )
 
@@ -98,21 +99,17 @@ func queryDigest(t *testing.T, sys *System) (digest string, answered, variants i
 }
 
 func TestGoldenQueryDigest(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		sys, err := Build(Options{Flavor: "freebase", Seed: 42, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, answered, variants := queryDigest(t, sys)
-		if answered == 0 || variants != len(goldenVariantQuestions) {
-			t.Fatalf("shards=%d: gate is vacuous: %d answered, %d variants", shards, answered, variants)
-		}
-		if got != goldenQuerySHA256 {
-			t.Errorf("shards=%d: query digest %s, want %s (%d answered)", shards, got, goldenQuerySHA256, answered)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
+	sys, err := Build(Options{Flavor: "freebase", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	got, answered, variants := queryDigest(t, sys)
+	if answered == 0 || variants != len(goldenVariantQuestions) {
+		t.Fatalf("gate is vacuous: %d answered, %d variants", answered, variants)
+	}
+	if got != goldenQuerySHA256 {
+		t.Errorf("query digest %s, want %s (%d answered)", got, goldenQuerySHA256, answered)
 	}
 }
 

@@ -68,21 +68,14 @@ type Options struct {
 	// pointer rather than a float so the zero value stays distinguishable
 	// from "use the default".
 	NoiseRate *float64
-	// Shards selects the knowledge-base layout: the RDF store is
-	// partitioned into that many subject-hash shards (offline expansion
-	// scans one worker per shard; online probes hash to their shard); 1 is
-	// a one-shard world, 0 keeps the default (4) and Build refuses a
-	// negative count. Answers are identical across layouts.
-	Shards int
 	// ShardServers, when non-empty, distributes the knowledge base: the
 	// system becomes a frontend over replicated index servers, remote
 	// kbqa-shard processes at these addresses that each hold the whole
 	// world. Index reads (probes, scans) go to them instead of the local
 	// store, one frame per read phase to one server, taken in turn, with
 	// hedged requests and failover to the next server. Every server must
-	// have loaded the same world, shard count included (the handshake
-	// compares world digests). Answers are byte-identical to the
-	// single-process layouts.
+	// have loaded the same world (the handshake compares world digests).
+	// Answers are byte-identical to the single-process ones.
 	ShardServers []string
 	// ShardReplicas is ignored: every shard server serves the whole world.
 	// ROADMAP item 1(d) deletes it with the benchmark harness's use of it.
@@ -93,7 +86,7 @@ type Options struct {
 	// must hold exactly the world the other options describe: Build fails
 	// unless the image's digest equals the built store's, down to one
 	// triple. Mutually exclusive with ShardServers. Answers are
-	// byte-identical to the in-memory layouts; Close unmaps the image.
+	// byte-identical to the in-memory store's; Close unmaps the image.
 	KBImage string
 }
 
@@ -109,9 +102,6 @@ func (o Options) worldConfig() (world.Config, error) {
 	if err != nil {
 		return world.Config{}, fmt.Errorf("kbqa: %w", err)
 	}
-	if o.Shards < 0 {
-		return world.Config{}, fmt.Errorf("kbqa: Shards is %d, want at least 1 (0 keeps the default)", o.Shards)
-	}
 	cfg := world.DefaultConfig(f)
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
@@ -124,9 +114,6 @@ func (o Options) worldConfig() (world.Config, error) {
 	}
 	if o.NoiseRate != nil {
 		cfg.NoiseRate = *o.NoiseRate
-	}
-	if o.Shards != 0 {
-		cfg.Shards = o.Shards
 	}
 	return cfg, nil
 }

@@ -49,14 +49,6 @@ func TestBuildFlavors(t *testing.T) {
 	}
 }
 
-// TestBuildRefusesNegativeShards: a negative shard count is an error, not a
-// one-shard world that no peer started with the same value would build.
-func TestBuildRefusesNegativeShards(t *testing.T) {
-	if _, err := Build(Options{Shards: -1}); err == nil {
-		t.Fatal("Build accepted Shards: -1")
-	}
-}
-
 // TestBuildRefusesRepeatedShardServers: a shard-server list naming one
 // address twice, or an empty one, fails Build before any dial, rather than
 // giving every shard one host as two replicas.

@@ -311,7 +311,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if def.Flavor.String() != "Freebase" || def.Seed != 42 || def.Scale != 30 ||
-		def.PairsPerIntent != 40 || def.NoiseRate != 0.15 || def.Shards != 4 {
+		def.PairsPerIntent != 40 || def.NoiseRate != 0.15 {
 		t.Fatalf("zero-Options defaults = %+v", def)
 	}
 
@@ -321,13 +321,12 @@ func TestOptionsDefaults(t *testing.T) {
 		Scale:          11,
 		PairsPerIntent: 13,
 		NoiseRate:      Noise(0.3),
-		Shards:         2,
 	}.worldConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Flavor.String() != "DBpedia" || full.Seed != 9 || full.Scale != 11 ||
-		full.PairsPerIntent != 13 || full.NoiseRate != 0.3 || full.Shards != 2 {
+		full.PairsPerIntent != 13 || full.NoiseRate != 0.3 {
 		t.Fatalf("explicit Options lost a field: %+v", full)
 	}
 

@@ -14,11 +14,11 @@ import (
 // oneObjectOff copies src with the object of its first literal-valued
 // triple replaced by another literal. Every node is interned in src's ID
 // order and every triple added in src's scan order, so IDs mean what they
-// meant and every count — nodes, predicates, triples, shards — is equal:
+// meant and every count — nodes, predicates, triples — is equal:
 // the two worlds differ in that one object only.
-func oneObjectOff(t *testing.T, src *rdf.ShardedStore) *rdf.ShardedStore {
+func oneObjectOff(t *testing.T, src *rdf.Store) *rdf.Store {
 	t.Helper()
-	dst := rdf.NewShardedStore(src.NumShards())
+	dst := rdf.NewStore()
 	var literals []rdf.ID
 	for id := rdf.ID(0); int(id) < src.NumNodes(); id++ {
 		switch src.KindOf(id) {
@@ -79,7 +79,7 @@ func TestBuildRefusesKBImageOfOtherWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	image := func(name string, store *rdf.ShardedStore) string {
+	image := func(name string, store *rdf.Store) string {
 		path := filepath.Join(dir, name)
 		if err := snapshot.WriteImageFile(path, store); err != nil {
 			t.Fatal(err)
