@@ -477,7 +477,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	flavor := flag.String("flavor", "freebase", "knowledge base flavor")
 	seed := flag.Int64("seed", 42, "generation seed")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request answer deadline (0 = none)")
+	timeout := flag.Duration("timeout", 5*time.Second, "per-request answer deadline; a /batch is one request with one deadline (0 = none)")
 	cacheEntries := flag.Int("cache", 0, "answer cache capacity (0 = default 4096, negative disables)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent answer cache (empty = memory only)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "answer cache entry time-to-live (0 = no expiry)")

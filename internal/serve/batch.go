@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // BatchItem is one slot of a batch reply; the output slice aligns
@@ -15,56 +18,59 @@ type BatchItem[A any] struct {
 	Err      error
 }
 
-// DoBatch fans the questions across a bounded worker pool and returns the
-// answers in input order. Every question of the batch is answered under
-// the same options fingerprint and compute, mirroring Do, and each
-// goes through the full serving pipeline (cache, dedup, admission) keyed by
-// (question, fingerprint), so duplicates inside one batch — and across
-// concurrent batches with the same options — cost one engine call. A
-// cancelled or expired context marks the not-yet-started items with the
-// context error instead of abandoning the batch.
+// DoBatch answers the questions over a bounded worker pool, in input
+// order. A batch is one request: one drain ticket and, when ctx has no
+// deadline, one Options.Timeout for all its questions, queueing included.
+// Each question goes through Do's pipeline under the same fingerprint and
+// compute, so duplicates inside one batch — and across concurrent batches
+// with the same options — cost one engine call. Items not yet started when
+// ctx ends carry its error; on a closed runtime every item fails with
+// ErrShuttingDown.
 func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprint string, compute AskFunc[A]) []BatchItem[A] {
+	if !r.begin() {
+		out := make([]BatchItem[A], len(questions))
+		for i, q := range questions {
+			r.metrics.countError(CodeShuttingDown)
+			out[i] = BatchItem[A]{Question: q, Err: ErrShuttingDown}
+		}
+		return out
+	}
+	defer r.wg.Done()
+	ctx, cancel := arm(ctx, r.opts.Timeout)
+	defer cancel()
+	traceID := obs.SampledTraceID(ctx)
 	return runBatch(ctx, questions, r.batchWorkers, func(ctx context.Context, q string) (A, bool, error) {
-		return r.Do(ctx, q, fingerprint, compute)
+		return r.do(ctx, q, fingerprint, compute, traceID)
 	})
 }
 
-// runBatch feeds question indexes to a fixed pool of workers. Results land
-// at their input index, so order is preserved without any post-sort; each
-// index is written exactly once (by the worker that received it, or by the
-// cancellation sweep for indexes never handed out).
+// runBatch answers the questions on a fixed pool of workers, the calling
+// goroutine one of them, each taking the next index from a shared cursor.
+// Results land at their input index, so order is preserved without any
+// post-sort; each index is written exactly once, by the worker that took
+// it — with the context's error if the batch was cancelled before then.
 func runBatch[A any](ctx context.Context, questions []string, workers int, ask func(context.Context, string) (A, bool, error)) []BatchItem[A] {
 	out := make([]BatchItem[A], len(questions))
-	if len(questions) == 0 {
-		return out
-	}
-	if workers > len(questions) {
-		workers = len(questions)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = runOne(ctx, questions[i], ask)
+	workers = max(1, min(workers, len(questions)))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(questions); i = int(next.Add(1) - 1) {
+			if err := ctx.Err(); err != nil {
+				out[i] = BatchItem[A]{Question: questions[i], Err: err}
+				continue
 			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for i := range questions {
-		select {
-		case idx <- i:
-		case <-done:
-			for j := i; j < len(questions); j++ {
-				out[j] = BatchItem[A]{Question: questions[j], Err: ctx.Err()}
-			}
-			break feed
+			out[i] = runOne(ctx, questions[i], ask)
 		}
 	}
-	close(idx)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	return out
 }

@@ -108,7 +108,8 @@ type Options[A any] struct {
 	// queue until a slot frees or their deadline expires.
 	MaxConcurrent int
 	// Timeout is the per-request deadline applied when the caller's
-	// context has none. 0 means no default deadline.
+	// context has none. A DoBatch is one request: its questions share one
+	// deadline, queueing included. 0 means no default deadline.
 	Timeout time.Duration
 	// Weigh is the cache-admission weighing function: an entry costs
 	// Weigh(answer) capacity units (floored at 1), so one giant answer — a
@@ -209,6 +210,18 @@ func (r *Runtime[A]) begin() bool {
 	return true
 }
 
+// arm applies Options.Timeout to a request whose context has no deadline.
+// It is not a method: a func literal in a generic method captures the
+// type dictionary, so the no-op cancel would cost an allocation per call.
+func arm(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		if _, has := ctx.Deadline(); !has {
+			return context.WithTimeout(ctx, timeout)
+		}
+	}
+	return ctx, func() {}
+}
+
 // fresh reports whether a resident entry is inside its TTL.
 func (r *Runtime[A]) fresh(e Entry[A]) bool {
 	return r.opts.TTL <= 0 || time.Since(e.At) <= r.opts.TTL
@@ -236,11 +249,16 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 		return zero, false, ErrShuttingDown
 	}
 	defer r.wg.Done()
-	r.metrics.inFlight.Add(1)
 	// A sampled trace's ID rides along into the latency histograms as their
 	// exemplar, linking a scraped bucket to a trace in the /debug/traces
 	// ring; an unsampled one (slow capture's) may never be retained there.
-	traceID := obs.SampledTraceID(ctx)
+	return r.do(ctx, question, fingerprint, compute, obs.SampledTraceID(ctx))
+}
+
+// do is Do's pipeline, run under a drain ticket the caller holds: a batch
+// holds one for all its questions.
+func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compute AskFunc[A], traceID string) (ans A, ok bool, err error) {
+	r.metrics.inFlight.Add(1)
 	start := time.Now()
 	defer func() {
 		r.metrics.total.observeTraced(time.Since(start), traceID)
@@ -276,14 +294,10 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	r.metrics.misses.Add(1)
 
 	// The engine path is the only consumer of the deadline, so the
-	// timer is set up after the cache hit fast-path.
-	if r.opts.Timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
-			defer cancel()
-		}
-	}
+	// timer is set up after the cache hit fast-path. A batch armed its
+	// own before its first question, so this arms nothing there.
+	ctx, cancel := arm(ctx, r.opts.Timeout)
+	defer cancel()
 
 	for {
 		// The flight span covers both roles: a leader runs the closure
@@ -381,15 +395,18 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 // serving pipeline over the batch worker pool, under the same fingerprint
 // and compute as real traffic so primed entries share its keys; questions
 // already resident (for example replayed from the disk log) cost nothing.
-// It reports how many of qs ended resident — positive and negative answers
-// both warm the cache; context and infrastructure failures don't. With
-// caching disabled there is nothing to warm: the engine is not touched and
-// 0 is returned.
+// Warming is a boot step, not a request: each question is a Do with its
+// own deadline. It reports how many of qs ended resident — positive and
+// negative answers both warm the cache; context and infrastructure failures
+// don't. With caching disabled there is nothing to warm: the engine is not
+// touched and 0 is returned.
 func (r *Runtime[A]) Warm(ctx context.Context, qs []string, fingerprint string, compute AskFunc[A]) (warmed int) {
 	if r.cache == nil {
 		return 0
 	}
-	for _, it := range r.DoBatch(ctx, qs, fingerprint, compute) {
+	for _, it := range runBatch(ctx, qs, r.batchWorkers, func(ctx context.Context, q string) (A, bool, error) {
+		return r.Do(ctx, q, fingerprint, compute)
+	}) {
 		if it.Err == nil {
 			warmed++
 		}

@@ -526,12 +526,31 @@ func TestBatchContainsEnginePanic(t *testing.T) {
 	}
 }
 
+// TestCloseFailsFast: after Close, Do and every item of a batch fail with
+// ErrShuttingDown without an engine call, counted once per question.
 func TestCloseFailsFast(t *testing.T) {
-	r := withEngine(echoAsk(nil), Options[string]{})
+	var calls atomic.Int64
+	r := withEngine(echoAsk(&calls), Options[string]{})
 	r.Close()
 	r.Close() // idempotent
 	if _, _, err := r.Ask(context.Background(), "q"); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("err = %v, want ErrShuttingDown", err)
+	}
+	qs := []string{"a", "b", "c"}
+	for i, it := range r.AskBatch(context.Background(), qs) {
+		if it.Question != qs[i] || !errors.Is(it.Err, ErrShuttingDown) {
+			t.Errorf("batch slot %d = %+v, want %q with ErrShuttingDown", i, it, qs[i])
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("engine calls = %d, want 0", n)
+	}
+	m := r.Metrics()
+	if got := m.Errors[CodeShuttingDown]; got != 1+uint64(len(qs)) {
+		t.Errorf("%s errors = %d, want %d (one per question)", CodeShuttingDown, got, 1+len(qs))
+	}
+	if m.Served != 0 {
+		t.Errorf("served = %d, want 0", m.Served)
 	}
 }
 

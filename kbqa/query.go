@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -205,7 +206,7 @@ type Answerer interface {
 // on large stores instead of letting the scan run to completion.
 func (s *System) Query(ctx context.Context, question string, opts ...QueryOption) (*Result, error) {
 	res, _, err := query(ctx, s.cur.Load().engine, question, newQueryConfig(opts))
-	return stamp(res, question, ctx), err
+	return stamp(res, question, obs.TraceID(ctx)), err
 }
 
 // query is the resolved-config implementation shared with the serving

@@ -59,8 +59,10 @@ type ServerOptions struct {
 	// 4×GOMAXPROCS; negative means unbounded.
 	MaxConcurrent int
 	// Timeout is the per-request deadline applied when the caller's
-	// context has none (0 = none). The deadline is handed to the engine,
-	// so expiry stops the probe loops instead of leaking the work.
+	// context has none (0 = none). A QueryBatch is one request: its
+	// questions share one deadline, queueing included. The deadline is
+	// handed to the engine, so expiry stops the probe loops instead of
+	// leaking the work.
 	Timeout time.Duration
 	// RateLimit caps each client's sustained request rate in
 	// requests/second, enforced by Server.AllowN in front of admission
@@ -226,7 +228,7 @@ func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOptio
 		sv.rt.CountError(out.Code)
 		return nil, errorFromCode(out.Code)
 	}
-	return stamp(out.Res, question, ctx), nil
+	return stamp(out.Res, question, obs.TraceID(ctx)), nil
 }
 
 // startTrace opens a server-rooted trace when the server has a tracer and
@@ -248,15 +250,14 @@ func (sv *Server) startTrace(ctx context.Context, name, question string) (contex
 }
 
 // stamp returns res carrying exactly the caller's question and the
-// context's trace ID — the request's own, or none when the request is
-// untraced. It is the one place a reply gets them: the cache and the
+// request's trace ID tid — obs.TraceID of its context, "" when the request
+// is untraced. It is the one place a reply gets them: the cache and the
 // in-flight deduplication key a Result by the normalized question, so a
 // shared one carries the spelling of whoever computed it, and Results enter
 // the cache without a trace ID (an entry persisted by an older build that
 // did carry one is cleared here). Shared Results are read-only, so a
 // differing question or ID is stamped onto a shallow copy, never in place.
-func stamp(res *Result, question string, ctx context.Context) *Result {
-	tid := obs.TraceID(ctx)
+func stamp(res *Result, question, tid string) *Result {
 	if res == nil || (res.Question == question && res.TraceID == tid) {
 		return res
 	}
@@ -275,8 +276,10 @@ type BatchResult struct {
 
 // QueryBatch answers a slice of questions concurrently over a bounded
 // worker pool, preserving input order; every question is answered under
-// the same options. Each question goes through the full serving pipeline,
-// so duplicates inside one batch cost one engine call.
+// the same options. A batch is one request: WithTimeout, or else
+// ServerOptions.Timeout, gives it one deadline for all its questions,
+// queueing included. Each question goes through the full serving
+// pipeline, so duplicates inside one batch cost one engine call.
 func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...QueryOption) []BatchResult {
 	cfg := newQueryConfig(opts)
 	ctx, cancel := cfg.arm(ctx) // bounds the whole batch, queueing included
@@ -285,12 +288,13 @@ func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...Qu
 	defer finish()
 	cur := sv.sys.cur.Load()
 	items := sv.rt.DoBatch(ctx, questions, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
+	tid := obs.TraceID(ctx)
 	out := make([]BatchResult, len(items))
 	for i, it := range items {
 		br := BatchResult{Question: it.Question, Err: it.Err}
 		if it.Err == nil {
 			if it.OK {
-				br.Result = stamp(it.Answer.Res, questions[i], ctx)
+				br.Result = stamp(it.Answer.Res, questions[i], tid)
 			} else {
 				sv.rt.CountError(it.Answer.Code)
 				br.Err = errorFromCode(it.Answer.Code)
