@@ -9,14 +9,15 @@
 // from chunks the Trace owns, and what the spans record lives in an arena
 // that Finish hands back to a pool: a trace that is not kept costs a few
 // allocations per question, and a write through a span after Finish is
-// dropped.
+// dropped. A trace lives in one process: a shard server keeps no trace, and
+// the caller records the server time its reply carries as a completed child
+// span (StageInt).
 package obs
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	mrand "math/rand/v2"
 	"strconv"
@@ -87,59 +88,6 @@ func (c *spanCtx) Value(key any) any {
 	return c.ctx.Value(key)
 }
 
-// NewRemoteRoot opens a detached root span for serving one remote call on
-// behalf of a trace that lives in another process. traceID is the caller's
-// trace ID as carried across the wire, so TraceID(ctx) and log correlation
-// work on the serving side; the span belongs to no Tracer and is never
-// retained locally — the server Ends it, ships AppendJSON's bytes back to
-// the caller, which grafts them with AttachRemote, and Releases it.
-func NewRemoteRoot(traceID, name string) *Span {
-	return newTrace(traceID, name, nil).root
-}
-
-// Release finishes the trace s belongs to without retaining it, as a
-// server does with the root NewRemoteRoot opened once AppendJSON has
-// copied its tree out: the records go back to the pool, and a later write
-// through any of the trace's spans is dropped. Idempotent; no-op on a nil
-// receiver.
-func (s *Span) Release() {
-	if s == nil || !s.trace.finished.CompareAndSwap(false, true) {
-		return
-	}
-	s.trace.mu.Lock()
-	s.trace.release()
-	s.trace.mu.Unlock()
-}
-
-// AttachRemote grafts a remote span tree (another process's AppendJSON, as
-// it arrived) under s. It is decoded only if the trace is
-// retained, so a call that crosses a process boundary does not pay for a
-// tree nobody will look at; one that does not decode is dropped then. The
-// remote offsets are relative to the remote root's own start; when the
-// trace is snapshotted they are rebased onto s's start, which sidesteps
-// clock skew between machines (the remote work began, by construction,
-// after s did). No-op on a nil receiver.
-func (s *Span) AttachRemote(snapshotJSON []byte) {
-	if s == nil {
-		return
-	}
-	t := s.trace
-	t.mu.Lock()
-	if t.ar != nil {
-		t.ar.remotes = append(t.ar.remotes, remote{span: s.i, raw: snapshotJSON})
-	}
-	t.mu.Unlock()
-}
-
-// rebase shifts a decoded remote snapshot's start offsets by off
-// nanoseconds, recursively.
-func rebase(s *SpanSnapshot, off int64) {
-	s.StartNanos += off
-	for i := range s.Children {
-		rebase(&s.Children[i], off)
-	}
-}
-
 // Attr is one key/value annotation on a span.
 type Attr struct {
 	Key   string `json:"key"`
@@ -173,9 +121,8 @@ type Span struct {
 // it back to arenas. Links are indexes, and 0 links nothing: recs[0] is
 // the root, nobody's child or sibling, and attrs[0] is a placeholder.
 type arena struct {
-	recs    []rec
-	attrs   []attr
-	remotes []remote // in the order grafted
+	recs  []rec
+	attrs []attr
 
 	inlineRecs  [32]rec
 	inlineAttrs [32]attr
@@ -189,12 +136,6 @@ type rec struct {
 	ended             bool
 	first, last, next int32 // children, in the order opened, and the next sibling
 	attrs, lastAttr   int32 // in the order set
-}
-
-// remote is a remote subtree grafted under a span, still JSON.
-type remote struct {
-	span int32
-	raw  []byte
 }
 
 // arenas holds the arenas of finished traces. A new one holds a
@@ -266,30 +207,48 @@ func (s *Span) setAttr(at attr) {
 	t := s.trace
 	t.mu.Lock()
 	if a := t.ar; a != nil {
-		j := int32(len(a.attrs))
-		a.attrs = append(a.attrs, at)
-		r := &a.recs[s.i]
-		if r.lastAttr == 0 {
-			r.attrs = j
-		} else {
-			a.attrs[r.lastAttr].next = j
-		}
-		r.lastAttr = j
+		a.addAttr(s.i, at)
 	}
 	t.mu.Unlock()
+}
+
+// addAttr appends at to recs[i]'s attributes.
+func (a *arena) addAttr(i int32, at attr) {
+	j := int32(len(a.attrs))
+	a.attrs = append(a.attrs, at)
+	r := &a.recs[i]
+	if r.lastAttr == 0 {
+		r.attrs = j
+	} else {
+		a.attrs[r.lastAttr].next = j
+	}
+	r.lastAttr = j
 }
 
 // Stage records a completed child span with an explicit duration, for
 // phases that were timed externally (e.g. the engine's Timings laps).
 // The child carries the parent's start time and d as its duration.
-func (s *Span) Stage(name string, d time.Duration) {
+func (s *Span) Stage(name string, d time.Duration) { s.stage(name, d, attr{}) }
+
+// StageInt is Stage with one integer attribute on the child: a shard
+// server's time, carried in its reply, becomes the shard.serve span under
+// the caller's rpc.call this way.
+func (s *Span) StageInt(name string, d time.Duration, key string, v int64) {
+	s.stage(name, d, attr{key: key, num: v, isInt: true})
+}
+
+// stage records the child, with at as its attribute unless at has no key.
+func (s *Span) stage(name string, d time.Duration, at attr) {
 	if s == nil {
 		return
 	}
 	t := s.trace
 	t.mu.Lock()
 	if a := t.ar; a != nil {
-		a.open(s.i, rec{name: name, start: a.recs[s.i].start, dur: int64(d), ended: true})
+		c := a.open(s.i, rec{name: name, start: a.recs[s.i].start, dur: int64(d), ended: true})
+		if at.key != "" {
+			a.addAttr(c, at)
+		}
 	}
 	t.mu.Unlock()
 }
@@ -311,11 +270,10 @@ func (s *Span) End() {
 }
 
 // snapshot converts the tree under recs[i] to its immutable JSON form.
-// base is the start StartNanos offsets count from. The trace's mutex is
-// held.
-func (a *arena) snapshot(i int32, base int64) SpanSnapshot {
+// The trace's mutex is held.
+func (a *arena) snapshot(i int32) SpanSnapshot {
 	r := &a.recs[i]
-	snap := SpanSnapshot{Name: r.name, StartNanos: r.start - base, DurationNanos: r.dur}
+	snap := SpanSnapshot{Name: r.name, StartNanos: r.start, DurationNanos: r.dur}
 	for j := r.attrs; j != 0; j = a.attrs[j].next {
 		at := &a.attrs[j]
 		v := at.str
@@ -325,75 +283,9 @@ func (a *arena) snapshot(i int32, base int64) SpanSnapshot {
 		snap.Attrs = append(snap.Attrs, Attr{Key: at.key, Value: v})
 	}
 	for c := r.first; c != 0; c = a.recs[c].next {
-		snap.Children = append(snap.Children, a.snapshot(c, base))
-	}
-	for _, rm := range a.remotes {
-		var sub SpanSnapshot
-		if rm.span == i && json.Unmarshal(rm.raw, &sub) == nil {
-			rebase(&sub, r.start-base)
-			snap.Children = append(snap.Children, sub)
-		}
+		snap.Children = append(snap.Children, a.snapshot(c))
 	}
 	return snap
-}
-
-// AppendJSON appends the span tree's SpanSnapshot, with StartNanos offsets
-// relative to s's own start, as exactly the JSON json.Marshal writes for it,
-// without building the snapshot or reflecting over it: the wire form a
-// shard server returns for AttachRemote. Nil-safe; once the trace has
-// finished, it appends what it does for nil.
-func (s *Span) AppendJSON(dst []byte) []byte {
-	if s != nil {
-		s.trace.mu.Lock()
-		defer s.trace.mu.Unlock()
-		if a := s.trace.ar; a != nil {
-			return a.appendJSON(dst, s.i, a.recs[s.i].start)
-		}
-	}
-	return append(dst, `{"name":"","start_ns":0,"duration_ns":0}`...)
-}
-
-func (a *arena) appendJSON(dst []byte, i int32, base int64) []byte {
-	r := &a.recs[i]
-	dst = append(dst, `{"name":`...)
-	dst = AppendJSONString(dst, r.name)
-	dst = append(dst, `,"start_ns":`...)
-	dst = strconv.AppendInt(dst, r.start-base, 10)
-	dst = append(dst, `,"duration_ns":`...)
-	dst = strconv.AppendInt(dst, r.dur, 10)
-	sep := `,"attrs":[`
-	for j := r.attrs; j != 0; j = a.attrs[j].next {
-		at := &a.attrs[j]
-		dst = AppendJSONString(append(append(dst, sep...), `{"key":`...), at.key)
-		dst = append(dst, `,"value":`...)
-		if at.isInt {
-			dst = append(strconv.AppendInt(append(dst, '"'), at.num, 10), '"')
-		} else {
-			dst = AppendJSONString(dst, at.str)
-		}
-		dst, sep = append(dst, '}'), ","
-	}
-	if r.attrs != 0 {
-		dst = append(dst, ']')
-	}
-	sep = `,"children":[`
-	for c := r.first; c != 0; c = a.recs[c].next {
-		dst, sep = a.appendJSON(append(dst, sep...), c, base), ","
-	}
-	for _, rm := range a.remotes {
-		var sub SpanSnapshot
-		if rm.span != i || json.Unmarshal(rm.raw, &sub) != nil {
-			continue
-		}
-		rebase(&sub, r.start-base)
-		if b, err := json.Marshal(sub); err == nil {
-			dst, sep = append(append(dst, sep...), b...), ","
-		}
-	}
-	if sep == "," {
-		dst = append(dst, ']')
-	}
-	return append(dst, '}')
 }
 
 // SpanSnapshot is the immutable JSON form of a completed span. Durations
@@ -492,12 +384,11 @@ func newTrace(id, name string, tr *Tracer) *Trace {
 	return t
 }
 
-// release empties the arena, dropping its grafted subtrees, and hands it
-// back to arenas; writes after it are dropped. t.mu is held.
+// release empties the arena and hands it back to arenas; writes after it
+// are dropped. t.mu is held.
 func (t *Trace) release() {
 	a := t.ar
-	clear(a.remotes)
-	a.recs, a.attrs, a.remotes = a.recs[:0], a.attrs[:1], a.remotes[:0]
+	a.recs, a.attrs = a.recs[:0], a.attrs[:1]
 	arenas.Put(a)
 	t.ar = nil
 }
@@ -537,7 +428,7 @@ func (t *Trace) Finish() {
 	kept := t.sampled || slow
 	var root SpanSnapshot
 	if kept {
-		root = t.ar.snapshot(0, 0)
+		root = t.ar.snapshot(0)
 	}
 	t.release()
 	t.mu.Unlock()

@@ -27,6 +27,7 @@ func TestStartSpanWithoutTraceIsInert(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.SetInt("n", 1)
 	sp.Stage("stage", time.Millisecond)
+	sp.StageInt("stage", time.Millisecond, "op", 8)
 	sp.End()
 	if id := TraceID(ctx); id != "" {
 		t.Fatalf("TraceID on untraced ctx = %q, want empty", id)
@@ -57,6 +58,8 @@ func TestTraceNestingAndAttrs(t *testing.T) {
 	ctx1, sp1 := StartSpan(ctx, "child")
 	sp1.SetAttr("k", "v")
 	sp1.SetInt("n", 42)
+	// The completed child's attribute lies between the child's own.
+	sp1.StageInt("remote", 3*time.Millisecond, "op", 8)
 	for _, v := range []int64{-1, 0, 1 << 40, 7} { // past the inline attributes
 		sp1.SetInt("more", v)
 	}
@@ -94,8 +97,20 @@ func TestTraceNestingAndAttrs(t *testing.T) {
 		t.Fatal("missing grandchild span")
 	}
 	stage := child.Find("stage")
-	if stage == nil || stage.DurationNanos != (5*time.Millisecond).Nanoseconds() {
-		t.Fatalf("stage span = %+v, want explicit 5ms duration", stage)
+	if stage == nil || stage.DurationNanos != (5*time.Millisecond).Nanoseconds() || stage.Attrs != nil {
+		t.Fatalf("stage span = %+v, want explicit 5ms duration and no attributes", stage)
+	}
+	var names []string
+	for _, c := range child.Children {
+		names = append(names, c.Name)
+	}
+	if !reflect.DeepEqual(names, []string{"remote", "grandchild", "stage"}) {
+		t.Fatalf("children %+v, want remote, grandchild, stage in the order recorded", child.Children)
+	}
+	remote := child.Children[0]
+	if remote.StartNanos != child.StartNanos || remote.DurationNanos != (3*time.Millisecond).Nanoseconds() ||
+		!reflect.DeepEqual(remote.Attrs, []Attr{{"op", "8"}}) {
+		t.Fatalf("StageInt span = %+v, want from the child's start for 3ms with op 8", remote)
 	}
 	if snaps[0].DurationNanos < root.Children[0].DurationNanos {
 		t.Fatal("trace duration shorter than child span")
@@ -254,15 +269,11 @@ func TestSpanWritesAfterFinish(t *testing.T) {
 // TestRecycledArenaDropsLateWrites: a finished trace's arena goes to the
 // next trace that starts, and nothing written through the finished trace's
 // spans and contexts reaches it — End, SetAttr, SetInt, Child, Stage,
-// AttachRemote and StartSpan, from a goroutine that races Finish and goes
+// StageInt and StartSpan, from a goroutine that races Finish and goes
 // on while the next trace is built, and from the test's own goroutine
 // once the next trace holds the arena. The next trace retains exactly its
 // own tree.
 func TestRecycledArenaDropsLateWrites(t *testing.T) {
-	remote := NewRemoteRoot("r", "late.remote")
-	remote.End()
-	lateJSON := remote.AppendJSON(nil)
-	remote.Release()
 	tr := NewTracer(Options{SampleRate: 1})
 	reused := 0
 	for round := 0; round < 20; round++ {
@@ -276,7 +287,7 @@ func TestRecycledArenaDropsLateWrites(t *testing.T) {
 				sp.SetInt("late", 1)
 				sp.Child("late.child").End()
 				sp.Stage("late.stage", time.Millisecond)
-				sp.AttachRemote(lateJSON)
+				sp.StageInt("late.remote", time.Millisecond, "op", 8)
 			}
 			for _, ctx := range []context.Context{actx, cctx} {
 				_, sp := StartSpan(ctx, "late.span")
@@ -473,83 +484,6 @@ func TestTracerFindByID(t *testing.T) {
 	var nilTr *Tracer
 	if _, ok := nilTr.Find(ids[4]); ok {
 		t.Fatal("nil tracer Find must miss")
-	}
-}
-
-// TestSpanAppendJSONMatchesMarshal: the span appender writes exactly the
-// bytes json.Marshal writes for the span's snapshot — nested and staged
-// children, grafted remote subtrees (one that does not decode is dropped),
-// and keys and values that need escaping.
-func TestSpanAppendJSONMatchesMarshal(t *testing.T) {
-	hostile := []string{`say "hi"\`, "<a href='x'>&amp;</a>", "line\u2028sep\u2029", "bad \xff\xfe utf8", "tab\tnl\n\x01"}
-	remote := NewRemoteRoot("t", "shard.serve")
-	remote.SetInt("op", 8)
-	remote.Child("inner").SetAttr("k", hostile[1])
-	remote.End()
-	for _, tc := range []struct {
-		name  string
-		build func() *Span
-	}{
-		{"nil", func() *Span { return nil }},
-		{"bare", func() *Span { return NewRemoteRoot("t", "bare") }},
-		{"attributes", func() *Span {
-			sp := NewRemoteRoot("t", hostile[0])
-			for i, s := range hostile {
-				sp.SetAttr(s, s)
-				sp.SetInt(s, int64(-i*1000))
-			}
-			sp.End()
-			return sp
-		}},
-		{"nested", func() *Span {
-			sp := NewRemoteRoot("t", "root")
-			c := sp.Child("child")
-			c.SetInt("n", 7)
-			c.Child(hostile[2]).SetAttr(hostile[3], hostile[4])
-			c.End()
-			sp.Stage("stage", time.Millisecond)
-			sp.Child("empty")
-			sp.End()
-			return sp
-		}},
-		{"remote", func() *Span {
-			sp := NewRemoteRoot("t", "rpc.call")
-			sp.Child("local").End()
-			sp.AttachRemote(remote.AppendJSON(nil))
-			sp.AttachRemote([]byte("{not json"))
-			sp.End()
-			return sp
-		}},
-		{"more spans and attributes than a chunk holds", func() *Span {
-			sp := NewRemoteRoot("t", "shard.serve")
-			for i := 0; i < 100; i++ { // chunks of up to 64 records
-				c := sp.Child("probe")
-				c.SetInt("i", int64(i))
-				c.SetAttr("k", hostile[i%len(hostile)])
-				c.Stage("stage", time.Duration(i))
-				c.End()
-				sp.SetInt("n", int64(i))
-			}
-			sp.End()
-			return sp
-		}},
-		{"only an undecodable remote", func() *Span {
-			sp := NewRemoteRoot("t", "rpc.call")
-			sp.AttachRemote([]byte("]"))
-			return sp
-		}},
-	} {
-		sp, snap := tc.build(), SpanSnapshot{}
-		if sp != nil {
-			snap = sp.trace.ar.snapshot(sp.i, 0)
-		}
-		want, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sp.AppendJSON([]byte("prefix")); string(got) != "prefix"+string(want) {
-			t.Errorf("%s:\n got %s\nwant prefix%s", tc.name, got, want)
-		}
 	}
 }
 

@@ -163,7 +163,7 @@ func TestBatchAllocsPerQuestion(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(50, func() { r.DoBatch(ctx, qs, "fp", trivial) })
 	t.Logf("a /batch of %d: %.0f allocations, %.2f per question", n, allocs, allocs/n)
-	if allocs > 267 {
-		t.Errorf("a /batch of %d: %.0f allocations, ceiling 267", n, allocs)
+	if allocs > 203 {
+		t.Errorf("a /batch of %d: %.0f allocations, ceiling 203", n, allocs)
 	}
 }

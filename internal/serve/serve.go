@@ -317,13 +317,13 @@ func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compu
 				}
 			}
 			_, asp := obs.StartSpan(fctx, "serve.admit")
-			release, err := r.admit(fctx)
+			err := r.admit(fctx)
 			asp.End()
 			if err != nil {
 				var zero A
 				return zero, false, err
 			}
-			defer release()
+			defer r.release()
 			if err := fctx.Err(); err != nil {
 				var zero A
 				return zero, false, err
@@ -432,21 +432,29 @@ func (r *Runtime[A]) CountRateLimited() {
 	r.metrics.rlRejected.Add(1)
 }
 
-// admit takes an engine slot, blocking until one frees or ctx expires.
-func (r *Runtime[A]) admit(ctx context.Context) (release func(), err error) {
+// admit takes an engine slot, blocking until one frees or ctx expires. A
+// release closure returned from here would allocate on every engine call.
+func (r *Runtime[A]) admit(ctx context.Context) error {
 	if r.sem == nil {
-		return func() {}, nil
+		return nil
 	}
 	select {
 	case r.sem <- struct{}{}:
-		return func() { <-r.sem }, nil
+		return nil
 	default:
 	}
 	select {
 	case r.sem <- struct{}{}:
-		return func() { <-r.sem }, nil
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
+	}
+}
+
+// release gives back the engine slot admit took.
+func (r *Runtime[A]) release() {
+	if r.sem != nil {
+		<-r.sem
 	}
 }
 

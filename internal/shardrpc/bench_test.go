@@ -1,13 +1,17 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/rdf/snapshot"
 )
 
 // probeCluster starts two loopback index servers over the test world and a
@@ -44,7 +48,7 @@ func slowOnly() *obs.Tracer { return obs.NewTracer(obs.Options{SlowThreshold: ti
 // network round trip, and batch=8 shows how much of it a question's probe
 // plan shares (eight probes cost one frame, not eight round trips).
 // traced is batch=1 under a trace, as every request is served: it adds the
-// spans on both sides and the shard's span in every reply.
+// client's spans and the server's timing of every frame.
 func BenchmarkProbeDistributed(b *testing.B) {
 	store, pool, probes := probeCluster(b, false)
 
@@ -92,7 +96,7 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"untraced", nil, 7},
-		{"traced", slowOnly(), 11},
+		{"traced", slowOnly(), 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := readAll(context.Background(), kb, probes); err != nil {
@@ -112,6 +116,39 @@ func TestProbeRoundTripAllocs(t *testing.T) {
 				t.Errorf("%s round trip: %.1f allocations, ceiling %.0f", tc.name, allocs, tc.ceiling)
 			}
 		})
+	}
+}
+
+// TestTracedFrameCostsNothing: a shard server answers a frame that carries
+// a trace ID as it answers one that does not, with no allocation and with a
+// reply of the same length, which differs only in the server time: zero
+// untraced, the time the server took traced. A count, not a clock.
+func TestTracedFrameCostsNothing(t *testing.T) {
+	store := testWorld(t)
+	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
+	frame := probeFrames(store)[0]
+	var replies [2][]byte
+	for i, traceID := range []string{"", "0123456789abcdef"} {
+		ss, payload := &session{conn: &replyConn{}}, requestPayload(opProbe, traceID, frame)
+		replies[i] = slices.Clone(serveFrame(t, srv, ss, payload))
+		allocs := testing.AllocsPerRun(100, func() { serveFrame(t, srv, ss, payload) })
+		t.Logf("a frame with trace ID %q: %.1f allocations, a %d-byte reply", traceID, allocs, len(replies[i]))
+		if allocs != 0 {
+			t.Errorf("a frame with trace ID %q: %.1f allocations on the server, want 0", traceID, allocs)
+		}
+	}
+	untraced, traced := replies[0], replies[1]
+	if len(traced) != len(untraced) {
+		t.Fatalf("a traced reply is %d bytes, an untraced one %d", len(traced), len(untraced))
+	}
+	if traced[0] != statusOK || !bytes.Equal(traced[replyHeaderLen:], untraced[replyHeaderLen:]) {
+		t.Errorf("the traced reply %x differs from the untraced %x past the server time", traced, untraced)
+	}
+	if served := binary.LittleEndian.Uint64(untraced[1:]); served != 0 {
+		t.Errorf("an untraced reply carries server time %d, want 0", served)
+	}
+	if served := binary.LittleEndian.Uint64(traced[1:]); served == 0 {
+		t.Error("a traced reply carries no server time")
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 func FuzzHandshake(f *testing.F) {
 	const digest, shards = 0x5eed, 2
 	srv := NewServer(rdf.NewStore(), digest, ServerOptions{})
-	// Version 5 sends a read phase to one server, with no shard in the
-	// header or the hello; a hello of any other version is refused, 4 (a
-	// shard in both) and 6 included.
-	good := hello{version: 5, digest: digest}.encode()
+	// Version 6 replies with the server's time where 5 sent a span tree;
+	// a hello of any other version is refused, 5, 4 (a shard in the header
+	// and the hello) and 7 included.
+	good := hello{version: 6, digest: digest}.encode()
 	okReply := framed(f, append([]byte{statusOK}, append(good, 0, 0, 0, 0)...))
 	errReply := framed(f, append([]byte{statusErr}, append(good, 2, 0, 0, 0, 'n', 'o')...))
 	for _, h := range [][]byte{
@@ -33,7 +33,8 @@ func FuzzHandshake(f *testing.F) {
 		hello{version: 3, digest: digest}.encode(),
 		hello{version: 4, digest: digest}.encode(),
 		append(hello{version: 4, digest: digest}.encode(), shards, 0, 0, 0), // a version 4 hello, shard count and all
-		hello{version: 6, digest: digest}.encode(),
+		hello{version: 5, digest: digest}.encode(),
+		hello{version: 7, digest: digest}.encode(),
 		append(append([]byte(nil), good...), 0),
 		good[:len(good)-1],
 		nil,

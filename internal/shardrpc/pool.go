@@ -483,7 +483,7 @@ func (a *attempt) roundTrip() ([]byte, error) {
 
 // call performs one request — a frame of probes probes whose body the
 // caller appended to newRequest's buffer — with hedging and failover,
-// returning the response body positioned after the status/span envelope.
+// returning the response body positioned after the status and server time.
 // Each call takes the next server of the list in turn; the first attempt
 // goes to the first up server from there, on the caller's goroutine over a
 // pooled connection, reading until the hedge deadline; only a call that
@@ -505,7 +505,7 @@ func (p *Pool) call(ctx context.Context, op byte, probes int, req *wbuf) (*rbuf,
 	if t, ok := ctx.Deadline(); ok {
 		deadline = t
 	}
-	reqHeader{op: op, deadline: deadline.UnixNano(), traceID: obs.TraceID(ctx)}.put(req.b[safeio.FrameHeaderLen:])
+	putReqHeader(req.b[safeio.FrameHeaderLen:], op, deadline.UnixNano(), obs.TraceID(ctx))
 	safeio.SealFrame(req.b)
 
 	// Attempt order: the server list from this call's turn on, up hosts
@@ -533,7 +533,7 @@ func (p *Pool) call(ctx context.Context, op byte, probes int, req *wbuf) (*rbuf,
 		payload, err := p.run(ctx, &a, hedgeBy, nil)
 		switch {
 		case err == nil:
-			return p.finish(sp, a.addr, payload)
+			return p.finish(sp, op, a.addr, payload)
 		case err != errResume:
 			return nil, err
 		case ctx.Err() != nil:
@@ -554,14 +554,14 @@ func (p *Pool) call(ctx context.Context, op byte, probes int, req *wbuf) (*rbuf,
 			order = append(order, servers[k])
 		}
 	}
-	return p.hedged(ctx, sp, a, append(order, downed...), hedgeBy)
+	return p.hedged(ctx, sp, op, a, append(order, downed...), hedgeBy)
 }
 
 // hedged finishes a call whose first attempt, a, did not finish on the
 // caller's goroutine: a goes on on its own goroutine, the next server of
 // order is hedged at hedgeBy (at once when it has passed), a failed attempt
 // fails over to the next, and the first reply wins and aborts the rest.
-func (p *Pool) hedged(ctx context.Context, sp *obs.Span, a attempt, order []string, hedgeBy time.Time) (*rbuf, error) {
+func (p *Pool) hedged(ctx context.Context, sp *obs.Span, op byte, a attempt, order []string, hedgeBy time.Time) (*rbuf, error) {
 	req, deadline := a.req, a.deadline
 	results := make(chan attemptOut, 1+len(order)) // buffered: losers never block
 	fl := &inflight{}
@@ -593,7 +593,7 @@ func (p *Pool) hedged(ctx context.Context, sp *obs.Span, a attempt, order []stri
 			outstanding--
 			if out.err == nil {
 				fl.abort() // expire the losers; they drain into the buffered channel
-				return p.finish(sp, out.addr, out.payload)
+				return p.finish(sp, op, out.addr, out.payload)
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shardrpc: server %s: %w", out.addr, out.err)
@@ -621,14 +621,16 @@ func (p *Pool) hedged(ctx context.Context, sp *obs.Span, a attempt, order []stri
 	}
 }
 
-// finish parses a winning response: graft the server's span subtree, then
-// surface either the application error or the body.
-func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) {
+// finish parses a winning response to an op frame: record the server's
+// time as the shard.serve span under sp, then surface either the
+// application error or the body.
+func (p *Pool) finish(sp *obs.Span, op byte, addr string, payload []byte) (*rbuf, error) {
 	r := &rbuf{b: payload}
-	status := r.u8()
-	if spanJSON := r.bytes(); len(spanJSON) > 0 {
-		sp.AttachRemote(spanJSON)
+	status, served := r.u8(), r.u64()
+	if r.err != nil {
+		return nil, r.err
 	}
+	sp.StageInt("shard.serve", time.Duration(served), "op", int64(op))
 	if status != statusOK {
 		msg := r.str()
 		if r.err != nil {
@@ -636,9 +638,6 @@ func (p *Pool) finish(sp *obs.Span, addr string, payload []byte) (*rbuf, error) 
 		}
 		p.errcount.Add(1)
 		return nil, fmt.Errorf("shardrpc: server %s: %s", addr, msg)
-	}
-	if r.err != nil {
-		return nil, r.err
 	}
 	return r, nil
 }

@@ -9,9 +9,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
+	"repro/internal/safeio"
 )
 
 // probeFrames returns real opProbe bodies, one per node group of store:
@@ -169,28 +171,71 @@ func FuzzProbeRequest(f *testing.F) {
 	})
 }
 
-// FuzzProbeReply: the client's reply decoder over arbitrary bytes, for a
-// frame of probes probes, returns an error or exactly one set per probe
-// that encodes back to the very bytes it read: a reply with too few sets
-// or trailing bytes is refused.
+// replyConn is a connection a shard server writes its replies to and
+// nothing reads from: it keeps the last frame written.
+type replyConn struct {
+	net.Conn
+	last []byte
+}
+
+func (c *replyConn) Write(b []byte) (int, error) {
+	c.last = append(c.last[:0], b...)
+	return len(b), nil
+}
+
+func (c *replyConn) SetWriteDeadline(time.Time) error { return nil }
+
+// requestPayload returns a request frame's payload: body behind a header
+// for op that names traceID and no deadline.
+func requestPayload(op byte, traceID string, body []byte) []byte {
+	req := make([]byte, reqHeaderLen+len(traceID), reqHeaderLen+len(traceID)+len(body))
+	putReqHeader(req, op, 0, traceID)
+	return append(req, body...)
+}
+
+// serveFrame has srv answer one request payload on a session over a
+// replyConn and returns the reply's payload.
+func serveFrame(tb testing.TB, srv *Server, ss *session, payload []byte) []byte {
+	tb.Helper()
+	if err := srv.handleRequest(ss, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return ss.conn.(*replyConn).last[safeio.FrameHeaderLen:]
+}
+
+// FuzzProbeReply: the client's parse of a whole reply payload to a frame of
+// probes probes — the envelope (status, server time) in Pool.finish, then
+// decodeProbeReply — returns an error or exactly one set per probe that
+// encodes back to the very body it read. A payload shorter than the
+// envelope, an error status, a reply with too few sets or with trailing
+// bytes is refused, never a panic.
 func FuzzProbeReply(f *testing.F) {
 	store := testWorld(f)
 	srv := NewServer(store, snapshot.Digest(store), ServerOptions{})
-	for _, frame := range probeFrames(store) {
-		var body wbuf
-		if errmsg := srv.execute(reqHeader{op: opProbe}, &rbuf{b: frame}, &body, &session{}); errmsg != "" {
-			f.Fatal(errmsg)
-		}
+	ss := &session{conn: &replyConn{}}
+	for i, frame := range probeFrames(store) {
+		reply := slices.Clone(serveFrame(f, srv, ss, requestPayload(opProbe, []string{"", "0123456789abcdef"}[i%2], frame)))
 		n := uint8(binary.LittleEndian.Uint32(frame))
-		f.Add(n, body.b)
-		f.Add(n-1, body.b)
-		f.Add(n+1, body.b)
-		f.Add(n, body.b[:len(body.b)-1])
-		f.Add(n, append(slices.Clone(body.b), 0))
+		f.Add(n, reply)
+		f.Add(n-1, reply)
+		f.Add(n+1, reply)
+		f.Add(n, reply[:len(reply)-1])
+		f.Add(n, append(slices.Clone(reply), 0))
 	}
-	f.Add(uint8(2), []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(2), make([]byte, replyHeaderLen+8))
+	f.Add(uint8(0), make([]byte, replyHeaderLen))
+	f.Add(uint8(0), make([]byte, replyHeaderLen-1))
+	f.Add(uint8(0), []byte(nil))
+	f.Add(uint8(1), slices.Clone(serveFrame(f, srv, ss, requestPayload(opProbe, "", []byte{1, 0, 0, 0}))))
 	f.Fuzz(func(t *testing.T, probes uint8, data []byte) {
-		got, err := decodeProbeReply(&rbuf{b: data}, int(probes))
+		r, err := new(Pool).finish(nil, opProbe, "fuzz", data)
+		if ok := len(data) >= replyHeaderLen && data[0] == statusOK; (err == nil) != ok {
+			t.Fatalf("envelope of %x: %v, want an error only for a short payload or an error status", data, err)
+		}
+		if err != nil {
+			return
+		}
+		got, err := decodeProbeReply(r, int(probes))
 		if err != nil {
 			if got != nil {
 				t.Fatalf("decoder returned both %d sets and %v", len(got), err)
@@ -204,8 +249,8 @@ func FuzzProbeReply(f *testing.F) {
 		for _, set := range got {
 			w.ids(set)
 		}
-		if !bytes.Equal(w.b, data) {
-			t.Fatalf("decoded %v from %x, which encodes back to %x", got, data, w.b)
+		if !bytes.Equal(w.b, data[replyHeaderLen:]) {
+			t.Fatalf("decoded %v from %x, whose body encodes back to %x", got, data, w.b)
 		}
 	})
 }

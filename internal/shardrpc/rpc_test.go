@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,8 +302,9 @@ func TestHedgedCallLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestTraceStitchesAcrossRPC: a traced call must produce one stitched tree —
-// the client's rpc.call span with the server's shard.serve subtree grafted
-// under it — retrievable from the client-side tracer ring.
+// the client's rpc.call span with the server's shard.serve span (op) under
+// it, starting where the call starts and lasting no longer — retrievable
+// from the client-side tracer ring.
 func TestTraceStitchesAcrossRPC(t *testing.T) {
 	store := testWorld(t)
 	addr, srv := startServer(t, store)
@@ -330,8 +332,16 @@ func TestTraceStitchesAcrossRPC(t *testing.T) {
 	if call == nil {
 		t.Fatalf("no rpc.call span in the trace:\n%+v", snap.Root)
 	}
-	if call.Find("shard.serve") == nil {
-		t.Fatalf("server-side shard.serve span not grafted under rpc.call:\n%+v", *call)
+	serve := call.Find("shard.serve")
+	if serve == nil {
+		t.Fatalf("no shard.serve span under rpc.call:\n%+v", *call)
+	}
+	if op, _ := serve.Attr("op"); op != strconv.Itoa(int(opProbe)) {
+		t.Errorf("shard.serve op = %q, want %d", op, opProbe)
+	}
+	if serve.StartNanos != call.StartNanos || serve.DurationNanos > call.DurationNanos {
+		t.Errorf("shard.serve at %d for %d ns, want from its rpc.call's start (%d) within its %d ns",
+			serve.StartNanos, serve.DurationNanos, call.StartNanos, call.DurationNanos)
 	}
 }
 
@@ -621,7 +631,7 @@ func TestWireOps(t *testing.T) {
 	if want := []byte{opSubjects, opProbe}; !bytes.Equal(served, want) {
 		t.Fatalf("served ops = %v, want %v", served, want)
 	}
-	if ProtoVersion != 5 {
-		t.Errorf("ProtoVersion = %d; the op set above is version 5's", ProtoVersion)
+	if ProtoVersion != 6 {
+		t.Errorf("ProtoVersion = %d; the op set above is version 6's", ProtoVersion)
 	}
 }

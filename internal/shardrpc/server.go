@@ -227,32 +227,23 @@ func (s *Server) handleRequest(ss *session, payload []byte) error {
 		s.failures.Add(1)
 		return r.err // framing is intact but header garbage: protocol bug, drop conn
 	}
-	var sp *obs.Span
-	if hdr.traceID != "" {
-		sp = obs.NewRemoteRoot(hdr.traceID, "shard.serve")
-		sp.SetInt("op", int64(hdr.op))
-	}
 	// The reply is built in place behind room for the frame header: status
-	// (zero is statusOK), span length, body. A span is appended once it has
-	// ended, then moved ahead of the body.
+	// (zero is statusOK), the server time (zero unless the request is
+	// traced), body.
 	w := &ss.reply
-	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+1+4)...)
-	mark := len(w.b)
-	errmsg := s.execute(hdr, r, w, ss)
-	if errmsg != "" {
+	w.b = append(w.b[:0], make([]byte, safeio.FrameHeaderLen+replyHeaderLen)...)
+	var start time.Time
+	if len(hdr.traceID) > 0 {
+		start = time.Now()
+	}
+	if errmsg := s.execute(hdr, r, w, ss); errmsg != "" {
 		s.failures.Add(1)
 		w.b[safeio.FrameHeaderLen] = statusErr
-		w.b = w.b[:mark]
+		w.b = w.b[:safeio.FrameHeaderLen+replyHeaderLen]
 		w.str(errmsg)
 	}
-	sp.End()
-	if sp != nil {
-		body := len(w.b) - mark
-		w.b = sp.AppendJSON(w.b)
-		sp.Release()
-		binary.LittleEndian.PutUint32(w.b[mark-4:], uint32(len(w.b)-mark-body))
-		w.b = append(w.b, w.b[mark:mark+body]...)
-		w.b = w.b[:mark+copy(w.b[mark:], w.b[mark+body:])]
+	if !start.IsZero() {
+		binary.LittleEndian.PutUint64(w.b[safeio.FrameHeaderLen+1:], uint64(time.Since(start)))
 	}
 	if hdr.deadline != ss.writeBy {
 		// Bound the response write by the caller's deadline so an

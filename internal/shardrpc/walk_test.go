@@ -108,7 +108,7 @@ func TestOneRoundPerBatchOnAnyPlacement(t *testing.T) {
 
 // TestShardSpanRecordsTheWalk: a walk of three edges is one frame, whose
 // rpc.call span counts its probes and carries the server's shard.serve span
-// grafted under it, and whose reply is the walk's end.
+// under it, and whose reply is the walk's end.
 func TestShardSpanRecordsTheWalk(t *testing.T) {
 	store := testWorld(t)
 	path, ok := rdf.ParsePath(store, "marriage→person→name")

@@ -24,8 +24,8 @@
 // same world, so the digest check is load-bearing, not cosmetic.
 // After the handshake the client sends request frames and reads one
 // response frame per request; requests carry the caller's deadline and
-// trace ID, and responses carry the server's span subtree so traces
-// stitch across the process boundary.
+// trace ID, and a reply to a traced request carries the server's time, which
+// the caller records as the shard.serve span under its rpc.call.
 //
 // A call's first attempt runs on the caller's goroutine over a pooled
 // connection, with the hedge deadline as its read deadline, so a call
@@ -35,7 +35,7 @@
 // goes to the next server at once; a call with no pooled connection starts
 // there. The first reply wins and expires the losers' deadlines; a failure
 // fails over to the next server; a cancelled caller expires every attempt.
-// The server builds each reply, span included, in one buffer per connection.
+// The server builds each reply in one buffer per connection.
 package shardrpc
 
 import (
@@ -58,8 +58,12 @@ const (
 	// server walked; 4 sends each probe as it is, a path and a subject, and
 	// replies with the set at the path's end; 5 drops the shard from the
 	// request header and the shard count from the hello, since every server
-	// answers for the whole world.
-	ProtoVersion = 5
+	// answers for the whole world; 6 replies with a fixed server-time slot
+	// where 5 sent a length-prefixed span tree as JSON. A v6 reply is
+	//
+	//	u8 status | u64 server time in ns (0 when the request carried no
+	//	trace ID) | body (the op's reply, or a u32-prefixed error message)
+	ProtoVersion = 6
 )
 
 // Request opcodes. 1 was the single-group frontier expansion opProbe
@@ -75,6 +79,10 @@ const (
 	statusOK  = byte(0)
 	statusErr = byte(1)
 )
+
+// replyHeaderLen is a reply's length before its body: status and server
+// time.
+const replyHeaderLen = 1 + 8
 
 // wbuf builds a frame payload.
 type wbuf struct{ b []byte }
@@ -223,8 +231,8 @@ func decodeHello(payload []byte) (hello, error) {
 // reqHeader precedes every request body.
 type reqHeader struct {
 	op       byte
-	deadline int64 // UnixNano; 0 = none
-	traceID  string
+	deadline int64  // UnixNano; 0 = none
+	traceID  []byte // as it lies in the frame; empty = untraced
 }
 
 // reqHeaderLen is a request header's length before its trace ID.
@@ -238,19 +246,20 @@ func newRequest(ctx context.Context) *wbuf {
 	return &wbuf{b: make([]byte, n, n+64)}
 }
 
-// put writes h into b, which is exactly its length.
-func (h reqHeader) put(b []byte) {
+// putReqHeader writes a request header into b, which is exactly its
+// length.
+func putReqHeader(b []byte, op byte, deadline int64, traceID string) {
 	w := wbuf{b: b[:0:len(b)]}
-	w.u8(h.op)
-	w.u64(uint64(h.deadline))
-	w.str(h.traceID)
+	w.u8(op)
+	w.u64(uint64(deadline))
+	w.str(traceID)
 }
 
 func decodeReqHeader(r *rbuf) reqHeader {
 	return reqHeader{
 		op:       r.u8(),
 		deadline: int64(r.u64()),
-		traceID:  r.str(),
+		traceID:  r.bytes(),
 	}
 }
 

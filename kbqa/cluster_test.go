@@ -223,3 +223,120 @@ func TestClusterMetricsCarryPoolStats(t *testing.T) {
 		t.Errorf("scrape missing %q", want)
 	}
 }
+
+// TestClusterRetainedTraceShape pins the tree a retained trace holds on a
+// loopback 2-server cluster, times masked: span names, nesting, order and
+// attributes, for one corpus BFQ and one composed complex question. Every
+// rpc.call frame carries the server's shard.serve span (op), which starts
+// where the rpc.call starts and lasts no longer. The server address an
+// attempt went to is masked; a call the pool hedged has one attempt more,
+// so such a trace is asked again.
+func TestClusterRetainedTraceShape(t *testing.T) {
+	opts := Options{Flavor: "freebase", Seed: 42}
+	world, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrA, _ := startShardServer(t, world)
+	addrB, _ := startShardServer(t, world)
+	opts.ShardServers = []string{addrA, addrB}
+	sys, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sv := mustServer(t, sys, ServerOptions{TraceSampleRate: 1, CacheEntries: -1})
+	defer sv.Close()
+
+	for _, row := range []struct {
+		q, want string
+	}{
+		{world.SampleQuestions(1)[0], `
+kbqa.query question=what is the population of norhaven?
+  serve.flight shared=false
+    serve.admit
+    serve.engine
+      engine.answer question=what is the population of norhaven?
+        engine.probe mentions=1 entities=1 templates=3 probes=1 candidates=3
+          rpc.call op=8 probes=1
+            rpc.attempt server=*
+            shard.serve op=8
+        parse
+        match
+        probe
+`},
+		{world.ComplexQuestions(7, 1)[0].Q, `
+kbqa.query question=How big is the population of the headquarters of jetworks?
+  serve.flight shared=false
+    serve.admit
+    serve.engine
+      engine.answer question=How big is the population of the headquarters of jetworks?
+        engine.probe mentions=1 entities=1 templates=2 probes=0 candidates=0
+        engine.oracle spans_tried=9 probes=1 spans_accepted=1
+          rpc.call op=8 probes=1
+            rpc.attempt server=*
+            shard.serve op=8
+        engine.hop hop=0 question=the headquarters of jetworks value=dunfield
+        engine.hop hop=1 pattern=how big is the population of $e value=779k
+          engine.probe mentions=1 entities=1 templates=3 probes=2 bindings=1 candidates=6
+            rpc.call op=8 probes=2
+              rpc.attempt server=*
+              shard.serve op=8
+          engine.bfq question=how big is the population of dunfield
+        parse
+        match
+        probe
+`},
+	} {
+		var got string
+		for try := 0; ; try++ {
+			r, err := sv.Query(context.Background(), row.q)
+			if err != nil {
+				t.Fatalf("Query(%q): %v", row.q, err)
+			}
+			snap, ok := sv.FindTrace(r.TraceID)
+			if !ok {
+				t.Fatalf("Query(%q): trace %s not retained", row.q, r.TraceID)
+			}
+			var b strings.Builder
+			b.WriteByte('\n')
+			hedged := writeShape(t, &b, &snap.Root, nil, 0)
+			if got = b.String(); !hedged || try == 4 {
+				break
+			}
+		}
+		if got != row.want {
+			t.Errorf("Query(%q) retained\n%s\nwant\n%s", row.q, got, row.want)
+		}
+	}
+}
+
+// writeShape writes the tree under s, one span a line, indented by depth,
+// with its attributes but no times, and the address of an rpc.attempt
+// masked. It checks that every shard.serve lies within its rpc.call from
+// that call's start, and reports whether any call was hedged.
+func writeShape(t *testing.T, b *strings.Builder, s, parent *SpanSnapshot, depth int) (hedged bool) {
+	t.Helper()
+	b.WriteString(strings.Repeat("  ", depth) + s.Name)
+	for _, a := range s.Attrs {
+		v := a.Value
+		if s.Name == "rpc.attempt" && a.Key == "server" {
+			v = "*"
+		}
+		hedged = hedged || a.Key == "hedged"
+		b.WriteString(" " + a.Key + "=" + v)
+	}
+	b.WriteByte('\n')
+	if s.Name == "shard.serve" {
+		if parent == nil || parent.Name != "rpc.call" {
+			t.Errorf("shard.serve outside an rpc.call")
+		} else if s.StartNanos != parent.StartNanos || s.DurationNanos > parent.DurationNanos {
+			t.Errorf("shard.serve at %d for %d ns, its rpc.call at %d for %d ns",
+				s.StartNanos, s.DurationNanos, parent.StartNanos, parent.DurationNanos)
+		}
+	}
+	for i := range s.Children {
+		hedged = writeShape(t, b, &s.Children[i], s, depth+1) || hedged
+	}
+	return hedged
+}
