@@ -212,6 +212,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, kbqa.WithTopK(topK))
 	}
 	items := s.srv.QueryBatch(r.Context(), req.Questions, opts...)
+	// The batch is one trace, the one traced opened: every answered item
+	// carries its ID.
+	tid := obs.TraceID(r.Context())
 	rp := newReply()
 	rp.b = append(rp.b, `{"results":[`...)
 	var firstInfraErr error
@@ -220,8 +223,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			rp.b = append(rp.b, ',')
 		}
-		rp.outcome(it.Question, it.Result, it.Err)
-		if it.Err != nil && !kbqa.IsUnanswerable(it.Err) {
+		if it.Err == nil {
+			rp.answered(it.Question, it.Result, tid)
+			continue
+		}
+		rp.outcome(it.Question, nil, it.Err)
+		if !kbqa.IsUnanswerable(it.Err) {
 			infraErrored++
 			if firstInfraErr == nil {
 				firstInfraErr = it.Err

@@ -40,6 +40,12 @@ func (rp *reply) outcome(q string, res *kbqa.Result, err error) {
 		rp.failure(q, err.Error(), kbqa.ErrorCode(err))
 		return
 	}
+	rp.answered(q, res, res.TraceID)
+}
+
+// answered appends a Result with tid as its trace ID: a /batch item's is
+// the batch's, which its Result does not carry.
+func (rp *reply) answered(q string, res *kbqa.Result, tid string) {
 	var a kbqa.Answer
 	if res.Answer != nil {
 		a = *res.Answer
@@ -89,7 +95,7 @@ func (rp *reply) outcome(q string, res *kbqa.Result, err error) {
 	if len(res.Interpretations) > 0 {
 		rp.b = append(rp.b, ']')
 	}
-	rp.omitEmpty(`,"trace_id":`, res.TraceID)
+	rp.omitEmpty(`,"trace_id":`, tid)
 	tm := res.Timings
 	rp.b = append(rp.b, `,"timings":{"parse":`...)
 	rp.b = strconv.AppendInt(rp.b, int64(tm.Parse), 10)

@@ -248,7 +248,9 @@ func TestTraceUntracedServer(t *testing.T) {
 }
 
 // TestBatchTraceHeader checks /batch runs under one trace whose ID every
-// result echoes.
+// answered result echoes, and that /debug/traces holds it as the http.batch
+// root with one batch.question span per question and nothing of the
+// pipeline under it.
 func TestBatchTraceHeader(t *testing.T) {
 	s, ts := tracedServer(t, nil)
 	qs := s.sys.SampleQuestions(3)
@@ -275,8 +277,23 @@ func TestBatchTraceHeader(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/traces", &tr)
 	for i := range tr.Traces {
 		if tr.Traces[i].ID == header {
-			if got := tr.Traces[i].Root.Name; got != "http.batch" {
-				t.Errorf("batch trace root = %q, want http.batch", got)
+			root := tr.Traces[i].Root
+			if root.Name != "http.batch" {
+				t.Errorf("batch trace root = %q, want http.batch", root.Name)
+			}
+			if len(root.Children) != len(qs) {
+				t.Fatalf("batch trace root has %d children, want %d", len(root.Children), len(qs))
+			}
+			for _, c := range root.Children {
+				q, _ := c.Attr("question")
+				if c.Name != "batch.question" || q == "" {
+					t.Errorf("batch trace child %s (question %q), want a batch.question span", c.Name, q)
+				}
+				for _, g := range c.Children {
+					if g.Name != "parse" && g.Name != "match" && g.Name != "probe" || g.Children != nil {
+						t.Errorf("batch.question %q has a %s child, want only its stages", q, g.Name)
+					}
+				}
 			}
 			return
 		}

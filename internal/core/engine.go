@@ -326,13 +326,13 @@ func (e *Engine) mentionsOf(q *parsed) []extract.Mention {
 // questions (see Unanswerable), ctx.Err() when the context expires, or the
 // Index's error when a read fails.
 func (e *Engine) Answer(ctx context.Context, question string, k int, variants bool) (Answer, []Ranked, Timings, error) {
-	start := time.Now()
+	start := time.Since(epoch)
 	s := e.scratches.Get().(*scratch)
 	ans, ranked, err := e.answer(ctx, s, question, k, variants)
 	tm := s.clock.tm
 	s.reset()
 	e.scratches.Put(s)
-	tm.Total = time.Since(start)
+	tm.Total = time.Since(epoch) - start
 	return ans, ranked, tm, err
 }
 

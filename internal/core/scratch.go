@@ -140,12 +140,16 @@ const (
 // one Match lap of its caller's, is left untimed.
 type clock struct {
 	tm   Timings
-	last time.Time
+	last time.Duration
 }
+
+// epoch is the base of the engine's clock readings: time.Since(epoch) reads
+// the monotonic clock alone, where time.Now reads the wall clock too.
+var epoch = time.Now()
 
 func (c *clock) start() {
 	if c != nil {
-		c.last = time.Now()
+		c.last = time.Since(epoch)
 	}
 }
 
@@ -153,8 +157,8 @@ func (c *clock) lap(st stage) {
 	if c == nil {
 		return
 	}
-	now := time.Now()
-	d := now.Sub(c.last)
+	now := time.Since(epoch)
+	d := now - c.last
 	c.last = now
 	switch st {
 	case parseStage:

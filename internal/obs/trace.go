@@ -11,7 +11,10 @@
 // allocations per question, and a write through a span after Finish is
 // dropped. A trace lives in one process: a shard server keeps no trace, and
 // the caller records the server time its reply carries as a completed child
-// span (StageInt).
+// span (StageInt). Work that times itself need not open spans at all: a
+// /batch runs its questions under HideSpan, so the pipeline below takes the
+// no-trace path, and records each question afterwards as one completed span
+// with its stages (Record), one trace write and no handle per question.
 package obs
 
 import (
@@ -86,6 +89,26 @@ func (c *spanCtx) Value(key any) any {
 		return (*Span)(c)
 	}
 	return c.ctx.Value(key)
+}
+
+// HideSpan returns a context with ctx's deadline, cancellation and values
+// but no active span, so the work done under it takes the no-trace fast
+// path: a caller that times that work itself records it with Span.Record.
+func HideSpan(ctx context.Context) context.Context {
+	if ActiveSpan(ctx) == nil {
+		return ctx
+	}
+	return hiddenSpan{ctx}
+}
+
+// hiddenSpan is a context whose active span is hidden.
+type hiddenSpan struct{ context.Context }
+
+func (c hiddenSpan) Value(key any) any {
+	if _, ok := key.(spanKey); ok {
+		return nil
+	}
+	return c.Context.Value(key)
 }
 
 // Attr is one key/value annotation on a span.
@@ -251,6 +274,37 @@ func (s *Span) stage(name string, d time.Duration, at attr) {
 		}
 	}
 	t.mu.Unlock()
+}
+
+// Record adds a span the caller timed itself as a completed child of s,
+// in one trace write: name, begun at start and lasting d, with attrs, and
+// under it children, each with its own attributes and children. A child's
+// StartNanos counts from start, so a child at 0 starts where the span does,
+// as a Stage child does. Nothing passed in is kept, and no handle is
+// returned.
+func (s *Span) Record(name string, start time.Time, d time.Duration, attrs []Attr, children []SpanSnapshot) {
+	if s == nil {
+		return
+	}
+	t := s.trace
+	base := int64(start.Sub(t.start))
+	t.mu.Lock()
+	if a := t.ar; a != nil {
+		a.graft(s.i, base, rec{name: name, start: base, dur: int64(d), ended: true}, attrs, children)
+	}
+	t.mu.Unlock()
+}
+
+// graft appends r under recs[parent] with its attributes and children,
+// whose starts count from base.
+func (a *arena) graft(parent int32, base int64, r rec, attrs []Attr, children []SpanSnapshot) {
+	i := a.open(parent, r)
+	for _, at := range attrs {
+		a.addAttr(i, attr{key: at.Key, str: at.Value})
+	}
+	for _, c := range children {
+		a.graft(i, base, rec{name: c.Name, start: base + c.StartNanos, dur: c.DurationNanos, ended: true}, c.Attrs, c.Children)
+	}
 }
 
 // End stamps the span's duration. Idempotent: the first End wins.

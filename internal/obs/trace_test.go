@@ -28,7 +28,11 @@ func TestStartSpanWithoutTraceIsInert(t *testing.T) {
 	sp.SetInt("n", 1)
 	sp.Stage("stage", time.Millisecond)
 	sp.StageInt("stage", time.Millisecond, "op", 8)
+	sp.Record("done", time.Now(), time.Millisecond, []Attr{{Key: "k", Value: "v"}}, []SpanSnapshot{{Name: "stage"}})
 	sp.End()
+	if HideSpan(ctx) != ctx {
+		t.Fatal("HideSpan of an untraced context must return it unchanged")
+	}
 	if id := TraceID(ctx); id != "" {
 		t.Fatalf("TraceID on untraced ctx = %q, want empty", id)
 	}
@@ -384,6 +388,96 @@ func TestSpanContextKeepsCancelFastPath(t *testing.T) {
 	}
 }
 
+// TestRecordGraftsATimedSpan: Record adds a completed child, with its
+// attributes and children, at the start it is given, among the children a
+// span opens itself; a child's start counts from that start.
+func TestRecordGraftsATimedSpan(t *testing.T) {
+	tr := NewTracer(Options{SampleRate: 1})
+	ctx, trace := tr.Start(context.Background(), "root")
+	_, first := StartSpan(ctx, "first")
+	first.End()
+	at := time.Now().Add(-time.Millisecond)
+	trace.Root().Record("done", at, 400*time.Microsecond,
+		[]Attr{{Key: "question", Value: "q"}, {Key: "hit", Value: "false"}},
+		[]SpanSnapshot{
+			{Name: "parse", DurationNanos: 100},
+			{Name: "late", StartNanos: 250, DurationNanos: 50, Attrs: []Attr{{Key: "k", Value: "v"}},
+				Children: []SpanSnapshot{{Name: "leaf", DurationNanos: 10}}},
+		})
+	_, last := StartSpan(ctx, "last")
+	last.End()
+	trace.Finish()
+	root := tr.Snapshot()[0].Root
+
+	var b strings.Builder
+	var walk func(s *SpanSnapshot, depth int)
+	walk = func(s *SpanSnapshot, depth int) {
+		b.WriteString(strings.Repeat(" ", depth) + s.Name)
+		for _, a := range s.Attrs {
+			b.WriteString(" " + a.Key + "=" + a.Value)
+		}
+		b.WriteByte('\n')
+		for i := range s.Children {
+			walk(&s.Children[i], depth+1)
+		}
+	}
+	walk(&root, 0)
+	want := "root\n first\n done question=q hit=false\n  parse\n  late k=v\n   leaf\n last\n"
+	if b.String() != want {
+		t.Fatalf("tree\n%s\nwant\n%s", b.String(), want)
+	}
+	done := root.Children[1]
+	if wantStart := int64(at.Sub(trace.start)); done.StartNanos != wantStart || done.DurationNanos != int64(400*time.Microsecond) {
+		t.Errorf("done at %d for %d ns, want at %d for 400000", done.StartNanos, done.DurationNanos, wantStart)
+	}
+	late := done.Children[1]
+	for _, c := range []struct {
+		s              *SpanSnapshot
+		start, durNano int64
+	}{{&done.Children[0], done.StartNanos, 100}, {&late, done.StartNanos + 250, 50}, {&late.Children[0], done.StartNanos, 10}} {
+		if c.s.StartNanos != c.start || c.s.DurationNanos != c.durNano {
+			t.Errorf("%s at %d for %d ns, want at %d for %d", c.s.Name, c.s.StartNanos, c.s.DurationNanos, c.start, c.durNano)
+		}
+	}
+	trace.Root().Record("after", time.Now(), 1, nil, nil) // dropped: the trace has finished
+}
+
+// TestHideSpanKeepsTheRest: under HideSpan no span is active and spans
+// open nothing, while the deadline, cancellation and other values of the
+// context pass through, and contexts derived under it still link to the
+// cancelable ancestor rather than starting a goroutine.
+func TestHideSpanKeepsTheRest(t *testing.T) {
+	type key struct{}
+	parent, cancel := context.WithTimeout(context.WithValue(context.Background(), key{}, "v"), time.Hour)
+	tr := NewTracer(Options{SampleRate: 1})
+	ctx, trace := tr.Start(parent, "root")
+	defer trace.Finish()
+	hidden := HideSpan(ctx)
+	if ActiveSpan(hidden) != nil || TraceID(hidden) != "" {
+		t.Fatal("a hidden span is still active")
+	}
+	if _, sp := StartSpan(hidden, "child"); sp != nil {
+		t.Fatal("a span opened under a hidden span")
+	}
+	if hidden.Value(key{}) != "v" {
+		t.Error("HideSpan lost a value")
+	}
+	if d1, _ := hidden.Deadline(); d1 != func() time.Time { d, _ := parent.Deadline(); return d }() {
+		t.Error("HideSpan lost the deadline")
+	}
+	before := runtime.NumGoroutine()
+	derived, stop := context.WithCancel(hidden)
+	defer stop()
+	if runtime.NumGoroutine() > before {
+		t.Error("a context derived under a hidden span started a goroutine")
+	}
+	cancel()
+	<-derived.Done()
+	if !errors.Is(hidden.Err(), context.Canceled) {
+		t.Errorf("hidden context ended with %v, want Canceled", hidden.Err())
+	}
+}
+
 // TestDisabledTracerStartsNothing pins the fully-disabled fast path: with
 // SampleRate 0 and no SlowThreshold, nothing could ever be retained, so
 // Start skips span construction entirely.
@@ -489,36 +583,24 @@ func TestTracerFindByID(t *testing.T) {
 
 // batchTrace builds the trace that a /batch of 64 cold BFQs builds, and
 // finishes it unretained, as slow capture does for almost every batch: an
-// http.batch root, and per question serve.flight > serve.admit,
-// serve.engine > engine.answer with its three stages and an engine.probe,
-// each with the attributes the serving path sets on it.
+// http.batch root with the attributes the HTTP layer sets on it, and per
+// question one batch.question span, recorded when the question is done,
+// with its question and its parse, match and probe stages.
 func batchTrace(tr *Tracer) {
-	ctx, trace := tr.Start(context.Background(), "http.batch")
+	_, trace := tr.Start(context.Background(), "http.batch")
 	root := trace.Root()
 	root.SetAttr("method", "POST")
 	root.SetAttr("path", "/batch")
 	root.SetAttr("client", "127.0.0.1")
 	for range 64 {
-		fctx, fsp := StartSpan(ctx, "serve.flight")
-		_, asp := StartSpan(fctx, "serve.admit")
-		asp.End()
-		ectx, esp := StartSpan(fctx, "serve.engine")
-		actx, sp := StartSpan(ectx, "engine.answer")
-		sp.SetAttr("question", "who is the mayor of victoria?")
-		_, psp := StartSpan(actx, "engine.probe")
-		psp.SetInt("mentions", 1)
-		psp.SetInt("entities", 1)
-		psp.SetInt("templates", 3)
-		psp.SetInt("probes", 2)
-		psp.End()
-		psp.SetInt("candidates", 1)
-		sp.Stage("parse", time.Microsecond)
-		sp.Stage("match", time.Microsecond)
-		sp.Stage("probe", time.Microsecond)
-		sp.End()
-		esp.End()
-		fsp.SetAttr("shared", "false")
-		fsp.End()
+		start := time.Now()
+		root.Record("batch.question", start, 20*time.Microsecond,
+			[]Attr{{Key: "question", Value: "who is the mayor of victoria?"}},
+			[]SpanSnapshot{
+				{Name: "parse", DurationNanos: 1000},
+				{Name: "match", DurationNanos: 1000},
+				{Name: "probe", DurationNanos: 1000},
+			})
 	}
 	root.SetInt("status", 200)
 	trace.Finish()
@@ -534,12 +616,13 @@ func BenchmarkBatchTrace(b *testing.B) {
 }
 
 // TestBatchTraceAllocs prices batchTrace's unretained trace as a count:
-// the span records go back to a pool at Finish, so what is left is the
-// Trace, its ID and the chunks of span handles past the inline one. The
-// ceiling sits one above the count (25 when the records lived in the
-// trace's own chunks); lower it when a trace gets cheaper. Under the race
-// detector the pool drops a quarter of the arenas put back, so a count
-// there would price the detector.
+// the span records go back to a pool at Finish, and Record takes no span
+// handle, so what is left is the Trace and its ID. The ceiling sits one
+// above the count (11 when each question opened its serve, engine and
+// probe spans, 25 when the records lived in the trace's own chunks); lower
+// it when a trace gets cheaper. Under the race detector the pool drops a
+// quarter of the arenas put back, so a count there would price the
+// detector.
 func TestBatchTraceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops arenas at random under the race detector")
@@ -548,8 +631,8 @@ func TestBatchTraceAllocs(t *testing.T) {
 	batchTrace(tr)
 	allocs := testing.AllocsPerRun(50, func() { batchTrace(tr) })
 	t.Logf("an unretained /batch trace of 64 BFQs: %.1f allocations", allocs)
-	if allocs > 11 {
-		t.Errorf("an unretained /batch trace of 64 BFQs: %.1f allocations, ceiling 11", allocs)
+	if allocs > 3 {
+		t.Errorf("an unretained /batch trace of 64 BFQs: %.1f allocations, ceiling 3", allocs)
 	}
 	if n := len(tr.Snapshot()); n != 0 {
 		t.Errorf("the tracer retained %d fast, unsampled traces", n)

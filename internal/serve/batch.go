@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -26,6 +27,13 @@ type BatchItem[A any] struct {
 // with the same options — cost one engine call. Items not yet started when
 // ctx ends carry its error; on a closed runtime every item fails with
 // ErrShuttingDown.
+//
+// A traced batch is one span per question: the questions run with the
+// batch's span hidden, so the pipeline opens no span of its own, and each
+// started question is recorded under the batch's span as a batch.question
+// span (question; hit when the cache is on; shared when it joined another
+// question's flight; error with its code) whose parse, match and probe
+// children are the engine's stages when the question ran the engine.
 func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprint string, compute AskFunc[A]) []BatchItem[A] {
 	if !r.begin() {
 		out := make([]BatchItem[A], len(questions))
@@ -39,9 +47,42 @@ func (r *Runtime[A]) DoBatch(ctx context.Context, questions []string, fingerprin
 	ctx, cancel := arm(ctx, r.opts.Timeout)
 	defer cancel()
 	traceID := obs.SampledTraceID(ctx)
-	return runBatch(ctx, questions, r.batchWorkers, func(ctx context.Context, q string) (A, bool, error) {
-		return r.do(ctx, q, fingerprint, compute, traceID)
+	sp, cached := obs.ActiveSpan(ctx), r.cache != nil
+	return runBatch(obs.HideSpan(ctx), questions, r.batchWorkers, func(ctx context.Context, q string) (A, bool, error) {
+		if sp == nil {
+			return r.do(ctx, q, fingerprint, compute, traceID, nil)
+		}
+		var n note
+		a, ok, err := r.do(ctx, q, fingerprint, compute, traceID, &n)
+		record(sp, q, &n, cached, err)
+		return a, ok, err
 	})
+}
+
+// record adds a batch question's span under the batch's span sp, from what
+// do noted of it. A question that neither ran the engine nor joined a
+// flight, and did not fail, was answered from the cache.
+func record(sp *obs.Span, q string, n *note, cached bool, err error) {
+	var buf [4]obs.Attr
+	attrs := append(buf[:0], obs.Attr{Key: "question", Value: q})
+	if cached {
+		attrs = append(attrs, obs.Attr{Key: "hit", Value: strconv.FormatBool(!n.ran && !n.shared && err == nil)})
+	}
+	if n.shared {
+		attrs = append(attrs, obs.Attr{Key: "shared", Value: "true"})
+	}
+	if err != nil {
+		attrs = append(attrs, obs.Attr{Key: "error", Value: ErrorCode(err)})
+	}
+	var stages []obs.SpanSnapshot
+	if n.ran {
+		stages = []obs.SpanSnapshot{
+			{Name: StageParse, DurationNanos: int64(n.tm.Parse)},
+			{Name: StageMatch, DurationNanos: int64(n.tm.Match)},
+			{Name: StageProbe, DurationNanos: int64(n.tm.Probe)},
+		}
+	}
+	sp.Record("batch.question", n.start, n.dur, attrs, stages)
 }
 
 // runBatch answers the questions on a fixed pool of workers, the calling

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -249,6 +251,70 @@ func TestDoSpans(t *testing.T) {
 	}
 	if hit.Find("serve.flight") != nil {
 		t.Error("cache hit still entered the flight group")
+	}
+}
+
+// TestDoBatchSpans checks a traced batch's shape: one batch.question span
+// per question directly under the batch's span and nothing of the pipeline
+// (no serve.* span, and the engine sees no active span). The span of a
+// question that ran the engine carries its stages; a repeat is a cache
+// hit with none; a failure carries its error code. One worker keeps the
+// order of the questions.
+func TestDoBatchSpans(t *testing.T) {
+	stages := StageTimings{Parse: 3 * time.Microsecond, Match: 5 * time.Microsecond, Probe: 7 * time.Microsecond}
+	r := withEngine(func(ctx context.Context, q string) (string, StageTimings, bool, error) {
+		if obs.ActiveSpan(ctx) != nil {
+			t.Errorf("the engine ran %q under a span", q)
+		}
+		if q == "boom" {
+			return "", stages, false, errors.New("boom")
+		}
+		return "ans:" + q, stages, true, nil
+	}, Options[string]{})
+	defer r.Close()
+	r.batchWorkers = 1
+	tracer := obs.NewTracer(obs.Options{SampleRate: 1})
+	ctx, trace := tracer.Start(context.Background(), "test")
+	items := r.AskBatch(ctx, []string{"a", "b", "a", "boom"})
+	trace.Finish()
+	if items[3].Err == nil {
+		t.Fatal("the failing question did not fail")
+	}
+	root := tracer.Snapshot()[0].Root
+	want := []struct {
+		attrs  string
+		stages bool
+	}{
+		{"question=a hit=false", true},
+		{"question=b hit=false", true},
+		{"question=a hit=true", false},
+		{"question=boom hit=false error=internal", true},
+	}
+	if len(root.Children) != len(want) {
+		t.Fatalf("the batch's span has %d children, want %d", len(root.Children), len(want))
+	}
+	for i, c := range root.Children {
+		var attrs []string
+		for _, a := range c.Attrs {
+			attrs = append(attrs, a.Key+"="+a.Value)
+		}
+		if got := strings.Join(attrs, " "); c.Name != "batch.question" || got != want[i].attrs {
+			t.Errorf("child %d = %s %s, want batch.question %s", i, c.Name, got, want[i].attrs)
+		}
+		if c.StartNanos < root.StartNanos || c.StartNanos+c.DurationNanos > root.StartNanos+root.DurationNanos {
+			t.Errorf("child %d at %d for %d ns lies outside the batch's span", i, c.StartNanos, c.DurationNanos)
+		}
+		var got []string
+		for _, g := range c.Children {
+			got = append(got, fmt.Sprintf("%s=%d@%d", g.Name, g.DurationNanos, g.StartNanos-c.StartNanos))
+		}
+		wantStages := ""
+		if want[i].stages {
+			wantStages = "parse=3000@0 match=5000@0 probe=7000@0"
+		}
+		if strings.Join(got, " ") != wantStages {
+			t.Errorf("child %d has children %v, want %q", i, got, wantStages)
+		}
 	}
 }
 

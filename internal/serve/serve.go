@@ -252,19 +252,34 @@ func (r *Runtime[A]) Do(ctx context.Context, question, fingerprint string, compu
 	// A sampled trace's ID rides along into the latency histograms as their
 	// exemplar, linking a scraped bucket to a trace in the /debug/traces
 	// ring; an unsampled one (slow capture's) may never be retained there.
-	return r.do(ctx, question, fingerprint, compute, obs.SampledTraceID(ctx))
+	return r.do(ctx, question, fingerprint, compute, obs.SampledTraceID(ctx), nil)
+}
+
+// note is what do tells a traced batch of one question, for its span: the
+// readings of do's own clock, whether the question joined another's flight
+// and, when it ran the engine, the engine's stages.
+type note struct {
+	start       time.Time
+	dur         time.Duration
+	shared, ran bool
+	tm          StageTimings
 }
 
 // do is Do's pipeline, run under a drain ticket the caller holds: a batch
-// holds one for all its questions.
-func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compute AskFunc[A], traceID string) (ans A, ok bool, err error) {
+// holds one for all its questions. A non-nil n is filled in for the
+// batch's trace.
+func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compute AskFunc[A], traceID string, n *note) (ans A, ok bool, err error) {
 	r.metrics.inFlight.Add(1)
 	start := time.Now()
 	defer func() {
-		r.metrics.total.observeTraced(time.Since(start), traceID)
+		d := time.Since(start)
+		r.metrics.total.observeTraced(d, traceID)
 		r.metrics.inFlight.Add(-1)
 		if err != nil {
 			r.metrics.countError(ErrorCode(err))
+		}
+		if n != nil {
+			n.start, n.dur = start, d
 		}
 	}()
 
@@ -331,6 +346,9 @@ func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compu
 			ectx, esp := obs.StartSpan(fctx, "serve.engine")
 			a, tm, okAns, err := compute(ectx, question)
 			esp.End()
+			if n != nil {
+				n.ran, n.tm = true, tm
+			}
 			if err != nil {
 				// An engine that died on its context (or any other
 				// infrastructure failure) produced no answer worth
@@ -356,6 +374,9 @@ func (r *Runtime[A]) do(ctx context.Context, question, fingerprint string, compu
 		if fsp != nil {
 			fsp.SetAttr("shared", strconv.FormatBool(shared))
 			fsp.End()
+		}
+		if n != nil {
+			n.shared = shared
 		}
 		if err != nil {
 			// A shared context error is the leader's, produced by the

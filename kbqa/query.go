@@ -182,7 +182,7 @@ type Result struct {
 	// TraceID identifies the request trace this result was produced (or
 	// served) under, when tracing is enabled — the same ID the HTTP layer
 	// echoes as X-Kbqa-Trace and /debug/traces serves. Empty when the
-	// request was untraced.
+	// request was untraced, and in a QueryBatch result.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

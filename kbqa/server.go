@@ -217,8 +217,9 @@ func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOptio
 	cfg := newQueryConfig(opts)
 	ctx, cancel := cfg.arm(ctx)
 	defer cancel()
-	ctx, finish := sv.startTrace(ctx, "kbqa.query", question)
-	defer finish()
+	ctx, trace := sv.startTrace(ctx, "kbqa.query")
+	defer trace.Finish()
+	trace.Root().SetAttr("question", question)
 	cur := sv.sys.cur.Load()
 	out, ok, err := sv.rt.Do(ctx, question, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
 	if err != nil {
@@ -233,20 +234,14 @@ func (sv *Server) Query(ctx context.Context, question string, opts ...QueryOptio
 
 // startTrace opens a server-rooted trace when the server has a tracer and
 // the caller did not bring one (an HTTP middleware's trace, carried in
-// ctx, wins — the server then only contributes spans). The returned finish
-// must be called when the request completes; it is a no-op when no trace
-// was started here.
-func (sv *Server) startTrace(ctx context.Context, name, question string) (context.Context, func()) {
-	noop := func() {}
+// ctx, wins — the server then only contributes spans). The returned trace
+// must be finished when the request completes; it is nil, whose methods
+// do nothing, when no trace was started here.
+func (sv *Server) startTrace(ctx context.Context, name string) (context.Context, *obs.Trace) {
 	if sv.tracer == nil || obs.ActiveSpan(ctx) != nil {
-		return ctx, noop
+		return ctx, nil
 	}
-	tctx, trace := sv.tracer.Start(ctx, name)
-	if trace == nil {
-		return ctx, noop
-	}
-	trace.Root().SetAttr("question", question)
-	return tctx, trace.Finish
+	return sv.tracer.Start(ctx, name)
 }
 
 // stamp returns res carrying exactly the caller's question and the
@@ -280,21 +275,27 @@ type BatchResult struct {
 // ServerOptions.Timeout, gives it one deadline for all its questions,
 // queueing included. Each question goes through the full serving
 // pipeline, so duplicates inside one batch cost one engine call.
+//
+// A batch is one trace, with one span per question under its root, and
+// its Results carry no TraceID: a caller that wants the ID opens the trace
+// itself (Tracer().Start) and passes it in ctx, as kbqa-server does.
 func (sv *Server) QueryBatch(ctx context.Context, questions []string, opts ...QueryOption) []BatchResult {
 	cfg := newQueryConfig(opts)
 	ctx, cancel := cfg.arm(ctx) // bounds the whole batch, queueing included
 	defer cancel()
-	ctx, finish := sv.startTrace(ctx, "kbqa.batch", fmt.Sprintf("[batch of %d]", len(questions)))
-	defer finish()
+	ctx, trace := sv.startTrace(ctx, "kbqa.batch")
+	defer trace.Finish()
+	if trace != nil {
+		trace.Root().SetAttr("question", fmt.Sprintf("[batch of %d]", len(questions)))
+	}
 	cur := sv.sys.cur.Load()
 	items := sv.rt.DoBatch(ctx, questions, cfg.fingerprint(cur.tag), compute(cur.engine, cfg))
-	tid := obs.TraceID(ctx)
 	out := make([]BatchResult, len(items))
 	for i, it := range items {
 		br := BatchResult{Question: it.Question, Err: it.Err}
 		if it.Err == nil {
 			if it.OK {
-				br.Result = stamp(it.Answer.Res, questions[i], tid)
+				br.Result = stamp(it.Answer.Res, questions[i], "")
 			} else {
 				sv.rt.CountError(it.Answer.Code)
 				br.Err = errorFromCode(it.Answer.Code)

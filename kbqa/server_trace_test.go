@@ -92,40 +92,41 @@ func TestServerUntracedHasNoTraceID(t *testing.T) {
 	}
 }
 
-// TestServerBatchTraceIDs checks that QueryBatch results are stamped with
-// the batch trace's ID.
+// TestServerBatchTraceIDs pins where a batch's trace ID lives: QueryBatch
+// Results carry none. A batch runs under the trace its caller opened,
+// whose ID finds it with one span per question under the caller's root, or
+// else under a kbqa.batch trace of its own.
 func TestServerBatchTraceIDs(t *testing.T) {
 	s := testSystem(t)
 	sv := mustServer(t, s, ServerOptions{TraceSampleRate: 1, SlowQueryThreshold: time.Hour})
 	defer sv.Close()
 	qs := s.SampleQuestions(4)
-	brs := sv.QueryBatch(context.Background(), qs)
-	var tid string
-	for _, br := range brs {
-		if br.Err != nil || br.Result == nil {
-			continue
-		}
-		if br.Result.TraceID == "" {
-			t.Fatalf("batch result for %q has no TraceID", br.Question)
-		}
-		if tid == "" {
-			tid = br.Result.TraceID
-		} else if br.Result.TraceID != tid {
-			t.Fatalf("batch results span trace IDs %s and %s, want one batch trace", tid, br.Result.TraceID)
-		}
-	}
-	if tid == "" {
-		t.Skip("no batch question answered; nothing to assert")
-	}
-	for _, tr := range sv.Traces() {
-		if tr.ID == tid {
-			if tr.Root.Name != "kbqa.batch" {
-				t.Errorf("batch trace root = %q, want kbqa.batch", tr.Root.Name)
+	noIDs := func(brs []BatchResult) {
+		t.Helper()
+		for _, br := range brs {
+			if br.Result != nil && br.Result.TraceID != "" {
+				t.Errorf("batch result for %q carries TraceID %q", br.Question, br.Result.TraceID)
 			}
-			return
 		}
 	}
-	t.Fatalf("batch trace %s not retained", tid)
+
+	ctx, trace := sv.Tracer().Start(context.Background(), "caller.batch")
+	noIDs(sv.QueryBatch(ctx, qs))
+	trace.Finish()
+	snap, ok := sv.FindTrace(trace.ID())
+	if !ok {
+		t.Fatalf("the caller's batch trace %s not retained", trace.ID())
+	}
+	if snap.Root.Name != "caller.batch" || len(snap.Root.Children) != len(qs) {
+		t.Errorf("the caller's batch trace is %s with %d children, want caller.batch with %d", snap.Root.Name, len(snap.Root.Children), len(qs))
+	}
+
+	noIDs(sv.QueryBatch(context.Background(), qs))
+	own := sv.Traces()[0].Root
+	if q, _ := own.Attr("question"); own.Name != "kbqa.batch" || q != "[batch of 4]" || len(own.Children) != len(qs) {
+		t.Errorf("QueryBatch's own trace is %s (question %q) with %d children, want kbqa.batch ([batch of 4]) with %d",
+			own.Name, q, len(own.Children), len(qs))
+	}
 }
 
 // TestExemplarsResolveToRetainedTraces: a latency exemplar names a trace
