@@ -6,11 +6,12 @@
 //
 // It enforces the runtime's recorded invariants — context propagation,
 // no blocking I/O under locks, resource and span lifecycle (mustclose,
-// spanend), goroutine termination signals, package-wide lock ordering,
-// error-sink hygiene, and structured logging: eight analyzers sharing
-// one call-graph facts layer. A //kbqa:nolint directive that suppresses
-// nothing is itself reported. See the README "Static analysis" section
-// for the analyzer table and the directive grammar.
+// spanend), goroutine termination signals, error-sink hygiene, and
+// structured logging: seven analyzers sharing one call-graph facts
+// layer, always run as a whole suite. A //kbqa:nolint directive that
+// suppresses nothing, or names no analyzer, is itself reported. See the
+// README "Static analysis" section for the analyzer table and the
+// directive grammar.
 package main
 
 import (

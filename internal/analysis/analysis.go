@@ -32,8 +32,8 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //kbqa:nolint directives. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph description printed by -flags help and
-	// documented in the README; the first line states the invariant.
+	// Doc is the one-paragraph description documented in the README;
+	// the first line states the invariant.
 	Doc string
 	// Run inspects the package and reports findings via Pass.Report.
 	Run func(*Pass) error
@@ -58,8 +58,8 @@ type Pass struct {
 	// report receives the analyzer's raw findings; the runner filters
 	// suppressed ones afterwards.
 	report func(Diagnostic)
-	// nolint maps file name -> line -> set of analyzer names (or "all")
-	// suppressed on that line.
+	// nolint maps file name -> line -> set of analyzer names suppressed
+	// on that line.
 	nolint map[string]map[int]map[string]bool
 	// used records which directives suppressed something (a diagnostic
 	// or a fact query), keyed by file:line:name — shared across the
@@ -102,17 +102,11 @@ func (p *Pass) Suppressed(name string, pos token.Pos) bool {
 	}
 	hit := false
 	for _, line := range []int{position.Line, position.Line - 1} {
-		set, ok := lines[line]
-		if !ok {
-			continue
-		}
-		for _, n := range []string{name, "all"} {
-			if set[n] {
-				if p.used != nil {
-					p.used[directiveKey{position.Filename, line, n}] = true
-				}
-				hit = true
+		if lines[line][name] {
+			if p.used != nil {
+				p.used[directiveKey{position.Filename, line, name}] = true
 			}
+			hit = true
 		}
 	}
 	return hit
@@ -120,8 +114,8 @@ func (p *Pass) Suppressed(name string, pos token.Pos) bool {
 
 // nolintRE matches the suppression directive. The directive must carry at
 // least one analyzer name ("//kbqa:nolint" alone suppresses nothing —
-// silent blanket waivers defeat the point); "all" is the explicit
-// blanket form. Anything after the names is free-form justification.
+// silent blanket waivers defeat the point). Anything after the names is
+// free-form justification.
 var nolintRE = regexp.MustCompile(`^//\s*kbqa:nolint\s+([a-zA-Z0-9_,\s]+?)(?:\s+[-—–].*)?$`)
 
 // directive is one //kbqa:nolint occurrence, retained (with its
@@ -171,18 +165,21 @@ func buildNolintIndex(fset *token.FileSet, files []*ast.File) (map[string]map[in
 }
 
 // NolintCheck names the framework's own meta-check: a //kbqa:nolint
-// directive that suppresses nothing for an analyzer in the run is
-// reported under this name, so suppressions cannot go stale silently.
-// The meta-check is not itself suppressible.
+// directive that suppresses nothing for an analyzer in the run, or that
+// names no analyzer of the suite, is reported under this name, so
+// suppressions cannot go stale or be misspelt silently. The meta-check
+// is not itself suppressible.
 const NolintCheck = "nolint"
 
 // Run executes the analyzers over one type-checked package and returns
 // the surviving (non-suppressed) diagnostics in file/position order,
 // plus one "stale suppression" diagnostic for every directive that
-// named a run analyzer but suppressed nothing (directives naming
-// analyzers outside this run are left alone — a partial run proves
-// nothing about them — as are directives in _test.go files).
-func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
+// named a run analyzer but suppressed nothing. whole says the analyzers
+// are the whole suite, as in every kbqa-vet run: a directive naming any
+// other analyzer then names none and is reported too. A partial run (a
+// fixture's one analyzer) proves nothing about such directives and
+// leaves them alone. Directives in _test.go files are never audited.
+func Run(analyzers []*Analyzer, whole bool, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	nolint, directives := buildNolintIndex(fset, files)
 	used := make(map[directiveKey]bool)
 	var out []Diagnostic
@@ -209,14 +206,17 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 		}
 	}
 	for _, d := range directives {
-		if !ran[d.key.name] || used[d.key] || strings.HasSuffix(d.key.file, "_test.go") {
+		if used[d.key] || strings.HasSuffix(d.key.file, "_test.go") {
 			continue
 		}
-		out = append(out, Diagnostic{
-			Pos:      d.pos,
-			Message:  fmt.Sprintf("//kbqa:nolint %s suppresses no %s diagnostic; remove or fix the stale directive", d.key.name, d.key.name),
-			Analyzer: NolintCheck,
-		})
+		msg := fmt.Sprintf("//kbqa:nolint %s suppresses no %s diagnostic; remove or fix the stale directive", d.key.name, d.key.name)
+		if !ran[d.key.name] {
+			if !whole {
+				continue
+			}
+			msg = fmt.Sprintf("//kbqa:nolint %s names no analyzer of the suite; fix the name or remove the directive", d.key.name)
+		}
+		out = append(out, Diagnostic{Pos: d.pos, Message: msg, Analyzer: NolintCheck})
 	}
 	sortDiagnostics(fset, out)
 	return out, nil

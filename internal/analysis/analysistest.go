@@ -30,7 +30,8 @@ var wantRE = regexp.MustCompile("//\\s*want\\s+(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([
 // comments: every want must be matched by a diagnostic on its line, and
 // every diagnostic must be covered by a want. Lines carrying a
 // //kbqa:nolint directive therefore prove suppression simply by having
-// no want comment.
+// no want comment. The run is partial: a directive naming an analyzer
+// other than a is not audited.
 func RunFixture(t testing.TB, dir string, a *Analyzer, pkg string) {
 	t.Helper()
 	pkgDir := filepath.Join(dir, "testdata", "src", pkg)
@@ -71,7 +72,7 @@ func RunFixture(t testing.TB, dir string, a *Analyzer, pkg string) {
 		t.Fatalf("typecheck fixture %s: %v", pkg, err)
 	}
 
-	diags, err := Run([]*Analyzer{a}, fset, files, tpkg, info)
+	diags, err := Run([]*Analyzer{a}, false, fset, files, tpkg, info)
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}

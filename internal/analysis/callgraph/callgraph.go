@@ -122,35 +122,3 @@ func Propagate(g *Graph, direct map[*types.Func]string, via func(callee *types.F
 	}
 	return facts
 }
-
-// PropagateSets computes the union fixpoint of per-function key sets
-// over the call graph: each caller's set grows by every callee's set
-// until nothing changes. lockorder uses it for "locks this function
-// (transitively) acquires"; direct is not modified.
-func PropagateSets(g *Graph, direct map[*types.Func]map[string]bool) map[*types.Func]map[string]bool {
-	facts := make(map[*types.Func]map[string]bool, len(direct))
-	for fn, set := range direct {
-		cp := make(map[string]bool, len(set))
-		for k := range set {
-			cp[k] = true
-		}
-		facts[fn] = cp
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, caller := range g.Funcs {
-			for _, callee := range g.Calls[caller] {
-				for k := range facts[callee] {
-					if !facts[caller][k] {
-						if facts[caller] == nil {
-							facts[caller] = make(map[string]bool)
-						}
-						facts[caller][k] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return facts
-}

@@ -5,6 +5,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
 )
 
 // CtxPropagate flags context.Background()/context.TODO() in non-test
@@ -62,7 +63,7 @@ func runCtxPropagate(pass *analysis.Pass) error {
 				funcStack = funcStack[:len(funcStack)-1]
 				return false
 			case *ast.CallExpr:
-				fn := calleeFunc(pass.TypesInfo, n)
+				fn := callgraph.CalleeFunc(pass.TypesInfo, n)
 				if isPkgFunc(fn, "context", "Background") || isPkgFunc(fn, "context", "TODO") {
 					if name, ok := ctxParamInScope(pass, funcStack); ok {
 						pass.Reportf(n.Pos(), "context.%s() drops the caller's context %q in scope; pass it through instead", fn.Name(), name)

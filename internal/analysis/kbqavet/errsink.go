@@ -5,6 +5,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
 )
 
 // ErrSink forbids discarding errors on the durability- and
@@ -76,7 +77,7 @@ func checkBlankErr(pass *analysis.Pass, assign *ast.AssignStmt) {
 	if !bad {
 		return
 	}
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := callgraph.CalleeFunc(pass.TypesInfo, call)
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return
@@ -96,7 +97,7 @@ func checkBlankErr(pass *analysis.Pass, assign *ast.AssignStmt) {
 // targets and returns its description. The callee must actually return
 // an error for a discard to exist.
 func errSinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(info, call)
+	fn := callgraph.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}

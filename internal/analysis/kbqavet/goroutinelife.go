@@ -69,7 +69,7 @@ func checkGoStmt(pass *analysis.Pass, g *callgraph.Graph, enclosing *ast.BlockSt
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		body = lit.Body
 		checkSpawnedSends(pass, enclosing, body)
-	} else if fn := calleeFunc(pass.TypesInfo, gs.Call); fn != nil {
+	} else if fn := callgraph.CalleeFunc(pass.TypesInfo, gs.Call); fn != nil {
 		if decl, ok := g.Decls[fn]; ok {
 			body = decl.Body
 		}
@@ -113,7 +113,7 @@ func terminationSignal(info *types.Info, body *ast.BlockStmt) bool {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if fn := calleeFunc(info, n); fn != nil && fn.Name() == "Done" && isMethodOf(fn, "WaitGroup") {
+			if fn := callgraph.CalleeFunc(info, n); fn != nil && fn.Name() == "Done" && isMethodOf(fn, "WaitGroup") {
 				found = true
 			}
 		case *ast.SelectStmt:

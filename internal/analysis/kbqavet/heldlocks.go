@@ -9,17 +9,13 @@ import (
 )
 
 // heldWalker tracks which mutexes are held through a function body —
-// lexically and branch-sensitively — for locksync and lockorder, which
-// differ only in what they do at the two events it reports. Branch bodies
-// get copies of the held set: an unlock on one branch doesn't release the
+// lexically and branch-sensitively — for locksync. A mutex is keyed by
+// the printed receiver expression of its Lock call (e.g. "s.mu"), so the
+// matching Unlock releases exactly what Lock acquired. Branch bodies get
+// copies of the held set: an unlock on one branch doesn't release the
 // mutex for code after the branch.
 type heldWalker struct {
 	info *types.Info
-	// name keys a mutex by its receiver expression, so the matching
-	// Unlock releases exactly what Lock acquired.
-	name func(ast.Expr) string
-	// acquire, if set, sees every Lock/RLock with the set held before it.
-	acquire func(call *ast.CallExpr, lock string, held map[string]bool)
 	// call sees every other call made while at least one mutex is held.
 	call func(call *ast.CallExpr, held map[string]bool)
 }
@@ -143,13 +139,9 @@ func (w *heldWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
 	e, kind := mutexOp(w.info, call)
 	switch {
 	case kind == opLock:
-		lock := w.name(e)
-		if w.acquire != nil {
-			w.acquire(call, lock, held)
-		}
-		held[lock] = true
+		held[types.ExprString(e)] = true
 	case kind == opUnlock:
-		delete(held, w.name(e))
+		delete(held, types.ExprString(e))
 	case len(held) > 0:
 		w.call(call, held)
 	}

@@ -43,10 +43,6 @@ func TestMustClose(t *testing.T) {
 	analysis.RunFixture(t, ".", MustClose, "mustclose")
 }
 
-func TestLockOrder(t *testing.T) {
-	analysis.RunFixture(t, ".", LockOrder, "lockorder")
-}
-
 func TestErrSink(t *testing.T) {
 	analysis.RunFixture(t, ".", ErrSink, "errsink")
 }
@@ -62,7 +58,7 @@ func TestNolintUnused(t *testing.T) {
 // set: adding or renaming an analyzer must update this list, the README
 // "Static analysis" section, and the CI step together.
 func TestRegistry(t *testing.T) {
-	want := []string{"ctxpropagate", "locksync", "spanend", "structuredlog", "goroutinelife", "mustclose", "lockorder", "errsink"}
+	want := []string{"ctxpropagate", "locksync", "spanend", "structuredlog", "goroutinelife", "mustclose", "errsink"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		names := make([]string, len(got))

@@ -3,18 +3,20 @@ package kbqavet
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
 )
 
-// LockSync flags blocking I/O — (*os.File).Sync, os.Rename, anything in
-// package net — executed while a sync.Mutex/RWMutex is held. PR 5's core
-// invariant: the persist.go append mutex protects an in-memory rotation,
-// so fsync and rename must happen off the critical section or every
-// writer stalls behind the disk. The check is package-local and
-// transitive: a function that (directly or through same-package calls)
-// performs blocking I/O must not be called under a lock.
+// LockSync flags blocking I/O — (*os.File).Sync, os.Rename, a net or
+// net/http call that can wait on a socket — executed while a
+// sync.Mutex/RWMutex is held. PR 5's core invariant: the persist.go
+// append mutex protects an in-memory rotation, so fsync and rename must
+// happen off the critical section or every writer stalls behind the
+// disk. The check is package-local and transitive: a function that
+// (directly or through same-package calls) performs blocking I/O must
+// not be called under a lock.
 //
 // A deliberate exception (e.g. rotateLocked's O(1) metadata rename)
 // carries //kbqa:nolint locksync — which also stops the fact from
@@ -40,7 +42,7 @@ func runLockSync(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass.TypesInfo, call)
+			fn := callgraph.CalleeFunc(pass.TypesInfo, call)
 			if fn == nil {
 				return true
 			}
@@ -62,14 +64,11 @@ func runLockSync(pass *analysis.Pass) error {
 	})
 
 	// Pass 2: walk each function body tracking which mutexes are held and
-	// report banned or blocking calls inside a critical section. Mutexes
-	// are keyed by the printed receiver expression of the Lock call (e.g.
-	// "s.mu").
+	// report banned or blocking calls inside a critical section.
 	w := &heldWalker{
 		info: pass.TypesInfo,
-		name: types.ExprString,
 		call: func(call *ast.CallExpr, held map[string]bool) {
-			fn := calleeFunc(pass.TypesInfo, call)
+			fn := callgraph.CalleeFunc(pass.TypesInfo, call)
 			if fn == nil {
 				return
 			}
@@ -96,10 +95,43 @@ func bannedCall(fn *types.Func) (string, bool) {
 		return "os.Rename", true
 	case path == "os" && fn.Name() == "Sync" && isMethodOf(fn, "File"):
 		return "(*os.File).Sync", true
-	case path == "net" || (len(path) > 4 && path[:4] == "net/"):
-		return path + "." + fn.Name(), true
+	case (path == "net" || path == "net/http") && waitsOnSocket(fn):
+		return fn.FullName(), true
 	}
 	return "", false
+}
+
+// waitsOnSocket reports whether fn, of package net or net/http, can wait
+// on a socket: a method of net.Conn, net.Listener or a net type that
+// implements one, a Dial*, Listen* or Lookup* function or method of
+// package net, or an HTTP client request. The rest of both packages
+// (http.Header, net.SplitHostPort, …) is pure computation and free to
+// call under a lock.
+func waitsOnSocket(fn *types.Func) bool {
+	name := fn.Name()
+	recv := fn.Type().(*types.Signature).Recv()
+	if fn.Pkg().Path() == "net/http" {
+		if recv == nil {
+			return name == "Get" || name == "Head" || name == "Post" || name == "PostForm"
+		}
+		return isMethodOf(fn, "Client") || name == "RoundTrip"
+	}
+	if strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "Listen") || strings.HasPrefix(name, "Lookup") {
+		return true
+	}
+	if recv == nil {
+		return false
+	}
+	for _, iface := range []string{"Conn", "Listener"} {
+		tn, _ := fn.Pkg().Scope().Lookup(iface).(*types.TypeName)
+		if tn == nil {
+			continue
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok && types.Implements(recv.Type(), it) {
+			return true
+		}
+	}
+	return false
 }
 
 func isMethodOf(fn *types.Func, typeName string) bool {

@@ -5,6 +5,7 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
 )
 
 // StructuredLog bans ad-hoc output in favor of the structured logger PR 6
@@ -50,7 +51,7 @@ func runStructuredLog(pass *analysis.Pass) error {
 						return true
 					}
 				}
-				fn := calleeFunc(pass.TypesInfo, call)
+				fn := callgraph.CalleeFunc(pass.TypesInfo, call)
 				if fn == nil || fn.Pkg() == nil {
 					return true
 				}

@@ -2,6 +2,9 @@
 package locksync
 
 import (
+	"net"
+	"net/http"
+	"net/url"
 	"os"
 	"sync"
 )
@@ -76,4 +79,34 @@ func (s *store) callsVetted() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.vetted()
+}
+
+type peer struct {
+	mu   sync.Mutex
+	conn net.Conn
+	h    http.Header
+}
+
+// A write on a net.Conn can wait on the socket.
+func (p *peer) send(b []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.conn.Write(b) // want `blocking \(net\.Conn\)\.Write inside critical section \(p\.mu held\)`
+}
+
+// Dialing and HTTP client requests wait on the network too.
+func (p *peer) dial() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	net.Dial("tcp", "localhost:1")  // want `blocking net\.Dial inside critical section`
+	http.Get("http://localhost:1/") // want `blocking net/http\.Get inside critical section`
+}
+
+// Pure helpers of net and net/* touch no socket: quiet under a lock.
+func (p *peer) helpers() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.h.Set("k", "v")
+	_ = url.QueryEscape("a b")
+	net.SplitHostPort("localhost:1")
 }

@@ -58,16 +58,7 @@ func run(args []string, stdout, stderr io.Writer, analyzers []*Analyzer) int {
 	fs := flag.NewFlagSet(filepath.Base(os.Args[0]), flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	printVersion := fs.String("V", "", "print version and exit (-V=full for a build fingerprint)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON")
-	jsonOut := fs.Bool("json", false, "emit JSON diagnostics")
-	selected := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		selected[a.Name] = fs.Bool(a.Name, false, "run only analyzers enabled by flag: "+doc)
-	}
+	printFlags := fs.Bool("flags", false, "print the tool's flags in JSON")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -79,39 +70,17 @@ func run(args []string, stdout, stderr io.Writer, analyzers []*Analyzer) int {
 	if *printFlags {
 		return flagsJSON(stdout, stderr, fs)
 	}
-	enabled := analyzers
-	if any := false; true {
-		for _, on := range selected {
-			any = any || *on
-		}
-		if any {
-			enabled = nil
-			for _, a := range analyzers {
-				if *selected[a.Name] {
-					enabled = append(enabled, a)
-				}
-			}
-		}
-	}
 
 	if fs.NArg() != 1 || !strings.HasSuffix(fs.Arg(0), ".cfg") {
 		fmt.Fprintf(stderr, "usage: %s [flags] <unit>.cfg\n(this tool is meant to be driven by `go vet -vettool`)\n", filepath.Base(os.Args[0]))
 		return 1
 	}
-	diags, err := runUnit(fs.Arg(0), enabled)
+	diags, err := runUnit(fs.Arg(0), analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if len(diags) == 0 {
-		return 0
-	}
-	if *jsonOut {
-		// JSON mode reports findings in-band; exit 0 like unitchecker.
-		if err := printJSONDiagnostics(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 		return 0
 	}
 	for _, d := range diags {
@@ -172,21 +141,6 @@ type positionedDiagnostic struct {
 
 func (d positionedDiagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
-}
-
-func printJSONDiagnostics(w io.Writer, diags []positionedDiagnostic) error {
-	type jd struct {
-		Posn     string `json:"posn"`
-		Message  string `json:"message"`
-		Category string `json:"category"`
-	}
-	out := make([]jd, len(diags))
-	for i, d := range diags {
-		out[i] = jd{Posn: d.Pos.String(), Message: d.Message, Category: d.Analyzer}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
 }
 
 // runUnit loads one vet config, type-checks the unit against the export
@@ -263,7 +217,7 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]positionedDiagnostic, err
 		return nil, fmt.Errorf("kbqa-vet: typecheck %s: %v", cfg.ImportPath, err)
 	}
 
-	diags, err := Run(analyzers, fset, files, pkg, info)
+	diags, err := Run(analyzers, true, fset, files, pkg, info)
 	if err != nil {
 		return nil, fmt.Errorf("kbqa-vet: %w", err)
 	}
